@@ -333,65 +333,6 @@ func BenchmarkAblationInvestigator(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeOverlap compares the streaming exchange–merge overlap
-// against the barriered balanced baseline on the Figure 5/6 distribution
-// mix at p=8 (ISSUE 5): each received run merges while the exchange is
-// still in flight, so end-to-end time drops by (roughly) the merge work
-// that fits inside the exchange window — reported as overlap-saved-ms
-// from Report.MergeOverlapSaved.
-func BenchmarkMergeOverlap(b *testing.B) {
-	datasets := make([][][]uint64, len(dist.Kinds))
-	for d, kind := range dist.Kinds {
-		datasets[d] = benchParts(kind, benchProcs, benchN)
-	}
-	totalKeys := int64(len(datasets)) * benchN
-	for _, mode := range []struct {
-		name  string
-		merge core.MergeStrategy
-	}{
-		{"barriered", core.MergeBalanced},
-		{"overlap", core.MergeOverlap},
-	} {
-		b.Run(fmt.Sprintf("%s/p=%d", mode.name, benchProcs), func(b *testing.B) {
-			eng, err := core.NewEngine[uint64](
-				core.Options{Procs: benchProcs, WorkersPerProc: benchWkrs, Merge: mode.merge},
-				comm.U64Codec{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			b.SetBytes(totalKeys * 8)
-			b.ResetTimer()
-			var saved float64
-			for i := 0; i < b.N; i++ {
-				for d := range datasets {
-					res, err := eng.Sort(datasets[d])
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == b.N-1 {
-						saved += float64(res.Report.MergeOverlapSaved.Microseconds()) / 1000
-					}
-				}
-			}
-			b.ReportMetric(saved, "overlap-saved-ms")
-		})
-	}
-}
-
-// BenchmarkAblationMergeStrategy compares step-6 merge strategies.
-func BenchmarkAblationMergeStrategy(b *testing.B) {
-	parts := benchParts(dist.Uniform, benchProcs, benchN)
-	for _, m := range []core.MergeStrategy{core.MergeBalanced, core.MergeKWay} {
-		b.Run(m.String(), func(b *testing.B) {
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				sortOnce(b, parts, core.Options{Merge: m})
-			}
-		})
-	}
-}
-
 // BenchmarkAblationAsyncExchange compares exchange schedules.
 func BenchmarkAblationAsyncExchange(b *testing.B) {
 	parts := benchParts(dist.Uniform, benchProcs, benchN)
@@ -466,11 +407,12 @@ func BenchmarkLocalSortPrimitives(b *testing.B) {
 
 // BenchmarkLocalSortPath compares the step-1 paths end to end (ISSUE 3):
 // the paper's comparison sort against the radix fast path over normalized
-// keys, per distribution kind on a persistent cluster.
+// keys (what LocalSortAuto resolves to for uint64), per distribution kind
+// on a persistent cluster.
 func BenchmarkLocalSortPath(b *testing.B) {
 	for _, kind := range []dist.Kind{dist.Uniform, dist.RightSkewed, dist.FewDistinct} {
 		parts := benchParts(kind, benchProcs, benchN)
-		for _, mode := range []core.LocalSortMode{core.LocalSortComparison, core.LocalSortRadix} {
+		for _, mode := range []core.LocalSortMode{core.LocalSortComparison, core.LocalSortAuto} {
 			b.Run(fmt.Sprintf("%s/%s", kind, mode), func(b *testing.B) {
 				eng, err := core.NewEngine[uint64](
 					core.Options{Procs: benchProcs, WorkersPerProc: benchWkrs, LocalSort: mode}, comm.U64Codec{})

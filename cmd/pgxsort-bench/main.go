@@ -40,8 +40,7 @@ func main() {
 		csvOut    = flag.String("csv", "", "CSV output: a directory for per-table files, or '-' for stdout (tables then go to stderr)")
 		pipeline  = flag.Bool("pipeline", false, "also run the SortMany pipeline sweep (shorthand for adding 'pipeline' to -exp)")
 		inflight  = flag.Int("inflight", 0, "SortMany scheduler admission cap for the pipeline sweep (0 = default)")
-		localSort = flag.String("localsort", "auto", "step-1 path for all experiments: auto, comparison or radix")
-		overlap   = flag.String("overlap", "auto", "exchange–merge overlap for experiments that do not sweep it: auto, on, or off")
+		localSort = flag.String("localsort", "auto", "step-1 path for all experiments: auto or comparison")
 		keytype   = flag.String("keytype", "", "restrict the keytypes experiment to one key domain: uint64, float64 or string (empty = sweep all)")
 		recBytes  = flag.Int("recbytes", 0, "payload bytes per key for the keytypes experiment's record points (0 = default sweep)")
 		memBudget = flag.String("mem-budget", "", "per-node temporary-memory budget for experiments that do not sweep it (e.g. 64M; the spill experiment sweeps its own)")
@@ -50,10 +49,6 @@ func main() {
 	flag.Parse()
 
 	lsMode, err := core.ParseLocalSortMode(*localSort)
-	if err != nil {
-		fatal(err)
-	}
-	mergeMode, err := core.ParseOverlapFlag(*overlap)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,7 +87,6 @@ func main() {
 		Reps:         *reps,
 		Inflight:     *inflight,
 		LocalSort:    lsMode,
-		Merge:        mergeMode,
 		ListenAddrs:  tp.SplitAddrs(*listen),
 		PeerAddrs:    tp.SplitAddrs(*peers),
 		KeyType:      ktype,

@@ -56,7 +56,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: pgxsort <generate|sort|verify|describe|submit> [flags]
   generate -kind <uniform|normal|right-skewed|exponential|...> -n N [-seed S] [-domain D] [-keytype uint64|float64|string] [-prefix P] -out FILE
-  sort     -in FILE -out FILE [-keytype T] [-recbytes N] [-procs P] [-workers W] [-transport chan|tcp] [-listen A1,..,AP] [-peers A1,..,AP] [-sample-factor F] [-no-investigator] [-localsort auto|comparison|radix] [-overlap auto|on|off]
+  sort     -in FILE -out FILE [-keytype T] [-recbytes N] [-procs P] [-workers W] [-transport chan|tcp] [-listen A1,..,AP] [-peers A1,..,AP] [-sample-factor F] [-no-investigator] [-localsort auto|comparison]
   verify   -in FILE [-keytype T]
   describe -in FILE [-keytype T]
   submit   -in FILE [-out FILE] [-server URL] [-keytype T] [-tenant NAME] [-deadline D] [-topk K [-bottom]] [-rank KEY] [-no-cache]`)
@@ -120,8 +120,7 @@ func cmdSort(args []string) error {
 	peers := fs.String("peers", "", "comma-separated per-node TCP dial addresses (tcp transport; empty = the bound listen addresses)")
 	factor := fs.Float64("sample-factor", 1.0, "sample size factor (paper's X multiplier)")
 	noInv := fs.Bool("no-investigator", false, "disable the duplicate-splitter investigator")
-	localSort := fs.String("localsort", "auto", "local sort path: auto, comparison or radix")
-	overlap := fs.String("overlap", "auto", "exchange–merge overlap: auto, on, or off (barriered ablation)")
+	localSort := fs.String("localsort", "auto", "local sort path: auto or comparison")
 	keytype := fs.String("keytype", "uint64", "key type: uint64, float64 or string")
 	recBytes := fs.Int("recbytes", 0, "attach an N-byte synthetic payload per key (sorts through the record path)")
 	memBudget := fs.String("mem-budget", "", "per-node temporary-memory budget (e.g. 64M, 2G); sorts spill block-file runs to -spill-dir beyond it")
@@ -141,10 +140,6 @@ func cmdSort(args []string) error {
 	if err != nil {
 		return fmt.Errorf("sort: %w", err)
 	}
-	mergeMode, err := pgxsort.ParseOverlapFlag(*overlap)
-	if err != nil {
-		return fmt.Errorf("sort: %w", err)
-	}
 	tcpCfg, err := tcpConfig(*transport, *listen, *peers, *procs)
 	if err != nil {
 		return fmt.Errorf("sort: %w", err)
@@ -161,7 +156,6 @@ func cmdSort(args []string) error {
 		SampleFactor:        *factor,
 		DisableInvestigator: *noInv,
 		LocalSort:           lsMode,
-		Merge:               mergeMode,
 		MemoryBudget:        budget,
 		SpillDir:            *spillDir,
 	}

@@ -115,8 +115,6 @@ func buildConfig(args []string) (addr string, cfg serve.Config, err error) {
 	cacheMB := fs.Int("cache-mb", 0, "result cache budget in MiB (0 = default 64, negative disables)")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job deadline (0 = 60s)")
 	maxKeys := fs.Int("max-keys", 0, "largest accepted dataset (0 = default 50M keys)")
-	localSort := fs.String("localsort", "auto", "local sort path: auto, comparison or radix")
-	overlap := fs.String("overlap", "auto", "exchange–merge overlap: auto, on, or off")
 	retryAttempts := fs.Int("retry-attempts", 0, "scheduler attempts per job before the failure surfaces (0 = default 3)")
 	brThreshold := fs.Int("breaker-threshold", 0, "consecutive fatal mesh failures that open the circuit breaker (0 = default 1)")
 	brCooldown := fs.Duration("breaker-cooldown", 0, "how long an open breaker waits before probing the mesh again (0 = default 30s)")
@@ -166,12 +164,6 @@ func buildConfig(args []string) (addr string, cfg serve.Config, err error) {
 		return "", cfg, err
 	}
 	if cfg.GovernorBudget, err = pgxsort.ParseMemBudget(*govBudget); err != nil {
-		return "", cfg, err
-	}
-	if cfg.LocalSort, err = pgxsort.ParseLocalSortMode(*localSort); err != nil {
-		return "", cfg, err
-	}
-	if cfg.Merge, err = pgxsort.ParseOverlapFlag(*overlap); err != nil {
 		return "", cfg, err
 	}
 	if *keytypes != "" {

@@ -36,6 +36,7 @@ type SlabPool[E any] struct {
 	classes [slabClasses][][]E
 	gets    int64
 	hits    int64
+	puts    int64
 }
 
 // slabClass returns the class whose slabs satisfy a request for n
@@ -82,19 +83,21 @@ func (p *SlabPool[E]) Put(s []E) {
 		return
 	}
 	p.mu.Lock()
+	p.puts++
 	if len(p.classes[c]) < slabsPerClass {
 		p.classes[c] = append(p.classes[c], s[:0])
 	}
 	p.mu.Unlock()
 }
 
-// Stats reports how many Gets the pool served and how many of them reused
-// an idle slab.
-func (p *SlabPool[E]) Stats() (gets, hits int64) {
+// Stats reports how many Gets the pool served, how many of them reused an
+// idle slab, and how many slabs were Put back: a sort that fails must
+// return every slab it took, so gets and puts move together across it.
+func (p *SlabPool[E]) Stats() (gets, hits, puts int64) {
 	if p == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.gets, p.hits
+	return p.gets, p.hits, p.puts
 }

@@ -28,9 +28,9 @@ func TestSlabPoolReuses(t *testing.T) {
 		}
 		p.Put(r)
 	}
-	gets, hits := p.Stats()
-	if gets != 4 || hits != 3 {
-		t.Fatalf("stats = (%d gets, %d hits), want (4, 3)", gets, hits)
+	gets, hits, puts := p.Stats()
+	if gets != 4 || hits != 3 || puts != 4 {
+		t.Fatalf("stats = (%d gets, %d hits, %d puts), want (4, 3, 4)", gets, hits, puts)
 	}
 }
 
@@ -95,8 +95,8 @@ func TestSlabPoolNilAndZero(t *testing.T) {
 		t.Fatalf("nil pool Get(5) len = %d", len(s))
 	}
 	p.Put(make([]int, 3)) // must not panic
-	if gets, hits := p.Stats(); gets != 0 || hits != 0 {
-		t.Fatalf("nil pool stats = (%d, %d)", gets, hits)
+	if gets, hits, puts := p.Stats(); gets != 0 || hits != 0 || puts != 0 {
+		t.Fatalf("nil pool stats = (%d, %d, %d)", gets, hits, puts)
 	}
 
 	var q SlabPool[int]

@@ -79,8 +79,7 @@ const (
 	// the all-to-all exchange. The receiver can already derive completion
 	// from the range metadata counts; the flag is an independent
 	// per-source signal layered on the framing, so a count/framing
-	// mismatch surfaces as a protocol error instead of silent corruption,
-	// and streaming mergers get an explicit end-of-run marker.
+	// mismatch surfaces as a protocol error instead of silent corruption.
 	FlagRunComplete uint8 = 1 << 0
 )
 

@@ -209,28 +209,6 @@ func TestInvestigatorLoadBalance(t *testing.T) {
 	}
 }
 
-func TestMergeStrategiesAgree(t *testing.T) {
-	parts := mkParts(dist.Normal, 4, 3000, 99)
-	var keysByStrategy [][]uint64
-	for _, m := range []MergeStrategy{MergeBalanced, MergeKWay} {
-		e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2, Merge: m})
-		res, err := e.Sort(parts)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if err := res.Verify(parts); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		keysByStrategy = append(keysByStrategy, res.Keys())
-	}
-	a, b := keysByStrategy[0], keysByStrategy[1]
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("strategies disagree at %d: %d != %d", i, a[i], b[i])
-		}
-	}
-}
-
 func TestSyncExchangeAblation(t *testing.T) {
 	parts := mkParts(dist.Exponential, 4, 3000, 123)
 	e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2, SyncExchange: true})
@@ -263,8 +241,8 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := NewEngine[uint64](Options{Procs: 2, Master: 5}, comm.U64Codec{}); err == nil {
 		t.Error("master out of range accepted")
 	}
-	if _, err := NewEngine[uint64](Options{Procs: 2, Merge: MergeStrategy(9)}, comm.U64Codec{}); err == nil {
-		t.Error("bad merge strategy accepted")
+	if _, err := NewEngine[uint64](Options{Procs: 2, LocalSort: LocalSortMode(9)}, comm.U64Codec{}); err == nil {
+		t.Error("bad local sort mode accepted")
 	}
 	if _, err := NewEngine[uint64](Options{Procs: 2, Transport: "pigeon"}, comm.U64Codec{}); err == nil {
 		t.Error("bad transport accepted")

@@ -515,16 +515,12 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		}
 		rep.Reconnects += nr.Reconnects
 		rep.FramesResent += nr.FramesResent
-		if nr.MergeOverlapSaved > rep.MergeOverlapSaved {
-			rep.MergeOverlapSaved = nr.MergeOverlapSaved
-		}
 	}
 	rep.CommTime = rep.Steps[StepSampling] + rep.Steps[StepSplitters] + rep.Steps[StepExchange]
 	rep.LocalSortPath = cmps.path
-	rep.MergePath = e.opts.Merge.String()
+	rep.MergePath = "balanced"
 	if rep.SpillBytes > 0 {
-		// At least one node ran out-of-core under Options.MemoryBudget;
-		// flag it next to the configured strategy.
+		// At least one node ran out-of-core under Options.MemoryBudget.
 		rep.MergePath += "+spill"
 	}
 	rep.Sched = ctrl.snapshot()

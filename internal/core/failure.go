@@ -116,8 +116,8 @@ func Classify(err error) FailureClass {
 // of a sort passes each site once per run, so a site:error:1 schedule
 // fails exactly one node of the next sort and a count>p schedule fails
 // them all. The merge site fires after the exchange completes, which is
-// the hardest error exit: the assembled slabs and the streaming merger
-// must unwind without leaking (see sortRun.discardMerge).
+// the hardest error exit: the completed exchange must unwind without
+// leaking slabs or spill files (see exchangeSink.discard).
 const (
 	fpLocalSort = "core/local-sort"
 	fpSplitters = "core/splitters"

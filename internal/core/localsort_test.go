@@ -45,7 +45,8 @@ func sortKeysWith[K interface {
 }
 
 // TestLocalSortAutoPicksRadix: Auto must take the radix path for a key
-// type with a built-in norm, and both forced modes must be honored.
+// type with a built-in norm, and the forced comparison mode must be
+// honored.
 func TestLocalSortAutoPicksRadix(t *testing.T) {
 	keys := dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(4000)
 	cases := []struct {
@@ -53,7 +54,6 @@ func TestLocalSortAutoPicksRadix(t *testing.T) {
 		want string
 	}{
 		{LocalSortAuto, "radix"},
-		{LocalSortRadix, "radix"},
 		{LocalSortComparison, "comparison"},
 	}
 	for _, tc := range cases {
@@ -79,19 +79,17 @@ func TestLocalSortAutoPicksRadix(t *testing.T) {
 }
 
 // TestLocalSortAutoFallsBackForUnnormalizableKey: a key type without a
-// norm must stay on the comparison path even when radix is requested.
+// norm must stay on the comparison path.
 func TestLocalSortAutoFallsBackForUnnormalizableKey(t *testing.T) {
 	keys := []string{"pear", "apple", "fig", "kiwi", "plum", "date", "lime", "mango"}
-	for _, mode := range []LocalSortMode{LocalSortAuto, LocalSortRadix} {
-		res, _ := sortKeysWith[string](t, stringCodec{}, Options{LocalSort: mode}, keys)
-		if res.Report.LocalSortPath != "comparison" {
-			t.Fatalf("mode %v: LocalSortPath = %q, want comparison", mode, res.Report.LocalSortPath)
-		}
-		got := res.Keys()
-		for i := 1; i < len(got); i++ {
-			if got[i-1] > got[i] {
-				t.Fatalf("unsorted at %d: %v", i, got)
-			}
+	res, _ := sortKeysWith[string](t, stringCodec{}, Options{}, keys)
+	if res.Report.LocalSortPath != "comparison" {
+		t.Fatalf("LocalSortPath = %q, want comparison", res.Report.LocalSortPath)
+	}
+	got := res.Keys()
+	for i := 1; i < len(got); i++ {
+		if got[i-1] > got[i] {
+			t.Fatalf("unsorted at %d: %v", i, got)
 		}
 	}
 }
@@ -168,7 +166,7 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 		}
 	}
 	for i, n := range eng.nodes {
-		gets, hits := n.entryPool.Stats()
+		gets, hits, _ := n.entryPool.Stats()
 		if gets == 0 {
 			t.Fatalf("node %d: pool unused", i)
 		}
@@ -204,7 +202,7 @@ func TestDisablePooling(t *testing.T) {
 func TestRadixMatchesComparisonOrder(t *testing.T) {
 	for _, kind := range []dist.Kind{dist.Uniform, dist.RightSkewed, dist.Constant, dist.ReverseSorted} {
 		keys := dist.Gen{Kind: kind, Seed: 21, Domain: 64}.Keys(5000)
-		radix, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{LocalSort: LocalSortRadix}, keys)
+		radix, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{}, keys)
 		comparison, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{LocalSort: LocalSortComparison}, keys)
 		rk, ck := radix.Keys(), comparison.Keys()
 		if len(rk) != len(ck) {

@@ -38,15 +38,11 @@ type sortRun[K cmp.Ordered] struct {
 	// curStage is the last stage this node entered; a failure surfacing
 	// from run is attributed to it (core.Failure.Stage).
 	curStage SchedStage
-	// pendingAsm/pendingSp/pendingOv hold the completed exchange between
-	// partitionExchange returning and finalMerge consuming it, so run's
-	// panic recovery can discard them (slabs back to the pool, merger
-	// goroutine joined, spill files removed) when the merge stage never
-	// runs. Exactly one of pendingAsm/pendingSp is set after a
-	// successful exchange.
-	pendingAsm *datamgr.Assembly[K]
-	pendingSp  *datamgr.SpillAssembly[K]
-	pendingOv  *overlapMerger[K]
+	// pending holds the completed exchange between partitionExchange
+	// returning and the merge consuming it, so every exit from run that
+	// never reaches the merge — an error at the stage boundary, a panic —
+	// discards it (slabs back to the pool, spill files removed).
+	pending exchangeSink[K]
 	// spillDir is this run's private directory for spill run files,
 	// created lazily by spillScratchDir the first time a stage exceeds
 	// Options.MemoryBudget and removed when the run exits either way.
@@ -100,16 +96,10 @@ type sortCmps[K cmp.Ordered] struct {
 	keyLess   func(a, b K) bool
 	keyAbove  func(e comm.Entry[K], sp K) bool // e.Key strictly above the splitter
 	keyBelow  func(e comm.Entry[K], sp K) bool // e.Key strictly below the splitter
-	// tieLess refines entryLess with the origin processor on equal keys.
-	// The streaming overlap merger orders under it so its output is the
-	// unique linear extension of (key, origin, within-run order) — a total
-	// order independent of run arrival timing, matching the barriered
-	// MergeKWay output byte for byte.
-	tieLess func(a, b comm.Entry[K]) bool
 }
 
 // comparators resolves Options.LocalSort against the engine's key
-// normalization (LocalSortRadix without a norm degrades to comparison).
+// normalization (keys without a norm take the comparison path).
 func (e *Engine[K]) comparators() sortCmps[K] {
 	c := sortCmps[K]{norm: e.norm, normBits: e.normBits}
 	c.useRadix = e.norm != nil && e.opts.LocalSort != LocalSortComparison
@@ -150,16 +140,6 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 			}
 			return en.Key < sp
 		}
-		c.tieLess = func(a, b comm.Entry[K]) bool {
-			na, nb := norm(a.Key), norm(b.Key)
-			if na != nb {
-				return na < nb
-			}
-			if a.Key != b.Key {
-				return a.Key < b.Key
-			}
-			return a.Proc < b.Proc
-		}
 	} else if c.useRadix {
 		c.path = "radix"
 		norm := e.norm
@@ -167,31 +147,12 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 		c.keyLess = func(a, b K) bool { return norm(a) < norm(b) }
 		c.keyAbove = func(en comm.Entry[K], sp K) bool { return norm(en.Key) > norm(sp) }
 		c.keyBelow = func(en comm.Entry[K], sp K) bool { return norm(en.Key) < norm(sp) }
-		// Specialized rather than layered over entryLess: the streaming
-		// merger runs this on the hot path, and one norm per operand beats
-		// the two entryLess probes of a generic tie-break wrapper.
-		c.tieLess = func(a, b comm.Entry[K]) bool {
-			na, nb := norm(a.Key), norm(b.Key)
-			if na != nb {
-				return na < nb
-			}
-			return a.Proc < b.Proc
-		}
 	} else {
 		c.path = "comparison"
 		c.entryLess = entryLess[K]
 		c.keyLess = func(a, b K) bool { return a < b }
 		c.keyAbove = func(en comm.Entry[K], sp K) bool { return en.Key > sp }
 		c.keyBelow = func(en comm.Entry[K], sp K) bool { return en.Key < sp }
-		c.tieLess = func(a, b comm.Entry[K]) bool {
-			if a.Key < b.Key {
-				return true
-			}
-			if b.Key < a.Key {
-				return false
-			}
-			return a.Proc < b.Proc
-		}
 	}
 	return c
 }
@@ -333,28 +294,25 @@ func (s *sortRun[K]) leaveAllStages() {
 // run executes the staged pipeline and returns this node's sorted part.
 // The six paper steps map onto four scheduler stages: local sort (CPU),
 // sample/splitter agreement (comm), partition+exchange (comm-heavy),
-// final merge (CPU). Under MergeOverlap the last two stages overlap on
-// this node — received runs merge incrementally while the exchange is
-// still in flight — but the stage boundaries stay: the scheduler's
-// exchange gate is released the moment this sort's communication is done,
-// so pipelined SortMany still serializes only the comm-heavy part while
-// the merge tail proceeds ungated.
+// final merge (CPU). The scheduler's exchange gate is released the moment
+// this sort's communication is done, so pipelined SortMany serializes
+// only the comm-heavy part while the merge proceeds ungated.
 func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	s.markTransportBaseline()
 	defer s.leaveAllStages()
 	defer s.foldTraffic()
 	defer s.removeSpillDir()
-	// Innermost defer, so recovery runs before the traffic fold and the
-	// stage forfeits: a stage panic (an injected failpoint or a real
-	// bug) becomes this node's error instead of killing the process,
-	// and a completed-but-unmerged exchange gives its slabs back.
+	// Innermost defer, so it runs before the traffic fold and the stage
+	// forfeits: a stage panic (an injected failpoint or a real bug)
+	// becomes this node's error instead of killing the process, and on
+	// any exit a completed-but-unmerged exchange gives its slabs back.
 	defer func() {
 		if r := recover(); r != nil {
-			if s.pendingAsm != nil || s.pendingSp != nil {
-				s.discardMerge(s.pendingAsm, s.pendingSp, s.pendingOv)
-				s.pendingAsm, s.pendingSp, s.pendingOv = nil, nil, nil
-			}
 			err = recoverPanic(r)
+		}
+		if s.pending != nil {
+			s.pending.discard()
+			s.pending = nil
 		}
 	}()
 
@@ -388,25 +346,25 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := failpoint.Hit(fpExchange); err != nil {
 		return nil, err
 	}
-	asm, sp, ov, err := s.partitionExchange(entries, splitters)
+	s.pending, err = s.partitionExchange(entries, splitters)
 	if err != nil {
 		return nil, err
 	}
 	s.leaveStage(StageExchange)
-	s.pendingAsm, s.pendingSp, s.pendingOv = asm, sp, ov
 
 	if err := s.enterStage(StageMerge); err != nil {
-		s.pendingAsm, s.pendingSp, s.pendingOv = nil, nil, nil
-		s.discardMerge(asm, sp, ov)
 		return nil, err
 	}
 	if err := failpoint.Hit(fpMerge); err != nil {
-		s.pendingAsm, s.pendingSp, s.pendingOv = nil, nil, nil
-		s.discardMerge(asm, sp, ov)
 		return nil, err
 	}
-	merged, err := s.finalMerge(asm, sp, ov)
-	s.pendingAsm, s.pendingSp, s.pendingOv = nil, nil, nil
+	// Step 6. merge consumes the sink on every path, so it stops being
+	// pending before the call.
+	sink := s.pending
+	s.pending = nil
+	t0 := time.Now()
+	merged, err := sink.merge()
+	s.report.Steps[StepFinalMerge] = time.Since(t0)
 	if err != nil {
 		return nil, err
 	}
@@ -416,24 +374,6 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	s.report.ResidentBytes += int64(len(merged)) * int64(entryBytes[K]())
 	s.report.TempPeakBytes = s.node.tracker.Peak()
 	return merged, nil
-}
-
-// discardMerge abandons a completed exchange whose merge will never run
-// (an error at the merge-stage boundary), on every strategy: under
-// MergeOverlap the streaming merger joins and returns its intermediate
-// slabs; on all paths — k-way included — the assembly's entry buffer goes
-// back to the pool so an error exit never strands a slab. A spilled
-// exchange has no resident buffer; closing it removes its run files.
-func (s *sortRun[K]) discardMerge(asm *datamgr.Assembly[K], sp *datamgr.SpillAssembly[K], ov *overlapMerger[K]) {
-	if ov != nil {
-		ov.abort()
-	}
-	if sp != nil {
-		sp.Close()
-		return
-	}
-	asm.Release()
-	s.node.entryPool.Put(asm.Entries())
 }
 
 // spillScratchDir lazily creates this run's private spill directory
@@ -680,31 +620,16 @@ func (s *sortRun[K]) splitterAgreement(entries []comm.Entry[K]) ([]K, error) {
 	return splitters, nil
 }
 
-// exchangeSink is the part of the assembly contract the exchange loop
-// needs, satisfied by both the resident datamgr.Assembly and the
-// out-of-core datamgr.SpillAssembly.
-type exchangeSink[K any] interface {
-	Write(src int, chunk []comm.Entry[K]) error
-	RunComplete(src int) bool
-}
-
 // partitionExchange is steps 4-5: binary-search range partitioning, the
 // range-metadata broadcast, and the simultaneous all-to-all exchange at
-// precomputed offsets. Under MergeOverlap it also starts the streaming
-// merger and feeds it each source's run as the assembly completes it, so
-// step-6 work overlaps the exchange. When the assembled total would
-// exceed Options.MemoryBudget the runs land in a SpillAssembly's block
-// files instead of a resident buffer (and the overlap merger, which
-// needs resident runs, stands down for this sort). On error the
-// assembly's temporary memory is released, the merger (if any) is
-// aborted and spill files are removed, so a cancelled sort cannot
-// inflate the node's tracker or leak slabs for later sorts on the same
+// precomputed offsets into the sink newExchangeSink picks. On error the
+// sink is discarded, so a cancelled sort cannot inflate the node's
+// tracker, leak slabs or leave spill files for later sorts on the same
 // engine.
-func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (_ *datamgr.Assembly[K], _ *datamgr.SpillAssembly[K], _ *overlapMerger[K], err error) {
+func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (_ exchangeSink[K], err error) {
 	n := s.node
 	p := s.opts.Procs
 	self := n.id
-	eb := entryBytes[K]()
 
 	// ---- Step 4: binary-search range partitioning + metadata bcast ----
 	t0 := time.Now()
@@ -722,7 +647,7 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 			continue
 		}
 		if err := s.send(dst, comm.Message[K]{Kind: comm.KRangeMeta, Ints: meta}); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	// Collect everyone's counts; perSrc[i] is what source i sends me.
@@ -731,10 +656,10 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 	for i := 0; i < p-1; i++ {
 		m, err := s.recv(comm.KRangeMeta)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if len(m.Ints) != p {
-			return nil, nil, nil, fmt.Errorf("range metadata from %d has %d counts, want %d", m.Src, len(m.Ints), p)
+			return nil, fmt.Errorf("range metadata from %d has %d counts, want %d", m.Src, len(m.Ints), p)
 		}
 		perSrc[m.Src] = int(m.Ints[self])
 	}
@@ -742,38 +667,9 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 
 	// ---- Step 5: simultaneous send and receive at precomputed offsets ----
 	t0 = time.Now()
-	total := 0
-	for _, c := range perSrc {
-		total += c
-	}
-	var (
-		asm  *datamgr.Assembly[K]
-		sp   *datamgr.SpillAssembly[K]
-		sink exchangeSink[K]
-		ov   *overlapMerger[K]
-	)
-	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*int64(eb) > budget {
-		// The assembled runs would not fit the budget: land them in
-		// block files. The streaming overlap merger needs resident runs,
-		// so it stands down and the final merge streams from disk.
-		dir, derr := s.spillScratchDir()
-		if derr != nil {
-			return nil, nil, nil, derr
-		}
-		sp, err = datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, dir)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		sink = sp
-	} else {
-		asm = datamgr.NewAssemblyBuf[K](n.dm, perSrc, eb, n.entryPool.Get(total))
-		sink = asm
-		// The streaming merger must exist before the first assembly write
-		// so no run-completion — the self range included — can slip past it.
-		if s.opts.Merge == MergeOverlap {
-			ov = newOverlapMerger(s, asm)
-			asm.OnRunComplete(ov.offer)
-		}
+	sink, err := s.newExchangeSink(perSrc)
+	if err != nil {
+		return nil, err
 	}
 	// sendDone carries the concurrent sender's result; the cleanup defer
 	// drains it if still outstanding, because recycling the assembly
@@ -787,21 +683,13 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 			if sendDone != nil {
 				<-sendDone
 			}
-			if ov != nil {
-				ov.abort()
-			}
-			if sp != nil {
-				sp.Close()
-			} else {
-				asm.Release()
-				n.entryPool.Put(asm.Entries())
-			}
+			sink.discard()
 		}
 	}()
 	// The local range never touches the network.
 	lo, hi := ranges.Range(self)
 	if err := sink.Write(self, entries[lo:hi]); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	expectRemote := 0
 	for src, c := range perSrc {
@@ -878,152 +766,37 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 		// Bulk-synchronous ablation: finish all sends, exchange barrier
 		// tokens, then drain the receive queue.
 		if err := sendAll(); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		for dst := 0; dst < p; dst++ {
 			if dst == self {
 				continue
 			}
 			if err := s.send(dst, comm.Message[K]{Kind: comm.KControl, Ints: []int64{1}}); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 		}
 		for i := 0; i < p-1; i++ {
 			if _, err := s.recv(comm.KControl); err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 		}
 		if err := recvAll(); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	} else {
 		// Paper behaviour: send while receiving, no barrier in between.
 		sendDone = make(chan error, 1)
 		go func() { sendDone <- sendAll() }()
 		if err := recvAll(); err != nil {
-			return nil, nil, nil, err // cleanup defer drains sendDone
+			return nil, err // cleanup defer drains sendDone
 		}
 		sendErr := <-sendDone
 		sendDone = nil // drained; the cleanup defer must not block on it
 		if sendErr != nil {
-			return nil, nil, nil, sendErr
+			return nil, sendErr
 		}
-	}
-	if ov != nil {
-		ov.markExchangeDone()
-	}
-	if sp != nil {
-		s.report.SpillBytes += sp.SpillBytes()
 	}
 	s.report.Steps[StepExchange] = time.Since(t0)
-	return asm, sp, ov, nil
-}
-
-// finalMerge is step 6: merge the received sorted runs. The merge
-// scratch comes from the node's slab pool; whichever of the assembly
-// buffer and the scratch does not end up backing the result is recycled
-// immediately (the result itself becomes resident storage and leaves the
-// pool for good). Under MergeOverlap most of the work already happened
-// inside the exchange; only the streaming merger's final pass runs here,
-// and StepFinalMerge times just that visible tail. A spilled exchange
-// streams its block-file runs through the same loser tree MergeKWay
-// uses (tie-broken by source order), so its output is byte-identical to
-// the in-memory k-way and overlap paths.
-func (s *sortRun[K]) finalMerge(asm *datamgr.Assembly[K], sp *datamgr.SpillAssembly[K], ov *overlapMerger[K]) ([]comm.Entry[K], error) {
-	n := s.node
-	p := s.opts.Procs
-	eb := entryBytes[K]()
-
-	t0 := time.Now()
-	if sp != nil {
-		merged, err := s.spillMerge(sp, int64(eb))
-		s.report.Steps[StepFinalMerge] = time.Since(t0)
-		return merged, err
-	}
-	var merged []comm.Entry[K]
-	buf := asm.Entries()
-	switch {
-	case ov != nil:
-		// Streaming overlap: drain the merger and run its final
-		// splitter-partitioned parallel pass. The result never aliases
-		// the assembly buffer, so the slab is unconditionally free.
-		merged = ov.finish()
-		asm.Release()
-		n.entryPool.Put(buf)
-	case s.opts.Merge == MergeKWay:
-		bounds := asm.Bounds()
-		runs := make([][]comm.Entry[K], 0, p)
-		for i := 0; i+1 < len(bounds); i++ {
-			runs = append(runs, buf[bounds[i]:bounds[i+1]])
-		}
-		n.tracker.Alloc(int64(len(buf)) * int64(eb))
-		merged = lsort.KWayMerge(runs, s.cmps.entryLess)
-		n.tracker.Free(int64(len(buf)) * int64(eb))
-		asm.Release()
-		n.entryPool.Put(buf) // k-way merged into fresh storage; buf is free
-	default:
-		scratch := n.entryPool.Get(len(buf))
-		n.tracker.Alloc(int64(len(buf)) * int64(eb))
-		var fromScratch bool
-		merged, fromScratch = lsort.MergeAdjacentRunsOwned(buf, scratch, asm.Bounds(), s.cmps.entryLess, true)
-		n.tracker.Free(int64(len(buf)) * int64(eb))
-		asm.Release()
-		// Explicit ownership from the merge, not a base-pointer compare
-		// (which has no element to address on empty results): exactly one
-		// of buf/scratch backs the result and the other is recycled — and
-		// an empty result frees both, since nothing aliases either.
-		switch {
-		case len(merged) == 0:
-			n.entryPool.Put(buf)
-			n.entryPool.Put(scratch)
-			merged = nil
-		case fromScratch:
-			n.entryPool.Put(buf)
-		default:
-			n.entryPool.Put(scratch)
-		}
-	}
-	s.report.Steps[StepFinalMerge] = time.Since(t0)
-	return merged, nil
-}
-
-// spillMerge drains a spilled exchange: one streaming cursor per source
-// run (an empty cursor for sources that sent nothing, so tie-breaking
-// by cursor index matches KWayMerge's run order exactly) feeds a loser
-// tree that fills the result buffer directly. Temporary memory is just
-// the decoded-ahead blocks — two slabs per non-empty source — however
-// large the runs are. The run files are removed before returning.
-func (s *sortRun[K]) spillMerge(sp *datamgr.SpillAssembly[K], eb int64) ([]comm.Entry[K], error) {
-	n := s.node
-	defer sp.Close()
-	readers, err := sp.Readers(spill.ReaderOpts[K]{Pool: n.entryPool, Tracker: &n.tracker, EntryBytes: eb})
-	if err != nil {
-		return nil, err
-	}
-	cursors := make([]lsort.Cursor[comm.Entry[K]], len(readers))
-	for i, r := range readers {
-		if r == nil {
-			cursors[i] = lsort.NewSliceCursor[comm.Entry[K]](nil)
-		} else {
-			cursors[i] = r
-		}
-	}
-	total := sp.Total()
-	merged := n.entryPool.Get(total)
-	filled, merr := lsort.MergeCursors(merged, cursors, s.cmps.entryLess)
-	for _, r := range readers {
-		if r != nil {
-			s.report.SpillReads += r.BytesRead()
-			r.Close()
-		}
-	}
-	if merr == nil && filled != total {
-		merr = fmt.Errorf("core: spill merge produced %d of %d entries: %w",
-			filled, total, spill.ErrCorrupt)
-	}
-	if merr != nil {
-		n.entryPool.Put(merged)
-		return nil, merr
-	}
-	return merged, nil
+	return sink, nil
 }

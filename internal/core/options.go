@@ -9,9 +9,9 @@
 //  3. master selects p-1 splitters and broadcasts them
 //  4. binary-search range partitioning with the investigator (Fig 3)
 //  5. asynchronous all-to-all exchange with precomputed write offsets
-//  6. merge of the received runs — streamed into step 5 by default, each
-//     run merging incrementally as it finishes arriving (Options.Merge),
-//     with the paper's barriered balanced handler as the ablation
+//  6. merge of the received runs with the same balanced merging handler,
+//     after the exchange barrier (streamed from spill files instead when
+//     the runs exceed Options.MemoryBudget)
 //
 // Every entry keeps its provenance (origin processor and index), the
 // result supports binary search and top-k retrieval, and several datasets
@@ -22,106 +22,11 @@ package core
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"pgxsort/internal/sample"
 	"pgxsort/internal/transport"
 )
-
-// MergeStrategy selects how step 6 combines the received sorted runs.
-type MergeStrategy int
-
-const (
-	// MergeAuto (the default) resolves at engine construction: the
-	// streaming exchange–merge overlap (MergeOverlap) when the processor
-	// count is at least overlapAutoMinProcs — where both the exchange and
-	// the merge are nontrivial, so hiding one behind the other pays — and
-	// the runtime has at least overlapAutoMinCPUs CPUs to hide it in, and
-	// the barriered balanced handler otherwise. The OverlapEnv environment
-	// variable overrides the choice for ablation runs (see ParseOverlapFlag
-	// for the on/off vocabulary).
-	MergeAuto MergeStrategy = iota
-	// MergeBalanced is the paper's balanced pairwise handler (Figure 2),
-	// parallelized across each round, run after an exchange barrier. It is
-	// the barriered baseline the overlap ablates against.
-	MergeBalanced
-	// MergeKWay is the loser-tree k-way merge ablation: fewer element
-	// moves, but strictly sequential (also barriered).
-	MergeKWay
-	// MergeOverlap streams the merge into the exchange: each peer's run is
-	// handed to an incremental merger the moment it finishes assembling,
-	// so merge CPU burns during step-5 network idle time and only a final
-	// parallel pass remains after the exchange. Output order is
-	// deterministic — ties break by origin processor — and identical to
-	// MergeKWay's, independent of arrival order.
-	MergeOverlap
-)
-
-func (m MergeStrategy) String() string {
-	switch m {
-	case MergeAuto:
-		return "auto"
-	case MergeBalanced:
-		return "balanced"
-	case MergeKWay:
-		return "kway"
-	case MergeOverlap:
-		return "overlap"
-	default:
-		return fmt.Sprintf("MergeStrategy(%d)", int(m))
-	}
-}
-
-// OverlapEnv is the environment variable the ablation CI lane uses to
-// force MergeAuto's resolution: "off" pins the barriered balanced path,
-// "on" pins the streaming overlap. Explicit Options.Merge settings always
-// win; the variable only steers Auto.
-const OverlapEnv = "PGXSORT_OVERLAP"
-
-// overlapAutoMinProcs is the processor count from which MergeAuto picks
-// the streaming overlap: below it the exchange is too small to hide
-// meaningful merge work behind.
-const overlapAutoMinProcs = 4
-
-// overlapAutoMinCPUs is the GOMAXPROCS floor for MergeAuto to pick the
-// overlap. Hiding merge CPU inside the exchange window needs spare
-// hardware parallelism; on a single-CPU runtime wall time equals total
-// CPU work, so streaming the merge only adds coordination overhead and
-// the barriered balanced handler wins.
-const overlapAutoMinCPUs = 2
-
-// ParseOverlapFlag maps the CLIs' -overlap flag to a merge strategy:
-// "auto" (default) lets the engine resolve per run, "on" forces the
-// streaming overlap, "off" forces the barriered balanced baseline (the
-// ablation).
-func ParseOverlapFlag(s string) (MergeStrategy, error) {
-	switch s {
-	case "auto", "":
-		return MergeAuto, nil
-	case "on":
-		return MergeOverlap, nil
-	case "off":
-		return MergeBalanced, nil
-	default:
-		return 0, fmt.Errorf("core: unknown overlap mode %q (want auto, on or off)", s)
-	}
-}
-
-// resolveAutoMerge picks MergeAuto's concrete strategy for a p-processor
-// engine, honouring the OverlapEnv override.
-func resolveAutoMerge(procs int) MergeStrategy {
-	switch os.Getenv(OverlapEnv) {
-	case "off":
-		return MergeBalanced
-	case "on":
-		return MergeOverlap
-	}
-	if procs >= overlapAutoMinProcs && runtime.GOMAXPROCS(0) >= overlapAutoMinCPUs {
-		return MergeOverlap
-	}
-	return MergeBalanced
-}
 
 // LocalSortMode selects how step 1 sorts each processor's local data.
 type LocalSortMode int
@@ -135,10 +40,6 @@ const (
 	// LocalSortComparison forces the paper's comparison path (parallel
 	// quicksort + balanced merge) even for radix-able keys.
 	LocalSortComparison
-	// LocalSortRadix requests the chunked-parallel LSD radix sort over
-	// normalized keys. Keys without a normalization fall back to the
-	// comparison path (reported in Report.LocalSortPath).
-	LocalSortRadix
 )
 
 func (m LocalSortMode) String() string {
@@ -147,8 +48,6 @@ func (m LocalSortMode) String() string {
 		return "auto"
 	case LocalSortComparison:
 		return "comparison"
-	case LocalSortRadix:
-		return "radix"
 	default:
 		return fmt.Sprintf("LocalSortMode(%d)", int(m))
 	}
@@ -162,10 +61,8 @@ func ParseLocalSortMode(s string) (LocalSortMode, error) {
 		return LocalSortAuto, nil
 	case "comparison":
 		return LocalSortComparison, nil
-	case "radix":
-		return LocalSortRadix, nil
 	default:
-		return 0, fmt.Errorf("core: unknown local sort mode %q (want auto, comparison or radix)", s)
+		return 0, fmt.Errorf("core: unknown local sort mode %q (want auto or comparison)", s)
 	}
 }
 
@@ -187,16 +84,9 @@ type Options struct {
 	// DisableInvestigator turns off the duplicated-splitter investigator
 	// (Figure 3c), reverting to the naive binary search of Figure 3b.
 	DisableInvestigator bool
-	// Merge selects the step-6 strategy. The default, MergeAuto, resolves
-	// to the streaming exchange–merge overlap when Procs >=
-	// overlapAutoMinProcs and GOMAXPROCS >= overlapAutoMinCPUs, and to
-	// the barriered balanced handler otherwise (override with the
-	// PGXSORT_OVERLAP env var or an explicit strategy). The resolved
-	// strategy is visible in Options() and Report.MergePath.
-	Merge MergeStrategy
 	// LocalSort selects the step-1 path: LocalSortAuto (default) uses the
 	// non-comparison radix fast path whenever the key normalizes to
-	// uint64, LocalSortComparison/LocalSortRadix force a path. The path
+	// uint64, LocalSortComparison forces the comparison path. The path
 	// actually taken is reported in Report.LocalSortPath.
 	LocalSort LocalSortMode
 	// DisablePooling turns off the per-node scratch-buffer pools, so
@@ -307,9 +197,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = DefaultMaxInflight
 	}
-	if o.Merge == MergeAuto {
-		o.Merge = resolveAutoMerge(o.Procs)
-	}
 	if o.MemoryBudget == 0 {
 		if b, err := ParseMemBudget(os.Getenv(MemBudgetEnv)); err == nil {
 			o.MemoryBudget = b
@@ -323,10 +210,7 @@ func (o Options) validate() error {
 	if o.Master < 0 || o.Master >= o.Procs {
 		return fmt.Errorf("core: master %d out of range [0,%d)", o.Master, o.Procs)
 	}
-	if o.Merge < MergeAuto || o.Merge > MergeOverlap {
-		return fmt.Errorf("core: unknown merge strategy %d", o.Merge)
-	}
-	if o.LocalSort != LocalSortAuto && o.LocalSort != LocalSortComparison && o.LocalSort != LocalSortRadix {
+	if o.LocalSort != LocalSortAuto && o.LocalSort != LocalSortComparison {
 		return fmt.Errorf("core: unknown local sort mode %d", o.LocalSort)
 	}
 	if o.Transport != transport.KindChan && o.Transport != transport.KindTCP {

@@ -95,17 +95,6 @@ func (s SchedStage) Serial() bool {
 	return s == StageSplitters || s == StageExchange
 }
 
-// MergeSpan records one merge operation of the streaming exchange–merge
-// overlap: which node ran it, when (offsets from the batch epoch), how
-// many entries it produced, and whether it executed inside that node's
-// exchange window (the overlap working) or in the post-exchange tail.
-type MergeSpan struct {
-	Node       int
-	Start, End time.Duration
-	Entries    int
-	Overlapped bool
-}
-
 // SchedTrace describes one sort's passage through the SortMany scheduler.
 // It is the zero value for plain Sort calls. All offsets are relative to
 // the batch epoch (the SortMany call), so overlap between datasets is
@@ -123,11 +112,6 @@ type SchedTrace struct {
 	// when the first node entered and when the last node left.
 	StageStart [NumSchedStages]time.Duration
 	StageEnd   [NumSchedStages]time.Duration
-	// MergeSpans lists the streaming merger's per-run merge operations
-	// across all nodes (empty outside MergeOverlap). Spans flagged
-	// Overlapped ran inside the exchange window — merge latency the
-	// overlap hid behind network time.
-	MergeSpans []MergeSpan
 }
 
 // String renders the trace as one line per stage.
@@ -143,16 +127,6 @@ func (t *SchedTrace) String() string {
 			fmt.Fprintf(&b, " gate-wait %v", t.StageWait[s])
 		}
 		b.WriteByte('\n')
-	}
-	if len(t.MergeSpans) > 0 {
-		overlapped := 0
-		for _, sp := range t.MergeSpans {
-			if sp.Overlapped {
-				overlapped++
-			}
-		}
-		fmt.Fprintf(&b, "  merge-spans %d (%d inside the exchange window)\n",
-			len(t.MergeSpans), overlapped)
 	}
 	return b.String()
 }
@@ -206,11 +180,6 @@ type NodeReport struct {
 	// LocalSortPath is the step-1 path this node took: "radix" (the
 	// non-comparison fast path over normalized keys) or "comparison".
 	LocalSortPath string
-	// MergeOverlapSaved is the merge CPU time this node's streaming merger
-	// spent inside the step-5 exchange window under MergeOverlap — merge
-	// latency hidden behind network time that the barriered paths would
-	// serialize after it. Zero on the barriered strategies.
-	MergeOverlapSaved time.Duration
 }
 
 // Report aggregates a distributed sort run, providing every measurement
@@ -261,28 +230,27 @@ type Report struct {
 	// LocalSortPath is the step-1 path the engine resolved for this sort:
 	// "radix" or "comparison" (same on every node; see Options.LocalSort).
 	LocalSortPath string
-	// MergePath is the step-6 strategy the engine resolved for this sort:
-	// "overlap", "balanced" or "kway" (see Options.Merge).
+	// MergePath is how step 6 ran: "balanced" (the resident balanced
+	// merging handler), "balanced+spill" when at least one node ran
+	// out-of-core under Options.MemoryBudget, or "spooled-kway+spill" for
+	// SortSpooled.
 	MergePath string
-	// MergeOverlapSaved is the largest per-node merge time hidden inside
-	// the exchange window (max of NodeReport.MergeOverlapSaved): the
-	// critical-path latency the streaming overlap removed relative to a
-	// barriered merge. Zero on the barriered strategies.
+	// MergeOverlapSaved is always zero; retained because
+	// benchmark/engine.go reads it, to be dropped together with that
+	// metric by the next benchmark PR.
 	MergeOverlapSaved time.Duration
 	// Sched describes this sort's passage through the SortMany scheduler
 	// (zero value for plain Sort calls).
 	Sched SchedTrace
 }
 
-// Snapshot returns a deep copy of the report — PerNode and the trace's
-// MergeSpans are the only reference fields — so long-lived aggregators
-// (the pgxsortd metrics and /debug/jobs scrapes) can hold reports without
-// aliasing slices owned by a Result that may still be in a handler's
-// hands.
+// Snapshot returns a deep copy of the report — PerNode is the only
+// reference field — so long-lived aggregators (the pgxsortd metrics and
+// /debug/jobs scrapes) can hold reports without aliasing slices owned by
+// a Result that may still be in a handler's hands.
 func (r *Report) Snapshot() Report {
 	cp := *r
 	cp.PerNode = append([]NodeReport(nil), r.PerNode...)
-	cp.Sched.MergeSpans = append([]MergeSpan(nil), r.Sched.MergeSpans...)
 	return cp
 }
 
@@ -351,9 +319,6 @@ func (r *Report) String() string {
 	if r.SpillBytes > 0 {
 		fmt.Fprintf(&b, "  spill: %d bytes written, %d read back (%.2fx read amplification)\n",
 			r.SpillBytes, r.SpillReads, float64(r.SpillReads)/float64(r.SpillBytes))
-	}
-	if r.MergeOverlapSaved > 0 {
-		fmt.Fprintf(&b, "  overlap: %v of merge time hidden inside the exchange\n", r.MergeOverlapSaved)
 	}
 	if r.SendStall > 0 || r.Reconnects > 0 {
 		fmt.Fprintf(&b, "  transport: %v worst send stall, %d reconnects, %d frames resent\n",

@@ -101,35 +101,6 @@ func TestRetryDifferentialPerStage(t *testing.T) {
 	}
 }
 
-// TestRetryDifferentialOverlapMerge pins the hardest unwind: a failure
-// at the merge boundary with the streaming overlap merger mid-flight —
-// its goroutine must join, its slabs must return, and the retry must
-// still be byte-identical.
-func TestRetryDifferentialOverlapMerge(t *testing.T) {
-	for _, mode := range []failpoint.Mode{failpoint.ModeError, failpoint.ModePanic} {
-		t.Run(mode.String(), func(t *testing.T) {
-			failpoint.Reset()
-			t.Cleanup(failpoint.Reset)
-			e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2, Merge: MergeOverlap})
-			parts := mkParts(dist.Exponential, 4, 4000, 5)
-			sched := NewScheduler(e, SortManyOpts{
-				Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
-			})
-			clean, err := sched.RunOne(context.Background(), parts)
-			if err != nil {
-				t.Fatalf("clean run: %v", err)
-			}
-			failpoint.Set("core/merge", failpoint.Schedule{Mode: mode})
-			retried, err := sched.RunOne(context.Background(), parts)
-			if err != nil {
-				t.Fatalf("retried run: %v", err)
-			}
-			sameOutput(t, clean, retried)
-			checkNoLeak(t, e)
-		})
-	}
-}
-
 // TestFailpointAbortsWholeSortQuickly proves abort-on-first-error: one
 // node's injected failure must fail the whole plain Sort promptly (peers
 // blocked on its messages are torn down, not hung), classify Transient,

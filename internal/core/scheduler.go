@@ -503,19 +503,6 @@ func (c *stageCtrl) leave(st SchedStage) {
 	}
 }
 
-// noteMergeSpan records one streaming-merge operation in the trace. It is
-// called from the per-node merger goroutines while the sort is running, so
-// it takes the trace lock; spans are sorted into the snapshot as-is
-// (arrival order).
-func (c *stageCtrl) noteMergeSpan(sp MergeSpan) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.trace.MergeSpans = append(c.trace.MergeSpans, sp)
-	c.mu.Unlock()
-}
-
 // snapshot returns the trace once the sort is done.
 func (c *stageCtrl) snapshot() SchedTrace {
 	if c == nil {

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -27,126 +26,9 @@ func spillBudget[K cmp.Ordered](perProc int) int64 {
 	return b
 }
 
-// diffSpill is the spill tier's differential core: a sort forced out of
-// core by a tiny memory budget must produce output byte-identical to an
-// explicitly unbudgeted run (MemoryBudget < 0, immune to the
-// PGXSORT_MEM_BUDGET ablation lane) and must actually have spilled.
-// Both runs pin MergeKWay: the spill merge's source-order tie-break
-// matches the loser tree's run order exactly, while the balanced
-// handler is only key-identical on ties.
-func diffSpill[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, opts Options, label string) {
-	t.Helper()
-	opts.Procs = len(parts)
-	opts.Merge = MergeKWay
-	unbudgeted := opts
-	unbudgeted.MemoryBudget = -1
-	budgeted := opts
-	budgeted.MemoryBudget = spillBudget[K](len(parts[0]))
-	budgeted.SpillDir = t.TempDir()
-
-	want := sortWith(t, codec, unbudgeted, parts)
-	got := sortWith(t, codec, budgeted, parts)
-	requireEntriesIdentical(t, codec, got, want, label)
-	if want.Report.SpillBytes != 0 || want.Report.SpillReads != 0 {
-		t.Fatalf("%s: unbudgeted run spilled %d/%d bytes",
-			label, want.Report.SpillBytes, want.Report.SpillReads)
-	}
-	if got.Report.SpillBytes == 0 || got.Report.SpillReads == 0 {
-		t.Fatalf("%s: budgeted run reports SpillBytes=%d SpillReads=%d, want both > 0",
-			label, got.Report.SpillBytes, got.Report.SpillReads)
-	}
-	if got.Report.MergePath != "kway+spill" {
-		t.Fatalf("%s: MergePath = %q, want kway+spill", label, got.Report.MergePath)
-	}
-}
-
-// TestSpillDifferentialAllKinds: byte-identity under a tenth-of-the-data
-// budget on every generator kind, including the duplicate-heavy shapes
-// whose ties exercise the stream merge's source-order tie-break.
-func TestSpillDifferentialAllKinds(t *testing.T) {
-	const procs, per = 4, 4000
-	for _, kind := range dist.AllKinds {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			parts := mkParts(kind, procs, per, 31)
-			diffSpill(t, comm.U64Codec{}, parts,
-				Options{WorkersPerProc: 2}, kind.String())
-		})
-	}
-}
-
-// TestSpillDifferentialKeyTypes: the block-file round trip is
-// codec-mediated, so every key type must survive it bit-exactly — the
-// int64 sign flip, float64 specials under the IEEE-754 total order
-// (NaNs included on the radix path), and variable-width strings whose
-// inexact norm keeps the local sort resident while the exchange spills.
-func TestSpillDifferentialKeyTypes(t *testing.T) {
-	const procs, per = 4, 3000
-	base := mkParts(dist.Normal, procs, per, 23)
-	t.Run("int64", func(t *testing.T) {
-		parts := make([][]int64, procs)
-		for i, p := range base {
-			parts[i] = make([]int64, len(p))
-			for j, k := range p {
-				parts[i][j] = int64(k) - int64(len(p))*500
-			}
-		}
-		diffSpill(t, comm.I64Codec{}, parts, Options{WorkersPerProc: 2}, "int64")
-	})
-	t.Run("float64", func(t *testing.T) {
-		specials := []float64{math.Inf(1), math.Inf(-1), 0.0,
-			math.Copysign(0, -1), math.MaxFloat64, -math.SmallestNonzeroFloat64,
-			math.NaN(), -math.NaN()}
-		parts := make([][]float64, procs)
-		for i, p := range base {
-			parts[i] = make([]float64, len(p))
-			for j, k := range p {
-				if j < len(specials) {
-					parts[i][j] = specials[(i+j)%len(specials)]
-					continue
-				}
-				parts[i][j] = math.Float64frombits(k * 0x9e3779b97f4a7c15)
-			}
-		}
-		diffSpill(t, comm.F64Codec{}, parts, Options{WorkersPerProc: 2}, "float64")
-	})
-	t.Run("string", func(t *testing.T) {
-		parts := make([][]string, procs)
-		for i := range parts {
-			parts[i] = dist.Gen{Kind: dist.RightSkewed, Seed: 23 + uint64(i)*7919}.Strings(per, "shared-prefix-")
-		}
-		// Strings have no fixed-width PutKey for requireEntriesIdentical;
-		// == is exact for them, so compare the entries directly.
-		opts := Options{Procs: procs, WorkersPerProc: 2, Merge: MergeKWay}
-		unbudgeted := opts
-		unbudgeted.MemoryBudget = -1
-		budgeted := opts
-		// Budget against the serialized footprint, not unsafe.Sizeof's
-		// 16-byte string header: a tenth of the real key bytes.
-		budgeted.MemoryBudget = spillBudget[uint64](per)
-		budgeted.SpillDir = t.TempDir()
-		want := sortWith(t, comm.StringCodec{}, unbudgeted, parts)
-		got := sortWith(t, comm.StringCodec{}, budgeted, parts)
-		if got.Report.SpillBytes == 0 || got.Report.SpillReads == 0 {
-			t.Fatalf("budgeted string sort reports SpillBytes=%d SpillReads=%d",
-				got.Report.SpillBytes, got.Report.SpillReads)
-		}
-		if len(got.Parts) != len(want.Parts) {
-			t.Fatalf("%d parts vs %d", len(got.Parts), len(want.Parts))
-		}
-		for pi := range got.Parts {
-			if len(got.Parts[pi]) != len(want.Parts[pi]) {
-				t.Fatalf("part %d has %d entries, want %d", pi, len(got.Parts[pi]), len(want.Parts[pi]))
-			}
-			for i := range got.Parts[pi] {
-				g, w := got.Parts[pi][i], want.Parts[pi][i]
-				if g.Key != w.Key || g.Proc != w.Proc || g.Index != w.Index {
-					t.Fatalf("part %d entry %d: %+v != %+v", pi, i, g, w)
-				}
-			}
-		}
-	})
-}
+// The keys-only spill differentials — every dist kind and key type,
+// budgeted against resident and against the test-side reference — live in
+// differential_test.go (diffEngine runs both sinks on every case).
 
 // TestSpillDifferentialRecords: payloads ride the spill files too —
 // every record's payload must come back byte-equal after the block-file
@@ -165,7 +47,7 @@ func TestSpillDifferentialRecords(t *testing.T) {
 	}
 	sortRecs := func(budget int64) *Result[uint64] {
 		e, err := NewEngine[uint64](Options{
-			Procs: procs, WorkersPerProc: 2, Merge: MergeKWay,
+			Procs: procs, WorkersPerProc: 2,
 			MemoryBudget: budget, SpillDir: t.TempDir(),
 		}, codec)
 		if err != nil {
@@ -199,39 +81,13 @@ func TestSpillDifferentialRecords(t *testing.T) {
 	}
 }
 
-// TestSpillAllStrategiesConverge: once the exchange spills, every merge
-// strategy drains the same block files through the same stream merge, so
-// overlap and balanced — normally only key-identical on ties — become
-// byte-identical to the unbudgeted k-way reference.
-func TestSpillAllStrategiesConverge(t *testing.T) {
-	const procs, per = 4, 4000
-	parts := mkParts(dist.FewDistinct, procs, per, 77)
-	want := sortWith(t, comm.U64Codec{},
-		Options{Procs: procs, WorkersPerProc: 2, Merge: MergeKWay, MemoryBudget: -1}, parts)
-	for _, m := range []MergeStrategy{MergeKWay, MergeOverlap, MergeBalanced} {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
-			opts := Options{Procs: procs, WorkersPerProc: 2, Merge: m,
-				MemoryBudget: spillBudget[uint64](per), SpillDir: t.TempDir()}
-			got := sortWith(t, comm.U64Codec{}, opts, parts)
-			requireEntriesIdentical(t, comm.U64Codec{}, got, want, m.String())
-			if got.Report.SpillBytes == 0 {
-				t.Fatalf("%s: did not spill", m)
-			}
-			if want := m.String() + "+spill"; got.Report.MergePath != want {
-				t.Fatalf("MergePath = %q, want %q", got.Report.MergePath, want)
-			}
-		})
-	}
-}
-
 // TestSpillSlabBalance: repeated budgeted sorts on one engine must leave
 // every node's temporary-memory tracker at zero — the spill writers,
 // the decode-ahead block slabs and the stream merge all balance their
 // retire/recycle accounting even though runs spill mid-batch.
 func TestSpillSlabBalance(t *testing.T) {
 	const procs, per = 4, 3000
-	e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2, Merge: MergeKWay,
+	e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2,
 		MemoryBudget: spillBudget[uint64](per), SpillDir: t.TempDir()})
 	for i := 0; i < 3; i++ {
 		parts := mkParts(dist.Uniform, procs, per, uint64(100+i))
@@ -258,7 +114,7 @@ func TestSpillRetryDifferential(t *testing.T) {
 		t.Run(strings.ReplaceAll(site, "/", "-"), func(t *testing.T) {
 			failpoint.Reset()
 			t.Cleanup(failpoint.Reset)
-			e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2, Merge: MergeKWay,
+			e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2,
 				MemoryBudget: spillBudget[uint64](per), SpillDir: t.TempDir()})
 			parts := mkParts(dist.RightSkewed, procs, per, 99)
 			sched := NewScheduler(e, SortManyOpts{

@@ -59,7 +59,8 @@ func (m *Manager) ChunkLen(entryBytes int) int {
 // It mirrors the request-buffer flush behaviour: a message goes out when
 // the buffer fills or the remaining data ends (flush-on-complete). last is
 // true on the final chunk, so senders can stamp a run-complete signal on
-// it (comm.FlagRunComplete) for the receive-side streaming merger.
+// it (comm.FlagRunComplete) for the receiver to cross-check against the
+// range metadata.
 // Zero entries invoke fn not at all: an empty run has no final chunk, and
 // receivers learn its completeness from the range metadata instead.
 func Chunks[K any](m *Manager, entries []comm.Entry[K], keyBytes int, fn func(chunk []comm.Entry[K], last bool) error) error {
@@ -86,26 +87,17 @@ func Chunks[K any](m *Manager, entries []comm.Entry[K], keyBytes int, fn func(ch
 // chunks from the same source (which arrive in FIFO order) advance a
 // per-source cursor.
 type Assembly[K any] struct {
-	entries  []comm.Entry[K]
-	offsets  []int // base offset per source
-	cursor   []int // next write position per source (relative to base)
-	expect   []int // entries expected per source
-	gotMu    sync.Mutex
-	missing  int
-	signaled bool
-	done     chan struct{}
-	tracker  *alloc.Tracker
-	size     int64
+	entries []comm.Entry[K]
+	offsets []int // base offset per source
+	cursor  []int // next write position per source (relative to base)
+	expect  []int // entries expected per source
+	tracker *alloc.Tracker
+	size    int64
 
-	// Run-completion notification state (all guarded by gotMu): runDone
-	// marks sources whose region is fully written, notified marks sources
-	// whose completion has been handed to onRun, and onRun is the handler
-	// OnRunComplete registered. This is what lets a streaming merger start
-	// consuming a peer's run while the rest of the exchange is still in
-	// flight, instead of waiting on the whole-assembly Done barrier.
-	runDone  []bool
-	notified []bool
-	onRun    func(src int)
+	// runDone marks sources whose region is fully written (guarded by
+	// gotMu): what RunComplete answers.
+	gotMu   sync.Mutex
+	runDone []bool
 }
 
 // NewAssembly allocates an assembly buffer for perSrc[i] entries from each
@@ -131,24 +123,17 @@ func NewAssemblyBuf[K any](m *Manager, perSrc []int, entryBytes int, buf []comm.
 		total += n
 	}
 	offsets[len(perSrc)] = total
-	missing := 0
-	for _, n := range perSrc {
-		missing += n
-	}
 	if cap(buf) >= total {
 		buf = buf[:total]
 	} else {
 		buf = make([]comm.Entry[K], total)
 	}
 	a := &Assembly[K]{
-		entries:  buf,
-		offsets:  offsets,
-		cursor:   make([]int, len(perSrc)),
-		expect:   append([]int(nil), perSrc...),
-		missing:  missing,
-		done:     make(chan struct{}),
-		runDone:  make([]bool, len(perSrc)),
-		notified: make([]bool, len(perSrc)),
+		entries: buf,
+		offsets: offsets,
+		cursor:  make([]int, len(perSrc)),
+		expect:  append([]int(nil), perSrc...),
+		runDone: make([]bool, len(perSrc)),
 	}
 	for src, n := range perSrc {
 		a.runDone[src] = n == 0 // nothing to wait for: complete at birth
@@ -157,10 +142,6 @@ func NewAssemblyBuf[K any](m *Manager, perSrc []int, entryBytes int, buf []comm.
 		a.tracker = m.Tracker
 		a.size = int64(total) * int64(entryBytes)
 		a.tracker.Alloc(a.size)
-	}
-	if missing == 0 {
-		a.signaled = true
-		close(a.done)
 	}
 	return a
 }
@@ -183,53 +164,12 @@ func (a *Assembly[K]) Write(src int, chunk []comm.Entry[K]) error {
 	}
 	copy(a.entries[base+cur:], chunk)
 	a.cursor[src] = cur + len(chunk)
-	complete := a.cursor[src] == a.expect[src]
-
-	a.gotMu.Lock()
-	a.missing -= len(chunk)
-	finished := a.missing == 0 && !a.signaled
-	if finished {
-		a.signaled = true
-	}
-	var notify func(src int)
-	if complete {
+	if a.cursor[src] == a.expect[src] {
+		a.gotMu.Lock()
 		a.runDone[src] = true
-		if a.onRun != nil && !a.notified[src] {
-			a.notified[src] = true
-			notify = a.onRun
-		}
-	}
-	a.gotMu.Unlock()
-	if notify != nil {
-		notify(src)
-	}
-	if finished {
-		close(a.done)
+		a.gotMu.Unlock()
 	}
 	return nil
-}
-
-// OnRunComplete registers fn to be invoked exactly once per source as soon
-// as that source's run is fully assembled. Sources that are already
-// complete — including those expecting zero entries — fire immediately on
-// the registering goroutine, in source order; later completions fire on
-// the goroutine whose Write finished the run. Register before writing (the
-// engine registers right after constructing the assembly); only one
-// handler may be registered per assembly.
-func (a *Assembly[K]) OnRunComplete(fn func(src int)) {
-	a.gotMu.Lock()
-	a.onRun = fn
-	var fire []int
-	for src := range a.expect {
-		if a.runDone[src] && !a.notified[src] {
-			a.notified[src] = true
-			fire = append(fire, src)
-		}
-	}
-	a.gotMu.Unlock()
-	for _, src := range fire {
-		fn(src)
-	}
 }
 
 // RunComplete reports whether source src's region is fully written.
@@ -241,15 +181,6 @@ func (a *Assembly[K]) RunComplete(src int) bool {
 	defer a.gotMu.Unlock()
 	return a.runDone[src]
 }
-
-// Run returns source src's region of the assembled buffer — a sorted run
-// once RunComplete(src) is true.
-func (a *Assembly[K]) Run(src int) []comm.Entry[K] {
-	return a.entries[a.offsets[src]:a.offsets[src+1]]
-}
-
-// Done is closed once every expected entry has been written.
-func (a *Assembly[K]) Done() <-chan struct{} { return a.done }
 
 // Entries exposes the assembled buffer. Each source's region is a sorted
 // run; Bounds gives the run boundaries for the final balanced merge.

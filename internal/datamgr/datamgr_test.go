@@ -88,10 +88,8 @@ func TestAssemblySingleSource(t *testing.T) {
 	if err := a.Write(0, chunk); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-a.Done():
-	default:
-		t.Fatal("assembly not done after all entries written")
+	if !a.RunComplete(0) {
+		t.Fatal("run not complete after all entries written")
 	}
 	for i, e := range a.Entries() {
 		if e.Key != uint64(i+1) {
@@ -116,7 +114,6 @@ func TestAssemblyOffsetsAndBounds(t *testing.T) {
 	if err := a.Write(0, []comm.Entry[uint64]{{Key: 10}, {Key: 11}}); err != nil {
 		t.Fatal(err)
 	}
-	<-a.Done()
 	got := a.Entries()
 	wantKeys := []uint64{10, 11, 30, 31, 32}
 	for i := range wantKeys {
@@ -129,13 +126,13 @@ func TestAssemblyOffsetsAndBounds(t *testing.T) {
 func TestAssemblyIncrementalWrites(t *testing.T) {
 	a := NewAssembly[uint64](nil, []int{4}, 16)
 	a.Write(0, []comm.Entry[uint64]{{Key: 1}, {Key: 2}})
-	select {
-	case <-a.Done():
-		t.Fatal("done too early")
-	default:
+	if a.RunComplete(0) {
+		t.Fatal("run complete too early")
 	}
 	a.Write(0, []comm.Entry[uint64]{{Key: 3}, {Key: 4}})
-	<-a.Done()
+	if !a.RunComplete(0) {
+		t.Fatal("run not complete after its last chunk")
+	}
 	for i, e := range a.Entries() {
 		if e.Key != uint64(i+1) {
 			t.Fatalf("incremental assembly wrong at %d: %v", i, a.Entries())
@@ -169,7 +166,11 @@ func TestAssemblyConcurrentSources(t *testing.T) {
 		}(src)
 	}
 	wg.Wait()
-	<-a.Done()
+	for src := 0; src < p; src++ {
+		if !a.RunComplete(src) {
+			t.Fatalf("source %d not complete after all writes", src)
+		}
+	}
 	for i, e := range a.Entries() {
 		if e.Key != uint64(i) {
 			t.Fatalf("assembled order wrong at %d: got %d", i, e.Key)
@@ -187,75 +188,33 @@ func TestAssemblyOverflowRejected(t *testing.T) {
 	}
 }
 
-func TestAssemblyZeroExpected(t *testing.T) {
-	a := NewAssembly[uint64](nil, []int{0, 0}, 16)
-	select {
-	case <-a.Done():
-	default:
-		t.Fatal("assembly with nothing expected should be done immediately")
-	}
-}
-
-func TestAssemblyRunCompletionNotifies(t *testing.T) {
+func TestAssemblyRunComplete(t *testing.T) {
 	// Sources: 0 expects 2 (completed across two writes), 1 expects 0
 	// (complete at birth), 2 expects 1.
 	a := NewAssembly[uint64](nil, []int{2, 0, 1}, 16)
-	var fired []int
-	a.OnRunComplete(func(src int) { fired = append(fired, src) })
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Fatalf("registration fired %v, want just the zero-expect source 1", fired)
-	}
 	if !a.RunComplete(1) || a.RunComplete(0) || a.RunComplete(2) {
-		t.Fatal("RunComplete state wrong after registration")
+		t.Fatal("RunComplete state wrong at birth")
 	}
 	if err := a.Write(0, []comm.Entry[uint64]{{Key: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 1 {
-		t.Fatalf("partial write fired %v", fired)
+	if a.RunComplete(0) {
+		t.Fatal("partial write completed source 0")
 	}
 	if err := a.Write(2, []comm.Entry[uint64]{{Key: 9}}); err != nil {
 		t.Fatal(err)
 	}
+	if !a.RunComplete(2) || a.RunComplete(0) {
+		t.Fatal("RunComplete state wrong after source 2's only chunk")
+	}
 	if err := a.Write(0, []comm.Entry[uint64]{{Key: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 2, 0}
-	if len(fired) != len(want) {
-		t.Fatalf("fired = %v, want %v", fired, want)
+	if !a.RunComplete(0) {
+		t.Fatal("source 0 not complete after its last chunk")
 	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired = %v, want %v", fired, want)
-		}
-	}
-	// Completed runs are readable through Run.
-	if r := a.Run(0); len(r) != 2 || r[0].Key != 1 || r[1].Key != 2 {
-		t.Fatalf("Run(0) = %v", r)
-	}
-	if r := a.Run(1); len(r) != 0 {
-		t.Fatalf("Run(1) = %v, want empty", r)
-	}
-	<-a.Done()
-}
-
-func TestAssemblyLateRegistrationFiresCompleted(t *testing.T) {
-	// Runs that completed before OnRunComplete was registered fire at
-	// registration, exactly once each.
-	a := NewAssembly[uint64](nil, []int{1, 1}, 16)
-	if err := a.Write(1, []comm.Entry[uint64]{{Key: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	var fired []int
-	a.OnRunComplete(func(src int) { fired = append(fired, src) })
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Fatalf("late registration fired %v, want [1]", fired)
-	}
-	if err := a.Write(0, []comm.Entry[uint64]{{Key: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 || fired[1] != 0 {
-		t.Fatalf("fired = %v, want [1 0]", fired)
+	if a.RunComplete(-1) || a.RunComplete(3) {
+		t.Fatal("out-of-range source reported complete")
 	}
 }
 

@@ -15,23 +15,18 @@ import (
 // source's run streams straight into its own spill.Writer block file.
 // The contract is otherwise identical — per-source chunks arrive FIFO
 // and append in order, different sources may write concurrently (each
-// owns its writer), OnRunComplete fires the moment a source's expected
-// count lands, and Done closes when everything has. The final merge then
-// consumes spill.RunReader cursors instead of in-memory regions.
+// owns its writer), and RunComplete turns true the moment a source's
+// expected count lands. The final merge then consumes spill.RunReader
+// cursors instead of in-memory regions.
 type SpillAssembly[K any] struct {
 	codec   comm.Codec[K]
 	writers []*spill.Writer[K] // nil for sources expecting zero entries
 	expect  []int
 	cursor  []int
 
-	gotMu    sync.Mutex
-	missing  int
-	signaled bool
-	done     chan struct{}
-	runDone  []bool
-	notified []bool
-	onRun    func(src int)
-	closed   bool
+	gotMu   sync.Mutex
+	runDone []bool // sources whose run file is sealed (guarded by gotMu)
+	closed  bool
 }
 
 // NewSpillAssembly creates one run file per non-empty source under dir
@@ -40,20 +35,17 @@ type SpillAssembly[K any] struct {
 // point is that they are not resident.
 func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir string) (*SpillAssembly[K], error) {
 	a := &SpillAssembly[K]{
-		codec:    c,
-		writers:  make([]*spill.Writer[K], len(perSrc)),
-		expect:   append([]int(nil), perSrc...),
-		cursor:   make([]int, len(perSrc)),
-		done:     make(chan struct{}),
-		runDone:  make([]bool, len(perSrc)),
-		notified: make([]bool, len(perSrc)),
+		codec:   c,
+		writers: make([]*spill.Writer[K], len(perSrc)),
+		expect:  append([]int(nil), perSrc...),
+		cursor:  make([]int, len(perSrc)),
+		runDone: make([]bool, len(perSrc)),
 	}
 	for src, n := range perSrc {
 		if n < 0 {
 			a.Close()
 			return nil, fmt.Errorf("datamgr: negative expected count %d from source %d", n, src)
 		}
-		a.missing += n
 		a.runDone[src] = n == 0
 		if n == 0 {
 			continue
@@ -64,10 +56,6 @@ func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir stri
 			return nil, err
 		}
 		a.writers[src] = w
-	}
-	if a.missing == 0 {
-		a.signaled = true
-		close(a.done)
 	}
 	return a, nil
 }
@@ -97,56 +85,17 @@ func (a *SpillAssembly[K]) Write(src int, chunk []comm.Entry[K]) error {
 		return err
 	}
 	a.cursor[src] = cur + len(chunk)
-	complete := a.cursor[src] == a.expect[src]
-	if complete {
+	if a.cursor[src] == a.expect[src] {
 		// Seal the run so readers can open it the moment the merge
 		// wants it; a Finish failure surfaces like a write failure.
 		if err := a.writers[src].Finish(); err != nil {
 			return err
 		}
-	}
-
-	a.gotMu.Lock()
-	a.missing -= len(chunk)
-	finished := a.missing == 0 && !a.signaled
-	if finished {
-		a.signaled = true
-	}
-	var notify func(src int)
-	if complete {
+		a.gotMu.Lock()
 		a.runDone[src] = true
-		if a.onRun != nil && !a.notified[src] {
-			a.notified[src] = true
-			notify = a.onRun
-		}
-	}
-	a.gotMu.Unlock()
-	if notify != nil {
-		notify(src)
-	}
-	if finished {
-		close(a.done)
+		a.gotMu.Unlock()
 	}
 	return nil
-}
-
-// OnRunComplete mirrors Assembly.OnRunComplete: fn fires exactly once
-// per source as soon as its run file is sealed (immediately for sources
-// expecting zero entries).
-func (a *SpillAssembly[K]) OnRunComplete(fn func(src int)) {
-	a.gotMu.Lock()
-	a.onRun = fn
-	var fire []int
-	for src := range a.expect {
-		if a.runDone[src] && !a.notified[src] {
-			a.notified[src] = true
-			fire = append(fire, src)
-		}
-	}
-	a.gotMu.Unlock()
-	for _, src := range fire {
-		fn(src)
-	}
 }
 
 // RunComplete reports whether source src's run file is sealed.
@@ -158,9 +107,6 @@ func (a *SpillAssembly[K]) RunComplete(src int) bool {
 	defer a.gotMu.Unlock()
 	return a.runDone[src]
 }
-
-// Done is closed once every expected entry has been written.
-func (a *SpillAssembly[K]) Done() <-chan struct{} { return a.done }
 
 // Total reports the summed expected entry count across sources.
 func (a *SpillAssembly[K]) Total() int {

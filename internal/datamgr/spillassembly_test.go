@@ -12,7 +12,7 @@ import (
 
 // TestSpillAssemblyMatchesAssembly: the same chunk traffic lands in a
 // resident Assembly and a SpillAssembly; every source's run must read
-// back byte-identical, with completion notifications firing once each.
+// back byte-identical, with every run complete once its count lands.
 func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 	m := &Manager{}
 	perSrc := []int{1000, 0, 2500, 7}
@@ -22,14 +22,6 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer spilled.Close()
-
-	var mu sync.Mutex
-	completions := map[int]int{}
-	spilled.OnRunComplete(func(src int) {
-		mu.Lock()
-		completions[src]++
-		mu.Unlock()
-	})
 
 	var wg sync.WaitGroup
 	for src, n := range perSrc {
@@ -62,10 +54,10 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 		}(src, n)
 	}
 	wg.Wait()
-	select {
-	case <-spilled.Done():
-	default:
-		t.Fatal("spilled assembly not done after all writes")
+	for src := range perSrc {
+		if !spilled.RunComplete(src) || !resident.RunComplete(src) {
+			t.Fatalf("source %d not complete after all writes", src)
+		}
 	}
 	if spilled.Total() != 3507 {
 		t.Fatalf("Total = %d", spilled.Total())
@@ -74,21 +66,12 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 		t.Fatalf("SpillBytes = %d", spilled.SpillBytes())
 	}
 
-	mu.Lock()
-	for src, n := range perSrc {
-		want := 1
-		if completions[src] != want {
-			t.Fatalf("source %d completed %d times (expect %d, n=%d)", src, completions[src], want, n)
-		}
-	}
-	mu.Unlock()
-
 	readers, err := spilled.Readers(spill.ReaderOpts[uint64]{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for src, r := range readers {
-		want := resident.Run(src)
+		want := resident.Entries()[resident.Bounds()[src]:resident.Bounds()[src+1]]
 		if r == nil {
 			if len(want) != 0 {
 				t.Fatalf("source %d: no reader for %d entries", src, len(want))
@@ -150,8 +133,8 @@ func TestSpillAssemblyOverflowAndClose(t *testing.T) {
 
 // TestSpillAssemblyEmptySource: a source expecting zero entries has no
 // run file, yet an empty chunk for it (a node writing its own empty
-// range) must be a no-op, not a nil-writer panic, and Done must already
-// account for it.
+// range) must be a no-op, not a nil-writer panic, and its run is complete
+// from construction.
 func TestSpillAssemblyEmptySource(t *testing.T) {
 	a, err := NewSpillAssembly(&Manager{}, []int{0, 1}, comm.U64Codec{}, t.TempDir())
 	if err != nil {
@@ -167,9 +150,7 @@ func TestSpillAssemblyEmptySource(t *testing.T) {
 	if err := a.Write(1, []comm.Entry[uint64]{{Key: 7}}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-a.Done():
-	default:
-		t.Fatal("assembly not done after the only expected entry landed")
+	if !a.RunComplete(1) {
+		t.Fatal("source 1 not complete after its only expected entry landed")
 	}
 }

@@ -44,35 +44,6 @@ func AblationInvestigator(c Config) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// AblationMerge compares the balanced pairwise handler against the
-// loser-tree k-way merge in step 6 (DESIGN.md ablation #2).
-func AblationMerge(c Config) ([]Table, error) {
-	c = c.WithDefaults()
-	t := Table{
-		ID:     "ablation-merge",
-		Title:  "Step-6 merge strategy: balanced pairwise (Fig 2) vs k-way loser tree",
-		Header: []string{"procs", "balanced_ms", "kway_ms", "balanced_merge_step_ms", "kway_merge_step_ms"},
-	}
-	for _, p := range c.Procs {
-		parts := c.parts(dist.Uniform, p)
-		bal, err := c.runPGXD(parts, core.Options{Merge: core.MergeBalanced})
-		if err != nil {
-			return nil, err
-		}
-		kway, err := c.runPGXD(parts, core.Options{Merge: core.MergeKWay})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p),
-			ms(bal.Total), ms(kway.Total),
-			ms(bal.Steps[core.StepFinalMerge]), ms(kway.Steps[core.StepFinalMerge]),
-		})
-	}
-	t.Notes = append(t.Notes, "the balanced handler parallelizes each round; the loser tree is sequential")
-	return []Table{t}, nil
-}
-
 // AblationAsync compares the asynchronous overlapped exchange against the
 // bulk-synchronous send-barrier-receive schedule (DESIGN.md ablation #3).
 func AblationAsync(c Config) ([]Table, error) {

@@ -38,10 +38,6 @@ type Config struct {
 	// LocalSort forces a step-1 path for every experiment that does not
 	// sweep paths itself (default core.LocalSortAuto).
 	LocalSort core.LocalSortMode
-	// Merge forces a step-6 strategy for every experiment that does not
-	// sweep strategies itself (default core.MergeAuto — the engine picks
-	// the streaming overlap at p >= 4).
-	Merge core.MergeStrategy
 	// ListenAddrs / PeerAddrs bind the TCP transport to explicit
 	// addresses (the CLIs' -listen/-peers flags). They only apply when a
 	// sweep point's processor count matches their length; other points
@@ -154,9 +150,6 @@ func (c Config) engineOpts(procs int, opts core.Options) (core.Options, error) {
 	}
 	if opts.LocalSort == core.LocalSortAuto {
 		opts.LocalSort = c.LocalSort
-	}
-	if opts.Merge == core.MergeAuto {
-		opts.Merge = c.Merge
 	}
 	if opts.MemoryBudget == 0 {
 		opts.MemoryBudget = c.MemBudget

@@ -325,7 +325,7 @@ func TestAblationsRun(t *testing.T) {
 	c := tinyConfig()
 	c.Procs = []int{4}
 	for _, run := range []func(Config) ([]Table, error){
-		AblationInvestigator, AblationMerge, AblationAsync, AblationTransport,
+		AblationInvestigator, AblationAsync, AblationTransport,
 	} {
 		tabs, err := run(c)
 		if err != nil {

@@ -12,10 +12,15 @@ import (
 // normalized keys — across every distribution kind. The sortpath column
 // records the path the engine actually resolved (from
 // Report.LocalSortPath), so the CI trajectory CSV captures
-// comparison-vs-radix per commit; the final row checks that LocalSortAuto
-// resolves to radix for the uint64 workload.
+// comparison-vs-radix per commit. The radix column runs the engine's
+// default (LocalSortAuto), which must resolve to radix for the uint64
+// workload.
 func LocalSortPaths(c Config) ([]Table, error) {
 	c = c.WithDefaults()
+	// A -localsort override on the sweep (Config.LocalSort) must not leak
+	// into the radix column.
+	cAuto := c
+	cAuto.LocalSort = core.LocalSortAuto
 	p := c.Procs[len(c.Procs)/2]
 	t := Table{
 		ID:    "localsort",
@@ -29,7 +34,7 @@ func LocalSortPaths(c Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		radix, err := c.runPGXD(parts, core.Options{LocalSort: core.LocalSortRadix})
+		radix, err := cAuto.runPGXD(parts, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -43,20 +48,9 @@ func LocalSortPaths(c Config) ([]Table, error) {
 			ms(radix.Steps[core.StepLocalSort]),
 		})
 	}
-	// Auto-resolution row: the default mode must pick radix for uint64.
-	// Run it against a genuinely-Auto config — a -localsort override on
-	// the sweep (Config.LocalSort) must not leak into this row.
-	cAuto := c
-	cAuto.LocalSort = core.LocalSortAuto
-	auto, err := cAuto.runPGXD(c.parts(dist.Uniform, p), core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{"uniform(auto)", auto.LocalSortPath,
-		"-", ms(auto.Total), "-", "-", ms(auto.Steps[core.StepLocalSort])})
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("N=%d keys, %d workers/proc, transport=%s", c.N, c.Workers, c.Transport),
 		"radix skips constant byte columns, so narrow-domain and duplicate-heavy kinds run few passes;",
-		"sortpath is the engine-resolved path (Report.LocalSortPath) under the forced-radix run")
+		"sortpath is the engine-resolved path (Report.LocalSortPath) of the default (auto) run")
 	return []Table{t}, nil
 }

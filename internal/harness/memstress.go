@@ -41,8 +41,6 @@ func MemStressExp(c Config) ([]Table, error) {
 		Procs:          procs,
 		Workers:        c.Workers,
 		Transport:      c.Transport,
-		LocalSort:      c.LocalSort,
-		Merge:          c.Merge,
 		MaxInflight:    c.Inflight,
 		MemoryBudget:   budget,
 		SpoolThreshold: threshold,

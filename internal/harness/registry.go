@@ -30,14 +30,12 @@ var registry = []Experiment{
 	{"pipeline", "SortMany schedules: sequential vs naive vs pipelined (ISSUE 2)", Fig56Pipeline},
 	{"localsort", "local-sort paths: comparison vs radix fast path (ISSUE 3)", LocalSortPaths},
 	{"chaos", "TCP transport under injected connection resets (ISSUE 4)", Chaos},
-	{"mergeoverlap", "streaming exchange–merge overlap vs barriered merge (ISSUE 5)", MergeOverlap},
 	{"keytypes", "key domains and record sizes: uint64/float64/string ± payloads (ISSUE 6)", KeyTypesExp},
 	{"service", "sorting-as-a-service: concurrent clients vs pgxsortd (ISSUE 7)", ServiceExp},
 	{"soak", "self-healing soak: jobs under a randomized failpoint storm (ISSUE 8)", SoakExp},
 	{"spill", "out-of-core spill tier: memory budget vs throughput, byte-identity enforced (ISSUE 9)", SpillExp},
 	{"memstress", "bounded-memory service: body size vs budget, byte-identity and peak ceiling enforced (ISSUE 10)", MemStressExp},
 	{"ablation-investigator", "investigator on/off (DESIGN.md)", AblationInvestigator},
-	{"ablation-merge", "balanced vs k-way merge (DESIGN.md)", AblationMerge},
 	{"ablation-async", "async vs bulk-synchronous exchange (DESIGN.md)", AblationAsync},
 	{"ablation-transport", "chan vs tcp transport (DESIGN.md)", AblationTransport},
 	{"baselines", "all four sorters side by side (DESIGN.md)", Baselines},

@@ -58,8 +58,6 @@ func (c Config) serviceRound(procs, clients, jobsPerClient, keysPerJob int) ([]s
 		Procs:       procs,
 		Workers:     c.Workers,
 		Transport:   c.Transport,
-		LocalSort:   c.LocalSort,
-		Merge:       c.Merge,
 		MaxInflight: c.Inflight,
 	})
 	if err != nil {

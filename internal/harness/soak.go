@@ -88,8 +88,6 @@ func (c Config) soakRound(procs, jobs, keysPerJob int) ([]string, error) {
 		Procs:       procs,
 		Workers:     c.Workers,
 		Transport:   c.Transport,
-		LocalSort:   c.LocalSort,
-		Merge:       c.Merge,
 		MaxInflight: c.Inflight,
 		// A budget of a fraction of each job's footprint forces jobs out
 		// of core, so the storm's spill/write-block and spill/read-block

@@ -1,8 +1,9 @@
 // Package lsort implements the local (single-node) sorting machinery the
 // paper builds on: sequential and chunked-parallel quicksort, the balanced
 // pairwise merging handler of Figure 2, TimSort (the algorithm Spark's
-// sortByKey uses per partition), and a loser-tree k-way merge used as the
-// ablation counterpart of the balanced handler.
+// sortByKey uses per partition), and the loser-tree k-way merges that
+// stream spilled runs back (MergeCursors) and serve as the balanced
+// handler's measured counterpart (KWayMerge).
 //
 // All algorithms are generic over the element type with an explicit less
 // function, mirroring the paper's claim that the sorting library "is

@@ -34,13 +34,12 @@ type backend interface {
 	// generate renders a deterministic synthetic dataset canonically.
 	generate(g dist.Gen, n int, prefix string) []byte
 	// sort runs one dataset through the scheduler and returns the
-	// canonical sorted bytes. recbytes > 0 attaches that much opaque
-	// payload ballast per key and takes the record path.
-	sort(ctx context.Context, raw []byte, recbytes int) ([]byte, core.Report, error)
+	// canonical sorted bytes.
+	sort(ctx context.Context, raw []byte) ([]byte, core.Report, error)
 	// sortSingle is the degraded path: the same dataset on a lazily
 	// built single-node engine that touches no mesh. The breaker routes
 	// here when the distributed engine's links are presumed dead.
-	sortSingle(ctx context.Context, raw []byte, recbytes int) ([]byte, core.Report, error)
+	sortSingle(ctx context.Context, raw []byte) ([]byte, core.Report, error)
 	// retries reports the lifetime transient-failure retries performed
 	// by this backend's schedulers (mesh plus fallback).
 	retries() int64
@@ -117,9 +116,9 @@ type typedBackend[K cmp.Ordered] struct {
 }
 
 // newBackend builds the engine, scheduler and codec for one key domain.
-// Every engine gets a payload-carrying codec so the same backend serves
-// both plain key sorts and recbytes record sorts; the engine unwraps the
-// key codec for the radix fast path either way.
+// Every engine gets the record codec upload spool files are written with
+// (typedBackend.codec); the engine unwraps the key codec for the radix
+// fast path either way.
 func newBackend(kt dist.KeyType, cfg Config) (backend, error) {
 	switch kt {
 	case dist.KeyUint64:
@@ -216,20 +215,20 @@ func (b *typedBackend[K]) generate(g dist.Gen, n int, prefix string) []byte {
 	return b.enc(b.gen(g, n, prefix))
 }
 
-func (b *typedBackend[K]) sort(ctx context.Context, raw []byte, recbytes int) ([]byte, core.Report, error) {
-	return b.sortOn(ctx, b.sched, b.procs, raw, recbytes)
+func (b *typedBackend[K]) sort(ctx context.Context, raw []byte) ([]byte, core.Report, error) {
+	return b.sortOn(ctx, b.sched, b.procs, raw)
 }
 
 // sortSingle runs the dataset on the single-node fallback engine. Every
 // dataset the daemon admits already lives in this process's memory, so
 // "fits on one node" is a policy question (Config.FallbackKeys), decided
 // by the caller — here we just run it.
-func (b *typedBackend[K]) sortSingle(ctx context.Context, raw []byte, recbytes int) ([]byte, core.Report, error) {
+func (b *typedBackend[K]) sortSingle(ctx context.Context, raw []byte) ([]byte, core.Report, error) {
 	sched, err := b.fallback()
 	if err != nil {
 		return nil, core.Report{}, err
 	}
-	return b.sortOn(ctx, sched, 1, raw, recbytes)
+	return b.sortOn(ctx, sched, 1, raw)
 }
 
 // fallback lazily builds the degraded single-node engine: one proc, the
@@ -244,8 +243,6 @@ func (b *typedBackend[K]) fallback() (*core.Scheduler[K], error) {
 		o := core.Options{
 			Procs:       1,
 			BufferBytes: b.cfg.BufferBytes,
-			LocalSort:   b.cfg.LocalSort,
-			Merge:       b.cfg.Merge,
 			MaxInflight: b.cfg.MaxInflight,
 		}
 		if b.cfg.Workers > 0 {
@@ -274,30 +271,12 @@ func (b *typedBackend[K]) retries() int64 {
 
 // sortOn is the shared sort body: decode, split into procs blocks, run
 // through the given scheduler, re-encode.
-func (b *typedBackend[K]) sortOn(ctx context.Context, sched *core.Scheduler[K], procs int, raw []byte, recbytes int) ([]byte, core.Report, error) {
+func (b *typedBackend[K]) sortOn(ctx context.Context, sched *core.Scheduler[K], procs int, raw []byte) ([]byte, core.Report, error) {
 	keys, err := b.dec(raw)
 	if err != nil {
 		return nil, core.Report{}, err
 	}
-	var res *core.Result[K]
-	if recbytes > 0 {
-		// Record path: opaque zero-byte ballast rides each key through
-		// exchange and merge, exercising the payload wire format and the
-		// service's bandwidth cost without inventing a record schema.
-		parts := blocks(keys, procs)
-		recs := make([][]comm.Record[K], len(parts))
-		for i, part := range parts {
-			rp := make([]comm.Record[K], len(part))
-			ballast := make([]byte, recbytes)
-			for j, k := range part {
-				rp[j] = comm.Record[K]{Key: k, Payload: ballast}
-			}
-			recs[i] = rp
-		}
-		res, err = sched.RunOneRecords(ctx, recs)
-	} else {
-		res, err = sched.RunOne(ctx, blocks(keys, procs))
-	}
+	res, err := sched.RunOne(ctx, blocks(keys, procs))
 	if err != nil {
 		return nil, core.Report{}, err
 	}

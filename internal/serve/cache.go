@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"sync"
 
 	"pgxsort/internal/dist"
@@ -49,14 +48,11 @@ func newResultCache(budget, entryFrac int64) *resultCache {
 
 // hashJob derives the content address of one sort job. The scheme is
 // versioned so a format change cannot alias old entries.
-func hashJob(kt dist.KeyType, recbytes int, raw []byte) cacheKey {
+func hashJob(kt dist.KeyType, raw []byte) cacheKey {
 	h := sha256.New()
 	h.Write([]byte("pgxsortd/v1\x00"))
 	h.Write([]byte(kt))
 	h.Write([]byte{0})
-	var rb [8]byte
-	binary.LittleEndian.PutUint64(rb[:], uint64(recbytes))
-	h.Write(rb[:])
 	h.Write(raw)
 	var k cacheKey
 	h.Sum(k[:0])

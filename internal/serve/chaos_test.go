@@ -157,6 +157,9 @@ func TestMidExchangeLinkLossDegradesToSingleNode(t *testing.T) {
 		},
 		BufferBytes: 32 << 10,
 		KeyTypes:    []dist.KeyType{dist.KeyUint64},
+		// The kill must land in the mesh exchange; a spooled job (the
+		// PGXSORT_MEM_BUDGET lane clamps the spool threshold) never uses it.
+		MemoryBudget: -1,
 	}
 	_, ts := testServer(t, cfg)
 

@@ -96,7 +96,6 @@ type sortRequest struct {
 	KeysB64    string            `json:"keys_b64,omitempty"`
 	Dist       *distSpec         `json:"dist,omitempty"`
 	DeadlineMS int64             `json:"deadline_ms,omitempty"`
-	RecBytes   int               `json:"recbytes,omitempty"`
 	NoCache    bool              `json:"no_cache,omitempty"`
 
 	K      int    `json:"k,omitempty"`      // /v1/topk
@@ -245,6 +244,57 @@ func (s *Server) jobCtx(r *http.Request, deadlineMS int64) (context.Context, con
 	return context.WithTimeout(r.Context(), d)
 }
 
+// jobError is a job that produced no answer — turned away at the front
+// door or failed in the engine: the HTTP status and the error for the
+// envelope and the job log.
+type jobError struct {
+	status int
+	err    error
+}
+
+// admit is the one front door every job — sort, spooled sort, top-k, rank
+// — passes before it may use an engine: draining check, the
+// serve/admission failpoint, the effective deadline, then the bounded
+// queue and the tenant's slot. On success it returns the job's context
+// and a release func the caller must defer; otherwise why not (a full
+// queue is counted in pgxsortd_rejected_total here, once for every door).
+func (s *Server) admit(r *http.Request, req *sortRequest) (context.Context, func(), *jobError) {
+	// Counting into jobsWG before re-checking draining closes the race
+	// with Close: either Close sees our count and waits, or we see its
+	// draining flag and refuse.
+	s.jobsWG.Add(1)
+	ctx, cancel := s.jobCtx(r, req.DeadlineMS)
+	refuse := func(status int, err error) (context.Context, func(), *jobError) {
+		cancel()
+		s.jobsWG.Done()
+		return nil, nil, &jobError{status: status, err: err}
+	}
+	if s.draining.Load() {
+		return refuse(http.StatusServiceUnavailable, errors.New("server is draining"))
+	}
+	if ferr := failpoint.HitNoPanic(fpAdmission); ferr != nil {
+		return refuse(http.StatusServiceUnavailable, fmt.Errorf("admission refused: %w", ferr))
+	}
+	release, st := s.adm.begin(ctx, req.Tenant)
+	switch st {
+	case admitQueueFull:
+		s.met.reject("queue_full")
+		return refuse(http.StatusTooManyRequests, errors.New("admission queue is full; retry later"))
+	case admitDeadline:
+		if errors.Is(ctx.Err(), context.Canceled) {
+			return refuse(StatusClientClosedRequest, fmt.Errorf("client went away waiting for tenant slot: %w", ctx.Err()))
+		}
+		return refuse(http.StatusGatewayTimeout, fmt.Errorf("deadline expired waiting for tenant slot: %v", ctx.Err()))
+	}
+	s.met.jobStart()
+	return ctx, func() {
+		s.met.jobEnd()
+		release()
+		cancel()
+		s.jobsWG.Done()
+	}, nil
+}
+
 // handleSort runs one sort job. Two request shapes share the endpoint:
 // JSON (sortRequest) and application/octet-stream, whose body is the
 // canonical keyio encoding and whose options ride in query parameters.
@@ -270,7 +320,7 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 			// accumulates whole — past the spool threshold it lands in a
 			// spill-tier run file instead.
 			var ing *ingestResult
-			ing, apiErr = s.ingestBinary(w, r, b, req.RecBytes, id)
+			ing, apiErr = s.ingestBinary(w, r, b, id)
 			if apiErr == nil {
 				raw, n, spool = ing.resident, ing.n, ing.spool
 				if spool != "" {
@@ -291,10 +341,6 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 		s.rejectRequest(w, "sort", apiErr, start)
 		return
 	}
-	if req.RecBytes < 0 {
-		s.rejectRequest(w, "sort", badRequest("recbytes must be non-negative"), start)
-		return
-	}
 
 	log := func(status int, err error, cached bool, rep *core.Report) {
 		s.jobs.add(newJobRecord(id, req.Tenant, "sort", b.keyType(), n, status, err, cached, time.Since(start), rep))
@@ -307,7 +353,7 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 
 	// Cache probe: hits bypass admission entirely — a cached answer
 	// costs no engine capacity, so overload must not refuse it.
-	ckey := hashJob(b.keyType(), req.RecBytes, raw)
+	ckey := hashJob(b.keyType(), raw)
 	if !req.NoCache {
 		if sorted, cn, ok := s.cache.get(ckey); ok {
 			s.met.jobDone("sort", "200", time.Since(start))
@@ -336,14 +382,11 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gov.release(need)
 
-	sorted, rep, degraded, status, runErr := s.runSort(r, b, req, raw, n)
-	if runErr != nil {
-		s.met.jobDone("sort", strconv.Itoa(status), time.Since(start))
-		if status == http.StatusTooManyRequests {
-			s.met.reject("queue_full")
-		}
-		log(status, runErr, false, nil)
-		s.writeError(w, status, runErr.Error())
+	sorted, rep, degraded, jerr := s.runSort(r, b, req, raw, n)
+	if jerr != nil {
+		s.met.jobDone("sort", strconv.Itoa(jerr.status), time.Since(start))
+		log(jerr.status, jerr.err, false, nil)
+		s.writeError(w, jerr.status, jerr.err.Error())
 		return
 	}
 	s.gov.notePeak(rep.TempPeakBytes)
@@ -387,35 +430,12 @@ func (s *Server) runSortSpooled(w http.ResponseWriter, r *http.Request, id strin
 	}
 	defer s.gov.release(need)
 
-	s.jobsWG.Add(1)
-	defer s.jobsWG.Done()
-	if s.draining.Load() {
-		fail(http.StatusServiceUnavailable, errors.New("server is draining"))
+	ctx, done, jerr := s.admit(r, req)
+	if jerr != nil {
+		fail(jerr.status, jerr.err)
 		return
 	}
-	if ferr := failpoint.HitNoPanic(fpAdmission); ferr != nil {
-		fail(http.StatusServiceUnavailable, fmt.Errorf("admission refused: %w", ferr))
-		return
-	}
-	ctx, cancel := s.jobCtx(r, req.DeadlineMS)
-	defer cancel()
-	release, st := s.adm.begin(ctx, req.Tenant)
-	switch st {
-	case admitQueueFull:
-		s.met.reject("queue_full")
-		fail(http.StatusTooManyRequests, errors.New("admission queue is full; retry later"))
-		return
-	case admitDeadline:
-		if errors.Is(ctx.Err(), context.Canceled) {
-			fail(StatusClientClosedRequest, fmt.Errorf("client went away waiting for tenant slot: %w", ctx.Err()))
-		} else {
-			fail(http.StatusGatewayTimeout, fmt.Errorf("deadline expired waiting for tenant slot: %v", ctx.Err()))
-		}
-		return
-	}
-	defer release()
-	s.met.jobStart()
-	defer s.met.jobEnd()
+	defer done()
 
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
@@ -435,8 +455,8 @@ func (s *Server) runSortSpooled(w http.ResponseWriter, r *http.Request, id strin
 			for _, k := range []string{"Trailer", "X-Pgxsortd-Job", "X-Pgxsortd-N", "X-Pgxsortd-Cache", "X-Pgxsortd-Spooled"} {
 				h.Del(k)
 			}
-			status, serr := sortStatus(err)
-			fail(status, serr)
+			jerr := sortStatus(err)
+			fail(jerr.status, jerr.err)
 			return
 		}
 		// Mid-stream failure: 200 is already on the wire, so cutting the
@@ -456,55 +476,33 @@ func (s *Server) runSortSpooled(w http.ResponseWriter, r *http.Request, id strin
 // degraded reports the job ran on the single-node fallback because the
 // keytype's breaker considers the mesh dead (or it died under this very
 // job and the fallback rescued the answer in-request).
-func (s *Server) runSort(r *http.Request, b backend, req *sortRequest, raw []byte, n int) (sorted []byte, rep core.Report, degraded bool, status int, err error) {
-	// Counting into jobsWG before re-checking draining closes the race
-	// with Close: either Close sees our count and waits, or we see its
-	// draining flag and refuse.
-	s.jobsWG.Add(1)
-	defer s.jobsWG.Done()
-	if s.draining.Load() {
-		return nil, rep, false, http.StatusServiceUnavailable, errors.New("server is draining")
+func (s *Server) runSort(r *http.Request, b backend, req *sortRequest, raw []byte, n int) (sorted []byte, rep core.Report, degraded bool, jerr *jobError) {
+	ctx, done, jerr := s.admit(r, req)
+	if jerr != nil {
+		return nil, rep, false, jerr
 	}
-	if ferr := failpoint.HitNoPanic(fpAdmission); ferr != nil {
-		return nil, rep, false, http.StatusServiceUnavailable, fmt.Errorf("admission refused: %w", ferr)
-	}
-	ctx, cancel := s.jobCtx(r, req.DeadlineMS)
-	defer cancel()
-	release, st := s.adm.begin(ctx, req.Tenant)
-	switch st {
-	case admitQueueFull:
-		return nil, rep, false, http.StatusTooManyRequests, errors.New("admission queue is full; retry later")
-	case admitDeadline:
-		if errors.Is(ctx.Err(), context.Canceled) {
-			return nil, rep, false, StatusClientClosedRequest, fmt.Errorf("client went away waiting for tenant slot: %w", ctx.Err())
-		}
-		return nil, rep, false, http.StatusGatewayTimeout, fmt.Errorf("deadline expired waiting for tenant slot: %v", ctx.Err())
-	}
-	defer release()
-	s.met.jobStart()
-	defer s.met.jobEnd()
+	defer done()
 
 	br := s.breakers[b.keyType()]
 	canFallback := s.cfg.FallbackKeys >= 0 && n <= s.cfg.FallbackKeys
 	route := br.route()
 	if route == routeFallback && canFallback {
-		sorted, rep, err = b.sortSingle(ctx, raw, req.RecBytes)
+		sorted, rep, err := b.sortSingle(ctx, raw)
 		if err != nil {
-			status, err = sortStatus(err)
-			return nil, rep, false, status, err
+			return nil, rep, false, sortStatus(err)
 		}
 		s.met.degradedJob()
 		s.met.absorb(&rep)
-		return sorted, rep, true, http.StatusOK, nil
+		return sorted, rep, true, nil
 	}
 
 	// Mesh path: routeMesh, routeProbe — and routeFallback for a job too
 	// large to degrade, which has nowhere to go but the mesh.
-	sorted, rep, err = b.sort(ctx, raw, req.RecBytes)
+	sorted, rep, err := b.sort(ctx, raw)
 	if err == nil {
 		br.onSuccess()
 		s.met.absorb(&rep)
-		return sorted, rep, false, http.StatusOK, nil
+		return sorted, rep, false, nil
 	}
 	class := core.Classify(err)
 	s.met.failure(class)
@@ -513,28 +511,27 @@ func (s *Server) runSort(r *http.Request, b backend, req *sortRequest, raw []byt
 		if canFallback && ctx.Err() == nil {
 			// The mesh died under this job. Rescue it in-request on the
 			// fallback instead of making the client eat a 500 and resubmit.
-			if fsorted, frep, ferr := b.sortSingle(ctx, raw, req.RecBytes); ferr == nil {
+			if fsorted, frep, ferr := b.sortSingle(ctx, raw); ferr == nil {
 				s.met.degradedJob()
 				s.met.absorb(&frep)
-				return fsorted, frep, true, http.StatusOK, nil
+				return fsorted, frep, true, nil
 			}
 		}
 	} else if route == routeProbe {
 		br.onOther()
 	}
-	status, err = sortStatus(err)
-	return nil, rep, false, status, err
+	return nil, rep, false, sortStatus(err)
 }
 
 // sortStatus maps one engine failure onto its HTTP status.
-func sortStatus(err error) (int, error) {
+func sortStatus(err error) *jobError {
 	switch {
 	case errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest, fmt.Errorf("client closed request: %w", err)
+		return &jobError{status: StatusClientClosedRequest, err: fmt.Errorf("client closed request: %w", err)}
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, fmt.Errorf("job deadline exceeded: %w", err)
+		return &jobError{status: http.StatusGatewayTimeout, err: fmt.Errorf("job deadline exceeded: %w", err)}
 	}
-	return http.StatusInternalServerError, fmt.Errorf("sort failed: %w", err)
+	return &jobError{status: http.StatusInternalServerError, err: fmt.Errorf("sort failed: %w", err)}
 }
 
 // writeSorted renders a finished sort in the shape the request used.
@@ -591,12 +588,9 @@ func (s *Server) binarySortRequest(r *http.Request) (*sortRequest, *apiError) {
 		}
 		req.DeadlineMS = d
 	}
-	if v := q.Get("recbytes"); v != "" {
-		rb, err := strconv.Atoi(v)
-		if err != nil || rb < 0 {
-			return nil, badRequest("recbytes: %q is not a non-negative integer", v)
-		}
-		req.RecBytes = rb
+	if q.Has("recbytes") {
+		// Same answer the JSON shape gives the retired field.
+		return nil, badRequest("recbytes is not supported: the service sorts keys only")
 	}
 	return req, nil
 }
@@ -653,9 +647,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	})
 	s.met.jobDone("topk", strconv.Itoa(status), time.Since(start))
 	if err != nil {
-		if status == http.StatusTooManyRequests {
-			s.met.reject("queue_full")
-		}
 		s.jobs.add(newJobRecord(id, req.Tenant, "topk", b.keyType(), n, status, err, false, time.Since(start), nil))
 		s.writeError(w, status, err.Error())
 		return
@@ -703,9 +694,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	})
 	s.met.jobDone("rank", strconv.Itoa(status), time.Since(start))
 	if err != nil {
-		if status == http.StatusTooManyRequests {
-			s.met.reject("queue_full")
-		}
 		s.jobs.add(newJobRecord(id, req.Tenant, "rank", b.keyType(), 0, status, err, false, time.Since(start), nil))
 		s.writeError(w, status, err.Error())
 		return
@@ -722,34 +710,18 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runQuery is the admission wrapper for the sort-free queries (top-k,
-// rank): same front door as sorts — draining check, bounded queue,
-// tenant cap — but no scheduler stage, since the queries never enter
+// runQuery runs one sort-free query (top-k, rank) behind the same front
+// door as sorts — but no scheduler stage, since the queries never enter
 // the sort pipeline.
 func runQuery[T any](s *Server, r *http.Request, req *sortRequest, run func() (T, error)) (ans T, status int, err error) {
-	var zero T
-	s.jobsWG.Add(1)
-	defer s.jobsWG.Done()
-	if s.draining.Load() {
-		return zero, http.StatusServiceUnavailable, errors.New("server is draining")
+	_, done, jerr := s.admit(r, req)
+	if jerr != nil {
+		return ans, jerr.status, jerr.err
 	}
-	ctx, cancel := s.jobCtx(r, req.DeadlineMS)
-	defer cancel()
-	release, st := s.adm.begin(ctx, req.Tenant)
-	switch st {
-	case admitQueueFull:
-		return zero, http.StatusTooManyRequests, errors.New("admission queue is full; retry later")
-	case admitDeadline:
-		if errors.Is(ctx.Err(), context.Canceled) {
-			return zero, StatusClientClosedRequest, fmt.Errorf("client went away waiting for tenant slot: %w", ctx.Err())
-		}
-		return zero, http.StatusGatewayTimeout, fmt.Errorf("deadline expired waiting for tenant slot: %v", ctx.Err())
-	}
-	defer release()
-	s.met.jobStart()
-	defer s.met.jobEnd()
+	defer done()
 	ans, err = run()
 	if err != nil {
+		var zero T
 		return zero, http.StatusInternalServerError, err
 	}
 	return ans, http.StatusOK, nil

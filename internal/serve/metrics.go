@@ -33,7 +33,6 @@ type metrics struct {
 	commBytes, commMsgs      int64
 	reconnects, framesResent int64
 	sendStallSec             float64
-	overlapSavedSec          float64
 	spillBytes, spillReads   int64
 
 	failures map[string]int64 // failure class -> engine sorts failed
@@ -108,7 +107,6 @@ func (m *metrics) absorb(rep *core.Report) {
 	m.reconnects += rep.Reconnects
 	m.framesResent += rep.FramesResent
 	m.sendStallSec += rep.SendStall.Seconds()
-	m.overlapSavedSec += rep.MergeOverlapSaved.Seconds()
 	m.spillBytes += rep.SpillBytes
 	m.spillReads += rep.SpillReads
 }
@@ -160,7 +158,6 @@ func (m *metrics) render(s *Server) string {
 	fmt.Fprintf(&b, "# HELP pgxsortd_transport_reconnects_total Connections re-established during sorts.\n# TYPE pgxsortd_transport_reconnects_total counter\npgxsortd_transport_reconnects_total %d\n", m.reconnects)
 	fmt.Fprintf(&b, "# HELP pgxsortd_transport_frames_resent_total Frames retransmitted after reconnects.\n# TYPE pgxsortd_transport_frames_resent_total counter\npgxsortd_transport_frames_resent_total %d\n", m.framesResent)
 	fmt.Fprintf(&b, "# HELP pgxsortd_transport_send_stall_seconds_total Worst-node send stall seconds, summed over sorts.\n# TYPE pgxsortd_transport_send_stall_seconds_total counter\npgxsortd_transport_send_stall_seconds_total %.6f\n", m.sendStallSec)
-	fmt.Fprintf(&b, "# HELP pgxsortd_merge_overlap_saved_seconds_total Merge seconds hidden inside the exchange window, summed over sorts.\n# TYPE pgxsortd_merge_overlap_saved_seconds_total counter\npgxsortd_merge_overlap_saved_seconds_total %.6f\n", m.overlapSavedSec)
 	fmt.Fprintf(&b, "# HELP pgxsortd_spill_bytes_total Bytes written to spill run files under the memory budget.\n# TYPE pgxsortd_spill_bytes_total counter\npgxsortd_spill_bytes_total %d\n", m.spillBytes)
 	fmt.Fprintf(&b, "# HELP pgxsortd_spill_read_bytes_total Spill bytes read back while merging out-of-core runs.\n# TYPE pgxsortd_spill_read_bytes_total counter\npgxsortd_spill_read_bytes_total %d\n", m.spillReads)
 	fmt.Fprintf(&b, "# HELP pgxsortd_failures_total Engine sorts that failed, by failure class (see core.FailureClass).\n# TYPE pgxsortd_failures_total counter\n")

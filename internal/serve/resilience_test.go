@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
+	"pgxsort/internal/keyio"
 )
 
 // TestBreakerStateMachine pins the breaker's transitions: a fatal streak
@@ -169,22 +172,51 @@ func TestClientDisconnectAccountedAs499(t *testing.T) {
 }
 
 // TestServeFailpointSites covers the service-layer injection points: an
-// armed admission site refuses like a drain (503 + Retry-After), and an
-// armed cache-put site silently skips the result-cache insert.
+// armed admission site refuses like a drain (503 + Retry-After) at every
+// endpoint behind the front door — both sort shapes, resident and
+// spooled, and the two query endpoints — and an armed cache-put site
+// silently skips the result-cache insert.
 func TestServeFailpointSites(t *testing.T) {
 	failpoint.Reset()
 	t.Cleanup(failpoint.Reset)
-	_, ts := testServer(t, Config{})
+	_, ts := testServer(t, Config{SpoolThreshold: 16 << 10, SpillDir: t.TempDir()})
 
-	failpoint.Set("serve/admission", failpoint.Schedule{Mode: failpoint.ModeError})
-	resp, body := postJSON(t, ts.URL+"/v1/sort", map[string]any{
-		"dist": map[string]any{"kind": "uniform", "n": 1000, "seed": 3},
-	})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("armed admission site: status %d (%s), want 503", resp.StatusCode, body)
+	// Distinct datasets per sort door: a result-cache hit bypasses
+	// admission, so a repeated body would never reach the armed site.
+	small := keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 4}.Keys(1000))  // 8 KB: resident
+	large := keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(10000)) // 80 KB: spools
+	b64 := base64.StdEncoding.EncodeToString(keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 6}.Keys(1000)))
+	doors := []struct {
+		name string
+		post func() (*http.Response, []byte)
+	}{
+		{"sort/json", func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/sort", map[string]any{"keys_b64": b64})
+		}},
+		{"sort/octet-stream", func() (*http.Response, []byte) { return postBinary(t, ts.URL+"/v1/sort", small) }},
+		{"sort/octet-stream-spooled", func() (*http.Response, []byte) { return postBinary(t, ts.URL+"/v1/sort", large) }},
+		{"topk", func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/topk", map[string]any{"keys_b64": b64, "k": 3})
+		}},
+		{"rank", func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/rank", map[string]any{"keys_b64": b64, "key": "7"})
+		}},
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("injected 503 lacks Retry-After")
+	for _, door := range doors {
+		failpoint.Set("serve/admission", failpoint.Schedule{Mode: failpoint.ModeError})
+		resp, body := door.post()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: armed admission site: status %d (%s), want 503", door.name, resp.StatusCode, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: injected 503 lacks Retry-After", door.name)
+		}
+		// The schedule fired once; the same request now goes through.
+		if resp, body := door.post(); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: after the injection: status %d (%s), want 200", door.name, resp.StatusCode, body)
+		} else if spooled := resp.Header.Get("X-Pgxsortd-Spooled") == "true"; spooled != (door.name == "sort/octet-stream-spooled") {
+			t.Fatalf("%s: X-Pgxsortd-Spooled = %v", door.name, spooled)
+		}
 	}
 
 	// Cache-put skip: the first successful sort must NOT be stored, so
@@ -230,7 +262,7 @@ func TestCacheEvictionUnderConcurrentWriters(t *testing.T) {
 			rnd := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 400; i++ {
 				size := 512 + rnd.Intn(4096)
-				key := hashJob("uint64", 0, []byte(fmt.Sprintf("w%d-i%d", w, i%50)))
+				key := hashJob("uint64", []byte(fmt.Sprintf("w%d-i%d", w, i%50)))
 				if rnd.Intn(3) == 0 {
 					c.get(key)
 				} else {

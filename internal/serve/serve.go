@@ -64,9 +64,6 @@ type Config struct {
 	// Faults optionally wraps the engines' networks with the
 	// fault-injection harness — the chaos tests' knob, nil in production.
 	Faults *transport.FaultPlan
-	// LocalSort / Merge force engine paths (default auto).
-	LocalSort core.LocalSortMode
-	Merge     core.MergeStrategy
 	// MemoryBudget caps each engine node's temporary memory; beyond it
 	// sorts spill block-file runs to SpillDir and stream them back
 	// (core.Options.MemoryBudget; the pgxsortd -mem-budget flag). Zero
@@ -347,8 +344,6 @@ func (c Config) engineOptions() core.Options {
 		Transport:      c.Transport,
 		TCP:            c.TCP,
 		Faults:         c.Faults,
-		LocalSort:      c.LocalSort,
-		Merge:          c.Merge,
 		MaxInflight:    c.MaxInflight,
 		MemoryBudget:   c.MemoryBudget,
 		SpillDir:       c.SpillDir,

@@ -135,7 +135,9 @@ func TestSortJSONRoundTrip(t *testing.T) {
 }
 
 func TestRepeatedSortHitsCache(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	// MemoryBudget -1: under the PGXSORT_MEM_BUDGET lane the spool
+	// threshold clamps to the budget and the upload would bypass the cache.
+	_, ts := testServer(t, Config{MemoryBudget: -1})
 	raw := keyio.EncodeUint64s(dist.Gen{Kind: dist.RightSkewed, Seed: 7}.Keys(5000))
 	resp1, body1 := postBinary(t, ts.URL+"/v1/sort?key_type=uint64", raw)
 	if resp1.StatusCode != http.StatusOK {
@@ -256,11 +258,10 @@ func TestFloatAndStringDomains(t *testing.T) {
 	}
 }
 
-func TestDistGeneratedAndRecordSorts(t *testing.T) {
+func TestDistGeneratedSort(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	req := map[string]any{
-		"dist":     map[string]any{"kind": "right-skewed", "n": 4000, "seed": 11},
-		"recbytes": 32,
+		"dist": map[string]any{"kind": "right-skewed", "n": 4000, "seed": 11},
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sort", req)
 	if resp.StatusCode != http.StatusOK {
@@ -276,7 +277,7 @@ func TestDistGeneratedAndRecordSorts(t *testing.T) {
 	want := dist.Gen{Kind: dist.RightSkewed, Seed: 11}.Keys(4000)
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
-		t.Fatal("dist-generated record sort differs from local sort of the same generator")
+		t.Fatal("dist-generated sort differs from local sort of the same generator")
 	}
 }
 
@@ -464,12 +465,17 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown dist kind", map[string]any{"dist": map[string]any{"kind": "zipf", "n": 10}}, http.StatusBadRequest},
 		{"oversized dist", map[string]any{"dist": map[string]any{"n": 101}}, http.StatusRequestEntityTooLarge},
 		{"unknown field", map[string]any{"keyz": []any{1}}, http.StatusBadRequest},
+		{"retired recbytes", map[string]any{"keys": []any{1}, "recbytes": 32}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/sort", tc.body)
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, body, tc.status)
 		}
+	}
+	// The octet-stream shape refuses the retired parameter too.
+	if resp, body := postBinary(t, ts.URL+"/v1/sort?recbytes=32", keyio.EncodeUint64s([]uint64{1, 2})); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("octet-stream ?recbytes=: status %d (%s), want 400", resp.StatusCode, body)
 	}
 	// topk needs a positive k; rank needs a key.
 	b64 := base64.StdEncoding.EncodeToString(keyio.EncodeUint64s([]uint64{1, 2}))

@@ -103,19 +103,14 @@ func (s *Server) spoolDir() string {
 }
 
 // ingestBinary streams one octet-stream body through the backend's
-// incremental decoder. Record sorts (recbytes > 0) ride payload ballast
-// through the resident engine, so only key-only uploads may spool.
-func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, b backend, recbytes int, id string) (*ingestResult, *apiError) {
+// incremental decoder.
+func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, b backend, id string) (*ingestResult, *apiError) {
 	body := io.Reader(http.MaxBytesReader(w, r.Body, s.maxBody()))
 	if s.cfg.UploadTimeout > 0 {
 		body = &deadlineReader{r: body, rc: http.NewResponseController(w), timeout: s.cfg.UploadTimeout}
 	}
-	threshold := s.cfg.SpoolThreshold
-	if threshold < 0 || recbytes > 0 {
-		threshold = -1
-	}
 	path := filepath.Join(s.spoolDir(), "pgxsortd-upload-"+id+".spool")
-	return b.ingest(body, path, threshold, uploadBlockBytes(s.cfg.MemoryBudget), s.cfg.MaxKeys, s.cfg.RetryAttempts)
+	return b.ingest(body, path, s.cfg.SpoolThreshold, uploadBlockBytes(s.cfg.MemoryBudget), s.cfg.MaxKeys, s.cfg.RetryAttempts)
 }
 
 // uploadBlockBytes sizes the upload spool's blocks to the engine memory

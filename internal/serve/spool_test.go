@@ -214,6 +214,7 @@ func TestGovernorOversized413(t *testing.T) {
 	_, ts := testServer(t, Config{
 		GovernorBudget: residentJobBytes(1000),
 		KeyTypes:       []dist.KeyType{dist.KeyUint64},
+		MemoryBudget:   -1, // the resident job's footprint is the subject; keep the env lane from spooling it
 	})
 	raw := keyio.EncodeUint64s(make([]uint64, 5000))
 	resp, body := postBinary(t, ts.URL+"/v1/sort", raw)
@@ -266,7 +267,7 @@ func TestGovernorLedger(t *testing.T) {
 // to store itself: it is skipped and counted.
 func TestCacheEntryCap(t *testing.T) {
 	c := newResultCache(1024, 8) // per-entry cap: 128 bytes
-	key := hashJob("uint64", 0, []byte("big"))
+	key := hashJob("uint64", []byte("big"))
 	c.put(key, make([]byte, 512), 64)
 	if _, _, ok := c.get(key); ok {
 		t.Fatal("oversized entry was cached")
@@ -275,7 +276,7 @@ func TestCacheEntryCap(t *testing.T) {
 	if skipped != 1 || bytes != 0 || entries != 0 {
 		t.Fatalf("skipped=%d bytes=%d entries=%d, want 1/0/0", skipped, bytes, entries)
 	}
-	small := hashJob("uint64", 0, []byte("small"))
+	small := hashJob("uint64", []byte("small"))
 	c.put(small, make([]byte, 100), 12)
 	if _, _, ok := c.get(small); !ok {
 		t.Fatal("under-cap entry was not cached")

@@ -14,10 +14,9 @@
 //  4. binary-search range partitioning with the duplicate-splitter
 //     investigator that keeps skewed data balanced
 //  5. asynchronous all-to-all exchange at precomputed offsets
-//  6. merge of the received runs — streamed into step 5 by default (each
-//     run merges incrementally the moment it finishes arriving, hiding
-//     merge latency behind network time; see Options.Merge), with the
-//     paper's barriered balanced handler as the ablation baseline
+//  6. merge of the received runs with the same balanced merging handler,
+//     after the exchange barrier (streamed back from spill files when the
+//     runs exceed Options.MemoryBudget)
 //
 // Every sorted entry carries its origin (processor, index); results
 // support distributed binary search, top-k retrieval and origin lookup;
@@ -51,10 +50,8 @@ type (
 	// paper's configuration (256KB buffers, sample factor X, balanced
 	// merging, investigator on, asynchronous exchange).
 	Options = core.Options
-	// MergeStrategy selects the step-6 merge implementation.
-	MergeStrategy = core.MergeStrategy
 	// LocalSortMode selects the step-1 local sort path: automatic
-	// fast-path detection, or forced comparison/radix.
+	// fast-path detection, or the forced comparison path.
 	LocalSortMode = core.LocalSortMode
 	// Report holds the measurements of one distributed sort.
 	Report = core.Report
@@ -74,10 +71,6 @@ type (
 	// (Report.Sched): admission wait, per-stage gate waits, and stage
 	// spans relative to the batch epoch, so dataset overlap is readable.
 	SchedTrace = core.SchedTrace
-	// MergeSpan is one streaming-merge operation in SchedTrace.MergeSpans:
-	// node, wall-clock span relative to the batch epoch, output size, and
-	// whether it ran inside the exchange window (the overlap working).
-	MergeSpan = core.MergeSpan
 	// TransportConfig shapes the TCP transport for real clusters
 	// (Options.TCP): per-node listen/dial addresses, connect timeout,
 	// retry backoff, read/write/ack deadlines, max frame size and the
@@ -106,40 +99,19 @@ type (
 	TopKResult[K cmp.Ordered] = core.TopKResult[K]
 )
 
-// Merge strategies (Options.Merge). MergeAuto (the default) resolves to
-// the streaming exchange–merge overlap when Procs >= 4 and the runtime
-// has at least two CPUs (GOMAXPROCS >= 2; hiding merge work inside the
-// exchange needs spare hardware parallelism) — each peer's run merges
-// incrementally while the all-to-all exchange is still in flight, hiding
-// step-6 latency behind step-5 network time — and to the paper's
-// barriered balanced handler otherwise. MergeBalanced and MergeKWay are
-// the barriered ablations; the PGXSORT_OVERLAP env var ("on"/"off")
-// overrides MergeAuto's resolution. The strategy a sort actually used is
-// in Report.MergePath, and the merge latency the overlap hid inside the
-// exchange is in Report.MergeOverlapSaved.
-const (
-	MergeAuto     = core.MergeAuto
-	MergeBalanced = core.MergeBalanced
-	MergeKWay     = core.MergeKWay
-	MergeOverlap  = core.MergeOverlap
-)
-
-// ParseOverlapFlag parses the CLIs' -overlap flag: "auto", "on" or "off".
-func ParseOverlapFlag(s string) (MergeStrategy, error) { return core.ParseOverlapFlag(s) }
-
 // Local sort paths (Options.LocalSort). LocalSortAuto (the default)
 // takes the non-comparison radix fast path whenever the key type — or
 // the codec, by implementing comm.KeyNormalizer — provides an
 // order-preserving uint64 normalization (uint64, int64, float64, uint32
-// are built in), and the paper's comparison path otherwise. The path a
-// sort actually took is in Report.LocalSortPath.
+// are built in), and the paper's comparison path otherwise;
+// LocalSortComparison forces the comparison path. The path a sort
+// actually took is in Report.LocalSortPath.
 const (
 	LocalSortAuto       = core.LocalSortAuto
 	LocalSortComparison = core.LocalSortComparison
-	LocalSortRadix      = core.LocalSortRadix
 )
 
-// ParseLocalSortMode parses "auto", "comparison" or "radix".
+// ParseLocalSortMode parses "auto" or "comparison".
 func ParseLocalSortMode(s string) (LocalSortMode, error) { return core.ParseLocalSortMode(s) }
 
 // ParseMemBudget parses the CLIs' -mem-budget flag: a byte count with an

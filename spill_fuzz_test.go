@@ -8,8 +8,9 @@ import (
 
 // sortStringsWithBudget runs fuzzer-built string keys through the full
 // distributed pipeline with the given memory budget (negative = explicitly
-// in-memory) and pinned k-way merge, so the budgeted and unbudgeted runs
-// resolve ties identically and must agree entry for entry.
+// in-memory). The resident balanced merge and the spilled cursor merge
+// both resolve ties by source order, so the budgeted and unbudgeted runs
+// must agree entry for entry.
 func sortStringsWithBudget(t *testing.T, keys []string, budget int64, dir string) *Result[string] {
 	t.Helper()
 	parts := make([][]string, 3)
@@ -19,7 +20,6 @@ func sortStringsWithBudget(t *testing.T, keys []string, budget int64, dir string
 	}
 	res, err := SortDistributed(parts, Options{
 		WorkersPerProc: 1,
-		Merge:          MergeKWay,
 		MemoryBudget:   budget,
 		SpillDir:       dir,
 	})
