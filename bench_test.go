@@ -437,9 +437,8 @@ func BenchmarkLocalSortPath(b *testing.B) {
 }
 
 // BenchmarkSortManyAlloc measures allocation churn of a pipelined
-// SortMany batch with the scratch-buffer pools on versus the unpooled
-// baseline (ISSUE 3): pooling recycles the entry buffers, merge scratch
-// and exchange assemblies across datasets, cutting B/op.
+// SortMany batch (ISSUE 3): the scratch-buffer pools recycle the entry
+// buffers, merge scratch and exchange assemblies across datasets.
 func BenchmarkSortManyAlloc(b *testing.B) {
 	const allocN = 100_000
 	datasets := make([][][]uint64, len(dist.Kinds))
@@ -447,33 +446,24 @@ func BenchmarkSortManyAlloc(b *testing.B) {
 		datasets[d] = benchParts(kind, benchProcs, allocN)
 	}
 	totalKeys := int64(len(datasets)) * allocN
-	for _, pooled := range []bool{true, false} {
-		name := "pooled"
-		if !pooled {
-			name = "unpooled"
+	eng, err := core.NewEngine[uint64](
+		core.Options{Procs: benchProcs, WorkersPerProc: benchWkrs}, comm.U64Codec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	// Warm the pools outside the measured window, as a steady-state
+	// service would be.
+	if _, err := eng.SortMany(datasets...); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(totalKeys * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.SortMany(datasets...); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			eng, err := core.NewEngine[uint64](
-				core.Options{Procs: benchProcs, WorkersPerProc: benchWkrs, DisablePooling: !pooled},
-				comm.U64Codec{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			// Warm the pools outside the measured window, as a steady-state
-			// service would be.
-			if _, err := eng.SortMany(datasets...); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(totalKeys * 8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.SortMany(datasets...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -19,8 +19,8 @@ const slabsPerClass = 4
 // SlabPool recycles slices of E by power-of-two capacity class, so
 // repeated sorts reuse their entry and scratch buffers instead of
 // churning the allocator. The zero value is ready to use; a nil *SlabPool
-// is also valid and falls back to plain allocation, which is how the
-// DisablePooling ablation runs the unpooled baseline.
+// is also valid and falls back to plain allocation (tests and the
+// repository benchmark pass nil pools to the spill readers).
 //
 // Get returns a slice of length n whose contents are unspecified (slabs
 // are not cleared); every caller fully overwrites what it reads. Put

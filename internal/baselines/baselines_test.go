@@ -2,8 +2,10 @@ package baselines
 
 import (
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
@@ -252,6 +254,64 @@ func TestPropertyRadixMatchesSort(t *testing.T) {
 		return VerifySorted(parts, out) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// slowLink delays every send to one destination, so that destination sees
+// its peers' later messages first.
+type slowLink struct {
+	transport.Endpoint[uint64]
+	dst   int
+	delay time.Duration
+}
+
+func (e slowLink) Send(dst int, m comm.Message[uint64]) error {
+	if dst == e.dst {
+		time.Sleep(e.delay)
+	}
+	return e.Endpoint.Send(dst, m)
+}
+
+// TestRadixOwnersOvertaken forces the interleaving that used to fail a
+// node and hang the rest: node 0's bucket-owner broadcast reaches node 2
+// late, after node 1 — already in phase 2 — has sent node 2 its scatter
+// sizes and keys. Node 2 must hold those for its own scatter loop.
+func TestRadixOwnersOvertaken(t *testing.T) {
+	const p = 3
+	parts := mkParts(dist.Uniform, p, 500, 31)
+	net, err := transport.New[uint64](transport.KindChan, p, comm.U64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	out := make([][]uint64, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for i := 0; i < p; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ep := net.Endpoint(i)
+			if i == 0 {
+				ep = slowLink{Endpoint: ep, dst: p - 1, delay: 20 * time.Millisecond}
+			}
+			out[i], errs[i] = radixNode(ep, parts[i], p)
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("radix nodes hung")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	if err := VerifySorted(parts, out); err != nil {
 		t.Fatal(err)
 	}
 }

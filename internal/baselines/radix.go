@@ -78,7 +78,8 @@ func radixNode(ep transport.Endpoint[uint64], local []uint64, p int) ([]uint64, 
 	for _, k := range local {
 		hist[bucketOf(k)]++
 	}
-	var owners []int64 // owners[b] = processor owning bucket b
+	var owners []int64               // owners[b] = processor owning bucket b
+	var early []comm.Message[uint64] // phase-2 messages that arrived during phase 1
 	if id == 0 {
 		totals := make([]int64, buckets)
 		copy(totals, hist)
@@ -104,14 +105,20 @@ func radixNode(ep transport.Endpoint[uint64], local []uint64, p int) ([]uint64, 
 		if err := ep.Send(0, comm.Message[uint64]{Kind: comm.KRangeMeta, Ints: hist}); err != nil {
 			return nil, err
 		}
-		m, ok := ep.Recv()
-		if !ok {
-			return nil, fmt.Errorf("network closed awaiting bucket owners")
+		// A peer that got its owners first may already be scattering:
+		// its phase-2 messages can overtake node 0's broadcast, so they
+		// are held for the scatter loop rather than refused.
+		for owners == nil {
+			m, ok := ep.Recv()
+			if !ok {
+				return nil, fmt.Errorf("network closed awaiting bucket owners")
+			}
+			if m.Kind == comm.KControl {
+				owners = m.Ints
+			} else {
+				early = append(early, m)
+			}
 		}
-		if m.Kind != comm.KControl {
-			return nil, fmt.Errorf("expected bucket owners, got %v", m.Kind)
-		}
-		owners = m.Ints
 	}
 
 	// Phase 2: scatter keys to bucket owners; send sizes first so each
@@ -143,9 +150,14 @@ func radixNode(ep transport.Endpoint[uint64], local []uint64, p int) ([]uint64, 
 	metaSeen := 0
 	received := 0
 	for metaSeen < p-1 || received < expect {
-		m, ok := ep.Recv()
-		if !ok {
-			return nil, fmt.Errorf("network closed during scatter")
+		var m comm.Message[uint64]
+		if len(early) > 0 {
+			m, early = early[0], early[1:]
+		} else {
+			var ok bool
+			if m, ok = ep.Recv(); !ok {
+				return nil, fmt.Errorf("network closed during scatter")
+			}
 		}
 		switch m.Kind {
 		case comm.KRangeMeta:

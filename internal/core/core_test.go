@@ -225,22 +225,7 @@ func TestSyncExchangeAblation(t *testing.T) {
 	}
 }
 
-func TestNonZeroMaster(t *testing.T) {
-	parts := mkParts(dist.Uniform, 3, 2000, 5)
-	e := newTestEngine(t, Options{Procs: 3, WorkersPerProc: 1, Master: 2})
-	res, err := e.Sort(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Verify(parts); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
-	if _, err := NewEngine[uint64](Options{Procs: 2, Master: 5}, comm.U64Codec{}); err == nil {
-		t.Error("master out of range accepted")
-	}
 	if _, err := NewEngine[uint64](Options{Procs: 2, LocalSort: LocalSortMode(9)}, comm.U64Codec{}); err == nil {
 		t.Error("bad local sort mode accepted")
 	}

@@ -52,8 +52,8 @@ type node[K cmp.Ordered] struct {
 	dm      *datamgr.Manager
 	tracker alloc.Tracker
 	// entryPool recycles this processor's entry and scratch slabs across
-	// sorts (nil when Options.DisablePooling), so a pipelined SortMany
-	// run reuses buffers instead of reallocating per dataset.
+	// sorts, so a pipelined SortMany run reuses buffers instead of
+	// reallocating per dataset.
 	entryPool *alloc.SlabPool[comm.Entry[K]]
 
 	mbMu      sync.Mutex
@@ -113,9 +113,7 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 			pool: taskmgr.NewPool(opts.WorkersPerProc),
 			mbs:  make(map[mbKey]*mailbox[comm.Message[K]]),
 		}
-		if !opts.DisablePooling {
-			n.entryPool = &alloc.SlabPool[comm.Entry[K]]{}
-		}
+		n.entryPool = &alloc.SlabPool[comm.Entry[K]]{}
 		n.dm = &datamgr.Manager{BufferBytes: opts.BufferBytes, Tracker: &n.tracker}
 		e.nodes[i] = n
 		e.dispatchWG.Add(1)
@@ -244,6 +242,14 @@ func (j job[K]) partLen(i int) int {
 	return len(j.parts[i])
 }
 
+// source is processor i's share of the dataset as the step-1 input.
+func (j job[K]) source(i int) entrySource[K] {
+	if j.recs != nil {
+		return &recSource[K]{recs: j.recs[i], node: uint32(i)}
+	}
+	return &keySource[K]{keys: j.parts[i], node: uint32(i)}
+}
+
 func (j job[K]) size() int {
 	n := 0
 	for i := 0; i < j.nparts(); i++ {
@@ -367,6 +373,9 @@ func (e *Engine[K]) SortManyRecordsWith(ctx context.Context, opts SortManyOpts, 
 // non-nil only under the SortMany scheduler; ctx cancellation tears down
 // this sort's mailboxes without touching other sorts on the engine.
 func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Result[K], error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	sortID := e.nextSortID.Add(1)
 	p := e.opts.Procs
 
@@ -375,7 +384,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 	// deleted, leaking it (and, after int32 wraparound, poisoning a
 	// reused id).
 	stopWatcher := func() {}
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		stop := make(chan struct{})
 		watcherDone := make(chan struct{})
 		go func() {
@@ -421,19 +430,21 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			n := e.nodes[i]
 			s := &sortRun[K]{
-				node:   e.nodes[i],
+				node:   n,
 				sortID: sortID,
 				opts:   e.opts,
 				codec:  e.codec,
+				src:    j.source(i),
 				ctx:    ctx,
 				ctrl:   ctrl,
 				cmps:   cmps,
-			}
-			if j.recs != nil {
-				s.inputRec = j.recs[i]
-			} else {
-				s.input = j.parts[i]
+				runs: runFormer[K]{
+					ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
+					pool: n.entryPool, tracker: &n.tracker,
+					spillDir: e.opts.SpillDir, dirPattern: "pgxsort-spill-*",
+				},
 			}
 			runs[i] = s
 			outs[i].entries, outs[i].err = s.run()
@@ -452,7 +463,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		// buffer any more, so the input-entry slabs can be recycled.
 		runs[i].recycleRetired()
 	}
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
 	// Root-cause selection: abort echoes (errSortAborted) are teardown

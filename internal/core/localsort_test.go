@@ -176,27 +176,6 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 	}
 }
 
-// TestDisablePooling: the unpooled ablation must leave the nodes without
-// pools and still sort correctly with balanced accounting.
-func TestDisablePooling(t *testing.T) {
-	keys := dist.Gen{Kind: dist.Uniform, Seed: 4}.Keys(3000)
-	res, eng := sortKeysWith[uint64](t, comm.U64Codec{}, Options{DisablePooling: true}, keys)
-	for i, n := range eng.nodes {
-		if n.entryPool != nil {
-			t.Fatalf("node %d: pool present despite DisablePooling", i)
-		}
-		if live := n.tracker.Live(); live != 0 {
-			t.Fatalf("node %d: unbalanced accounting: %d", i, live)
-		}
-	}
-	got := res.Keys()
-	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] {
-			t.Fatalf("unsorted at %d", i)
-		}
-	}
-}
-
 // TestRadixMatchesComparisonOrder: on every distribution kind the radix
 // and comparison paths must produce identical key sequences.
 func TestRadixMatchesComparisonOrder(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -13,9 +11,7 @@ import (
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
 	"pgxsort/internal/failpoint"
-	"pgxsort/internal/lsort"
 	"pgxsort/internal/sample"
-	"pgxsort/internal/spill"
 	"pgxsort/internal/transport"
 )
 
@@ -26,14 +22,11 @@ type sortRun[K cmp.Ordered] struct {
 	sortID int32
 	opts   Options
 	codec  comm.Codec[K]
-	// Exactly one of input (bare keys) and inputRec (key+payload records)
-	// is set; they differ only in how localSort builds the entry buffer.
-	input    []K
-	inputRec []comm.Record[K]
-	ctx      context.Context // nil means uncancellable
-	ctrl     *stageCtrl      // nil outside the SortMany scheduler
-	cmps     sortCmps[K]
-	report   NodeReport
+	src    entrySource[K] // this node's share of the dataset
+	ctx    context.Context
+	ctrl   *stageCtrl // nil outside the SortMany scheduler
+	cmps   sortCmps[K]
+	report NodeReport
 
 	// curStage is the last stage this node entered; a failure surfacing
 	// from run is attributed to it (core.Failure.Stage).
@@ -43,10 +36,11 @@ type sortRun[K cmp.Ordered] struct {
 	// never reaches the merge — an error at the stage boundary, a panic —
 	// discards it (slabs back to the pool, spill files removed).
 	pending exchangeSink[K]
-	// spillDir is this run's private directory for spill run files,
-	// created lazily by spillScratchDir the first time a stage exceeds
-	// Options.MemoryBudget and removed when the run exits either way.
-	spillDir string
+	// runs is this run's step-1 former. Its scratch directory also holds
+	// the spilled exchange's run files; it is created the first time a
+	// stage exceeds Options.MemoryBudget and removed when the run exits
+	// either way.
+	runs runFormer[K]
 
 	// Traffic counters are atomics, not a mutex: sends to different
 	// destinations run concurrently on the worker pool, and the exchange
@@ -74,6 +68,10 @@ type sortRun[K cmp.Ordered] struct {
 	stageLeft    [NumSchedStages]bool
 }
 
+// master is the processor that selects splitters (step 3) and reduces
+// top-k candidates.
+const master = 0
+
 func entryLess[K cmp.Ordered](a, b comm.Entry[K]) bool { return a.Key < b.Key }
 
 // sortCmps bundles one sort's ordering machinery: the resolved step-1
@@ -92,6 +90,7 @@ type sortCmps[K cmp.Ordered] struct {
 	fallback  bool
 	norm      func(K) uint64
 	normBits  int
+	entryNorm func(comm.Entry[K]) uint64 // norm of the entry's key; set on the radix path
 	entryLess func(a, b comm.Entry[K]) bool
 	keyLess   func(a, b K) bool
 	keyAbove  func(e comm.Entry[K], sp K) bool // e.Key strictly above the splitter
@@ -103,6 +102,10 @@ type sortCmps[K cmp.Ordered] struct {
 func (e *Engine[K]) comparators() sortCmps[K] {
 	c := sortCmps[K]{norm: e.norm, normBits: e.normBits}
 	c.useRadix = e.norm != nil && e.opts.LocalSort != LocalSortComparison
+	if c.useRadix {
+		norm := e.norm
+		c.entryNorm = func(en comm.Entry[K]) uint64 { return norm(en.Key) }
+	}
 	if c.useRadix && e.normInexact {
 		// Inexact norm (e.g. StringCodec's 8-byte prefix): the norm is a
 		// cheap first discriminator, but equal norms can hide unequal keys,
@@ -160,9 +163,7 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 // retire schedules a pooled slab for recycling once the whole sort has
 // joined (sortOne calls recycleRetired after the last node finishes).
 func (s *sortRun[K]) retire(buf []comm.Entry[K]) {
-	if s.node.entryPool != nil {
-		s.retired = append(s.retired, buf)
-	}
+	s.retired = append(s.retired, buf)
 }
 
 // recycleRetired returns the retired slabs to the node's pool. Only safe
@@ -234,7 +235,7 @@ func (s *sortRun[K]) send(dst int, m comm.Message[K]) error {
 func (s *sortRun[K]) recv(kind comm.Kind) (comm.Message[K], error) {
 	m, ok := s.node.mb(s.sortID, kind).pop()
 	if !ok {
-		if s.ctx != nil && s.ctx.Err() != nil {
+		if s.ctx.Err() != nil {
 			return m, s.ctx.Err()
 		}
 		if s.node.isCancelled(s.sortID) {
@@ -263,10 +264,7 @@ func (s *sortRun[K]) enterStage(st SchedStage) error {
 	if err != nil {
 		return err
 	}
-	if s.ctx != nil {
-		return s.ctx.Err()
-	}
-	return nil
+	return s.ctx.Err()
 }
 
 // leaveStage marks this node done with st, at most once per stage.
@@ -301,7 +299,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	s.markTransportBaseline()
 	defer s.leaveAllStages()
 	defer s.foldTraffic()
-	defer s.removeSpillDir()
+	defer s.runs.removeScratch()
 	// Innermost defer, so it runs before the traffic fold and the stage
 	// forfeits: a stage panic (an injected failpoint or a real bug)
 	// becomes this node's error instead of killing the process, and on
@@ -373,188 +371,48 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	s.report.PartSize = len(merged)
 	s.report.ResidentBytes += int64(len(merged)) * int64(entryBytes[K]())
 	s.report.TempPeakBytes = s.node.tracker.Peak()
+	s.report.SpillBytes = s.runs.spillBytes.Load()
+	s.report.SpillReads = s.runs.spillReads.Load()
 	return merged, nil
 }
 
-// spillScratchDir lazily creates this run's private spill directory
-// under Options.SpillDir (system temp dir when empty). removeSpillDir
-// deletes it — and every run file inside — when the run exits.
-func (s *sortRun[K]) spillScratchDir() (string, error) {
-	if s.spillDir != "" {
-		return s.spillDir, nil
-	}
-	dir, err := os.MkdirTemp(s.opts.SpillDir, "pgxsort-spill-*")
-	if err != nil {
-		return "", fmt.Errorf("core: create spill dir: %w", err)
-	}
-	s.spillDir = dir
-	return dir, nil
-}
-
-func (s *sortRun[K]) removeSpillDir() {
-	if s.spillDir != "" {
-		os.RemoveAll(s.spillDir)
-		s.spillDir = ""
-	}
-}
-
-// localSort is step 1: the parallel local sort. The comparison path is
-// the paper's chunked quicksort + balanced merge; the radix path (taken
-// when the key normalizes to uint64, see Options.LocalSort) replaces the
-// per-chunk quicksort with an LSD byte-radix sort over normalized keys.
-// Both paths draw the entry buffer and merge scratch from the node's
-// slab pool: scratch returns to the pool immediately, the entry buffer
-// once the whole sort joins (its subslices travel through the exchange).
-// On the exact-norm radix path a full-size scratch that would blow
-// Options.MemoryBudget is replaced by spillSort: budget-sized chunks
-// sort in memory, spill to block files, and stream-merge back — the
-// same bytes, a fraction of the temporary memory.
+// localSort is step 1: the parallel local sort of this node's share,
+// run by the shared former (runs.go). The entry buffer comes from the
+// node's slab pool and returns to it once the whole sort joins (its
+// subslices travel through the exchange). A share that fits is one chunk
+// sorted where it stands; on the exact-norm radix path a full-size
+// scratch that would blow Options.MemoryBudget is replaced by
+// budget-sized chunks that sort in the head of the buffer, spill to block
+// files, and stream-merge back over it — the same bytes, a fraction of
+// the temporary memory.
 func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
-	n := s.node
 	t0 := time.Now()
-	var entries []comm.Entry[K]
-	if s.inputRec != nil {
-		entries = n.entryPool.Get(len(s.inputRec))
-		for i, r := range s.inputRec {
-			entries[i] = comm.Entry[K]{Key: r.Key, Payload: r.Payload, Proc: uint32(n.id), Index: uint32(i)}
-		}
-	} else {
-		entries = n.entryPool.Get(len(s.input))
-		for i, k := range s.input {
-			entries[i] = comm.Entry[K]{Key: k, Proc: uint32(n.id), Index: uint32(i)}
-		}
-	}
+	entries := s.node.entryPool.Get(s.src.size())
 	s.retire(entries)
 	eb := int64(entryBytes[K]())
 	s.report.ResidentBytes = int64(len(entries)) * eb
 	s.report.LocalSortPath = s.cmps.path
-	if len(entries) > 1 {
-		workers := s.opts.WorkersPerProc
-		budget := s.opts.MemoryBudget
-		switch {
-		case budget > 0 && s.cmps.useRadix && !s.cmps.fallback &&
-			int64(len(entries))*eb > budget:
-			// A full scratch buffer alone would exceed the budget. Only
-			// the exact-norm radix path spills here: its chunk sorts and
-			// the streaming merge are both stable, so the chunked result
-			// is byte-identical to the one-pass sort at any chunk size.
-			// (Inexact norms and the comparison path keep their in-memory
-			// sort; the exchange stage still spills for them.)
-			if err := s.spillSort(entries, eb); err != nil {
-				return nil, err
-			}
-		case s.cmps.useRadix || workers > 1:
-			scratch := n.entryPool.Get(len(entries))
-			n.tracker.Alloc(int64(len(scratch)) * eb)
-			if s.cmps.useRadix {
-				norm := s.cmps.norm
-				lsort.ParallelRadixSort(entries, scratch,
-					func(e comm.Entry[K]) uint64 { return norm(e.Key) },
-					s.cmps.normBits, s.cmps.entryLess, workers)
-				if s.cmps.fallback {
-					// Inexact norm: the radix passes ordered by norm only;
-					// finish the equal-norm runs under the real comparison.
-					lsort.SortEqualNormRuns(entries,
-						func(e comm.Entry[K]) uint64 { return norm(e.Key) },
-						s.cmps.entryLess)
-				}
-			} else {
-				lsort.ParallelSortScratch(entries, scratch, s.cmps.entryLess, workers)
-			}
-			n.tracker.Free(int64(len(scratch)) * eb)
-			n.entryPool.Put(scratch)
-		default:
-			lsort.Quicksort(entries, s.cmps.entryLess)
-		}
+	chunk := len(entries)
+	if budget := s.opts.MemoryBudget; budget > 0 && s.cmps.useRadix && !s.cmps.fallback &&
+		int64(len(entries))*eb > budget {
+		// A full scratch buffer alone would exceed the budget. Only
+		// the exact-norm radix path spills here: its chunk sorts and
+		// the streaming merge are both stable, so the chunked result
+		// is byte-identical to the one-pass sort at any chunk size.
+		// (Inexact norms and the comparison path keep their in-memory
+		// sort; the exchange stage still spills for them.)
+		chunk = chunkEntries(budget, eb, 1)
+	}
+	chunked := chunk < len(entries)
+	runs, err := s.runs.form(s.src, entries[:chunk], "lsort", chunked)
+	if err == nil && chunked {
+		err = s.runs.mergeInto(entries, runs)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.report.Steps[StepLocalSort] = time.Since(t0)
 	return entries, nil
-}
-
-// spillSort sorts entries in place using at most ~MemoryBudget bytes of
-// temporary memory: it radix-sorts budget-sized chunks (chunk + scratch
-// together fit the budget), spills each sorted chunk to a block file,
-// then stream-merges the chunk runs back into the entries buffer. Every
-// stage is stable, so the result is byte-identical to the in-memory
-// ParallelRadixSort whatever the chunk size. Run files are removed as
-// soon as the merge drains them; the run's spill dir cleanup catches
-// any left behind by an error exit.
-func (s *sortRun[K]) spillSort(entries []comm.Entry[K], eb int64) error {
-	n := s.node
-	chunk := int(s.opts.MemoryBudget / (2 * eb))
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > len(entries) {
-		chunk = len(entries)
-	}
-	dir, err := s.spillScratchDir()
-	if err != nil {
-		return err
-	}
-	norm := s.cmps.norm
-	normOf := func(e comm.Entry[K]) uint64 { return norm(e.Key) }
-	workers := s.opts.WorkersPerProc
-
-	scratch := n.entryPool.Get(chunk)
-	n.tracker.Alloc(int64(chunk) * eb)
-	var paths []string
-	for lo := 0; lo < len(entries); lo += chunk {
-		hi := lo + chunk
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		part := entries[lo:hi]
-		lsort.ParallelRadixSort(part, scratch[:len(part)], normOf,
-			s.cmps.normBits, s.cmps.entryLess, workers)
-		w, werr := spill.NewWriter(filepath.Join(dir, fmt.Sprintf("lsort-%d.spill", len(paths))), s.codec, 0)
-		if werr == nil {
-			if werr = w.Append(part); werr == nil {
-				werr = w.Finish()
-			}
-		}
-		if werr != nil {
-			n.tracker.Free(int64(chunk) * eb)
-			n.entryPool.Put(scratch)
-			return werr
-		}
-		s.report.SpillBytes += w.BytesWritten()
-		paths = append(paths, w.Path())
-	}
-	n.tracker.Free(int64(chunk) * eb)
-	n.entryPool.Put(scratch)
-
-	// Stream the chunk runs back. The decoded batches are fresh slabs
-	// (never aliasing entries), so merging into the buffer the chunks
-	// were read from is safe.
-	readers := make([]*spill.RunReader[K], len(paths))
-	cursors := make([]lsort.Cursor[comm.Entry[K]], len(paths))
-	ropts := spill.ReaderOpts[K]{Pool: n.entryPool, Tracker: &n.tracker, EntryBytes: eb}
-	for i, p := range paths {
-		r, rerr := spill.NewRunReader(p, s.codec, ropts)
-		if rerr != nil {
-			for _, open := range readers[:i] {
-				open.Close()
-			}
-			return rerr
-		}
-		readers[i] = r
-		cursors[i] = r
-	}
-	filled, merr := lsort.MergeCursors(entries, cursors, s.cmps.entryLess)
-	for i, r := range readers {
-		s.report.SpillReads += r.BytesRead()
-		r.Close()
-		os.Remove(paths[i])
-	}
-	if merr != nil {
-		return merr
-	}
-	if filled != len(entries) {
-		return fmt.Errorf("core: spill merge produced %d of %d entries: %w",
-			filled, len(entries), spill.ErrCorrupt)
-	}
-	return nil
 }
 
 // splitterAgreement is steps 2-3: regular sampling, one buffer of samples
@@ -562,7 +420,6 @@ func (s *sortRun[K]) spillSort(entries []comm.Entry[K], eb int64) error {
 func (s *sortRun[K]) splitterAgreement(entries []comm.Entry[K]) ([]K, error) {
 	p := s.opts.Procs
 	self := s.node.id
-	master := s.opts.Master
 
 	// ---- Step 2: regular sampling, one buffer of samples to master ----
 	t0 := time.Now()

@@ -4,7 +4,12 @@
 // and network endpoint (communication manager), and runs the six-step
 // pipeline:
 //
-//  1. parallel local quicksort with the balanced merging handler (Fig 2)
+//  1. parallel local sort: per-chunk quicksort (or LSD radix over
+//     normalized keys) combined by the balanced merging handler (Fig 2).
+//     One run former (runs.go) does it for keys, records and sections of
+//     an upload spool alike, in one chunk when the share fits
+//     Options.MemoryBudget and in budget-sized chunks through run files
+//     when it does not
 //  2. regular sampling, one 256KB/p buffer of samples to the master
 //  3. master selects p-1 splitters and broadcasts them
 //  4. binary-search range partitioning with the investigator (Fig 3)
@@ -16,7 +21,9 @@
 // Every entry keeps its provenance (origin processor and index), the
 // result supports binary search and top-k retrieval, and several datasets
 // can be sorted simultaneously over one engine — the API surface the
-// paper describes in §III-IV.
+// paper describes in §III-IV. Engine.SortSpooled is the same step 1 over
+// a dataset that lives in a spill run file, with steps 2-5 elided: the
+// runs merge at egress into a stream.
 package core
 
 import (
@@ -89,10 +96,6 @@ type Options struct {
 	// uint64, LocalSortComparison forces the comparison path. The path
 	// actually taken is reported in Report.LocalSortPath.
 	LocalSort LocalSortMode
-	// DisablePooling turns off the per-node scratch-buffer pools, so
-	// every sort allocates its entry buffers, merge scratch and exchange
-	// assembly fresh (the unpooled baseline for allocation benchmarks).
-	DisablePooling bool
 	// SyncExchange replaces the asynchronous overlap of step 5 with a
 	// bulk-synchronous send-barrier-receive schedule (ablation).
 	SyncExchange bool
@@ -111,8 +114,6 @@ type Options struct {
 	// recoverable (no drops or duplicates): the engine requires reliable
 	// delivery.
 	Faults *transport.FaultPlan
-	// Master is the processor that selects splitters. Default 0.
-	Master int
 	// JitterMaxDelay injects a pseudo-random delay in [0, JitterMaxDelay)
 	// before every send (failure injection for timing assumptions; used
 	// by chaos tests, zero in production).
@@ -207,9 +208,6 @@ func (o Options) withDefaults() Options {
 
 // validate reports configuration errors not fixable by defaulting.
 func (o Options) validate() error {
-	if o.Master < 0 || o.Master >= o.Procs {
-		return fmt.Errorf("core: master %d out of range [0,%d)", o.Master, o.Procs)
-	}
 	if o.LocalSort != LocalSortAuto && o.LocalSort != LocalSortComparison {
 		return fmt.Errorf("core: unknown local sort mode %d", o.LocalSort)
 	}

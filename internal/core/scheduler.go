@@ -180,44 +180,57 @@ func (s *Scheduler[K]) takeRetryBudget(pol RetryPolicy) bool {
 	}
 }
 
-// runAttempts runs one job to completion under the retry policy: the
-// first attempt plus up to MaxAttempts-1 re-runs of Transient-classed
-// failures, with jittered exponential backoff between attempts. Every
-// attempt gets a fresh stage controller — the failed attempt's ctrl has
-// forfeited all its stages and must not be reused — while the caller's
-// admission slot is held throughout.
-func (s *Scheduler[K]) runAttempts(ctx context.Context, j job[K], idx int, gated bool, epoch time.Time, admitWait time.Duration) (*Result[K], error) {
+// retry runs attempt under the retry policy: the first attempt plus up
+// to MaxAttempts-1 re-runs of Transient-classed failures, with jittered
+// exponential backoff between attempts, and reports how many attempts
+// ran. The caller's admission slot is held throughout. stream offsets the
+// jitter seed: concurrent jobs retrying at once must not share a jitter
+// sequence, or they back off in lockstep.
+func (s *Scheduler[K]) retry(ctx context.Context, stream uint64, attempt func() error) (int, error) {
 	pol := s.opts.Retry.withDefaults()
 	backoff := pol.BaseBackoff
-	// Per-job RNG stream: concurrent jobs retrying at once must not
-	// share a jitter sequence, or they back off in lockstep.
-	rng := dist.NewRNG(pol.JitterSeed + uint64(idx)*1000003)
-	for attempt := 1; ; attempt++ {
-		var ctrl *stageCtrl
-		if gated {
-			ctrl = newStageCtrl(ctx, s.gates, s.eng.opts.Procs, epoch, admitWait)
-		}
-		res, err := s.eng.sortOne(ctx, j, ctrl)
+	rng := dist.NewRNG(pol.JitterSeed + stream)
+	for n := 1; ; n++ {
+		err := attempt()
 		if err == nil {
-			res.Report.Attempts = attempt
-			return res, nil
+			return n, nil
 		}
-		if attempt >= pol.MaxAttempts || Classify(err) != FailTransient || ctx.Err() != nil {
-			return nil, err
+		if n >= pol.MaxAttempts || Classify(err) != FailTransient || ctx.Err() != nil {
+			return n, err
 		}
 		if !s.takeRetryBudget(pol) {
-			return nil, fmt.Errorf("core: retry budget exhausted after %d attempts: %w", attempt, err)
+			return n, fmt.Errorf("core: retry budget exhausted after %d attempts: %w", n, err)
 		}
 		select {
 		case <-time.After(transport.Jitter(backoff, rng.Uint64())):
 		case <-ctx.Done():
-			return nil, err
+			return n, err
 		}
 		if backoff *= 2; backoff > pol.MaxBackoff {
 			backoff = pol.MaxBackoff
 		}
 		s.retries.Add(1)
 	}
+}
+
+// runAttempts runs one resident job to completion under the retry
+// policy. Every attempt gets a fresh stage controller — the failed
+// attempt's ctrl has forfeited all its stages and must not be reused.
+func (s *Scheduler[K]) runAttempts(ctx context.Context, j job[K], idx int, gated bool, epoch time.Time, admitWait time.Duration) (*Result[K], error) {
+	var res *Result[K]
+	attempts, err := s.retry(ctx, uint64(idx)*1000003, func() (err error) {
+		var ctrl *stageCtrl
+		if gated {
+			ctrl = newStageCtrl(ctx, s.gates, s.eng.opts.Procs, epoch, admitWait)
+		}
+		res, err = s.eng.sortOne(ctx, j, ctrl)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Report.Attempts = attempts
+	return res, nil
 }
 
 func (s *Scheduler[K]) noteAdmit(delta int) {

@@ -2,12 +2,10 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
 	"pgxsort/internal/lsort"
-	"pgxsort/internal/spill"
 )
 
 // exchangeSink is where one node's exchange lands and what step 6 runs
@@ -40,7 +38,7 @@ func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 		total += c
 	}
 	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*int64(eb) > budget {
-		dir, err := s.spillScratchDir()
+		dir, err := s.runs.scratchDir()
 		if err != nil {
 			return nil, err
 		}
@@ -106,45 +104,20 @@ type spilledSink[K cmp.Ordered] struct {
 	s *sortRun[K]
 }
 
-// merge opens one streaming cursor per source run (an empty cursor for
-// sources that sent nothing, so tie-breaking by cursor index stays source
-// order) and feeds a loser tree that fills the result buffer directly.
-// Temporary memory is just the decoded-ahead blocks — two slabs per
-// non-empty source — however large the runs are. The run files are
-// removed before returning.
+// merge streams the source runs back through the former's merge — one
+// cursor per source, an empty one for sources that sent nothing, so
+// tie-breaking by cursor index stays source order — straight into the
+// result buffer. Temporary memory is just the decoded-ahead blocks — two
+// slabs per non-empty source — however large the runs are. mergeInto
+// removes the run files on every path, which is all Close would do for
+// an assembly whose runs are all sealed.
 func (sp *spilledSink[K]) merge() ([]comm.Entry[K], error) {
 	s := sp.s
-	n := s.node
-	defer sp.Close()
-	s.report.SpillBytes += sp.SpillBytes()
-	readers, err := sp.Readers(spill.ReaderOpts[K]{Pool: n.entryPool, Tracker: &n.tracker, EntryBytes: int64(entryBytes[K]())})
-	if err != nil {
+	s.runs.spillBytes.Add(sp.SpillBytes())
+	merged := s.node.entryPool.Get(sp.Total())
+	if err := s.runs.mergeInto(merged, sp.Paths()); err != nil {
+		s.node.entryPool.Put(merged)
 		return nil, err
-	}
-	cursors := make([]lsort.Cursor[comm.Entry[K]], len(readers))
-	for i, r := range readers {
-		if r == nil {
-			cursors[i] = lsort.NewSliceCursor[comm.Entry[K]](nil)
-		} else {
-			cursors[i] = r
-		}
-	}
-	total := sp.Total()
-	merged := n.entryPool.Get(total)
-	filled, merr := lsort.MergeCursors(merged, cursors, s.cmps.entryLess)
-	for _, r := range readers {
-		if r != nil {
-			s.report.SpillReads += r.BytesRead()
-			r.Close()
-		}
-	}
-	if merr == nil && filled != total {
-		merr = fmt.Errorf("core: spill merge produced %d of %d entries: %w",
-			filled, total, spill.ErrCorrupt)
-	}
-	if merr != nil {
-		n.entryPool.Put(merged)
-		return nil, merr
 	}
 	return merged, nil
 }

@@ -82,23 +82,64 @@ func TestSpillDifferentialRecords(t *testing.T) {
 }
 
 // TestSpillSlabBalance: repeated budgeted sorts on one engine must leave
-// every node's temporary-memory tracker at zero — the spill writers,
-// the decode-ahead block slabs and the stream merge all balance their
-// retire/recycle accounting even though runs spill mid-batch.
+// every node's temporary-memory tracker at zero and every slab back in
+// its pool except the result parts — the run former's chunk writes, the
+// decode-ahead block slabs and the stream merge all balance their
+// retire/recycle accounting even though runs spill mid-batch. Both
+// in-memory sources go through the same former, so both are held to it.
 func TestSpillSlabBalance(t *testing.T) {
 	const procs, per = 4, 3000
-	e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2,
-		MemoryBudget: spillBudget[uint64](per), SpillDir: t.TempDir()})
-	for i := 0; i < 3; i++ {
-		parts := mkParts(dist.Uniform, procs, per, uint64(100+i))
-		res, err := e.Sort(parts)
-		if err != nil {
-			t.Fatalf("sort %d: %v", i, err)
-		}
-		if res.Report.SpillBytes == 0 {
-			t.Fatalf("sort %d did not spill", i)
-		}
-		checkNoLeak(t, e)
+	sources := map[string]struct {
+		codec comm.Codec[uint64]
+		sort  func(e *Engine[uint64], seed uint64) (*Result[uint64], error)
+	}{
+		"keys": {comm.U64Codec{}, func(e *Engine[uint64], seed uint64) (*Result[uint64], error) {
+			return e.Sort(mkParts(dist.Uniform, procs, per, seed))
+		}},
+		"records": {comm.NewRecordCodec[uint64](comm.U64Codec{}), func(e *Engine[uint64], seed uint64) (*Result[uint64], error) {
+			recs := make([][]comm.Record[uint64], procs)
+			for i, keys := range mkParts(dist.Uniform, procs, per, seed) {
+				pays := dist.Gen{Kind: dist.Uniform, Seed: seed + uint64(i)}.Payloads(per, 24)
+				recs[i] = make([]comm.Record[uint64], per)
+				for j := range recs[i] {
+					recs[i][j] = comm.Record[uint64]{Key: keys[j], Payload: pays[j]}
+				}
+			}
+			return e.SortRecords(recs)
+		}},
+	}
+	for name, src := range sources {
+		t.Run(name, func(t *testing.T) {
+			e, err := NewEngine[uint64](Options{Procs: procs, WorkersPerProc: 2,
+				MemoryBudget: spillBudget[uint64](per), SpillDir: t.TempDir()}, src.codec)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			defer e.Close()
+			for i := 0; i < 3; i++ {
+				gets0, puts0 := poolTraffic(e)
+				res, err := src.sort(e, uint64(100+i))
+				if err != nil {
+					t.Fatalf("sort %d: %v", i, err)
+				}
+				if res.Report.SpillBytes == 0 || res.Report.SpillReads == 0 {
+					t.Fatalf("sort %d: SpillBytes=%d SpillReads=%d, want both > 0",
+						i, res.Report.SpillBytes, res.Report.SpillReads)
+				}
+				kept := int64(0) // result parts leave the pool for good
+				for _, part := range res.Parts {
+					if len(part) > 0 {
+						kept++
+					}
+				}
+				gets1, puts1 := poolTraffic(e)
+				if gets, puts := gets1-gets0, puts1-puts0; gets-puts != kept {
+					t.Fatalf("sort %d took %d slabs and returned %d, want %d kept as result parts",
+						i, gets, puts, kept)
+				}
+				checkNoLeak(t, e)
+			}
+		})
 	}
 }
 

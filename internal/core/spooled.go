@@ -4,27 +4,21 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
-	"pgxsort/internal/dist"
-	"pgxsort/internal/failpoint"
 	"pgxsort/internal/lsort"
 	"pgxsort/internal/spill"
-	"pgxsort/internal/transport"
 )
 
 // This file is the fully out-of-core sort path: the input arrives as a
 // spill run file (a streaming ingress landed it there) and the output
 // leaves as a cursor (streaming egress), so neither the input nor the
-// result is ever resident. The pipeline keeps the paper's step-1 shape —
+// result is ever resident. Step 1 is the shared run former (runs.go) —
 // each of the p nodes sorts its contiguous section of the input, here
-// into budget-sized sorted chunk runs on disk — and collapses the
+// into budget-sized sorted chunk runs on disk — and the job collapses the
 // exchange: instead of moving data to p owners and merging per owner,
 // one bounded fan-in k-way merge streams all runs straight to the
 // consumer. The exchange exists to move data between real machines; when
@@ -42,7 +36,7 @@ const (
 	// of how many chunk runs the dataset produced; extra passes show up
 	// honestly in SpillBytes/SpillReads.
 	spoolMergeFanIn = 8
-	// defaultSpoolChunkBytes sizes a node's sort chunk when no
+	// defaultSpoolChunkBytes stands in for the budget when no
 	// MemoryBudget is set: spooled inputs still sort chunk at a time —
 	// the point of the path is never holding the dataset.
 	defaultSpoolChunkBytes = 32 << 20
@@ -55,31 +49,7 @@ const (
 // enough that a fan-in's worth of decoded block slabs stays a fraction
 // of the budget, large enough to compress and batch I/O.
 func spoolBlockBytes(budget int64) int {
-	if budget <= 0 {
-		return spill.DefaultBlockBytes
-	}
-	bb := budget / (4 * spoolMergeFanIn)
-	if bb < 4<<10 {
-		bb = 4 << 10
-	}
-	if bb > spill.DefaultBlockBytes {
-		bb = spill.DefaultBlockBytes
-	}
-	return int(bb)
-}
-
-// spoolChunkEntries sizes one node's sort chunk: half the budget for the
-// chunk, half for the sort scratch, floored so tiny budgets still make
-// progress.
-func spoolChunkEntries(budget, eb int64) int {
-	chunk := int(defaultSpoolChunkBytes / (2 * eb))
-	if budget > 0 {
-		chunk = int(budget / (2 * eb))
-	}
-	if chunk < minSpoolChunkEntries {
-		chunk = minSpoolChunkEntries
-	}
-	return chunk
+	return int(min(max(budget/(4*spoolMergeFanIn), 4<<10), spill.DefaultBlockBytes))
 }
 
 // SpooledInput describes a dataset landed in a spill run file by a
@@ -108,13 +78,16 @@ type SpooledInput struct {
 type SpooledResult[K cmp.Ordered] struct {
 	// N is the entry count the stream will yield.
 	N int
-	// Report carries the run's measurements. SpillReads and
+	// Report carries the run's measurements. SpillReads, Total and
 	// TempPeakBytes settle at Close, once the stream has drained.
 	Report Report
 
-	cur      lsort.Cursor[comm.Entry[K]]
-	tracker  *alloc.Tracker
-	closers  []func() error
+	cur     lsort.Cursor[comm.Entry[K]]
+	runs    *runFormer[K]
+	start   time.Time
+	done    func() error // releases the final merge's batch and runs
+	release func()       // frees the admission slot (RunOneSpooled)
+
 	once     sync.Once
 	closeErr error
 }
@@ -125,31 +98,23 @@ func (r *SpooledResult[K]) Next() ([]comm.Entry[K], error) {
 	return r.cur.Next()
 }
 
-// TempPeakBytes reports the job's tracker-accounted temporary-memory
-// high-water mark so far — chunk slabs, sort scratch and decoded block
-// slabs. It can still grow until the stream is drained.
-func (r *SpooledResult[K]) TempPeakBytes() int64 { return r.tracker.Peak() }
-
-// Close releases readers, slabs and the scratch directory, and settles
-// Report. Idempotent.
+// Close releases readers, slabs, the scratch directory and the admission
+// slot, and settles Report. Idempotent.
 func (r *SpooledResult[K]) Close() error {
 	r.once.Do(func() {
-		for _, c := range r.closers {
-			if err := c(); err != nil && r.closeErr == nil {
-				r.closeErr = err
-			}
+		r.closeErr = r.done()
+		if err := r.runs.removeScratch(); r.closeErr == nil {
+			r.closeErr = err
 		}
-		r.Report.TempPeakBytes = r.tracker.Peak()
-		if len(r.Report.PerNode) > 0 {
-			r.Report.PerNode[0].TempPeakBytes = r.tracker.Peak()
+		r.Report.SpillReads = r.runs.spillReads.Load()
+		r.Report.Total = time.Since(r.start)
+		r.Report.TempPeakBytes = r.runs.tracker.Peak()
+		r.Report.PerNode[0].TempPeakBytes = r.Report.TempPeakBytes
+		if r.release != nil {
+			r.release()
 		}
 	})
 	return r.closeErr
-}
-
-// addCloser appends a release hook run (in order) at Close.
-func (r *SpooledResult[K]) addCloser(f func() error) {
-	r.closers = append(r.closers, f)
 }
 
 // RunOneSpooled admits one spooled dataset through the scheduler's
@@ -170,41 +135,23 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in SpooledInput) (*Spo
 		return nil, ctx.Err()
 	}
 	s.noteAdmit(1)
-	release := func() error {
+	release := func() {
 		s.noteAdmit(-1)
 		<-s.gates.admit
-		return nil
 	}
-	pol := s.opts.Retry.withDefaults()
-	backoff := pol.BaseBackoff
-	// Distinct RNG stream from the resident jobs' (see runAttempts).
-	rng := dist.NewRNG(pol.JitterSeed ^ 0x5B007ED50127AB1E)
-	for attempt := 1; ; attempt++ {
-		res, err := s.eng.SortSpooled(ctx, in)
-		if err == nil {
-			res.Report.Attempts = attempt
-			res.addCloser(release)
-			return res, nil
-		}
-		if attempt >= pol.MaxAttempts || Classify(err) != FailTransient || ctx.Err() != nil {
-			release()
-			return nil, err
-		}
-		if !s.takeRetryBudget(pol) {
-			release()
-			return nil, fmt.Errorf("core: retry budget exhausted after %d attempts: %w", attempt, err)
-		}
-		select {
-		case <-time.After(transport.Jitter(backoff, rng.Uint64())):
-		case <-ctx.Done():
-			release()
-			return nil, err
-		}
-		if backoff *= 2; backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
-		s.retries.Add(1)
+	var res *SpooledResult[K]
+	// A jitter stream of its own, apart from every resident job's.
+	attempts, err := s.retry(ctx, 0x5B007ED50127AB1E, func() (err error) {
+		res, err = s.eng.SortSpooled(ctx, in)
+		return err
+	})
+	if err != nil {
+		release()
+		return nil, err
 	}
+	res.Report.Attempts = attempts
+	res.release = release
+	return res, nil
 }
 
 // SortSpooled externally sorts a spooled input under the engine's memory
@@ -219,46 +166,38 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 		ctx = context.Background()
 	}
 	p := e.opts.Procs
-	cmps := e.comparators()
-	eb := int64(entryBytes[K]())
 	budget := e.opts.MemoryBudget
-	blockBytes := spoolBlockBytes(budget)
-	chunk := spoolChunkEntries(budget, eb)
+	if budget <= 0 {
+		budget = defaultSpoolChunkBytes
+	}
+	chunk := chunkEntries(budget, int64(entryBytes[K]()), minSpoolChunkEntries)
+	// The merge output batch is a fraction of the chunk, so the stream's
+	// granularity scales with the budget.
+	batchLen := max(chunk/4, minSpoolChunkEntries)
 
 	// Job-local tracker and pool: spooled jobs are rare and large, and a
 	// job-local tracker gives an honest per-job TempPeakBytes (the node
 	// trackers are engine-lifetime and shared across concurrent jobs).
-	tracker := &alloc.Tracker{}
-	var pool *alloc.SlabPool[comm.Entry[K]]
-	if !e.opts.DisablePooling {
-		pool = &alloc.SlabPool[comm.Entry[K]]{}
+	f := &runFormer[K]{
+		ctx: ctx, codec: e.codec, cmps: e.comparators(), workers: e.opts.WorkersPerProc,
+		pool: &alloc.SlabPool[comm.Entry[K]]{}, tracker: &alloc.Tracker{},
+		spillDir: e.opts.SpillDir, dirPattern: "pgxsort-spool-*", blockBytes: spoolBlockBytes(budget),
 	}
-	ropts := spill.ReaderOpts[K]{Pool: pool, Tracker: tracker, EntryBytes: eb}
-
-	parent := e.opts.SpillDir
-	if parent == "" {
-		parent = os.TempDir()
-	}
-	dir, err := os.MkdirTemp(parent, "pgxsort-spool-*")
-	if err != nil {
-		return nil, fmt.Errorf("core: spool scratch dir: %w", err)
+	// Created up front: the section goroutines share the former.
+	if _, err := f.scratchDir(); err != nil {
+		return nil, err
 	}
 	defer func() {
 		if err != nil {
-			os.RemoveAll(dir)
+			f.removeScratch()
 		}
 	}()
-
 	start := time.Now()
-	var spillBytes, spillReads atomic.Int64
 
 	// Phase 1: run formation. Node i reads its contiguous section of the
 	// spool and writes sorted chunk runs that fit the budget.
-	type nodeOut struct {
-		runs []string
-		err  error
-	}
-	outs := make([]nodeOut, p)
+	nodeRuns := make([][]string, p)
+	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for i := 0; i < p; i++ {
 		lo := uint64(i) * uint64(in.N) / uint64(p)
@@ -267,288 +206,62 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 			continue
 		}
 		wg.Add(1)
-		go func(node int, lo, hi uint64) {
+		go func(node int, lo, n uint64) {
 			defer wg.Done()
-			runs, rerr := e.formRuns(ctx, in, cmps, node, lo, hi, chunk, blockBytes,
-				dir, pool, tracker, eb, &spillBytes, &spillReads)
-			outs[node] = nodeOut{runs: runs, err: rerr}
-		}(i, lo, hi)
+			nodeRuns[node], errs[node] = f.formSection(in, node, lo, n, chunk)
+		}(i, lo, hi-lo)
 	}
 	wg.Wait()
 	var runs []string
-	for _, o := range outs {
-		if o.err != nil {
-			err = o.err
-			return nil, err
+	for i, nerr := range errs {
+		if nerr != nil {
+			return nil, nerr
 		}
-		runs = append(runs, o.runs...)
+		runs = append(runs, nodeRuns[i]...)
 	}
 	localSortDur := time.Since(start)
 
 	// Phase 2: bounded fan-in merge. While more than fanIn runs remain,
 	// merge groups of fanIn into intermediate runs; the survivors feed
 	// the streaming final merge.
-	pass := 0
-	for len(runs) > spoolMergeFanIn {
+	for pass := 0; len(runs) > spoolMergeFanIn; pass++ {
 		var next []string
 		for g := 0; g < len(runs); g += spoolMergeFanIn {
-			end := min(g+spoolMergeFanIn, len(runs))
-			if end-g == 1 {
-				next = append(next, runs[g])
+			group := runs[g:min(g+spoolMergeFanIn, len(runs))]
+			if len(group) == 1 {
+				next = append(next, group[0])
 				continue
 			}
-			out := filepath.Join(dir, fmt.Sprintf("merge-%d-%d.spill", pass, g))
-			if err = e.mergeRunsTo(ctx, cmps, runs[g:end], out, blockBytes, chunk,
-				pool, tracker, ropts, eb, &spillBytes, &spillReads); err != nil {
+			merged, done, err := f.stream(group, batchLen)
+			if err != nil {
 				return nil, err
 			}
-			for _, r := range runs[g:end] {
-				os.Remove(r)
+			out, err := f.writeRun(fmt.Sprintf("merge-%d-%d.spill", pass, g), nil, merged)
+			done()
+			if err != nil {
+				return nil, err
 			}
 			next = append(next, out)
 		}
 		runs = next
-		pass++
 	}
 
 	// Final merge: prime a streaming cursor over the surviving runs.
-	readers := make([]lsort.Cursor[comm.Entry[K]], 0, len(runs))
-	var open []*spill.RunReader[K]
-	closeAll := func() {
-		for _, r := range open {
-			r.Close()
-		}
-	}
-	for _, path := range runs {
-		rr, oerr := spill.NewRunReader(path, e.codec, ropts)
-		if oerr != nil {
-			closeAll()
-			err = oerr
-			return nil, err
-		}
-		open = append(open, rr)
-		readers = append(readers, rr)
-	}
-	batch := pool.Get(spoolBatchEntries(chunk))
-	tracker.Alloc(int64(len(batch)) * eb)
-	mc, merr := lsort.NewMergeCursor(readers, cmps.entryLess, batch)
-	if merr != nil {
-		tracker.Free(int64(len(batch)) * eb)
-		pool.Put(batch)
-		closeAll()
-		err = merr
+	cur, done, err := f.stream(runs, batchLen)
+	if err != nil {
 		return nil, err
 	}
-
-	res = &SpooledResult[K]{
-		N:       in.N,
-		cur:     mc,
-		tracker: tracker,
-	}
+	res = &SpooledResult[K]{N: in.N, cur: cur, runs: f, start: start, done: done}
 	res.Report = Report{
 		Procs:         p,
 		Workers:       e.opts.WorkersPerProc,
 		N:             in.N,
-		LocalSortPath: cmps.path,
+		LocalSortPath: f.cmps.path,
 		MergePath:     "spooled-kway+spill",
-		SpillBytes:    spillBytes.Load(),
-		SpillReads:    spillReads.Load(),
+		SpillBytes:    f.spillBytes.Load(),
+		SpillReads:    f.spillReads.Load(),
 		PerNode:       make([]NodeReport, 1),
 	}
 	res.Report.Steps[StepLocalSort] = localSortDur
-	res.addCloser(func() error {
-		tracker.Free(int64(len(batch)) * eb)
-		pool.Put(batch)
-		var first error
-		for _, r := range open {
-			spillReads.Add(r.BytesRead())
-			if cerr := r.Close(); cerr != nil && first == nil {
-				first = cerr
-			}
-		}
-		open = nil
-		res.Report.SpillReads = spillReads.Load()
-		res.Report.SpillBytes = spillBytes.Load()
-		res.Report.Total = time.Since(start)
-		if rerr := os.RemoveAll(dir); rerr != nil && first == nil {
-			first = rerr
-		}
-		return first
-	})
 	return res, nil
-}
-
-// spoolBatchEntries sizes the merge output batch: a fraction of the
-// chunk so the stream's granularity scales with the budget.
-func spoolBatchEntries(chunk int) int {
-	b := chunk / 4
-	if b < minSpoolChunkEntries {
-		b = minSpoolChunkEntries
-	}
-	return b
-}
-
-// formRuns is phase 1 for one node: stream the section, sort chunks
-// under the budget, spill each as a sorted run.
-func (e *Engine[K]) formRuns(ctx context.Context, in SpooledInput, cmps sortCmps[K],
-	node int, lo, hi uint64, chunk, blockBytes int, dir string,
-	pool *alloc.SlabPool[comm.Entry[K]], tracker *alloc.Tracker, eb int64,
-	spillBytes, spillReads *atomic.Int64) (runs []string, err error) {
-
-	sec, err := spill.NewRunReaderSection(in.Path, e.codec,
-		spill.ReaderOpts[K]{Pool: pool, Tracker: tracker, EntryBytes: eb}, lo, hi-lo)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		spillReads.Add(sec.BytesRead())
-		sec.Close()
-		if err != nil {
-			for _, r := range runs {
-				os.Remove(r)
-			}
-		}
-	}()
-
-	buf := pool.Get(chunk)
-	scratch := pool.Get(chunk)
-	tracker.Alloc(2 * int64(chunk) * eb)
-	defer func() {
-		tracker.Free(2 * int64(chunk) * eb)
-		pool.Put(buf)
-		pool.Put(scratch)
-	}()
-
-	var (
-		pending []comm.Entry[K] // unconsumed tail of the current batch
-		seq     uint32
-		done    bool
-	)
-	for !done {
-		if err = ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Fill one chunk from the section cursor.
-		fill := 0
-		for fill < chunk {
-			if len(pending) == 0 {
-				if in.ReadSite != "" {
-					if err = failpoint.HitNoPanic(in.ReadSite); err != nil {
-						return nil, err
-					}
-				}
-				if pending, err = sec.Next(); err != nil {
-					return nil, err
-				}
-				if len(pending) == 0 {
-					done = true
-					break
-				}
-			}
-			n := copy(buf[fill:chunk], pending)
-			// Restamp provenance: the spool holds arrival order from one
-			// ingress stream, but the sorted output's tie-break provenance
-			// is (section, position-in-section), matching the resident
-			// path's (node, index).
-			for j := fill; j < fill+n; j++ {
-				buf[j].Proc = uint32(node)
-				buf[j].Index = seq
-				seq++
-			}
-			fill += n
-			pending = pending[n:]
-		}
-		if fill == 0 {
-			break
-		}
-		entries := buf[:fill]
-		workers := e.opts.WorkersPerProc
-		if cmps.useRadix {
-			key := func(en comm.Entry[K]) uint64 { return cmps.norm(en.Key) }
-			lsort.ParallelRadixSort(entries, scratch[:fill], key, cmps.normBits, cmps.entryLess, workers)
-			if cmps.fallback {
-				lsort.SortEqualNormRuns(entries, key, cmps.entryLess)
-			}
-		} else {
-			lsort.ParallelSortScratch(entries, scratch[:fill], cmps.entryLess, workers)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("run-%d-%d.spill", node, len(runs)))
-		w, werr := spill.NewWriter(path, e.codec, blockBytes)
-		if werr != nil {
-			err = werr
-			return nil, err
-		}
-		if err = w.Append(entries); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		if err = w.Finish(); err != nil {
-			return nil, err
-		}
-		spillBytes.Add(w.BytesWritten())
-		runs = append(runs, path)
-	}
-	return runs, nil
-}
-
-// mergeRunsTo streams one bounded fan-in merge pass: the group's runs
-// merge through a MergeCursor into a fresh run file.
-func (e *Engine[K]) mergeRunsTo(ctx context.Context, cmps sortCmps[K], group []string,
-	out string, blockBytes, chunk int, pool *alloc.SlabPool[comm.Entry[K]],
-	tracker *alloc.Tracker, ropts spill.ReaderOpts[K], eb int64,
-	spillBytes, spillReads *atomic.Int64) (err error) {
-
-	readers := make([]lsort.Cursor[comm.Entry[K]], 0, len(group))
-	var open []*spill.RunReader[K]
-	defer func() {
-		for _, r := range open {
-			spillReads.Add(r.BytesRead())
-			r.Close()
-		}
-	}()
-	for _, path := range group {
-		rr, oerr := spill.NewRunReader(path, e.codec, ropts)
-		if oerr != nil {
-			return oerr
-		}
-		open = append(open, rr)
-		readers = append(readers, rr)
-	}
-	batch := pool.Get(spoolBatchEntries(chunk))
-	tracker.Alloc(int64(len(batch)) * eb)
-	defer func() {
-		tracker.Free(int64(len(batch)) * eb)
-		pool.Put(batch)
-	}()
-	mc, err := lsort.NewMergeCursor(readers, cmps.entryLess, batch)
-	if err != nil {
-		return err
-	}
-	w, err := spill.NewWriter(out, e.codec, blockBytes)
-	if err != nil {
-		return err
-	}
-	for {
-		if err = ctx.Err(); err != nil {
-			w.Abort()
-			return err
-		}
-		part, merr := mc.Next()
-		if merr != nil {
-			w.Abort()
-			return merr
-		}
-		if len(part) == 0 {
-			break
-		}
-		if err = w.Append(part); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	if err = w.Finish(); err != nil {
-		return err
-	}
-	spillBytes.Add(w.BytesWritten())
-	return nil
 }

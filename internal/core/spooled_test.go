@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
@@ -33,14 +35,25 @@ func appendKeyBytes[K cmp.Ordered](codec comm.Codec[K], dst []byte, k K) []byte 
 // streaming ingress does, and returns the path.
 func writeSpool[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, keys []K) string {
 	t.Helper()
+	recs := make([]comm.Record[K], len(keys))
+	for i, k := range keys {
+		recs[i].Key = k
+	}
+	return writeSpoolEntries(t, codec, dir, recs)
+}
+
+// writeSpoolEntries is writeSpool for records (payloads need a
+// payload-carrying codec).
+func writeSpoolEntries[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, recs []comm.Record[K]) string {
+	t.Helper()
 	path := filepath.Join(dir, "upload.spool")
 	w, err := spill.NewWriter(path, codec, 4<<10)
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
-	entries := make([]comm.Entry[K], len(keys))
-	for i, k := range keys {
-		entries[i] = comm.Entry[K]{Key: k}
+	entries := make([]comm.Entry[K], len(recs))
+	for i, r := range recs {
+		entries[i] = comm.Entry[K]{Key: r.Key, Payload: r.Payload}
 	}
 	if err := w.Append(entries); err != nil {
 		t.Fatalf("Append: %v", err)
@@ -301,6 +314,162 @@ func TestRunOneSpooledRetry(t *testing.T) {
 	drainSpooled[uint64](t, comm.U64Codec{}, res2)
 	if err := res2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpooledErrorExits drives a spooled job out through each of its error
+// exits — the injected spool-read failure with retries off, a context
+// cancelled mid run formation, a run file corrupted between its formation
+// and the merge pass that reads it, and a read error mid-stream followed
+// by Close. After each, the job must hold nothing: its scratch directory
+// under SpillDir is gone, the caller-owned spool file is not, the error
+// classifies as failure.go documents, and the scheduler's only admission
+// slot is free, so a follow-up job through it completes byte-correct.
+func TestSpooledErrorExits(t *testing.T) {
+	const n, procs = 20000, 2
+	const site = "serve/spool-read"
+	rng := dist.NewRNG(23)
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = rng.Uint64() % 3000
+	}
+	codec := comm.U64Codec{}
+	want := residentKeyBytes[uint64](t, codec, keys, procs)
+
+	// Each case returns the error its exit produced.
+	cases := []struct {
+		name  string
+		class FailureClass
+		is    error
+		run   func(t *testing.T, s *Scheduler[uint64], in SpooledInput, spillDir string) error
+	}{
+		{"read-failure", FailTransient, failpoint.ErrInjected,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 3})
+				_, err := s.RunOneSpooled(context.Background(), in)
+				return err
+			}},
+		{"cancel", FailUnknown, context.Canceled,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				// Every input read stalls, so the cancel lands while the
+				// sections are still being formed into runs.
+				failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: 2 * time.Millisecond})
+				ctx, cancel := context.WithCancel(context.Background())
+				time.AfterFunc(15*time.Millisecond, cancel)
+				_, err := s.RunOneSpooled(ctx, in)
+				return err
+			}},
+		{"corrupt-run", FailDataDependent, spill.ErrCorrupt,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, spillDir string) error {
+				// Slow formation leaves a wide window between node 0's
+				// first run landing on disk and the merge opening it.
+				failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: 2 * time.Millisecond})
+				stop := make(chan struct{})
+				cut := make(chan string, 1)
+				go func() {
+					defer close(cut)
+					for {
+						runs, _ := filepath.Glob(filepath.Join(spillDir, "pgxsort-spool-*", "run-0-1.spill"))
+						if len(runs) > 0 {
+							// run-0-1 exists, so run-0-0 is finished.
+							first := filepath.Join(filepath.Dir(runs[0]), "run-0-0.spill")
+							if err := os.Truncate(first, 20); err == nil {
+								cut <- first
+							}
+							return
+						}
+						select {
+						case <-stop:
+							return
+						case <-time.After(time.Millisecond):
+						}
+					}
+				}()
+				_, err := s.RunOneSpooled(context.Background(), in)
+				close(stop)
+				if path := <-cut; path == "" {
+					t.Fatal("no run file was truncated before the job ended")
+				}
+				return err
+			}},
+		{"mid-stream", FailTransient, failpoint.ErrInjected,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				res, err := s.RunOneSpooled(context.Background(), in)
+				if err != nil {
+					t.Fatalf("RunOneSpooled: %v", err)
+				}
+				failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeError, Count: -1})
+				for err == nil {
+					var batch []comm.Entry[uint64]
+					if batch, err = res.Next(); err == nil && len(batch) == 0 {
+						t.Fatal("stream drained without surfacing the read failure")
+					}
+				}
+				if cerr := res.Close(); cerr != nil {
+					t.Fatalf("Close after a failed Next: %v", cerr)
+				}
+				if gets, _, puts := res.runs.pool.Stats(); gets != puts {
+					t.Fatalf("job took %d slabs and returned %d", gets, puts)
+				}
+				if live := res.runs.tracker.Live(); live != 0 {
+					t.Fatalf("job tracker.Live = %d after Close", live)
+				}
+				return err
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			failpoint.Reset()
+			t.Cleanup(failpoint.Reset)
+			spillDir := t.TempDir()
+			path := writeSpool[uint64](t, codec, t.TempDir(), keys)
+			e, err := NewEngine[uint64](Options{
+				Procs: procs, WorkersPerProc: 2,
+				MemoryBudget: 64 << 10, SpillDir: spillDir,
+			}, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			s := NewScheduler(e, SortManyOpts{MaxInflight: 1})
+
+			err = tc.run(t, s, SpooledInput{Path: path, N: n, ReadSite: site}, spillDir)
+			failpoint.Reset()
+			if err == nil {
+				t.Fatal("job succeeded")
+			}
+			if !errors.Is(err, tc.is) {
+				t.Fatalf("error %v, want one wrapping %v", err, tc.is)
+			}
+			if c := Classify(err); c != tc.class {
+				t.Fatalf("Classify(%v) = %v, want %v", err, c, tc.class)
+			}
+			left, err := filepath.Glob(filepath.Join(spillDir, "pgxsort-spool-*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(left) != 0 {
+				t.Fatalf("scratch dirs left behind: %v", left)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("spool input should remain caller-owned: %v", err)
+			}
+
+			// A leaked admission slot would block this forever.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			res, err := s.RunOneSpooled(ctx, SpooledInput{Path: path, N: n, ReadSite: site})
+			if err != nil {
+				t.Fatalf("follow-up RunOneSpooled: %v", err)
+			}
+			got := drainSpooled[uint64](t, codec, res)
+			if err := res.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("follow-up spooled sort diverges from resident sort")
+			}
+		})
 	}
 }
 

@@ -50,7 +50,6 @@ func (e *Engine[K]) selectK(parts [][]K, k int, worse func(a, b comm.Entry[K]) b
 		return nil, fmt.Errorf("core: negative k")
 	}
 	sortID := e.nextSortID.Add(1)
-	master := e.opts.Master
 	start := time.Now()
 
 	errs := make([]error, p)
@@ -70,9 +69,7 @@ func (e *Engine[K]) selectK(parts [][]K, k int, worse func(a, b comm.Entry[K]) b
 			var pmu sync.Mutex
 			n.pool.ParallelFor(len(local), func(lo, hi int) {
 				chunk := make([]comm.Entry[K], hi-lo)
-				for j := lo; j < hi; j++ {
-					chunk[j-lo] = comm.Entry[K]{Key: local[j], Proc: uint32(i), Index: uint32(j)}
-				}
+				(&keySource[K]{keys: local, node: uint32(i), pos: lo}).fill(chunk)
 				top := lsort.TopK(chunk, k, worse)
 				pmu.Lock()
 				partials = append(partials, top)

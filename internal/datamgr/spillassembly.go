@@ -16,10 +16,9 @@ import (
 // The contract is otherwise identical — per-source chunks arrive FIFO
 // and append in order, different sources may write concurrently (each
 // owns its writer), and RunComplete turns true the moment a source's
-// expected count lands. The final merge then consumes spill.RunReader
-// cursors instead of in-memory regions.
+// expected count lands. The final merge then reads the run files back
+// (Paths) instead of in-memory regions.
 type SpillAssembly[K any] struct {
-	codec   comm.Codec[K]
 	writers []*spill.Writer[K] // nil for sources expecting zero entries
 	expect  []int
 	cursor  []int
@@ -35,7 +34,6 @@ type SpillAssembly[K any] struct {
 // point is that they are not resident.
 func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir string) (*SpillAssembly[K], error) {
 	a := &SpillAssembly[K]{
-		codec:   c,
 		writers: make([]*spill.Writer[K], len(perSrc)),
 		expect:  append([]int(nil), perSrc...),
 		cursor:  make([]int, len(perSrc)),
@@ -128,27 +126,17 @@ func (a *SpillAssembly[K]) SpillBytes() int64 {
 	return total
 }
 
-// Readers opens a RunReader per source, in source order (nil for empty
-// sources), each configured with the caller's slab pool and tracker.
-// Callers own the readers and must Close every non-nil one.
-func (a *SpillAssembly[K]) Readers(opts spill.ReaderOpts[K]) ([]*spill.RunReader[K], error) {
-	readers := make([]*spill.RunReader[K], len(a.writers))
+// Paths reports each source's run file, in source order ("" for empty
+// sources). A run is readable once RunComplete(src); the merge opens
+// them all after the exchange.
+func (a *SpillAssembly[K]) Paths() []string {
+	paths := make([]string, len(a.writers))
 	for src, w := range a.writers {
-		if w == nil {
-			continue
+		if w != nil {
+			paths[src] = w.Path()
 		}
-		r, err := spill.NewRunReader(w.Path(), a.codec, opts)
-		if err != nil {
-			for _, open := range readers {
-				if open != nil {
-					open.Close()
-				}
-			}
-			return nil, err
-		}
-		readers[src] = r
 	}
-	return readers, nil
+	return paths
 }
 
 // Close removes every run file. Safe to call multiple times and at any

@@ -66,17 +66,17 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 		t.Fatalf("SpillBytes = %d", spilled.SpillBytes())
 	}
 
-	readers, err := spilled.Readers(spill.ReaderOpts[uint64]{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for src, r := range readers {
+	for src, path := range spilled.Paths() {
 		want := resident.Entries()[resident.Bounds()[src]:resident.Bounds()[src+1]]
-		if r == nil {
+		if path == "" {
 			if len(want) != 0 {
-				t.Fatalf("source %d: no reader for %d entries", src, len(want))
+				t.Fatalf("source %d: no run file for %d entries", src, len(want))
 			}
 			continue
+		}
+		r, err := spill.NewRunReader(path, comm.U64Codec{}, spill.ReaderOpts[uint64]{})
+		if err != nil {
+			t.Fatal(err)
 		}
 		var got []comm.Entry[uint64]
 		for {

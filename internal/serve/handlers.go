@@ -295,6 +295,24 @@ func (s *Server) admit(r *http.Request, req *sortRequest) (context.Context, func
 	}, nil
 }
 
+// reserve claims a job's estimated resident footprint from the governor's
+// ledger before it runs, shedding load when the ledger is full. It returns
+// the release func the caller must defer, or why not: 413 for a footprint
+// that could never fit, 429 for one that does not fit right now — both
+// counted in pgxsortd_rejected_total here, once for every door.
+func (s *Server) reserve(need int64) (func(), *jobError) {
+	if s.gov.oversized(need) {
+		s.met.reject("too_large")
+		return nil, &jobError{http.StatusRequestEntityTooLarge,
+			fmt.Errorf("job needs ~%d bytes resident, over the %d-byte memory budget", need, s.cfg.GovernorBudget)}
+	}
+	if !s.gov.reserve(need) {
+		s.met.reject("mem_budget")
+		return nil, &jobError{http.StatusTooManyRequests, errors.New("memory budget exhausted; retry later")}
+	}
+	return func() { s.gov.release(need) }, nil
+}
+
 // handleSort runs one sort job. Two request shapes share the endpoint:
 // JSON (sortRequest) and application/octet-stream, whose body is the
 // canonical keyio encoding and whose options ride in query parameters.
@@ -363,30 +381,23 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Governor: a resident job holds its decoded keys, entry slabs and
-	// re-encoded result in this process; reserve that footprint before
-	// running, and shed load when the ledger is full.
-	need := residentJobBytes(n)
-	if s.gov.oversized(need) {
-		s.rejectRequest(w, "sort", &apiError{http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("job needs ~%d bytes resident, over the %d-byte memory budget", need, s.cfg.GovernorBudget)}, start)
-		return
-	}
-	if !s.gov.reserve(need) {
-		memErr := errors.New("memory budget exhausted; retry later")
-		s.met.jobDone("sort", strconv.Itoa(http.StatusTooManyRequests), time.Since(start))
-		s.met.reject("mem_budget")
-		log(http.StatusTooManyRequests, memErr, false, nil)
-		s.writeError(w, http.StatusTooManyRequests, memErr.Error())
-		return
-	}
-	defer s.gov.release(need)
-
-	sorted, rep, degraded, jerr := s.runSort(r, b, req, raw, n)
-	if jerr != nil {
+	fail := func(jerr *jobError) {
 		s.met.jobDone("sort", strconv.Itoa(jerr.status), time.Since(start))
 		log(jerr.status, jerr.err, false, nil)
 		s.writeError(w, jerr.status, jerr.err.Error())
+	}
+	// Governor: a resident job holds its decoded keys, entry slabs and
+	// re-encoded result in this process.
+	release, jerr := s.reserve(residentJobBytes(n))
+	if jerr != nil {
+		fail(jerr)
+		return
+	}
+	defer release()
+
+	sorted, rep, degraded, jerr := s.runSort(r, b, req, raw, n)
+	if jerr != nil {
+		fail(jerr)
 		return
 	}
 	s.gov.notePeak(rep.TempPeakBytes)
@@ -416,19 +427,12 @@ func (s *Server) runSortSpooled(w http.ResponseWriter, r *http.Request, id strin
 	}
 
 	s.gov.noteSpooled()
-	need := spooledJobBytes(s.cfg.SpoolThreshold)
-	if s.gov.oversized(need) {
-		s.met.reject("too_large")
-		fail(http.StatusRequestEntityTooLarge,
-			fmt.Errorf("spooled job needs ~%d bytes resident, over the %d-byte memory budget", need, s.cfg.GovernorBudget))
+	release, jerr := s.reserve(spooledJobBytes(s.cfg.SpoolThreshold))
+	if jerr != nil {
+		fail(jerr.status, jerr.err)
 		return
 	}
-	if !s.gov.reserve(need) {
-		s.met.reject("mem_budget")
-		fail(http.StatusTooManyRequests, errors.New("memory budget exhausted; retry later"))
-		return
-	}
-	defer s.gov.release(need)
+	defer release()
 
 	ctx, done, jerr := s.admit(r, req)
 	if jerr != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -208,22 +209,56 @@ func TestSpoolDisconnectNoOrphans(t *testing.T) {
 	waitForEmptyDir(t, spillDir)
 }
 
-// TestGovernorOversized413 rejects a resident job whose estimated
-// footprint could never fit the governor budget.
+// TestGovernorOversized413 rejects a job whose estimated footprint could
+// never fit the governor budget, and the two doors that can say so — the
+// resident tail and the spooled upload — must agree: 413, one
+// pgxsortd_rejected_total{too_large} count, one /debug/jobs record.
 func TestGovernorOversized413(t *testing.T) {
-	_, ts := testServer(t, Config{
-		GovernorBudget: residentJobBytes(1000),
-		KeyTypes:       []dist.KeyType{dist.KeyUint64},
-		MemoryBudget:   -1, // the resident job's footprint is the subject; keep the env lane from spooling it
-	})
 	raw := keyio.EncodeUint64s(make([]uint64, 5000))
-	resp, body := postBinary(t, ts.URL+"/v1/sort", raw)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("over-budget job: status %d: %s", resp.StatusCode, body)
-	}
-	_, exp := getBody(t, ts.URL+"/metrics")
-	if v := metricValue(t, exp, "pgxsortd_mem_budget_bytes"); int64(v) != residentJobBytes(1000) {
-		t.Fatalf("pgxsortd_mem_budget_bytes = %g", v)
+	for _, shape := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"resident", Config{
+			GovernorBudget: residentJobBytes(1000),
+			MemoryBudget:   -1, // the resident job's footprint is the subject; keep the env lane from spooling it
+		}},
+		{"spooled", Config{
+			GovernorBudget: spooledJobBytes(8<<10) - 1,
+			SpoolThreshold: 8 << 10, // the 40KB body spools
+			MemoryBudget:   64 << 10,
+			SpillDir:       t.TempDir(),
+		}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			shape.cfg.KeyTypes = []dist.KeyType{dist.KeyUint64}
+			_, ts := testServer(t, shape.cfg)
+			resp, body := postBinary(t, ts.URL+"/v1/sort", raw)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("over-budget job: status %d: %s", resp.StatusCode, body)
+			}
+			_, exp := getBody(t, ts.URL+"/metrics")
+			if v := metricValue(t, exp, "pgxsortd_mem_budget_bytes"); int64(v) != shape.cfg.GovernorBudget {
+				t.Fatalf("pgxsortd_mem_budget_bytes = %g", v)
+			}
+			if v := metricValue(t, exp, `pgxsortd_rejected_total{reason="too_large"}`); v != 1 {
+				t.Fatalf("rejected_total{too_large} = %g, want 1", v)
+			}
+			if v := metricValue(t, exp, "pgxsortd_mem_inuse_bytes"); v != 0 {
+				t.Fatalf("pgxsortd_mem_inuse_bytes = %g after a refused reservation", v)
+			}
+			_, jobs := getBody(t, ts.URL+"/debug/jobs")
+			var out struct {
+				Jobs []jobRecord `json:"jobs"`
+			}
+			if err := json.Unmarshal([]byte(jobs), &out); err != nil {
+				t.Fatalf("unmarshal: %v", err)
+			}
+			if len(out.Jobs) != 1 || out.Jobs[0].Status != http.StatusRequestEntityTooLarge ||
+				out.Jobs[0].N != 5000 || out.Jobs[0].Err == "" {
+				t.Fatalf("job log after the 413: %+v", out.Jobs)
+			}
+		})
 	}
 }
 

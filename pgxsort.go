@@ -8,7 +8,10 @@
 // and a network endpoint (in-process channels or real TCP loopback), and
 // sorts distributed data with the paper's six-step sample sort:
 //
-//  1. parallel local quicksort, merged with the balanced merging handler
+//  1. parallel local sort — per-chunk quicksort, or LSD radix when the key
+//     normalizes to uint64 — merged with the balanced merging handler (in
+//     budget-sized chunks through spill files when a processor's share
+//     exceeds Options.MemoryBudget)
 //  2. regular sampling (one 256KB/p buffer of samples to the master)
 //  3. master splitter selection and broadcast
 //  4. binary-search range partitioning with the duplicate-splitter
