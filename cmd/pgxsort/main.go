@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"pgxsort"
+	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
 	tp "pgxsort/internal/transport"
 )
@@ -219,16 +220,11 @@ func sortWithPayloads[K cmp.Ordered](keys []K, opts pgxsort.Options, recBytes in
 	if p <= 0 {
 		p = 4
 	}
-	parts := make([][]pgxsort.Record[K], p)
-	for i := 0; i < p; i++ {
-		lo, hi := i*len(keys)/p, (i+1)*len(keys)/p
-		part := make([]pgxsort.Record[K], hi-lo)
-		for j := lo; j < hi; j++ {
-			part[j-lo] = pgxsort.Record[K]{Key: keys[j], Payload: payloads[j]}
-		}
-		parts[i] = part
+	recs := make([]pgxsort.Record[K], len(keys))
+	for i, k := range keys {
+		recs[i] = pgxsort.Record[K]{Key: k, Payload: payloads[i]}
 	}
-	return c.SortRecords(parts)
+	return c.SortRecords(core.Blocks(recs, p))
 }
 
 func cmdVerify(args []string) error {

@@ -116,6 +116,40 @@ func TestSortSlice(t *testing.T) {
 	}
 }
 
+// TestBlocks pins the one block distribution: contiguous, covering,
+// part i = data[i·n/p : (i+1)·n/p] (10 keys over 4 → 2,3,2,3), aliasing
+// the input.
+func TestBlocks(t *testing.T) {
+	for _, tc := range []struct{ n, p int }{{0, 4}, {3, 4}, {10, 4}, {103, 4}, {16, 8}, {7, 1}} {
+		data := make([]int, tc.n)
+		for i := range data {
+			data[i] = i
+		}
+		parts := Blocks(data, tc.p)
+		if len(parts) != tc.p {
+			t.Fatalf("n=%d p=%d: %d parts", tc.n, tc.p, len(parts))
+		}
+		next := 0
+		for i, part := range parts {
+			if want := (i+1)*tc.n/tc.p - i*tc.n/tc.p; len(part) != want {
+				t.Fatalf("n=%d p=%d: part %d has %d, want %d", tc.n, tc.p, i, len(part), want)
+			}
+			for _, v := range part {
+				if v != next {
+					t.Fatalf("n=%d p=%d: part %d holds %d, want %d", tc.n, tc.p, i, v, next)
+				}
+				next++
+			}
+		}
+		if next != tc.n {
+			t.Fatalf("n=%d p=%d: covered %d", tc.n, tc.p, next)
+		}
+	}
+	if got := Blocks(make([]int, 10), 4); len(got[0]) != 2 || len(got[1]) != 3 || len(got[2]) != 2 || len(got[3]) != 3 {
+		t.Fatalf("10 over 4 split %d,%d,%d,%d, want 2,3,2,3", len(got[0]), len(got[1]), len(got[2]), len(got[3]))
+	}
+}
+
 func TestSortWrongPartCount(t *testing.T) {
 	e := newTestEngine(t, Options{Procs: 4})
 	if _, err := e.Sort([][]uint64{{1}}); err == nil {

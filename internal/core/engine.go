@@ -326,16 +326,22 @@ func (e *Engine[K]) SortRecordsCtx(ctx context.Context, recs [][]comm.Record[K])
 	return e.sortOne(ctx, j, nil)
 }
 
+// Blocks is the block distribution every front end uses to hand one flat
+// dataset to p processors: part i is data[i·n/p : (i+1)·n/p], contiguous,
+// sizes differing by at most one. The parts alias data. Entry provenance
+// (Proc, Index) is relative to this split, so callers that must agree on
+// provenance — the facade, the CLI, the service — all split here.
+func Blocks[T any](data []T, p int) [][]T {
+	parts := make([][]T, p)
+	for i := range parts {
+		parts[i] = data[i*len(data)/p : (i+1)*len(data)/p]
+	}
+	return parts
+}
+
 // SortSlice block-distributes one slice across the processors and sorts it.
 func (e *Engine[K]) SortSlice(data []K) (*Result[K], error) {
-	p := e.opts.Procs
-	parts := make([][]K, p)
-	for i := 0; i < p; i++ {
-		lo := i * len(data) / p
-		hi := (i + 1) * len(data) / p
-		parts[i] = data[lo:hi]
-	}
-	return e.Sort(parts)
+	return e.Sort(Blocks(data, e.opts.Procs))
 }
 
 // SortMany runs several sorts over the same engine, multiplexed by sort

@@ -116,7 +116,7 @@ func Baselines(c Config) ([]Table, error) {
 	for i, k := range keys {
 		spread[i] = k << 43
 	}
-	parts := distribute(spread, p)
+	parts := core.Blocks(spread, p)
 	t := Table{
 		ID:     "baselines",
 		Title:  fmt.Sprintf("All sorters, uniform keys, p=%d", p),

@@ -121,17 +121,6 @@ func (c Config) twitterDegrees() []uint64 {
 	return g.Degrees(nil)
 }
 
-// distribute splits one key slice into equal per-processor parts.
-func distribute(keys []uint64, procs int) [][]uint64 {
-	parts := make([][]uint64, procs)
-	for i := 0; i < procs; i++ {
-		lo := i * len(keys) / procs
-		hi := (i + 1) * len(keys) / procs
-		parts[i] = keys[lo:hi]
-	}
-	return parts
-}
-
 // newU64Engine builds a uint64-keyed engine.
 func newU64Engine(opts core.Options) (*core.Engine[uint64], error) {
 	return core.NewEngine[uint64](opts, comm.U64Codec{})

@@ -157,7 +157,7 @@ func Fig8(c Config) ([]Table, error) {
 		Header: []string{"procs", "pgxd_ms", "spark_ms", "pgxd_vs_spark", "pgxd_imbalance", "spark_imbalance"},
 	}
 	for _, p := range c.Procs {
-		parts := distribute(degrees, p)
+		parts := core.Blocks(degrees, p)
 		pgxd, err := c.runPGXD(parts, core.Options{})
 		if err != nil {
 			return nil, err
@@ -187,7 +187,7 @@ func Fig9(c Config) ([]Table, error) {
 	c = c.WithDefaults()
 	degrees := c.twitterDegrees()
 	p := c.Procs[len(c.Procs)/2]
-	parts := distribute(degrees, p)
+	parts := core.Blocks(degrees, p)
 	factors := []float64{0.004, 0.04, 0.4, 1.0, 1.004, 1.04, 1.4}
 	t := Table{
 		ID:    "fig9",
@@ -231,7 +231,7 @@ func Fig10(c Config) ([]Table, error) {
 			fmt.Sprintf("min@%.3fX", f), fmt.Sprintf("max@%.3fX", f))
 	}
 	for _, p := range c.Procs {
-		parts := distribute(degrees, p)
+		parts := core.Blocks(degrees, p)
 		row := []string{fmt.Sprintf("%d", p)}
 		for _, f := range factors {
 			rep, err := c.runPGXD(parts, core.Options{SampleFactor: f})
@@ -262,7 +262,7 @@ func Fig11(c Config) ([]Table, error) {
 	}
 	mb := func(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
 	for _, p := range c.Procs {
-		parts := distribute(degrees, p)
+		parts := core.Blocks(degrees, p)
 		var msBefore runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
 		rep, err := c.runPGXD(parts, core.Options{})

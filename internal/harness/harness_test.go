@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"pgxsort/internal/dist"
 )
 
 // tinyConfig keeps harness tests fast.
@@ -377,17 +375,5 @@ func TestRunAllIDs(t *testing.T) {
 	}
 	if _, err := Run([]string{"nope"}, c); err == nil {
 		t.Fatal("Run accepted unknown id")
-	}
-}
-
-func TestDistributeCoversAll(t *testing.T) {
-	keys := dist.Gen{Kind: dist.Uniform, Seed: 1}.Keys(103)
-	parts := distribute(keys, 4)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total != 103 {
-		t.Fatalf("distribute lost keys: %d", total)
 	}
 }

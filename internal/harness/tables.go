@@ -111,7 +111,7 @@ func Table3(c Config) ([]Table, error) {
 		}
 	}
 	for j, p := range sweeps {
-		eng, err := c.runPGXDResult(distribute(degrees, p), core.Options{})
+		eng, err := c.runPGXDResult(core.Blocks(degrees, p), core.Options{})
 		if err != nil {
 			return nil, err
 		}

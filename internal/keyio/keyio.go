@@ -68,11 +68,8 @@ func EncodeStrings(keys []string) []byte {
 		n += 4 + len(k)
 	}
 	out := make([]byte, 0, n)
-	var lp [4]byte
 	for _, k := range keys {
-		binary.LittleEndian.PutUint32(lp[:], uint32(len(k)))
-		out = append(out, lp[:]...)
-		out = append(out, k...)
+		out = AppendString(out, k)
 	}
 	return out
 }

@@ -68,6 +68,23 @@ func ScanStrings(b []byte, dst []string) ([]string, int) {
 	}
 }
 
+// AppendUint64, AppendFloat64 and AppendString are the scanners'
+// inverses: each appends one key's canonical bytes to dst. pgxsortd's
+// egress encodes sorted entries through them a window at a time, so a
+// response is rendered straight from the merge output without an
+// intermediate key slice.
+func AppendUint64(dst []byte, k uint64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, k)
+}
+
+func AppendFloat64(dst []byte, k float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(k))
+}
+
+func AppendString(dst []byte, k string) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(k))), k...)
+}
+
 // StreamDecoder pulls canonical key bytes from r and yields keys in
 // batches, holding at most one read buffer (plus a partial trailing key)
 // resident regardless of stream length.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -11,87 +12,86 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
 	"pgxsort/internal/keyio"
+	"pgxsort/internal/lsort"
 	"pgxsort/internal/spill"
 )
 
+// dataset is one job's input, decoded exactly once: whatever shape the
+// request brought it in — octet-stream body, keys_b64, JSON keys, a dist
+// spec — the backend that owns its key type parsed it into typed keys (or,
+// past the spool threshold, into a spill-tier run file) and every later
+// stage consumes those keys directly. It is opaque to the handlers: only
+// the backend that built it looks inside keys.
+type dataset struct {
+	n    int
+	size int      // canonical byte length: the sorted answer's too
+	hash cacheKey // content address, equal to hashJob(kt, canonical bytes); unset when spooled
+	// spool is the run-file path of an upload that crossed the spool
+	// threshold; the handler owns (and removes) the file. keys is nil then.
+	spool string
+	keys  any // []K
+}
+
 // backend is one key domain's sorting surface: an engine plus its
-// scheduler behind the canonical byte format of internal/keyio. The
-// HTTP handlers speak only bytes and strings; the generic machinery
-// lives behind this interface so the handler code is written once.
+// scheduler, and the one place the canonical byte format of
+// internal/keyio meets typed keys. It turns every request shape into a
+// dataset on the way in and renders sorted entries canonically on the way
+// out; between the two the handlers pass the dataset along unopened, so
+// the handler code is written once for all key types.
 type backend interface {
 	keyType() dist.KeyType
-	// count validates canonical bytes and returns the number of keys.
-	count(raw []byte) (int, error)
-	// canonJSON parses JSON key values into canonical bytes.
-	canonJSON(vals []json.RawMessage) ([]byte, error)
-	// generate renders a deterministic synthetic dataset canonically.
-	generate(g dist.Gen, n int, prefix string) []byte
-	// sort runs one dataset through the scheduler and returns the
-	// canonical sorted bytes.
-	sort(ctx context.Context, raw []byte) ([]byte, core.Report, error)
+	// fromJSON parses JSON key values into a dataset.
+	fromJSON(vals []json.RawMessage) (*dataset, error)
+	// generate synthesizes a deterministic dataset.
+	generate(g dist.Gen, n int, prefix string) *dataset
+	// ingest streams canonical bytes through the incremental decoder,
+	// hashing them as they arrive. length is the announced byte count
+	// (<= 0 when unknown) and only sizes the first allocation. With a
+	// spoolPath, a stream that outgrows Config.SpoolThreshold lands in a
+	// spill-tier run file there instead of in memory; with none it is
+	// resident whatever its size.
+	ingest(r io.Reader, length int64, spoolPath string) (*dataset, *apiError)
+	// sort runs one resident dataset through the scheduler and returns
+	// the canonical sorted bytes.
+	sort(ctx context.Context, ds *dataset) ([]byte, core.Report, error)
 	// sortSingle is the degraded path: the same dataset on a lazily
 	// built single-node engine that touches no mesh. The breaker routes
 	// here when the distributed engine's links are presumed dead.
-	sortSingle(ctx context.Context, raw []byte) ([]byte, core.Report, error)
-	// retries reports the lifetime transient-failure retries performed
-	// by this backend's schedulers (mesh plus fallback).
-	retries() int64
-	// topk answers a top-k / bottom-k query without a full merge.
-	topk(raw []byte, k int, bottom bool) (*topkAnswer, error)
-	// rank counts keys below and equal to target (given as a string).
-	rank(raw []byte, target string) (*rankAnswer, error)
-	// ingest streams one octet-stream body through the incremental
-	// decoder: bodies at most threshold raw bytes accumulate resident
-	// (and re-encode byte-identically, so cache hashing still works),
-	// larger ones land in a spill-tier run file at spoolPath. A
-	// threshold < 0 disables spooling. blockBytes sizes the spool's
-	// blocks (0 = spill default); attempts bounds in-place retries of
-	// transient spool-write failures.
-	ingest(r io.Reader, spoolPath string, threshold int64, blockBytes, maxKeys, attempts int) (*ingestResult, *apiError)
-	// sortSpooledTo runs one spooled upload through the scheduler's
+	sortSingle(ctx context.Context, ds *dataset) ([]byte, core.Report, error)
+	// sortSpooledTo runs one spooled dataset through the scheduler's
 	// out-of-core path and streams the canonical sorted bytes straight
 	// from the final-merge cursor to w — no whole-result buffer. The
 	// returned report carries the tracker-accounted TempPeakBytes.
-	sortSpooledTo(ctx context.Context, path string, n int, w io.Writer) (core.Report, error)
+	sortSpooledTo(ctx context.Context, ds *dataset, w io.Writer) (core.Report, error)
+	// topk answers a top-k / bottom-k query without a full merge: the
+	// selected keys, formatted (descending for top-k), each with its
+	// originating processor, plus the query's traffic in bytes — p*k
+	// candidates, not the dataset.
+	topk(ds *dataset, k int, bottom bool) ([]topkEntry, int64, error)
+	// rank locates target (given as a string) in the dataset's sort
+	// order without sorting: how many keys order strictly below it and
+	// how many equal it.
+	rank(ds *dataset, target string) (rank, count int, err error)
+	// retries reports the lifetime transient-failure retries performed
+	// by this backend's schedulers (mesh plus fallback).
+	retries() int64
 	close() error
 }
 
-// topkAnswer is a keytype-erased core.TopKResult.
-type topkAnswer struct {
-	Keys    []string // selected keys, formatted (descending for top-k)
-	Procs   []int    // originating processor per key
-	N       int      // dataset size
-	Bytes   int64    // query traffic: p*k candidates, not the dataset
-	Elapsed time.Duration
-}
-
-// rankAnswer locates a key in the dataset's sort order without sorting:
-// Rank keys order strictly below Target, Count equal it.
-type rankAnswer struct {
-	Rank  int
-	Count int
-	N     int
-}
-
 // typedBackend implements backend for one ordered key type K via a
-// handful of per-type closures (encode/decode/parse/format/generate).
+// handful of per-type closures (scan/append/parse/format/generate).
 type typedBackend[K cmp.Ordered] struct {
 	kt    dist.KeyType
 	cfg   Config
 	eng   *core.Engine[K]
 	sched *core.Scheduler[K]
 	procs int
-	// mk rebuilds an engine of this key type from fresh options — the
-	// degraded path uses it to construct the single-node fallback with
-	// the same codec the mesh engine got.
-	mk func(core.Options) (*core.Engine[K], error)
 
 	// The single-node fallback engine, built on first use (most servers
 	// never see a fatal mesh failure, so it costs nothing until then).
@@ -101,74 +101,72 @@ type typedBackend[K cmp.Ordered] struct {
 	fbSched *core.Scheduler[K]
 	fbErr   error
 
-	enc    func([]K) []byte
-	dec    func([]byte) ([]K, error)
 	parse  func(string) (K, error)
 	format func(K) string
 	less   func(a, b K) bool // total order (floats: IEEE-754 total order)
 	gen    func(g dist.Gen, n int, prefix string) []K
 	fromJS func(json.RawMessage) (K, error)
-	// scan is the incremental ScanFunc for streaming ingress; codec is
-	// the same record codec the engine uses, so upload spool files are
-	// readable by the engine's spooled-sort readers.
+	// scan and app are the canonical format's two directions, a key at
+	// a time: the incremental parser every byte source goes through and
+	// the appender the egress encoder renders entries with. enc is the
+	// whole-slice form, for hashing keys that arrived typed. width is the
+	// fixed encoded key size, 0 for variable-width (string) keys.
 	scan  keyio.ScanFunc[K]
+	app   func([]byte, K) []byte
+	enc   func([]K) []byte
+	width int64
+	// codec is the record codec both engines (mesh and fallback) are
+	// built with and upload spool files are written with, so the
+	// engine's spooled-sort readers can read them.
 	codec comm.Codec[K]
 }
 
 // newBackend builds the engine, scheduler and codec for one key domain.
-// Every engine gets the record codec upload spool files are written with
-// (typedBackend.codec); the engine unwraps the key codec for the radix
-// fast path either way.
+// The engine unwraps the record codec's key codec for the radix fast
+// path.
 func newBackend(kt dist.KeyType, cfg Config) (backend, error) {
 	switch kt {
 	case dist.KeyUint64:
 		b := &typedBackend[uint64]{
 			kt: kt, cfg: cfg,
-			mk: func(o core.Options) (*core.Engine[uint64], error) {
-				return core.NewEngine[uint64](o, comm.NewRecordCodec[uint64](comm.U64Codec{}))
-			},
-			enc:    keyio.EncodeUint64s,
-			dec:    keyio.DecodeUint64s,
 			parse:  parseU64,
 			format: func(k uint64) string { return strconv.FormatUint(k, 10) },
 			less:   func(a, b uint64) bool { return a < b },
 			gen:    func(g dist.Gen, n int, _ string) []uint64 { return g.Keys(n) },
 			fromJS: jsonU64,
 			scan:   keyio.ScanUint64s,
+			app:    keyio.AppendUint64,
+			enc:    keyio.EncodeUint64s,
+			width:  8,
 			codec:  comm.NewRecordCodec[uint64](comm.U64Codec{}),
 		}
 		return initBackend(b, cfg)
 	case dist.KeyFloat64:
 		b := &typedBackend[float64]{
 			kt: kt, cfg: cfg,
-			mk: func(o core.Options) (*core.Engine[float64], error) {
-				return core.NewEngine[float64](o, comm.NewRecordCodec[float64](comm.F64Codec{}))
-			},
-			enc:    keyio.EncodeFloat64s,
-			dec:    keyio.DecodeFloat64s,
 			parse:  parseF64,
 			format: func(k float64) string { return strconv.FormatFloat(k, 'g', -1, 64) },
 			less:   keyio.F64TotalLess,
 			gen:    func(g dist.Gen, n int, _ string) []float64 { return g.Floats(n) },
 			fromJS: jsonF64,
 			scan:   keyio.ScanFloat64s,
+			app:    keyio.AppendFloat64,
+			enc:    keyio.EncodeFloat64s,
+			width:  8,
 			codec:  comm.NewRecordCodec[float64](comm.F64Codec{}),
 		}
 		return initBackend(b, cfg)
 	case dist.KeyString:
 		b := &typedBackend[string]{
 			kt: kt, cfg: cfg,
-			mk: func(o core.Options) (*core.Engine[string], error) {
-				return core.NewEngine[string](o, comm.NewRecordCodec[string](comm.StringCodec{}))
-			},
-			enc:    keyio.EncodeStrings,
-			dec:    keyio.DecodeStrings,
 			parse:  func(s string) (string, error) { return s, nil },
 			format: func(k string) string { return k },
 			less:   func(a, b string) bool { return a < b },
 			gen:    func(g dist.Gen, n int, prefix string) []string { return g.Strings(n, prefix) },
 			fromJS: jsonStr,
 			scan:   keyio.ScanStrings,
+			app:    keyio.AppendString,
+			enc:    keyio.EncodeStrings,
 			codec:  comm.NewRecordCodec[string](comm.StringCodec{}),
 		}
 		return initBackend(b, cfg)
@@ -179,7 +177,7 @@ func newBackend(kt dist.KeyType, cfg Config) (backend, error) {
 
 // initBackend builds the mesh engine and scheduler common to every case.
 func initBackend[K cmp.Ordered](b *typedBackend[K], cfg Config) (backend, error) {
-	eng, err := b.mk(cfg.engineOptions())
+	eng, err := core.NewEngine[K](cfg.engineOptions(), b.codec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %s engine: %w", b.kt, err)
 	}
@@ -191,15 +189,15 @@ func initBackend[K cmp.Ordered](b *typedBackend[K], cfg Config) (backend, error)
 
 func (b *typedBackend[K]) keyType() dist.KeyType { return b.kt }
 
-func (b *typedBackend[K]) count(raw []byte) (int, error) {
-	keys, err := b.dec(raw)
-	if err != nil {
-		return 0, err
-	}
-	return len(keys), nil
+// fromKeys wraps keys that arrived typed. Their canonical bytes exist
+// only long enough to be hashed, so the dataset shares its cache entry
+// with the same keys sent as bytes.
+func (b *typedBackend[K]) fromKeys(keys []K) *dataset {
+	raw := b.enc(keys)
+	return &dataset{keys: keys, n: len(keys), size: len(raw), hash: hashJob(b.kt, raw)}
 }
 
-func (b *typedBackend[K]) canonJSON(vals []json.RawMessage) ([]byte, error) {
+func (b *typedBackend[K]) fromJSON(vals []json.RawMessage) (*dataset, error) {
 	keys := make([]K, len(vals))
 	for i, v := range vals {
 		k, err := b.fromJS(v)
@@ -208,27 +206,27 @@ func (b *typedBackend[K]) canonJSON(vals []json.RawMessage) ([]byte, error) {
 		}
 		keys[i] = k
 	}
-	return b.enc(keys), nil
+	return b.fromKeys(keys), nil
 }
 
-func (b *typedBackend[K]) generate(g dist.Gen, n int, prefix string) []byte {
-	return b.enc(b.gen(g, n, prefix))
+func (b *typedBackend[K]) generate(g dist.Gen, n int, prefix string) *dataset {
+	return b.fromKeys(b.gen(g, n, prefix))
 }
 
-func (b *typedBackend[K]) sort(ctx context.Context, raw []byte) ([]byte, core.Report, error) {
-	return b.sortOn(ctx, b.sched, b.procs, raw)
+func (b *typedBackend[K]) sort(ctx context.Context, ds *dataset) ([]byte, core.Report, error) {
+	return b.sortOn(ctx, b.sched, b.procs, ds)
 }
 
 // sortSingle runs the dataset on the single-node fallback engine. Every
 // dataset the daemon admits already lives in this process's memory, so
 // "fits on one node" is a policy question (Config.FallbackKeys), decided
 // by the caller — here we just run it.
-func (b *typedBackend[K]) sortSingle(ctx context.Context, raw []byte) ([]byte, core.Report, error) {
+func (b *typedBackend[K]) sortSingle(ctx context.Context, ds *dataset) ([]byte, core.Report, error) {
 	sched, err := b.fallback()
 	if err != nil {
 		return nil, core.Report{}, err
 	}
-	return b.sortOn(ctx, sched, 1, raw)
+	return b.sortOn(ctx, sched, 1, ds)
 }
 
 // fallback lazily builds the degraded single-node engine: one proc, the
@@ -248,7 +246,7 @@ func (b *typedBackend[K]) fallback() (*core.Scheduler[K], error) {
 		if b.cfg.Workers > 0 {
 			o.WorkersPerProc = b.cfg.Workers * b.procs
 		}
-		eng, err := b.mk(o)
+		eng, err := core.NewEngine[K](o, b.codec)
 		if err != nil {
 			b.fbErr = fmt.Errorf("serve: %s fallback engine: %w", b.kt, err)
 		} else {
@@ -269,36 +267,90 @@ func (b *typedBackend[K]) retries() int64 {
 	return n
 }
 
-// sortOn is the shared sort body: decode, split into procs blocks, run
-// through the given scheduler, re-encode.
-func (b *typedBackend[K]) sortOn(ctx context.Context, sched *core.Scheduler[K], procs int, raw []byte) ([]byte, core.Report, error) {
-	keys, err := b.dec(raw)
+// sortOn is the shared sort body: block-distribute the dataset's keys
+// over procs, run them through the given scheduler, and encode the answer
+// off the result's cursor into one buffer of exactly the input's size.
+func (b *typedBackend[K]) sortOn(ctx context.Context, sched *core.Scheduler[K], procs int, ds *dataset) ([]byte, core.Report, error) {
+	res, err := sched.RunOne(ctx, core.Blocks(ds.keys.([]K), procs))
 	if err != nil {
 		return nil, core.Report{}, err
 	}
-	res, err := sched.RunOne(ctx, blocks(keys, procs))
-	if err != nil {
+	out := bytes.NewBuffer(make([]byte, 0, ds.size))
+	if err := b.encode(res.Cursor(), out); err != nil {
 		return nil, core.Report{}, err
 	}
-	return b.enc(res.Keys()), res.Report.Snapshot(), nil
+	return out.Bytes(), res.Report.Snapshot(), nil
 }
 
-// ingest streams one canonical body. While the raw stream fits the
-// threshold, decoded keys accumulate and re-encode byte-identically to
-// the input (the canonical encodings are bijective), so the resident
-// path feeds the same bytes to the cache hash that io.ReadAll used to.
-// Past the threshold the accumulation replays into a spill run file and
+// encodeWindow is how many entries the egress encoder renders per write:
+// 64KB of fixed-width keys, enough to amortize a socket write, small
+// enough that the encoder's scratch is noise next to any dataset.
+const encodeWindow = 8192
+
+// encode is the one egress encoder: it drains a cursor of sorted entries —
+// a resident result's parts or a spooled job's final merge — and writes
+// their keys to w in the canonical format, a window at a time through one
+// reused scratch buffer.
+func (b *typedBackend[K]) encode(cur lsort.Cursor[comm.Entry[K]], w io.Writer) error {
+	buf := make([]byte, 0, encodeWindow*8) // exact for fixed-width keys; string windows grow it
+	for {
+		batch, err := cur.Next()
+		if err != nil {
+			return err
+		}
+		if len(batch) == 0 {
+			return nil
+		}
+		for len(batch) > 0 {
+			window := batch[:min(len(batch), encodeWindow)]
+			batch = batch[len(window):]
+			buf = buf[:0]
+			for _, e := range window {
+				buf = b.app(buf, e.Key)
+			}
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// ingest streams one canonical byte source into a dataset, feeding the
+// job's content hash from the bytes as they stream past. The canonical
+// encodings are bijective — a body the decoder accepts is byte for byte
+// what re-encoding its keys would give — so the hash of the wire bytes is
+// the hash of the dataset, and no canonical copy is ever built just to be
+// hashed. While the raw stream fits the spool threshold, decoded keys
+// accumulate. Past it the accumulation replays into a spill run file and
 // every further batch follows it — the body's resident footprint stays
-// one decoder window plus one batch, however large the upload.
-func (b *typedBackend[K]) ingest(r io.Reader, spoolPath string, threshold int64, blockBytes, maxKeys, attempts int) (*ingestResult, *apiError) {
-	dec := keyio.NewStreamDecoder(r, b.scan, 0)
+// one decoder window plus one batch, however large the upload — and the
+// hash stops there: spooled jobs bypass the result cache, so they never
+// pay for one.
+func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*dataset, *apiError) {
+	threshold := b.cfg.SpoolThreshold
+	if spoolPath == "" {
+		threshold = -1
+	}
+	h := newJobHash(b.kt)
+	tap := struct{ io.Writer }{h} // repointed at io.Discard to stop hashing mid-stream
+	dec := keyio.NewStreamDecoder(io.TeeReader(r, &tap), b.scan, 0)
 	var (
 		keys []K
 		w    *spill.Writer[K]
 		ents []comm.Entry[K]
 		n    int
 	)
-	fail := func(apiErr *apiError) (*ingestResult, *apiError) {
+	if b.width > 0 && length > 0 {
+		// One allocation for a resident body of announced size. The
+		// announcement is a client's word, so it is capped by what the
+		// server would hold resident anyway.
+		room := min(length, int64(b.cfg.MaxKeys)*b.width)
+		if threshold >= 0 {
+			room = min(room, threshold)
+		}
+		keys = make([]K, 0, room/b.width)
+	}
+	fail := func(apiErr *apiError) (*dataset, *apiError) {
 		if w != nil {
 			w.Abort() // closes and removes the partial run file
 		}
@@ -320,7 +372,7 @@ func (b *typedBackend[K]) ingest(r io.Reader, spoolPath string, threshold int64,
 			if err == nil {
 				return nil
 			}
-			if core.Classify(err) == core.FailTransient && attempt < attempts {
+			if core.Classify(err) == core.FailTransient && attempt < b.cfg.RetryAttempts {
 				continue
 			}
 			return uploadError(err, b.kt)
@@ -332,16 +384,17 @@ func (b *typedBackend[K]) ingest(r io.Reader, spoolPath string, threshold int64,
 		batch, err = dec.Next(batch[:0])
 		if len(batch) > 0 {
 			n += len(batch)
-			if n > maxKeys {
+			if n > b.cfg.MaxKeys {
 				return fail(&apiError{http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("%d keys exceeds the %d-key limit", n, maxKeys)})
+					fmt.Sprintf("%d keys exceeds the %d-key limit", n, b.cfg.MaxKeys)})
 			}
 			if w == nil && threshold >= 0 && dec.BytesRead() > threshold {
-				sw, werr := spill.NewWriter(spoolPath, b.codec, blockBytes)
+				sw, werr := spill.NewWriter(spoolPath, b.codec, uploadBlockBytes(b.cfg.MemoryBudget))
 				if werr != nil {
 					return fail(uploadError(werr, b.kt))
 				}
 				w = sw
+				tap.Writer = io.Discard
 				if len(keys) > 0 {
 					if apiErr := spoolBatch(keys); apiErr != nil {
 						return fail(apiErr)
@@ -369,37 +422,24 @@ func (b *typedBackend[K]) ingest(r io.Reader, spoolPath string, threshold int64,
 			w.Abort()
 			return nil, uploadError(err, b.kt)
 		}
-		return &ingestResult{spool: spoolPath, n: n}, nil
+		return &dataset{spool: spoolPath, n: n}, nil
 	}
-	return &ingestResult{resident: b.enc(keys), n: n}, nil
+	ds := &dataset{keys: keys, n: n, size: int(dec.BytesRead())}
+	h.Sum(ds.hash[:0])
+	return ds, nil
 }
 
 // sortSpooledTo runs one spooled upload out of core and streams the
-// answer: each final-merge batch re-encodes and goes straight to w, so
-// the response never exists whole in memory.
-func (b *typedBackend[K]) sortSpooledTo(ctx context.Context, path string, n int, w io.Writer) (core.Report, error) {
-	res, err := b.sched.RunOneSpooled(ctx, core.SpooledInput{Path: path, N: n, ReadSite: FpSpoolRead})
+// answer: the final merge's batches go through the egress encoder
+// straight to w, so the response never exists whole in memory.
+func (b *typedBackend[K]) sortSpooledTo(ctx context.Context, ds *dataset, w io.Writer) (core.Report, error) {
+	res, err := b.sched.RunOneSpooled(ctx, core.SpooledInput{Path: ds.spool, N: ds.n, ReadSite: FpSpoolRead})
 	if err != nil {
 		return core.Report{}, err
 	}
-	keys := make([]K, 0, 4096)
-	for {
-		batch, berr := res.Next()
-		if berr != nil {
-			res.Close()
-			return core.Report{}, berr
-		}
-		if len(batch) == 0 {
-			break
-		}
-		keys = keys[:0]
-		for _, e := range batch {
-			keys = append(keys, e.Key)
-		}
-		if _, werr := w.Write(b.enc(keys)); werr != nil {
-			res.Close()
-			return core.Report{}, werr
-		}
+	if err := b.encode(res, w); err != nil {
+		res.Close()
+		return core.Report{}, err
 	}
 	// Close settles TempPeakBytes and the spill counters in the report.
 	if cerr := res.Close(); cerr != nil {
@@ -408,48 +448,36 @@ func (b *typedBackend[K]) sortSpooledTo(ctx context.Context, path string, n int,
 	return res.Report.Snapshot(), nil
 }
 
-func (b *typedBackend[K]) topk(raw []byte, k int, bottom bool) (*topkAnswer, error) {
-	keys, err := b.dec(raw)
-	if err != nil {
-		return nil, err
-	}
-	parts := blocks(keys, b.procs)
-	var res *core.TopKResult[K]
+func (b *typedBackend[K]) topk(ds *dataset, k int, bottom bool) ([]topkEntry, int64, error) {
+	sel := b.eng.TopK
 	if bottom {
-		res, err = b.eng.BottomK(parts, k)
-	} else {
-		res, err = b.eng.TopK(parts, k)
+		sel = b.eng.BottomK
 	}
+	res, err := sel(core.Blocks(ds.keys.([]K), b.procs), k)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	ans := &topkAnswer{N: len(keys), Bytes: res.BytesSent, Elapsed: res.Duration}
-	for _, e := range res.Entries {
-		ans.Keys = append(ans.Keys, b.format(e.Key))
-		ans.Procs = append(ans.Procs, int(e.Proc))
+	entries := make([]topkEntry, len(res.Entries))
+	for i, e := range res.Entries {
+		entries[i] = topkEntry{Key: b.format(e.Key), Proc: int(e.Proc)}
 	}
-	return ans, nil
+	return entries, res.BytesSent, nil
 }
 
-func (b *typedBackend[K]) rank(raw []byte, target string) (*rankAnswer, error) {
-	keys, err := b.dec(raw)
-	if err != nil {
-		return nil, err
-	}
+func (b *typedBackend[K]) rank(ds *dataset, target string) (rank, count int, err error) {
 	t, err := b.parse(target)
 	if err != nil {
-		return nil, fmt.Errorf("key: %w", err)
+		return 0, 0, fmt.Errorf("key: %w", err)
 	}
-	ans := &rankAnswer{N: len(keys)}
-	for _, k := range keys {
+	for _, k := range ds.keys.([]K) {
 		switch {
 		case b.less(k, t):
-			ans.Rank++
+			rank++
 		case !b.less(t, k):
-			ans.Count++
+			count++
 		}
 	}
-	return ans, nil
+	return rank, count, nil
 }
 
 func (b *typedBackend[K]) close() error {
@@ -462,23 +490,6 @@ func (b *typedBackend[K]) close() error {
 		}
 	}
 	return err
-}
-
-// blocks splits data into p contiguous parts, sizes differing by at most
-// one — the same block distribution the CLI and facade use.
-func blocks[K any](data []K, p int) [][]K {
-	parts := make([][]K, p)
-	base, rem := len(data)/p, len(data)%p
-	off := 0
-	for i := range parts {
-		n := base
-		if i < rem {
-			n++
-		}
-		parts[i] = data[off : off+n]
-		off += n
-	}
-	return parts
 }
 
 // parseU64 accepts decimal uint64 text (the JSON-safe string form).

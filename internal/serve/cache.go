@@ -3,15 +3,16 @@ package serve
 import (
 	"container/list"
 	"crypto/sha256"
+	"hash"
 	"sync"
 
 	"pgxsort/internal/dist"
 )
 
-// resultCache deduplicates repeated sorts: identical (key type, record
-// payload size, input bytes) triples map to the same content hash, and a
-// hit returns the stored canonical sorted bytes without touching the
-// engine. Entries are evicted least-recently-used once the stored bytes
+// resultCache deduplicates repeated sorts: identical (key type, canonical
+// input bytes) pairs map to the same content hash — whatever request
+// shape carried them — and a hit returns the stored canonical sorted
+// bytes without touching the engine. Entries are evicted least-recently-used once the stored bytes
 // exceed the byte budget. A nil budget (Config.CacheBytes < 0) disables
 // the cache entirely; every call is then a miss that never stores.
 type resultCache struct {
@@ -30,7 +31,6 @@ type cacheKey [sha256.Size]byte
 type cacheEntry struct {
 	key    cacheKey
 	sorted []byte
-	n      int
 }
 
 func newResultCache(budget, entryFrac int64) *resultCache {
@@ -46,13 +46,21 @@ func newResultCache(budget, entryFrac int64) *resultCache {
 	return c
 }
 
-// hashJob derives the content address of one sort job. The scheme is
-// versioned so a format change cannot alias old entries.
-func hashJob(kt dist.KeyType, raw []byte) cacheKey {
+// newJobHash starts the content address of one sort job: write the
+// dataset's canonical bytes, then Sum. The scheme is versioned so a format
+// change cannot alias old entries.
+func newJobHash(kt dist.KeyType) hash.Hash {
 	h := sha256.New()
 	h.Write([]byte("pgxsortd/v1\x00"))
 	h.Write([]byte(kt))
 	h.Write([]byte{0})
+	return h
+}
+
+// hashJob is the content address of a dataset whose canonical bytes are
+// in hand.
+func hashJob(kt dist.KeyType, raw []byte) cacheKey {
+	h := newJobHash(kt)
 	h.Write(raw)
 	var k cacheKey
 	h.Sum(k[:0])
@@ -60,29 +68,28 @@ func hashJob(kt dist.KeyType, raw []byte) cacheKey {
 }
 
 // get returns the cached sorted bytes for key, if present.
-func (c *resultCache) get(key cacheKey) ([]byte, int, bool) {
+func (c *resultCache) get(key cacheKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey == nil {
 		c.misses++
-		return nil, 0, false
+		return nil, false
 	}
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses++
-		return nil, 0, false
+		return nil, false
 	}
 	c.lru.MoveToFront(el)
 	c.hits++
-	e := el.Value.(*cacheEntry)
-	return e.sorted, e.n, true
+	return el.Value.(*cacheEntry).sorted, true
 }
 
 // put stores one result, evicting LRU entries past the byte budget.
 // Results larger than the per-entry cap are not stored: one huge
 // answer caching itself would evict the cache's whole working set for
 // a single entry that is cheap to recompute relative to its size.
-func (c *resultCache) put(key cacheKey, sorted []byte, n int) {
+func (c *resultCache) put(key cacheKey, sorted []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey == nil {
@@ -96,7 +103,7 @@ func (c *resultCache) put(key cacheKey, sorted []byte, n int) {
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, sorted: sorted, n: n})
+	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, sorted: sorted})
 	c.bytes += int64(len(sorted))
 	for c.bytes > c.budget {
 		el := c.lru.Back()

@@ -30,7 +30,7 @@ func newGovernor(budget int64) *governor {
 // residentJobBytes estimates the resident footprint of an n-key job
 // that runs fully in memory: decoded keys, the engine's entry slabs
 // (roughly 2x48 bytes per entry across sort and exchange), and the
-// re-encoded result.
+// encoded result.
 func residentJobBytes(n int) int64 {
 	return int64(n)*112 + 1<<20
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -48,8 +49,9 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// apiError carries an HTTP status with its message through the request
-// pipeline; writeError renders it as the JSON error envelope.
+// apiError is a request that produced no answer — malformed, turned away
+// at the front door or failed in the engine: the HTTP status and the
+// message for the error envelope and the job log.
 type apiError struct {
 	status int
 	msg    string
@@ -157,27 +159,47 @@ func (s *Server) maxBody() int64 {
 	return int64(s.cfg.MaxKeys)*24 + 1<<20
 }
 
-// decodeRequest parses the shared JSON body. A body over the byte limit
-// is 413, not 400 — the JSON is not malformed, it is too big, and the
-// client should hear the same status the binary shape answers.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*sortRequest, *apiError) {
+// decodeRequest parses the shared JSON body into req. A body over the
+// byte limit is 413, not 400 — the JSON is not malformed, it is too big,
+// and the client should hear the same status the binary shape answers.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req *sortRequest) *apiError {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody())
-	var req sortRequest
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return nil, &apiError{http.StatusRequestEntityTooLarge,
+			return &apiError{http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("body exceeds the %d-byte limit", mbe.Limit)}
 		}
-		return nil, badRequest("invalid JSON body: %v", err)
+		return badRequest("invalid JSON body: %v", err)
 	}
-	return &req, nil
+	return nil
 }
 
-// resolveDataset turns the request's dataset source into canonical bytes.
-func (s *Server) resolveDataset(b backend, req *sortRequest) (raw []byte, n int, apiErr *apiError) {
+// binarySortRequest reads the octet-stream shape's query parameters into
+// req.
+func binarySortRequest(r *http.Request, req *sortRequest) *apiError {
+	q := r.URL.Query()
+	req.Tenant = q.Get("tenant")
+	req.KeyType = q.Get("key_type")
+	req.NoCache = q.Get("no_cache") == "true"
+	if v := q.Get("deadline_ms"); v != "" {
+		d, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || d < 0 {
+			return badRequest("deadline_ms: %q is not a non-negative integer", v)
+		}
+		req.DeadlineMS = d
+	}
+	if q.Has("recbytes") {
+		// Same answer the JSON shape gives the retired field.
+		return badRequest("recbytes is not supported: the service sorts keys only")
+	}
+	return nil
+}
+
+// resolveDataset turns a JSON request's dataset source into a dataset.
+func (s *Server) resolveDataset(b backend, req *sortRequest) (*dataset, *apiError) {
 	sources := 0
 	if req.Keys != nil {
 		sources++
@@ -189,49 +211,144 @@ func (s *Server) resolveDataset(b backend, req *sortRequest) (raw []byte, n int,
 		sources++
 	}
 	if sources != 1 {
-		return nil, 0, badRequest("supply exactly one of keys, keys_b64 or dist (got %d)", sources)
+		return nil, badRequest("supply exactly one of keys, keys_b64 or dist (got %d)", sources)
 	}
+	var ds *dataset
 	switch {
 	case req.Keys != nil:
 		var err error
-		raw, err = b.canonJSON(req.Keys)
+		ds, err = b.fromJSON(req.Keys)
 		if err != nil {
-			return nil, 0, badRequest("%v", err)
+			return nil, badRequest("%v", err)
 		}
-		n = len(req.Keys)
 	case req.KeysB64 != "":
-		var err error
-		raw, err = base64.StdEncoding.DecodeString(req.KeysB64)
+		raw, err := base64.StdEncoding.DecodeString(req.KeysB64)
 		if err != nil {
-			return nil, 0, badRequest("keys_b64: %v", err)
+			return nil, badRequest("keys_b64: %v", err)
 		}
-		n, err = b.count(raw)
-		if err != nil {
-			return nil, 0, badRequest("keys_b64: %v", err)
+		// The same parser an octet-stream body goes through, never
+		// spooling: the request already holds the bytes.
+		var apiErr *apiError
+		ds, apiErr = b.ingest(bytes.NewReader(raw), int64(len(raw)), "")
+		if apiErr != nil {
+			return nil, &apiError{apiErr.status, "keys_b64: " + apiErr.msg}
 		}
 	default:
 		spec := req.Dist
 		if spec.N <= 0 {
-			return nil, 0, badRequest("dist.n must be positive")
+			return nil, badRequest("dist.n must be positive")
 		}
 		if spec.N > s.cfg.MaxKeys {
-			return nil, 0, &apiError{http.StatusRequestEntityTooLarge, fmt.Sprintf("dist.n %d exceeds the %d-key limit", spec.N, s.cfg.MaxKeys)}
+			return nil, &apiError{http.StatusRequestEntityTooLarge, fmt.Sprintf("dist.n %d exceeds the %d-key limit", spec.N, s.cfg.MaxKeys)}
 		}
 		kind := dist.Uniform
 		if spec.Kind != "" {
 			var err error
 			kind, err = dist.ParseKind(spec.Kind)
 			if err != nil {
-				return nil, 0, badRequest("dist.kind: %v", err)
+				return nil, badRequest("dist.kind: %v", err)
 			}
 		}
-		raw = b.generate(dist.Gen{Kind: kind, Seed: spec.Seed, Domain: spec.Domain}, spec.N, spec.Prefix)
-		n = spec.N
+		ds = b.generate(dist.Gen{Kind: kind, Seed: spec.Seed, Domain: spec.Domain}, spec.N, spec.Prefix)
 	}
-	if n > s.cfg.MaxKeys {
-		return nil, 0, &apiError{http.StatusRequestEntityTooLarge, fmt.Sprintf("%d keys exceeds the %d-key limit", n, s.cfg.MaxKeys)}
+	if ds.n > s.cfg.MaxKeys {
+		return nil, &apiError{http.StatusRequestEntityTooLarge, fmt.Sprintf("%d keys exceeds the %d-key limit", ds.n, s.cfg.MaxKeys)}
 	}
-	return raw, n, nil
+	return ds, nil
+}
+
+// job is one request from open to finish: who asked, for what, through
+// which door, and the dataset it brought. Every endpoint's accounting —
+// pgxsortd_jobs_total, the /debug/jobs record, the error envelope —
+// happens in finish and nowhere else.
+type job struct {
+	s        *Server
+	w        http.ResponseWriter
+	id       string
+	endpoint string // "sort", "topk" or "rank"
+	binary   bool   // the octet-stream shape of /v1/sort
+	start    time.Time
+	req      sortRequest
+	b        backend  // nil until the key domain resolved
+	ds       *dataset // nil until the dataset resolved
+	sent     int64    // response body bytes streamed through Write
+}
+
+// open is the prologue every endpoint shares: mint the job, parse the
+// request in whichever shape it came, resolve its key domain, and decode
+// its dataset — once. A request that fails any of it is answered and
+// accounted here, and open returns nil.
+func (s *Server) open(w http.ResponseWriter, r *http.Request, endpoint string) *job {
+	j := &job{s: s, w: w, id: s.jobID(), endpoint: endpoint, start: time.Now()}
+	j.binary = endpoint == "sort" && strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream")
+	if apiErr := j.load(r); apiErr != nil {
+		j.reject(apiErr)
+		return nil
+	}
+	return j
+}
+
+// load fills in the job's request, backend and dataset, in that order,
+// stopping at the first that cannot be had.
+func (j *job) load(r *http.Request) *apiError {
+	var apiErr *apiError
+	if j.binary {
+		apiErr = binarySortRequest(r, &j.req)
+	} else {
+		apiErr = j.s.decodeRequest(j.w, r, &j.req)
+	}
+	if apiErr != nil {
+		return apiErr
+	}
+	if j.b, apiErr = j.s.backendFor(j.req.KeyType); apiErr != nil {
+		return apiErr
+	}
+	if j.binary {
+		// Streaming ingress: the body decodes as it arrives and never
+		// accumulates whole — past the spool threshold it lands in a
+		// spill-tier run file instead.
+		j.ds, apiErr = j.s.ingestBinary(j.w, r, j.b, j.id)
+	} else {
+		j.ds, apiErr = j.s.resolveDataset(j.b, &j.req)
+	}
+	return apiErr
+}
+
+// Write streams response body bytes, counting them: once any are on the
+// wire an error status can no longer be sent, and finish knows it.
+func (j *job) Write(p []byte) (int, error) {
+	n, err := j.w.Write(p)
+	j.sent += int64(n)
+	return n, err
+}
+
+// finish is the one exit: it counts the request, logs it, and — when it
+// failed before any body byte left — answers with the error envelope.
+func (j *job) finish(status int, err error, cached bool, rep *core.Report) {
+	elapsed := time.Since(j.start)
+	j.s.met.jobDone(j.endpoint, strconv.Itoa(status), elapsed)
+	j.s.jobs.add(newJobRecord(j, status, err, cached, elapsed, rep))
+	if err != nil && j.sent == 0 {
+		j.s.writeError(j.w, status, err.Error())
+	}
+}
+
+// fail finishes a job that was turned away or died in the engine.
+func (j *job) fail(e *apiError) { j.finish(e.status, e, false, nil) }
+
+// reject fails a request refused for what it asked, counting why.
+func (j *job) reject(apiErr *apiError) {
+	switch apiErr.status {
+	case http.StatusBadRequest:
+		j.s.met.reject("bad_request")
+	case http.StatusRequestEntityTooLarge:
+		j.s.met.reject("too_large")
+	case http.StatusRequestTimeout:
+		j.s.met.reject("slow_client")
+	case http.StatusInsufficientStorage:
+		j.s.met.reject("spool_disk_full")
+	}
+	j.fail(apiErr)
 }
 
 // jobCtx applies the effective deadline: the request's deadline_ms,
@@ -244,47 +361,39 @@ func (s *Server) jobCtx(r *http.Request, deadlineMS int64) (context.Context, con
 	return context.WithTimeout(r.Context(), d)
 }
 
-// jobError is a job that produced no answer — turned away at the front
-// door or failed in the engine: the HTTP status and the error for the
-// envelope and the job log.
-type jobError struct {
-	status int
-	err    error
-}
-
 // admit is the one front door every job — sort, spooled sort, top-k, rank
 // — passes before it may use an engine: draining check, the
 // serve/admission failpoint, the effective deadline, then the bounded
 // queue and the tenant's slot. On success it returns the job's context
 // and a release func the caller must defer; otherwise why not (a full
 // queue is counted in pgxsortd_rejected_total here, once for every door).
-func (s *Server) admit(r *http.Request, req *sortRequest) (context.Context, func(), *jobError) {
+func (s *Server) admit(r *http.Request, req *sortRequest) (context.Context, func(), *apiError) {
 	// Counting into jobsWG before re-checking draining closes the race
 	// with Close: either Close sees our count and waits, or we see its
 	// draining flag and refuse.
 	s.jobsWG.Add(1)
 	ctx, cancel := s.jobCtx(r, req.DeadlineMS)
-	refuse := func(status int, err error) (context.Context, func(), *jobError) {
+	refuse := func(status int, format string, args ...any) (context.Context, func(), *apiError) {
 		cancel()
 		s.jobsWG.Done()
-		return nil, nil, &jobError{status: status, err: err}
+		return nil, nil, &apiError{status, fmt.Sprintf(format, args...)}
 	}
 	if s.draining.Load() {
-		return refuse(http.StatusServiceUnavailable, errors.New("server is draining"))
+		return refuse(http.StatusServiceUnavailable, "server is draining")
 	}
 	if ferr := failpoint.HitNoPanic(fpAdmission); ferr != nil {
-		return refuse(http.StatusServiceUnavailable, fmt.Errorf("admission refused: %w", ferr))
+		return refuse(http.StatusServiceUnavailable, "admission refused: %v", ferr)
 	}
 	release, st := s.adm.begin(ctx, req.Tenant)
 	switch st {
 	case admitQueueFull:
 		s.met.reject("queue_full")
-		return refuse(http.StatusTooManyRequests, errors.New("admission queue is full; retry later"))
+		return refuse(http.StatusTooManyRequests, "admission queue is full; retry later")
 	case admitDeadline:
 		if errors.Is(ctx.Err(), context.Canceled) {
-			return refuse(StatusClientClosedRequest, fmt.Errorf("client went away waiting for tenant slot: %w", ctx.Err()))
+			return refuse(StatusClientClosedRequest, "client went away waiting for tenant slot: %v", ctx.Err())
 		}
-		return refuse(http.StatusGatewayTimeout, fmt.Errorf("deadline expired waiting for tenant slot: %v", ctx.Err()))
+		return refuse(http.StatusGatewayTimeout, "deadline expired waiting for tenant slot: %v", ctx.Err())
 	}
 	s.met.jobStart()
 	return ctx, func() {
@@ -300,15 +409,15 @@ func (s *Server) admit(r *http.Request, req *sortRequest) (context.Context, func
 // the release func the caller must defer, or why not: 413 for a footprint
 // that could never fit, 429 for one that does not fit right now — both
 // counted in pgxsortd_rejected_total here, once for every door.
-func (s *Server) reserve(need int64) (func(), *jobError) {
+func (s *Server) reserve(need int64) (func(), *apiError) {
 	if s.gov.oversized(need) {
 		s.met.reject("too_large")
-		return nil, &jobError{http.StatusRequestEntityTooLarge,
-			fmt.Errorf("job needs ~%d bytes resident, over the %d-byte memory budget", need, s.cfg.GovernorBudget)}
+		return nil, &apiError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("job needs ~%d bytes resident, over the %d-byte memory budget", need, s.cfg.GovernorBudget)}
 	}
 	if !s.gov.reserve(need) {
 		s.met.reject("mem_budget")
-		return nil, &jobError{http.StatusTooManyRequests, errors.New("memory budget exhausted; retry later")}
+		return nil, &apiError{http.StatusTooManyRequests, "memory budget exhausted; retry later"}
 	}
 	return func() { s.gov.release(need) }, nil
 }
@@ -319,179 +428,122 @@ func (s *Server) reserve(need int64) (func(), *jobError) {
 // The octet-stream shape answers with the canonical sorted bytes —
 // byte-identical to what `pgxsort sort` writes to disk.
 func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	binary := strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream")
-	id := s.jobID()
-	var req *sortRequest
-	var b backend
-	var raw []byte
-	var n int
-	var apiErr *apiError
-	var spool string
-	if binary {
-		req, apiErr = s.binarySortRequest(r)
-		if apiErr == nil {
-			b, apiErr = s.lookupBackend(req.KeyType)
-		}
-		if apiErr == nil {
-			// Streaming ingress: the body decodes as it arrives and never
-			// accumulates whole — past the spool threshold it lands in a
-			// spill-tier run file instead.
-			var ing *ingestResult
-			ing, apiErr = s.ingestBinary(w, r, b, id)
-			if apiErr == nil {
-				raw, n, spool = ing.resident, ing.n, ing.spool
-				if spool != "" {
-					defer os.Remove(spool)
-				}
-			}
-		}
-	} else {
-		req, apiErr = s.decodeRequest(w, r)
-		if apiErr == nil {
-			b, apiErr = s.lookupBackend(req.KeyType)
-		}
-		if apiErr == nil {
-			raw, n, apiErr = s.resolveDataset(b, req)
-		}
-	}
-	if apiErr != nil {
-		s.rejectRequest(w, "sort", apiErr, start)
+	j := s.open(w, r, "sort")
+	if j == nil {
 		return
 	}
-
-	log := func(status int, err error, cached bool, rep *core.Report) {
-		s.jobs.add(newJobRecord(id, req.Tenant, "sort", b.keyType(), n, status, err, cached, time.Since(start), rep))
-	}
-
-	if spool != "" {
-		s.runSortSpooled(w, r, id, b, req, spool, n, start, log)
+	if j.ds.spool != "" {
+		defer os.Remove(j.ds.spool)
+		s.sortSpooled(j, r)
 		return
 	}
 
 	// Cache probe: hits bypass admission entirely — a cached answer
 	// costs no engine capacity, so overload must not refuse it.
-	ckey := hashJob(b.keyType(), raw)
-	if !req.NoCache {
-		if sorted, cn, ok := s.cache.get(ckey); ok {
-			s.met.jobDone("sort", "200", time.Since(start))
-			log(http.StatusOK, nil, true, nil)
-			s.writeSorted(w, r, binary, id, b, sorted, cn, true, false, start, nil)
+	if !j.req.NoCache {
+		if sorted, ok := s.cache.get(j.ds.hash); ok {
+			j.finish(http.StatusOK, nil, true, nil)
+			j.writeSorted(sorted, true, false, nil)
 			return
 		}
 	}
 
-	fail := func(jerr *jobError) {
-		s.met.jobDone("sort", strconv.Itoa(jerr.status), time.Since(start))
-		log(jerr.status, jerr.err, false, nil)
-		s.writeError(w, jerr.status, jerr.err.Error())
-	}
 	// Governor: a resident job holds its decoded keys, entry slabs and
-	// re-encoded result in this process.
-	release, jerr := s.reserve(residentJobBytes(n))
+	// encoded result in this process.
+	release, jerr := s.reserve(residentJobBytes(j.ds.n))
 	if jerr != nil {
-		fail(jerr)
+		j.fail(jerr)
 		return
 	}
 	defer release()
 
-	sorted, rep, degraded, jerr := s.runSort(r, b, req, raw, n)
+	sorted, rep, degraded, jerr := s.runSort(r, j)
 	if jerr != nil {
-		fail(jerr)
+		j.fail(jerr)
 		return
 	}
 	s.gov.notePeak(rep.TempPeakBytes)
-	if !req.NoCache {
+	if !j.req.NoCache {
 		if ferr := failpoint.HitNoPanic(fpCachePut); ferr == nil {
-			s.cache.put(ckey, sorted, n)
+			s.cache.put(j.ds.hash, sorted)
 		}
 	}
-	s.met.jobDone("sort", "200", time.Since(start))
-	log(http.StatusOK, nil, false, &rep)
-	s.writeSorted(w, r, binary, id, b, sorted, n, false, degraded, start, &rep)
+	j.finish(http.StatusOK, nil, false, &rep)
+	j.writeSorted(sorted, false, degraded, &rep)
 }
 
-// runSortSpooled takes one spooled upload through admission and streams
+// sortSpooled takes one spooled upload through admission and streams
 // the sorted answer chunked, straight off the final-merge cursor. The
 // spooled path never touches the mesh — run formation and merging read
 // the spill tier on this node — so there is no breaker to consult and no
 // single-node fallback to degrade to. The result cache is bypassed too:
-// hashing the body would mean reading the spool twice, and an answer too
-// big to hold resident is exactly the answer a byte-budgeted cache must
-// not store.
-func (s *Server) runSortSpooled(w http.ResponseWriter, r *http.Request, id string, b backend, req *sortRequest, spool string, n int, start time.Time, log func(int, error, bool, *core.Report)) {
-	fail := func(status int, err error) {
-		s.met.jobDone("sort", strconv.Itoa(status), time.Since(start))
-		log(status, err, false, nil)
-		s.writeError(w, status, err.Error())
-	}
-
+// an answer too big to hold resident is exactly the answer a
+// byte-budgeted cache must not store, which is why ingest stopped hashing
+// the body the moment it spooled.
+func (s *Server) sortSpooled(j *job, r *http.Request) {
 	s.gov.noteSpooled()
 	release, jerr := s.reserve(spooledJobBytes(s.cfg.SpoolThreshold))
 	if jerr != nil {
-		fail(jerr.status, jerr.err)
+		j.fail(jerr)
 		return
 	}
 	defer release()
 
-	ctx, done, jerr := s.admit(r, req)
+	ctx, done, jerr := s.admit(r, &j.req)
 	if jerr != nil {
-		fail(jerr.status, jerr.err)
+		j.fail(jerr)
 		return
 	}
 	defer done()
 
-	h := w.Header()
+	h := j.w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Pgxsortd-Job", id)
-	h.Set("X-Pgxsortd-N", strconv.Itoa(n))
+	h.Set("X-Pgxsortd-Job", j.id)
+	h.Set("X-Pgxsortd-N", strconv.Itoa(j.ds.n))
 	h.Set("X-Pgxsortd-Cache", "bypass")
 	h.Set("X-Pgxsortd-Spooled", "true")
 	// The measured peak only exists after the stream ends, so it rides a
 	// trailer; announce it before the first body write.
 	h.Set("Trailer", "X-Pgxsortd-Temp-Peak")
-	cw := &countingWriter{w: w}
-	rep, err := b.sortSpooledTo(ctx, spool, n, cw)
+	rep, err := j.b.sortSpooledTo(ctx, j.ds, j)
 	if err != nil {
-		if cw.n == 0 {
+		if j.sent == 0 {
 			// Nothing on the wire yet: unstage the success headers and
 			// answer with a real error status.
 			for _, k := range []string{"Trailer", "X-Pgxsortd-Job", "X-Pgxsortd-N", "X-Pgxsortd-Cache", "X-Pgxsortd-Spooled"} {
 				h.Del(k)
 			}
-			jerr := sortStatus(err)
-			fail(jerr.status, jerr.err)
+			j.fail(sortStatus(err))
 			return
 		}
 		// Mid-stream failure: 200 is already on the wire, so cutting the
 		// connection is the only honest signal left to the client.
-		s.met.jobDone("sort", strconv.Itoa(http.StatusInternalServerError), time.Since(start))
-		log(http.StatusInternalServerError, err, false, nil)
+		j.finish(http.StatusInternalServerError, err, false, nil)
 		panic(http.ErrAbortHandler)
 	}
 	h.Set("X-Pgxsortd-Temp-Peak", strconv.FormatInt(rep.TempPeakBytes, 10))
 	s.gov.notePeak(rep.TempPeakBytes)
 	s.met.absorb(&rep)
-	s.met.jobDone("sort", "200", time.Since(start))
-	log(http.StatusOK, nil, false, &rep)
+	j.finish(http.StatusOK, nil, false, &rep)
 }
 
-// runSort takes one resolved dataset through admission and the engine.
+// runSort takes one resident dataset through admission and the engine.
 // degraded reports the job ran on the single-node fallback because the
 // keytype's breaker considers the mesh dead (or it died under this very
 // job and the fallback rescued the answer in-request).
-func (s *Server) runSort(r *http.Request, b backend, req *sortRequest, raw []byte, n int) (sorted []byte, rep core.Report, degraded bool, jerr *jobError) {
-	ctx, done, jerr := s.admit(r, req)
+func (s *Server) runSort(r *http.Request, j *job) (sorted []byte, rep core.Report, degraded bool, jerr *apiError) {
+	ctx, done, jerr := s.admit(r, &j.req)
 	if jerr != nil {
 		return nil, rep, false, jerr
 	}
 	defer done()
 
+	b := j.b
 	br := s.breakers[b.keyType()]
-	canFallback := s.cfg.FallbackKeys >= 0 && n <= s.cfg.FallbackKeys
+	canFallback := s.cfg.FallbackKeys >= 0 && j.ds.n <= s.cfg.FallbackKeys
 	route := br.route()
 	if route == routeFallback && canFallback {
-		sorted, rep, err := b.sortSingle(ctx, raw)
+		sorted, rep, err := b.sortSingle(ctx, j.ds)
 		if err != nil {
 			return nil, rep, false, sortStatus(err)
 		}
@@ -502,7 +554,7 @@ func (s *Server) runSort(r *http.Request, b backend, req *sortRequest, raw []byt
 
 	// Mesh path: routeMesh, routeProbe — and routeFallback for a job too
 	// large to degrade, which has nowhere to go but the mesh.
-	sorted, rep, err := b.sort(ctx, raw)
+	sorted, rep, err := b.sort(ctx, j.ds)
 	if err == nil {
 		br.onSuccess()
 		s.met.absorb(&rep)
@@ -515,7 +567,7 @@ func (s *Server) runSort(r *http.Request, b backend, req *sortRequest, raw []byt
 		if canFallback && ctx.Err() == nil {
 			// The mesh died under this job. Rescue it in-request on the
 			// fallback instead of making the client eat a 500 and resubmit.
-			if fsorted, frep, ferr := b.sortSingle(ctx, raw); ferr == nil {
+			if fsorted, frep, ferr := b.sortSingle(ctx, j.ds); ferr == nil {
 				s.met.degradedJob()
 				s.met.absorb(&frep)
 				return fsorted, frep, true, nil
@@ -528,40 +580,41 @@ func (s *Server) runSort(r *http.Request, b backend, req *sortRequest, raw []byt
 }
 
 // sortStatus maps one engine failure onto its HTTP status.
-func sortStatus(err error) *jobError {
+func sortStatus(err error) *apiError {
 	switch {
 	case errors.Is(err, context.Canceled):
-		return &jobError{status: StatusClientClosedRequest, err: fmt.Errorf("client closed request: %w", err)}
+		return &apiError{StatusClientClosedRequest, fmt.Sprintf("client closed request: %v", err)}
 	case errors.Is(err, context.DeadlineExceeded):
-		return &jobError{status: http.StatusGatewayTimeout, err: fmt.Errorf("job deadline exceeded: %w", err)}
+		return &apiError{http.StatusGatewayTimeout, fmt.Sprintf("job deadline exceeded: %v", err)}
 	}
-	return &jobError{status: http.StatusInternalServerError, err: fmt.Errorf("sort failed: %w", err)}
+	return &apiError{http.StatusInternalServerError, fmt.Sprintf("sort failed: %v", err)}
 }
 
 // writeSorted renders a finished sort in the shape the request used.
-func (s *Server) writeSorted(w http.ResponseWriter, r *http.Request, binary bool, id string, b backend, sorted []byte, n int, cached, degraded bool, start time.Time, rep *core.Report) {
-	if binary {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Pgxsortd-Job", id)
-		w.Header().Set("X-Pgxsortd-N", strconv.Itoa(n))
+func (j *job) writeSorted(sorted []byte, cached, degraded bool, rep *core.Report) {
+	if j.binary {
+		h := j.w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("X-Pgxsortd-Job", j.id)
+		h.Set("X-Pgxsortd-N", strconv.Itoa(j.ds.n))
 		cacheHdr := "miss"
 		if cached {
 			cacheHdr = "hit"
 		}
-		w.Header().Set("X-Pgxsortd-Cache", cacheHdr)
+		h.Set("X-Pgxsortd-Cache", cacheHdr)
 		if degraded {
-			w.Header().Set("X-Pgxsortd-Degraded", "true")
+			h.Set("X-Pgxsortd-Degraded", "true")
 		}
-		w.Write(sorted)
+		j.w.Write(sorted)
 		return
 	}
 	resp := sortResponse{
-		JobID:     id,
-		KeyType:   string(b.keyType()),
-		N:         n,
+		JobID:     j.id,
+		KeyType:   string(j.b.keyType()),
+		N:         j.ds.n,
 		Cached:    cached,
 		Degraded:  degraded,
-		ElapsedMS: ms(time.Since(start)),
+		ElapsedMS: ms(time.Since(j.start)),
 		KeysB64:   base64.StdEncoding.EncodeToString(sorted),
 	}
 	if rep != nil {
@@ -574,161 +627,78 @@ func (s *Server) writeSorted(w http.ResponseWriter, r *http.Request, binary bool
 			AdmitWaitMS:   ms(rep.Sched.AdmitWait),
 		}
 	}
-	writeJSON(w, resp)
+	writeJSON(j.w, resp)
 }
 
-// binarySortRequest reads the octet-stream shape's query parameters.
-func (s *Server) binarySortRequest(r *http.Request) (*sortRequest, *apiError) {
-	q := r.URL.Query()
-	req := &sortRequest{
-		Tenant:  q.Get("tenant"),
-		KeyType: q.Get("key_type"),
-		NoCache: q.Get("no_cache") == "true",
+// query runs one sort-free query (top-k, rank) behind the same front
+// door as sorts — but no scheduler stage, since the queries never enter
+// the sort pipeline — finishes the job, and writes run's response.
+func (j *job) query(r *http.Request, run func() (any, error)) {
+	_, done, jerr := j.s.admit(r, &j.req)
+	if jerr != nil {
+		j.fail(jerr)
+		return
 	}
-	if v := q.Get("deadline_ms"); v != "" {
-		d, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || d < 0 {
-			return nil, badRequest("deadline_ms: %q is not a non-negative integer", v)
-		}
-		req.DeadlineMS = d
-	}
-	if q.Has("recbytes") {
-		// Same answer the JSON shape gives the retired field.
-		return nil, badRequest("recbytes is not supported: the service sorts keys only")
-	}
-	return req, nil
-}
-
-func (s *Server) lookupBackend(keyType string) (backend, *apiError) {
-	b, err := s.backendFor(keyType)
+	resp, err := run()
+	done()
 	if err != nil {
-		return nil, badRequest("%v", err)
+		j.finish(http.StatusInternalServerError, err, false, nil)
+		return
 	}
-	return b, nil
-}
-
-// rejectRequest accounts and answers a request refused before running.
-func (s *Server) rejectRequest(w http.ResponseWriter, endpoint string, apiErr *apiError, start time.Time) {
-	s.met.jobDone(endpoint, strconv.Itoa(apiErr.status), time.Since(start))
-	switch apiErr.status {
-	case http.StatusBadRequest:
-		s.met.reject("bad_request")
-	case http.StatusRequestEntityTooLarge:
-		s.met.reject("too_large")
-	case http.StatusRequestTimeout:
-		s.met.reject("slow_client")
-	case http.StatusInsufficientStorage:
-		s.met.reject("spool_disk_full")
-	}
-	s.writeError(w, apiErr.status, apiErr.msg)
+	j.finish(http.StatusOK, nil, false, nil)
+	writeJSON(j.w, resp)
 }
 
 // handleTopK answers top-k / bottom-k without a full merge: each node
 // preselects k candidates with a bounded heap and only p*k entries
 // travel (see core.Engine.TopK).
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, apiErr := s.decodeRequest(w, r)
-	var b backend
-	if apiErr == nil {
-		b, apiErr = s.lookupBackend(req.KeyType)
-	}
-	var raw []byte
-	var n int
-	if apiErr == nil {
-		raw, n, apiErr = s.resolveDataset(b, req)
-	}
-	if apiErr == nil && req.K <= 0 {
-		apiErr = badRequest("k must be positive")
-	}
-	if apiErr != nil {
-		s.rejectRequest(w, "topk", apiErr, start)
+	j := s.open(w, r, "topk")
+	if j == nil {
 		return
 	}
-	id := s.jobID()
-	ans, status, err := runQuery(s, r, req, func() (*topkAnswer, error) {
-		return b.topk(raw, req.K, req.Bottom)
+	if j.req.K <= 0 {
+		j.reject(badRequest("k must be positive"))
+		return
+	}
+	j.query(r, func() (any, error) {
+		entries, sent, err := j.b.topk(j.ds, j.req.K, j.req.Bottom)
+		return topkResponse{
+			JobID:     j.id,
+			KeyType:   string(j.b.keyType()),
+			N:         j.ds.n,
+			K:         j.req.K,
+			Bottom:    j.req.Bottom,
+			Entries:   entries,
+			BytesSent: sent,
+			ElapsedMS: ms(time.Since(j.start)),
+		}, err
 	})
-	s.met.jobDone("topk", strconv.Itoa(status), time.Since(start))
-	if err != nil {
-		s.jobs.add(newJobRecord(id, req.Tenant, "topk", b.keyType(), n, status, err, false, time.Since(start), nil))
-		s.writeError(w, status, err.Error())
-		return
-	}
-	s.jobs.add(newJobRecord(id, req.Tenant, "topk", b.keyType(), n, status, nil, false, time.Since(start), nil))
-	resp := topkResponse{
-		JobID:     id,
-		KeyType:   string(b.keyType()),
-		N:         ans.N,
-		K:         req.K,
-		Bottom:    req.Bottom,
-		Entries:   make([]topkEntry, len(ans.Keys)),
-		BytesSent: ans.Bytes,
-		ElapsedMS: ms(time.Since(start)),
-	}
-	for i := range ans.Keys {
-		resp.Entries[i] = topkEntry{Key: ans.Keys[i], Proc: ans.Procs[i]}
-	}
-	writeJSON(w, resp)
 }
 
 // handleRank locates one key in the dataset's global sort order by
 // parallelizable counting — no sort, no redistribution.
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, apiErr := s.decodeRequest(w, r)
-	var b backend
-	if apiErr == nil {
-		b, apiErr = s.lookupBackend(req.KeyType)
-	}
-	var raw []byte
-	if apiErr == nil {
-		raw, _, apiErr = s.resolveDataset(b, req)
-	}
-	if apiErr == nil && req.Key == "" && b.keyType() != dist.KeyString {
-		apiErr = badRequest("key is required")
-	}
-	if apiErr != nil {
-		s.rejectRequest(w, "rank", apiErr, start)
+	j := s.open(w, r, "rank")
+	if j == nil {
 		return
 	}
-	id := s.jobID()
-	ans, status, err := runQuery(s, r, req, func() (*rankAnswer, error) {
-		return b.rank(raw, req.Key)
-	})
-	s.met.jobDone("rank", strconv.Itoa(status), time.Since(start))
-	if err != nil {
-		s.jobs.add(newJobRecord(id, req.Tenant, "rank", b.keyType(), 0, status, err, false, time.Since(start), nil))
-		s.writeError(w, status, err.Error())
+	if j.req.Key == "" && j.b.keyType() != dist.KeyString {
+		j.reject(badRequest("key is required"))
 		return
 	}
-	s.jobs.add(newJobRecord(id, req.Tenant, "rank", b.keyType(), ans.N, status, nil, false, time.Since(start), nil))
-	writeJSON(w, rankResponse{
-		JobID:     id,
-		KeyType:   string(b.keyType()),
-		Key:       req.Key,
-		Rank:      ans.Rank,
-		Count:     ans.Count,
-		N:         ans.N,
-		ElapsedMS: ms(time.Since(start)),
+	j.query(r, func() (any, error) {
+		rank, count, err := j.b.rank(j.ds, j.req.Key)
+		return rankResponse{
+			JobID:     j.id,
+			KeyType:   string(j.b.keyType()),
+			Key:       j.req.Key,
+			Rank:      rank,
+			Count:     count,
+			N:         j.ds.n,
+			ElapsedMS: ms(time.Since(j.start)),
+		}, err
 	})
-}
-
-// runQuery runs one sort-free query (top-k, rank) behind the same front
-// door as sorts — but no scheduler stage, since the queries never enter
-// the sort pipeline.
-func runQuery[T any](s *Server, r *http.Request, req *sortRequest, run func() (T, error)) (ans T, status int, err error) {
-	_, done, jerr := s.admit(r, req)
-	if jerr != nil {
-		return ans, jerr.status, jerr.err
-	}
-	defer done()
-	ans, err = run()
-	if err != nil {
-		var zero T
-		return zero, http.StatusInternalServerError, err
-	}
-	return ans, http.StatusOK, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pgxsort/internal/core"
-	"pgxsort/internal/dist"
 )
 
 // jobLogDepth is how many finished jobs /debug/jobs remembers.
@@ -71,17 +70,23 @@ func (l *jobLog) list() []jobRecord {
 	return out
 }
 
-// newJobRecord assembles the log entry for one finished request.
-func newJobRecord(id, tenant, endpoint string, kt dist.KeyType, n, status int, err error, cached bool, elapsed time.Duration, rep *core.Report) jobRecord {
+// newJobRecord assembles the log entry for one finished request. A
+// request refused before its key domain or dataset resolved records
+// neither.
+func newJobRecord(j *job, status int, err error, cached bool, elapsed time.Duration, rep *core.Report) jobRecord {
 	r := jobRecord{
-		ID:       id,
-		Tenant:   tenant,
-		Endpoint: endpoint,
-		KeyType:  string(kt),
-		N:        n,
+		ID:       j.id,
+		Tenant:   j.req.Tenant,
+		Endpoint: j.endpoint,
 		Status:   status,
 		Cached:   cached,
 		Elapsed:  ms(elapsed),
+	}
+	if j.b != nil {
+		r.KeyType = string(j.b.keyType())
+	}
+	if j.ds != nil {
+		r.N = j.ds.n
 	}
 	if err != nil {
 		r.Err = err.Error()

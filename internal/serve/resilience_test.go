@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
 	"pgxsort/internal/keyio"
+	"pgxsort/internal/spill"
 )
 
 // TestBreakerStateMachine pins the breaker's transitions: a fatal streak
@@ -171,6 +174,85 @@ func TestClientDisconnectAccountedAs499(t *testing.T) {
 	<-done
 }
 
+// door is one way into the service: an endpoint in one request shape.
+// post sends its valid request; bad sends one the door must refuse with a
+// 4xx before running anything.
+type door struct {
+	name, endpoint string
+	post, bad      func() (*http.Response, []byte)
+}
+
+// serviceDoors lists every door of ts: JSON sort, octet-stream sort
+// resident and spooled (the server must spool above 16 KB), top-k and
+// rank. The three sort doors carry distinct datasets — a result-cache hit
+// bypasses the governor and admission, so a repeated body would never
+// reach them.
+func serviceDoors(t *testing.T, ts *httptest.Server) []door {
+	small := keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 4}.Keys(1000))  // 8 KB: resident
+	large := keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(10000)) // 80 KB: spools
+	b64 := base64.StdEncoding.EncodeToString(keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 6}.Keys(1000)))
+	bin := func(raw []byte) func() (*http.Response, []byte) {
+		return func() (*http.Response, []byte) { return postBinary(t, ts.URL+"/v1/sort", raw) }
+	}
+	js := func(endpoint string, body map[string]any) func() (*http.Response, []byte) {
+		return func() (*http.Response, []byte) { return postJSON(t, ts.URL+"/v1/"+endpoint, body) }
+	}
+	return []door{
+		{"sort/json", "sort", js("sort", map[string]any{"keys_b64": b64}), js("sort", map[string]any{"keys_b64": b64, "key_type": "int7"})},
+		// A body cut mid-key: resident, and after it crossed into the spool.
+		{"sort/octet-stream", "sort", bin(small), bin(small[:len(small)-3])},
+		{"sort/octet-stream-spooled", "sort", bin(large), bin(large[:len(large)-3])},
+		{"topk", "topk", js("topk", map[string]any{"keys_b64": b64, "k": 3}), js("topk", map[string]any{"keys_b64": b64})},
+		{"rank", "rank", js("rank", map[string]any{"keys_b64": b64, "key": "7"}), js("rank", map[string]any{"keys_b64": b64})},
+	}
+}
+
+// accountedOnce runs one request and holds the service to its exit
+// contract: whatever the outcome, the request is counted in exactly one
+// pgxsortd_jobs_total series — its endpoint's, under its status — and
+// logged as exactly one /debug/jobs record, the newest, which is
+// returned.
+func accountedOnce(t *testing.T, ts *httptest.Server, label, endpoint string, status int, request func()) jobRecord {
+	t.Helper()
+	snapshot := func() (total float64, series float64, jobs []jobRecord) {
+		_, exposition := getBody(t, ts.URL+"/metrics")
+		mine := fmt.Sprintf("pgxsortd_jobs_total{endpoint=%q,status=\"%d\"} ", endpoint, status)
+		for _, line := range strings.Split(exposition, "\n") {
+			if !strings.HasPrefix(line, "pgxsortd_jobs_total{") {
+				continue
+			}
+			var v float64
+			fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%g", &v)
+			total += v
+			if strings.HasPrefix(line, mine) {
+				series = v
+			}
+		}
+		_, body := getBody(t, ts.URL+"/debug/jobs")
+		var out struct {
+			Jobs []jobRecord `json:"jobs"`
+		}
+		if err := json.Unmarshal([]byte(body), &out); err != nil {
+			t.Fatalf("%s: /debug/jobs: %v", label, err)
+		}
+		return total, series, out.Jobs
+	}
+	total0, series0, jobs0 := snapshot()
+	request()
+	total1, series1, jobs1 := snapshot()
+	if total1 != total0+1 || series1 != series0+1 {
+		t.Fatalf("%s: jobs_total moved by %g, its {%s,%d} series by %g; want 1 and 1", label, total1-total0, endpoint, status, series1-series0)
+	}
+	if len(jobs1) != len(jobs0)+1 {
+		t.Fatalf("%s: /debug/jobs grew by %d records, want 1", label, len(jobs1)-len(jobs0))
+	}
+	rec := jobs1[0]
+	if rec.Endpoint != endpoint || rec.Status != status || (rec.Err == "") != (status == http.StatusOK) {
+		t.Fatalf("%s: job record %+v, want endpoint %s status %d", label, rec, endpoint, status)
+	}
+	return rec
+}
+
 // TestServeFailpointSites covers the service-layer injection points: an
 // armed admission site refuses like a drain (503 + Retry-After) at every
 // endpoint behind the front door — both sort shapes, resident and
@@ -181,42 +263,25 @@ func TestServeFailpointSites(t *testing.T) {
 	t.Cleanup(failpoint.Reset)
 	_, ts := testServer(t, Config{SpoolThreshold: 16 << 10, SpillDir: t.TempDir()})
 
-	// Distinct datasets per sort door: a result-cache hit bypasses
-	// admission, so a repeated body would never reach the armed site.
-	small := keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 4}.Keys(1000))  // 8 KB: resident
-	large := keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(10000)) // 80 KB: spools
-	b64 := base64.StdEncoding.EncodeToString(keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 6}.Keys(1000)))
-	doors := []struct {
-		name string
-		post func() (*http.Response, []byte)
-	}{
-		{"sort/json", func() (*http.Response, []byte) {
-			return postJSON(t, ts.URL+"/v1/sort", map[string]any{"keys_b64": b64})
-		}},
-		{"sort/octet-stream", func() (*http.Response, []byte) { return postBinary(t, ts.URL+"/v1/sort", small) }},
-		{"sort/octet-stream-spooled", func() (*http.Response, []byte) { return postBinary(t, ts.URL+"/v1/sort", large) }},
-		{"topk", func() (*http.Response, []byte) {
-			return postJSON(t, ts.URL+"/v1/topk", map[string]any{"keys_b64": b64, "k": 3})
-		}},
-		{"rank", func() (*http.Response, []byte) {
-			return postJSON(t, ts.URL+"/v1/rank", map[string]any{"keys_b64": b64, "key": "7"})
-		}},
-	}
-	for _, door := range doors {
+	for _, door := range serviceDoors(t, ts) {
 		failpoint.Set("serve/admission", failpoint.Schedule{Mode: failpoint.ModeError})
-		resp, body := door.post()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s: armed admission site: status %d (%s), want 503", door.name, resp.StatusCode, body)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("%s: injected 503 lacks Retry-After", door.name)
-		}
+		accountedOnce(t, ts, door.name+" refused", door.endpoint, http.StatusServiceUnavailable, func() {
+			resp, body := door.post()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("%s: armed admission site: status %d (%s), want 503", door.name, resp.StatusCode, body)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("%s: injected 503 lacks Retry-After", door.name)
+			}
+		})
 		// The schedule fired once; the same request now goes through.
-		if resp, body := door.post(); resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: after the injection: status %d (%s), want 200", door.name, resp.StatusCode, body)
-		} else if spooled := resp.Header.Get("X-Pgxsortd-Spooled") == "true"; spooled != (door.name == "sort/octet-stream-spooled") {
-			t.Fatalf("%s: X-Pgxsortd-Spooled = %v", door.name, spooled)
-		}
+		accountedOnce(t, ts, door.name, door.endpoint, http.StatusOK, func() {
+			if resp, body := door.post(); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: after the injection: status %d (%s), want 200", door.name, resp.StatusCode, body)
+			} else if spooled := resp.Header.Get("X-Pgxsortd-Spooled") == "true"; spooled != (door.name == "sort/octet-stream-spooled") {
+				t.Fatalf("%s: X-Pgxsortd-Spooled = %v", door.name, spooled)
+			}
+		})
 	}
 
 	// Cache-put skip: the first successful sort must NOT be stored, so
@@ -247,6 +312,82 @@ func TestServeFailpointSites(t *testing.T) {
 	}
 }
 
+// TestEveryDoorAccountsOnce takes each door through the outcomes that
+// end a request early — refused for what it asked (4xx), shed by a full
+// admission queue (429) — and the spooled door through the one that ends
+// it late, a read failure after the first body bytes left. Every one of
+// them must leave through finish: one count, one record, and an error
+// envelope only while the response is still unwritten. (200 and 503 are
+// TestServeFailpointSites'.)
+func TestEveryDoorAccountsOnce(t *testing.T) {
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	srv, ts := testServer(t, Config{SpoolThreshold: 16 << 10, MemoryBudget: 64 << 10, SpillDir: t.TempDir(), QueueDepth: 1})
+	doors := serviceDoors(t, ts)
+
+	for _, door := range doors {
+		rec := accountedOnce(t, ts, door.name+" rejected", door.endpoint, http.StatusBadRequest, func() {
+			if resp, body := door.bad(); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"error"`) {
+				t.Fatalf("%s: bad request: status %d (%s), want a 400 envelope", door.name, resp.StatusCode, body)
+			}
+		})
+		if rec.ID == "" {
+			t.Fatalf("%s: rejected request has no job id: %+v", door.name, rec)
+		}
+	}
+
+	// Hold the whole admission queue: every door now sheds with 429.
+	release, st := srv.adm.begin(context.Background(), "hog")
+	if st != admitOK {
+		t.Fatalf("could not take the admission slot: %v", st)
+	}
+	for _, door := range doors {
+		accountedOnce(t, ts, door.name+" shed", door.endpoint, http.StatusTooManyRequests, func() {
+			resp, body := door.post()
+			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("%s: full queue: status %d (%s) Retry-After %q, want 429", door.name, resp.StatusCode, body, resp.Header.Get("Retry-After"))
+			}
+		})
+	}
+	release()
+
+	// Mid-stream abort: the spill tier starts failing reads the moment
+	// the first body bytes are written. The handler can only cut the
+	// connection (http.ErrAbortHandler) — and must still account the job,
+	// as a 500, without appending an envelope to the half-sent stream.
+	large := keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 7}.Keys(100_000))
+	w := &armingWriter{ResponseRecorder: httptest.NewRecorder()}
+	accountedOnce(t, ts, "sort/octet-stream-spooled aborted", "sort", http.StatusInternalServerError, func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Fatalf("handler ended with %v, want the http.ErrAbortHandler panic", p)
+			}
+		}()
+		req := httptest.NewRequest("POST", "/v1/sort", bytes.NewReader(large))
+		req.Header.Set("Content-Type", "application/octet-stream")
+		srv.ServeHTTP(w, req)
+	})
+	failpoint.Reset()
+	if w.Body.Len() == 0 || w.Body.Len() >= len(large) || bytes.Contains(w.Body.Bytes(), []byte(`"error"`)) {
+		t.Fatalf("aborted stream carried %d of %d bytes; want a proper prefix and no envelope", w.Body.Len(), len(large))
+	}
+}
+
+// armingWriter arms the spill tier's read failpoint at the first body
+// write — the earliest moment a spooled response is mid-stream.
+type armingWriter struct {
+	*httptest.ResponseRecorder
+	armed bool
+}
+
+func (w *armingWriter) Write(p []byte) (int, error) {
+	if !w.armed {
+		w.armed = true
+		failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeError, Count: -1})
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
 // TestCacheEvictionUnderConcurrentWriters hammers the result cache from
 // many goroutines and checks the LRU accounting invariants hold: stored
 // bytes never exceed the budget, the byte gauge equals the sum of the
@@ -266,7 +407,7 @@ func TestCacheEvictionUnderConcurrentWriters(t *testing.T) {
 				if rnd.Intn(3) == 0 {
 					c.get(key)
 				} else {
-					c.put(key, make([]byte, size), size/8)
+					c.put(key, make([]byte, size))
 				}
 			}
 		}(w)

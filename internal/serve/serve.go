@@ -4,19 +4,32 @@
 // and the scheduler — admission (bounded queue, per-tenant inflight
 // caps, per-job deadlines), a content-hash result cache with an LRU byte
 // budget, metrics exposition and a job trace log — while the sorting
-// itself stays in internal/core, reached through the PR 2 scheduler so
+// itself stays in internal/core, reached through core.Scheduler so
 // concurrent HTTP jobs obey the same inflight and stage-serialization
 // rules as a SortMany batch.
+//
+// Every request takes one way through: open (parse, resolve the key
+// domain, decode the dataset once, hashing it as it streams) → cache
+// probe → governor → admission → engine → encode from the result cursor
+// → finish (the one place a request is counted, logged and, on failure,
+// answered).
 //
 // The package map:
 //
 //	serve.go    — Config, Server lifecycle (New / Close / draining)
-//	backend.go  — per-keytype engine + codec + canonical byte formats
+//	handlers.go — the HTTP surface (documented in docs/API.md): the job
+//	              value with its open prologue and finish exit, the
+//	              admission and governor doors, the three endpoints
+//	backend.go  — per-keytype engine + scheduler, the dataset every
+//	              request shape decodes into, streaming ingest (decode,
+//	              hash, spool) and the cursor-driven egress encoder
+//	spool.go    — upload plumbing: read deadlines, error mapping, spool paths
 //	admission.go— bounded queue and per-tenant semaphores
+//	governor.go — process-wide memory reservation ledger
+//	breaker.go  — per-keytype mesh circuit breaker
 //	cache.go    — content-addressed LRU result cache
 //	metrics.go  — counter aggregation and /metrics text exposition
 //	jobs.go     — /debug/jobs ring buffer
-//	handlers.go — the HTTP surface (documented in docs/API.md)
 package serve
 
 import (
@@ -123,7 +136,7 @@ type Config struct {
 	// and streams its answer chunked. 0 means 8MB (clamped to the
 	// engine MemoryBudget when one is set, so a budgeted server never
 	// buffers more than its budget before spooling); negative disables
-	// spooling — every upload is resident, the pre-PR behaviour.
+	// spooling — every upload is resident.
 	SpoolThreshold int64
 	// UploadTimeout is the per-read idle deadline on streamed uploads:
 	// a client that stalls longer than this mid-body gets 408 instead
@@ -296,18 +309,18 @@ func (s *Server) closeBackends() error {
 }
 
 // backendFor resolves the key_type request field ("" means uint64).
-func (s *Server) backendFor(keyType string) (backend, error) {
+func (s *Server) backendFor(keyType string) (backend, *apiError) {
 	kt := dist.KeyUint64
 	if keyType != "" {
 		var err error
 		kt, err = dist.ParseKeyType(keyType)
 		if err != nil {
-			return nil, err
+			return nil, badRequest("%v", err)
 		}
 	}
 	b, ok := s.backends[kt]
 	if !ok {
-		return nil, fmt.Errorf("key type %q is not enabled on this server", kt)
+		return nil, badRequest("key type %q is not enabled on this server", kt)
 	}
 	return b, nil
 }

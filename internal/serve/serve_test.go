@@ -495,6 +495,10 @@ func TestValidationErrors(t *testing.T) {
 
 func TestDebugJobsListsNewestFirst(t *testing.T) {
 	_, ts := testServer(t, Config{})
+	// A refused request is a finished job too: it is listed, oldest here.
+	if resp, _ := postBinary(t, ts.URL+"/v1/sort?tenant=probe", []byte("cut mid-key")); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated body: %d, want 400", resp.StatusCode)
+	}
 	for i := 0; i < 3; i++ {
 		raw := keyio.EncodeUint64s(dist.Gen{Seed: uint64(i + 1)}.Keys(100))
 		if resp, _ := postBinary(t, ts.URL+"/v1/sort?tenant=probe&no_cache=true", raw); resp.StatusCode != http.StatusOK {
@@ -508,8 +512,11 @@ func TestDebugJobsListsNewestFirst(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if len(out.Jobs) != 3 {
-		t.Fatalf("%d jobs listed, want 3", len(out.Jobs))
+	if len(out.Jobs) != 4 {
+		t.Fatalf("%d jobs listed, want 4", len(out.Jobs))
+	}
+	if rej := out.Jobs[3]; rej.Status != http.StatusBadRequest || rej.Err == "" || rej.Tenant != "probe" || rej.KeyType != "uint64" {
+		t.Fatalf("refused request's record wrong: %+v", rej)
 	}
 	if out.Jobs[0].ID <= out.Jobs[1].ID {
 		t.Fatalf("jobs not newest-first: %s then %s", out.Jobs[0].ID, out.Jobs[1].ID)

@@ -27,15 +27,6 @@ const (
 	FpSpoolRead  = "serve/spool-read"
 )
 
-// ingestResult is one streamed octet-stream body, landed either way:
-// resident canonical bytes when it stayed under the spool threshold, or
-// a spill-tier run file (resident nil) when it crossed it.
-type ingestResult struct {
-	resident []byte
-	spool    string // run-file path; owned by the caller once returned
-	n        int
-}
-
 // deadlineReader arms a fresh read deadline before every body read, so
 // the timeout bounds inter-chunk stalls rather than whole-upload
 // duration: a slow-but-moving client is fine, a stalled one gets 408.
@@ -56,20 +47,6 @@ func (d *deadlineReader) Read(p []byte) (int, error) {
 		}
 	}
 	return d.r.Read(p)
-}
-
-// countingWriter tracks whether any response bytes are on the wire —
-// the line between "can still answer with an error status" and "the
-// stream is the only honest signal left".
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // uploadError maps one streaming-ingress failure onto its HTTP status:
@@ -103,14 +80,14 @@ func (s *Server) spoolDir() string {
 }
 
 // ingestBinary streams one octet-stream body through the backend's
-// incremental decoder.
-func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, b backend, id string) (*ingestResult, *apiError) {
+// incremental decoder; it is the only source that may spool.
+func (s *Server) ingestBinary(w http.ResponseWriter, r *http.Request, b backend, id string) (*dataset, *apiError) {
 	body := io.Reader(http.MaxBytesReader(w, r.Body, s.maxBody()))
 	if s.cfg.UploadTimeout > 0 {
 		body = &deadlineReader{r: body, rc: http.NewResponseController(w), timeout: s.cfg.UploadTimeout}
 	}
 	path := filepath.Join(s.spoolDir(), "pgxsortd-upload-"+id+".spool")
-	return b.ingest(body, path, s.cfg.SpoolThreshold, uploadBlockBytes(s.cfg.MemoryBudget), s.cfg.MaxKeys, s.cfg.RetryAttempts)
+	return b.ingest(body, r.ContentLength, path)
 }
 
 // uploadBlockBytes sizes the upload spool's blocks to the engine memory

@@ -303,8 +303,8 @@ func TestGovernorLedger(t *testing.T) {
 func TestCacheEntryCap(t *testing.T) {
 	c := newResultCache(1024, 8) // per-entry cap: 128 bytes
 	key := hashJob("uint64", []byte("big"))
-	c.put(key, make([]byte, 512), 64)
-	if _, _, ok := c.get(key); ok {
+	c.put(key, make([]byte, 512))
+	if _, ok := c.get(key); ok {
 		t.Fatal("oversized entry was cached")
 	}
 	_, _, _, skipped, bytes, entries, _ := c.stats()
@@ -312,8 +312,8 @@ func TestCacheEntryCap(t *testing.T) {
 		t.Fatalf("skipped=%d bytes=%d entries=%d, want 1/0/0", skipped, bytes, entries)
 	}
 	small := hashJob("uint64", []byte("small"))
-	c.put(small, make([]byte, 100), 12)
-	if _, _, ok := c.get(small); !ok {
+	c.put(small, make([]byte, 100))
+	if _, ok := c.get(small); !ok {
 		t.Fatal("under-cap entry was not cached")
 	}
 }

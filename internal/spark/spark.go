@@ -30,6 +30,7 @@ import (
 
 	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
+	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/lsort"
 	"pgxsort/internal/sample"
@@ -85,14 +86,7 @@ type RDD[K cmp.Ordered] struct {
 
 // Parallelize block-distributes data into the configured partition count.
 func Parallelize[K cmp.Ordered](sc *Context, data []K) *RDD[K] {
-	p := sc.cfg.Partitions
-	parts := make([][]K, p)
-	for i := 0; i < p; i++ {
-		lo := i * len(data) / p
-		hi := (i + 1) * len(data) / p
-		parts[i] = data[lo:hi]
-	}
-	return &RDD[K]{sc: sc, parts: parts}
+	return &RDD[K]{sc: sc, parts: core.Blocks(data, sc.cfg.Partitions)}
 }
 
 // FromParts wraps per-partition data already in place.

@@ -243,7 +243,7 @@ func NewClusterWithCodec[K cmp.Ordered](opts Options, codec Codec[K]) (*Cluster[
 // Options.Procs simulated processors, sorts, and returns the globally
 // sorted keys plus the run's report. For repeated sorts build a Cluster.
 func Sort[K cmp.Ordered](data []K, opts Options) ([]K, *Report, error) {
-	res, err := SortDistributed(distributeSlice(data, resolvedProcs(opts)), opts)
+	res, err := SortDistributed(core.Blocks(data, resolvedProcs(opts)), opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -275,7 +275,7 @@ func TopK[K cmp.Ordered](data []K, k int, opts Options) (*TopKResult[K], error) 
 		return nil, err
 	}
 	defer c.Close()
-	return c.Engine.TopK(distributeSlice(data, p), k)
+	return c.Engine.TopK(core.Blocks(data, p), k)
 }
 
 func resolvedProcs(opts Options) int {
@@ -283,14 +283,4 @@ func resolvedProcs(opts Options) int {
 		return opts.Procs
 	}
 	return 4 // core's default
-}
-
-func distributeSlice[K cmp.Ordered](data []K, p int) [][]K {
-	parts := make([][]K, p)
-	for i := 0; i < p; i++ {
-		lo := i * len(data) / p
-		hi := (i + 1) * len(data) / p
-		parts[i] = data[lo:hi]
-	}
-	return parts
 }
