@@ -225,12 +225,21 @@ func DecodeEntries[K any](b []byte, n int, c Codec[K]) ([]Entry[K], []byte, erro
 func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[Entry[K]]) ([]Entry[K], []byte, error) {
 	kc, withPay := keyCodecOf(c)
 	vc, isVar := kc.(VarCodec[K])
+	// n comes off the wire: hold it to what b could possibly carry before
+	// any slab is sized from it. A variable-width key may encode to as
+	// little as nothing, so only its origin (and payload length) counts.
+	minBytes := originBytes
+	if !isVar {
+		minBytes += kc.KeySize()
+	}
+	if withPay {
+		minBytes += payloadLenBytes
+	}
+	if n < 0 || n > len(b)/minBytes {
+		return nil, b, fmt.Errorf("comm: short entry payload: %d bytes cannot hold %d entries", len(b), n)
+	}
 	if !isVar && !withPay {
 		ks := kc.KeySize()
-		need := n * (ks + originBytes)
-		if len(b) < need {
-			return nil, b, fmt.Errorf("comm: short entry payload: have %d bytes, need %d", len(b), need)
-		}
 		entries := pool.Get(n) // a nil pool falls back to plain allocation
 		off := 0
 		for i := 0; i < n; i++ {
@@ -241,27 +250,28 @@ func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[
 			entries[i].Index = binary.LittleEndian.Uint32(b[off+4:])
 			off += originBytes
 		}
-		return entries, b[need:], nil
+		return entries, b[off:], nil
 	}
 	entries := pool.Get(n)
 	rest := b
 	totalPay := 0
+	var err error
 	for i := 0; i < n; i++ {
-		var err error
 		if isVar {
-			entries[i].Key, rest, err = vc.ReadKey(rest)
-			if err != nil {
-				return nil, b, err
+			if entries[i].Key, rest, err = vc.ReadKey(rest); err != nil {
+				break
 			}
 		} else {
 			if len(rest) < kc.KeySize() {
-				return nil, b, fmt.Errorf("comm: short entry payload at entry %d", i)
+				err = fmt.Errorf("comm: short entry payload at entry %d", i)
+				break
 			}
 			entries[i].Key = kc.Key(rest)
 			rest = rest[kc.KeySize():]
 		}
 		if len(rest) < originBytes {
-			return nil, b, fmt.Errorf("comm: short entry origin at entry %d", i)
+			err = fmt.Errorf("comm: short entry origin at entry %d", i)
+			break
 		}
 		entries[i].Proc = binary.LittleEndian.Uint32(rest)
 		entries[i].Index = binary.LittleEndian.Uint32(rest[4:])
@@ -269,12 +279,14 @@ func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[
 		entries[i].Payload = nil
 		if withPay {
 			if len(rest) < payloadLenBytes {
-				return nil, b, fmt.Errorf("comm: short payload length at entry %d", i)
+				err = fmt.Errorf("comm: short payload length at entry %d", i)
+				break
 			}
 			plen := int(binary.LittleEndian.Uint32(rest))
 			rest = rest[payloadLenBytes:]
 			if plen < 0 || len(rest) < plen {
-				return nil, b, fmt.Errorf("comm: short payload at entry %d: have %d bytes, need %d", i, len(rest), plen)
+				err = fmt.Errorf("comm: short payload at entry %d: have %d bytes, need %d", i, len(rest), plen)
+				break
 			}
 			if plen > 0 {
 				// Temporarily alias the frame buffer; the fix-up below
@@ -284,6 +296,10 @@ func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[
 			}
 			rest = rest[plen:]
 		}
+	}
+	if err != nil {
+		pool.Put(entries)
+		return nil, b, err
 	}
 	if totalPay > 0 {
 		block := make([]byte, totalPay)

@@ -4,9 +4,9 @@ import "math"
 
 // KeyNormalizer is the seam that opens the engine's non-comparison fast
 // path: a codec that also implements it advertises an order-preserving
-// bijection from its key type onto uint64, so the local sort can run a
-// byte-radix sort over normalized keys instead of paying a comparison
-// closure per element pair.
+// bijection from its key type onto uint64, so the local sort can take
+// each key's image once and run a byte-radix sort over (image, index)
+// refs instead of paying a comparison closure per element pair.
 //
 // Norm must be strictly monotone in the key order the engine should
 // produce: a < b (in the engine's output order) iff Norm(a) < Norm(b).
@@ -16,8 +16,9 @@ type KeyNormalizer[K any] interface {
 	// Norm maps a key to its order-preserving uint64 image.
 	Norm(k K) uint64
 	// NormBits is how many low bits of Norm's image are significant
-	// (64 for 64-bit keys, 32 for uint32); radix passes above it are
-	// skipped wholesale.
+	// (64 for 64-bit keys, 32 for uint32): the keyBits hint of
+	// lsort.RadixSort. The engine's ref sort does not need it — it sees
+	// which byte columns vary in the data.
 	NormBits() int
 }
 
@@ -25,8 +26,8 @@ type KeyNormalizer[K any] interface {
 // injective: a < b implies Norm(a) <= Norm(b), and equal norms do NOT
 // imply equal keys (e.g. StringCodec's 8-byte prefix). The engine still
 // runs the radix fast path over such norms, but switches every comparator
-// to a two-level compare (norm first, real key order on ties) and runs a
-// comparison fallback pass over equal-norm runs after each radix sort.
+// to a two-level compare (norm first, real key order on ties) and
+// stable-sorts each equal-norm run by the real keys after each radix sort.
 type InexactNormalizer interface {
 	// NormInexact reports that equal norms may hide unequal keys.
 	NormInexact() bool

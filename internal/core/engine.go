@@ -12,6 +12,7 @@ import (
 	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
+	"pgxsort/internal/lsort"
 	"pgxsort/internal/taskmgr"
 	"pgxsort/internal/transport"
 )
@@ -30,14 +31,12 @@ type Engine[K cmp.Ordered] struct {
 	dispatchWG sync.WaitGroup
 
 	// norm is the order-preserving uint64 normalization of K (nil when K
-	// has none); normBits its significant width. A non-nil norm opens the
-	// radix local-sort fast path (Options.LocalSort). normInexact marks a
-	// monotone but non-injective norm (comm.InexactNormalizer): the radix
-	// path stays open, but every comparator becomes a two-level compare
-	// and each radix sort is finished by a comparison pass over equal-norm
-	// runs.
+	// has none). A non-nil norm opens the radix local-sort fast path
+	// (Options.LocalSort). normInexact marks a monotone but non-injective
+	// norm (comm.InexactNormalizer): the radix path stays open, but every
+	// comparator becomes a two-level compare and each radix sort is
+	// finished by a comparison pass over equal-norm runs.
 	norm        func(K) uint64
-	normBits    int
 	normInexact bool
 }
 
@@ -51,10 +50,12 @@ type node[K cmp.Ordered] struct {
 	pool    *taskmgr.Pool
 	dm      *datamgr.Manager
 	tracker alloc.Tracker
-	// entryPool recycles this processor's entry and scratch slabs across
-	// sorts, so a pipelined SortMany run reuses buffers instead of
-	// reallocating per dataset.
+	// entryPool recycles this processor's entry and merge-scratch slabs
+	// across sorts, so a pipelined SortMany run reuses buffers instead
+	// of reallocating per dataset; refPool does the same for step 1's
+	// (norm, index) refs.
 	entryPool *alloc.SlabPool[comm.Entry[K]]
+	refPool   alloc.SlabPool[lsort.NormRef]
 
 	mbMu      sync.Mutex
 	mbs       map[mbKey]*mailbox[comm.Message[K]]
@@ -97,12 +98,12 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 		kc = u.KeyCodec()
 	}
 	if kn, ok := kc.(comm.KeyNormalizer[K]); ok {
-		e.norm, e.normBits = kn.Norm, kn.NormBits()
+		e.norm = kn.Norm
 		if ix, ok := kc.(comm.InexactNormalizer); ok && ix.NormInexact() {
 			e.normInexact = true
 		}
-	} else if norm, bits, ok := comm.NormFor[K](); ok {
-		e.norm, e.normBits = norm, bits
+	} else if norm, _, ok := comm.NormFor[K](); ok {
+		e.norm = norm
 	}
 	e.nodes = make([]*node[K], opts.Procs)
 	for i := range e.nodes {
@@ -263,11 +264,6 @@ func (e *Engine[K]) checkJob(j job[K]) error {
 	if j.nparts() != e.opts.Procs {
 		return fmt.Errorf("core: got %d parts for %d processors", j.nparts(), e.opts.Procs)
 	}
-	for i := 0; i < j.nparts(); i++ {
-		if j.partLen(i) > 1<<31-1 {
-			return fmt.Errorf("core: local part of %d entries exceeds the 2^31-1 origin-index limit", j.partLen(i))
-		}
-	}
 	return nil
 }
 
@@ -385,6 +381,31 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 	sortID := e.nextSortID.Add(1)
 	p := e.opts.Procs
 
+	// Every node's run is built — and its share checked — before any node
+	// starts, so an oversized share fails the job with nothing allocated.
+	cmps := e.comparators()
+	runs := make([]*sortRun[K], p)
+	for i, n := range e.nodes {
+		runs[i] = &sortRun[K]{
+			node:   n,
+			sortID: sortID,
+			opts:   e.opts,
+			codec:  e.codec,
+			src:    j.source(i),
+			ctx:    ctx,
+			ctrl:   ctrl,
+			cmps:   cmps,
+			runs: runFormer[K]{
+				ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
+				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker,
+				spillDir: e.opts.SpillDir, dirPattern: "pgxsort-spill-*",
+			},
+		}
+		if err := checkShare(runs[i].src); err != nil {
+			return nil, err
+		}
+	}
+
 	// The watcher must be fully stopped before dropSort below, or a late
 	// cancellation could re-mark a sort id whose marker dropSort already
 	// deleted, leaking it (and, after int32 wraparound, poisoning a
@@ -415,8 +436,6 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		err     error
 	}
 	outs := make([]nodeOut, p)
-	cmps := e.comparators()
-	runs := make([]*sortRun[K], p)
 	start := time.Now()
 	// abort tears the whole sort down the moment any node fails: peers
 	// blocked on messages the failed node will never send observe
@@ -436,23 +455,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			n := e.nodes[i]
-			s := &sortRun[K]{
-				node:   n,
-				sortID: sortID,
-				opts:   e.opts,
-				codec:  e.codec,
-				src:    j.source(i),
-				ctx:    ctx,
-				ctrl:   ctrl,
-				cmps:   cmps,
-				runs: runFormer[K]{
-					ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
-					pool: n.entryPool, tracker: &n.tracker,
-					spillDir: e.opts.SpillDir, dirPattern: "pgxsort-spill-*",
-				},
-			}
-			runs[i] = s
+			s := runs[i]
 			outs[i].entries, outs[i].err = s.run()
 			outs[i].report = s.report
 			if outs[i].err != nil {

@@ -98,7 +98,7 @@ func Classify(err error) FailureClass {
 	if errors.As(err, &pe) {
 		return FailTransient
 	}
-	if errors.Is(err, comm.ErrFrameTooLarge) {
+	if errors.Is(err, comm.ErrFrameTooLarge) || errors.Is(err, ErrShareTooLarge) {
 		return FailDataDependent
 	}
 	if errors.Is(err, spill.ErrCorrupt) {

@@ -6,6 +6,7 @@ import (
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
+	"pgxsort/internal/failpoint"
 )
 
 // stringCodec is a fixed-width stand-in codec for a key type with no
@@ -138,8 +139,10 @@ func TestRadixPathFloat64TotalOrder(t *testing.T) {
 }
 
 // TestPoolingBalancesAndReuses: the Figure-11 temp-memory accounting
-// must balance to zero after every sort with pooling on, and a second
-// sort on the same engine must actually reuse pooled slabs.
+// must balance to zero after every sort with pooling on, a second sort on
+// the same engine must actually reuse pooled slabs — entry slabs and step
+// 1's ref slabs alike — and a sort failing at any stage must return every
+// slab it took.
 func TestPoolingBalancesAndReuses(t *testing.T) {
 	keys := dist.Gen{Kind: dist.Normal, Seed: 9}.Keys(8000)
 	eng, err := NewEngine[uint64](Options{Procs: 4, WorkersPerProc: 2}, comm.U64Codec{})
@@ -147,10 +150,7 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	parts := make([][]uint64, 4)
-	for i := range parts {
-		parts[i] = keys[i*len(keys)/4 : (i+1)*len(keys)/4]
-	}
+	parts := Blocks(keys, 4)
 	for round := 0; round < 3; round++ {
 		res, err := eng.Sort(parts)
 		if err != nil {
@@ -159,11 +159,7 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 		if res.Report.TempPeakBytes <= 0 {
 			t.Fatalf("round %d: no temporary memory accounted", round)
 		}
-		for i, n := range eng.nodes {
-			if live := n.tracker.Live(); live != 0 {
-				t.Fatalf("round %d: node %d temp accounting unbalanced: %d live bytes", round, i, live)
-			}
-		}
+		checkNoLeak(t, eng)
 	}
 	for i, n := range eng.nodes {
 		gets, hits, _ := n.entryPool.Stats()
@@ -173,6 +169,27 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 		if hits == 0 {
 			t.Fatalf("node %d: pool never reused a slab across 3 sorts (%d gets)", i, gets)
 		}
+		// Ref slabs never outlive step 1: every one taken is back, and
+		// sorts after the first found theirs waiting.
+		gets, hits, puts := n.refPool.Stats()
+		if gets != 3 || hits != 2 || puts != 3 {
+			t.Fatalf("node %d: ref pool saw %d gets, %d hits, %d puts over 3 sorts", i, gets, hits, puts)
+		}
+	}
+	t.Cleanup(failpoint.Reset)
+	for _, site := range []string{fpLocalSort, fpSplitters, fpExchange, fpMerge} {
+		gets0, puts0 := poolTraffic(eng)
+		failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeError, Count: -1})
+		_, err := eng.Sort(parts)
+		failpoint.Reset()
+		if err == nil {
+			t.Fatalf("%s: injected sort succeeded", site)
+		}
+		gets1, puts1 := poolTraffic(eng)
+		if gets, puts := gets1-gets0, puts1-puts0; gets != puts {
+			t.Fatalf("%s: failed sort took %d slabs and returned %d", site, gets, puts)
+		}
+		checkNoLeak(t, eng)
 	}
 }
 

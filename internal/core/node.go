@@ -76,7 +76,7 @@ func entryLess[K cmp.Ordered](a, b comm.Entry[K]) bool { return a.Key < b.Key }
 
 // sortCmps bundles one sort's ordering machinery: the resolved step-1
 // path, the comparators driving sampling, partitioning and merging, and
-// the key normalization feeding the radix passes. When the radix path is
+// the key normalization step 1's refs are built from. When the radix path is
 // active every comparison goes through the normalized image, so the whole
 // pipeline produces one consistent total order — for float64 that is the
 // IEEE-754 total order, which pins the NaN positions `<` cannot order.
@@ -84,13 +84,11 @@ type sortCmps[K cmp.Ordered] struct {
 	path     string // "radix" or "comparison"
 	useRadix bool
 	// fallback marks an inexact norm (monotone, non-injective): the radix
-	// sort leaves equal-norm runs unordered, so localSort finishes with a
-	// comparison pass over them (lsort.SortEqualNormRuns) and every
-	// comparator below is two-level (norm first, real key order on ties).
+	// sort leaves equal-norm runs unordered, so step 1 finishes them under
+	// the real key order (runFormer.sortChunk) and every comparator below
+	// is two-level (norm first, real key order on ties).
 	fallback  bool
 	norm      func(K) uint64
-	normBits  int
-	entryNorm func(comm.Entry[K]) uint64 // norm of the entry's key; set on the radix path
 	entryLess func(a, b comm.Entry[K]) bool
 	keyLess   func(a, b K) bool
 	keyAbove  func(e comm.Entry[K], sp K) bool // e.Key strictly above the splitter
@@ -100,18 +98,14 @@ type sortCmps[K cmp.Ordered] struct {
 // comparators resolves Options.LocalSort against the engine's key
 // normalization (keys without a norm take the comparison path).
 func (e *Engine[K]) comparators() sortCmps[K] {
-	c := sortCmps[K]{norm: e.norm, normBits: e.normBits}
+	c := sortCmps[K]{norm: e.norm}
 	c.useRadix = e.norm != nil && e.opts.LocalSort != LocalSortComparison
-	if c.useRadix {
-		norm := e.norm
-		c.entryNorm = func(en comm.Entry[K]) uint64 { return norm(en.Key) }
-	}
 	if c.useRadix && e.normInexact {
 		// Inexact norm (e.g. StringCodec's 8-byte prefix): the norm is a
 		// cheap first discriminator, but equal norms can hide unequal keys,
 		// so every comparator falls through to the real key order. The
-		// radix passes still do the bulk of the work; SortEqualNormRuns
-		// finishes the collided runs (see localSort).
+		// radix passes still do the bulk of step 1's work; the collided
+		// runs are finished under the real keys (see sortChunk).
 		c.path = "radix"
 		c.fallback = true
 		norm := e.norm
@@ -379,12 +373,12 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 // localSort is step 1: the parallel local sort of this node's share,
 // run by the shared former (runs.go). The entry buffer comes from the
 // node's slab pool and returns to it once the whole sort joins (its
-// subslices travel through the exchange). A share that fits is one chunk
-// sorted where it stands; on the exact-norm radix path a full-size
-// scratch that would blow Options.MemoryBudget is replaced by
-// budget-sized chunks that sort in the head of the buffer, spill to block
-// files, and stream-merge back over it — the same bytes, a fraction of
-// the temporary memory.
+// subslices travel through the exchange). A share that fits is one chunk,
+// written into the buffer once, already in order; on the exact-norm radix
+// path a share whose entries alone exceed Options.MemoryBudget is formed
+// in budget-sized chunks that land in the head of the buffer, spill to
+// block files, and stream-merge back over it — the same bytes, a fraction
+// of the temporary memory.
 func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	t0 := time.Now()
 	entries := s.node.entryPool.Get(s.src.size())
@@ -395,16 +389,15 @@ func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	chunk := len(entries)
 	if budget := s.opts.MemoryBudget; budget > 0 && s.cmps.useRadix && !s.cmps.fallback &&
 		int64(len(entries))*eb > budget {
-		// A full scratch buffer alone would exceed the budget. Only
-		// the exact-norm radix path spills here: its chunk sorts and
-		// the streaming merge are both stable, so the chunked result
-		// is byte-identical to the one-pass sort at any chunk size.
-		// (Inexact norms and the comparison path keep their in-memory
-		// sort; the exchange stage still spills for them.)
+		// Only the exact-norm radix path spills here: its chunk sorts
+		// and the streaming merge are both stable, so the chunked
+		// result is byte-identical to the one-pass sort at any chunk
+		// size. (Inexact norms and the comparison path keep their
+		// in-memory sort; the exchange stage still spills for them.)
 		chunk = chunkEntries(budget, eb, 1)
 	}
 	chunked := chunk < len(entries)
-	runs, err := s.runs.form(s.src, entries[:chunk], "lsort", chunked)
+	runs, err := s.runs.form(s.src, entries[:chunk], chunk, "lsort", chunked)
 	if err == nil && chunked {
 		err = s.runs.mergeInto(entries, runs)
 	}

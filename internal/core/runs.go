@@ -3,10 +3,13 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"unsafe"
 
 	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
@@ -24,98 +27,226 @@ import (
 // the merge side already treats it that way through lsort.Cursor, and the
 // former is the same idea on the formation side.
 
-// entrySource is one node's step-1 input: the former pulls it a chunk at
-// a time as provenance-stamped entries (origin node, index within the
-// node's share), so the rest of the pipeline never sees what the input
-// was.
+// entrySource is one node's step-1 input. The former pulls it a chunk at
+// a time and addresses the staged chunk by position: the radix arm sorts
+// 16-byte (norm, position) refs and has the source put each entry in its
+// sorted place, once; the comparison arm takes the chunk as entries and
+// sorts those. Entries leave provenance-stamped (origin node, index
+// within the node's share), so the rest of the pipeline never sees what
+// the input was.
 type entrySource[K cmp.Ordered] interface {
 	// size is how many entries the source yields in total.
 	size() int
-	// fill stamps the next entries into dst and returns how many; fewer
-	// than len(dst) means the source is exhausted.
-	fill(dst []comm.Entry[K]) (int, error)
+	// next stages the following chunk of at most max entries and returns
+	// its length; 0 means the source is exhausted. The methods below read
+	// the staged chunk.
+	next(max int) (int, error)
+	// refs writes dst[i] = (norm of the chunk's i-th key, i).
+	refs(dst []lsort.NormRef, norm func(K) uint64)
+	// less orders the keys at two chunk positions.
+	less(i, j uint32) bool
+	// emit returns the chunk as entries in the order the refs name:
+	// element j is the entry at chunk position order[j].Idx. order, a
+	// permutation of the chunk's positions, is consumed.
+	emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K]
+	// entries returns the chunk as entries in source order, for the caller
+	// to reorder in place.
+	//
+	// Both land in buf when the source has to build its entries, and in
+	// the source's own staging when they already exist there.
+	entries(buf []comm.Entry[K]) []comm.Entry[K]
 }
 
-// keySource yields one node's bare keys.
+// ErrShareTooLarge rejects a step-1 input of more entries than the
+// uint32 provenance index (comm.Entry.Index, lsort.NormRef.Idx) can tell
+// apart. Classify reports it data-dependent.
+var ErrShareTooLarge = errors.New("core: share exceeds the 2^32-1 entries an origin index can address")
+
+// checkShare guards a source before anything is sized from it.
+func checkShare[K cmp.Ordered](src entrySource[K]) error {
+	if n := src.size(); uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("%w: %d entries", ErrShareTooLarge, n)
+	}
+	return nil
+}
+
+// keySource yields one node's bare keys; the staged chunk is keys[lo:hi].
 type keySource[K cmp.Ordered] struct {
-	keys []K
-	node uint32
-	pos  int
+	keys   []K
+	node   uint32
+	lo, hi int
 }
 
 func (s *keySource[K]) size() int { return len(s.keys) }
 
-func (s *keySource[K]) fill(dst []comm.Entry[K]) (int, error) {
-	n := min(len(dst), len(s.keys)-s.pos)
-	for i, k := range s.keys[s.pos : s.pos+n] {
-		dst[i] = comm.Entry[K]{Key: k, Proc: s.node, Index: uint32(s.pos + i)}
-	}
-	s.pos += n
-	return n, nil
+func (s *keySource[K]) next(max int) (int, error) {
+	s.lo, s.hi = s.hi, min(s.hi+max, len(s.keys))
+	return s.hi - s.lo, nil
 }
 
-// recSource yields one node's key+payload records.
+func (s *keySource[K]) refs(dst []lsort.NormRef, norm func(K) uint64) {
+	for i, k := range s.keys[s.lo:s.hi] {
+		dst[i] = lsort.NormRef{Norm: norm(k), Idx: uint32(i)}
+	}
+}
+
+func (s *keySource[K]) less(i, j uint32) bool {
+	return s.keys[s.lo+int(i)] < s.keys[s.lo+int(j)]
+}
+
+// entry is the chunk's i-th entry.
+func (s *keySource[K]) entry(i int) comm.Entry[K] {
+	return comm.Entry[K]{Key: s.keys[s.lo+i], Proc: s.node, Index: uint32(s.lo + i)}
+}
+
+func (s *keySource[K]) emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K] {
+	buf = buf[:len(order)]
+	for j, r := range order {
+		buf[j] = s.entry(int(r.Idx))
+	}
+	return buf
+}
+
+func (s *keySource[K]) entries(buf []comm.Entry[K]) []comm.Entry[K] {
+	buf = buf[:s.hi-s.lo]
+	for i := range buf {
+		buf[i] = s.entry(i)
+	}
+	return buf
+}
+
+// recSource yields one node's key+payload records; the staged chunk is
+// recs[lo:hi].
 type recSource[K cmp.Ordered] struct {
-	recs []comm.Record[K]
-	node uint32
-	pos  int
+	recs   []comm.Record[K]
+	node   uint32
+	lo, hi int
 }
 
 func (s *recSource[K]) size() int { return len(s.recs) }
 
-func (s *recSource[K]) fill(dst []comm.Entry[K]) (int, error) {
-	n := min(len(dst), len(s.recs)-s.pos)
-	for i, r := range s.recs[s.pos : s.pos+n] {
-		dst[i] = comm.Entry[K]{Key: r.Key, Payload: r.Payload, Proc: s.node, Index: uint32(s.pos + i)}
+func (s *recSource[K]) next(max int) (int, error) {
+	s.lo, s.hi = s.hi, min(s.hi+max, len(s.recs))
+	return s.hi - s.lo, nil
+}
+
+func (s *recSource[K]) refs(dst []lsort.NormRef, norm func(K) uint64) {
+	for i := range s.recs[s.lo:s.hi] {
+		dst[i] = lsort.NormRef{Norm: norm(s.recs[s.lo+i].Key), Idx: uint32(i)}
 	}
-	s.pos += n
-	return n, nil
+}
+
+func (s *recSource[K]) less(i, j uint32) bool {
+	return s.recs[s.lo+int(i)].Key < s.recs[s.lo+int(j)].Key
+}
+
+// entry is the chunk's i-th entry.
+func (s *recSource[K]) entry(i int) comm.Entry[K] {
+	rec := &s.recs[s.lo+i]
+	return comm.Entry[K]{Key: rec.Key, Payload: rec.Payload, Proc: s.node, Index: uint32(s.lo + i)}
+}
+
+func (s *recSource[K]) emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K] {
+	buf = buf[:len(order)]
+	for j, r := range order {
+		buf[j] = s.entry(int(r.Idx))
+	}
+	return buf
+}
+
+func (s *recSource[K]) entries(buf []comm.Entry[K]) []comm.Entry[K] {
+	buf = buf[:s.hi-s.lo]
+	for i := range buf {
+		buf[i] = s.entry(i)
+	}
+	return buf
 }
 
 // sectionSource yields one node's contiguous section of an upload spool
-// (see formSection).
+// (see formSection). A chunk read back from disk has to sit somewhere to
+// be addressed by position, so this source stages it in a slab of its
+// own: staged[:n] is the chunk, provenance already stamped.
 type sectionSource[K cmp.Ordered] struct {
 	sec      *spill.RunReader[K]
 	node     uint32
-	seq      uint32
+	seq      uint32          // entries staged so far: the next entry's Index
+	staged   []comm.Entry[K] // staging slab, one chunk long
+	n        int             // length of the staged chunk
 	pending  []comm.Entry[K] // unconsumed tail of the reader's live batch
 	readSite string          // SpooledInput.ReadSite
 }
 
 func (s *sectionSource[K]) size() int { return int(s.sec.Count()) }
 
-func (s *sectionSource[K]) fill(dst []comm.Entry[K]) (int, error) {
-	filled := 0
-	for filled < len(dst) {
+func (s *sectionSource[K]) next(max int) (int, error) {
+	dst := s.staged[:min(max, len(s.staged))]
+	s.n = 0
+	for s.n < len(dst) {
 		if len(s.pending) == 0 {
 			if s.readSite != "" {
 				if err := failpoint.HitNoPanic(s.readSite); err != nil {
-					return filled, err
+					return 0, err
 				}
 			}
 			var err error
 			if s.pending, err = s.sec.Next(); err != nil {
-				return filled, err
+				return 0, err
 			}
 			if len(s.pending) == 0 {
 				break
 			}
 		}
-		n := copy(dst[filled:], s.pending)
+		n := copy(dst[s.n:], s.pending)
 		// Restamp provenance: the spool holds arrival order from one
 		// ingress stream, but the sorted output's tie-break provenance
 		// is (section, position-in-section), matching the resident
 		// path's (node, index).
-		for j := filled; j < filled+n; j++ {
+		for j := s.n; j < s.n+n; j++ {
 			dst[j].Proc = s.node
 			dst[j].Index = s.seq
 			s.seq++
 		}
-		filled += n
+		s.n += n
 		s.pending = s.pending[n:]
 	}
-	return filled, nil
+	return s.n, nil
 }
+
+func (s *sectionSource[K]) refs(dst []lsort.NormRef, norm func(K) uint64) {
+	for i := range s.staged[:s.n] {
+		dst[i] = lsort.NormRef{Norm: norm(s.staged[i].Key), Idx: uint32(i)}
+	}
+}
+
+func (s *sectionSource[K]) less(i, j uint32) bool { return s.staged[i].Key < s.staged[j].Key }
+
+// emit permutes the staging in place, following each cycle of order
+// once: every entry moves straight to its sorted position and no second
+// entry slab is needed. A position is marked done by pointing its ref at
+// itself.
+func (s *sectionSource[K]) emit(_ []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K] {
+	chunk := s.staged[:len(order)]
+	for j := range order {
+		if order[j].Idx == uint32(j) {
+			continue
+		}
+		first := chunk[j]
+		k := j
+		for {
+			from := int(order[k].Idx)
+			order[k].Idx = uint32(k)
+			if from == j {
+				chunk[k] = first
+				break
+			}
+			chunk[k] = chunk[from]
+			k = from
+		}
+	}
+	return chunk
+}
+
+func (s *sectionSource[K]) entries([]comm.Entry[K]) []comm.Entry[K] { return s.staged[:s.n] }
 
 // runFormer forms and reopens sorted runs for one consumer: a node of the
 // resident pipeline (sortRun), or a whole spooled job, whose p section
@@ -125,9 +256,11 @@ type runFormer[K cmp.Ordered] struct {
 	codec   comm.Codec[K]
 	cmps    sortCmps[K]
 	workers int
-	// pool and tracker supply and account every slab the former takes:
-	// sort scratch, merge batches and the readers' decoded blocks.
+	// pool, refPool and tracker supply and account every slab the former
+	// takes: staging, the radix arm's refs, the comparison arm's merge
+	// scratch, merge batches and the readers' decoded blocks.
 	pool    *alloc.SlabPool[comm.Entry[K]]
+	refPool *alloc.SlabPool[lsort.NormRef]
 	tracker *alloc.Tracker
 	// Run files live in a private directory created under spillDir (the
 	// system temp dir when empty) from dirPattern the first time one is
@@ -159,6 +292,20 @@ func (f *runFormer[K]) give(slab []comm.Entry[K]) {
 	f.pool.Put(slab)
 }
 
+// refBytes is the in-memory size of one lsort.NormRef.
+const refBytes = int64(unsafe.Sizeof(lsort.NormRef{}))
+
+// takeRefs and giveRefs are take and give for ref slabs.
+func (f *runFormer[K]) takeRefs(n int) []lsort.NormRef {
+	f.tracker.Alloc(int64(n) * refBytes)
+	return f.refPool.Get(n)
+}
+
+func (f *runFormer[K]) giveRefs(slab []lsort.NormRef) {
+	f.tracker.Free(int64(len(slab)) * refBytes)
+	f.refPool.Put(slab)
+}
+
 // scratchDir returns the former's run-file directory, creating it on
 // first use. Not safe for concurrent first use.
 func (f *runFormer[K]) scratchDir() (string, error) {
@@ -182,46 +329,53 @@ func (f *runFormer[K]) removeScratch() error {
 }
 
 // chunkEntries sizes a step-1 chunk under budget: half the budget for
-// the chunk, half for the sort scratch, at least floor entries so tiny
-// budgets still make progress.
+// the chunk, half for what sorting it takes (the radix arm's refs need
+// less: 32 B an entry), at least floor entries so tiny budgets still
+// make progress.
 func chunkEntries(budget, eb int64, floor int) int {
 	return max(int(budget/(2*eb)), floor)
 }
 
-// form is step 1 for one source. It stages the source in buf one chunk
-// (len(buf) entries) at a time and sorts each chunk; with toRuns every
-// sorted chunk is written out as the run file <name>-<i>.spill and the
-// paths come back in chunk order, otherwise the source must fit buf and
-// its one sorted chunk stays there. Chunk sorts are stable on the radix
-// path, so merging the runs in order reproduces the one-chunk sort entry
-// for entry at any chunk size.
-func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], name string, toRuns bool) (runs []string, err error) {
-	var scratch []comm.Entry[K]
-	if n := min(len(buf), src.size()); n > 1 && (f.cmps.useRadix || f.workers > 1) {
-		scratch = f.take(n)
+// form is step 1 for one source. It pulls the source one chunk (at most
+// chunk entries) at a time and sorts each; with toRuns every sorted chunk
+// is written out as the run file <name>-<i>.spill and the paths come back
+// in chunk order, otherwise the source must fit one chunk, which stays in
+// buf. buf, a chunk long, is where a source that does not stage its own
+// entries has them land; one that does needs none. Chunk sorts are stable
+// on the radix arm, so merging the runs in order reproduces the one-chunk
+// sort entry for entry at any chunk size.
+func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, name string, toRuns bool) (runs []string, err error) {
+	chunk = min(chunk, src.size())
+	var refs []lsort.NormRef    // radix arm: chunk refs, then as many of scratch
+	var scratch []comm.Entry[K] // comparison arm: the balanced merge's other buffer
+	if f.cmps.useRadix {
+		refs = f.takeRefs(2 * chunk)
+		defer f.giveRefs(refs)
+	} else if f.workers > 1 && chunk > 1 {
+		scratch = f.take(chunk)
 		defer f.give(scratch)
 	}
 	for {
 		if err := f.ctx.Err(); err != nil {
 			return nil, err
 		}
-		n, err := src.fill(buf)
+		n, err := src.next(chunk)
 		if err != nil {
 			return nil, err
 		}
 		if n == 0 {
 			return runs, nil
 		}
-		f.sortChunk(buf[:n], scratch)
+		sorted := f.sortChunk(src, n, buf, refs, scratch)
 		if !toRuns {
 			return nil, nil
 		}
-		path, err := f.writeRun(fmt.Sprintf("%s-%d.spill", name, len(runs)), buf[:n], nil)
+		path, err := f.writeRun(fmt.Sprintf("%s-%d.spill", name, len(runs)), sorted, nil)
 		if err != nil {
 			return nil, err
 		}
 		runs = append(runs, path)
-		if n < len(buf) {
+		if n < chunk {
 			return runs, nil
 		}
 	}
@@ -230,7 +384,8 @@ func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], name string
 // formSection is step 1 for one node of a spooled job: entries
 // [lo, lo+n) of the spool become sorted runs of at most chunk entries.
 // Nothing stays resident — the staging chunk is the former's own,
-// tracker-accounted like its scratch.
+// tracker-accounted like its refs; the two (40 + 32 B an entry) stay under
+// the two entry slabs the budget's chunk size was derived from.
 func (f *runFormer[K]) formSection(in SpooledInput, node int, lo, n uint64, chunk int) ([]string, error) {
 	sec, err := spill.NewRunReaderSection(in.Path, f.codec, f.readerOpts(), lo, n)
 	if err != nil {
@@ -241,33 +396,41 @@ func (f *runFormer[K]) formSection(in SpooledInput, node int, lo, n uint64, chun
 		sec.Close()
 	}()
 	src := &sectionSource[K]{sec: sec, node: uint32(node), readSite: in.ReadSite}
-	buf := f.take(min(chunk, src.size()))
-	defer f.give(buf)
-	return f.form(src, buf, fmt.Sprintf("run-%d", node), true)
+	if err := checkShare[K](src); err != nil {
+		return nil, err
+	}
+	chunk = min(chunk, src.size())
+	src.staged = f.take(chunk)
+	defer f.give(src.staged)
+	return f.form(src, nil, chunk, fmt.Sprintf("run-%d", node), true)
 }
 
-// sortChunk is the step-1 kernel. The comparison path is the paper's
-// chunked quicksort + balanced merge; the radix path (taken when the key
-// normalizes to uint64, see Options.LocalSort) replaces the per-chunk
-// quicksort with an LSD byte-radix sort over normalized keys. scratch
-// must cover chunk unless the path is single-worker comparison.
-func (f *runFormer[K]) sortChunk(chunk, scratch []comm.Entry[K]) {
-	if len(chunk) < 2 {
-		return
+// sortChunk is the step-1 kernel: it returns the source's staged chunk of
+// n entries, sorted.
+//
+// The radix arm (taken when the key normalizes to uint64, see
+// Options.LocalSort) never moves an entry to sort it: it builds one
+// (norm, position) ref per key, sorts the refs — an LSD byte-radix per
+// worker chunk, combined by the balanced handler — and has the source put
+// each entry in its place once, in the refs' order. The radix is stable
+// and the refs start in position order, so equal keys come out in
+// provenance order exactly as if the entries themselves had been stably
+// sorted. An inexact norm leaves its equal-norm runs for the real keys
+// first. The comparison arm is the paper's chunked quicksort + balanced
+// merge over the entries themselves; scratch must cover the chunk when
+// there is more than one worker.
+func (f *runFormer[K]) sortChunk(src entrySource[K], n int, buf []comm.Entry[K], refs []lsort.NormRef, scratch []comm.Entry[K]) []comm.Entry[K] {
+	if !f.cmps.useRadix {
+		chunk := src.entries(buf)
+		lsort.ParallelSortScratch(chunk, scratch, f.cmps.entryLess, f.workers)
+		return chunk
 	}
-	switch {
-	case f.cmps.useRadix:
-		lsort.ParallelRadixSort(chunk, scratch[:len(chunk)], f.cmps.entryNorm, f.cmps.normBits, f.cmps.entryLess, f.workers)
-		if f.cmps.fallback {
-			// Inexact norm: the radix passes ordered by norm only;
-			// finish the equal-norm runs under the real comparison.
-			lsort.SortEqualNormRuns(chunk, f.cmps.entryNorm, f.cmps.entryLess)
-		}
-	case f.workers > 1:
-		lsort.ParallelSortScratch(chunk, scratch[:len(chunk)], f.cmps.entryLess, f.workers)
-	default:
-		lsort.Quicksort(chunk, f.cmps.entryLess)
+	src.refs(refs[:n], f.cmps.norm)
+	order := lsort.SortNormRefs(refs[:n], refs[len(refs)/2:], f.workers)
+	if f.cmps.fallback {
+		lsort.SortEqualNormRefs(order, src.less)
 	}
+	return src.emit(buf, order)
 }
 
 // writeRun writes a sorted stream — chunk, then whatever more yields (nil

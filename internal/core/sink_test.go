@@ -11,12 +11,14 @@ import (
 	"pgxsort/internal/failpoint"
 )
 
-// poolTraffic totals every node's slab-pool gets and puts.
+// poolTraffic totals every node's slab-pool gets and puts, entry and ref
+// pools alike.
 func poolTraffic(e *Engine[uint64]) (gets, puts int64) {
 	for _, n := range e.nodes {
 		g, _, p := n.entryPool.Stats()
-		gets += g
-		puts += p
+		rg, _, rp := n.refPool.Stats()
+		gets += g + rg
+		puts += p + rp
 	}
 	return gets, puts
 }

@@ -155,8 +155,8 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in SpooledInput) (*Spo
 }
 
 // SortSpooled externally sorts a spooled input under the engine's memory
-// budget, returning a streaming result. Temporary memory — chunk slabs,
-// sort scratch, decoded block slabs — is tracker-accounted per job; the
+// budget, returning a streaming result. Temporary memory — chunk staging,
+// sort refs, decoded block slabs — is tracker-accounted per job; the
 // working set is O(chunk + fanIn·block) per node, independent of N.
 func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *SpooledResult[K], err error) {
 	if in.Path == "" || in.N < 0 {
@@ -180,7 +180,7 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	// trackers are engine-lifetime and shared across concurrent jobs).
 	f := &runFormer[K]{
 		ctx: ctx, codec: e.codec, cmps: e.comparators(), workers: e.opts.WorkersPerProc,
-		pool: &alloc.SlabPool[comm.Entry[K]]{}, tracker: &alloc.Tracker{},
+		pool: &alloc.SlabPool[comm.Entry[K]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
 		spillDir: e.opts.SpillDir, dirPattern: "pgxsort-spool-*", blockBytes: spoolBlockBytes(budget),
 	}
 	// Created up front: the section goroutines share the former.

@@ -411,6 +411,9 @@ func TestSpooledErrorExits(t *testing.T) {
 				if gets, _, puts := res.runs.pool.Stats(); gets != puts {
 					t.Fatalf("job took %d slabs and returned %d", gets, puts)
 				}
+				if gets, _, puts := res.runs.refPool.Stats(); gets != puts {
+					t.Fatalf("job took %d ref slabs and returned %d", gets, puts)
+				}
 				if live := res.runs.tracker.Live(); live != 0 {
 					t.Fatalf("job tracker.Live = %d after Close", live)
 				}

@@ -68,9 +68,9 @@ func (e *Engine[K]) selectK(parts [][]K, k int, worse func(a, b comm.Entry[K]) b
 			var partials [][]comm.Entry[K]
 			var pmu sync.Mutex
 			n.pool.ParallelFor(len(local), func(lo, hi int) {
-				chunk := make([]comm.Entry[K], hi-lo)
-				(&keySource[K]{keys: local, node: uint32(i), pos: lo}).fill(chunk)
-				top := lsort.TopK(chunk, k, worse)
+				src := &keySource[K]{keys: local, node: uint32(i), hi: lo}
+				src.next(hi - lo)
+				top := lsort.TopK(src.entries(make([]comm.Entry[K], hi-lo)), k, worse)
 				pmu.Lock()
 				partials = append(partials, top)
 				pmu.Unlock()

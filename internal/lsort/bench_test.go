@@ -43,37 +43,79 @@ func BenchmarkTimSort(b *testing.B) {
 	}
 }
 
-// BenchmarkRadixSort times the non-comparison fast path across all eight
-// distribution kinds; the counting-skip passes make the low-entropy kinds
-// (sorted over a narrow domain, few-distinct, constant) dramatically
-// cheaper than the full eight passes.
+// benchEntry has the engine entry's 40-byte layout (comm.Entry[uint64]:
+// key, nil payload header, provenance).
+type benchEntry struct {
+	Key         uint64
+	Payload     []byte
+	Proc, Index uint32
+}
+
+func benchEntryKey(e benchEntry) uint64   { return e.Key }
+func benchEntryLess(a, b benchEntry) bool { return a.Key < b.Key }
+
+// radixWidths runs one radix benchmark at the three element widths the
+// repo sorts: flat 8-byte keys and 40-byte entries through the generic
+// kernel (sort is ParallelRadixSort's worker count; 0 is RadixSort), and
+// the 16-byte (norm, index) refs step 1 sorts. Every case copies its
+// input in first, so the three differ only in what a pass moves.
+func radixWidths(b *testing.B, keys []uint64, workers int) {
+	b.Run("flat", func(b *testing.B) {
+		buf, scratch := make([]uint64, len(keys)), make([]uint64, len(keys))
+		b.SetBytes(int64(len(keys)) * 8)
+		for i := 0; i < b.N; i++ {
+			copy(buf, keys)
+			if workers == 0 {
+				RadixSort(buf, scratch, idU64, 64)
+			} else {
+				ParallelRadixSort(buf, scratch, idU64, 64, lessU64, workers)
+			}
+		}
+	})
+	b.Run("entry", func(b *testing.B) {
+		in := make([]benchEntry, len(keys))
+		for i, k := range keys {
+			in[i] = benchEntry{Key: k, Index: uint32(i)}
+		}
+		buf, scratch := make([]benchEntry, len(keys)), make([]benchEntry, len(keys))
+		b.SetBytes(int64(len(keys)) * 8)
+		for i := 0; i < b.N; i++ {
+			copy(buf, in)
+			if workers == 0 {
+				RadixSort(buf, scratch, benchEntryKey, 64)
+			} else {
+				ParallelRadixSort(buf, scratch, benchEntryKey, 64, benchEntryLess, workers)
+			}
+		}
+	})
+	b.Run("refs", func(b *testing.B) {
+		in := refsOf(keys)
+		buf, scratch := make([]NormRef, len(keys)), make([]NormRef, len(keys))
+		b.SetBytes(int64(len(keys)) * 8)
+		for i := 0; i < b.N; i++ {
+			copy(buf, in)
+			SortNormRefs(buf, scratch, max(workers, 1))
+		}
+	})
+}
+
+// BenchmarkRadixSort times the non-comparison kernels across all eight
+// distribution kinds at all three widths; skipping constant byte columns
+// makes the low-entropy kinds (sorted over a narrow domain, few-distinct,
+// constant) dramatically cheaper than the full eight passes.
 func BenchmarkRadixSort(b *testing.B) {
 	for _, kind := range dist.AllKinds {
-		b.Run(kind.String(), func(b *testing.B) {
-			keys := benchKeys(kind)
-			buf := make([]uint64, len(keys))
-			scratch := make([]uint64, len(keys))
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				copy(buf, keys)
-				RadixSort(buf, scratch, idU64, 64)
-			}
-		})
+		b.Run(kind.String(), func(b *testing.B) { radixWidths(b, benchKeys(kind), 0) })
 	}
 }
 
 func BenchmarkParallelRadixSort(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			keys := benchKeys(dist.Uniform)
-			buf := make([]uint64, len(keys))
-			scratch := make([]uint64, len(keys))
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				copy(buf, keys)
-				ParallelRadixSort(buf, scratch, idU64, 64, lessU64, workers)
-			}
-		})
+	for _, kind := range dist.AllKinds {
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", kind, workers), func(b *testing.B) {
+				radixWidths(b, benchKeys(kind), workers)
+			})
+		}
 	}
 }
 

@@ -5,9 +5,12 @@
 // stream spilled runs back (MergeCursors) and serve as the balanced
 // handler's measured counterpart (KWayMerge).
 //
-// All algorithms are generic over the element type with an explicit less
-// function, mirroring the paper's claim that the sorting library "is
-// generic and works with any data type".
+// These are generic over the element type with an explicit less function,
+// mirroring the paper's claim that the sorting library "is generic and
+// works with any data type". The one exception is the engine's step-1
+// kernel for keys with a uint64 norm (SortNormRefs): a closure-free radix
+// over fixed 16-byte (norm, index) refs, which is what lets it stay
+// non-generic whatever the element is.
 package lsort
 
 import "sync"

@@ -10,11 +10,14 @@ const radixBits = 8
 const maxRadixPasses = 64 / radixBits
 
 // RadixSort sorts s by the uint64 image key(e), least-significant byte
-// first. It is the engine's non-comparison fast path: where Quicksort
-// pays a less-closure call per comparison (~n log n of them), radix pays
-// a fixed number of counting passes — and skips every pass whose byte
-// column is constant across the data, so small-domain, few-distinct and
-// constant inputs finish in one or two passes instead of eight.
+// first, moving whole elements: where Quicksort pays a less-closure call
+// per comparison (~n log n of them), radix pays a fixed number of
+// counting passes — and skips every pass whose byte column is constant
+// across the data, so small-domain, few-distinct and constant inputs
+// finish in one or two passes instead of eight. The engine's step 1
+// sorts 16-byte refs instead (SortNormRefs); this generic form is the
+// repository benchmark's yardstick for what a pass over a flat key and
+// over a 40-byte entry costs.
 //
 // key must be an order-preserving map onto uint64 (see comm.KeyNormalizer)
 // and keyBits its significant width (bits above it are assumed zero; pass
@@ -87,12 +90,13 @@ func RadixSort[E any](s, scratch []E, key func(E) uint64, keyBits int) {
 	}
 }
 
-// ParallelRadixSort is the chunked-parallel radix sort used by step 1's
-// fast path: data is divided equally among workers (the same chunking as
-// ParallelSort), each worker radix-sorts its chunk against its slice of
-// the shared scratch buffer, and the sorted chunks are combined with the
-// balanced merging handler of Figure 2. less must order exactly as key
-// does (e.g. compare key images); it drives the merges.
+// ParallelRadixSort is RadixSort chunked across workers, the shape
+// SortNormRefs follows: data is divided equally among workers (the same
+// chunking as ParallelSort), each worker radix-sorts its chunk against
+// its slice of the shared scratch buffer, and the sorted chunks are
+// combined with the balanced merging handler of Figure 2. less must
+// order exactly as key does (e.g. compare key images); it drives the
+// merges.
 //
 // scratch must have at least len(s) elements; the result always ends in
 // s. Like sequential RadixSort the sort is stable: chunk sorts are
