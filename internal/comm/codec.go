@@ -122,6 +122,39 @@ func KeysWireBytes[K any](keys []K, c Codec[K]) int {
 	return len(keys) * kc.KeySize()
 }
 
+// EntriesFitting returns how many leading entries encode into at most
+// room bytes under codec c, counting exactly what EncodeEntries writes
+// per entry (key, origin, payload framing) — the spill writer's block
+// sizing, where an average would let a block overshoot its target.
+func EntriesFitting[K any](entries []Entry[K], c Codec[K], room int) int {
+	kc, withPay := keyCodecOf(c)
+	vc, isVar := kc.(VarCodec[K])
+	fixed := originBytes
+	if !isVar {
+		fixed += kc.KeySize()
+	}
+	if withPay {
+		fixed += payloadLenBytes
+	}
+	if !isVar && !withPay {
+		return min(len(entries), max(room, 0)/fixed)
+	}
+	used := 0
+	for i := range entries {
+		used += fixed
+		if isVar {
+			used += vc.KeyBytes(entries[i].Key)
+		}
+		if withPay {
+			used += len(entries[i].Payload)
+		}
+		if used > room {
+			return i
+		}
+	}
+	return len(entries)
+}
+
 // EntryWireEstimate returns the average per-entry wire size (origin
 // excluded) over a bounded prefix of entries — the data manager's
 // chunking estimate for variable-width keys and payload-carrying codecs.

@@ -199,3 +199,25 @@ func TestStringKeysWire(t *testing.T) {
 		}
 	}
 }
+
+// EntriesFitting is the longest prefix EntriesWireBytes says fits — for a
+// fixed-width, a variable-width and a payload-carrying codec, at every
+// room from nothing to more than the whole batch.
+func TestEntriesFittingMatchesWireBytes(t *testing.T) {
+	strs := []Entry[string]{{Key: ""}, {Key: "a-longer-key"}, {Key: "中文"}, {Key: "z"}}
+	recs := []Entry[uint64]{{Key: 1, Payload: []byte("body")}, {Key: 2}, {Key: 3, Payload: make([]byte, 40)}}
+	checkFitting(t, recs, Codec[uint64](U64Codec{})) // payloads do not ride this codec
+	checkFitting(t, strs, Codec[string](StringCodec{}))
+	checkFitting(t, recs, Codec[uint64](NewRecordCodec[uint64](U64Codec{})))
+}
+
+func checkFitting[K any](t *testing.T, entries []Entry[K], c Codec[K]) {
+	t.Helper()
+	for room := -1; room <= EntriesWireBytes(entries, c)+1; room++ {
+		n := EntriesFitting(entries, c, room)
+		if n < 0 || n > len(entries) || EntriesWireBytes(entries[:n], c) > max(room, 0) ||
+			n < len(entries) && EntriesWireBytes(entries[:n+1], c) <= room {
+			t.Fatalf("%T room %d: EntriesFitting = %d", c, room, n)
+		}
+	}
+}

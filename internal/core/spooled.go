@@ -47,7 +47,9 @@ const (
 
 // spoolBlockBytes picks the block size for spooled run files: small
 // enough that a fan-in's worth of decoded block slabs stays a fraction
-// of the budget, large enough to compress and batch I/O.
+// of the budget, large enough that a block — one write, one read, stored
+// raw — batches I/O. The size bounds a block's wire bytes, origin fields
+// included, so its decoded slab is at most 40/16 of it for uint64 keys.
 func spoolBlockBytes(budget int64) int {
 	return int(min(max(budget/(4*spoolMergeFanIn), 4<<10), spill.DefaultBlockBytes))
 }

@@ -31,7 +31,9 @@ type SpillAssembly[K any] struct {
 // NewSpillAssembly creates one run file per non-empty source under dir
 // (dir must exist; files are named run-<src>.spill). Unlike NewAssembly
 // there is no tracker accounting for the assembled entries — the entire
-// point is that they are not resident.
+// point is that they are not resident: an open source holds its writer's
+// one pooled block buffer (spill.DefaultBlockBytes of wire bytes, written
+// raw the moment it fills) and nothing per entry.
 func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir string) (*SpillAssembly[K], error) {
 	a := &SpillAssembly[K]{
 		writers: make([]*spill.Writer[K], len(perSrc)),

@@ -236,13 +236,10 @@ func (t *cursorTree[E]) beats(a, b int) bool {
 	if b == -1 {
 		return true
 	}
-	ea := t.buf[a][t.pos[a]]
-	eb := t.buf[b][t.pos[b]]
-	if t.less(ea, eb) {
-		return true
+	// One less call per match, heads read in place: a wins a tie exactly
+	// when it is the lower index, i.e. when b's head is not strictly less.
+	if a < b {
+		return !t.less(t.buf[b][t.pos[b]], t.buf[a][t.pos[a]])
 	}
-	if t.less(eb, ea) {
-		return false
-	}
-	return a < b
+	return t.less(t.buf[a][t.pos[a]], t.buf[b][t.pos[b]])
 }

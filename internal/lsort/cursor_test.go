@@ -127,3 +127,55 @@ func TestMergeCursorsError(t *testing.T) {
 		t.Fatalf("single-cursor err = %v", err)
 	}
 }
+
+// TestLoserTreeOneLessPerMatch: over tie-heavy input — all keys equal,
+// and every run holding the same keys, where the old two-call tie test
+// paid twice — both loser trees spend at most ⌈log₂ k⌉ less calls per
+// popped element after the k−1 priming matches, and still emit ties in
+// run order.
+func TestLoserTreeOneLessPerMatch(t *testing.T) {
+	type tagged struct{ key, run int }
+	const per = 200
+	for _, k := range []int{3, 4, 5, 8, 13} {
+		depth := 0
+		for 1<<depth < k {
+			depth++
+		}
+		for _, stride := range []int{0, 1} { // key of element j is j*stride
+			runs := make([][]tagged, k)
+			for i := range runs {
+				runs[i] = make([]tagged, per)
+				for j := range runs[i] {
+					runs[i][j] = tagged{key: j * stride, run: i}
+				}
+			}
+			calls := 0
+			less := func(a, b tagged) bool { calls++; return a.key < b.key }
+			check := func(name string, out []tagged) {
+				t.Helper()
+				if budget := k - 1 + len(out)*depth; len(out) != k*per || calls > budget {
+					t.Errorf("%s k=%d stride=%d: %d less calls for %d elements, budget %d",
+						name, k, stride, calls, len(out), budget)
+				}
+				for i := 1; i < len(out); i++ {
+					if a, b := out[i-1], out[i]; a.key > b.key || a.key == b.key && a.run > b.run {
+						t.Fatalf("%s k=%d stride=%d: %+v emitted before %+v", name, k, stride, a, b)
+					}
+				}
+			}
+			check("KWayMerge", KWayMerge(runs, less))
+
+			calls = 0
+			cursors := make([]Cursor[tagged], k)
+			for i := range runs {
+				cursors[i] = NewSliceCursor(runs[i])
+			}
+			dst := make([]tagged, k*per)
+			n, err := MergeCursors(dst, cursors, less)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("MergeCursors", dst[:n])
+		}
+	}
+}

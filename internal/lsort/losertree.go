@@ -90,15 +90,12 @@ func (t *loserTree[E]) beats(a, b int) bool {
 	if b == -1 {
 		return true
 	}
-	ea := t.runs[a][t.pos[a]]
-	eb := t.runs[b][t.pos[b]]
-	if t.less(ea, eb) {
-		return true
+	// One less call per match, heads read in place: a wins a tie exactly
+	// when it is the lower index, i.e. when b's head is not strictly less.
+	if a < b {
+		return !t.less(t.runs[b][t.pos[b]], t.runs[a][t.pos[a]])
 	}
-	if t.less(eb, ea) {
-		return false
-	}
-	return a < b
+	return t.less(t.runs[a][t.pos[a]], t.runs[b][t.pos[b]])
 }
 
 // pop removes and returns the smallest remaining element, then replays the

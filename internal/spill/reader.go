@@ -1,12 +1,11 @@
 package spill
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync/atomic"
 
@@ -45,42 +44,26 @@ type RunReader[K any] struct {
 	f     *os.File
 	codec comm.Codec[K]
 	opts  ReaderOpts[K]
-	index []blockMeta
-	total uint64
+	index []blockMeta // the blocks overlapping the section (all, for a whole run)
+	total uint64      // entries the cursor yields
 
 	ch   chan decoded[K]
 	stop chan struct{}
 	prev []comm.Entry[K] // batch handed out by the last Next
 	done bool
 
-	// Section bounds (NewRunReaderSection): skip entries dropped from the
-	// first kept block, limit entries emitted in total. limited gates the
-	// trimming so whole-run readers pay nothing.
-	limited bool
-	skip    int
-	limit   uint64
+	skip int // entries a section drops from its first kept block
 
 	bytesRead atomic.Int64
 }
 
 // NewRunReader opens a finished run file and validates its structure:
-// magics, version, trailer placement, index checksum, and that block
-// offsets tile [header, indexOff) exactly in order. Any mismatch is
-// ErrCorrupt. On success the decode-ahead goroutine starts immediately.
+// magics, version, trailer placement, index checksum, that every block
+// is stored raw, and that block offsets tile [header, indexOff) exactly
+// in order. Any mismatch is ErrCorrupt. On success the decode-ahead
+// goroutine starts immediately.
 func NewRunReader[K any](path string, c comm.Codec[K], opts ReaderOpts[K]) (*RunReader[K], error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("spill: open run file: %w", err)
-	}
-	r := &RunReader[K]{f: f, codec: c, opts: opts}
-	if err := r.loadIndex(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	r.ch = make(chan decoded[K], 1)
-	r.stop = make(chan struct{})
-	go r.prefetch(r.stop)
-	return r, nil
+	return NewRunReaderSection(path, c, opts, 0, math.MaxUint64)
 }
 
 // NewRunReaderSection opens entries [offset, offset+limit) of a finished
@@ -95,7 +78,11 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 		return nil, fmt.Errorf("spill: open run file: %w", err)
 	}
 	r := &RunReader[K]{f: f, codec: c, opts: opts}
-	if err := r.loadIndex(); err != nil {
+	// One pooled buffer per open file: it loads the index here, then is
+	// the prefetcher's to read blocks into and to return.
+	buf := getBuf(tailGuess)
+	if err := r.loadIndex(buf); err != nil {
+		bufPool.Put(buf)
 		f.Close()
 		return nil, err
 	}
@@ -106,40 +93,43 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 		limit = r.total - offset
 	}
 	// Walk the index to the first block containing offset, then to the
-	// first block past offset+limit.
+	// first block past offset+limit; an empty section keeps no block, so
+	// every kept block yields at least one entry.
 	first, cum := 0, uint64(0)
 	for first < len(r.index) && cum+uint64(r.index[first].count) <= offset {
 		cum += uint64(r.index[first].count)
 		first++
 	}
 	end, reach := first, cum
-	for end < len(r.index) && reach < offset+limit {
+	for limit > 0 && end < len(r.index) && reach < offset+limit {
 		reach += uint64(r.index[end].count)
 		end++
 	}
 	r.index = r.index[first:end]
-	r.limited = true
 	r.skip = int(offset - cum)
-	r.limit = limit
 	r.total = limit
 	r.ch = make(chan decoded[K], 1)
 	r.stop = make(chan struct{})
-	go r.prefetch(r.stop)
+	go r.prefetch(r.stop, buf)
 	return r, nil
 }
 
-// loadIndex reads and validates trailer + index.
-func (r *RunReader[K]) loadIndex() error {
-	st, err := r.f.Stat()
+// tailGuess is how much of the file's end loadIndex reads first: the
+// trailer plus the index of a run of up to 145 blocks, so all but the
+// largest runs open in two reads (header, tail).
+const tailGuess = 4 << 10
+
+// loadIndex reads and validates header, trailer and index.
+func (r *RunReader[K]) loadIndex(buf *blockBuf) error {
+	size, err := r.f.Seek(0, io.SeekEnd) // every read below is a ReadAt
 	if err != nil {
-		return fmt.Errorf("spill: stat run file: %w", err)
+		return fmt.Errorf("spill: size run file: %w", err)
 	}
-	size := st.Size()
 	if size < headerSize+trailerSize {
 		return corruptf("file %d bytes, shorter than header+trailer", size)
 	}
-	var hdr [headerSize]byte
-	if _, err := r.f.ReadAt(hdr[:], 0); err != nil {
+	hdr := buf.sized(headerSize)
+	if _, err := r.f.ReadAt(hdr, 0); err != nil {
 		return fmt.Errorf("spill: read header: %w", err)
 	}
 	if string(hdr[:8]) != magic {
@@ -148,10 +138,11 @@ func (r *RunReader[K]) loadIndex() error {
 	if v := binary.LittleEndian.Uint16(hdr[8:]); v != version {
 		return corruptf("unsupported version %d", v)
 	}
-	var tr [trailerSize]byte
-	if _, err := r.f.ReadAt(tr[:], size-trailerSize); err != nil {
+	tail := buf.sized(int(min(size-headerSize, tailGuess)))
+	if _, err := r.f.ReadAt(tail, size-int64(len(tail))); err != nil {
 		return fmt.Errorf("spill: read trailer: %w", err)
 	}
+	tr := tail[len(tail)-trailerSize:]
 	if string(tr[24:32]) != indexMagic {
 		return corruptf("bad trailer magic %q (truncated file?)", tr[24:32])
 	}
@@ -163,9 +154,15 @@ func (r *RunReader[K]) loadIndex() error {
 	if indexOff < headerSize || int64(indexOff)+idxLen != size-trailerSize {
 		return corruptf("index at %d (+%d) does not abut trailer in %d-byte file", indexOff, idxLen, size)
 	}
-	idx := make([]byte, idxLen)
-	if _, err := io.ReadFull(io.NewSectionReader(r.f, int64(indexOff), idxLen), idx); err != nil {
-		return fmt.Errorf("spill: read index: %w", err)
+	idx := tail[:len(tail)-trailerSize]
+	if int64(len(idx)) >= idxLen {
+		idx = idx[int64(len(idx))-idxLen:]
+	} else {
+		// Longer than the guess: idxLen is bounded by the file size above.
+		idx = buf.sized(int(idxLen))
+		if _, err := r.f.ReadAt(idx, int64(indexOff)); err != nil {
+			return fmt.Errorf("spill: read index: %w", err)
+		}
 	}
 	if got := crc32.Checksum(idx, castagnoli); got != wantCRC {
 		return corruptf("index checksum %08x, want %08x", got, wantCRC)
@@ -173,13 +170,17 @@ func (r *RunReader[K]) loadIndex() error {
 	r.index = make([]blockMeta, blocks)
 	next, entries := uint64(headerSize), uint64(0)
 	for i := range r.index {
-		m := &r.index[i]
-		m.offset = binary.LittleEndian.Uint64(idx[i*indexEntrySize:])
-		m.storedLen = binary.LittleEndian.Uint32(idx[i*indexEntrySize+8:])
-		m.rawLen = binary.LittleEndian.Uint32(idx[i*indexEntrySize+12:])
-		m.count = binary.LittleEndian.Uint32(idx[i*indexEntrySize+16:])
-		m.crc = binary.LittleEndian.Uint32(idx[i*indexEntrySize+20:])
-		m.flags = binary.LittleEndian.Uint32(idx[i*indexEntrySize+24:])
+		m, e := &r.index[i], idx[i*indexEntrySize:]
+		m.offset = binary.LittleEndian.Uint64(e)
+		m.storedLen = binary.LittleEndian.Uint32(e[8:])
+		m.count = binary.LittleEndian.Uint32(e[16:])
+		m.crc = binary.LittleEndian.Uint32(e[20:])
+		if rawLen, flags := binary.LittleEndian.Uint32(e[12:]), binary.LittleEndian.Uint32(e[24:]); rawLen != m.storedLen || flags != 0 {
+			return corruptf("block %d is not stored raw (%d stored bytes, %d raw, flags %#x)", i, m.storedLen, rawLen, flags)
+		}
+		if m.count == 0 {
+			return corruptf("block %d holds no entries", i) // a cursor's empty batch means end of run
+		}
 		if m.offset != next || m.offset+uint64(m.storedLen) > indexOff {
 			return corruptf("block %d at offset %d (want %d, %d stored bytes, index at %d)",
 				i, m.offset, next, m.storedLen, indexOff)
@@ -197,17 +198,16 @@ func (r *RunReader[K]) loadIndex() error {
 }
 
 // prefetch decodes blocks in order, staying exactly one decoded block
-// ahead of the consumer (the channel has capacity 1). Buffers for stored
-// and raw bytes are reused across blocks; entry slabs come from the pool
-// and travel to the consumer, who recycles them via Next/Close.
-func (r *RunReader[K]) prefetch(stop <-chan struct{}) {
+// ahead of the consumer (the channel has capacity 1). Every block is
+// read into buf, which goes back to the pool the moment the last one is
+// decoded or the reader stops; entry slabs come from the slab pool and
+// travel to the consumer, who recycles them via Next/Close.
+func (r *RunReader[K]) prefetch(stop <-chan struct{}, buf *blockBuf) {
 	defer close(r.ch)
-	var stored, raw []byte
-	var fr io.ReadCloser
-	br := bytes.NewReader(nil)
+	defer bufPool.Put(buf)
 	emitted := uint64(0)
 	for i := range r.index {
-		batch, err := r.readBlock(&r.index[i], &stored, &raw, &fr, br)
+		batch, err := r.readBlock(&r.index[i], buf)
 		if err != nil {
 			select {
 			case r.ch <- decoded[K]{err: err}:
@@ -215,24 +215,17 @@ func (r *RunReader[K]) prefetch(stop <-chan struct{}) {
 			}
 			return
 		}
-		if r.limited {
-			lo := 0
-			if i == 0 {
-				lo = r.skip
-			}
-			hi := len(batch)
-			if remain := r.limit - emitted; uint64(hi-lo) > remain {
-				hi = lo + int(remain)
-			}
-			batch = r.trimBatch(batch, lo, hi)
-			emitted += uint64(len(batch))
-			if len(batch) == 0 {
-				// An empty batch would read as end-of-run; only possible
-				// for a zero-length section, which has no blocks anyway.
-				r.recycle(batch)
-				return
-			}
+		// Narrow the section's first and last block to their overlap.
+		lo := 0
+		if i == 0 {
+			lo = r.skip
 		}
+		hi := len(batch)
+		if remain := r.total - emitted; uint64(hi-lo) > remain {
+			hi = lo + int(remain)
+		}
+		batch = r.trimBatch(batch, lo, hi)
+		emitted += uint64(len(batch))
 		select {
 		case r.ch <- decoded[K]{entries: batch}:
 		case <-stop:
@@ -262,47 +255,27 @@ func (r *RunReader[K]) trimBatch(batch []comm.Entry[K], lo, hi int) []comm.Entry
 	return fresh
 }
 
-// readBlock fetches, verifies and decodes one block. stored/raw/fr/br
-// are the prefetch loop's reusable buffers and inflater.
-func (r *RunReader[K]) readBlock(m *blockMeta, stored, raw *[]byte, fr *io.ReadCloser, br *bytes.Reader) ([]comm.Entry[K], error) {
+// readBlock fetches one block into buf, verifies and decodes it. Decoded
+// entries never alias buf (keys and payloads are copied out), so the
+// next block may overwrite it.
+func (r *RunReader[K]) readBlock(m *blockMeta, buf *blockBuf) ([]comm.Entry[K], error) {
 	if err := failpoint.HitNoPanic(FpReadBlock); err != nil {
 		return nil, err
 	}
-	if cap(*stored) < int(m.storedLen) {
-		*stored = make([]byte, m.storedLen)
-	}
-	buf := (*stored)[:m.storedLen]
-	if _, err := r.f.ReadAt(buf, int64(m.offset)); err != nil {
+	data := buf.sized(int(m.storedLen))
+	if _, err := r.f.ReadAt(data, int64(m.offset)); err != nil {
 		return nil, fmt.Errorf("spill: read block: %w", err)
 	}
 	r.bytesRead.Add(int64(m.storedLen))
-	if got := crc32.Checksum(buf, castagnoli); got != m.crc {
+	if got := crc32.Checksum(data, castagnoli); got != m.crc {
 		return nil, corruptf("block at %d: checksum %08x, want %08x", m.offset, got, m.crc)
-	}
-	data := buf
-	if m.flags&blockCompressed != 0 {
-		if cap(*raw) < int(m.rawLen) {
-			*raw = make([]byte, m.rawLen)
-		}
-		data = (*raw)[:m.rawLen]
-		br.Reset(buf)
-		if *fr == nil {
-			*fr = flate.NewReader(br)
-		} else if err := (*fr).(flate.Resetter).Reset(br, nil); err != nil {
-			return nil, corruptf("block at %d: %v", m.offset, err)
-		}
-		if _, err := io.ReadFull(*fr, data); err != nil {
-			return nil, corruptf("block at %d: inflate: %v", m.offset, err)
-		}
-	} else if uint32(len(data)) != m.rawLen {
-		return nil, corruptf("block at %d: raw block stores %d bytes, index says %d", m.offset, len(data), m.rawLen)
 	}
 	entries, rest, err := comm.DecodeEntriesSlab(data, int(m.count), r.codec, r.opts.Pool)
 	if err != nil {
 		return nil, corruptf("block at %d: %v", m.offset, err)
 	}
 	if len(rest) != 0 {
-		r.recycle(entries)
+		r.opts.Pool.Put(entries) // not yet on the tracker's books
 		return nil, corruptf("block at %d: %d trailing bytes after %d entries", m.offset, len(rest), m.count)
 	}
 	if r.opts.Tracker != nil {

@@ -6,31 +6,41 @@
 // File layout (all integers little-endian):
 //
 //	header:  magic "PGXSPIL1" | version u16 | flags u16 | reserved u32
-//	blocks:  per block, the stored bytes — comm.EncodeEntries output,
-//	         flate-compressed when that shrinks it, raw otherwise
+//	blocks:  per block, comm.EncodeEntries output, stored as is
 //	index:   per block: offset u64 | storedLen u32 | rawLen u32 |
 //	         count u32 | crc32c u32 | flags u32
 //	trailer: indexOff u64 | blockCount u32 | totalEntries u64 |
 //	         indexCRC u32 | magic "PGXSPIX1"
 //
-// Each block checksums its stored bytes with CRC32-Castagnoli, so a
-// flipped bit surfaces as ErrCorrupt before decompression ever runs; the
-// index carries its own checksum and the trailer is found at a fixed
-// offset from the end, so truncation and bad index offsets are caught at
-// open time. Corruption is a data problem, never a panic: every
-// validation failure wraps ErrCorrupt, which the engine classifies
-// FailDataDependent.
+// Blocks are stored raw: rawLen always equals storedLen and the block
+// flags are zero; a reader rejects anything else as ErrCorrupt. Run
+// files are scratch — written and read back by one process, removed with
+// their directory — so the tier should cost what moving its bytes costs.
+// Blocks used to be deflated at BestSpeed, which bought 10.9 instead of
+// 16.0 file bytes per uint64 key and cost ≈ 65 % of all CPU and 63 % of
+// all allocated bytes of a budgeted sort (flate ran the tier at 36–49
+// MB/s written, 66–90 MB/s read, on a box that copies 9–11 GB/s); at that
+// rate bytes are the bound on no device, and compression re-enters only
+// where a budget shows they are.
+//
+// A block is the I/O unit: a writer encodes into one pooled buffer and
+// hands it to the file in a single write, a reader fetches, checksums
+// and decodes from one pooled buffer. Each block checksums its bytes
+// with CRC32-Castagnoli, so a flipped bit surfaces as ErrCorrupt before
+// any entry is decoded; the index carries its own checksum and the
+// trailer is found at a fixed offset from the end, so truncation and bad
+// index offsets are caught at open time. Corruption is a data problem,
+// never a panic: every validation failure wraps ErrCorrupt, which the
+// engine classifies FailDataDependent.
 package spill
 
 import (
-	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
+	"sync"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/failpoint"
@@ -45,16 +55,10 @@ const (
 	indexEntrySize = 28
 	trailerSize    = 32
 
-	// DefaultBlockBytes is the target raw (pre-compression) size of one
-	// block: big enough to amortize flate and syscall overhead, small
-	// enough that one decoded block per active reader stays far below
-	// any sane memory budget.
+	// DefaultBlockBytes is the target encoded size of one block: big
+	// enough to amortize syscall overhead, small enough that one decoded
+	// block per active reader stays far below any sane memory budget.
 	DefaultBlockBytes = 128 << 10
-
-	// blockCompressed marks a block whose stored bytes are
-	// flate-compressed; absent, the stored bytes are the raw encoding
-	// (the store-raw fallback for incompressible data).
-	blockCompressed = 1 << 0
 )
 
 // Failpoint sites covering spill I/O, wired into the soak storm like
@@ -72,6 +76,11 @@ const (
 // (FailDataDependent), not of the mesh or the run attempt.
 var ErrCorrupt = errors.New("spill: corrupt run file")
 
+var (
+	errAborted  = errors.New("spill: writer aborted")
+	errFinished = errors.New("spill: writer already finished")
+)
+
 // castagnoli is the CRC32-C table; hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -79,39 +88,60 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// blockMeta is one index entry: where a block's stored bytes live and
-// how to open them.
+// blockBuf is the one byte buffer an open run file costs: a writer's
+// open block, a reader's fetched block. Buffers circulate through
+// bufPool, so a sort that opens dozens of run files per node allocates a
+// handful. Whoever takes one returns it exactly once and drops its
+// reference — a buffer returned twice is two files sharing one block.
+type blockBuf struct{ b []byte }
+
+var bufPool = sync.Pool{New: func() any { return new(blockBuf) }}
+
+// getBuf takes an empty buffer with capacity for at least n bytes.
+func getBuf(n int) *blockBuf {
+	bb := bufPool.Get().(*blockBuf)
+	bb.b = bb.sized(n)[:0]
+	return bb
+}
+
+// sized returns the buffer's first n bytes, reallocating when it is too
+// small; previous contents are not kept.
+func (bb *blockBuf) sized(n int) []byte {
+	if cap(bb.b) < n {
+		bb.b = make([]byte, n)
+	}
+	return bb.b[:n]
+}
+
+// blockMeta is one index entry: where a block's bytes live and what they
+// must hash to. The on-disk entry also carries rawLen and flags, fixed
+// at storedLen and zero.
 type blockMeta struct {
 	offset    uint64
 	storedLen uint32
-	rawLen    uint32
 	count     uint32
 	crc       uint32
-	flags     uint32
 }
 
 // Writer appends one sorted run to a block file. Entries are encoded
 // immediately on Append (payloads may alias transient message slabs, so
-// nothing entry-shaped is retained), buffered until the raw encoding
-// reaches BlockBytes, then compressed and flushed as one block. Callers
-// must Append entries in run order; the file records order, it does not
-// sort. Not safe for concurrent use.
+// nothing entry-shaped is retained) into the one block buffer, which is
+// checksummed and written whole once the next entry would not fit in
+// BlockBytes. Callers must Append entries in run order; the file records
+// order, it does not sort. Not safe for concurrent use.
 type Writer[K any] struct {
 	path  string
 	f     *os.File
-	bw    *bufio.Writer
 	codec comm.Codec[K]
 
 	blockBytes int
-	pending    []byte // raw encoding of the open block
-	pendCount  uint32
-	comp       bytes.Buffer
-	fw         *flate.Writer
+	buf        *blockBuf // the open block; nil once the writer is done
+	count      uint32    // entries in the open block
 
 	off     uint64
 	index   []blockMeta
 	entries uint64
-	failed  error
+	done    error // why Append/Finish no longer work: failure, Abort or Finish
 }
 
 // NewWriter creates path (truncating any previous file) and writes the
@@ -127,91 +157,75 @@ func NewWriter[K any](path string, c comm.Codec[K], blockBytes int) (*Writer[K],
 	w := &Writer[K]{
 		path:       path,
 		f:          f,
-		bw:         bufio.NewWriterSize(f, 1<<16),
 		codec:      c,
 		blockBytes: blockBytes,
-		off:        headerSize,
+		buf:        getBuf(blockBytes),
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:8], magic)
+	hdr := w.buf.sized(headerSize)
+	clear(hdr)
+	copy(hdr, magic)
 	binary.LittleEndian.PutUint16(hdr[8:], version)
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("spill: write header: %w", err)
+	if err := w.write(hdr); err != nil {
+		return nil, w.fail(fmt.Errorf("spill: write header: %w", err))
 	}
 	return w, nil
 }
 
-// Append encodes entries onto the open block, flushing completed blocks
-// as the target size fills. The entries (and their payloads) are fully
-// copied before Append returns.
+// write hands b — the block buffer's contents — to the file and empties
+// the buffer.
+func (w *Writer[K]) write(b []byte) error {
+	_, err := w.f.Write(b)
+	w.off += uint64(len(b))
+	w.buf.b = b[:0]
+	return err
+}
+
+// Append encodes entries onto the open block, flushing it whenever the
+// next entry would push it past the target size (an entry larger than a
+// whole block is a block of its own). The entries (and their payloads)
+// are fully copied before Append returns.
 func (w *Writer[K]) Append(entries []comm.Entry[K]) error {
-	if w.failed != nil {
-		return w.failed
+	if w.done != nil {
+		return w.done
 	}
 	for len(entries) > 0 {
-		est := comm.EntryWireEstimate(entries, w.codec)
-		if est < 1 {
-			est = 1
-		}
-		room := w.blockBytes - len(w.pending)
-		step := room / est
-		if step < 1 {
-			step = 1
-		}
-		if step > len(entries) {
-			step = len(entries)
-		}
-		w.pending = comm.EncodeEntries(w.pending, entries[:step], w.codec)
-		w.pendCount += uint32(step)
-		entries = entries[step:]
-		if len(w.pending) >= w.blockBytes {
-			if err := w.flush(); err != nil {
-				return err
+		n := comm.EntriesFitting(entries, w.codec, w.blockBytes-len(w.buf.b))
+		if n == 0 {
+			if w.count > 0 {
+				if err := w.flush(); err != nil {
+					return err
+				}
+				continue
 			}
+			n = 1
 		}
+		w.buf.b = comm.EncodeEntries(w.buf.b, entries[:n], w.codec)
+		w.count += uint32(n)
+		entries = entries[n:]
 	}
 	return nil
 }
 
-// flush compresses and writes the open block and records its index
-// entry. The store-raw fallback keeps incompressible blocks at their
-// raw size plus nothing.
+// flush checksums and writes the open block and records its index entry.
 func (w *Writer[K]) flush() error {
-	if w.pendCount == 0 {
+	if w.count == 0 {
 		return nil
 	}
 	if err := failpoint.HitNoPanic(FpWriteBlock); err != nil {
 		return w.fail(err)
 	}
-	stored := w.pending
-	var flags uint32
-	w.comp.Reset()
-	if w.fw == nil {
-		w.fw, _ = flate.NewWriter(&w.comp, flate.BestSpeed)
-	} else {
-		w.fw.Reset(&w.comp)
-	}
-	if _, err := w.fw.Write(w.pending); err == nil && w.fw.Close() == nil &&
-		w.comp.Len() < len(w.pending) {
-		stored = w.comp.Bytes()
-		flags |= blockCompressed
-	}
-	if _, err := w.bw.Write(stored); err != nil {
-		return w.fail(fmt.Errorf("spill: write block: %w", err))
-	}
+	block := w.buf.b
 	w.index = append(w.index, blockMeta{
 		offset:    w.off,
-		storedLen: uint32(len(stored)),
-		rawLen:    uint32(len(w.pending)),
-		count:     w.pendCount,
-		crc:       crc32.Checksum(stored, castagnoli),
-		flags:     flags,
+		storedLen: uint32(len(block)),
+		count:     w.count,
+		crc:       crc32.Checksum(block, castagnoli),
 	})
-	w.off += uint64(len(stored))
-	w.entries += uint64(w.pendCount)
-	w.pending = w.pending[:0]
-	w.pendCount = 0
+	w.entries += uint64(w.count)
+	w.count = 0
+	if err := w.write(block); err != nil {
+		return w.fail(fmt.Errorf("spill: write block: %w", err))
+	}
 	return nil
 }
 
@@ -219,67 +233,70 @@ func (w *Writer[K]) flush() error {
 // closes the file. After Finish the run is complete on disk and
 // BytesWritten/Entries report its final totals.
 func (w *Writer[K]) Finish() error {
-	if w.failed != nil {
-		return w.failed
+	if w.done != nil {
+		return w.done
 	}
 	if err := w.flush(); err != nil {
 		return err
 	}
-	idx := make([]byte, 0, len(w.index)*indexEntrySize)
+	tail := w.buf.b
 	for _, m := range w.index {
-		idx = binary.LittleEndian.AppendUint64(idx, m.offset)
-		idx = binary.LittleEndian.AppendUint32(idx, m.storedLen)
-		idx = binary.LittleEndian.AppendUint32(idx, m.rawLen)
-		idx = binary.LittleEndian.AppendUint32(idx, m.count)
-		idx = binary.LittleEndian.AppendUint32(idx, m.crc)
-		idx = binary.LittleEndian.AppendUint32(idx, m.flags)
+		tail = binary.LittleEndian.AppendUint64(tail, m.offset)
+		tail = binary.LittleEndian.AppendUint32(tail, m.storedLen)
+		tail = binary.LittleEndian.AppendUint32(tail, m.storedLen) // rawLen
+		tail = binary.LittleEndian.AppendUint32(tail, m.count)
+		tail = binary.LittleEndian.AppendUint32(tail, m.crc)
+		tail = binary.LittleEndian.AppendUint32(tail, 0) // flags
 	}
-	if _, err := w.bw.Write(idx); err != nil {
-		return w.fail(fmt.Errorf("spill: write index: %w", err))
+	indexCRC := crc32.Checksum(tail, castagnoli)
+	tail = binary.LittleEndian.AppendUint64(tail, w.off)
+	tail = binary.LittleEndian.AppendUint32(tail, uint32(len(w.index)))
+	tail = binary.LittleEndian.AppendUint64(tail, w.entries)
+	tail = binary.LittleEndian.AppendUint32(tail, indexCRC)
+	tail = append(tail, indexMagic...)
+	if err := w.write(tail); err != nil {
+		return w.fail(fmt.Errorf("spill: write index and trailer: %w", err))
 	}
-	var tr [trailerSize]byte
-	binary.LittleEndian.PutUint64(tr[0:], w.off)
-	binary.LittleEndian.PutUint32(tr[8:], uint32(len(w.index)))
-	binary.LittleEndian.PutUint64(tr[12:], w.entries)
-	binary.LittleEndian.PutUint32(tr[20:], crc32.Checksum(idx, castagnoli))
-	copy(tr[24:], indexMagic)
-	if _, err := w.bw.Write(tr[:]); err != nil {
-		return w.fail(fmt.Errorf("spill: write trailer: %w", err))
-	}
-	if err := w.bw.Flush(); err != nil {
-		return w.fail(fmt.Errorf("spill: flush run file: %w", err))
-	}
-	w.off += uint64(len(idx)) + trailerSize
 	err := w.f.Close()
 	w.f = nil
 	if err != nil {
-		w.failed = fmt.Errorf("spill: close run file: %w", err)
-		return w.failed
+		err = fmt.Errorf("spill: close run file: %w", err)
+		w.release(err)
+		return err
 	}
+	w.release(errFinished)
 	return nil
+}
+
+// release returns the block buffer to the pool, once, and records why
+// the writer stopped; the first reason sticks.
+func (w *Writer[K]) release(why error) {
+	if w.buf != nil {
+		bufPool.Put(w.buf)
+		w.buf = nil
+	}
+	if w.done == nil {
+		w.done = why
+	}
 }
 
 // fail records the first error, closes the file and removes the partial
 // run; subsequent calls keep returning the original error.
 func (w *Writer[K]) fail(err error) error {
-	if w.failed == nil {
-		w.failed = err
-		w.Abort()
-	}
-	return w.failed
+	w.release(err)
+	w.Abort()
+	return w.done
 }
 
 // Abort closes and removes the run file. Safe to call after Finish (the
 // completed file is removed) or after a failure (idempotent).
 func (w *Writer[K]) Abort() {
+	w.release(errAborted)
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
 	}
 	os.Remove(w.path)
-	if w.failed == nil {
-		w.failed = errors.New("spill: writer aborted")
-	}
 }
 
 // Path returns the run file path.

@@ -1,8 +1,11 @@
 package spill
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -106,28 +109,156 @@ func TestRoundTripU64(t *testing.T) {
 	}
 }
 
-// TestRoundTripCompression: FewDistinct keys compress; the file must be
-// much smaller than the raw encoding, and random payloads must take the
-// store-raw fallback without corrupting anything.
-func TestRoundTripCompression(t *testing.T) {
-	want := u64Entries(50000, 9)
-	path := writeRun(t, want, comm.U64Codec{}, 0)
-	st, _ := os.Stat(path)
-	raw := int64(len(want) * 16)
-	if st.Size() >= raw/2 {
-		t.Fatalf("compressible run: file %d bytes vs %d raw", st.Size(), raw)
+// editIndex returns a copy of a finished run file with block i's 28-byte
+// index entry (and, through trailer, the 32-byte trailer) rewritten and
+// the index checksum recomputed, so the edit reaches the reader's
+// structural checks instead of tripping the CRC.
+func editIndex(file []byte, i int, edit func(entry, trailer []byte)) []byte {
+	out := append([]byte(nil), file...)
+	tr := out[len(out)-trailerSize:]
+	idx := out[binary.LittleEndian.Uint64(tr) : len(out)-trailerSize]
+	edit(idx[i*indexEntrySize:(i+1)*indexEntrySize], tr)
+	binary.LittleEndian.PutUint32(tr[20:], crc32.Checksum(idx, castagnoli))
+	return out
+}
+
+// TestBlocksStoredRaw: whatever the keys look like, a run file is exactly
+// header + the entries' wire encoding + index + trailer, and it
+// round-trips; an index entry claiming the retired compressed flag or a
+// raw length other than the stored one opens as ErrCorrupt, so a file
+// from a compressing writer is rejected, never misread.
+func TestBlocksStoredRaw(t *testing.T) {
+	for _, kind := range []dist.Kind{dist.FewDistinct, dist.Uniform} {
+		keys := dist.Gen{Kind: kind, Seed: 9}.Keys(50000)
+		want := make([]comm.Entry[uint64], len(keys))
+		for i, k := range keys {
+			want[i] = comm.Entry[uint64]{Key: k, Proc: uint32(i % 7), Index: uint32(i)}
+		}
+		path := writeRun(t, want, comm.U64Codec{}, 0)
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunReader(path, comm.U64Codec{}, ReaderOpts[uint64]{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := comm.EncodeEntries(nil, want, comm.U64Codec{})
+		blocks := len(r.index)
+		if size := headerSize + len(wire) + blocks*indexEntrySize + trailerSize; blocks < 2 || len(file) != size {
+			t.Fatalf("%v: file is %d bytes in %d blocks, want %d", kind, len(file), blocks, size)
+		}
+		if !bytes.Equal(file[headerSize:headerSize+len(wire)], wire) {
+			t.Fatalf("%v: block bytes are not the entries' wire encoding", kind)
+		}
+		checkIdentical(t, readAll(t, r), want)
+		r.Close()
+
+		for name, edit := range map[string]func(entry, trailer []byte){
+			"compressed-flag": func(e, _ []byte) { binary.LittleEndian.PutUint32(e[24:], 1) },
+			"raw-len":         func(e, _ []byte) { binary.LittleEndian.PutUint32(e[12:], binary.LittleEndian.Uint32(e[12:])*3) },
+		} {
+			p := corrupt(t, path, func(b []byte) []byte { return editIndex(b, 1, edit) })
+			if _, err := NewRunReader(p, comm.U64Codec{}, ReaderOpts[uint64]{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%v %s: open returned %v, want ErrCorrupt", kind, name, err)
+			}
+		}
 	}
-	r, err := NewRunReader(path, comm.U64Codec{}, ReaderOpts[uint64]{})
+}
+
+// blockLens opens a finished run and returns each block's stored length
+// and entry count.
+func blockLens[K any](t *testing.T, path string, c comm.Codec[K]) (lens, counts []int) {
+	t.Helper()
+	r, err := NewRunReader(path, c, ReaderOpts[K]{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	checkIdentical(t, readAll(t, r), want)
+	for _, m := range r.index {
+		lens = append(lens, int(m.storedLen))
+		counts = append(counts, int(m.count))
+	}
+	return lens, counts
+}
+
+// TestBlockBytesHonoured: blockBytes bounds what a block holds on the
+// wire — origin fields and payload framing included — for fixed-width,
+// variable-width and payload-carrying codecs alike. Only an entry that is
+// larger than a block by itself exceeds it, alone in its block; and no
+// block but the last stops while the next entry would still have fit.
+func TestBlockBytesHonoured(t *testing.T) {
+	const blockBytes = 1000 // not a multiple of any entry size below
+	check := func(t *testing.T, lens, counts []int, sizes []int) {
+		t.Helper()
+		if len(lens) < 4 {
+			t.Fatalf("expected a multi-block file, got %d blocks", len(lens))
+		}
+		next := 0 // index of the first entry after this block
+		for i, n := range lens {
+			next += counts[i]
+			if n > blockBytes && counts[i] != 1 {
+				t.Fatalf("block %d: %d bytes in %d entries, target %d", i, n, counts[i], blockBytes)
+			}
+			if i < len(lens)-1 && n+sizes[next] <= blockBytes {
+				t.Fatalf("block %d stops at %d bytes though the next entry (%d) fits in %d", i, n, sizes[next], blockBytes)
+			}
+		}
+	}
+	g := dist.Gen{Kind: dist.RightSkewed, Seed: 31}
+	t.Run("u64", func(t *testing.T) {
+		want := u64Entries(2000, 31)
+		sizes := make([]int, len(want))
+		for i := range sizes {
+			sizes[i] = 16
+		}
+		lens, counts := blockLens(t, writeRun(t, want, comm.U64Codec{}, blockBytes), comm.U64Codec{})
+		check(t, lens, counts, sizes)
+		// The default really is DefaultBlockBytes of wire, not twice that.
+		lens, _ = blockLens(t, writeRun(t, u64Entries(20000, 31), comm.U64Codec{}, 0), comm.U64Codec{})
+		if lens[0] != DefaultBlockBytes {
+			t.Fatalf("default block holds %d bytes, want %d", lens[0], DefaultBlockBytes)
+		}
+	})
+	t.Run("string", func(t *testing.T) {
+		keys := g.Strings(2000, "key-")
+		want := make([]comm.Entry[string], len(keys))
+		sizes := make([]int, len(keys))
+		for i, k := range keys {
+			want[i] = comm.Entry[string]{Key: k, Index: uint32(i)}
+			sizes[i] = comm.EntriesWireBytes(want[i:i+1], comm.StringCodec{})
+		}
+		lens, counts := blockLens(t, writeRun(t, want, comm.StringCodec{}, blockBytes), comm.StringCodec{})
+		check(t, lens, counts, sizes)
+	})
+	t.Run("records", func(t *testing.T) {
+		c := comm.NewRecordCodec[uint64](comm.U64Codec{})
+		keys := g.Keys(600)
+		want := make([]comm.Entry[uint64], len(keys))
+		sizes := make([]int, len(keys))
+		for i, k := range keys {
+			// Payload sizes vary, and every 97th record outweighs a block.
+			pay := make([]byte, 1+(i*37)%200)
+			if i%97 == 50 {
+				pay = make([]byte, blockBytes+i)
+			}
+			want[i] = comm.Entry[uint64]{Key: k, Index: uint32(i), Payload: pay}
+			sizes[i] = comm.EntriesWireBytes(want[i:i+1], c)
+		}
+		path := writeRun(t, want, c, blockBytes)
+		lens, counts := blockLens(t, path, c)
+		check(t, lens, counts, sizes)
+		r, err := NewRunReader(path, c, ReaderOpts[uint64]{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		checkIdentical(t, readAll(t, r), want)
+	})
 }
 
 // TestRoundTripRecords: payload-carrying records survive the spill with
-// payload bytes intact, through the store-raw fallback (random payloads
-// do not compress).
+// payload bytes intact.
 func TestRoundTripRecords(t *testing.T) {
 	c := comm.NewRecordCodec[uint64](comm.U64Codec{})
 	g := dist.Gen{Kind: dist.Uniform, Seed: 11}
