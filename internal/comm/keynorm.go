@@ -15,11 +15,6 @@ import "math"
 type KeyNormalizer[K any] interface {
 	// Norm maps a key to its order-preserving uint64 image.
 	Norm(k K) uint64
-	// NormBits is how many low bits of Norm's image are significant
-	// (64 for 64-bit keys, 32 for uint32): the keyBits hint of
-	// lsort.RadixSort. The engine's ref sort does not need it — it sees
-	// which byte columns vary in the data.
-	NormBits() int
 }
 
 // InexactNormalizer marks a KeyNormalizer whose Norm is monotone but not
@@ -36,15 +31,9 @@ type InexactNormalizer interface {
 // Norm for uint64 keys is the identity.
 func (U64Codec) Norm(k uint64) uint64 { return k }
 
-// NormBits reports the full 64-bit image.
-func (U64Codec) NormBits() int { return 64 }
-
 // Norm for int64 keys flips the sign bit, mapping two's complement onto
 // the unsigned order: MinInt64 -> 0, -1 -> 2^63-1, 0 -> 2^63.
 func (I64Codec) Norm(k int64) uint64 { return uint64(k) ^ (1 << 63) }
-
-// NormBits reports the full 64-bit image.
-func (I64Codec) NormBits() int { return 64 }
 
 // Norm for float64 keys is the IEEE-754 total-order transform: negative
 // values have every bit flipped (reversing their descending bit order),
@@ -60,35 +49,29 @@ func (F64Codec) Norm(k float64) uint64 {
 	return bits | (1 << 63)
 }
 
-// NormBits reports the full 64-bit image.
-func (F64Codec) NormBits() int { return 64 }
-
 // Norm for uint32 keys widens to uint64.
 func (U32Codec) Norm(k uint32) uint64 { return uint64(k) }
-
-// NormBits reports the 32-bit image: the radix path runs half the passes.
-func (U32Codec) NormBits() int { return 32 }
 
 // NormFor returns the built-in order-preserving normalization for K, or
 // ok=false when K has none (the engine then stays on the comparison
 // path). A codec implementing KeyNormalizer takes precedence over this
 // table — see core.NewEngine.
-func NormFor[K any]() (norm func(K) uint64, bits int, ok bool) {
+func NormFor[K any]() (norm func(K) uint64, ok bool) {
 	var k K
 	switch any(k).(type) {
 	case uint64:
 		f := any(U64Codec{}).(KeyNormalizer[K])
-		return f.Norm, f.NormBits(), true
+		return f.Norm, true
 	case int64:
 		f := any(I64Codec{}).(KeyNormalizer[K])
-		return f.Norm, f.NormBits(), true
+		return f.Norm, true
 	case float64:
 		f := any(F64Codec{}).(KeyNormalizer[K])
-		return f.Norm, f.NormBits(), true
+		return f.Norm, true
 	case uint32:
 		f := any(U32Codec{}).(KeyNormalizer[K])
-		return f.Norm, f.NormBits(), true
+		return f.Norm, true
 	default:
-		return nil, 0, false
+		return nil, false
 	}
 }

@@ -28,8 +28,8 @@ func TestU64Norm(t *testing.T) {
 func TestU32Norm(t *testing.T) {
 	vals := []uint32{0, 1, 1 << 16, math.MaxUint32 - 1, math.MaxUint32}
 	checkMonotone(t, vals, U32Codec{}.Norm)
-	if bits := (U32Codec{}).NormBits(); bits != 32 {
-		t.Fatalf("uint32 NormBits = %d, want 32", bits)
+	if (U32Codec{}).Norm(math.MaxUint32) != math.MaxUint32 {
+		t.Fatal("uint32 norm must widen, not shift")
 	}
 }
 
@@ -84,19 +84,19 @@ func TestF64NormMatchesLess(t *testing.T) {
 }
 
 func TestNormForKnownTypes(t *testing.T) {
-	if norm, bits, ok := NormFor[uint64](); !ok || bits != 64 || norm(7) != 7 {
+	if norm, ok := NormFor[uint64](); !ok || norm(7) != 7 {
 		t.Fatal("NormFor[uint64] wrong")
 	}
-	if _, bits, ok := NormFor[uint32](); !ok || bits != 32 {
+	if norm, ok := NormFor[uint32](); !ok || norm(7) != 7 {
 		t.Fatal("NormFor[uint32] wrong")
 	}
-	if norm, _, ok := NormFor[int64](); !ok || norm(-1) >= norm(0) {
+	if norm, ok := NormFor[int64](); !ok || norm(-1) >= norm(0) {
 		t.Fatal("NormFor[int64] wrong")
 	}
-	if norm, _, ok := NormFor[float64](); !ok || norm(-1.5) >= norm(1.5) {
+	if norm, ok := NormFor[float64](); !ok || norm(-1.5) >= norm(1.5) {
 		t.Fatal("NormFor[float64] wrong")
 	}
-	if _, _, ok := NormFor[string](); ok {
+	if _, ok := NormFor[string](); ok {
 		t.Fatal("NormFor[string] must report no norm")
 	}
 }

@@ -76,9 +76,6 @@ func (StringCodec) Norm(k string) uint64 {
 	return v
 }
 
-// NormBits reports the full 64-bit image (8 prefix bytes).
-func (StringCodec) NormBits() int { return 64 }
-
 // NormInexact reports that distinct strings can share a norm (equal
 // 8-byte prefixes); the engine must break norm ties with real compares.
 func (StringCodec) NormInexact() bool { return true }

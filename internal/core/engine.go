@@ -52,8 +52,8 @@ type node[K cmp.Ordered] struct {
 	tracker alloc.Tracker
 	// entryPool recycles this processor's entry and merge-scratch slabs
 	// across sorts, so a pipelined SortMany run reuses buffers instead
-	// of reallocating per dataset; refPool does the same for step 1's
-	// (norm, index) refs.
+	// of reallocating per dataset; refPool does the same for the
+	// (norm, index) refs steps 1 and 6 sort and merge.
 	entryPool *alloc.SlabPool[comm.Entry[K]]
 	refPool   alloc.SlabPool[lsort.NormRef]
 
@@ -102,7 +102,7 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 		if ix, ok := kc.(comm.InexactNormalizer); ok && ix.NormInexact() {
 			e.normInexact = true
 		}
-	} else if norm, _, ok := comm.NormFor[K](); ok {
+	} else if norm, ok := comm.NormFor[K](); ok {
 		e.norm = norm
 	}
 	e.nodes = make([]*node[K], opts.Procs)

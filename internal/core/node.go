@@ -90,9 +90,16 @@ type sortCmps[K cmp.Ordered] struct {
 	fallback  bool
 	norm      func(K) uint64
 	entryLess func(a, b comm.Entry[K]) bool
-	keyLess   func(a, b K) bool
-	keyAbove  func(e comm.Entry[K], sp K) bool // e.Key strictly above the splitter
-	keyBelow  func(e comm.Entry[K], sp K) bool // e.Key strictly below the splitter
+	// headNorm and headLess are entryLess in the two parts the cursor
+	// merges take it in (lsort.MergeCursorsNorm): an entry's norm, cached
+	// per cursor head, and what orders entries of equal norm — nothing
+	// (nil) under an exact norm, the real keys under an inexact one. On
+	// the comparison path headNorm is nil and headLess is entryLess.
+	headNorm func(e *comm.Entry[K]) uint64
+	headLess func(a, b comm.Entry[K]) bool
+	keyLess  func(a, b K) bool
+	keyAbove func(e comm.Entry[K], sp K) bool // e.Key strictly above the splitter
+	keyBelow func(e comm.Entry[K], sp K) bool // e.Key strictly below the splitter
 }
 
 // comparators resolves Options.LocalSort against the engine's key
@@ -100,6 +107,10 @@ type sortCmps[K cmp.Ordered] struct {
 func (e *Engine[K]) comparators() sortCmps[K] {
 	c := sortCmps[K]{norm: e.norm}
 	c.useRadix = e.norm != nil && e.opts.LocalSort != LocalSortComparison
+	if c.useRadix {
+		norm := e.norm
+		c.headNorm = func(en *comm.Entry[K]) uint64 { return norm(en.Key) }
+	}
 	if c.useRadix && e.normInexact {
 		// Inexact norm (e.g. StringCodec's 8-byte prefix): the norm is a
 		// cheap first discriminator, but equal norms can hide unequal keys,
@@ -108,6 +119,7 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 		// runs are finished under the real keys (see sortChunk).
 		c.path = "radix"
 		c.fallback = true
+		c.headLess = entryLess[K]
 		norm := e.norm
 		c.entryLess = func(a, b comm.Entry[K]) bool {
 			na, nb := norm(a.Key), norm(b.Key)
@@ -147,6 +159,7 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 	} else {
 		c.path = "comparison"
 		c.entryLess = entryLess[K]
+		c.headLess = entryLess[K]
 		c.keyLess = func(a, b K) bool { return a < b }
 		c.keyAbove = func(en comm.Entry[K], sp K) bool { return en.Key > sp }
 		c.keyBelow = func(en comm.Entry[K], sp K) bool { return en.Key < sp }
@@ -408,6 +421,17 @@ func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	return entries, nil
 }
 
+// sampleKeys returns the keys of sample.Regular(entries, s), read in
+// place: s (at most len(entries), as sample.Count gives it) keys are
+// copied, no entries.
+func sampleKeys[K cmp.Ordered](entries []comm.Entry[K], s int) []K {
+	keys := make([]K, s)
+	for i := range keys {
+		keys[i] = entries[sample.RegularIndex(i, len(entries), s)].Key
+	}
+	return keys
+}
+
 // splitterAgreement is steps 2-3: regular sampling, one buffer of samples
 // to the master, master-side splitter selection and broadcast.
 func (s *sortRun[K]) splitterAgreement(entries []comm.Entry[K]) ([]K, error) {
@@ -417,11 +441,7 @@ func (s *sortRun[K]) splitterAgreement(entries []comm.Entry[K]) ([]K, error) {
 	// ---- Step 2: regular sampling, one buffer of samples to master ----
 	t0 := time.Now()
 	nsamples := sample.Count(s.opts.BufferBytes, p, s.codec.KeySize(), s.opts.SampleFactor, len(entries))
-	sampled := sample.Regular(entries, nsamples)
-	keys := make([]K, len(sampled))
-	for i, e := range sampled {
-		keys[i] = e.Key
-	}
+	keys := sampleKeys(entries, nsamples)
 	s.report.SamplesSent = len(keys)
 	if p > 1 && self != master {
 		if err := s.send(master, comm.Message[K]{Kind: comm.KSamples, Keys: keys}); err != nil {

@@ -518,7 +518,7 @@ func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], paths []string) error {
 	if err != nil {
 		return err
 	}
-	filled, err := lsort.MergeCursors(dst, cursors, f.cmps.entryLess)
+	filled, err := lsort.MergeCursorsNorm(dst, cursors, f.cmps.headNorm, f.cmps.headLess)
 	done()
 	if err == nil && filled != len(dst) {
 		err = fmt.Errorf("core: spill merge produced %d of %d entries: %w",
@@ -539,7 +539,7 @@ func (f *runFormer[K]) stream(paths []string, batchLen int) (lsort.Cursor[comm.E
 		f.give(batch)
 		return closeRuns()
 	}
-	mc, err := lsort.NewMergeCursor(cursors, f.cmps.entryLess, batch)
+	mc, err := lsort.NewMergeCursor(cursors, f.cmps.headNorm, f.cmps.headLess, batch)
 	if err != nil {
 		done()
 		return nil, nil, err

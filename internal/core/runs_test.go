@@ -20,7 +20,6 @@ import (
 type coarseNormCodec struct{ comm.U64Codec }
 
 func (coarseNormCodec) Norm(k uint64) uint64 { return k >> 4 }
-func (coarseNormCodec) NormBits() int        { return 60 }
 func (coarseNormCodec) NormInexact() bool    { return true }
 
 // TestRunFormerSourcesAndChunks holds the three entry sources to one

@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"math"
+	"sync"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
@@ -60,35 +62,137 @@ type residentSink[K cmp.Ordered] struct {
 	s *sortRun[K]
 }
 
-// merge runs the balanced handler over the assembled runs. The scratch
-// comes from the node's slab pool; whichever of the assembly buffer and
-// the scratch does not end up backing the result is recycled immediately
-// (the result itself becomes resident storage and leaves the pool for
-// good).
+// merge is step 6 over the assembled runs. It has the two arms step 1
+// has, chosen by the same cmps.useRadix: keys with a norm merge as refs
+// (mergeRefs), keys without one merge as entries (mergeEntries). With at
+// most one source that sent anything there is nothing to merge and the
+// assembly buffer is the result.
 func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
+	buf, bounds := r.Entries(), r.Bounds()
+	nonEmpty := 0
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] > bounds[i-1] {
+			nonEmpty++
+		}
+	}
+	switch {
+	case nonEmpty == 0:
+		r.discard()
+		return nil, nil
+	case nonEmpty == 1:
+		r.Release() // the buffer leaves the pool as resident result storage
+		return buf, nil
+	case r.s.cmps.useRadix && uint64(len(buf)) <= math.MaxUint32:
+		return r.mergeRefs(buf, bounds), nil
+	}
+	return r.mergeEntries(buf, bounds), nil
+}
+
+// mergeRefs never moves an entry to compare it: one (norm, position) ref
+// per assembled entry, the balanced handler over the refs, one gather.
+// Each source's region of the buffer is a sorted ref run, positions
+// ascend from one run to the next and every merge and split is
+// left-run-first, so equal norms leave in position order — source order,
+// then arrival order, which is what the stable entry merge produces. An
+// inexact norm has its equal-norm runs finished under the real keys, as
+// in step 1.
+//
+// The two ref halves are separate slabs so the spare one is back in the
+// pool before the result exists: 40 + 32 B an entry while merging,
+// 40 + 16 + 40 while gathering. The result is allocated at its exact
+// size, and the assembly buffer and both ref slabs return to their pools
+// on every exit.
+func (r *residentSink[K]) mergeRefs(buf []comm.Entry[K], bounds []int) []comm.Entry[K] {
+	defer r.discard()
+	f := &r.s.runs
+	total := len(buf)
+	refs, spare := f.takeRefs(total), f.takeRefs(total)
+	var helper sync.WaitGroup
+	defer func() {
+		helper.Wait() // a panic on this side leaves the helper running over both
+		f.giveRefs(refs)
+		f.giveRefs(spare)
+	}()
+	// The two linear passes split in half when there is a second worker
+	// and the handoff is worth it: one helper goroutine each, the caller
+	// taking the lower half (a goroutine per worker costs more
+	// allocations than the sort has to spare).
+	mid := total
+	if f.workers > 1 && total >= 1<<12 {
+		mid = total / 2
+	}
+	if mid < total {
+		helper.Add(1)
+		go func(refs []lsort.NormRef) {
+			defer helper.Done()
+			entryRefs(refs, buf, f.cmps.norm, mid, total)
+		}(refs)
+	}
+	entryRefs(refs, buf, f.cmps.norm, 0, mid)
+	helper.Wait()
+
+	order, fromSpare := lsort.MergeNormRefRuns(refs, spare, bounds, true)
+	if f.cmps.fallback {
+		lsort.SortEqualNormRefs(order, func(i, j uint32) bool { return buf[i].Key < buf[j].Key })
+	}
+	if fromSpare {
+		refs, spare = spare, refs
+	}
+	f.giveRefs(spare)
+	spare = nil
+
+	resultBytes := int64(total) * int64(entryBytes[K]())
+	f.tracker.Alloc(resultBytes) // temporary while it is being filled
+	defer f.tracker.Free(resultBytes)
+	out := make([]comm.Entry[K], total)
+	if mid < total {
+		helper.Add(1)
+		go func() {
+			defer helper.Done()
+			gatherEntries(out, buf, order, mid, total)
+		}()
+	}
+	gatherEntries(out, buf, order, 0, mid)
+	helper.Wait()
+	return out
+}
+
+// entryRefs writes refs[i] = (norm of buf[i].Key, i) for lo <= i < hi.
+func entryRefs[K any](refs []lsort.NormRef, buf []comm.Entry[K], norm func(K) uint64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		refs[i] = lsort.NormRef{Norm: norm(buf[i].Key), Idx: uint32(i)}
+	}
+}
+
+// gatherEntries writes out[j] = buf[order[j].Idx] for lo <= j < hi.
+func gatherEntries[K any](out, buf []comm.Entry[K], order []lsort.NormRef, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		out[j] = buf[order[j].Idx]
+	}
+}
+
+// mergeEntries is the comparison arm: the balanced handler over the
+// entries themselves. The scratch comes from the node's slab pool;
+// whichever of the assembly buffer and the scratch does not end up
+// backing the result is recycled immediately (the result itself becomes
+// resident storage and leaves the pool for good).
+func (r *residentSink[K]) mergeEntries(buf []comm.Entry[K], bounds []int) []comm.Entry[K] {
 	n := r.s.node
-	buf := r.Entries()
 	tmp := int64(len(buf)) * int64(entryBytes[K]())
 	scratch := n.entryPool.Get(len(buf))
 	n.tracker.Alloc(tmp)
-	merged, fromScratch := lsort.MergeAdjacentRunsOwned(buf, scratch, r.Bounds(), r.s.cmps.entryLess, true)
+	merged, fromScratch := lsort.MergeAdjacentRunsOwned(buf, scratch, bounds, r.s.cmps.entryLess, true)
 	n.tracker.Free(tmp)
 	r.Release()
-	// Explicit ownership from the merge, not a base-pointer compare
-	// (which has no element to address on empty results): exactly one
-	// of buf/scratch backs the result and the other is recycled — and
-	// an empty result frees both, since nothing aliases either.
-	switch {
-	case len(merged) == 0:
+	// Explicit ownership from the merge, not a base-pointer compare:
+	// exactly one of buf/scratch backs the result and the other is
+	// recycled.
+	if fromScratch {
 		n.entryPool.Put(buf)
-		n.entryPool.Put(scratch)
-		merged = nil
-	case fromScratch:
-		n.entryPool.Put(buf)
-	default:
+	} else {
 		n.entryPool.Put(scratch)
 	}
-	return merged, nil
+	return merged
 }
 
 func (r *residentSink[K]) discard() {

@@ -2,6 +2,7 @@ package lsort
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -192,6 +193,112 @@ func BenchmarkTopKSelection(b *testing.B) {
 			b.SetBytes(benchN * 8)
 			for i := 0; i < b.N; i++ {
 				TopK(keys, k, lessU64)
+			}
+		})
+	}
+}
+
+// mergeBenchKinds are the inputs the step-6 kernels are compared on: the
+// unpredictable case (uniform), the two predictable ones (sorted: every
+// run exhausts before the next begins; few-distinct: long tie streaks)
+// and the skewed one the investigator exists for.
+var mergeBenchKinds = []dist.Kind{dist.Uniform, dist.Sorted, dist.FewDistinct, dist.RightSkewed}
+
+// sortedRunsOf cuts keys into `runs` equal runs, each sorted.
+func sortedRunsOf(keys []uint64, runs int) (out []uint64, bounds []int) {
+	out = append([]uint64(nil), keys...)
+	bounds = make([]int, runs+1)
+	for i := range bounds {
+		bounds[i] = i * len(out) / runs
+	}
+	for i := 0; i < runs; i++ {
+		slices.Sort(out[bounds[i]:bounds[i+1]])
+	}
+	return out, bounds
+}
+
+// BenchmarkBalancedMerge is the engine's step 6 at one node both ways, 4
+// runs x 2^16 entries: "entry" merges the 40-byte entries under a less
+// function (the comparison arm), "refs+gather" builds one ref per entry,
+// merges the refs and gathers the entries once (the norm arm, everything
+// residentSink.mergeRefs does but the pools). Run with -cpu 1,2.
+func BenchmarkBalancedMerge(b *testing.B) {
+	for _, kind := range mergeBenchKinds {
+		keys, bounds := sortedRunsOf(benchKeys(kind), 4)
+		in := make([]benchEntry, len(keys))
+		for i, k := range keys {
+			in[i] = benchEntry{Key: k, Index: uint32(i)}
+		}
+		b.Run(kind.String()+"/entry", func(b *testing.B) {
+			buf, scratch := make([]benchEntry, len(in)), make([]benchEntry, len(in))
+			b.SetBytes(int64(len(in)) * 8)
+			for i := 0; i < b.N; i++ {
+				copy(buf, in)
+				MergeAdjacentRunsOwned(buf, scratch, bounds, benchEntryLess, true)
+			}
+		})
+		b.Run(kind.String()+"/refs+gather", func(b *testing.B) {
+			refs, scratch := make([]NormRef, len(in)), make([]NormRef, len(in))
+			out := make([]benchEntry, len(in))
+			b.SetBytes(int64(len(in)) * 8)
+			for i := 0; i < b.N; i++ {
+				for j := range in {
+					refs[j] = NormRef{Norm: in[j].Key, Idx: uint32(j)}
+				}
+				order, _ := MergeNormRefRuns(refs, scratch, bounds, true)
+				for j, r := range order {
+					out[j] = in[r.Idx]
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMergeNormRefRuns times the ref kernel alone, sequentially, so
+// a change to the two-run loop shows undiluted.
+func BenchmarkMergeNormRefRuns(b *testing.B) {
+	for _, kind := range mergeBenchKinds {
+		keys, bounds := sortedRunsOf(benchKeys(kind), 4)
+		in := refsOf(keys)
+		b.Run(kind.String(), func(b *testing.B) {
+			refs, scratch := make([]NormRef, len(in)), make([]NormRef, len(in))
+			b.SetBytes(int64(len(in)) * 8)
+			for i := 0; i < b.N; i++ {
+				copy(refs, in)
+				MergeNormRefRuns(refs, scratch, bounds, false)
+			}
+		})
+	}
+}
+
+// BenchmarkMergeCursors is the spilled sink's merge, 4 cursors x 2^16
+// entries in 1024-entry batches: under a less function alone, and with
+// the tree comparing cached head norms.
+func BenchmarkMergeCursors(b *testing.B) {
+	for _, kind := range mergeBenchKinds {
+		keys, bounds := sortedRunsOf(benchKeys(kind), 4)
+		in := make([]benchEntry, len(keys))
+		for i, k := range keys {
+			in[i] = benchEntry{Key: k, Index: uint32(i)}
+		}
+		cursors := func() []Cursor[benchEntry] {
+			cs := make([]Cursor[benchEntry], len(bounds)-1)
+			for i := range cs {
+				cs[i] = &batchCursor[benchEntry]{run: in[bounds[i]:bounds[i+1]], batch: 1024}
+			}
+			return cs
+		}
+		dst := make([]benchEntry, len(in))
+		b.Run(kind.String()+"/less", func(b *testing.B) {
+			b.SetBytes(int64(len(in)) * 8)
+			for i := 0; i < b.N; i++ {
+				MergeCursors(dst, cursors(), benchEntryLess)
+			}
+		})
+		b.Run(kind.String()+"/heads", func(b *testing.B) {
+			b.SetBytes(int64(len(in)) * 8)
+			for i := 0; i < b.N; i++ {
+				MergeCursorsNorm(dst, cursors(), func(e *benchEntry) uint64 { return e.Key }, nil)
 			}
 		})
 	}

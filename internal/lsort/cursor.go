@@ -46,6 +46,19 @@ func (c *SliceCursor[E]) Next() ([]E, error) {
 // On a cursor error the merge stops and returns the elements emitted so
 // far along with the error; remaining cursors are left unread.
 func MergeCursors[E any](dst []E, cursors []Cursor[E], less func(x, y E) bool) (int, error) {
+	return MergeCursorsNorm(dst, cursors, nil, less)
+}
+
+// MergeCursorsNorm is MergeCursors for elements with an order-preserving
+// uint64 norm: the tree caches the norm of every cursor's head (norm
+// reads the element in place, once, when it becomes the head) and
+// compares those, so a match moves no element and calls no function.
+// Equal heads fall to less, which then only has to order elements of
+// equal norm — or, when less is nil because the norm is exact (equal
+// norms are equal elements), straight to the cursor-index tie rule. The
+// output is the one MergeCursors gives under "norm, then less". A nil
+// norm is MergeCursors itself.
+func MergeCursorsNorm[E any](dst []E, cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool) (int, error) {
 	k := len(cursors)
 	switch k {
 	case 0:
@@ -63,7 +76,7 @@ func MergeCursors[E any](dst []E, cursors []Cursor[E], less func(x, y E) bool) (
 			n += copy(dst[n:], batch)
 		}
 	}
-	t, err := newCursorTree(cursors, less)
+	t, err := newCursorTree(cursors, norm, less)
 	if err != nil {
 		return 0, err
 	}
@@ -83,12 +96,13 @@ type MergeCursor[E any] struct {
 	done  bool
 }
 
-// NewMergeCursor merges cursors under less into a Cursor. batch is the
-// caller-owned output buffer: each Next fills up to len(batch) elements
-// and hands it back, so the caller controls the merge's resident
-// granularity. Priming the tree pulls one batch per cursor, which can
-// return a cursor error immediately.
-func NewMergeCursor[E any](cursors []Cursor[E], less func(x, y E) bool, batch []E) (*MergeCursor[E], error) {
+// NewMergeCursor merges cursors under norm and less (as MergeCursorsNorm
+// takes them; norm may be nil) into a Cursor. batch is the caller-owned
+// output buffer: each Next fills up to len(batch) elements and hands it
+// back, so the caller controls the merge's resident granularity. Priming
+// the tree pulls one batch per cursor, which can return a cursor error
+// immediately.
+func NewMergeCursor[E any](cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool, batch []E) (*MergeCursor[E], error) {
 	switch len(cursors) {
 	case 0:
 		return &MergeCursor[E]{done: true}, nil
@@ -98,7 +112,7 @@ func NewMergeCursor[E any](cursors []Cursor[E], less func(x, y E) bool, batch []
 	if len(batch) == 0 {
 		return nil, errEmptyMergeBatch
 	}
-	t, err := newCursorTree(cursors, less)
+	t, err := newCursorTree(cursors, norm, less)
 	if err != nil {
 		return nil, err
 	}
@@ -139,13 +153,15 @@ func (c *MergeCursor[E]) Next() ([]E, error) {
 // newCursorTree primes a loser tree over the cursors: every cursor
 // contributes its first batch, and exhausted streams enter the
 // tournament as -1 (compares as +infinity).
-func newCursorTree[E any](cursors []Cursor[E], less func(x, y E) bool) (*cursorTree[E], error) {
+func newCursorTree[E any](cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool) (*cursorTree[E], error) {
 	k := len(cursors)
 	t := &cursorTree[E]{
+		norm: norm,
 		less: less,
 		cur:  cursors,
 		buf:  make([][]E, k),
 		pos:  make([]int, k),
+		head: make([]uint64, k),
 		tree: make([]int, k),
 		k:    k,
 	}
@@ -192,6 +208,8 @@ func (t *cursorTree[E]) pop(dst []E) (int, error) {
 			if len(t.buf[w]) == 0 {
 				cand = -1 // stream exhausted
 			}
+		} else if t.norm != nil {
+			t.head[w] = t.norm(&t.buf[w][t.pos[w]])
 		}
 		for node := (w + t.k) / 2; node >= 1; node /= 2 {
 			if t.beats(t.tree[node], cand) {
@@ -208,11 +226,18 @@ func (t *cursorTree[E]) pop(dst []E) (int, error) {
 // per cursor. Refills happen in the pop path the moment a batch drains,
 // so tie-break order (lower cursor index first) is identical to
 // loserTree's run-index rule.
+//
+// head[i] is the norm of cursor i's head element, taken once when the
+// element becomes the head (a pop or a fill), so the ⌈log₂ k⌉ matches it
+// then plays compare two words. Without a norm every head stays zero and
+// every match falls through to less.
 type cursorTree[E any] struct {
-	less func(x, y E) bool
+	norm func(*E) uint64   // nil: order by less alone
+	less func(x, y E) bool // orders equal heads; nil: they are equal elements
 	cur  []Cursor[E]
 	buf  [][]E
 	pos  []int
+	head []uint64
 	tree []int
 	k    int
 }
@@ -226,6 +251,9 @@ func (t *cursorTree[E]) fill(i int) error {
 	}
 	t.buf[i] = batch
 	t.pos[i] = 0
+	if t.norm != nil && len(batch) > 0 {
+		t.head[i] = t.norm(&batch[0])
+	}
 	return nil
 }
 
@@ -235,6 +263,12 @@ func (t *cursorTree[E]) beats(a, b int) bool {
 	}
 	if b == -1 {
 		return true
+	}
+	if ha, hb := t.head[a], t.head[b]; ha != hb {
+		return ha < hb
+	}
+	if t.less == nil {
+		return a < b
 	}
 	// One less call per match, heads read in place: a wins a tie exactly
 	// when it is the lower index, i.e. when b's head is not strictly less.

@@ -7,10 +7,15 @@
 //
 // These are generic over the element type with an explicit less function,
 // mirroring the paper's claim that the sorting library "is generic and
-// works with any data type". The one exception is the engine's step-1
-// kernel for keys with a uint64 norm (SortNormRefs): a closure-free radix
-// over fixed 16-byte (norm, index) refs, which is what lets it stay
-// non-generic whatever the element is.
+// works with any data type". The exception is what the engine runs for
+// keys with a uint64 norm, all over fixed 16-byte (norm, index) refs and
+// therefore non-generic whatever the element is: step 1's closure-free
+// radix (SortNormRefs), and step 6's balanced merge of ref runs
+// (MergeNormRefRuns) — the same Figure 2 round scheduler and intra-merge
+// split as the generic handler (balancedMerge, parallelMerge), written
+// once over a two-run kernel, with only that kernel specialised. The
+// cursor merge has the matching shortcut: MergeCursorsNorm keeps each
+// cursor's head norm beside the tree and compares those.
 package lsort
 
 import "sync"
@@ -57,6 +62,30 @@ func MergeAdjacentRuns[E any](data, scratch []E, bounds []int, less func(x, y E)
 // base pointers misfires for zero-length results (no element to take the
 // address of) and is fragile against sub-slice offsets.
 func MergeAdjacentRunsOwned[E any](data, scratch []E, bounds []int, less func(x, y E) bool, parallel bool) (out []E, fromScratch bool) {
+	return balancedMerge(data, scratch, bounds, parallel, lessKernel(less))
+}
+
+// pairKernel is all the balanced handler asks of an element type: the
+// stable merge of two sorted runs (left run first on ties) and the split
+// of that merge's path at a diagonal. The schedule below and the
+// intra-merge split (parallelMerge) are written once over it; the generic
+// kernel compares through a less function, the NormRef kernel
+// (normrefs.go) is closure-free.
+type pairKernel[E any] struct {
+	merge  func(dst, a, b []E)
+	coRank func(d int, a, b []E) (i, j int)
+}
+
+func lessKernel[E any](less func(x, y E) bool) pairKernel[E] {
+	return pairKernel[E]{
+		merge:  func(dst, a, b []E) { mergeInto(dst, a, b, less) },
+		coRank: func(d int, a, b []E) (int, int) { return CoRank(d, a, b, less) },
+	}
+}
+
+// balancedMerge is the round scheduler of Figure 2 behind
+// MergeAdjacentRunsOwned and MergeNormRefRuns. bounds is only read.
+func balancedMerge[E any](data, scratch []E, bounds []int, parallel bool, kern pairKernel[E]) (out []E, fromScratch bool) {
 	if len(bounds) < 2 {
 		return data[:0], false
 	}
@@ -65,8 +94,6 @@ func MergeAdjacentRunsOwned[E any](data, scratch []E, bounds []int, less func(x,
 	}
 	runs := len(bounds) - 1
 	src, dst := data, scratch
-	b := make([]int, len(bounds))
-	copy(b, bounds)
 	for step := 1; step < runs; step *= 2 {
 		// When the round has fewer merges than workers (the tail of
 		// Figure 2's tree), split each merge along merge-path diagonals
@@ -79,39 +106,37 @@ func MergeAdjacentRunsOwned[E any](data, scratch []E, bounds []int, less func(x,
 		var wg sync.WaitGroup
 		for i := 0; i < runs; i += 2 * step {
 			j := i + step
-			lo := b[i]
+			lo := bounds[i]
 			if j >= runs {
 				// No partner this round: carry the run over unchanged.
-				hi := b[min(i+step, runs)]
+				hi := bounds[min(i+step, runs)]
 				copy(dst[lo:hi], src[lo:hi])
 				continue
 			}
-			mid := b[j]
-			hi := b[min(j+step, runs)]
+			mid := bounds[j]
+			hi := bounds[min(j+step, runs)]
 			if parallel {
 				wg.Add(1)
 				go func(lo, mid, hi, ways int) {
 					defer wg.Done()
-					if ways > 1 {
-						ParallelMergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], less, ways)
-					} else {
-						mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], less)
-					}
+					parallelMerge(dst[lo:hi], src[lo:mid], src[mid:hi], ways, kern)
 				}(lo, mid, hi, ways)
 			} else {
-				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], less)
+				kern.merge(dst[lo:hi], src[lo:mid], src[mid:hi])
 			}
 		}
 		wg.Wait()
 		src, dst = dst, src
 		fromScratch = !fromScratch
 	}
-	return src[:b[runs]], fromScratch
+	return src[:bounds[runs]], fromScratch
 }
 
 // MergeRuns merges separately allocated sorted runs with the balanced
 // handler by first laying them out back-to-back in a fresh buffer.
 // It returns a newly allocated sorted slice; runs are not modified.
+// sample.SelectSplitters merges the master's sample runs with it when they
+// are too many and too short for rank selection to be cheaper.
 func MergeRuns[E any](runs [][]E, less func(x, y E) bool, parallel bool) []E {
 	total := 0
 	for _, r := range runs {

@@ -5,18 +5,133 @@ import (
 	"sync"
 )
 
-// NormRef stands in for one element of a chunk while step 1 sorts it:
-// Norm is the element's key under an order-preserving map onto uint64
-// (comm.KeyNormalizer) and Idx its position in the chunk. Sorting the
-// 16-byte refs instead of the elements moves two words per radix pass
-// whatever the element carries; the caller gathers the elements once, in
-// the order the sorted Idx column names.
+// NormRef stands in for one element of a buffer while the engine sorts
+// (step 1) or merges (step 6) it: Norm is the element's key under an
+// order-preserving map onto uint64 (comm.KeyNormalizer) and Idx its
+// position in the buffer. Ordering the 16-byte refs instead of the
+// elements moves two words per radix pass or merge round whatever the
+// element carries; the caller gathers the elements once, in the order the
+// Idx column names.
 type NormRef struct {
 	Norm uint64
 	Idx  uint32
 }
 
 func normRefLess(a, b NormRef) bool { return a.Norm < b.Norm }
+
+// mergeNormRefs is mergeInto for refs under normRefLess — same output,
+// left run first on ties — with no less call and, where the runs
+// interleave, no data-dependent branch. On unpredictable input a merge
+// loop is bound by its mispredicted "which run is next" branch; selecting
+// by mask instead is bound by the load-compare-advance chain, so the main
+// loop runs two such chains at once: each iteration emits the smallest
+// remaining ref at the front of dst and the largest at its back (the
+// larger goes last; on a tie that is b's). Where one run wins for a whole
+// block the branch would have predicted after all, and a plain loop
+// follows the streak to its end. What the main loop leaves (it needs two
+// refs in each run) is merged by the plain loop, and a pair already in
+// order is two copies.
+func mergeNormRefs(dst, a, b []NormRef) {
+	dst = dst[:len(a)+len(b)]
+	if len(a) == 0 || len(b) == 0 || b[0].Norm >= a[len(a)-1].Norm {
+		copy(dst[copy(dst, a):], b)
+		return
+	}
+	i, j, kf := 0, 0, 0
+	ie, je, kb := len(a)-1, len(b)-1, len(dst)-1
+	fromB := 0
+	// Both runs hold two refs or more: the front step and the back step
+	// each find one in both.
+	for s := 1; i < ie && j < je; s++ {
+		x, y := a[i], b[j]
+		t := 0
+		if y.Norm < x.Norm {
+			t = 1
+		}
+		m := -uint64(t)
+		dst[kf] = NormRef{Norm: x.Norm ^ (x.Norm^y.Norm)&m, Idx: x.Idx ^ (x.Idx^y.Idx)&uint32(m)}
+		i += 1 - t
+		j += t
+		fromB += t
+		kf++
+
+		x, y = a[ie], b[je]
+		u := 0
+		if y.Norm < x.Norm {
+			u = 1
+		}
+		m = -uint64(u)
+		dst[kb] = NormRef{Norm: y.Norm ^ (x.Norm^y.Norm)&m, Idx: y.Idx ^ (x.Idx^y.Idx)&uint32(m)}
+		ie -= u
+		je -= 1 - u
+		kb--
+
+		if s&31 == 0 {
+			// A block of front steps won by one run throughout is a
+			// streak (a long tie, disjoint stretches): there the branch
+			// predicts, so follow it with one until it ends.
+			switch fromB {
+			case 0:
+				for i < ie && a[i].Norm <= b[j].Norm {
+					dst[kf] = a[i]
+					i++
+					kf++
+				}
+			case 32:
+				for j < je && b[j].Norm < a[i].Norm {
+					dst[kf] = b[j]
+					j++
+					kf++
+				}
+			}
+			fromB = 0
+		}
+	}
+	a, b, dst = a[i:ie+1], b[j:je+1], dst[kf:kb+1]
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].Norm < a[i].Norm {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+}
+
+// coRankNormRefs is CoRank for refs under normRefLess.
+func coRankNormRefs(d int, a, b []NormRef) (i, j int) {
+	lo, hi := max(d-len(b), 0), min(d, len(a))
+	for {
+		i = int(uint(lo+hi) >> 1)
+		j = d - i
+		if i > 0 && j < len(b) && b[j].Norm < a[i-1].Norm {
+			hi = i - 1
+			continue
+		}
+		if j > 0 && i < len(a) && b[j-1].Norm >= a[i].Norm {
+			lo = i + 1
+			continue
+		}
+		return i, j
+	}
+}
+
+// MergeNormRefRuns is MergeAdjacentRunsOwned for refs ordered by Norm:
+// the same rounds of Figure 2, the same left-run-first tie rule in every
+// merge and split, over a two-run kernel that calls no function per
+// comparison. Runs whose refs carry ascending Idx from one run to the next
+// therefore merge into (Norm, Idx) order, which is how the engine's step 6
+// keeps source order, then arrival order, among equal keys without ever
+// comparing them.
+func MergeNormRefRuns(refs, scratch []NormRef, bounds []int, parallel bool) (out []NormRef, fromScratch bool) {
+	return balancedMerge(refs, scratch, bounds, parallel,
+		pairKernel[NormRef]{merge: mergeNormRefs, coRank: coRankNormRefs})
+}
 
 // SortNormRefs sorts refs by Norm and returns the sorted refs, which
 // alias refs or scratch — whichever the last pass wrote; the other holds
@@ -27,8 +142,8 @@ func normRefLess(a, b NormRef) bool { return a.Norm < b.Norm }
 // provenance — and the result is the same for every workers: data is
 // divided equally among the workers as in ParallelSort, each chunk is
 // radix-sorted (radixNormRefs), and the chunks are combined by the
-// balanced merging handler of Figure 2, whose merges and CoRank splits
-// keep left-run-first tie order.
+// balanced merging handler of Figure 2 (MergeNormRefRuns), whose merges
+// and co-rank splits keep left-run-first tie order.
 func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 	n := len(refs)
 	if len(scratch) < n {
@@ -57,7 +172,8 @@ func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 		}(refs[bounds[i]:bounds[i+1]], scratch[bounds[i]:bounds[i+1]])
 	}
 	wg.Wait()
-	return MergeAdjacentRuns(refs, scratch, bounds, normRefLess, true)
+	out, _ := MergeNormRefRuns(refs, scratch, bounds, true)
+	return out
 }
 
 // radixNormRefs is the sequential kernel: a stable LSD byte-radix sort of

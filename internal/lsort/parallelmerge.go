@@ -51,6 +51,11 @@ func CoRank[E any](d int, a, b []E, less func(x, y E) bool) (i, j int) {
 // spill tier depends on this: a budget-chunked sort followed by a stable
 // streaming merge must reproduce the in-memory order exactly.
 func ParallelMergeInto[E any](dst, a, b []E, less func(x, y E) bool, ways int) {
+	parallelMerge(dst, a, b, ways, lessKernel(less))
+}
+
+// parallelMerge is ParallelMergeInto over a pairKernel.
+func parallelMerge[E any](dst, a, b []E, ways int, kern pairKernel[E]) {
 	total := len(a) + len(b)
 	if len(dst) < total {
 		panic("lsort: ParallelMergeInto dst too small")
@@ -62,7 +67,7 @@ func ParallelMergeInto[E any](dst, a, b []E, less func(x, y E) bool, ways int) {
 		ways = total
 	}
 	if ways == 1 || total < 4096 {
-		mergeInto(dst, a, b, less)
+		kern.merge(dst, a, b)
 		return
 	}
 	var wg sync.WaitGroup
@@ -72,7 +77,7 @@ func ParallelMergeInto[E any](dst, a, b []E, less func(x, y E) bool, ways int) {
 		if k == ways {
 			i, j = len(a), len(b)
 		} else {
-			i, j = CoRank(k*total/ways, a, b, less)
+			i, j = kern.coRank(k*total/ways, a, b)
 		}
 		segA := a[prevI:i]
 		segB := b[prevJ:j]
@@ -80,7 +85,7 @@ func ParallelMergeInto[E any](dst, a, b []E, less func(x, y E) bool, ways int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mergeInto(segDst, segA, segB, less)
+			kern.merge(segDst, segA, segB)
 		}()
 		prevI, prevJ = i, j
 	}
