@@ -1,21 +1,18 @@
 package pgxsort
 
-// One benchmark per table and figure of the paper's evaluation (§V), plus
-// the ablations listed in DESIGN.md. These run at laptop scale; the
-// cmd/pgxsort-bench CLI regenerates the full tables at configurable sizes.
+// The Go benchmarks with no other home: SortMany schedules and allocation
+// churn, the string pipeline and the record path. The paper's tables and
+// figures are cmd/pgxsort-bench's, the shipped system's speed and
+// allocations benchmark/'s, the local-sort kernels internal/lsort's.
 
 import (
 	"context"
 	"fmt"
 	"testing"
 
-	"pgxsort/internal/baselines"
 	"pgxsort/internal/comm"
 	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
-	"pgxsort/internal/graph"
-	"pgxsort/internal/harness"
-	"pgxsort/internal/spark"
 )
 
 const (
@@ -42,87 +39,6 @@ func benchParts(kind dist.Kind, procs, total int) [][]uint64 {
 	return parts
 }
 
-func benchTwitterDegrees(scale int) []uint64 {
-	g := graph.TwitterLike(graph.RMATConfig{Scale: scale, EdgeFactor: 16, Seed: 99})
-	return g.Degrees(nil)
-}
-
-func sortOnce(b *testing.B, parts [][]uint64, opts core.Options) *core.Report {
-	b.Helper()
-	opts.Procs = len(parts)
-	if opts.WorkersPerProc == 0 {
-		opts.WorkersPerProc = benchWkrs
-	}
-	eng, err := core.NewEngine[uint64](opts, comm.U64Codec{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := eng.Sort(parts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &res.Report
-}
-
-// BenchmarkFig4Distributions measures dataset generation for the four
-// input distributions of Figure 4.
-func BenchmarkFig4Distributions(b *testing.B) {
-	for _, kind := range dist.Kinds {
-		b.Run(kind.String(), func(b *testing.B) {
-			out := make([]uint64, benchN)
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				dist.Gen{Kind: kind, Seed: uint64(i)}.Fill(out)
-			}
-		})
-	}
-}
-
-// BenchmarkFig5TotalTime measures PGX.D total sort time per distribution
-// (Figure 5).
-func BenchmarkFig5TotalTime(b *testing.B) {
-	for _, kind := range dist.Kinds {
-		b.Run(fmt.Sprintf("%s/p=%d", kind, benchProcs), func(b *testing.B) {
-			parts := benchParts(kind, benchProcs, benchN)
-			b.SetBytes(benchN * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := sortOnce(b, parts, core.Options{})
-				if i == b.N-1 {
-					b.ReportMetric(rep.LoadImbalance(), "max/avg")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig6StrongScaling measures both engines across processor
-// counts (Figure 6).
-func BenchmarkFig6StrongScaling(b *testing.B) {
-	for _, p := range []int{2, 4, 8} {
-		parts := benchParts(dist.Uniform, p, benchN)
-		b.Run(fmt.Sprintf("pgxd/p=%d", p), func(b *testing.B) {
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				sortOnce(b, parts, core.Options{})
-			}
-		})
-		b.Run(fmt.Sprintf("spark/p=%d", p), func(b *testing.B) {
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				sc := spark.NewContext(spark.Config{Partitions: p, TotalCores: p * benchWkrs, Seed: 1})
-				rdd, err := spark.FromParts(sc, parts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				spark.SortByKey(rdd, comm.U64Codec{})
-				sc.Close()
-			}
-		})
-	}
-}
-
 // BenchmarkSortManyPipeline compares SortMany schedules — sequential,
 // naive-concurrent (the old unbounded go-per-dataset behaviour) and the
 // pipelined scheduler — on the Figure 5/6 multi-dataset mix: one dataset
@@ -135,10 +51,15 @@ func BenchmarkSortManyPipeline(b *testing.B) {
 		datasets[d] = benchParts(kind, benchProcs, benchN)
 	}
 	totalKeys := int64(len(datasets)) * benchN
-	// Same schedule table as the harness "pipeline" experiment, so the
-	// Go-bench smoke numbers and the CI CSV artifact stay comparable.
-	for _, mode := range harness.PipelineModes(2) {
-		b.Run(fmt.Sprintf("%s/p=%d", mode.Name, benchProcs), func(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		opts core.SortManyOpts
+	}{
+		{"sequential", core.SortManyOpts{MaxInflight: 1}},
+		{"naive", core.SortManyOpts{Naive: true}},
+		{"pipelined", core.SortManyOpts{MaxInflight: 2}},
+	} {
+		b.Run(fmt.Sprintf("%s/p=%d", mode.name, benchProcs), func(b *testing.B) {
 			eng, err := core.NewEngine[uint64](
 				core.Options{Procs: benchProcs, WorkersPerProc: benchWkrs}, comm.U64Codec{})
 			if err != nil {
@@ -148,291 +69,11 @@ func BenchmarkSortManyPipeline(b *testing.B) {
 			b.SetBytes(totalKeys * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.SortManyWith(context.Background(), mode.Opts, datasets...); err != nil {
+				if _, err := eng.SortManyWith(context.Background(), mode.opts, datasets...); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFig7StepBreakdown reports per-step times as metrics (Figure 7).
-func BenchmarkFig7StepBreakdown(b *testing.B) {
-	for _, kind := range []dist.Kind{dist.Normal, dist.RightSkewed} {
-		b.Run(kind.String(), func(b *testing.B) {
-			parts := benchParts(kind, benchProcs, benchN)
-			b.SetBytes(benchN * 8)
-			var last *core.Report
-			for i := 0; i < b.N; i++ {
-				last = sortOnce(b, parts, core.Options{})
-			}
-			for s := core.Step(0); s < core.NumSteps; s++ {
-				b.ReportMetric(float64(last.Steps[s].Microseconds())/1000,
-					s.String()+"-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkTable2LoadBalance sorts duplicate-heavy data on 10 processors
-// and reports the balance (Table II).
-func BenchmarkTable2LoadBalance(b *testing.B) {
-	for _, kind := range []dist.Kind{dist.RightSkewed, dist.Exponential} {
-		b.Run(kind.String(), func(b *testing.B) {
-			parts := benchParts(kind, 10, benchN)
-			b.SetBytes(benchN * 8)
-			var last *core.Report
-			for i := 0; i < b.N; i++ {
-				last = sortOnce(b, parts, core.Options{})
-			}
-			b.ReportMetric(last.LoadImbalance(), "max/avg")
-		})
-	}
-}
-
-// BenchmarkFig8TwitterSort measures both engines on the Twitter-like
-// degree keys (Figure 8).
-func BenchmarkFig8TwitterSort(b *testing.B) {
-	degrees := benchTwitterDegrees(14)
-	parts := make([][]uint64, benchProcs)
-	for i := range parts {
-		lo := i * len(degrees) / benchProcs
-		hi := (i + 1) * len(degrees) / benchProcs
-		parts[i] = degrees[lo:hi]
-	}
-	b.Run("pgxd", func(b *testing.B) {
-		b.SetBytes(int64(len(degrees)) * 8)
-		for i := 0; i < b.N; i++ {
-			sortOnce(b, parts, core.Options{})
-		}
-	})
-	b.Run("spark", func(b *testing.B) {
-		b.SetBytes(int64(len(degrees)) * 8)
-		for i := 0; i < b.N; i++ {
-			sc := spark.NewContext(spark.Config{Partitions: benchProcs, TotalCores: benchProcs * benchWkrs, Seed: 1})
-			rdd, err := spark.FromParts(sc, parts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			spark.SortByKey(rdd, comm.U64Codec{})
-			sc.Close()
-		}
-	})
-}
-
-// BenchmarkTable3PartRanges sorts Twitter-like degrees and walks the
-// per-processor ranges (Table III).
-func BenchmarkTable3PartRanges(b *testing.B) {
-	degrees := benchTwitterDegrees(13)
-	for _, p := range []int{8, 12, 16} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			parts := make([][]uint64, p)
-			for i := range parts {
-				lo := i * len(degrees) / p
-				hi := (i + 1) * len(degrees) / p
-				parts[i] = degrees[lo:hi]
-			}
-			b.SetBytes(int64(len(degrees)) * 8)
-			for i := 0; i < b.N; i++ {
-				eng, err := core.NewEngine[uint64](core.Options{Procs: p, WorkersPerProc: benchWkrs}, comm.U64Codec{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := eng.Sort(parts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ranges := res.PartRanges()
-				if len(ranges) != p {
-					b.Fatal("wrong range count")
-				}
-				eng.Close()
-			}
-		})
-	}
-}
-
-// BenchmarkFig9SampleSize sweeps the sample-size factor (Figure 9).
-func BenchmarkFig9SampleSize(b *testing.B) {
-	degrees := benchTwitterDegrees(13)
-	parts := make([][]uint64, benchProcs)
-	for i := range parts {
-		lo := i * len(degrees) / benchProcs
-		hi := (i + 1) * len(degrees) / benchProcs
-		parts[i] = degrees[lo:hi]
-	}
-	for _, f := range []float64{0.004, 0.04, 0.4, 1.0, 1.4} {
-		b.Run(fmt.Sprintf("factor=%.3fX", f), func(b *testing.B) {
-			b.SetBytes(int64(len(degrees)) * 8)
-			var last *core.Report
-			for i := 0; i < b.N; i++ {
-				last = sortOnce(b, parts, core.Options{SampleFactor: f})
-			}
-			b.ReportMetric(float64(last.BytesSent), "comm-bytes")
-			b.ReportMetric(last.LoadImbalance(), "max/avg")
-		})
-	}
-}
-
-// BenchmarkFig10MinMaxLoad reports min/max loads for the three factors of
-// Figure 10.
-func BenchmarkFig10MinMaxLoad(b *testing.B) {
-	parts := benchParts(dist.RightSkewed, benchProcs, benchN)
-	for _, f := range []float64{0.004, 1.0, 1.4} {
-		b.Run(fmt.Sprintf("factor=%.3fX", f), func(b *testing.B) {
-			b.SetBytes(benchN * 8)
-			var last *core.Report
-			for i := 0; i < b.N; i++ {
-				last = sortOnce(b, parts, core.Options{SampleFactor: f})
-			}
-			minPart, maxPart := last.MinMaxPart()
-			b.ReportMetric(float64(minPart), "min-part")
-			b.ReportMetric(float64(maxPart), "max-part")
-		})
-	}
-}
-
-// BenchmarkFig11Memory reports the memory accounting of Figure 11.
-func BenchmarkFig11Memory(b *testing.B) {
-	degrees := benchTwitterDegrees(13)
-	for _, p := range []int{4, 8} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			parts := make([][]uint64, p)
-			for i := range parts {
-				lo := i * len(degrees) / p
-				hi := (i + 1) * len(degrees) / p
-				parts[i] = degrees[lo:hi]
-			}
-			b.SetBytes(int64(len(degrees)) * 8)
-			var last *core.Report
-			for i := 0; i < b.N; i++ {
-				last = sortOnce(b, parts, core.Options{})
-			}
-			b.ReportMetric(float64(last.ResidentBytes)/(1<<20), "resident-MB")
-			b.ReportMetric(float64(last.TempPeakBytes)/(1<<20), "temp-peak-MB")
-		})
-	}
-}
-
-// BenchmarkAblationInvestigator isolates the investigator (DESIGN.md).
-func BenchmarkAblationInvestigator(b *testing.B) {
-	parts := benchParts(dist.RightSkewed, 10, benchN)
-	for _, disable := range []bool{false, true} {
-		name := "on"
-		if disable {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchN * 8)
-			var last *core.Report
-			for i := 0; i < b.N; i++ {
-				last = sortOnce(b, parts, core.Options{DisableInvestigator: disable})
-			}
-			b.ReportMetric(last.LoadImbalance(), "max/avg")
-		})
-	}
-}
-
-// BenchmarkAblationAsyncExchange compares exchange schedules.
-func BenchmarkAblationAsyncExchange(b *testing.B) {
-	parts := benchParts(dist.Uniform, benchProcs, benchN)
-	for _, sync := range []bool{false, true} {
-		name := "async"
-		if sync {
-			name = "sync"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				sortOnce(b, parts, core.Options{SyncExchange: sync})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTransport compares chan and TCP transports.
-func BenchmarkAblationTransport(b *testing.B) {
-	parts := benchParts(dist.Uniform, 4, benchN)
-	for _, tr := range []string{TransportChan, TransportTCP} {
-		b.Run(tr, func(b *testing.B) {
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				sortOnce(b, parts, core.Options{Transport: tr})
-			}
-		})
-	}
-}
-
-// BenchmarkBaselineSorters times the related-work baselines (§II).
-func BenchmarkBaselineSorters(b *testing.B) {
-	parts := benchParts(dist.Uniform, benchProcs, benchN)
-	// Radix buckets key on the top bits; spread the 2^20 domain up.
-	spread := make([][]uint64, len(parts))
-	for i, part := range parts {
-		spread[i] = make([]uint64, len(part))
-		for j, k := range part {
-			spread[i][j] = k << 43
-		}
-	}
-	b.Run("bitonic", func(b *testing.B) {
-		b.SetBytes(benchN * 8)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := baselines.BitonicSort(spread, comm.U64Codec{}, TransportChan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("radix", func(b *testing.B) {
-		b.SetBytes(benchN * 8)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := baselines.RadixSort(spread, TransportChan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkLocalSortPrimitives compares the local sorting building blocks.
-func BenchmarkLocalSortPrimitives(b *testing.B) {
-	keys := dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(benchN)
-	b.Run("facade-one-shot", func(b *testing.B) {
-		b.SetBytes(benchN * 8)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := Sort(keys, Options{Procs: benchProcs, WorkersPerProc: benchWkrs}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkLocalSortPath compares the step-1 paths end to end (ISSUE 3):
-// the paper's comparison sort against the radix fast path over normalized
-// keys (what LocalSortAuto resolves to for uint64), per distribution kind
-// on a persistent cluster.
-func BenchmarkLocalSortPath(b *testing.B) {
-	for _, kind := range []dist.Kind{dist.Uniform, dist.RightSkewed, dist.FewDistinct} {
-		parts := benchParts(kind, benchProcs, benchN)
-		for _, mode := range []core.LocalSortMode{core.LocalSortComparison, core.LocalSortAuto} {
-			b.Run(fmt.Sprintf("%s/%s", kind, mode), func(b *testing.B) {
-				eng, err := core.NewEngine[uint64](
-					core.Options{Procs: benchProcs, WorkersPerProc: benchWkrs, LocalSort: mode}, comm.U64Codec{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer eng.Close()
-				b.SetBytes(benchN * 8)
-				b.ResetTimer()
-				var last *core.Report
-				for i := 0; i < b.N; i++ {
-					res, err := eng.Sort(parts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = &res.Report
-				}
-				b.ReportMetric(float64(last.Steps[core.StepLocalSort].Microseconds())/1000, "local-sort-ms")
-			})
-		}
 	}
 }
 

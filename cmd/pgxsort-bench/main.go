@@ -1,14 +1,15 @@
 // Command pgxsort-bench regenerates the tables and figures of the paper's
 // evaluation section (§V). Each experiment prints the rows/series the
-// paper plots; -csv exports them for external plotting or for the CI
-// benchmark-trajectory artifact.
+// paper plots; -csv exports them for external plotting. It measures the
+// paper's shapes, not the shipped system's speed (bash benchmark/run.sh)
+// or its behaviour under faults and budgets (go test).
 //
 // Usage:
 //
 //	pgxsort-bench -list
 //	pgxsort-bench -exp fig5,fig6 -n 2000000 -procs 8,16,32,52
 //	pgxsort-bench -exp all -csv out/
-//	pgxsort-bench -exp fig5 -pipeline -csv -        # CSV to stdout (CI)
+//	pgxsort-bench -exp fig5 -csv -                  # CSV to stdout
 package main
 
 import (
@@ -18,8 +19,6 @@ import (
 	"strconv"
 	"strings"
 
-	"pgxsort/internal/core"
-	"pgxsort/internal/dist"
 	"pgxsort/internal/harness"
 	tp "pgxsort/internal/transport"
 )
@@ -38,33 +37,8 @@ func main() {
 		twScale   = flag.Int("twitter-scale", 16, "RMAT scale of the Twitter stand-in (2^scale vertices)")
 		reps      = flag.Int("reps", 1, "repetitions per timed point (fastest kept)")
 		csvOut    = flag.String("csv", "", "CSV output: a directory for per-table files, or '-' for stdout (tables then go to stderr)")
-		pipeline  = flag.Bool("pipeline", false, "also run the SortMany pipeline sweep (shorthand for adding 'pipeline' to -exp)")
-		inflight  = flag.Int("inflight", 0, "SortMany scheduler admission cap for the pipeline sweep (0 = default)")
-		localSort = flag.String("localsort", "auto", "step-1 path for all experiments: auto or comparison")
-		keytype   = flag.String("keytype", "", "restrict the keytypes experiment to one key domain: uint64, float64 or string (empty = sweep all)")
-		recBytes  = flag.Int("recbytes", 0, "payload bytes per key for the keytypes experiment's record points (0 = default sweep)")
-		memBudget = flag.String("mem-budget", "", "per-node temporary-memory budget for experiments that do not sweep it (e.g. 64M; the spill experiment sweeps its own)")
-		spillDir  = flag.String("spill-dir", "", "directory for spill run files (default: system temp dir)")
 	)
 	flag.Parse()
-
-	lsMode, err := core.ParseLocalSortMode(*localSort)
-	if err != nil {
-		fatal(err)
-	}
-	var ktype dist.KeyType
-	if *keytype != "" {
-		if ktype, err = dist.ParseKeyType(*keytype); err != nil {
-			fatal(err)
-		}
-	}
-	if *recBytes < 0 {
-		fatal(fmt.Errorf("-recbytes must be >= 0, got %d", *recBytes))
-	}
-	budget, err := core.ParseMemBudget(*memBudget)
-	if err != nil {
-		fatal(err)
-	}
 
 	if *list {
 		for _, e := range harness.Experiments() {
@@ -85,20 +59,14 @@ func main() {
 		Transport:    *transport,
 		TwitterScale: *twScale,
 		Reps:         *reps,
-		Inflight:     *inflight,
-		LocalSort:    lsMode,
 		ListenAddrs:  tp.SplitAddrs(*listen),
 		PeerAddrs:    tp.SplitAddrs(*peers),
-		KeyType:      ktype,
-		RecBytes:     *recBytes,
-		MemBudget:    budget,
-		SpillDir:     *spillDir,
 	}
 	if (len(cfg.ListenAddrs) > 0 || len(cfg.PeerAddrs) > 0) && *transport != "tcp" {
 		fatal(fmt.Errorf("-listen/-peers require -transport tcp"))
 	}
 
-	tables, err := harness.Run(expIDs(*exp, *pipeline), cfg)
+	tables, err := harness.Run(expIDs(*exp), cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -131,24 +99,11 @@ func main() {
 	}
 }
 
-// expIDs resolves the -exp list, appending the pipeline sweep when the
-// -pipeline shorthand asks for it and the list doesn't already run it.
-func expIDs(exp string, pipeline bool) []string {
+// expIDs splits the -exp list.
+func expIDs(exp string) []string {
 	ids := strings.Split(exp, ",")
 	for i := range ids {
 		ids[i] = strings.TrimSpace(ids[i])
-	}
-	if pipeline {
-		all := len(ids) == 1 && ids[0] == "all"
-		seen := false
-		for _, id := range ids {
-			if id == "pipeline" {
-				seen = true
-			}
-		}
-		if !all && !seen {
-			ids = append(ids, "pipeline")
-		}
 	}
 	return ids
 }

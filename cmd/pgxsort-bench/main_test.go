@@ -6,22 +6,13 @@ import (
 )
 
 func TestExpIDs(t *testing.T) {
-	cases := []struct {
-		exp      string
-		pipeline bool
-		want     string
-	}{
-		{"all", false, "all"},
-		{"all", true, "all"}, // 'all' already includes pipeline
-		{"fig5, fig6", false, "fig5,fig6"},
-		{"fig5,fig6", true, "fig5,fig6,pipeline"},
-		{"pipeline", true, "pipeline"},
-		{"fig5,pipeline", true, "fig5,pipeline"},
-	}
-	for _, c := range cases {
-		got := strings.Join(expIDs(c.exp, c.pipeline), ",")
-		if got != c.want {
-			t.Errorf("expIDs(%q, %v) = %q, want %q", c.exp, c.pipeline, got, c.want)
+	for exp, want := range map[string]string{
+		"all":           "all",
+		"fig5, fig6":    "fig5,fig6",
+		" table2 ,fig9": "table2,fig9",
+	} {
+		if got := strings.Join(expIDs(exp), ","); got != want {
+			t.Errorf("expIDs(%q) = %q, want %q", exp, got, want)
 		}
 	}
 }

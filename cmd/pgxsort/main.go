@@ -57,7 +57,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: pgxsort <generate|sort|verify|describe|submit> [flags]
   generate -kind <uniform|normal|right-skewed|exponential|...> -n N [-seed S] [-domain D] [-keytype uint64|float64|string] [-prefix P] -out FILE
-  sort     -in FILE -out FILE [-keytype T] [-recbytes N] [-procs P] [-workers W] [-transport chan|tcp] [-listen A1,..,AP] [-peers A1,..,AP] [-sample-factor F] [-no-investigator] [-localsort auto|comparison]
+  sort     -in FILE -out FILE [-keytype T] [-recbytes N] [-procs P] [-workers W] [-transport chan|tcp] [-listen A1,..,AP] [-peers A1,..,AP] [-sample-factor F] [-no-investigator]
   verify   -in FILE [-keytype T]
   describe -in FILE [-keytype T]
   submit   -in FILE [-out FILE] [-server URL] [-keytype T] [-tenant NAME] [-deadline D] [-topk K [-bottom]] [-rank KEY] [-no-cache]`)
@@ -121,7 +121,6 @@ func cmdSort(args []string) error {
 	peers := fs.String("peers", "", "comma-separated per-node TCP dial addresses (tcp transport; empty = the bound listen addresses)")
 	factor := fs.Float64("sample-factor", 1.0, "sample size factor (paper's X multiplier)")
 	noInv := fs.Bool("no-investigator", false, "disable the duplicate-splitter investigator")
-	localSort := fs.String("localsort", "auto", "local sort path: auto or comparison")
 	keytype := fs.String("keytype", "uint64", "key type: uint64, float64 or string")
 	recBytes := fs.Int("recbytes", 0, "attach an N-byte synthetic payload per key (sorts through the record path)")
 	memBudget := fs.String("mem-budget", "", "per-node temporary-memory budget (e.g. 64M, 2G); sorts spill block-file runs to -spill-dir beyond it")
@@ -134,10 +133,6 @@ func cmdSort(args []string) error {
 		return fmt.Errorf("sort: -recbytes must be >= 0, got %d", *recBytes)
 	}
 	kt, err := dist.ParseKeyType(*keytype)
-	if err != nil {
-		return fmt.Errorf("sort: %w", err)
-	}
-	lsMode, err := pgxsort.ParseLocalSortMode(*localSort)
 	if err != nil {
 		return fmt.Errorf("sort: %w", err)
 	}
@@ -156,7 +151,6 @@ func cmdSort(args []string) error {
 		TCP:                 tcpCfg,
 		SampleFactor:        *factor,
 		DisableInvestigator: *noInv,
-		LocalSort:           lsMode,
 		MemoryBudget:        budget,
 		SpillDir:            *spillDir,
 	}

@@ -77,7 +77,6 @@ func TestBuildConfigRejectsBadInput(t *testing.T) {
 	}{
 		{"bad keytype", []string{"-keytypes", "int128"}, "unknown key type"},
 		{"retired overlap flag", []string{"-overlap", "on"}, "not defined"},
-		{"retired localsort flag", []string{"-localsort", "auto"}, "not defined"},
 		{"bad failpoint spec", []string{"-failpoints", "core/exchange"}, "failpoint"},
 		{"listen without tcp", []string{"-listen", "127.0.0.1:7401"}, "-transport tcp"},
 		{"listen count mismatch", []string{"-transport", "tcp", "-procs", "2", "-keytypes", "uint64", "-listen", "a:1"}, "1 addresses for 2"},

@@ -260,9 +260,6 @@ func TestSyncExchangeAblation(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	if _, err := NewEngine[uint64](Options{Procs: 2, LocalSort: LocalSortMode(9)}, comm.U64Codec{}); err == nil {
-		t.Error("bad local sort mode accepted")
-	}
 	if _, err := NewEngine[uint64](Options{Procs: 2, Transport: "pigeon"}, comm.U64Codec{}); err == nil {
 		t.Error("bad transport accepted")
 	}

@@ -13,14 +13,26 @@ import (
 	"pgxsort/internal/transport"
 )
 
-// sortWith builds an engine with opts, sorts parts and returns the result.
-func sortWith[K cmp.Ordered](t *testing.T, codec comm.Codec[K], opts Options, parts [][]K) *Result[K] {
+// dropNorm puts a fresh engine on the comparison arm of steps 1 and 6
+// whatever its key type: with the norm cleared before the first sort,
+// comparators resolves exactly as it does for a key that has none. The
+// engine chooses its arm from the key type alone, so this is how a test
+// runs the comparison arm over uint64 keys.
+func dropNorm[K cmp.Ordered](e *Engine[K]) { e.norm, e.normInexact = nil, false }
+
+// sortWith builds an engine with opts, sorts parts and returns the
+// result: on the arm the key type selects, or — when comparison is set —
+// on the comparison arm (dropNorm).
+func sortWith[K cmp.Ordered](t *testing.T, codec comm.Codec[K], opts Options, parts [][]K, comparison bool) *Result[K] {
 	t.Helper()
 	e, err := NewEngine[K](opts, codec)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
+	if comparison {
+		dropNorm(e)
+	}
 	res, err := e.Sort(parts)
 	if err != nil {
 		t.Fatalf("Sort: %v", err)
@@ -149,8 +161,8 @@ func requireMatchesReference[K cmp.Ordered](t *testing.T, codec comm.Codec[K], r
 // forced out of core by a tenth-of-the-data budget — and both results
 // must match the test-side reference and each other entry for entry: the
 // balanced merge and the spilled cursor merge are both stable over runs
-// in source order.
-func diffEngine[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, opts Options, label string) {
+// in source order. comparison runs both on the comparison arm (dropNorm).
+func diffEngine[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, opts Options, label string, comparison bool) {
 	t.Helper()
 	opts.Procs = len(parts)
 	resident := opts
@@ -165,14 +177,17 @@ func diffEngine[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, o
 	// not, and an inexact norm (strings) finishes with a comparison fixup
 	// over chunk merges that does not keep index order.
 	ix, inexact := any(codec).(comm.InexactNormalizer)
-	stable := opts.LocalSort != LocalSortComparison && !(inexact && ix.NormInexact())
-	want := sortWith(t, codec, resident, parts)
+	stable := !comparison && !(inexact && ix.NormInexact())
+	want := sortWith(t, codec, resident, parts, comparison)
 	requireMatchesReference(t, codec, want, parts, stable, label+"/resident")
+	if comparison && want.Report.LocalSortPath != "comparison" {
+		t.Fatalf("%s: ran the %s arm, want comparison", label, want.Report.LocalSortPath)
+	}
 	if want.Report.MergePath != "balanced" || want.Report.SpillBytes != 0 || want.Report.SpillReads != 0 {
 		t.Fatalf("%s: resident run reports MergePath %q, spilled %d/%d bytes",
 			label, want.Report.MergePath, want.Report.SpillBytes, want.Report.SpillReads)
 	}
-	got := sortWith(t, codec, budgeted, parts)
+	got := sortWith(t, codec, budgeted, parts, comparison)
 	requireMatchesReference(t, codec, got, parts, stable, label+"/budgeted")
 	requireEntriesIdentical(t, codec, got, want, label+"/budgeted-vs-resident")
 	// A tenth of parts[0]'s footprint is below any non-empty node's
@@ -198,7 +213,7 @@ func TestDifferentialAllKinds(t *testing.T) {
 	for _, kind := range dist.AllKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			parts := mkParts(kind, 5, 4000, 17)
-			diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 2}, kind.String())
+			diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 2}, kind.String(), false)
 		})
 	}
 }
@@ -208,17 +223,17 @@ func TestDifferentialAllKinds(t *testing.T) {
 // signed zeros included), the narrow uint32 codec and variable-width
 // strings behind an inexact prefix norm all hold to the reference, on a
 // duplicate-heavy draw so ties occur on every type. uint64 also runs the
-// forced comparison path, whose local sort is not stable.
+// comparison arm, whose local sort is not stable.
 func TestDifferentialKeyTypes(t *testing.T) {
 	const per = 1500
 	for _, procs := range []int{1, 2, 3, 4, 8} {
 		base := mkParts(dist.RightSkewed, procs, per, 23)
 		name := func(kt string) string { return fmt.Sprintf("%s/p=%d", kt, procs) }
 		t.Run(name("uint64"), func(t *testing.T) {
-			diffEngine(t, comm.U64Codec{}, base, Options{WorkersPerProc: 2}, "uint64")
+			diffEngine(t, comm.U64Codec{}, base, Options{WorkersPerProc: 2}, "uint64", false)
 		})
 		t.Run(name("uint64-comparison"), func(t *testing.T) {
-			diffEngine(t, comm.U64Codec{}, base, Options{WorkersPerProc: 2, LocalSort: LocalSortComparison}, "uint64-comparison")
+			diffEngine(t, comm.U64Codec{}, base, Options{WorkersPerProc: 2}, "uint64-comparison", true)
 		})
 		t.Run(name("int64"), func(t *testing.T) {
 			parts := make([][]int64, procs)
@@ -228,7 +243,7 @@ func TestDifferentialKeyTypes(t *testing.T) {
 					parts[i][j] = int64(k) - 20 // mix signs
 				}
 			}
-			diffEngine(t, comm.I64Codec{}, parts, Options{WorkersPerProc: 2}, "int64")
+			diffEngine(t, comm.I64Codec{}, parts, Options{WorkersPerProc: 2}, "int64", false)
 		})
 		t.Run(name("float64"), func(t *testing.T) {
 			specials := []float64{math.Inf(1), math.Inf(-1), 0.0,
@@ -250,7 +265,7 @@ func TestDifferentialKeyTypes(t *testing.T) {
 					}
 				}
 			}
-			diffEngine(t, comm.F64Codec{}, parts, Options{WorkersPerProc: 2}, "float64")
+			diffEngine(t, comm.F64Codec{}, parts, Options{WorkersPerProc: 2}, "float64", false)
 		})
 		t.Run(name("uint32"), func(t *testing.T) {
 			parts := make([][]uint32, procs)
@@ -260,14 +275,14 @@ func TestDifferentialKeyTypes(t *testing.T) {
 					parts[i][j] = uint32(k)
 				}
 			}
-			diffEngine(t, comm.U32Codec{}, parts, Options{WorkersPerProc: 2}, "uint32")
+			diffEngine(t, comm.U32Codec{}, parts, Options{WorkersPerProc: 2}, "uint32", false)
 		})
 		t.Run(name("string"), func(t *testing.T) {
 			parts := make([][]string, procs)
 			for i := range parts {
 				parts[i] = dist.Gen{Kind: dist.RightSkewed, Seed: 23 + uint64(i)*7919}.Strings(per, "shared-prefix-")
 			}
-			diffEngine(t, comm.StringCodec{}, parts, Options{WorkersPerProc: 2}, "string")
+			diffEngine(t, comm.StringCodec{}, parts, Options{WorkersPerProc: 2}, "string", false)
 		})
 	}
 }
@@ -283,7 +298,7 @@ func TestDifferentialDegenerate(t *testing.T) {
 	}
 	for name, parts := range cases {
 		t.Run(name, func(t *testing.T) {
-			diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 1}, name)
+			diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 1}, name, false)
 		})
 	}
 }
@@ -300,7 +315,7 @@ func TestDifferentialSurvivesResets(t *testing.T) {
 		// count, so splitters (and thus partitions) agree.
 		ref := sortWith(t, comm.U64Codec{}, Options{
 			Procs: procs, WorkersPerProc: 2, BufferBytes: 4096, MemoryBudget: -1,
-		}, parts)
+		}, parts, false)
 		for _, budget := range []int64{-1, spillBudget[uint64](per)} {
 			t.Run(fmt.Sprintf("%s/budget=%d", kind, budget), func(t *testing.T) {
 				e, err := NewEngine[uint64](Options{
@@ -346,7 +361,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		procs := 1 + int(procsB%8)
 		per := int(perB % 2048)
 		parts := mkParts(kind, procs, per, seed)
-		diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 2}, kind.String())
+		diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 2}, kind.String(), false)
 	})
 }
 

@@ -31,8 +31,8 @@ type Engine[K cmp.Ordered] struct {
 	dispatchWG sync.WaitGroup
 
 	// norm is the order-preserving uint64 normalization of K (nil when K
-	// has none). A non-nil norm opens the radix local-sort fast path
-	// (Options.LocalSort). normInexact marks a monotone but non-injective
+	// has none). A non-nil norm selects the radix arm of steps 1 and 6
+	// (comparators). normInexact marks a monotone but non-injective
 	// norm (comm.InexactNormalizer): the radix path stays open, but every
 	// comparator becomes a two-level compare and each radix sort is
 	// finished by a comparison pass over equal-norm runs.

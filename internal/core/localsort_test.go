@@ -22,7 +22,7 @@ func (stringCodec) Key(b []byte) string { return string(b[:8]) }
 
 func sortKeysWith[K interface {
 	~uint64 | ~int64 | ~float64 | ~uint32 | ~string
-}](t *testing.T, codec comm.Codec[K], opts Options, keys []K) (*Result[K], *Engine[K]) {
+}](t *testing.T, codec comm.Codec[K], opts Options, keys []K, comparison bool) (*Result[K], *Engine[K]) {
 	t.Helper()
 	if opts.Procs == 0 {
 		opts.Procs = 4
@@ -32,6 +32,9 @@ func sortKeysWith[K interface {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
+	if comparison {
+		dropNorm(eng)
+	}
 	parts := make([][]K, opts.Procs)
 	for i := range parts {
 		lo := i * len(keys) / opts.Procs
@@ -45,35 +48,32 @@ func sortKeysWith[K interface {
 	return res, eng
 }
 
-// TestLocalSortAutoPicksRadix: Auto must take the radix path for a key
-// type with a built-in norm, and the forced comparison mode must be
-// honored.
+// TestLocalSortAutoPicksRadix: the engine must take the radix path for a
+// key type with a built-in norm, the comparison path once the norm is
+// gone, and report which on the sort and on every node.
 func TestLocalSortAutoPicksRadix(t *testing.T) {
 	keys := dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(4000)
-	cases := []struct {
-		mode LocalSortMode
-		want string
-	}{
-		{LocalSortAuto, "radix"},
-		{LocalSortComparison, "comparison"},
-	}
-	for _, tc := range cases {
-		res, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{LocalSort: tc.mode}, keys)
-		if res.Report.LocalSortPath != tc.want {
-			t.Fatalf("mode %v: LocalSortPath = %q, want %q", tc.mode, res.Report.LocalSortPath, tc.want)
+	for _, comparison := range []bool{false, true} {
+		want := "radix"
+		if comparison {
+			want = "comparison"
+		}
+		res, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{}, keys, comparison)
+		if res.Report.LocalSortPath != want {
+			t.Fatalf("LocalSortPath = %q, want %q", res.Report.LocalSortPath, want)
 		}
 		for _, nr := range res.Report.PerNode {
-			if nr.LocalSortPath != tc.want {
-				t.Fatalf("mode %v: node path = %q, want %q", tc.mode, nr.LocalSortPath, tc.want)
+			if nr.LocalSortPath != want {
+				t.Fatalf("node path = %q, want %q", nr.LocalSortPath, want)
 			}
 		}
 		got := res.Keys()
 		if len(got) != len(keys) {
-			t.Fatalf("mode %v: %d keys out, want %d", tc.mode, len(got), len(keys))
+			t.Fatalf("%s: %d keys out, want %d", want, len(got), len(keys))
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i-1] > got[i] {
-				t.Fatalf("mode %v: unsorted at %d", tc.mode, i)
+				t.Fatalf("%s: unsorted at %d", want, i)
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func TestLocalSortAutoPicksRadix(t *testing.T) {
 // norm must stay on the comparison path.
 func TestLocalSortAutoFallsBackForUnnormalizableKey(t *testing.T) {
 	keys := []string{"pear", "apple", "fig", "kiwi", "plum", "date", "lime", "mango"}
-	res, _ := sortKeysWith[string](t, stringCodec{}, Options{}, keys)
+	res, _ := sortKeysWith[string](t, stringCodec{}, Options{}, keys, false)
 	if res.Report.LocalSortPath != "comparison" {
 		t.Fatalf("LocalSortPath = %q, want comparison", res.Report.LocalSortPath)
 	}
@@ -103,7 +103,7 @@ func TestRadixPathFloat64TotalOrder(t *testing.T) {
 		3.5, math.NaN(), -1, math.Inf(-1), 0, math.Copysign(0, -1),
 		math.Inf(1), -2.25, 7, math.NaN(), -0.5, 1e300, -1e300, 2, 11, -7,
 	}
-	res, eng := sortKeysWith[float64](t, comm.F64Codec{}, Options{}, keys)
+	res, eng := sortKeysWith[float64](t, comm.F64Codec{}, Options{}, keys, false)
 	if res.Report.LocalSortPath != "radix" {
 		t.Fatalf("LocalSortPath = %q, want radix", res.Report.LocalSortPath)
 	}
@@ -214,8 +214,8 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 func TestRadixMatchesComparisonOrder(t *testing.T) {
 	for _, kind := range []dist.Kind{dist.Uniform, dist.RightSkewed, dist.Constant, dist.ReverseSorted} {
 		keys := dist.Gen{Kind: kind, Seed: 21, Domain: 64}.Keys(5000)
-		radix, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{}, keys)
-		comparison, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{LocalSort: LocalSortComparison}, keys)
+		radix, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{}, keys, false)
+		comparison, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{}, keys, true)
 		rk, ck := radix.Keys(), comparison.Keys()
 		if len(rk) != len(ck) {
 			t.Fatalf("%s: length mismatch %d vs %d", kind, len(rk), len(ck))

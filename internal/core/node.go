@@ -102,11 +102,12 @@ type sortCmps[K cmp.Ordered] struct {
 	keyBelow func(e comm.Entry[K], sp K) bool // e.Key strictly below the splitter
 }
 
-// comparators resolves Options.LocalSort against the engine's key
-// normalization (keys without a norm take the comparison path).
+// comparators resolves the arm steps 1 and 6 take from what the engine
+// observes of its key type: the radix arm when the key has a norm, the
+// comparison arm when it has none.
 func (e *Engine[K]) comparators() sortCmps[K] {
 	c := sortCmps[K]{norm: e.norm}
-	c.useRadix = e.norm != nil && e.opts.LocalSort != LocalSortComparison
+	c.useRadix = e.norm != nil
 	if c.useRadix {
 		norm := e.norm
 		c.headNorm = func(en *comm.Entry[K]) uint64 { return norm(en.Key) }

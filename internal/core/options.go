@@ -35,47 +35,10 @@ import (
 	"pgxsort/internal/transport"
 )
 
-// LocalSortMode selects how step 1 sorts each processor's local data.
-type LocalSortMode int
-
-const (
-	// LocalSortAuto picks the radix fast path when the key type (or the
-	// codec, via comm.KeyNormalizer) advertises an order-preserving
-	// uint64 normalization, and the comparison path otherwise. The
-	// default.
-	LocalSortAuto LocalSortMode = iota
-	// LocalSortComparison forces the paper's comparison path (parallel
-	// quicksort + balanced merge) even for radix-able keys.
-	LocalSortComparison
-)
-
-func (m LocalSortMode) String() string {
-	switch m {
-	case LocalSortAuto:
-		return "auto"
-	case LocalSortComparison:
-		return "comparison"
-	default:
-		return fmt.Sprintf("LocalSortMode(%d)", int(m))
-	}
-}
-
-// ParseLocalSortMode maps a mode name (as printed by String) back to its
-// LocalSortMode.
-func ParseLocalSortMode(s string) (LocalSortMode, error) {
-	switch s {
-	case "auto", "":
-		return LocalSortAuto, nil
-	case "comparison":
-		return LocalSortComparison, nil
-	default:
-		return 0, fmt.Errorf("core: unknown local sort mode %q (want auto or comparison)", s)
-	}
-}
-
 // Options configures an Engine. The zero value (after applying defaults)
-// reproduces the paper's configuration; the Disable*/Sync* knobs exist for
-// the ablation experiments.
+// reproduces the paper's configuration; DisableInvestigator and
+// SyncExchange exist for the harness ablations that measure the paper's
+// design choices (ablation-investigator and table2; ablation-async).
 type Options struct {
 	// Procs is the number of simulated processors p. Default 4.
 	Procs int
@@ -91,11 +54,6 @@ type Options struct {
 	// DisableInvestigator turns off the duplicated-splitter investigator
 	// (Figure 3c), reverting to the naive binary search of Figure 3b.
 	DisableInvestigator bool
-	// LocalSort selects the step-1 path: LocalSortAuto (default) uses the
-	// non-comparison radix fast path whenever the key normalizes to
-	// uint64, LocalSortComparison forces the comparison path. The path
-	// actually taken is reported in Report.LocalSortPath.
-	LocalSort LocalSortMode
 	// SyncExchange replaces the asynchronous overlap of step 5 with a
 	// bulk-synchronous send-barrier-receive schedule (ablation).
 	SyncExchange bool
@@ -208,9 +166,6 @@ func (o Options) withDefaults() Options {
 
 // validate reports configuration errors not fixable by defaulting.
 func (o Options) validate() error {
-	if o.LocalSort != LocalSortAuto && o.LocalSort != LocalSortComparison {
-		return fmt.Errorf("core: unknown local sort mode %d", o.LocalSort)
-	}
 	if o.Transport != transport.KindChan && o.Transport != transport.KindTCP {
 		return fmt.Errorf("core: unknown transport %q", o.Transport)
 	}

@@ -228,7 +228,8 @@ type Report struct {
 	Reconnects   int64
 	FramesResent int64
 	// LocalSortPath is the step-1 path the engine resolved for this sort:
-	// "radix" or "comparison" (same on every node; see Options.LocalSort).
+	// "radix" or "comparison" (same on every node: the key type decides,
+	// see Engine.comparators).
 	LocalSortPath string
 	// MergePath is how step 6 ran: "balanced" (the resident balanced
 	// merging handler), "balanced+spill" when at least one node ran

@@ -409,7 +409,7 @@ func (f *runFormer[K]) formSection(in SpooledInput, node int, lo, n uint64, chun
 // n entries, sorted.
 //
 // The radix arm (taken when the key normalizes to uint64, see
-// Options.LocalSort) never moves an entry to sort it: it builds one
+// Engine.comparators) never moves an entry to sort it: it builds one
 // (norm, position) ref per key, sorts the refs — an LSD byte-radix per
 // worker chunk, combined by the balanced handler — and has the source put
 // each entry in its place once, in the refs' order. The radix is stable

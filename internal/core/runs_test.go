@@ -52,15 +52,14 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 	shapes := []struct{ m, chunk int }{{n, n}, {n, 700}, {40, 1}}
 	for _, norm := range norms {
 		codec := comm.NewRecordCodec[uint64](norm.key)
-		cmps := func(mode LocalSortMode) sortCmps[uint64] {
-			e, err := NewEngine[uint64](Options{Procs: 1, MemoryBudget: -1, LocalSort: mode}, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			return e.comparators()
+		e, err := NewEngine[uint64](Options{Procs: 1, MemoryBudget: -1}, codec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		radix, comparison := cmps(LocalSortAuto), cmps(LocalSortComparison)
+		radix := e.comparators()
+		dropNorm(e)
+		comparison := e.comparators()
+		e.Close()
 		if radix.path != "radix" || radix.fallback != (norm.name == "inexact") || comparison.path != "comparison" {
 			t.Fatalf("%s: resolved paths %q (fallback %v) and %q", norm.name, radix.path, radix.fallback, comparison.path)
 		}

@@ -8,8 +8,8 @@
 //
 // A schedule arms one site: the site fires starting at its Nth hit
 // (1-based) and keeps firing for Count consecutive hits, then disarms.
-// Sites are configured programmatically (Set, for tests and the soak
-// harness) or from the environment:
+// Sites are configured programmatically (Set, for tests such as the
+// serve package's soak storm) or from the environment:
 //
 //	PGXSORT_FAILPOINTS=core/exchange:error:2,serve/cache-put:error:1
 //

@@ -11,7 +11,7 @@ import (
 )
 
 // AblationInvestigator times and balance-checks the investigator on the
-// duplicate-heavy distributions (DESIGN.md ablation #1).
+// duplicate-heavy distributions (core.Options.DisableInvestigator).
 func AblationInvestigator(c Config) ([]Table, error) {
 	c = c.WithDefaults()
 	p := c.Procs[0]
@@ -45,7 +45,7 @@ func AblationInvestigator(c Config) ([]Table, error) {
 }
 
 // AblationAsync compares the asynchronous overlapped exchange against the
-// bulk-synchronous send-barrier-receive schedule (DESIGN.md ablation #3).
+// bulk-synchronous send-barrier-receive schedule (core.Options.SyncExchange).
 func AblationAsync(c Config) ([]Table, error) {
 	c = c.WithDefaults()
 	t := Table{
@@ -73,7 +73,7 @@ func AblationAsync(c Config) ([]Table, error) {
 }
 
 // AblationTransport compares the zero-copy channel transport against real
-// TCP loopback sockets (DESIGN.md ablation #4).
+// TCP loopback sockets.
 func AblationTransport(c Config) ([]Table, error) {
 	c = c.WithDefaults()
 	t := Table{

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 
 // Config scales the experiments. The paper ran 1 billion keys on a
 // 32-machine cluster; the defaults here are laptop-scale but preserve the
-// figures' shapes (see EXPERIMENTS.md).
+// figures' shapes (README.md, "Reproducing the paper").
 type Config struct {
 	// N is the total key count for the Figure 4-7 / Table II datasets.
 	N int
@@ -32,33 +31,12 @@ type Config struct {
 	TwitterScale int
 	// Reps repeats each timed point, keeping the fastest run.
 	Reps int
-	// Inflight is the SortMany scheduler's admission cap for the
-	// pipeline experiment (default 2).
-	Inflight int
-	// LocalSort forces a step-1 path for every experiment that does not
-	// sweep paths itself (default core.LocalSortAuto).
-	LocalSort core.LocalSortMode
 	// ListenAddrs / PeerAddrs bind the TCP transport to explicit
 	// addresses (the CLIs' -listen/-peers flags). They only apply when a
 	// sweep point's processor count matches their length; other points
 	// error out rather than silently fall back to loopback.
 	ListenAddrs []string
 	PeerAddrs   []string
-	// KeyType restricts the keytypes experiment to one key domain
-	// (empty = sweep uint64, float64 and string). The calibrated
-	// uint64-space experiments ignore it.
-	KeyType dist.KeyType
-	// RecBytes is the payload size the keytypes experiment attaches per
-	// key on its record-path points (0 = the experiment's default sweep).
-	RecBytes int
-	// MemBudget applies core.Options.MemoryBudget to every experiment
-	// engine that does not set a budget itself (the spill experiment
-	// sweeps its own). Zero = unlimited (subject to PGXSORT_MEM_BUDGET);
-	// negative = explicitly unlimited.
-	MemBudget int64
-	// SpillDir is where budgeted engines place their spill run files
-	// (empty = system temp dir).
-	SpillDir string
 }
 
 // WithDefaults fills unset fields.
@@ -84,13 +62,12 @@ func (c Config) WithDefaults() Config {
 	if c.Reps <= 0 {
 		c.Reps = 1
 	}
-	if c.Inflight <= 0 {
-		c.Inflight = core.DefaultMaxInflight
-	}
 	return c
 }
 
-// parts generates the per-processor input for one distribution. The
+// parts generates the per-processor input for one distribution: c.N
+// keys in all, block-distributed as core.Blocks sizes them (sizes differ
+// by at most one), so a table that prints N shows shares of N. The
 // right-skewed and exponential datasets use a value domain that scales
 // with N so they contain "many duplicated data entries" at any experiment
 // size, as the paper describes them (§V, Figure 4c/4d).
@@ -108,8 +85,8 @@ func (c Config) parts(kind dist.Kind, procs int) [][]uint64 {
 		domain = 12
 	}
 	parts := make([][]uint64, procs)
-	per := c.N / procs
 	for i := range parts {
+		per := (i+1)*c.N/procs - i*c.N/procs
 		parts[i] = dist.Gen{Kind: kind, Seed: c.Seed + uint64(i)*7919, Domain: domain}.Keys(per)
 	}
 	return parts
@@ -121,13 +98,8 @@ func (c Config) twitterDegrees() []uint64 {
 	return g.Degrees(nil)
 }
 
-// newU64Engine builds a uint64-keyed engine.
-func newU64Engine(opts core.Options) (*core.Engine[uint64], error) {
-	return core.NewEngine[uint64](opts, comm.U64Codec{})
-}
-
 // engineOpts resolves the per-measurement engine options from the sweep
-// config: worker/transport/path defaults and the explicit TCP addresses
+// config: worker/transport defaults and the explicit TCP addresses
 // (validated against the point's processor count).
 func (c Config) engineOpts(procs int, opts core.Options) (core.Options, error) {
 	opts.Procs = procs
@@ -136,15 +108,6 @@ func (c Config) engineOpts(procs int, opts core.Options) (core.Options, error) {
 	}
 	if opts.Transport == "" {
 		opts.Transport = c.Transport
-	}
-	if opts.LocalSort == core.LocalSortAuto {
-		opts.LocalSort = c.LocalSort
-	}
-	if opts.MemoryBudget == 0 {
-		opts.MemoryBudget = c.MemBudget
-	}
-	if opts.SpillDir == "" {
-		opts.SpillDir = c.SpillDir
 	}
 	if len(c.ListenAddrs) > 0 || len(c.PeerAddrs) > 0 {
 		if len(c.ListenAddrs) > 0 && len(c.ListenAddrs) != opts.Procs {
@@ -159,55 +122,38 @@ func (c Config) engineOpts(procs int, opts core.Options) (core.Options, error) {
 	return opts, nil
 }
 
-// runPGXD sorts parts on a fresh engine and returns the best-of-Reps
-// report. Engines are per-measurement so memory accounting starts clean.
-func (c Config) runPGXD(parts [][]uint64, opts core.Options) (*core.Report, error) {
-	return runKeyed(c, parts, comm.U64Codec{}, nil, opts)
-}
-
-// runKeyed is runPGXD generalized over the key domain: it sorts parts with
-// the given codec on a fresh engine per rep and keeps the fastest report.
-// When payloads is non-nil (indexed like parts), the keys travel as records
-// through a payload-carrying codec instead.
-func runKeyed[K cmp.Ordered](c Config, parts [][]K, codec comm.Codec[K],
-	payloads [][][]byte, opts core.Options) (*core.Report, error) {
+// sortPGXD sorts parts on a fresh engine (so memory accounting starts
+// clean) Reps times and returns the fastest run's result.
+func (c Config) sortPGXD(parts [][]uint64, opts core.Options) (*core.Result[uint64], error) {
 	opts, err := c.engineOpts(len(parts), opts)
 	if err != nil {
 		return nil, err
 	}
-	var recs [][]comm.Record[K]
-	if payloads != nil {
-		codec = comm.NewRecordCodec[K](codec)
-		recs = make([][]comm.Record[K], len(parts))
-		for i, part := range parts {
-			recs[i] = make([]comm.Record[K], len(part))
-			for j, k := range part {
-				recs[i][j] = comm.Record[K]{Key: k, Payload: payloads[i][j]}
-			}
-		}
-	}
-	var best *core.Report
+	var best *core.Result[uint64]
 	for r := 0; r < c.Reps; r++ {
-		eng, err := core.NewEngine[K](opts, codec)
+		eng, err := core.NewEngine[uint64](opts, comm.U64Codec{})
 		if err != nil {
 			return nil, err
 		}
-		var res *core.Result[K]
-		if recs != nil {
-			res, err = eng.SortRecords(recs)
-		} else {
-			res, err = eng.Sort(parts)
-		}
+		res, err := eng.Sort(parts)
 		eng.Close()
 		if err != nil {
 			return nil, err
 		}
-		if best == nil || res.Report.Total < best.Total {
-			rep := res.Report
-			best = &rep
+		if best == nil || res.Report.Total < best.Report.Total {
+			best = res
 		}
 	}
 	return best, nil
+}
+
+// runPGXD is sortPGXD for the experiments that only read the report.
+func (c Config) runPGXD(parts [][]uint64, opts core.Options) (*core.Report, error) {
+	res, err := c.sortPGXD(parts, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &res.Report, nil
 }
 
 // runSpark sorts parts with the Spark baseline, cores matched to the PGX.D

@@ -3,9 +3,12 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pgxsort/internal/dist"
 )
 
 // tinyConfig keeps harness tests fast.
@@ -51,6 +54,15 @@ func TestTableRenderAndCSV(t *testing.T) {
 	}
 }
 
+// paperIDs is the registry, pinned: Tables I-III and Figures 4-11 in the
+// paper's order, then the four ablations. An experiment that measures the
+// shipped system rather than the paper belongs in benchmark/ or a test.
+var paperIDs = []string{
+	"table1", "fig4", "fig5", "fig6", "fig7", "table2", "fig8", "table3",
+	"fig9", "fig10", "fig11",
+	"ablation-investigator", "ablation-async", "ablation-transport", "baselines",
+}
+
 func TestLookup(t *testing.T) {
 	if _, err := Lookup("fig5"); err != nil {
 		t.Fatal(err)
@@ -58,37 +70,35 @@ func TestLookup(t *testing.T) {
 	if _, err := Lookup("fig99"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if len(Experiments()) < 12 {
-		t.Fatalf("registry too small: %d", len(Experiments()))
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+	}
+	if !slices.Equal(ids, paperIDs) {
+		t.Fatalf("registry is\n  %v\nwant exactly the paper's\n  %v", ids, paperIDs)
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
 	if c.N == 0 || len(c.Procs) == 0 || c.Workers == 0 || c.Seed == 0 ||
-		c.Transport == "" || c.TwitterScale == 0 || c.Reps == 0 || c.Inflight == 0 {
+		c.Transport == "" || c.TwitterScale == 0 || c.Reps == 0 {
 		t.Fatalf("defaults missing: %+v", c)
 	}
 }
 
-func TestFig56PipelineRuns(t *testing.T) {
-	tabs, err := Fig56Pipeline(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := tabs[0]
-	if tb.ID != "pipeline" {
-		t.Fatalf("id = %q", tb.ID)
-	}
-	if len(tb.Rows) != 2 || len(tb.Header) != 7 {
-		t.Fatalf("pipeline shape: %d rows x %d cols", len(tb.Rows), len(tb.Header))
-	}
-	for _, row := range tb.Rows {
-		for col := 1; col <= 3; col++ {
-			v, err := strconv.ParseFloat(row[col], 64)
-			if err != nil || v <= 0 {
-				t.Fatalf("cell %q not a positive time: %v", row[col], err)
-			}
+// TestPartsCoverN: the generated input is c.N keys whatever the
+// processor count, so the N a table title prints is the N its
+// percentages are over.
+func TestPartsCoverN(t *testing.T) {
+	c := Config{N: 1003, Seed: 7}
+	for _, procs := range []int{1, 4, 10, 52} {
+		total := 0
+		for _, part := range c.parts(dist.RightSkewed, procs) {
+			total += len(part)
+		}
+		if total != c.N {
+			t.Errorf("p=%d: parts hold %d keys, want N=%d", procs, total, c.N)
 		}
 	}
 }
@@ -335,29 +345,9 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
-func TestChaosRuns(t *testing.T) {
-	c := tinyConfig()
-	c.Procs = []int{3}
-	tabs, err := Chaos(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tabs[0].Rows
-	if len(rows) != 3 {
-		t.Fatalf("chaos rows = %d, want 3 schedules", len(rows))
-	}
-	for _, row := range rows {
-		if row[len(row)-1] != "yes" {
-			t.Fatalf("chaos row %v not sorted: resets must be recovered", row)
-		}
-	}
-	// The aggressive schedule must actually have injected something:
-	// column 3 is the reconnect count.
-	if rows[2][3] == "0" {
-		t.Errorf("reset_every=%s row recorded zero reconnects", rows[2][0])
-	}
-}
-
+// TestRunAllIDs: "all" is the fifteen paper experiments and nothing that
+// starts a server or a failpoint storm; it must complete at tiny scale
+// and yield every registered id's tables in registry order.
 func TestRunAllIDs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -366,12 +356,21 @@ func TestRunAllIDs(t *testing.T) {
 	c.Procs = []int{4}
 	c.N = 20000
 	c.TwitterScale = 10
-	tables, err := Run([]string{"table1", "fig4"}, c)
+	tables, err := Run([]string{"all"}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 {
-		t.Fatalf("Run produced %d tables", len(tables))
+	var ids []string
+	for _, tb := range tables {
+		if len(tb.Rows) == 0 {
+			t.Errorf("%s: table %q has no rows", tb.ID, tb.Title)
+		}
+		if len(ids) == 0 || ids[len(ids)-1] != tb.ID {
+			ids = append(ids, tb.ID)
+		}
+	}
+	if !slices.Equal(ids, paperIDs) {
+		t.Fatalf("Run(all) produced tables for\n  %v\nwant\n  %v", ids, paperIDs)
 	}
 	if _, err := Run([]string{"nope"}, c); err == nil {
 		t.Fatal("Run accepted unknown id")

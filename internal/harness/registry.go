@@ -13,8 +13,11 @@ type Experiment struct {
 	Run  func(Config) ([]Table, error)
 }
 
-// registry maps experiment ids to runners, one per paper table/figure plus
-// the DESIGN.md ablations.
+// registry maps experiment ids to runners: one per table and figure of
+// the paper's evaluation (§V), then the four ablations of its design
+// choices. Nothing else registers here — the speed of the shipped system
+// is benchmark/'s to measure, its behaviour under faults and budgets the
+// tests' to assert — so "all" means "the paper".
 var registry = []Experiment{
 	{"table1", "experimental environment (paper Table I)", Table1},
 	{"fig4", "input data distributions (paper Figure 4)", Fig4},
@@ -27,18 +30,10 @@ var registry = []Experiment{
 	{"fig9", "sample-size sweep (paper Figure 9)", Fig9},
 	{"fig10", "min/max load vs sample size (paper Figure 10)", Fig10},
 	{"fig11", "memory consumption (paper Figure 11)", Fig11},
-	{"pipeline", "SortMany schedules: sequential vs naive vs pipelined (ISSUE 2)", Fig56Pipeline},
-	{"localsort", "local-sort paths: comparison vs radix fast path (ISSUE 3)", LocalSortPaths},
-	{"chaos", "TCP transport under injected connection resets (ISSUE 4)", Chaos},
-	{"keytypes", "key domains and record sizes: uint64/float64/string ± payloads (ISSUE 6)", KeyTypesExp},
-	{"service", "sorting-as-a-service: concurrent clients vs pgxsortd (ISSUE 7)", ServiceExp},
-	{"soak", "self-healing soak: jobs under a randomized failpoint storm (ISSUE 8)", SoakExp},
-	{"spill", "out-of-core spill tier: memory budget vs throughput, byte-identity enforced (ISSUE 9)", SpillExp},
-	{"memstress", "bounded-memory service: body size vs budget, byte-identity and peak ceiling enforced (ISSUE 10)", MemStressExp},
-	{"ablation-investigator", "investigator on/off (DESIGN.md)", AblationInvestigator},
-	{"ablation-async", "async vs bulk-synchronous exchange (DESIGN.md)", AblationAsync},
-	{"ablation-transport", "chan vs tcp transport (DESIGN.md)", AblationTransport},
-	{"baselines", "all four sorters side by side (DESIGN.md)", Baselines},
+	{"ablation-investigator", "investigator on/off: Figure 3c vs the naive search of 3b", AblationInvestigator},
+	{"ablation-async", "step 5 exchange: asynchronous overlap vs bulk-synchronous barrier", AblationAsync},
+	{"ablation-transport", "transport: in-process channels vs TCP loopback", AblationTransport},
+	{"baselines", "all four sorters side by side (paper §II related work)", Baselines},
 }
 
 // Experiments lists all registered experiments in registration order.

@@ -27,7 +27,7 @@ func Table1(c Config) ([]Table, error) {
 		},
 		Notes: []string{
 			"paper Table I: 32x Xeon E5-2660, 256GB DDR3, Mellanox 56Gb/s IB;",
-			"this reproduction simulates the cluster in one process (see DESIGN.md)",
+			"this reproduction simulates the cluster in one process (docs/ARCHITECTURE.md)",
 		},
 	}
 	return []Table{t}, nil
@@ -111,11 +111,11 @@ func Table3(c Config) ([]Table, error) {
 		}
 	}
 	for j, p := range sweeps {
-		eng, err := c.runPGXDResult(core.Blocks(degrees, p), core.Options{})
+		res, err := c.sortPGXD(core.Blocks(degrees, p), core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		for _, pr := range eng.PartRanges() {
+		for _, pr := range res.PartRanges() {
 			if pr.Count == 0 {
 				ranges[pr.Proc][j] = "(empty)"
 				continue
@@ -131,21 +131,4 @@ func Table3(c Config) ([]Table, error) {
 		"paper shape: ranges are non-overlapping and increase with processor id",
 		"(smaller keys gather on smaller ids, §IV-C)")
 	return []Table{t}, nil
-}
-
-// runPGXDResult is runPGXD but returns the full result (for range tables).
-func (c Config) runPGXDResult(parts [][]uint64, opts core.Options) (*core.Result[uint64], error) {
-	opts.Procs = len(parts)
-	if opts.WorkersPerProc == 0 {
-		opts.WorkersPerProc = c.Workers
-	}
-	if opts.Transport == "" {
-		opts.Transport = c.Transport
-	}
-	eng, err := newU64Engine(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	return eng.Sort(parts)
 }

@@ -20,8 +20,8 @@ import (
 // core.SpooledInput.ReadSite). Both inject errors that core.Classify
 // calls Transient, so the write is retried in place at the ingress (the
 // batch is still resident) and the read is retried by the scheduler's
-// normal attempt loop — the soak harness arms them to prove the healing
-// path keeps bytes correct.
+// normal attempt loop — TestSoakFailpointStorm arms them to prove the
+// healing path keeps bytes correct.
 const (
 	FpSpoolWrite = "serve/spool-write"
 	FpSpoolRead  = "serve/spool-read"

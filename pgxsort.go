@@ -53,9 +53,6 @@ type (
 	// paper's configuration (256KB buffers, sample factor X, balanced
 	// merging, investigator on, asynchronous exchange).
 	Options = core.Options
-	// LocalSortMode selects the step-1 local sort path: automatic
-	// fast-path detection, or the forced comparison path.
-	LocalSortMode = core.LocalSortMode
 	// Report holds the measurements of one distributed sort.
 	Report = core.Report
 	// NodeReport holds one processor's measurements.
@@ -101,21 +98,6 @@ type (
 	// TopKResult is the outcome of a distributed top-k/bottom-k query.
 	TopKResult[K cmp.Ordered] = core.TopKResult[K]
 )
-
-// Local sort paths (Options.LocalSort). LocalSortAuto (the default)
-// takes the non-comparison radix fast path whenever the key type — or
-// the codec, by implementing comm.KeyNormalizer — provides an
-// order-preserving uint64 normalization (uint64, int64, float64, uint32
-// are built in), and the paper's comparison path otherwise;
-// LocalSortComparison forces the comparison path. The path a sort
-// actually took is in Report.LocalSortPath.
-const (
-	LocalSortAuto       = core.LocalSortAuto
-	LocalSortComparison = core.LocalSortComparison
-)
-
-// ParseLocalSortMode parses "auto" or "comparison".
-func ParseLocalSortMode(s string) (LocalSortMode, error) { return core.ParseLocalSortMode(s) }
 
 // ParseMemBudget parses the CLIs' -mem-budget flag: a byte count with an
 // optional K/M/G suffix ("64M", "2G", "1048576"; empty or "0" = no
