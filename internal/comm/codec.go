@@ -198,48 +198,38 @@ func EntryWireEstimate[K any](entries []Entry[K], c Codec[K]) int {
 // encoding a message into an empty dst allocates precisely the payload,
 // never grow's doubled capacity.
 func EncodeEntries[K any](dst []byte, entries []Entry[K], c Codec[K]) []byte {
-	kc, withPay := keyCodecOf(c)
-	vc, isVar := kc.(VarCodec[K])
-	if !isVar && !withPay {
-		// Fixed-width key-only fast path: one bounds computation, direct
-		// offset writes.
-		ks := kc.KeySize()
-		need := len(entries) * (ks + originBytes)
-		dst = grow(dst, need)
-		off := len(dst) - need
-		for i := range entries {
-			e := &entries[i]
-			kc.PutKey(dst[off:], e.Key)
-			off += ks
-			binary.LittleEndian.PutUint32(dst[off:], e.Proc)
-			binary.LittleEndian.PutUint32(dst[off+4:], e.Index)
-			off += originBytes
-		}
-		return dst
-	}
 	need := EntriesWireBytes(entries, c)
 	dst = grow(dst, need)
-	dst = dst[:len(dst)-need] // grow reserved capacity; append fills it
-	var tmp [originBytes]byte
+	putEntries(dst, len(dst)-need, entries, c)
+	return dst
+}
+
+// putEntries writes the wire form of entries into dst from offset off and
+// returns the offset after the last byte. dst already has room for all of
+// them (EntriesWireBytes), so fixed-width fields and payloads go in by
+// offset; only a variable-width key appends, into that reserved room.
+func putEntries[K any](dst []byte, off int, entries []Entry[K], c Codec[K]) int {
+	kc, withPay := keyCodecOf(c)
+	vc, isVar := kc.(VarCodec[K])
+	ks := kc.KeySize()
 	for i := range entries {
 		e := &entries[i]
 		if isVar {
-			dst = vc.AppendKey(dst, e.Key)
+			off = len(vc.AppendKey(dst[:off], e.Key))
 		} else {
-			off := len(dst)
-			dst = dst[:off+kc.KeySize()]
 			kc.PutKey(dst[off:], e.Key)
+			off += ks
 		}
-		binary.LittleEndian.PutUint32(tmp[:], e.Proc)
-		binary.LittleEndian.PutUint32(tmp[4:], e.Index)
-		dst = append(dst, tmp[:]...)
+		binary.LittleEndian.PutUint32(dst[off:], e.Proc)
+		binary.LittleEndian.PutUint32(dst[off+4:], e.Index)
+		off += originBytes
 		if withPay {
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(len(e.Payload)))
-			dst = append(dst, tmp[:4]...)
-			dst = append(dst, e.Payload...)
+			binary.LittleEndian.PutUint32(dst[off:], uint32(len(e.Payload)))
+			off += payloadLenBytes
+			off += copy(dst[off:], e.Payload)
 		}
 	}
-	return dst
+	return off
 }
 
 // DecodeEntries parses n entries from b (as written by EncodeEntries) and
@@ -377,14 +367,15 @@ func EncodeKeys[K any](dst []byte, keys []K, c Codec[K]) []byte {
 func DecodeKeys[K any](b []byte, n int, c Codec[K]) ([]K, []byte, error) {
 	kc, _ := keyCodecOf(c)
 	if vc, ok := kc.(VarCodec[K]); ok {
-		keys := make([]K, n)
+		// n comes off the wire: reserve no more than b could carry.
+		keys := make([]K, 0, min(n, len(b)))
 		rest := b
 		for i := 0; i < n; i++ {
-			var err error
-			keys[i], rest, err = vc.ReadKey(rest)
+			k, tail, err := vc.ReadKey(rest)
 			if err != nil {
 				return nil, b, err
 			}
+			keys, rest = append(keys, k), tail
 		}
 		return keys, rest, nil
 	}

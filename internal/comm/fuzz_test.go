@@ -60,6 +60,9 @@ func fuzzDecodeEntries[K comparable](t *testing.T, data []byte, n int, c Codec[K
 	if !bytes.Equal(wire, data[:used]) {
 		t.Fatalf("accepted bytes do not re-encode to themselves")
 	}
+	if !bytes.Equal(wire, appendEncodeEntries(nil, entries, c)) {
+		t.Fatalf("by-offset encoder differs from the append encoder")
+	}
 	// Scribbling over the input must not reach a decoded payload.
 	for i := range in {
 		in[i] ^= 0xFF

@@ -104,6 +104,11 @@ type Message[K any] struct {
 	// (the slab is simply garbage collected). The in-process transport
 	// never sets it: its Entries alias the sender's buffers.
 	Release func()
+
+	// wire is WireBytes+1 once computed, so one send sizes its message
+	// once however many layers ask. A message is built, then sized, then
+	// sent: its slices must not change after the first WireBytes.
+	wire int
 }
 
 // WireBytes returns the message's exact wire size under codec c, used
@@ -113,7 +118,19 @@ type Message[K any] struct {
 // traffic for identical workloads — variable-width keys and record
 // payloads included.
 func (m *Message[K]) WireBytes(c Codec[K]) int {
-	return EntriesWireBytes(m.Entries, c) + KeysWireBytes(m.Keys, c) + len(m.Ints)*8
+	if m.wire == 0 {
+		m.wire = 1 + EntriesWireBytes(m.Entries, c) + KeysWireBytes(m.Keys, c) + len(m.Ints)*8
+	}
+	return m.wire - 1
+}
+
+// AppendWire appends the message's payload in wire form — entries, keys,
+// ints, as the frame header counts them — to dst, sized from WireBytes.
+func (m *Message[K]) AppendWire(dst []byte, c Codec[K]) []byte {
+	need := m.WireBytes(c)
+	dst = grow(dst, need)
+	off := putEntries(dst, len(dst)-need, m.Entries, c)
+	return EncodeInts(EncodeKeys(dst[:off], m.Keys, c), m.Ints)
 }
 
 // originBytes is the wire size of an Entry's provenance (proc + index).

@@ -222,10 +222,10 @@ func entryBytes[K cmp.Ordered]() int {
 // run concurrently).
 func (s *sortRun[K]) send(dst int, m comm.Message[K]) error {
 	m.SortID = s.sortID
+	bytes := int64(m.WireBytes(s.codec)) // sized here, once: the transport reads the same figure
 	if err := s.node.ep.Send(dst, m); err != nil {
 		return err
 	}
-	bytes := int64(m.WireBytes(s.codec))
 	s.bytesSent.Add(bytes)
 	s.msgsSent.Add(1)
 	switch m.Kind {

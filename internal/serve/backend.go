@@ -375,7 +375,7 @@ func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*
 			if core.Classify(err) == core.FailTransient && attempt < b.cfg.RetryAttempts {
 				continue
 			}
-			return uploadError(err, b.kt)
+			return spoolError(err)
 		}
 	}
 	batch := make([]K, 0, 4096)
@@ -391,7 +391,7 @@ func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*
 			if w == nil && threshold >= 0 && dec.BytesRead() > threshold {
 				sw, werr := spill.NewWriter(spoolPath, b.codec, uploadBlockBytes(b.cfg.MemoryBudget))
 				if werr != nil {
-					return fail(uploadError(werr, b.kt))
+					return fail(spoolError(werr))
 				}
 				w = sw
 				tap.Writer = io.Discard
@@ -420,7 +420,7 @@ func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*
 	if w != nil {
 		if err := w.Finish(); err != nil {
 			w.Abort()
-			return nil, uploadError(err, b.kt)
+			return nil, spoolError(err)
 		}
 		return &dataset{spool: spoolPath, n: n}, nil
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pgxsort/internal/dist"
+	"pgxsort/internal/failpoint"
 	"pgxsort/internal/keyio"
 	"pgxsort/internal/transport"
 )
@@ -403,9 +404,19 @@ func TestOverloadAnswers429(t *testing.T) {
 func TestDeadlineCancelsRunningJob(t *testing.T) {
 	cfg := slowConfig()
 	_, ts := testServer(t, cfg)
+	// One node sits out the deadline inside the sort — after its local
+	// sort, or before its first spool block when PGXSORT_MEM_BUDGET sends
+	// the upload through the spool — so the job is running when the
+	// deadline fires, however fast the box is.
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	hold := failpoint.Schedule{Mode: failpoint.ModeDelay, Delay: 250 * time.Millisecond}
+	failpoint.Set("core/local-sort", hold)
+	failpoint.Set(FpSpoolRead, hold)
 	raw := keyio.EncodeUint64s(dist.Gen{Seed: 5}.Keys(20000))
 	start := time.Now()
 	resp, body := postBinary(t, ts.URL+"/v1/sort?deadline_ms=50&no_cache=true", raw)
+	failpoint.Reset()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
 	}

@@ -133,6 +133,11 @@ func soakStorm(t *testing.T, procs int) {
 		default:
 			failed++
 			t.Logf("%s: failed honestly: status %d, err %v", label, status, err)
+			// The bodies are well-formed: an injected server-side fault
+			// must never blame the client.
+			if status >= 400 && status < 500 {
+				t.Errorf("%s: injected fault answered %d, want a 5xx", label, status)
+			}
 		}
 	}
 

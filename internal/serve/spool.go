@@ -49,9 +49,9 @@ func (d *deadlineReader) Read(p []byte) (int, error) {
 	return d.r.Read(p)
 }
 
-// uploadError maps one streaming-ingress failure onto its HTTP status:
-// MaxBytesReader trip 413, stalled client 408, spool disk full 507,
-// stream cut mid-key 400.
+// uploadError maps a failure to read the request body onto its HTTP
+// status: MaxBytesReader trip 413, stalled client 408, stream cut
+// mid-key 400.
 func uploadError(err error, kt dist.KeyType) *apiError {
 	var mbe *http.MaxBytesError
 	switch {
@@ -61,13 +61,20 @@ func uploadError(err error, kt dist.KeyType) *apiError {
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		return &apiError{http.StatusRequestTimeout,
 			"upload stalled past the read deadline"}
-	case errors.Is(err, syscall.ENOSPC):
-		return &apiError{http.StatusInsufficientStorage,
-			"spool disk is full"}
 	case errors.Is(err, keyio.ErrTruncated):
 		return badRequest("body is not canonical %s data: %v", kt, err)
 	}
 	return badRequest("reading body: %v", err)
+}
+
+// spoolError maps a failure to write the upload spool: the body was fine
+// and the server's disk was not, so never a 4xx — 507 when it is full,
+// 500 otherwise.
+func spoolError(err error) *apiError {
+	if errors.Is(err, syscall.ENOSPC) {
+		return &apiError{http.StatusInsufficientStorage, "spool disk is full"}
+	}
+	return &apiError{http.StatusInternalServerError, fmt.Sprintf("spooling upload: %v", err)}
 }
 
 // spoolDir is where upload spools land: the engines' spill dir, so one

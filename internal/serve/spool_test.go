@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -364,5 +366,29 @@ func TestEnvBudgetResolvesInServeConfig(t *testing.T) {
 	cfg = Config{MemoryBudget: 128 << 10}.withDefaults()
 	if cfg.MemoryBudget != 128<<10 {
 		t.Fatalf("explicit MemoryBudget = %d, want %d", cfg.MemoryBudget, 128<<10)
+	}
+}
+
+// TestIngestErrorStatusClass: a failure to read the body is the client's
+// (4xx), a failure to write the spool is the server's (5xx) — whatever
+// error the disk comes up with.
+func TestIngestErrorStatusClass(t *testing.T) {
+	diskErr := &os.PathError{Op: "write", Path: "x.spool", Err: syscall.EIO}
+	for _, tc := range []struct {
+		name string
+		got  *apiError
+		want int
+	}{
+		{"body over limit", uploadError(&http.MaxBytesError{Limit: 8}, dist.KeyUint64), http.StatusRequestEntityTooLarge},
+		{"stalled client", uploadError(fmt.Errorf("read: %w", os.ErrDeadlineExceeded), dist.KeyUint64), http.StatusRequestTimeout},
+		{"cut mid-key", uploadError(keyio.ErrTruncated, dist.KeyUint64), http.StatusBadRequest},
+		{"connection reset", uploadError(syscall.ECONNRESET, dist.KeyUint64), http.StatusBadRequest},
+		{"spool disk full", spoolError(fmt.Errorf("append: %w", syscall.ENOSPC)), http.StatusInsufficientStorage},
+		{"spool write I/O error", spoolError(diskErr), http.StatusInternalServerError},
+		{"injected write fault", spoolError(errors.New("failpoint spill/write-block")), http.StatusInternalServerError},
+	} {
+		if tc.got.status != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, tc.got.status, tc.got.msg, tc.want)
+		}
 	}
 }

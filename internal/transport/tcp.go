@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -56,33 +57,40 @@ const (
 	ackBytes  = 8
 )
 
-// writeBufBytes matches the paper's 256KB communication buffer size.
-const writeBufBytes = 256 * 1024
+// seqOffset is where the sequence number sits in the frame header.
+const seqOffset = headerBytes - 8
 
-// frame is one message in wire form, retained until acknowledged.
+// readBufBytes sizes a read loop's buffered reader: enough for a header
+// and a control frame to arrive in one read, small enough that a data
+// frame's payload bypasses it and lands in the frame buffer directly.
+const readBufBytes = 4096
+
+// frame is one message in wire form, retained until acknowledged. Header
+// and payload share one buffer, so a frame goes out in one write without
+// passing through another buffer on the way.
 type frame struct {
-	seq      uint64
-	kind     comm.Kind
-	flags    uint8
-	src      int32
-	sortID   int32
-	nEntries int32
-	nKeys    int32
-	nInts    int32
-	payload  []byte // pooled; released when the frame is acked
-	sentAt   time.Time
+	seq    uint64
+	buf    []byte // header, then payload
+	sentAt time.Time
 }
 
-func (f *frame) putHeader(b []byte) {
-	b[0] = byte(f.kind)
-	b[1] = f.flags
-	binary.LittleEndian.PutUint32(b[2:], uint32(f.src))
-	binary.LittleEndian.PutUint32(b[6:], uint32(f.sortID))
-	binary.LittleEndian.PutUint32(b[10:], uint32(f.nEntries))
-	binary.LittleEndian.PutUint32(b[14:], uint32(f.nKeys))
-	binary.LittleEndian.PutUint32(b[18:], uint32(f.nInts))
-	binary.LittleEndian.PutUint32(b[22:], uint32(len(f.payload)))
-	binary.LittleEndian.PutUint64(b[26:], f.seq)
+// framePool recycles acknowledged frames, buffers included. A sort queues
+// about all the frames a link will carry before the first ack returns, so
+// a fixed free list would have to be a window deep per link to hit; this
+// pool hits as often and lets the GC take an idle mesh's buffers back.
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// putHeader writes m's frame header into b; the sequence number is
+// stamped when the frame is first written.
+func putHeader[K any](b []byte, m *comm.Message[K], payload int) {
+	b[0] = byte(m.Kind)
+	b[1] = m.Flags
+	binary.LittleEndian.PutUint32(b[2:], uint32(m.Src))
+	binary.LittleEndian.PutUint32(b[6:], uint32(m.SortID))
+	binary.LittleEndian.PutUint32(b[10:], uint32(len(m.Entries)))
+	binary.LittleEndian.PutUint32(b[14:], uint32(len(m.Keys)))
+	binary.LittleEndian.PutUint32(b[18:], uint32(len(m.Ints)))
+	binary.LittleEndian.PutUint32(b[22:], uint32(payload))
 }
 
 type tcpNetwork[K any] struct {
@@ -101,12 +109,6 @@ type tcpNetwork[K any] struct {
 	// which is what makes redelivery exactly-once.
 	recvMu sync.Mutex
 	recv   [][]*recvState
-
-	// entryPool recycles the slabs readLoop decodes entry chunks into;
-	// consumers hand them back through Message.Release once copied out.
-	// bufPool recycles frame payload buffers (released on ack).
-	entryPool alloc.SlabPool[comm.Entry[K]]
-	bufPool   alloc.SlabPool[byte]
 
 	wg sync.WaitGroup // accept loops, read loops, writers, ack readers
 
@@ -593,8 +595,11 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 		conn.Close()
 		close(done)
 	}()
-	r := bufio.NewReaderSize(conn, writeBufBytes)
+	r := bufio.NewReaderSize(conn, readBufBytes)
 	ep := n.eps[dst]
+	// The slabs entry chunks decode into circulate per link: consumers hand
+	// them back through Message.Release once copied out.
+	var slabs alloc.SlabPool[comm.Entry[K]]
 	var buf []byte
 	var ack [ackBytes]byte
 	for {
@@ -655,12 +660,12 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 		var err error
 		if nEntries > 0 {
 			var ents []comm.Entry[K]
-			ents, rest, err = comm.DecodeEntriesSlab(rest, nEntries, n.codec, &n.entryPool)
+			ents, rest, err = comm.DecodeEntriesSlab(rest, nEntries, n.codec, &slabs)
 			if err != nil {
 				return
 			}
 			m.Entries = ents
-			m.Release = func() { n.entryPool.Put(ents) }
+			m.Release = func() { slabs.Put(ents) }
 		}
 		if nKeys > 0 {
 			m.Keys, rest, err = comm.DecodeKeys(rest, nKeys, n.codec)
@@ -754,21 +759,14 @@ func (e *tcpEndpoint[K]) Send(dst int, m comm.Message[K]) error {
 		}
 	}
 
-	buf := n.bufPool.Get(logical)
-	payload := buf[:0]
-	payload = comm.EncodeEntries(payload, m.Entries, n.codec)
-	payload = comm.EncodeKeys(payload, m.Keys, n.codec)
-	payload = comm.EncodeInts(payload, m.Ints)
-	f := &frame{
-		kind:     m.Kind,
-		flags:    m.Flags,
-		src:      int32(m.Src),
-		sortID:   m.SortID,
-		nEntries: int32(len(m.Entries)),
-		nKeys:    int32(len(m.Keys)),
-		nInts:    int32(len(m.Ints)),
-		payload:  payload,
+	f := framePool.Get().(*frame)
+	if cap(f.buf) < headerBytes+logical {
+		// The header plus a power of two: frames of nearly one size share
+		// buffers, and a full chunk (a power of two itself) wastes nothing.
+		f.buf = make([]byte, 0, headerBytes+1<<bits.Len(uint(max(logical, 1)-1)))
 	}
+	putHeader(f.buf[:headerBytes], &m, logical)
+	f.buf = m.AppendWire(f.buf[:headerBytes], n.codec)
 	// The queue has at least as much capacity as the window, so holding a
 	// window token guarantees this send never blocks.
 	l.queue <- f
@@ -816,13 +814,12 @@ type link[K any] struct {
 
 	// ackNext is the cumulative acknowledgement horizon published by the
 	// ack reader; the writer goroutine owns the retransmit buffer and is
-	// the only one that prunes to it (so a payload slab is never recycled
-	// while the writer may still be flushing it).
+	// the only one that prunes to it (so a frame is never recycled while
+	// the writer may still be writing it).
 	ackNext atomic.Uint64
 
 	mu        sync.Mutex
 	conn      net.Conn
-	bw        *bufio.Writer
 	unacked   []*frame
 	nextSeq   uint64
 	progress  bool  // an ack arrived since the last connection drop
@@ -1024,7 +1021,6 @@ func (l *link[K]) dialOnce() error {
 	reconnect := l.nextSeq > 0
 	resend := append([]*frame(nil), l.unacked...)
 	l.conn = conn
-	l.bw = bufio.NewWriterSize(conn, writeBufBytes)
 	l.mu.Unlock()
 
 	// Drain stale signals from the previous connection's reader.
@@ -1037,12 +1033,6 @@ func (l *link[K]) dialOnce() error {
 
 	for _, f := range resend {
 		if err := l.writeFrame(f, false); err != nil {
-			l.dropConn()
-			return fmt.Errorf("retransmit %d->%d: %w", l.src, l.dst, err)
-		}
-	}
-	if len(resend) > 0 {
-		if err := l.flush(); err != nil {
 			l.dropConn()
 			return fmt.Errorf("retransmit %d->%d: %w", l.src, l.dst, err)
 		}
@@ -1070,10 +1060,6 @@ func (l *link[K]) pump() error {
 			continue
 		default:
 		}
-		// Queue momentarily empty: push buffered frames to the kernel.
-		if err := l.flush(); err != nil {
-			return err
-		}
 		ackC, timer := l.ackDeadline()
 		select {
 		case f := <-l.queue:
@@ -1098,10 +1084,8 @@ func (l *link[K]) pump() error {
 				return &DeadlineError{Op: "await-ack", Src: l.src, Dst: l.dst, Timeout: l.n.cfg.AckTimeout}
 			}
 		case <-l.stopC:
-			l.flush()
 			return nil
 		case <-l.n.down:
-			l.flush()
 			return nil
 		}
 	}
@@ -1129,43 +1113,25 @@ func (l *link[K]) ackOverdue() bool {
 	return len(l.unacked) > 0 && time.Since(l.unacked[0].sentAt) >= l.n.cfg.AckTimeout
 }
 
-// writeFrame writes one frame under the write deadline. first stamps a
-// fresh sequence number and files the frame as unacknowledged;
-// retransmissions keep their original sequence.
+// writeFrame writes one frame — header and payload in one call — under
+// the write deadline. first stamps a fresh sequence number and files the
+// frame as unacknowledged; retransmissions keep their original sequence.
 func (l *link[K]) writeFrame(f *frame, first bool) error {
 	l.mu.Lock()
 	if first {
 		f.seq = l.nextSeq
 		l.nextSeq++
+		binary.LittleEndian.PutUint64(f.buf[seqOffset:], f.seq)
 		l.unacked = append(l.unacked, f)
 	}
-	conn, bw := l.conn, l.bw
+	conn := l.conn
 	l.mu.Unlock()
 	if conn == nil {
 		return fmt.Errorf("transport: connection %d->%d lost", l.src, l.dst)
 	}
 	f.sentAt = time.Now()
-	var hdr [headerBytes]byte
-	f.putHeader(hdr[:])
-	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.WriteTimeout))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return l.wrapWriteErr(err)
-	}
-	if _, err := bw.Write(f.payload); err != nil {
-		return l.wrapWriteErr(err)
-	}
-	return nil
-}
-
-func (l *link[K]) flush() error {
-	l.mu.Lock()
-	conn, bw := l.conn, l.bw
-	l.mu.Unlock()
-	if bw == nil {
-		return nil
-	}
-	conn.SetWriteDeadline(time.Now().Add(l.n.cfg.WriteTimeout))
-	if err := bw.Flush(); err != nil {
+	conn.SetWriteDeadline(f.sentAt.Add(l.n.cfg.WriteTimeout))
+	if _, err := conn.Write(f.buf); err != nil {
 		return l.wrapWriteErr(err)
 	}
 	conn.SetWriteDeadline(time.Time{})
@@ -1182,8 +1148,8 @@ func (l *link[K]) wrapWriteErr(err error) error {
 
 // ackReader consumes cumulative acknowledgements flowing back on the
 // data connection. It only publishes the ack horizon and wakes the
-// writer; the writer goroutine does the actual pruning, so payload slabs
-// are never recycled while a write may still be flushing them.
+// writer; the writer goroutine does the actual pruning, so a frame is
+// never recycled while a write may still be reading it.
 func (l *link[K]) ackReader(conn net.Conn) {
 	defer l.n.wg.Done()
 	var buf [ackBytes]byte
@@ -1228,14 +1194,14 @@ func (l *link[K]) advanceAck(next uint64) {
 }
 
 // prune (writer goroutine only) drops every frame below the published
-// ack horizon from the retransmit buffer, releasing its payload slab and
-// its window token.
+// ack horizon from the retransmit buffer, recycling it — an acknowledged
+// frame is never written again — and releasing its window token.
 func (l *link[K]) prune() {
 	next := l.ackNext.Load()
 	l.mu.Lock()
 	k := 0
 	for k < len(l.unacked) && l.unacked[k].seq < next {
-		l.n.bufPool.Put(l.unacked[k].payload[:0])
+		framePool.Put(l.unacked[k])
 		l.unacked[k] = nil
 		k++
 	}
@@ -1256,7 +1222,6 @@ func (l *link[K]) dropConn() {
 	if l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
-		l.bw = nil
 	}
 	if l.progress {
 		l.cycles = 0
