@@ -254,6 +254,54 @@ func BenchmarkBalancedMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkSortNormRefs times step 1's ref sort on the shapes of
+// normShapes that cost differently — not on dist.DefaultDomain's 20 bits
+// alone, which the benchmarks above draw from — at the worker-chunk sizes
+// the engine runs (2^13: a budgeted chunk; 2^15, 2^16: a resident node's)
+// and one past them, ref build included as in runFormer.sortChunk. The
+// uniform rows carry the machine's reference points: RadixSort and
+// slices.Sort over the same keys, flat.
+func BenchmarkSortNormRefs(b *testing.B) {
+	for _, shape := range normShapes {
+		if !shape.bench {
+			continue
+		}
+		for _, n := range []int{1 << 13, 1 << 15, 1 << 16, 1 << 17} {
+			norms := shape.norms(n)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/n=%d/workers=%d", shape.name, n, workers), func(b *testing.B) {
+					refs, scratch := make([]NormRef, n), make([]NormRef, n)
+					b.SetBytes(int64(n) * 8)
+					for i := 0; i < b.N; i++ {
+						for j, k := range norms {
+							refs[j] = NormRef{Norm: k, Idx: uint32(j)}
+						}
+						SortNormRefs(refs, scratch, workers)
+					}
+				})
+			}
+			if shape.name != "uniform62" {
+				continue
+			}
+			buf, scratch := make([]uint64, n), make([]uint64, n)
+			b.Run(fmt.Sprintf("%s/n=%d/flat-radix", shape.name, n), func(b *testing.B) {
+				b.SetBytes(int64(n) * 8)
+				for i := 0; i < b.N; i++ {
+					copy(buf, norms)
+					RadixSort(buf, scratch, idU64, 64)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/n=%d/slices.Sort", shape.name, n), func(b *testing.B) {
+				b.SetBytes(int64(n) * 8)
+				for i := 0; i < b.N; i++ {
+					copy(buf, norms)
+					slices.Sort(buf)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkMergeNormRefRuns times the ref kernel alone, sequentially, so
 // a change to the two-run loop shows undiluted.
 func BenchmarkMergeNormRefRuns(b *testing.B) {

@@ -2,6 +2,7 @@ package lsort
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -154,10 +155,7 @@ func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 	}
 	scratch = scratch[:n]
 	if workers <= 1 || n <= 2*insertionCutoff {
-		if radixNormRefs(refs, scratch) {
-			return scratch
-		}
-		return refs
+		return radixNormRefs(refs, scratch, nil)
 	}
 	workers = min(workers, n)
 	bounds := chunkBounds(n, workers)
@@ -166,9 +164,7 @@ func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 		wg.Add(1)
 		go func(chunk, chunkScratch []NormRef) {
 			defer wg.Done()
-			if radixNormRefs(chunk, chunkScratch) {
-				copy(chunk, chunkScratch)
-			}
+			radixNormRefs(chunk, chunkScratch, chunk)
 		}(refs[bounds[i]:bounds[i+1]], scratch[bounds[i]:bounds[i+1]])
 	}
 	wg.Wait()
@@ -176,59 +172,123 @@ func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 	return out
 }
 
-// radixNormRefs is the sequential kernel: a stable LSD byte-radix sort of
-// refs by Norm, ping-ponging between refs and scratch (same length). It
-// reports whether the sorted data ended in scratch.
+// refDigitBits is the widest digit radixNormRefs takes (2048 buckets, two
+// 8 KiB histograms on the stack): two tell apart a worker chunk of up to 2^18
+// refs, where 8-bit digits need three and measured slower (CHANGES.md, PR 21).
+const refDigitBits = 11
+
+// insertionSortNormRefs is insertionSort(refs, normRefLess), closure-free.
+func insertionSortNormRefs(refs []NormRef) {
+	for i := 1; i < len(refs); i++ {
+		r, j := refs[i], i
+		for ; j > 0 && refs[j-1].Norm > r.Norm; j-- {
+			refs[j] = refs[j-1]
+		}
+		refs[j] = r
+	}
+}
+
+// radixNormRefs is the sequential kernel: a stable radix sort of refs by
+// Norm over the bits that tell the refs apart and no others. It returns
+// the sorted refs: in into — refs or scratch (same length) — when the
+// caller names one, else in whichever of the two its last pass wrote.
 //
-// One counting pass takes the XOR-diff of every norm against the first
-// and all eight digit histograms at once. A byte column the diff shows
-// constant — the upper columns of a narrow domain, every column of a
-// constant input — costs no distribution pass, so few-distinct and
-// small-domain inputs finish in one or two passes and the norm's
-// significant width never has to be passed in. The tables are uint32
-// (8 KiB, on the stack): SortNormRefs bounds len(refs) by what Idx can
-// address.
-func radixNormRefs(refs, scratch []NormRef) (inScratch bool) {
-	if len(refs) <= 2*insertionCutoff {
-		insertionSort(refs, normRefLess)
-		return false
-	}
-	var counts [maxRadixPasses][1 << radixBits]uint32
-	first := refs[0].Norm
-	var diff uint64
-	for i := range refs {
-		k := refs[i].Norm
-		diff |= k ^ first
-		counts[0][byte(k)]++
-		counts[1][byte(k>>8)]++
-		counts[2][byte(k>>16)]++
-		counts[3][byte(k>>24)]++
-		counts[4][byte(k>>32)]++
-		counts[5][byte(k>>40)]++
-		counts[6][byte(k>>48)]++
-		counts[7][byte(k>>56)]++
-	}
+// diff, every norm's XOR against the first, has the bits the norms vary
+// in, and the top log2(n) + 4 of those tell n refs apart, all but a few.
+// So digits are taken from the top of diff, each anchored at the highest
+// varying bit not yet covered — constant bits cost nothing wherever they
+// lie — until they cover that many varying bits, and are stably scattered
+// least significant first; the first is counted in a pass of its own,
+// every other during the scatter before it. Digits that cover every
+// varying bit make this a plain LSD sort: what a small domain gets.
+// Otherwise a walk over the now prefix-ordered refs finishes each group
+// sharing a prefix, writing where the caller wants the result: a few refs
+// are insertion-sorted, a larger group recurses with the other buffer's
+// same range as scratch. Its diff lies below the digits already taken, so
+// every level consumes a digit's bits or more; a digit is no wider than
+// log2(n) bits, so a small group pays for a small histogram. Scatters,
+// insertion and the in-order walk are all stable.
+func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
+	n := len(refs)
 	src, dst := refs, scratch
-	for d := 0; d < maxRadixPasses; d++ {
-		shift := uint(radixBits * d)
-		if byte(diff>>shift) == 0 {
+	var low uint    // the lowest bit a digit covers
+	var rest uint64 // diff, then diff below low: the bits left to the walk
+	if n <= 2*insertionCutoff {
+		insertionSortNormRefs(refs)
+	} else {
+		for i := range refs {
+			rest |= refs[i].Norm ^ refs[0].Norm
+		}
+	}
+	if rest != 0 {
+		var shifts [8]uint // a level stops at eight digits, sparse as the varying bits may be
+		digits, logn := 0, bits.Len(uint(n-1))
+		w := min(refDigitBits, logn)
+		mask := uint64(1)<<w - 1
+		for need := logn + 4; rest != 0 && need > 0 && digits < len(shifts); digits++ {
+			low = uint(max(bits.Len64(rest)-w, 0))
+			need -= bits.OnesCount64(rest >> low)
+			rest &= 1<<low - 1
+			shifts[digits] = low
+		}
+		var counts [2][1 << refDigitBits]uint32
+		for i := range refs {
+			counts[(digits-1)&1][refs[i].Norm>>low&mask]++
+		}
+		for d := digits - 1; d >= 0; d-- {
+			starts, next := &counts[d&1], &counts[d&1^1]
+			var pos uint32
+			for v, c := range starts[:mask+1] {
+				starts[v] = pos
+				pos += c
+			}
+			clear(next[:mask+1])
+			shift := shifts[d]
+			if d == 0 {
+				for _, r := range src {
+					v := r.Norm >> shift & mask
+					dst[starts[v]] = r
+					starts[v]++
+				}
+			} else {
+				nextShift := shifts[d-1]
+				for _, r := range src {
+					v := r.Norm >> shift & mask
+					dst[starts[v]] = r
+					starts[v]++
+					next[r.Norm>>nextShift&mask]++
+				}
+			}
+			src, dst = dst, src
+		}
+	}
+	if len(into) == 0 {
+		into = src
+	}
+	move := n > 0 && &into[0] != &src[0]
+	done := 0
+	for i := 1; i < n && rest != 0; i++ {
+		if (src[i].Norm^src[i-1].Norm)>>low != 0 {
 			continue
 		}
-		starts := &counts[d]
-		var pos uint32
-		for v, c := range starts {
-			starts[v] = pos
-			pos += c
+		g := i - 1
+		for i < n && (src[i].Norm^src[g].Norm)>>low == 0 {
+			i++
 		}
-		for _, r := range src {
-			v := byte(r.Norm >> shift)
-			dst[starts[v]] = r
-			starts[v]++
+		if i-g <= 2*insertionCutoff {
+			insertionSortNormRefs(src[g:i])
+			continue
 		}
-		src, dst = dst, src
-		inScratch = !inScratch
+		if move {
+			copy(into[done:g], src[done:g])
+		}
+		radixNormRefs(src[g:i], dst[g:i], into[g:i])
+		done = i
 	}
-	return inScratch
+	if move {
+		copy(into[done:], src[done:])
+	}
+	return into
 }
 
 // SortEqualNormRefs finishes a SortNormRefs whose norm is monotone but

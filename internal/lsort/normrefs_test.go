@@ -55,32 +55,140 @@ func TestSortNormRefsKinds(t *testing.T) {
 	}
 }
 
-// TestSortNormRefsColumnSkip pins which buffer the sorted refs come back
-// in: one distribution pass per varying byte column ping-pongs refs and
-// scratch, so the parity of the varying columns decides it. A kernel that
-// stopped skipping constant columns would flip the answer.
+// wideDomain spreads a dist kind over 62 bits, as the repository
+// benchmark's uint64 workloads do; dist.DefaultDomain is 20 bits, which
+// two digits cover whole.
+const wideDomain = 1 << 62
+
+// seqNorms is n norms, the i-th drawn by norm from one seeded generator.
+func seqNorms(n int, norm func(rng *dist.RNG, i int) uint64) []uint64 {
+	rng, norms := dist.NewRNG(29), make([]uint64, n)
+	for i := range norms {
+		norms[i] = norm(rng, i)
+	}
+	return norms
+}
+
+// normShapes are the inputs the step-1 kernel must neither get wrong nor
+// pay for: what the top digits tell apart at once (uniform, sorted),
+// what they can never tell apart (few distinct values, all equal), and
+// what they tell apart only partly, so that groups sharing a prefix are
+// left to finish — two far clusters, clusters inside clusters at every
+// level of the recursion, groups just past the insertion cutoff, one
+// narrow domain under a long shared prefix.
+// BenchmarkSortNormRefs times them and FuzzSortNormRefs is seeded from
+// them.
+var normShapes = []struct {
+	name  string
+	bench bool // a row of BenchmarkSortNormRefs
+	norms func(n int) []uint64
+}{
+	{"uniform62", true, func(n int) []uint64 { return dist.Gen{Kind: dist.Uniform, Seed: 29, Domain: wideDomain}.Keys(n) }},
+	{"skewed20", true, func(n int) []uint64 { return dist.Gen{Kind: dist.RightSkewed, Seed: 29}.Keys(n) }},
+	{"sorted62", true, func(n int) []uint64 { return dist.Gen{Kind: dist.Sorted, Seed: 29, Domain: wideDomain}.Keys(n) }},
+	{"distinct16", true, func(n int) []uint64 { return dist.Gen{Kind: dist.FewDistinct, Seed: 29, Domain: wideDomain}.Keys(n) }},
+	{"two-clusters", true, func(n int) []uint64 {
+		return seqNorms(n, func(rng *dist.RNG, _ int) uint64 { return rng.Uint64n(2)<<61 | rng.Uint64n(1<<30) })
+	}},
+	{"nested-clusters", false, func(n int) []uint64 {
+		// Six 10-bit fields, each one of four values except in one ref
+		// in 64, where it is any: every bit varies, so no digit can be
+		// skipped, yet whatever digits a level takes leave a few heavy
+		// groups that are clusters again — the recursion's depth.
+		return seqNorms(n, func(rng *dist.RNG, _ int) (k uint64) {
+			for field := 0; field < 6; field++ {
+				v := rng.Uint64n(4) * 341
+				if rng.Uint64n(64) == 0 {
+					v = rng.Uint64n(1 << 10)
+				}
+				k = k<<10 | v
+			}
+			return k
+		})
+	}},
+	{"sparse-bits", false, func(n int) []uint64 {
+		// One varying bit in seven: a digit anchored at each tells little
+		// apart, so a level takes as many digits as it ever will.
+		return seqNorms(n, func(rng *dist.RNG, _ int) (k uint64) {
+			for bit := 61; bit > 0; bit -= 7 {
+				k |= rng.Uint64n(2) << bit
+			}
+			return k
+		})
+	}},
+	{"prefix44", false, func(n int) []uint64 {
+		return seqNorms(n, func(rng *dist.RNG, _ int) uint64 { return 0xABCDE12345F<<18 | rng.Uint64n(1<<18) })
+	}},
+	{"all-equal", false, func(n int) []uint64 { return dist.Gen{Kind: dist.Constant, Domain: wideDomain}.Keys(n) }},
+	{"groups-of-40", false, func(n int) []uint64 {
+		// One wide ref makes every bit vary, so the first level cannot
+		// skip to the bits that matter: it leaves n/40 groups just past
+		// the insertion cutoff, each a narrow-domain sort of its own.
+		return seqNorms(n, func(rng *dist.RNG, i int) uint64 {
+			if i == n/2 {
+				return 1<<62 - 1
+			}
+			return rng.Uint64n(uint64(n/40+1))<<40 | rng.Uint64n(1<<20)
+		})
+	}},
+	{"one-far", false, func(n int) []uint64 {
+		// One ref far from all the others, which are distinct in their
+		// low 37 bits only: a kernel that took its digits from the top of
+		// the diff come what may, and finished whatever shared them by
+		// insertion, would be quadratic here.
+		return seqNorms(n, func(_ *dist.RNG, i int) uint64 {
+			if i == n/2 {
+				return 0
+			}
+			return 1<<61 | uint64(i)*0x9E3779B97F4A7C15&(1<<37-1)
+		})
+	}},
+}
+
+// TestSortNormRefsShapes holds the kernel to the stable reference on
+// every shape, at a length that is one group finished by insertion, one
+// per side of the worker-chunk sizes the engine runs, and one past them.
+func TestSortNormRefsShapes(t *testing.T) {
+	for _, shape := range normShapes {
+		for _, n := range []int{2*insertionCutoff + 1, 4097, 1 << 15, 1<<16 + 1} {
+			t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
+				checkSortNormRefs(t, shape.norms(n), 1, 2, 3)
+			})
+		}
+	}
+}
+
+// TestSortNormRefsColumnSkip pins what callers rely on whichever buffer
+// the passes happen to end in: the result is the whole of refs or of
+// scratch, it is the stable order, and an input with nothing to sort —
+// every column constant — is returned by the kernel where it lies, without
+// a write to scratch (the worker-chunk combine may still move it).
 func TestSortNormRefsColumnSkip(t *testing.T) {
 	const n = 1000
 	cases := []struct {
-		name      string
-		norm      func(i int) uint64
-		inScratch bool
+		name string
+		norm func(i int) uint64
 	}{
-		{"constant", func(int) uint64 { return 0xABCDEF }, false},
-		{"one-low-column", func(i int) uint64 { return 7<<56 | uint64(i%251) }, true},
-		{"top-byte-only", func(i int) uint64 { return uint64(i%256)<<56 | 0x1234 }, true},
-		{"two-columns", func(i int) uint64 { return uint64(i%256)<<56 | uint64(i%97) }, false},
-		{"all-eight", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }, false},
+		{"constant", func(int) uint64 { return 0xABCDEF }},
+		{"one-low-column", func(i int) uint64 { return 7<<56 | uint64(i%251) }},
+		{"top-byte-only", func(i int) uint64 { return uint64(i%256)<<56 | 0x1234 }},
+		{"two-columns", func(i int) uint64 { return uint64(i%256)<<56 | uint64(i%97) }},
+		{"all-eight", func(i int) uint64 { return uint64(i+1) * 0x9E3779B97F4A7C15 }},
 	}
 	for _, tc := range cases {
 		norms := make([]uint64, n)
 		for i := range norms {
 			norms[i] = tc.norm(n - i)
 		}
-		refs, scratch := refsOf(norms), make([]NormRef, n)
-		got := SortNormRefs(refs, scratch, 1)
-		if inScratch := &got[0] == &scratch[0]; inScratch != tc.inScratch {
-			t.Errorf("%s: result in scratch = %v, want %v", tc.name, inScratch, tc.inScratch)
+		for _, workers := range []int{1, 2} {
+			refs, scratch := refsOf(norms), make([]NormRef, n)
+			got := SortNormRefs(refs, scratch, workers)
+			if len(got) != n || (&got[0] != &refs[0] && &got[0] != &scratch[0]) {
+				t.Errorf("%s workers=%d: result is neither refs nor scratch", tc.name, workers)
+			}
+			if tc.name == "constant" && workers == 1 && (&got[0] != &refs[0] || slices.ContainsFunc(scratch, func(r NormRef) bool { return r != NormRef{} })) {
+				t.Errorf("%s workers=%d: a constant input was moved", tc.name, workers)
+			}
 		}
 		checkSortNormRefs(t, norms, 1, 2)
 	}
@@ -122,7 +230,12 @@ func TestSortEqualNormRefs(t *testing.T) {
 // FuzzSortNormRefs holds SortNormRefs to the stable reference on
 // arbitrary norms of every significant width (narrow widths leave
 // constant upper columns to skip), every worker count, and lengths around
-// the insertion-sort and parallel thresholds.
+// the insertion-sort and parallel thresholds. A second arm lays the same
+// norms out as the kernel's hard cases are laid out: bits>>2 clusters (none:
+// the arm is off) under `shared` common top bits, each ref keeping
+// `vary` of its own low bits — so the fuzzer reaches the equal-prefix
+// walk, groups on both sides of the insertion cutoff and recursion below
+// the first level, at lengths up to 8*255.
 func FuzzSortNormRefs(f *testing.F) {
 	pack := func(norms ...uint64) []byte {
 		b := make([]byte, 8*len(norms))
@@ -139,19 +252,31 @@ func FuzzSortNormRefs(f *testing.F) {
 		return pack(norms...)
 	}
 	const n = 2*insertionCutoff + 8
-	f.Add(pack(), uint8(64), uint8(n))
-	f.Add(seq(n, func(int) uint64 { return 42 }), uint8(64), uint8(n))                            // all equal
-	f.Add(seq(n, func(i int) uint64 { return 9<<32 | uint64(i*37%256)<<8 }), uint8(64), uint8(n)) // one varying column
-	f.Add(seq(n, func(i int) uint64 { return uint64(255-i)<<56 | 5 }), uint8(64), uint8(n))       // top byte only
-	f.Add(seq(n, func(i int) uint64 { return uint64(i) << 20 }), uint8(62), uint8(n))             // already sorted
-	f.Add(seq(n, func(i int) uint64 { return uint64(n-i) << 20 }), uint8(32), uint8(n-1))         // reversed
-	f.Add(seq(n, func(i int) uint64 { return uint64(i * 7919) }), uint8(8), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, bits, length uint8) {
+	f.Add(pack(), uint8(64), uint8(n), uint8(0), uint8(0))
+	f.Add(seq(n, func(int) uint64 { return 42 }), uint8(64), uint8(n), uint8(0), uint8(0))                            // all equal
+	f.Add(seq(n, func(i int) uint64 { return 9<<32 | uint64(i*37%256)<<8 }), uint8(64), uint8(n), uint8(0), uint8(0)) // one varying column
+	f.Add(seq(n, func(i int) uint64 { return uint64(255-i)<<56 | 5 }), uint8(64), uint8(n), uint8(0), uint8(0))       // top byte only
+	f.Add(seq(n, func(i int) uint64 { return uint64(i) << 20 }), uint8(62), uint8(n), uint8(0), uint8(0))             // already sorted
+	f.Add(seq(n, func(i int) uint64 { return uint64(n-i) << 20 }), uint8(32), uint8(n-1), uint8(0), uint8(0))         // reversed
+	f.Add(seq(n, func(i int) uint64 { return uint64(i * 7919) }), uint8(8), uint8(2), uint8(0), uint8(0))
+	for _, shape := range normShapes {
+		f.Add(pack(shape.norms(600)...), uint8(3), uint8(0), uint8(0), uint8(0))
+	}
+	wide := dist.Gen{Kind: dist.Uniform, Seed: 29, Domain: wideDomain}.Keys(256)
+	f.Add(pack(wide...), uint8(3|2<<2), uint8(255), uint8(2), uint8(30))  // two far clusters
+	f.Add(pack(wide...), uint8(3|40<<2), uint8(255), uint8(0), uint8(12)) // many groups past the insertion cutoff
+	f.Add(pack(wide...), uint8(3|7<<2), uint8(200), uint8(44), uint8(3))  // heavy groups, a few values each
+	f.Add(pack(wide...), uint8(3|1<<2), uint8(255), uint8(20), uint8(44)) // every ref shares a prefix, all distinct below
+	f.Fuzz(func(t *testing.T, data []byte, bits, length, shared, vary uint8) {
 		norms := bytesToKeys(data)
 		// Cycle the fuzzer's norms up to a length on either side of the
 		// thresholds, so short inputs still reach the radix passes.
 		// length >= 128 instead cuts long inputs down to it.
+		clusters := uint64(bits >> 2)
 		want, have := int(length)%(4*insertionCutoff), len(norms)
+		if clusters > 0 {
+			want = 8 * int(length)
+		}
 		for i := have; have > 0 && i < want; i++ {
 			norms = append(norms, norms[i%have])
 		}
@@ -162,6 +287,18 @@ func FuzzSortNormRefs(f *testing.F) {
 		if keyBits < 64 {
 			for i := range norms {
 				norms[i] &= 1<<keyBits - 1
+			}
+		}
+		if clusters > 0 {
+			// Top `shared` bits common, the cluster's id spread over the
+			// bits below them, the ref's own low `vary` bits last — its
+			// own: a cycled norm differs from the one it repeats.
+			top := 64 - int(shared)%64
+			low := min(int(vary)%64, top)
+			for i, k := range norms {
+				k += uint64(i / have)
+				id := (k>>32%clusters + 1) * 0x9E3779B97F4A7C15 >> (64 - top) >> low << low
+				norms[i] = ^uint64(0)<<top | id | k&(1<<low-1)
 			}
 		}
 		checkSortNormRefs(t, norms, 1, 2, 3, 4)

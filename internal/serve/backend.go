@@ -467,7 +467,7 @@ func (b *typedBackend[K]) topk(ds *dataset, k int, bottom bool) ([]topkEntry, in
 func (b *typedBackend[K]) rank(ds *dataset, target string) (rank, count int, err error) {
 	t, err := b.parse(target)
 	if err != nil {
-		return 0, 0, fmt.Errorf("key: %w", err)
+		return 0, 0, badRequest("key: %v", err)
 	}
 	for _, k := range ds.keys.([]K) {
 		switch {

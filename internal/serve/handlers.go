@@ -641,6 +641,13 @@ func (j *job) query(r *http.Request, run func() (any, error)) {
 	}
 	resp, err := run()
 	done()
+	var bad *apiError
+	if errors.As(err, &bad) {
+		// The query itself was malformed (a rank key that does not
+		// parse): the client's error, not the engine's.
+		j.reject(bad)
+		return
+	}
 	if err != nil {
 		j.finish(http.StatusInternalServerError, err, false, nil)
 		return

@@ -496,6 +496,9 @@ func TestValidationErrors(t *testing.T) {
 	if resp, _ := postJSON(t, ts.URL+"/v1/rank", map[string]any{"keys_b64": b64}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("rank without key: %d", resp.StatusCode)
 	}
+	if resp, body := postJSON(t, ts.URL+"/v1/rank", map[string]any{"keys_b64": b64, "key": "A"}); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("rank of a key that is no uint64: %d (%s), want 400", resp.StatusCode, body)
+	}
 	// Method discipline: the mux answers GET /v1/sort with 405.
 	if resp, err := http.Get(ts.URL + "/v1/sort"); err != nil {
 		t.Fatal(err)
