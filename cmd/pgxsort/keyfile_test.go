@@ -151,7 +151,7 @@ func TestStringSortWithPayloadsCLI(t *testing.T) {
 		return cmdSort([]string{"-keytype", "string", "-recbytes", "32", "-in", raw, "-out", sorted,
 			"-procs", "4", "-workers", "2"})
 	})
-	if !strings.Contains(sortOut, "local sort") {
+	if !strings.Contains(sortOut, "local-sort") {
 		t.Errorf("sort report missing:\n%s", sortOut)
 	}
 	captureStdout(t, func() error {

@@ -10,11 +10,11 @@ package baselines
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"pgxsort/internal/comm"
-	"pgxsort/internal/lsort"
 	"pgxsort/internal/transport"
 )
 
@@ -91,7 +91,7 @@ func bitonicNode[K cmp.Ordered](ep transport.Endpoint[K], local []K, p int) ([]K
 	id := ep.ID()
 	mine := append([]K(nil), local...)
 	less := func(a, b K) bool { return a < b }
-	lsort.Quicksort(mine, less)
+	slices.Sort(mine)
 
 	// Steps are not globally synchronized: a next-step partner may send
 	// before this node finishes its current exchange, so receives are

@@ -1,7 +1,10 @@
 package comm
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -44,7 +47,7 @@ func TestI64Norm(t *testing.T) {
 	}
 }
 
-// TestF64NormTotalOrder pins the IEEE-754 total order the radix path
+// TestF64NormTotalOrder pins the IEEE-754 total order the engine
 // produces for float keys: -NaN < -Inf < finite negatives < -0 < +0 <
 // finite positives < +Inf < +NaN.
 func TestF64NormTotalOrder(t *testing.T) {
@@ -83,22 +86,154 @@ func TestF64NormMatchesLess(t *testing.T) {
 	}
 }
 
-func TestNormForKnownTypes(t *testing.T) {
-	if norm, ok := NormFor[uint64](); !ok || norm(7) != 7 {
-		t.Fatal("NormFor[uint64] wrong")
+// Named types of each kind: NormFor resolves them by kind.
+type (
+	userID int32
+	score  float32
+	tag    string
+)
+
+// normKind holds NormFor[K] for one key type K to `<`, on keys
+// reinterpreted from raw 64-bit words.
+type normKind struct {
+	name string
+	// pair checks two words as keys; draw checks every adjacent pair of
+	// the words' keys once sorted, where near-equal keys sit together.
+	pair func(t *testing.T, a, b uint64)
+	draw func(t *testing.T, words []uint64)
+}
+
+// normKindOf checks the one property a norm has: a < b implies
+// norm(a) <= norm(b), strictly unless the norm is reported inexact. Keys
+// `<` does not order (equal; a float NaN on either side) assert nothing
+// here — TestNormForFloatTotalOrder pins where the norm puts those.
+func normKindOf[K cmp.Ordered](name string, wantInexact bool, key func(uint64) K) normKind {
+	norm, inexact := NormFor[K]()
+	check := func(t *testing.T, a, b K) {
+		t.Helper()
+		if inexact != wantInexact {
+			t.Fatalf("%s: NormFor reports inexact = %v", name, inexact)
+		}
+		if b < a {
+			a, b = b, a
+		}
+		if !(a < b) {
+			return
+		}
+		if na, nb := norm(a), norm(b); na > nb || !inexact && na == nb {
+			t.Fatalf("%s: %v < %v but norms %#x, %#x", name, a, b, na, nb)
+		}
 	}
-	if norm, ok := NormFor[uint32](); !ok || norm(7) != 7 {
-		t.Fatal("NormFor[uint32] wrong")
+	return normKind{
+		name: name,
+		pair: func(t *testing.T, a, b uint64) { check(t, key(a), key(b)) },
+		draw: func(t *testing.T, words []uint64) {
+			keys := make([]K, len(words))
+			for i, w := range words {
+				keys[i] = key(w)
+			}
+			slices.Sort(keys)
+			for i := 1; i < len(keys); i++ {
+				check(t, keys[i-1], keys[i])
+			}
+		},
 	}
-	if norm, ok := NormFor[int64](); !ok || norm(-1) >= norm(0) {
-		t.Fatal("NormFor[int64] wrong")
+}
+
+// wordString reads a word as a string of zero to twelve bytes — the
+// word's eight, then its first four again — so prefixes of one another
+// occur, and strings that differ only past the eight bytes the norm sees.
+func wordString(w uint64) string {
+	b := binary.BigEndian.AppendUint64(nil, w|0x2020202020202020)
+	return string(append(b, b[:4]...)[:w%13])
+}
+
+// normKinds is every built-in ordered type, and a named integer, float
+// and string type.
+var normKinds = []normKind{
+	normKindOf("int", false, func(w uint64) int { return int(w) }),
+	normKindOf("int8", false, func(w uint64) int8 { return int8(w) }),
+	normKindOf("int16", false, func(w uint64) int16 { return int16(w) }),
+	normKindOf("int32", false, func(w uint64) int32 { return int32(w) }),
+	normKindOf("int64", false, func(w uint64) int64 { return int64(w) }),
+	normKindOf("uint", false, func(w uint64) uint { return uint(w) }),
+	normKindOf("uint8", false, func(w uint64) uint8 { return uint8(w) }),
+	normKindOf("uint16", false, func(w uint64) uint16 { return uint16(w) }),
+	normKindOf("uint32", false, func(w uint64) uint32 { return uint32(w) }),
+	normKindOf("uint64", false, func(w uint64) uint64 { return w }),
+	normKindOf("uintptr", false, func(w uint64) uintptr { return uintptr(w) }),
+	normKindOf("float32", false, func(w uint64) float32 { return math.Float32frombits(uint32(w)) }),
+	normKindOf("float64", false, math.Float64frombits),
+	normKindOf("string", true, wordString),
+	normKindOf("userID", false, func(w uint64) userID { return userID(w) }),
+	normKindOf("score", false, func(w uint64) score { return score(math.Float32frombits(uint32(w))) }),
+	normKindOf("tag", true, func(w uint64) tag { return tag(wordString(w)) }),
+}
+
+// TestNormForKeyKinds: every ordered kind has a norm, monotone against
+// `<` and injective where reported exact, over a draw of random words
+// beside the words at which a width wraps or a sign flips.
+func TestNormForKeyKinds(t *testing.T) {
+	words := []uint64{0, 1, 0x7f, 0x80, 0xff, 0x7fff, 0x8000, 0xffff, 1<<31 - 1, 1 << 31, 1<<32 - 1,
+		1<<63 - 1, 1 << 63, math.MaxUint64, 0x7f800000, 0xff800000, 0x7ff0000000000000, 0xfff0000000000000}
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 4000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		words = append(words, x, x>>uint(i%64)) // full width, and small magnitudes
 	}
-	if norm, ok := NormFor[float64](); !ok || norm(-1.5) >= norm(1.5) {
-		t.Fatal("NormFor[float64] wrong")
+	for _, kind := range normKinds {
+		t.Run(kind.name, func(t *testing.T) { kind.draw(t, words) })
 	}
-	if _, ok := NormFor[string](); ok {
-		t.Fatal("NormFor[string] must report no norm")
+}
+
+// TestNormForFloatTotalOrder pins both float widths to the IEEE-754
+// total order, the values `<` leaves unordered or equal included.
+func TestNormForFloatTotalOrder(t *testing.T) {
+	norm64, _ := NormFor[float64]()
+	checkMonotone(t, []float64{
+		math.Float64frombits(0xfff8000000000001), math.Inf(-1), -math.MaxFloat64, -1,
+		-math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64,
+		1, math.MaxFloat64, math.Inf(1), math.Float64frombits(0x7ff8000000000001),
+	}, norm64)
+	norm32, _ := NormFor[float32]()
+	checkMonotone(t, []float32{
+		math.Float32frombits(0xffc00001), float32(math.Inf(-1)), -math.MaxFloat32, -1,
+		-math.SmallestNonzeroFloat32, float32(math.Copysign(0, -1)), 0, math.SmallestNonzeroFloat32,
+		1, math.MaxFloat32, float32(math.Inf(1)), math.Float32frombits(0x7fc00001),
+	}, norm32)
+	// A signalling NaN keeps its place among the NaNs: the norm reads the
+	// key's own bits.
+	if quiet, signalling := norm32(math.Float32frombits(0x7fc00000)), norm32(math.Float32frombits(0x7fa00000)); signalling >= quiet {
+		t.Fatalf("float32 NaN payloads out of order: %#x >= %#x", signalling, quiet)
 	}
+}
+
+var normSink uint64
+
+// TestNormForNamedTypeAllocs: a named type's norm boxes nothing per key.
+func TestNormForNamedTypeAllocs(t *testing.T) {
+	id, _ := NormFor[userID]()
+	str, _ := NormFor[tag]()
+	k, s := userID(-5), tag("a-named-string-key")
+	if n := testing.AllocsPerRun(100, func() { normSink += id(k) + str(s) }); n != 0 {
+		t.Fatalf("norms of a named integer and a named string allocate %v times a call", n)
+	}
+}
+
+// FuzzNormOrder: two raw words, reinterpreted as every kind in turn.
+func FuzzNormOrder(f *testing.F) {
+	f.Add(uint64(0), uint64(1))
+	f.Add(uint64(1<<63-1), uint64(1<<63))
+	f.Add(uint64(0x7fffffff), uint64(0x80000000))
+	f.Add(uint64(0x7ff8000000000000), uint64(0xfff0000000000000)) // NaN beside -Inf
+	f.Add(uint64(0x6162636465666768), uint64(0x6162636465666700)) // strings sharing a prefix
+	f.Fuzz(func(t *testing.T, a, b uint64) {
+		for _, kind := range normKinds {
+			kind.pair(t, a, b)
+		}
+	})
 }
 
 // TestNormSortMatchesNative cross-checks on random-ish data: sorting by

@@ -14,9 +14,9 @@ import (
 // StringCodec also implements KeyNormalizer with an *inexact* norm: the
 // first 8 bytes of the string, big-endian, zero-padded on the right.
 // Lexicographic byte order agrees with numeric order on that image, so
-// the radix local-sort path applies; strings sharing an 8-byte prefix
-// collapse to one norm value and are disambiguated by the engine's
-// comparison fallback pass (NormInexact returns true).
+// the engine's ref sort and ref merge apply; strings sharing an 8-byte
+// prefix collapse to one norm value, and the engine finishes each
+// equal-norm run under the real keys (NormInexact returns true).
 type StringCodec struct{}
 
 // stringNominalSize is the sampling/chunking estimate for string keys:
@@ -91,7 +91,7 @@ func (StringCodec) NormInexact() bool { return true }
 // interfaces (KeyNormalizer, VarCodec) — the wire helpers and the engine
 // unwrap via KeyCodec() and consult the inner codec directly, so a
 // RecordCodec around StringCodec still gets variable-width keys and the
-// radix fast path.
+// codec's own norm.
 type RecordCodec[K any] struct {
 	key Codec[K]
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -13,26 +15,15 @@ import (
 	"pgxsort/internal/transport"
 )
 
-// dropNorm puts a fresh engine on the comparison arm of steps 1 and 6
-// whatever its key type: with the norm cleared before the first sort,
-// comparators resolves exactly as it does for a key that has none. The
-// engine chooses its arm from the key type alone, so this is how a test
-// runs the comparison arm over uint64 keys.
-func dropNorm[K cmp.Ordered](e *Engine[K]) { e.norm, e.normInexact = nil, false }
-
 // sortWith builds an engine with opts, sorts parts and returns the
-// result: on the arm the key type selects, or — when comparison is set —
-// on the comparison arm (dropNorm).
-func sortWith[K cmp.Ordered](t *testing.T, codec comm.Codec[K], opts Options, parts [][]K, comparison bool) *Result[K] {
+// verified result.
+func sortWith[K cmp.Ordered](t *testing.T, codec comm.Codec[K], opts Options, parts [][]K) *Result[K] {
 	t.Helper()
 	e, err := NewEngine[K](opts, codec)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
-	if comparison {
-		dropNorm(e)
-	}
 	res, err := e.Sort(parts)
 	if err != nil {
 		t.Fatalf("Sort: %v", err)
@@ -79,21 +70,26 @@ func keyBytes[K any](codec comm.Codec[K], k K) []byte {
 
 // totalOrder is the order the test-side reference sorts under. It is
 // written here, not borrowed from the engine's comparators: `<` on every
-// type but float64, whose engine order is the IEEE-754 total order (-NaN
-// < -Inf < … < -0 < +0 < … < +Inf < +NaN) on the radix path.
+// kind but the floats, whose engine order is the IEEE-754 total order
+// (-NaN < -Inf < … < -0 < +0 < … < +Inf < +NaN) at their own width.
 func totalOrder[K cmp.Ordered]() func(a, b K) bool {
+	image := func(u, sign uint64) uint64 {
+		if u&sign != 0 {
+			return ^u & (sign<<1 - 1)
+		}
+		return u | sign
+	}
+	var bits func(k K) uint64
 	var zero K
-	if _, ok := any(zero).(float64); !ok {
+	switch any(zero).(type) {
+	case float64:
+		bits = func(k K) uint64 { return image(math.Float64bits(any(k).(float64)), 1<<63) }
+	case float32:
+		bits = func(k K) uint64 { return image(uint64(math.Float32bits(any(k).(float32))), 1<<31) }
+	default:
 		return func(a, b K) bool { return a < b }
 	}
-	image := func(k K) uint64 {
-		u := math.Float64bits(any(k).(float64))
-		if u>>63 != 0 {
-			return ^u
-		}
-		return u | 1<<63
-	}
-	return func(a, b K) bool { return image(a) < image(b) }
+	return func(a, b K) bool { return bits(a) < bits(b) }
 }
 
 // requireMatchesReference holds one engine result to a flat reference
@@ -104,7 +100,7 @@ func totalOrder[K cmp.Ordered]() func(a, b K) bool {
 //   - Provenance is a bijection: every (proc, index) occurs once and names
 //     an input slot holding that very key.
 //   - Equal keys within a part sit in origin-processor order — and, when
-//     the local sort is stable (the exact-norm radix path), in origin-index
+//     the local sort is stable (an exact norm), in origin-index
 //     order within a processor. That is the unique order a stable merge of the
 //     sources' runs taken in source order can produce. (Across parts the
 //     investigator deals one value's duplicates out to several
@@ -161,8 +157,8 @@ func requireMatchesReference[K cmp.Ordered](t *testing.T, codec comm.Codec[K], r
 // forced out of core by a tenth-of-the-data budget — and both results
 // must match the test-side reference and each other entry for entry: the
 // balanced merge and the spilled cursor merge are both stable over runs
-// in source order. comparison runs both on the comparison arm (dropNorm).
-func diffEngine[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, opts Options, label string, comparison bool) {
+// in source order.
+func diffEngine[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, opts Options, label string) {
 	t.Helper()
 	opts.Procs = len(parts)
 	resident := opts
@@ -173,21 +169,17 @@ func diffEngine[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, o
 	budgeted.MemoryBudget = spillBudget[uint64](len(parts[0]))
 	budgeted.SpillDir = t.TempDir()
 
-	// Stable local sort: the radix path under an exact norm. Quicksort is
-	// not, and an inexact norm (strings) finishes with a comparison fixup
-	// over chunk merges that does not keep index order.
-	ix, inexact := any(codec).(comm.InexactNormalizer)
-	stable := !comparison && !(inexact && ix.NormInexact())
-	want := sortWith(t, codec, resident, parts, comparison)
+	// The local sort is stable under an exact norm. The string kinds'
+	// prefix norm is inexact: it finishes with a fixup over chunk merges
+	// that does not keep index order.
+	stable := reflect.TypeFor[K]().Kind() != reflect.String
+	want := sortWith(t, codec, resident, parts)
 	requireMatchesReference(t, codec, want, parts, stable, label+"/resident")
-	if comparison && want.Report.LocalSortPath != "comparison" {
-		t.Fatalf("%s: ran the %s arm, want comparison", label, want.Report.LocalSortPath)
-	}
 	if want.Report.MergePath != "balanced" || want.Report.SpillBytes != 0 || want.Report.SpillReads != 0 {
 		t.Fatalf("%s: resident run reports MergePath %q, spilled %d/%d bytes",
 			label, want.Report.MergePath, want.Report.SpillBytes, want.Report.SpillReads)
 	}
-	got := sortWith(t, codec, budgeted, parts, comparison)
+	got := sortWith(t, codec, budgeted, parts)
 	requireMatchesReference(t, codec, got, parts, stable, label+"/budgeted")
 	requireEntriesIdentical(t, codec, got, want, label+"/budgeted-vs-resident")
 	// A tenth of parts[0]'s footprint is below any non-empty node's
@@ -213,77 +205,146 @@ func TestDifferentialAllKinds(t *testing.T) {
 	for _, kind := range dist.AllKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			parts := mkParts(kind, 5, 4000, 17)
-			diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 2}, kind.String(), false)
+			diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 2}, kind.String())
 		})
 	}
 }
 
-// TestDifferentialKeyTypes: procs × key type × resident/budgeted. The
-// int64 sign flip, the float64 IEEE-754 total order (NaNs, infinities and
-// signed zeros included), the narrow uint32 codec and variable-width
-// strings behind an inexact prefix norm all hold to the reference, on a
-// duplicate-heavy draw so ties occur on every type. uint64 also runs the
-// comparison arm, whose local sort is not stable.
+// keyKind is one key type of the differentials' draw: a function of a
+// right-skewed uint64 base, so ties occur on every type.
+type keyKind interface {
+	name() string
+	// diff runs diffEngine over the kind's draw.
+	diff(t *testing.T, base [][]uint64)
+	// selectK holds TopK, or with bottom BottomK, to Sort over the kind's
+	// draw.
+	selectK(t *testing.T, base [][]uint64, bottom bool)
+}
+
+// kindOf draws keys of type K: key gives the key at position j of part i
+// from the base key k there.
+type kindOf[K cmp.Ordered] struct {
+	label string
+	codec comm.Codec[K]
+	key   func(i, j int, k uint64) K
+}
+
+func (kd kindOf[K]) name() string { return kd.label }
+
+func (kd kindOf[K]) parts(base [][]uint64) [][]K {
+	parts := make([][]K, len(base))
+	for i, p := range base {
+		parts[i] = make([]K, len(p))
+		for j, k := range p {
+			parts[i][j] = kd.key(i, j, k)
+		}
+	}
+	return parts
+}
+
+func (kd kindOf[K]) diff(t *testing.T, base [][]uint64) {
+	diffEngine(t, kd.codec, kd.parts(base), Options{WorkersPerProc: 2}, kd.label)
+}
+
+func (kd kindOf[K]) selectK(t *testing.T, base [][]uint64, bottom bool) {
+	requireSelectKMatchesSort(t, kd.codec, kd.parts(base), bottom)
+}
+
+// fixedCodec is a fixed-width codec with no norm of its own, for the key
+// kinds comm ships no codec for: the engine orders them by comm.NormFor.
+type fixedCodec[K any] struct {
+	size int
+	put  func(b []byte, k K)
+	get  func(b []byte) K
+}
+
+func (c fixedCodec[K]) KeySize() int         { return c.size }
+func (c fixedCodec[K]) PutKey(b []byte, k K) { c.put(b, k) }
+func (c fixedCodec[K]) Key(b []byte) K       { return c.get(b) }
+
+// label is a named string type, and labelCodec comm.StringCodec's wire
+// form for it — again without a norm of its own.
+type label string
+
+type labelCodec struct{}
+
+func (labelCodec) KeySize() int         { return comm.StringCodec{}.KeySize() }
+func (labelCodec) PutKey([]byte, label) { panic("variable-width codec") }
+func (labelCodec) Key([]byte) label     { panic("variable-width codec") }
+func (labelCodec) KeyBytes(k label) int { return comm.StringCodec{}.KeyBytes(string(k)) }
+func (labelCodec) AppendKey(dst []byte, k label) []byte {
+	return comm.StringCodec{}.AppendKey(dst, string(k))
+}
+func (labelCodec) ReadKey(b []byte) (label, []byte, error) {
+	k, rest, err := comm.StringCodec{}.ReadKey(b)
+	return label(k), rest, err
+}
+
+// floatDraw mixes the specials (NaNs of both signs, infinities, signed
+// zeros, the extremes) with raw bit patterns — wild exponents, negatives
+// and NaN payloads — and plain small values of both signs.
+func floatDraw[F float32 | float64](specials []F, fromBits func(uint64) F) func(i, j int, k uint64) F {
+	return func(i, j int, k uint64) F {
+		switch {
+		case j < 2*len(specials):
+			return specials[(i+j)%len(specials)]
+		case j%2 == 0:
+			return fromBits(k * 0x9e3779b97f4a7c15)
+		}
+		return F(k) - 20
+	}
+}
+
+// keyKinds: the int64 sign flip, the IEEE-754 total order at both float
+// widths, the narrow uint32 codec, variable-width strings behind an
+// inexact prefix norm — and the kinds comm.NormFor alone gives a norm:
+// int, int32, float32 and a named string type.
+var keyKinds = []keyKind{
+	kindOf[uint64]{"uint64", comm.U64Codec{}, func(_, _ int, k uint64) uint64 { return k }},
+	kindOf[int64]{"int64", comm.I64Codec{}, func(_, _ int, k uint64) int64 { return int64(k) - 20 }}, // mix signs
+	kindOf[float64]{"float64", comm.F64Codec{}, floatDraw(
+		[]float64{math.Inf(1), math.Inf(-1), 0.0, math.Copysign(0, -1), math.MaxFloat64,
+			-math.SmallestNonzeroFloat64, math.NaN(), -math.NaN()},
+		math.Float64frombits)},
+	kindOf[uint32]{"uint32", comm.U32Codec{}, func(_, _ int, k uint64) uint32 { return uint32(k) }},
+	kindOf[string]{"string", comm.StringCodec{}, func(_, _ int, k uint64) string {
+		return dist.StringKey("shared-prefix-", k, 0)
+	}},
+	kindOf[int]{"int", fixedCodec[int]{8,
+		func(b []byte, k int) { binary.LittleEndian.PutUint64(b, uint64(k)) },
+		func(b []byte) int { return int(binary.LittleEndian.Uint64(b)) },
+	}, func(_, _ int, k uint64) int { return int(k) - 20 }},
+	kindOf[int32]{"int32", fixedCodec[int32]{4,
+		func(b []byte, k int32) { binary.LittleEndian.PutUint32(b, uint32(k)) },
+		func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) },
+	}, func(_, _ int, k uint64) int32 { return int32(k) - 20 }},
+	kindOf[float32]{"float32", fixedCodec[float32]{4,
+		func(b []byte, k float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(k)) },
+		func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) },
+	}, floatDraw(
+		[]float32{float32(math.Inf(1)), float32(math.Inf(-1)), 0.0, float32(math.Copysign(0, -1)),
+			math.MaxFloat32, -math.SmallestNonzeroFloat32,
+			math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000)},
+		func(u uint64) float32 { return math.Float32frombits(uint32(u >> 32)) })},
+	kindOf[label]{"named-string", labelCodec{}, func(_, j int, k uint64) label {
+		if j%2 == 0 {
+			return label(dist.StringKey("", k, 0)) // the prefix norm tells these apart
+		}
+		return label(dist.StringKey("shared-prefix-", k, 0))
+	}},
+}
+
+// TestDifferentialKeyTypes: procs × key type × resident/budgeted, all
+// held to the reference on a duplicate-heavy draw. The kinds with no codec
+// norm must report the same MergePath and spill behaviour as the others:
+// diffEngine asserts them on every case.
 func TestDifferentialKeyTypes(t *testing.T) {
 	const per = 1500
 	for _, procs := range []int{1, 2, 3, 4, 8} {
 		base := mkParts(dist.RightSkewed, procs, per, 23)
-		name := func(kt string) string { return fmt.Sprintf("%s/p=%d", kt, procs) }
-		t.Run(name("uint64"), func(t *testing.T) {
-			diffEngine(t, comm.U64Codec{}, base, Options{WorkersPerProc: 2}, "uint64", false)
-		})
-		t.Run(name("uint64-comparison"), func(t *testing.T) {
-			diffEngine(t, comm.U64Codec{}, base, Options{WorkersPerProc: 2}, "uint64-comparison", true)
-		})
-		t.Run(name("int64"), func(t *testing.T) {
-			parts := make([][]int64, procs)
-			for i, p := range base {
-				parts[i] = make([]int64, len(p))
-				for j, k := range p {
-					parts[i][j] = int64(k) - 20 // mix signs
-				}
-			}
-			diffEngine(t, comm.I64Codec{}, parts, Options{WorkersPerProc: 2}, "int64", false)
-		})
-		t.Run(name("float64"), func(t *testing.T) {
-			specials := []float64{math.Inf(1), math.Inf(-1), 0.0,
-				math.Copysign(0, -1), math.MaxFloat64, -math.SmallestNonzeroFloat64,
-				math.NaN(), -math.NaN()}
-			parts := make([][]float64, procs)
-			for i, p := range base {
-				parts[i] = make([]float64, len(p))
-				for j, k := range p {
-					switch {
-					case j < 2*len(specials):
-						parts[i][j] = specials[(i+j)%len(specials)]
-					case j%2 == 0:
-						// Raw bit reinterpretation: wild exponents,
-						// negatives and NaN payload patterns.
-						parts[i][j] = math.Float64frombits(k * 0x9e3779b97f4a7c15)
-					default:
-						parts[i][j] = float64(k) - 20
-					}
-				}
-			}
-			diffEngine(t, comm.F64Codec{}, parts, Options{WorkersPerProc: 2}, "float64", false)
-		})
-		t.Run(name("uint32"), func(t *testing.T) {
-			parts := make([][]uint32, procs)
-			for i, p := range base {
-				parts[i] = make([]uint32, len(p))
-				for j, k := range p {
-					parts[i][j] = uint32(k)
-				}
-			}
-			diffEngine(t, comm.U32Codec{}, parts, Options{WorkersPerProc: 2}, "uint32", false)
-		})
-		t.Run(name("string"), func(t *testing.T) {
-			parts := make([][]string, procs)
-			for i := range parts {
-				parts[i] = dist.Gen{Kind: dist.RightSkewed, Seed: 23 + uint64(i)*7919}.Strings(per, "shared-prefix-")
-			}
-			diffEngine(t, comm.StringCodec{}, parts, Options{WorkersPerProc: 2}, "string", false)
-		})
+		for _, kind := range keyKinds {
+			t.Run(fmt.Sprintf("%s/p=%d", kind.name(), procs), func(t *testing.T) { kind.diff(t, base) })
+		}
 	}
 }
 
@@ -298,7 +359,7 @@ func TestDifferentialDegenerate(t *testing.T) {
 	}
 	for name, parts := range cases {
 		t.Run(name, func(t *testing.T) {
-			diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 1}, name, false)
+			diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 1}, name)
 		})
 	}
 }
@@ -315,7 +376,7 @@ func TestDifferentialSurvivesResets(t *testing.T) {
 		// count, so splitters (and thus partitions) agree.
 		ref := sortWith(t, comm.U64Codec{}, Options{
 			Procs: procs, WorkersPerProc: 2, BufferBytes: 4096, MemoryBudget: -1,
-		}, parts, false)
+		}, parts)
 		for _, budget := range []int64{-1, spillBudget[uint64](per)} {
 			t.Run(fmt.Sprintf("%s/budget=%d", kind, budget), func(t *testing.T) {
 				e, err := NewEngine[uint64](Options{
@@ -361,18 +422,24 @@ func FuzzEngineDifferential(f *testing.F) {
 		procs := 1 + int(procsB%8)
 		per := int(perB % 2048)
 		parts := mkParts(kind, procs, per, seed)
-		diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 2}, kind.String(), false)
+		diffEngine(t, comm.U64Codec{}, parts, Options{WorkersPerProc: 2}, kind.String())
 	})
 }
 
-// TestTotalOrderFloat64 pins the reference's own float order, so it
-// cannot drift along with the engine's norm.
+// TestTotalOrderFloat64 pins the reference's own float order at both
+// widths, so it cannot drift along with the engine's norm.
 func TestTotalOrderFloat64(t *testing.T) {
-	less := totalOrder[float64]()
-	vals := []float64{-math.NaN(), math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, math.Inf(1), math.NaN()}
-	for i := 1; i < len(vals); i++ {
-		if !less(vals[i-1], vals[i]) || less(vals[i], vals[i-1]) {
-			t.Fatalf("totalOrder misorders %v and %v", vals[i-1], vals[i])
+	pinTotalOrder(t, []float64{-math.NaN(), math.Inf(-1), -1, math.Copysign(0, -1), 0, 1, math.Inf(1), math.NaN()})
+	pinTotalOrder(t, []float32{math.Float32frombits(0xffc00000), float32(math.Inf(-1)), -1,
+		float32(math.Copysign(0, -1)), 0, 1, float32(math.Inf(1)), math.Float32frombits(0x7fc00000)})
+}
+
+func pinTotalOrder[K cmp.Ordered](t *testing.T, ascending []K) {
+	t.Helper()
+	less := totalOrder[K]()
+	for i := 1; i < len(ascending); i++ {
+		if !less(ascending[i-1], ascending[i]) || less(ascending[i], ascending[i-1]) {
+			t.Fatalf("totalOrder misorders %v and %v", ascending[i-1], ascending[i])
 		}
 	}
 }

@@ -30,12 +30,11 @@ type Engine[K cmp.Ordered] struct {
 	closeErr   error
 	dispatchWG sync.WaitGroup
 
-	// norm is the order-preserving uint64 normalization of K (nil when K
-	// has none). A non-nil norm selects the radix arm of steps 1 and 6
-	// (comparators). normInexact marks a monotone but non-injective
-	// norm (comm.InexactNormalizer): the radix path stays open, but every
-	// comparator becomes a two-level compare and each radix sort is
-	// finished by a comparison pass over equal-norm runs.
+	// norm is the order-preserving uint64 normalization of K that steps 1
+	// and 6 sort and merge by: the codec's own (comm.KeyNormalizer) or the
+	// one comm.NormFor has for K's kind. normInexact marks a monotone but
+	// non-injective norm (strings): each ref sort is then finished under
+	// the real keys over its equal-norm runs (comparators).
 	norm        func(K) uint64
 	normInexact bool
 }
@@ -89,21 +88,19 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 	}
 	e := &Engine[K]{opts: opts, codec: codec, net: net}
 	// A codec advertising its own normalization (comm.KeyNormalizer)
-	// takes precedence over the built-in per-type table, so custom key
-	// types can opt into the radix path. A payload-carrying wrapper
-	// (comm.RecordCodec) is unwrapped first: the key codec decides the
-	// normalization.
+	// takes precedence over the built-in per-kind table. A
+	// payload-carrying wrapper (comm.RecordCodec) is unwrapped first: the
+	// key codec decides the normalization.
 	kc := codec
 	if u, ok := codec.(interface{ KeyCodec() comm.Codec[K] }); ok {
 		kc = u.KeyCodec()
 	}
 	if kn, ok := kc.(comm.KeyNormalizer[K]); ok {
 		e.norm = kn.Norm
-		if ix, ok := kc.(comm.InexactNormalizer); ok && ix.NormInexact() {
-			e.normInexact = true
-		}
-	} else if norm, ok := comm.NormFor[K](); ok {
-		e.norm = norm
+		ix, ok := kc.(comm.InexactNormalizer)
+		e.normInexact = ok && ix.NormInexact()
+	} else {
+		e.norm, e.normInexact = comm.NormFor[K]()
 	}
 	e.nodes = make([]*node[K], opts.Procs)
 	for i := range e.nodes {
@@ -537,7 +534,6 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		rep.FramesResent += nr.FramesResent
 	}
 	rep.CommTime = rep.Steps[StepSampling] + rep.Steps[StepSplitters] + rep.Steps[StepExchange]
-	rep.LocalSortPath = cmps.path
 	rep.MergePath = "balanced"
 	if rep.SpillBytes > 0 {
 		// At least one node ran out-of-core under Options.MemoryBudget.

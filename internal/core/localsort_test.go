@@ -9,93 +9,7 @@ import (
 	"pgxsort/internal/failpoint"
 )
 
-// stringCodec is a fixed-width stand-in codec for a key type with no
-// uint64 normalization; the channel transport never serializes, so only
-// KeySize matters.
-type stringCodec struct{}
-
-func (stringCodec) KeySize() int { return 8 }
-func (stringCodec) PutKey(b []byte, k string) {
-	copy(b[:8], k)
-}
-func (stringCodec) Key(b []byte) string { return string(b[:8]) }
-
-func sortKeysWith[K interface {
-	~uint64 | ~int64 | ~float64 | ~uint32 | ~string
-}](t *testing.T, codec comm.Codec[K], opts Options, keys []K, comparison bool) (*Result[K], *Engine[K]) {
-	t.Helper()
-	if opts.Procs == 0 {
-		opts.Procs = 4
-	}
-	eng, err := NewEngine[K](opts, codec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	if comparison {
-		dropNorm(eng)
-	}
-	parts := make([][]K, opts.Procs)
-	for i := range parts {
-		lo := i * len(keys) / opts.Procs
-		hi := (i + 1) * len(keys) / opts.Procs
-		parts[i] = keys[lo:hi]
-	}
-	res, err := eng.Sort(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, eng
-}
-
-// TestLocalSortAutoPicksRadix: the engine must take the radix path for a
-// key type with a built-in norm, the comparison path once the norm is
-// gone, and report which on the sort and on every node.
-func TestLocalSortAutoPicksRadix(t *testing.T) {
-	keys := dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(4000)
-	for _, comparison := range []bool{false, true} {
-		want := "radix"
-		if comparison {
-			want = "comparison"
-		}
-		res, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{}, keys, comparison)
-		if res.Report.LocalSortPath != want {
-			t.Fatalf("LocalSortPath = %q, want %q", res.Report.LocalSortPath, want)
-		}
-		for _, nr := range res.Report.PerNode {
-			if nr.LocalSortPath != want {
-				t.Fatalf("node path = %q, want %q", nr.LocalSortPath, want)
-			}
-		}
-		got := res.Keys()
-		if len(got) != len(keys) {
-			t.Fatalf("%s: %d keys out, want %d", want, len(got), len(keys))
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1] > got[i] {
-				t.Fatalf("%s: unsorted at %d", want, i)
-			}
-		}
-	}
-}
-
-// TestLocalSortAutoFallsBackForUnnormalizableKey: a key type without a
-// norm must stay on the comparison path.
-func TestLocalSortAutoFallsBackForUnnormalizableKey(t *testing.T) {
-	keys := []string{"pear", "apple", "fig", "kiwi", "plum", "date", "lime", "mango"}
-	res, _ := sortKeysWith[string](t, stringCodec{}, Options{}, keys, false)
-	if res.Report.LocalSortPath != "comparison" {
-		t.Fatalf("LocalSortPath = %q, want comparison", res.Report.LocalSortPath)
-	}
-	got := res.Keys()
-	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] {
-			t.Fatalf("unsorted at %d: %v", i, got)
-		}
-	}
-}
-
-// TestRadixPathFloat64TotalOrder: with float keys the radix path must
+// TestRadixPathFloat64TotalOrder: with float keys the engine must
 // produce the norm's IEEE-754 total order end to end, NaNs pinned after
 // +Inf and -0 before +0, with no keys lost.
 func TestRadixPathFloat64TotalOrder(t *testing.T) {
@@ -103,9 +17,14 @@ func TestRadixPathFloat64TotalOrder(t *testing.T) {
 		3.5, math.NaN(), -1, math.Inf(-1), 0, math.Copysign(0, -1),
 		math.Inf(1), -2.25, 7, math.NaN(), -0.5, 1e300, -1e300, 2, 11, -7,
 	}
-	res, eng := sortKeysWith[float64](t, comm.F64Codec{}, Options{}, keys, false)
-	if res.Report.LocalSortPath != "radix" {
-		t.Fatalf("LocalSortPath = %q, want radix", res.Report.LocalSortPath)
+	eng, err := NewEngine[float64](Options{Procs: 4}, comm.F64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	res, err := eng.SortSlice(keys)
+	if err != nil {
+		t.Fatal(err)
 	}
 	got := res.Keys()
 	if len(got) != len(keys) {
@@ -135,7 +54,6 @@ func TestRadixPathFloat64TotalOrder(t *testing.T) {
 	if math.Copysign(1, got[zeroAt]) != -1 || math.Copysign(1, got[zeroAt+1]) != 1 {
 		t.Fatalf("-0/+0 not ordered by sign at %d", zeroAt)
 	}
-	_ = eng
 }
 
 // TestPoolingBalancesAndReuses: the Figure-11 temp-memory accounting
@@ -206,24 +124,5 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 			t.Fatalf("%s/%s: failed sort took %d slabs and returned %d", f.site, f.mode, gets, puts)
 		}
 		checkNoLeak(t, eng)
-	}
-}
-
-// TestRadixMatchesComparisonOrder: on every distribution kind the radix
-// and comparison paths must produce identical key sequences.
-func TestRadixMatchesComparisonOrder(t *testing.T) {
-	for _, kind := range []dist.Kind{dist.Uniform, dist.RightSkewed, dist.Constant, dist.ReverseSorted} {
-		keys := dist.Gen{Kind: kind, Seed: 21, Domain: 64}.Keys(5000)
-		radix, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{}, keys, false)
-		comparison, _ := sortKeysWith[uint64](t, comm.U64Codec{}, Options{}, keys, true)
-		rk, ck := radix.Keys(), comparison.Keys()
-		if len(rk) != len(ck) {
-			t.Fatalf("%s: length mismatch %d vs %d", kind, len(rk), len(ck))
-		}
-		for i := range rk {
-			if rk[i] != ck[i] {
-				t.Fatalf("%s: paths diverge at %d: %d vs %d", kind, i, rk[i], ck[i])
-			}
-		}
 	}
 }

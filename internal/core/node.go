@@ -72,29 +72,22 @@ type sortRun[K cmp.Ordered] struct {
 // top-k candidates.
 const master = 0
 
-func entryLess[K cmp.Ordered](a, b comm.Entry[K]) bool { return a.Key < b.Key }
-
-// sortCmps bundles one sort's ordering machinery: the resolved step-1
-// path, the comparators driving sampling, partitioning and merging, and
-// the key normalization step 1's refs are built from. When the radix path is
-// active every comparison goes through the normalized image, so the whole
-// pipeline produces one consistent total order — for float64 that is the
-// IEEE-754 total order, which pins the NaN positions `<` cannot order.
+// sortCmps bundles one sort's ordering machinery: the key normalization
+// the refs of steps 1 and 6 are built from, and the comparators driving
+// sampling, partitioning and the cursor merges. Every comparison goes
+// through the normalized image, so the whole pipeline produces one
+// consistent total order — for floats that is the IEEE-754 total order,
+// which pins the NaN positions `<` cannot order.
 type sortCmps[K cmp.Ordered] struct {
-	path     string // "radix" or "comparison"
-	useRadix bool
-	// fallback marks an inexact norm (monotone, non-injective): the radix
-	// sort leaves equal-norm runs unordered, so step 1 finishes them under
-	// the real key order (runFormer.sortChunk) and every comparator below
-	// is two-level (norm first, real key order on ties).
-	fallback  bool
-	norm      func(K) uint64
-	entryLess func(a, b comm.Entry[K]) bool
-	// headNorm and headLess are entryLess in the two parts the cursor
+	norm func(K) uint64
+	// inexact marks a monotone, non-injective norm (strings): a ref sort or
+	// ref merge leaves equal-norm runs unordered, so steps 1 and 6 finish
+	// them under the real key order (lsort.SortEqualNormRefs).
+	inexact bool
+	// headNorm and headLess are the entry order in the two parts the cursor
 	// merges take it in (lsort.MergeCursorsNorm): an entry's norm, cached
 	// per cursor head, and what orders entries of equal norm — nothing
-	// (nil) under an exact norm, the real keys under an inexact one. On
-	// the comparison path headNorm is nil and headLess is entryLess.
+	// (nil) under an exact norm, the real keys under an inexact one.
 	headNorm func(e *comm.Entry[K]) uint64
 	headLess func(a, b comm.Entry[K]) bool
 	keyLess  func(a, b K) bool
@@ -102,68 +95,31 @@ type sortCmps[K cmp.Ordered] struct {
 	keyBelow func(e comm.Entry[K], sp K) bool // e.Key strictly below the splitter
 }
 
-// comparators resolves the arm steps 1 and 6 take from what the engine
-// observes of its key type: the radix arm when the key has a norm, the
-// comparison arm when it has none.
+// comparators resolves the sort's order from the engine's norm. The key
+// comparators are norm first, real key order on ties, whichever norm it
+// is: equal exact norms are equal keys, so there the second compare never
+// decides. The one fact anything branches on is whether the norm is exact.
 func (e *Engine[K]) comparators() sortCmps[K] {
-	c := sortCmps[K]{norm: e.norm}
-	c.useRadix = e.norm != nil
-	if c.useRadix {
-		norm := e.norm
-		c.headNorm = func(en *comm.Entry[K]) uint64 { return norm(en.Key) }
-	}
-	if c.useRadix && e.normInexact {
-		// Inexact norm (e.g. StringCodec's 8-byte prefix): the norm is a
-		// cheap first discriminator, but equal norms can hide unequal keys,
-		// so every comparator falls through to the real key order. The
-		// radix passes still do the bulk of step 1's work; the collided
-		// runs are finished under the real keys (see sortChunk).
-		c.path = "radix"
-		c.fallback = true
-		c.headLess = entryLess[K]
-		norm := e.norm
-		c.entryLess = func(a, b comm.Entry[K]) bool {
-			na, nb := norm(a.Key), norm(b.Key)
-			if na != nb {
-				return na < nb
-			}
-			return a.Key < b.Key
-		}
-		c.keyLess = func(a, b K) bool {
+	norm := e.norm
+	c := sortCmps[K]{
+		norm:     norm,
+		inexact:  e.normInexact,
+		headNorm: func(en *comm.Entry[K]) uint64 { return norm(en.Key) },
+		keyLess: func(a, b K) bool {
 			na, nb := norm(a), norm(b)
-			if na != nb {
-				return na < nb
-			}
-			return a < b
-		}
-		c.keyAbove = func(en comm.Entry[K], sp K) bool {
+			return na < nb || na == nb && a < b
+		},
+		keyAbove: func(en comm.Entry[K], sp K) bool {
 			na, nb := norm(en.Key), norm(sp)
-			if na != nb {
-				return na > nb
-			}
-			return en.Key > sp
-		}
-		c.keyBelow = func(en comm.Entry[K], sp K) bool {
+			return na > nb || na == nb && en.Key > sp
+		},
+		keyBelow: func(en comm.Entry[K], sp K) bool {
 			na, nb := norm(en.Key), norm(sp)
-			if na != nb {
-				return na < nb
-			}
-			return en.Key < sp
-		}
-	} else if c.useRadix {
-		c.path = "radix"
-		norm := e.norm
-		c.entryLess = func(a, b comm.Entry[K]) bool { return norm(a.Key) < norm(b.Key) }
-		c.keyLess = func(a, b K) bool { return norm(a) < norm(b) }
-		c.keyAbove = func(en comm.Entry[K], sp K) bool { return norm(en.Key) > norm(sp) }
-		c.keyBelow = func(en comm.Entry[K], sp K) bool { return norm(en.Key) < norm(sp) }
-	} else {
-		c.path = "comparison"
-		c.entryLess = entryLess[K]
-		c.headLess = entryLess[K]
-		c.keyLess = func(a, b K) bool { return a < b }
-		c.keyAbove = func(en comm.Entry[K], sp K) bool { return en.Key > sp }
-		c.keyBelow = func(en comm.Entry[K], sp K) bool { return en.Key < sp }
+			return na < nb || na == nb && en.Key < sp
+		},
+	}
+	if c.inexact {
+		c.headLess = func(a, b comm.Entry[K]) bool { return a.Key < b.Key }
 	}
 	return c
 }
@@ -388,26 +344,24 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 // run by the shared former (runs.go). The entry buffer comes from the
 // node's slab pool and returns to it once the whole sort joins (its
 // subslices travel through the exchange). A share that fits is one chunk,
-// written into the buffer once, already in order; on the exact-norm radix
-// path a share whose entries alone exceed Options.MemoryBudget is formed
-// in budget-sized chunks that land in the head of the buffer, spill to
-// block files, and stream-merge back over it — the same bytes, a fraction
-// of the temporary memory.
+// written into the buffer once, already in order; under an exact norm a
+// share whose entries alone exceed Options.MemoryBudget is formed in
+// budget-sized chunks that land in the head of the buffer, spill to block
+// files, and stream-merge back over it — the same bytes, a fraction of
+// the temporary memory.
 func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	t0 := time.Now()
 	entries := s.node.entryPool.Get(s.src.size())
 	s.retire(entries)
 	eb := int64(entryBytes[K]())
 	s.report.ResidentBytes = int64(len(entries)) * eb
-	s.report.LocalSortPath = s.cmps.path
 	chunk := len(entries)
-	if budget := s.opts.MemoryBudget; budget > 0 && s.cmps.useRadix && !s.cmps.fallback &&
-		int64(len(entries))*eb > budget {
-		// Only the exact-norm radix path spills here: its chunk sorts
-		// and the streaming merge are both stable, so the chunked
-		// result is byte-identical to the one-pass sort at any chunk
-		// size. (Inexact norms and the comparison path keep their
-		// in-memory sort; the exchange stage still spills for them.)
+	if budget := s.opts.MemoryBudget; budget > 0 && !s.cmps.inexact && int64(len(entries))*eb > budget {
+		// Only an exact norm spills here: its chunk sorts and the
+		// streaming merge are both stable, so the chunked result is
+		// byte-identical to the one-pass sort at any chunk size. (An
+		// inexact norm keeps its in-memory sort; the exchange stage still
+		// spills for it.)
 		chunk = chunkEntries(budget, eb, 1)
 	}
 	chunked := chunk < len(entries)

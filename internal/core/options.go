@@ -4,8 +4,8 @@
 // and network endpoint (communication manager), and runs the six-step
 // pipeline:
 //
-//  1. parallel local sort: per-chunk quicksort (or LSD radix over
-//     normalized keys) combined by the balanced merging handler (Fig 2).
+//  1. parallel local sort: per-chunk radix over (norm, index) refs of
+//     the keys, combined by the balanced merging handler (Fig 2).
 //     One run former (runs.go) does it for keys, records and sections of
 //     an upload spool alike, in one chunk when the share fits
 //     Options.MemoryBudget and in budget-sized chunks through run files

@@ -31,9 +31,6 @@ func TestStringSortBothTransports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Report.LocalSortPath != "radix" {
-			t.Fatalf("path = %s", res.Report.LocalSortPath)
-		}
 		got := res.Keys()
 		want := append([]string(nil), all...)
 		sort.Strings(want)

@@ -177,9 +177,6 @@ type NodeReport struct {
 	// sort. Zero outside fault injection and real network trouble.
 	Reconnects   int64
 	FramesResent int64
-	// LocalSortPath is the step-1 path this node took: "radix" (the
-	// non-comparison fast path over normalized keys) or "comparison".
-	LocalSortPath string
 }
 
 // Report aggregates a distributed sort run, providing every measurement
@@ -227,10 +224,6 @@ type Report struct {
 	SendStall    time.Duration
 	Reconnects   int64
 	FramesResent int64
-	// LocalSortPath is the step-1 path the engine resolved for this sort:
-	// "radix" or "comparison" (same on every node: the key type decides,
-	// see Engine.comparators).
-	LocalSortPath string
 	// MergePath is how step 6 ran: "balanced" (the resident balanced
 	// merging handler), "balanced+spill" when at least one node ran
 	// out-of-core under Options.MemoryBudget, or "spooled-kway+spill" for
@@ -304,9 +297,6 @@ func (r *Report) MinMaxPart() (minSize, maxSize int) {
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sorted %d entries on %d procs x %d workers in %v", r.N, r.Procs, r.Workers, r.Total)
-	if r.LocalSortPath != "" {
-		fmt.Fprintf(&b, " (local sort: %s)", r.LocalSortPath)
-	}
 	if r.MergePath != "" {
 		fmt.Fprintf(&b, " (merge: %s)", r.MergePath)
 	}

@@ -28,10 +28,9 @@ import (
 // former is the same idea on the formation side.
 
 // entrySource is one node's step-1 input. The former pulls it a chunk at
-// a time and addresses the staged chunk by position: the radix arm sorts
-// 16-byte (norm, position) refs and has the source put each entry in its
-// sorted place, once; the comparison arm takes the chunk as entries and
-// sorts those. Entries leave provenance-stamped (origin node, index
+// a time and addresses the staged chunk by position: it sorts 16-byte
+// (norm, position) refs and has the source put each entry in its sorted
+// place, once. Entries leave provenance-stamped (origin node, index
 // within the node's share), so the rest of the pipeline never sees what
 // the input was.
 type entrySource[K cmp.Ordered] interface {
@@ -47,19 +46,15 @@ type entrySource[K cmp.Ordered] interface {
 	less(i, j uint32) bool
 	// emit returns the chunk as entries in the order the refs name:
 	// element j is the entry at chunk position order[j].Idx. order, a
-	// permutation of the chunk's positions, is consumed.
+	// permutation of the chunk's positions, is consumed. The entries land
+	// in buf when the source has to build them, and in the source's own
+	// staging when they already exist there.
 	emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K]
-	// entries returns the chunk as entries in source order, for the caller
-	// to reorder in place.
-	//
-	// Both land in buf when the source has to build its entries, and in
-	// the source's own staging when they already exist there.
-	entries(buf []comm.Entry[K]) []comm.Entry[K]
 }
 
-// ErrShareTooLarge rejects a step-1 input of more entries than the
-// uint32 provenance index (comm.Entry.Index, lsort.NormRef.Idx) can tell
-// apart. Classify reports it data-dependent.
+// ErrShareTooLarge rejects a step-1 input, or a step-6 assembly, of more
+// entries than the uint32 provenance index (comm.Entry.Index,
+// lsort.NormRef.Idx) can tell apart. Classify reports it data-dependent.
 var ErrShareTooLarge = errors.New("core: share exceeds the 2^32-1 entries an origin index can address")
 
 // checkShare guards a source before anything is sized from it.
@@ -107,14 +102,6 @@ func (s *keySource[K]) emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.E
 	return buf
 }
 
-func (s *keySource[K]) entries(buf []comm.Entry[K]) []comm.Entry[K] {
-	buf = buf[:s.hi-s.lo]
-	for i := range buf {
-		buf[i] = s.entry(i)
-	}
-	return buf
-}
-
 // recSource yields one node's key+payload records; the staged chunk is
 // recs[lo:hi].
 type recSource[K cmp.Ordered] struct {
@@ -150,14 +137,6 @@ func (s *recSource[K]) emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.E
 	buf = buf[:len(order)]
 	for j, r := range order {
 		buf[j] = s.entry(int(r.Idx))
-	}
-	return buf
-}
-
-func (s *recSource[K]) entries(buf []comm.Entry[K]) []comm.Entry[K] {
-	buf = buf[:s.hi-s.lo]
-	for i := range buf {
-		buf[i] = s.entry(i)
 	}
 	return buf
 }
@@ -246,8 +225,6 @@ func (s *sectionSource[K]) emit(_ []comm.Entry[K], order []lsort.NormRef) []comm
 	return chunk
 }
 
-func (s *sectionSource[K]) entries([]comm.Entry[K]) []comm.Entry[K] { return s.staged[:s.n] }
-
 // runFormer forms and reopens sorted runs for one consumer: a node of the
 // resident pipeline (sortRun), or a whole spooled job, whose p section
 // goroutines share one former — hence the atomic counters.
@@ -257,8 +234,7 @@ type runFormer[K cmp.Ordered] struct {
 	cmps    sortCmps[K]
 	workers int
 	// pool, refPool and tracker supply and account every slab the former
-	// takes: staging, the radix arm's refs, the comparison arm's merge
-	// scratch, merge batches and the readers' decoded blocks.
+	// takes: staging, refs, merge batches and the readers' decoded blocks.
 	pool    *alloc.SlabPool[comm.Entry[K]]
 	refPool *alloc.SlabPool[lsort.NormRef]
 	tracker *alloc.Tracker
@@ -329,9 +305,8 @@ func (f *runFormer[K]) removeScratch() error {
 }
 
 // chunkEntries sizes a step-1 chunk under budget: half the budget for
-// the chunk, half for what sorting it takes (the radix arm's refs need
-// less: 32 B an entry), at least floor entries so tiny budgets still
-// make progress.
+// the chunk, half for what sorting it takes (the refs need less: 32 B an
+// entry), at least floor entries so tiny budgets still make progress.
 func chunkEntries(budget, eb int64, floor int) int {
 	return max(int(budget/(2*eb)), floor)
 }
@@ -342,19 +317,12 @@ func chunkEntries(budget, eb int64, floor int) int {
 // in chunk order, otherwise the source must fit one chunk, which stays in
 // buf. buf, a chunk long, is where a source that does not stage its own
 // entries has them land; one that does needs none. Chunk sorts are stable
-// on the radix arm, so merging the runs in order reproduces the one-chunk
-// sort entry for entry at any chunk size.
+// under an exact norm, so merging the runs in order reproduces the
+// one-chunk sort entry for entry at any chunk size.
 func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, name string, toRuns bool) (runs []string, err error) {
 	chunk = min(chunk, src.size())
-	var refs []lsort.NormRef    // radix arm: chunk refs, then as many of scratch
-	var scratch []comm.Entry[K] // comparison arm: the balanced merge's other buffer
-	if f.cmps.useRadix {
-		refs = f.takeRefs(2 * chunk)
-		defer f.giveRefs(refs)
-	} else if f.workers > 1 && chunk > 1 {
-		scratch = f.take(chunk)
-		defer f.give(scratch)
-	}
+	refs := f.takeRefs(2 * chunk) // the chunk's refs, then as many of scratch
+	defer f.giveRefs(refs)
 	for {
 		if err := f.ctx.Err(); err != nil {
 			return nil, err
@@ -366,7 +334,7 @@ func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, 
 		if n == 0 {
 			return runs, nil
 		}
-		sorted := f.sortChunk(src, n, buf, refs, scratch)
+		sorted := f.sortChunk(src, n, buf, refs)
 		if !toRuns {
 			return nil, nil
 		}
@@ -408,26 +376,18 @@ func (f *runFormer[K]) formSection(in SpooledInput, node int, lo, n uint64, chun
 // sortChunk is the step-1 kernel: it returns the source's staged chunk of
 // n entries, sorted.
 //
-// The radix arm (taken when the key normalizes to uint64, see
-// Engine.comparators) never moves an entry to sort it: it builds one
-// (norm, position) ref per key, sorts the refs — an LSD byte-radix per
+// It never moves an entry to sort it: it builds one (norm, position) ref
+// per key, sorts the refs — a radix over the bits that tell them apart per
 // worker chunk, combined by the balanced handler — and has the source put
-// each entry in its place once, in the refs' order. The radix is stable
+// each entry in its place once, in the refs' order. The ref sort is stable
 // and the refs start in position order, so equal keys come out in
 // provenance order exactly as if the entries themselves had been stably
 // sorted. An inexact norm leaves its equal-norm runs for the real keys
-// first. The comparison arm is the paper's chunked quicksort + balanced
-// merge over the entries themselves; scratch must cover the chunk when
-// there is more than one worker.
-func (f *runFormer[K]) sortChunk(src entrySource[K], n int, buf []comm.Entry[K], refs []lsort.NormRef, scratch []comm.Entry[K]) []comm.Entry[K] {
-	if !f.cmps.useRadix {
-		chunk := src.entries(buf)
-		lsort.ParallelSortScratch(chunk, scratch, f.cmps.entryLess, f.workers)
-		return chunk
-	}
+// first.
+func (f *runFormer[K]) sortChunk(src entrySource[K], n int, buf []comm.Entry[K], refs []lsort.NormRef) []comm.Entry[K] {
 	src.refs(refs[:n], f.cmps.norm)
 	order := lsort.SortNormRefs(refs[:n], refs[len(refs)/2:], f.workers)
-	if f.cmps.fallback {
+	if f.cmps.inexact {
 		lsort.SortEqualNormRefs(order, src.less)
 	}
 	return src.emit(buf, order)

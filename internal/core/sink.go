@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"sync"
 
@@ -62,11 +63,11 @@ type residentSink[K cmp.Ordered] struct {
 	s *sortRun[K]
 }
 
-// merge is step 6 over the assembled runs. It has the two arms step 1
-// has, chosen by the same cmps.useRadix: keys with a norm merge as refs
-// (mergeRefs), keys without one merge as entries (mergeEntries). With at
-// most one source that sent anything there is nothing to merge and the
-// assembly buffer is the result.
+// merge is step 6 over the assembled runs: one ref per entry, merged as
+// step 1 sorts them (mergeRefs). With at most one source that sent
+// anything there is nothing to merge and the assembly buffer is the
+// result. An assembly of more entries than a ref's uint32 position can
+// address is refused, as step 1 refuses such a share.
 func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 	buf, bounds := r.Entries(), r.Bounds()
 	nonEmpty := 0
@@ -82,10 +83,11 @@ func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 	case nonEmpty == 1:
 		r.Release() // the buffer leaves the pool as resident result storage
 		return buf, nil
-	case r.s.cmps.useRadix && uint64(len(buf)) <= math.MaxUint32:
-		return r.mergeRefs(buf, bounds), nil
+	case uint64(len(buf)) > math.MaxUint32:
+		r.discard()
+		return nil, fmt.Errorf("%w: %d entries assembled on one node", ErrShareTooLarge, len(buf))
 	}
-	return r.mergeEntries(buf, bounds), nil
+	return r.mergeRefs(buf, bounds), nil
 }
 
 // mergeRefs never moves an entry to compare it: one (norm, position) ref
@@ -132,7 +134,7 @@ func (r *residentSink[K]) mergeRefs(buf []comm.Entry[K], bounds []int) []comm.En
 	helper.Wait()
 
 	order, fromSpare := lsort.MergeNormRefRuns(refs, spare, bounds, true)
-	if f.cmps.fallback {
+	if f.cmps.inexact {
 		lsort.SortEqualNormRefs(order, func(i, j uint32) bool { return buf[i].Key < buf[j].Key })
 	}
 	if fromSpare {
@@ -169,30 +171,6 @@ func gatherEntries[K any](out, buf []comm.Entry[K], order []lsort.NormRef, lo, h
 	for j := lo; j < hi; j++ {
 		out[j] = buf[order[j].Idx]
 	}
-}
-
-// mergeEntries is the comparison arm: the balanced handler over the
-// entries themselves. The scratch comes from the node's slab pool;
-// whichever of the assembly buffer and the scratch does not end up
-// backing the result is recycled immediately (the result itself becomes
-// resident storage and leaves the pool for good).
-func (r *residentSink[K]) mergeEntries(buf []comm.Entry[K], bounds []int) []comm.Entry[K] {
-	n := r.s.node
-	tmp := int64(len(buf)) * int64(entryBytes[K]())
-	scratch := n.entryPool.Get(len(buf))
-	n.tracker.Alloc(tmp)
-	merged, fromScratch := lsort.MergeAdjacentRunsOwned(buf, scratch, bounds, r.s.cmps.entryLess, true)
-	n.tracker.Free(tmp)
-	r.Release()
-	// Explicit ownership from the merge, not a base-pointer compare:
-	// exactly one of buf/scratch backs the result and the other is
-	// recycled.
-	if fromScratch {
-		n.entryPool.Put(buf)
-	} else {
-		n.entryPool.Put(scratch)
-	}
-	return merged
 }
 
 func (r *residentSink[K]) discard() {

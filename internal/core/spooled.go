@@ -255,14 +255,13 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	}
 	res = &SpooledResult[K]{N: in.N, cur: cur, runs: f, start: start, done: done}
 	res.Report = Report{
-		Procs:         p,
-		Workers:       e.opts.WorkersPerProc,
-		N:             in.N,
-		LocalSortPath: f.cmps.path,
-		MergePath:     "spooled-kway+spill",
-		SpillBytes:    f.spillBytes.Load(),
-		SpillReads:    f.spillReads.Load(),
-		PerNode:       make([]NodeReport, 1),
+		Procs:      p,
+		Workers:    e.opts.WorkersPerProc,
+		N:          in.N,
+		MergePath:  "spooled-kway+spill",
+		SpillBytes: f.spillBytes.Load(),
+		SpillReads: f.spillReads.Load(),
+		PerNode:    make([]NodeReport, 1),
 	}
 	res.Report.Steps[StepLocalSort] = localSortDur
 	return res, nil

@@ -29,9 +29,6 @@ func step6Sink[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 	}
 	t.Cleanup(func() { e.Close() })
 	cmps := e.comparators()
-	if !cmps.useRadix {
-		t.Fatalf("%s: key type resolved to the comparison path", label)
-	}
 	n := e.nodes[0]
 	s := &sortRun[K]{node: n, opts: e.opts, codec: codec, ctx: context.Background(), cmps: cmps,
 		runs: runFormer[K]{ctx: context.Background(), codec: codec, cmps: cmps, workers: workers,
@@ -56,9 +53,9 @@ func step6Sink[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 		}
 		slices.SortStableFunc(run, func(a, b comm.Entry[K]) int {
 			switch {
-			case cmps.entryLess(a, b):
+			case cmps.keyLess(a.Key, b.Key):
 				return -1
-			case cmps.entryLess(b, a):
+			case cmps.keyLess(b.Key, a.Key):
 				return 1
 			}
 			return 0
@@ -74,8 +71,8 @@ func step6Sink[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 }
 
 // step6Case merges a step6Sink and holds the result to the stable entry
-// merge (lsort.MergeAdjacentRunsOwned under entryLess) of the very same
-// assembly: Key, Payload, Proc and Index of every entry. Afterwards the
+// merge (lsort.MergeAdjacentRuns under the sort's key order) of the very
+// same assembly: Key, Payload, Proc and Index of every entry. Afterwards the
 // node's tracker is at zero and every ref slab is back in its pool.
 func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], bySrc [][]K, payloads bool, workers int) {
 	t.Helper()
@@ -84,7 +81,8 @@ func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 	n, cmps := s.node, s.cmps
 	asm := sink.Assembly
 	assembled := slices.Clone(asm.Entries())
-	want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), asm.Bounds(), cmps.entryLess, true)
+	entryLess := func(a, b comm.Entry[K]) bool { return cmps.keyLess(a.Key, b.Key) }
+	want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), asm.Bounds(), entryLess, true)
 
 	got, err := sink.merge()
 	if err != nil {

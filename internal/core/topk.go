@@ -29,19 +29,26 @@ type TopKResult[K cmp.Ordered] struct {
 // the master reduces p*k candidates to the global top k. Entries are
 // returned in descending key order.
 func (e *Engine[K]) TopK(parts [][]K, k int) (*TopKResult[K], error) {
-	return e.selectK(parts, k, entryLess[K])
+	return e.selectK(parts, k, false)
 }
 
 // BottomK returns the k globally smallest entries in ascending order,
 // symmetric to TopK.
 func (e *Engine[K]) BottomK(parts [][]K, k int) (*TopKResult[K], error) {
-	return e.selectK(parts, k, func(a, b comm.Entry[K]) bool { return b.Key < a.Key })
+	return e.selectK(parts, k, true)
 }
 
-// selectK gathers each node's local k extremes under `worse` (the element
-// that loses a comparison is evicted from the bounded heap first) and
-// reduces them at the master.
-func (e *Engine[K]) selectK(parts [][]K, k int, worse func(a, b comm.Entry[K]) bool) (*TopKResult[K], error) {
+// selectK gathers each node's local k extremes — the largest, or with
+// bottom the smallest — and reduces them at the master. Entries are
+// selected under the order Sort produces (norm, then key), so the answer
+// is Sort's Top or Bottom whatever `<` makes of the keys (float NaNs).
+func (e *Engine[K]) selectK(parts [][]K, k int, bottom bool) (*TopKResult[K], error) {
+	keyLess := e.comparators().keyLess
+	// worse loses a comparison: it is evicted from the bounded heap first.
+	worse := func(a, b comm.Entry[K]) bool { return keyLess(a.Key, b.Key) }
+	if bottom {
+		worse = func(a, b comm.Entry[K]) bool { return keyLess(b.Key, a.Key) }
+	}
 	p := e.opts.Procs
 	if len(parts) != p {
 		return nil, fmt.Errorf("core: got %d parts for %d processors", len(parts), p)
@@ -68,9 +75,12 @@ func (e *Engine[K]) selectK(parts [][]K, k int, worse func(a, b comm.Entry[K]) b
 			var partials [][]comm.Entry[K]
 			var pmu sync.Mutex
 			n.pool.ParallelFor(len(local), func(lo, hi int) {
-				src := &keySource[K]{keys: local, node: uint32(i), hi: lo}
-				src.next(hi - lo)
-				top := lsort.TopK(src.entries(make([]comm.Entry[K], hi-lo)), k, worse)
+				src := &keySource[K]{keys: local, node: uint32(i), lo: lo, hi: hi}
+				chunk := make([]comm.Entry[K], hi-lo)
+				for j := range chunk {
+					chunk[j] = src.entry(j)
+				}
+				top := lsort.TopK(chunk, k, worse)
 				pmu.Lock()
 				partials = append(partials, top)
 				pmu.Unlock()

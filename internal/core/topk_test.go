@@ -1,57 +1,61 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"testing"
 	"testing/quick"
 
+	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/transport"
 )
 
-func TestTopKMatchesFullSort(t *testing.T) {
-	e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2})
-	parts := mkParts(dist.Normal, 4, 5000, 17)
+// requireSelectKMatchesSort: TopK (or, with bottom, BottomK) over parts
+// carries, key byte for key byte, what Sort over the same parts has at
+// its top (bottom).
+func requireSelectKMatchesSort[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, bottom bool) {
+	t.Helper()
+	e, err := NewEngine[K](Options{Procs: len(parts), WorkersPerProc: 2}, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 	res, err := e.Sort(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{1, 5, 100, 1000} {
-		top, err := e.TopK(parts, k)
+	name, selectK, sorted := "TopK", e.TopK, res.Top
+	if bottom {
+		name, selectK, sorted = "BottomK", e.BottomK, res.Bottom
+	}
+	for _, k := range []int{1, 3, 40, 700} {
+		got, err := selectK(parts, k)
 		if err != nil {
-			t.Fatalf("TopK(%d): %v", k, err)
+			t.Fatalf("%s(%d): %v", name, k, err)
 		}
-		want := res.Top(k)
-		if len(top.Entries) != len(want) {
-			t.Fatalf("TopK(%d) = %d entries, want %d", k, len(top.Entries), len(want))
+		want := sorted(k)
+		if len(got.Entries) != len(want) {
+			t.Fatalf("%s(%d) = %d entries, the sort has %d", name, k, len(got.Entries), len(want))
 		}
 		for i := range want {
-			if top.Entries[i].Key != want[i].Key {
-				t.Fatalf("TopK(%d)[%d] = %d, full sort says %d",
-					k, i, top.Entries[i].Key, want[i].Key)
+			if !bytes.Equal(keyBytes(codec, got.Entries[i].Key), keyBytes(codec, want[i].Key)) {
+				t.Fatalf("%s(%d)[%d] = %v, the sort says %v", name, k, i, got.Entries[i].Key, want[i].Key)
 			}
 		}
 	}
 }
 
-func TestBottomKMatchesFullSort(t *testing.T) {
-	e := newTestEngine(t, Options{Procs: 3, WorkersPerProc: 2})
-	parts := mkParts(dist.Exponential, 3, 4000, 23)
-	res, err := e.Sort(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 7, 500} {
-		bottom, err := e.BottomK(parts, k)
-		if err != nil {
-			t.Fatalf("BottomK(%d): %v", k, err)
-		}
-		want := res.Bottom(k)
-		for i := range want {
-			if bottom.Entries[i].Key != want[i].Key {
-				t.Fatalf("BottomK(%d)[%d] = %d, full sort says %d",
-					k, i, bottom.Entries[i].Key, want[i].Key)
-			}
-		}
+// TestTopKMatchesFullSort and TestBottomKMatchesFullSort: selection runs
+// under the order Sort produces, for every key type of the differentials'
+// draw — float NaNs, which bare `<` cannot place, included.
+func TestTopKMatchesFullSort(t *testing.T)    { selectKMatchesFullSort(t, false) }
+func TestBottomKMatchesFullSort(t *testing.T) { selectKMatchesFullSort(t, true) }
+
+func selectKMatchesFullSort(t *testing.T, bottom bool) {
+	base := mkParts(dist.RightSkewed, 3, 1500, 23)
+	for _, kind := range keyKinds {
+		t.Run(kind.name(), func(t *testing.T) { kind.selectK(t, base, bottom) })
 	}
 }
 

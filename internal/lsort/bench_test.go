@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"pgxsort/internal/alloc"
 	"pgxsort/internal/dist"
 )
 
@@ -14,20 +13,6 @@ const benchN = 1 << 18
 
 func benchKeys(kind dist.Kind) []uint64 {
 	return dist.Gen{Kind: kind, Seed: 42}.Keys(benchN)
-}
-
-func BenchmarkQuicksort(b *testing.B) {
-	for _, kind := range []dist.Kind{dist.Uniform, dist.Sorted, dist.FewDistinct} {
-		b.Run(kind.String(), func(b *testing.B) {
-			keys := benchKeys(kind)
-			buf := make([]uint64, len(keys))
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				copy(buf, keys)
-				Quicksort(buf, lessU64)
-			}
-		})
-	}
 }
 
 func BenchmarkTimSort(b *testing.B) {
@@ -120,26 +105,17 @@ func BenchmarkParallelRadixSort(b *testing.B) {
 	}
 }
 
+// BenchmarkStdlibSort is the reference point beside BenchmarkRadixSort:
+// slices.Sort over the same flat keys, kind for kind.
 func BenchmarkStdlibSort(b *testing.B) {
-	keys := benchKeys(dist.Uniform)
-	buf := make([]uint64, len(keys))
-	b.SetBytes(benchN * 8)
-	for i := 0; i < b.N; i++ {
-		copy(buf, keys)
-		sort.Slice(buf, func(x, y int) bool { return buf[x] < buf[y] })
-	}
-}
-
-func BenchmarkParallelSort(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			keys := benchKeys(dist.Uniform)
+	for _, kind := range dist.AllKinds {
+		b.Run(kind.String(), func(b *testing.B) {
+			keys := benchKeys(kind)
 			buf := make([]uint64, len(keys))
-			var tr alloc.Tracker
 			b.SetBytes(benchN * 8)
 			for i := 0; i < b.N; i++ {
 				copy(buf, keys)
-				ParallelSort(buf, lessU64, workers, &tr)
+				slices.Sort(buf)
 			}
 		})
 	}

@@ -15,24 +15,6 @@ func bytesToKeys(data []byte) []uint64 {
 	return keys
 }
 
-func FuzzQuicksort(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(make([]byte, 256))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in := bytesToKeys(data)
-		got := append([]uint64(nil), in...)
-		Quicksort(got, lessU64)
-		want := append([]uint64(nil), in...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("mismatch at %d", i)
-			}
-		}
-	})
-}
-
 func FuzzTimSort(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0})

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pgxsort/internal/alloc"
 	"pgxsort/internal/dist"
 )
 
@@ -59,17 +58,6 @@ func testInputs() map[string][]uint64 {
 	return inputs
 }
 
-func TestQuicksort(t *testing.T) {
-	for name, in := range testInputs() {
-		in := in
-		t.Run(name, func(t *testing.T) {
-			got := append([]uint64(nil), in...)
-			Quicksort(got, lessU64)
-			checkSortedPermutation(t, in, got)
-		})
-	}
-}
-
 func TestTimSort(t *testing.T) {
 	for name, in := range testInputs() {
 		in := in
@@ -78,33 +66,6 @@ func TestTimSort(t *testing.T) {
 			TimSort(got, lessU64)
 			checkSortedPermutation(t, in, got)
 		})
-	}
-}
-
-func TestParallelSort(t *testing.T) {
-	for name, in := range testInputs() {
-		for _, workers := range []int{1, 2, 3, 4, 7, 8} {
-			in := in
-			t.Run(name, func(t *testing.T) {
-				var tr alloc.Tracker
-				got := append([]uint64(nil), in...)
-				ParallelSort(got, lessU64, workers, &tr)
-				checkSortedPermutation(t, in, got)
-				if tr.Live() != 0 {
-					t.Errorf("temporary memory leaked: %d bytes live", tr.Live())
-				}
-			})
-		}
-	}
-}
-
-func TestParallelSortTracksScratch(t *testing.T) {
-	var tr alloc.Tracker
-	in := dist.Gen{Kind: dist.Uniform, Seed: 1}.Keys(10000)
-	ParallelSort(in, lessU64, 4, &tr)
-	want := int64(10000 * 8)
-	if tr.Peak() != want {
-		t.Errorf("peak temp memory = %d, want %d (one scratch buffer)", tr.Peak(), want)
 	}
 }
 
@@ -363,18 +324,6 @@ func TestLowerUpperBound(t *testing.T) {
 	}
 }
 
-func TestInsertionSortStable(t *testing.T) {
-	type pair struct{ k, seq int }
-	in := []pair{{3, 0}, {1, 1}, {3, 2}, {1, 3}, {2, 4}}
-	insertionSort(in, func(a, b pair) bool { return a.k < b.k })
-	want := []pair{{1, 1}, {1, 3}, {2, 4}, {3, 0}, {3, 2}}
-	for i := range want {
-		if in[i] != want[i] {
-			t.Fatalf("insertionSort = %v, want %v", in, want)
-		}
-	}
-}
-
 func TestMinRunLength(t *testing.T) {
 	for _, c := range []struct{ n, want int }{
 		{31, 31}, {32, 16}, {33, 17}, {64, 16}, {65, 17},
@@ -397,25 +346,6 @@ func TestCountRunAndMakeAscending(t *testing.T) {
 	}
 	if b[0] != 3 || b[1] != 4 || b[2] != 5 {
 		t.Errorf("descending run not reversed: %v", b)
-	}
-}
-
-// Property: Quicksort output equals stdlib sort for arbitrary inputs.
-func TestPropertyQuicksortMatchesStdlib(t *testing.T) {
-	f := func(in []uint64) bool {
-		got := append([]uint64(nil), in...)
-		Quicksort(got, lessU64)
-		want := append([]uint64(nil), in...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

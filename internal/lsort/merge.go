@@ -1,20 +1,20 @@
 // Package lsort implements the local (single-node) sorting machinery the
-// paper builds on: sequential and chunked-parallel quicksort, the balanced
-// pairwise merging handler of Figure 2, TimSort (the algorithm Spark's
-// sortByKey uses per partition), and the loser-tree k-way merges that
-// stream spilled runs back (MergeCursors) and serve as the balanced
+// paper builds on: the chunked-parallel radix sorts of step 1, the
+// balanced pairwise merging handler of Figure 2, TimSort (the algorithm
+// Spark's sortByKey uses per partition), and the loser-tree k-way merges
+// that stream spilled runs back (MergeCursors) and serve as the balanced
 // handler's measured counterpart (KWayMerge).
 //
-// These are generic over the element type with an explicit less function,
-// mirroring the paper's claim that the sorting library "is generic and
-// works with any data type". The exception is what the engine runs for
-// keys with a uint64 norm, all over fixed 16-byte (norm, index) refs and
-// therefore non-generic whatever the element is: step 1's closure-free
-// radix (SortNormRefs), and step 6's balanced merge of ref runs
-// (MergeNormRefRuns) — the same Figure 2 round scheduler and intra-merge
-// split as the generic handler (balancedMerge, parallelMerge), written
-// once over a two-run kernel, with only that kernel specialised. The
-// cursor merge has the matching shortcut: MergeCursorsNorm keeps each
+// The merges are generic over the element type with an explicit less
+// function, mirroring the paper's claim that the sorting library "is
+// generic and works with any data type". What the engine itself runs is
+// not: every ordered key has a uint64 norm, so steps 1 and 6 work over
+// fixed 16-byte (norm, index) refs whatever the element is — step 1's
+// closure-free radix (SortNormRefs), and step 6's balanced merge of ref
+// runs (MergeNormRefRuns) — the same Figure 2 round scheduler and
+// intra-merge split as the generic handler (balancedMerge, parallelMerge),
+// written once over a two-run kernel, with only that kernel specialised.
+// The cursor merge has the matching shortcut: MergeCursorsNorm keeps each
 // cursor's head norm beside the tree and compares those.
 package lsort
 

@@ -141,8 +141,8 @@ func MergeNormRefRuns(refs, scratch []NormRef, bounds []int, parallel bool) (out
 // The sort is stable. Refs built in position order therefore come out
 // ordered by (Norm, Idx) — the local form of ordering by key then
 // provenance — and the result is the same for every workers: data is
-// divided equally among the workers as in ParallelSort, each chunk is
-// radix-sorted (radixNormRefs), and the chunks are combined by the
+// divided equally among the workers as in the paper's step 1, each chunk
+// is radix-sorted (radixNormRefs), and the chunks are combined by the
 // balanced merging handler of Figure 2 (MergeNormRefRuns), whose merges
 // and co-rank splits keep left-run-first tie order.
 func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
@@ -177,7 +177,12 @@ func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 // refs, where 8-bit digits need three and measured slower (CHANGES.md, PR 21).
 const refDigitBits = 11
 
-// insertionSortNormRefs is insertionSort(refs, normRefLess), closure-free.
+// insertionCutoff sizes the small cases: up to twice it a ref sort is
+// an insertion sort, and an input is not worth splitting among workers.
+// 12-24 is the classic sweet spot; 16 benchmarks best here.
+const insertionCutoff = 16
+
+// insertionSortNormRefs is a stable insertion sort of refs by Norm.
 func insertionSortNormRefs(refs []NormRef) {
 	for i := 1; i < len(refs); i++ {
 		r, j := refs[i], i

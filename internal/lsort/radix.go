@@ -10,8 +10,8 @@ const radixBits = 8
 const maxRadixPasses = 64 / radixBits
 
 // RadixSort sorts s by the uint64 image key(e), least-significant byte
-// first, moving whole elements: where Quicksort pays a less-closure call
-// per comparison (~n log n of them), radix pays a fixed number of
+// first, moving whole elements: where a comparison sort pays a
+// less-closure call per comparison (~n log n of them), radix pays a fixed number of
 // counting passes — and skips every pass whose byte column is constant
 // across the data, so small-domain, few-distinct and constant inputs
 // finish in one or two passes instead of eight. The engine's step 1
@@ -91,8 +91,8 @@ func RadixSort[E any](s, scratch []E, key func(E) uint64, keyBits int) {
 }
 
 // ParallelRadixSort is RadixSort chunked across workers, the shape
-// SortNormRefs follows: data is divided equally among workers (the same
-// chunking as ParallelSort), each worker radix-sorts its chunk against
+// SortNormRefs follows: data is divided equally among workers (the
+// paper's step-1 chunking), each worker radix-sorts its chunk against
 // its slice of the shared scratch buffer, and the sorted chunks are
 // combined with the balanced merging handler of Figure 2. less must
 // order exactly as key does (e.g. compare key images); it drives the

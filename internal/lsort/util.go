@@ -1,14 +1,5 @@
 package lsort
 
-import "unsafe"
-
-// elemSize reports the in-memory size of one element of type E, used for
-// temporary-memory accounting (Figure 11).
-func elemSize[E any]() uintptr {
-	var e E
-	return unsafe.Sizeof(e)
-}
-
 // IsSorted reports whether s is non-decreasing under less.
 func IsSorted[E any](s []E, less func(x, y E) bool) bool {
 	for i := 1; i < len(s); i++ {

@@ -178,11 +178,12 @@ func (s *selection[E]) ranks(jlo, jhi int, lo, hi []int, depth int, some E) {
 // constant factor per pair of rounds in expectation however the runs
 // overlap. The choice decides the time taken, never the element returned.
 //
-// That needs less to be a strict weak order. Under one that is not (float
-// keys with NaN on the comparison path) the runs have no ranks to speak
-// of; the candidate's own position still leaves its window every round, so
-// the rounds end, and the last candidate (some, if the windows were empty
-// to begin with) is returned where the merge would have returned another.
+// That needs less to be a strict weak order, which the engine's
+// comparators are (norm, then key). Under a caller's less that is not,
+// the runs have no ranks to speak of; the candidate's own position still
+// leaves its window every round, so the rounds end, and the last
+// candidate (some, if the windows were empty to begin with) is returned
+// where the merge would have returned another.
 func selectRank[E any](runs [][]E, lo, hi, at []int, k int, less func(a, b E) bool, some E) E {
 	x := some
 	draw := uint64(k)

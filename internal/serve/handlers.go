@@ -108,12 +108,11 @@ type sortRequest struct {
 // reportSummary is the engine-facing slice of one sort's Report that
 // rides in the JSON response.
 type reportSummary struct {
-	EngineMS      float64 `json:"engine_ms"`
-	BytesSent     int64   `json:"bytes_sent"`
-	MsgsSent      int64   `json:"msgs_sent"`
-	LocalSortPath string  `json:"local_sort"`
-	MergePath     string  `json:"merge"`
-	AdmitWaitMS   float64 `json:"admit_wait_ms"`
+	EngineMS    float64 `json:"engine_ms"`
+	BytesSent   int64   `json:"bytes_sent"`
+	MsgsSent    int64   `json:"msgs_sent"`
+	MergePath   string  `json:"merge"`
+	AdmitWaitMS float64 `json:"admit_wait_ms"`
 }
 
 type sortResponse struct {
@@ -619,12 +618,11 @@ func (j *job) writeSorted(sorted []byte, cached, degraded bool, rep *core.Report
 	}
 	if rep != nil {
 		resp.Report = &reportSummary{
-			EngineMS:      ms(rep.Total),
-			BytesSent:     rep.BytesSent,
-			MsgsSent:      rep.MsgsSent,
-			LocalSortPath: rep.LocalSortPath,
-			MergePath:     rep.MergePath,
-			AdmitWaitMS:   ms(rep.Sched.AdmitWait),
+			EngineMS:    ms(rep.Total),
+			BytesSent:   rep.BytesSent,
+			MsgsSent:    rep.MsgsSent,
+			MergePath:   rep.MergePath,
+			AdmitWaitMS: ms(rep.Sched.AdmitWait),
 		}
 	}
 	writeJSON(j.w, resp)

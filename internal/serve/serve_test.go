@@ -130,7 +130,7 @@ func TestSortJSONRoundTrip(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if sr.Report == nil || sr.Report.LocalSortPath == "" {
+	if sr.Report == nil || sr.Report.MergePath == "" {
 		t.Fatalf("missing report summary: %+v", sr.Report)
 	}
 }

@@ -8,10 +8,11 @@
 // and a network endpoint (in-process channels or real TCP loopback), and
 // sorts distributed data with the paper's six-step sample sort:
 //
-//  1. parallel local sort — per-chunk quicksort, or LSD radix when the key
-//     normalizes to uint64 — merged with the balanced merging handler (in
-//     budget-sized chunks through spill files when a processor's share
-//     exceeds Options.MemoryBudget)
+//  1. parallel local sort — per-chunk radix over (norm, index) refs of
+//     the keys, every ordered kind having an order-preserving uint64 norm —
+//     merged with the balanced merging handler (in budget-sized chunks
+//     through spill files when a processor's share exceeds
+//     Options.MemoryBudget)
 //  2. regular sampling (one 256KB/p buffer of samples to the master)
 //  3. master splitter selection and broadcast
 //  4. binary-search range partitioning with the duplicate-splitter
@@ -142,7 +143,7 @@ const (
 const DefaultMaxInflight = core.DefaultMaxInflight
 
 // Built-in key codecs for the TCP transport. StringCodec is
-// variable-width (length-prefixed) and radix-eligible through its 8-byte
+// variable-width (length-prefixed) and ordered through its inexact 8-byte
 // prefix normalization; see comm.StringCodec.
 var (
 	Uint64Codec  = comm.U64Codec{}
