@@ -123,8 +123,8 @@ func cmdSort(args []string) error {
 	noInv := fs.Bool("no-investigator", false, "disable the duplicate-splitter investigator")
 	keytype := fs.String("keytype", "uint64", "key type: uint64, float64 or string")
 	recBytes := fs.Int("recbytes", 0, "attach an N-byte synthetic payload per key (sorts through the record path)")
-	memBudget := fs.String("mem-budget", "", "per-node temporary-memory budget (e.g. 64M, 2G); sorts spill block-file runs to -spill-dir beyond it")
-	spillDir := fs.String("spill-dir", "", "directory for spill run files (default: system temp dir)")
+	memBudget := fs.String("mem-budget", "", "per-node temporary-memory budget (e.g. 64M, 2G); sorts spill runs to scratch files in -spill-dir beyond it")
+	spillDir := fs.String("spill-dir", "", "directory for spill scratch files (default: system temp dir)")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("sort: -in and -out required")

@@ -395,7 +395,6 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 			runs: runFormer[K]{
 				ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
 				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker,
-				spillDir: e.opts.SpillDir, dirPattern: "pgxsort-spill-*",
 			},
 		}
 		if err := checkShare(runs[i].src); err != nil {

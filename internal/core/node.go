@@ -12,6 +12,7 @@ import (
 	"pgxsort/internal/datamgr"
 	"pgxsort/internal/failpoint"
 	"pgxsort/internal/sample"
+	"pgxsort/internal/spill"
 	"pgxsort/internal/transport"
 )
 
@@ -34,12 +35,12 @@ type sortRun[K cmp.Ordered] struct {
 	// pending holds the completed exchange between partitionExchange
 	// returning and the merge consuming it, so every exit from run that
 	// never reaches the merge — an error at the stage boundary, a panic —
-	// discards it (slabs back to the pool, spill files removed).
+	// discards it (slabs back to the pool, scratch file removed).
 	pending exchangeSink[K]
-	// runs is this run's step-1 former. Its scratch directory also holds
-	// the spilled exchange's run files; it is created the first time a
-	// stage exceeds Options.MemoryBudget and removed when the run exits
-	// either way.
+	// runs is this run's step-1 former, which also merges the spilled
+	// exchange's runs back. A stage that exceeds Options.MemoryBudget has
+	// one scratch file while its runs exist: step 1's is localSort's, the
+	// exchange's is its sink's.
 	runs runFormer[K]
 
 	// Traffic counters are atomics, not a mutex: sends to different
@@ -263,7 +264,6 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	s.markTransportBaseline()
 	defer s.leaveAllStages()
 	defer s.foldTraffic()
-	defer s.runs.removeScratch()
 	// Innermost defer, so it runs before the traffic fold and the stage
 	// forfeits: a stage panic (an injected failpoint or a real bug)
 	// becomes this node's error instead of killing the process, and on
@@ -346,9 +346,9 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 // subslices travel through the exchange). A share that fits is one chunk,
 // written into the buffer once, already in order; under an exact norm a
 // share whose entries alone exceed Options.MemoryBudget is formed in
-// budget-sized chunks that land in the head of the buffer, spill to block
-// files, and stream-merge back over it — the same bytes, a fraction of
-// the temporary memory.
+// budget-sized chunks that land in the head of the buffer, spill to a
+// scratch file as one run each, and stream-merge back over it — the same
+// bytes, a fraction of the temporary memory.
 func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	t0 := time.Now()
 	entries := s.node.entryPool.Get(s.src.size())
@@ -364,10 +364,22 @@ func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 		// spills for it.)
 		chunk = chunkEntries(budget, eb, 1)
 	}
-	chunked := chunk < len(entries)
-	runs, err := s.runs.form(s.src, entries[:chunk], chunk, "lsort", chunked)
-	if err == nil && chunked {
+	var scratch *spill.Scratch
+	if chunk < len(entries) {
+		var err error
+		if scratch, err = spill.NewScratch(s.opts.SpillDir); err != nil {
+			return nil, err
+		}
+		defer scratch.Close() // a panic's way out; every other closes it below
+	}
+	runs, err := s.runs.form(s.src, entries[:chunk], chunk, scratch)
+	if err == nil && scratch != nil {
 		err = s.runs.mergeInto(entries, runs)
+	}
+	// The chunk runs go before the exchange spills its own, and a scratch
+	// that will not go is disk leaking: this sort's failure.
+	if cerr := scratch.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		return nil, err
@@ -449,7 +461,7 @@ func (s *sortRun[K]) splitterAgreement(entries []comm.Entry[K]) ([]K, error) {
 // range-metadata broadcast, and the simultaneous all-to-all exchange at
 // precomputed offsets into the sink newExchangeSink picks. On error the
 // sink is discarded, so a cancelled sort cannot inflate the node's
-// tracker, leak slabs or leave spill files for later sorts on the same
+// tracker, leak slabs or leave a scratch file for later sorts on the same
 // engine.
 func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (_ exchangeSink[K], err error) {
 	n := s.node

@@ -86,17 +86,19 @@ type Options struct {
 	// MemoryBudget caps each node's *temporary* entry memory (the merge
 	// scratch, exchange assembly and other tracker-accounted staging —
 	// the TempPeakBytes column, not the resident input/result). When a
-	// stage would allocate past the budget it spills sorted runs to
-	// block files under SpillDir instead (internal/spill) and streams
+	// stage would allocate past the budget it spills sorted runs to a
+	// scratch file under SpillDir instead (internal/spill) and streams
 	// them back through the merge, byte-identical to the in-memory run.
 	// Zero reads the MemBudgetEnv environment variable (unset or
 	// unparsable means unlimited); negative is explicitly unlimited,
 	// ignoring the environment.
 	MemoryBudget int64
-	// SpillDir is where spilled run files live; each sort creates (and
-	// removes) its own temporary directory underneath. Empty uses the
-	// system temp dir. Put it on the fastest disk available: spill I/O
-	// sits on the local-sort and merge critical paths.
+	// SpillDir is where spilled runs live: a stage that spills creates one
+	// scratch file (pgxsort-*.scratch) directly in it for all of its runs
+	// and removes it once they are merged back, so a node holds two at
+	// most and a sort leaves nothing behind. Empty uses the system temp
+	// dir. Put it on the fastest disk available: spill I/O sits on the
+	// local-sort and merge critical paths.
 	SpillDir string
 }
 

@@ -154,10 +154,11 @@ type NodeReport struct {
 	// result), the analogue of RSS in Figure 11.
 	ResidentBytes int64
 	// SpillBytes / SpillReads count the bytes this node wrote to and read
-	// back from spill run files while honouring Options.MemoryBudget.
-	// Zero when the whole sort fit the budget. SpillReads/SpillBytes is
-	// the node's spill read amplification: 1.0 means every spilled byte
-	// was read back exactly once.
+	// back from scratch files while honouring Options.MemoryBudget —
+	// block bytes, which is all a scratch file holds. Zero when the whole
+	// sort fit the budget. SpillReads/SpillBytes is the node's spill read
+	// amplification: 1.0 means every spilled byte was read back exactly
+	// once.
 	SpillBytes int64
 	SpillReads int64
 	// StageWait is the time this node spent blocked at each scheduler
@@ -204,8 +205,8 @@ type Report struct {
 	// totals per-node entry storage (Figure 11).
 	TempPeakBytes int64
 	ResidentBytes int64
-	// SpillBytes / SpillReads total the spill-file traffic across nodes
-	// (bytes written to and read back from block-file runs under
+	// SpillBytes / SpillReads total the spill traffic across nodes (block
+	// bytes written to and read back from scratch files under
 	// Options.MemoryBudget). Zero means the sort ran entirely in memory.
 	SpillBytes int64
 	SpillReads int64

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"unsafe"
 
@@ -22,10 +20,10 @@ import (
 // its share in parallel chunks and combines them with the balanced
 // handler — has one implementation here, the run former, whatever the
 // input is (bare keys, records, a section of an upload spool) and
-// wherever the sorted runs end up (the node's entry buffer, run files
-// under a scratch directory). Where a run lives is a property of the run;
-// the merge side already treats it that way through lsort.Cursor, and the
-// former is the same idea on the formation side.
+// wherever the sorted runs end up (the node's entry buffer, blocks of a
+// scratch file). Where a run lives is a property of the run; the merge
+// side already treats it that way through lsort.Cursor, and the former is
+// the same idea on the formation side.
 
 // entrySource is one node's step-1 input. The former pulls it a chunk at
 // a time and addresses the staged chunk by position: it sorts 16-byte
@@ -238,16 +236,13 @@ type runFormer[K cmp.Ordered] struct {
 	pool    *alloc.SlabPool[comm.Entry[K]]
 	refPool *alloc.SlabPool[lsort.NormRef]
 	tracker *alloc.Tracker
-	// Run files live in a private directory created under spillDir (the
-	// system temp dir when empty) from dirPattern the first time one is
-	// needed; removeScratch deletes it and everything left inside.
-	spillDir   string
-	dirPattern string
-	dir        string
-	blockBytes int // run-file block size; 0 is the spill tier's default
+	// Spilled runs are blocks of a scratch file, one file per spilling
+	// stage: whoever needs the stage's runs on disk creates it, hands it
+	// to form or writeRun, and closes it once the runs are consumed.
+	blockBytes int // spilled block size; 0 is the spill tier's default
 
-	// Bytes written to and read back from run files: the Report's
-	// SpillBytes and SpillReads.
+	// Bytes written to and read back from scratch files (and read from the
+	// spool): the Report's SpillBytes and SpillReads.
 	spillBytes atomic.Int64
 	spillReads atomic.Int64
 }
@@ -282,28 +277,6 @@ func (f *runFormer[K]) giveRefs(slab []lsort.NormRef) {
 	f.refPool.Put(slab)
 }
 
-// scratchDir returns the former's run-file directory, creating it on
-// first use. Not safe for concurrent first use.
-func (f *runFormer[K]) scratchDir() (string, error) {
-	if f.dir == "" {
-		dir, err := os.MkdirTemp(f.spillDir, f.dirPattern)
-		if err != nil {
-			return "", fmt.Errorf("core: create spill dir: %w", err)
-		}
-		f.dir = dir
-	}
-	return f.dir, nil
-}
-
-func (f *runFormer[K]) removeScratch() error {
-	if f.dir == "" {
-		return nil
-	}
-	dir := f.dir
-	f.dir = ""
-	return os.RemoveAll(dir)
-}
-
 // chunkEntries sizes a step-1 chunk under budget: half the budget for
 // the chunk, half for what sorting it takes (the refs need less: 32 B an
 // entry), at least floor entries so tiny budgets still make progress.
@@ -312,14 +285,14 @@ func chunkEntries(budget, eb int64, floor int) int {
 }
 
 // form is step 1 for one source. It pulls the source one chunk (at most
-// chunk entries) at a time and sorts each; with toRuns every sorted chunk
-// is written out as the run file <name>-<i>.spill and the paths come back
-// in chunk order, otherwise the source must fit one chunk, which stays in
-// buf. buf, a chunk long, is where a source that does not stage its own
-// entries has them land; one that does needs none. Chunk sorts are stable
-// under an exact norm, so merging the runs in order reproduces the
-// one-chunk sort entry for entry at any chunk size.
-func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, name string, toRuns bool) (runs []string, err error) {
+// chunk entries) at a time and sorts each; given a scratch file every
+// sorted chunk is written to it as a run and the runs come back in chunk
+// order, without one the source must fit one chunk, which stays in buf.
+// buf, a chunk long, is where a source that does not stage its own entries
+// has them land; one that does needs none. Chunk sorts are stable under an
+// exact norm, so merging the runs in order reproduces the one-chunk sort
+// entry for entry at any chunk size.
+func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, to *spill.Scratch) (runs []spill.Run, err error) {
 	chunk = min(chunk, src.size())
 	refs := f.takeRefs(2 * chunk) // the chunk's refs, then as many of scratch
 	defer f.giveRefs(refs)
@@ -335,14 +308,14 @@ func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, 
 			return runs, nil
 		}
 		sorted := f.sortChunk(src, n, buf, refs)
-		if !toRuns {
+		if to == nil {
 			return nil, nil
 		}
-		path, err := f.writeRun(fmt.Sprintf("%s-%d.spill", name, len(runs)), sorted, nil)
+		run, err := f.writeRun(to, sorted, nil)
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, path)
+		runs = append(runs, run)
 		if n < chunk {
 			return runs, nil
 		}
@@ -350,11 +323,12 @@ func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, 
 }
 
 // formSection is step 1 for one node of a spooled job: entries
-// [lo, lo+n) of the spool become sorted runs of at most chunk entries.
-// Nothing stays resident — the staging chunk is the former's own,
-// tracker-accounted like its refs; the two (40 + 32 B an entry) stay under
-// the two entry slabs the budget's chunk size was derived from.
-func (f *runFormer[K]) formSection(in SpooledInput, node int, lo, n uint64, chunk int) ([]string, error) {
+// [lo, lo+n) of the spool become sorted runs of at most chunk entries in
+// the scratch file the job's sections share. Nothing stays resident — the
+// staging chunk is the former's own, tracker-accounted like its refs; the
+// two (40 + 32 B an entry) stay under the two entry slabs the budget's
+// chunk size was derived from.
+func (f *runFormer[K]) formSection(in SpooledInput, node int, lo, n uint64, chunk int, to *spill.Scratch) ([]spill.Run, error) {
 	sec, err := spill.NewRunReaderSection(in.Path, f.codec, f.readerOpts(), lo, n)
 	if err != nil {
 		return nil, err
@@ -370,7 +344,7 @@ func (f *runFormer[K]) formSection(in SpooledInput, node int, lo, n uint64, chun
 	chunk = min(chunk, src.size())
 	src.staged = f.take(chunk)
 	defer f.give(src.staged)
-	return f.form(src, nil, chunk, fmt.Sprintf("run-%d", node), true)
+	return f.form(src, nil, chunk, to)
 }
 
 // sortChunk is the step-1 kernel: it returns the source's staged chunk of
@@ -394,90 +368,66 @@ func (f *runFormer[K]) sortChunk(src entrySource[K], n int, buf []comm.Entry[K],
 }
 
 // writeRun writes a sorted stream — chunk, then whatever more yields (nil
-// for nothing more) — to a new run file in the scratch directory and
-// returns its path. A failed or cancelled write leaves no file behind.
-func (f *runFormer[K]) writeRun(name string, chunk []comm.Entry[K], more lsort.Cursor[comm.Entry[K]]) (string, error) {
-	dir, err := f.scratchDir()
-	if err != nil {
-		return "", err
-	}
-	w, err := spill.NewWriter(filepath.Join(dir, name), f.codec, f.blockBytes)
-	if err != nil {
-		return "", err
-	}
+// for nothing more) — to the scratch file as one run. A failed or
+// cancelled write costs the scratch some dead bytes and nothing else.
+func (f *runFormer[K]) writeRun(to *spill.Scratch, chunk []comm.Entry[K], more lsort.Cursor[comm.Entry[K]]) (spill.Run, error) {
+	w := spill.NewRunWriter(to, f.codec, f.blockBytes)
+	defer w.Abort() // lets go of the block buffer on the error exits; nothing after Finish
 	for {
 		if err := w.Append(chunk); err != nil {
-			return "", err
+			return spill.Run{}, err
 		}
 		if more == nil {
 			break
 		}
+		var err error
 		if chunk, err = more.Next(); err == nil {
 			err = f.ctx.Err()
 		}
 		if err != nil {
-			w.Abort()
-			return "", err
+			return spill.Run{}, err
 		}
 		if len(chunk) == 0 {
 			break
 		}
 	}
 	if err := w.Finish(); err != nil {
-		return "", err
+		return spill.Run{}, err
 	}
 	f.spillBytes.Add(w.BytesWritten())
-	return w.Path(), nil
+	return w.Run(), nil
 }
 
-// open opens run files as merge cursors, one per path in order; an empty
-// path stands for an empty run, so cursor index — the merge's tie-break —
-// stays the caller's run index. The returned func folds the bytes read
-// into spillReads, closes the readers and removes the files; a partial
-// open unwinds the same way before the error returns.
-func (f *runFormer[K]) open(paths []string) ([]lsort.Cursor[comm.Entry[K]], func() error, error) {
-	cursors := make([]lsort.Cursor[comm.Entry[K]], len(paths))
-	readers := make([]*spill.RunReader[K], 0, len(paths))
-	done := func() error {
-		var first error
-		for _, r := range readers {
-			f.spillReads.Add(r.BytesRead())
-			if err := r.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		for _, p := range paths {
-			if p != "" {
-				os.Remove(p)
-			}
-		}
-		return first
-	}
-	for i, p := range paths {
-		if p == "" {
+// open opens runs as merge cursors, one per run in order; an empty run
+// gets an empty cursor, so cursor index — the merge's tie-break — stays
+// the caller's run index. Nothing is read yet, so nothing can fail. The
+// returned func folds the bytes read into spillReads and closes the
+// readers; the runs' scratch file is the caller's to close after it.
+func (f *runFormer[K]) open(runs []spill.Run) ([]lsort.Cursor[comm.Entry[K]], func()) {
+	cursors := make([]lsort.Cursor[comm.Entry[K]], len(runs))
+	for i, run := range runs {
+		if run.Entries() == 0 {
 			cursors[i] = lsort.NewSliceCursor[comm.Entry[K]](nil)
 			continue
 		}
-		r, err := spill.NewRunReader(p, f.codec, f.readerOpts())
-		if err != nil {
-			done()
-			return nil, nil, err
-		}
-		readers = append(readers, r)
-		cursors[i] = r
+		cursors[i] = spill.OpenRun(run, f.codec, f.readerOpts())
 	}
-	return cursors, done, nil
+	return cursors, func() {
+		for _, c := range cursors {
+			if r, ok := c.(*spill.RunReader[K]); ok {
+				f.spillReads.Add(r.BytesRead())
+				r.Close()
+			}
+		}
+	}
 }
 
 // mergeInto streams the runs back into dst, which they must fill
 // exactly. The merge is stable and takes the runs in order. Decoded
 // batches are fresh slabs, so dst may be the buffer the runs were staged
 // in.
-func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], paths []string) error {
-	cursors, done, err := f.open(paths)
-	if err != nil {
-		return err
-	}
+func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
+	cursors, done := f.open(runs)
 	filled, err := lsort.MergeCursorsNorm(dst, cursors, f.cmps.headNorm, f.cmps.headLess)
 	done()
 	if err == nil && filled != len(dst) {
@@ -488,16 +438,14 @@ func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], paths []string) error {
 }
 
 // stream merges the runs into one sorted stream of batches of up to
-// batchLen entries. The returned func releases the batch and the runs.
-func (f *runFormer[K]) stream(paths []string, batchLen int) (lsort.Cursor[comm.Entry[K]], func() error, error) {
-	cursors, closeRuns, err := f.open(paths)
-	if err != nil {
-		return nil, nil, err
-	}
+// batchLen entries. The returned func releases the batch and closes the
+// runs' readers.
+func (f *runFormer[K]) stream(runs []spill.Run, batchLen int) (lsort.Cursor[comm.Entry[K]], func(), error) {
+	cursors, closeRuns := f.open(runs)
 	batch := f.take(batchLen)
-	done := func() error {
+	done := func() {
 		f.give(batch)
-		return closeRuns()
+		closeRuns()
 	}
 	mc, err := lsort.NewMergeCursor(cursors, f.cmps.headNorm, f.cmps.headLess, batch)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/lsort"
+	"pgxsort/internal/spill"
 )
 
 // coarseNormCodec is U64Codec under an inexact norm: keys differing only
@@ -25,7 +26,7 @@ func (coarseNormCodec) NormInexact() bool    { return true }
 // TestRunFormerSourcesAndChunks holds the three entry sources to one
 // result: the same keys as bare keys, as records and as a section of an
 // upload spool, under an exact and an inexact norm, formed in one chunk,
-// in several chunks spilled to run files and merged back, or in chunks of
+// in several chunks spilled to a scratch file and merged back, or in chunks of
 // one entry, must give entry for entry — key, payload, origin node and
 // index — the records stable-sorted by key here, ties in provenance
 // order. After each, every slab is back in its pool and the tracker is at
@@ -47,7 +48,7 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 		key  comm.Codec[uint64]
 	}{{"exact", comm.U64Codec{}}, {"inexact", coarseNormCodec{}}}
 	// One chunk, several chunks, chunks of one entry (over a short prefix:
-	// every chunk is a run file the merge holds open).
+	// every chunk is a run the merge holds a reader on).
 	shapes := []struct{ m, chunk int }{{n, n}, {n, 700}, {40, 1}}
 	for _, norm := range norms {
 		codec := comm.NewRecordCodec[uint64](norm.key)
@@ -64,7 +65,6 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 			return &runFormer[uint64]{
 				ctx: context.Background(), codec: codec, cmps: cmps, workers: 2,
 				pool: &alloc.SlabPool[comm.Entry[uint64]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
-				spillDir: t.TempDir(), dirPattern: "former-*",
 			}
 		}
 		// The spool holds the records in arrival order with no provenance;
@@ -73,13 +73,16 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 
 		// A formFn runs the first m entries of one source through the
 		// former and returns them sorted, copied out before the slabs go
-		// back.
-		type formFn func(f *runFormer[uint64], m, chunk int) ([]comm.Entry[uint64], error)
+		// back. Whatever spills goes to scratch.
+		type formFn func(f *runFormer[uint64], m, chunk int, scratch *spill.Scratch) ([]comm.Entry[uint64], error)
 		inMemory := func(src func(m int) entrySource[uint64]) formFn {
-			return func(f *runFormer[uint64], m, chunk int) ([]comm.Entry[uint64], error) {
+			return func(f *runFormer[uint64], m, chunk int, scratch *spill.Scratch) ([]comm.Entry[uint64], error) {
 				buf := f.take(m)
 				defer f.give(buf)
-				runs, err := f.form(src(m), buf[:chunk], chunk, "chunk", chunk < m)
+				if chunk == m {
+					scratch = nil
+				}
+				runs, err := f.form(src(m), buf[:chunk], chunk, scratch)
 				if err == nil && chunk < m {
 					err = f.mergeInto(buf, runs)
 				}
@@ -89,8 +92,8 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 		sources := map[string]formFn{
 			"keys":    inMemory(func(m int) entrySource[uint64] { return &keySource[uint64]{keys: keys[:m], node: node} }),
 			"records": inMemory(func(m int) entrySource[uint64] { return &recSource[uint64]{recs: recs[:m], node: node} }),
-			"section": func(f *runFormer[uint64], m, chunk int) ([]comm.Entry[uint64], error) {
-				runs, err := f.formSection(SpooledInput{Path: spool, N: m}, node, 0, uint64(m), chunk)
+			"section": func(f *runFormer[uint64], m, chunk int, scratch *spill.Scratch) ([]comm.Entry[uint64], error) {
+				runs, err := f.formSection(SpooledInput{Path: spool, N: m}, node, 0, uint64(m), chunk, scratch)
 				if err != nil {
 					return nil, err
 				}
@@ -108,14 +111,19 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 			slices.SortStableFunc(want, func(a, b comm.Entry[uint64]) int { return cmp.Compare(a.Key, b.Key) })
 			for name, form := range sources {
 				t.Run(fmt.Sprintf("%s/%s/%d-by-%d", norm.name, name, m, chunk), func(t *testing.T) {
-					f := newFormer()
-					got, err := form(f, m, chunk)
+					f, dir := newFormer(), t.TempDir()
+					scratch, err := spill.NewScratch(dir)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := f.removeScratch(); err != nil {
+					got, err := form(f, m, chunk, scratch)
+					if err != nil {
 						t.Fatal(err)
 					}
+					if err := scratch.Close(); err != nil {
+						t.Fatal(err)
+					}
+					requireEmptyDir(t, dir)
 					if gets, _, puts := f.pool.Stats(); gets != puts {
 						t.Fatalf("former took %d entry slabs and returned %d", gets, puts)
 					}

@@ -16,8 +16,8 @@ import (
 // one of merge and discard consumes it. merge produces the node's sorted
 // part; discard abandons a sink whose merge will never run (a failure
 // during or after the exchange). Either way the sink gives back everything
-// it holds — pooled slabs, tracker-accounted temporary memory, run files —
-// so an error exit cannot leak into later sorts on the same engine.
+// it holds — pooled slabs, tracker-accounted temporary memory, a scratch
+// file — so an error exit cannot leak into later sorts on the same engine.
 //
 // There are two implementations, chosen by newExchangeSink from what the
 // sort observes: residentSink when the assembled runs fit
@@ -41,11 +41,7 @@ func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 		total += c
 	}
 	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*int64(eb) > budget {
-		dir, err := s.runs.scratchDir()
-		if err != nil {
-			return nil, err
-		}
-		sp, err := datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, dir)
+		sp, err := datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, s.opts.SpillDir)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +174,7 @@ func (r *residentSink[K]) discard() {
 	r.s.node.entryPool.Put(r.Entries())
 }
 
-// spilledSink lands each source's run in its own block file and merges
+// spilledSink lands every source's run in one scratch file and merges
 // them back through streaming cursors, so the assembled runs are never
 // resident.
 type spilledSink[K cmp.Ordered] struct {
@@ -190,14 +186,19 @@ type spilledSink[K cmp.Ordered] struct {
 // cursor per source, an empty one for sources that sent nothing, so
 // tie-breaking by cursor index stays source order — straight into the
 // result buffer. Temporary memory is just the decoded-ahead blocks — two
-// slabs per non-empty source — however large the runs are. mergeInto
-// removes the run files on every path, which is all Close would do for
-// an assembly whose runs are all sealed.
+// slabs per non-empty source — however large the runs are. The scratch
+// file goes on every path; one that will not go fails the merge, because
+// nothing else would ever say the disk is leaking.
 func (sp *spilledSink[K]) merge() ([]comm.Entry[K], error) {
 	s := sp.s
+	defer sp.Close() // a panic's way out; every other closes it below
 	s.runs.spillBytes.Add(sp.SpillBytes())
 	merged := s.node.entryPool.Get(sp.Total())
-	if err := s.runs.mergeInto(merged, sp.Paths()); err != nil {
+	err := s.runs.mergeInto(merged, sp.Runs())
+	if cerr := sp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		s.node.entryPool.Put(merged)
 		return nil, err
 	}

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
+	"pgxsort/internal/spill"
 )
 
 // poolTraffic totals every node's slab-pool gets and puts, entry and ref
@@ -23,69 +26,132 @@ func poolTraffic(e *Engine[uint64]) (gets, puts int64) {
 	return gets, puts
 }
 
+// sinkExit is one way out of a sort around its exchange sink: how to arm
+// it (cancel aborts the sort's context) and what the failed sort's error
+// must be — a failure in stage, or, with cancelled set, context.Canceled.
+type sinkExit struct {
+	name      string
+	budget    int64
+	arm       func(cancel func())
+	site      string // the failpoint that must have fired
+	stage     SchedStage
+	cancelled bool
+}
+
 // TestSinkErrorExits drives both exchange sinks out through every error
 // exit around them: a failure entering the exchange (no sink yet), inside
 // it (an assembly write, with peer chunks and the concurrent sender in
 // flight) and at the merge boundary (a completed exchange that will never
-// merge). The schedules never stop firing, so every node fails and none
-// keeps a result slab. After each failed sort the engine must hold
+// merge). The spilled sink and step 1's chunk runs add the scratch file's
+// own: its creation failing, a block write failing, and the sort cancelled
+// with runs sealed that nobody will open — each once in step 1 and once in
+// the exchange. The schedules never stop firing, so every node fails and
+// none keeps a result slab. After each failed sort the engine must hold
 // nothing: every slab taken went back to its pool, every node's
 // temporary-memory tracker is at zero (Figure 11 still balances), SpillDir
 // is empty — and the next sort on the same engine is byte-correct.
 func TestSinkErrorExits(t *testing.T) {
 	const procs, per = 4, 3000
 	parts := mkParts(dist.RightSkewed, procs, per, 99)
-	budgets := map[string]int64{"resident": -1, "spilled": spillBudget[uint64](per)}
-	for sink, budget := range budgets {
-		for _, site := range []string{fpExchange, fpMerge, "datamgr/assembly-write"} {
+	spilled := spillBudget[uint64](per)
+
+	var exits []sinkExit
+	for sink, budget := range map[string]int64{"resident": -1, "spilled": spilled} {
+		for site, stage := range map[string]SchedStage{
+			fpExchange: StageExchange, fpMerge: StageMerge, "datamgr/assembly-write": StageExchange,
+		} {
 			for _, mode := range []failpoint.Mode{failpoint.ModeError, failpoint.ModePanic} {
-				name := fmt.Sprintf("%s/%s/%s", sink, strings.ReplaceAll(site, "/", "-"), mode)
-				t.Run(name, func(t *testing.T) {
-					failpoint.Reset()
-					t.Cleanup(failpoint.Reset)
-					dir := t.TempDir()
-					e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2,
-						MemoryBudget: budget, SpillDir: dir})
-					want, err := e.Sort(parts)
-					if err != nil {
-						t.Fatalf("clean sort: %v", err)
-					}
-					if spilled := want.Report.SpillBytes > 0; spilled != (budget > 0) {
-						t.Fatalf("clean sort spilled %d bytes under budget %d", want.Report.SpillBytes, budget)
-					}
-
-					gets0, puts0 := poolTraffic(e)
-					failpoint.Set(site, failpoint.Schedule{Mode: mode, Count: -1})
-					if _, err := e.Sort(parts); err == nil {
-						t.Fatal("injected sort succeeded")
-					}
-					if failpoint.Fired(site) == 0 {
-						t.Fatalf("failpoint %s never fired", site)
-					}
-					failpoint.Reset()
-
-					gets1, puts1 := poolTraffic(e)
-					if gets, puts := gets1-gets0, puts1-puts0; gets != puts {
-						t.Fatalf("failed sort took %d slabs and returned %d", gets, puts)
-					}
-					checkNoLeak(t, e)
-					left, err := os.ReadDir(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(left) != 0 {
-						t.Fatalf("failed sort left %d entries under SpillDir, first %q", len(left), left[0].Name())
-					}
-
-					got, err := e.Sort(parts)
-					if err != nil {
-						t.Fatalf("follow-up sort: %v", err)
-					}
-					requireMatchesReference(t, comm.U64Codec{}, got, parts, true, "follow-up")
-					sameOutput(t, want, got)
-					checkNoLeak(t, e)
+				exits = append(exits, sinkExit{
+					name:   fmt.Sprintf("%s/%s/%s", sink, strings.ReplaceAll(site, "/", "-"), mode),
+					budget: budget, site: site, stage: stage,
+					arm: func(func()) { failpoint.Set(site, failpoint.Schedule{Mode: mode, Count: -1}) },
 				})
 			}
 		}
+	}
+	// Step 1 under the spilled budget: every node creates one scratch file
+	// and writes each chunk as a run of one block, so the first create and
+	// the first block write past those belong to the exchange.
+	chunk := chunkEntries(spilled, int64(entryBytes[uint64]()), 1)
+	chunks := (per + chunk - 1) / chunk
+	for _, at := range []struct {
+		stage           SchedStage
+		nthFile, nthBlk int
+	}{{StageLocalSort, 1, 3}, {StageExchange, procs + 1, procs*chunks + 1}} {
+		exits = append(exits,
+			sinkExit{name: fmt.Sprintf("spilled/scratch-create/%v", at.stage), budget: spilled,
+				site: spill.FpCreateScratch, stage: at.stage,
+				arm: func(func()) {
+					failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeError, Nth: at.nthFile, Count: -1})
+				}},
+			sinkExit{name: fmt.Sprintf("spilled/block-write/%v", at.stage), budget: spilled,
+				site: spill.FpWriteBlock, stage: at.stage,
+				arm: func(func()) {
+					failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeError, Nth: at.nthBlk, Count: -1})
+				}},
+			// Every block write from the nth on stalls, and the first stall
+			// cancels the sort: the runs sealed so far are never opened, and
+			// the writers still open never seal.
+			sinkExit{name: fmt.Sprintf("spilled/cancel-sealed-runs/%v", at.stage), budget: spilled,
+				site: spill.FpWriteBlock, cancelled: true,
+				arm: func(cancel func()) {
+					failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Nth: at.nthBlk, Count: -1, Delay: 20 * time.Millisecond})
+					onFire(spill.FpWriteBlock, cancel)
+				}})
+	}
+
+	for _, exit := range exits {
+		t.Run(exit.name, func(t *testing.T) {
+			failpoint.Reset()
+			t.Cleanup(failpoint.Reset)
+			dir := t.TempDir()
+			e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2,
+				MemoryBudget: exit.budget, SpillDir: dir})
+			want, err := e.Sort(parts)
+			if err != nil {
+				t.Fatalf("clean sort: %v", err)
+			}
+			if spilled := want.Report.SpillBytes > 0; spilled != (exit.budget > 0) {
+				t.Fatalf("clean sort spilled %d bytes under budget %d", want.Report.SpillBytes, exit.budget)
+			}
+
+			gets0, puts0 := poolTraffic(e)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			exit.arm(cancel)
+			_, err = e.SortCtx(ctx, parts)
+			if err == nil {
+				t.Fatal("injected sort succeeded")
+			}
+			if failpoint.Fired(exit.site) == 0 {
+				t.Fatalf("failpoint %s never fired", exit.site)
+			}
+			failpoint.Reset()
+			var fail *Failure
+			switch {
+			case exit.cancelled:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled sort returned %v", err)
+				}
+			case !errors.As(err, &fail) || fail.Stage != exit.stage:
+				t.Fatalf("sort failed with %v, want a failure in %v", err, exit.stage)
+			}
+
+			gets1, puts1 := poolTraffic(e)
+			if gets, puts := gets1-gets0, puts1-puts0; gets != puts {
+				t.Fatalf("failed sort took %d slabs and returned %d", gets, puts)
+			}
+			checkNoLeak(t, e)
+			requireEmptyDir(t, dir)
+
+			got, err := e.Sort(parts)
+			if err != nil {
+				t.Fatalf("follow-up sort: %v", err)
+			}
+			requireMatchesReference(t, comm.U64Codec{}, got, parts, true, "follow-up")
+			sameOutput(t, want, got)
+			checkNoLeak(t, e)
+			requireEmptyDir(t, dir)
+		})
 	}
 }

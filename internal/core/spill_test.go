@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +189,42 @@ func TestSpillRetryDifferential(t *testing.T) {
 			checkNoLeak(t, e)
 		})
 	}
+}
+
+// TestSpillScratchLeakSurfaces: a scratch file the sort cannot remove is
+// disk nobody will get back, so the sort that finds out fails — even
+// though every byte it read was right — instead of dropping the error the
+// way the per-run files' closes and removes used to be dropped.
+func TestSpillScratchLeakSurfaces(t *testing.T) {
+	const procs, per = 4, 3000
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	dir := t.TempDir()
+	e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2,
+		MemoryBudget: spillBudget[uint64](per), SpillDir: dir})
+	parts := mkParts(dist.Uniform, procs, per, 5)
+
+	// The first block read stalls while the scratch files are unlinked
+	// under the sort; its descriptors keep working, its removes will not.
+	failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: 4, Delay: 20 * time.Millisecond})
+	onFire(spill.FpReadBlock, func() {
+		files, _ := filepath.Glob(filepath.Join(dir, "*"))
+		for _, f := range files {
+			os.Remove(f)
+		}
+	})
+	_, err := e.Sort(parts)
+	if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "remove scratch file") {
+		t.Fatalf("sort whose scratch files could not be removed returned %v", err)
+	}
+	failpoint.Reset()
+	checkNoLeak(t, e)
+	requireEmptyDir(t, dir)
+	got, err := e.Sort(parts)
+	if err != nil {
+		t.Fatalf("follow-up sort: %v", err)
+	}
+	requireMatchesReference(t, comm.U64Codec{}, got, parts, true, "follow-up")
 }
 
 // TestClassifySpillCorrupt: checksum and structural failures in spill

@@ -45,7 +45,7 @@ const (
 	minSpoolChunkEntries = 256
 )
 
-// spoolBlockBytes picks the block size for spooled run files: small
+// spoolBlockBytes picks the block size for a spooled job's runs: small
 // enough that a fan-in's worth of decoded block slabs stays a fraction
 // of the budget, large enough that a block — one write, one read, stored
 // raw — batches I/O. The size bounds a block's wire bytes, origin fields
@@ -74,7 +74,7 @@ type SpooledInput struct {
 }
 
 // SpooledResult streams a spooled sort's output in sorted batches. It
-// holds open run readers and a scratch directory until Close, which also
+// holds open run readers and their scratch file until Close, which also
 // folds the final I/O counters into Report. Batches follow the
 // lsort.Cursor contract: valid only until the following Next.
 type SpooledResult[K cmp.Ordered] struct {
@@ -87,8 +87,9 @@ type SpooledResult[K cmp.Ordered] struct {
 	cur     lsort.Cursor[comm.Entry[K]]
 	runs    *runFormer[K]
 	start   time.Time
-	done    func() error // releases the final merge's batch and runs
-	release func()       // frees the admission slot (RunOneSpooled)
+	done    func()         // releases the final merge's batch and readers
+	scratch *spill.Scratch // holds the runs the final merge reads
+	release func()         // frees the admission slot (RunOneSpooled)
 
 	once     sync.Once
 	closeErr error
@@ -100,14 +101,12 @@ func (r *SpooledResult[K]) Next() ([]comm.Entry[K], error) {
 	return r.cur.Next()
 }
 
-// Close releases readers, slabs, the scratch directory and the admission
+// Close releases readers, slabs, the scratch file and the admission
 // slot, and settles Report. Idempotent.
 func (r *SpooledResult[K]) Close() error {
 	r.once.Do(func() {
-		r.closeErr = r.done()
-		if err := r.runs.removeScratch(); r.closeErr == nil {
-			r.closeErr = err
-		}
+		r.done()
+		r.closeErr = r.scratch.Close()
 		r.Report.SpillReads = r.runs.spillReads.Load()
 		r.Report.Total = time.Since(r.start)
 		r.Report.TempPeakBytes = r.runs.tracker.Peak()
@@ -183,22 +182,24 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	f := &runFormer[K]{
 		ctx: ctx, codec: e.codec, cmps: e.comparators(), workers: e.opts.WorkersPerProc,
 		pool: &alloc.SlabPool[comm.Entry[K]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
-		spillDir: e.opts.SpillDir, dirPattern: "pgxsort-spool-*", blockBytes: spoolBlockBytes(budget),
+		blockBytes: spoolBlockBytes(budget),
 	}
-	// Created up front: the section goroutines share the former.
-	if _, err := f.scratchDir(); err != nil {
+	// scratch is the file the live runs are in: first the one every
+	// section forms its chunk runs into, then each merge pass's output.
+	scratch, err := spill.NewScratch(e.opts.SpillDir)
+	if err != nil {
 		return nil, err
 	}
 	defer func() {
 		if err != nil {
-			f.removeScratch()
+			scratch.Close()
 		}
 	}()
 	start := time.Now()
 
 	// Phase 1: run formation. Node i reads its contiguous section of the
 	// spool and writes sorted chunk runs that fit the budget.
-	nodeRuns := make([][]string, p)
+	nodeRuns := make([][]spill.Run, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for i := 0; i < p; i++ {
@@ -210,11 +211,11 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 		wg.Add(1)
 		go func(node int, lo, n uint64) {
 			defer wg.Done()
-			nodeRuns[node], errs[node] = f.formSection(in, node, lo, n, chunk)
+			nodeRuns[node], errs[node] = f.formSection(in, node, lo, n, chunk, scratch)
 		}(i, lo, hi-lo)
 	}
 	wg.Wait()
-	var runs []string
+	var runs []spill.Run
 	for i, nerr := range errs {
 		if nerr != nil {
 			return nil, nerr
@@ -223,29 +224,23 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	}
 	localSortDur := time.Since(start)
 
-	// Phase 2: bounded fan-in merge. While more than fanIn runs remain,
-	// merge groups of fanIn into intermediate runs; the survivors feed
-	// the streaming final merge.
-	for pass := 0; len(runs) > spoolMergeFanIn; pass++ {
-		var next []string
-		for g := 0; g < len(runs); g += spoolMergeFanIn {
-			group := runs[g:min(g+spoolMergeFanIn, len(runs))]
-			if len(group) == 1 {
-				next = append(next, group[0])
-				continue
-			}
-			merged, done, err := f.stream(group, batchLen)
-			if err != nil {
-				return nil, err
-			}
-			out, err := f.writeRun(fmt.Sprintf("merge-%d-%d.spill", pass, g), nil, merged)
-			done()
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, out)
+	// Phase 2: bounded fan-in merge. While more than fanIn runs remain, a
+	// pass merges them by groups into a new scratch file and the one they
+	// were in goes; the survivors feed the streaming final merge.
+	for len(runs) > spoolMergeFanIn {
+		out, err := spill.NewScratch(e.opts.SpillDir)
+		if err != nil {
+			return nil, err
 		}
-		runs = next
+		next, err := f.mergePass(runs, out, batchLen)
+		if err == nil {
+			err = scratch.Close()
+		}
+		if err != nil {
+			out.Close()
+			return nil, err
+		}
+		runs, scratch = next, out
 	}
 
 	// Final merge: prime a streaming cursor over the surviving runs.
@@ -253,7 +248,7 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	if err != nil {
 		return nil, err
 	}
-	res = &SpooledResult[K]{N: in.N, cur: cur, runs: f, start: start, done: done}
+	res = &SpooledResult[K]{N: in.N, cur: cur, runs: f, start: start, done: done, scratch: scratch}
 	res.Report = Report{
 		Procs:      p,
 		Workers:    e.opts.WorkersPerProc,
@@ -265,4 +260,26 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	}
 	res.Report.Steps[StepLocalSort] = localSortDur
 	return res, nil
+}
+
+// mergePass is one rung of the bounded fan-in ladder: the runs, in order,
+// merge by groups of at most spoolMergeFanIn into as many runs of out.
+// The groups are even, so every run is merged in every pass and a pass
+// reads one scratch file and writes one.
+func (f *runFormer[K]) mergePass(runs []spill.Run, out *spill.Scratch, batchLen int) ([]spill.Run, error) {
+	groups := (len(runs) + spoolMergeFanIn - 1) / spoolMergeFanIn
+	next := make([]spill.Run, groups)
+	for g := range next {
+		group := runs[g*len(runs)/groups : (g+1)*len(runs)/groups]
+		merged, done, err := f.stream(group, batchLen)
+		if err != nil {
+			return nil, err
+		}
+		next[g], err = f.writeRun(out, nil, merged)
+		done()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
 }

@@ -179,13 +179,7 @@ func spooledCase[K cmp.Ordered](t *testing.T, codec comm.Codec[K], keys []K) {
 	}
 
 	// Scratch is gone; the caller-owned spool file is not.
-	left, err := filepath.Glob(filepath.Join(spillDir, "pgxsort-spool-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("scratch dirs left behind after Close: %v", left)
-	}
+	requireEmptyDir(t, spillDir)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("spool input should remain caller-owned: %v", err)
 	}
@@ -317,12 +311,75 @@ func TestRunOneSpooledRetry(t *testing.T) {
 	}
 }
 
+// flipScratchByte corrupts the first block of the job's scratch file
+// under spillDir once that block and a few after it have landed, and
+// returns the file's path; "" means not yet.
+func flipScratchByte(spillDir string) string {
+	files, _ := filepath.Glob(filepath.Join(spillDir, "pgxsort-*.scratch"))
+	if len(files) == 0 {
+		return ""
+	}
+	f, err := os.OpenFile(files[0], os.O_RDWR, 0)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	// Blocks are 4 KiB here and land in one write each: with three behind
+	// it and its own bytes no longer a hole, the first is complete.
+	head := make([]byte, 16)
+	if st, err := f.Stat(); err != nil || st.Size() < 4*4096 {
+		return ""
+	}
+	if _, err := f.ReadAt(head, 0); err != nil || bytes.Equal(head, make([]byte, 16)) {
+		return ""
+	}
+	head[5] ^= 0x40
+	if _, err := f.WriteAt(head[5:6], 5); err != nil {
+		return ""
+	}
+	return files[0]
+}
+
+// onFire runs fn, once, when site first fires.
+func onFire(site string, fn func()) {
+	go func() {
+		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+			if failpoint.Fired(site) > 0 {
+				fn()
+				return
+			}
+		}
+	}()
+}
+
+// atMergePass runs fn while a spooled job is entering its first merge
+// pass: the pass's scratch file is the second the job creates, and its
+// creation stalls long enough for fn to take effect inside the pass.
+func atMergePass(fn func()) {
+	failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeDelay, Nth: 2, Delay: 20 * time.Millisecond})
+	onFire(spill.FpCreateScratch, fn)
+}
+
+// requireEmptyDir fails the test if anything is left under dir.
+func requireEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("%d entries left under %s, first %q", len(left), dir, left[0].Name())
+	}
+}
+
 // TestSpooledErrorExits drives a spooled job out through each of its error
 // exits — the injected spool-read failure with retries off, a context
-// cancelled mid run formation, a run file corrupted between its formation
-// and the merge pass that reads it, and a read error mid-stream followed
-// by Close. After each, the job must hold nothing: its scratch directory
-// under SpillDir is gone, the caller-owned spool file is not, the error
+// cancelled mid run formation, a run corrupted on disk between its
+// formation and the merge pass that reads it, and a read error mid-stream
+// followed by Close — and the scratch files' own: one that cannot be
+// created, a block write failing and a cancellation with runs sealed and
+// unopened, each during run formation and during a merge pass. After each,
+// the job must hold nothing: SpillDir is empty, the caller-owned spool file is still there, the error
 // classifies as failure.go documents, and the scheduler's only admission
 // slot is free, so a follow-up job through it completes byte-correct.
 func TestSpooledErrorExits(t *testing.T) {
@@ -369,13 +426,8 @@ func TestSpooledErrorExits(t *testing.T) {
 				go func() {
 					defer close(cut)
 					for {
-						runs, _ := filepath.Glob(filepath.Join(spillDir, "pgxsort-spool-*", "run-0-1.spill"))
-						if len(runs) > 0 {
-							// run-0-1 exists, so run-0-0 is finished.
-							first := filepath.Join(filepath.Dir(runs[0]), "run-0-0.spill")
-							if err := os.Truncate(first, 20); err == nil {
-								cut <- first
-							}
+						if path := flipScratchByte(spillDir); path != "" {
+							cut <- path
 							return
 						}
 						select {
@@ -388,8 +440,56 @@ func TestSpooledErrorExits(t *testing.T) {
 				_, err := s.RunOneSpooled(context.Background(), in)
 				close(stop)
 				if path := <-cut; path == "" {
-					t.Fatal("no run file was truncated before the job ended")
+					t.Fatal("no scratch block was corrupted before the job ended")
 				}
+				return err
+			}},
+		// The scratch files' own exits. The job forms 26 runs into its first
+		// scratch file, so the second file created is the merge pass's, and
+		// whatever is armed while that creation stalls lands in the pass.
+		{"scratch-create", FailTransient, failpoint.ErrInjected,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeError})
+				_, err := s.RunOneSpooled(context.Background(), in)
+				return err
+			}},
+		{"scratch-create-pass", FailTransient, failpoint.ErrInjected,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 2})
+				_, err := s.RunOneSpooled(context.Background(), in)
+				return err
+			}},
+		{"block-write", FailTransient, failpoint.ErrInjected,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 30})
+				_, err := s.RunOneSpooled(context.Background(), in)
+				return err
+			}},
+		{"block-write-pass", FailTransient, failpoint.ErrInjected,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				atMergePass(func() {
+					failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeError, Count: -1})
+				})
+				_, err := s.RunOneSpooled(context.Background(), in)
+				return err
+			}},
+		{"cancel-sealed-runs", FailUnknown, context.Canceled,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				// Runs are sealed in the scratch file when the 30th block
+				// write stalls; nobody will open them.
+				failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Nth: 30, Count: -1, Delay: 20 * time.Millisecond})
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				onFire(spill.FpWriteBlock, cancel)
+				_, err := s.RunOneSpooled(ctx, in)
+				return err
+			}},
+		{"cancel-pass", FailUnknown, context.Canceled,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				atMergePass(cancel)
+				_, err := s.RunOneSpooled(ctx, in)
 				return err
 			}},
 		{"mid-stream", FailTransient, failpoint.ErrInjected,
@@ -447,13 +547,7 @@ func TestSpooledErrorExits(t *testing.T) {
 			if c := Classify(err); c != tc.class {
 				t.Fatalf("Classify(%v) = %v, want %v", err, c, tc.class)
 			}
-			left, err := filepath.Glob(filepath.Join(spillDir, "pgxsort-spool-*"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(left) != 0 {
-				t.Fatalf("scratch dirs left behind: %v", left)
-			}
+			requireEmptyDir(t, spillDir)
 			if _, err := os.Stat(path); err != nil {
 				t.Fatalf("spool input should remain caller-owned: %v", err)
 			}

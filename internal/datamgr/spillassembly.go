@@ -2,7 +2,6 @@ package datamgr
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 
 	"pgxsort/internal/comm"
@@ -12,56 +11,57 @@ import (
 
 // SpillAssembly is Assembly's out-of-core sibling: instead of landing
 // peer chunks in one resident buffer at precomputed offsets, each
-// source's run streams straight into its own spill.Writer block file.
-// The contract is otherwise identical — per-source chunks arrive FIFO
-// and append in order, different sources may write concurrently (each
-// owns its writer), and RunComplete turns true the moment a source's
-// expected count lands. The final merge then reads the run files back
-// (Paths) instead of in-memory regions.
+// source's run streams through its own spill.Writer into one scratch
+// file the sources share, block by block as they fill. The contract is
+// otherwise identical — per-source chunks arrive FIFO and append in
+// order, different sources may write concurrently (each owns its writer;
+// the scratch hands every block its own offset), and RunComplete turns
+// true the moment a source's expected count lands. The final merge then
+// reads the runs back (Runs) instead of in-memory regions.
 type SpillAssembly[K any] struct {
+	scratch *spill.Scratch
 	writers []*spill.Writer[K] // nil for sources expecting zero entries
 	expect  []int
 	cursor  []int
 
 	gotMu   sync.Mutex
-	runDone []bool // sources whose run file is sealed (guarded by gotMu)
-	closed  bool
+	runDone []bool // sources whose run is sealed (guarded by gotMu)
 }
 
-// NewSpillAssembly creates one run file per non-empty source under dir
-// (dir must exist; files are named run-<src>.spill). Unlike NewAssembly
-// there is no tracker accounting for the assembled entries — the entire
-// point is that they are not resident: an open source holds its writer's
-// one pooled block buffer (spill.DefaultBlockBytes of wire bytes, written
-// raw the moment it fills) and nothing per entry.
+// NewSpillAssembly creates the assembly's scratch file under dir and
+// starts one run in it per non-empty source. Unlike NewAssembly there is
+// no tracker accounting for the assembled entries — the entire point is
+// that they are not resident: an open source holds its writer's one
+// pooled block buffer (spill.DefaultBlockBytes of wire bytes, written raw
+// the moment it fills) and nothing per entry.
 func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir string) (*SpillAssembly[K], error) {
+	for src, n := range perSrc {
+		if n < 0 {
+			return nil, fmt.Errorf("datamgr: negative expected count %d from source %d", n, src)
+		}
+	}
+	scratch, err := spill.NewScratch(dir)
+	if err != nil {
+		return nil, err
+	}
 	a := &SpillAssembly[K]{
+		scratch: scratch,
 		writers: make([]*spill.Writer[K], len(perSrc)),
 		expect:  append([]int(nil), perSrc...),
 		cursor:  make([]int, len(perSrc)),
 		runDone: make([]bool, len(perSrc)),
 	}
 	for src, n := range perSrc {
-		if n < 0 {
-			a.Close()
-			return nil, fmt.Errorf("datamgr: negative expected count %d from source %d", n, src)
-		}
 		a.runDone[src] = n == 0
-		if n == 0 {
-			continue
+		if n > 0 {
+			a.writers[src] = spill.NewRunWriter(scratch, c, 0)
 		}
-		w, err := spill.NewWriter(filepath.Join(dir, fmt.Sprintf("run-%d.spill", src)), c, 0)
-		if err != nil {
-			a.Close()
-			return nil, err
-		}
-		a.writers[src] = w
 	}
 	return a, nil
 }
 
-// Write appends a chunk arriving from src to its run file, finishing the
-// file when the source's expected count lands. Same concurrency contract
+// Write appends a chunk arriving from src to its run, sealing the run
+// when the source's expected count lands. Same concurrency contract
 // as Assembly.Write: per-source FIFO, cross-source concurrent.
 func (a *SpillAssembly[K]) Write(src int, chunk []comm.Entry[K]) error {
 	if err := failpoint.HitNoPanic(fpWrite); err != nil {
@@ -76,7 +76,7 @@ func (a *SpillAssembly[K]) Write(src int, chunk []comm.Entry[K]) error {
 			src, cur, len(chunk), a.expect[src])
 	}
 	if a.writers[src] == nil {
-		// A zero-count source has no run file; the only chunk that can
+		// A zero-count source has no run; the only chunk that can
 		// reach it is an empty one (a node's own empty range, say), and
 		// its run was already marked done at construction.
 		return nil
@@ -98,7 +98,7 @@ func (a *SpillAssembly[K]) Write(src int, chunk []comm.Entry[K]) error {
 	return nil
 }
 
-// RunComplete reports whether source src's run file is sealed.
+// RunComplete reports whether source src's run is sealed.
 func (a *SpillAssembly[K]) RunComplete(src int) bool {
 	if src < 0 || src >= len(a.runDone) {
 		return false
@@ -117,7 +117,7 @@ func (a *SpillAssembly[K]) Total() int {
 	return total
 }
 
-// SpillBytes reports the bytes written across all run files so far.
+// SpillBytes reports the bytes written across all runs so far.
 func (a *SpillAssembly[K]) SpillBytes() int64 {
 	var total int64
 	for _, w := range a.writers {
@@ -128,30 +128,29 @@ func (a *SpillAssembly[K]) SpillBytes() int64 {
 	return total
 }
 
-// Paths reports each source's run file, in source order ("" for empty
-// sources). A run is readable once RunComplete(src); the merge opens
-// them all after the exchange.
-func (a *SpillAssembly[K]) Paths() []string {
-	paths := make([]string, len(a.writers))
+// Runs reports each source's run, in source order (the empty Run for
+// empty sources). A run is readable once RunComplete(src); the merge
+// opens them all after the exchange.
+func (a *SpillAssembly[K]) Runs() []spill.Run {
+	runs := make([]spill.Run, len(a.writers))
 	for src, w := range a.writers {
 		if w != nil {
-			paths[src] = w.Path()
+			runs[src] = w.Run()
 		}
 	}
-	return paths
+	return runs
 }
 
-// Close removes every run file. Safe to call multiple times and at any
-// point — unsealed writers abort, sealed ones just lose their file. Call
-// after the merge has consumed the readers (or on any abort path).
-func (a *SpillAssembly[K]) Close() {
-	if a.closed {
-		return
-	}
-	a.closed = true
+// Close lets go of every unsealed writer's block buffer and removes the
+// scratch file with every run in it, reporting a scratch it could not
+// remove. Safe to call multiple times and at any point once no reader of
+// the runs is open: after the merge has consumed them, or on any abort
+// path.
+func (a *SpillAssembly[K]) Close() error {
 	for _, w := range a.writers {
 		if w != nil {
 			w.Abort()
 		}
 	}
+	return a.scratch.Close()
 }

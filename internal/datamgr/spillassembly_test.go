@@ -66,18 +66,12 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 		t.Fatalf("SpillBytes = %d", spilled.SpillBytes())
 	}
 
-	for src, path := range spilled.Paths() {
+	for src, run := range spilled.Runs() {
 		want := resident.Entries()[resident.Bounds()[src]:resident.Bounds()[src+1]]
-		if path == "" {
-			if len(want) != 0 {
-				t.Fatalf("source %d: no run file for %d entries", src, len(want))
-			}
-			continue
+		if run.Entries() != uint64(len(want)) {
+			t.Fatalf("source %d: run of %d entries, want %d", src, run.Entries(), len(want))
 		}
-		r, err := spill.NewRunReader(path, comm.U64Codec{}, spill.ReaderOpts[uint64]{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := spill.OpenRun(run, comm.U64Codec{}, spill.ReaderOpts[uint64]{})
 		var got []comm.Entry[uint64]
 		for {
 			batch, err := r.Next()
@@ -102,7 +96,7 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 }
 
 // TestSpillAssemblyOverflowAndClose: region overflow errors like the
-// resident assembly, and Close removes every run file.
+// resident assembly, and Close removes the scratch file.
 func TestSpillAssemblyOverflowAndClose(t *testing.T) {
 	dir := t.TempDir()
 	a, err := NewSpillAssembly(&Manager{}, []int{2}, comm.U64Codec{}, dir)
@@ -115,8 +109,12 @@ func TestSpillAssemblyOverflowAndClose(t *testing.T) {
 	if err := a.Write(1, nil); err == nil {
 		t.Fatal("out-of-range source succeeded")
 	}
-	a.Close()
-	a.Close() // idempotent
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +130,7 @@ func TestSpillAssemblyOverflowAndClose(t *testing.T) {
 }
 
 // TestSpillAssemblyEmptySource: a source expecting zero entries has no
-// run file, yet an empty chunk for it (a node writing its own empty
+// writer, yet an empty chunk for it (a node writing its own empty
 // range) must be a no-op, not a nil-writer panic, and its run is complete
 // from construction.
 func TestSpillAssemblyEmptySource(t *testing.T) {

@@ -39,18 +39,21 @@ type decoded[K any] struct {
 // one decoded block per call, while a prefetch goroutine keeps exactly
 // one further block decoded ahead. The previous batch's slab is recycled
 // on the following Next, so a merge over k spilled runs holds at most 2k
-// block slabs however large the runs are.
+// block slabs however large the runs are. A reader is a descriptor and a
+// block list; a run file's reader opened both itself (NewRunReader), a
+// scratch run's borrows them from the Scratch and the Run (OpenRun).
 type RunReader[K any] struct {
 	f     *os.File
+	owned bool // f is this reader's to close
 	codec comm.Codec[K]
 	opts  ReaderOpts[K]
 	index []blockMeta // the blocks overlapping the section (all, for a whole run)
 	total uint64      // entries the cursor yields
 
-	ch   chan decoded[K]
-	stop chan struct{}
-	prev []comm.Entry[K] // batch handed out by the last Next
-	done bool
+	ch      chan decoded[K]
+	stopped atomic.Bool     // Close is waiting for the prefetcher
+	prev    []comm.Entry[K] // batch handed out by the last Next
+	done    bool
 
 	skip int // entries a section drops from its first kept block
 
@@ -77,8 +80,8 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 	if err != nil {
 		return nil, fmt.Errorf("spill: open run file: %w", err)
 	}
-	r := &RunReader[K]{f: f, codec: c, opts: opts}
-	// One pooled buffer per open file: it loads the index here, then is
+	r := &RunReader[K]{f: f, owned: true, codec: c, opts: opts}
+	// One pooled buffer per open run: it loads the index here, then is
 	// the prefetcher's to read blocks into and to return.
 	buf := getBuf(tailGuess)
 	if err := r.loadIndex(buf); err != nil {
@@ -108,10 +111,27 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 	r.index = r.index[first:end]
 	r.skip = int(offset - cum)
 	r.total = limit
-	r.ch = make(chan decoded[K], 1)
-	r.stop = make(chan struct{})
-	go r.prefetch(r.stop, buf)
+	r.start(buf)
 	return r, nil
+}
+
+// OpenRun opens a sealed scratch run as a cursor. The block list is the
+// writer's, handed over in memory, so there is nothing to read or check
+// here and nothing that can fail; each block is still checksummed as it
+// is fetched. The reader must be closed before the run's Scratch is.
+func OpenRun[K any](run Run, c comm.Codec[K], opts ReaderOpts[K]) *RunReader[K] {
+	r := &RunReader[K]{codec: c, opts: opts, index: run.blocks, total: run.entries}
+	if run.file != nil {
+		r.f = run.file.f
+	}
+	r.start(getBuf(0))
+	return r
+}
+
+// start launches the decode-ahead goroutine, which takes over buf.
+func (r *RunReader[K]) start(buf *blockBuf) {
+	r.ch = make(chan decoded[K], 1)
+	go r.prefetch(buf)
 }
 
 // tailGuess is how much of the file's end loadIndex reads first: the
@@ -201,18 +221,20 @@ func (r *RunReader[K]) loadIndex(buf *blockBuf) error {
 // ahead of the consumer (the channel has capacity 1). Every block is
 // read into buf, which goes back to the pool the moment the last one is
 // decoded or the reader stops; entry slabs come from the slab pool and
-// travel to the consumer, who recycles them via Next/Close.
-func (r *RunReader[K]) prefetch(stop <-chan struct{}, buf *blockBuf) {
+// travel to the consumer, who recycles them via Next/Close. A send never
+// strands: the consumer takes it in Next, or Close does while it waits
+// for the channel to close.
+func (r *RunReader[K]) prefetch(buf *blockBuf) {
 	defer close(r.ch)
 	defer bufPool.Put(buf)
 	emitted := uint64(0)
 	for i := range r.index {
+		if r.stopped.Load() {
+			return
+		}
 		batch, err := r.readBlock(&r.index[i], buf)
 		if err != nil {
-			select {
-			case r.ch <- decoded[K]{err: err}:
-			case <-stop:
-			}
+			r.ch <- decoded[K]{err: err}
 			return
 		}
 		// Narrow the section's first and last block to their overlap.
@@ -226,12 +248,7 @@ func (r *RunReader[K]) prefetch(stop <-chan struct{}, buf *blockBuf) {
 		}
 		batch = r.trimBatch(batch, lo, hi)
 		emitted += uint64(len(batch))
-		select {
-		case r.ch <- decoded[K]{entries: batch}:
-		case <-stop:
-			r.recycle(batch)
-			return
-		}
+		r.ch <- decoded[K]{entries: batch}
 	}
 }
 
@@ -318,7 +335,7 @@ func (r *RunReader[K]) Next() ([]comm.Entry[K], error) {
 	return d.entries, nil
 }
 
-// Count reports the total entries in the run (from the trailer).
+// Count reports the total entries the cursor yields.
 func (r *RunReader[K]) Count() uint64 { return r.total }
 
 // BytesRead reports stored block bytes fetched so far — the reader-side
@@ -326,25 +343,22 @@ func (r *RunReader[K]) Count() uint64 { return r.total }
 func (r *RunReader[K]) BytesRead() int64 { return r.bytesRead.Load() }
 
 // Close stops the prefetch goroutine, recycles outstanding slabs and
-// closes the file. Safe after errors and safe to call once Next has
-// drained the run.
+// closes the file if the reader opened it. Safe after errors and safe to
+// call once Next has drained the run.
 func (r *RunReader[K]) Close() error {
-	if r.stop != nil {
-		close(r.stop)
-		r.stop = nil
-		// Drain anything the prefetcher had already parked in the
-		// channel so its slab goes back to the pool.
-		for d := range r.ch {
-			r.recycle(d.entries)
-		}
+	// Tell the prefetcher to stop and wait until it has: whatever it had
+	// parked in the channel, or sends before it looks, goes back to the
+	// pool, and the file is no longer being read when this returns.
+	r.stopped.Store(true)
+	for d := range r.ch {
+		r.recycle(d.entries)
 	}
 	r.recycle(r.prev)
 	r.prev = nil
 	r.done = true
-	if r.f != nil {
-		err := r.f.Close()
-		r.f = nil
-		return err
+	if r.owned {
+		r.owned = false
+		return r.f.Close()
 	}
 	return nil
 }

@@ -1,9 +1,24 @@
 // Package spill implements the out-of-core run tier: sorted runs of
-// entries written to append-only block files and streamed back through
-// lsort.Cursor readers, so the merge path can consume runs that never
-// fit in RAM exactly like resident slabs.
+// entries written as blocks and streamed back through lsort.Cursor
+// readers, so the merge path can consume runs that never fit in RAM
+// exactly like resident slabs.
 //
-// File layout (all integers little-endian):
+// A run is a list of blocks. Where the list is kept is the only thing
+// that tells the tier's two kinds of run apart:
+//
+//   - A scratch run (NewRunWriter, OpenRun) is what the engine spills. Its
+//     blocks sit in a Scratch file shared by every run of one spilling
+//     stage, at offsets the writers reserve as they go, and its block list
+//     never leaves memory: sealing the writer hands it over as a Run, and
+//     a reader is the shared descriptor plus that list. Nothing but blocks
+//     is on disk and nothing is re-read or re-validated at open — the
+//     process that reads a scratch run wrote it a moment ago.
+//   - A run file (NewWriter, NewRunReader, NewRunReaderSection) is the
+//     self-describing version-1 format an upload spool is written in: one
+//     file per run, the block list stored behind the blocks as an index
+//     and found again through a trailer, all of it validated at open.
+//
+// Run file layout (all integers little-endian):
 //
 //	header:  magic "PGXSPIL1" | version u16 | flags u16 | reserved u32
 //	blocks:  per block, comm.EncodeEntries output, stored as is
@@ -13,25 +28,25 @@
 //	         indexCRC u32 | magic "PGXSPIX1"
 //
 // Blocks are stored raw: rawLen always equals storedLen and the block
-// flags are zero; a reader rejects anything else as ErrCorrupt. Run
-// files are scratch — written and read back by one process, removed with
-// their directory — so the tier should cost what moving its bytes costs.
-// Blocks used to be deflated at BestSpeed, which bought 10.9 instead of
-// 16.0 file bytes per uint64 key and cost ≈ 65 % of all CPU and 63 % of
-// all allocated bytes of a budgeted sort (flate ran the tier at 36–49
-// MB/s written, 66–90 MB/s read, on a box that copies 9–11 GB/s); at that
-// rate bytes are the bound on no device, and compression re-enters only
-// where a budget shows they are.
+// flags are zero; a reader rejects anything else as ErrCorrupt. Spilled
+// bytes are scratch — written and read back by one process — so the tier
+// should cost what moving its bytes costs. Blocks used to be deflated at
+// BestSpeed, which bought 10.9 instead of 16.0 file bytes per uint64 key
+// and cost ≈ 65 % of all CPU and 63 % of all allocated bytes of a budgeted
+// sort; and a file per run cost a budgeted sort of 2^16 keys 28 creates,
+// opens and unlinks an operation and 18 % of its CPU in system calls,
+// where one file per stage costs 8 and 10 %: at that size startups are
+// the bound, not bytes.
 //
 // A block is the I/O unit: a writer encodes into one pooled buffer and
 // hands it to the file in a single write, a reader fetches, checksums
 // and decodes from one pooled buffer. Each block checksums its bytes
 // with CRC32-Castagnoli, so a flipped bit surfaces as ErrCorrupt before
-// any entry is decoded; the index carries its own checksum and the
-// trailer is found at a fixed offset from the end, so truncation and bad
-// index offsets are caught at open time. Corruption is a data problem,
-// never a panic: every validation failure wraps ErrCorrupt, which the
-// engine classifies FailDataDependent.
+// any entry is decoded; a run file's index carries its own checksum and
+// the trailer is found at a fixed offset from the end, so truncation and
+// bad index offsets are caught at open time. Corruption is a data
+// problem, never a panic: every validation failure wraps ErrCorrupt,
+// which the engine classifies FailDataDependent.
 package spill
 
 import (
@@ -41,6 +56,7 @@ import (
 	"hash/crc32"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/failpoint"
@@ -61,13 +77,14 @@ const (
 	DefaultBlockBytes = 128 << 10
 )
 
-// Failpoint sites covering spill I/O, wired into the soak storm like
-// every other stage. Both downgrade panics to errors (HitNoPanic): they
-// fire on writer flush paths and reader prefetch goroutines where an
-// unwind would leak file handles.
+// Failpoint sites covering spill I/O; the two block sites are wired into
+// the soak storm like every other stage. All downgrade panics to errors
+// (HitNoPanic): they fire on writer flush paths and reader prefetch
+// goroutines where an unwind would leak file handles.
 const (
-	FpWriteBlock = "spill/write-block"
-	FpReadBlock  = "spill/read-block"
+	FpCreateScratch = "spill/create-scratch"
+	FpWriteBlock    = "spill/write-block"
+	FpReadBlock     = "spill/read-block"
 )
 
 // ErrCorrupt is the sentinel wrapped by every structural validation
@@ -88,11 +105,11 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// blockBuf is the one byte buffer an open run file costs: a writer's
-// open block, a reader's fetched block. Buffers circulate through
-// bufPool, so a sort that opens dozens of run files per node allocates a
-// handful. Whoever takes one returns it exactly once and drops its
-// reference — a buffer returned twice is two files sharing one block.
+// blockBuf is the one byte buffer an open run costs: a writer's open
+// block, a reader's fetched block. Buffers circulate through bufPool, so
+// a sort that opens dozens of runs per node allocates a handful. Whoever
+// takes one returns it exactly once and drops its reference — a buffer
+// returned twice is two runs sharing one block.
 type blockBuf struct{ b []byte }
 
 var bufPool = sync.Pool{New: func() any { return new(blockBuf) }}
@@ -113,9 +130,9 @@ func (bb *blockBuf) sized(n int) []byte {
 	return bb.b[:n]
 }
 
-// blockMeta is one index entry: where a block's bytes live and what they
-// must hash to. The on-disk entry also carries rawLen and flags, fixed
-// at storedLen and zero.
+// blockMeta is one entry of a block list: where a block's bytes live and
+// what they must hash to. A run file's on-disk index entry also carries
+// rawLen and flags, fixed at storedLen and zero.
 type blockMeta struct {
 	offset    uint64
 	storedLen uint32
@@ -123,61 +140,139 @@ type blockMeta struct {
 	crc       uint32
 }
 
-// Writer appends one sorted run to a block file. Entries are encoded
+// Scratch is the one file the runs of a spilling stage share. Any number
+// of run writers append blocks to it concurrently — each block's offset
+// is reserved before it is written, so blocks of different runs
+// interleave and never overlap — and any number of readers fetch blocks
+// back through the same descriptor. A stage therefore costs one create,
+// one descriptor and one unlink however many runs it forms.
+type Scratch struct {
+	f    *os.File
+	next atomic.Int64 // first byte no block has reserved
+}
+
+// NewScratch creates a scratch file (pgxsort-*.scratch) directly under
+// dir, the system temp dir when dir is empty.
+func NewScratch(dir string) (*Scratch, error) {
+	if err := failpoint.HitNoPanic(FpCreateScratch); err != nil {
+		return nil, err
+	}
+	f, err := os.CreateTemp(dir, "pgxsort-*.scratch")
+	if err != nil {
+		return nil, fmt.Errorf("spill: create scratch file: %w", err)
+	}
+	return &Scratch{f: f}, nil
+}
+
+// reserve claims the next n bytes of the file and returns their offset.
+func (s *Scratch) reserve(n int) uint64 {
+	return uint64(s.next.Add(int64(n))) - uint64(n)
+}
+
+// Close closes and removes the file — once every reader of its runs is
+// closed — and reports either failing, the remove first: a scratch that
+// cannot be removed is disk leaking. Closing a nil or closed Scratch does
+// nothing.
+func (s *Scratch) Close() error {
+	if s == nil || s.f == nil {
+		return nil
+	}
+	f := s.f
+	s.f = nil
+	cerr := f.Close()
+	if err := os.Remove(f.Name()); err != nil {
+		return fmt.Errorf("spill: remove scratch file: %w", err)
+	}
+	if cerr != nil {
+		return fmt.Errorf("spill: close scratch file: %w", cerr)
+	}
+	return nil
+}
+
+// Run is a sealed scratch run: the blocks that hold its entries, in
+// order, and the file they are in. It is valid until that Scratch is
+// closed. The zero Run is an empty run.
+type Run struct {
+	file    *Scratch
+	blocks  []blockMeta
+	entries uint64
+}
+
+// Entries reports how many entries the run holds.
+func (r Run) Entries() uint64 { return r.entries }
+
+// Writer appends one sorted run, block by block, to a run file of its own
+// (NewWriter) or to a shared Scratch (NewRunWriter). Entries are encoded
 // immediately on Append (payloads may alias transient message slabs, so
 // nothing entry-shaped is retained) into the one block buffer, which is
 // checksummed and written whole once the next entry would not fit in
-// BlockBytes. Callers must Append entries in run order; the file records
+// BlockBytes. Callers must Append entries in run order; the run records
 // order, it does not sort. Not safe for concurrent use.
 type Writer[K any] struct {
-	path  string
-	f     *os.File
-	codec comm.Codec[K]
+	path    string   // the writer's own run file; empty in a scratch
+	f       *os.File // path's descriptor, or the scratch's
+	scratch *Scratch // where block offsets are reserved; nil in a run file
+	codec   comm.Codec[K]
 
 	blockBytes int
 	buf        *blockBuf // the open block; nil once the writer is done
 	count      uint32    // entries in the open block
 
-	off     uint64
+	off     uint64 // bytes written; in a run file, also where the next go
 	index   []blockMeta
+	first   [2]blockMeta // index's first backing array: most runs are a block or two
 	entries uint64
 	done    error // why Append/Finish no longer work: failure, Abort or Finish
 }
 
-// NewWriter creates path (truncating any previous file) and writes the
-// header. blockBytes <= 0 selects DefaultBlockBytes.
+// NewWriter creates the run file path (truncating any previous file) and
+// writes the header. blockBytes <= 0 selects DefaultBlockBytes.
 func NewWriter[K any](path string, c comm.Codec[K], blockBytes int) (*Writer[K], error) {
-	if blockBytes <= 0 {
-		blockBytes = DefaultBlockBytes
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("spill: create run file: %w", err)
 	}
-	w := &Writer[K]{
-		path:       path,
-		f:          f,
-		codec:      c,
-		blockBytes: blockBytes,
-		buf:        getBuf(blockBytes),
-	}
+	w := newWriter(f, nil, c, blockBytes)
+	w.path = path
 	hdr := w.buf.sized(headerSize)
 	clear(hdr)
 	copy(hdr, magic)
 	binary.LittleEndian.PutUint16(hdr[8:], version)
-	if err := w.write(hdr); err != nil {
+	if _, err := w.write(hdr); err != nil {
 		return nil, w.fail(fmt.Errorf("spill: write header: %w", err))
 	}
 	return w, nil
 }
 
-// write hands b — the block buffer's contents — to the file and empties
-// the buffer.
-func (w *Writer[K]) write(b []byte) error {
-	_, err := w.f.Write(b)
+// NewRunWriter starts a run in s. Nothing touches the file until the
+// first block fills, and a run that fails or is aborted leaves s and
+// every other run in it as they were: its blocks are dead bytes that go
+// with the file.
+func NewRunWriter[K any](s *Scratch, c comm.Codec[K], blockBytes int) *Writer[K] {
+	return newWriter(s.f, s, c, blockBytes)
+}
+
+func newWriter[K any](f *os.File, s *Scratch, c comm.Codec[K], blockBytes int) *Writer[K] {
+	if blockBytes <= 0 {
+		blockBytes = DefaultBlockBytes
+	}
+	w := &Writer[K]{f: f, scratch: s, codec: c, blockBytes: blockBytes, buf: getBuf(blockBytes)}
+	w.index = w.first[:0]
+	return w
+}
+
+// write hands b — the block buffer's contents — to the file, at the
+// writer's own position or at one reserved in the scratch, empties the
+// buffer and returns where b went.
+func (w *Writer[K]) write(b []byte) (uint64, error) {
+	at := w.off
+	if w.scratch != nil {
+		at = w.scratch.reserve(len(b))
+	}
+	_, err := w.f.WriteAt(b, int64(at))
 	w.off += uint64(len(b))
 	w.buf.b = b[:0]
-	return err
+	return at, err
 }
 
 // Append encodes entries onto the open block, flushing it whenever the
@@ -206,7 +301,8 @@ func (w *Writer[K]) Append(entries []comm.Entry[K]) error {
 	return nil
 }
 
-// flush checksums and writes the open block and records its index entry.
+// flush checksums and writes the open block and adds it to the block
+// list.
 func (w *Writer[K]) flush() error {
 	if w.count == 0 {
 		return nil
@@ -215,29 +311,36 @@ func (w *Writer[K]) flush() error {
 		return w.fail(err)
 	}
 	block := w.buf.b
-	w.index = append(w.index, blockMeta{
-		offset:    w.off,
+	m := blockMeta{
 		storedLen: uint32(len(block)),
 		count:     w.count,
 		crc:       crc32.Checksum(block, castagnoli),
-	})
+	}
+	var err error
+	m.offset, err = w.write(block)
+	w.index = append(w.index, m)
 	w.entries += uint64(w.count)
 	w.count = 0
-	if err := w.write(block); err != nil {
+	if err != nil {
 		return w.fail(fmt.Errorf("spill: write block: %w", err))
 	}
 	return nil
 }
 
-// Finish flushes the open block, writes the index and trailer, and
-// closes the file. After Finish the run is complete on disk and
-// BytesWritten/Entries report its final totals.
+// Finish flushes the open block and seals the run: a run file gets its
+// index and trailer and is closed, a scratch run's block list stays in
+// memory for Run to hand over. After Finish BytesWritten/Entries report
+// the run's final totals.
 func (w *Writer[K]) Finish() error {
 	if w.done != nil {
 		return w.done
 	}
 	if err := w.flush(); err != nil {
 		return err
+	}
+	if w.scratch != nil {
+		w.release(errFinished)
+		return nil
 	}
 	tail := w.buf.b
 	for _, m := range w.index {
@@ -254,7 +357,7 @@ func (w *Writer[K]) Finish() error {
 	tail = binary.LittleEndian.AppendUint64(tail, w.entries)
 	tail = binary.LittleEndian.AppendUint32(tail, indexCRC)
 	tail = append(tail, indexMagic...)
-	if err := w.write(tail); err != nil {
+	if _, err := w.write(tail); err != nil {
 		return w.fail(fmt.Errorf("spill: write index and trailer: %w", err))
 	}
 	err := w.f.Close()
@@ -266,6 +369,11 @@ func (w *Writer[K]) Finish() error {
 	}
 	w.release(errFinished)
 	return nil
+}
+
+// Run hands over a finished scratch run.
+func (w *Writer[K]) Run() Run {
+	return Run{file: w.scratch, blocks: w.index, entries: w.entries}
 }
 
 // release returns the block buffer to the pool, once, and records why
@@ -280,18 +388,23 @@ func (w *Writer[K]) release(why error) {
 	}
 }
 
-// fail records the first error, closes the file and removes the partial
-// run; subsequent calls keep returning the original error.
+// fail records the first error and aborts the run; subsequent calls keep
+// returning the original error.
 func (w *Writer[K]) fail(err error) error {
 	w.release(err)
 	w.Abort()
 	return w.done
 }
 
-// Abort closes and removes the run file. Safe to call after Finish (the
-// completed file is removed) or after a failure (idempotent).
+// Abort gives the run up: the writer lets go of its block buffer and a
+// run file is closed and removed (a scratch run's blocks go when its
+// Scratch does). Safe to call after Finish or after a failure
+// (idempotent).
 func (w *Writer[K]) Abort() {
 	w.release(errAborted)
+	if w.scratch != nil {
+		return
+	}
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
@@ -299,12 +412,13 @@ func (w *Writer[K]) Abort() {
 	os.Remove(w.path)
 }
 
-// Path returns the run file path.
+// Path returns the run file path; a scratch run has none.
 func (w *Writer[K]) Path() string { return w.path }
 
-// BytesWritten reports the total bytes of the run file written so far,
-// header and (after Finish) index/trailer included — the writer-side
-// half of the Report's SpillBytes column.
+// BytesWritten reports the bytes this run has put on disk so far — the
+// writer-side half of the Report's SpillBytes column. A scratch run is
+// its blocks and nothing else; a run file adds its header and (after
+// Finish) index and trailer.
 func (w *Writer[K]) BytesWritten() int64 { return int64(w.off) }
 
 // Entries reports how many entries have been flushed into blocks.

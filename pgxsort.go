@@ -103,7 +103,7 @@ type (
 // ParseMemBudget parses the CLIs' -mem-budget flag: a byte count with an
 // optional K/M/G suffix ("64M", "2G", "1048576"; empty or "0" = no
 // budget). The parsed value goes into Options.MemoryBudget, which caps
-// each node's temporary memory and spills sorted runs to block files
+// each node's temporary memory and spills sorted runs to scratch files
 // (internal/spill) once exceeded — see Report.SpillBytes/SpillReads.
 func ParseMemBudget(s string) (int64, error) { return core.ParseMemBudget(s) }
 
