@@ -1,9 +1,10 @@
 package pgxsort
 
 // The Go benchmarks with no other home: SortMany schedules and allocation
-// churn, the string pipeline and the record path. The paper's tables and
-// figures are cmd/pgxsort-bench's, the shipped system's speed and
-// allocations benchmark/'s, the local-sort kernels internal/lsort's.
+// churn, the string pipeline, the record path and the budgeted (spilling)
+// sort. The paper's tables and figures are cmd/pgxsort-bench's, the
+// shipped system's speed and allocations benchmark/'s, the local-sort
+// kernels internal/lsort's.
 
 import (
 	"context"
@@ -175,5 +176,41 @@ func BenchmarkRecordSort(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBudgetedSort replays the repository benchmark's
+// spill_uniform_u64 operation — 2^16 uniform 62-bit keys on p = 4
+// processors of 2 workers under a MemoryBudget of 8 B a key and a private
+// SpillDir — so the out-of-core pipeline (step 1's chunk runs and their
+// merge, the spilled exchange sink and step 6's cursor merge) has a
+// profile one command away:
+//
+//	go test -run '^$' -bench BudgetedSort -cpuprofile cpu.prof .
+func BenchmarkBudgetedSort(b *testing.B) {
+	const n, procs = 1 << 16, 4
+	flat := dist.Gen{Kind: dist.Uniform, Seed: 1, Domain: 1 << 62}.Keys(n)
+	parts := make([][]uint64, procs)
+	for p := range parts {
+		parts[p] = flat[p*n/procs : (p+1)*n/procs]
+	}
+	eng, err := core.NewEngine[uint64](core.Options{
+		Procs: procs, WorkersPerProc: benchWkrs, MemoryBudget: n * 8, SpillDir: b.TempDir(),
+	}, comm.U64Codec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	b.SetBytes(n * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.Sort(parts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report.SpillBytes == 0 {
+			b.Fatal("the budgeted sort did not spill")
+		}
 	}
 }

@@ -86,9 +86,11 @@ type sortCmps[K cmp.Ordered] struct {
 	// them under the real key order (lsort.SortEqualNormRefs).
 	inexact bool
 	// headNorm and headLess are the entry order in the two parts the cursor
-	// merges take it in (lsort.MergeCursorsNorm): an entry's norm, cached
-	// per cursor head, and what orders entries of equal norm — nothing
-	// (nil) under an exact norm, the real keys under an inexact one.
+	// merges take it in (lsort.MergeCursorsNorm): an entry's norm, and what
+	// orders entries of equal norm — nothing (nil) under an exact norm,
+	// whose merge runs in rounds over refs (the loser tree above
+	// lsort's round fan-in), the real keys under an inexact one, whose
+	// loser tree caches the norm per cursor head.
 	headNorm func(e *comm.Entry[K]) uint64
 	headLess func(a, b comm.Entry[K]) bool
 	keyLess  func(a, b K) bool

@@ -422,13 +422,23 @@ func (f *runFormer[K]) open(runs []spill.Run) ([]lsort.Cursor[comm.Entry[K]], fu
 	}
 }
 
+// takeMergeRefs takes the ref slab a merge of k run cursors under
+// headNorm and headLess asks for (lsort.MergeRefs decides, by the same
+// headLess the merge is handed): one for the rounds, nil for the loser
+// tree, which giveRefs takes back like any slab.
+func (f *runFormer[K]) takeMergeRefs(k int) []lsort.NormRef {
+	return f.takeRefs(lsort.MergeRefs(k, f.cmps.headLess == nil))
+}
+
 // mergeInto streams the runs back into dst, which they must fill
 // exactly. The merge is stable and takes the runs in order. Decoded
 // batches are fresh slabs, so dst may be the buffer the runs were staged
 // in.
 func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
 	cursors, done := f.open(runs)
-	filled, err := lsort.MergeCursorsNorm(dst, cursors, f.cmps.headNorm, f.cmps.headLess)
+	refs := f.takeMergeRefs(len(cursors))
+	filled, err := lsort.MergeCursorsNorm(dst, cursors, f.cmps.headNorm, f.cmps.headLess, refs)
+	f.giveRefs(refs)
 	done()
 	if err == nil && filled != len(dst) {
 		err = fmt.Errorf("core: spill merge produced %d of %d entries: %w",
@@ -438,16 +448,17 @@ func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
 }
 
 // stream merges the runs into one sorted stream of batches of up to
-// batchLen entries. The returned func releases the batch and closes the
-// runs' readers.
+// batchLen entries. The returned func releases the batch and the merge's
+// refs and closes the runs' readers.
 func (f *runFormer[K]) stream(runs []spill.Run, batchLen int) (lsort.Cursor[comm.Entry[K]], func(), error) {
 	cursors, closeRuns := f.open(runs)
-	batch := f.take(batchLen)
+	batch, refs := f.take(batchLen), f.takeMergeRefs(len(cursors))
 	done := func() {
 		f.give(batch)
+		f.giveRefs(refs)
 		closeRuns()
 	}
-	mc, err := lsort.NewMergeCursor(cursors, f.cmps.headNorm, f.cmps.headLess, batch)
+	mc, err := lsort.NewMergeCursor(cursors, f.cmps.headNorm, f.cmps.headLess, batch, refs)
 	if err != nil {
 		done()
 		return nil, nil, err

@@ -19,9 +19,21 @@ import (
 func poolTraffic(e *Engine[uint64]) (gets, puts int64) {
 	for _, n := range e.nodes {
 		g, _, p := n.entryPool.Stats()
-		rg, _, rp := n.refPool.Stats()
-		gets += g + rg
-		puts += p + rp
+		gets += g
+		puts += p
+	}
+	refGets, refPuts := refTraffic(e)
+	return gets + refGets, puts + refPuts
+}
+
+// refTraffic totals every node's ref-pool gets and puts: step 1's sort
+// refs, the resident step 6's, and the slab every cursor merge under an
+// exact norm runs its rounds in.
+func refTraffic(e *Engine[uint64]) (gets, puts int64) {
+	for _, n := range e.nodes {
+		g, _, p := n.refPool.Stats()
+		gets += g
+		puts += p
 	}
 	return gets, puts
 }
@@ -36,6 +48,7 @@ type sinkExit struct {
 	site      string // the failpoint that must have fired
 	stage     SchedStage
 	cancelled bool
+	inMerge   bool // the exit is inside a cursor merge: ref slabs were out
 }
 
 // TestSinkErrorExits drives both exchange sinks out through every error
@@ -45,7 +58,9 @@ type sinkExit struct {
 // merge). The spilled sink and step 1's chunk runs add the scratch file's
 // own: its creation failing, a block write failing, and the sort cancelled
 // with runs sealed that nobody will open — each once in step 1 and once in
-// the exchange. The schedules never stop firing, so every node fails and
+// the exchange — and the merges' that read the runs back with a ref slab
+// out: a block read failing in step 1's chunk merge and in step 6, and the
+// sort cancelled under step 1's. The schedules never stop firing, so every node fails and
 // none keeps a result slab. After each failed sort the engine must hold
 // nothing: every slab taken went back to its pool, every node's
 // temporary-memory tracker is at zero (Figure 11 still balances), SpillDir
@@ -75,10 +90,20 @@ func TestSinkErrorExits(t *testing.T) {
 	chunk := chunkEntries(spilled, int64(entryBytes[uint64]()), 1)
 	chunks := (per + chunk - 1) / chunk
 	for _, at := range []struct {
-		stage           SchedStage
-		nthFile, nthBlk int
-	}{{StageLocalSort, 1, 3}, {StageExchange, procs + 1, procs*chunks + 1}} {
+		stage, mergeStage        SchedStage
+		nthFile, nthBlk, nthRead int
+	}{{StageLocalSort, StageLocalSort, 1, 3, 2}, {StageExchange, StageMerge, procs + 1, procs*chunks + 1, procs*chunks + 2}} {
 		exits = append(exits,
+			// The stage's runs are read back by the merge that follows it —
+			// step 1's own chunk merge, step 6 for the exchange's — and every
+			// read from the stage's second on fails: inside a merge that
+			// holds its ref slab, primed or rounds in.
+			sinkExit{name: fmt.Sprintf("spilled/read-block/%v", at.stage), budget: spilled,
+				site: spill.FpReadBlock, stage: at.mergeStage, inMerge: true,
+				arm: func(func()) {
+					failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeError, Nth: at.nthRead, Count: -1})
+				}},
+
 			sinkExit{name: fmt.Sprintf("spilled/scratch-create/%v", at.stage), budget: spilled,
 				site: spill.FpCreateScratch, stage: at.stage,
 				arm: func(func()) {
@@ -100,6 +125,17 @@ func TestSinkErrorExits(t *testing.T) {
 				}})
 	}
 
+	// Step 1's chunk merge runs out while the sort is being cancelled: the
+	// reads stall, the merge — it does not watch the context — finishes its
+	// rounds, and the sort stops at the next stage boundary. (Step 6 is the
+	// last stage: a node whose merge finishes there keeps its result slab.)
+	exits = append(exits, sinkExit{name: "spilled/cancel-mid-merge/local-sort", budget: spilled,
+		site: spill.FpReadBlock, cancelled: true, inMerge: true,
+		arm: func(cancel func()) {
+			failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Nth: 2, Count: procs * chunks, Delay: 5 * time.Millisecond})
+			onFire(spill.FpReadBlock, cancel)
+		}})
+
 	for _, exit := range exits {
 		t.Run(exit.name, func(t *testing.T) {
 			failpoint.Reset()
@@ -116,6 +152,7 @@ func TestSinkErrorExits(t *testing.T) {
 			}
 
 			gets0, puts0 := poolTraffic(e)
+			refGets0, refPuts0 := refTraffic(e)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			exit.arm(cancel)
@@ -140,6 +177,10 @@ func TestSinkErrorExits(t *testing.T) {
 			gets1, puts1 := poolTraffic(e)
 			if gets, puts := gets1-gets0, puts1-puts0; gets != puts {
 				t.Fatalf("failed sort took %d slabs and returned %d", gets, puts)
+			}
+			refGets1, refPuts1 := refTraffic(e)
+			if gets, puts := refGets1-refGets0, refPuts1-refPuts0; gets != puts || exit.inMerge && gets == 0 {
+				t.Fatalf("failed sort took %d ref slabs and returned %d", gets, puts)
 			}
 			checkNoLeak(t, e)
 			requireEmptyDir(t, dir)

@@ -8,12 +8,15 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
+	"pgxsort/internal/lsort"
 	"pgxsort/internal/spill"
 )
 
@@ -378,8 +381,10 @@ func requireEmptyDir(t *testing.T, dir string) {
 // formation and the merge pass that reads it, and a read error mid-stream
 // followed by Close — and the scratch files' own: one that cannot be
 // created, a block write failing and a cancellation with runs sealed and
-// unopened, each during run formation and during a merge pass. After each,
-// the job must hold nothing: SpillDir is empty, the caller-owned spool file is still there, the error
+// unopened, each during run formation and during a merge pass, plus a
+// block read failing in one (TestMergePassErrorExits looks inside a pass
+// that fails, at the former's pools). After each, the job must hold
+// nothing: SpillDir is empty, the caller-owned spool file is still there, the error
 // classifies as failure.go documents, and the scheduler's only admission
 // slot is free, so a follow-up job through it completes byte-correct.
 func TestSpooledErrorExits(t *testing.T) {
@@ -473,6 +478,16 @@ func TestSpooledErrorExits(t *testing.T) {
 				_, err := s.RunOneSpooled(context.Background(), in)
 				return err
 			}},
+		{"block-read-pass", FailTransient, failpoint.ErrInjected,
+			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+				// The pass's merges are primed and rounds in, ref slab out,
+				// when their reads start failing.
+				atMergePass(func() {
+					failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeError, Nth: spoolMergeFanIn + 2, Count: -1})
+				})
+				_, err := s.RunOneSpooled(context.Background(), in)
+				return err
+			}},
 		{"cancel-sealed-runs", FailUnknown, context.Canceled,
 			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
 				// Runs are sealed in the scratch file when the 30th block
@@ -511,7 +526,8 @@ func TestSpooledErrorExits(t *testing.T) {
 				if gets, _, puts := res.runs.pool.Stats(); gets != puts {
 					t.Fatalf("job took %d slabs and returned %d", gets, puts)
 				}
-				if gets, _, puts := res.runs.refPool.Stats(); gets != puts {
+				// The final merge's ref slab was out when the read failed.
+				if gets, _, puts := res.runs.refPool.Stats(); gets != puts || gets <= procs {
 					t.Fatalf("job took %d ref slabs and returned %d", gets, puts)
 				}
 				if live := res.runs.tracker.Live(); live != 0 {
@@ -565,6 +581,123 @@ func TestSpooledErrorExits(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatal("follow-up spooled sort diverges from resident sort")
+			}
+		})
+	}
+}
+
+// TestMergePassErrorExits takes one rung of the spooled fan-in ladder out
+// through the exits inside its merges — a block read failing, and the
+// context cancelled, with a group's merge primed, rounds in and its ref
+// slab out — on a former the test can see into: after each, every entry
+// and ref slab is back in its pool and the tracker is at zero, and the
+// same pass over the same runs, rerun clean on the same former, streams
+// out what a sort of the keys gives.
+func TestMergePassErrorExits(t *testing.T) {
+	const n, chunk = 20000, 1000 // 20 runs: a pass of three groups
+	codec := comm.U64Codec{}
+	keys := dist.Gen{Kind: dist.FewDistinct, Seed: 31}.Keys(n)
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	spool := writeSpool[uint64](t, codec, t.TempDir(), keys)
+	e := newTestEngine(t, Options{Procs: 1, MemoryBudget: -1})
+
+	exits := map[string]struct {
+		is  error
+		arm func(cancel func())
+	}{
+		"block-read": {failpoint.ErrInjected, func(func()) {
+			failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeError, Nth: spoolMergeFanIn + 3, Count: -1})
+		}},
+		"cancel": {context.Canceled, func(cancel func()) {
+			failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Nth: spoolMergeFanIn + 3, Count: -1, Delay: 5 * time.Millisecond})
+			onFire(spill.FpReadBlock, cancel)
+		}},
+	}
+	for name, exit := range exits {
+		t.Run(name, func(t *testing.T) {
+			failpoint.Reset()
+			t.Cleanup(failpoint.Reset)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			dir := t.TempDir()
+			f := &runFormer[uint64]{
+				ctx: ctx, codec: codec, cmps: e.comparators(), workers: 2,
+				pool: &alloc.SlabPool[comm.Entry[uint64]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
+				blockBytes: 4 << 10, // several blocks a run: refills between rounds
+			}
+			formed, err := spill.NewScratch(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer formed.Close()
+			runs, err := f.formSection(SpooledInput{Path: spool, N: n}, 0, 0, n, chunk, formed)
+			if err != nil || len(runs) != n/chunk {
+				t.Fatalf("formed %d runs: %v", len(runs), err)
+			}
+			balanced := func(when string) (refGets int64) {
+				t.Helper()
+				if gets, _, puts := f.pool.Stats(); gets != puts {
+					t.Fatalf("%s: former took %d entry slabs and returned %d", when, gets, puts)
+				}
+				refGets, _, refPuts := f.refPool.Stats()
+				if refGets != refPuts {
+					t.Fatalf("%s: former took %d ref slabs and returned %d", when, refGets, refPuts)
+				}
+				if live := f.tracker.Live(); live != 0 {
+					t.Fatalf("%s: tracker.Live = %d", when, live)
+				}
+				return refGets
+			}
+			refGets0 := balanced("run formation")
+
+			out, err := spill.NewScratch(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exit.arm(cancel)
+			_, err = f.mergePass(runs, out, 256)
+			if cerr := out.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
+			if !errors.Is(err, exit.is) {
+				t.Fatalf("pass ended in %v, want %v", err, exit.is)
+			}
+			failpoint.Reset()
+			if balanced("failed pass") == refGets0 {
+				t.Fatal("the failed pass took no ref slab: it never reached a merge")
+			}
+
+			f.ctx = context.Background()
+			if out, err = spill.NewScratch(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer out.Close()
+			next, err := f.mergePass(runs, out, 256)
+			if err != nil || len(next) != 3 {
+				t.Fatalf("clean pass gave %d runs: %v", len(next), err)
+			}
+			merged, done, err := f.stream(next, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []uint64
+			for {
+				batch, err := merged.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(batch) == 0 {
+					break
+				}
+				for _, en := range batch {
+					got = append(got, en.Key)
+				}
+			}
+			done()
+			balanced("clean pass")
+			if !slices.Equal(got, want) {
+				t.Fatal("the pass rerun after the failure diverges from a sort of the keys")
 			}
 		})
 	}

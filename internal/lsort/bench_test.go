@@ -295,35 +295,56 @@ func BenchmarkMergeNormRefRuns(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeCursors is the spilled sink's merge, 4 cursors x 2^16
-// entries in 1024-entry batches: under a less function alone, and with
-// the tree comparing cached head norms.
+// BenchmarkMergeCursors is the spilled sink's merge, 2^18 entries in
+// batches of up to 1024, with every arm built directly so each is timed
+// whatever newCursorMerge would pick: the loser tree under a less function
+// alone (/less), the tree comparing cached head norms with no less (/heads:
+// an exact norm's arm above roundFanIn), and an exact norm's rounds over
+// refs (/rounds: its arm up to roundFanIn). The unprefixed rows are 4
+// cursors on every mergeBenchKinds entry; the k= rows put /heads and
+// /rounds either side of roundFanIn on the input the rounds like least —
+// sorted, which cut into runs is cursors over disjoint key ranges — and on
+// uniform.
 func BenchmarkMergeCursors(b *testing.B) {
-	for _, kind := range mergeBenchKinds {
-		keys, bounds := sortedRunsOf(benchKeys(kind), 4)
+	norm := func(e *benchEntry) uint64 { return e.Key }
+	refs := make([]NormRef, 2*roundRefs)
+	bench := func(b *testing.B, prefix string, kind dist.Kind, k int, arms ...string) {
+		keys, bounds := sortedRunsOf(benchKeys(kind), k)
 		in := make([]benchEntry, len(keys))
-		for i, k := range keys {
-			in[i] = benchEntry{Key: k, Index: uint32(i)}
-		}
-		cursors := func() []Cursor[benchEntry] {
-			cs := make([]Cursor[benchEntry], len(bounds)-1)
-			for i := range cs {
-				cs[i] = &batchCursor[benchEntry]{run: in[bounds[i]:bounds[i+1]], batch: 1024}
-			}
-			return cs
+		for i, key := range keys {
+			in[i] = benchEntry{Key: key, Index: uint32(i)}
 		}
 		dst := make([]benchEntry, len(in))
-		b.Run(kind.String()+"/less", func(b *testing.B) {
-			b.SetBytes(int64(len(in)) * 8)
-			for i := 0; i < b.N; i++ {
-				MergeCursors(dst, cursors(), benchEntryLess)
-			}
-		})
-		b.Run(kind.String()+"/heads", func(b *testing.B) {
-			b.SetBytes(int64(len(in)) * 8)
-			for i := 0; i < b.N; i++ {
-				MergeCursorsNorm(dst, cursors(), func(e *benchEntry) uint64 { return e.Key }, nil)
-			}
-		})
+		for _, arm := range arms {
+			b.Run(prefix+kind.String()+"/"+arm, func(b *testing.B) {
+				b.SetBytes(int64(len(in)) * 8)
+				for i := 0; i < b.N; i++ {
+					cs := make([]Cursor[benchEntry], k)
+					for c := range cs {
+						cs[c] = &batchCursor[benchEntry]{run: in[bounds[c]:bounds[c+1]], batch: 1024}
+					}
+					var m cursorMerge[benchEntry]
+					switch arm {
+					case "less":
+						m, _ = newCursorTree(cs, nil, benchEntryLess)
+					case "heads":
+						m, _ = newCursorTree(cs, norm, nil)
+					case "rounds":
+						m, _ = newCursorRounds(cs, norm, refs)
+					}
+					if n, _ := m.pop(dst); n != len(dst) {
+						b.Fatalf("merged %d of %d entries", n, len(dst))
+					}
+				}
+			})
+		}
+	}
+	for _, kind := range mergeBenchKinds {
+		bench(b, "", kind, 4, "less", "heads", "rounds")
+	}
+	for _, k := range []int{16, 64, 128, 1024} {
+		for _, kind := range []dist.Kind{dist.Sorted, dist.Uniform} {
+			bench(b, fmt.Sprintf("k=%d/", k), kind, k, "heads", "rounds")
+		}
 	}
 }

@@ -33,10 +33,11 @@ func (c *SliceCursor[E]) Next() ([]E, error) {
 	return c.run, nil
 }
 
-// MergeCursors merges k sorted cursor streams into dst using the same
-// loser tree as KWayMerge, pulling batches on demand so only one batch
-// per cursor is resident at a time. dst must have capacity for the full
-// merged output; the filled prefix length is returned.
+// MergeCursors merges k sorted cursor streams into dst, pulling batches on
+// demand so only one batch per cursor is resident at a time. Ordering by a
+// less function alone it runs the same loser tree as KWayMerge, over
+// cursors. dst is sized for the full merged output; the filled prefix
+// length is returned.
 //
 // The merge is stable: ties are broken by cursor index, exactly like
 // KWayMerge breaks ties by run index. The spill tier depends on this
@@ -44,65 +45,104 @@ func (c *SliceCursor[E]) Next() ([]E, error) {
 // byte-identical to KWayMerge over the same runs held in memory.
 //
 // On a cursor error the merge stops and returns the elements emitted so
-// far along with the error; remaining cursors are left unread.
+// far along with the error; remaining cursors are left unread. A dst
+// shorter than the output ends the merge the moment it is full, whichever
+// arm runs: what is left in the cursors is not pulled.
 func MergeCursors[E any](dst []E, cursors []Cursor[E], less func(x, y E) bool) (int, error) {
-	return MergeCursorsNorm(dst, cursors, nil, less)
+	return MergeCursorsNorm(dst, cursors, nil, less, nil)
 }
 
 // MergeCursorsNorm is MergeCursors for elements with an order-preserving
-// uint64 norm: the tree caches the norm of every cursor's head (norm
-// reads the element in place, once, when it becomes the head) and
-// compares those, so a match moves no element and calls no function.
-// Equal heads fall to less, which then only has to order elements of
-// equal norm — or, when less is nil because the norm is exact (equal
-// norms are equal elements), straight to the cursor-index tie rule. The
-// output is the one MergeCursors gives under "norm, then less". A nil
-// norm is MergeCursors itself.
-func MergeCursorsNorm[E any](dst []E, cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool) (int, error) {
-	k := len(cursors)
-	switch k {
+// uint64 norm. Equal norms fall to less, which then only has to order
+// elements of equal norm; a nil less says the norm is exact (equal norms
+// are equal elements). MergeRefs(len(cursors), less == nil) names what
+// runs, and refs is a slab of that length — the caller's, to pool and
+// account, holding nothing once the merge has returned:
+//
+//   - a slab (an exact norm, up to roundFanIn cursors): the merge runs in
+//     rounds over 16-byte (norm, position) refs (cursorRounds) — the
+//     two-run ref kernel of the resident step 6 in Figure 2's pairing
+//     order, no tree, no less.
+//   - none: the loser tree caches the norm of every cursor's head (norm
+//     reads the element in place, once, when it becomes the head) so that
+//     a match between different norms moves no element and calls no
+//     function; equal heads fall to less or, without one, straight to the
+//     cursor-index tie rule.
+//
+// Either way the output, the count and the error are the ones MergeCursors
+// gives under "norm, then less, then cursor index". A nil norm is
+// MergeCursors itself.
+func MergeCursorsNorm[E any](dst []E, cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool, refs []NormRef) (int, error) {
+	switch len(cursors) {
 	case 0:
 		return 0, nil
 	case 1:
 		n := 0
-		for {
+		for n < len(dst) {
 			batch, err := cursors[0].Next()
 			if err != nil {
 				return n, err
 			}
 			if len(batch) == 0 {
-				return n, nil
+				break
 			}
 			n += copy(dst[n:], batch)
 		}
+		return n, nil
 	}
-	t, err := newCursorTree(cursors, norm, less)
+	m, err := newCursorMerge(cursors, norm, less, refs)
 	if err != nil {
 		return 0, err
 	}
-	return t.pop(dst)
+	return m.pop(dst)
 }
 
-// MergeCursor is MergeCursors as a pull source: the same loser tree and
-// cursor-index tie rule, but yielding the merged stream batch by batch
-// instead of filling one destination slice. It is the egress side of a
-// fully out-of-core sort — the final merge of spilled runs can stream
-// straight into an HTTP response without a whole-result buffer.
+// cursorMerge is a primed merge of two cursors or more, whichever arm
+// runs it: pop drains it into dst until dst is full or every stream is
+// exhausted and returns the count filled; a cursor error surfaces with the
+// elements that left before it.
+type cursorMerge[E any] interface {
+	pop(dst []E) (int, error)
+}
+
+// newCursorMerge builds the arm MergeRefs names: rounds over refs where
+// it asks for a slab, the loser tree where it asks for none.
+func newCursorMerge[E any](cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool, refs []NormRef) (cursorMerge[E], error) {
+	if MergeRefs(len(cursors), norm != nil && less == nil) > 0 {
+		r, err := newCursorRounds(cursors, norm, refs)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+	t, err := newCursorTree(cursors, norm, less)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// MergeCursor is MergeCursorsNorm as a pull source: the same arm per norm
+// kind and the same cursor-index tie rule, but yielding the merged stream
+// batch by batch instead of filling one destination slice. It is the
+// egress side of a fully out-of-core sort — the final merge of spilled
+// runs can stream straight into an HTTP response without a whole-result
+// buffer.
 type MergeCursor[E any] struct {
-	t     *cursorTree[E]
+	m     cursorMerge[E]
 	one   Cursor[E] // k==1 fast path: batches pass through untouched
 	batch []E
 	err   error
 	done  bool
 }
 
-// NewMergeCursor merges cursors under norm and less (as MergeCursorsNorm
-// takes them; norm may be nil) into a Cursor. batch is the caller-owned
-// output buffer: each Next fills up to len(batch) elements and hands it
-// back, so the caller controls the merge's resident granularity. Priming
-// the tree pulls one batch per cursor, which can return a cursor error
-// immediately.
-func NewMergeCursor[E any](cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool, batch []E) (*MergeCursor[E], error) {
+// NewMergeCursor merges cursors under norm and less, with refs for the
+// rounds (all three as MergeCursorsNorm takes them; norm may be nil), into
+// a Cursor. batch is the caller-owned output buffer: each
+// Next fills up to len(batch) elements and hands it back, so the caller
+// controls the merge's resident granularity. Priming the merge pulls one
+// batch per cursor, which can return a cursor error immediately.
+func NewMergeCursor[E any](cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool, batch []E, refs []NormRef) (*MergeCursor[E], error) {
 	switch len(cursors) {
 	case 0:
 		return &MergeCursor[E]{done: true}, nil
@@ -112,11 +152,11 @@ func NewMergeCursor[E any](cursors []Cursor[E], norm func(*E) uint64, less func(
 	if len(batch) == 0 {
 		return nil, errEmptyMergeBatch
 	}
-	t, err := newCursorTree(cursors, norm, less)
+	m, err := newCursorMerge(cursors, norm, less, refs)
 	if err != nil {
 		return nil, err
 	}
-	return &MergeCursor[E]{t: t, batch: batch}, nil
+	return &MergeCursor[E]{m: m, batch: batch}, nil
 }
 
 var errEmptyMergeBatch = errors.New("lsort: MergeCursor needs a non-empty batch buffer")
@@ -133,7 +173,7 @@ func (c *MergeCursor[E]) Next() ([]E, error) {
 	if c.one != nil {
 		return c.one.Next()
 	}
-	n, err := c.t.pop(c.batch)
+	n, err := c.m.pop(c.batch)
 	if err != nil {
 		c.err = err
 		if n == 0 {
@@ -230,7 +270,8 @@ func (t *cursorTree[E]) pop(dst []E) (int, error) {
 // head[i] is the norm of cursor i's head element, taken once when the
 // element becomes the head (a pop or a fill), so the ⌈log₂ k⌉ matches it
 // then plays compare two words. Without a norm every head stays zero and
-// every match falls through to less.
+// every match falls through to less. It is the merge of an inexact norm,
+// of a bare less and of more cursors than the rounds take (roundFanIn).
 type cursorTree[E any] struct {
 	norm func(*E) uint64   // nil: order by less alone
 	less func(x, y E) bool // orders equal heads; nil: they are equal elements

@@ -1,9 +1,10 @@
 // Package lsort implements the local (single-node) sorting machinery the
 // paper builds on: the chunked-parallel radix sorts of step 1, the
 // balanced pairwise merging handler of Figure 2, TimSort (the algorithm
-// Spark's sortByKey uses per partition), and the loser-tree k-way merges
-// that stream spilled runs back (MergeCursors) and serve as the balanced
-// handler's measured counterpart (KWayMerge).
+// Spark's sortByKey uses per partition), the cursor merges that stream
+// spilled runs back (MergeCursors, MergeCursorsNorm, MergeCursor), and the
+// loser-tree k-way merge that serves as the balanced handler's measured
+// counterpart (KWayMerge).
 //
 // The merges are generic over the element type with an explicit less
 // function, mirroring the paper's claim that the sorting library "is
@@ -14,8 +15,14 @@
 // runs (MergeNormRefRuns) — the same Figure 2 round scheduler and
 // intra-merge split as the generic handler (balancedMerge, parallelMerge),
 // written once over a two-run kernel, with only that kernel specialised.
-// The cursor merge has the matching shortcut: MergeCursorsNorm keeps each
-// cursor's head norm beside the tree and compares those.
+// The cursor merges run the same kernel: under an exact norm
+// MergeCursorsNorm merges up to roundFanIn cursors in rounds, each a
+// Figure 2 pairing of ref runs built from the cursors' leading windows
+// (cursorRounds), so the budgeted step 6 costs per element what the
+// resident one costs. The loser tree over cursors (cursorTree) is what
+// more cursors than that, an inexact norm, whose ties need the real keys,
+// and a bare less function run; it keeps each cursor's head norm beside
+// the tree and compares those.
 package lsort
 
 import "sync"

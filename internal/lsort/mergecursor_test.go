@@ -57,7 +57,7 @@ func TestMergeCursorDifferential(t *testing.T) {
 			t.Fatalf("MergeCursors: n=%d err=%v", n, err)
 		}
 
-		mc, err := NewMergeCursor(mk(), nil, less, make([]int, 1+rng.Intn(9)))
+		mc, err := NewMergeCursor(mk(), nil, less, make([]int, 1+rng.Intn(9)), nil)
 		if err != nil {
 			t.Fatalf("NewMergeCursor: %v", err)
 		}
@@ -97,7 +97,7 @@ func TestMergeCursorError(t *testing.T) {
 		&errCursor{run: []int{1, 3}},
 		&chunkCursor{run: []int{2, 4}, chunk: 2},
 	}
-	mc, err := NewMergeCursor(cs, nil, func(a, b int) bool { return a < b }, make([]int, 8))
+	mc, err := NewMergeCursor(cs, nil, func(a, b int) bool { return a < b }, make([]int, 8), nil)
 	if err != nil {
 		t.Fatalf("NewMergeCursor: %v", err)
 	}

@@ -225,108 +225,187 @@ type headElem struct {
 	cur, pos int
 }
 
-// TestCursorTreeHeadNorms: the tree comparing cached head norms must emit
-// what MergeCursors emits under the two-level "norm, then key" less —
-// ties by cursor index — for an exact norm (no less at all) and an
-// inexact one (key>>4, keys break the ties), across fan-ins, batch sizes
-// that put fill boundaries everywhere (1), off the run length (3) and
-// nowhere (the whole run), runs of unequal length and an empty one. Each
-// element's norm is taken once: at most n + k norm calls.
+// TestCursorTreeHeadNorms: both norm arms of MergeCursorsNorm must emit
+// what MergeCursors emits under the two-level "norm, then key" less — ties
+// by cursor index — for an exact norm (no less at all: the rounds, and
+// above roundFanIn the tree with its cursor-index tie rule) and an inexact
+// one (key>>4, keys break the ties: the tree comparing cached head norms),
+// across fan-ins, batch sizes that put fill boundaries everywhere (1), off
+// the run length (3) and nowhere (0: the whole run, a SliceCursor), runs
+// of unequal length and an empty one. The exact half adds the shapes the
+// rounds are sensitive to and the fan-ins either side of the cut.
+//
+// Each arm keeps its own norm budget. The tree takes an element's norm
+// once, when it becomes a head: at most n + k calls. The rounds take it
+// once, when a round first looks at the element, plus one probe of every
+// live window's end a round; a round empties the window of the cursor
+// that set its bound, so there are at most as many rounds as windows —
+// ceil(len/W) a batch, which is ceil(n/W) + k for whole-run batches.
 func TestCursorTreeHeadNorms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	type shape struct {
+		name    string
+		exact   bool
+		keys    [][]uint64 // per cursor, sorted
+		batches []int
+	}
+	var shapes []shape
 	for _, exact := range []bool{true, false} {
 		for _, k := range []int{2, 3, 4, 7} {
-			runs := make([][]headElem, k)
-			total := 0
-			for c := range runs {
+			keys := make([][]uint64, k)
+			for c := range keys {
 				n := rng.Intn(200)
 				if c == 1 {
-					n = 0 // an exhausted-at-birth cursor in every tree
+					n = 0 // an exhausted-at-birth cursor in every merge
 				}
-				keys := make([]uint64, n)
-				for i := range keys {
-					keys[i] = uint64(rng.Intn(300)) // ties within and across cursors
+				keys[c] = make([]uint64, n)
+				for i := range keys[c] {
+					keys[c][i] = uint64(rng.Intn(300)) // ties within and across cursors
 				}
-				slices.Sort(keys)
-				runs[c] = make([]headElem, n)
-				for i, key := range keys {
-					runs[c][i] = headElem{key: key, cur: c, pos: i}
-				}
-				total += n
+				slices.Sort(keys[c])
 			}
-			shift := uint(0)
-			if !exact {
-				shift = 4
+			shapes = append(shapes, shape{fmt.Sprintf("random k=%d", k), exact, keys, []int{1, 3, 0}})
+		}
+	}
+	// k cursors of n keys each, cursor c's i-th key being key(c, i).
+	grid := func(k, n int, key func(c, i int) uint64) [][]uint64 {
+		keys := make([][]uint64, k)
+		for c := range keys {
+			keys[c] = make([]uint64, n)
+			for i := range keys[c] {
+				keys[c][i] = key(c, i)
 			}
-			twoLevel := func(a, b headElem) bool {
-				if na, nb := a.key>>shift, b.key>>shift; na != nb {
-					return na < nb
-				}
-				return a.key < b.key
+		}
+		return keys
+	}
+	w4 := roundRefs / 4 // the window of a 4-cursor merge
+	// k cursors, every fifth of them live, with ties across cursors and
+	// runs a little over two of the k-cursor merge's windows.
+	sparse := func(k int) [][]uint64 {
+		keys := make([][]uint64, k)
+		for c := 0; c < k; c += 5 {
+			keys[c] = make([]uint64, 2*roundRefs/k+c%3)
+			for i := range keys[c] {
+				keys[c][i] = uint64(i/4 + c%7)
 			}
-			var tie func(a, b headElem) bool
-			if !exact {
-				tie = func(a, b headElem) bool { return a.key < b.key }
-			}
-			normCalls := 0
-			norm := func(e *headElem) uint64 { normCalls++; return e.key >> shift }
+		}
+		return keys
+	}
+	shapes = append(shapes,
+		// Every round is one cursor's window, in cursor order.
+		shape{"all equal", true, grid(4, 2*w4+17, func(c, i int) uint64 { return 5 }), []int{w4 / 2, 0}},
+		// Only the bound's cursor ever contributes; the others wait.
+		shape{"disjoint ascending", true, grid(4, w4+9, func(c, i int) uint64 { return uint64(c*(w4+9) + i) }), []int{100, 0}},
+		shape{"disjoint descending", true, grid(4, w4+9, func(c, i int) uint64 { return uint64((3-c)*(w4+9) + i) }), []int{100, 0}},
+		// The widest merge the rounds take, and the narrowest they leave
+		// to the tree: no less there, ties by cursor index alone.
+		shape{"k = roundFanIn", true, sparse(roundFanIn), []int{50, 0}},
+		shape{"k = roundFanIn+1", true, sparse(roundFanIn + 1), []int{50, 0}},
+		// One batch spans several windows.
+		shape{"batch longer than W", true, grid(2, 3*roundRefs/2+5, func(c, i int) uint64 { return uint64(i / 3 * (c + 1)) }), []int{0}},
+	)
 
-			want := make([]headElem, total)
-			whole := make([]Cursor[headElem], k)
-			for c := range whole {
-				whole[c] = NewSliceCursor(runs[c])
+	for _, sh := range shapes {
+		k := len(sh.keys)
+		runs := make([][]headElem, k)
+		total, live := 0, 0
+		for c, keys := range sh.keys {
+			runs[c] = make([]headElem, len(keys))
+			for i, key := range keys {
+				runs[c][i] = headElem{key: key, cur: c, pos: i}
 			}
-			if n, err := MergeCursors(want, whole, twoLevel); err != nil || n != total {
-				t.Fatalf("reference merge: %d of %d, %v", n, total, err)
+			total += len(keys)
+			if len(keys) > 0 {
+				live++
 			}
-			for i := 1; i < total; i++ {
-				if a, b := want[i-1], want[i]; a.key == b.key && a.cur > b.cur {
-					t.Fatalf("reference breaks cursor order on ties: %+v before %+v", a, b)
+		}
+		shift := uint(0)
+		if !sh.exact {
+			shift = 4
+		}
+		twoLevel := func(a, b headElem) bool {
+			if na, nb := a.key>>shift, b.key>>shift; na != nb {
+				return na < nb
+			}
+			return a.key < b.key
+		}
+		var tie func(a, b headElem) bool
+		if !sh.exact {
+			tie = func(a, b headElem) bool { return a.key < b.key }
+		}
+		refs := make([]NormRef, MergeRefs(k, sh.exact))
+		normCalls := 0
+		norm := func(e *headElem) uint64 { normCalls++; return e.key >> shift }
+
+		cursors := func(batch int) []Cursor[headElem] {
+			cs := make([]Cursor[headElem], k)
+			for c := range cs {
+				if batch == 0 {
+					cs[c] = NewSliceCursor(runs[c])
+				} else {
+					cs[c] = &batchCursor[headElem]{run: runs[c], batch: batch}
 				}
 			}
+			return cs
+		}
+		want := make([]headElem, total)
+		if n, err := MergeCursors(want, cursors(0), twoLevel); err != nil || n != total {
+			t.Fatalf("reference merge: %d of %d, %v", n, total, err)
+		}
+		for i := 1; i < total; i++ {
+			if a, b := want[i-1], want[i]; a.key == b.key && a.cur > b.cur {
+				t.Fatalf("reference breaks cursor order on ties: %+v before %+v", a, b)
+			}
+		}
 
-			for _, batch := range []int{1, 3, 1 << 20} {
-				name := fmt.Sprintf("exact=%v k=%d batch=%d", exact, k, batch)
-				cursors := func() []Cursor[headElem] {
-					cs := make([]Cursor[headElem], k)
-					for c := range cs {
-						cs[c] = &batchCursor[headElem]{run: runs[c], batch: batch}
+		for _, batch := range sh.batches {
+			name := fmt.Sprintf("%s exact=%v batch=%d", sh.name, sh.exact, batch)
+			budget := total + k
+			if len(refs) > 0 {
+				window, windows := roundRefs/k, 0
+				for _, run := range runs {
+					b := batch
+					if b == 0 {
+						b = max(len(run), 1)
 					}
-					return cs
+					windows += len(run) / b * ((b + window - 1) / window)
+					windows += (len(run)%b + window - 1) / window
 				}
-				normCalls = 0
-				got := make([]headElem, total)
-				n, err := MergeCursorsNorm(got, cursors(), norm, tie)
-				if err != nil || n != total {
-					t.Fatalf("%s: %d of %d, %v", name, n, total, err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: MergeCursorsNorm diverges from the two-level merge", name)
-				}
-				if normCalls > total+k {
-					t.Errorf("%s: %d norm calls for %d elements", name, normCalls, total)
-				}
+				budget = total + live*windows
+			}
+			normCalls = 0
+			got := make([]headElem, total)
+			n, err := MergeCursorsNorm(got, cursors(batch), norm, tie, refs)
+			if err != nil || n != total {
+				t.Fatalf("%s: %d of %d, %v", name, n, total, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: MergeCursorsNorm diverges from the two-level merge", name)
+			}
+			if normCalls > budget {
+				t.Errorf("%s: %d norm calls for %d elements, budget %d", name, normCalls, total, budget)
+			}
 
-				// The same tree behind the pull interface, popped a few
-				// elements at a time: heads must survive across pops.
-				mc, err := NewMergeCursor(cursors(), norm, tie, make([]headElem, 5))
+			// The same merge behind the pull interface, popped a few
+			// elements at a time: its state — the tree's heads, a round's
+			// merged refs — must survive across pops.
+			mc, err := NewMergeCursor(cursors(batch), norm, tie, make([]headElem, 5), refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = got[:0]
+			for {
+				b, err := mc.Next()
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = got[:0]
-				for {
-					b, err := mc.Next()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(b) == 0 {
-						break
-					}
-					got = append(got, b...)
+				if len(b) == 0 {
+					break
 				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: MergeCursor with head norms diverges", name)
-				}
+				got = append(got, b...)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: MergeCursor diverges from the two-level merge", name)
 			}
 		}
 	}
