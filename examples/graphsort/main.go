@@ -14,7 +14,6 @@ import (
 	"pgxsort"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/graph"
-	"pgxsort/internal/taskmgr"
 )
 
 func main() {
@@ -27,10 +26,7 @@ func main() {
 	fmt.Printf("block partition on 8 machines: %d crossing edges, ghosts per machine %v\n",
 		st.CrossingEdges, st.GhostNodes)
 
-	// Degrees computed in parallel with the task manager's edge chunks.
-	pool := taskmgr.NewPool(4)
-	defer pool.Close()
-	degrees := g.Degrees(pool)
+	degrees := g.Degrees()
 	fmt.Printf("degree keys: duplicate ratio %.4f (power-law graphs share few distinct degrees)\n",
 		dist.DuplicateRatio(degrees))
 

@@ -13,13 +13,12 @@ import (
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
 	"pgxsort/internal/lsort"
-	"pgxsort/internal/taskmgr"
 	"pgxsort/internal/transport"
 )
 
 // Engine is a simulated PGX.D cluster that sorts datasets distributed
 // across Procs processors. An engine may run many sorts, sequentially or
-// simultaneously; Close releases its workers and network.
+// simultaneously; Close releases its network and dispatchers.
 type Engine[K cmp.Ordered] struct {
 	opts       Options
 	codec      comm.Codec[K]
@@ -39,14 +38,14 @@ type Engine[K cmp.Ordered] struct {
 	normInexact bool
 }
 
-// node is one simulated processor: an endpoint on the network, a worker
-// pool (task manager), a buffer policy (data manager), a temp-memory
-// tracker and a dispatcher routing inbound messages to per-sort mailboxes.
+// node is one simulated processor: an endpoint on the network, a buffer
+// policy (data manager), a temp-memory tracker and a dispatcher routing
+// inbound messages to per-sort mailboxes. It keeps no worker goroutines:
+// each step starts the ones it runs on (the task manager of §III).
 type node[K cmp.Ordered] struct {
 	id      int
 	eng     *Engine[K]
 	ep      transport.Endpoint[K]
-	pool    *taskmgr.Pool
 	dm      *datamgr.Manager
 	tracker alloc.Tracker
 	// entryPool recycles this processor's entry and merge-scratch slabs
@@ -105,11 +104,10 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 	e.nodes = make([]*node[K], opts.Procs)
 	for i := range e.nodes {
 		n := &node[K]{
-			id:   i,
-			eng:  e,
-			ep:   net.Endpoint(i),
-			pool: taskmgr.NewPool(opts.WorkersPerProc),
-			mbs:  make(map[mbKey]*mailbox[comm.Message[K]]),
+			id:  i,
+			eng: e,
+			ep:  net.Endpoint(i),
+			mbs: make(map[mbKey]*mailbox[comm.Message[K]]),
 		}
 		n.entryPool = &alloc.SlabPool[comm.Entry[K]]{}
 		n.dm = &datamgr.Manager{BufferBytes: opts.BufferBytes, Tracker: &n.tracker}
@@ -125,16 +123,13 @@ func (e *Engine[K]) Options() Options { return e.opts }
 
 // Close shuts the cluster down: the transport drains in-flight frames
 // (bounded by Options.TCP.DrainTimeout on TCP), listeners and
-// connections close, and the workers stop. In-flight sorts fail; Close
+// connections close, and the dispatchers stop. In-flight sorts fail; Close
 // is idempotent and returns the first real transport failure it observed
 // (a broken link, a non-shutdown accept error, or a drain timeout).
 func (e *Engine[K]) Close() error {
 	e.closeOnce.Do(func() {
 		e.closeErr = e.net.Close()
 		e.dispatchWG.Wait()
-		for _, n := range e.nodes {
-			n.pool.Close()
-		}
 	})
 	return e.closeErr
 }

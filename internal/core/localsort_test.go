@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -124,5 +125,47 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 			t.Fatalf("%s/%s: failed sort took %d slabs and returned %d", f.site, f.mode, gets, puts)
 		}
 		checkNoLeak(t, eng)
+	}
+}
+
+// TestLocalSortInexactNormSpills: step 1 holds to Options.MemoryBudget
+// under an inexact norm too. A share of strings sharing a prefix longer
+// than the norm sees, four times the budget, is formed as runs on disk
+// and merged back to exactly the entries the unbudgeted sort gives — key
+// bytes, Proc and Index — since the chunk sorts are stable by (key, index)
+// and the merge breaks equal keys by run.
+func TestLocalSortInexactNormSpills(t *testing.T) {
+	const n = 4000
+	keys := dist.Gen{Kind: dist.RightSkewed, Seed: 47}.Strings(n, "shared-prefix-")
+	codec := comm.Codec[string](comm.StringCodec{})
+	step1 := func(budget int64) (*sortRun[string], []comm.Entry[string]) {
+		t.Helper()
+		e, err := NewEngine[string](Options{Procs: 1, WorkersPerProc: 2, MemoryBudget: budget, SpillDir: t.TempDir()}, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		s := testSortRun(e)
+		s.src = &keySource[string]{keys: keys}
+		entries, err := s.localSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, entries
+	}
+	resident, want := step1(-1)
+	budgeted, got := step1(n * int64(entryBytes[string]()) / 4)
+	if resident.runs.spillBytes.Load() != 0 || budgeted.runs.spillBytes.Load() == 0 {
+		t.Fatalf("spilled %d bytes unbudgeted and %d budgeted, want none and some",
+			resident.runs.spillBytes.Load(), budgeted.runs.spillBytes.Load())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d entries budgeted, %d unbudgeted", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Proc != w.Proc || g.Index != w.Index || !bytes.Equal(keyBytes(codec, g.Key), keyBytes(codec, w.Key)) {
+			t.Fatalf("entry %d is %+v budgeted, %+v unbudgeted", i, g, w)
+		}
 	}
 }

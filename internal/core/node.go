@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -44,7 +45,7 @@ type sortRun[K cmp.Ordered] struct {
 	runs runFormer[K]
 
 	// Traffic counters are atomics, not a mutex: sends to different
-	// destinations run concurrently on the worker pool, and the exchange
+	// destinations run concurrently on their own goroutines, and the exchange
 	// hot path must not serialize them. They fold into the report once
 	// the run finishes.
 	bytesSent   atomic.Int64
@@ -346,11 +347,11 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 // run by the shared former (runs.go). The entry buffer comes from the
 // node's slab pool and returns to it once the whole sort joins (its
 // subslices travel through the exchange). A share that fits is one chunk,
-// written into the buffer once, already in order; under an exact norm a
-// share whose entries alone exceed Options.MemoryBudget is formed in
-// budget-sized chunks that land in the head of the buffer, spill to a
-// scratch file as one run each, and stream-merge back over it — the same
-// bytes, a fraction of the temporary memory.
+// written into the buffer once, already in order; a share whose entries
+// alone exceed Options.MemoryBudget is formed in budget-sized chunks that
+// land in the head of the buffer, spill to a scratch file as one run
+// each, and stream-merge back over it — the same bytes, a fraction of the
+// temporary memory.
 func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	t0 := time.Now()
 	entries := s.node.entryPool.Get(s.src.size())
@@ -358,12 +359,7 @@ func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 	eb := int64(entryBytes[K]())
 	s.report.ResidentBytes = int64(len(entries)) * eb
 	chunk := len(entries)
-	if budget := s.opts.MemoryBudget; budget > 0 && !s.cmps.inexact && int64(len(entries))*eb > budget {
-		// Only an exact norm spills here: its chunk sorts and the
-		// streaming merge are both stable, so the chunked result is
-		// byte-identical to the one-pass sort at any chunk size. (An
-		// inexact norm keeps its in-memory sort; the exchange stage still
-		// spills for it.)
+	if budget := s.opts.MemoryBudget; budget > 0 && int64(len(entries))*eb > budget {
 		chunk = chunkEntries(budget, eb, 1)
 	}
 	var scratch *spill.Scratch
@@ -538,21 +534,22 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 	}
 
 	sendAll := func() error {
-		// One send task per destination on the worker pool: the task
-		// manager schedules chunked request buffers per peer.
+		// One sender goroutine per peer, each streaming its range in
+		// buffer-sized chunks.
 		errs := make([]error, p)
-		tasks := make([]func(), 0, p-1)
+		var wg sync.WaitGroup
 		for dst := 0; dst < p; dst++ {
 			if dst == self {
 				continue
 			}
-			dst := dst
 			dlo, dhi := ranges.Range(dst)
 			// Chunk by measured wire size, not the nominal KeySize: with
 			// variable-width keys or payloads the estimate keeps chunks
 			// near the buffer budget instead of overshooting it.
 			estBytes := comm.EntryWireEstimate(entries[dlo:dhi], s.codec)
-			tasks = append(tasks, func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				errs[dst] = datamgr.Chunks(n.dm, entries[dlo:dhi], estBytes,
 					func(chunk []comm.Entry[K], last bool) error {
 						m := comm.Message[K]{Kind: comm.KData, Entries: chunk}
@@ -564,9 +561,9 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 						}
 						return s.send(dst, m)
 					})
-			})
+			}()
 		}
-		n.pool.RunAll(tasks...)
+		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
 				return err

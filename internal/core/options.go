@@ -1,8 +1,9 @@
 // Package core implements the paper's primary contribution: the PGX.D
 // distributed sample sort (§IV). An Engine simulates p processors, each
-// with its own worker pool (task manager), buffer policy (data manager)
-// and network endpoint (communication manager), and runs the six-step
-// pipeline:
+// with its own buffer policy (data manager) and network endpoint
+// (communication manager), and runs the six-step pipeline; its task
+// manager is the goroutines each step starts for itself (WorkersPerProc
+// bounds the steps that split their work):
 //
 //  1. parallel local sort: per-chunk radix over (norm, index) refs of
 //     the keys, combined by the balanced merging handler (Fig 2).
@@ -43,7 +44,10 @@ type Options struct {
 	// Procs is the number of simulated processors p. Default 4.
 	Procs int
 	// WorkersPerProc is the number of worker threads per processor
-	// (the paper uses 32 on real machines). Default 2.
+	// (the paper uses 32 on real machines): how many goroutines step 1's
+	// ref sort and TopK's local scan split their work across, and, above
+	// 1, step 6's one helper. Step 5 sends to each peer on a goroutine of
+	// its own. Default 2.
 	WorkersPerProc int
 	// BufferBytes is the read/request buffer size that drives both the
 	// sample count and data chunking. Default 256KB (the paper's value).

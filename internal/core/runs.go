@@ -289,9 +289,10 @@ func chunkEntries(budget, eb int64, floor int) int {
 // sorted chunk is written to it as a run and the runs come back in chunk
 // order, without one the source must fit one chunk, which stays in buf.
 // buf, a chunk long, is where a source that does not stage its own entries
-// has them land; one that does needs none. Chunk sorts are stable under an
-// exact norm, so merging the runs in order reproduces the one-chunk sort
-// entry for entry at any chunk size.
+// has them land; one that does needs none. Chunk sorts are stable, an
+// inexact norm's included (its equal-norm runs are finished under the real
+// keys), and the merge breaks equal keys by run, so merging the runs in
+// order reproduces the one-chunk sort entry for entry at any chunk size.
 func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, to *spill.Scratch) (runs []spill.Run, err error) {
 	chunk = min(chunk, src.size())
 	refs := f.takeRefs(2 * chunk) // the chunk's refs, then as many of scratch

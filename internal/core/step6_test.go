@@ -15,6 +15,16 @@ import (
 	"pgxsort/internal/sample"
 )
 
+// testSortRun is a sort run on node 0 of e outside any sort, for a test
+// to hand a source or an exchange.
+func testSortRun[K cmp.Ordered](e *Engine[K]) *sortRun[K] {
+	cmps := e.comparators()
+	n := e.nodes[0]
+	return &sortRun[K]{node: n, opts: e.opts, codec: e.codec, ctx: context.Background(), cmps: cmps,
+		runs: runFormer[K]{ctx: context.Background(), codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
+			pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker}}
+}
+
 // step6Sink assembles the given per-source keys on node 0 of a fresh
 // engine exactly as an exchange would: each source's run sorted under the
 // sort's own entry order, ties in index order, written into the resident
@@ -28,11 +38,8 @@ func step6Sink[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	cmps := e.comparators()
-	n := e.nodes[0]
-	s := &sortRun[K]{node: n, opts: e.opts, codec: codec, ctx: context.Background(), cmps: cmps,
-		runs: runFormer[K]{ctx: context.Background(), codec: codec, cmps: cmps, workers: workers,
-			pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker}}
+	s := testSortRun(e)
+	cmps := s.cmps
 
 	perSrc := make([]int, p)
 	for src, keys := range bySrc {

@@ -70,21 +70,25 @@ func (e *Engine[K]) selectK(parts [][]K, k int, bottom bool) (*TopKResult[K], er
 			defer wg.Done()
 			n := e.nodes[i]
 			local := parts[i]
-			// Local candidate selection in parallel chunks on the node's
-			// worker pool, then a node-level reduction.
-			var partials [][]comm.Entry[K]
-			var pmu sync.Mutex
-			n.pool.ParallelFor(len(local), func(lo, hi int) {
-				src := &keySource[K]{keys: local, node: uint32(i), lo: lo, hi: hi}
-				chunk := make([]comm.Entry[K], hi-lo)
-				for j := range chunk {
-					chunk[j] = src.entry(j)
-				}
-				top := lsort.TopK(chunk, k, worse)
-				pmu.Lock()
-				partials = append(partials, top)
-				pmu.Unlock()
-			})
+			// Local candidate selection in WorkersPerProc chunks, one
+			// goroutine each as step 1 splits its share, then a
+			// node-level reduction.
+			partials := make([][]comm.Entry[K], min(e.opts.WorkersPerProc, len(local)))
+			var cwg sync.WaitGroup
+			for c := range partials {
+				lo, hi := c*len(local)/len(partials), (c+1)*len(local)/len(partials)
+				cwg.Add(1)
+				go func() {
+					defer cwg.Done()
+					src := &keySource[K]{keys: local, node: uint32(i), lo: lo, hi: hi}
+					chunk := make([]comm.Entry[K], hi-lo)
+					for j := range chunk {
+						chunk[j] = src.entry(j)
+					}
+					partials[c] = lsort.TopK(chunk, k, worse)
+				}()
+			}
+			cwg.Wait()
 			var flat []comm.Entry[K]
 			for _, part := range partials {
 				flat = append(flat, part...)

@@ -10,8 +10,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-
-	"pgxsort/internal/taskmgr"
 )
 
 // Edge is a directed src -> dst pair.
@@ -62,22 +60,15 @@ func FromEdges(numVertices int, edges []Edge) (*CSR, error) {
 	return g, nil
 }
 
-// Degrees computes all out-degrees in parallel on the given pool,
-// returning them as uint64 sort keys. This is the dataset sorted in the
-// paper's Twitter experiments: degree data is heavily duplicated (most
-// vertices in a power-law graph share low degrees), which is exactly the
-// case the investigator targets.
-func (g *CSR) Degrees(pool *taskmgr.Pool) []uint64 {
+// Degrees returns all out-degrees as uint64 sort keys, one pass over the
+// row offsets. This is the dataset sorted in the paper's Twitter
+// experiments: degree data is heavily duplicated (most vertices in a
+// power-law graph share low degrees), which is exactly the case the
+// investigator targets.
+func (g *CSR) Degrees() []uint64 {
 	out := make([]uint64, g.NumVertices)
-	compute := func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			out[v] = uint64(g.Row[v+1] - g.Row[v])
-		}
-	}
-	if pool == nil {
-		compute(0, g.NumVertices)
-	} else {
-		pool.ParallelFor(g.NumVertices, compute)
+	for v := range out {
+		out[v] = uint64(g.Row[v+1] - g.Row[v])
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pgxsort/internal/dist"
-	"pgxsort/internal/taskmgr"
 )
 
 func smallGraph(t *testing.T) *CSR {
@@ -44,16 +43,11 @@ func TestFromEdgesRejectsOutOfRange(t *testing.T) {
 }
 
 func TestDegrees(t *testing.T) {
-	g := smallGraph(t)
-	pool := taskmgr.NewPool(2)
-	defer pool.Close()
-	for _, p := range []*taskmgr.Pool{nil, pool} {
-		degs := g.Degrees(p)
-		want := []uint64{2, 1, 0, 1}
-		for v, w := range want {
-			if degs[v] != w {
-				t.Errorf("degrees = %v, want %v", degs, want)
-			}
+	degs := smallGraph(t).Degrees()
+	want := []uint64{2, 1, 0, 1}
+	for v, w := range want {
+		if degs[v] != w {
+			t.Errorf("degrees = %v, want %v", degs, want)
 		}
 	}
 }
@@ -104,7 +98,7 @@ func TestRMATDeterministicAndSized(t *testing.T) {
 
 func TestTwitterLikeIsHeavyTailed(t *testing.T) {
 	g := TwitterLike(RMATConfig{Scale: 14, EdgeFactor: 16, Seed: 7})
-	degs := g.Degrees(nil)
+	degs := g.Degrees()
 	// Heavy tail: the max degree dwarfs the mean (16).
 	var max uint64
 	for _, d := range degs {

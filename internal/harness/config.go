@@ -95,7 +95,7 @@ func (c Config) parts(kind dist.Kind, procs int) [][]uint64 {
 // twitterDegrees builds the Twitter stand-in and extracts its degree keys.
 func (c Config) twitterDegrees() []uint64 {
 	g := graph.TwitterLike(graph.RMATConfig{Scale: c.TwitterScale, EdgeFactor: 16, Seed: c.Seed})
-	return g.Degrees(nil)
+	return g.Degrees()
 }
 
 // engineOpts resolves the per-measurement engine options from the sweep
@@ -156,23 +156,17 @@ func (c Config) runPGXD(parts [][]uint64, opts core.Options) (*core.Report, erro
 	return &res.Report, nil
 }
 
-// runSpark sorts parts with the Spark baseline, cores matched to the PGX.D
-// engine's total worker count.
+// runSpark sorts parts with the Spark baseline, each stage one task
+// goroutine per partition as the PGX.D engine runs one per processor.
 func (c Config) runSpark(parts [][]uint64) (*spark.Report, error) {
 	var best *spark.Report
 	for r := 0; r < c.Reps; r++ {
-		sc := spark.NewContext(spark.Config{
-			Partitions: len(parts),
-			TotalCores: len(parts) * c.Workers,
-			Seed:       c.Seed,
-		})
+		sc := spark.NewContext(spark.Config{Partitions: len(parts), Seed: c.Seed})
 		rdd, err := spark.FromParts(sc, parts)
 		if err != nil {
-			sc.Close()
 			return nil, err
 		}
 		_, rep := spark.SortByKey(rdd, comm.U64Codec{})
-		sc.Close()
 		if best == nil || rep.Total < best.Total {
 			best = rep
 		}

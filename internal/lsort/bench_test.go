@@ -1,10 +1,12 @@
 package lsort
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"pgxsort/internal/dist"
 )
@@ -15,17 +17,35 @@ func benchKeys(kind dist.Kind) []uint64 {
 	return dist.Gen{Kind: kind, Seed: 42}.Keys(benchN)
 }
 
+// BenchmarkTimSort sorts what the Spark baseline's reduce stage sorts —
+// 40-byte entries, by key — with TimSort and, beside it, with the
+// standard library's stable sort (slices-stable) that would replace it.
 func BenchmarkTimSort(b *testing.B) {
-	for _, kind := range []dist.Kind{dist.Uniform, dist.Sorted, dist.FewDistinct} {
-		b.Run(kind.String(), func(b *testing.B) {
-			keys := benchKeys(kind)
-			buf := make([]uint64, len(keys))
-			b.SetBytes(benchN * 8)
-			for i := 0; i < b.N; i++ {
-				copy(buf, keys)
-				TimSort(buf, lessU64)
-			}
-		})
+	const n = 1 << 16
+	for _, kind := range []dist.Kind{dist.Uniform, dist.RightSkewed, dist.FewDistinct, dist.Sorted} {
+		keys := dist.Gen{Kind: kind, Seed: 42}.Keys(n)
+		in := make([]benchEntry, n)
+		for i, k := range keys {
+			in[i] = benchEntry{Key: k, Index: uint32(i)}
+		}
+		for _, alg := range []struct {
+			name string
+			sort func([]benchEntry)
+		}{
+			{"timsort", func(s []benchEntry) { TimSort(s, benchEntryLess) }},
+			{"slices-stable", func(s []benchEntry) {
+				slices.SortStableFunc(s, func(x, y benchEntry) int { return cmp.Compare(x.Key, y.Key) })
+			}},
+		} {
+			b.Run(kind.String()+"/"+alg.name, func(b *testing.B) {
+				buf := make([]benchEntry, n)
+				b.SetBytes(n * int64(unsafe.Sizeof(benchEntry{})))
+				for i := 0; i < b.N; i++ {
+					copy(buf, in)
+					alg.sort(buf)
+				}
+			})
+		}
 	}
 }
 

@@ -35,14 +35,12 @@ func (c *SliceCursor[E]) Next() ([]E, error) {
 
 // MergeCursors merges k sorted cursor streams into dst, pulling batches on
 // demand so only one batch per cursor is resident at a time. Ordering by a
-// less function alone it runs the same loser tree as KWayMerge, over
-// cursors. dst is sized for the full merged output; the filled prefix
-// length is returned.
+// less function alone it runs the loser tree (cursorTree). dst is sized
+// for the full merged output; the filled prefix length is returned.
 //
-// The merge is stable: ties are broken by cursor index, exactly like
-// KWayMerge breaks ties by run index. The spill tier depends on this
-// equivalence — merging per-source RunReaders by source order must be
-// byte-identical to KWayMerge over the same runs held in memory.
+// The merge is stable: ties are broken by cursor index. The spill tier
+// depends on this — merging per-source RunReaders by source order must be
+// byte-identical to the stable merge of the same runs held in memory.
 //
 // On a cursor error the merge stops and returns the elements emitted so
 // far along with the error; remaining cursors are left unread. A dst
@@ -50,6 +48,28 @@ func (c *SliceCursor[E]) Next() ([]E, error) {
 // arm runs: what is left in the cursors is not pulled.
 func MergeCursors[E any](dst []E, cursors []Cursor[E], less func(x, y E) bool) (int, error) {
 	return MergeCursorsNorm(dst, cursors, nil, less, nil)
+}
+
+// KWayMerge merges k sorted runs into a newly allocated slice: MergeCursors
+// over slice cursors, one root-to-leaf replay of ceil(log2 k) matches per
+// emitted element. It is the natural baseline to ablate against the
+// paper's balanced pairwise merging handler (Figure 2): the loser tree does
+// fewer total element moves but is strictly sequential, while the balanced
+// handler parallelizes every round.
+//
+// The merge is stable: ties are broken by run index.
+func KWayMerge[E any](runs [][]E, less func(x, y E) bool) []E {
+	cursors := make([]Cursor[E], 0, len(runs))
+	total := 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			cursors = append(cursors, NewSliceCursor(r))
+			total += len(r)
+		}
+	}
+	out := make([]E, total)
+	MergeCursors(out, cursors, less) // slice cursors never fail
+	return out
 }
 
 // MergeCursorsNorm is MergeCursors for elements with an order-preserving
@@ -261,11 +281,13 @@ func (t *cursorTree[E]) pop(dst []E) (int, error) {
 	return n, nil
 }
 
-// cursorTree is loserTree's batch-pulling sibling: leaves are cursor
-// streams instead of resident runs, with buf/pos holding the live batch
-// per cursor. Refills happen in the pop path the moment a batch drains,
-// so tie-break order (lower cursor index first) is identical to
-// loserTree's run-index rule.
+// cursorTree is the package's loser tree (tournament tree): a complete
+// binary tree over k cursor streams stored in an array, leaf i at k+i,
+// internal node j with children 2j and 2j+1 holding the cursor index of the
+// loser of the match played there, tree[0] the overall winner and -1 an
+// exhausted stream that compares as +infinity. buf/pos hold the live batch
+// per cursor; refills happen in the pop path the moment a batch drains, so
+// ties go to the lower cursor index whatever the batch boundaries.
 //
 // head[i] is the norm of cursor i's head element, taken once when the
 // element becomes the head (a pop or a fill), so the ⌈log₂ k⌉ matches it

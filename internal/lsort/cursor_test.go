@@ -1,8 +1,10 @@
 package lsort
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -30,9 +32,16 @@ func (c *chunkedCursor) Next() ([]uint64, error) {
 	return c.buf, nil
 }
 
-// TestMergeCursorsMatchesKWay: streaming the same runs through batching
-// cursors must reproduce KWayMerge byte for byte — including tie order,
-// which both break by run/cursor index. This is the equivalence the
+// stableMerged is the merge oracle: the runs concatenated in run order and
+// stably sorted, which leaves equal elements in run order — the tie rule
+// of every merge here.
+func stableMerged(runs [][]uint64) []uint64 {
+	return slices.SortedStableFunc(slices.Values(slices.Concat(runs...)), cmp.Compare[uint64])
+}
+
+// TestMergeCursorsMatchesKWay: streaming runs through batching cursors
+// must reproduce the stable sort of their concatenation byte for byte —
+// including tie order, broken by cursor index. This is the equivalence the
 // spill tier's final merge is built on.
 func TestMergeCursorsMatchesKWay(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -44,7 +53,7 @@ func TestMergeCursorsMatchesKWay(t *testing.T) {
 			runs[i] = sortedRandom(r, r.Intn(3000), 1+r.Intn(50))
 			total += len(runs[i])
 		}
-		want := KWayMerge(runs, lessU64)
+		want := stableMerged(runs)
 		cursors := make([]Cursor[uint64], k)
 		for i := range runs {
 			cursors[i] = &chunkedCursor{run: runs[i], sizes: []int{1 + r.Intn(7), 1 + r.Intn(500), 97}}
@@ -66,7 +75,7 @@ func TestMergeCursorsMatchesKWay(t *testing.T) {
 }
 
 // TestMergeCursorsMixedSlices: resident runs via SliceCursor interleave
-// with batching cursors and still match KWayMerge.
+// with batching cursors and still match the stable sort.
 func TestMergeCursorsMixedSlices(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	runs := [][]uint64{
@@ -75,7 +84,7 @@ func TestMergeCursorsMixedSlices(t *testing.T) {
 		sortedRandom(r, 1200, 20),
 		sortedRandom(r, 3, 2),
 	}
-	want := KWayMerge(runs, lessU64)
+	want := stableMerged(runs)
 	cursors := []Cursor[uint64]{
 		NewSliceCursor(runs[0]),
 		&chunkedCursor{run: runs[1], sizes: []int{4}},
@@ -130,9 +139,9 @@ func TestMergeCursorsError(t *testing.T) {
 
 // TestLoserTreeOneLessPerMatch: over tie-heavy input — all keys equal,
 // and every run holding the same keys, where the old two-call tie test
-// paid twice — both loser trees spend at most ⌈log₂ k⌉ less calls per
-// popped element after the k−1 priming matches, and still emit ties in
-// run order.
+// paid twice — the loser tree, entered through KWayMerge and through
+// MergeCursors, spends at most ⌈log₂ k⌉ less calls per popped element
+// after the k−1 priming matches, and still emits ties in run order.
 func TestLoserTreeOneLessPerMatch(t *testing.T) {
 	type tagged struct{ key, run int }
 	const per = 200

@@ -1,9 +1,9 @@
 // Package lsort implements the local (single-node) sorting machinery the
 // paper builds on: the chunked-parallel radix sorts of step 1, the
 // balanced pairwise merging handler of Figure 2, TimSort (the algorithm
-// Spark's sortByKey uses per partition), the cursor merges that stream
-// spilled runs back (MergeCursors, MergeCursorsNorm, MergeCursor), and the
-// loser-tree k-way merge that serves as the balanced handler's measured
+// Spark's sortByKey uses per partition), and the cursor merges that stream
+// spilled runs back (MergeCursors, MergeCursorsNorm, MergeCursor), whose
+// loser tree over slice cursors is also the balanced handler's measured
 // counterpart (KWayMerge).
 //
 // The merges are generic over the element type with an explicit less

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -573,5 +574,49 @@ func TestExplicitTCPRequiresOneKeyType(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "exactly one") {
 		t.Fatalf("expected the one-keytype error, got %v", err)
+	}
+}
+
+// TestServerCloseLeaksNoGoroutines: after a sort, a spooled upload and a
+// top-k, closing the HTTP server and the service leaves no goroutine
+// running — no engine worker, sender or spool reader outlives Close.
+func TestServerCloseLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := New(Config{Procs: 4, Workers: 8, SpoolThreshold: 16 << 10,
+		MemoryBudget: 64 << 10, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	keys := dist.Gen{Kind: dist.Uniform, Seed: 5}.Keys(20_000)
+	if resp, body := postJSON(t, ts.URL+"/v1/sort", map[string]any{"keys": []any{uint64(3), uint64(1), uint64(2)}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sort: %d: %s", resp.StatusCode, body)
+	}
+	resp, body := postBinary(t, ts.URL+"/v1/sort", keyio.EncodeUint64s(keys))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Pgxsortd-Spooled") != "true" {
+		t.Fatalf("spooled upload: %d, spooled %q: %.200s", resp.StatusCode, resp.Header.Get("X-Pgxsortd-Spooled"), body)
+	}
+	b64 := base64.StdEncoding.EncodeToString(keyio.EncodeUint64s(keys))
+	if resp, body := postJSON(t, ts.URL+"/v1/topk", map[string]any{"keys_b64": b64, "k": 5}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("topk: %d: %s", resp.StatusCode, body)
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	http.DefaultClient.CloseIdleConnections()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		now := runtime.NumGoroutine()
+		if now <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, now, buf[:n])
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

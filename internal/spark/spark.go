@@ -18,8 +18,9 @@
 //     then TimSorts the concatenation (Spark sorts on the reduce side
 //     with TimSort; there are no presorted runs to merge).
 //
-// The engine runs its tasks on a shared executor pool sized like the
-// PGX.D engine's worker pool so CPU parallelism is comparable.
+// Every stage runs one task goroutine per partition and waits for all of
+// them, as the PGX.D engine runs one goroutine per processor, so CPU
+// parallelism is comparable.
 package spark
 
 import (
@@ -34,17 +35,12 @@ import (
 	"pgxsort/internal/dist"
 	"pgxsort/internal/lsort"
 	"pgxsort/internal/sample"
-	"pgxsort/internal/taskmgr"
 )
 
 // Config sizes the simulated cluster.
 type Config struct {
 	// Partitions is the RDD partition count (the paper's "processors").
 	Partitions int
-	// TotalCores is the number of executor cores shared by all tasks,
-	// comparable to Procs*WorkersPerProc of the PGX.D engine. Default
-	// 2*Partitions.
-	TotalCores int
 	// Seed drives reservoir sampling.
 	Seed uint64
 }
@@ -53,27 +49,19 @@ func (c Config) withDefaults() Config {
 	if c.Partitions <= 0 {
 		c.Partitions = 4
 	}
-	if c.TotalCores <= 0 {
-		c.TotalCores = 2 * c.Partitions
-	}
 	return c
 }
 
-// Context owns the executor pool and shuffle machinery.
+// Context owns the configuration and the shuffle memory accounting.
 type Context struct {
 	cfg     Config
-	pool    *taskmgr.Pool
 	tracker alloc.Tracker
 }
 
-// NewContext starts a simulated Spark context.
+// NewContext returns a simulated Spark context.
 func NewContext(cfg Config) *Context {
-	cfg = cfg.withDefaults()
-	return &Context{cfg: cfg, pool: taskmgr.NewPool(cfg.TotalCores)}
+	return &Context{cfg: cfg.withDefaults()}
 }
-
-// Close stops the executors.
-func (sc *Context) Close() { sc.pool.Close() }
 
 // Config returns the resolved configuration.
 func (sc *Context) Config() Config { return sc.cfg }
@@ -112,7 +100,6 @@ func (r *RDD[K]) Len() int {
 // Report describes one sortByKey run.
 type Report struct {
 	Partitions   int
-	Cores        int
 	N            int
 	SampleStage  time.Duration
 	MapStage     time.Duration
@@ -153,7 +140,7 @@ const (
 func SortByKey[K cmp.Ordered](r *RDD[K], codec comm.Codec[K]) (*RDD[K], *Report) {
 	sc := r.sc
 	p := sc.cfg.Partitions
-	rep := &Report{Partitions: p, Cores: sc.cfg.TotalCores, N: r.Len()}
+	rep := &Report{Partitions: p, N: r.Len()}
 	start := time.Now()
 
 	// ---- Stage 1: sample (extra pass over unsorted data) ----
@@ -164,14 +151,9 @@ func SortByKey[K cmp.Ordered](r *RDD[K], codec comm.Codec[K]) (*RDD[K], *Report)
 	}
 	perPartition := (oversample*sampleSize + p - 1) / p
 	sampled := make([][]K, p)
-	tasks := make([]func(), p)
-	for i := 0; i < p; i++ {
-		i := i
-		tasks[i] = func() {
-			sampled[i] = reservoir(r.parts[i], perPartition, sc.cfg.Seed+uint64(i))
-		}
-	}
-	sc.pool.RunAll(tasks...) // stage barrier
+	stage(p, func(i int) {
+		sampled[i] = reservoir(r.parts[i], perPartition, sc.cfg.Seed+uint64(i))
+	})
 	// Driver: collect and sort the sample pool, pick p-1 bounds.
 	var pool []K
 	for _, s := range sampled {
@@ -191,28 +173,24 @@ func SortByKey[K cmp.Ordered](r *RDD[K], codec comm.Codec[K]) (*RDD[K], *Report)
 	// blocks[mapper][reducer] is a serialized shuffle block.
 	blocks := make([][][]byte, p)
 	blockLens := make([][]int, p)
-	for i := 0; i < p; i++ {
-		i := i
-		tasks[i] = func() {
-			bufs := make([][]byte, p)
-			lens := make([]int, p)
-			one := make([]comm.Entry[K], 1)
-			for pos, k := range r.parts[i] {
-				dst := partitionFor(k, bounds)
-				one[0] = comm.Entry[K]{Key: k, Proc: uint32(i), Index: uint32(pos)}
-				bufs[dst] = comm.EncodeEntries(bufs[dst], one, codec)
-				lens[dst]++
-			}
-			var total int64
-			for _, b := range bufs {
-				total += int64(len(b))
-			}
-			sc.tracker.Alloc(total)
-			blocks[i] = bufs
-			blockLens[i] = lens
+	stage(p, func(i int) {
+		bufs := make([][]byte, p)
+		lens := make([]int, p)
+		one := make([]comm.Entry[K], 1)
+		for pos, k := range r.parts[i] {
+			dst := partitionFor(k, bounds)
+			one[0] = comm.Entry[K]{Key: k, Proc: uint32(i), Index: uint32(pos)}
+			bufs[dst] = comm.EncodeEntries(bufs[dst], one, codec)
+			lens[dst]++
 		}
-	}
-	sc.pool.RunAll(tasks...) // stage barrier: all shuffle files written
+		var total int64
+		for _, b := range bufs {
+			total += int64(len(b))
+		}
+		sc.tracker.Alloc(total)
+		blocks[i] = bufs
+		blockLens[i] = lens
+	}) // all shuffle files written
 	rep.MapStage = time.Since(t0)
 
 	// ---- Stage 3: reduce = shuffle read + TimSort ----
@@ -220,35 +198,31 @@ func SortByKey[K cmp.Ordered](r *RDD[K], codec comm.Codec[K]) (*RDD[K], *Report)
 	out := make([][]K, p)
 	var shuffleBytes int64
 	var mu sync.Mutex
-	for j := 0; j < p; j++ {
-		j := j
-		tasks[j] = func() {
-			n := 0
-			for i := 0; i < p; i++ {
-				n += blockLens[i][j]
-			}
-			merged := make([]comm.Entry[K], 0, n)
-			var fetched int64
-			for i := 0; i < p; i++ {
-				entries, _, err := comm.DecodeEntries(blocks[i][j], blockLens[i][j], codec)
-				if err != nil {
-					panic(fmt.Sprintf("spark: corrupt shuffle block %d->%d: %v", i, j, err))
-				}
-				fetched += int64(len(blocks[i][j]))
-				merged = append(merged, entries...)
-			}
-			lsort.TimSort(merged, func(a, b comm.Entry[K]) bool { return a.Key < b.Key })
-			keys := make([]K, len(merged))
-			for idx, e := range merged {
-				keys[idx] = e.Key
-			}
-			out[j] = keys
-			mu.Lock()
-			shuffleBytes += fetched
-			mu.Unlock()
+	stage(p, func(j int) {
+		n := 0
+		for i := 0; i < p; i++ {
+			n += blockLens[i][j]
 		}
-	}
-	sc.pool.RunAll(tasks...)
+		merged := make([]comm.Entry[K], 0, n)
+		var fetched int64
+		for i := 0; i < p; i++ {
+			entries, _, err := comm.DecodeEntries(blocks[i][j], blockLens[i][j], codec)
+			if err != nil {
+				panic(fmt.Sprintf("spark: corrupt shuffle block %d->%d: %v", i, j, err))
+			}
+			fetched += int64(len(blocks[i][j]))
+			merged = append(merged, entries...)
+		}
+		lsort.TimSort(merged, func(a, b comm.Entry[K]) bool { return a.Key < b.Key })
+		keys := make([]K, len(merged))
+		for idx, e := range merged {
+			keys[idx] = e.Key
+		}
+		out[j] = keys
+		mu.Lock()
+		shuffleBytes += fetched
+		mu.Unlock()
+	})
 	// Blocks are released after the stage, like shuffle cleanup.
 	var blockTotal int64
 	for i := range blocks {
@@ -267,6 +241,20 @@ func SortByKey[K cmp.Ordered](r *RDD[K], codec comm.Codec[K]) (*RDD[K], *Report)
 		rep.PartSizes[j] = len(o)
 	}
 	return &RDD[K]{sc: sc, parts: out}, rep
+}
+
+// stage runs task(i) for every partition i, one goroutine each, and
+// returns once all have finished: the stage barrier.
+func stage(p int, task func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < p; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task(i)
+		}()
+	}
+	wg.Wait()
 }
 
 // partitionFor routes a key: the number of bounds strictly below key,

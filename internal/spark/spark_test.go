@@ -10,9 +10,7 @@ import (
 
 func newCtx(t testing.TB, parts int) *Context {
 	t.Helper()
-	sc := NewContext(Config{Partitions: parts, TotalCores: 4, Seed: 1})
-	t.Cleanup(sc.Close)
-	return sc
+	return NewContext(Config{Partitions: parts, Seed: 1})
 }
 
 func TestSortByKeyAllDistributions(t *testing.T) {

@@ -4,8 +4,9 @@
 // IPDPS workshops 2017, arXiv:1611.00463).
 //
 // The library simulates a PGX.D-style cluster in one process: p
-// processors, each with its own worker pool, 256KB communication buffers
-// and a network endpoint (in-process channels or real TCP loopback), and
+// processors, each running its steps on goroutines of their own (at most
+// WorkersPerProc per step that splits its work), 256KB communication
+// buffers and a network endpoint (in-process channels or real TCP loopback), and
 // sorts distributed data with the paper's six-step sample sort:
 //
 //  1. parallel local sort — per-chunk radix over (norm, index) refs of
