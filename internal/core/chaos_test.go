@@ -7,6 +7,7 @@ import (
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
+	"pgxsort/internal/failpoint"
 	"pgxsort/internal/transport"
 )
 
@@ -20,6 +21,37 @@ func chaosTCP() transport.Config {
 		WindowFrames:   8,
 		DrainTimeout:   2 * time.Second,
 	}
+}
+
+// armResets arms a burst of count connection resets: the
+// transport/write-frame site in error mode from the nth frame written
+// onwards, over every link. count must stay below the link's
+// DialAttempts, because every fire is one no-progress connection cycle.
+// The registry is cleared when the test ends.
+func armResets(t *testing.T, nth, count int) {
+	t.Helper()
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	failpoint.Set(transport.FpWriteFrame, failpoint.Schedule{Mode: failpoint.ModeError, Nth: nth, Count: count})
+}
+
+// requireResetsFired checks that the whole burst armResets armed fired.
+func requireResetsFired(t *testing.T, count int) {
+	t.Helper()
+	if got := failpoint.Fired(transport.FpWriteFrame); got != int64(count) {
+		t.Errorf("transport/write-frame fired %d times, want the armed burst of %d", got, count)
+	}
+}
+
+// armSendJitter delays a burst of count engine sends by d each through
+// the core/send site. The seed picks where the burst starts, so each seed
+// perturbs a different stretch of the message stream.
+func armSendJitter(t *testing.T, seed uint64, count int, d time.Duration) {
+	t.Helper()
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	nth := 1 + int(dist.NewRNG(seed).Uint64n(uint64(4*count)))
+	failpoint.Set(fpSend, failpoint.Schedule{Mode: failpoint.ModeDelay, Nth: nth, Count: count, Delay: d})
 }
 
 // TestSortSurvivesConnectionResets is the acceptance test for the
@@ -44,17 +76,18 @@ func TestSortSurvivesConnectionResets(t *testing.T) {
 			}
 
 			// Small buffers split the exchange into many frames per
-			// link, and ResetEvery=3 kills connections throughout the
-			// sampling, metadata and data steps.
-			faults := &transport.FaultPlan{ResetEvery: 3}
+			// link; the 18 frames of sampling, splitters and range
+			// metadata go first, so the burst kills connections
+			// mid-exchange.
 			e := newTestEngine(t, Options{
 				Procs:          procs,
 				WorkersPerProc: 2,
 				BufferBytes:    4096,
 				Transport:      transport.KindTCP,
 				TCP:            chaosTCP(),
-				Faults:         faults,
 			})
+			const burst = 6
+			armResets(t, 25, burst)
 			got, err := e.Sort(parts)
 			if err != nil {
 				t.Fatalf("chaos sort: %v", err)
@@ -80,13 +113,14 @@ func TestSortSurvivesConnectionResets(t *testing.T) {
 			if !strings.Contains(got.Report.String(), "reconnects") {
 				t.Error("Report.String does not surface transport health under faults")
 			}
+			requireResetsFired(t, burst)
 		})
 	}
 }
 
 // TestSortManySurvivesResets runs the pipelined multi-dataset scheduler
-// over the faulty TCP transport: reconnect state is per-link and shared
-// across multiplexed sorts, which this exercises.
+// over TCP under a burst of connection resets: reconnect state is
+// per-link and shared across multiplexed sorts, which this exercises.
 func TestSortManySurvivesResets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-dataset chaos run")
@@ -97,8 +131,9 @@ func TestSortManySurvivesResets(t *testing.T) {
 		WorkersPerProc: 2,
 		Transport:      transport.KindTCP,
 		TCP:            chaosTCP(),
-		Faults:         &transport.FaultPlan{ResetEvery: 11},
 	})
+	const burst = 4
+	armResets(t, 11, burst)
 	datasets := [][][]uint64{
 		mkParts(dist.Uniform, procs, 3000, 1),
 		mkParts(dist.Exponential, procs, 3000, 2),
@@ -113,18 +148,12 @@ func TestSortManySurvivesResets(t *testing.T) {
 			t.Fatalf("dataset %d: %v", d, err)
 		}
 	}
+	requireResetsFired(t, burst)
 }
 
-// TestEngineRejectsUnrecoverablePlans: drops and duplicates break the
-// reliable-delivery contract the engine is built on.
+// TestEngineRejectsUnrecoverablePlans: a partial mesh breaks the
+// all-nodes-local contract the engine is built on.
 func TestEngineRejectsUnrecoverablePlans(t *testing.T) {
-	for _, plan := range []transport.FaultPlan{{DropEvery: 2}, {DupEvery: 2}} {
-		plan := plan
-		_, err := NewEngine[uint64](Options{Faults: &plan}, comm.U64Codec{})
-		if err == nil {
-			t.Errorf("engine accepted unrecoverable plan %+v", plan)
-		}
-	}
 	_, err := NewEngine[uint64](Options{TCP: transport.Config{LocalNodes: []int{0}}}, comm.U64Codec{})
 	if err == nil {
 		t.Error("engine accepted a partial-mesh transport config")

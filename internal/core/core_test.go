@@ -498,17 +498,13 @@ func TestMailbox(t *testing.T) {
 	<-done
 }
 
-// Chaos test: adversarial message timing must not change the result. The
-// jitter wrapper delays every send by a random amount, exercising every
-// interleaving the dispatcher and mailboxes must tolerate.
+// Chaos test: adversarial message timing must not change the result. A
+// burst of delayed sends, placed by the seed, reorders the interleaving
+// the dispatcher and mailboxes must tolerate.
 func TestSortUnderNetworkJitter(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		e := newTestEngine(t, Options{
-			Procs:          5,
-			WorkersPerProc: 2,
-			JitterMaxDelay: 2 * time.Millisecond,
-			JitterSeed:     seed,
-		})
+		e := newTestEngine(t, Options{Procs: 5, WorkersPerProc: 2})
+		armSendJitter(t, seed, 12, 2*time.Millisecond)
 		parts := mkParts(dist.RightSkewed, 5, 1500, seed)
 		res, err := e.Sort(parts)
 		if err != nil {
@@ -523,12 +519,8 @@ func TestSortUnderNetworkJitter(t *testing.T) {
 // Jitter with simultaneous sorts: messages of interleaved pipelines with
 // random delays must still demultiplex cleanly by sort id.
 func TestSortManyUnderJitter(t *testing.T) {
-	e := newTestEngine(t, Options{
-		Procs:          3,
-		WorkersPerProc: 1,
-		JitterMaxDelay: time.Millisecond,
-		JitterSeed:     9,
-	})
+	e := newTestEngine(t, Options{Procs: 3, WorkersPerProc: 1})
+	armSendJitter(t, 9, 16, time.Millisecond)
 	datasets := [][][]uint64{
 		mkParts(dist.Uniform, 3, 800, 1),
 		mkParts(dist.Exponential, 3, 800, 2),

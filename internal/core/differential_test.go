@@ -385,7 +385,6 @@ func TestDifferentialSurvivesResets(t *testing.T) {
 					BufferBytes:    4096,
 					Transport:      transport.KindTCP,
 					TCP:            chaosTCP(),
-					Faults:         &transport.FaultPlan{ResetEvery: 3},
 					MemoryBudget:   budget,
 					SpillDir:       t.TempDir(),
 				}, comm.U64Codec{})
@@ -393,6 +392,10 @@ func TestDifferentialSurvivesResets(t *testing.T) {
 					t.Fatalf("NewEngine: %v", err)
 				}
 				defer e.Close()
+				// The 18 frames of sampling, splitters and range metadata
+				// go first: the burst lands mid-exchange.
+				const burst = 6
+				armResets(t, 25, burst)
 				got, err := e.Sort(parts)
 				if err != nil {
 					t.Fatalf("chaos sort: %v", err)
@@ -405,6 +408,7 @@ func TestDifferentialSurvivesResets(t *testing.T) {
 				if spilled := got.Report.SpillBytes > 0; spilled != (budget > 0) {
 					t.Errorf("SpillBytes = %d under budget %d", got.Report.SpillBytes, budget)
 				}
+				requireResetsFired(t, burst)
 			})
 		}
 	}

@@ -77,14 +77,6 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 	if err != nil {
 		return nil, err
 	}
-	// Faults wrap the base network directly (they need its Resetter);
-	// jitter layers on top, so delayed sends still hit the faulty path.
-	if opts.Faults != nil {
-		net = transport.WithFaults(net, *opts.Faults)
-	}
-	if opts.JitterMaxDelay > 0 {
-		net = transport.WithJitter(net, opts.JitterMaxDelay, opts.JitterSeed)
-	}
 	e := &Engine[K]{opts: opts, codec: codec, net: net}
 	// A codec advertising its own normalization (comm.KeyNormalizer)
 	// takes precedence over the built-in per-kind table. A

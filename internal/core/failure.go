@@ -117,12 +117,16 @@ func Classify(err error) FailureClass {
 // fails exactly one node of the next sort and a count>p schedule fails
 // them all. The merge site fires after the exchange completes, which is
 // the hardest error exit: the completed exchange must unwind without
-// leaking slabs or spill files (see exchangeSink.discard).
+// leaking slabs or spill files (see exchangeSink.discard). The send site
+// is different: every engine message passes it on its way to the
+// transport, so a delay there perturbs message timing on either
+// transport, and an error fails one send mid-stage.
 const (
 	fpLocalSort = "core/local-sort"
 	fpSplitters = "core/splitters"
 	fpExchange  = "core/exchange"
 	fpMerge     = "core/merge"
+	fpSend      = "core/send"
 )
 
 // errSortAborted is the secondary error nodes observe when sortOne tears

@@ -14,7 +14,6 @@ import (
 	"pgxsort/internal/failpoint"
 	"pgxsort/internal/sample"
 	"pgxsort/internal/spill"
-	"pgxsort/internal/transport"
 )
 
 // sortRun is the per-node state of one sort: the node it runs on, the
@@ -179,10 +178,13 @@ func entryBytes[K cmp.Ordered]() int {
 
 // send stamps the sort id, forwards to the transport and accounts the
 // traffic against this sort (lock-free: sends to different destinations
-// run concurrently).
+// run concurrently, which is also why the failpoint cannot panic).
 func (s *sortRun[K]) send(dst int, m comm.Message[K]) error {
 	m.SortID = s.sortID
 	bytes := int64(m.WireBytes(s.codec)) // sized here, once: the transport reads the same figure
+	if err := failpoint.HitNoPanic(fpSend); err != nil {
+		return err
+	}
 	if err := s.node.ep.Send(dst, m); err != nil {
 		return err
 	}
@@ -212,7 +214,7 @@ func (s *sortRun[K]) recv(kind comm.Kind) (comm.Message[K], error) {
 			// root-cause selection can tell noise from cause.
 			return m, errSortAborted
 		}
-		if te := transport.TerminalErr(s.node.eng.net); te != nil {
+		if te := s.node.eng.net.Err(); te != nil {
 			// The mesh recorded why it died (e.g. a broken link); chain
 			// it so Classify sees Fatal, not an anonymous closure.
 			return m, fmt.Errorf("network closed while waiting for %v: %w", kind, te)

@@ -30,7 +30,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"pgxsort/internal/sample"
 	"pgxsort/internal/transport"
@@ -69,19 +68,6 @@ type Options struct {
 	// ack deadlines, frame-size limit and per-link send windows. The zero
 	// value is the loopback default. Ignored by the chan transport.
 	TCP transport.Config
-	// Faults, when non-nil, wraps the network with the fault-injection
-	// harness (transport.WithFaults): connection resets and delays on a
-	// deterministic schedule, used by the chaos tests to prove a sort
-	// survives mid-exchange connection loss. The plan must be
-	// recoverable (no drops or duplicates): the engine requires reliable
-	// delivery.
-	Faults *transport.FaultPlan
-	// JitterMaxDelay injects a pseudo-random delay in [0, JitterMaxDelay)
-	// before every send (failure injection for timing assumptions; used
-	// by chaos tests, zero in production).
-	JitterMaxDelay time.Duration
-	// JitterSeed seeds the injected delays.
-	JitterSeed uint64
 	// MaxInflight is the default admission cap of the SortMany scheduler:
 	// how many datasets may be in flight at once (one of them in a
 	// communication stage). Default 2. SortManyOpts.MaxInflight overrides
@@ -177,9 +163,6 @@ func (o Options) validate() error {
 	}
 	if len(o.TCP.LocalNodes) > 0 {
 		return fmt.Errorf("core: the engine hosts every node; TCP.LocalNodes is only for transport-level partial meshes")
-	}
-	if o.Faults != nil && !o.Faults.Recoverable() {
-		return fmt.Errorf("core: fault plan drops or duplicates messages; the engine requires reliable delivery (use resets/delays)")
 	}
 	return nil
 }

@@ -55,13 +55,13 @@ func checkNoLeak(t *testing.T, e *Engine[uint64]) {
 
 // TestRetryDifferentialPerStage is the tentpole's differential test: a
 // job failing at each engine-stage failpoint (error and panic modes,
-// plus the datamgr assembly site) is retried by the scheduler and must
-// return output byte-identical to an uninjected run, with zero live
-// temp-memory on every node afterwards.
+// plus the datamgr assembly and engine send sites) is retried by the
+// scheduler and must return output byte-identical to an uninjected run,
+// with zero live temp-memory on every node afterwards.
 func TestRetryDifferentialPerStage(t *testing.T) {
 	sites := []string{
 		"core/local-sort", "core/splitters", "core/exchange", "core/merge",
-		"datamgr/assembly-write",
+		"datamgr/assembly-write", fpSend,
 	}
 	modes := []failpoint.Mode{failpoint.ModeError, failpoint.ModePanic}
 	for _, site := range sites {
@@ -80,7 +80,14 @@ func TestRetryDifferentialPerStage(t *testing.T) {
 					t.Fatalf("clean run: %v", err)
 				}
 
-				failpoint.Set(site, failpoint.Schedule{Mode: mode})
+				arm := failpoint.Schedule{Mode: mode}
+				if site == fpSend {
+					// 3 samples, 3 splitter broadcasts and 12 range
+					// metadata messages go first: the 20th send fails
+					// mid-exchange.
+					arm.Nth = 20
+				}
+				failpoint.Set(site, arm)
 				retried, err := sched.RunOne(context.Background(), parts)
 				if err != nil {
 					t.Fatalf("retried run: %v", err)

@@ -259,15 +259,11 @@ func TestSortManyCancelledContext(t *testing.T) {
 	}
 }
 
-// TestSortManyPipelinedUnderJitter runs the scheduler on the jittery
-// transport (and under -race in CI) to shake out timing assumptions.
+// TestSortManyPipelinedUnderJitter runs the scheduler under delayed sends
+// (and under -race in CI) to shake out timing assumptions.
 func TestSortManyPipelinedUnderJitter(t *testing.T) {
-	e := newTestEngine(t, Options{
-		Procs:          4,
-		WorkersPerProc: 2,
-		JitterMaxDelay: 200 * time.Microsecond,
-		JitterSeed:     42,
-	})
+	e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2})
+	armSendJitter(t, 42, 24, 200*time.Microsecond)
 	datasets := mkDatasets(4, 2500, 17)
 	results, err := e.SortManyWith(context.Background(), SortManyOpts{MaxInflight: 3}, datasets...)
 	if err != nil {

@@ -1,9 +1,10 @@
-// Package failpoint is the engine-wide chaos surface: a registry of
-// named failure sites planted through the stack (engine stages, datamgr
-// assembly, serve cache/admission) that deterministic trigger schedules
-// can arm to inject an error, a delay, or a panic. PR 4's transport
-// faults exercise only the wire; failpoints exercise everything above
-// it, so the retry scheduler and the degraded-mode service have a whole
+// Package failpoint is the stack-wide chaos surface and its only fault
+// mechanism: a registry of named failure sites planted through the stack
+// (the TCP writer, engine sends and stages, datamgr assembly, spill I/O,
+// serve cache/admission/spool) that deterministic trigger schedules can
+// arm to inject an error, a delay, or a panic. A connection reset is an
+// error at transport/write-frame, so the reconnecting transport, the
+// retry scheduler and the degraded-mode service all have a whole
 // pipeline worth of failures to recover from.
 //
 // A schedule arms one site: the site fires starting at its Nth hit

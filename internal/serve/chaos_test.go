@@ -20,8 +20,9 @@ import (
 // is spent, then kills every connection and its own listener — from the
 // mesh's point of view, the peer behind it drops off the network
 // mid-exchange and never comes back (reconnects get ECONNREFUSED).
-// Unlike transport.FaultPlan resets, which the hardened transport is
-// designed to recover from, this produces an unrecoverable link failure.
+// Unlike the resets the transport/write-frame failpoint injects, which
+// the hardened transport is designed to recover from, this produces an
+// unrecoverable link failure.
 type killerProxy struct {
 	ln     net.Listener
 	target string

@@ -74,9 +74,6 @@ type Config struct {
 	// bind one mesh, so they require exactly one enabled key type.
 	Transport string
 	TCP       transport.Config
-	// Faults optionally wraps the engines' networks with the
-	// fault-injection harness — the chaos tests' knob, nil in production.
-	Faults *transport.FaultPlan
 	// MemoryBudget caps each engine node's temporary memory; beyond it
 	// sorts spill block-file runs to SpillDir and stream them back
 	// (core.Options.MemoryBudget; the pgxsortd -mem-budget flag). Zero
@@ -356,7 +353,6 @@ func (c Config) engineOptions() core.Options {
 		BufferBytes:    c.BufferBytes,
 		Transport:      c.Transport,
 		TCP:            c.TCP,
-		Faults:         c.Faults,
 		MaxInflight:    c.MaxInflight,
 		MemoryBudget:   c.MemoryBudget,
 		SpillDir:       c.SpillDir,

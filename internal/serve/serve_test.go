@@ -336,18 +336,17 @@ func TestTopKAndRank(t *testing.T) {
 }
 
 // slowConfig makes every sort take hundreds of milliseconds by delaying
-// every message send, so admission and deadline behavior is observable.
-func slowConfig() Config {
-	return Config{
-		Procs:    4,
-		Workers:  2,
-		Faults:   &transport.FaultPlan{DelayEvery: 1, Delay: 20 * time.Millisecond},
-		KeyTypes: []dist.KeyType{dist.KeyUint64},
-	}
+// every engine send 20ms at the core/send failpoint, so admission
+// behavior is observable. The registry is cleared when the test ends.
+func slowConfig(t *testing.T) Config {
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	failpoint.Set("core/send", failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: 20 * time.Millisecond})
+	return Config{Procs: 4, Workers: 2, KeyTypes: []dist.KeyType{dist.KeyUint64}}
 }
 
 func TestOverloadAnswers429(t *testing.T) {
-	cfg := slowConfig()
+	cfg := slowConfig(t)
 	cfg.MaxInflight = 1
 	cfg.TenantInflight = 1
 	cfg.QueueDepth = 2
@@ -403,8 +402,7 @@ func TestOverloadAnswers429(t *testing.T) {
 }
 
 func TestDeadlineCancelsRunningJob(t *testing.T) {
-	cfg := slowConfig()
-	_, ts := testServer(t, cfg)
+	_, ts := testServer(t, Config{Procs: 4, Workers: 2, KeyTypes: []dist.KeyType{dist.KeyUint64}})
 	// One node sits out the deadline inside the sort — after its local
 	// sort, or before its first spool block when PGXSORT_MEM_BUDGET sends
 	// the upload through the spool — so the job is running when the

@@ -24,6 +24,7 @@ var soakSites = []string{
 	"core/splitters",
 	"core/exchange",
 	"core/merge",
+	"core/send",
 	"datamgr/assembly-write",
 	"serve/admission",
 	"serve/cache-put",

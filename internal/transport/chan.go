@@ -48,6 +48,7 @@ func NewChan[K any](p int, codec comm.Codec[K]) Network[K] {
 func (n *chanNetwork[K]) P() int                     { return n.p }
 func (n *chanNetwork[K]) Endpoint(i int) Endpoint[K] { return n.eps[i] }
 func (n *chanNetwork[K]) Name() string               { return KindChan }
+func (n *chanNetwork[K]) Err() error                 { return nil }
 
 func (n *chanNetwork[K]) Close() error {
 	n.closeMu.Do(func() { close(n.done) })

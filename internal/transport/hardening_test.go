@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pgxsort/internal/comm"
+	"pgxsort/internal/failpoint"
 )
 
 // fastCfg keeps reconnect/backoff timings test-sized.
@@ -75,16 +76,21 @@ func TestReconnectAfterReset(t *testing.T) {
 	}
 }
 
-// TestFaultyResetSchedule drives the same recovery through the WithFaults
-// wrapper, the way engine chaos tests use it.
-func TestFaultyResetSchedule(t *testing.T) {
-	cfg := fastCfg()
-	inner, err := NewTCPWithConfig[uint64](2, comm.U64Codec{}, cfg)
+// TestWriteFrameFailpoint drives the same recovery through the
+// transport/write-frame failpoint, the way engine chaos tests inject
+// resets: a burst of injected write errors, each one a reset the writer
+// redials and retransmits through.
+func TestWriteFrameFailpoint(t *testing.T) {
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	netw, err := NewTCPWithConfig[uint64](2, comm.U64Codec{}, fastCfg())
 	if err != nil {
 		t.Fatalf("NewTCPWithConfig: %v", err)
 	}
-	netw := WithFaults(inner, FaultPlan{ResetEvery: 10})
 	defer netw.Close()
+	// Count stays below DialAttempts: every fire is one no-progress cycle.
+	const burst = 4
+	failpoint.Set(FpWriteFrame, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 10, Count: burst})
 
 	const msgs = 100
 	go func() {
@@ -111,11 +117,11 @@ func TestFaultyResetSchedule(t *testing.T) {
 			m.Release()
 		}
 	}
-	if got := netw.Injected().Resets; got == 0 {
-		t.Error("fault plan injected no resets")
+	if got := failpoint.Fired(FpWriteFrame); got != burst {
+		t.Errorf("write-frame site fired %d times, want %d", got, burst)
 	}
-	if name := netw.Name(); name != "tcp+faults" {
-		t.Errorf("Name() = %q", name)
+	if rec := netw.Endpoint(0).Stats().Reconnects(); rec == 0 {
+		t.Error("injected write errors caused no recorded reconnect")
 	}
 }
 
@@ -382,47 +388,6 @@ func freePort(t *testing.T) int {
 	port := l.Addr().(*net.TCPAddr).Port
 	l.Close()
 	return port
-}
-
-// TestFaultyDropDup exercises the unrecoverable schedules at the
-// transport level (the engine refuses them, tests may not).
-func TestFaultyDropDup(t *testing.T) {
-	inner := NewChan[uint64](2, comm.U64Codec{})
-	netw := WithFaults(inner, FaultPlan{DropEvery: 5, DupEvery: 7})
-	defer netw.Close()
-	if netw.Injected() != (FaultCounts{}) {
-		t.Fatal("faults injected before any send")
-	}
-	ep := netw.Endpoint(0)
-	const msgs = 35
-	for i := 0; i < msgs; i++ {
-		if err := ep.Send(1, comm.Message[uint64]{Kind: comm.KControl, Ints: []int64{int64(i)}}); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	}
-	got := netw.Injected()
-	if got.Drops != msgs/5 {
-		t.Errorf("drops = %d, want %d", got.Drops, msgs/5)
-	}
-	// Multiples of 35 hit both schedules; the drop wins (checked first),
-	// so those dups never fire.
-	wantDups := int64(msgs/7 - msgs/35)
-	if got.Dups != wantDups {
-		t.Errorf("dups = %d, want %d", got.Dups, wantDups)
-	}
-	want := msgs - msgs/5 + int(wantDups)
-	rx := netw.Endpoint(1)
-	for i := 0; i < want; i++ {
-		if _, ok := rx.Recv(); !ok {
-			t.Fatalf("received only %d/%d", i, want)
-		}
-	}
-	if plan := (FaultPlan{ResetEvery: 3}); !plan.Recoverable() {
-		t.Error("reset-only plan should be recoverable")
-	}
-	if plan := (FaultPlan{DropEvery: 3}); plan.Recoverable() {
-		t.Error("drop plan must not be recoverable")
-	}
 }
 
 // TestConfigValidate covers the config shapes that cannot form a mesh.

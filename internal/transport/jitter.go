@@ -1,12 +1,6 @@
 package transport
 
-import (
-	"sync"
-	"time"
-
-	"pgxsort/internal/comm"
-	"pgxsort/internal/dist"
-)
+import "time"
 
 // Jitter spreads one backoff interval: the result lies in [3d/4, 5d/4),
 // drawn from rnd — any random word; callers pass a clock sample or an
@@ -22,62 +16,4 @@ func Jitter(d time.Duration, rnd uint64) time.Duration {
 		sleep += time.Duration(rnd % uint64(half))
 	}
 	return sleep
-}
-
-// WithJitter wraps a network so every Send is delayed by a pseudo-random
-// duration in [0, maxDelay). Per-pair FIFO order is preserved (the delay
-// happens in the sender's goroutine before the inner send), but the global
-// interleaving of messages across pairs becomes adversarial. The engine
-// must tolerate any such schedule — this wrapper exists to prove it in
-// tests (failure injection for timing assumptions).
-func WithJitter[K any](inner Network[K], maxDelay time.Duration, seed uint64) Network[K] {
-	n := &jitterNetwork[K]{inner: inner, maxDelay: maxDelay}
-	n.eps = make([]*jitterEndpoint[K], inner.P())
-	for i := range n.eps {
-		n.eps[i] = &jitterEndpoint[K]{
-			inner: inner.Endpoint(i),
-			net:   n,
-			rng:   dist.NewRNG(seed + uint64(i)*1000003),
-		}
-	}
-	return n
-}
-
-type jitterNetwork[K any] struct {
-	inner    Network[K]
-	maxDelay time.Duration
-	eps      []*jitterEndpoint[K]
-}
-
-func (n *jitterNetwork[K]) P() int                     { return n.inner.P() }
-func (n *jitterNetwork[K]) Endpoint(i int) Endpoint[K] { return n.eps[i] }
-func (n *jitterNetwork[K]) Close() error               { return n.inner.Close() }
-
-// Err forwards the inner network's terminal failure (see TerminalErr).
-func (n *jitterNetwork[K]) Err() error   { return TerminalErr[K](n.inner) }
-func (n *jitterNetwork[K]) Name() string { return n.inner.Name() + "+jitter" }
-
-type jitterEndpoint[K any] struct {
-	inner Endpoint[K]
-	net   *jitterNetwork[K]
-	mu    sync.Mutex
-	rng   *dist.RNG
-}
-
-func (e *jitterEndpoint[K]) ID() int            { return e.inner.ID() }
-func (e *jitterEndpoint[K]) P() int             { return e.inner.P() }
-func (e *jitterEndpoint[K]) Stats() *comm.Stats { return e.inner.Stats() }
-
-func (e *jitterEndpoint[K]) Send(dst int, m comm.Message[K]) error {
-	if d := e.net.maxDelay; d > 0 {
-		e.mu.Lock()
-		delay := time.Duration(e.rng.Uint64n(uint64(d)))
-		e.mu.Unlock()
-		time.Sleep(delay)
-	}
-	return e.inner.Send(dst, m)
-}
-
-func (e *jitterEndpoint[K]) Recv() (comm.Message[K], bool) {
-	return e.inner.Recv()
 }

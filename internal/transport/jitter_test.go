@@ -4,50 +4,31 @@ import (
 	"testing"
 	"time"
 
-	"pgxsort/internal/comm"
+	"pgxsort/internal/dist"
 )
 
-func TestJitterPreservesFIFOAndPayloads(t *testing.T) {
-	inner := NewChan[uint64](2, comm.U64Codec{})
-	net := WithJitter(inner, 500*time.Microsecond, 7)
-	defer net.Close()
-	if net.Name() != "chan+jitter" {
-		t.Fatalf("name = %s", net.Name())
-	}
-	if net.P() != 2 {
-		t.Fatalf("P = %d", net.P())
-	}
-	a, b := net.Endpoint(0), net.Endpoint(1)
-	const msgs = 50
-	go func() {
-		for i := 0; i < msgs; i++ {
-			a.Send(1, comm.Message[uint64]{Kind: comm.KData, Keys: []uint64{uint64(i)}})
-		}
-	}()
-	for i := 0; i < msgs; i++ {
-		m, ok := b.Recv()
-		if !ok {
-			t.Fatal("recv failed")
-		}
-		if m.Keys[0] != uint64(i) {
-			t.Fatalf("FIFO violated under jitter: got %d want %d", m.Keys[0], i)
+// TestJitterBounds pins the backoff spread the TCP redialer and the
+// scheduler's retry backoff share: [3d/4, 5d/4) for any random word.
+func TestJitterBounds(t *testing.T) {
+	rng := dist.NewRNG(7)
+	for _, d := range []time.Duration{2, 3, 7, time.Millisecond, 50 * time.Millisecond, 2 * time.Second} {
+		for i := 0; i < 1000; i++ {
+			rnd := rng.Uint64()
+			if i == 0 {
+				rnd = 0
+			}
+			// Scaled by 4 so the bounds stay exact for d not divisible by 4.
+			if got := Jitter(d, rnd); 4*got < 3*d || 4*got >= 5*d {
+				t.Fatalf("Jitter(%v, %#x) = %v, want in [3d/4, 5d/4)", d, rnd, got)
+			}
 		}
 	}
-	if a.Stats().MsgsSent() != msgs {
-		t.Fatalf("stats not forwarded: %d", a.Stats().MsgsSent())
+	for _, d := range []time.Duration{0, -time.Second} {
+		if got := Jitter(d, 12345); got != 0 {
+			t.Errorf("Jitter(%v) = %v, want 0", d, got)
+		}
 	}
-	if a.ID() != 0 || b.P() != 2 {
-		t.Fatal("endpoint identity not forwarded")
-	}
-}
-
-func TestJitterZeroDelayPassThrough(t *testing.T) {
-	net := WithJitter(NewChan[uint64](2, comm.U64Codec{}), 0, 1)
-	defer net.Close()
-	if err := net.Endpoint(0).Send(1, comm.Message[uint64]{Kind: comm.KControl, Ints: []int64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := net.Endpoint(1).Recv(); !ok {
-		t.Fatal("recv failed")
+	if got := Jitter(1, 12345); got != 1 {
+		t.Errorf("Jitter(1ns) = %v, want 1ns", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
+	"pgxsort/internal/failpoint"
 )
 
 // The TCP transport is a full mesh of simplex links: each ordered pair
@@ -288,8 +289,8 @@ func (n *tcpNetwork[K]) Addrs() []string {
 // ResetLink forcibly closes the live connection of the (src -> dst) link,
 // simulating a network reset. The link's writer redials and retransmits;
 // no data is lost. Returns false when the link does not exist locally or
-// has no live connection. This is the fault-injection hook WithFaults
-// uses.
+// has no live connection. Tests call it to reset a link at an exact
+// point; scheduled resets go through FpWriteFrame.
 func (n *tcpNetwork[K]) ResetLink(src, dst int) bool {
 	if src < 0 || src >= n.p || dst < 0 || dst >= n.p || src == dst || n.links[src] == nil {
 		return false
@@ -1116,6 +1117,8 @@ func (l *link[K]) ackOverdue() bool {
 // writeFrame writes one frame — header and payload in one call — under
 // the write deadline. first stamps a fresh sequence number and files the
 // frame as unacknowledged; retransmissions keep their original sequence.
+// A first write passes FpWriteFrame once the frame is in the retransmit
+// buffer, so an injected error there is a reset the redial recovers from.
 func (l *link[K]) writeFrame(f *frame, first bool) error {
 	l.mu.Lock()
 	if first {
@@ -1128,6 +1131,12 @@ func (l *link[K]) writeFrame(f *frame, first bool) error {
 	l.mu.Unlock()
 	if conn == nil {
 		return fmt.Errorf("transport: connection %d->%d lost", l.src, l.dst)
+	}
+	if first {
+		if err := failpoint.HitNoPanic(FpWriteFrame); err != nil {
+			conn.Close()
+			return err
+		}
 	}
 	f.sentAt = time.Now()
 	conn.SetWriteDeadline(f.sentAt.Add(l.n.cfg.WriteTimeout))

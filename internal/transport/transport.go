@@ -16,9 +16,9 @@
 // traffic, so experiments can switch transports without changing the
 // measured communication volume (only its cost).
 //
-// Two wrappers inject adversity for tests: WithJitter perturbs send
-// timing, and WithFaults (transport.Faulty) injects connection resets,
-// delays, drops and duplicates on a deterministic schedule.
+// Connection resets and wire stalls are injected through the failpoint
+// registry at FpWriteFrame; tests that need a reset at an exact point
+// call the TCP network's ResetLink instead.
 package transport
 
 import (
@@ -26,6 +26,12 @@ import (
 
 	"pgxsort/internal/comm"
 )
+
+// FpWriteFrame is the failpoint site on the TCP writer's first write of
+// each frame, after the frame has its sequence number and sits in the
+// retransmit buffer: error mode closes the connection and fails the
+// write, so the writer redials and resends; delay mode stalls the wire.
+const FpWriteFrame = "transport/write-frame"
 
 // Endpoint is one processor's attachment to the network.
 type Endpoint[K any] interface {
@@ -52,6 +58,10 @@ type Network[K any] interface {
 	Close() error
 	// Name identifies the implementation ("chan" or "tcp").
 	Name() string
+	// Err reports the network's recorded permanent failure (TCP's
+	// broken-link *LinkError), or nil while it is healthy or merely
+	// closed. The in-process transport cannot fail permanently.
+	Err() error
 }
 
 // KindChan and KindTCP select a Network implementation.
@@ -59,17 +69,6 @@ const (
 	KindChan = "chan"
 	KindTCP  = "tcp"
 )
-
-// TerminalErr reports a network's recorded permanent failure when the
-// implementation exposes one (TCP's broken-link *LinkError); nil for
-// implementations that cannot fail permanently (chan) or that merely
-// closed. Wrapper networks forward it so the cause survives layering.
-func TerminalErr[K any](n Network[K]) error {
-	if te, ok := n.(interface{ Err() error }); ok {
-		return te.Err()
-	}
-	return nil
-}
 
 // New builds a network of p endpoints with the default Config. codec is
 // required for tcp and used only for byte accounting by chan.

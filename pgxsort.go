@@ -79,10 +79,6 @@ type (
 	// bounded per-link send window. The zero value is the loopback
 	// default.
 	TransportConfig = transport.Config
-	// FaultPlan schedules fault injection on the transport
-	// (Options.Faults): connection resets and delays for chaos testing.
-	// Engine sorts only accept recoverable plans (no drops/dups).
-	FaultPlan = transport.FaultPlan
 
 	// Entry is a sorted record: key plus origin processor and index (and,
 	// for record sorts, the opaque payload that travelled with the key).

@@ -38,7 +38,11 @@ func TestSortZeroOptions(t *testing.T) {
 
 func TestSortOverHardenedTCP(t *testing.T) {
 	// The public wiring of the hardened transport: explicit (loopback)
-	// addresses, tight windows and reset injection, all through Options.
+	// addresses and tight windows through Options, under a burst of resets
+	// that starts after the first 10 frames (sampling, splitters, range
+	// metadata).
+	const burst = 5
+	armResets(t, 15, burst)
 	keys := dist.Gen{Kind: dist.Uniform, Seed: 9}.Keys(30000)
 	sorted, report, err := Sort(keys, Options{
 		Procs:       3,
@@ -48,7 +52,6 @@ func TestSortOverHardenedTCP(t *testing.T) {
 			Listen:       []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"},
 			WindowFrames: 4,
 		},
-		Faults: &FaultPlan{ResetEvery: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +64,7 @@ func TestSortOverHardenedTCP(t *testing.T) {
 	if report.Reconnects == 0 {
 		t.Error("expected reconnects under the reset schedule")
 	}
+	requireResetsFired(t, burst)
 }
 
 func TestSortDistributed(t *testing.T) {

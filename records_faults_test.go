@@ -7,7 +7,29 @@ import (
 	"testing"
 
 	"pgxsort/internal/dist"
+	"pgxsort/internal/failpoint"
+	"pgxsort/internal/transport"
 )
+
+// armResets arms a burst of count connection resets: the
+// transport/write-frame failpoint in error mode from the nth frame
+// written onwards. count stays below the links' DialAttempts, because
+// every fire is one no-progress connection cycle. The registry is cleared
+// when the test ends.
+func armResets(t *testing.T, nth, count int) {
+	t.Helper()
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	failpoint.Set(transport.FpWriteFrame, failpoint.Schedule{Mode: failpoint.ModeError, Nth: nth, Count: count})
+}
+
+// requireResetsFired checks that the whole burst armResets armed fired.
+func requireResetsFired(t *testing.T, count int) {
+	t.Helper()
+	if got := failpoint.Fired(transport.FpWriteFrame); got != int64(count) {
+		t.Errorf("transport/write-frame fired %d times, want the armed burst of %d", got, count)
+	}
+}
 
 // String sorts over the hardened TCP transport under scheduled connection
 // resets: variable-width frames must survive retransmission bit-exactly.
@@ -23,12 +45,14 @@ func TestStringSortUnderTCPResets(t *testing.T) {
 		Transport:   TransportTCP,
 		BufferBytes: 8192,
 		TCP:         TransportConfig{WindowFrames: 4},
-		Faults:      &FaultPlan{ResetEvery: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Sampling, splitters and range metadata take the first 10 frames.
+	const burst = 5
+	armResets(t, 15, burst)
 	res, err := c.Sort(parts)
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +63,7 @@ func TestStringSortUnderTCPResets(t *testing.T) {
 	if res.Report.Reconnects == 0 {
 		t.Error("expected reconnects under the reset schedule")
 	}
+	requireResetsFired(t, burst)
 	var oracle []string
 	for _, p := range parts {
 		oracle = append(oracle, p...)
@@ -73,12 +98,14 @@ func TestRecordSortUnderTCPResets(t *testing.T) {
 		Transport:   TransportTCP,
 		BufferBytes: 8192,
 		TCP:         TransportConfig{WindowFrames: 4},
-		Faults:      &FaultPlan{ResetEvery: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Sampling, splitters and range metadata take the first 10 frames.
+	const burst = 5
+	armResets(t, 15, burst)
 	res, err := c.SortRecords(recs)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +113,7 @@ func TestRecordSortUnderTCPResets(t *testing.T) {
 	if res.Report.Reconnects == 0 {
 		t.Error("expected reconnects under the reset schedule")
 	}
+	requireResetsFired(t, burst)
 	var prev uint64
 	n := 0
 	for _, part := range res.Parts {
