@@ -214,3 +214,41 @@ func BenchmarkBudgetedSort(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKeySort replays the repository benchmark's chan_uniform_u64
+// operation — 2^18 uniform 62-bit keys on p = 4 processors of 2 workers
+// over the chan transport, unbudgeted, rotating over four inputs — so
+// the resident key-only pipeline has a profile one command away:
+//
+//	go test -run '^$' -bench KeySort -cpuprofile cpu.prof .
+//
+// The sort must go by ref (16-byte refs from step 1 to the result): its
+// resident memory is step 1's refs and the result's entries, 16 + 40
+// bytes a key, where a sort by entry holds 40 + 40.
+func BenchmarkKeySort(b *testing.B) {
+	const n, procs, inputs = 1 << 18, 4, 4
+	const refBytes, entryBytes = 16, 40
+	datasets := make([][][]uint64, inputs)
+	for in := range datasets {
+		datasets[in] = core.Blocks(dist.Gen{Kind: dist.Uniform, Seed: 1 + uint64(in), Domain: 1 << 62}.Keys(n), procs)
+	}
+	eng, err := core.NewEngine[uint64](core.Options{
+		Procs: procs, WorkersPerProc: benchWkrs, Transport: TransportChan, MemoryBudget: -1,
+	}, comm.U64Codec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	b.SetBytes(n * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.Sort(datasets[i%inputs])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report.ResidentBytes != n*(refBytes+entryBytes) {
+			b.Fatalf("resident %d bytes for %d keys: the sort did not go by ref", res.Report.ResidentBytes, n)
+		}
+	}
+}

@@ -10,7 +10,8 @@ import (
 // far beyond any slab this repo allocates.
 const slabClasses = 48
 
-// slabsPerClass bounds how many idle slabs a class retains. Retention is
+// slabsPerClass bounds how many idle slabs a class retains unless the
+// pool says otherwise (SlabPool.Keep). Retention is
 // deliberately small and deterministic (unlike sync.Pool, nothing is
 // dropped by GC pressure), so a pipelined SortMany run keeps exactly the
 // working set of its deepest overlap and no more.
@@ -32,6 +33,12 @@ const slabsPerClass = 4
 //
 // All methods are safe for concurrent use.
 type SlabPool[E any] struct {
+	// Keep is how many idle slabs a class retains; 0 means four. A pool
+	// whose users hold more slabs of one size at once than that — the
+	// engine's ref pool under two concurrent sorts — sets it before
+	// first use.
+	Keep int
+
 	mu      sync.Mutex
 	classes [slabClasses][][]E
 	gets    int64
@@ -84,7 +91,11 @@ func (p *SlabPool[E]) Put(s []E) {
 	}
 	p.mu.Lock()
 	p.puts++
-	if len(p.classes[c]) < slabsPerClass {
+	keep := p.Keep
+	if keep == 0 {
+		keep = slabsPerClass
+	}
+	if len(p.classes[c]) < keep {
 		p.classes[c] = append(p.classes[c], s[:0])
 	}
 	p.mu.Unlock()

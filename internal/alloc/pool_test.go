@@ -62,30 +62,38 @@ func TestSlabPoolOddCapacity(t *testing.T) {
 	}
 }
 
+// TestSlabPoolBoundedRetention: a class keeps four idle slabs, or as
+// many as the pool's Keep says, and drops the rest for the GC.
 func TestSlabPoolBoundedRetention(t *testing.T) {
-	var p SlabPool[int]
-	slabs := make([][]int, slabsPerClass+3)
-	for i := range slabs {
-		slabs[i] = make([]int, 64)
-	}
-	for _, s := range slabs {
-		p.Put(s)
-	}
-	kept := 0
-	seen := map[*int]bool{}
-	for i := 0; i < len(slabs); i++ {
-		g := p.Get(64)
-		if !seen[&g[0]] {
-			for _, s := range slabs {
-				if &s[0] == &g[0] {
-					kept++
+	for _, keep := range []int{0, 8} {
+		want := keep
+		if keep == 0 {
+			want = slabsPerClass
+		}
+		p := SlabPool[int]{Keep: keep}
+		slabs := make([][]int, want+3)
+		for i := range slabs {
+			slabs[i] = make([]int, 64)
+		}
+		for _, s := range slabs {
+			p.Put(s)
+		}
+		kept := 0
+		seen := map[*int]bool{}
+		for i := 0; i < len(slabs); i++ {
+			g := p.Get(64)
+			if !seen[&g[0]] {
+				for _, s := range slabs {
+					if &s[0] == &g[0] {
+						kept++
+					}
 				}
 			}
+			seen[&g[0]] = true
 		}
-		seen[&g[0]] = true
-	}
-	if kept != slabsPerClass {
-		t.Fatalf("retained %d slabs, want %d", kept, slabsPerClass)
+		if kept != want {
+			t.Fatalf("Keep %d: retained %d slabs, want %d", keep, kept, want)
+		}
 	}
 }
 

@@ -115,3 +115,33 @@ func norm32(k float32) uint64 {
 	}
 	return uint64(bits | 1<<31)
 }
+
+// KeyDenormalizer is the inverse of a codec's exact KeyNormalizer:
+// Denorm(Norm(k)) is k, bit for bit. A sort of bare keys under such a
+// codec carries 16-byte refs (NormRef) from step 1 to the result instead
+// of entries, and turns a norm back into its key only where a key is
+// needed: a sample, a frame on the wire, an entry of the result.
+type KeyDenormalizer[K any] interface {
+	// Denorm maps a norm back to the key it is the image of.
+	Denorm(n uint64) K
+}
+
+// Denorm for uint64 keys is the identity.
+func (U64Codec) Denorm(n uint64) uint64 { return n }
+
+// Denorm for int64 keys flips the sign bit back.
+func (I64Codec) Denorm(n uint64) int64 { return int64(n ^ 1<<63) }
+
+// Denorm for float64 keys undoes the total-order transform: an image
+// with the top bit set was a non-negative value, one without it a
+// negative value with every bit flipped. NaN payloads and -0 come back
+// as they went in.
+func (F64Codec) Denorm(n uint64) float64 {
+	if n>>63 == 1 {
+		return math.Float64frombits(n &^ (1 << 63))
+	}
+	return math.Float64frombits(^n)
+}
+
+// Denorm for uint32 keys narrows back to 32 bits.
+func (U32Codec) Denorm(n uint64) uint32 { return uint32(n) }

@@ -4,6 +4,12 @@
 // framed messages between processors and accounts every byte, so the
 // Figure 9 communication-overhead experiments can be measured rather than
 // estimated.
+//
+// A KData message carries entries, or — for a sort of bare keys under a
+// codec whose exact norm has an inverse (KeyDenormalizer, RefDenorm) —
+// 16-byte NormRefs, each standing for the key-only entry {Denorm(Norm),
+// the message's source, Idx}. On the wire a ref is byte for byte that
+// entry; a frame header flag (FlagRefs) tells the reader which to decode.
 package comm
 
 import "fmt"
@@ -81,11 +87,16 @@ const (
 	// per-source signal layered on the framing, so a count/framing
 	// mismatch surfaces as a protocol error instead of silent corruption.
 	FlagRunComplete uint8 = 1 << 0
+	// FlagRefs marks a KData frame whose entries decode into Message.Refs
+	// rather than Message.Entries. Only the TCP frame header carries it:
+	// the sender's transport sets it for a message with refs, and the
+	// read loop consumes it.
+	FlagRefs uint8 = 1 << 1
 )
 
 // Message is the unit of communication between processors. A message
-// carries either sorted entries (KSamples, KData), raw keys (KSplitters),
-// or integer metadata (KRangeMeta, KControl).
+// carries sorted entries or refs (KData), raw keys (KSamples,
+// KSplitters), or integer metadata (KRangeMeta, KControl).
 //
 // SortID multiplexes several concurrent sorts over one network, which is
 // how the library sorts "multiple different data simultaneously".
@@ -95,14 +106,20 @@ type Message[K any] struct {
 	Flags    uint8 // Flag* bits; zero for most messages
 	SortID   int32
 	Entries  []Entry[K] // KData payloads
-	Keys     []K        // KSamples / KSplitters payloads
-	Ints     []int64    // KRangeMeta / KControl payloads
+	// Refs is the KData payload of a key-only sort whose codec frames
+	// refs (RefDenorm): each ref is the entry {Key: Denorm(Norm), Proc:
+	// Src, Index: Idx}, and a message carries Entries or Refs, never both.
+	// On the wire a ref is byte for byte that entry.
+	Refs []NormRef
+	Keys []K     // KSamples / KSplitters payloads
+	Ints []int64 // KRangeMeta / KControl payloads
 
-	// Release, when non-nil, returns the Entries slab to the pool it was
-	// decoded into (set by the TCP transport's read loop). The consumer
-	// calls it after copying the entries out; leaving it uncalled is safe
-	// (the slab is simply garbage collected). The in-process transport
-	// never sets it: its Entries alias the sender's buffers.
+	// Release, when non-nil, returns the Entries or Refs slab to the pool
+	// it was decoded into (set by the TCP transport's read loop). The
+	// consumer calls it after copying the data out; leaving it uncalled is
+	// safe (the slab is simply garbage collected). The in-process
+	// transport never sets it: its Entries and Refs alias the sender's
+	// buffers.
 	Release func()
 
 	// wire is WireBytes+1 once computed, so one send sizes its message
@@ -119,19 +136,25 @@ type Message[K any] struct {
 // payloads included.
 func (m *Message[K]) WireBytes(c Codec[K]) int {
 	if m.wire == 0 {
-		m.wire = 1 + EntriesWireBytes(m.Entries, c) + KeysWireBytes(m.Keys, c) + len(m.Ints)*8
+		m.wire = 1 + EntriesWireBytes(m.Entries, c) + RefsWireBytes(m.Refs, c) + KeysWireBytes(m.Keys, c) + len(m.Ints)*8
 	}
 	return m.wire - 1
 }
 
-// AppendWire appends the message's payload in wire form — entries, keys,
-// ints, as the frame header counts them — to dst, sized from WireBytes.
+// AppendWire appends the message's payload in wire form — entries or
+// refs, keys, ints, as the frame header counts them — to dst, sized from
+// WireBytes.
 func (m *Message[K]) AppendWire(dst []byte, c Codec[K]) []byte {
 	need := m.WireBytes(c)
 	dst = grow(dst, need)
 	off := putEntries(dst, len(dst)-need, m.Entries, c)
+	off = putRefs(dst, off, m.Refs, uint32(m.Src), c)
 	return EncodeInts(EncodeKeys(dst[:off], m.Keys, c), m.Ints)
 }
+
+// DataLen is how many entries a KData message carries, as entries or as
+// refs.
+func (m *Message[K]) DataLen() int { return len(m.Entries) + len(m.Refs) }
 
 // originBytes is the wire size of an Entry's provenance (proc + index).
 const originBytes = 8

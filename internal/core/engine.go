@@ -36,6 +36,10 @@ type Engine[K cmp.Ordered] struct {
 	// the real keys over its equal-norm runs (comparators).
 	norm        func(K) uint64
 	normInexact bool
+	// denorm is norm's inverse when the codec frames refs (comm.RefDenorm):
+	// then a sort of bare keys whose step 1 fits carries refs instead of
+	// entries from step 1 to the result. nil otherwise.
+	denorm func(uint64) K
 }
 
 // node is one simulated processor: an endpoint on the network, a buffer
@@ -51,9 +55,11 @@ type node[K cmp.Ordered] struct {
 	// entryPool recycles this processor's entry and merge-scratch slabs
 	// across sorts, so a pipelined SortMany run reuses buffers instead
 	// of reallocating per dataset; refPool does the same for the
-	// (norm, index) refs steps 1 and 6 sort and merge.
+	// (norm, index) refs steps 1 and 6 sort and merge, and provPool for
+	// the provenance words step 6 keeps beside a sort by ref's refs.
 	entryPool *alloc.SlabPool[comm.Entry[K]]
 	refPool   alloc.SlabPool[lsort.NormRef]
+	provPool  alloc.SlabPool[uint64]
 
 	mbMu      sync.Mutex
 	mbs       map[mbKey]*mailbox[comm.Message[K]]
@@ -93,6 +99,7 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 	} else {
 		e.norm, e.normInexact = comm.NormFor[K]()
 	}
+	e.denorm, _ = comm.RefDenorm(codec)
 	e.nodes = make([]*node[K], opts.Procs)
 	for i := range e.nodes {
 		n := &node[K]{
@@ -102,6 +109,10 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 			mbs: make(map[mbKey]*mailbox[comm.Message[K]]),
 		}
 		n.entryPool = &alloc.SlabPool[comm.Entry[K]]{}
+		// A sort holds up to three ref slabs of about one size at once —
+		// step 1's sorted share beside step 6's two halves — so eight idle
+		// slabs a class keep two concurrent sorts hitting the pool.
+		n.refPool.Keep = 8
 		n.dm = &datamgr.Manager{BufferBytes: opts.BufferBytes, Tracker: &n.tracker}
 		e.nodes[i] = n
 		e.dispatchWG.Add(1)
@@ -367,7 +378,11 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 
 	// Every node's run is built — and its share checked — before any node
 	// starts, so an oversized share fails the job with nothing allocated.
+	// Whether the sort goes by ref is decided here too, once for all
+	// nodes, so every node sends the kind of message every other expects:
+	// bare keys under a codec that frames refs, no share chunked by step 1.
 	cmps := e.comparators()
+	byRef := j.recs == nil && e.denorm != nil
 	runs := make([]*sortRun[K], p)
 	for i, n := range e.nodes {
 		runs[i] = &sortRun[K]{
@@ -381,12 +396,18 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 			cmps:   cmps,
 			runs: runFormer[K]{
 				ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
-				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker,
+				pool: n.entryPool, refPool: &n.refPool, provPool: &n.provPool, tracker: &n.tracker,
 			},
 		}
 		if err := checkShare(runs[i].src); err != nil {
 			return nil, err
 		}
+		if size := runs[i].src.size(); e.opts.step1Chunk(size, entryBytes[K]()) < size {
+			byRef = false
+		}
+	}
+	for _, s := range runs {
+		s.byRef = byRef
 	}
 
 	// The watcher must be fully stopped before dropSort below, or a late
@@ -531,5 +552,5 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 	for i, o := range outs {
 		parts2[i] = o.entries
 	}
-	return &Result[K]{Parts: parts2, Report: rep}, nil
+	return &Result[K]{Parts: parts2, Report: rep, norm: e.norm}, nil
 }

@@ -59,15 +59,22 @@ func TestRadixPathFloat64TotalOrder(t *testing.T) {
 
 // TestPoolingBalancesAndReuses: the Figure-11 temp-memory accounting
 // must balance to zero after every sort with pooling on, a second sort on
-// the same engine must actually reuse pooled slabs — entry slabs and the
-// ref slabs of steps 1 and 6 alike — and a sort failing at any stage must
-// return every slab it took.
+// the same engine must actually reuse pooled slabs — entry slabs, the ref
+// slabs of steps 1 and 6 and a sort by ref's provenance slab alike — and
+// a sort failing at any stage must return every slab it took. Both paths
+// are held to their own slab counts: a key-only sort under a codec
+// without Denorm goes by entry, one under U64Codec by ref.
 func TestPoolingBalancesAndReuses(t *testing.T) {
+	t.Run("entries", func(t *testing.T) { poolingCase(t, entryPathCodec[uint64]{comm.U64Codec{}}, false) })
+	t.Run("refs", func(t *testing.T) { poolingCase(t, comm.U64Codec{}, true) })
+}
+
+func poolingCase(t *testing.T, codec comm.Codec[uint64], byRef bool) {
 	keys := dist.Gen{Kind: dist.Normal, Seed: 9}.Keys(8000)
 	// Resident whatever the forced-spill lane says: the traffic counted
 	// below is the resident pipeline's (TestSinkErrorExits holds the
 	// spilled one to gets == puts).
-	eng, err := NewEngine[uint64](Options{Procs: 4, WorkersPerProc: 2, MemoryBudget: -1}, comm.U64Codec{})
+	eng, err := NewEngine[uint64](Options{Procs: 4, WorkersPerProc: 2, MemoryBudget: -1}, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +92,42 @@ func TestPoolingBalancesAndReuses(t *testing.T) {
 		checkNoLeak(t, eng)
 	}
 	for i, n := range eng.nodes {
-		// Per sort a node takes two entry slabs, the step-1 buffer and
-		// the assembly buffer, and both come back: the result is not a
-		// pool slab. Every sort after the first finds both waiting.
-		gets, hits, puts := n.entryPool.Stats()
-		if gets != 2*sorts || puts != 2*sorts || hits != 2*(sorts-1) {
-			t.Fatalf("node %d: entry pool saw %d gets, %d hits, %d puts over %d sorts", i, gets, hits, puts, sorts)
+		entryGets, entryHits, entryPuts := n.entryPool.Stats()
+		refGets, refHits, refPuts := n.refPool.Stats()
+		provGets, provHits, provPuts := n.provPool.Stats()
+		if !byRef {
+			// Per sort a node takes two entry slabs, the step-1 buffer and
+			// the assembly buffer, and both come back: the result is not a
+			// pool slab. Every sort after the first finds both waiting.
+			if entryGets != 2*sorts || entryPuts != 2*sorts || entryHits != 2*(sorts-1) {
+				t.Fatalf("node %d: entry pool saw %d gets, %d hits, %d puts over %d sorts", i, entryGets, entryHits, entryPuts, sorts)
+			}
+			// And three ref slabs, step 1's and step 6's two halves, none of
+			// which outlives its step. The first sort's step 6 may already
+			// reuse step 1's slab, if the node's part lands in its size class.
+			if refGets != 3*sorts || refPuts != 3*sorts || refHits < 3*(sorts-1) {
+				t.Fatalf("node %d: ref pool saw %d gets, %d hits, %d puts over %d sorts", i, refGets, refHits, refPuts, sorts)
+			}
+			if provGets != 0 || provPuts != 0 {
+				t.Fatalf("node %d: a sort by entry took %d provenance slabs", i, provGets)
+			}
+			continue
 		}
-		// And three ref slabs, step 1's and step 6's two halves, none of
-		// which outlives its step. The first sort's step 6 may already
-		// reuse step 1's slab, if the node's part lands in its size class.
-		gets, hits, puts = n.refPool.Stats()
-		if gets != 3*sorts || puts != 3*sorts || hits < 3*(sorts-1) {
-			t.Fatalf("node %d: ref pool saw %d gets, %d hits, %d puts over %d sorts", i, gets, hits, puts, sorts)
+		// By ref no entry slab is taken: the share is refs and the result
+		// is built at its exact size.
+		if entryGets != 0 || entryPuts != 0 {
+			t.Fatalf("node %d: a sort by ref took %d entry slabs and returned %d", i, entryGets, entryPuts)
+		}
+		// Four ref slabs a sort: step 1's refs and its scratch half (the
+		// one the sorted share lands in waits for the sort to join), and
+		// step 6's two halves. Every sort after the first finds all four
+		// waiting.
+		if refGets != 4*sorts || refPuts != 4*sorts || refHits < 4*(sorts-1) {
+			t.Fatalf("node %d: ref pool saw %d gets, %d hits, %d puts over %d sorts", i, refGets, refHits, refPuts, sorts)
+		}
+		// And one provenance slab, step 6's.
+		if provGets != sorts || provPuts != sorts || provHits != sorts-1 {
+			t.Fatalf("node %d: provenance pool saw %d gets, %d hits, %d puts over %d sorts", i, provGets, provHits, provPuts, sorts)
 		}
 	}
 	t.Cleanup(failpoint.Reset)
@@ -147,11 +177,11 @@ func TestLocalSortInexactNormSpills(t *testing.T) {
 		t.Cleanup(func() { e.Close() })
 		s := testSortRun(e)
 		s.src = &keySource[string]{keys: keys}
-		entries, err := s.localSort()
+		sh, err := s.localSort()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, entries
+		return s, sh.entries
 	}
 	resident, want := step1(-1)
 	budgeted, got := step1(n * int64(entryBytes[string]()) / 4)

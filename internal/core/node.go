@@ -12,6 +12,7 @@ import (
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
 	"pgxsort/internal/failpoint"
+	"pgxsort/internal/lsort"
 	"pgxsort/internal/sample"
 	"pgxsort/internal/spill"
 )
@@ -24,6 +25,11 @@ type sortRun[K cmp.Ordered] struct {
 	opts   Options
 	codec  comm.Codec[K]
 	src    entrySource[K] // this node's share of the dataset
+	// byRef marks a sort of bare keys whose codec frames refs and whose
+	// step 1 fits every share (sortOne decides, for all nodes at once):
+	// steps 1 to 6 carry 16-byte refs, and each entry is built once, in
+	// the result.
+	byRef  bool
 	ctx    context.Context
 	ctrl   *stageCtrl // nil outside the SortMany scheduler
 	cmps   sortCmps[K]
@@ -53,10 +59,10 @@ type sortRun[K cmp.Ordered] struct {
 	metaBytes   atomic.Int64
 	dataBytes   atomic.Int64
 
-	// retired collects pooled entry slabs whose subslices may still be
-	// aliased by in-flight exchange messages; sortOne recycles them only
+	// retired is step 1's pooled slab, whose subslices may still be
+	// aliased by in-flight exchange messages; sortOne recycles it only
 	// after every node has joined.
-	retired [][]comm.Entry[K]
+	retired share[K]
 
 	// Transport-health baselines captured when the run starts; the
 	// endpoint counters are cumulative over the engine's lifetime, so
@@ -73,6 +79,26 @@ type sortRun[K cmp.Ordered] struct {
 // top-k candidates.
 const master = 0
 
+// share is one node's sorted step-1 output, what steps 2 to 5 run over:
+// entries, or on a sort by ref the refs standing for them — Idx is the
+// key's index in the node's share, whose node is the origin.
+type share[K cmp.Ordered] struct {
+	entries []comm.Entry[K]
+	refs    []lsort.NormRef
+}
+
+func (sh share[K]) len() int { return len(sh.entries) + len(sh.refs) }
+
+// slice is sh[lo:hi] as the KData message carrying it. (A sort by ref
+// of an empty share has no ref slab: its empty slices are entries, which
+// every sink takes as the nothing they are.)
+func (sh share[K]) slice(lo, hi int) comm.Message[K] {
+	if sh.refs != nil {
+		return comm.Message[K]{Kind: comm.KData, Refs: sh.refs[lo:hi]}
+	}
+	return comm.Message[K]{Kind: comm.KData, Entries: sh.entries[lo:hi]}
+}
+
 // sortCmps bundles one sort's ordering machinery: the key normalization
 // the refs of steps 1 and 6 are built from, and the comparators driving
 // sampling, partitioning and the cursor merges. Every comparison goes
@@ -81,6 +107,9 @@ const master = 0
 // which pins the NaN positions `<` cannot order.
 type sortCmps[K cmp.Ordered] struct {
 	norm func(K) uint64
+	// denorm is norm's inverse, nil unless the codec frames refs: what a
+	// sort by ref turns a norm back into a key with.
+	denorm func(uint64) K
 	// inexact marks a monotone, non-injective norm (strings): a ref sort or
 	// ref merge leaves equal-norm runs unordered, so steps 1 and 6 finish
 	// them under the real key order (lsort.SortEqualNormRefs).
@@ -106,6 +135,7 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 	norm := e.norm
 	c := sortCmps[K]{
 		norm:     norm,
+		denorm:   e.denorm,
 		inexact:  e.normInexact,
 		headNorm: func(en *comm.Entry[K]) uint64 { return norm(en.Key) },
 		keyLess: func(a, b K) bool {
@@ -127,23 +157,16 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 	return c
 }
 
-// retire schedules a pooled slab for recycling once the whole sort has
-// joined (sortOne calls recycleRetired after the last node finishes).
-func (s *sortRun[K]) retire(buf []comm.Entry[K]) {
-	s.retired = append(s.retired, buf)
-}
-
-// recycleRetired returns the retired slabs to the node's pool. Only safe
-// once no exchange message can alias them: after every node of the sort
+// recycleRetired returns step 1's slab to the node's pool. Only safe
+// once no exchange message can alias it: after every node of the sort
 // has joined.
 func (s *sortRun[K]) recycleRetired() {
 	if s == nil {
 		return
 	}
-	for _, buf := range s.retired {
-		s.node.entryPool.Put(buf)
-	}
-	s.retired = nil
+	s.node.entryPool.Put(s.retired.entries)
+	s.node.refPool.Put(s.retired.refs)
+	s.retired = share[K]{}
 }
 
 // foldTraffic moves the atomic traffic counters into the report, along
@@ -286,7 +309,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := s.enterStage(StageLocalSort); err != nil {
 		return nil, err
 	}
-	entries, err := s.localSort()
+	sh, err := s.localSort()
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +324,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := failpoint.Hit(fpSplitters); err != nil {
 		return nil, err
 	}
-	splitters, err := s.splitterAgreement(entries)
+	splitters, err := s.splitterAgreement(sh)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +336,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := failpoint.Hit(fpExchange); err != nil {
 		return nil, err
 	}
-	s.pending, err = s.partitionExchange(entries, splitters)
+	s.pending, err = s.partitionExchange(sh, splitters)
 	if err != nil {
 		return nil, err
 	}
@@ -345,30 +368,49 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	return merged, nil
 }
 
-// localSort is step 1: the parallel local sort of this node's share,
-// run by the shared former (runs.go). The entry buffer comes from the
-// node's slab pool and returns to it once the whole sort joins (its
-// subslices travel through the exchange). A share that fits is one chunk,
-// written into the buffer once, already in order; a share whose entries
-// alone exceed Options.MemoryBudget is formed in budget-sized chunks that
-// land in the head of the buffer, spill to a scratch file as one run
-// each, and stream-merge back over it — the same bytes, a fraction of the
-// temporary memory.
-func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
-	t0 := time.Now()
-	entries := s.node.entryPool.Get(s.src.size())
-	s.retire(entries)
-	eb := int64(entryBytes[K]())
-	s.report.ResidentBytes = int64(len(entries)) * eb
-	chunk := len(entries)
-	if budget := s.opts.MemoryBudget; budget > 0 && int64(len(entries))*eb > budget {
-		chunk = chunkEntries(budget, eb, 1)
+// step1Chunk is how many of a share's n entries of eb bytes step 1 sorts
+// at a time: all of them, unless they exceed Options.MemoryBudget.
+func (o Options) step1Chunk(n, eb int) int {
+	if o.MemoryBudget > 0 && int64(n)*int64(eb) > o.MemoryBudget {
+		return chunkEntries(o.MemoryBudget, int64(eb), 1)
 	}
+	return n
+}
+
+// localSort is step 1: the parallel local sort of this node's share,
+// run by the shared former (runs.go). The share's slab comes from the
+// node's pool and returns to it once the whole sort joins (its subslices
+// travel through the exchange).
+//
+// A sort by ref stops at the sorted refs: they are the share, 16 bytes a
+// key, and no entry is built. Otherwise a share that fits is one chunk,
+// written into the entry buffer once, already in order; a share whose
+// entries alone exceed Options.MemoryBudget is formed in budget-sized
+// chunks that land in the head of the buffer, spill to a scratch file as
+// one run each, and stream-merge back over it — the same bytes, a
+// fraction of the temporary memory.
+func (s *sortRun[K]) localSort() (share[K], error) {
+	t0 := time.Now()
+	defer func() { s.report.Steps[StepLocalSort] = time.Since(t0) }()
+	n := s.src.size()
+	if s.byRef {
+		refs, err := s.runs.sortRefs(s.src, n)
+		if err != nil {
+			return share[K]{}, err
+		}
+		s.retired.refs = refs
+		s.report.ResidentBytes = int64(n) * refBytes
+		return share[K]{refs: refs}, nil
+	}
+	entries := s.node.entryPool.Get(n)
+	s.retired.entries = entries
+	s.report.ResidentBytes = int64(n) * int64(entryBytes[K]())
+	chunk := s.opts.step1Chunk(n, entryBytes[K]())
 	var scratch *spill.Scratch
-	if chunk < len(entries) {
+	if chunk < n {
 		var err error
 		if scratch, err = spill.NewScratch(s.opts.SpillDir); err != nil {
-			return nil, err
+			return share[K]{}, err
 		}
 		defer scratch.Close() // a panic's way out; every other closes it below
 	}
@@ -382,33 +424,37 @@ func (s *sortRun[K]) localSort() ([]comm.Entry[K], error) {
 		err = cerr
 	}
 	if err != nil {
-		return nil, err
+		return share[K]{}, err
 	}
-	s.report.Steps[StepLocalSort] = time.Since(t0)
-	return entries, nil
+	return share[K]{entries: entries}, nil
 }
 
-// sampleKeys returns the keys of sample.Regular(entries, s), read in
-// place: s (at most len(entries), as sample.Count gives it) keys are
-// copied, no entries.
-func sampleKeys[K cmp.Ordered](entries []comm.Entry[K], s int) []K {
-	keys := make([]K, s)
+// sampleKeys returns the keys at sample.Regular's positions of the
+// share, read in place: count (at most sh.len(), as sample.Count gives
+// it) keys are copied, no entries.
+func (s *sortRun[K]) sampleKeys(sh share[K], count int) []K {
+	keys := make([]K, count)
 	for i := range keys {
-		keys[i] = entries[sample.RegularIndex(i, len(entries), s)].Key
+		at := sample.RegularIndex(i, sh.len(), count)
+		if s.byRef {
+			keys[i] = s.cmps.denorm(sh.refs[at].Norm)
+		} else {
+			keys[i] = sh.entries[at].Key
+		}
 	}
 	return keys
 }
 
 // splitterAgreement is steps 2-3: regular sampling, one buffer of samples
 // to the master, master-side splitter selection and broadcast.
-func (s *sortRun[K]) splitterAgreement(entries []comm.Entry[K]) ([]K, error) {
+func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]K, error) {
 	p := s.opts.Procs
 	self := s.node.id
 
 	// ---- Step 2: regular sampling, one buffer of samples to master ----
 	t0 := time.Now()
-	nsamples := sample.Count(s.opts.BufferBytes, p, s.codec.KeySize(), s.opts.SampleFactor, len(entries))
-	keys := sampleKeys(entries, nsamples)
+	nsamples := sample.Count(s.opts.BufferBytes, p, s.codec.KeySize(), s.opts.SampleFactor, sh.len())
+	keys := s.sampleKeys(sh, nsamples)
 	s.report.SamplesSent = len(keys)
 	if p > 1 && self != master {
 		if err := s.send(master, comm.Message[K]{Kind: comm.KSamples, Keys: keys}); err != nil {
@@ -463,16 +509,27 @@ func (s *sortRun[K]) splitterAgreement(entries []comm.Entry[K]) ([]K, error) {
 // sink is discarded, so a cancelled sort cannot inflate the node's
 // tracker, leak slabs or leave a scratch file for later sorts on the same
 // engine.
-func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (_ exchangeSink[K], err error) {
+func (s *sortRun[K]) partitionExchange(sh share[K], splitters []K) (_ exchangeSink[K], err error) {
 	n := s.node
 	p := s.opts.Procs
 	self := n.id
 
 	// ---- Step 4: binary-search range partitioning + metadata bcast ----
 	t0 := time.Now()
-	ranges := sample.Partition(entries, splitters,
-		s.cmps.keyLess, s.cmps.keyAbove, s.cmps.keyBelow,
-		!s.opts.DisableInvestigator)
+	var ranges sample.Ranges
+	if s.byRef {
+		// An exact norm: a ref's norm against the splitter's is the key
+		// comparison.
+		norm := s.cmps.norm
+		ranges = sample.Partition(sh.refs, splitters, s.cmps.keyLess,
+			func(r lsort.NormRef, sp K) bool { return r.Norm > norm(sp) },
+			func(r lsort.NormRef, sp K) bool { return r.Norm < norm(sp) },
+			!s.opts.DisableInvestigator)
+	} else {
+		ranges = sample.Partition(sh.entries, splitters,
+			s.cmps.keyLess, s.cmps.keyAbove, s.cmps.keyBelow,
+			!s.opts.DisableInvestigator)
+	}
 	counts := ranges.Counts()
 	meta := make([]int64, p)
 	for i, c := range counts {
@@ -524,8 +581,9 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 		}
 	}()
 	// The local range never touches the network.
-	lo, hi := ranges.Range(self)
-	if err := sink.Write(self, entries[lo:hi]); err != nil {
+	local := sh.slice(ranges.Range(self))
+	local.Src = self
+	if err := sink.Write(local); err != nil {
 		return nil, err
 	}
 	expectRemote := 0
@@ -544,25 +602,10 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 			if dst == self {
 				continue
 			}
-			dlo, dhi := ranges.Range(dst)
-			// Chunk by measured wire size, not the nominal KeySize: with
-			// variable-width keys or payloads the estimate keeps chunks
-			// near the buffer budget instead of overshooting it.
-			estBytes := comm.EntryWireEstimate(entries[dlo:dhi], s.codec)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[dst] = datamgr.Chunks(n.dm, entries[dlo:dhi], estBytes,
-					func(chunk []comm.Entry[K], last bool) error {
-						m := comm.Message[K]{Kind: comm.KData, Entries: chunk}
-						if last {
-							// Per-source run-complete signal riding the
-							// existing framing; the receiver cross-checks
-							// it against the metadata-derived counts.
-							m.Flags |= comm.FlagRunComplete
-						}
-						return s.send(dst, m)
-					})
+				errs[dst] = s.sendRange(dst, sh.slice(ranges.Range(dst)))
 			}()
 		}
 		wg.Wait()
@@ -580,7 +623,13 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 			if err != nil {
 				return err
 			}
-			if err := sink.Write(m.Src, m.Entries); err != nil {
+			if (m.Refs != nil) != s.byRef {
+				// Every node decided alike (sortOne): a peer that did not
+				// is a protocol fault, not data to assemble.
+				return fmt.Errorf("source %d sent %d entries and %d refs; this node sorts by ref: %v",
+					m.Src, len(m.Entries), len(m.Refs), s.byRef)
+			}
+			if err := sink.Write(m); err != nil {
 				return err
 			}
 			if m.Flags&comm.FlagRunComplete != 0 && !sink.RunComplete(m.Src) {
@@ -590,10 +639,10 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 				return fmt.Errorf("source %d signaled run-complete before its %d expected entries arrived",
 					m.Src, perSrc[m.Src])
 			}
-			got += len(m.Entries)
+			got += m.DataLen()
 			if m.Release != nil {
-				// The entries were decoded into a transport-owned slab
-				// (TCP path) and are copied out now; recycle it.
+				// The data was decoded into a transport-owned slab (TCP
+				// path) and is copied out now; recycle it.
 				m.Release()
 			}
 		}
@@ -637,4 +686,34 @@ func (s *sortRun[K]) partitionExchange(entries []comm.Entry[K], splitters []K) (
 	}
 	s.report.Steps[StepExchange] = time.Since(t0)
 	return sink, nil
+}
+
+// sendRange streams one destination's range of the share — the KData
+// message r — in buffer-sized chunks, refs cut as datamgr.Chunks cuts the
+// entries they stand for.
+func (s *sortRun[K]) sendRange(dst int, r comm.Message[K]) error {
+	dm := s.node.dm
+	if s.byRef {
+		return datamgr.Chunks(dm, r.Refs, comm.RefWireEstimate(s.codec),
+			func(chunk []lsort.NormRef, last bool) error {
+				return s.sendData(dst, comm.Message[K]{Kind: comm.KData, Refs: chunk}, last)
+			})
+	}
+	// Chunk by measured wire size, not the nominal KeySize: with
+	// variable-width keys or payloads the estimate keeps chunks near the
+	// buffer budget instead of overshooting it.
+	return datamgr.Chunks(dm, r.Entries, comm.EntryWireEstimate(r.Entries, s.codec),
+		func(chunk []comm.Entry[K], last bool) error {
+			return s.sendData(dst, comm.Message[K]{Kind: comm.KData, Entries: chunk}, last)
+		})
+}
+
+// sendData sends one chunk of a range, the last one marked.
+func (s *sortRun[K]) sendData(dst int, m comm.Message[K], last bool) error {
+	if last {
+		// Per-source run-complete signal riding the existing framing; the
+		// receiver cross-checks it against the metadata-derived counts.
+		m.Flags |= comm.FlagRunComplete
+	}
+	return s.send(dst, m)
 }

@@ -10,14 +10,20 @@
 //     One run former (runs.go) does it for keys, records and sections of
 //     an upload spool alike, in one chunk when the share fits
 //     Options.MemoryBudget and in budget-sized chunks through run files
-//     when it does not
+//     when it does not. A sort of bare keys whose codec has an exact norm
+//     and its inverse (comm.RefDenorm), and whose every share fits, stops
+//     at the sorted refs: they are the share, 16 bytes a key, and steps
+//     2-6 carry them instead of 40-byte entries
 //  2. regular sampling, one 256KB/p buffer of samples to the master
 //  3. master selects p-1 splitters and broadcasts them
 //  4. binary-search range partitioning with the investigator (Fig 3)
 //  5. asynchronous all-to-all exchange with precomputed write offsets
 //  6. merge of the received runs with the same balanced merging handler,
-//     after the exchange barrier (streamed from spill files instead when
-//     the runs exceed Options.MemoryBudget)
+//     after the exchange barrier, in one of two exchange sinks: resident
+//     (a sort by ref keeps a provenance word beside each ref and builds
+//     each entry once, into the exact-size result) or, when the runs
+//     exceed Options.MemoryBudget, spilled — streamed back from spill
+//     files, a sort by ref's chunks turned into entries on the way in
 //
 // Every entry keeps its provenance (origin processor and index), the
 // result supports binary search and top-k retrieval, and several datasets

@@ -16,6 +16,28 @@ import (
 type Result[K cmp.Ordered] struct {
 	Parts  [][]comm.Entry[K]
 	Report Report
+
+	// norm is the key order the sort produced the parts in — the
+	// engine's norm first, the key on equal norms — which is what Search
+	// and Count search by. nil (a Result built by hand) means comm.NormFor's.
+	norm func(K) uint64
+}
+
+// searchOrder returns an entry's key against a searched key in the order
+// the sort produced: for floats that is the IEEE-754 total order, in
+// which every NaN has its place and -0 sorts before +0, where `<` orders
+// neither.
+func (r *Result[K]) searchOrder() func(e comm.Entry[K], k K) int {
+	norm := r.norm
+	if norm == nil {
+		norm, _ = comm.NormFor[K]()
+	}
+	return func(e comm.Entry[K], k K) int {
+		if c := cmp.Compare(norm(e.Key), norm(k)); c != 0 {
+			return c
+		}
+		return cmp.Compare(e.Key, k)
+	}
 }
 
 // Len returns the total number of entries.
@@ -93,33 +115,36 @@ func (r *Result[K]) At(i int) (comm.Entry[K], error) {
 // Search performs the distributed binary search the paper's API exposes:
 // it locates the first occurrence of key, returning the owning processor,
 // the local index, and the global rank. found is false when key is absent
-// (proc/local/global then describe the insertion point).
+// (proc/local/global then describe the insertion point). Keys are found
+// in the order the sort produced (see searchOrder): a NaN among float keys
+// is found where it sorted, and +0 is not -0.
 func (r *Result[K]) Search(key K) (proc, local, global int, found bool) {
+	order := r.searchOrder()
+	below := func(e comm.Entry[K], k K) bool { return order(e, k) < 0 }
 	base := 0
 	for pi, part := range r.Parts {
 		if len(part) == 0 {
 			continue
 		}
-		if part[len(part)-1].Key < key {
+		if below(part[len(part)-1], key) {
 			base += len(part)
 			continue
 		}
-		idx := lsort.LowerBound(part, key, func(e comm.Entry[K], k K) bool { return e.Key < k })
-		if idx < len(part) && part[idx].Key == key {
-			return pi, idx, base + idx, true
-		}
-		return pi, idx, base + idx, false
+		idx := lsort.LowerBound(part, key, below)
+		found := idx < len(part) && order(part[idx], key) == 0
+		return pi, idx, base + idx, found
 	}
 	return len(r.Parts), 0, base, false
 }
 
-// Count returns how many entries equal key.
+// Count returns how many entries equal key in the sort's order.
 func (r *Result[K]) Count(key K) int {
+	order := r.searchOrder()
+	below := func(e comm.Entry[K], k K) bool { return order(e, k) < 0 }
+	above := func(e comm.Entry[K], k K) bool { return order(e, k) > 0 }
 	total := 0
 	for _, part := range r.Parts {
-		lo := lsort.LowerBound(part, key, func(e comm.Entry[K], k K) bool { return e.Key < k })
-		hi := lsort.UpperBound(part, key, func(e comm.Entry[K], k K) bool { return e.Key > k })
-		total += hi - lo
+		total += lsort.UpperBound(part, key, above) - lsort.LowerBound(part, key, below)
 	}
 	return total
 }

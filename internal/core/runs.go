@@ -231,11 +231,13 @@ type runFormer[K cmp.Ordered] struct {
 	codec   comm.Codec[K]
 	cmps    sortCmps[K]
 	workers int
-	// pool, refPool and tracker supply and account every slab the former
-	// takes: staging, refs, merge batches and the readers' decoded blocks.
-	pool    *alloc.SlabPool[comm.Entry[K]]
-	refPool *alloc.SlabPool[lsort.NormRef]
-	tracker *alloc.Tracker
+	// pool, refPool, provPool and tracker supply and account every slab
+	// the former takes: staging, refs, provenance words, merge batches and
+	// the readers' decoded blocks.
+	pool     *alloc.SlabPool[comm.Entry[K]]
+	refPool  *alloc.SlabPool[lsort.NormRef]
+	provPool *alloc.SlabPool[uint64]
+	tracker  *alloc.Tracker
 	// Spilled runs are blocks of a scratch file, one file per spilling
 	// stage: whoever needs the stage's runs on disk creates it, hands it
 	// to form or writeRun, and closes it once the runs are consumed.
@@ -251,31 +253,31 @@ func (f *runFormer[K]) readerOpts() spill.ReaderOpts[K] {
 	return spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
 }
 
-// take hands out an n-entry slab accounted as temporary memory; give
-// returns it.
-func (f *runFormer[K]) take(n int) []comm.Entry[K] {
-	f.tracker.Alloc(int64(n) * int64(entryBytes[K]()))
-	return f.pool.Get(n)
+// takeSlab hands out an n-element slab of pool accounted in tracker as
+// temporary memory; giveSlab returns it.
+func takeSlab[E any](tracker *alloc.Tracker, pool *alloc.SlabPool[E], n int) []E {
+	var e E
+	tracker.Alloc(int64(n) * int64(unsafe.Sizeof(e)))
+	return pool.Get(n)
 }
 
-func (f *runFormer[K]) give(slab []comm.Entry[K]) {
-	f.tracker.Free(int64(len(slab)) * int64(entryBytes[K]()))
-	f.pool.Put(slab)
+func giveSlab[E any](tracker *alloc.Tracker, pool *alloc.SlabPool[E], slab []E) {
+	var e E
+	tracker.Free(int64(len(slab)) * int64(unsafe.Sizeof(e)))
+	pool.Put(slab)
 }
+
+// take, takeRefs and takeProv hand out entry, ref and provenance slabs;
+// give, giveRefs and giveProv return them.
+func (f *runFormer[K]) take(n int) []comm.Entry[K]     { return takeSlab(f.tracker, f.pool, n) }
+func (f *runFormer[K]) give(slab []comm.Entry[K])      { giveSlab(f.tracker, f.pool, slab) }
+func (f *runFormer[K]) takeRefs(n int) []lsort.NormRef { return takeSlab(f.tracker, f.refPool, n) }
+func (f *runFormer[K]) giveRefs(slab []lsort.NormRef)  { giveSlab(f.tracker, f.refPool, slab) }
+func (f *runFormer[K]) takeProv(n int) []uint64        { return takeSlab(f.tracker, f.provPool, n) }
+func (f *runFormer[K]) giveProv(slab []uint64)         { giveSlab(f.tracker, f.provPool, slab) }
 
 // refBytes is the in-memory size of one lsort.NormRef.
 const refBytes = int64(unsafe.Sizeof(lsort.NormRef{}))
-
-// takeRefs and giveRefs are take and give for ref slabs.
-func (f *runFormer[K]) takeRefs(n int) []lsort.NormRef {
-	f.tracker.Alloc(int64(n) * refBytes)
-	return f.refPool.Get(n)
-}
-
-func (f *runFormer[K]) giveRefs(slab []lsort.NormRef) {
-	f.tracker.Free(int64(len(slab)) * refBytes)
-	f.refPool.Put(slab)
-}
 
 // chunkEntries sizes a step-1 chunk under budget: half the budget for
 // the chunk, half for what sorting it takes (the refs need less: 32 B an
@@ -366,6 +368,33 @@ func (f *runFormer[K]) sortChunk(src entrySource[K], n int, buf []comm.Entry[K],
 		lsort.SortEqualNormRefs(order, src.less)
 	}
 	return src.emit(buf, order)
+}
+
+// sortRefs is step 1 of a sort by ref: sortChunk over the whole of a
+// source of n keys, stopping at the sorted refs, which are the share. It
+// returns them in a slab of the ref pool that is no longer temporary
+// memory (the share is resident until the sort joins); the sort's
+// scratch half goes back, and on a panic both do.
+func (f *runFormer[K]) sortRefs(src entrySource[K], n int) ([]lsort.NormRef, error) {
+	if _, err := src.next(n); err != nil {
+		return nil, err
+	}
+	refs, scratch := f.takeRefs(n), f.takeRefs(n)
+	sorted := false
+	defer func() {
+		f.giveRefs(scratch)
+		if !sorted {
+			f.giveRefs(refs)
+		}
+	}()
+	src.refs(refs, f.cmps.norm)
+	order := lsort.SortNormRefs(refs, scratch, f.workers)
+	if n > 0 && &order[0] == &scratch[0] {
+		refs, scratch = scratch, refs
+	}
+	f.tracker.Free(int64(n) * refBytes)
+	sorted = true
+	return refs, nil
 }
 
 // writeRun writes a sorted stream — chunk, then whatever more yields (nil

@@ -14,13 +14,14 @@ import (
 	"pgxsort/internal/spill"
 )
 
-// poolTraffic totals every node's slab-pool gets and puts, entry and ref
-// pools alike.
+// poolTraffic totals every node's slab-pool gets and puts, entry, ref
+// and provenance pools alike.
 func poolTraffic(e *Engine[uint64]) (gets, puts int64) {
 	for _, n := range e.nodes {
 		g, _, p := n.entryPool.Stats()
-		gets += g
-		puts += p
+		pg, _, pp := n.provPool.Stats()
+		gets += g + pg
+		puts += p + pp
 	}
 	refGets, refPuts := refTraffic(e)
 	return gets + refGets, puts + refPuts

@@ -22,7 +22,7 @@ func testSortRun[K cmp.Ordered](e *Engine[K]) *sortRun[K] {
 	n := e.nodes[0]
 	return &sortRun[K]{node: n, opts: e.opts, codec: e.codec, ctx: context.Background(), cmps: cmps,
 		runs: runFormer[K]{ctx: context.Background(), codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
-			pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker}}
+			pool: n.entryPool, refPool: &n.refPool, provPool: &n.provPool, tracker: &n.tracker}}
 }
 
 // step6Sink assembles the given per-source keys on node 0 of a fresh
@@ -70,7 +70,7 @@ func step6Sink[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 		if len(run) > 0 {
 			nonEmpty++
 		}
-		if err := sink.Write(src, run); err != nil {
+		if err := sink.Write(comm.Message[K]{Kind: comm.KData, Src: src, Entries: run}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +86,7 @@ func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 	e, s, sink, nonEmpty := step6Sink(t, label, codec, bySrc, payloads, workers)
 	defer e.Close()
 	n, cmps := s.node, s.cmps
-	asm := sink.Assembly
+	asm := sink.asm
 	assembled := slices.Clone(asm.Entries())
 	entryLess := func(a, b comm.Entry[K]) bool { return cmps.keyLess(a.Key, b.Key) }
 	want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), asm.Bounds(), entryLess, true)
@@ -196,7 +196,7 @@ func TestStep6RefsPanicGivesEverythingBack(t *testing.T) {
 		_, s, sink, _ := step6Sink(t, "panic", comm.Codec[uint64](comm.U64Codec{}), bySrc, false, workers)
 		// A key of the caller's half of the ref build, so the panic is the
 		// caller's while a second worker's helper is still building its half.
-		norm, bad := s.runs.cmps.norm, sink.Entries()[1500].Key
+		norm, bad := s.runs.cmps.norm, sink.asm.Entries()[1500].Key
 		s.runs.cmps.norm = func(k uint64) uint64 {
 			if k == bad {
 				panic("norm gave out")
@@ -225,23 +225,29 @@ func TestStep6RefsPanicGivesEverythingBack(t *testing.T) {
 }
 
 // TestSampleKeysAreRegularSamples: the keys step 2 sends are the keys of
-// sample.Regular's entries, for every count sample.Count can give.
+// sample.Regular's entries, for every count sample.Count can give — read
+// from the entries, or from the refs a sort by ref holds in their place.
 func TestSampleKeysAreRegularSamples(t *testing.T) {
+	byEntry := &sortRun[uint64]{}
+	byRef := &sortRun[uint64]{byRef: true, cmps: sortCmps[uint64]{denorm: comm.U64Codec{}.Denorm}}
 	for _, n := range []int{0, 1, 2, 9, 1000} {
 		entries := make([]comm.Entry[uint64], n)
+		refs := make([]lsort.NormRef, n)
 		for i := range entries {
 			entries[i] = comm.Entry[uint64]{Key: uint64(7 * i), Index: uint32(i)}
+			refs[i] = lsort.NormRef{Norm: uint64(7 * i), Idx: uint32(i)}
 		}
 		for _, buffer := range []int{1, 64, 1 << 10, 1 << 18} {
 			s := sample.Count(buffer, 4, 8, 1, n)
 			want := sample.Regular(entries, s)
-			got := sampleKeys(entries, s)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d s=%d: %d keys, Regular gives %d entries", n, s, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i].Key {
-					t.Fatalf("n=%d s=%d: key %d is %d, Regular's entry has %d", n, s, i, got[i], want[i].Key)
+			for _, got := range [][]uint64{byEntry.sampleKeys(share[uint64]{entries: entries}, s), byRef.sampleKeys(share[uint64]{refs: refs}, s)} {
+				if len(got) != len(want) {
+					t.Fatalf("n=%d s=%d: %d keys, Regular gives %d entries", n, s, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i].Key {
+						t.Fatalf("n=%d s=%d: key %d is %d, Regular's entry has %d", n, s, i, got[i], want[i].Key)
+					}
 				}
 			}
 		}

@@ -2,10 +2,8 @@ package datamgr
 
 import (
 	"fmt"
-	"sync"
 
 	"pgxsort/internal/comm"
-	"pgxsort/internal/failpoint"
 	"pgxsort/internal/spill"
 )
 
@@ -13,19 +11,16 @@ import (
 // peer chunks in one resident buffer at precomputed offsets, each
 // source's run streams through its own spill.Writer into one scratch
 // file the sources share, block by block as they fill. The contract is
-// otherwise identical — per-source chunks arrive FIFO and append in
-// order, different sources may write concurrently (each owns its writer;
-// the scratch hands every block its own offset), and RunComplete turns
-// true the moment a source's expected count lands. The final merge then
+// otherwise identical — the same Regions bookkeeping, per-source chunks
+// arrive FIFO and append in order, different sources may write
+// concurrently (each owns its writer; the scratch hands every block its
+// own offset), and RunComplete turns true the moment a source's expected
+// count lands. The final merge then
 // reads the runs back (Runs) instead of in-memory regions.
 type SpillAssembly[K any] struct {
+	Regions
 	scratch *spill.Scratch
 	writers []*spill.Writer[K] // nil for sources expecting zero entries
-	expect  []int
-	cursor  []int
-
-	gotMu   sync.Mutex
-	runDone []bool // sources whose run is sealed (guarded by gotMu)
 }
 
 // NewSpillAssembly creates the assembly's scratch file under dir and
@@ -44,15 +39,9 @@ func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir stri
 	if err != nil {
 		return nil, err
 	}
-	a := &SpillAssembly[K]{
-		scratch: scratch,
-		writers: make([]*spill.Writer[K], len(perSrc)),
-		expect:  append([]int(nil), perSrc...),
-		cursor:  make([]int, len(perSrc)),
-		runDone: make([]bool, len(perSrc)),
-	}
+	a := &SpillAssembly[K]{scratch: scratch, writers: make([]*spill.Writer[K], len(perSrc))}
+	a.init(perSrc)
 	for src, n := range perSrc {
-		a.runDone[src] = n == 0
 		if n > 0 {
 			a.writers[src] = spill.NewRunWriter(scratch, c, 0)
 		}
@@ -60,62 +49,35 @@ func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir stri
 	return a, nil
 }
 
-// Write appends a chunk arriving from src to its run, sealing the run
-// when the source's expected count lands. Same concurrency contract
-// as Assembly.Write: per-source FIFO, cross-source concurrent.
+// Write appends a chunk arriving from src to its run (Regions.Claim),
+// sealing the run when the source's expected count lands. Same
+// concurrency contract as Assembly.Write: per-source FIFO, cross-source
+// concurrent.
 func (a *SpillAssembly[K]) Write(src int, chunk []comm.Entry[K]) error {
-	if err := failpoint.HitNoPanic(fpWrite); err != nil {
+	at, err := a.Claim(src, len(chunk))
+	if err != nil {
 		return err
 	}
-	if src < 0 || src >= len(a.cursor) {
-		return fmt.Errorf("datamgr: source %d out of range", src)
-	}
-	cur := a.cursor[src]
-	if cur+len(chunk) > a.expect[src] {
-		return fmt.Errorf("datamgr: source %d overflows its region: %d+%d > %d",
-			src, cur, len(chunk), a.expect[src])
-	}
-	if a.writers[src] == nil {
+	w := a.writers[src]
+	if w == nil {
 		// A zero-count source has no run; the only chunk that can
 		// reach it is an empty one (a node's own empty range, say), and
 		// its run was already marked done at construction.
 		return nil
 	}
-	if err := a.writers[src].Append(chunk); err != nil {
+	if err := w.Append(chunk); err != nil {
 		return err
 	}
-	a.cursor[src] = cur + len(chunk)
-	if a.cursor[src] == a.expect[src] {
+	if at+len(chunk) == a.Bounds()[src+1] {
 		// Seal the run so readers can open it the moment the merge
 		// wants it; a Finish failure surfaces like a write failure.
-		if err := a.writers[src].Finish(); err != nil {
-			return err
-		}
-		a.gotMu.Lock()
-		a.runDone[src] = true
-		a.gotMu.Unlock()
+		return w.Finish()
 	}
 	return nil
 }
 
-// RunComplete reports whether source src's run is sealed.
-func (a *SpillAssembly[K]) RunComplete(src int) bool {
-	if src < 0 || src >= len(a.runDone) {
-		return false
-	}
-	a.gotMu.Lock()
-	defer a.gotMu.Unlock()
-	return a.runDone[src]
-}
-
 // Total reports the summed expected entry count across sources.
-func (a *SpillAssembly[K]) Total() int {
-	total := 0
-	for _, n := range a.expect {
-		total += n
-	}
-	return total
-}
+func (a *SpillAssembly[K]) Total() int { return a.Bounds()[len(a.writers)] }
 
 // SpillBytes reports the bytes written across all runs so far.
 func (a *SpillAssembly[K]) SpillBytes() int64 {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"pgxsort/internal/comm"
 )
 
 // NormRef stands in for one element of a buffer while the engine sorts
@@ -12,11 +14,9 @@ import (
 // position in the buffer. Ordering the 16-byte refs instead of the
 // elements moves two words per radix pass or merge round whatever the
 // element carries; the caller gathers the elements once, in the order the
-// Idx column names.
-type NormRef struct {
-	Norm uint64
-	Idx  uint32
-}
+// Idx column names. It is comm's type, so a key-only sort's refs travel
+// through the exchange as they are (comm.Message.Refs).
+type NormRef = comm.NormRef
 
 func normRefLess(a, b NormRef) bool { return a.Norm < b.Norm }
 

@@ -82,13 +82,18 @@ type frame struct {
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 // putHeader writes m's frame header into b; the sequence number is
-// stamped when the frame is first written.
+// stamped when the frame is first written. Refs count as entries, which
+// is what they are on the wire, and comm.FlagRefs tells the read loop to
+// decode them back into refs.
 func putHeader[K any](b []byte, m *comm.Message[K], payload int) {
 	b[0] = byte(m.Kind)
 	b[1] = m.Flags
+	if len(m.Refs) > 0 {
+		b[1] |= comm.FlagRefs
+	}
 	binary.LittleEndian.PutUint32(b[2:], uint32(m.Src))
 	binary.LittleEndian.PutUint32(b[6:], uint32(m.SortID))
-	binary.LittleEndian.PutUint32(b[10:], uint32(len(m.Entries)))
+	binary.LittleEndian.PutUint32(b[10:], uint32(m.DataLen()))
 	binary.LittleEndian.PutUint32(b[14:], uint32(len(m.Keys)))
 	binary.LittleEndian.PutUint32(b[18:], uint32(len(m.Ints)))
 	binary.LittleEndian.PutUint32(b[22:], uint32(payload))
@@ -598,9 +603,10 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 	}()
 	r := bufio.NewReaderSize(conn, readBufBytes)
 	ep := n.eps[dst]
-	// The slabs entry chunks decode into circulate per link: consumers hand
-	// them back through Message.Release once copied out.
+	// The slabs entry and ref chunks decode into circulate per link:
+	// consumers hand them back through Message.Release once copied out.
 	var slabs alloc.SlabPool[comm.Entry[K]]
+	var refSlabs alloc.SlabPool[comm.NormRef]
 	var buf []byte
 	var ack [ackBytes]byte
 	for {
@@ -611,7 +617,7 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 		}
 		m := comm.Message[K]{
 			Kind:   comm.Kind(hdr[0]),
-			Flags:  hdr[1],
+			Flags:  hdr[1] &^ comm.FlagRefs,
 			Src:    int(int32(binary.LittleEndian.Uint32(hdr[2:]))),
 			SortID: int32(binary.LittleEndian.Uint32(hdr[6:])),
 			Dst:    dst,
@@ -659,7 +665,16 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 		// below copies out of it before the next frame overwrites it.
 		rest := buf
 		var err error
-		if nEntries > 0 {
+		switch {
+		case nEntries > 0 && hdr[1]&comm.FlagRefs != 0:
+			var refs []comm.NormRef
+			refs, rest, err = comm.DecodeRefsSlab(rest, nEntries, uint32(m.Src), n.codec, &refSlabs)
+			if err != nil {
+				return
+			}
+			m.Refs = refs
+			m.Release = func() { refSlabs.Put(refs) }
+		case nEntries > 0:
 			var ents []comm.Entry[K]
 			ents, rest, err = comm.DecodeEntriesSlab(rest, nEntries, n.codec, &slabs)
 			if err != nil {
