@@ -88,9 +88,9 @@ const (
 	// mismatch surfaces as a protocol error instead of silent corruption.
 	FlagRunComplete uint8 = 1 << 0
 	// FlagRefs marks a KData frame whose entries decode into Message.Refs
-	// rather than Message.Entries. Only the TCP frame header carries it:
-	// the sender's transport sets it for a message with refs, and the
-	// read loop consumes it.
+	// rather than Message.Entries: the TCP transport sets it on the frame
+	// of a message with refs, and its read loop decodes such a frame's
+	// entries as refs. A message built in process need not carry it.
 	FlagRefs uint8 = 1 << 1
 )
 

@@ -47,6 +47,12 @@ func FuzzFrameHeader(f *testing.F) {
 	f.Add(wireFrame(rec, 0, recCodec), uint8(2))
 	f.Add(wireFrame(rec, 0, recCodec), uint8(0)) // counts and size disagree
 	f.Add(wireFrame(str, 0, comm.StringCodec{}), uint8(1))
+	// Ref frames: decoded back into refs, and refused by a codec that
+	// cannot frame them.
+	refs := comm.Message[uint64]{Kind: comm.KData, SortID: 3, Refs: []comm.NormRef{{Norm: 7, Idx: 2}, {Norm: 9}}}
+	f.Add(wireFrame(refs, 0, comm.U64Codec{}), uint8(0))
+	f.Add(wireFrame(refs, 0, recCodec), uint8(2))
+	f.Add(wireFrame(refs, 0, comm.U64Codec{}), uint8(1))
 	for _, field := range []int{10, 14, 18, 22} { // nEntries, nKeys, nInts, payload
 		for _, claim := range []uint32{math.MaxInt32, math.MaxUint32} {
 			huge := wireFrame(meta, 0, comm.U64Codec{})

@@ -617,7 +617,7 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 		}
 		m := comm.Message[K]{
 			Kind:   comm.Kind(hdr[0]),
-			Flags:  hdr[1] &^ comm.FlagRefs,
+			Flags:  hdr[1],
 			Src:    int(int32(binary.LittleEndian.Uint32(hdr[2:]))),
 			SortID: int32(binary.LittleEndian.Uint32(hdr[6:])),
 			Dst:    dst,
