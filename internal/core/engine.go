@@ -13,6 +13,7 @@ import (
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
 	"pgxsort/internal/lsort"
+	"pgxsort/internal/spill"
 	"pgxsort/internal/transport"
 )
 
@@ -28,6 +29,9 @@ type Engine[K cmp.Ordered] struct {
 	closeOnce  sync.Once
 	closeErr   error
 	dispatchWG sync.WaitGroup
+	// scratch is the free list of scratch files every spilling stage of
+	// every sort takes its file from and gives it back to.
+	scratch *spill.ScratchPool
 
 	// norm is the order-preserving uint64 normalization of K that steps 1
 	// and 6 sort and merge by: the codec's own (comm.KeyNormalizer) or the
@@ -83,7 +87,7 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine[K]{opts: opts, codec: codec, net: net}
+	e := &Engine[K]{opts: opts, codec: codec, net: net, scratch: spill.NewScratchPool(opts.SpillDir)}
 	// A codec advertising its own normalization (comm.KeyNormalizer)
 	// takes precedence over the built-in per-kind table. A
 	// payload-carrying wrapper (comm.RecordCodec) is unwrapped first: the
@@ -126,13 +130,16 @@ func (e *Engine[K]) Options() Options { return e.opts }
 
 // Close shuts the cluster down: the transport drains in-flight frames
 // (bounded by Options.TCP.DrainTimeout on TCP), listeners and
-// connections close, and the dispatchers stop. In-flight sorts fail; Close
-// is idempotent and returns the first real transport failure it observed
-// (a broken link, a non-shutdown accept error, or a drain timeout).
+// connections close, the dispatchers stop and every idle scratch file is
+// closed (one an open SpooledResult holds closes with it). In-flight
+// sorts fail; Close is idempotent and returns the first real transport
+// failure it observed (a broken link, a non-shutdown accept error, or a
+// drain timeout).
 func (e *Engine[K]) Close() error {
 	e.closeOnce.Do(func() {
 		e.closeErr = e.net.Close()
 		e.dispatchWG.Wait()
+		e.scratch.Close()
 	})
 	return e.closeErr
 }

@@ -15,7 +15,10 @@ import (
 // but its dispatcher — an idle chan engine adds p, however many workers a
 // processor has — and after every kind of operation, on both transports,
 // Close leaves nothing running: the per-peer senders, step 1's and TopK's
-// chunk goroutines and step 6's helper have all been joined.
+// chunk goroutines and step 6's helper have all been joined. The same
+// operations on an engine whose sorts spill leave no descriptor open
+// under SpillDir after Close: the engine's idle scratch files close with
+// it.
 func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 	const p, workers, per = 4, 8, 3000
 	codec := comm.NewRecordCodec[uint64](comm.U64Codec{})
@@ -30,16 +33,29 @@ func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 	spool := writeSpool(t, codec, t.TempDir(), parts[0])
 
 	before := runtime.NumGoroutine()
-	for _, kind := range []string{transport.KindChan, transport.KindTCP} {
-		e, err := NewEngine[uint64](Options{Procs: p, WorkersPerProc: workers, Transport: kind}, codec)
+	for _, c := range []struct {
+		kind     string
+		spilling bool
+	}{{transport.KindChan, false}, {transport.KindTCP, false}, {transport.KindChan, true}} {
+		kind, spilling, spillDir := c.kind, c.spilling, ""
+		opts := Options{Procs: p, WorkersPerProc: workers, Transport: kind}
+		if spilling {
+			kind, spillDir = "spilling "+kind, t.TempDir()
+			opts.MemoryBudget, opts.SpillDir = spillBudget[uint64](per), spillDir
+		}
+		e, err := NewEngine[uint64](opts, codec)
 		if err != nil {
 			t.Fatalf("%s: NewEngine: %v", kind, err)
 		}
-		if idle := runtime.NumGoroutine() - before; kind == transport.KindChan && idle > p {
+		if idle := runtime.NumGoroutine() - before; opts.Transport == transport.KindChan && idle > p {
 			t.Errorf("an idle chan engine adds %d goroutines, want at most %d (its dispatchers)", idle, p)
 		}
-		if _, err := e.Sort(parts); err != nil {
+		res, err := e.Sort(parts)
+		if err != nil {
 			t.Fatalf("%s: Sort: %v", kind, err)
+		}
+		if spilling && res.Report.SpillBytes == 0 {
+			t.Fatalf("%s: Sort did not spill", kind)
 		}
 		if _, err := e.SortMany(parts, parts); err != nil {
 			t.Fatalf("%s: SortMany: %v", kind, err)
@@ -50,16 +66,25 @@ func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 		if _, err := e.TopK(parts, 10); err != nil {
 			t.Fatalf("%s: TopK: %v", kind, err)
 		}
-		res, err := e.SortSpooled(context.Background(), SpooledInput{Path: spool, N: per})
+		spooled, err := e.SortSpooled(context.Background(), SpooledInput{Path: spool, N: per})
 		if err != nil {
 			t.Fatalf("%s: SortSpooled: %v", kind, err)
 		}
-		drainSpooled(t, codec, res)
-		if err := res.Close(); err != nil {
+		drainSpooled(t, codec, spooled)
+		if err := spooled.Close(); err != nil {
 			t.Fatalf("%s: spooled Close: %v", kind, err)
+		}
+		if spilling && descriptorsListed() && openFilesUnder(spillDir) == 0 {
+			t.Fatalf("%s: no scratch file open before Close: nothing for Close to close", kind)
 		}
 		if err := e.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", kind, err)
+		}
+		if spilling {
+			if open := openFilesUnder(spillDir); open != 0 {
+				t.Fatalf("%s: %d descriptors open under SpillDir after Close", kind, open)
+			}
+			requireEmptyDir(t, spillDir)
 		}
 	}
 	requireGoroutinesBack(t, before)

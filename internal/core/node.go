@@ -386,9 +386,9 @@ func (o Options) step1Chunk(n, eb int) int {
 // key, and no entry is built. Otherwise a share that fits is one chunk,
 // written into the entry buffer once, already in order; a share whose
 // entries alone exceed Options.MemoryBudget is formed in budget-sized
-// chunks that land in the head of the buffer, spill to a scratch file as
-// one run each, and stream-merge back over it — the same bytes, a
-// fraction of the temporary memory.
+// chunks that land in the head of the buffer, spill to a scratch file of
+// the engine's as one run each, and stream-merge back over it — the same
+// bytes, a fraction of the temporary memory.
 func (s *sortRun[K]) localSort() (share[K], error) {
 	t0 := time.Now()
 	defer func() { s.report.Steps[StepLocalSort] = time.Since(t0) }()
@@ -409,19 +409,16 @@ func (s *sortRun[K]) localSort() (share[K], error) {
 	var scratch *spill.Scratch
 	if chunk < n {
 		var err error
-		if scratch, err = spill.NewScratch(s.opts.SpillDir); err != nil {
+		if scratch, err = s.node.eng.scratch.Take(); err != nil {
 			return share[K]{}, err
 		}
-		defer scratch.Close() // a panic's way out; every other closes it below
+		// The chunk runs are merged back, their readers closed, before
+		// the exchange takes a scratch of its own: it may be this one.
+		defer s.node.eng.scratch.Give(scratch)
 	}
 	runs, err := s.runs.form(s.src, entries[:chunk], chunk, scratch)
 	if err == nil && scratch != nil {
 		err = s.runs.mergeInto(entries, runs)
-	}
-	// The chunk runs go before the exchange spills its own, and a scratch
-	// that will not go is disk leaking: this sort's failure.
-	if cerr := scratch.Close(); err == nil {
-		err = cerr
 	}
 	if err != nil {
 		return share[K]{}, err

@@ -89,11 +89,14 @@ type Options struct {
 	// unparsable means unlimited); negative is explicitly unlimited,
 	// ignoring the environment.
 	MemoryBudget int64
-	// SpillDir is where spilled runs live: a stage that spills creates one
-	// scratch file (pgxsort-*.scratch) directly in it for all of its runs
-	// and removes it once they are merged back, so a node holds two at
-	// most and a sort leaves nothing behind. Empty uses the system temp
-	// dir. Put it on the fastest disk available: spill I/O sits on the
+	// SpillDir is where spilled runs live: a stage that spills writes all
+	// of its runs to one scratch file in it. The file is unlinked the
+	// moment it is created (pgxsort-*.scratch, gone from the directory at
+	// once), so it is only a descriptor, and a crash leaves nothing
+	// behind. The engine keeps its scratch files across stages and sorts:
+	// never more than stages spilled at once, each cut to what its last
+	// stage wrote, all closed by Close. Empty uses the system temp dir.
+	// Put it on the fastest disk available: spill I/O sits on the
 	// local-sort and merge critical paths.
 	SpillDir string
 }

@@ -466,10 +466,10 @@ func (f *runFormer[K]) takeMergeRefs(k int) []lsort.NormRef {
 // in.
 func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
 	cursors, done := f.open(runs)
+	defer done() // on a panic too: no reader outlives the merge into a reused file
 	refs := f.takeMergeRefs(len(cursors))
 	filled, err := lsort.MergeCursorsNorm(dst, cursors, f.cmps.headNorm, f.cmps.headLess, refs)
 	f.giveRefs(refs)
-	done()
 	if err == nil && filled != len(dst) {
 		err = fmt.Errorf("core: spill merge produced %d of %d entries: %w",
 			filled, len(dst), spill.ErrCorrupt)

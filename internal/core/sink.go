@@ -44,7 +44,7 @@ func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 		total += c
 	}
 	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*int64(eb) > budget {
-		sp, err := datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, s.opts.SpillDir)
+		sp, err := datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, n.eng.scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +238,7 @@ func (r *residentSink[K]) discard() {
 
 // spilledSink lands every source's run in one scratch file and merges
 // them back through streaming cursors, so the assembled runs are never
-// resident.
+// resident; the merged part is the only resident output.
 type spilledSink[K cmp.Ordered] struct {
 	*datamgr.SpillAssembly[K]
 	s *sortRun[K]
@@ -272,21 +272,16 @@ func (sp *spilledSink[K]) Write(m comm.Message[K]) error {
 // merge streams the source runs back through the former's merge — one
 // cursor per source, an empty one for sources that sent nothing, so
 // tie-breaking by cursor index stays source order — straight into the
-// result buffer. Temporary memory is just the decoded-ahead blocks — two
-// slabs per non-empty source — however large the runs are. The scratch
-// file goes on every path; one that will not go fails the merge, because
-// nothing else would ever say the disk is leaking.
+// result, allocated at its exact size as the resident sink's is.
+// Temporary memory is just the decoded-ahead blocks — two slabs per
+// non-empty source — however large the runs are. The scratch file goes
+// back to the engine on every path.
 func (sp *spilledSink[K]) merge() ([]comm.Entry[K], error) {
+	defer sp.Close()
 	s := sp.s
-	defer sp.Close() // a panic's way out; every other closes it below
 	s.runs.spillBytes.Add(sp.SpillBytes())
-	merged := s.node.entryPool.Get(sp.Total())
-	err := s.runs.mergeInto(merged, sp.Runs())
-	if cerr := sp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		s.node.entryPool.Put(merged)
+	merged := make([]comm.Entry[K], sp.Total())
+	if err := s.runs.mergeInto(merged, sp.Runs()); err != nil {
 		return nil, err
 	}
 	return merged, nil

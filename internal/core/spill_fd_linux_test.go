@@ -2,8 +2,6 @@ package core
 
 import (
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -22,8 +20,8 @@ import (
 // usual ulimit -n 1024 — which the test sets for its duration. While run
 // blocks are being read back it samples the process's descriptors under
 // SpillDir and the directory itself: at most two scratch files a node
-// (step 1's goes before the exchange's comes, but nodes are not in step)
-// and never a directory.
+// (a node gives step 1's file back before its exchange takes one, but
+// nodes are not in step) and never a directory.
 func TestSpillDescriptorsPerNode(t *testing.T) {
 	const procs, per, budget = 2, 16000, 1 << 10
 	runs := per / chunkEntries(budget, int64(entryBytes[uint64]()), 1)
@@ -99,21 +97,4 @@ func TestSpillDescriptorsPerNode(t *testing.T) {
 	}
 	requireEmptyDir(t, dir)
 	checkNoLeak(t, e)
-}
-
-// openFilesUnder counts this process's descriptors that are open on files
-// under dir.
-func openFilesUnder(dir string) int {
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, fd := range fds {
-		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
-			strings.HasPrefix(target, dir+string(filepath.Separator)) {
-			n++
-		}
-	}
-	return n
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,10 +88,12 @@ func TestSpillDifferentialRecords(t *testing.T) {
 
 // TestSpillSlabBalance: repeated budgeted sorts on one engine must leave
 // every node's temporary-memory tracker at zero and every slab back in
-// its pool except the result parts — the run former's chunk writes, the
-// decode-ahead block slabs and the stream merge all balance their
-// retire/recycle accounting even though runs spill mid-batch. Both
-// in-memory sources go through the same former, so both are held to it.
+// its pool — the run former's chunk writes, the decode-ahead block slabs
+// and the stream merge all balance their retire/recycle accounting even
+// though runs spill mid-batch, and a result part is no pool slab but its
+// own exact-size allocation (cap == len), so the caller holds what
+// Report.ResidentBytes says. Both in-memory sources go through the same
+// former, so both are held to it.
 func TestSpillSlabBalance(t *testing.T) {
 	const procs, per = 4, 3000
 	sources := map[string]struct {
@@ -129,16 +133,14 @@ func TestSpillSlabBalance(t *testing.T) {
 					t.Fatalf("sort %d: SpillBytes=%d SpillReads=%d, want both > 0",
 						i, res.Report.SpillBytes, res.Report.SpillReads)
 				}
-				kept := int64(0) // result parts leave the pool for good
-				for _, part := range res.Parts {
-					if len(part) > 0 {
-						kept++
+				for p, part := range res.Parts {
+					if cap(part) != len(part) {
+						t.Fatalf("sort %d: part %d holds %d entries in a slab of %d", i, p, len(part), cap(part))
 					}
 				}
 				gets1, puts1 := poolTraffic(e)
-				if gets, puts := gets1-gets0, puts1-puts0; gets-puts != kept {
-					t.Fatalf("sort %d took %d slabs and returned %d, want %d kept as result parts",
-						i, gets, puts, kept)
+				if gets, puts := gets1-gets0, puts1-puts0; gets != puts {
+					t.Fatalf("sort %d took %d slabs and returned %d", i, gets, puts)
 				}
 				checkNoLeak(t, e)
 			}
@@ -191,10 +193,13 @@ func TestSpillRetryDifferential(t *testing.T) {
 	}
 }
 
-// TestSpillScratchLeakSurfaces: a scratch file the sort cannot remove is
-// disk nobody will get back, so the sort that finds out fails — even
-// though every byte it read was right — instead of dropping the error the
-// way the per-run files' closes and removes used to be dropped.
+// TestSpillScratchLeakSurfaces: a scratch file is unlinked the moment it
+// is created, so it can never outlive the process on disk; one that
+// cannot be unlinked is disk nobody would get back, so the stage that
+// created it closes it and fails. The file is removed from under the
+// first creation while it stalls between create and unlink. After that,
+// SpillDir holds no entry at any instant a sampler looks during spilling
+// sorts: every file the sorts use exists only as a descriptor.
 func TestSpillScratchLeakSurfaces(t *testing.T) {
 	const procs, per = 4, 3000
 	failpoint.Reset()
@@ -204,27 +209,178 @@ func TestSpillScratchLeakSurfaces(t *testing.T) {
 		MemoryBudget: spillBudget[uint64](per), SpillDir: dir})
 	parts := mkParts(dist.Uniform, procs, per, 5)
 
-	// The first block read stalls while the scratch files are unlinked
-	// under the sort; its descriptors keep working, its removes will not.
-	failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: 4, Delay: 20 * time.Millisecond})
-	onFire(spill.FpReadBlock, func() {
+	failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeDelay, Delay: 20 * time.Millisecond})
+	onFire(spill.FpCreateScratch, func() {
 		files, _ := filepath.Glob(filepath.Join(dir, "*"))
 		for _, f := range files {
 			os.Remove(f)
 		}
 	})
 	_, err := e.Sort(parts)
-	if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "remove scratch file") {
-		t.Fatalf("sort whose scratch files could not be removed returned %v", err)
+	var fail *Failure
+	if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "unlink scratch file") ||
+		!errors.As(err, &fail) || fail.Stage != StageLocalSort {
+		t.Fatalf("sort whose scratch file could not be unlinked returned %v", err)
 	}
 	failpoint.Reset()
 	checkNoLeak(t, e)
 	requireEmptyDir(t, dir)
+	// A node holds one scratch at a time, so the nodes that did not fail
+	// hold at most procs-1 files between them; the failed one's is closed.
+	if open := openFilesUnder(dir); open > procs-1 {
+		t.Fatalf("%d scratch files open after the failed sort, want at most %d", open, procs-1)
+	}
 	got, err := e.Sort(parts)
 	if err != nil {
 		t.Fatalf("follow-up sort: %v", err)
 	}
 	requireMatchesReference(t, comm.U64Codec{}, got, parts, true, "follow-up")
+
+	// One idle file a node: no sort below creates one, so no name can
+	// appear even for the moment between a create and its unlink.
+	held := make([]*spill.Scratch, procs)
+	for i := range held {
+		if held[i], err = e.scratch.Take(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range held {
+		e.scratch.Give(s)
+	}
+	stop := make(chan struct{})
+	sampled := make(chan [2]int)
+	go func() {
+		samples, seen := 0, 0
+		for {
+			select {
+			case <-stop:
+				sampled <- [2]int{samples, seen}
+				return
+			default:
+			}
+			ents, _ := os.ReadDir(dir)
+			samples++
+			seen = max(seen, len(ents))
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		if got, err = e.Sort(parts); err != nil {
+			t.Fatalf("sampled sort %d: %v", i, err)
+		}
+		if got.Report.SpillBytes == 0 {
+			t.Fatalf("sampled sort %d did not spill", i)
+		}
+	}
+	close(stop)
+	if s := <-sampled; s[0] == 0 || s[1] != 0 {
+		t.Fatalf("%d samples of SpillDir during spilling sorts saw up to %d entries, want none", s[0], s[1])
+	}
+}
+
+// crashChildEnv, set to a SpillDir, makes TestSpillCrashLeavesNoScratch
+// the child it starts: a process that spills into that directory and is
+// killed there.
+const crashChildEnv = "PGXSORT_TEST_CRASH_SPILL_DIR"
+
+// TestSpillCrashLeavesNoScratch: a process killed with SIGKILL in the
+// middle of a spilling sort leaves nothing in SpillDir — its scratch
+// files have had no name since they were created, so the kernel frees
+// them with the process and no sweep is needed. The test binary runs
+// itself as the child: a budgeted sort whose block reads stall, which
+// reports once it is reading its runs back; the parent kills it there.
+func TestSpillCrashLeavesNoScratch(t *testing.T) {
+	if dir := os.Getenv(crashChildEnv); dir != "" {
+		crashChild(dir)
+		return
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSpillCrashLeavesNoScratch$", "-test.count=1")
+	cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Wait()
+	defer cmd.Process.Kill()
+	spilled := make(chan bool, 1)
+	go func() {
+		lines := bufio.NewScanner(out)
+		for lines.Scan() {
+			if lines.Text() == "spilled" {
+				spilled <- true
+				return
+			}
+		}
+		spilled <- false
+	}()
+	select {
+	case ok := <-spilled:
+		if !ok {
+			t.Fatal("the child exited before it spilled")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("the child did not spill within 60 s")
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+	requireEmptyDir(t, dir)
+}
+
+// crashChild is TestSpillCrashLeavesNoScratch's child: it starts a sort
+// that spills under dir, says "spilled" once the sort is reading runs
+// back — its blocks on disk, every read stalled — and waits to be killed.
+func crashChild(dir string) {
+	const procs, per = 2, 20000
+	e, err := NewEngine[uint64](Options{Procs: procs, WorkersPerProc: 2,
+		MemoryBudget: spillBudget[uint64](per), SpillDir: dir}, comm.U64Codec{})
+	if err != nil {
+		fmt.Println(err)
+		os.Exit(2)
+	}
+	failpoint.Set(spill.FpReadBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: time.Minute})
+	go e.Sort(mkParts(dist.Uniform, procs, per, 3))
+	for failpoint.Fired(spill.FpReadBlock) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	fmt.Println("spilled")
+	time.Sleep(time.Minute)
+	os.Exit(3) // never killed
+}
+
+// descriptorsListed reports whether the system lists this process's
+// descriptors (/proc/self/fd), the only place a scratch file shows.
+func descriptorsListed() bool {
+	_, err := os.Stat("/proc/self/fd")
+	return err == nil
+}
+
+// openFilesUnder counts this process's descriptors that are open on files
+// under dir, unlinked ones included; where the system does not list them
+// (no /proc/self/fd) it counts none.
+func openFilesUnder(dir string) int {
+	return len(scratchDescriptors(dir))
+}
+
+// scratchDescriptors lists, as /proc/self/fd paths, this process's
+// descriptors open on files under dir: a scratch file has no other path.
+func scratchDescriptors(dir string) []string {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return nil
+	}
+	var paths []string
+	for _, fd := range fds {
+		path := filepath.Join("/proc/self/fd", fd.Name())
+		if target, err := os.Readlink(path); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			paths = append(paths, path)
+		}
+	}
+	return paths
 }
 
 // TestClassifySpillCorrupt: checksum and structural failures in spill

@@ -74,9 +74,10 @@ type SpooledInput struct {
 }
 
 // SpooledResult streams a spooled sort's output in sorted batches. It
-// holds open run readers and their scratch file until Close, which also
-// folds the final I/O counters into Report. Batches follow the
-// lsort.Cursor contract: valid only until the following Next.
+// holds open run readers and their scratch file until Close, which gives
+// the file back to the engine and folds the final I/O counters into
+// Report. Batches follow the lsort.Cursor contract: valid only until the
+// following Next.
 type SpooledResult[K cmp.Ordered] struct {
 	// N is the entry count the stream will yield.
 	N int
@@ -87,12 +88,12 @@ type SpooledResult[K cmp.Ordered] struct {
 	cur     lsort.Cursor[comm.Entry[K]]
 	runs    *runFormer[K]
 	start   time.Time
-	done    func()         // releases the final merge's batch and readers
-	scratch *spill.Scratch // holds the runs the final merge reads
-	release func()         // frees the admission slot (RunOneSpooled)
+	done    func()             // releases the final merge's batch and readers
+	scratch *spill.Scratch     // holds the runs the final merge reads
+	pool    *spill.ScratchPool // where scratch goes back
+	release func()             // frees the admission slot (RunOneSpooled)
 
-	once     sync.Once
-	closeErr error
+	once sync.Once
 }
 
 // Next yields the next sorted batch; a zero-length batch means the
@@ -102,11 +103,11 @@ func (r *SpooledResult[K]) Next() ([]comm.Entry[K], error) {
 }
 
 // Close releases readers, slabs, the scratch file and the admission
-// slot, and settles Report. Idempotent.
+// slot, and settles Report. Idempotent; it cannot fail.
 func (r *SpooledResult[K]) Close() error {
 	r.once.Do(func() {
 		r.done()
-		r.closeErr = r.scratch.Close()
+		r.pool.Give(r.scratch)
 		r.Report.SpillReads = r.runs.spillReads.Load()
 		r.Report.Total = time.Since(r.start)
 		r.Report.TempPeakBytes = r.runs.tracker.Peak()
@@ -115,7 +116,7 @@ func (r *SpooledResult[K]) Close() error {
 			r.release()
 		}
 	})
-	return r.closeErr
+	return nil
 }
 
 // RunOneSpooled admits one spooled dataset through the scheduler's
@@ -186,13 +187,13 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	}
 	// scratch is the file the live runs are in: first the one every
 	// section forms its chunk runs into, then each merge pass's output.
-	scratch, err := spill.NewScratch(e.opts.SpillDir)
+	scratch, err := e.scratch.Take()
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
 		if err != nil {
-			scratch.Close()
+			e.scratch.Give(scratch)
 		}
 	}()
 	start := time.Now()
@@ -225,21 +226,20 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	localSortDur := time.Since(start)
 
 	// Phase 2: bounded fan-in merge. While more than fanIn runs remain, a
-	// pass merges them by groups into a new scratch file and the one they
-	// were in goes; the survivors feed the streaming final merge.
+	// pass merges them by groups into another scratch file and the one
+	// they were in goes back, for the next pass to write into; the
+	// survivors feed the streaming final merge.
 	for len(runs) > spoolMergeFanIn {
-		out, err := spill.NewScratch(e.opts.SpillDir)
+		out, err := e.scratch.Take()
 		if err != nil {
 			return nil, err
 		}
 		next, err := f.mergePass(runs, out, batchLen)
-		if err == nil {
-			err = scratch.Close()
-		}
 		if err != nil {
-			out.Close()
+			e.scratch.Give(out)
 			return nil, err
 		}
+		e.scratch.Give(scratch)
 		runs, scratch = next, out
 	}
 
@@ -248,7 +248,7 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	if err != nil {
 		return nil, err
 	}
-	res = &SpooledResult[K]{N: in.N, cur: cur, runs: f, start: start, done: done, scratch: scratch}
+	res = &SpooledResult[K]{N: in.N, cur: cur, runs: f, start: start, done: done, scratch: scratch, pool: e.scratch}
 	res.Report = Report{
 		Procs:      p,
 		Workers:    e.opts.WorkersPerProc,

@@ -10,36 +10,37 @@ import (
 // SpillAssembly is Assembly's out-of-core sibling: instead of landing
 // peer chunks in one resident buffer at precomputed offsets, each
 // source's run streams through its own spill.Writer into one scratch
-// file the sources share, block by block as they fill. The contract is
-// otherwise identical — the same Regions bookkeeping, per-source chunks
-// arrive FIFO and append in order, different sources may write
-// concurrently (each owns its writer; the scratch hands every block its
-// own offset), and RunComplete turns true the moment a source's expected
-// count lands. The final merge then
+// file the sources share, taken from the engine's spill.ScratchPool,
+// block by block as they fill. The contract is otherwise identical — the
+// same Regions bookkeeping, per-source chunks arrive FIFO and append in
+// order, different sources may write concurrently (each owns its writer;
+// the scratch hands every block its own offset), and RunComplete turns
+// true the moment a source's expected count lands. The final merge then
 // reads the runs back (Runs) instead of in-memory regions.
 type SpillAssembly[K any] struct {
 	Regions
-	scratch *spill.Scratch
+	pool    *spill.ScratchPool
+	scratch *spill.Scratch     // nil once given back
 	writers []*spill.Writer[K] // nil for sources expecting zero entries
 }
 
-// NewSpillAssembly creates the assembly's scratch file under dir and
+// NewSpillAssembly takes the assembly's scratch file from pool and
 // starts one run in it per non-empty source. Unlike NewAssembly there is
 // no tracker accounting for the assembled entries — the entire point is
 // that they are not resident: an open source holds its writer's one
 // pooled block buffer (spill.DefaultBlockBytes of wire bytes, written raw
 // the moment it fills) and nothing per entry.
-func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], dir string) (*SpillAssembly[K], error) {
+func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], pool *spill.ScratchPool) (*SpillAssembly[K], error) {
 	for src, n := range perSrc {
 		if n < 0 {
 			return nil, fmt.Errorf("datamgr: negative expected count %d from source %d", n, src)
 		}
 	}
-	scratch, err := spill.NewScratch(dir)
+	scratch, err := pool.Take()
 	if err != nil {
 		return nil, err
 	}
-	a := &SpillAssembly[K]{scratch: scratch, writers: make([]*spill.Writer[K], len(perSrc))}
+	a := &SpillAssembly[K]{pool: pool, scratch: scratch, writers: make([]*spill.Writer[K], len(perSrc))}
 	a.init(perSrc)
 	for src, n := range perSrc {
 		if n > 0 {
@@ -103,16 +104,16 @@ func (a *SpillAssembly[K]) Runs() []spill.Run {
 	return runs
 }
 
-// Close lets go of every unsealed writer's block buffer and removes the
-// scratch file with every run in it, reporting a scratch it could not
-// remove. Safe to call multiple times and at any point once no reader of
-// the runs is open: after the merge has consumed them, or on any abort
-// path.
-func (a *SpillAssembly[K]) Close() error {
+// Close lets go of every unsealed writer's block buffer and gives the
+// scratch file back to its pool, every run in it done with. Safe to call
+// multiple times and at any point once no reader of the runs is open:
+// after the merge has consumed them, or on any abort path.
+func (a *SpillAssembly[K]) Close() {
 	for _, w := range a.writers {
 		if w != nil {
 			w.Abort()
 		}
 	}
-	return a.scratch.Close()
+	a.pool.Give(a.scratch)
+	a.scratch = nil
 }

@@ -17,7 +17,9 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 	m := &Manager{}
 	perSrc := []int{1000, 0, 2500, 7}
 	resident := NewAssembly[uint64](m, perSrc, 16)
-	spilled, err := NewSpillAssembly(m, perSrc, comm.U64Codec{}, t.TempDir())
+	pool := spill.NewScratchPool(t.TempDir())
+	defer pool.Close()
+	spilled, err := NewSpillAssembly(m, perSrc, comm.U64Codec{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,25 +98,38 @@ func TestSpillAssemblyMatchesAssembly(t *testing.T) {
 }
 
 // TestSpillAssemblyOverflowAndClose: region overflow errors like the
-// resident assembly, and Close removes the scratch file.
+// resident assembly, and Close gives the scratch file back to its pool,
+// once, however often it is called; the directory never shows the file.
 func TestSpillAssemblyOverflowAndClose(t *testing.T) {
 	dir := t.TempDir()
-	a, err := NewSpillAssembly(&Manager{}, []int{2}, comm.U64Codec{}, dir)
+	pool := spill.NewScratchPool(dir)
+	defer pool.Close()
+	a, err := NewSpillAssembly(&Manager{}, []int{2}, comm.U64Codec{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scratch := a.scratch
 	if err := a.Write(0, make([]comm.Entry[uint64], 3)); err == nil {
 		t.Fatal("overflow write succeeded")
 	}
 	if err := a.Write(1, nil); err == nil {
 		t.Fatal("out-of-range source succeeded")
 	}
-	if err := a.Close(); err != nil {
+	a.Close()
+	a.Close() // idempotent
+	first, err := pool.Take()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Close(); err != nil { // idempotent
+	second, err := pool.Take()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if first != scratch || second == scratch {
+		t.Fatal("Close did not give the scratch back exactly once")
+	}
+	pool.Give(first)
+	pool.Give(second)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +149,9 @@ func TestSpillAssemblyOverflowAndClose(t *testing.T) {
 // range) must be a no-op, not a nil-writer panic, and its run is complete
 // from construction.
 func TestSpillAssemblyEmptySource(t *testing.T) {
-	a, err := NewSpillAssembly(&Manager{}, []int{0, 1}, comm.U64Codec{}, t.TempDir())
+	pool := spill.NewScratchPool(t.TempDir())
+	defer pool.Close()
+	a, err := NewSpillAssembly(&Manager{}, []int{0, 1}, comm.U64Codec{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,8 @@ type RunReader[K any] struct {
 	index []blockMeta // the blocks overlapping the section (all, for a whole run)
 	total uint64      // entries the cursor yields
 
+	scratch *Scratch // a scratch run's file, marked failed if a read fails
+
 	ch      chan decoded[K]
 	stopped atomic.Bool     // Close is waiting for the prefetcher
 	prev    []comm.Entry[K] // batch handed out by the last Next
@@ -118,9 +120,10 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 // OpenRun opens a sealed scratch run as a cursor. The block list is the
 // writer's, handed over in memory, so there is nothing to read or check
 // here and nothing that can fail; each block is still checksummed as it
-// is fetched. The reader must be closed before the run's Scratch is.
+// is fetched. The reader must be closed before the run's Scratch is
+// closed or given back.
 func OpenRun[K any](run Run, c comm.Codec[K], opts ReaderOpts[K]) *RunReader[K] {
-	r := &RunReader[K]{codec: c, opts: opts, index: run.blocks, total: run.entries}
+	r := &RunReader[K]{codec: c, opts: opts, index: run.blocks, total: run.entries, scratch: run.file}
 	if run.file != nil {
 		r.f = run.file.f
 	}
@@ -281,10 +284,12 @@ func (r *RunReader[K]) readBlock(m *blockMeta, buf *blockBuf) ([]comm.Entry[K], 
 	}
 	data := buf.sized(int(m.storedLen))
 	if _, err := r.f.ReadAt(data, int64(m.offset)); err != nil {
+		r.scratch.fail()
 		return nil, fmt.Errorf("spill: read block: %w", err)
 	}
 	r.bytesRead.Add(int64(m.storedLen))
 	if got := crc32.Checksum(data, castagnoli); got != m.crc {
+		r.scratch.fail()
 		return nil, corruptf("block at %d: checksum %08x, want %08x", m.offset, got, m.crc)
 	}
 	entries, rest, err := comm.DecodeEntriesSlab(data, int(m.count), r.codec, r.opts.Pool)

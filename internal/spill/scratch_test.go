@@ -4,8 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
@@ -46,14 +48,34 @@ func writeRuns[K any](t *testing.T, s *Scratch, c comm.Codec[K], blockBytes int,
 	return sealed
 }
 
-// scratchFiles lists the scratch files under dir.
-func scratchFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "pgxsort-*.scratch"))
+// descriptorsUnder counts this process's descriptors open on files under
+// dir, a file unlinked since included; -1 means the system does not show
+// them (no /proc/self/fd).
+func descriptorsUnder(dir string) int {
+	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
-		t.Fatal(err)
+		return -1
 	}
-	return files
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+			strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// requireScratchFiles fails the test unless dir shows no entry and — where
+// the system shows descriptors — exactly want files are open under it.
+func requireScratchFiles(t *testing.T, dir string, want int) {
+	t.Helper()
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("%d entries under the scratch dir, first %q: a scratch file has a name", len(left), left[0].Name())
+	}
+	if got := descriptorsUnder(dir); got >= 0 && got != want {
+		t.Fatalf("%d scratch files open, want %d", got, want)
+	}
 }
 
 // checkScratchRuns interleaves the runs in one scratch file, reads each
@@ -68,9 +90,7 @@ func checkScratchRuns[K comparable](t *testing.T, c comm.Codec[K], blockBytes in
 		t.Fatal(err)
 	}
 	sealed := writeRuns(t, s, c, blockBytes, runs)
-	if files := scratchFiles(t, dir); len(files) != 1 {
-		t.Fatalf("%d runs made %d scratch files, want 1", len(runs), len(files))
-	}
+	requireScratchFiles(t, dir, 1) // all the runs, one file
 
 	readers := make([]*RunReader[K], len(sealed))
 	blockBytesTotal, multi := int64(0), false
@@ -113,9 +133,7 @@ func checkScratchRuns[K comparable](t *testing.T, c comm.Codec[K], blockBytes in
 	if err := s.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if files := scratchFiles(t, dir); len(files) != 0 {
-		t.Fatalf("scratch file survives Close: %v", files)
-	}
+	requireScratchFiles(t, dir, 0)
 }
 
 // TestScratchInterleavedRuns: concurrent run writers share one scratch
@@ -291,20 +309,127 @@ func TestScratchWriterFailpoint(t *testing.T) {
 	}
 }
 
-// TestScratchCloseReportsLeak: a scratch file that cannot be removed is
-// disk leaking, and Close is the only one who knows: it says so, once.
-func TestScratchCloseReportsLeak(t *testing.T) {
-	s, err := NewScratch(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// TestNewScratchReportsLeak: a scratch file that cannot be unlinked when
+// it is created would outlive the process on disk, so NewScratch closes
+// it and fails. The file is removed from under it while the create site
+// stalls, between the create and the unlink.
+func TestNewScratchReportsLeak(t *testing.T) {
+	failpoint.Reset()
+	defer failpoint.Reset()
+	dir := t.TempDir()
+	failpoint.Set(FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeDelay, Delay: 50 * time.Millisecond})
+	removed := make(chan int, 1)
+	go func() {
+		for failpoint.Fired(FpCreateScratch) == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		files, _ := filepath.Glob(filepath.Join(dir, "pgxsort-*.scratch"))
+		for _, f := range files {
+			os.Remove(f) // somebody else got there first
+		}
+		removed <- len(files)
+	}()
+	s, err := NewScratch(dir)
+	if n := <-removed; n != 1 {
+		t.Fatalf("the create site saw %d scratch files, want 1", n)
 	}
-	if err := os.Remove(s.f.Name()); err != nil { // somebody else got there first
-		t.Fatal(err)
+	if s != nil || !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "unlink scratch file") {
+		t.Fatalf("NewScratch over a file it could not unlink returned %v, %v", s, err)
 	}
-	if err := s.Close(); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("Close of a scratch that could not be removed returned %v", err)
+	requireScratchFiles(t, dir, 0)
+}
+
+// TestScratchPoolReuse: a pool makes a file only when none is idle, hands
+// an idle one back out to reserve from offset zero, and cuts a returned
+// file to the extent its last stage reserved. A reused file's runs read
+// back exactly, the longer tail an earlier run left behind them never
+// read; the directory never shows a file; the create site fires on every
+// take; a file a write failed on is closed, not kept; and Close closes
+// what is idle and whatever comes back after it.
+func TestScratchPoolReuse(t *testing.T) {
+	failpoint.Reset()
+	defer failpoint.Reset()
+	failpoint.Set(FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1})
+	dir := t.TempDir()
+	codec := comm.U64Codec{}
+	pool := NewScratchPool(dir)
+	requireScratchFiles(t, dir, 0) // nothing before the first take
+
+	take := func() *Scratch {
+		t.Helper()
+		s, err := pool.Take()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.next.Load() != 0 {
+			t.Fatalf("a taken scratch reserves from %d, want 0", s.next.Load())
+		}
+		return s
 	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("second Close returned %v", err)
+	size := func(s *Scratch) int64 {
+		t.Helper()
+		st, err := s.f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
 	}
+
+	long, short := u64Entries(5000, 1), u64Entries(700, 2)
+	s := take()
+	writeRuns(t, s, codec, 1<<10, [][]comm.Entry[uint64]{long})
+	pool.Give(s)
+	if size(s) == 0 {
+		t.Fatal("the first stage's blocks are not in the file")
+	}
+	again := take()
+	if again != s {
+		t.Fatal("Take made a file with one idle")
+	}
+	runs := writeRuns(t, again, codec, 1<<10, [][]comm.Entry[uint64]{short, short})
+	extent := again.next.Load()
+	for _, run := range runs {
+		r := OpenRun(run, codec, ReaderOpts[uint64]{})
+		checkIdentical(t, readAll(t, r), short)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool.Give(again)
+	if got := size(again); got != extent {
+		t.Fatalf("an idle file holds %d bytes, its last stage reserved %d", got, extent)
+	}
+	requireScratchFiles(t, dir, 1)
+
+	// Two stages at once: two files, both kept.
+	a, b := take(), take()
+	if a == b {
+		t.Fatal("two stages got one file")
+	}
+	pool.Give(a)
+	pool.Give(b)
+	requireScratchFiles(t, dir, 2)
+	if fired := failpoint.Fired(FpCreateScratch); fired != 4 {
+		t.Fatalf("create site fired %d times over 4 takes", fired)
+	}
+
+	// A write fails on one: it is closed when it comes back.
+	bad := take()
+	bad.f.Close()
+	w := NewRunWriter(bad, codec, 1<<10)
+	if err := w.Append(long); err == nil {
+		t.Fatal("append to a closed file succeeded")
+	}
+	pool.Give(bad)
+	requireScratchFiles(t, dir, 1)
+	if bad.f != nil {
+		t.Fatal("a scratch a write failed on went back to the pool")
+	}
+
+	kept := take()
+	pool.Close()
+	requireScratchFiles(t, dir, 1)
+	pool.Give(kept)
+	requireScratchFiles(t, dir, 0)
+	pool.Close() // idempotent
 }

@@ -12,7 +12,9 @@
 //     never leaves memory: sealing the writer hands it over as a Run, and
 //     a reader is the shared descriptor plus that list. Nothing but blocks
 //     is on disk and nothing is re-read or re-validated at open — the
-//     process that reads a scratch run wrote it a moment ago.
+//     process that reads a scratch run wrote it a moment ago. The file
+//     has no name and outlives its stage: the engine's ScratchPool hands
+//     it to the next stage that spills, which writes from offset zero.
 //   - A run file (NewWriter, NewRunReader, NewRunReaderSection) is the
 //     self-describing version-1 format an upload spool is written in: one
 //     file per run, the block list stored behind the blocks as an index
@@ -35,8 +37,8 @@
 // and cost ≈ 65 % of all CPU and 63 % of all allocated bytes of a budgeted
 // sort; and a file per run cost a budgeted sort of 2^16 keys 28 creates,
 // opens and unlinks an operation and 18 % of its CPU in system calls,
-// where one file per stage costs 8 and 10 %: at that size startups are
-// the bound, not bytes.
+// one file per stage 8 and 10 %, and files the engine keeps (ScratchPool)
+// none and 4 %: at that size startups are the bound, not bytes.
 //
 // A block is the I/O unit: a writer encodes into one pooled buffer and
 // hands it to the file in a single write, a reader fetches, checksums
@@ -144,22 +146,35 @@ type blockMeta struct {
 // of run writers append blocks to it concurrently — each block's offset
 // is reserved before it is written, so blocks of different runs
 // interleave and never overlap — and any number of readers fetch blocks
-// back through the same descriptor. A stage therefore costs one create,
-// one descriptor and one unlink however many runs it forms.
+// back through the same descriptor. The file has no name: NewScratch
+// unlinks it the moment it exists, so it is a descriptor and the blocks
+// behind it, and it goes with its last descriptor however the process
+// ends. A stage takes one from its engine's ScratchPool and gives it back
+// once its runs are merged, so one file serves stage after stage.
 type Scratch struct {
-	f    *os.File
-	next atomic.Int64 // first byte no block has reserved
+	f      *os.File
+	next   atomic.Int64 // first byte this stage's blocks have not reserved
+	size   int64        // the file's length is at most this (ScratchPool's)
+	failed atomic.Bool  // a read or write of it failed: closed, not reused
 }
 
-// NewScratch creates a scratch file (pgxsort-*.scratch) directly under
-// dir, the system temp dir when dir is empty.
+// NewScratch creates a scratch file directly under dir, the system temp
+// dir when dir is empty, and unlinks it at once. A file that cannot be
+// unlinked is closed and reported: it would outlive the process on disk.
+// spill/create-scratch fires between the create and the unlink, the only
+// moment a scratch file has a name.
 func NewScratch(dir string) (*Scratch, error) {
-	if err := failpoint.HitNoPanic(FpCreateScratch); err != nil {
-		return nil, err
-	}
 	f, err := os.CreateTemp(dir, "pgxsort-*.scratch")
 	if err != nil {
 		return nil, fmt.Errorf("spill: create scratch file: %w", err)
+	}
+	err = failpoint.HitNoPanic(FpCreateScratch)
+	if rerr := os.Remove(f.Name()); rerr != nil && err == nil {
+		err = fmt.Errorf("spill: unlink scratch file: %w", rerr)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return &Scratch{f: f}, nil
 }
@@ -169,29 +184,110 @@ func (s *Scratch) reserve(n int) uint64 {
 	return uint64(s.next.Add(int64(n))) - uint64(n)
 }
 
-// Close closes and removes the file — once every reader of its runs is
-// closed — and reports either failing, the remove first: a scratch that
-// cannot be removed is disk leaking. Closing a nil or closed Scratch does
-// nothing.
+// fail marks s as a file a read or write went wrong on; nil is no file.
+func (s *Scratch) fail() {
+	if s != nil {
+		s.failed.Store(true)
+	}
+}
+
+// Close closes the descriptor, once every reader of its runs is closed,
+// and with it the file. Closing a nil or closed Scratch does nothing.
 func (s *Scratch) Close() error {
 	if s == nil || s.f == nil {
 		return nil
 	}
-	f := s.f
+	err := s.f.Close()
 	s.f = nil
-	cerr := f.Close()
-	if err := os.Remove(f.Name()); err != nil {
-		return fmt.Errorf("spill: remove scratch file: %w", err)
-	}
-	if cerr != nil {
-		return fmt.Errorf("spill: close scratch file: %w", cerr)
+	if err != nil {
+		return fmt.Errorf("spill: close scratch file: %w", err)
 	}
 	return nil
 }
 
+// ScratchPool is an engine's free list of scratch files. A stage that
+// spills takes one, reserves its blocks from offset zero and gives it
+// back once no reader of its runs is open, so a sort does not create,
+// grow and unlink a file per stage. A file is made only when every file
+// the pool has made is taken: the pool holds at most as many as stages
+// ever spilled at once, and nothing before the first Take. Safe for
+// concurrent use.
+type ScratchPool struct {
+	dir    string
+	mu     sync.Mutex
+	idle   []*Scratch
+	closed bool
+}
+
+// NewScratchPool returns an empty pool whose files go directly under dir
+// (the system temp dir when empty).
+func NewScratchPool(dir string) *ScratchPool { return &ScratchPool{dir: dir} }
+
+// Take hands a stage a scratch file to reserve from offset zero: an idle
+// one, or a new one when none is idle. spill/create-scratch fires once a
+// take, reused or new. A reused file's old bytes are never read: a run
+// reads its own block list and nothing else.
+func (p *ScratchPool) Take() (*Scratch, error) {
+	p.mu.Lock()
+	var s *Scratch
+	if n := len(p.idle); n > 0 {
+		s = p.idle[n-1]
+		p.idle = p.idle[:n-1]
+	}
+	p.mu.Unlock()
+	if s == nil {
+		return NewScratch(p.dir)
+	}
+	if err := failpoint.HitNoPanic(FpCreateScratch); err != nil {
+		p.Give(s)
+		return nil, err
+	}
+	return s, nil
+}
+
+// Give takes a scratch file back from its stage. The file keeps its
+// descriptor and its blocks up to the extent the stage reserved, and a
+// longer tail an earlier stage left is cut off, so an idle file holds no
+// more disk than its last stage used. A file a read or write failed on,
+// or one given back after Close, is closed instead. Giving nil does
+// nothing; a scratch given twice would be two stages' file.
+func (p *ScratchPool) Give(s *Scratch) {
+	if s == nil {
+		return
+	}
+	end := s.next.Swap(0)
+	if end < s.size && !s.failed.Load() {
+		if err := s.f.Truncate(end); err != nil {
+			s.fail()
+		}
+	}
+	s.size = end
+	p.mu.Lock()
+	keep := !p.closed && !s.failed.Load()
+	if keep {
+		p.idle = append(p.idle, s)
+	}
+	p.mu.Unlock()
+	if !keep {
+		s.Close()
+	}
+}
+
+// Close closes every idle file; a file given back later is closed as it
+// comes. Idempotent.
+func (p *ScratchPool) Close() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	for _, s := range idle {
+		s.Close()
+	}
+}
+
 // Run is a sealed scratch run: the blocks that hold its entries, in
 // order, and the file they are in. It is valid until that Scratch is
-// closed. The zero Run is an empty run.
+// closed or given back to its pool. The zero Run is an empty run.
 type Run struct {
 	file    *Scratch
 	blocks  []blockMeta
@@ -246,8 +342,8 @@ func NewWriter[K any](path string, c comm.Codec[K], blockBytes int) (*Writer[K],
 
 // NewRunWriter starts a run in s. Nothing touches the file until the
 // first block fills, and a run that fails or is aborted leaves s and
-// every other run in it as they were: its blocks are dead bytes that go
-// with the file.
+// every other run in it as they were: its blocks are dead bytes the
+// file's next stage writes over.
 func NewRunWriter[K any](s *Scratch, c comm.Codec[K], blockBytes int) *Writer[K] {
 	return newWriter(s.f, s, c, blockBytes)
 }
@@ -270,6 +366,9 @@ func (w *Writer[K]) write(b []byte) (uint64, error) {
 		at = w.scratch.reserve(len(b))
 	}
 	_, err := w.f.WriteAt(b, int64(at))
+	if err != nil {
+		w.scratch.fail()
+	}
 	w.off += uint64(len(b))
 	w.buf.b = b[:0]
 	return at, err
@@ -397,8 +496,8 @@ func (w *Writer[K]) fail(err error) error {
 }
 
 // Abort gives the run up: the writer lets go of its block buffer and a
-// run file is closed and removed (a scratch run's blocks go when its
-// Scratch does). Safe to call after Finish or after a failure
+// run file is closed and removed (a scratch run's blocks stay dead bytes
+// in its Scratch). Safe to call after Finish or after a failure
 // (idempotent).
 func (w *Writer[K]) Abort() {
 	w.release(errAborted)
