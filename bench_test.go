@@ -187,8 +187,13 @@ func BenchmarkRecordSort(b *testing.B) {
 // profile one command away:
 //
 //	go test -run '^$' -bench BudgetedSort -cpuprofile cpu.prof .
+//
+// The sort must go by ref through its spill runs: its resident memory is
+// step 1's refs and the result's entries, 16 + 40 bytes a key, where a
+// sort by entry holds 40 + 40.
 func BenchmarkBudgetedSort(b *testing.B) {
 	const n, procs = 1 << 16, 4
+	const refBytes, entryBytes = 16, 40
 	flat := dist.Gen{Kind: dist.Uniform, Seed: 1, Domain: 1 << 62}.Keys(n)
 	parts := make([][]uint64, procs)
 	for p := range parts {
@@ -211,6 +216,9 @@ func BenchmarkBudgetedSort(b *testing.B) {
 		}
 		if res.Report.SpillBytes == 0 {
 			b.Fatal("the budgeted sort did not spill")
+		}
+		if res.Report.ResidentBytes != n*(refBytes+entryBytes) {
+			b.Fatalf("resident %d bytes for %d keys: the sort did not go by ref", res.Report.ResidentBytes, n)
 		}
 	}
 }

@@ -13,6 +13,13 @@ import (
 // for sampling/chunking estimates. Fixed-width key types implement just
 // this interface; variable-width types (strings) additionally implement
 // VarCodec, and then KeySize is only a nominal per-key estimate.
+//
+// The entry and ref loops call PutKey and Key once a key, through the
+// interface, except under U64Codec, bare or as a RecordCodec's key codec:
+// it writes the key's own bits little-endian, so there payload-free
+// entries and refs cross the codec a word at a time, with no call through
+// the interface (word.go). A codec of any other type, a wrapper around
+// U64Codec included, takes the generic loops; the bytes are the same.
 type Codec[K any] interface {
 	// KeySize is the fixed wire size of one key in bytes — or, for a
 	// codec that also implements VarCodec, a nominal per-key estimate
@@ -208,8 +215,12 @@ func EncodeEntries[K any](dst []byte, entries []Entry[K], c Codec[K]) []byte {
 // returns the offset after the last byte. dst already has room for all of
 // them (EntriesWireBytes), so fixed-width fields and payloads go in by
 // offset; only a variable-width key appends, into that reserved room.
+// Payload-free entries under U64Codec take the word loop.
 func putEntries[K any](dst []byte, off int, entries []Entry[K], c Codec[K]) int {
 	kc, withPay := keyCodecOf(c)
+	if isU64(kc) && !withPay {
+		return putEntryWords(dst, off, any(entries).([]Entry[uint64]))
+	}
 	vc, isVar := kc.(VarCodec[K])
 	ks := kc.KeySize()
 	for i := range entries {
@@ -244,7 +255,8 @@ func DecodeEntries[K any](b []byte, n int, c Codec[K]) ([]Entry[K], []byte, erro
 // returns it through Message.Release once the entries are copied out.
 // Decoded payloads never alias b: they are copied into one exactly-sized
 // block per call, since the transport reuses its frame buffer while the
-// decoded entries (and their payloads) outlive it.
+// decoded entries (and their payloads) outlive it. Payload-free entries
+// under U64Codec take the word loop.
 func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[Entry[K]]) ([]Entry[K], []byte, error) {
 	kc, withPay := keyCodecOf(c)
 	vc, isVar := kc.(VarCodec[K])
@@ -260,6 +272,10 @@ func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[
 	}
 	if n < 0 || n > len(b)/minBytes {
 		return nil, b, fmt.Errorf("comm: short entry payload: %d bytes cannot hold %d entries", len(b), n)
+	}
+	if isU64(kc) && !withPay {
+		entries, rest := decodeEntryWords(b, n, any(pool).(*alloc.SlabPool[Entry[uint64]]))
+		return any(entries).([]Entry[K]), rest, nil
 	}
 	if !isVar && !withPay {
 		ks := kc.KeySize()

@@ -3,17 +3,19 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
 // FuzzDecodeEntriesSlab feeds the entry parser the TCP read loop and the
 // spill reader trust arbitrary bytes under an arbitrary claimed count,
-// for a fixed-width key, a variable-width key and a payload-carrying
-// codec. It must never panic, over-read or size an allocation from the
-// claim alone: it returns an error with the input untouched, or exactly n
-// entries plus the unread tail — and whatever it accepted re-encodes to
-// the bytes it consumed and decodes again to the same entries, payloads
-// copied out of the input buffer.
+// for a fixed-width key (U64Codec's word loop), a variable-width key and
+// a payload-carrying codec. It must never panic, over-read or size an
+// allocation from the claim alone: it returns an error with the input
+// untouched, or exactly n entries plus the unread tail — and whatever it
+// accepted re-encodes to the bytes it consumed and decodes again to the
+// same entries, payloads copied out of the input buffer. The word loop
+// must do exactly what the generic loop does.
 func FuzzDecodeEntriesSlab(f *testing.F) {
 	u64 := EncodeEntries(nil, []Entry[uint64]{{Key: 7, Proc: 1, Index: 2}, {Key: 3, Proc: 0, Index: 9}}, U64Codec{})
 	str := EncodeEntries(nil, []Entry[string]{{Key: "pear", Proc: 2}, {Key: "", Index: 5}}, StringCodec{})
@@ -28,6 +30,7 @@ func FuzzDecodeEntriesSlab(f *testing.F) {
 	f.Add(u64, int64(-1), uint8(0))
 	f.Add(u64, int64(1)<<40, uint8(1)) // a claim no buffer could back
 	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<31), int64(1), uint8(1))
+	f.Add(EncodeEntries(nil, []Entry[uint64]{{Key: math.MaxUint64, Proc: math.MaxUint32}, {Key: 1 << 63, Index: 3}, {}}, U64Codec{}), int64(3), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, n int64, codec uint8) {
 		switch codec % 3 {
 		case 0:
@@ -43,6 +46,13 @@ func FuzzDecodeEntriesSlab(f *testing.F) {
 func fuzzDecodeEntries[K comparable](t *testing.T, data []byte, n int, c Codec[K]) {
 	in := bytes.Clone(data)
 	entries, rest, err := DecodeEntriesSlab(in, n, c, nil)
+	if isU64(c) {
+		generic, grest, gerr := DecodeEntriesSlab(in, n, Codec[K](genericPath[K]{c}), nil)
+		if (err == nil) != (gerr == nil) || len(rest) != len(grest) || err == nil && !sameEntries(entries, generic) {
+			t.Fatalf("word loop: %d entries, %d bytes left, err %v; generic: %d, %d, %v",
+				len(entries), len(rest), err, len(generic), len(grest), gerr)
+		}
+	}
 	if err != nil {
 		if entries != nil || len(rest) != len(in) {
 			t.Fatalf("error %v came with %d entries and %d of %d bytes left", err, len(entries), len(rest), len(in))

@@ -10,6 +10,9 @@
 // 16-byte NormRefs, each standing for the key-only entry {Denorm(Norm),
 // the message's source, Idx}. On the wire a ref is byte for byte that
 // entry; a frame header flag (FlagRefs) tells the reader which to decode.
+//
+// Under U64Codec payload-free entries and refs are encoded and decoded a
+// word at a time, with no call through the Codec interface per key.
 package comm
 
 import "fmt"

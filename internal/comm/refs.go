@@ -21,12 +21,14 @@ type NormRef struct {
 }
 
 // refCodec is what framing refs under a codec takes: its key codec, the
-// norm and its inverse, and whether entries carry a payload length.
+// norm and its inverse, whether entries carry a payload length, and
+// whether the key codec's keys go a word at a time (isU64).
 type refCodec[K any] struct {
 	kc      Codec[K]
 	norm    KeyNormalizer[K]
 	denorm  KeyDenormalizer[K]
 	withPay bool
+	isWord  bool
 }
 
 // refCodecOf resolves c's ref framing; ok is false unless c's key codec
@@ -43,6 +45,7 @@ func refCodecOf[K any](c Codec[K]) (rc refCodec[K], ok bool) {
 	if ok {
 		rc.denorm, ok = rc.kc.(KeyDenormalizer[K])
 	}
+	rc.isWord = isU64(rc.kc)
 	return rc, ok
 }
 
@@ -86,6 +89,25 @@ func RefsWireBytes[K any](refs []NormRef, c Codec[K]) int {
 	return len(refs) * mustRefCodec(c).refWireBytes()
 }
 
+// RefsFitting is EntriesFitting for refs under c: how many leading refs
+// encode into at most room bytes.
+func RefsFitting[K any](refs []NormRef, c Codec[K], room int) int {
+	if len(refs) == 0 {
+		return 0
+	}
+	return min(len(refs), max(room, 0)/mustRefCodec(c).refWireBytes())
+}
+
+// EncodeRefs appends the wire form of refs sent by node src to dst, as
+// EncodeEntries appends the key-only entries they stand for: the bytes
+// are the same.
+func EncodeRefs[K any](dst []byte, refs []NormRef, src uint32, c Codec[K]) []byte {
+	need := RefsWireBytes(refs, c)
+	dst = grow(dst, need)
+	putRefs(dst, len(dst)-need, refs, src, c)
+	return dst
+}
+
 // RefWireEstimate is EntryWireEstimate for refs under c: what it returns
 // for the key-only entries they stand for, so the data manager chunks
 // refs exactly as it chunks those entries.
@@ -97,12 +119,16 @@ func RefWireEstimate[K any](c Codec[K]) int {
 // offset off and returns the offset after the last byte: each ref exactly
 // as the key-only entry it stands for — key, src, index, and a zero
 // payload length when c carries payloads — so a ref frame's payload is
-// byte for byte the entry frame's.
+// byte for byte the entry frame's. Under U64Codec as key codec it takes
+// the word loop.
 func putRefs[K any](dst []byte, off int, refs []NormRef, src uint32, c Codec[K]) int {
 	if len(refs) == 0 {
 		return off
 	}
 	rc := mustRefCodec(c)
+	if rc.isWord {
+		return putRefWords(dst, off, refs, src, rc.refWireBytes())
+	}
 	ks := rc.kc.KeySize()
 	for _, r := range refs {
 		rc.kc.PutKey(dst[off:], rc.denorm.Denorm(r.Norm))
@@ -122,7 +148,8 @@ func putRefs[K any](dst []byte, off int, refs []NormRef, src uint32, c Codec[K])
 // payload: key-only entries whose origin node is src) into a slab from
 // pool (which may be nil) and returns the remaining bytes. An entry from
 // another origin, or one with a payload, is not a ref and fails the
-// decode with b untouched.
+// decode with b untouched. Under U64Codec as key codec it takes the word
+// loop.
 func DecodeRefsSlab[K any](b []byte, n int, src uint32, c Codec[K], pool *alloc.SlabPool[NormRef]) ([]NormRef, []byte, error) {
 	rc, ok := refCodecOf(c)
 	if !ok {
@@ -132,8 +159,15 @@ func DecodeRefsSlab[K any](b []byte, n int, src uint32, c Codec[K], pool *alloc.
 	if n < 0 || n > len(b)/per {
 		return nil, b, fmt.Errorf("comm: short ref payload: %d bytes cannot hold %d refs", len(b), n)
 	}
-	ks := rc.kc.KeySize()
 	refs := pool.Get(n)
+	if rc.isWord {
+		if err := decodeRefWords(b, refs, src, per); err != nil {
+			pool.Put(refs)
+			return nil, b, err
+		}
+		return refs, b[n*per:], nil
+	}
+	ks := rc.kc.KeySize()
 	for i, off := 0, 0; i < n; i, off = i+1, off+per {
 		at := b[off+ks:]
 		if proc := binary.LittleEndian.Uint32(at); proc != src {

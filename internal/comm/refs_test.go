@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -71,11 +72,12 @@ func TestRefFrameIsEntryFrame(t *testing.T) {
 
 // FuzzDecodeRefs feeds the ref parser the TCP read loop trusts arbitrary
 // bytes under an arbitrary claimed count and origin, for a fixed-width
-// integer key, a float key and a record codec. It must never panic,
-// over-read or size an allocation from the claim alone: it returns an
-// error with the input untouched, or exactly n refs plus the unread tail
-// — and whatever it accepted is a ref frame: the refs, framed from the
-// same origin, are the bytes it consumed.
+// integer key (U64Codec's word loop, bare and in a record codec) and a
+// float key. It must never panic, over-read or size an allocation from
+// the claim alone: it returns an error with the input untouched, or
+// exactly n refs plus the unread tail — and whatever it accepted is a ref
+// frame: the refs, framed from the same origin, are the bytes it
+// consumed. The word loop must do exactly what the generic loop does.
 func FuzzDecodeRefs(f *testing.F) {
 	u64 := (&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: 7, Idx: 2}, {Norm: 3, Idx: 9}}}).AppendWire(nil, U64Codec{})
 	f64 := (&Message[float64]{Src: 1, Refs: []NormRef{{Norm: 1, Idx: 0}, {Norm: 1 << 63, Idx: 5}}}).AppendWire(nil, F64Codec{})
@@ -91,6 +93,7 @@ func FuzzDecodeRefs(f *testing.F) {
 	f.Add(u64, int64(-1), uint32(1), uint8(0))
 	f.Add(u64, int64(1)<<40, uint32(1), uint8(1)) // a claim no buffer could back
 	f.Add(binary.LittleEndian.AppendUint32(rec[:20], 1), int64(1), uint32(1), uint8(2))
+	f.Add((&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: math.MaxUint64, Idx: math.MaxUint32}, {}}}).AppendWire(nil, U64Codec{}), int64(2), uint32(1), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, n int64, src uint32, codec uint8) {
 		switch codec % 3 {
 		case 0:
@@ -106,6 +109,11 @@ func FuzzDecodeRefs(f *testing.F) {
 func fuzzDecodeRefs[K any](t *testing.T, data []byte, n int, src uint32, c Codec[K]) {
 	in := bytes.Clone(data)
 	refs, rest, err := DecodeRefsSlab(in, n, src, c, nil)
+	generic, grest, gerr := DecodeRefsSlab(in, n, src, genericRefs(c), nil)
+	if (err == nil) != (gerr == nil) || len(rest) != len(grest) || !slices.Equal(refs, generic) {
+		t.Fatalf("word loop: %d refs, %d bytes left, err %v; generic: %d, %d, %v",
+			len(refs), len(rest), err, len(generic), len(grest), gerr)
+	}
 	if err != nil {
 		if refs != nil || len(rest) != len(in) {
 			t.Fatalf("error %v came with %d refs and %d of %d bytes left", err, len(refs), len(rest), len(in))
@@ -123,4 +131,13 @@ func fuzzDecodeRefs[K any](t *testing.T, data []byte, n int, src uint32, c Codec
 	if wire := m.AppendWire(nil, c); !bytes.Equal(wire, data[:used]) {
 		t.Fatalf("accepted bytes do not re-frame to themselves")
 	}
+}
+
+// genericRefs is c with its key codec hidden from the word loops
+// (genericPath), inside the record codec when c is one.
+func genericRefs[K any](c Codec[K]) Codec[K] {
+	if kc, withPay := keyCodecOf(c); withPay {
+		return NewRecordCodec[K](genericPath[K]{kc})
+	}
+	return genericPath[K]{c}
 }

@@ -41,8 +41,8 @@ type Engine[K cmp.Ordered] struct {
 	norm        func(K) uint64
 	normInexact bool
 	// denorm is norm's inverse when the codec frames refs (comm.RefDenorm):
-	// then a sort of bare keys whose step 1 fits carries refs instead of
-	// entries from step 1 to the result. nil otherwise.
+	// then a sort of bare keys carries refs instead of entries from step 1
+	// to the result, through its spill runs too. nil otherwise.
 	denorm func(uint64) K
 }
 
@@ -387,7 +387,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 	// starts, so an oversized share fails the job with nothing allocated.
 	// Whether the sort goes by ref is decided here too, once for all
 	// nodes, so every node sends the kind of message every other expects:
-	// bare keys under a codec that frames refs, no share chunked by step 1.
+	// bare keys under a codec that frames refs.
 	cmps := e.comparators()
 	byRef := j.recs == nil && e.denorm != nil
 	runs := make([]*sortRun[K], p)
@@ -401,6 +401,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 			ctx:    ctx,
 			ctrl:   ctrl,
 			cmps:   cmps,
+			byRef:  byRef,
 			runs: runFormer[K]{
 				ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
 				pool: n.entryPool, refPool: &n.refPool, provPool: &n.provPool, tracker: &n.tracker,
@@ -409,12 +410,6 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		if err := checkShare(runs[i].src); err != nil {
 			return nil, err
 		}
-		if size := runs[i].src.size(); e.opts.step1Chunk(size, entryBytes[K]()) < size {
-			byRef = false
-		}
-	}
-	for _, s := range runs {
-		s.byRef = byRef
 	}
 
 	// The watcher must be fully stopped before dropSort below, or a late

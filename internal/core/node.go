@@ -25,10 +25,11 @@ type sortRun[K cmp.Ordered] struct {
 	opts   Options
 	codec  comm.Codec[K]
 	src    entrySource[K] // this node's share of the dataset
-	// byRef marks a sort of bare keys whose codec frames refs and whose
-	// step 1 fits every share (sortOne decides, for all nodes at once):
-	// steps 1 to 6 carry 16-byte refs, and each entry is built once, in
-	// the result.
+	// byRef marks a sort of bare keys whose codec frames refs (sortOne
+	// decides, for all nodes at once): steps 1 to 6 carry 16-byte refs —
+	// through step 1's chunk runs and the spilled exchange's runs too,
+	// whose bytes are the key-only entries the refs stand for — and each
+	// entry is built once, in the result.
 	byRef  bool
 	ctx    context.Context
 	ctrl   *stageCtrl // nil outside the SortMany scheduler
@@ -382,29 +383,18 @@ func (o Options) step1Chunk(n, eb int) int {
 // node's pool and returns to it once the whole sort joins (its subslices
 // travel through the exchange).
 //
-// A sort by ref stops at the sorted refs: they are the share, 16 bytes a
-// key, and no entry is built. Otherwise a share that fits is one chunk,
-// written into the entry buffer once, already in order; a share whose
+// A share that fits is one chunk, sorted where it ends up. A share whose
 // entries alone exceed Options.MemoryBudget is formed in budget-sized
-// chunks that land in the head of the buffer, spill to a scratch file of
-// the engine's as one run each, and stream-merge back over it — the same
-// bytes, a fraction of the temporary memory.
+// chunks that spill to a scratch file of the engine's as one run each and
+// stream-merge back over it — the same bytes, a fraction of the temporary
+// memory. A sort by ref stops at the sorted refs, 16 bytes a key, whose
+// chunk runs are written from refs and read back as refs: no entry is
+// built. Otherwise the chunks land in the head of the entry buffer, and
+// one chunk is written into it once, already in order.
 func (s *sortRun[K]) localSort() (share[K], error) {
 	t0 := time.Now()
 	defer func() { s.report.Steps[StepLocalSort] = time.Since(t0) }()
 	n := s.src.size()
-	if s.byRef {
-		refs, err := s.runs.sortRefs(s.src, n)
-		if err != nil {
-			return share[K]{}, err
-		}
-		s.retired.refs = refs
-		s.report.ResidentBytes = int64(n) * refBytes
-		return share[K]{refs: refs}, nil
-	}
-	entries := s.node.entryPool.Get(n)
-	s.retired.entries = entries
-	s.report.ResidentBytes = int64(n) * int64(entryBytes[K]())
 	chunk := s.opts.step1Chunk(n, entryBytes[K]())
 	var scratch *spill.Scratch
 	if chunk < n {
@@ -416,6 +406,18 @@ func (s *sortRun[K]) localSort() (share[K], error) {
 		// the exchange takes a scratch of its own: it may be this one.
 		defer s.node.eng.scratch.Give(scratch)
 	}
+	if s.byRef {
+		refs, err := s.runs.sortRefs(s.src, n, chunk, uint32(s.node.id), scratch)
+		if err != nil {
+			return share[K]{}, err
+		}
+		s.retired.refs = refs
+		s.report.ResidentBytes = int64(n) * refBytes
+		return share[K]{refs: refs}, nil
+	}
+	entries := s.node.entryPool.Get(n)
+	s.retired.entries = entries
+	s.report.ResidentBytes = int64(n) * int64(entryBytes[K]())
 	runs, err := s.runs.form(s.src, entries[:chunk], chunk, scratch)
 	if err == nil && scratch != nil {
 		err = s.runs.mergeInto(entries, runs)

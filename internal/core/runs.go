@@ -250,7 +250,7 @@ type runFormer[K cmp.Ordered] struct {
 }
 
 func (f *runFormer[K]) readerOpts() spill.ReaderOpts[K] {
-	return spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
+	return spill.ReaderOpts[K]{Pool: f.pool, RefPool: f.refPool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
 }
 
 // takeSlab hands out an n-element slab of pool accounted in tracker as
@@ -370,86 +370,167 @@ func (f *runFormer[K]) sortChunk(src entrySource[K], n int, buf []comm.Entry[K],
 	return src.emit(buf, order)
 }
 
-// sortRefs is step 1 of a sort by ref: sortChunk over the whole of a
-// source of n keys, stopping at the sorted refs, which are the share. It
-// returns them in a slab of the ref pool that is no longer temporary
-// memory (the share is resident until the sort joins); the sort's
-// scratch half goes back, and on a panic both do.
-func (f *runFormer[K]) sortRefs(src entrySource[K], n int) ([]lsort.NormRef, error) {
-	if _, err := src.next(n); err != nil {
-		return nil, err
+// sortRefs is step 1 of a sort by ref: the refs standing for the n keys
+// of node's source, sorted — the share, in a slab of the ref pool that is
+// resident until the sort joins. A share of one chunk (to nil) is
+// sortChunk stopping at the sorted refs: it sorts in that slab and a
+// scratch one, both temporary memory while it does. A larger one is
+// formed into runs (formRefs), which are read back as refs and merged
+// into the share by the stable cursor merge that takes form's runs back,
+// so the share is the one-chunk sort's, ref for ref. Like the entry
+// path's buffer, that share only receives the merge: it is resident from
+// the start. Every other slab goes back, and on an error or a panic the
+// share does too.
+func (f *runFormer[K]) sortRefs(src entrySource[K], n, chunk int, node uint32, to *spill.Scratch) ([]lsort.NormRef, error) {
+	if to == nil {
+		if _, err := src.next(n); err != nil {
+			return nil, err
+		}
+		refs, scratch := f.takeRefs(n), f.takeRefs(n)
+		sorted := false
+		defer func() {
+			f.giveRefs(scratch)
+			if !sorted {
+				f.giveRefs(refs)
+			}
+		}()
+		src.refs(refs, f.cmps.norm)
+		if order := lsort.SortNormRefs(refs, scratch, f.workers); n > 0 && &order[0] == &scratch[0] {
+			refs, scratch = scratch, refs
+		}
+		f.tracker.Free(int64(n) * refBytes)
+		sorted = true
+		return refs, nil
 	}
-	refs, scratch := f.takeRefs(n), f.takeRefs(n)
-	sorted := false
+
+	share, merged := f.refPool.Get(n), false
 	defer func() {
-		f.giveRefs(scratch)
-		if !sorted {
-			f.giveRefs(refs)
+		if !merged {
+			f.refPool.Put(share)
 		}
 	}()
-	src.refs(refs, f.cmps.norm)
-	order := lsort.SortNormRefs(refs, scratch, f.workers)
-	if n > 0 && &order[0] == &scratch[0] {
-		refs, scratch = scratch, refs
+	runs, err := f.formRefs(src, n, chunk, node, to)
+	if err == nil {
+		err = f.mergeRefsInto(share, runs, node)
 	}
-	f.tracker.Free(int64(n) * refBytes)
-	sorted = true
-	return refs, nil
+	if err != nil {
+		return nil, err
+	}
+	merged = true
+	return share, nil
+}
+
+// formRefs is form for a sort by ref: the source a chunk at a time, each
+// chunk's refs sorted in a slab of 2·chunk refs and written to the
+// scratch file as one run whose bytes are the key-only entries they stand
+// for. The slab goes back before the runs are merged, as form's does.
+func (f *runFormer[K]) formRefs(src entrySource[K], n, chunk int, node uint32, to *spill.Scratch) ([]spill.Run, error) {
+	refs := f.takeRefs(2 * chunk) // a chunk's refs, then as many of scratch
+	defer f.giveRefs(refs)
+	runs := make([]spill.Run, 0, (n+chunk-1)/chunk)
+	for lo := 0; lo < n; lo += chunk {
+		if err := f.ctx.Err(); err != nil {
+			return nil, err
+		}
+		m, err := src.next(chunk)
+		if err != nil {
+			return nil, err
+		}
+		src.refs(refs[:m], f.cmps.norm)
+		order := lsort.SortNormRefs(refs[:m], refs[chunk:], f.workers)
+		for i := range order {
+			order[i].Idx += uint32(lo) // a chunk position becomes a share index
+		}
+		run, err := f.writeRefRun(to, order, node)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
+	}
+	return runs, nil
+}
+
+// writeRefRun writes sorted refs sent by node to the scratch file as one
+// run of the key-only entries they stand for.
+func (f *runFormer[K]) writeRefRun(to *spill.Scratch, refs []lsort.NormRef, node uint32) (spill.Run, error) {
+	w := spill.NewRunWriter(to, f.codec, f.blockBytes)
+	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
+	return f.seal(w, w.AppendRefs(refs, node))
 }
 
 // writeRun writes a sorted stream — chunk, then whatever more yields (nil
-// for nothing more) — to the scratch file as one run. A failed or
-// cancelled write costs the scratch some dead bytes and nothing else.
+// for nothing more) — to the scratch file as one run.
 func (f *runFormer[K]) writeRun(to *spill.Scratch, chunk []comm.Entry[K], more lsort.Cursor[comm.Entry[K]]) (spill.Run, error) {
 	w := spill.NewRunWriter(to, f.codec, f.blockBytes)
-	defer w.Abort() // lets go of the block buffer on the error exits; nothing after Finish
+	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
 	for {
-		if err := w.Append(chunk); err != nil {
-			return spill.Run{}, err
-		}
-		if more == nil {
-			break
+		if err := w.Append(chunk); err != nil || more == nil {
+			return f.seal(w, err)
 		}
 		var err error
 		if chunk, err = more.Next(); err == nil {
 			err = f.ctx.Err()
 		}
-		if err != nil {
-			return spill.Run{}, err
-		}
-		if len(chunk) == 0 {
-			break
+		if err != nil || len(chunk) == 0 {
+			return f.seal(w, err)
 		}
 	}
-	if err := w.Finish(); err != nil {
+}
+
+// seal finishes a run whose appends returned err and hands it over. A
+// failed or cancelled run lets go of its block buffer and costs the
+// scratch some dead bytes and nothing else.
+func (f *runFormer[K]) seal(w *spill.Writer[K], err error) (spill.Run, error) {
+	if err == nil {
+		err = w.Finish()
+	}
+	if err != nil {
+		w.Abort()
 		return spill.Run{}, err
 	}
 	f.spillBytes.Add(w.BytesWritten())
 	return w.Run(), nil
 }
 
-// open opens runs as merge cursors, one per run in order; an empty run
-// gets an empty cursor, so cursor index — the merge's tie-break — stays
-// the caller's run index. Nothing is read yet, so nothing can fail. The
-// returned func folds the bytes read into spillReads and closes the
-// readers; the runs' scratch file is the caller's to close after it.
-func (f *runFormer[K]) open(runs []spill.Run) ([]lsort.Cursor[comm.Entry[K]], func()) {
-	cursors := make([]lsort.Cursor[comm.Entry[K]], len(runs))
+// runReader is a reader of one run as merge cursor: its entries
+// (spill.RunReader) or its refs (spill.RefReader).
+type runReader[E any] interface {
+	lsort.Cursor[E]
+	BytesRead() int64
+	Close() error
+}
+
+// openRuns opens runs as merge cursors through open, one per run in
+// order; an empty run gets an empty cursor, so cursor index — the merge's
+// tie-break — stays the caller's run index. Nothing is read yet, so
+// nothing can fail. The returned func folds the bytes read into
+// spillReads and closes the readers; the runs' scratch file is the
+// caller's to give back after it.
+func openRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func(spill.Run) runReader[E]) ([]lsort.Cursor[E], func()) {
+	cursors := make([]lsort.Cursor[E], len(runs))
 	for i, run := range runs {
 		if run.Entries() == 0 {
-			cursors[i] = lsort.NewSliceCursor[comm.Entry[K]](nil)
+			cursors[i] = lsort.NewSliceCursor[E](nil)
 			continue
 		}
-		cursors[i] = spill.OpenRun(run, f.codec, f.readerOpts())
+		cursors[i] = open(run)
 	}
 	return cursors, func() {
 		for _, c := range cursors {
-			if r, ok := c.(*spill.RunReader[K]); ok {
+			if r, ok := c.(runReader[E]); ok {
 				f.spillReads.Add(r.BytesRead())
 				r.Close()
 			}
 		}
 	}
+}
+
+// open opens runs as cursors of entries (openRuns).
+func (f *runFormer[K]) open(runs []spill.Run) ([]lsort.Cursor[comm.Entry[K]], func()) {
+	opts := f.readerOpts()
+	return openRuns(f, runs, func(run spill.Run) runReader[comm.Entry[K]] {
+		return spill.OpenRun(run, f.codec, opts)
+	})
 }
 
 // takeMergeRefs takes the ref slab a merge of k run cursors under
@@ -468,8 +549,32 @@ func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
 	cursors, done := f.open(runs)
 	defer done() // on a panic too: no reader outlives the merge into a reused file
 	refs := f.takeMergeRefs(len(cursors))
-	filled, err := lsort.MergeCursorsNorm(dst, cursors, f.cmps.headNorm, f.cmps.headLess, refs)
-	f.giveRefs(refs)
+	defer func() { f.giveRefs(refs) }()
+	return mergeFilling(dst, cursors, f.cmps.headNorm, f.cmps.headLess, refs)
+}
+
+// mergeRefsInto is mergeInto for runs of node's key-only entries read as
+// the refs standing for them: an exact norm, so the rounds up to
+// lsort's round fan-in and the loser tree above it, ties by run.
+func (f *runFormer[K]) mergeRefsInto(dst []lsort.NormRef, runs []spill.Run, node uint32) error {
+	opts := f.readerOpts()
+	cursors, done := openRuns(f, runs, func(run spill.Run) runReader[lsort.NormRef] {
+		return spill.OpenRefRun(run, node, f.codec, opts)
+	})
+	defer done()
+	refs := f.takeRefs(lsort.MergeRefs(len(cursors), true))
+	defer func() { f.giveRefs(refs) }()
+	return mergeFilling(dst, cursors, refNorm, nil, refs)
+}
+
+// refNorm is a ref's norm, read in place.
+func refNorm(r *lsort.NormRef) uint64 { return r.Norm }
+
+// mergeFilling merges cursors into dst (lsort.MergeCursorsNorm), which
+// they must fill exactly: runs that hold fewer elements than their block
+// lists promised are corrupt.
+func mergeFilling[E any](dst []E, cursors []lsort.Cursor[E], norm func(*E) uint64, less func(a, b E) bool, refs []lsort.NormRef) error {
+	filled, err := lsort.MergeCursorsNorm(dst, cursors, norm, less, refs)
 	if err == nil && filled != len(dst) {
 		err = fmt.Errorf("core: spill merge produced %d of %d entries: %w",
 			filled, len(dst), spill.ErrCorrupt)

@@ -244,37 +244,22 @@ type spilledSink[K cmp.Ordered] struct {
 	s *sortRun[K]
 }
 
-// Write appends one chunk to its source's run. A sort by ref's chunk
-// becomes the entries it stands for first, a buffer-sized piece at a
-// time in a pooled slab, so the runs on disk are what the entry path
-// writes.
+// Write appends one chunk to its source's run: a sort by ref's refs go
+// on disk as the key-only entries they stand for, written straight from
+// the refs, so the runs are what the entry path writes.
 func (sp *spilledSink[K]) Write(m comm.Message[K]) error {
-	if len(m.Refs) == 0 {
-		return sp.SpillAssembly.Write(m.Src, m.Entries)
+	if m.Refs != nil {
+		return sp.WriteRefs(m.Src, m.Refs)
 	}
-	f := &sp.s.runs
-	step := min(len(m.Refs), sp.s.node.dm.ChunkLen(entryBytes[K]()))
-	chunk := f.take(step)
-	defer f.give(chunk)
-	for lo := 0; lo < len(m.Refs); lo += step {
-		piece := chunk[:min(step, len(m.Refs)-lo)]
-		for i := range piece {
-			ref := m.Refs[lo+i]
-			piece[i] = comm.Entry[K]{Key: f.cmps.denorm(ref.Norm), Proc: uint32(m.Src), Index: ref.Idx}
-		}
-		if err := sp.SpillAssembly.Write(m.Src, piece); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sp.SpillAssembly.Write(m.Src, m.Entries)
 }
 
 // merge streams the source runs back through the former's merge — one
 // cursor per source, an empty one for sources that sent nothing, so
 // tie-breaking by cursor index stays source order — straight into the
 // result, allocated at its exact size as the resident sink's is.
-// Temporary memory is just the decoded-ahead blocks — two slabs per
-// non-empty source — however large the runs are. The scratch file goes
+// Temporary memory is just the decoded blocks — one slab per non-empty
+// source — and the merge's ref slab, however large the runs are. The scratch file goes
 // back to the engine on every path.
 func (sp *spilledSink[K]) merge() ([]comm.Entry[K], error) {
 	defer sp.Close()

@@ -88,7 +88,7 @@ func TestSpillDifferentialRecords(t *testing.T) {
 
 // TestSpillSlabBalance: repeated budgeted sorts on one engine must leave
 // every node's temporary-memory tracker at zero and every slab back in
-// its pool — the run former's chunk writes, the decode-ahead block slabs
+// its pool — the run former's chunk writes, the decoded block slabs
 // and the stream merge all balance their retire/recycle accounting even
 // though runs spill mid-batch, and a result part is no pool slab but its
 // own exact-size allocation (cap == len), so the caller holds what

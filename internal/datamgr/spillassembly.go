@@ -55,7 +55,20 @@ func NewSpillAssembly[K any](m *Manager, perSrc []int, c comm.Codec[K], pool *sp
 // concurrency contract as Assembly.Write: per-source FIFO, cross-source
 // concurrent.
 func (a *SpillAssembly[K]) Write(src int, chunk []comm.Entry[K]) error {
-	at, err := a.Claim(src, len(chunk))
+	return a.land(src, len(chunk), func(w *spill.Writer[K]) error { return w.Append(chunk) })
+}
+
+// WriteRefs is Write for a chunk of refs from src: the key-only entries
+// they stand for, origin src, go onto the run byte for byte as Write
+// would put them, and no entry is built.
+func (a *SpillAssembly[K]) WriteRefs(src int, refs []comm.NormRef) error {
+	return a.land(src, len(refs), func(w *spill.Writer[K]) error { return w.AppendRefs(refs, uint32(src)) })
+}
+
+// land claims n elements of src's region and appends them to its run
+// through put, sealing the run once its expected count has landed.
+func (a *SpillAssembly[K]) land(src, n int, put func(*spill.Writer[K]) error) error {
+	at, err := a.Claim(src, n)
 	if err != nil {
 		return err
 	}
@@ -66,10 +79,10 @@ func (a *SpillAssembly[K]) Write(src int, chunk []comm.Entry[K]) error {
 		// its run was already marked done at construction.
 		return nil
 	}
-	if err := w.Append(chunk); err != nil {
+	if err := put(w); err != nil {
 		return err
 	}
-	if at+len(chunk) == a.Bounds()[src+1] {
+	if at+n == a.Bounds()[src+1] {
 		// Seal the run so readers can open it the moment the merge
 		// wants it; a Finish failure surfaces like a write failure.
 		return w.Finish()

@@ -63,8 +63,8 @@ func TestBufferPoolBalance(t *testing.T) {
 		return err
 	}
 	// roundTrip is the exit every other one is checked against: Finish,
-	// a full drain (the prefetcher returns its buffer after the last
-	// block), Close.
+	// a full drain (every Next returns its buffer before it returns),
+	// Close.
 	roundTrip := func(path string, want []comm.Entry[uint64]) error {
 		if err := finished(path, want); err != nil {
 			return err
@@ -169,7 +169,7 @@ func TestBufferPoolBalance(t *testing.T) {
 			}
 			return scratchRoundTrip(want)
 		}},
-		{"scratch-close-parked-prefetcher", func(_ string, want []comm.Entry[uint64]) error {
+		{"scratch-close-mid-run", func(_ string, want []comm.Entry[uint64]) error {
 			run, err := sealed(shared, want)
 			if err != nil {
 				return err
@@ -264,7 +264,7 @@ func TestBufferPoolBalance(t *testing.T) {
 			w.Abort()
 			return released(w)
 		}},
-		{"close-parked-prefetcher", func(path string, want []comm.Entry[uint64]) error {
+		{"close-mid-run", func(path string, want []comm.Entry[uint64]) error {
 			if err := finished(path, want); err != nil {
 				return err
 			}

@@ -8,65 +8,74 @@ import (
 	"math"
 	"os"
 	"sync/atomic"
+	"unsafe"
 
 	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
 	"pgxsort/internal/failpoint"
 )
 
-// ReaderOpts configures how a RunReader allocates decoded batches.
+// ReaderOpts configures how a reader allocates decoded batches.
 type ReaderOpts[K any] struct {
-	// Pool supplies the slab behind each decoded batch; nil allocates
-	// plainly. Recycled slabs are the block cache: with a pool shared
-	// across readers, at most readers×2 slabs (live batch + decode-ahead)
-	// circulate regardless of run size.
-	Pool *alloc.SlabPool[comm.Entry[K]]
-	// Tracker, when set, accounts decoded-batch bytes (EntryBytes per
-	// entry) as Alloc on decode and Free on recycle, so slab-balance
-	// tests can assert Live()==0 after Close.
+	// Pool supplies the slab behind each batch of entries a RunReader
+	// decodes, RefPool each batch of refs a RefReader decodes; nil
+	// allocates plainly. Recycled slabs are the block cache: a reader holds
+	// one slab, the batch Next last handed out, so with a pool shared
+	// across readers at most one slab a reader circulates, however long
+	// the runs are.
+	Pool    *alloc.SlabPool[comm.Entry[K]]
+	RefPool *alloc.SlabPool[comm.NormRef]
+	// Tracker, when set, accounts decoded-batch bytes as Alloc on decode
+	// and Free on recycle — EntryBytes an entry, a ref's in-memory size a
+	// ref — so slab-balance tests can assert Live()==0 after Close.
 	Tracker    *alloc.Tracker
 	EntryBytes int64
 }
 
-// decoded is one block's worth of entries in flight from the prefetch
-// goroutine to the consumer.
-type decoded[K any] struct {
-	entries []comm.Entry[K]
-	err     error
-}
+// reader is the one block reader behind RunReader and RefReader: a
+// descriptor, a block list and a decoder for the blocks. Next reads the
+// next block with one ReadAt into a pooled buffer, checks its CRC32-C and
+// decodes it into a slab of E from the pool; the buffer goes back before
+// Next returns and the slab on the following Next or Close. Nothing runs
+// behind the consumer's back: a reader is a struct, and a merge over k
+// runs holds k slabs and no buffer between calls.
+type reader[K, E any] struct {
+	f       *os.File
+	owned   bool        // f is this reader's to close
+	index   []blockMeta // the blocks overlapping the section (all, for a whole run)
+	total   uint64      // elements the cursor yields
+	scratch *Scratch    // a scratch run's file, marked failed if a block fails to read or check
 
-// RunReader streams one spilled run back as an lsort.Cursor: Next yields
-// one decoded block per call, while a prefetch goroutine keeps exactly
-// one further block decoded ahead. The previous batch's slab is recycled
-// on the following Next, so a merge over k spilled runs holds at most 2k
-// block slabs however large the runs are. A reader is a descriptor and a
-// block list; a run file's reader opened both itself (NewRunReader), a
-// scratch run's borrows them from the Scratch and the Run (OpenRun).
-type RunReader[K any] struct {
-	f     *os.File
-	owned bool // f is this reader's to close
-	codec comm.Codec[K]
-	opts  ReaderOpts[K]
-	index []blockMeta // the blocks overlapping the section (all, for a whole run)
-	total uint64      // entries the cursor yields
+	dec       decoder[K, E]
+	codec     comm.Codec[K]
+	src       uint32
+	pool      *alloc.SlabPool[E]
+	tracker   *alloc.Tracker
+	elemBytes int64
 
-	scratch *Scratch // a scratch run's file, marked failed if a read fails
-
-	ch      chan decoded[K]
-	stopped atomic.Bool     // Close is waiting for the prefetcher
-	prev    []comm.Entry[K] // batch handed out by the last Next
+	next    int    // the block the following Next reads
+	skip    int    // elements a section drops from its first block
+	emitted uint64 // elements handed out so far
+	prev    []E    // batch handed out by the last Next
 	done    bool
-
-	skip int // entries a section drops from its first kept block
 
 	bytesRead atomic.Int64
 }
 
+// RunReader streams one spilled run back as entries, an lsort.Cursor
+// yielding one decoded block per Next. A reader is a descriptor and a
+// block list; a run file's reader opened both itself (NewRunReader), a
+// scratch run's borrows them from the Scratch and the Run (OpenRun).
+type RunReader[K any] struct{ reader[K, comm.Entry[K]] }
+
+// RefReader streams a scratch run of key-only entries back as the
+// NormRefs standing for them (OpenRefRun), one decoded block per Next.
+type RefReader[K any] struct{ reader[K, comm.NormRef] }
+
 // NewRunReader opens a finished run file and validates its structure:
 // magics, version, trailer placement, index checksum, that every block
 // is stored raw, and that block offsets tile [header, indexOff) exactly
-// in order. Any mismatch is ErrCorrupt. On success the decode-ahead
-// goroutine starts immediately.
+// in order. Any mismatch is ErrCorrupt. No block is read until Next.
 func NewRunReader[K any](path string, c comm.Codec[K], opts ReaderOpts[K]) (*RunReader[K], error) {
 	return NewRunReaderSection(path, c, opts, 0, math.MaxUint64)
 }
@@ -82,12 +91,12 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 	if err != nil {
 		return nil, fmt.Errorf("spill: open run file: %w", err)
 	}
-	r := &RunReader[K]{f: f, owned: true, codec: c, opts: opts}
-	// One pooled buffer per open run: it loads the index here, then is
-	// the prefetcher's to read blocks into and to return.
+	r := newRunReader(f, c, opts)
+	r.owned = true
 	buf := getBuf(tailGuess)
-	if err := r.loadIndex(buf); err != nil {
-		bufPool.Put(buf)
+	err = r.loadIndex(buf)
+	bufPool.Put(buf)
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -113,28 +122,64 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 	r.index = r.index[first:end]
 	r.skip = int(offset - cum)
 	r.total = limit
-	r.start(buf)
 	return r, nil
 }
 
-// OpenRun opens a sealed scratch run as a cursor. The block list is the
-// writer's, handed over in memory, so there is nothing to read or check
-// here and nothing that can fail; each block is still checksummed as it
-// is fetched. The reader must be closed before the run's Scratch is
-// closed or given back.
+// OpenRun opens a sealed scratch run as a cursor of entries. The block
+// list is the writer's, handed over in memory, so there is nothing to
+// read or check here and nothing that can fail; each block is still
+// checksummed as it is fetched. The reader must be closed before the
+// run's Scratch is closed or given back.
 func OpenRun[K any](run Run, c comm.Codec[K], opts ReaderOpts[K]) *RunReader[K] {
-	r := &RunReader[K]{codec: c, opts: opts, index: run.blocks, total: run.entries, scratch: run.file}
-	if run.file != nil {
-		r.f = run.file.f
-	}
-	r.start(getBuf(0))
+	r := newRunReader(run.file.file(), c, opts)
+	r.index, r.total, r.scratch = run.blocks, run.entries, run.file
 	return r
 }
 
-// start launches the decode-ahead goroutine, which takes over buf.
-func (r *RunReader[K]) start(buf *blockBuf) {
-	r.ch = make(chan decoded[K], 1)
-	go r.prefetch(buf)
+// OpenRefRun opens a sealed scratch run of key-only entries from node
+// src — written by Writer.AppendRefs or Append alike, the bytes are the
+// same — as a cursor of the refs standing for them under c, which must
+// frame refs (comm.RefDenorm): each block decodes straight into a slab
+// of opts.RefPool, and an entry from another origin or with a payload is
+// ErrCorrupt. Otherwise it is OpenRun.
+func OpenRefRun[K any](run Run, src uint32, c comm.Codec[K], opts ReaderOpts[K]) *RefReader[K] {
+	return &RefReader[K]{reader[K, comm.NormRef]{
+		f: run.file.file(), index: run.blocks, total: run.entries, scratch: run.file,
+		dec: refDecoder[K]{}, codec: c, src: src,
+		pool: opts.RefPool, tracker: opts.Tracker, elemBytes: int64(unsafe.Sizeof(comm.NormRef{})),
+	}}
+}
+
+// newRunReader is a reader of entries from f, its block list still to
+// set.
+func newRunReader[K any](f *os.File, c comm.Codec[K], opts ReaderOpts[K]) *RunReader[K] {
+	return &RunReader[K]{reader[K, comm.Entry[K]]{
+		f: f, dec: entryDecoder[K]{}, codec: c,
+		pool: opts.Pool, tracker: opts.Tracker, elemBytes: opts.EntryBytes,
+	}}
+}
+
+// decoder parses n elements — from node src, for a ref — out of a
+// verified block into a slab of pool and returns the bytes after them.
+// Its implementations are zero-size types, so a reader holding one costs
+// no allocation, where a func field naming a generic function would cost
+// one a reader.
+type decoder[K, E any] interface {
+	decode(b []byte, n int, src uint32, c comm.Codec[K], pool *alloc.SlabPool[E]) ([]E, []byte, error)
+}
+
+// entryDecoder decodes entries, which carry their origin: src is unused.
+type entryDecoder[K any] struct{}
+
+func (entryDecoder[K]) decode(b []byte, n int, _ uint32, c comm.Codec[K], pool *alloc.SlabPool[comm.Entry[K]]) ([]comm.Entry[K], []byte, error) {
+	return comm.DecodeEntriesSlab(b, n, c, pool)
+}
+
+// refDecoder decodes refs from node src.
+type refDecoder[K any] struct{}
+
+func (refDecoder[K]) decode(b []byte, n int, src uint32, c comm.Codec[K], pool *alloc.SlabPool[comm.NormRef]) ([]comm.NormRef, []byte, error) {
+	return comm.DecodeRefsSlab(b, n, src, c, pool)
 }
 
 // tailGuess is how much of the file's end loadIndex reads first: the
@@ -143,7 +188,7 @@ func (r *RunReader[K]) start(buf *blockBuf) {
 const tailGuess = 4 << 10
 
 // loadIndex reads and validates header, trailer and index.
-func (r *RunReader[K]) loadIndex(buf *blockBuf) error {
+func (r *reader[K, E]) loadIndex(buf *blockBuf) error {
 	size, err := r.f.Seek(0, io.SeekEnd) // every read below is a ReadAt
 	if err != nil {
 		return fmt.Errorf("spill: size run file: %w", err)
@@ -220,68 +265,68 @@ func (r *RunReader[K]) loadIndex(buf *blockBuf) error {
 	return nil
 }
 
-// prefetch decodes blocks in order, staying exactly one decoded block
-// ahead of the consumer (the channel has capacity 1). Every block is
-// read into buf, which goes back to the pool the moment the last one is
-// decoded or the reader stops; entry slabs come from the slab pool and
-// travel to the consumer, who recycles them via Next/Close. A send never
-// strands: the consumer takes it in Next, or Close does while it waits
-// for the channel to close.
-func (r *RunReader[K]) prefetch(buf *blockBuf) {
-	defer close(r.ch)
-	defer bufPool.Put(buf)
-	emitted := uint64(0)
-	for i := range r.index {
-		if r.stopped.Load() {
-			return
-		}
-		batch, err := r.readBlock(&r.index[i], buf)
-		if err != nil {
-			r.ch <- decoded[K]{err: err}
-			return
-		}
-		// Narrow the section's first and last block to their overlap.
-		lo := 0
-		if i == 0 {
-			lo = r.skip
-		}
-		hi := len(batch)
-		if remain := r.total - emitted; uint64(hi-lo) > remain {
-			hi = lo + int(remain)
-		}
-		batch = r.trimBatch(batch, lo, hi)
-		emitted += uint64(len(batch))
-		r.ch <- decoded[K]{entries: batch}
+// Next implements lsort.Cursor: it recycles the previously returned
+// batch and hands out the next block, read, checked and decoded; a
+// zero-length batch means the run is exhausted, and so does every call
+// after an error. The returned slice is only valid until the next Next
+// or Close.
+func (r *reader[K, E]) Next() ([]E, error) {
+	r.recycle(r.prev)
+	r.prev = nil
+	if r.done || r.next == len(r.index) {
+		r.done = true
+		return nil, nil
 	}
+	batch, err := r.readBlock(&r.index[r.next])
+	if err != nil {
+		r.done = true
+		return nil, err
+	}
+	// Narrow the section's first and last block to their overlap.
+	lo := 0
+	if r.next == 0 {
+		lo = r.skip
+	}
+	r.next++
+	hi := len(batch)
+	if remain := r.total - r.emitted; uint64(hi-lo) > remain {
+		hi = lo + int(remain)
+	}
+	batch = r.trimBatch(batch, lo, hi)
+	r.emitted += uint64(len(batch))
+	r.prev = batch
+	return batch, nil
 }
 
 // trimBatch narrows a decoded block to its section overlap. The trimmed
-// entries move to a fresh slab so slab recycling and tracker accounting
+// elements move to a fresh slab so slab recycling and tracker accounting
 // keep seeing whole allocations; at most two blocks per section (first
 // and last) pay the copy.
-func (r *RunReader[K]) trimBatch(batch []comm.Entry[K], lo, hi int) []comm.Entry[K] {
+func (r *reader[K, E]) trimBatch(batch []E, lo, hi int) []E {
 	if lo == 0 && hi == len(batch) {
 		return batch
 	}
-	fresh := r.opts.Pool.Get(hi - lo)
+	fresh := r.pool.Get(hi - lo)
 	if fresh == nil { // nil pool, zero-length trim
-		fresh = make([]comm.Entry[K], hi-lo)
+		fresh = make([]E, hi-lo)
 	}
 	copy(fresh, batch[lo:hi])
-	if r.opts.Tracker != nil {
-		r.opts.Tracker.Alloc(int64(len(fresh)) * r.opts.EntryBytes)
-	}
+	r.tracker.Alloc(int64(len(fresh)) * r.elemBytes)
 	r.recycle(batch)
 	return fresh
 }
 
-// readBlock fetches one block into buf, verifies and decodes it. Decoded
-// entries never alias buf (keys and payloads are copied out), so the
-// next block may overwrite it.
-func (r *RunReader[K]) readBlock(m *blockMeta, buf *blockBuf) ([]comm.Entry[K], error) {
+// readBlock fetches one block into a pooled buffer, verifies and decodes
+// it. Decoded elements never alias the buffer (keys and payloads are
+// copied out), so it goes back to the pool before this returns. A block
+// that cannot be read, or whose bytes are not what was written, marks a
+// scratch file failed: its pool closes it instead of handing it out.
+func (r *reader[K, E]) readBlock(m *blockMeta) ([]E, error) {
 	if err := failpoint.HitNoPanic(FpReadBlock); err != nil {
 		return nil, err
 	}
+	buf := getBuf(int(m.storedLen))
+	defer bufPool.Put(buf)
 	data := buf.sized(int(m.storedLen))
 	if _, err := r.f.ReadAt(data, int64(m.offset)); err != nil {
 		r.scratch.fail()
@@ -292,72 +337,39 @@ func (r *RunReader[K]) readBlock(m *blockMeta, buf *blockBuf) ([]comm.Entry[K], 
 		r.scratch.fail()
 		return nil, corruptf("block at %d: checksum %08x, want %08x", m.offset, got, m.crc)
 	}
-	entries, rest, err := comm.DecodeEntriesSlab(data, int(m.count), r.codec, r.opts.Pool)
+	batch, rest, err := r.dec.decode(data, int(m.count), r.src, r.codec, r.pool)
+	if err == nil && len(rest) != 0 {
+		r.pool.Put(batch) // not yet on the tracker's books
+		err = fmt.Errorf("%d trailing bytes after %d entries", len(rest), m.count)
+	}
 	if err != nil {
+		r.scratch.fail()
 		return nil, corruptf("block at %d: %v", m.offset, err)
 	}
-	if len(rest) != 0 {
-		r.opts.Pool.Put(entries) // not yet on the tracker's books
-		return nil, corruptf("block at %d: %d trailing bytes after %d entries", m.offset, len(rest), m.count)
-	}
-	if r.opts.Tracker != nil {
-		r.opts.Tracker.Alloc(int64(len(entries)) * r.opts.EntryBytes)
-	}
-	return entries, nil
+	r.tracker.Alloc(int64(len(batch)) * r.elemBytes)
+	return batch, nil
 }
 
 // recycle returns a decoded batch's slab and settles its accounting.
-func (r *RunReader[K]) recycle(batch []comm.Entry[K]) {
+func (r *reader[K, E]) recycle(batch []E) {
 	if batch == nil {
 		return
 	}
-	if r.opts.Tracker != nil {
-		r.opts.Tracker.Free(int64(len(batch)) * r.opts.EntryBytes)
-	}
-	r.opts.Pool.Put(batch)
+	r.tracker.Free(int64(len(batch)) * r.elemBytes)
+	r.pool.Put(batch)
 }
 
-// Next implements lsort.Cursor: it recycles the previously returned
-// batch and hands out the next decoded block; a zero-length batch means
-// the run is exhausted. The returned slice is only valid until the next
-// Next or Close.
-func (r *RunReader[K]) Next() ([]comm.Entry[K], error) {
-	r.recycle(r.prev)
-	r.prev = nil
-	if r.done {
-		return nil, nil
-	}
-	d, ok := <-r.ch
-	if !ok {
-		r.done = true
-		return nil, nil
-	}
-	if d.err != nil {
-		r.done = true
-		return nil, d.err
-	}
-	r.prev = d.entries
-	return d.entries, nil
-}
-
-// Count reports the total entries the cursor yields.
-func (r *RunReader[K]) Count() uint64 { return r.total }
+// Count reports the total elements the cursor yields.
+func (r *reader[K, E]) Count() uint64 { return r.total }
 
 // BytesRead reports stored block bytes fetched so far — the reader-side
 // half of the Report's SpillReads column. Safe to call concurrently.
-func (r *RunReader[K]) BytesRead() int64 { return r.bytesRead.Load() }
+func (r *reader[K, E]) BytesRead() int64 { return r.bytesRead.Load() }
 
-// Close stops the prefetch goroutine, recycles outstanding slabs and
-// closes the file if the reader opened it. Safe after errors and safe to
-// call once Next has drained the run.
-func (r *RunReader[K]) Close() error {
-	// Tell the prefetcher to stop and wait until it has: whatever it had
-	// parked in the channel, or sends before it looks, goes back to the
-	// pool, and the file is no longer being read when this returns.
-	r.stopped.Store(true)
-	for d := range r.ch {
-		r.recycle(d.entries)
-	}
+// Close recycles the outstanding batch and closes the file if the reader
+// opened it. Safe after errors and safe to call once Next has drained the
+// run.
+func (r *reader[K, E]) Close() error {
 	r.recycle(r.prev)
 	r.prev = nil
 	r.done = true

@@ -1,7 +1,9 @@
 // Package spill implements the out-of-core run tier: sorted runs of
 // entries written as blocks and streamed back through lsort.Cursor
 // readers, so the merge path can consume runs that never fit in RAM
-// exactly like resident slabs.
+// exactly like resident slabs. A run of key-only entries can be written
+// from the comm.NormRefs standing for them and read back as refs
+// (Writer.AppendRefs, OpenRefRun): the bytes are the entries' either way.
 //
 // A run is a list of blocks. Where the list is kept is the only thing
 // that tells the tier's two kinds of run apart:
@@ -41,8 +43,10 @@
 // none and 4 %: at that size startups are the bound, not bytes.
 //
 // A block is the I/O unit: a writer encodes into one pooled buffer and
-// hands it to the file in a single write, a reader fetches, checksums
-// and decodes from one pooled buffer. Each block checksums its bytes
+// hands it to the file in a single write; a reader's Next fetches one
+// block into a pooled buffer with one read, checksums it and decodes it
+// into a pooled slab — synchronously: nothing reads ahead. Each block
+// checksums its bytes
 // with CRC32-Castagnoli, so a flipped bit surfaces as ErrCorrupt before
 // any entry is decoded; a run file's index carries its own checksum and
 // the trailer is found at a fixed offset from the end, so truncation and
@@ -81,8 +85,8 @@ const (
 
 // Failpoint sites covering spill I/O; the two block sites are wired into
 // the soak storm like every other stage. All downgrade panics to errors
-// (HitNoPanic): they fire on writer flush paths and reader prefetch
-// goroutines where an unwind would leak file handles.
+// (HitNoPanic): they fire on writer flush and reader fetch paths where an
+// unwind would leak a block buffer or a half-written run.
 const (
 	FpCreateScratch = "spill/create-scratch"
 	FpWriteBlock    = "spill/write-block"
@@ -177,6 +181,14 @@ func NewScratch(dir string) (*Scratch, error) {
 		return nil, err
 	}
 	return &Scratch{f: f}, nil
+}
+
+// file is s's descriptor; a nil Scratch (the zero Run's) has none.
+func (s *Scratch) file() *os.File {
+	if s == nil {
+		return nil
+	}
+	return s.f
 }
 
 // reserve claims the next n bytes of the file and returns their offset.
@@ -383,21 +395,46 @@ func (w *Writer[K]) Append(entries []comm.Entry[K]) error {
 		return w.done
 	}
 	for len(entries) > 0 {
-		n := comm.EntriesFitting(entries, w.codec, w.blockBytes-len(w.buf.b))
-		if n == 0 {
-			if w.count > 0 {
-				if err := w.flush(); err != nil {
-					return err
-				}
-				continue
-			}
-			n = 1
+		n, err := w.take(comm.EntriesFitting(entries, w.codec, w.blockBytes-len(w.buf.b)))
+		if err != nil {
+			return err
 		}
 		w.buf.b = comm.EncodeEntries(w.buf.b, entries[:n], w.codec)
 		w.count += uint32(n)
 		entries = entries[n:]
 	}
 	return nil
+}
+
+// AppendRefs is Append for the key-only entries refs from node src
+// stand for (comm.NormRef): it writes their bytes, block for block what
+// Append writes for those entries, without building one. The codec must
+// frame refs (comm.RefDenorm).
+func (w *Writer[K]) AppendRefs(refs []comm.NormRef, src uint32) error {
+	if w.done != nil {
+		return w.done
+	}
+	for len(refs) > 0 {
+		n, err := w.take(comm.RefsFitting(refs, w.codec, w.blockBytes-len(w.buf.b)))
+		if err != nil {
+			return err
+		}
+		w.buf.b = comm.EncodeRefs(w.buf.b, refs[:n], src, w.codec)
+		w.count += uint32(n)
+		refs = refs[n:]
+	}
+	return nil
+}
+
+// take turns fit — how many of the next elements fit the open block's
+// room — into how many to encode onto it now: fit; one, alone in an
+// empty block, when not even one fits a whole block; or none once a full
+// block is flushed, so the caller asks again with a whole block's room.
+func (w *Writer[K]) take(fit int) (int, error) {
+	if fit > 0 || w.count == 0 {
+		return max(fit, 1), nil
+	}
+	return 0, w.flush()
 }
 
 // flush checksums and writes the open block and adds it to the block

@@ -312,8 +312,7 @@ func TestEmptyRun(t *testing.T) {
 
 // TestSlabBalance: with a pool and tracker wired in, every decoded batch
 // slab must come back — including when the reader is closed mid-stream
-// with a batch outstanding and another parked in the decode-ahead
-// channel.
+// with a batch outstanding.
 func TestSlabBalance(t *testing.T) {
 	want := u64Entries(30000, 17)
 	path := writeRun(t, want, comm.U64Codec{}, 2048)
