@@ -4,8 +4,8 @@
 // The classic problem: joining on a skewed key with a naive hash
 // partitioner sends every occurrence of a heavy-hitter key to one node,
 // which then holds most of the work. Here both sides are instead sorted by
-// the paper's sample sort — whose duplicate-splitter investigator splits
-// heavy keys across processors — and then merge-joined in one pass over
+// the paper's sample sort — whose splitters at exact ranks split heavy
+// keys across processors — and then merge-joined in one pass over
 // the two globally sorted record streams. Payloads (the non-key columns)
 // ride the exchange with their keys, so the join never touches the
 // original inputs again.
@@ -205,10 +205,10 @@ func flattenEntries(res *pgxsort.Result[uint64]) []pgxsort.Entry[uint64] {
 }
 
 // mergeJoin runs the single-pass merge join over two sorted entry
-// streams, emitting the cross product of every equal-key block. Each
-// block is first canonicalized to origin order — (processor, index),
+// streams, emitting the cross product of every equal-key block. The sort
+// is stable: equal keys arrive in origin order — (processor, index),
 // which under block distribution is input order — so the row stream is
-// deterministic regardless of how the merge interleaved equal keys.
+// deterministic.
 func mergeJoin(r, s []pgxsort.Entry[uint64]) []byte {
 	var out bytes.Buffer
 	i, j := 0, 0
@@ -228,9 +228,8 @@ func mergeJoin(r, s []pgxsort.Entry[uint64]) []byte {
 			for j2 < len(s) && s[j2].Key == k {
 				j2++
 			}
-			ra, sb := byOrigin(r[i:i2]), byOrigin(s[j:j2])
-			for _, a := range ra {
-				for _, b := range sb {
+			for _, a := range r[i:i2] {
+				for _, b := range s[j:j2] {
 					writeRow(&out, k, a.Payload, b.Payload)
 				}
 			}
@@ -238,18 +237,6 @@ func mergeJoin(r, s []pgxsort.Entry[uint64]) []byte {
 		}
 	}
 	return out.Bytes()
-}
-
-// byOrigin returns the block sorted by (origin processor, origin index).
-func byOrigin(block []pgxsort.Entry[uint64]) []pgxsort.Entry[uint64] {
-	out := append([]pgxsort.Entry[uint64](nil), block...)
-	slices.SortFunc(out, func(a, b pgxsort.Entry[uint64]) int {
-		if a.Proc != b.Proc {
-			return int(a.Proc) - int(b.Proc)
-		}
-		return int(a.Index) - int(b.Index)
-	})
-	return out
 }
 
 // hashJoin is the single-process oracle: bucket both sides by key (input

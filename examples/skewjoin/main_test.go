@@ -53,9 +53,9 @@ func TestSkewJoinDeterministic(t *testing.T) {
 	}
 }
 
-// The duplicate-splitter investigator is what keeps the heavy-hitter side
-// balanced: with it disabled, the modal key's whole block lands on one
-// processor.
+// Splitters at exact ranks (the investigator, on by default) are what
+// keep the heavy-hitter side balanced: with them disabled, the modal
+// key's whole block lands on one processor.
 func TestInvestigatorBalancesHeavyHitters(t *testing.T) {
 	parts := buildFactSide(40000, 8, 16, 11)
 	imbalance := func(disable bool) float64 {

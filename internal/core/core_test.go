@@ -7,6 +7,7 @@ import (
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
+	"pgxsort/internal/sample"
 	"pgxsort/internal/transport"
 )
 
@@ -207,9 +208,9 @@ func TestGlobalOrderAcrossParts(t *testing.T) {
 	}
 }
 
-// The paper's Table II claim: with the investigator the load stays
-// balanced on duplicate-heavy inputs, and without it the distribution is
-// grossly skewed.
+// The paper's Table II claim: with splitters at exact ranks the load
+// stays within sample.Epsilon of balanced on duplicate-heavy inputs, and
+// cutting on keys alone skews it grossly.
 func TestInvestigatorLoadBalance(t *testing.T) {
 	const procs = 10
 	const perProc = 10000
@@ -226,8 +227,9 @@ func TestInvestigatorLoadBalance(t *testing.T) {
 	if err := res.Verify(parts); err != nil {
 		t.Fatal(err)
 	}
-	if imb := res.Report.LoadImbalance(); imb > 1.2 {
-		t.Errorf("investigator imbalance = %.3f, want <= 1.2", imb)
+	s := res.Report.PerNode[0].SamplesSent
+	if bound := 1 + sample.Epsilon(procs, s, perProc); res.Report.LoadImbalance() > bound {
+		t.Errorf("exact-rank imbalance = %.4f, want <= 1+ε = %.4f (s=%d)", res.Report.LoadImbalance(), bound, s)
 	}
 
 	e2 := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 1, DisableInvestigator: true})

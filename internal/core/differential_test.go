@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -94,57 +93,42 @@ func totalOrder[K cmp.Ordered]() func(a, b K) bool {
 
 // requireMatchesReference holds one engine result to a flat reference
 // built here from the input alone: every input entry, stable-sorted under
-// the total order.
+// the total order, processor by processor.
 //
-//   - The flattened result carries exactly the reference's key sequence.
-//   - Provenance is a bijection: every (proc, index) occurs once and names
-//     an input slot holding that very key.
-//   - Equal keys within a part sit in origin-processor order — and, when
-//     the local sort is stable (an exact norm), in origin-index
-//     order within a processor. That is the unique order a stable merge of the
-//     sources' runs taken in source order can produce. (Across parts the
-//     investigator deals one value's duplicates out to several
-//     processors, so only the key sequence is globally pinned.)
-func requireMatchesReference[K cmp.Ordered](t *testing.T, codec comm.Codec[K], res *Result[K], parts [][]K, stable bool, label string) {
+// The flattened result must be the reference entry for entry: the same
+// key sequence, and equal keys in the same (proc, index) order — so
+// provenance is a bijection onto input slots holding those very keys.
+// Splitters name exact ranks in that order and step 1 keeps equal keys in
+// index order under every norm, so the whole sort is stable.
+func requireMatchesReference[K cmp.Ordered](t *testing.T, codec comm.Codec[K], res *Result[K], parts [][]K, label string) {
 	t.Helper()
 	less := totalOrder[K]()
-	var ref []K
-	for _, p := range parts {
-		ref = append(ref, p...)
-	}
-	sort.SliceStable(ref, func(i, j int) bool { return less(ref[i], ref[j]) })
-
-	seen := make([][]bool, len(parts))
+	type origin struct{ proc, index int }
+	var ref []origin
 	for i, p := range parts {
-		seen[i] = make([]bool, len(p))
+		for j := range p {
+			ref = append(ref, origin{i, j})
+		}
 	}
+	sort.SliceStable(ref, func(i, j int) bool {
+		return less(parts[ref[i].proc][ref[i].index], parts[ref[j].proc][ref[j].index])
+	})
+
 	at := 0
 	for pi, part := range res.Parts {
 		for i, e := range part {
 			if at >= len(ref) {
 				t.Fatalf("%s: result has more than the %d input entries", label, len(ref))
 			}
-			if !bytes.Equal(keyBytes(codec, e.Key), keyBytes(codec, ref[at])) {
-				t.Fatalf("%s: part %d entry %d (flat %d): key %v, reference %v", label, pi, i, at, e.Key, ref[at])
+			want := parts[ref[at].proc][ref[at].index]
+			if !bytes.Equal(keyBytes(codec, e.Key), keyBytes(codec, want)) {
+				t.Fatalf("%s: part %d entry %d (flat %d): key %v, reference %v", label, pi, i, at, e.Key, want)
+			}
+			if int(e.Proc) != ref[at].proc || int(e.Index) != ref[at].index {
+				t.Fatalf("%s: part %d entry %d (flat %d): origin (%d,%d), reference (%d,%d): equal keys out of input order",
+					label, pi, i, at, e.Proc, e.Index, ref[at].proc, ref[at].index)
 			}
 			at++
-			if int(e.Proc) >= len(parts) || int(e.Index) >= len(parts[e.Proc]) || seen[e.Proc][e.Index] {
-				t.Fatalf("%s: part %d entry %d: origin (%d,%d) out of range or repeated", label, pi, i, e.Proc, e.Index)
-			}
-			seen[e.Proc][e.Index] = true
-			if !bytes.Equal(keyBytes(codec, e.Key), keyBytes(codec, parts[e.Proc][e.Index])) {
-				t.Fatalf("%s: part %d entry %d: key %v is not the key at its origin (%d,%d)", label, pi, i, e.Key, e.Proc, e.Index)
-			}
-			if i == 0 {
-				continue
-			}
-			prev := part[i-1]
-			if less(prev.Key, e.Key) {
-				continue
-			}
-			if prev.Proc > e.Proc || (stable && prev.Proc == e.Proc && prev.Index >= e.Index) {
-				t.Fatalf("%s: part %d entries %d,%d tie out of origin order: %+v then %+v", label, pi, i-1, i, prev, e)
-			}
 		}
 	}
 	if at != len(ref) {
@@ -169,18 +153,14 @@ func diffEngine[K cmp.Ordered](t *testing.T, codec comm.Codec[K], parts [][]K, o
 	budgeted.MemoryBudget = spillBudget[uint64](len(parts[0]))
 	budgeted.SpillDir = t.TempDir()
 
-	// The local sort is stable under an exact norm. The string kinds'
-	// prefix norm is inexact: it finishes with a fixup over chunk merges
-	// that does not keep index order.
-	stable := reflect.TypeFor[K]().Kind() != reflect.String
 	want := sortWith(t, codec, resident, parts)
-	requireMatchesReference(t, codec, want, parts, stable, label+"/resident")
+	requireMatchesReference(t, codec, want, parts, label+"/resident")
 	if want.Report.MergePath != "balanced" || want.Report.SpillBytes != 0 || want.Report.SpillReads != 0 {
 		t.Fatalf("%s: resident run reports MergePath %q, spilled %d/%d bytes",
 			label, want.Report.MergePath, want.Report.SpillBytes, want.Report.SpillReads)
 	}
 	got := sortWith(t, codec, budgeted, parts)
-	requireMatchesReference(t, codec, got, parts, stable, label+"/budgeted")
+	requireMatchesReference(t, codec, got, parts, label+"/budgeted")
 	requireEntriesIdentical(t, codec, got, want, label+"/budgeted-vs-resident")
 	// A tenth of parts[0]'s footprint is below any non-empty node's
 	// assembly, so the budgeted run spills unless there is nothing to sort.
@@ -400,7 +380,7 @@ func TestDifferentialSurvivesResets(t *testing.T) {
 				if err != nil {
 					t.Fatalf("chaos sort: %v", err)
 				}
-				requireMatchesReference(t, comm.U64Codec{}, got, parts, true, kind.String())
+				requireMatchesReference(t, comm.U64Codec{}, got, parts, kind.String())
 				requireEntriesIdentical(t, comm.U64Codec{}, got, ref, kind.String())
 				if got.Report.Reconnects == 0 {
 					t.Error("chaos sort reported no reconnects; the faults did not bite")

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,11 +122,19 @@ type sortCmps[K cmp.Ordered] struct {
 	// whose merge runs in rounds over refs (the loser tree above
 	// lsort's round fan-in), the real keys under an inexact one, whose
 	// loser tree caches the norm per cursor head.
-	headNorm func(e *comm.Entry[K]) uint64
-	headLess func(a, b comm.Entry[K]) bool
-	keyLess  func(a, b K) bool
-	keyAbove func(e comm.Entry[K], sp K) bool // e.Key strictly above the splitter
-	keyBelow func(e comm.Entry[K], sp K) bool // e.Key strictly below the splitter
+	headNorm   func(e *comm.Entry[K]) uint64
+	headLess   func(a, b comm.Entry[K]) bool
+	keyLess    func(a, b K) bool
+	entryAfter func(e comm.Entry[K], c cut[K]) bool // e after the cut (step 4)
+}
+
+// cut is a splitter as one node cuts at it (step 4): its key, and tie,
+// the origin index up to which the node's equal keys go below it — all
+// (MaxInt64) on a node before the splitter's owner or cutting on keys
+// alone, none (-1) after it, on the owner those up to its sample.
+type cut[K cmp.Ordered] struct {
+	key K
+	tie int64
 }
 
 // comparators resolves the sort's order from the engine's norm. The key
@@ -143,13 +152,10 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 			na, nb := norm(a), norm(b)
 			return na < nb || na == nb && a < b
 		},
-		keyAbove: func(en comm.Entry[K], sp K) bool {
-			na, nb := norm(en.Key), norm(sp)
-			return na > nb || na == nb && en.Key > sp
-		},
-		keyBelow: func(en comm.Entry[K], sp K) bool {
-			na, nb := norm(en.Key), norm(sp)
-			return na < nb || na == nb && en.Key < sp
+		// Equal exact norms are equal keys, NaNs too, which < cannot tell.
+		entryAfter: func(en comm.Entry[K], c cut[K]) bool {
+			na, nc := norm(en.Key), norm(c.key)
+			return na > nc || na == nc && !(en.Key < c.key) && (en.Key > c.key || int64(en.Index) > c.tie)
 		},
 	}
 	if c.inexact {
@@ -325,7 +331,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := failpoint.Hit(fpSplitters); err != nil {
 		return nil, err
 	}
-	splitters, err := s.splitterAgreement(sh)
+	cuts, err := s.splitterAgreement(sh)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +343,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := failpoint.Hit(fpExchange); err != nil {
 		return nil, err
 	}
-	s.pending, err = s.partitionExchange(sh, splitters)
+	s.pending, err = s.partitionExchange(sh, cuts)
 	if err != nil {
 		return nil, err
 	}
@@ -445,8 +451,9 @@ func (s *sortRun[K]) sampleKeys(sh share[K], count int) []K {
 }
 
 // splitterAgreement is steps 2-3: regular sampling, one buffer of samples
-// to the master, master-side splitter selection and broadcast.
-func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]K, error) {
+// to the master, master-side splitter selection and broadcast with each
+// splitter's owner (sample.SplitterOwners), and this node's cuts.
+func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]cut[K], error) {
 	p := s.opts.Procs
 	self := s.node.id
 
@@ -465,23 +472,27 @@ func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]K, error) {
 	// ---- Step 3: master selects splitters and broadcasts them ----
 	t0 = time.Now()
 	var splitters []K
+	var owners []int64
 	if p > 1 {
 		if self == master {
-			runs := make([][]K, 0, p)
-			runs = append(runs, keys) // master's own samples stay local
+			runs := make([][]K, p) // by source: a run's index is its owner
+			runs[master] = keys    // master's own samples stay local
 			for i := 0; i < p-1; i++ {
 				m, err := s.recv(comm.KSamples)
 				if err != nil {
 					return nil, err
 				}
-				runs = append(runs, m.Keys)
+				runs[m.Src] = m.Keys
 			}
 			splitters = sample.SelectSplitters(runs, p, s.cmps.keyLess)
+			if !s.opts.DisableInvestigator {
+				owners = sample.SplitterOwners(runs, splitters, s.cmps.keyLess)
+			}
 			for dst := 0; dst < p; dst++ {
 				if dst == master {
 					continue
 				}
-				if err := s.send(dst, comm.Message[K]{Kind: comm.KSplitters, Keys: splitters}); err != nil {
+				if err := s.send(dst, comm.Message[K]{Kind: comm.KSplitters, Keys: splitters, Ints: owners}); err != nil {
 					return nil, err
 				}
 			}
@@ -490,7 +501,7 @@ func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]K, error) {
 			if err != nil {
 				return nil, err
 			}
-			splitters = m.Keys
+			splitters, owners = m.Keys, m.Ints
 		}
 		if len(splitters) == 0 {
 			// Every processor was empty, so no samples exist anywhere.
@@ -498,8 +509,22 @@ func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]K, error) {
 			splitters = make([]K, p-1)
 		}
 	}
+	cuts := make([]cut[K], len(splitters))
+	for j, k := range splitters {
+		cuts[j] = cut[K]{key: k, tie: math.MaxInt64}
+		if len(owners) == len(splitters) { // else keys alone (Figure 3b)
+			switch q, at := int(owners[j]>>32), sample.RegularIndex(int(uint32(owners[j])), sh.len(), nsamples); {
+			case self > q:
+				cuts[j].tie = -1
+			case self == q && s.byRef:
+				cuts[j].tie = int64(sh.refs[at].Idx)
+			case self == q:
+				cuts[j].tie = int64(sh.entries[at].Index)
+			}
+		}
+	}
 	s.report.Steps[StepSplitters] = time.Since(t0)
-	return splitters, nil
+	return cuts, nil
 }
 
 // partitionExchange is steps 4-5: binary-search range partitioning, the
@@ -508,7 +533,7 @@ func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]K, error) {
 // sink is discarded, so a cancelled sort cannot inflate the node's
 // tracker, leak slabs or leave a scratch file for later sorts on the same
 // engine.
-func (s *sortRun[K]) partitionExchange(sh share[K], splitters []K) (_ exchangeSink[K], err error) {
+func (s *sortRun[K]) partitionExchange(sh share[K], cuts []cut[K]) (_ exchangeSink[K], err error) {
 	n := s.node
 	p := s.opts.Procs
 	self := n.id
@@ -520,14 +545,12 @@ func (s *sortRun[K]) partitionExchange(sh share[K], splitters []K) (_ exchangeSi
 		// An exact norm: a ref's norm against the splitter's is the key
 		// comparison.
 		norm := s.cmps.norm
-		ranges = sample.Partition(sh.refs, splitters, s.cmps.keyLess,
-			func(r lsort.NormRef, sp K) bool { return r.Norm > norm(sp) },
-			func(r lsort.NormRef, sp K) bool { return r.Norm < norm(sp) },
-			!s.opts.DisableInvestigator)
+		ranges = sample.Partition(sh.refs, cuts, nil, func(r lsort.NormRef, c cut[K]) bool {
+			nc := norm(c.key)
+			return r.Norm > nc || r.Norm == nc && int64(r.Idx) > c.tie
+		}, nil, false)
 	} else {
-		ranges = sample.Partition(sh.entries, splitters,
-			s.cmps.keyLess, s.cmps.keyAbove, s.cmps.keyBelow,
-			!s.opts.DisableInvestigator)
+		ranges = sample.Partition(sh.entries, cuts, nil, s.cmps.entryAfter, nil, false)
 	}
 	counts := ranges.Counts()
 	meta := make([]int64, p)

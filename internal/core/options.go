@@ -15,8 +15,9 @@
 //     at the sorted refs: they are the share, 16 bytes a key, and steps
 //     2-6 carry them instead of 40-byte entries
 //  2. regular sampling, one 256KB/p buffer of samples to the master
-//  3. master selects p-1 splitters and broadcasts them
-//  4. binary-search range partitioning with the investigator (Fig 3)
+//  3. master selects p-1 splitters, exact ranks in (key, proc, index)
+//     order, and broadcasts them
+//  4. binary-search range partitioning at those ranks (Fig 3)
 //  5. asynchronous all-to-all exchange with precomputed write offsets
 //  6. merge of the received runs with the same balanced merging handler,
 //     after the exchange barrier, in one of two exchange sinks: resident
@@ -60,8 +61,9 @@ type Options struct {
 	// SampleFactor scales the paper's sample count X = BufferBytes/p.
 	// Default 1.0; Figure 9 sweeps 0.004 .. 1.4.
 	SampleFactor float64
-	// DisableInvestigator turns off the duplicated-splitter investigator
-	// (Figure 3c), reverting to the naive binary search of Figure 3b.
+	// DisableInvestigator cuts on the splitters' keys alone (Figure 3b)
+	// instead of at their exact ranks, which divide duplicates as the
+	// investigator of Figure 3c does, within sample.Epsilon of balance.
 	DisableInvestigator bool
 	// SyncExchange replaces the asynchronous overlap of step 5 with a
 	// bulk-synchronous send-barrier-receive schedule (ablation).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pgxsort/internal/comm"
+	"pgxsort/internal/dist"
 	"pgxsort/internal/transport"
 )
 
@@ -87,5 +88,40 @@ func TestRecordSortBothTransports(t *testing.T) {
 			prev = k
 		}
 		e.Close()
+	}
+}
+
+// TestRecordSortStableOnSkewedKeys: records of equal keys leave in input
+// (proc, index) order, resident and budgeted, even where a heavy key is
+// divided among several parts — the sort is stable, payloads included.
+func TestRecordSortStableOnSkewedKeys(t *testing.T) {
+	const p, per = 8, 1500 // the modal key's share spans three splitters
+	keys := mkParts(dist.RightSkewed, p, per, 5)
+	recs := make([][]comm.Record[uint64], p)
+	for i, ks := range keys {
+		for j, k := range ks {
+			recs[i] = append(recs[i], comm.Record[uint64]{Key: k, Payload: []byte(fmt.Sprintf("%d/%d", i, j))})
+		}
+	}
+	for _, budget := range []int64{-1, spillBudget[uint64](per)} {
+		e, err := NewEngine[uint64](Options{Procs: p, MemoryBudget: budget, SpillDir: t.TempDir()},
+			comm.NewRecordCodec[uint64](comm.U64Codec{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.SortRecords(recs)
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("budget %d", budget)
+		requireMatchesReference(t, comm.U64Codec{}, res, keys, label)
+		for _, part := range res.Parts {
+			for _, en := range part {
+				if string(en.Payload) != fmt.Sprintf("%d/%d", en.Proc, en.Index) {
+					t.Fatalf("%s: entry origin (%d,%d) carries payload %q", label, en.Proc, en.Index, en.Payload)
+				}
+			}
+		}
 	}
 }

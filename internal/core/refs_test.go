@@ -221,7 +221,7 @@ func TestRefsPathMatchesEntryPath(t *testing.T) {
 			if res.Report.SpillBytes == 0 {
 				t.Fatalf("%s: the exchange did not spill", label)
 			}
-			requireMatchesReference(t, comm.U64Codec{}, res, parts, true, label)
+			requireMatchesReference(t, comm.U64Codec{}, res, parts, label)
 			checkNoLeak(t, e)
 		}
 	}
@@ -465,7 +465,7 @@ func TestRefsPathSpillErrorExits(t *testing.T) {
 			if err != nil {
 				t.Fatalf("follow-up sort: %v", err)
 			}
-			requireMatchesReference(t, comm.U64Codec{}, got, parts, true, "follow-up")
+			requireMatchesReference(t, comm.U64Codec{}, got, parts, "follow-up")
 			sameOutput(t, want, got)
 			checkNoLeak(t, e)
 		})

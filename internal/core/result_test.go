@@ -98,7 +98,7 @@ func TestResultSearchTotalOrder(t *testing.T) {
 	checkSearch(t, "float64/repro", repro, queries)
 
 	// Four nodes, three keys in five one NaN: it is the upper splitters'
-	// value, and the investigator deals its copies out to several parts.
+	// value, and exact-rank splitters deal its copies out to several parts.
 	const p, per = 4, 600
 	parts := make([][]float64, p)
 	specials := []float64{negNaN, math.Inf(-1), zero, 0, math.Inf(1), otherNaN}

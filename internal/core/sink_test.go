@@ -190,7 +190,7 @@ func TestSinkErrorExits(t *testing.T) {
 			if err != nil {
 				t.Fatalf("follow-up sort: %v", err)
 			}
-			requireMatchesReference(t, comm.U64Codec{}, got, parts, true, "follow-up")
+			requireMatchesReference(t, comm.U64Codec{}, got, parts, "follow-up")
 			sameOutput(t, want, got)
 			checkNoLeak(t, e)
 			requireEmptyDir(t, dir)

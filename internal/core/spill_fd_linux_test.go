@@ -85,7 +85,7 @@ func TestSpillDescriptorsPerNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sort with %d chunk runs a node: %v", runs, err)
 	}
-	requireMatchesReference(t, comm.U64Codec{}, res, parts, true, "1 KiB budget")
+	requireMatchesReference(t, comm.U64Codec{}, res, parts, "1 KiB budget")
 	if samples == 0 || maxFDs == 0 {
 		t.Fatalf("%d samples saw at most %d open scratch files: the sampler missed the sort", samples, maxFDs)
 	}

@@ -234,7 +234,7 @@ func TestSpillScratchLeakSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("follow-up sort: %v", err)
 	}
-	requireMatchesReference(t, comm.U64Codec{}, got, parts, true, "follow-up")
+	requireMatchesReference(t, comm.U64Codec{}, got, parts, "follow-up")
 
 	// One idle file a node: no sort below creates one, so no name can
 	// appear even for the moment between a create and its unlink.

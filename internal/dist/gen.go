@@ -92,8 +92,8 @@ func fillNormal(out []uint64, rng *RNG, d uint64) {
 	}
 }
 
-// fillRightSkewed is a three-part mixture calibrated against the
-// investigator's 2/p duplication rule (see the package comment):
+// fillRightSkewed is a three-part mixture calibrated against the 2/p
+// splitter duplication rule (see the package comment):
 //
 //   - 44% of keys on the modal value 0;
 //   - 47% spread uniformly over the "shoulder" [1, a], where a scales

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pgxsort/internal/dist"
+	"pgxsort/internal/sample"
 )
 
 // tinyConfig keeps harness tests fast.
@@ -191,17 +192,19 @@ func TestTable2LoadShares(t *testing.T) {
 	if len(balanced.Rows) != 4 {
 		t.Fatalf("table2 rows = %d", len(balanced.Rows))
 	}
+	// Paper shape: every processor holds 10%, within the bound exact-rank
+	// splitters guarantee (sample.Epsilon above, one sample spacing more
+	// below) and the table's printed rounding.
+	const p = 10
+	m := c.N / p
+	s := sample.Count(sample.DefaultBufferBytes, p, 8, 1, m)
+	eps := sample.Epsilon(p, s, m)
+	lo, hi := 10*(1-eps-1/float64(s+1))-printRound, 10*(1+eps)+printRound
 	for _, row := range balanced.Rows {
 		for col := 1; col < len(row); col++ {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "%"), 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Paper shape: every processor holds ~10%. The binding
-			// constraint is the maximum share (stragglers); the
-			// quantized tail may leave the last processor light.
-			if v < 4 || v > 16 {
-				t.Errorf("%s %s: share %.2f%% far from 10%%", row[0], balanced.Header[col], v)
+			v := cellFloat(t, strings.TrimSuffix(row[col], "%"))
+			if v < lo || v > hi {
+				t.Errorf("%s %s: share %.3f%% outside [%.3f%%, %.3f%%]", row[0], balanced.Header[col], v, lo, hi)
 			}
 		}
 	}
@@ -273,6 +276,20 @@ func TestFig9FactorSweep(t *testing.T) {
 	if first >= last {
 		t.Errorf("samples/proc not increasing: %d .. %d", first, last)
 	}
+	// Paper shape: imbalance falls as the sample grows to X, and every
+	// row is within the bound for its samples per processor.
+	imb := func(row int) float64 { return cellFloat(t, tb.Rows[row][5]) }
+	if !(imb(0) > imb(1) && imb(1) > imb(3)) {
+		t.Errorf("imbalance at 0.004X, 0.04X, X = %.3f, %.3f, %.3f: not falling", imb(0), imb(1), imb(3))
+	}
+	const p = 8
+	m := len(c.twitterDegrees()) / p
+	for i, row := range tb.Rows {
+		s, _ := strconv.Atoi(row[1])
+		if bound := 1 + sample.Epsilon(p, s, m) + printRound; imb(i) > bound {
+			t.Errorf("%s: imbalance %.3f exceeds 1+ε = %.3f at %d samples/proc", row[0], imb(i), bound, s)
+		}
+	}
 }
 
 func TestFig10MinMax(t *testing.T) {
@@ -290,6 +307,11 @@ func TestFig10MinMax(t *testing.T) {
 			if minV > maxV {
 				t.Errorf("min %d > max %d in row %v", minV, maxV, row)
 			}
+		}
+		// Paper shape: the min/max gap shrinks from 0.004X to X.
+		gap := func(col int) float64 { return cellFloat(t, row[col+1]) - cellFloat(t, row[col]) }
+		if gap(3) >= gap(1) {
+			t.Errorf("procs %s: min/max gap %.0f at X, not below %.0f at 0.004X", row[0], gap(3), gap(1))
 		}
 	}
 }
@@ -343,6 +365,44 @@ func TestAblationsRun(t *testing.T) {
 			t.Fatal("ablation produced no rows")
 		}
 	}
+}
+
+// TestAblationInvestigatorOnWithinBound: with the investigator on (exact
+// ranks) every duplicate-heavy kind, constant input included, stays
+// within the balance bound; off, constant input lands on one part.
+func TestAblationInvestigatorOnWithinBound(t *testing.T) {
+	c := tinyConfig()
+	c.Procs = []int{4}
+	tabs, err := AblationInvestigator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
+	m := c.N / p
+	bound := 1 + sample.Epsilon(p, sample.Count(sample.DefaultBufferBytes, p, 8, 1, m), m) + printRound
+	for _, row := range tabs[0].Rows {
+		imb := cellFloat(t, row[3])
+		switch {
+		case row[1] == "on" && imb > bound:
+			t.Errorf("%s on: imbalance %.3f exceeds 1+ε = %.4f", row[0], imb, bound)
+		case row[1] == "off" && row[0] == "constant" && imb != p:
+			t.Errorf("constant off: imbalance %.3f, want %d (one part holds everything)", imb, p)
+		}
+	}
+}
+
+// printRound is the rounding error of a table cell printed to three
+// decimals.
+const printRound = 0.0005
+
+// cellFloat parses a numeric table cell.
+func cellFloat(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		t.Fatalf("cell %q: %v", cell, err)
+	}
+	return v
 }
 
 // TestRunAllIDs: "all" is the fifteen paper experiments and nothing that

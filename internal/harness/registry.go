@@ -30,7 +30,7 @@ var registry = []Experiment{
 	{"fig9", "sample-size sweep (paper Figure 9)", Fig9},
 	{"fig10", "min/max load vs sample size (paper Figure 10)", Fig10},
 	{"fig11", "memory consumption (paper Figure 11)", Fig11},
-	{"ablation-investigator", "investigator on/off: Figure 3c vs the naive search of 3b", AblationInvestigator},
+	{"ablation-investigator", "investigator on/off: exact-rank cuts (Figure 3c) vs the naive search of 3b", AblationInvestigator},
 	{"ablation-async", "step 5 exchange: asynchronous overlap vs bulk-synchronous barrier", AblationAsync},
 	{"ablation-transport", "transport: in-process channels vs TCP loopback", AblationTransport},
 	{"baselines", "all four sorters side by side (paper §II related work)", Baselines},

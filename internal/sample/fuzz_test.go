@@ -2,60 +2,27 @@ package sample
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"testing"
 )
 
-// FuzzPartition hammers the investigator's range arithmetic with
-// arbitrary sorted data and splitters: bounds must stay monotone, cover
-// the input, and respect splitter semantics in every case.
+// FuzzPartition cuts arbitrary duplicate-heavy shares at exact-rank
+// splitters: every destination must receive one contiguous range of the
+// stable (key, proc, index) order, for any p and sample count.
 func FuzzPartition(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{3}, true)
-	f.Add([]byte{}, []byte{}, false)
-	f.Fuzz(func(t *testing.T, dataRaw, splitRaw []byte, investigate bool) {
-		data := make([]uint64, len(dataRaw)/8)
-		for i := range data {
-			data[i] = binary.LittleEndian.Uint64(dataRaw[i*8:])
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(2))
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, pRaw, sRaw uint8) {
+		p, s := 1+int(pRaw)%16, 1+int(sRaw)
+		// Each 2-byte word is a key of 16 values and a share number.
+		shares := make([][]uint64, p)
+		for i := 0; i+1 < len(raw) && i < 4096; i += 2 {
+			q := int(binary.LittleEndian.Uint16(raw[i:])>>4) % p
+			shares[q] = append(shares[q], uint64(raw[i]&15))
 		}
-		sort.Slice(data, func(i, j int) bool { return data[i] < data[j] })
-		splitters := make([]uint64, 0, len(splitRaw))
-		for _, b := range splitRaw {
-			if len(splitters) >= 24 {
-				break
-			}
-			splitters = append(splitters, uint64(b))
+		for _, sh := range shares {
+			slices.Sort(sh)
 		}
-		sort.Slice(splitters, func(i, j int) bool { return splitters[i] < splitters[j] })
-
-		r := Partition(data, splitters, lessU64, greaterU64, belowU64, investigate)
-		if r.Bounds[0] != 0 || r.Bounds[len(r.Bounds)-1] != len(data) {
-			t.Fatalf("bounds do not cover input: %v", r.Bounds)
-		}
-		if r.NumDests() != len(splitters)+1 {
-			t.Fatalf("dest count %d, want %d", r.NumDests(), len(splitters)+1)
-		}
-		total := 0
-		for d := 0; d < r.NumDests(); d++ {
-			lo, hi := r.Range(d)
-			if lo > hi {
-				t.Fatalf("negative range at %d: %v", d, r.Bounds)
-			}
-			total += hi - lo
-			// Everything in bucket d must be <= splitters[d], and nothing
-			// in bucket d may sort strictly below splitters[d-1]: an
-			// element below the previous splitter would break global
-			// order against another processor's bucket d-1 contents.
-			for i := lo; i < hi; i++ {
-				if d < len(splitters) && data[i] > splitters[d] {
-					t.Fatalf("bucket %d holds %d > splitter %d", d, data[i], splitters[d])
-				}
-				if d > 0 && data[i] < splitters[d-1] {
-					t.Fatalf("bucket %d holds %d < previous splitter %d", d, data[i], splitters[d-1])
-				}
-			}
-		}
-		if total != len(data) {
-			t.Fatalf("ranges cover %d of %d elements", total, len(data))
-		}
+		checkStableCut(t, shares, exactRanges(shares, s))
 	})
 }

@@ -25,104 +25,24 @@ func (r Ranges) Counts() []int {
 // NumDests returns the number of destination processors.
 func (r Ranges) NumDests() int { return len(r.Bounds) - 1 }
 
-// Partition implements step 4 of the pipeline: binary search each splitter
-// on the locally sorted data to find the range of data to send to each
-// destination (Figure 3a).
+// Partition implements step 4 of the pipeline: one binary search per
+// splitter, each from the previous bound, finds the range of the sorted
+// data to send to each destination (Figure 3a); elemGreaterS reports
+// whether an element sorts after a splitter. The engine's splitters are
+// exact ranks in (key, proc, index) order (SplitterOwners), so a
+// duplicated value is divided by rank — the balance the paper's
+// investigator (Figure 3c) is for. Bare-key splitters compared on keys
+// alone are Figure 3b's naive search.
 //
-// data holds locally sorted elements (e.g. entries carrying provenance)
-// while splitters hold bare keys; lessSS orders splitters against each
-// other, elemGreaterS reports whether an element's key is strictly greater
-// than a splitter, and elemBelowS whether it is strictly smaller.
-//
-// When investigate is true the paper's investigator is applied (Figure 3c):
-// binary search runs once per *distinct* splitter value, and the
-// duplicates of that value are divided equally among the group's g
-// destinations instead of all landing on the first one (Figure 3b).
-// Elements strictly below the duplicated value stay with the group's first
-// destination — they must sort before every duplicate, and on this
-// processor only the first destination of the group precedes them. (An
-// earlier version divided the whole range below the value, which let keys
-// smaller than the duplicate land on a later destination than another
-// processor's duplicates, breaking global order across processors.) This
-// is what keeps the workload balanced on datasets with many duplicated
-// entries without reordering them.
+// lessSS, elemBelowS and investigate are ignored. They stay in the
+// signature while the benchmark module passes them; ROADMAP item 2 drops
+// them.
 func Partition[E, S any](data []E, splitters []S, lessSS func(a, b S) bool, elemGreaterS func(e E, s S) bool, elemBelowS func(e E, s S) bool, investigate bool) Ranges {
 	p := len(splitters) + 1
 	bounds := make([]int, p+1)
 	bounds[p] = len(data)
-	eq := func(a, b S) bool { return !lessSS(a, b) && !lessSS(b, a) }
-
-	j := 0
-	prev := 0
-	for j < p-1 {
-		// Extend the group of splitters equal to splitters[j].
-		group := j
-		for group+1 < p-1 && eq(splitters[group+1], splitters[j]) {
-			group++
-		}
-		g := group - j + 1
-		// One binary search per distinct splitter value: the end of the
-		// data destined for the whole group is the first element greater
-		// than the splitter.
-		hi := lsort.UpperBound(data, splitters[j], elemGreaterS)
-		if hi < prev {
-			hi = prev // splitters must be non-decreasing; guard anyway
-		}
-		if g == 1 || !investigate {
-			// Naive assignment: everything up to hi goes to the first
-			// destination of the group, later group members get nothing.
-			bounds[j+1] = hi
-			for t := 2; t <= g; t++ {
-				bounds[j+t] = hi
-			}
-		} else {
-			// Investigator: the duplicates of the splitter value — the
-			// elements in [lo, hi) — divide equally among the group's g
-			// destinations; the elements of [prev, lo), strictly below the
-			// value, stay with the first destination they sort before the
-			// duplicates on.
-			lo := lsort.LowerBound(data, splitters[j], elemBelowS)
-			if lo < prev {
-				lo = prev
-			}
-			if lo > hi {
-				lo = hi
-			}
-			span := hi - lo
-			for t := 1; t <= g; t++ {
-				bounds[j+t] = lo + t*span/g
-			}
-		}
-		prev = bounds[group+1]
-		j = group + 1
+	for j, sp := range splitters {
+		bounds[j+1] = bounds[j] + lsort.UpperBound(data[bounds[j]:], sp, elemGreaterS)
 	}
-	// Destination p-1 implicitly receives [prev, n).
 	return Ranges{Bounds: bounds}
-}
-
-// MaxMinCounts reports the largest and smallest destination loads implied
-// by summing each processor's ranges; used by the Figure 10 harness and by
-// tests asserting investigator balance.
-func MaxMinCounts(all []Ranges) (maxCount, minCount int) {
-	if len(all) == 0 {
-		return 0, 0
-	}
-	p := all[0].NumDests()
-	totals := make([]int, p)
-	for _, r := range all {
-		for d := 0; d < p; d++ {
-			lo, hi := r.Range(d)
-			totals[d] += hi - lo
-		}
-	}
-	maxCount, minCount = totals[0], totals[0]
-	for _, t := range totals[1:] {
-		if t > maxCount {
-			maxCount = t
-		}
-		if t < minCount {
-			minCount = t
-		}
-	}
-	return maxCount, minCount
 }

@@ -1,11 +1,14 @@
 // Package sample implements the sampling, splitter-selection and
 // range-partitioning steps of the paper's distributed sample sort
 // (steps 2-4 of §IV), including the buffer-sized sample count rule of
-// §IV-B and the investigator of Figure 3 that keeps partitions balanced
-// when splitters are duplicated. The master's splitter selection is serial
-// time every other processor waits on, so SelectSplitters selects them by
-// rank across the sorted sample runs and merges the runs only where that
-// is the cheaper way (many short runs).
+// §IV-B. Splitters name exact ranks: the master locates each one's sample
+// in (key, processor, position) order (SplitterOwners), so step 4 cuts
+// duplicated values by rank and every part stays within Epsilon of the
+// average — the balance the paper's investigator (Figure 3c) provides.
+// The master's splitter selection is serial time every other processor
+// waits on, so SelectSplitters selects them by rank across the sorted
+// sample runs and merges the runs only where that is the cheaper way
+// (many short runs).
 package sample
 
 import (
@@ -153,7 +156,7 @@ func (s *selection[E]) ranks(jlo, jhi int, lo, hi []int, depth int, some E) {
 	below, upTo := s.win[2*depth*m:(2*depth+1)*m], s.win[(2*depth+1)*m:(2*depth+2)*m]
 	copy(below, lo)
 	copy(upTo, hi)
-	x := selectRank(s.runs, below, upTo, s.win[len(s.win)-m:], min(j*s.n/s.p, s.n-1), s.less, some)
+	x := selectRank(s.runs, below, upTo, s.win[len(s.win)-m:], splitterRank(j, s.n, s.p), s.less, some)
 	s.out[j-1] = x
 	s.ranks(jlo, j, lo, upTo, depth+1, x)
 	s.ranks(j+1, jhi, below, hi, depth+1, x)
@@ -266,19 +269,64 @@ func countBelow[E any](r []E, lo, hi int, x E, less func(a, b E) bool, orEqual b
 
 // SplittersFromSorted picks p-1 splitters at regular positions from an
 // already sorted pool of samples. With fewer samples than p-1, samples are
-// reused (duplicated splitters), which the investigator then handles.
+// reused (duplicated splitters).
 func SplittersFromSorted[E any](sorted []E, p int) []E {
 	if p <= 1 || len(sorted) == 0 {
 		return nil
 	}
 	out := make([]E, p-1)
-	n := len(sorted)
 	for j := 1; j < p; j++ {
-		idx := j * n / p
-		if idx >= n {
-			idx = n - 1
-		}
-		out[j-1] = sorted[idx]
+		out[j-1] = sorted[splitterRank(j, len(sorted), p)]
 	}
 	return out
+}
+
+// splitterRank is the 0-based rank, among n > 0 samples, of the j-th of
+// p-1 splitters: the one rule SplittersFromSorted and selectRanks select
+// by and SplitterOwners locates by.
+func splitterRank(j, n, p int) int { return min(j*n/p, n-1) }
+
+// SplitterOwners locates the splitters SelectSplitters chose from
+// sampleRuns: for each, the run and position of the sample at its rank
+// in (key, run, position) order, as one word run<<32 | pos — the form a
+// KSplitters message carries. Tagged that way no two samples are equal,
+// so a splitter names one global rank, and a processor that knows its
+// run's samples can cut its share there exactly (Partition). Per
+// splitter it counts the samples below the key in every run, then walks
+// the runs in order through the equal ones: two bisections a run.
+func SplitterOwners[E any](sampleRuns [][]E, splitters []E, less func(a, b E) bool) []int64 {
+	n := 0
+	for _, r := range sampleRuns {
+		n += len(r)
+	}
+	owners := make([]int64, len(splitters))
+	below := make([]int, len(sampleRuns))
+	for j, sp := range splitters {
+		k := splitterRank(j+1, n, len(splitters)+1)
+		for i, r := range sampleRuns {
+			below[i] = countBelow(r, 0, len(r), sp, less, false)
+			k -= below[i]
+		}
+		for i, r := range sampleRuns {
+			eq := countBelow(r, below[i], len(r), sp, less, true) - below[i]
+			if k < eq {
+				owners[j] = int64(i)<<32 | int64(below[i]+k)
+				break
+			}
+			k -= eq
+		}
+	}
+	return owners
+}
+
+// Epsilon bounds exact-rank splitters' imbalance: p shares of m elements,
+// s regular samples each, leave every part at most (1+Epsilon) times the
+// average m. Splitter j has sample rank j·s; a run with c samples at or
+// below it has between c·w and (c+1)·w elements there (w = m/(s+1), the
+// sample spacing), its owner run at most c·w+1. So a part holds at most
+// (s+p-1)·w+1 elements, the first (s+p)·w+1: 1 + (p-1)/(s+1) + 1/m times
+// m, with p/m covering that 1/m and ranks p does not divide. The same
+// count bounds a part below by 1 - p/(s+1) - 1/m times m.
+func Epsilon(p, s, m int) float64 {
+	return float64(p-1)/float64(s+1) + float64(p)/float64(m)
 }

@@ -1,7 +1,10 @@
 package sample
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,55 +177,6 @@ func TestPartitionDuplicatedSplittersNaive(t *testing.T) {
 	}
 }
 
-func TestPartitionDuplicatedSplittersInvestigator(t *testing.T) {
-	// Same input with the investigator: the range is divided equally
-	// among the duplicated splitters' destinations (Figure 3c).
-	data := make([]uint64, 80)
-	for i := range data {
-		data[i] = 42
-	}
-	splitters := []uint64{42, 42, 42}
-	r := Partition(data, splitters, lessU64, greaterU64, belowU64, true)
-	rangesCover(t, r, 80)
-	counts := r.Counts()
-	// Destinations 0,1,2 share the run equally (80/3 with integer
-	// division); destination 3 gets the remainder above the splitter
-	// value (nothing).
-	want := []int{26, 27, 27, 0}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("investigator counts = %v, want %v", counts, want)
-		}
-	}
-}
-
-func TestPartitionMixedDuplicates(t *testing.T) {
-	// Data: 10 ones, 40 fives, 10 nines. Splitters 5,5,9 (p=4).
-	data := make([]uint64, 0, 60)
-	for i := 0; i < 10; i++ {
-		data = append(data, 1)
-	}
-	for i := 0; i < 40; i++ {
-		data = append(data, 5)
-	}
-	for i := 0; i < 10; i++ {
-		data = append(data, 9)
-	}
-	r := Partition(data, []uint64{5, 5, 9}, lessU64, greaterU64, belowU64, true)
-	rangesCover(t, r, 60)
-	counts := r.Counts()
-	// Group {5,5}: the ones sort strictly below the duplicated value, so
-	// they stay with the group's first destination (they must precede
-	// every five globally); only the 40 fives divide equally -> 10+20, 20.
-	// Distinct splitter 9: (5,9] -> 10. Last bucket: nothing above 9.
-	want := []int{30, 20, 10, 0}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("counts = %v, want %v", counts, want)
-		}
-	}
-}
-
 func TestPartitionEmptyData(t *testing.T) {
 	r := Partition([]uint64{}, []uint64{1, 2}, lessU64, greaterU64, belowU64, true)
 	rangesCover(t, r, 0)
@@ -244,90 +198,195 @@ func TestPartitionNoSplitters(t *testing.T) {
 	}
 }
 
-// The paper's Table II scenario: many processors, duplicate-heavy data,
-// aggregated loads must be near-equal with the investigator and grossly
-// unbalanced without it.
-func TestInvestigatorBalancesSkewedData(t *testing.T) {
-	const p = 10
-	const perProc = 20000
-	var locals [][]uint64
-	var samplePool []uint64
-	for proc := 0; proc < p; proc++ {
-		keys := dist.Gen{Kind: dist.RightSkewed, Seed: uint64(100 + proc), Domain: 64}.Keys(perProc)
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		locals = append(locals, keys)
-		samplePool = append(samplePool, Regular(keys, 3276)...)
-	}
-	sort.Slice(samplePool, func(i, j int) bool { return samplePool[i] < samplePool[j] })
-	splitters := SplittersFromSorted(samplePool, p)
+// elem is one element of a processor's sorted share: its key, and its
+// index, which step 1 orders equal keys by.
+type elem struct {
+	key uint64
+	idx int
+}
 
-	gather := func(inv bool) (int, int) {
-		var all []Ranges
-		for _, l := range locals {
-			all = append(all, Partition(l, splitters, lessU64, greaterU64, belowU64, inv))
+// cutAt is a splitter as one processor cuts at it: the key, and the index
+// up to which its elements of that key go below it (the engine's cut).
+type cutAt struct {
+	key uint64
+	tie int
+}
+
+func elemAfter(e elem, c cutAt) bool { return e.key > c.key || e.key == c.key && e.idx > c.tie }
+
+// exactRanges runs steps 2-4 over sorted shares as the engine does: s
+// regular samples a share, the master's SelectSplitters and
+// SplitterOwners, and each share cut by Partition at its cuts. It returns
+// every share's ranges.
+func exactRanges(shares [][]uint64, s int) []Ranges {
+	p := len(shares)
+	runs := make([][]uint64, p)
+	for q, sh := range shares {
+		runs[q] = Regular(sh, s)
+	}
+	splitters := SelectSplitters(runs, p, lessU64)
+	owners := SplitterOwners(runs, splitters, lessU64)
+	if splitters == nil {
+		splitters = make([]uint64, p-1) // no samples anywhere: nothing to cut
+	}
+	out := make([]Ranges, p)
+	for self, sh := range shares {
+		cuts := make([]cutAt, len(splitters))
+		for j, k := range splitters {
+			cuts[j] = cutAt{k, math.MaxInt}
+			if len(owners) == 0 {
+				continue
+			}
+			switch q, pos := int(owners[j]>>32), int(uint32(owners[j])); {
+			case self > q:
+				cuts[j].tie = -1
+			case self == q:
+				cuts[j].tie = RegularIndex(pos, len(sh), len(runs[q]))
+			}
 		}
-		return MaxMinCounts(all)
+		data := make([]elem, len(sh))
+		for i, k := range sh {
+			data[i] = elem{k, i}
+		}
+		out[self] = Partition(data, cuts, nil, elemAfter, nil, false)
 	}
+	return out
+}
 
-	maxInv, minInv := gather(true)
-	maxNaive, _ := gather(false)
+// dupShares is p sorted shares of up to maxLen keys from a domain of
+// domain values: duplicate-heavy for a small domain.
+func dupShares(rng *rand.Rand, p, maxLen, domain int) [][]uint64 {
+	shares := make([][]uint64, p)
+	for q := range shares {
+		shares[q] = make([]uint64, rng.Intn(maxLen+1))
+		for i := range shares[q] {
+			shares[q][i] = uint64(rng.Intn(domain))
+		}
+		slices.Sort(shares[q])
+	}
+	return shares
+}
 
-	ideal := perProc
-	if maxInv > ideal*115/100 {
-		t.Errorf("investigator max load %d exceeds 1.15x ideal %d", maxInv, ideal)
+// checkStableCut fails unless the shares' ranges, merged as step 6 merges
+// them (stably, source by source) and concatenated destination by
+// destination, are the stable (key, proc, index) merge of the shares:
+// then every destination holds one contiguous rank range of the sorted
+// whole, duplicates included, and the sort is globally stable.
+func checkStableCut(t *testing.T, shares [][]uint64, all []Ranges) {
+	t.Helper()
+	type tagged struct{ key, proc, idx int }
+	byKey := func(a, b tagged) int { return cmp.Compare(a.key, b.key) }
+	var want, got []tagged
+	for q, sh := range shares {
+		rangesCover(t, all[q], len(sh))
+		for i, k := range sh {
+			want = append(want, tagged{int(k), q, i})
+		}
 	}
-	if minInv < ideal*85/100 {
-		t.Errorf("investigator min load %d below 0.85x ideal %d", minInv, ideal)
+	slices.SortStableFunc(want, byKey)
+	for d := 0; d < len(shares); d++ {
+		var part []tagged
+		for q, sh := range shares {
+			lo, hi := all[q].Range(d)
+			for i := lo; i < hi; i++ {
+				part = append(part, tagged{int(sh[i]), q, i})
+			}
+		}
+		slices.SortStableFunc(part, byKey)
+		got = append(got, part...)
 	}
-	if maxNaive < 2*ideal {
-		t.Errorf("naive partitioning should be grossly unbalanced on skewed data, max=%d ideal=%d",
-			maxNaive, ideal)
+	if !slices.Equal(got, want) {
+		t.Fatalf("shares %v: ranges %v do not concatenate to the stable merge", shares, all)
 	}
 }
 
-// Property: for arbitrary sorted data and sorted splitters, Partition
-// produces monotone bounds covering the input, with and without the
-// investigator, and the investigator never worsens the largest bucket.
+// TestPropertyPartitionWellFormed: for p random duplicate-heavy sorted
+// shares, cutting each at the exact-rank splitters of its regular samples
+// gives every destination a contiguous range of the stable (key, proc,
+// index) order — whatever the domain, the share lengths and the sample
+// count, on both of SelectSplitters' ways.
 func TestPropertyPartitionWellFormed(t *testing.T) {
-	f := func(raw []uint64, sraw []uint64) bool {
-		if len(sraw) > 16 {
-			sraw = sraw[:16]
-		}
-		data := append([]uint64(nil), raw...)
-		sort.Slice(data, func(i, j int) bool { return data[i] < data[j] })
-		splitters := append([]uint64(nil), sraw...)
-		sort.Slice(splitters, func(i, j int) bool { return splitters[i] < splitters[j] })
-		for _, inv := range []bool{false, true} {
-			r := Partition(data, splitters, lessU64, greaterU64, belowU64, inv)
-			if r.Bounds[0] != 0 || r.Bounds[len(r.Bounds)-1] != len(data) {
-				return false
-			}
-			for i := 1; i < len(r.Bounds); i++ {
-				if r.Bounds[i] < r.Bounds[i-1] {
-					return false
-				}
-			}
-			// Range contents must respect splitter order: everything in
-			// bucket d is <= splitters[d] (when d < p-1), and nothing in
-			// bucket d sorts strictly below splitters[d-1] — the cross-
-			// processor global-order invariant the investigator must keep
-			// even when it divides duplicated-splitter groups.
-			for d := 0; d < r.NumDests(); d++ {
-				lo, hi := r.Range(d)
-				for i := lo; i < hi; i++ {
-					if d < r.NumDests()-1 && data[i] > splitters[d] {
-						return false
-					}
-					if d > 0 && data[i] < splitters[d-1] {
-						return false
-					}
-				}
-			}
-		}
+	f := func(seed int64, pRaw, sRaw, domRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p, s := 1+int(pRaw)%16, 1+int(sRaw)%200
+		shares := dupShares(rng, p, 300, 1+int(domRaw)%20)
+		checkStableCut(t, shares, exactRanges(shares, s))
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitterOwnersMatchTaggedMerge holds SplitterOwners to a brute-force
+// merge of the samples tagged (key, run, position): the splitter of rank
+// j·n/p there is the one SelectSplitters chose, at the run and position
+// SplitterOwners names — on runs short enough that SelectSplitters merges
+// them and long enough that it selects ranks.
+func TestSplitterOwnersMatchTaggedMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, p := range []int{2, 3, 5, 8, 16} {
+		for _, s := range []int{1, 4, 8*p - 1, 8 * p, 20 * p} {
+			for _, domain := range []int{1, 3, 50, 1 << 30} {
+				runs := make([][]uint64, p)
+				type tagged struct{ key, run, pos int }
+				var all []tagged
+				for q := range runs {
+					runs[q] = make([]uint64, s-rng.Intn(2)*rng.Intn(s)) // some runs short
+					for i := range runs[q] {
+						runs[q][i] = uint64(rng.Intn(domain))
+					}
+					slices.Sort(runs[q])
+					for i, k := range runs[q] {
+						all = append(all, tagged{int(k), q, i})
+					}
+				}
+				slices.SortStableFunc(all, func(a, b tagged) int { return cmp.Compare(a.key, b.key) })
+				splitters := SelectSplitters(runs, p, lessU64)
+				owners := SplitterOwners(runs, splitters, lessU64)
+				for j := range splitters {
+					want := all[splitterRank(j+1, len(all), p)]
+					run, pos := int(owners[j]>>32), int(uint32(owners[j]))
+					if splitters[j] != uint64(want.key) || run != want.run || pos != want.pos {
+						t.Fatalf("p=%d s=%d domain=%d splitter %d: %d at (%d,%d), tagged merge has %d at (%d,%d)",
+							p, s, domain, j, splitters[j], run, pos, want.key, want.run, want.pos)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInvestigatorBalancesSkewedData: the paper's Table II scenario —
+// many processors, duplicate-heavy data — with exact-rank splitters every
+// part lands within sample.Epsilon of the ideal, while cutting at the
+// same splitters on keys alone (Figure 3b) is grossly unbalanced.
+func TestInvestigatorBalancesSkewedData(t *testing.T) {
+	const p, perProc, s = 10, 20000, 3276
+	shares := make([][]uint64, p)
+	var samplePool []uint64
+	for q := range shares {
+		shares[q] = dist.Gen{Kind: dist.RightSkewed, Seed: uint64(100 + q), Domain: 64}.Keys(perProc)
+		slices.Sort(shares[q])
+		samplePool = append(samplePool, Regular(shares[q], s)...)
+	}
+	maxExact, minExact := MaxMinCounts(exactRanges(shares, s))
+	eps := Epsilon(p, s, perProc)
+	if float64(maxExact) > (1+eps)*perProc {
+		t.Errorf("exact ranks: max load %d exceeds (1+%.4f) x ideal %d", maxExact, eps, perProc)
+	}
+	if float64(minExact) < (1-eps-1.0/(s+1))*perProc {
+		t.Errorf("exact ranks: min load %d below (1-%.4f) x ideal %d", minExact, eps+1.0/(s+1), perProc)
+	}
+
+	slices.Sort(samplePool)
+	splitters := SplittersFromSorted(samplePool, p)
+	var naive []Ranges
+	for _, sh := range shares {
+		naive = append(naive, Partition(sh, splitters, lessU64, greaterU64, belowU64, false))
+	}
+	if maxNaive, _ := MaxMinCounts(naive); maxNaive < 2*perProc {
+		t.Errorf("keys alone should be grossly unbalanced on skewed data, max=%d ideal=%d", maxNaive, perProc)
 	}
 }
 
@@ -341,4 +400,30 @@ func TestMaxMinCounts(t *testing.T) {
 	if maxC, minC = MaxMinCounts(nil); maxC != 0 || minC != 0 {
 		t.Error("empty input should report zeros")
 	}
+}
+
+// MaxMinCounts reports the largest and smallest destination loads implied
+// by summing each processor's ranges.
+func MaxMinCounts(all []Ranges) (maxCount, minCount int) {
+	if len(all) == 0 {
+		return 0, 0
+	}
+	p := all[0].NumDests()
+	totals := make([]int, p)
+	for _, r := range all {
+		for d := 0; d < p; d++ {
+			lo, hi := r.Range(d)
+			totals[d] += hi - lo
+		}
+	}
+	maxCount, minCount = totals[0], totals[0]
+	for _, t := range totals[1:] {
+		if t > maxCount {
+			maxCount = t
+		}
+		if t < minCount {
+			minCount = t
+		}
+	}
+	return maxCount, minCount
 }

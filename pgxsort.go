@@ -16,8 +16,9 @@
 //     Options.MemoryBudget)
 //  2. regular sampling (one 256KB/p buffer of samples to the master)
 //  3. master splitter selection and broadcast
-//  4. binary-search range partitioning with the duplicate-splitter
-//     investigator that keeps skewed data balanced
+//  4. binary-search range partitioning at splitters of exact rank in
+//     (key, processor, index) order, which keeps skewed data balanced
+//     and equal keys in input order
 //  5. asynchronous all-to-all exchange at precomputed offsets
 //  6. merge of the received runs with the same balanced merging handler,
 //     after the exchange barrier (streamed back from spill files when the
