@@ -13,8 +13,6 @@ type Stats struct {
 	bytesRecv atomic.Int64
 	msgsSent  atomic.Int64
 	msgsRecv  atomic.Int64
-	// Per-kind byte counters, indexed by Kind (small fixed range).
-	kindBytesSent [KControl + 1]atomic.Int64
 
 	// Transport-health counters (all zero on the in-process transport):
 	// time Send spent blocked on a full per-peer window, connections
@@ -25,16 +23,13 @@ type Stats struct {
 	resent     atomic.Int64
 }
 
-// CountSend records an outgoing message of the given kind and size.
-func (s *Stats) CountSend(kind Kind, bytes int) {
+// CountSend records an outgoing message of the given size.
+func (s *Stats) CountSend(bytes int) {
 	if s == nil {
 		return
 	}
 	s.bytesSent.Add(int64(bytes))
 	s.msgsSent.Add(1)
-	if int(kind) < len(s.kindBytesSent) {
-		s.kindBytesSent[kind].Add(int64(bytes))
-	}
 }
 
 // CountRecv records an incoming message of the given size.
@@ -57,14 +52,6 @@ func (s *Stats) MsgsSent() int64 { return s.msgsSent.Load() }
 
 // MsgsRecv reports the number of messages received.
 func (s *Stats) MsgsRecv() int64 { return s.msgsRecv.Load() }
-
-// KindBytesSent reports payload bytes sent with the given kind tag.
-func (s *Stats) KindBytesSent(kind Kind) int64 {
-	if int(kind) >= len(s.kindBytesSent) {
-		return 0
-	}
-	return s.kindBytesSent[kind].Load()
-}
 
 // CountStall records time a sender spent blocked on backpressure.
 func (s *Stats) CountStall(d time.Duration) {
@@ -111,9 +98,6 @@ func (s *Stats) Add(other *Stats) {
 	s.bytesRecv.Add(other.bytesRecv.Load())
 	s.msgsSent.Add(other.msgsSent.Load())
 	s.msgsRecv.Add(other.msgsRecv.Load())
-	for k := range s.kindBytesSent {
-		s.kindBytesSent[k].Add(other.kindBytesSent[k].Load())
-	}
 	s.stallNanos.Add(other.stallNanos.Load())
 	s.reconnects.Add(other.reconnects.Load())
 	s.resent.Add(other.resent.Load())

@@ -22,6 +22,13 @@ func isU64[K any](kc Codec[K]) bool {
 }
 
 // putEntryWords is putEntries for payload-free entries under U64Codec.
+// A key-only U64 sort goes by ref, so only two callers reach it at run
+// time: the Spark baseline's shuffle (spark.SortByKey, behind the
+// harness's Figures 5, 6 and 8) and core's SortSpooled under a bare
+// U64Codec. The service's spooled jobs do not: they spool under
+// RecordCodec, whose payload length sends them down the generic loop. It
+// stays for the reason lsort/timsort.go does — a baseline as fast as its
+// kernels allow keeps the paper's comparison fair.
 func putEntryWords(dst []byte, off int, entries []Entry[uint64]) int {
 	for i := range entries {
 		e := &entries[i]

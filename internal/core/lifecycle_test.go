@@ -66,7 +66,7 @@ func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 		if _, err := e.TopK(parts, 10); err != nil {
 			t.Fatalf("%s: TopK: %v", kind, err)
 		}
-		spooled, err := e.SortSpooled(context.Background(), SpooledInput{Path: spool, N: per})
+		spooled, err := e.SortSpooled(context.Background(), spool)
 		if err != nil {
 			t.Fatalf("%s: SortSpooled: %v", kind, err)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
-	"pgxsort/internal/failpoint"
 	"pgxsort/internal/lsort"
 	"pgxsort/internal/spill"
 )
@@ -144,13 +143,12 @@ func (s *recSource[K]) emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.E
 // be addressed by position, so this source stages it in a slab of its
 // own: staged[:n] is the chunk, provenance already stamped.
 type sectionSource[K cmp.Ordered] struct {
-	sec      *spill.RunReader[K]
-	node     uint32
-	seq      uint32          // entries staged so far: the next entry's Index
-	staged   []comm.Entry[K] // staging slab, one chunk long
-	n        int             // length of the staged chunk
-	pending  []comm.Entry[K] // unconsumed tail of the reader's live batch
-	readSite string          // SpooledInput.ReadSite
+	sec     *spill.RunReader[K]
+	node    uint32
+	seq     uint32          // entries staged so far: the next entry's Index
+	staged  []comm.Entry[K] // staging slab, one chunk long
+	n       int             // length of the staged chunk
+	pending []comm.Entry[K] // unconsumed tail of the reader's live batch
 }
 
 func (s *sectionSource[K]) size() int { return int(s.sec.Count()) }
@@ -160,11 +158,6 @@ func (s *sectionSource[K]) next(max int) (int, error) {
 	s.n = 0
 	for s.n < len(dst) {
 		if len(s.pending) == 0 {
-			if s.readSite != "" {
-				if err := failpoint.HitNoPanic(s.readSite); err != nil {
-					return 0, err
-				}
-			}
 			var err error
 			if s.pending, err = s.sec.Next(); err != nil {
 				return 0, err
@@ -243,8 +236,9 @@ type runFormer[K cmp.Ordered] struct {
 	// to form or writeRun, and closes it once the runs are consumed.
 	blockBytes int // spilled block size; 0 is the spill tier's default
 
-	// Bytes written to and read back from scratch files (and read from the
-	// spool): the Report's SpillBytes and SpillReads.
+	// Bytes written to and read back from scratch files (the spool's
+	// reads included, its writes not): the Report's SpillBytes and
+	// SpillReads.
 	spillBytes atomic.Int64
 	spillReads atomic.Int64
 }
@@ -325,22 +319,19 @@ func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, 
 	}
 }
 
-// formSection is step 1 for one node of a spooled job: entries
-// [lo, lo+n) of the spool become sorted runs of at most chunk entries in
-// the scratch file the job's sections share. Nothing stays resident — the
+// formSection is step 1 for one node of a spooled job: its section of
+// the spool, sec, becomes sorted runs of at most chunk entries in the
+// scratch file the job's sections share. Nothing stays resident — the
 // staging chunk is the former's own, tracker-accounted like its refs; the
 // two (40 + 32 B an entry) stay under the two entry slabs the budget's
 // chunk size was derived from.
-func (f *runFormer[K]) formSection(in SpooledInput, node int, lo, n uint64, chunk int, to *spill.Scratch) ([]spill.Run, error) {
-	sec, err := spill.NewRunReaderSection(in.Path, f.codec, f.readerOpts(), lo, n)
-	if err != nil {
-		return nil, err
-	}
+func (f *runFormer[K]) formSection(sec spill.Run, node, chunk int, to *spill.Scratch) ([]spill.Run, error) {
+	r := spill.OpenRun(sec, f.codec, f.readerOpts())
 	defer func() {
-		f.spillReads.Add(sec.BytesRead())
-		sec.Close()
+		f.spillReads.Add(r.BytesRead())
+		r.Close()
 	}()
-	src := &sectionSource[K]{sec: sec, node: uint32(node), readSite: in.ReadSite}
+	src := &sectionSource[K]{sec: r, node: uint32(node)}
 	if err := checkShare[K](src); err != nil {
 		return nil, err
 	}

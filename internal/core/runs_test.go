@@ -67,9 +67,13 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 				pool: &alloc.SlabPool[comm.Entry[uint64]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
 			}
 		}
-		// The spool holds the records in arrival order with no provenance;
-		// the section source restamps it.
-		spool := writeSpoolEntries(t, codec, t.TempDir(), recs)
+		// A spool holds the records in arrival order with no provenance;
+		// the section source restamps it. A section is a whole spool of
+		// the first m records.
+		spools := map[int]*Spool[uint64]{}
+		for _, shape := range shapes {
+			spools[shape.m] = writeSpoolEntries(t, codec, t.TempDir(), recs[:shape.m])
+		}
 
 		// A formFn runs the first m entries of one source through the
 		// former and returns them sorted, copied out before the slabs go
@@ -93,7 +97,7 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 			"keys":    inMemory(func(m int) entrySource[uint64] { return &keySource[uint64]{keys: keys[:m], node: node} }),
 			"records": inMemory(func(m int) entrySource[uint64] { return &recSource[uint64]{recs: recs[:m], node: node} }),
 			"section": func(f *runFormer[uint64], m, chunk int, scratch *spill.Scratch) ([]comm.Entry[uint64], error) {
-				runs, err := f.formSection(SpooledInput{Path: spool, N: m}, node, 0, uint64(m), chunk, scratch)
+				runs, err := f.formSection(spools[m].run, node, chunk, scratch)
 				if err != nil {
 					return nil, err
 				}

@@ -279,15 +279,6 @@ func (s *Scheduler[K]) RunOne(ctx context.Context, parts [][]K) (*Result[K], err
 	return results[0], unwrapSingle(err)
 }
 
-// RunOneRecords is RunOne for one key+payload record dataset.
-func (s *Scheduler[K]) RunOneRecords(ctx context.Context, recs [][]comm.Record[K]) (*Result[K], error) {
-	if err := s.eng.checkRecordCodec(); err != nil {
-		return nil, err
-	}
-	results, err := s.runJobs(ctx, []job[K]{{recs: recs}})
-	return results[0], unwrapSingle(err)
-}
-
 // unwrapSingle strips the "dataset 0:" wrapper runJobs puts on a
 // single-job batch, so RunOne callers see the engine's own error.
 func unwrapSingle(err error) error {

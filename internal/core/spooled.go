@@ -14,10 +14,10 @@ import (
 )
 
 // This file is the fully out-of-core sort path: the input arrives as a
-// spill run file (a streaming ingress landed it there) and the output
-// leaves as a cursor (streaming egress), so neither the input nor the
-// result is ever resident. Step 1 is the shared run former (runs.go) —
-// each of the p nodes sorts its contiguous section of the input, here
+// Spool (a streaming ingress landed it on the engine's disk) and the
+// output leaves as a cursor (streaming egress), so neither the input nor
+// the result is ever resident. Step 1 is the shared run former (runs.go) —
+// each of the p nodes sorts its contiguous section of the spool, here
 // into budget-sized sorted chunk runs on disk — and the job collapses the
 // exchange: instead of moving data to p owners and merging per owner,
 // one bounded fan-in k-way merge streams all runs straight to the
@@ -45,44 +45,101 @@ const (
 	minSpoolChunkEntries = 256
 )
 
-// spoolBlockBytes picks the block size for a spooled job's runs: small
-// enough that a fan-in's worth of decoded block slabs stays a fraction
-// of the budget, large enough that a block — one write, one read, stored
-// raw — batches I/O. The size bounds a block's wire bytes, origin fields
-// included, so its decoded slab is at most 40/16 of it for uint64 keys.
+// spoolBlockBytes picks the block size for a spooled job's runs, the
+// spool's included: small enough that a fan-in's worth of decoded block
+// slabs stays a fraction of the budget, large enough that a block — one
+// write, one read, stored raw — batches I/O. The size bounds a block's
+// wire bytes, origin fields included, so its decoded slab is at most
+// 40/16 of it for uint64 keys.
 func spoolBlockBytes(budget int64) int {
 	return int(min(max(budget/(4*spoolMergeFanIn), 4<<10), spill.DefaultBlockBytes))
 }
 
-// SpooledInput describes a dataset landed in a spill run file by a
-// streaming ingress: entries in arrival order, any key order. The file
-// must be a finished run holding at least N entries; it stays on disk
-// (owned by the caller) across attempts, which is what makes spool-read
-// failures retryable.
-type SpooledInput struct {
-	// Path is the finished spill run file.
-	Path string
-	// N is the entry count to sort (the ingress counted entries as they
-	// streamed in).
-	N int
-	// ReadSite, when non-empty, names a failpoint hit before every input
-	// batch read during run formation — the serve layer's
-	// serve/spool-read fault-injection arm. Injected errors wrap
-	// failpoint.ErrInjected and classify Transient: the spool file
-	// persists, so a scheduler retry re-reads it cleanly.
-	ReadSite string
+// spoolBudget is the memory a spooled job sizes its chunks and blocks
+// by: the engine's budget, or defaultSpoolChunkBytes without one.
+func (e *Engine[K]) spoolBudget() int64 {
+	if b := e.opts.MemoryBudget; b > 0 {
+		return b
+	}
+	return defaultSpoolChunkBytes
+}
+
+// Spool is a dataset landed on the engine's disk by a streaming ingress,
+// for SortSpooled: its keys in arrival order, any key order, as one run
+// in a scratch file of the engine's pool. The file has no name from the
+// moment it exists, so however the process ends it leaves nothing to
+// sweep. The spool holds the file from NewSpool to Close — across every
+// attempt a retry makes of the sort — and Close gives it back to the
+// pool. Not safe for concurrent use.
+type Spool[K cmp.Ordered] struct {
+	pool *spill.ScratchPool
+	file *spill.Scratch
+	w    *spill.Writer[K]
+	ents []comm.Entry[K] // Append's staging: keys framed as key-only entries
+	run  spill.Run       // the keys, once Finish sealed them
+	open bool            // sealed and not yet closed: sortable
+}
+
+// NewSpool takes a scratch file from the engine's pool and starts a
+// spool in it, in blocks sized by the engine's budget.
+func (e *Engine[K]) NewSpool() (*Spool[K], error) {
+	return newSpool(e.scratch, e.codec, spoolBlockBytes(e.spoolBudget()))
+}
+
+func newSpool[K cmp.Ordered](pool *spill.ScratchPool, c comm.Codec[K], blockBytes int) (*Spool[K], error) {
+	file, err := pool.Take()
+	if err != nil {
+		return nil, err
+	}
+	return &Spool[K]{pool: pool, file: file, w: spill.NewRunWriter(file, c, blockBytes)}, nil
+}
+
+// Append lands keys after the ones already spooled. keys is not
+// retained. A failed Append fails every later one, and Finish.
+func (s *Spool[K]) Append(keys []K) error {
+	s.ents = s.ents[:0]
+	for _, k := range keys {
+		s.ents = append(s.ents, comm.Entry[K]{Key: k})
+	}
+	return s.w.Append(s.ents)
+}
+
+// Finish seals the spool: from here on it can be sorted, as often as
+// its sort is retried, until Close.
+func (s *Spool[K]) Finish() error {
+	if err := s.w.Finish(); err != nil {
+		return err
+	}
+	s.run, s.ents, s.open = s.w.Run(), nil, true
+	return nil
+}
+
+// Len reports how many keys a finished spool holds.
+func (s *Spool[K]) Len() int { return int(s.run.Entries()) }
+
+// Close gives the spool's file back to the engine's pool, finished or
+// not; no sort of the spool may be running. Idempotent; it cannot fail.
+func (s *Spool[K]) Close() error {
+	if s.file != nil {
+		s.w.Abort()
+		s.pool.Give(s.file)
+		s.file, s.run, s.open = nil, spill.Run{}, false
+	}
+	return nil
 }
 
 // SpooledResult streams a spooled sort's output in sorted batches. It
 // holds open run readers and their scratch file until Close, which gives
-// the file back to the engine and folds the final I/O counters into
-// Report. Batches follow the lsort.Cursor contract: valid only until the
-// following Next.
+// the file back to the engine and folds the final I/O counters and the
+// final merge's time into Report. Batches follow the lsort.Cursor
+// contract: valid only until the following Next.
 type SpooledResult[K cmp.Ordered] struct {
 	// N is the entry count the stream will yield.
 	N int
-	// Report carries the run's measurements. SpillReads, Total and
-	// TempPeakBytes settle at Close, once the stream has drained.
+	// Report carries the run's measurements. SpillReads, Total,
+	// TempPeakBytes and Steps[StepFinalMerge] — the merge passes and the
+	// streaming, everything after run formation — settle at Close, once
+	// the stream has drained.
 	Report Report
 
 	cur     lsort.Cursor[comm.Entry[K]]
@@ -110,6 +167,7 @@ func (r *SpooledResult[K]) Close() error {
 		r.pool.Give(r.scratch)
 		r.Report.SpillReads = r.runs.spillReads.Load()
 		r.Report.Total = time.Since(r.start)
+		r.Report.Steps[StepFinalMerge] = r.Report.Total - r.Report.Steps[StepLocalSort]
 		r.Report.TempPeakBytes = r.runs.tracker.Peak()
 		r.Report.PerNode[0].TempPeakBytes = r.Report.TempPeakBytes
 		if r.release != nil {
@@ -119,15 +177,15 @@ func (r *SpooledResult[K]) Close() error {
 	return nil
 }
 
-// RunOneSpooled admits one spooled dataset through the scheduler's
+// RunOneSpooled admits one finished spool through the scheduler's
 // shared gates and runs it under the retry policy. The admission slot is
 // held until the returned result is Closed — the stream holds engine
 // scratch until then, and releasing early would let unbounded spooled
 // streams pile up past the inflight cap. Retries cover failures during
 // run formation and merge priming, before any output byte exists; an
 // error mid-stream (from Next) is not retried, because output already
-// left.
-func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in SpooledInput) (*SpooledResult[K], error) {
+// left. The spool stays the caller's, to Close after the result.
+func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in *Spool[K]) (*SpooledResult[K], error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -156,22 +214,20 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in SpooledInput) (*Spo
 	return res, nil
 }
 
-// SortSpooled externally sorts a spooled input under the engine's memory
-// budget, returning a streaming result. Temporary memory — chunk staging,
-// sort refs, decoded block slabs — is tracker-accounted per job; the
-// working set is O(chunk + fanIn·block) per node, independent of N.
-func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *SpooledResult[K], err error) {
-	if in.Path == "" || in.N < 0 {
-		return nil, fmt.Errorf("core: bad spooled input (path %q, n %d)", in.Path, in.N)
+// SortSpooled externally sorts a finished spool under the engine's
+// memory budget, returning a streaming result. Temporary memory — chunk
+// staging, sort refs, decoded block slabs — is tracker-accounted per job;
+// the working set is O(chunk + fanIn·block) per node, independent of N.
+// The spool is only read: a failed sort can be run again over it.
+func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *SpooledResult[K], err error) {
+	if in == nil || !in.open {
+		return nil, fmt.Errorf("core: spooled input is not a finished, open spool")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	p := e.opts.Procs
-	budget := e.opts.MemoryBudget
-	if budget <= 0 {
-		budget = defaultSpoolChunkBytes
-	}
+	budget := e.spoolBudget()
 	chunk := chunkEntries(budget, int64(entryBytes[K]()), minSpoolChunkEntries)
 	// The merge output batch is a fraction of the chunk, so the stream's
 	// granularity scales with the budget.
@@ -198,22 +254,22 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	}()
 	start := time.Now()
 
-	// Phase 1: run formation. Node i reads its contiguous section of the
-	// spool and writes sorted chunk runs that fit the budget.
+	// Phase 1: run formation. Node i reads its section of the spool, a
+	// contiguous run of whole blocks, and writes sorted chunk runs that
+	// fit the budget.
+	sections := in.run.Split(p)
 	nodeRuns := make([][]spill.Run, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		lo := uint64(i) * uint64(in.N) / uint64(p)
-		hi := uint64(i+1) * uint64(in.N) / uint64(p)
-		if lo == hi {
+	for i, sec := range sections {
+		if sec.Entries() == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(node int, lo, n uint64) {
+		go func(node int, sec spill.Run) {
 			defer wg.Done()
-			nodeRuns[node], errs[node] = f.formSection(in, node, lo, n, chunk, scratch)
-		}(i, lo, hi-lo)
+			nodeRuns[node], errs[node] = f.formSection(sec, node, chunk, scratch)
+		}(i, sec)
 	}
 	wg.Wait()
 	var runs []spill.Run
@@ -248,11 +304,11 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in SpooledInput) (res *Spoo
 	if err != nil {
 		return nil, err
 	}
-	res = &SpooledResult[K]{N: in.N, cur: cur, runs: f, start: start, done: done, scratch: scratch, pool: e.scratch}
+	res = &SpooledResult[K]{N: in.Len(), cur: cur, runs: f, start: start, done: done, scratch: scratch, pool: e.scratch}
 	res.Report = Report{
 		Procs:      p,
 		Workers:    e.opts.WorkersPerProc,
-		N:          in.N,
+		N:          in.Len(),
 		MergePath:  "spooled-kway+spill",
 		SpillBytes: f.spillBytes.Load(),
 		SpillReads: f.spillReads.Load(),

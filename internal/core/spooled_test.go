@@ -7,7 +7,6 @@ import (
 	"errors"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -34,9 +33,11 @@ func appendKeyBytes[K cmp.Ordered](codec comm.Codec[K], dst []byte, k K) []byte 
 	return dst
 }
 
-// writeSpool lands keys in a run file in arrival order, the way the
-// streaming ingress does, and returns the path.
-func writeSpool[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, keys []K) string {
+// writeSpool lands keys in a spool in arrival order, the way the
+// streaming ingress does, in a scratch file of a pool of its own under
+// dir: apart from any engine's SpillDir, so what a test finds there is
+// the sort's. The spool is closed when the test ends.
+func writeSpool[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, keys []K) *Spool[K] {
 	t.Helper()
 	recs := make([]comm.Record[K], len(keys))
 	for i, k := range keys {
@@ -46,25 +47,28 @@ func writeSpool[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, ke
 }
 
 // writeSpoolEntries is writeSpool for records (payloads need a
-// payload-carrying codec).
-func writeSpoolEntries[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, recs []comm.Record[K]) string {
+// payload-carrying codec), written straight through the spool's run
+// writer.
+func writeSpoolEntries[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, recs []comm.Record[K]) *Spool[K] {
 	t.Helper()
-	path := filepath.Join(dir, "upload.spool")
-	w, err := spill.NewWriter(path, codec, 4<<10)
+	pool := spill.NewScratchPool(dir)
+	t.Cleanup(pool.Close)
+	sp, err := newSpool(pool, codec, 4<<10)
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		t.Fatalf("newSpool: %v", err)
 	}
+	t.Cleanup(func() { sp.Close() })
 	entries := make([]comm.Entry[K], len(recs))
 	for i, r := range recs {
 		entries[i] = comm.Entry[K]{Key: r.Key, Payload: r.Payload}
 	}
-	if err := w.Append(entries); err != nil {
+	if err := sp.w.Append(entries); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := w.Finish(); err != nil {
+	if err := sp.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	return path
+	return sp
 }
 
 // drainSpooled drains the stream into the canonical concatenated key
@@ -128,8 +132,7 @@ func spooledCase[K cmp.Ordered](t *testing.T, codec comm.Codec[K], keys []K) {
 	t.Helper()
 	const procs = 3
 	spillDir := t.TempDir()
-	spoolDir := t.TempDir()
-	path := writeSpool(t, codec, spoolDir, keys)
+	spool := writeSpool(t, codec, t.TempDir(), keys)
 
 	eb := int64(entryBytes[K]())
 	// A budget around a tenth of the dataset forces multi-run externals.
@@ -146,7 +149,7 @@ func spooledCase[K cmp.Ordered](t *testing.T, codec comm.Codec[K], keys []K) {
 	}
 	defer e.Close()
 
-	res, err := e.SortSpooled(context.Background(), SpooledInput{Path: path, N: len(keys)})
+	res, err := e.SortSpooled(context.Background(), spool)
 	if err != nil {
 		t.Fatalf("SortSpooled: %v", err)
 	}
@@ -181,10 +184,10 @@ func spooledCase[K cmp.Ordered](t *testing.T, codec comm.Codec[K], keys []K) {
 		t.Fatalf("MergePath = %q", res.Report.MergePath)
 	}
 
-	// Scratch is gone; the caller-owned spool file is not.
+	// Scratch is gone; the caller-owned spool is not.
 	requireEmptyDir(t, spillDir)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("spool input should remain caller-owned: %v", err)
+	if spool.Len() != len(keys) {
+		t.Fatalf("spool input should remain caller-owned: %d keys", spool.Len())
 	}
 }
 
@@ -234,14 +237,13 @@ func TestSortSpooled(t *testing.T) {
 
 // TestSortSpooledEmpty covers the zero-entry upload.
 func TestSortSpooledEmpty(t *testing.T) {
-	dir := t.TempDir()
-	path := writeSpool[uint64](t, comm.U64Codec{}, dir, nil)
+	spool := writeSpool[uint64](t, comm.U64Codec{}, t.TempDir(), nil)
 	e, err := NewEngine[uint64](Options{Procs: 2}, comm.U64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	res, err := e.SortSpooled(context.Background(), SpooledInput{Path: path, N: 0})
+	res, err := e.SortSpooled(context.Background(), spool)
 	if err != nil {
 		t.Fatalf("SortSpooled: %v", err)
 	}
@@ -254,14 +256,14 @@ func TestSortSpooledEmpty(t *testing.T) {
 	}
 }
 
-// TestRunOneSpooledRetry arms the spool-read failpoint: the first attempt
-// dies mid-run-formation, the scheduler classifies it Transient and
-// re-runs it against the still-on-disk spool file, and the second attempt
-// streams the correct bytes.
+// TestRunOneSpooledRetry arms the block-read failpoint: the first
+// attempt dies reading the spool in run formation, the scheduler
+// classifies it Transient and re-runs it against the still-open spool,
+// and the second attempt streams the correct bytes.
 func TestRunOneSpooledRetry(t *testing.T) {
 	failpoint.Reset()
 	t.Cleanup(failpoint.Reset)
-	const site = "serve/spool-read"
+	const site = spill.FpReadBlock
 	failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeError})
 
 	const n = 5000
@@ -270,8 +272,7 @@ func TestRunOneSpooledRetry(t *testing.T) {
 	for i := range keys {
 		keys[i] = rng.Uint64()
 	}
-	dir := t.TempDir()
-	path := writeSpool[uint64](t, comm.U64Codec{}, dir, keys)
+	spool := writeSpool[uint64](t, comm.U64Codec{}, t.TempDir(), keys)
 
 	e, err := NewEngine[uint64](Options{
 		Procs: 2, WorkersPerProc: 2,
@@ -283,7 +284,7 @@ func TestRunOneSpooledRetry(t *testing.T) {
 	defer e.Close()
 	s := NewScheduler(e, SortManyOpts{Retry: RetryPolicy{MaxAttempts: 3}})
 
-	res, err := s.RunOneSpooled(context.Background(), SpooledInput{Path: path, N: n, ReadSite: site})
+	res, err := s.RunOneSpooled(context.Background(), spool)
 	if err != nil {
 		t.Fatalf("RunOneSpooled: %v", err)
 	}
@@ -304,13 +305,86 @@ func TestRunOneSpooledRetry(t *testing.T) {
 
 	// The admission slot must be free again after Close: a second run
 	// through the same scheduler completes.
-	res2, err := s.RunOneSpooled(context.Background(), SpooledInput{Path: path, N: n})
+	res2, err := s.RunOneSpooled(context.Background(), spool)
 	if err != nil {
 		t.Fatalf("second RunOneSpooled: %v", err)
 	}
 	drainSpooled[uint64](t, comm.U64Codec{}, res2)
 	if err := res2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineSpool lands keys through Engine.NewSpool, a batch at a
+// time as the streaming ingress does, and sorts the spool twice. The
+// spool is a scratch file of the engine's own pool: SpillDir lists
+// nothing while it is open, and Close gives its file back to the pool
+// for the next stage, so no descriptor is left but the pool's. Its blocks
+// are sized by the engine's budget, the env-resolved one included. The
+// report times both of a spooled job's steps: run formation and the
+// final merge (passes and streaming) are each > 0 and together no more
+// than Total. SpillBytes leaves the spool out and SpillReads reads it
+// once: they differ by its 16 B a key.
+func TestEngineSpool(t *testing.T) {
+	const n, procs = 20000, 2
+	t.Setenv(MemBudgetEnv, "64k")
+	dir := t.TempDir()
+	e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2, SpillDir: dir})
+	if got := spoolBlockBytes(e.spoolBudget()); got != 4<<10 {
+		t.Fatalf("an engine budgeted 64k by %s spools in %d-byte blocks, want %d", MemBudgetEnv, got, 4<<10)
+	}
+	keys := dist.Gen{Kind: dist.RightSkewed, Seed: 29}.Keys(n)
+	sp, err := e.NewSpool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	for lo := 0; lo < n; lo += 4096 {
+		if err := sp.Append(keys[lo:min(lo+4096, n)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.SortSpooled(context.Background(), sp); err == nil {
+		t.Fatal("SortSpooled took an unfinished spool")
+	}
+	if err := sp.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if sp.Len() != n {
+		t.Fatalf("spool holds %d keys, want %d", sp.Len(), n)
+	}
+	want := residentKeyBytes[uint64](t, comm.U64Codec{}, keys, procs)
+	for i := 0; i < 2; i++ {
+		res, err := e.SortSpooled(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEmptyDir(t, dir)
+		got := drainSpooled[uint64](t, comm.U64Codec{}, res)
+		res.Close()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("sort %d of the spool diverges from the resident sort", i)
+		}
+		rep := res.Report
+		local, merge := rep.Steps[StepLocalSort], rep.Steps[StepFinalMerge]
+		if local <= 0 || merge <= 0 || local+merge > rep.Total {
+			t.Fatalf("sort %d: local sort %v + final merge %v against Total %v, want both > 0 and the sum <= Total",
+				i, local, merge, rep.Total)
+		}
+		if rep.SpillBytes == 0 || rep.SpillReads-rep.SpillBytes != 16*n {
+			t.Fatalf("sort %d: SpillBytes %d, SpillReads %d: want the spool's %d bytes read once and not written",
+				i, rep.SpillBytes, rep.SpillReads, 16*n)
+		}
+	}
+	held := openFilesUnder(dir)
+	sp.Close()
+	sp.Close()
+	if _, err := e.SortSpooled(context.Background(), sp); err == nil {
+		t.Fatal("SortSpooled took a closed spool")
+	}
+	requireEmptyDir(t, dir)
+	if descriptorsListed() && openFilesUnder(dir) != held {
+		t.Fatalf("%d descriptors under SpillDir after the spool closed, want the pool's %d", openFilesUnder(dir), held)
 	}
 }
 
@@ -377,7 +451,7 @@ func requireEmptyDir(t *testing.T, dir string) {
 }
 
 // TestSpooledErrorExits drives a spooled job out through each of its error
-// exits — the injected spool-read failure with retries off, a context
+// exits — an injected block-read failure with retries off, a context
 // cancelled mid run formation, a run corrupted on disk between its
 // formation and the merge pass that reads it, and a read error mid-stream
 // followed by Close — and the scratch files' own: one that cannot be
@@ -385,12 +459,12 @@ func requireEmptyDir(t *testing.T, dir string) {
 // unopened, each during run formation and during a merge pass, plus a
 // block read failing in one (TestMergePassErrorExits looks inside a pass
 // that fails, at the former's pools). After each, the job must hold
-// nothing: SpillDir is empty, the caller-owned spool file is still there, the error
+// nothing: SpillDir is empty, the caller-owned spool is still there, the error
 // classifies as failure.go documents, and the scheduler's only admission
 // slot is free, so a follow-up job through it completes byte-correct.
 func TestSpooledErrorExits(t *testing.T) {
 	const n, procs = 20000, 2
-	const site = "serve/spool-read"
+	const site = spill.FpReadBlock
 	rng := dist.NewRNG(23)
 	keys := make([]uint64, n)
 	for i := range keys {
@@ -404,16 +478,16 @@ func TestSpooledErrorExits(t *testing.T) {
 		name  string
 		class FailureClass
 		is    error
-		run   func(t *testing.T, s *Scheduler[uint64], in SpooledInput, spillDir string) error
+		run   func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], spillDir string) error
 	}{
 		{"read-failure", FailTransient, failpoint.ErrInjected,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 3})
 				_, err := s.RunOneSpooled(context.Background(), in)
 				return err
 			}},
 		{"cancel", FailUnknown, context.Canceled,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				// Every input read stalls, so the cancel lands while the
 				// sections are still being formed into runs.
 				failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: 2 * time.Millisecond})
@@ -423,7 +497,7 @@ func TestSpooledErrorExits(t *testing.T) {
 				return err
 			}},
 		{"corrupt-run", FailDataDependent, spill.ErrCorrupt,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, spillDir string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], spillDir string) error {
 				if !descriptorsListed() {
 					t.Skip("no /proc/self/fd: an unlinked scratch file cannot be reached")
 				}
@@ -457,25 +531,25 @@ func TestSpooledErrorExits(t *testing.T) {
 		// scratch file, so the second file created is the merge pass's, and
 		// whatever is armed while that creation stalls lands in the pass.
 		{"scratch-create", FailTransient, failpoint.ErrInjected,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeError})
 				_, err := s.RunOneSpooled(context.Background(), in)
 				return err
 			}},
 		{"scratch-create-pass", FailTransient, failpoint.ErrInjected,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 2})
 				_, err := s.RunOneSpooled(context.Background(), in)
 				return err
 			}},
 		{"block-write", FailTransient, failpoint.ErrInjected,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 30})
 				_, err := s.RunOneSpooled(context.Background(), in)
 				return err
 			}},
 		{"block-write-pass", FailTransient, failpoint.ErrInjected,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				atMergePass(func() {
 					failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeError, Count: -1})
 				})
@@ -483,7 +557,7 @@ func TestSpooledErrorExits(t *testing.T) {
 				return err
 			}},
 		{"block-read-pass", FailTransient, failpoint.ErrInjected,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				// The pass's merges are primed and rounds in, ref slab out,
 				// when their reads start failing.
 				atMergePass(func() {
@@ -493,7 +567,7 @@ func TestSpooledErrorExits(t *testing.T) {
 				return err
 			}},
 		{"cancel-sealed-runs", FailUnknown, context.Canceled,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				// Runs are sealed in the scratch file when the 30th block
 				// write stalls; nobody will open them.
 				failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Nth: 30, Count: -1, Delay: 20 * time.Millisecond})
@@ -504,7 +578,7 @@ func TestSpooledErrorExits(t *testing.T) {
 				return err
 			}},
 		{"cancel-pass", FailUnknown, context.Canceled,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				atMergePass(cancel)
@@ -512,7 +586,7 @@ func TestSpooledErrorExits(t *testing.T) {
 				return err
 			}},
 		{"mid-stream", FailTransient, failpoint.ErrInjected,
-			func(t *testing.T, s *Scheduler[uint64], in SpooledInput, _ string) error {
+			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				res, err := s.RunOneSpooled(context.Background(), in)
 				if err != nil {
 					t.Fatalf("RunOneSpooled: %v", err)
@@ -545,7 +619,7 @@ func TestSpooledErrorExits(t *testing.T) {
 			failpoint.Reset()
 			t.Cleanup(failpoint.Reset)
 			spillDir := t.TempDir()
-			path := writeSpool[uint64](t, codec, t.TempDir(), keys)
+			spool := writeSpool[uint64](t, codec, t.TempDir(), keys)
 			e, err := NewEngine[uint64](Options{
 				Procs: procs, WorkersPerProc: 2,
 				MemoryBudget: 64 << 10, SpillDir: spillDir,
@@ -556,7 +630,7 @@ func TestSpooledErrorExits(t *testing.T) {
 			defer e.Close()
 			s := NewScheduler(e, SortManyOpts{MaxInflight: 1})
 
-			err = tc.run(t, s, SpooledInput{Path: path, N: n, ReadSite: site}, spillDir)
+			err = tc.run(t, s, spool, spillDir)
 			failpoint.Reset()
 			if err == nil {
 				t.Fatal("job succeeded")
@@ -568,14 +642,14 @@ func TestSpooledErrorExits(t *testing.T) {
 				t.Fatalf("Classify(%v) = %v, want %v", err, c, tc.class)
 			}
 			requireEmptyDir(t, spillDir)
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("spool input should remain caller-owned: %v", err)
+			if spool.Len() != n {
+				t.Fatalf("spool input should remain caller-owned: %d keys", spool.Len())
 			}
 
 			// A leaked admission slot would block this forever.
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			res, err := s.RunOneSpooled(ctx, SpooledInput{Path: path, N: n, ReadSite: site})
+			res, err := s.RunOneSpooled(ctx, spool)
 			if err != nil {
 				t.Fatalf("follow-up RunOneSpooled: %v", err)
 			}
@@ -635,7 +709,7 @@ func TestMergePassErrorExits(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer formed.Close()
-			runs, err := f.formSection(SpooledInput{Path: spool, N: n}, 0, 0, n, chunk, formed)
+			runs, err := f.formSection(spool.run, 0, chunk, formed)
 			if err != nil || len(runs) != n/chunk {
 				t.Fatalf("formed %d runs: %v", len(runs), err)
 			}

@@ -2,6 +2,7 @@ package lsort
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -17,7 +18,7 @@ func checkSortedPermutation(t *testing.T, in, out []uint64) {
 	if len(in) != len(out) {
 		t.Fatalf("length changed: %d -> %d", len(in), len(out))
 	}
-	if !IsSorted(out, lessU64) {
+	if !slices.IsSorted(out) {
 		t.Fatal("output not sorted")
 	}
 	counts := make(map[uint64]int, len(in))
@@ -213,32 +214,6 @@ func TestMergeRuns(t *testing.T) {
 	}
 }
 
-// The balanced handler's defining property (Figure 2): in every round the
-// two operands of each merge differ by at most the size of one original
-// chunk, i.e. merges stay balanced.
-func TestRoundSizesBalanced(t *testing.T) {
-	n := 8 * 1000
-	bounds := make([]int, 9)
-	for i := range bounds {
-		bounds[i] = i * n / 8
-	}
-	rounds := RoundSizes(bounds)
-	if len(rounds) != 3 {
-		t.Fatalf("8 runs need 3 rounds, got %d", len(rounds))
-	}
-	wantMerges := []int{4, 2, 1}
-	for r, merges := range rounds {
-		if len(merges) != wantMerges[r] {
-			t.Errorf("round %d: %d merges, want %d", r, len(merges), wantMerges[r])
-		}
-		for _, m := range merges {
-			if m[0] != m[1] {
-				t.Errorf("round %d: unbalanced merge %v", r, m)
-			}
-		}
-	}
-}
-
 func TestKWayMerge(t *testing.T) {
 	for _, k := range []int{0, 1, 2, 3, 4, 5, 8, 17} {
 		r := rand.New(rand.NewSource(int64(k)))
@@ -374,23 +349,13 @@ func TestPropertyMergePreservesMultiset(t *testing.T) {
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 		out := MergeRuns([][]uint64{a, b}, lessU64, false)
-		if !IsSorted(out, lessU64) {
+		if !slices.IsSorted(out) {
 			return false
 		}
 		return len(out) == len(a)+len(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]uint64{}, lessU64) || !IsSorted([]uint64{1}, lessU64) ||
-		!IsSorted([]uint64{1, 1, 2}, lessU64) {
-		t.Error("IsSorted false negative")
-	}
-	if IsSorted([]uint64{2, 1}, lessU64) {
-		t.Error("IsSorted false positive")
 	}
 }
 
@@ -412,11 +377,12 @@ func TestTopKSelection(t *testing.T) {
 	if got := TopK(in, 100, lessU64); len(got) != len(in) {
 		t.Errorf("TopK(k>n) = %d elements", len(got))
 	}
-	bottom := BottomK(in, 3, lessU64)
+	// Reversed, the order selects the k smallest, ascending.
+	bottom := TopK(in, 3, func(x, y uint64) bool { return y < x })
 	want = []uint64{1, 2, 3}
 	for i := range want {
 		if bottom[i] != want[i] {
-			t.Fatalf("BottomK = %v, want %v", bottom, want)
+			t.Fatalf("TopK under the reversed order = %v, want %v", bottom, want)
 		}
 	}
 }

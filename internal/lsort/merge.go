@@ -164,29 +164,3 @@ func MergeRuns[E any](runs [][]E, less func(x, y E) bool, parallel bool) []E {
 	out := MergeAdjacentRuns(data, scratch, bounds, less, parallel)
 	return out
 }
-
-// RoundSizes reports, for diagnostics and tests, the operand sizes of each
-// balanced-merge round for the given run boundaries. Round x contains one
-// [leftLen, rightLen] pair per merge executed in that round.
-func RoundSizes(bounds []int) [][][2]int {
-	if len(bounds) < 2 {
-		return nil
-	}
-	runs := len(bounds) - 1
-	var rounds [][][2]int
-	for step := 1; step < runs; step *= 2 {
-		var merges [][2]int
-		for i := 0; i < runs; i += 2 * step {
-			j := i + step
-			if j >= runs {
-				continue
-			}
-			lo := bounds[i]
-			mid := bounds[j]
-			hi := bounds[min(j+step, runs)]
-			merges = append(merges, [2]int{mid - lo, hi - mid})
-		}
-		rounds = append(rounds, merges)
-	}
-	return rounds
-}

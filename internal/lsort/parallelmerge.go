@@ -39,26 +39,21 @@ func CoRank[E any](d int, a, b []E, less func(x, y E) bool) (i, j int) {
 	}
 }
 
-// ParallelMergeInto merges the sorted runs a and b into dst (which must
+// parallelMerge merges the sorted runs a and b into dst (which must
 // have length len(a)+len(b)) using `ways` concurrent segment merges split
 // along merge-path diagonals. It extends the paper's balanced merging
 // handler to the last rounds of Figure 2, where there are fewer pending
 // merges than worker threads and pairwise parallelism alone runs dry.
 //
-// The merge is stable like mergeInto — on ties the element from a is
-// emitted first — because CoRank splits along the stable merge path, so
-// the output is byte-identical to mergeInto regardless of ways. The
-// spill tier depends on this: a budget-chunked sort followed by a stable
-// streaming merge must reproduce the in-memory order exactly.
-func ParallelMergeInto[E any](dst, a, b []E, less func(x, y E) bool, ways int) {
-	parallelMerge(dst, a, b, ways, lessKernel(less))
-}
-
-// parallelMerge is ParallelMergeInto over a pairKernel.
+// The merge is stable like kern.merge — on ties the element from a is
+// emitted first — because kern.coRank splits along the stable merge path,
+// so the output is byte-identical to the sequential merge regardless of
+// ways. The spill tier depends on this: a budget-chunked sort followed by
+// a stable streaming merge must reproduce the in-memory order exactly.
 func parallelMerge[E any](dst, a, b []E, ways int, kern pairKernel[E]) {
 	total := len(a) + len(b)
 	if len(dst) < total {
-		panic("lsort: ParallelMergeInto dst too small")
+		panic("lsort: parallelMerge dst too small")
 	}
 	if ways < 1 {
 		ways = 1

@@ -2,6 +2,7 @@ package lsort
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -67,7 +68,7 @@ func TestParallelMergeIntoMatchesSequential(t *testing.T) {
 		mergeInto(want, a, b, lessU64)
 		for _, ways := range []int{1, 2, 3, 4, 7, 16} {
 			got := make([]uint64, len(a)+len(b))
-			ParallelMergeInto(got, a, b, lessU64, ways)
+			parallelMerge(got, a, b, ways, lessKernel(lessU64))
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d ways %d: mismatch at %d: %d != %d",
@@ -110,7 +111,7 @@ func TestParallelMergeIntoStable(t *testing.T) {
 		mergeInto(want, a, b, less)
 		for _, ways := range []int{2, 3, 4, 7, 16} {
 			got := make([]tagged, len(a)+len(b))
-			ParallelMergeInto(got, a, b, less, ways)
+			parallelMerge(got, a, b, ways, lessKernel(less))
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d ways %d: tie order diverges at %d: %+v != %+v",
@@ -124,13 +125,13 @@ func TestParallelMergeIntoStable(t *testing.T) {
 func TestParallelMergeIntoEdgeCases(t *testing.T) {
 	// Empty operands.
 	got := make([]uint64, 3)
-	ParallelMergeInto(got, []uint64{1, 2, 3}, nil, lessU64, 4)
+	parallelMerge(got, []uint64{1, 2, 3}, nil, 4, lessKernel(lessU64))
 	for i, v := range []uint64{1, 2, 3} {
 		if got[i] != v {
 			t.Fatalf("empty b: %v", got)
 		}
 	}
-	ParallelMergeInto(got, nil, []uint64{4, 5, 6}, lessU64, 4)
+	parallelMerge(got, nil, []uint64{4, 5, 6}, 4, lessKernel(lessU64))
 	for i, v := range []uint64{4, 5, 6} {
 		if got[i] != v {
 			t.Fatalf("empty a: %v", got)
@@ -140,7 +141,7 @@ func TestParallelMergeIntoEdgeCases(t *testing.T) {
 	a := make([]uint64, 5000)
 	b := make([]uint64, 5000)
 	out := make([]uint64, 10000)
-	ParallelMergeInto(out, a, b, lessU64, 8)
+	parallelMerge(out, a, b, 8, lessKernel(lessU64))
 	for _, v := range out {
 		if v != 0 {
 			t.Fatal("all-equal merge corrupted")
@@ -148,7 +149,7 @@ func TestParallelMergeIntoEdgeCases(t *testing.T) {
 	}
 	// ways > total.
 	small := make([]uint64, 2)
-	ParallelMergeInto(small, []uint64{2}, []uint64{1}, lessU64, 100)
+	parallelMerge(small, []uint64{2}, []uint64{1}, 100, lessKernel(lessU64))
 	if small[0] != 1 || small[1] != 2 {
 		t.Fatalf("tiny merge = %v", small)
 	}
@@ -160,10 +161,10 @@ func TestParallelMergeIntoPanicsOnShortDst(t *testing.T) {
 			t.Fatal("short dst accepted")
 		}
 	}()
-	ParallelMergeInto(make([]uint64, 1), []uint64{1}, []uint64{2}, lessU64, 2)
+	parallelMerge(make([]uint64, 1), []uint64{1}, []uint64{2}, 2, lessKernel(lessU64))
 }
 
-// Property: ParallelMergeInto is a sorted permutation for arbitrary
+// Property: parallelMerge is a sorted permutation for arbitrary
 // sorted inputs and way counts.
 func TestPropertyParallelMerge(t *testing.T) {
 	f := func(ra, rb []uint64, waysRaw uint8) bool {
@@ -171,8 +172,8 @@ func TestPropertyParallelMerge(t *testing.T) {
 		sort.Slice(rb, func(i, j int) bool { return rb[i] < rb[j] })
 		ways := int(waysRaw)%8 + 1
 		out := make([]uint64, len(ra)+len(rb))
-		ParallelMergeInto(out, ra, rb, lessU64, ways)
-		if !IsSorted(out, lessU64) {
+		parallelMerge(out, ra, rb, ways, lessKernel(lessU64))
+		if !slices.IsSorted(out) {
 			return false
 		}
 		counts := map[uint64]int{}
@@ -208,7 +209,7 @@ func TestMergeAdjacentRunsWithSplitMerges(t *testing.T) {
 	checkSortedPermutation(t, in, out)
 }
 
-func BenchmarkParallelMergeInto(b *testing.B) {
+func BenchmarkParallelMerge(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	a := sortedRandom(r, 1<<20, 1<<30)
 	c := sortedRandom(r, 1<<20, 1<<30)
@@ -217,7 +218,7 @@ func BenchmarkParallelMergeInto(b *testing.B) {
 		b.Run(benchName(ways), func(b *testing.B) {
 			b.SetBytes(int64(len(dst)) * 8)
 			for i := 0; i < b.N; i++ {
-				ParallelMergeInto(dst, a, c, lessU64, ways)
+				parallelMerge(dst, a, c, ways, lessKernel(lessU64))
 			}
 		})
 	}

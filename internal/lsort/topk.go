@@ -32,12 +32,6 @@ func TopK[E any](s []E, k int, less func(x, y E) bool) []E {
 	return out
 }
 
-// BottomK returns the k smallest elements of s in ascending order.
-func BottomK[E any](s []E, k int, less func(x, y E) bool) []E {
-	out := TopK(s, k, func(x, y E) bool { return less(y, x) })
-	return out
-}
-
 // siftDown restores the min-heap property at index i.
 func siftDown[E any](heap []E, i int, less func(x, y E) bool) {
 	n := len(heap)

@@ -1,15 +1,5 @@
 package lsort
 
-// IsSorted reports whether s is non-decreasing under less.
-func IsSorted[E any](s []E, less func(x, y E) bool) bool {
-	for i := 1; i < len(s); i++ {
-		if less(s[i], s[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
 // LowerBound returns the smallest index i in the sorted slice s such that
 // !less(s[i], key), i.e. the leftmost insertion point for key.
 func LowerBound[E, K any](s []E, key K, less func(e E, k K) bool) int {

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"pgxsort/internal/dist"
-	"pgxsort/internal/lsort"
 )
 
 func lessU64(a, b uint64) bool    { return a < b }
@@ -60,7 +59,7 @@ func TestRegular(t *testing.T) {
 			t.Errorf("sample[%d] = %d, want %d", i, v, (i+1)*10)
 		}
 	}
-	if !lsort.IsSorted(s, lessU64) {
+	if !slices.IsSorted(s) {
 		t.Error("samples not sorted")
 	}
 	if got := Regular(sorted, 0); got != nil {
@@ -107,7 +106,7 @@ func TestSelectSplitters(t *testing.T) {
 	if len(sp) != 2 {
 		t.Fatalf("got %d splitters, want 2", len(sp))
 	}
-	if !lsort.IsSorted(sp, lessU64) {
+	if !slices.IsSorted(sp) {
 		t.Error("splitters not sorted")
 	}
 	// Merged pool: 5 10 12 15 20 22 25 30 32; positions 3 and 6 -> 15, 25.

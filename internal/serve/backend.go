@@ -16,25 +16,23 @@ import (
 	"pgxsort/internal/comm"
 	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
-	"pgxsort/internal/failpoint"
 	"pgxsort/internal/keyio"
 	"pgxsort/internal/lsort"
-	"pgxsort/internal/spill"
 )
 
 // dataset is one job's input, decoded exactly once: whatever shape the
 // request brought it in — octet-stream body, keys_b64, JSON keys, a dist
 // spec — the backend that owns its key type parsed it into typed keys (or,
-// past the spool threshold, into a spill-tier run file) and every later
-// stage consumes those keys directly. It is opaque to the handlers: only
-// the backend that built it looks inside keys.
+// past the spool threshold, into an engine spool) and every later stage
+// consumes those keys directly. It is opaque to the handlers: only the
+// backend that built it looks inside keys or spool.
 type dataset struct {
 	n    int
 	size int      // canonical byte length: the sorted answer's too
 	hash cacheKey // content address, equal to hashJob(kt, canonical bytes); unset when spooled
-	// spool is the run-file path of an upload that crossed the spool
-	// threshold; the handler owns (and removes) the file. keys is nil then.
-	spool string
+	// spool is the *core.Spool[K] of an upload that crossed the spool
+	// threshold; the handler owns (and closes) it. keys is nil then.
+	spool io.Closer
 	keys  any // []K
 }
 
@@ -52,11 +50,11 @@ type backend interface {
 	generate(g dist.Gen, n int, prefix string) *dataset
 	// ingest streams canonical bytes through the incremental decoder,
 	// hashing them as they arrive. length is the announced byte count
-	// (<= 0 when unknown) and only sizes the first allocation. With a
-	// spoolPath, a stream that outgrows Config.SpoolThreshold lands in a
-	// spill-tier run file there instead of in memory; with none it is
-	// resident whatever its size.
-	ingest(r io.Reader, length int64, spoolPath string) (*dataset, *apiError)
+	// (<= 0 when unknown) and only sizes the first allocation. With
+	// spool, a stream that outgrows Config.SpoolThreshold lands in an
+	// engine spool instead of in memory; without it is resident whatever
+	// its size.
+	ingest(r io.Reader, length int64, spool bool) (*dataset, *apiError)
 	// sort runs one resident dataset through the scheduler and returns
 	// the canonical sorted bytes.
 	sort(ctx context.Context, ds *dataset) ([]byte, core.Report, error)
@@ -116,8 +114,7 @@ type typedBackend[K cmp.Ordered] struct {
 	enc   func([]K) []byte
 	width int64
 	// codec is the record codec both engines (mesh and fallback) are
-	// built with and upload spool files are written with, so the
-	// engine's spooled-sort readers can read them.
+	// built with.
 	codec comm.Codec[K]
 }
 
@@ -321,14 +318,14 @@ func (b *typedBackend[K]) encode(cur lsort.Cursor[comm.Entry[K]], w io.Writer) e
 // what re-encoding its keys would give — so the hash of the wire bytes is
 // the hash of the dataset, and no canonical copy is ever built just to be
 // hashed. While the raw stream fits the spool threshold, decoded keys
-// accumulate. Past it the accumulation replays into a spill run file and
+// accumulate. Past it the accumulation replays into an engine spool and
 // every further batch follows it — the body's resident footprint stays
 // one decoder window plus one batch, however large the upload — and the
 // hash stops there: spooled jobs bypass the result cache, so they never
 // pay for one.
-func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*dataset, *apiError) {
+func (b *typedBackend[K]) ingest(r io.Reader, length int64, spool bool) (*dataset, *apiError) {
 	threshold := b.cfg.SpoolThreshold
-	if spoolPath == "" {
+	if !spool {
 		threshold = -1
 	}
 	h := newJobHash(b.kt)
@@ -336,8 +333,7 @@ func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*
 	dec := keyio.NewStreamDecoder(io.TeeReader(r, &tap), b.scan, 0)
 	var (
 		keys []K
-		w    *spill.Writer[K]
-		ents []comm.Entry[K]
+		sp   *core.Spool[K]
 		n    int
 	)
 	if b.width > 0 && length > 0 {
@@ -351,32 +347,10 @@ func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*
 		keys = make([]K, 0, room/b.width)
 	}
 	fail := func(apiErr *apiError) (*dataset, *apiError) {
-		if w != nil {
-			w.Abort() // closes and removes the partial run file
+		if sp != nil {
+			sp.Close() // its file goes back to the engine's pool
 		}
 		return nil, apiErr
-	}
-	// spoolBatch appends one batch to the run file. An injected
-	// spool-write failure is Transient and the batch is still resident,
-	// so it retries in place instead of failing the whole upload.
-	spoolBatch := func(batch []K) *apiError {
-		ents = ents[:0]
-		for _, k := range batch {
-			ents = append(ents, comm.Entry[K]{Key: k})
-		}
-		for attempt := 1; ; attempt++ {
-			err := failpoint.HitNoPanic(FpSpoolWrite)
-			if err == nil {
-				err = w.Append(ents)
-			}
-			if err == nil {
-				return nil
-			}
-			if core.Classify(err) == core.FailTransient && attempt < b.cfg.RetryAttempts {
-				continue
-			}
-			return spoolError(err)
-		}
 	}
 	batch := make([]K, 0, 4096)
 	for {
@@ -388,23 +362,20 @@ func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*
 				return fail(&apiError{http.StatusRequestEntityTooLarge,
 					fmt.Sprintf("%d keys exceeds the %d-key limit", n, b.cfg.MaxKeys)})
 			}
-			if w == nil && threshold >= 0 && dec.BytesRead() > threshold {
-				sw, werr := spill.NewWriter(spoolPath, b.codec, uploadBlockBytes(b.cfg.MemoryBudget))
-				if werr != nil {
-					return fail(spoolError(werr))
+			if sp == nil && threshold >= 0 && dec.BytesRead() > threshold {
+				var serr error
+				if sp, serr = b.eng.NewSpool(); serr != nil {
+					return fail(spoolError(serr))
 				}
-				w = sw
 				tap.Writer = io.Discard
-				if len(keys) > 0 {
-					if apiErr := spoolBatch(keys); apiErr != nil {
-						return fail(apiErr)
-					}
-					keys = nil
+				if serr := sp.Append(keys); serr != nil {
+					return fail(spoolError(serr))
 				}
+				keys = nil
 			}
-			if w != nil {
-				if apiErr := spoolBatch(batch); apiErr != nil {
-					return fail(apiErr)
+			if sp != nil {
+				if serr := sp.Append(batch); serr != nil {
+					return fail(spoolError(serr))
 				}
 			} else {
 				keys = append(keys, batch...)
@@ -417,12 +388,11 @@ func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*
 			return fail(uploadError(err, b.kt))
 		}
 	}
-	if w != nil {
-		if err := w.Finish(); err != nil {
-			w.Abort()
-			return nil, spoolError(err)
+	if sp != nil {
+		if err := sp.Finish(); err != nil {
+			return fail(spoolError(err))
 		}
-		return &dataset{spool: spoolPath, n: n}, nil
+		return &dataset{spool: sp, n: n}, nil
 	}
 	ds := &dataset{keys: keys, n: n, size: int(dec.BytesRead())}
 	h.Sum(ds.hash[:0])
@@ -433,7 +403,7 @@ func (b *typedBackend[K]) ingest(r io.Reader, length int64, spoolPath string) (*
 // answer: the final merge's batches go through the egress encoder
 // straight to w, so the response never exists whole in memory.
 func (b *typedBackend[K]) sortSpooledTo(ctx context.Context, ds *dataset, w io.Writer) (core.Report, error) {
-	res, err := b.sched.RunOneSpooled(ctx, core.SpooledInput{Path: ds.spool, N: ds.n, ReadSite: FpSpoolRead})
+	res, err := b.sched.RunOneSpooled(ctx, ds.spool.(*core.Spool[K]))
 	if err != nil {
 		return core.Report{}, err
 	}

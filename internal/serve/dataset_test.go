@@ -87,11 +87,11 @@ func TestIngestStreamingHash(t *testing.T) {
 	for kt, raw := range bodies {
 		b := srv.backends[kt]
 		want := hashJob(kt, raw)
-		whole, apiErr := b.ingest(bytes.NewReader(raw), int64(len(raw)), "")
+		whole, apiErr := b.ingest(bytes.NewReader(raw), int64(len(raw)), false)
 		if apiErr != nil {
 			t.Fatalf("%s: ingest: %v", kt, apiErr)
 		}
-		trickled, apiErr := b.ingest(iotest.OneByteReader(bytes.NewReader(raw)), -1, "")
+		trickled, apiErr := b.ingest(iotest.OneByteReader(bytes.NewReader(raw)), -1, false)
 		if apiErr != nil {
 			t.Fatalf("%s: one-byte ingest: %v", kt, apiErr)
 		}
@@ -99,8 +99,8 @@ func TestIngestStreamingHash(t *testing.T) {
 			if ds.hash != want {
 				t.Errorf("%s (%s): streaming hash differs from hashJob", kt, name)
 			}
-			if ds.size != len(raw) || ds.spool != "" {
-				t.Errorf("%s (%s): size %d spool %q, want %d resident", kt, name, ds.size, ds.spool, len(raw))
+			if ds.size != len(raw) || ds.spool != nil {
+				t.Errorf("%s (%s): size %d spool %v, want %d resident", kt, name, ds.size, ds.spool, len(raw))
 			}
 		}
 	}
@@ -121,13 +121,13 @@ func TestIngestPresize(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		length  int64
-		spool   string
+		spool   bool
 		wantCap int
 	}{
-		{"honest", int64(len(raw)), "unused.spool", 300},
-		{"lying, spool threshold caps", 1 << 40, "unused.spool", (4 << 10) / 8},
-		{"lying, only MaxKeys caps", 1 << 40, "", 100_000},
-		{"unknown", -1, "", 0},
+		{"honest", int64(len(raw)), true, 300},
+		{"lying, spool threshold caps", 1 << 40, true, (4 << 10) / 8},
+		{"lying, only MaxKeys caps", 1 << 40, false, 100_000},
+		{"unknown", -1, false, 0},
 	} {
 		ds, apiErr := b.ingest(bytes.NewReader(raw), tc.length, tc.spool)
 		if apiErr != nil {
@@ -143,7 +143,7 @@ func TestIngestPresize(t *testing.T) {
 	}
 	// String keys have no fixed width to divide an announcement by.
 	sraw := keyio.EncodeStrings([]string{"a", "bb"})
-	if ds, apiErr := srv.backends[dist.KeyString].ingest(bytes.NewReader(sraw), int64(len(sraw)), ""); apiErr != nil || ds.n != 2 {
+	if ds, apiErr := srv.backends[dist.KeyString].ingest(bytes.NewReader(sraw), int64(len(sraw)), false); apiErr != nil || ds.n != 2 {
 		t.Fatalf("string ingest: %v, %+v", apiErr, ds)
 	}
 }
@@ -165,13 +165,13 @@ func TestSpooledUploadSkipsCache(t *testing.T) {
 			t.Errorf("%s = %g after spooled uploads, want 0", name, got)
 		}
 	}
-	path := t.TempDir() + "/probe.spool"
-	ds, apiErr := srv.backends[dist.KeyUint64].ingest(bytes.NewReader(raw), int64(len(raw)), path)
+	ds, apiErr := srv.backends[dist.KeyUint64].ingest(bytes.NewReader(raw), int64(len(raw)), true)
 	if apiErr != nil {
 		t.Fatalf("ingest: %v", apiErr)
 	}
-	if ds.spool != path || ds.keys != nil || ds.hash != (cacheKey{}) {
-		t.Fatalf("spooled dataset = %+v, want the run file and no keys or hash", ds)
+	defer ds.spool.Close()
+	if sp, ok := ds.spool.(*core.Spool[uint64]); !ok || sp.Len() != 10000 || ds.keys != nil || ds.hash != (cacheKey{}) {
+		t.Fatalf("spooled dataset = %+v, want the spool and no keys or hash", ds)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -228,7 +227,7 @@ func (s *Server) resolveDataset(b backend, req *sortRequest) (*dataset, *apiErro
 		// The same parser an octet-stream body goes through, never
 		// spooling: the request already holds the bytes.
 		var apiErr *apiError
-		ds, apiErr = b.ingest(bytes.NewReader(raw), int64(len(raw)), "")
+		ds, apiErr = b.ingest(bytes.NewReader(raw), int64(len(raw)), false)
 		if apiErr != nil {
 			return nil, &apiError{apiErr.status, "keys_b64: " + apiErr.msg}
 		}
@@ -304,9 +303,9 @@ func (j *job) load(r *http.Request) *apiError {
 	}
 	if j.binary {
 		// Streaming ingress: the body decodes as it arrives and never
-		// accumulates whole — past the spool threshold it lands in a
-		// spill-tier run file instead.
-		j.ds, apiErr = j.s.ingestBinary(j.w, r, j.b, j.id)
+		// accumulates whole — past the spool threshold it lands in the
+		// engine's scratch files instead.
+		j.ds, apiErr = j.s.ingestBinary(j.w, r, j.b)
 	} else {
 		j.ds, apiErr = j.s.resolveDataset(j.b, &j.req)
 	}
@@ -431,8 +430,8 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if j.ds.spool != "" {
-		defer os.Remove(j.ds.spool)
+	if j.ds.spool != nil {
+		defer j.ds.spool.Close()
 		s.sortSpooled(j, r)
 		return
 	}

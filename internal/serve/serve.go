@@ -23,7 +23,7 @@
 //	backend.go  — per-keytype engine + scheduler, the dataset every
 //	              request shape decodes into, streaming ingest (decode,
 //	              hash, spool) and the cursor-driven egress encoder
-//	spool.go    — upload plumbing: read deadlines, error mapping, spool paths
+//	spool.go    — upload plumbing: read deadlines, error mapping
 //	admission.go— bounded queue and per-tenant semaphores
 //	governor.go — process-wide memory reservation ledger
 //	breaker.go  — per-keytype mesh circuit breaker
@@ -128,8 +128,8 @@ type Config struct {
 	FallbackKeys int
 
 	// SpoolThreshold is the octet-stream upload size (bytes) past which
-	// the body stops accumulating in memory and lands in a spill-tier
-	// run file instead; the job then takes the out-of-core spooled sort
+	// the body stops accumulating in memory and lands in an engine
+	// scratch file instead; the job then takes the out-of-core spooled sort
 	// and streams its answer chunked. 0 means 8MB (clamped to the
 	// engine MemoryBudget when one is set, so a budgeted server never
 	// buffers more than its budget before spooling); negative disables
@@ -154,12 +154,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MemoryBudget == 0 {
 		// Resolve the env fallback here rather than leaving it to each
-		// engine: the serve layer sizes upload spool blocks and clamps
-		// the spool threshold off the budget, and an env-budgeted daemon
-		// must not ingest uploads into unbudgeted 128KB blocks (the
-		// engine's section readers hold decoded slabs per block, so big
-		// blocks blow the accounted peak). Engines see the same value
-		// either way.
+		// engine: the serve layer clamps the spool threshold off the
+		// budget, so an env-budgeted daemon must see the budget its
+		// engines see, which also size the upload spool's blocks.
 		if b, err := core.ParseMemBudget(os.Getenv(core.MemBudgetEnv)); err == nil {
 			c.MemoryBudget = b
 		}

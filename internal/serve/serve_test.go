@@ -19,6 +19,7 @@ import (
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
 	"pgxsort/internal/keyio"
+	"pgxsort/internal/spill"
 	"pgxsort/internal/transport"
 )
 
@@ -404,14 +405,14 @@ func TestOverloadAnswers429(t *testing.T) {
 func TestDeadlineCancelsRunningJob(t *testing.T) {
 	_, ts := testServer(t, Config{Procs: 4, Workers: 2, KeyTypes: []dist.KeyType{dist.KeyUint64}})
 	// One node sits out the deadline inside the sort — after its local
-	// sort, or before its first spool block when PGXSORT_MEM_BUDGET sends
-	// the upload through the spool — so the job is running when the
-	// deadline fires, however fast the box is.
+	// sort, or at its first block read when PGXSORT_MEM_BUDGET sends the
+	// upload through the spool — so the job is running when the deadline
+	// fires, however fast the box is.
 	failpoint.Reset()
 	t.Cleanup(failpoint.Reset)
 	hold := failpoint.Schedule{Mode: failpoint.ModeDelay, Delay: 250 * time.Millisecond}
 	failpoint.Set("core/local-sort", hold)
-	failpoint.Set(FpSpoolRead, hold)
+	failpoint.Set(spill.FpReadBlock, hold)
 	raw := keyio.EncodeUint64s(dist.Gen{Seed: 5}.Keys(20000))
 	start := time.Now()
 	resp, body := postBinary(t, ts.URL+"/v1/sort?deadline_ms=50&no_cache=true", raw)

@@ -28,8 +28,6 @@ var soakSites = []string{
 	"datamgr/assembly-write",
 	"serve/admission",
 	"serve/cache-put",
-	FpSpoolWrite,
-	FpSpoolRead,
 	spill.FpWriteBlock,
 	spill.FpReadBlock,
 }
@@ -73,9 +71,9 @@ func soakStorm(t *testing.T, procs int) {
 		// the spill tier unwinds cleanly mid-batch).
 		MemoryBudget: keysPerJob,
 		// ~4 wire bytes/key: the full-range distributions (8 bytes/key)
-		// cross it and spool their uploads — arming serve/spool-write and
-		// serve/spool-read against real run files — while the small-domain
-		// ones stay resident and keep the cache-put arm live.
+		// cross it and spool their uploads — so spill/write-block and
+		// spill/read-block also fail the spool's own blocks — while the
+		// small-domain ones stay resident and keep the cache-put arm live.
 		SpoolThreshold: keysPerJob * 4,
 		SpillDir:       t.TempDir(),
 		RetryAttempts:  retryAttempts,

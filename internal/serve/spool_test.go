@@ -187,28 +187,112 @@ func TestSlowClientUpload408(t *testing.T) {
 }
 
 // TestSpoolDisconnectNoOrphans cuts the connection after the upload has
-// crossed the spool threshold: the half-written run file must be aborted
-// and removed, leaving the spill dir empty.
+// crossed the spool threshold: the half-written spool must be closed —
+// its file given back to the engine's pool, which closes it with the
+// server — leaving the spill dir empty and no descriptor open under it.
 func TestSpoolDisconnectNoOrphans(t *testing.T) {
 	spillDir := t.TempDir()
-	_, ts := testServer(t, Config{
+	srv, ts := testServer(t, Config{
 		SpoolThreshold: 4 << 10,
 		SpillDir:       spillDir,
 		KeyTypes:       []dist.KeyType{dist.KeyUint64},
 	})
+	disconnectMidUpload(t, ts.Listener.Addr().String())
+	waitForEmptyDir(t, spillDir)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for descriptorsUnder(spillDir) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d descriptors open under the spill dir after Close: the spool was never closed", descriptorsUnder(spillDir))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
 
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+// disconnectMidUpload starts an octet-stream upload of 1 MiB, sends
+// 64 KiB of it — well past any spool threshold the tests set — and
+// vanishes.
+func disconnectMidUpload(t *testing.T, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	fmt.Fprintf(conn, "POST /v1/sort HTTP/1.1\r\nHost: test\r\nContent-Type: application/octet-stream\r\nContent-Length: 1048576\r\n\r\n")
-	// Push well past the threshold so the spool file exists on disk,
-	// then vanish.
-	conn.Write(keyio.EncodeUint64s(make([]uint64, 8192))) // 64KB of a promised 1MB
+	conn.Write(keyio.EncodeUint64s(make([]uint64, 8192)))
 	time.Sleep(50 * time.Millisecond)
 	conn.Close()
+}
 
-	waitForEmptyDir(t, spillDir)
+// descriptorsUnder counts this process's descriptors open on files under
+// dir, unlinked ones included; 0 where the system does not list them (no
+// /proc/self/fd).
+func descriptorsUnder(dir string) int {
+	fds, _ := os.ReadDir("/proc/self/fd")
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+			strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSpillDirListsNothing samples the spill dir without pause
+// throughout a spooled job and throughout an upload cut off after it
+// crossed the spool threshold: no sample may see an entry. Upload spools
+// are engine scratch files, with no name from the moment they exist. A
+// warm-up job first leaves the engine's pool a file for every one the
+// sampled job and the cut upload take, so none is created under the
+// sampler — creation is the one instant a scratch file has a name.
+func TestSpillDirListsNothing(t *testing.T) {
+	spillDir := t.TempDir()
+	_, ts := testServer(t, Config{
+		SpoolThreshold: 16 << 10,
+		MemoryBudget:   64 << 10,
+		SpillDir:       spillDir,
+		KeyTypes:       []dist.KeyType{dist.KeyUint64},
+	})
+	keys := dist.Gen{Kind: dist.Uniform, Seed: 13}.Keys(100_000) // 800 KB: spools, and its runs merge in passes
+	raw := keyio.EncodeUint64s(keys)
+	slices.Sort(keys)
+	want := keyio.EncodeUint64s(keys)
+	sort := func(what string) {
+		t.Helper()
+		resp, body := postBinary(t, ts.URL+"/v1/sort", raw)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Pgxsortd-Spooled") != "true" || !slices.Equal(body, want) {
+			t.Fatalf("%s: status %d, spooled %q, %d bytes (want %d, sorted)", what, resp.StatusCode,
+				resp.Header.Get("X-Pgxsortd-Spooled"), len(body), len(want))
+		}
+	}
+	sort("warm-up job")
+
+	stop := make(chan struct{})
+	sampled := make(chan [2]int)
+	go func() {
+		samples, seen := 0, 0
+		for {
+			select {
+			case <-stop:
+				sampled <- [2]int{samples, seen}
+				return
+			default:
+			}
+			ents, _ := os.ReadDir(spillDir)
+			samples++
+			seen = max(seen, len(ents))
+		}
+	}()
+	sort("sampled job")
+	disconnectMidUpload(t, ts.Listener.Addr().String())
+	time.Sleep(50 * time.Millisecond) // the handler unwinds the cut upload
+	close(stop)
+	if s := <-sampled; s[0] == 0 || s[1] != 0 {
+		t.Fatalf("%d samples of the spill dir saw up to %d entries, want none", s[0], s[1])
+	}
 }
 
 // TestGovernorOversized413 rejects a job whose estimated footprint could
@@ -345,10 +429,11 @@ func waitForEmptyDir(t *testing.T, dir string) {
 }
 
 // TestEnvBudgetResolvesInServeConfig pins the env fallback at the serve
-// layer: a daemon budgeted only via PGXSORT_MEM_BUDGET must size its
-// upload spool blocks and clamp its spool threshold exactly as one
-// budgeted through the flag, or uploads land in unbudgeted 128KB blocks
-// and the spooled sort's decoded slabs blow the accounted peak.
+// layer: a daemon budgeted only via PGXSORT_MEM_BUDGET must clamp its
+// spool threshold and budget its engines — which size the upload spool's
+// blocks by that budget (core's TestEngineSpool: 4 KiB at 64k) — exactly
+// as one budgeted through the flag, or uploads land in unbudgeted 128KB
+// blocks and the spooled sort's decoded slabs blow the accounted peak.
 func TestEnvBudgetResolvesInServeConfig(t *testing.T) {
 	t.Setenv(core.MemBudgetEnv, "64k")
 	cfg := Config{}.withDefaults()
@@ -358,8 +443,9 @@ func TestEnvBudgetResolvesInServeConfig(t *testing.T) {
 	if cfg.SpoolThreshold != 64<<10 {
 		t.Fatalf("SpoolThreshold = %d, want clamped to the %d budget", cfg.SpoolThreshold, 64<<10)
 	}
-	if bb := uploadBlockBytes(cfg.MemoryBudget); bb != 4<<10 {
-		t.Fatalf("uploadBlockBytes(%d) = %d, want %d", cfg.MemoryBudget, bb, 4<<10)
+	srv, _ := testServer(t, Config{KeyTypes: []dist.KeyType{dist.KeyUint64}})
+	if eb := srv.backends[dist.KeyUint64].(*typedBackend[uint64]).eng.Options().MemoryBudget; eb != 64<<10 {
+		t.Fatalf("the engine that spools uploads is budgeted %d, want %d", eb, 64<<10)
 	}
 
 	// An explicit budget still wins over the env.

@@ -11,19 +11,18 @@ import (
 	"pgxsort/internal/comm"
 )
 
-// FuzzRunReader opens arbitrary bytes as a run file, whole and as a
-// section, under a fixed-width, a variable-width and a payload-carrying
-// codec. It must never panic; every failure, at open or mid-run, wraps
+// FuzzRunReader opens arbitrary bytes as a run file under a
+// fixed-width, a variable-width and a payload-carrying codec. It must never panic; every failure, at open or mid-run, wraps
 // ErrCorrupt; a run that drains cleanly yields exactly the entry count
 // it announced; and nothing is sized from a field the file's own length
 // does not bound, so total allocation stays a small multiple of the file.
 func FuzzRunReader(f *testing.F) {
 	// A valid two-block file and the ways to break it.
-	valid := func() []byte {
+	runFile := func(c comm.Codec[uint64], entries []comm.Entry[uint64]) []byte {
 		path := filepath.Join(f.TempDir(), "seed.spill")
-		w, err := NewWriter(path, comm.U64Codec{}, 256)
+		w, err := NewWriter(path, c, 256)
 		if err == nil {
-			err = w.Append(u64Entries(24, 1))
+			err = w.Append(entries)
 		}
 		if err == nil {
 			err = w.Finish()
@@ -36,7 +35,8 @@ func FuzzRunReader(f *testing.F) {
 			f.Fatal(err)
 		}
 		return b
-	}()
+	}
+	valid := runFile(comm.U64Codec{}, u64Entries(24, 1))
 	indexOff := len(valid) - trailerSize - 2*indexEntrySize
 	seeds := [][]byte{valid}
 	for _, cut := range []int{0, headerSize, headerSize + 256, indexOff, indexOff + indexEntrySize,
@@ -58,28 +58,34 @@ func FuzzRunReader(f *testing.F) {
 		}))
 	for _, seed := range seeds {
 		for codec := uint8(0); codec < 3; codec++ {
-			f.Add(seed, codec, uint16(0), uint16(1<<15))
+			f.Add(seed, codec)
 		}
 	}
-	f.Add(valid, uint8(0), uint16(5), uint16(14))
+	// A valid file of the payload-carrying codec, which the seeds above
+	// are not.
+	recs := u64Entries(24, 2)
+	for i := range recs {
+		recs[i].Payload = []byte{byte(i), 7}
+	}
+	f.Add(runFile(comm.NewRecordCodec[uint64](comm.U64Codec{}), recs), uint8(2))
 
 	path := filepath.Join(f.TempDir(), "fuzz.spill")
-	f.Fuzz(func(t *testing.T, data []byte, codec uint8, off, limit uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, codec uint8) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		switch codec % 3 {
 		case 0:
-			fuzzRun[uint64](t, path, len(data), comm.U64Codec{}, uint64(off), uint64(limit))
+			fuzzRun[uint64](t, path, len(data), comm.U64Codec{})
 		case 1:
-			fuzzRun[string](t, path, len(data), comm.StringCodec{}, uint64(off), uint64(limit))
+			fuzzRun[string](t, path, len(data), comm.StringCodec{})
 		default:
-			fuzzRun[uint64](t, path, len(data), comm.NewRecordCodec[uint64](comm.U64Codec{}), uint64(off), uint64(limit))
+			fuzzRun[uint64](t, path, len(data), comm.NewRecordCodec[uint64](comm.U64Codec{}))
 		}
 	})
 }
 
-func fuzzRun[K any](t *testing.T, path string, size int, c comm.Codec[K], off, limit uint64) {
+func fuzzRun[K any](t *testing.T, path string, size int, c comm.Codec[K]) {
 	drain := func(r *RunReader[K], err error) {
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
@@ -109,9 +115,8 @@ func fuzzRun[K any](t *testing.T, path string, size int, c comm.Codec[K], off, l
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	drain(NewRunReader(path, c, ReaderOpts[K]{}))
-	drain(NewRunReaderSection(path, c, ReaderOpts[K]{}, off, limit))
 	runtime.ReadMemStats(&after)
-	// Two passes, each at most the index (a 32 B blockMeta per 28 B entry)
+	// One pass: at most the index (a 32 B blockMeta per 28 B entry)
 	// plus one decoded slab per block (a 48 B string entry per 8 wire
 	// bytes at worst) plus payload copies; the constant covers readers,
 	// channels, error strings and a first pooled buffer.

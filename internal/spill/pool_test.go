@@ -296,7 +296,7 @@ func TestBufferPoolBalance(t *testing.T) {
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				return err
 			}
-			r, err := NewRunReaderSection(path, codec, ReaderOpts[uint64]{}, 3, uint64(len(want)))
+			r, err := NewRunReader(path, codec, ReaderOpts[uint64]{})
 			if err != nil {
 				return err
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync/atomic"
 	"unsafe"
@@ -42,7 +41,7 @@ type ReaderOpts[K any] struct {
 type reader[K, E any] struct {
 	f       *os.File
 	owned   bool        // f is this reader's to close
-	index   []blockMeta // the blocks overlapping the section (all, for a whole run)
+	index   []blockMeta // the run's blocks
 	total   uint64      // elements the cursor yields
 	scratch *Scratch    // a scratch run's file, marked failed if a block fails to read or check
 
@@ -53,11 +52,9 @@ type reader[K, E any] struct {
 	tracker   *alloc.Tracker
 	elemBytes int64
 
-	next    int    // the block the following Next reads
-	skip    int    // elements a section drops from its first block
-	emitted uint64 // elements handed out so far
-	prev    []E    // batch handed out by the last Next
-	done    bool
+	next int // the block the following Next reads
+	prev []E // batch handed out by the last Next
+	done bool
 
 	bytesRead atomic.Int64
 }
@@ -77,16 +74,6 @@ type RefReader[K any] struct{ reader[K, comm.NormRef] }
 // is stored raw, and that block offsets tile [header, indexOff) exactly
 // in order. Any mismatch is ErrCorrupt. No block is read until Next.
 func NewRunReader[K any](path string, c comm.Codec[K], opts ReaderOpts[K]) (*RunReader[K], error) {
-	return NewRunReaderSection(path, c, opts, 0, math.MaxUint64)
-}
-
-// NewRunReaderSection opens entries [offset, offset+limit) of a finished
-// run file as their own cursor. Blocks wholly outside the section are
-// never read or decoded — the index's per-block counts locate the first
-// and last overlapping block — so p section readers over one spooled
-// input file scan p disjoint byte ranges. Bounds are clamped to the run;
-// Count reports the section's entry count.
-func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K], offset, limit uint64) (*RunReader[K], error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("spill: open run file: %w", err)
@@ -100,28 +87,6 @@ func NewRunReaderSection[K any](path string, c comm.Codec[K], opts ReaderOpts[K]
 		f.Close()
 		return nil, err
 	}
-	if offset > r.total {
-		offset = r.total
-	}
-	if limit > r.total-offset {
-		limit = r.total - offset
-	}
-	// Walk the index to the first block containing offset, then to the
-	// first block past offset+limit; an empty section keeps no block, so
-	// every kept block yields at least one entry.
-	first, cum := 0, uint64(0)
-	for first < len(r.index) && cum+uint64(r.index[first].count) <= offset {
-		cum += uint64(r.index[first].count)
-		first++
-	}
-	end, reach := first, cum
-	for limit > 0 && end < len(r.index) && reach < offset+limit {
-		reach += uint64(r.index[end].count)
-		end++
-	}
-	r.index = r.index[first:end]
-	r.skip = int(offset - cum)
-	r.total = limit
 	return r, nil
 }
 
@@ -282,38 +247,9 @@ func (r *reader[K, E]) Next() ([]E, error) {
 		r.done = true
 		return nil, err
 	}
-	// Narrow the section's first and last block to their overlap.
-	lo := 0
-	if r.next == 0 {
-		lo = r.skip
-	}
 	r.next++
-	hi := len(batch)
-	if remain := r.total - r.emitted; uint64(hi-lo) > remain {
-		hi = lo + int(remain)
-	}
-	batch = r.trimBatch(batch, lo, hi)
-	r.emitted += uint64(len(batch))
 	r.prev = batch
 	return batch, nil
-}
-
-// trimBatch narrows a decoded block to its section overlap. The trimmed
-// elements move to a fresh slab so slab recycling and tracker accounting
-// keep seeing whole allocations; at most two blocks per section (first
-// and last) pay the copy.
-func (r *reader[K, E]) trimBatch(batch []E, lo, hi int) []E {
-	if lo == 0 && hi == len(batch) {
-		return batch
-	}
-	fresh := r.pool.Get(hi - lo)
-	if fresh == nil { // nil pool, zero-length trim
-		fresh = make([]E, hi-lo)
-	}
-	copy(fresh, batch[lo:hi])
-	r.tracker.Alloc(int64(len(fresh)) * r.elemBytes)
-	r.recycle(batch)
-	return fresh
 }
 
 // readBlock fetches one block into a pooled buffer, verifies and decodes

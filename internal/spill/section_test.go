@@ -7,9 +7,25 @@ import (
 	"pgxsort/internal/comm"
 )
 
-// TestRunReaderSection slices one run file at every tricky boundary and
-// checks each section is exactly the corresponding subslice, with slab
-// accounting balanced to zero.
+// writeScratchRun writes entries as one run of a new scratch file under
+// a test directory, in blocks of blockBytes; the file closes with the
+// test.
+func writeScratchRun(t *testing.T, entries []comm.Entry[uint64], blockBytes int) Run {
+	t.Helper()
+	s, err := NewScratch(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return writeRuns(t, s, comm.U64Codec{}, blockBytes, [][]comm.Entry[uint64]{entries})[0]
+}
+
+// TestRunReaderSection cuts one scratch run into sections at every
+// count, from one to more sections than blocks, and opens each as a run
+// of its own: every section is whole blocks, exactly the entries at its
+// place in the run, within a block of an even share, and read with
+// slab accounting balanced to zero. Sections past the last block are
+// empty and read nothing.
 func TestRunReaderSection(t *testing.T) {
 	const n = 2000
 	entries := make([]comm.Entry[uint64], n)
@@ -17,80 +33,69 @@ func TestRunReaderSection(t *testing.T) {
 		entries[i] = comm.Entry[uint64]{Key: uint64(i) * 3, Proc: 1, Index: uint32(i)}
 	}
 	// Small blocks so sections straddle many block boundaries.
-	path := writeRun(t, entries, comm.U64Codec{}, 256)
-
-	sections := []struct{ off, limit uint64 }{
-		{0, n},     // whole run
-		{0, 1},     // first entry only
-		{n - 1, 1}, // last entry only
-		{7, 500},   // mid-block start, mid-block end
-		{0, n / 2}, // first half
-		{n / 2, n}, // second half, limit clamped
-		{n, 5},     // past the end: empty
-		{500, 0},   // zero-length
-		{123, 1},   // single mid-run entry
-	}
+	run := writeScratchRun(t, entries, 256)
+	perBlock := int(run.blocks[0].count)
 	pool := &alloc.SlabPool[comm.Entry[uint64]]{}
 	var tracker alloc.Tracker
-	eb := int64(40)
-	for _, s := range sections {
-		r, err := NewRunReaderSection(path, comm.U64Codec{},
-			ReaderOpts[uint64]{Pool: pool, Tracker: &tracker, EntryBytes: eb}, s.off, s.limit)
-		if err != nil {
-			t.Fatalf("section [%d,+%d): %v", s.off, s.limit, err)
-		}
-		got := readAll(t, r)
-		lo := min(s.off, n)
-		hi := min(s.off+s.limit, n)
-		want := entries[lo:hi]
-		if uint64(len(got)) != uint64(len(want)) || r.Count() != uint64(len(want)) {
-			t.Fatalf("section [%d,+%d): %d entries (Count %d), want %d",
-				s.off, s.limit, len(got), r.Count(), len(want))
-		}
-		for i := range want {
-			if got[i].Key != want[i].Key || got[i].Index != want[i].Index {
-				t.Fatalf("section [%d,+%d) entry %d: got key %d idx %d, want key %d idx %d",
-					s.off, s.limit, i, got[i].Key, got[i].Index, want[i].Key, want[i].Index)
+	for _, p := range []int{1, 2, 3, 7, len(run.blocks), len(run.blocks) + 5} {
+		at := 0
+		for i, sec := range run.Split(p) {
+			share := (i+1)*n/p - i*n/p
+			if d := int(sec.Entries()) - share; d > perBlock || d < -perBlock {
+				t.Fatalf("p=%d section %d: %d entries, an even share is %d and a block %d", p, i, sec.Entries(), share, perBlock)
+			}
+			r := OpenRun(sec, comm.U64Codec{}, ReaderOpts[uint64]{Pool: pool, Tracker: &tracker, EntryBytes: 40})
+			got := readAll(t, r)
+			if r.Count() != sec.Entries() {
+				t.Fatalf("p=%d section %d: Count %d, Entries %d", p, i, r.Count(), sec.Entries())
+			}
+			checkIdentical(t, got, entries[at:at+len(got)])
+			at += len(got)
+			if len(got) == 0 && r.BytesRead() != 0 {
+				t.Fatalf("p=%d section %d: empty, read %d bytes", p, i, r.BytesRead())
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if live := tracker.Live(); live != 0 {
+				t.Fatalf("p=%d section %d: %d tracked bytes live after Close", p, i, live)
 			}
 		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if live := tracker.Live(); live != 0 {
-			t.Fatalf("section [%d,+%d): %d tracked bytes live after Close", s.off, s.limit, live)
+		if at != n {
+			t.Fatalf("p=%d: sections hold %d entries, the run %d", p, at, n)
 		}
 	}
 }
 
-// TestRunReaderSectionTiling reads a run as p disjoint sections and
-// checks their concatenation reproduces the whole run — the contract the
-// spooled sort's per-node section readers rely on.
+// TestRunReaderSectionTiling reads a run as p sections and checks their
+// concatenation reproduces the whole run, and their bytes read the run's
+// bytes — the contract the spooled sort's per-node section readers rely
+// on: every block read once, by one section.
 func TestRunReaderSectionTiling(t *testing.T) {
 	const n = 1777
 	entries := make([]comm.Entry[uint64], n)
 	for i := range entries {
 		entries[i] = comm.Entry[uint64]{Key: uint64(i * 7)}
 	}
-	path := writeRun(t, entries, comm.U64Codec{}, 300)
+	run := writeScratchRun(t, entries, 300)
+	whole := OpenRun(run, comm.U64Codec{}, ReaderOpts[uint64]{})
+	readAll(t, whole)
+	whole.Close()
 	for _, p := range []int{1, 2, 3, 8} {
 		var all []comm.Entry[uint64]
-		for i := 0; i < p; i++ {
-			lo := uint64(i * n / p)
-			hi := uint64((i + 1) * n / p)
-			r, err := NewRunReaderSection(path, comm.U64Codec{}, ReaderOpts[uint64]{}, lo, hi-lo)
-			if err != nil {
-				t.Fatal(err)
-			}
+		read := int64(0)
+		for _, sec := range run.Split(p) {
+			r := OpenRun(sec, comm.U64Codec{}, ReaderOpts[uint64]{})
 			all = append(all, readAll(t, r)...)
+			read += r.BytesRead()
 			r.Close()
 		}
-		if len(all) != n {
-			t.Fatalf("p=%d: tiled sections yield %d entries, want %d", p, len(all), n)
+		checkIdentical(t, all, entries)
+		if read != whole.BytesRead() {
+			t.Fatalf("p=%d: sections read %d bytes, the whole run %d", p, read, whole.BytesRead())
 		}
-		for i := range all {
-			if all[i].Key != entries[i].Key {
-				t.Fatalf("p=%d: entry %d key %d, want %d", p, i, all[i].Key, entries[i].Key)
-			}
-		}
+	}
+	if parts := (Run{}).Split(3); len(parts) != 3 || parts[0].Entries()+parts[1].Entries()+parts[2].Entries() != 0 {
+		t.Fatalf("the empty run split into %v", parts)
 	}
 }

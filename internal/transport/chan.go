@@ -72,7 +72,7 @@ func (e *chanEndpoint[K]) Send(dst int, m comm.Message[K]) error {
 	target := e.net.eps[dst]
 	select {
 	case target.inbox <- m:
-		e.stats.CountSend(m.Kind, bytes)
+		e.stats.CountSend(bytes)
 		target.stats.CountRecv(bytes)
 		return nil
 	case <-e.net.done:

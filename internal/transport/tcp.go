@@ -746,7 +746,7 @@ func (e *tcpEndpoint[K]) Send(dst int, m comm.Message[K]) error {
 	}
 	if dst == e.id {
 		// Loopback without a socket, as PGX.D keeps local writes local.
-		e.stats.CountSend(m.Kind, logical)
+		e.stats.CountSend(logical)
 		e.stats.CountRecv(logical)
 		select {
 		case e.inbox <- m:
@@ -790,7 +790,7 @@ func (e *tcpEndpoint[K]) Send(dst int, m comm.Message[K]) error {
 		// Fail fast: the frame cannot be delivered, the network is dead.
 		return err
 	}
-	e.stats.CountSend(m.Kind, logical)
+	e.stats.CountSend(logical)
 	return nil
 }
 
