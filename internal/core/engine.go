@@ -41,8 +41,9 @@ type Engine[K cmp.Ordered] struct {
 	norm        func(K) uint64
 	normInexact bool
 	// denorm is norm's inverse when the codec frames refs (comm.RefDenorm):
-	// then a sort of bare keys carries refs instead of entries from step 1
-	// to the result, through its spill runs too. nil otherwise.
+	// then a sort of bare keys carries its step-1 refs through the
+	// exchange to the result instead of building entries to send. nil
+	// otherwise.
 	denorm func(uint64) K
 }
 
@@ -246,7 +247,7 @@ func (j job[K]) partLen(i int) int {
 }
 
 // source is processor i's share of the dataset as the step-1 input.
-func (j job[K]) source(i int) entrySource[K] {
+func (j job[K]) source(i int) shareSource[K] {
 	if j.recs != nil {
 		return &recSource[K]{recs: j.recs[i], node: uint32(i)}
 	}
@@ -385,9 +386,10 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 
 	// Every node's run is built — and its share checked — before any node
 	// starts, so an oversized share fails the job with nothing allocated.
-	// Whether the sort goes by ref is decided here too, once for all
-	// nodes, so every node sends the kind of message every other expects:
-	// bare keys under a codec that frames refs.
+	// Whether the sort goes by ref — step 5 sends the share's refs, not
+	// entries built from them — is decided here too, once for all nodes,
+	// so every node sends the kind of message every other expects: bare
+	// keys under a codec that frames refs.
 	cmps := e.comparators()
 	byRef := j.recs == nil && e.denorm != nil
 	runs := make([]*sortRun[K], p)

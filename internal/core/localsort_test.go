@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
+	"pgxsort/internal/lsort"
 )
 
 // TestRadixPathFloat64TotalOrder: with float keys the engine must
@@ -95,18 +95,20 @@ func poolingCase(t *testing.T, codec comm.Codec[uint64], byRef bool) {
 		entryGets, entryHits, entryPuts := n.entryPool.Stats()
 		refGets, refHits, refPuts := n.refPool.Stats()
 		provGets, provHits, provPuts := n.provPool.Stats()
+		// Four ref slabs a sort either way: step 1's refs and its scratch
+		// half (the one the sorted share lands in is read through step 5),
+		// and step 6's two halves. Every sort after the first finds all four
+		// waiting.
+		if refGets != 4*sorts || refPuts != 4*sorts || refHits < 4*(sorts-1) {
+			t.Fatalf("node %d: ref pool saw %d gets, %d hits, %d puts over %d sorts", i, refGets, refHits, refPuts, sorts)
+		}
 		if !byRef {
-			// Per sort a node takes two entry slabs, the step-1 buffer and
-			// the assembly buffer, and both come back: the result is not a
-			// pool slab. Every sort after the first finds both waiting.
+			// Per sort a node takes two entry slabs, the share's entries
+			// step 5 builds and the assembly buffer, and both come back: the
+			// result is not a pool slab. Every sort after the first finds
+			// both waiting.
 			if entryGets != 2*sorts || entryPuts != 2*sorts || entryHits != 2*(sorts-1) {
 				t.Fatalf("node %d: entry pool saw %d gets, %d hits, %d puts over %d sorts", i, entryGets, entryHits, entryPuts, sorts)
-			}
-			// And three ref slabs, step 1's and step 6's two halves, none of
-			// which outlives its step. The first sort's step 6 may already
-			// reuse step 1's slab, if the node's part lands in its size class.
-			if refGets != 3*sorts || refPuts != 3*sorts || refHits < 3*(sorts-1) {
-				t.Fatalf("node %d: ref pool saw %d gets, %d hits, %d puts over %d sorts", i, refGets, refHits, refPuts, sorts)
 			}
 			if provGets != 0 || provPuts != 0 {
 				t.Fatalf("node %d: a sort by entry took %d provenance slabs", i, provGets)
@@ -117,13 +119,6 @@ func poolingCase(t *testing.T, codec comm.Codec[uint64], byRef bool) {
 		// is built at its exact size.
 		if entryGets != 0 || entryPuts != 0 {
 			t.Fatalf("node %d: a sort by ref took %d entry slabs and returned %d", i, entryGets, entryPuts)
-		}
-		// Four ref slabs a sort: step 1's refs and its scratch half (the
-		// one the sorted share lands in waits for the sort to join), and
-		// step 6's two halves. Every sort after the first finds all four
-		// waiting.
-		if refGets != 4*sorts || refPuts != 4*sorts || refHits < 4*(sorts-1) {
-			t.Fatalf("node %d: ref pool saw %d gets, %d hits, %d puts over %d sorts", i, refGets, refHits, refPuts, sorts)
 		}
 		// And one provenance slab, step 6's.
 		if provGets != sorts || provPuts != sorts || provHits != sorts-1 {
@@ -160,15 +155,16 @@ func poolingCase(t *testing.T, codec comm.Codec[uint64], byRef bool) {
 
 // TestLocalSortInexactNormSpills: step 1 holds to Options.MemoryBudget
 // under an inexact norm too. A share of strings sharing a prefix longer
-// than the norm sees, four times the budget, is formed as runs on disk
-// and merged back to exactly the entries the unbudgeted sort gives — key
-// bytes, Proc and Index — since the chunk sorts are stable by (key, index)
-// and the merge breaks equal keys by run.
+// than the norm sees, four times the budget, is formed as runs of refs on
+// disk and merged back to exactly the refs the unbudgeted sort gives —
+// norm and index, so the same keys in the same order — since the chunk
+// sorts are stable by (key, index) and the merge, ordering equal norms by
+// the keys the refs index, breaks equal keys by run.
 func TestLocalSortInexactNormSpills(t *testing.T) {
 	const n = 4000
 	keys := dist.Gen{Kind: dist.RightSkewed, Seed: 47}.Strings(n, "shared-prefix-")
 	codec := comm.Codec[string](comm.StringCodec{})
-	step1 := func(budget int64) (*sortRun[string], []comm.Entry[string]) {
+	step1 := func(budget int64) (*sortRun[string], []lsort.NormRef) {
 		t.Helper()
 		e, err := NewEngine[string](Options{Procs: 1, WorkersPerProc: 2, MemoryBudget: budget, SpillDir: t.TempDir()}, codec)
 		if err != nil {
@@ -177,11 +173,12 @@ func TestLocalSortInexactNormSpills(t *testing.T) {
 		t.Cleanup(func() { e.Close() })
 		s := testSortRun(e)
 		s.src = &keySource[string]{keys: keys}
-		sh, err := s.localSort()
+		refs, err := s.localSort()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, sh.entries
+		t.Cleanup(s.recycleRetired)
+		return s, refs
 	}
 	resident, want := step1(-1)
 	budgeted, got := step1(n * int64(entryBytes[string]()) / 4)
@@ -190,12 +187,16 @@ func TestLocalSortInexactNormSpills(t *testing.T) {
 			resident.runs.spillBytes.Load(), budgeted.runs.spillBytes.Load())
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%d entries budgeted, %d unbudgeted", len(got), len(want))
+		t.Fatalf("%d refs budgeted, %d unbudgeted", len(got), len(want))
 	}
 	for i := range want {
-		g, w := got[i], want[i]
-		if g.Proc != w.Proc || g.Index != w.Index || !bytes.Equal(keyBytes(codec, g.Key), keyBytes(codec, w.Key)) {
-			t.Fatalf("entry %d is %+v budgeted, %+v unbudgeted", i, g, w)
+		if got[i] != want[i] {
+			t.Fatalf("ref %d is %+v budgeted, %+v unbudgeted", i, got[i], want[i])
+		}
+	}
+	for i := 1; i < len(want); i++ {
+		if a, b := keys[want[i-1].Idx], keys[want[i].Idx]; a > b || a == b && want[i-1].Idx > want[i].Idx {
+			t.Fatalf("refs %d and %d stand for %q@%d before %q@%d", i-1, i, a, want[i-1].Idx, b, want[i].Idx)
 		}
 	}
 }

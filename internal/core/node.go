@@ -25,12 +25,11 @@ type sortRun[K cmp.Ordered] struct {
 	sortID int32
 	opts   Options
 	codec  comm.Codec[K]
-	src    entrySource[K] // this node's share of the dataset
+	src    shareSource[K] // this node's input, which its share's refs index
 	// byRef marks a sort of bare keys whose codec frames refs (sortOne
-	// decides, for all nodes at once): steps 1 to 6 carry 16-byte refs —
-	// through step 1's chunk runs and the spilled exchange's runs too,
-	// whose bytes are the key-only entries the refs stand for — and each
-	// entry is built once, in the result.
+	// decides, for all nodes at once): step 5 sends the share's refs and
+	// step 6 builds each entry once, in the result. Otherwise step 5 builds
+	// the share's entries once, from the refs, and sends those.
 	byRef  bool
 	ctx    context.Context
 	ctrl   *stageCtrl // nil outside the SortMany scheduler
@@ -61,8 +60,9 @@ type sortRun[K cmp.Ordered] struct {
 	metaBytes   atomic.Int64
 	dataBytes   atomic.Int64
 
-	// retired is step 1's pooled slab, whose subslices may still be
-	// aliased by in-flight exchange messages; sortOne recycles it only
+	// retired holds the pooled slabs step 5 sends from — the share's refs,
+	// or the entries built from them — whose subslices may still be
+	// aliased by in-flight exchange messages; sortOne recycles them only
 	// after every node has joined.
 	retired share[K]
 
@@ -81,24 +81,21 @@ type sortRun[K cmp.Ordered] struct {
 // top-k candidates.
 const master = 0
 
-// share is one node's sorted step-1 output, what steps 2 to 5 run over:
-// entries, or on a sort by ref the refs standing for them — Idx is the
-// key's index in the node's share, whose node is the origin.
+// share is what step 5 sends from: the node's sorted refs, or on a sort
+// not by ref the entries they stand for, in the same order.
 type share[K cmp.Ordered] struct {
-	entries []comm.Entry[K]
 	refs    []lsort.NormRef
+	entries []comm.Entry[K]
 }
 
-func (sh share[K]) len() int { return len(sh.entries) + len(sh.refs) }
-
-// slice is sh[lo:hi] as the KData message carrying it. (A sort by ref
-// of an empty share has no ref slab: its empty slices are entries, which
-// every sink takes as the nothing they are.)
+// slice is sh[lo:hi] as the KData message carrying it. (An empty share
+// has no slab: its empty slices are refs, which every sink takes as the
+// nothing they are.)
 func (sh share[K]) slice(lo, hi int) comm.Message[K] {
-	if sh.refs != nil {
-		return comm.Message[K]{Kind: comm.KData, Refs: sh.refs[lo:hi]}
+	if sh.entries != nil {
+		return comm.Message[K]{Kind: comm.KData, Entries: sh.entries[lo:hi]}
 	}
-	return comm.Message[K]{Kind: comm.KData, Entries: sh.entries[lo:hi]}
+	return comm.Message[K]{Kind: comm.KData, Refs: sh.refs[lo:hi]}
 }
 
 // sortCmps bundles one sort's ordering machinery: the key normalization
@@ -122,10 +119,9 @@ type sortCmps[K cmp.Ordered] struct {
 	// whose merge runs in rounds over refs (the loser tree above
 	// lsort's round fan-in), the real keys under an inexact one, whose
 	// loser tree caches the norm per cursor head.
-	headNorm   func(e *comm.Entry[K]) uint64
-	headLess   func(a, b comm.Entry[K]) bool
-	keyLess    func(a, b K) bool
-	entryAfter func(e comm.Entry[K], c cut[K]) bool // e after the cut (step 4)
+	headNorm func(e *comm.Entry[K]) uint64
+	headLess func(a, b comm.Entry[K]) bool
+	keyLess  func(a, b K) bool
 }
 
 // cut is a splitter as one node cuts at it (step 4): its key, and tie,
@@ -152,11 +148,6 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 			na, nb := norm(a), norm(b)
 			return na < nb || na == nb && a < b
 		},
-		// Equal exact norms are equal keys, NaNs too, which < cannot tell.
-		entryAfter: func(en comm.Entry[K], c cut[K]) bool {
-			na, nc := norm(en.Key), norm(c.key)
-			return na > nc || na == nc && !(en.Key < c.key) && (en.Key > c.key || int64(en.Index) > c.tie)
-		},
 	}
 	if c.inexact {
 		c.headLess = func(a, b comm.Entry[K]) bool { return a.Key < b.Key }
@@ -164,8 +155,8 @@ func (e *Engine[K]) comparators() sortCmps[K] {
 	return c
 }
 
-// recycleRetired returns step 1's slab to the node's pool. Only safe
-// once no exchange message can alias it: after every node of the sort
+// recycleRetired returns step 5's slabs to the node's pools. Only safe
+// once no exchange message can alias them: after every node of the sort
 // has joined.
 func (s *sortRun[K]) recycleRetired() {
 	if s == nil {
@@ -316,7 +307,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := s.enterStage(StageLocalSort); err != nil {
 		return nil, err
 	}
-	sh, err := s.localSort()
+	refs, err := s.localSort()
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +322,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := failpoint.Hit(fpSplitters); err != nil {
 		return nil, err
 	}
-	cuts, err := s.splitterAgreement(sh)
+	cuts, err := s.splitterAgreement(refs)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +334,7 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	if err := failpoint.Hit(fpExchange); err != nil {
 		return nil, err
 	}
-	s.pending, err = s.partitionExchange(sh, cuts)
+	s.pending, err = s.partitionExchange(refs, cuts)
 	if err != nil {
 		return nil, err
 	}
@@ -385,19 +376,14 @@ func (o Options) step1Chunk(n, eb int) int {
 }
 
 // localSort is step 1: the parallel local sort of this node's share,
-// run by the shared former (runs.go). The share's slab comes from the
-// node's pool and returns to it once the whole sort joins (its subslices
-// travel through the exchange).
-//
-// A share that fits is one chunk, sorted where it ends up. A share whose
-// entries alone exceed Options.MemoryBudget is formed in budget-sized
-// chunks that spill to a scratch file of the engine's as one run each and
-// stream-merge back over it — the same bytes, a fraction of the temporary
-// memory. A sort by ref stops at the sorted refs, 16 bytes a key, whose
-// chunk runs are written from refs and read back as refs: no entry is
-// built. Otherwise the chunks land in the head of the entry buffer, and
-// one chunk is written into it once, already in order.
-func (s *sortRun[K]) localSort() (share[K], error) {
+// run by the shared former (runs.go). The share is the node's keys as
+// sorted refs into its input, 16 bytes a key, in a slab of the node's ref
+// pool (see retired). A share that fits is one chunk, sorted where it
+// ends up. A share whose entries would exceed Options.MemoryBudget is
+// formed in budget-sized chunks that spill to a scratch file of the
+// engine's as one run of refs each and merge back over it — the same
+// refs, a fraction of the temporary memory.
+func (s *sortRun[K]) localSort() ([]lsort.NormRef, error) {
 	t0 := time.Now()
 	defer func() { s.report.Steps[StepLocalSort] = time.Since(t0) }()
 	n := s.src.size()
@@ -406,46 +392,28 @@ func (s *sortRun[K]) localSort() (share[K], error) {
 	if chunk < n {
 		var err error
 		if scratch, err = s.node.eng.scratch.Take(); err != nil {
-			return share[K]{}, err
+			return nil, err
 		}
 		// The chunk runs are merged back, their readers closed, before
 		// the exchange takes a scratch of its own: it may be this one.
 		defer s.node.eng.scratch.Give(scratch)
 	}
-	if s.byRef {
-		refs, err := s.runs.sortRefs(s.src, n, chunk, uint32(s.node.id), scratch)
-		if err != nil {
-			return share[K]{}, err
-		}
-		s.retired.refs = refs
-		s.report.ResidentBytes = int64(n) * refBytes
-		return share[K]{refs: refs}, nil
-	}
-	entries := s.node.entryPool.Get(n)
-	s.retired.entries = entries
-	s.report.ResidentBytes = int64(n) * int64(entryBytes[K]())
-	runs, err := s.runs.form(s.src, entries[:chunk], chunk, scratch)
-	if err == nil && scratch != nil {
-		err = s.runs.mergeInto(entries, runs)
-	}
+	refs, err := s.runs.sortRefs(s.src, n, chunk, uint32(s.node.id), scratch)
 	if err != nil {
-		return share[K]{}, err
+		return nil, err
 	}
-	return share[K]{entries: entries}, nil
+	s.retired.refs = refs
+	s.report.ResidentBytes = int64(n) * refBytes
+	return refs, nil
 }
 
 // sampleKeys returns the keys at sample.Regular's positions of the
-// share, read in place: count (at most sh.len(), as sample.Count gives
-// it) keys are copied, no entries.
-func (s *sortRun[K]) sampleKeys(sh share[K], count int) []K {
+// share, read through the source: count (at most len(refs), as
+// sample.Count gives it) keys are copied, no entries.
+func (s *sortRun[K]) sampleKeys(refs []lsort.NormRef, count int) []K {
 	keys := make([]K, count)
 	for i := range keys {
-		at := sample.RegularIndex(i, sh.len(), count)
-		if s.byRef {
-			keys[i] = s.cmps.denorm(sh.refs[at].Norm)
-		} else {
-			keys[i] = sh.entries[at].Key
-		}
+		keys[i] = s.src.key(refs[sample.RegularIndex(i, len(refs), count)].Idx)
 	}
 	return keys
 }
@@ -453,14 +421,14 @@ func (s *sortRun[K]) sampleKeys(sh share[K], count int) []K {
 // splitterAgreement is steps 2-3: regular sampling, one buffer of samples
 // to the master, master-side splitter selection and broadcast with each
 // splitter's owner (sample.SplitterOwners), and this node's cuts.
-func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]cut[K], error) {
+func (s *sortRun[K]) splitterAgreement(refs []lsort.NormRef) ([]cut[K], error) {
 	p := s.opts.Procs
 	self := s.node.id
 
 	// ---- Step 2: regular sampling, one buffer of samples to master ----
 	t0 := time.Now()
-	nsamples := sample.Count(s.opts.BufferBytes, p, s.codec.KeySize(), s.opts.SampleFactor, sh.len())
-	keys := s.sampleKeys(sh, nsamples)
+	nsamples := sample.Count(s.opts.BufferBytes, p, s.codec.KeySize(), s.opts.SampleFactor, len(refs))
+	keys := s.sampleKeys(refs, nsamples)
 	s.report.SamplesSent = len(keys)
 	if p > 1 && self != master {
 		if err := s.send(master, comm.Message[K]{Kind: comm.KSamples, Keys: keys}); err != nil {
@@ -513,13 +481,11 @@ func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]cut[K], error) {
 	for j, k := range splitters {
 		cuts[j] = cut[K]{key: k, tie: math.MaxInt64}
 		if len(owners) == len(splitters) { // else keys alone (Figure 3b)
-			switch q, at := int(owners[j]>>32), sample.RegularIndex(int(uint32(owners[j])), sh.len(), nsamples); {
+			switch q, at := int(owners[j]>>32), sample.RegularIndex(int(uint32(owners[j])), len(refs), nsamples); {
 			case self > q:
 				cuts[j].tie = -1
-			case self == q && s.byRef:
-				cuts[j].tie = int64(sh.refs[at].Idx)
 			case self == q:
-				cuts[j].tie = int64(sh.entries[at].Index)
+				cuts[j].tie = int64(refs[at].Idx)
 			}
 		}
 	}
@@ -533,25 +499,28 @@ func (s *sortRun[K]) splitterAgreement(sh share[K]) ([]cut[K], error) {
 // sink is discarded, so a cancelled sort cannot inflate the node's
 // tracker, leak slabs or leave a scratch file for later sorts on the same
 // engine.
-func (s *sortRun[K]) partitionExchange(sh share[K], cuts []cut[K]) (_ exchangeSink[K], err error) {
+func (s *sortRun[K]) partitionExchange(refs []lsort.NormRef, cuts []cut[K]) (_ exchangeSink[K], err error) {
 	n := s.node
 	p := s.opts.Procs
 	self := n.id
 
 	// ---- Step 4: binary-search range partitioning + metadata bcast ----
 	t0 := time.Now()
-	var ranges sample.Ranges
-	if s.byRef {
-		// An exact norm: a ref's norm against the splitter's is the key
-		// comparison.
-		norm := s.cmps.norm
-		ranges = sample.Partition(sh.refs, cuts, nil, func(r lsort.NormRef, c cut[K]) bool {
-			nc := norm(c.key)
-			return r.Norm > nc || r.Norm == nc && int64(r.Idx) > c.tie
-		}, nil, false)
-	} else {
-		ranges = sample.Partition(sh.entries, cuts, nil, s.cmps.entryAfter, nil, false)
-	}
+	// A ref sorts after a cut by norm, then — an inexact norm's equal
+	// norms being unequal keys — by key, then by index against the tie.
+	// Equal exact norms are equal keys, NaNs too, which < cannot tell.
+	norm, inexact, src := s.cmps.norm, s.cmps.inexact, s.src
+	ranges := sample.Partition(refs, cuts, nil, func(r lsort.NormRef, c cut[K]) bool {
+		if nc := norm(c.key); r.Norm != nc {
+			return r.Norm > nc
+		}
+		if inexact {
+			if k := src.key(r.Idx); k < c.key || k > c.key {
+				return k > c.key
+			}
+		}
+		return int64(r.Idx) > c.tie
+	}, nil, false)
 	counts := ranges.Counts()
 	meta := make([]int64, p)
 	for i, c := range counts {
@@ -583,6 +552,7 @@ func (s *sortRun[K]) partitionExchange(sh share[K], cuts []cut[K]) (_ exchangeSi
 
 	// ---- Step 5: simultaneous send and receive at precomputed offsets ----
 	t0 = time.Now()
+	sh := s.sendShare(refs)
 	sink, err := s.newExchangeSink(perSrc)
 	if err != nil {
 		return nil, err
@@ -708,6 +678,22 @@ func (s *sortRun[K]) partitionExchange(sh share[K], cuts []cut[K]) (_ exchangeSi
 	}
 	s.report.Steps[StepExchange] = time.Since(t0)
 	return sink, nil
+}
+
+// sendShare is the share as step 5 sends it: the refs themselves on a
+// sort by ref; otherwise the entries they stand for, built once from the
+// source into a slab of the node's entry pool, while the refs, read for
+// the last time, go back to theirs.
+func (s *sortRun[K]) sendShare(refs []lsort.NormRef) share[K] {
+	if s.byRef {
+		return share[K]{refs: refs}
+	}
+	entries := s.node.entryPool.Get(len(refs))
+	s.src.emit(entries, refs)
+	s.retired = share[K]{entries: entries}
+	s.node.refPool.Put(refs)
+	s.report.ResidentBytes += int64(len(entries)) * int64(entryBytes[K]())
+	return share[K]{entries: entries}
 }
 
 // sendRange streams one destination's range of the share — the KData

@@ -26,27 +26,13 @@ type entryPathCodec[K any] struct{ comm.Codec[K] }
 
 func (c entryPathCodec[K]) Norm(k K) uint64 { return c.Codec.(comm.KeyNormalizer[K]).Norm(k) }
 
-// denormPanics frames refs under U64Codec's bits by the generic loops,
-// and its inverse gives out on one key.
-type denormPanics struct{ at uint64 }
-
-func (denormPanics) KeySize() int              { return 8 }
-func (denormPanics) PutKey(b []byte, k uint64) { comm.U64Codec{}.PutKey(b, k) }
-func (denormPanics) Key(b []byte) uint64       { return comm.U64Codec{}.Key(b) }
-func (denormPanics) Norm(k uint64) uint64      { return k }
-func (c denormPanics) Denorm(n uint64) uint64 {
-	if n == c.at {
-		panic("denorm gave out")
-	}
-	return n
-}
-
 // refsCase sorts parts on two engines built alike but for the codec —
 // one under codec, which frames refs, one under the entry path's — and
-// requires the sort by ref to have gone by ref (step 1 resident at 16
-// bytes a key) and to equal the sort by entry entry for entry (key bits,
-// Proc, Index) and in every traffic count, spilled bytes written and read
-// back included. It returns the sort by ref's report.
+// requires the sort by ref to have gone by ref (what steps 1 to 5 held
+// resident: the share's refs, 16 bytes a key, where the sort by entry
+// also built the entries it sent) and to equal the sort by entry entry for
+// entry (key bits, Proc, Index) and in every traffic count, spilled bytes
+// written and read back included. It returns the sort by ref's report.
 func refsCase[K cmp.Ordered](t *testing.T, label string, opts Options, byRef, byEntry comm.Codec[K], parts [][]K) Report {
 	t.Helper()
 	sort := func(codec comm.Codec[K]) *Result[K] {
@@ -65,11 +51,11 @@ func refsCase[K cmp.Ordered](t *testing.T, label string, opts Options, byRef, by
 	got, want := sort(byRef), sort(byEntry)
 	n := int64(got.Len())
 	eb := int64(entryBytes[K]())
-	if step1 := got.Report.ResidentBytes - n*eb; step1 != n*refBytes {
-		t.Fatalf("%s: step 1 held %d bytes for %d keys; the sort did not go by ref", label, step1, n)
+	if sent := got.Report.ResidentBytes - n*eb; sent != n*refBytes {
+		t.Fatalf("%s: steps 1-5 held %d bytes for %d keys; the sort did not go by ref", label, sent, n)
 	}
-	if step1 := want.Report.ResidentBytes - n*eb; step1 != n*eb {
-		t.Fatalf("%s: step 1 held %d bytes for %d keys; the sort did not go by entry", label, step1, n)
+	if sent := want.Report.ResidentBytes - n*eb; sent != n*(refBytes+eb) {
+		t.Fatalf("%s: steps 1-5 held %d bytes for %d keys; the sort did not go by entry", label, sent, n)
 	}
 	for i := range want.Parts {
 		g, w := got.Parts[i], want.Parts[i]
@@ -144,11 +130,11 @@ func refsFloat(i int, k uint64) float64 {
 // several messages. A key-only sort on a record codec goes by ref too,
 // its frames carrying the zero payload length.
 //
-// Under a budget it still goes by ref. Step 1's chunk runs are written
-// from refs and merged back as refs — in rounds up to 64 runs a node, by
-// the loser tree above — and the spilled exchange appends ref chunks to
-// its runs; every run must be the entry path's byte for byte, so the
-// bytes spilled and read back are equal too. Each step-1 shape runs with
+// Under a budget it still goes by ref. Step 1's chunk runs are refs,
+// 16 bytes a key, on both paths, merged back as refs — in rounds up to 64
+// runs a node, by the loser tree above — and the spilled exchange appends
+// ref chunks to its runs; every exchange run must be the entry path's
+// byte for byte, so the bytes spilled and read back are equal too. Each step-1 shape runs with
 // the exchange resident and with it spilled, and an exchange spills
 // behind a step 1 that does not. A share of more than 64 runs needs a
 // node to receive less than 1/32 of it, so below 33 processors its
@@ -186,11 +172,12 @@ func TestRefsPathMatchesEntryPath(t *testing.T) {
 				opts := Options{Procs: len(parts), WorkersPerProc: 2, Transport: tr, BufferBytes: 2048,
 					MemoryBudget: c.budget * int64(entryBytes[uint64]()), SpillDir: t.TempDir()}
 				for name, rep := range refsCodecCases(t, label, opts, parts) {
-					// Step 1 spills the shares above the budget whole.
+					// Step 1 spills the shares above the budget whole, as runs
+					// of refs: 16 bytes a key whatever the codec.
 					step1 := int64(0)
 					for _, n := range c.shares {
 						if int64(n) > c.budget {
-							step1 += int64(n) * refWire(name)
+							step1 += int64(n) * 16
 						}
 					}
 					if rep.SpillBytes < step1 || rep.SpillBytes > step1 != c.spills {
@@ -235,28 +222,18 @@ func TestRefsPathMatchesEntryPath(t *testing.T) {
 	}
 }
 
-// refWire is the bytes a key spills as under refsCodecCases' codec name.
-func refWire(codec string) int64 {
-	switch codec {
-	case "uint32":
-		return 4 + 8
-	case "record-codec":
-		return 8 + 8 + 4
-	}
-	return 8 + 8
-}
-
 // refsStep1Case runs step 1 alone over keys on node 0 of two engines
-// under a budget of budget entries, by ref under codec and by entry under
-// the entry path's codec, and requires the sorted refs to stand for the
-// sorted entries one for one, both to have spilled and read back the same
-// bytes, and the temporary memory by ref to peak no higher than by entry.
+// under a budget of budget entries, one under codec, which frames refs,
+// one under the entry path's codec, and requires both shares to be the
+// same sorted refs into keys — step 1 does not depend on how step 5
+// sends — both to have spilled and read back the same bytes, and the
+// temporary memory to peak alike.
 // The label says whether its runs take the rounds (up to 64) or the tree.
 // Blocks are small, so a run spans several, as under a large budget: the
 // merge holds a block of each run, far less than the chunk.
 func refsStep1Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], keys []K, budget int64) {
 	t.Helper()
-	step1 := func(c comm.Codec[K], byRef bool) (share[K], *sortRun[K]) {
+	step1 := func(c comm.Codec[K]) ([]lsort.NormRef, *sortRun[K]) {
 		e, err := NewEngine[K](Options{Procs: 1, WorkersPerProc: 2,
 			MemoryBudget: budget * int64(entryBytes[K]()), SpillDir: t.TempDir()}, c)
 		if err != nil {
@@ -264,33 +241,32 @@ func refsStep1Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K
 		}
 		t.Cleanup(func() { e.Close() })
 		s := testSortRun(e)
-		s.byRef = byRef
 		s.runs.blockBytes = 1 << 10
 		s.src = &keySource[K]{keys: keys}
-		sh, err := s.localSort()
+		refs, err := s.localSort()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		t.Cleanup(s.recycleRetired)
-		return sh, s
+		return refs, s
 	}
-	got, gs := step1(codec, true)
-	want, ws := step1(entryPathCodec[K]{codec}, false)
-	if len(got.refs) != len(keys) || len(want.entries) != len(keys) {
-		t.Fatalf("%s: %d refs and %d entries for %d keys", label, len(got.refs), len(want.entries), len(keys))
+	got, gs := step1(codec)
+	want, ws := step1(entryPathCodec[K]{codec})
+	if len(got) != len(keys) || len(want) != len(keys) {
+		t.Fatalf("%s: %d and %d refs for %d keys", label, len(got), len(want), len(keys))
 	}
 	denorm, _ := comm.RefDenorm(codec)
-	for i, w := range want.entries {
-		g := got.refs[i]
-		if g.Idx != w.Index || w.Proc != 0 || !bytes.Equal(keyBytes(codec, denorm(g.Norm)), keyBytes(codec, w.Key)) {
-			t.Fatalf("%s: position %d holds ref %+v by ref, entry %+v by entry", label, i, g, w)
+	for i, w := range want {
+		g := got[i]
+		if g != w || !bytes.Equal(keyBytes(codec, denorm(g.Norm)), keyBytes(codec, keys[g.Idx])) {
+			t.Fatalf("%s: position %d holds ref %+v under the ref codec, %+v under the entry path's", label, i, g, w)
 		}
 	}
 	if runs := (len(keys) + int(budget/2) - 1) / int(budget/2); runs < 2 || runs <= 64 == strings.HasPrefix(label, "tree/") {
 		t.Fatalf("%s: %d runs a node", label, runs)
 	}
-	if gp, wp := gs.node.tracker.Peak(), ws.node.tracker.Peak(); gp == 0 || gp > wp {
-		t.Fatalf("%s: temporary memory peaked at %d bytes by ref, %d by entry", label, gp, wp)
+	if gp, wp := gs.node.tracker.Peak(), ws.node.tracker.Peak(); gp == 0 || gp != wp {
+		t.Fatalf("%s: temporary memory peaked at %d bytes under the ref codec, %d under the entry path's", label, gp, wp)
 	}
 	gb, gr := gs.runs.spillBytes.Load(), gs.runs.spillReads.Load()
 	wb, wr := ws.runs.spillBytes.Load(), ws.runs.spillReads.Load()
@@ -300,11 +276,11 @@ func refsStep1Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K
 }
 
 // TestRefsPathPanicGivesEverythingBack: a panic in a sort by ref's step 1
-// (the norm giving out while the refs are built, or the codec's inverse
-// while a chunk's refs are written as a run) or step 6 (the inverse
-// giving out while the result is written, alone and beside the helper
-// goroutine) unwinds with every ref and provenance slab back in its pool
-// and the tracker at zero.
+// (the norm giving out while the refs are built, in one chunk or in a
+// later chunk of a budgeted share, after earlier chunks were written as
+// runs) or step 6 (the inverse giving out while the result is written,
+// alone and beside the helper goroutine) unwinds with every ref and
+// provenance slab back in its pool and the tracker at zero.
 func TestRefsPathPanicGivesEverythingBack(t *testing.T) {
 	keys := dist.Gen{Kind: dist.Uniform, Seed: 59}.Keys(6000)
 	mustPanic := func(t *testing.T, what string, f func()) {
@@ -342,15 +318,17 @@ func TestRefsPathPanicGivesEverythingBack(t *testing.T) {
 		mustPanic(t, "step 1", func() { s.localSort() })
 		balanced(t, s.node)
 
-		e2, err := NewEngine[uint64](Options{Procs: 3, WorkersPerProc: workers,
-			MemoryBudget: 1000 * int64(entryBytes[uint64]()), SpillDir: t.TempDir()}, denormPanics{keys[4000]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e2.Close() })
+		e2 := newTestEngine(t, Options{Procs: 3, WorkersPerProc: workers,
+			MemoryBudget: 1000 * int64(entryBytes[uint64]()), SpillDir: t.TempDir()})
 		s = testSortRun(e2)
 		s.byRef = true
 		s.src = &keySource[uint64]{keys: keys}
+		s.runs.cmps.norm = func(k uint64) uint64 {
+			if k == keys[4000] {
+				panic("norm gave out")
+			}
+			return k
+		}
 		mustPanic(t, "step 1's chunk runs", func() { s.localSort() })
 		balanced(t, s.node)
 

@@ -228,14 +228,11 @@ func (r *Result[K]) PartRanges() []PartRange[K] {
 }
 
 // Verify checks the full contract of the distributed sort against the
-// original inputs: every part is sorted, parts are globally ordered,
-// and the origin fields describe a perfect permutation of the input
+// original inputs: every part is sorted, parts are globally ordered —
+// both in the order the sort produced (see searchOrder) — and the origin
+// fields describe a perfect permutation of the input
 // (every (proc,index) appears exactly once and carries its input key).
 func (r *Result[K]) Verify(inputs [][]K) error {
-	if len(inputs) != len(r.Parts) && len(inputs) != 0 {
-		// A different processor count is fine as long as provenance holds;
-		// only the origin bounds check below needs inputs indexed by proc.
-	}
 	total := 0
 	for _, in := range inputs {
 		total += len(in)
@@ -249,14 +246,14 @@ func (r *Result[K]) Verify(inputs [][]K) error {
 	for i, in := range inputs {
 		offsets[i+1] = offsets[i] + len(in)
 	}
-	var prev K
-	havePrev := false
+	order := r.searchOrder()
+	var prev *comm.Entry[K]
 	for pi, part := range r.Parts {
 		for i, e := range part {
-			if i > 0 && part[i-1].Key > e.Key {
+			if i > 0 && order(part[i-1], e.Key) > 0 {
 				return fmt.Errorf("core: part %d not sorted at %d", pi, i)
 			}
-			if havePrev && prev > e.Key {
+			if i == 0 && prev != nil && order(*prev, e.Key) > 0 {
 				return fmt.Errorf("core: global order violated entering part %d", pi)
 			}
 			op := int(e.Proc)
@@ -277,8 +274,7 @@ func (r *Result[K]) Verify(inputs [][]K) error {
 			seen[flat] = true
 		}
 		if len(part) > 0 {
-			prev = part[len(part)-1].Key
-			havePrev = true
+			prev = &part[len(part)-1]
 		}
 	}
 	return nil

@@ -19,34 +19,41 @@ import (
 // its share in parallel chunks and combines them with the balanced
 // handler — has one implementation here, the run former, whatever the
 // input is (bare keys, records, a section of an upload spool) and
-// wherever the sorted runs end up (the node's entry buffer, blocks of a
-// scratch file). Where a run lives is a property of the run; the merge
-// side already treats it that way through lsort.Cursor, and the former is
-// the same idea on the formation side.
+// wherever the sorted runs end up (the node's ref share, blocks of a
+// scratch file). It sorts 16-byte (norm, index) refs and nothing else: a
+// share comes out as sorted refs into the node's own input, and a chunk
+// that spills is written as refs, or, from a spool section, as the
+// key-only entries its refs and staged keys make. Where a run lives is a
+// property of the run; the merge side already treats it that way through
+// lsort.Cursor, and the former is the same idea on the formation side.
 
 // entrySource is one node's step-1 input. The former pulls it a chunk at
-// a time and addresses the staged chunk by position: it sorts 16-byte
-// (norm, position) refs and has the source put each entry in its sorted
-// place, once. Entries leave provenance-stamped (origin node, index
-// within the node's share), so the rest of the pipeline never sees what
-// the input was.
+// a time and addresses the staged chunk by position: it sorts one
+// (norm, position) ref per key and never moves a key.
 type entrySource[K cmp.Ordered] interface {
-	// size is how many entries the source yields in total.
+	// size is how many keys the source yields in total.
 	size() int
-	// next stages the following chunk of at most max entries and returns
-	// its length; 0 means the source is exhausted. The methods below read
-	// the staged chunk.
+	// next stages the following chunk of at most max keys and returns its
+	// length; 0 means the source is exhausted. The methods below read the
+	// staged chunk.
 	next(max int) (int, error)
 	// refs writes dst[i] = (norm of the chunk's i-th key, i).
 	refs(dst []lsort.NormRef, norm func(K) uint64)
 	// less orders the keys at two chunk positions.
 	less(i, j uint32) bool
-	// emit returns the chunk as entries in the order the refs name:
-	// element j is the entry at chunk position order[j].Idx. order, a
-	// permutation of the chunk's positions, is consumed. The entries land
-	// in buf when the source has to build them, and in the source's own
-	// staging when they already exist there.
-	emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K]
+}
+
+// shareSource is a node's resident input: an entrySource whose keys stay
+// where they are for the whole sort, so its sorted share is refs into it —
+// Idx is a key's index in the source, the node its origin — and steps 2
+// to 5 read keys and build entries through it.
+type shareSource[K cmp.Ordered] interface {
+	entrySource[K]
+	// key is the key at index i.
+	key(i uint32) K
+	// emit writes dst[j] = the provenance-stamped entry at index
+	// order[j].Idx; dst is as long as order.
+	emit(dst []comm.Entry[K], order []lsort.NormRef)
 }
 
 // ErrShareTooLarge rejects a step-1 input, or a step-6 assembly, of more
@@ -86,17 +93,17 @@ func (s *keySource[K]) less(i, j uint32) bool {
 	return s.keys[s.lo+int(i)] < s.keys[s.lo+int(j)]
 }
 
-// entry is the chunk's i-th entry.
+func (s *keySource[K]) key(i uint32) K { return s.keys[i] }
+
+// entry is the entry at index i.
 func (s *keySource[K]) entry(i int) comm.Entry[K] {
-	return comm.Entry[K]{Key: s.keys[s.lo+i], Proc: s.node, Index: uint32(s.lo + i)}
+	return comm.Entry[K]{Key: s.keys[i], Proc: s.node, Index: uint32(i)}
 }
 
-func (s *keySource[K]) emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K] {
-	buf = buf[:len(order)]
+func (s *keySource[K]) emit(dst []comm.Entry[K], order []lsort.NormRef) {
 	for j, r := range order {
-		buf[j] = s.entry(int(r.Idx))
+		dst[j] = s.entry(int(r.Idx))
 	}
-	return buf
 }
 
 // recSource yields one node's key+payload records; the staged chunk is
@@ -124,96 +131,13 @@ func (s *recSource[K]) less(i, j uint32) bool {
 	return s.recs[s.lo+int(i)].Key < s.recs[s.lo+int(j)].Key
 }
 
-// entry is the chunk's i-th entry.
-func (s *recSource[K]) entry(i int) comm.Entry[K] {
-	rec := &s.recs[s.lo+i]
-	return comm.Entry[K]{Key: rec.Key, Payload: rec.Payload, Proc: s.node, Index: uint32(s.lo + i)}
-}
+func (s *recSource[K]) key(i uint32) K { return s.recs[i].Key }
 
-func (s *recSource[K]) emit(buf []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K] {
-	buf = buf[:len(order)]
+func (s *recSource[K]) emit(dst []comm.Entry[K], order []lsort.NormRef) {
 	for j, r := range order {
-		buf[j] = s.entry(int(r.Idx))
+		rec := &s.recs[r.Idx]
+		dst[j] = comm.Entry[K]{Key: rec.Key, Payload: rec.Payload, Proc: s.node, Index: r.Idx}
 	}
-	return buf
-}
-
-// sectionSource yields one node's contiguous section of an upload spool
-// (see formSection). A chunk read back from disk has to sit somewhere to
-// be addressed by position, so this source stages it in a slab of its
-// own: staged[:n] is the chunk, provenance already stamped.
-type sectionSource[K cmp.Ordered] struct {
-	sec     *spill.RunReader[K]
-	node    uint32
-	seq     uint32          // entries staged so far: the next entry's Index
-	staged  []comm.Entry[K] // staging slab, one chunk long
-	n       int             // length of the staged chunk
-	pending []comm.Entry[K] // unconsumed tail of the reader's live batch
-}
-
-func (s *sectionSource[K]) size() int { return int(s.sec.Count()) }
-
-func (s *sectionSource[K]) next(max int) (int, error) {
-	dst := s.staged[:min(max, len(s.staged))]
-	s.n = 0
-	for s.n < len(dst) {
-		if len(s.pending) == 0 {
-			var err error
-			if s.pending, err = s.sec.Next(); err != nil {
-				return 0, err
-			}
-			if len(s.pending) == 0 {
-				break
-			}
-		}
-		n := copy(dst[s.n:], s.pending)
-		// Restamp provenance: the spool holds arrival order from one
-		// ingress stream, but the sorted output's tie-break provenance
-		// is (section, position-in-section), matching the resident
-		// path's (node, index).
-		for j := s.n; j < s.n+n; j++ {
-			dst[j].Proc = s.node
-			dst[j].Index = s.seq
-			s.seq++
-		}
-		s.n += n
-		s.pending = s.pending[n:]
-	}
-	return s.n, nil
-}
-
-func (s *sectionSource[K]) refs(dst []lsort.NormRef, norm func(K) uint64) {
-	for i := range s.staged[:s.n] {
-		dst[i] = lsort.NormRef{Norm: norm(s.staged[i].Key), Idx: uint32(i)}
-	}
-}
-
-func (s *sectionSource[K]) less(i, j uint32) bool { return s.staged[i].Key < s.staged[j].Key }
-
-// emit permutes the staging in place, following each cycle of order
-// once: every entry moves straight to its sorted position and no second
-// entry slab is needed. A position is marked done by pointing its ref at
-// itself.
-func (s *sectionSource[K]) emit(_ []comm.Entry[K], order []lsort.NormRef) []comm.Entry[K] {
-	chunk := s.staged[:len(order)]
-	for j := range order {
-		if order[j].Idx == uint32(j) {
-			continue
-		}
-		first := chunk[j]
-		k := j
-		for {
-			from := int(order[k].Idx)
-			order[k].Idx = uint32(k)
-			if from == j {
-				chunk[k] = first
-				break
-			}
-			chunk[k] = chunk[from]
-			k = from
-		}
-	}
-	return chunk
 }
 
 // runFormer forms and reopens sorted runs for one consumer: a node of the
@@ -233,7 +157,8 @@ type runFormer[K cmp.Ordered] struct {
 	tracker  *alloc.Tracker
 	// Spilled runs are blocks of a scratch file, one file per spilling
 	// stage: whoever needs the stage's runs on disk creates it, hands it
-	// to form or writeRun, and closes it once the runs are consumed.
+	// to sortRefs, formSection or writeRun, and closes it once the runs
+	// are consumed.
 	blockBytes int // spilled block size; 0 is the spill tier's default
 
 	// Bytes written to and read back from scratch files (the spool's
@@ -244,7 +169,7 @@ type runFormer[K cmp.Ordered] struct {
 }
 
 func (f *runFormer[K]) readerOpts() spill.ReaderOpts[K] {
-	return spill.ReaderOpts[K]{Pool: f.pool, RefPool: f.refPool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
+	return spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
 }
 
 // takeSlab hands out an n-element slab of pool accounted in tracker as
@@ -280,20 +205,34 @@ func chunkEntries(budget, eb int64, floor int) int {
 	return max(int(budget/(2*eb)), floor)
 }
 
-// form is step 1 for one source. It pulls the source one chunk (at most
-// chunk entries) at a time and sorts each; given a scratch file every
-// sorted chunk is written to it as a run and the runs come back in chunk
-// order, without one the source must fit one chunk, which stays in buf.
-// buf, a chunk long, is where a source that does not stage its own entries
-// has them land; one that does needs none. Chunk sorts are stable, an
-// inexact norm's included (its equal-norm runs are finished under the real
-// keys), and the merge breaks equal keys by run, so merging the runs in
-// order reproduces the one-chunk sort entry for entry at any chunk size.
-func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, to *spill.Scratch) (runs []spill.Run, err error) {
-	chunk = min(chunk, src.size())
-	refs := f.takeRefs(2 * chunk) // the chunk's refs, then as many of scratch
+// sortStaged is the step-1 kernel: it sorts the refs of src's staged
+// chunk, one (norm, position) ref per key — a radix over the bits that
+// tell them apart per worker chunk, combined by the balanced handler —
+// and returns them in refs or in scratch, each as long as the chunk. The
+// ref sort is stable and the refs start in position order, so equal keys
+// stay in position order; an inexact norm has its equal-norm runs
+// finished under the real keys.
+func (f *runFormer[K]) sortStaged(src entrySource[K], refs, scratch []lsort.NormRef) []lsort.NormRef {
+	src.refs(refs, f.cmps.norm)
+	order := lsort.SortNormRefs(refs, scratch, f.workers)
+	if f.cmps.inexact {
+		lsort.SortEqualNormRefs(order, src.less)
+	}
+	return order
+}
+
+// formRuns pulls src one chunk (at most chunk keys) at a time, sorts each
+// (sortStaged) in a slab of 2·chunk refs and has write make the sorted
+// refs — Idx a chunk position, lo the chunk's first index in src — a run.
+// The runs come back in chunk order; the slab goes back before they are
+// merged. Chunk sorts are stable and the merges break equal keys by run,
+// so merging the runs in order reproduces the one-chunk sort at any chunk
+// size.
+func (f *runFormer[K]) formRuns(src entrySource[K], chunk int, write func(lo int, sorted []lsort.NormRef) (spill.Run, error)) ([]spill.Run, error) {
+	refs := f.takeRefs(2 * chunk) // a chunk's refs, then as many of scratch
 	defer f.giveRefs(refs)
-	for {
+	runs := make([]spill.Run, 0, (src.size()+chunk-1)/max(chunk, 1))
+	for lo := 0; ; {
 		if err := f.ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -304,75 +243,25 @@ func (f *runFormer[K]) form(src entrySource[K], buf []comm.Entry[K], chunk int, 
 		if n == 0 {
 			return runs, nil
 		}
-		sorted := f.sortChunk(src, n, buf, refs)
-		if to == nil {
-			return nil, nil
-		}
-		run, err := f.writeRun(to, sorted, nil)
+		run, err := write(lo, f.sortStaged(src, refs[:n], refs[chunk:chunk+n]))
 		if err != nil {
 			return nil, err
 		}
 		runs = append(runs, run)
-		if n < chunk {
-			return runs, nil
-		}
+		lo += n
 	}
 }
 
-// formSection is step 1 for one node of a spooled job: its section of
-// the spool, sec, becomes sorted runs of at most chunk entries in the
-// scratch file the job's sections share. Nothing stays resident — the
-// staging chunk is the former's own, tracker-accounted like its refs; the
-// two (40 + 32 B an entry) stay under the two entry slabs the budget's
-// chunk size was derived from.
-func (f *runFormer[K]) formSection(sec spill.Run, node, chunk int, to *spill.Scratch) ([]spill.Run, error) {
-	r := spill.OpenRun(sec, f.codec, f.readerOpts())
-	defer func() {
-		f.spillReads.Add(r.BytesRead())
-		r.Close()
-	}()
-	src := &sectionSource[K]{sec: r, node: uint32(node)}
-	if err := checkShare[K](src); err != nil {
-		return nil, err
-	}
-	chunk = min(chunk, src.size())
-	src.staged = f.take(chunk)
-	defer f.give(src.staged)
-	return f.form(src, nil, chunk, to)
-}
-
-// sortChunk is the step-1 kernel: it returns the source's staged chunk of
-// n entries, sorted.
-//
-// It never moves an entry to sort it: it builds one (norm, position) ref
-// per key, sorts the refs — a radix over the bits that tell them apart per
-// worker chunk, combined by the balanced handler — and has the source put
-// each entry in its place once, in the refs' order. The ref sort is stable
-// and the refs start in position order, so equal keys come out in
-// provenance order exactly as if the entries themselves had been stably
-// sorted. An inexact norm leaves its equal-norm runs for the real keys
-// first.
-func (f *runFormer[K]) sortChunk(src entrySource[K], n int, buf []comm.Entry[K], refs []lsort.NormRef) []comm.Entry[K] {
-	src.refs(refs[:n], f.cmps.norm)
-	order := lsort.SortNormRefs(refs[:n], refs[len(refs)/2:], f.workers)
-	if f.cmps.inexact {
-		lsort.SortEqualNormRefs(order, src.less)
-	}
-	return src.emit(buf, order)
-}
-
-// sortRefs is step 1 of a sort by ref: the refs standing for the n keys
-// of node's source, sorted — the share, in a slab of the ref pool that is
-// resident until the sort joins. A share of one chunk (to nil) is
-// sortChunk stopping at the sorted refs: it sorts in that slab and a
-// scratch one, both temporary memory while it does. A larger one is
-// formed into runs (formRefs), which are read back as refs and merged
-// into the share by the stable cursor merge that takes form's runs back,
-// so the share is the one-chunk sort's, ref for ref. Like the entry
-// path's buffer, that share only receives the merge: it is resident from
-// the start. Every other slab goes back, and on an error or a panic the
-// share does too.
-func (f *runFormer[K]) sortRefs(src entrySource[K], n, chunk int, node uint32, to *spill.Scratch) ([]lsort.NormRef, error) {
+// sortRefs is step 1 for one node: the refs standing for the n keys of
+// node's source, sorted — the share, in a slab of the ref pool that is
+// resident until the sort joins, Idx a key's index in src. A share of one
+// chunk (to nil) is sorted in that slab and a scratch one, both temporary
+// memory while it does. A larger one is formed into runs of refs in to
+// and merged back into the share by the stable cursor merge — under an
+// inexact norm with src's keys breaking equal norms — so the share is the
+// one-chunk sort's, ref for ref. Every other slab goes back, and on an
+// error or a panic the share does too.
+func (f *runFormer[K]) sortRefs(src shareSource[K], n, chunk int, node uint32, to *spill.Scratch) ([]lsort.NormRef, error) {
 	if to == nil {
 		if _, err := src.next(n); err != nil {
 			return nil, err
@@ -385,8 +274,7 @@ func (f *runFormer[K]) sortRefs(src entrySource[K], n, chunk int, node uint32, t
 				f.giveRefs(refs)
 			}
 		}()
-		src.refs(refs, f.cmps.norm)
-		if order := lsort.SortNormRefs(refs, scratch, f.workers); n > 0 && &order[0] == &scratch[0] {
+		if order := f.sortStaged(src, refs, scratch); n > 0 && &order[0] == &scratch[0] {
 			refs, scratch = scratch, refs
 		}
 		f.tracker.Free(int64(n) * refBytes)
@@ -400,9 +288,14 @@ func (f *runFormer[K]) sortRefs(src entrySource[K], n, chunk int, node uint32, t
 			f.refPool.Put(share)
 		}
 	}()
-	runs, err := f.formRefs(src, n, chunk, node, to)
+	runs, err := f.formRuns(src, chunk, func(lo int, sorted []lsort.NormRef) (spill.Run, error) {
+		for i := range sorted {
+			sorted[i].Idx += uint32(lo) // a chunk position becomes an index in src
+		}
+		return f.writeRefRun(to, sorted, node)
+	})
 	if err == nil {
-		err = f.mergeRefsInto(share, runs, node)
+		err = f.mergeRefsInto(share, runs, src, node)
 	}
 	if err != nil {
 		return nil, err
@@ -411,59 +304,34 @@ func (f *runFormer[K]) sortRefs(src entrySource[K], n, chunk int, node uint32, t
 	return share, nil
 }
 
-// formRefs is form for a sort by ref: the source a chunk at a time, each
-// chunk's refs sorted in a slab of 2·chunk refs and written to the
-// scratch file as one run whose bytes are the key-only entries they stand
-// for. The slab goes back before the runs are merged, as form's does.
-func (f *runFormer[K]) formRefs(src entrySource[K], n, chunk int, node uint32, to *spill.Scratch) ([]spill.Run, error) {
-	refs := f.takeRefs(2 * chunk) // a chunk's refs, then as many of scratch
-	defer f.giveRefs(refs)
-	runs := make([]spill.Run, 0, (n+chunk-1)/chunk)
-	for lo := 0; lo < n; lo += chunk {
-		if err := f.ctx.Err(); err != nil {
-			return nil, err
-		}
-		m, err := src.next(chunk)
-		if err != nil {
-			return nil, err
-		}
-		src.refs(refs[:m], f.cmps.norm)
-		order := lsort.SortNormRefs(refs[:m], refs[chunk:], f.workers)
-		for i := range order {
-			order[i].Idx += uint32(lo) // a chunk position becomes a share index
-		}
-		run, err := f.writeRefRun(to, order, node)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-	}
-	return runs, nil
-}
+// Step 1's ref runs are framed under refRunCodec whatever the sort's
+// codec: a ref is written as the key-only uint64 entry (norm, node,
+// index), 16 bytes, and read back as the ref it is.
+type refRunCodec = comm.U64Codec
 
-// writeRefRun writes sorted refs sent by node to the scratch file as one
-// run of the key-only entries they stand for.
+// writeRefRun writes sorted refs from node to the scratch file as one
+// run.
 func (f *runFormer[K]) writeRefRun(to *spill.Scratch, refs []lsort.NormRef, node uint32) (spill.Run, error) {
-	w := spill.NewRunWriter(to, f.codec, f.blockBytes)
+	w := spill.NewRunWriter(to, refRunCodec{}, f.blockBytes)
 	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
-	return f.seal(w, w.AppendRefs(refs, node))
+	return seal(f, w, w.AppendRefs(refs, node))
 }
 
-// writeRun writes a sorted stream — chunk, then whatever more yields (nil
-// for nothing more) — to the scratch file as one run.
-func (f *runFormer[K]) writeRun(to *spill.Scratch, chunk []comm.Entry[K], more lsort.Cursor[comm.Entry[K]]) (spill.Run, error) {
+// writeRun writes the entries a sorted cursor yields to the scratch file
+// as one run.
+func (f *runFormer[K]) writeRun(to *spill.Scratch, sorted lsort.Cursor[comm.Entry[K]]) (spill.Run, error) {
 	w := spill.NewRunWriter(to, f.codec, f.blockBytes)
 	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
 	for {
-		if err := w.Append(chunk); err != nil || more == nil {
-			return f.seal(w, err)
-		}
-		var err error
-		if chunk, err = more.Next(); err == nil {
+		batch, err := sorted.Next()
+		if err == nil {
 			err = f.ctx.Err()
 		}
-		if err != nil || len(chunk) == 0 {
-			return f.seal(w, err)
+		if err == nil && len(batch) > 0 {
+			err = w.Append(batch)
+		}
+		if err != nil || len(batch) == 0 {
+			return seal(f, w, err)
 		}
 	}
 }
@@ -471,7 +339,7 @@ func (f *runFormer[K]) writeRun(to *spill.Scratch, chunk []comm.Entry[K], more l
 // seal finishes a run whose appends returned err and hands it over. A
 // failed or cancelled run lets go of its block buffer and costs the
 // scratch some dead bytes and nothing else.
-func (f *runFormer[K]) seal(w *spill.Writer[K], err error) (spill.Run, error) {
+func seal[K cmp.Ordered, W any](f *runFormer[K], w *spill.Writer[W], err error) (spill.Run, error) {
 	if err == nil {
 		err = w.Finish()
 	}
@@ -533,9 +401,7 @@ func (f *runFormer[K]) takeMergeRefs(k int) []lsort.NormRef {
 }
 
 // mergeInto streams the runs back into dst, which they must fill
-// exactly. The merge is stable and takes the runs in order. Decoded
-// batches are fresh slabs, so dst may be the buffer the runs were staged
-// in.
+// exactly. The merge is stable and takes the runs in order.
 func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
 	cursors, done := f.open(runs)
 	defer done() // on a panic too: no reader outlives the merge into a reused file
@@ -544,18 +410,23 @@ func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
 	return mergeFilling(dst, cursors, f.cmps.headNorm, f.cmps.headLess, refs)
 }
 
-// mergeRefsInto is mergeInto for runs of node's key-only entries read as
-// the refs standing for them: an exact norm, so the rounds up to
-// lsort's round fan-in and the loser tree above it, ties by run.
-func (f *runFormer[K]) mergeRefsInto(dst []lsort.NormRef, runs []spill.Run, node uint32) error {
-	opts := f.readerOpts()
+// mergeRefsInto is mergeInto for step 1's runs of refs from node, read
+// back as refs (refRunCodec): an exact norm merges in rounds up to
+// lsort's round fan-in and in the loser tree above it, an inexact one in
+// the loser tree with src's keys ordering equal norms; ties go by run.
+func (f *runFormer[K]) mergeRefsInto(dst []lsort.NormRef, runs []spill.Run, src shareSource[K], node uint32) error {
+	opts := spill.ReaderOpts[uint64]{RefPool: f.refPool, Tracker: f.tracker}
 	cursors, done := openRuns(f, runs, func(run spill.Run) runReader[lsort.NormRef] {
-		return spill.OpenRefRun(run, node, f.codec, opts)
+		return spill.OpenRefRun(run, node, refRunCodec{}, opts)
 	})
 	defer done()
-	refs := f.takeRefs(lsort.MergeRefs(len(cursors), true))
+	var less func(a, b lsort.NormRef) bool
+	if f.cmps.inexact {
+		less = func(a, b lsort.NormRef) bool { return src.key(a.Idx) < src.key(b.Idx) }
+	}
+	refs := f.takeRefs(lsort.MergeRefs(len(cursors), less == nil))
 	defer func() { f.giveRefs(refs) }()
-	return mergeFilling(dst, cursors, refNorm, nil, refs)
+	return mergeFilling(dst, cursors, refNorm, less, refs)
 }
 
 // refNorm is a ref's norm, read in place.

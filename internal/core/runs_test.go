@@ -25,12 +25,15 @@ func (coarseNormCodec) NormInexact() bool    { return true }
 
 // TestRunFormerSourcesAndChunks holds the three entry sources to one
 // result: the same keys as bare keys, as records and as a section of an
-// upload spool, under an exact and an inexact norm, formed in one chunk,
+// upload spool (keys only), under an exact and an inexact norm, formed in one chunk,
 // in several chunks spilled to a scratch file and merged back, or in chunks of
 // one entry, must give entry for entry — key, payload, origin node and
 // index — the records stable-sorted by key here, ties in provenance
-// order. After each, every slab is back in its pool and the tracker is at
-// zero.
+// order. The in-memory sources are sorted as refs into them (sortRefs) and
+// their entries built from the refs; their chunk runs are refs, 16 bytes a
+// key whatever the codec, so a spilled share wrote exactly the ref frames
+// of its keys and no payload byte. After each, every slab is back in its
+// pool and the tracker is at zero.
 func TestRunFormerSourcesAndChunks(t *testing.T) {
 	const n, node = 5000, 3
 	keys := dist.Gen{Kind: dist.FewDistinct, Seed: 5}.Keys(n)
@@ -67,35 +70,37 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 				pool: &alloc.SlabPool[comm.Entry[uint64]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
 			}
 		}
-		// A spool holds the records in arrival order with no provenance;
-		// the section source restamps it. A section is a whole spool of
-		// the first m records.
+		// A spool holds the keys in arrival order, no payload and no
+		// provenance; the section source stamps it. A section is a whole
+		// spool of the first m keys.
 		spools := map[int]*Spool[uint64]{}
 		for _, shape := range shapes {
-			spools[shape.m] = writeSpoolEntries(t, codec, t.TempDir(), recs[:shape.m])
+			spools[shape.m] = writeSpool(t, codec, t.TempDir(), keys[:shape.m])
 		}
 
 		// A formFn runs the first m entries of one source through the
 		// former and returns them sorted, copied out before the slabs go
 		// back. Whatever spills goes to scratch.
 		type formFn func(f *runFormer[uint64], m, chunk int, scratch *spill.Scratch) ([]comm.Entry[uint64], error)
-		inMemory := func(src func(m int) entrySource[uint64]) formFn {
+		inMemory := func(newSrc func(m int) shareSource[uint64]) formFn {
 			return func(f *runFormer[uint64], m, chunk int, scratch *spill.Scratch) ([]comm.Entry[uint64], error) {
-				buf := f.take(m)
-				defer f.give(buf)
 				if chunk == m {
 					scratch = nil
 				}
-				runs, err := f.form(src(m), buf[:chunk], chunk, scratch)
-				if err == nil && chunk < m {
-					err = f.mergeInto(buf, runs)
+				src := newSrc(m)
+				refs, err := f.sortRefs(src, m, chunk, node, scratch)
+				if err != nil {
+					return nil, err
 				}
-				return slices.Clone(buf), err
+				defer f.refPool.Put(refs) // the share, resident: no tracker bytes
+				out := make([]comm.Entry[uint64], m)
+				src.emit(out, refs)
+				return out, nil
 			}
 		}
 		sources := map[string]formFn{
-			"keys":    inMemory(func(m int) entrySource[uint64] { return &keySource[uint64]{keys: keys[:m], node: node} }),
-			"records": inMemory(func(m int) entrySource[uint64] { return &recSource[uint64]{recs: recs[:m], node: node} }),
+			"keys":    inMemory(func(m int) shareSource[uint64] { return &keySource[uint64]{keys: keys[:m], node: node} }),
+			"records": inMemory(func(m int) shareSource[uint64] { return &recSource[uint64]{recs: recs[:m], node: node} }),
 			"section": func(f *runFormer[uint64], m, chunk int, scratch *spill.Scratch) ([]comm.Entry[uint64], error) {
 				runs, err := f.formSection(spools[m].run, node, chunk, scratch)
 				if err != nil {
@@ -140,12 +145,16 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 					if spilled := f.spillBytes.Load() > 0; spilled != (chunk < m || name == "section") {
 						t.Fatalf("spillBytes = %d at chunk %d", f.spillBytes.Load(), chunk)
 					}
+					refFrames := int64(comm.RefsWireBytes(make([]lsort.NormRef, m), comm.U64Codec{}))
+					if spilled := f.spillBytes.Load(); chunk < m && name != "section" && spilled != refFrames {
+						t.Fatalf("step 1 spilled %d bytes for %d keys, want their ref frames' %d", spilled, m, refFrames)
+					}
 					for i, w := range want {
 						g := got[i]
 						if g.Key != w.Key || g.Proc != node || g.Index != w.Index {
 							t.Fatalf("entry %d: %+v, want %+v", i, g, w)
 						}
-						if wantPay := w.Payload; name == "keys" && g.Payload != nil || name != "keys" && !bytes.Equal(g.Payload, wantPay) {
+						if wantPay := w.Payload; name != "records" && g.Payload != nil || name == "records" && !bytes.Equal(g.Payload, wantPay) {
 							t.Fatalf("entry %d: payload %x, want %x (nil for bare keys)", i, g.Payload, wantPay)
 						}
 					}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"pgxsort/internal/alloc"
 	"pgxsort/internal/comm"
@@ -139,7 +140,8 @@ type SpooledResult[K cmp.Ordered] struct {
 	// Report carries the run's measurements. SpillReads, Total,
 	// TempPeakBytes and Steps[StepFinalMerge] — the merge passes and the
 	// streaming, everything after run formation — settle at Close, once
-	// the stream has drained.
+	// the stream has drained, and so does the end of the merge stage's
+	// span in Sched when the scheduler ran the job (RunOneSpooled).
 	Report Report
 
 	cur     lsort.Cursor[comm.Entry[K]]
@@ -170,6 +172,9 @@ func (r *SpooledResult[K]) Close() error {
 		r.Report.Steps[StepFinalMerge] = r.Report.Total - r.Report.Steps[StepLocalSort]
 		r.Report.TempPeakBytes = r.runs.tracker.Peak()
 		r.Report.PerNode[0].TempPeakBytes = r.Report.TempPeakBytes
+		if sched := &r.Report.Sched; sched.Pipelined {
+			sched.StageEnd[StageMerge] = sched.StageStart[StageLocalSort] + r.Report.Total
+		}
 		if r.release != nil {
 			r.release()
 		}
@@ -185,15 +190,22 @@ func (r *SpooledResult[K]) Close() error {
 // run formation and merge priming, before any output byte exists; an
 // error mid-stream (from Next) is not retried, because output already
 // left. The spool stays the caller's, to Close after the result.
+//
+// The result's Report.Sched traces the job from the call: the admission
+// wait, run formation as the local-sort stage and everything after it,
+// up to Close, as the merge stage. Steps 2 to 5 are elided: their stages
+// are empty spans where formation ends.
 func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in *Spool[K]) (*SpooledResult[K], error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	epoch := time.Now()
 	select {
 	case s.gates.admit <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	admitWait := time.Since(epoch)
 	s.noteAdmit(1)
 	release := func() {
 		s.noteAdmit(-1)
@@ -211,6 +223,13 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in *Spool[K]) (*Spoole
 	}
 	res.Report.Attempts = attempts
 	res.release = release
+	sched := &res.Report.Sched
+	sched.Pipelined, sched.AdmitWait = true, admitWait
+	sched.StageStart[StageLocalSort] = res.start.Sub(epoch)
+	formed := sched.StageStart[StageLocalSort] + res.Report.Steps[StepLocalSort]
+	for st := StageLocalSort + 1; st < NumSchedStages; st++ {
+		sched.StageStart[st], sched.StageEnd[st-1] = formed, formed
+	}
 	return res, nil
 }
 
@@ -318,6 +337,104 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *Spooled
 	return res, nil
 }
 
+// sectionSource yields one node's contiguous section of a spool (see
+// formSection), read a block at a time: keys[:n] is the staged chunk, its
+// keys only.
+type sectionSource[K cmp.Ordered] struct {
+	sec     *spill.RunReader[K]
+	keys    []K // staging, one chunk long
+	n       int
+	pending []comm.Entry[K] // unconsumed tail of the reader's live batch
+}
+
+func (s *sectionSource[K]) size() int { return int(s.sec.Count()) }
+
+func (s *sectionSource[K]) next(max int) (int, error) {
+	dst := s.keys[:min(max, len(s.keys))]
+	s.n = 0
+	for s.n < len(dst) {
+		if len(s.pending) == 0 {
+			var err error
+			if s.pending, err = s.sec.Next(); err != nil {
+				return 0, err
+			}
+			if len(s.pending) == 0 {
+				break
+			}
+		}
+		n := min(len(dst)-s.n, len(s.pending))
+		for i, e := range s.pending[:n] {
+			dst[s.n+i] = e.Key
+		}
+		s.n += n
+		s.pending = s.pending[n:]
+	}
+	return s.n, nil
+}
+
+func (s *sectionSource[K]) refs(dst []lsort.NormRef, norm func(K) uint64) {
+	for i, k := range s.keys[:s.n] {
+		dst[i] = lsort.NormRef{Norm: norm(k), Idx: uint32(i)}
+	}
+}
+
+func (s *sectionSource[K]) less(i, j uint32) bool { return s.keys[i] < s.keys[j] }
+
+// sectionBatch is how many entries of a sorted section chunk are built at
+// a time on their way to its run.
+const sectionBatch = 1 << 10
+
+// formSection is step 1 for one node of a spooled job: its section of
+// the spool, sec, becomes sorted runs of at most chunk entries in the
+// scratch file the job's sections share. Nothing stays resident: a chunk
+// is staged as bare keys and sorted by ref like any share, and its run is
+// written from the sorted refs and the staged keys as key-only entries
+// whose provenance is (node, position in the section), a batch at a time.
+// The staging, the refs and the batch are tracker-accounted.
+func (f *runFormer[K]) formSection(sec spill.Run, node, chunk int, to *spill.Scratch) ([]spill.Run, error) {
+	r := spill.OpenRun(sec, f.codec, f.readerOpts())
+	defer func() {
+		f.spillReads.Add(r.BytesRead())
+		r.Close()
+	}()
+	src := &sectionSource[K]{sec: r}
+	if err := checkShare[K](src); err != nil {
+		return nil, err
+	}
+	chunk = min(chunk, src.size())
+	var k K
+	staged := int64(chunk) * int64(unsafe.Sizeof(k))
+	f.tracker.Alloc(staged)
+	defer f.tracker.Free(staged)
+	src.keys = make([]K, chunk)
+	run := &sortedChunk[K]{keys: src.keys, node: uint32(node), batch: f.take(min(chunk, sectionBatch))}
+	defer f.give(run.batch)
+	return f.formRuns(src, chunk, func(lo int, sorted []lsort.NormRef) (spill.Run, error) {
+		run.refs, run.lo = sorted, uint32(lo)
+		return f.writeRun(to, run)
+	})
+}
+
+// sortedChunk is a sorted chunk of a section as a cursor of the key-only
+// entries its refs stand for, a batch at a time: the key staged at the
+// ref's position, stamped with the section's node and the key's position
+// in the section.
+type sortedChunk[K cmp.Ordered] struct {
+	refs     []lsort.NormRef
+	keys     []K
+	node, lo uint32
+	batch    []comm.Entry[K]
+}
+
+func (c *sortedChunk[K]) Next() ([]comm.Entry[K], error) {
+	n := min(len(c.refs), len(c.batch))
+	for j, r := range c.refs[:n] {
+		c.batch[j] = comm.Entry[K]{Key: c.keys[r.Idx], Proc: c.node, Index: c.lo + r.Idx}
+	}
+	c.refs = c.refs[n:]
+	return c.batch[:n], nil
+}
+
 // mergePass is one rung of the bounded fan-in ladder: the runs, in order,
 // merge by groups of at most spoolMergeFanIn into as many runs of out.
 // The groups are even, so every run is merged in every pass and a pass
@@ -331,7 +448,7 @@ func (f *runFormer[K]) mergePass(runs []spill.Run, out *spill.Scratch, batchLen 
 		if err != nil {
 			return nil, err
 		}
-		next[g], err = f.writeRun(out, nil, merged)
+		next[g], err = f.writeRun(out, merged)
 		done()
 		if err != nil {
 			return nil, err

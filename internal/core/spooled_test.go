@@ -39,18 +39,6 @@ func appendKeyBytes[K cmp.Ordered](codec comm.Codec[K], dst []byte, k K) []byte 
 // the sort's. The spool is closed when the test ends.
 func writeSpool[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, keys []K) *Spool[K] {
 	t.Helper()
-	recs := make([]comm.Record[K], len(keys))
-	for i, k := range keys {
-		recs[i].Key = k
-	}
-	return writeSpoolEntries(t, codec, dir, recs)
-}
-
-// writeSpoolEntries is writeSpool for records (payloads need a
-// payload-carrying codec), written straight through the spool's run
-// writer.
-func writeSpoolEntries[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, recs []comm.Record[K]) *Spool[K] {
-	t.Helper()
 	pool := spill.NewScratchPool(dir)
 	t.Cleanup(pool.Close)
 	sp, err := newSpool(pool, codec, 4<<10)
@@ -58,11 +46,7 @@ func writeSpoolEntries[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir str
 		t.Fatalf("newSpool: %v", err)
 	}
 	t.Cleanup(func() { sp.Close() })
-	entries := make([]comm.Entry[K], len(recs))
-	for i, r := range recs {
-		entries[i] = comm.Entry[K]{Key: r.Key, Payload: r.Payload}
-	}
-	if err := sp.w.Append(entries); err != nil {
+	if err := sp.Append(keys); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	if err := sp.Finish(); err != nil {

@@ -226,28 +226,30 @@ func TestStep6RefsPanicGivesEverythingBack(t *testing.T) {
 
 // TestSampleKeysAreRegularSamples: the keys step 2 sends are the keys of
 // sample.Regular's entries, for every count sample.Count can give — read
-// from the entries, or from the refs a sort by ref holds in their place.
+// through the source at the indices the share's refs hold, which here run
+// backwards through it.
 func TestSampleKeysAreRegularSamples(t *testing.T) {
-	byEntry := &sortRun[uint64]{}
-	byRef := &sortRun[uint64]{byRef: true, cmps: sortCmps[uint64]{denorm: comm.U64Codec{}.Denorm}}
 	for _, n := range []int{0, 1, 2, 9, 1000} {
+		keys := make([]uint64, n)
 		entries := make([]comm.Entry[uint64], n)
 		refs := make([]lsort.NormRef, n)
 		for i := range entries {
-			entries[i] = comm.Entry[uint64]{Key: uint64(7 * i), Index: uint32(i)}
-			refs[i] = lsort.NormRef{Norm: uint64(7 * i), Idx: uint32(i)}
+			at := n - 1 - i
+			keys[at] = uint64(7 * i)
+			entries[i] = comm.Entry[uint64]{Key: uint64(7 * i), Index: uint32(at)}
+			refs[i] = lsort.NormRef{Norm: uint64(7 * i), Idx: uint32(at)}
 		}
+		s := &sortRun[uint64]{src: &keySource[uint64]{keys: keys}}
 		for _, buffer := range []int{1, 64, 1 << 10, 1 << 18} {
-			s := sample.Count(buffer, 4, 8, 1, n)
-			want := sample.Regular(entries, s)
-			for _, got := range [][]uint64{byEntry.sampleKeys(share[uint64]{entries: entries}, s), byRef.sampleKeys(share[uint64]{refs: refs}, s)} {
-				if len(got) != len(want) {
-					t.Fatalf("n=%d s=%d: %d keys, Regular gives %d entries", n, s, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i].Key {
-						t.Fatalf("n=%d s=%d: key %d is %d, Regular's entry has %d", n, s, i, got[i], want[i].Key)
-					}
+			count := sample.Count(buffer, 4, 8, 1, n)
+			want := sample.Regular(entries, count)
+			got := s.sampleKeys(refs, count)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d s=%d: %d keys, Regular gives %d entries", n, count, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i].Key {
+					t.Fatalf("n=%d s=%d: key %d is %d, Regular's entry has %d", n, count, i, got[i], want[i].Key)
 				}
 			}
 		}

@@ -80,10 +80,10 @@ func (e *Engine[K]) selectK(parts [][]K, k int, bottom bool) (*TopKResult[K], er
 				cwg.Add(1)
 				go func() {
 					defer cwg.Done()
-					src := &keySource[K]{keys: local, node: uint32(i), lo: lo, hi: hi}
+					src := &keySource[K]{keys: local, node: uint32(i)}
 					chunk := make([]comm.Entry[K], hi-lo)
 					for j := range chunk {
-						chunk[j] = src.entry(j)
+						chunk[j] = src.entry(lo + j)
 					}
 					partials[c] = lsort.TopK(chunk, k, worse)
 				}()

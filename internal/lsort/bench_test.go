@@ -254,7 +254,7 @@ func BenchmarkBalancedMerge(b *testing.B) {
 // normShapes that cost differently — not on dist.DefaultDomain's 20 bits
 // alone, which the benchmarks above draw from — at the worker-chunk sizes
 // the engine runs (2^13: a budgeted chunk; 2^15, 2^16: a resident node's)
-// and one past them, ref build included as in runFormer.sortChunk. The
+// and one past them, ref build included as in runFormer.sortStaged. The
 // uniform rows carry the machine's reference points: RadixSort and
 // slices.Sort over the same keys, flat.
 func BenchmarkSortNormRefs(b *testing.B) {

@@ -93,6 +93,46 @@ func TestSpooledBinarySort(t *testing.T) {
 	}
 }
 
+// TestSpooledJobSchedTrace: a spooled job's /debug/jobs record carries
+// its scheduler trace like a resident job's — the local-sort span (run
+// formation) and the merge span, which ends when the stream was closed,
+// after the local sort started.
+func TestSpooledJobSchedTrace(t *testing.T) {
+	_, ts := testServer(t, Config{
+		SpoolThreshold: 16 << 10,
+		MemoryBudget:   64 << 10,
+		SpillDir:       t.TempDir(),
+	})
+	raw := keyio.EncodeUint64s(dist.Gen{Kind: dist.Uniform, Seed: 43}.Keys(50_000))
+	resp, body := postBinary(t, ts.URL+"/v1/sort", raw)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Pgxsortd-Spooled") != "true" {
+		t.Fatalf("status %d, spooled %q: %.200s", resp.StatusCode, resp.Header.Get("X-Pgxsortd-Spooled"), body)
+	}
+	_, jobs := getBody(t, ts.URL+"/debug/jobs")
+	var out struct {
+		Jobs []jobRecord `json:"jobs"`
+	}
+	if err := json.Unmarshal([]byte(jobs), &out); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if len(out.Jobs) != 1 || out.Jobs[0].ID != resp.Header.Get("X-Pgxsortd-Job") {
+		t.Fatalf("job log after one spooled job: %+v", out.Jobs)
+	}
+	spans := map[string]stageSpan{}
+	for _, sp := range out.Jobs[0].Stages {
+		spans[sp.Stage] = sp
+	}
+	local, okLocal := spans[core.StageLocalSort.String()]
+	merge, okMerge := spans[core.StageMerge.String()]
+	if !okLocal || !okMerge {
+		t.Fatalf("spooled job's record lists stages %+v, want local-sort and merge spans", out.Jobs[0].Stages)
+	}
+	if local.EndMS < local.StartMS || merge.StartMS < local.EndMS || merge.EndMS <= local.StartMS {
+		t.Fatalf("local-sort span [%v, %v], merge span [%v, %v]: the merge must end after the local sort starts",
+			local.StartMS, local.EndMS, merge.StartMS, merge.EndMS)
+	}
+}
+
 // TestSpooledBinarySortStrings covers the variable-width codec through
 // the same spooled round trip.
 func TestSpooledBinarySortStrings(t *testing.T) {
