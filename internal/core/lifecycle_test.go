@@ -30,7 +30,6 @@ func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 			recs[i][j] = comm.Record[uint64]{Key: k, Payload: []byte{byte(j)}}
 		}
 	}
-	spool := writeSpool(t, codec, t.TempDir(), parts[0])
 
 	before := runtime.NumGoroutine()
 	for _, c := range []struct {
@@ -50,6 +49,7 @@ func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
 		if idle := runtime.NumGoroutine() - before; opts.Transport == transport.KindChan && idle > p {
 			t.Errorf("an idle chan engine adds %d goroutines, want at most %d (its dispatchers)", idle, p)
 		}
+		spool := writeSpool(t, e, t.TempDir(), parts[0])
 		res, err := e.Sort(parts)
 		if err != nil {
 			t.Fatalf("%s: Sort: %v", kind, err)

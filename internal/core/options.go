@@ -7,7 +7,7 @@
 //
 //  1. parallel local sort: per-chunk radix over (norm, index) refs of
 //     the keys, combined by the balanced merging handler (Fig 2). One
-//     run former (runs.go) does it for keys, records and sections of an
+//     run former (runs.go) does it for keys, records and the chunks of an
 //     upload spool alike, in one chunk when the share fits
 //     Options.MemoryBudget and in budget-sized chunks through run files
 //     of refs when it does not. Its output is the share as sorted refs
@@ -30,9 +30,9 @@
 // Every entry keeps its provenance (origin processor and index), the
 // result supports binary search and top-k retrieval, and several datasets
 // can be sorted simultaneously over one engine — the API surface the
-// paper describes in §III-IV. Engine.SortSpooled is the same step 1 over
-// a dataset that lives in a spill run file, with steps 2-5 elided: the
-// runs merge at egress into a stream.
+// paper describes in §III-IV. An upload Spool runs the same step 1 as its
+// keys land, into sorted runs on disk, and Engine.SortSpooled merges them
+// with steps 2-5 elided: the runs merge at egress into a stream.
 package core
 
 import (

@@ -18,14 +18,15 @@ import (
 // This file is step 1, once. The paper's step 1 — each processor sorts
 // its share in parallel chunks and combines them with the balanced
 // handler — has one implementation here, the run former, whatever the
-// input is (bare keys, records, a section of an upload spool) and
+// input is (bare keys, records, the keys an upload spool stages) and
 // wherever the sorted runs end up (the node's ref share, blocks of a
 // scratch file). It sorts 16-byte (norm, index) refs and nothing else: a
-// share comes out as sorted refs into the node's own input, and a chunk
-// that spills is written as refs, or, from a spool section, as the
-// key-only entries its refs and staged keys make. Where a run lives is a
-// property of the run; the merge side already treats it that way through
-// lsort.Cursor, and the former is the same idea on the formation side.
+// share comes out as sorted refs into the node's own input, a chunk of it
+// that spills is written as refs, and a spool's chunk as the key-only
+// entries its refs and staged keys make (spooled.go). Where a run lives
+// is a property of the run; the merge side already treats it that way
+// through lsort.Cursor, and the former is the same idea on the formation
+// side.
 
 // entrySource is one node's step-1 input. The former pulls it a chunk at
 // a time and addresses the staged chunk by position: it sorts one
@@ -141,8 +142,7 @@ func (s *recSource[K]) emit(dst []comm.Entry[K], order []lsort.NormRef) {
 }
 
 // runFormer forms and reopens sorted runs for one consumer: a node of the
-// resident pipeline (sortRun), or a whole spooled job, whose p section
-// goroutines share one former — hence the atomic counters.
+// resident pipeline (sortRun), an upload spool, or a spooled job's merge.
 type runFormer[K cmp.Ordered] struct {
 	ctx     context.Context
 	codec   comm.Codec[K]
@@ -157,19 +157,13 @@ type runFormer[K cmp.Ordered] struct {
 	tracker  *alloc.Tracker
 	// Spilled runs are blocks of a scratch file, one file per spilling
 	// stage: whoever needs the stage's runs on disk creates it, hands it
-	// to sortRefs, formSection or writeRun, and closes it once the runs
-	// are consumed.
+	// to sortRefs or writeRun, and closes it once the runs are consumed.
 	blockBytes int // spilled block size; 0 is the spill tier's default
 
-	// Bytes written to and read back from scratch files (the spool's
-	// reads included, its writes not): the Report's SpillBytes and
-	// SpillReads.
+	// Bytes written to and read back from scratch files: the Report's
+	// SpillBytes and SpillReads.
 	spillBytes atomic.Int64
 	spillReads atomic.Int64
-}
-
-func (f *runFormer[K]) readerOpts() spill.ReaderOpts[K] {
-	return spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
 }
 
 // takeSlab hands out an n-element slab of pool accounted in tracker as
@@ -386,7 +380,7 @@ func openRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func
 
 // open opens runs as cursors of entries (openRuns).
 func (f *runFormer[K]) open(runs []spill.Run) ([]lsort.Cursor[comm.Entry[K]], func()) {
-	opts := f.readerOpts()
+	opts := spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
 	return openRuns(f, runs, func(run spill.Run) runReader[comm.Entry[K]] {
 		return spill.OpenRun(run, f.codec, opts)
 	})

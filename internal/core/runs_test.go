@@ -23,17 +23,20 @@ type coarseNormCodec struct{ comm.U64Codec }
 func (coarseNormCodec) Norm(k uint64) uint64 { return k >> 4 }
 func (coarseNormCodec) NormInexact() bool    { return true }
 
-// TestRunFormerSourcesAndChunks holds the three entry sources to one
-// result: the same keys as bare keys, as records and as a section of an
-// upload spool (keys only), under an exact and an inexact norm, formed in one chunk,
-// in several chunks spilled to a scratch file and merged back, or in chunks of
-// one entry, must give entry for entry — key, payload, origin node and
-// index — the records stable-sorted by key here, ties in provenance
-// order. The in-memory sources are sorted as refs into them (sortRefs) and
-// their entries built from the refs; their chunk runs are refs, 16 bytes a
-// key whatever the codec, so a spilled share wrote exactly the ref frames
-// of its keys and no payload byte. After each, every slab is back in its
-// pool and the tracker is at zero.
+// TestRunFormerSourcesAndChunks holds the three step-1 inputs to one
+// result: the same keys as bare keys, as records and landed in an upload
+// spool (keys only; the "section" source), under an exact and an inexact
+// norm, formed in one chunk, in several chunks spilled to a scratch file
+// and merged back, or in chunks of one entry, must give entry for entry —
+// key, payload, origin node and index — the records stable-sorted by key
+// here, ties in provenance order. The in-memory sources are sorted as refs
+// into them (sortRefs) and their entries built from the refs; their chunk
+// runs are refs, 16 bytes a key whatever the codec, so a spilled share
+// wrote exactly the ref frames of its keys and no payload byte. A spool
+// is fed in uneven batches that straddle its chunks, always writes its
+// chunks as runs, and stamps each key (0, arrival position). After each,
+// every slab is back in its pool, the spool's staging included, and the
+// tracker is at zero.
 func TestRunFormerSourcesAndChunks(t *testing.T) {
 	const n, node = 5000, 3
 	keys := dist.Gen{Kind: dist.FewDistinct, Seed: 5}.Keys(n)
@@ -70,14 +73,6 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 				pool: &alloc.SlabPool[comm.Entry[uint64]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
 			}
 		}
-		// A spool holds the keys in arrival order, no payload and no
-		// provenance; the section source stamps it. A section is a whole
-		// spool of the first m keys.
-		spools := map[int]*Spool[uint64]{}
-		for _, shape := range shapes {
-			spools[shape.m] = writeSpool(t, codec, t.TempDir(), keys[:shape.m])
-		}
-
 		// A formFn runs the first m entries of one source through the
 		// former and returns them sorted, copied out before the slabs go
 		// back. Whatever spills goes to scratch.
@@ -101,13 +96,26 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 		sources := map[string]formFn{
 			"keys":    inMemory(func(m int) shareSource[uint64] { return &keySource[uint64]{keys: keys[:m], node: node} }),
 			"records": inMemory(func(m int) shareSource[uint64] { return &recSource[uint64]{recs: recs[:m], node: node} }),
-			"section": func(f *runFormer[uint64], m, chunk int, scratch *spill.Scratch) ([]comm.Entry[uint64], error) {
-				runs, err := f.formSection(spools[m].run, node, chunk, scratch)
+			// The first m keys landed in a spool of chunk keys a run, in a
+			// scratch file of a pool of its own; its runs merge back.
+			"section": func(f *runFormer[uint64], m, chunk int, _ *spill.Scratch) ([]comm.Entry[uint64], error) {
+				pool := spill.NewScratchPool(t.TempDir())
+				defer pool.Close()
+				sp, err := newSpool(pool, f, chunk)
 				if err != nil {
 					return nil, err
 				}
+				defer sp.Close()
+				for lo := 0; lo < m; lo += 333 {
+					if err := sp.Append(keys[lo:min(lo+333, m)]); err != nil {
+						return nil, err
+					}
+				}
+				if err := sp.Finish(); err != nil {
+					return nil, err
+				}
 				out := make([]comm.Entry[uint64], m)
-				return out, f.mergeInto(out, runs)
+				return out, f.mergeInto(out, sp.runs)
 			},
 		}
 
@@ -149,10 +157,14 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 					if spilled := f.spillBytes.Load(); chunk < m && name != "section" && spilled != refFrames {
 						t.Fatalf("step 1 spilled %d bytes for %d keys, want their ref frames' %d", spilled, m, refFrames)
 					}
+					proc := uint32(node)
+					if name == "section" {
+						proc = 0 // a spool is one input, its keys stamped by arrival
+					}
 					for i, w := range want {
 						g := got[i]
-						if g.Key != w.Key || g.Proc != node || g.Index != w.Index {
-							t.Fatalf("entry %d: %+v, want %+v", i, g, w)
+						if g.Key != w.Key || g.Proc != proc || g.Index != w.Index {
+							t.Fatalf("entry %d: %+v, want %+v from node %d", i, g, w, proc)
 						}
 						if wantPay := w.Payload; name != "records" && g.Payload != nil || name == "records" && !bytes.Equal(g.Payload, wantPay) {
 							t.Fatalf("entry %d: payload %x, want %x (nil for bare keys)", i, g.Payload, wantPay)

@@ -3,7 +3,9 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 	"unsafe"
@@ -17,18 +19,21 @@ import (
 // This file is the fully out-of-core sort path: the input arrives as a
 // Spool (a streaming ingress landed it on the engine's disk) and the
 // output leaves as a cursor (streaming egress), so neither the input nor
-// the result is ever resident. Step 1 is the shared run former (runs.go) —
-// each of the p nodes sorts its contiguous section of the spool, here
-// into budget-sized sorted chunk runs on disk — and the job collapses the
-// exchange: instead of moving data to p owners and merging per owner,
-// one bounded fan-in k-way merge streams all runs straight to the
-// consumer. The exchange exists to move data between real machines; when
-// the dataset lives on disk and the answer is leaving over a socket
-// anyway, merging at egress is the classic external-merge-sort final
-// pass and saves a full write+read of the dataset. The keys come out in
-// the same total order every other path sorts under, so the canonical
-// encoded bytes are identical to the resident pipeline's for the same
-// key multiset.
+// the result is ever resident. Step 1 happens as the keys land: the spool
+// stages them one budget-sized chunk at a time, and each chunk is sorted
+// by ref (the run former's sortStaged, runs.go) and written as one sorted
+// run. No key is ever written unsorted, so nothing re-reads the upload to
+// sort it. The job then collapses the exchange: instead of moving data to
+// p owners and merging per owner, one bounded fan-in k-way merge streams
+// all runs straight to the consumer. The six-step sort cannot take a
+// spool — steps 2 to 4 read keys by index through a resident input, and a
+// spool exists so that the input is not resident — and the exchange
+// exists to move data between real machines; when the dataset lives on
+// disk and the answer is leaving over a socket anyway, merging at egress
+// is the classic external-merge-sort final pass. The keys come out in the
+// same total order every other path sorts under, so the canonical encoded
+// bytes are identical to the resident pipeline's for the same key
+// multiset.
 
 const (
 	// spoolMergeFanIn bounds how many runs one merge pass reads at once.
@@ -44,6 +49,9 @@ const (
 	// minSpoolChunkEntries keeps pathological budgets from degenerating
 	// into per-entry runs.
 	minSpoolChunkEntries = 256
+	// spoolBatch is how many entries of a sorted chunk are built at a time
+	// on their way to its run.
+	spoolBatch = 1 << 10
 )
 
 // spoolBlockBytes picks the block size for a spooled job's runs, the
@@ -56,6 +64,12 @@ func spoolBlockBytes(budget int64) int {
 	return int(min(max(budget/(4*spoolMergeFanIn), 4<<10), spill.DefaultBlockBytes))
 }
 
+// spoolChunk is how many keys a spool stages, sorts and writes as one
+// run under budget: half of it for the keys and their refs.
+func spoolChunk[K cmp.Ordered](budget int64) int {
+	return chunkEntries(budget, int64(entryBytes[K]()), minSpoolChunkEntries)
+}
+
 // spoolBudget is the memory a spooled job sizes its chunks and blocks
 // by: the engine's budget, or defaultSpoolChunkBytes without one.
 func (e *Engine[K]) spoolBudget() int64 {
@@ -65,66 +79,146 @@ func (e *Engine[K]) spoolBudget() int64 {
 	return defaultSpoolChunkBytes
 }
 
+// spoolFormer is a former of the engine's for one spool or one spooled
+// sort, with pools and a tracker of its own: spooled jobs are rare and
+// large, and a job-local tracker gives an honest per-job TempPeakBytes
+// (the node trackers are engine-lifetime and shared across concurrent
+// jobs).
+func (e *Engine[K]) spoolFormer(ctx context.Context, budget int64) *runFormer[K] {
+	return &runFormer[K]{
+		ctx: ctx, codec: e.codec, cmps: e.comparators(), workers: e.opts.WorkersPerProc,
+		pool: &alloc.SlabPool[comm.Entry[K]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
+		blockBytes: spoolBlockBytes(budget),
+	}
+}
+
+// errSpoolSealed refuses an Append or a Finish to a spool that is
+// finished or closed.
+var errSpoolSealed = errors.New("core: spool is finished or closed")
+
 // Spool is a dataset landed on the engine's disk by a streaming ingress,
-// for SortSpooled: its keys in arrival order, any key order, as one run
-// in a scratch file of the engine's pool. The file has no name from the
-// moment it exists, so however the process ends it leaves nothing to
-// sweep. The spool holds the file from NewSpool to Close — across every
-// attempt a retry makes of the sort — and Close gives it back to the
-// pool. Not safe for concurrent use.
+// for SortSpooled, as sorted runs: Append stages keys into one chunk, and
+// each full chunk — and the last, partial one at Finish — is sorted by
+// ref and written as one run of key-only entries whose provenance is
+// (0, arrival position). The runs are in a scratch file of the engine's
+// pool, which has no name from the moment it exists, so however the
+// process ends it leaves nothing to sweep. The spool holds the file from
+// NewSpool to Close — across every attempt a retry makes of the sort,
+// which only reads the runs — and Close gives it back to the pool. Not
+// safe for concurrent use.
 type Spool[K cmp.Ordered] struct {
 	pool *spill.ScratchPool
 	file *spill.Scratch
-	w    *spill.Writer[K]
-	ents []comm.Entry[K] // Append's staging: keys framed as key-only entries
-	run  spill.Run       // the keys, once Finish sealed them
-	open bool            // sealed and not yet closed: sortable
+	f    *runFormer[K] // forms the runs: its tracker holds the staging, its counters the bytes written
+	keys []K           // Append's staging, one chunk long: the next run's keys
+	n    int           // keys appended
+	runs []spill.Run   // the sorted runs, in arrival order
+	took time.Duration // time spent forming the runs: the job's local sort
+	err  error         // why Append and Finish fail: a run that failed, or errSpoolSealed
+	open bool          // sealed and not yet closed: sortable
 }
 
 // NewSpool takes a scratch file from the engine's pool and starts a
-// spool in it, in blocks sized by the engine's budget.
+// spool in it, in chunks and blocks sized by the engine's budget.
 func (e *Engine[K]) NewSpool() (*Spool[K], error) {
-	return newSpool(e.scratch, e.codec, spoolBlockBytes(e.spoolBudget()))
+	budget := e.spoolBudget()
+	return newSpool(e.scratch, e.spoolFormer(context.Background(), budget), spoolChunk[K](budget))
 }
 
-func newSpool[K cmp.Ordered](pool *spill.ScratchPool, c comm.Codec[K], blockBytes int) (*Spool[K], error) {
+// newSpool starts a spool in a file of pool whose runs f forms, chunk
+// keys at a time; the staging is f's temporary memory until Finish.
+func newSpool[K cmp.Ordered](pool *spill.ScratchPool, f *runFormer[K], chunk int) (*Spool[K], error) {
 	file, err := pool.Take()
 	if err != nil {
 		return nil, err
 	}
-	return &Spool[K]{pool: pool, file: file, w: spill.NewRunWriter(file, c, blockBytes)}, nil
+	f.tracker.Alloc(stagingBytes[K](chunk))
+	return &Spool[K]{pool: pool, file: file, f: f, keys: make([]K, 0, chunk)}, nil
 }
 
-// Append lands keys after the ones already spooled. keys is not
-// retained. A failed Append fails every later one, and Finish.
+// stagingBytes is the size of n staged keys.
+func stagingBytes[K cmp.Ordered](n int) int64 {
+	var k K
+	return int64(n) * int64(unsafe.Sizeof(k))
+}
+
+// Append lands keys after the ones already spooled, writing a sorted run
+// each time the staged chunk fills. keys is not retained. A failed Append
+// fails every later one, and Finish.
 func (s *Spool[K]) Append(keys []K) error {
-	s.ents = s.ents[:0]
-	for _, k := range keys {
-		s.ents = append(s.ents, comm.Entry[K]{Key: k})
+	if s.err != nil {
+		return s.err
 	}
-	return s.w.Append(s.ents)
-}
-
-// Finish seals the spool: from here on it can be sorted, as often as
-// its sort is retried, until Close.
-func (s *Spool[K]) Finish() error {
-	if err := s.w.Finish(); err != nil {
-		return err
+	if total := uint64(s.n) + uint64(len(keys)); total > math.MaxUint32 {
+		s.err = fmt.Errorf("%w: a spool of %d keys", ErrShareTooLarge, total)
+		return s.err
 	}
-	s.run, s.ents, s.open = s.w.Run(), nil, true
+	for len(keys) > 0 {
+		k := min(len(keys), cap(s.keys)-len(s.keys))
+		s.keys, keys, s.n = append(s.keys, keys[:k]...), keys[k:], s.n+k
+		if len(s.keys) == cap(s.keys) {
+			if err := s.flush(); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
-// Len reports how many keys a finished spool holds.
-func (s *Spool[K]) Len() int { return int(s.run.Entries()) }
+// flush sorts the staged chunk by ref and writes it as the spool's next
+// run (sortedChunk).
+func (s *Spool[K]) flush() error {
+	start, f, n := time.Now(), s.f, len(s.keys)
+	refs, batch := f.takeRefs(2*n), f.take(min(n, spoolBatch))
+	defer func() {
+		f.giveRefs(refs)
+		f.give(batch)
+	}()
+	sorted := f.sortStaged(&keySource[K]{keys: s.keys, hi: n}, refs[:n], refs[n:])
+	run, err := f.writeRun(s.file, &sortedChunk[K]{refs: sorted, keys: s.keys, lo: uint32(s.n - n), batch: batch})
+	s.took += time.Since(start)
+	if err != nil {
+		s.err = err
+		return err
+	}
+	s.runs, s.keys = append(s.runs, run), s.keys[:0]
+	return nil
+}
+
+// Finish writes the last staged keys as a run and seals the spool: from
+// here on it can be sorted, as often as its sort is retried, until Close.
+func (s *Spool[K]) Finish() error {
+	if s.err != nil {
+		return s.err
+	}
+	if len(s.keys) > 0 {
+		if err := s.flush(); err != nil {
+			return err
+		}
+	}
+	s.dropStaging()
+	s.err, s.open = errSpoolSealed, true
+	return nil
+}
+
+// dropStaging lets go of the staged chunk and its tracker bytes.
+func (s *Spool[K]) dropStaging() {
+	if s.keys != nil {
+		s.f.tracker.Free(stagingBytes[K](cap(s.keys)))
+		s.keys = nil
+	}
+}
+
+// Len reports how many keys the spool holds.
+func (s *Spool[K]) Len() int { return s.n }
 
 // Close gives the spool's file back to the engine's pool, finished or
 // not; no sort of the spool may be running. Idempotent; it cannot fail.
 func (s *Spool[K]) Close() error {
 	if s.file != nil {
-		s.w.Abort()
+		s.dropStaging()
 		s.pool.Give(s.file)
-		s.file, s.run, s.open = nil, spill.Run{}, false
+		s.file, s.runs, s.err, s.open = nil, nil, errSpoolSealed, false
 	}
 	return nil
 }
@@ -137,18 +231,20 @@ func (s *Spool[K]) Close() error {
 type SpooledResult[K cmp.Ordered] struct {
 	// N is the entry count the stream will yield.
 	N int
-	// Report carries the run's measurements. SpillReads, Total,
+	// Report carries the run's measurements. Steps[StepLocalSort] is the
+	// spool's run formation, done as the keys landed; SpillBytes counts
+	// the spool's runs and the merge passes' writes. SpillReads, Total,
 	// TempPeakBytes and Steps[StepFinalMerge] — the merge passes and the
-	// streaming, everything after run formation — settle at Close, once
-	// the stream has drained, and so does the end of the merge stage's
-	// span in Sched when the scheduler ran the job (RunOneSpooled).
+	// streaming, everything after the call — settle at Close, once the
+	// stream has drained, and so does the end of the merge stage's span
+	// in Sched when the scheduler ran the job (RunOneSpooled).
 	Report Report
 
 	cur     lsort.Cursor[comm.Entry[K]]
 	runs    *runFormer[K]
 	start   time.Time
 	done    func()             // releases the final merge's batch and readers
-	scratch *spill.Scratch     // holds the runs the final merge reads
+	scratch *spill.Scratch     // holds the last merge pass's runs; nil when there was none
 	pool    *spill.ScratchPool // where scratch goes back
 	release func()             // frees the admission slot (RunOneSpooled)
 
@@ -167,13 +263,14 @@ func (r *SpooledResult[K]) Close() error {
 	r.once.Do(func() {
 		r.done()
 		r.pool.Give(r.scratch)
+		merge := time.Since(r.start)
 		r.Report.SpillReads = r.runs.spillReads.Load()
-		r.Report.Total = time.Since(r.start)
-		r.Report.Steps[StepFinalMerge] = r.Report.Total - r.Report.Steps[StepLocalSort]
-		r.Report.TempPeakBytes = r.runs.tracker.Peak()
+		r.Report.Steps[StepFinalMerge] = merge
+		r.Report.Total = r.Report.Steps[StepLocalSort] + merge
+		r.Report.TempPeakBytes = max(r.Report.TempPeakBytes, r.runs.tracker.Peak())
 		r.Report.PerNode[0].TempPeakBytes = r.Report.TempPeakBytes
 		if sched := &r.Report.Sched; sched.Pipelined {
-			sched.StageEnd[StageMerge] = sched.StageStart[StageLocalSort] + r.Report.Total
+			sched.StageEnd[StageMerge] = sched.StageStart[StageMerge] + merge
 		}
 		if r.release != nil {
 			r.release()
@@ -187,14 +284,15 @@ func (r *SpooledResult[K]) Close() error {
 // held until the returned result is Closed — the stream holds engine
 // scratch until then, and releasing early would let unbounded spooled
 // streams pile up past the inflight cap. Retries cover failures during
-// run formation and merge priming, before any output byte exists; an
+// the merge passes and merge priming, before any output byte exists; an
 // error mid-stream (from Next) is not retried, because output already
 // left. The spool stays the caller's, to Close after the result.
 //
 // The result's Report.Sched traces the job from the call: the admission
-// wait, run formation as the local-sort stage and everything after it,
-// up to Close, as the merge stage. Steps 2 to 5 are elided: their stages
-// are empty spans where formation ends.
+// wait, then everything after it, up to Close, as the merge stage. The
+// spool formed its runs before the call, so the local-sort stage is an
+// empty span at admission, and steps 2 to 5 are elided: their stages are
+// empty spans there too.
 func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in *Spool[K]) (*SpooledResult[K], error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -225,19 +323,20 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in *Spool[K]) (*Spoole
 	res.release = release
 	sched := &res.Report.Sched
 	sched.Pipelined, sched.AdmitWait = true, admitWait
-	sched.StageStart[StageLocalSort] = res.start.Sub(epoch)
-	formed := sched.StageStart[StageLocalSort] + res.Report.Steps[StepLocalSort]
-	for st := StageLocalSort + 1; st < NumSchedStages; st++ {
-		sched.StageStart[st], sched.StageEnd[st-1] = formed, formed
+	at := res.start.Sub(epoch)
+	for st := StageLocalSort; st < NumSchedStages; st++ {
+		sched.StageStart[st], sched.StageEnd[st] = at, at
 	}
 	return res, nil
 }
 
 // SortSpooled externally sorts a finished spool under the engine's
-// memory budget, returning a streaming result. Temporary memory — chunk
-// staging, sort refs, decoded block slabs — is tracker-accounted per job;
-// the working set is O(chunk + fanIn·block) per node, independent of N.
-// The spool is only read: a failed sort can be run again over it.
+// memory budget, returning a streaming result: while more than
+// spoolMergeFanIn runs remain, a merge pass merges them by groups into
+// fewer, and the streaming final merge takes the rest. Temporary memory —
+// decoded block slabs, merge refs and batches — is tracker-accounted per
+// job; the working set is O(fanIn·block) per job, independent of N. The
+// spool's runs are only read: a failed sort can be run again over them.
 func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *SpooledResult[K], err error) {
 	if in == nil || !in.open {
 		return nil, fmt.Errorf("core: spooled input is not a finished, open spool")
@@ -245,65 +344,23 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *Spooled
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := e.opts.Procs
 	budget := e.spoolBudget()
-	chunk := chunkEntries(budget, int64(entryBytes[K]()), minSpoolChunkEntries)
 	// The merge output batch is a fraction of the chunk, so the stream's
 	// granularity scales with the budget.
-	batchLen := max(chunk/4, minSpoolChunkEntries)
+	batchLen := max(spoolChunk[K](budget)/4, minSpoolChunkEntries)
+	f := e.spoolFormer(ctx, budget)
+	start := time.Now()
 
-	// Job-local tracker and pool: spooled jobs are rare and large, and a
-	// job-local tracker gives an honest per-job TempPeakBytes (the node
-	// trackers are engine-lifetime and shared across concurrent jobs).
-	f := &runFormer[K]{
-		ctx: ctx, codec: e.codec, cmps: e.comparators(), workers: e.opts.WorkersPerProc,
-		pool: &alloc.SlabPool[comm.Entry[K]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
-		blockBytes: spoolBlockBytes(budget),
-	}
-	// scratch is the file the live runs are in: first the one every
-	// section forms its chunk runs into, then each merge pass's output.
-	scratch, err := e.scratch.Take()
-	if err != nil {
-		return nil, err
-	}
+	// The bounded fan-in ladder. Each pass writes a scratch file of its
+	// own; the one the pass before wrote goes back once it is read. The
+	// survivors feed the streaming final merge.
+	runs := in.runs
+	var scratch *spill.Scratch // the last pass's runs; nil while they are the spool's
 	defer func() {
 		if err != nil {
 			e.scratch.Give(scratch)
 		}
 	}()
-	start := time.Now()
-
-	// Phase 1: run formation. Node i reads its section of the spool, a
-	// contiguous run of whole blocks, and writes sorted chunk runs that
-	// fit the budget.
-	sections := in.run.Split(p)
-	nodeRuns := make([][]spill.Run, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i, sec := range sections {
-		if sec.Entries() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(node int, sec spill.Run) {
-			defer wg.Done()
-			nodeRuns[node], errs[node] = f.formSection(sec, node, chunk, scratch)
-		}(i, sec)
-	}
-	wg.Wait()
-	var runs []spill.Run
-	for i, nerr := range errs {
-		if nerr != nil {
-			return nil, nerr
-		}
-		runs = append(runs, nodeRuns[i]...)
-	}
-	localSortDur := time.Since(start)
-
-	// Phase 2: bounded fan-in merge. While more than fanIn runs remain, a
-	// pass merges them by groups into another scratch file and the one
-	// they were in goes back, for the next pass to write into; the
-	// survivors feed the streaming final merge.
 	for len(runs) > spoolMergeFanIn {
 		out, err := e.scratch.Take()
 		if err != nil {
@@ -318,118 +375,40 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *Spooled
 		runs, scratch = next, out
 	}
 
-	// Final merge: prime a streaming cursor over the surviving runs.
 	cur, done, err := f.stream(runs, batchLen)
 	if err != nil {
 		return nil, err
 	}
 	res = &SpooledResult[K]{N: in.Len(), cur: cur, runs: f, start: start, done: done, scratch: scratch, pool: e.scratch}
 	res.Report = Report{
-		Procs:      p,
-		Workers:    e.opts.WorkersPerProc,
-		N:          in.Len(),
-		MergePath:  "spooled-kway+spill",
-		SpillBytes: f.spillBytes.Load(),
-		SpillReads: f.spillReads.Load(),
-		PerNode:    make([]NodeReport, 1),
+		Procs:         e.opts.Procs,
+		Workers:       e.opts.WorkersPerProc,
+		N:             in.Len(),
+		MergePath:     "spooled-kway+spill",
+		SpillBytes:    in.f.spillBytes.Load() + f.spillBytes.Load(),
+		SpillReads:    f.spillReads.Load(),
+		TempPeakBytes: in.f.tracker.Peak(),
+		PerNode:       make([]NodeReport, 1),
 	}
-	res.Report.Steps[StepLocalSort] = localSortDur
+	res.Report.Steps[StepLocalSort] = in.took
 	return res, nil
 }
 
-// sectionSource yields one node's contiguous section of a spool (see
-// formSection), read a block at a time: keys[:n] is the staged chunk, its
-// keys only.
-type sectionSource[K cmp.Ordered] struct {
-	sec     *spill.RunReader[K]
-	keys    []K // staging, one chunk long
-	n       int
-	pending []comm.Entry[K] // unconsumed tail of the reader's live batch
-}
-
-func (s *sectionSource[K]) size() int { return int(s.sec.Count()) }
-
-func (s *sectionSource[K]) next(max int) (int, error) {
-	dst := s.keys[:min(max, len(s.keys))]
-	s.n = 0
-	for s.n < len(dst) {
-		if len(s.pending) == 0 {
-			var err error
-			if s.pending, err = s.sec.Next(); err != nil {
-				return 0, err
-			}
-			if len(s.pending) == 0 {
-				break
-			}
-		}
-		n := min(len(dst)-s.n, len(s.pending))
-		for i, e := range s.pending[:n] {
-			dst[s.n+i] = e.Key
-		}
-		s.n += n
-		s.pending = s.pending[n:]
-	}
-	return s.n, nil
-}
-
-func (s *sectionSource[K]) refs(dst []lsort.NormRef, norm func(K) uint64) {
-	for i, k := range s.keys[:s.n] {
-		dst[i] = lsort.NormRef{Norm: norm(k), Idx: uint32(i)}
-	}
-}
-
-func (s *sectionSource[K]) less(i, j uint32) bool { return s.keys[i] < s.keys[j] }
-
-// sectionBatch is how many entries of a sorted section chunk are built at
-// a time on their way to its run.
-const sectionBatch = 1 << 10
-
-// formSection is step 1 for one node of a spooled job: its section of
-// the spool, sec, becomes sorted runs of at most chunk entries in the
-// scratch file the job's sections share. Nothing stays resident: a chunk
-// is staged as bare keys and sorted by ref like any share, and its run is
-// written from the sorted refs and the staged keys as key-only entries
-// whose provenance is (node, position in the section), a batch at a time.
-// The staging, the refs and the batch are tracker-accounted.
-func (f *runFormer[K]) formSection(sec spill.Run, node, chunk int, to *spill.Scratch) ([]spill.Run, error) {
-	r := spill.OpenRun(sec, f.codec, f.readerOpts())
-	defer func() {
-		f.spillReads.Add(r.BytesRead())
-		r.Close()
-	}()
-	src := &sectionSource[K]{sec: r}
-	if err := checkShare[K](src); err != nil {
-		return nil, err
-	}
-	chunk = min(chunk, src.size())
-	var k K
-	staged := int64(chunk) * int64(unsafe.Sizeof(k))
-	f.tracker.Alloc(staged)
-	defer f.tracker.Free(staged)
-	src.keys = make([]K, chunk)
-	run := &sortedChunk[K]{keys: src.keys, node: uint32(node), batch: f.take(min(chunk, sectionBatch))}
-	defer f.give(run.batch)
-	return f.formRuns(src, chunk, func(lo int, sorted []lsort.NormRef) (spill.Run, error) {
-		run.refs, run.lo = sorted, uint32(lo)
-		return f.writeRun(to, run)
-	})
-}
-
-// sortedChunk is a sorted chunk of a section as a cursor of the key-only
+// sortedChunk is a spool's sorted chunk as a cursor of the key-only
 // entries its refs stand for, a batch at a time: the key staged at the
-// ref's position, stamped with the section's node and the key's position
-// in the section.
+// ref's position, stamped (0, lo + Idx) — its arrival position, lo the
+// chunk's first.
 type sortedChunk[K cmp.Ordered] struct {
-	refs     []lsort.NormRef
-	keys     []K
-	node, lo uint32
-	batch    []comm.Entry[K]
+	refs  []lsort.NormRef
+	keys  []K
+	lo    uint32
+	batch []comm.Entry[K]
 }
 
 func (c *sortedChunk[K]) Next() ([]comm.Entry[K], error) {
 	n := min(len(c.refs), len(c.batch))
 	for j, r := range c.refs[:n] {
-		c.batch[j] = comm.Entry[K]{Key: c.keys[r.Idx], Proc: c.node, Index: c.lo + r.Idx}
+		c.batch[j] = comm.Entry[K]{Key: c.keys[r.Idx], Index: c.lo + r.Idx}
 	}
 	c.refs = c.refs[n:]
 	return c.batch[:n], nil

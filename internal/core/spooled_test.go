@@ -33,15 +33,17 @@ func appendKeyBytes[K cmp.Ordered](codec comm.Codec[K], dst []byte, k K) []byte 
 	return dst
 }
 
-// writeSpool lands keys in a spool in arrival order, the way the
-// streaming ingress does, in a scratch file of a pool of its own under
-// dir: apart from any engine's SpillDir, so what a test finds there is
-// the sort's. The spool is closed when the test ends.
-func writeSpool[K cmp.Ordered](t *testing.T, codec comm.Codec[K], dir string, keys []K) *Spool[K] {
+// writeSpool lands keys in a spool of e's in arrival order, the way the
+// streaming ingress does — its runs formed as e.NewSpool forms them — in
+// a scratch file of a pool of its own under dir: apart from any engine's
+// SpillDir, so what a test finds there is the sort's. The spool is closed
+// when the test ends.
+func writeSpool[K cmp.Ordered](t *testing.T, e *Engine[K], dir string, keys []K) *Spool[K] {
 	t.Helper()
 	pool := spill.NewScratchPool(dir)
 	t.Cleanup(pool.Close)
-	sp, err := newSpool(pool, codec, 4<<10)
+	budget := e.spoolBudget()
+	sp, err := newSpool(pool, e.spoolFormer(context.Background(), budget), spoolChunk[K](budget))
 	if err != nil {
 		t.Fatalf("newSpool: %v", err)
 	}
@@ -116,7 +118,6 @@ func spooledCase[K cmp.Ordered](t *testing.T, codec comm.Codec[K], keys []K) {
 	t.Helper()
 	const procs = 3
 	spillDir := t.TempDir()
-	spool := writeSpool(t, codec, t.TempDir(), keys)
 
 	eb := int64(entryBytes[K]())
 	// A budget around a tenth of the dataset forces multi-run externals.
@@ -132,6 +133,7 @@ func spooledCase[K cmp.Ordered](t *testing.T, codec comm.Codec[K], keys []K) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
+	spool := writeSpool(t, e, t.TempDir(), keys)
 
 	res, err := e.SortSpooled(context.Background(), spool)
 	if err != nil {
@@ -221,12 +223,12 @@ func TestSortSpooled(t *testing.T) {
 
 // TestSortSpooledEmpty covers the zero-entry upload.
 func TestSortSpooledEmpty(t *testing.T) {
-	spool := writeSpool[uint64](t, comm.U64Codec{}, t.TempDir(), nil)
 	e, err := NewEngine[uint64](Options{Procs: 2}, comm.U64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	spool := writeSpool(t, e, t.TempDir(), []uint64(nil))
 	res, err := e.SortSpooled(context.Background(), spool)
 	if err != nil {
 		t.Fatalf("SortSpooled: %v", err)
@@ -240,24 +242,22 @@ func TestSortSpooledEmpty(t *testing.T) {
 	}
 }
 
-// TestRunOneSpooledRetry arms the block-read failpoint: the first
-// attempt dies reading the spool in run formation, the scheduler
-// classifies it Transient and re-runs it against the still-open spool,
-// and the second attempt streams the correct bytes.
+// TestRunOneSpooledRetry arms the block-read failpoint on a formed
+// spool of more runs than one merge reads: the first attempt dies in its
+// merge pass, on the job's first read, the scheduler classifies it
+// Transient and re-runs only the merge against the still-open spool, and
+// the second attempt streams the correct bytes.
 func TestRunOneSpooledRetry(t *testing.T) {
 	failpoint.Reset()
 	t.Cleanup(failpoint.Reset)
 	const site = spill.FpReadBlock
-	failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeError})
 
-	const n = 5000
+	const n = 20000
 	rng := dist.NewRNG(11)
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = rng.Uint64()
 	}
-	spool := writeSpool[uint64](t, comm.U64Codec{}, t.TempDir(), keys)
-
 	e, err := NewEngine[uint64](Options{
 		Procs: 2, WorkersPerProc: 2,
 		MemoryBudget: 64 << 10, SpillDir: t.TempDir(),
@@ -266,7 +266,13 @@ func TestRunOneSpooledRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	spool := writeSpool(t, e, t.TempDir(), keys)
+	if len(spool.runs) <= spoolMergeFanIn {
+		t.Fatalf("the spool holds %d runs: no merge pass to fail", len(spool.runs))
+	}
+	formed := spool.f.spillBytes.Load()
 	s := NewScheduler(e, SortManyOpts{Retry: RetryPolicy{MaxAttempts: 3}})
+	failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeError})
 
 	res, err := s.RunOneSpooled(context.Background(), spool)
 	if err != nil {
@@ -281,6 +287,9 @@ func TestRunOneSpooledRetry(t *testing.T) {
 	}
 	if fired := failpoint.Fired(site); fired < 1 {
 		t.Fatalf("failpoint fired %d times", fired)
+	}
+	if rep := res.Report; rep.SpillBytes != 2*formed {
+		t.Fatalf("SpillBytes = %d, want the spool's %d bytes and one pass's rewrite of them", rep.SpillBytes, formed)
 	}
 	want := residentKeyBytes[uint64](t, comm.U64Codec{}, keys, 2)
 	if !bytes.Equal(got, want) {
@@ -305,10 +314,12 @@ func TestRunOneSpooledRetry(t *testing.T) {
 // nothing while it is open, and Close gives its file back to the pool
 // for the next stage, so no descriptor is left but the pool's. Its blocks
 // are sized by the engine's budget, the env-resolved one included. The
-// report times both of a spooled job's steps: run formation and the
-// final merge (passes and streaming) are each > 0 and together no more
-// than Total. SpillBytes leaves the spool out and SpillReads reads it
-// once: they differ by its 16 B a key.
+// report times both of a spooled job's steps: run formation (as the keys
+// landed) and the final merge (passes and streaming) are each > 0 and
+// together no more than Total. Its 25 runs take one merge pass: the spool
+// writes its runs, 16 B a key, the pass reads them once and writes them
+// once more, and the final merge reads that once, so SpillBytes and
+// SpillReads are both 32 B a key.
 func TestEngineSpool(t *testing.T) {
 	const n, procs = 20000, 2
 	t.Setenv(MemBudgetEnv, "64k")
@@ -355,9 +366,9 @@ func TestEngineSpool(t *testing.T) {
 			t.Fatalf("sort %d: local sort %v + final merge %v against Total %v, want both > 0 and the sum <= Total",
 				i, local, merge, rep.Total)
 		}
-		if rep.SpillBytes == 0 || rep.SpillReads-rep.SpillBytes != 16*n {
-			t.Fatalf("sort %d: SpillBytes %d, SpillReads %d: want the spool's %d bytes read once and not written",
-				i, rep.SpillBytes, rep.SpillReads, 16*n)
+		if rep.SpillBytes != 32*n || rep.SpillReads != 32*n {
+			t.Fatalf("sort %d: SpillBytes %d, SpillReads %d: want the spool's runs and one pass's, %d bytes, each written and read once",
+				i, rep.SpillBytes, rep.SpillReads, 32*n)
 		}
 	}
 	held := openFilesUnder(dir)
@@ -369,6 +380,217 @@ func TestEngineSpool(t *testing.T) {
 	requireEmptyDir(t, dir)
 	if descriptorsListed() && openFilesUnder(dir) != held {
 		t.Fatalf("%d descriptors under SpillDir after the spool closed, want the pool's %d", openFilesUnder(dir), held)
+	}
+}
+
+// spooledProvenance lands keys in a spool of a 64k-budgeted engine in
+// uneven batches — many runs, and a merge pass over them — and streams
+// its sort: every entry must come from node 0 with the key its index
+// names in keys, every index must come once, and equal keys must leave
+// in arrival order.
+func spooledProvenance[K cmp.Ordered](t *testing.T, codec comm.Codec[K], keys []K) {
+	t.Helper()
+	e, err := NewEngine[K](Options{Procs: 2, WorkersPerProc: 2, MemoryBudget: 64 << 10, SpillDir: t.TempDir()}, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sp, err := e.NewSpool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	for lo, step := 0, 1; lo < len(keys); lo, step = lo+step, step*3%1021+1 {
+		if err := sp.Append(keys[lo:min(lo+step, len(keys))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sp.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.runs) <= spoolMergeFanIn {
+		t.Fatalf("the spool holds %d runs: no merge pass", len(sp.runs))
+	}
+	res, err := e.SortSpooled(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	seen := make([]bool, len(keys))
+	var prev []byte
+	prevIndex := -1
+	for {
+		batch, err := res.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 0 {
+			break
+		}
+		for _, en := range batch {
+			key := appendKeyBytes(codec, nil, en.Key)
+			if en.Proc != 0 || int(en.Index) >= len(keys) || !bytes.Equal(appendKeyBytes(codec, nil, keys[en.Index]), key) {
+				t.Fatalf("entry (%v, proc %d, index %d) does not name its key in the input", en.Key, en.Proc, en.Index)
+			}
+			if seen[en.Index] {
+				t.Fatalf("index %d streamed twice", en.Index)
+			}
+			seen[en.Index] = true
+			if bytes.Equal(key, prev) && int(en.Index) < prevIndex {
+				t.Fatalf("equal keys %v left out of arrival order: index %d after %d", en.Key, en.Index, prevIndex)
+			}
+			prev, prevIndex = key, int(en.Index)
+		}
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Fatalf("index %d never streamed", i)
+	}
+}
+
+// TestSpooledProvenanceIsArrival: a spool is one input, its keys stamped
+// by arrival, for every key type — the float64 total order's NaNs of both
+// signs, zeros and infinities included.
+func TestSpooledProvenanceIsArrival(t *testing.T) {
+	const n = 30000
+	rng := dist.NewRNG(41)
+	t.Run("uint64", func(t *testing.T) {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = rng.Uint64() % 1000
+		}
+		spooledProvenance[uint64](t, comm.U64Codec{}, keys)
+	})
+	t.Run("float64", func(t *testing.T) {
+		specials := []float64{math.NaN(), math.Copysign(math.NaN(), -1), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+		keys := make([]float64, n)
+		for i := range keys {
+			if r := rng.Uint64() % 16; r < uint64(len(specials)) {
+				keys[i] = specials[r]
+			} else {
+				keys[i] = float64(int64(rng.Uint64()%200) - 100)
+			}
+		}
+		spooledProvenance[float64](t, comm.F64Codec{}, keys)
+	})
+	t.Run("string", func(t *testing.T) {
+		keys := make([]string, n)
+		for i := range keys {
+			b := []byte("prefixxx__")
+			for j := 8; j < len(b); j++ {
+				b[j] = "abcd"[rng.Uint64()%4]
+			}
+			keys[i] = string(b)
+		}
+		spooledProvenance[string](t, comm.StringCodec{}, keys)
+	})
+}
+
+// TestSortSpooledReadsRunsOnce: a spool of no more runs than one merge
+// reads is already what the final merge wants, so SortSpooled takes no
+// scratch file, writes nothing and reads each run's bytes exactly once —
+// its SpillBytes are the spool's and its SpillReads the same bytes.
+func TestSortSpooledReadsRunsOnce(t *testing.T) {
+	const n = 5000
+	dir := t.TempDir()
+	e := newTestEngine(t, Options{Procs: 2, WorkersPerProc: 2, MemoryBudget: 64 << 10, SpillDir: dir})
+	keys := dist.Gen{Kind: dist.Uniform, Seed: 37}.Keys(n)
+	sp := writeSpool(t, e, t.TempDir(), keys)
+	if runs := len(sp.runs); runs < 2 || runs > spoolMergeFanIn {
+		t.Fatalf("the spool holds %d runs, want 2 to %d", runs, spoolMergeFanIn)
+	}
+	formed := sp.f.spillBytes.Load()
+	if formed != 16*n {
+		t.Fatalf("the spool wrote %d bytes, want its runs' %d", formed, 16*n)
+	}
+	res, err := e.SortSpooled(context.Background(), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if open := openFilesUnder(dir); open != 0 {
+		t.Fatalf("the final merge holds %d scratch files", open)
+	}
+	got := drainSpooled[uint64](t, comm.U64Codec{}, res)
+	res.Close()
+	if want := residentKeyBytes[uint64](t, comm.U64Codec{}, keys, 2); !bytes.Equal(got, want) {
+		t.Fatal("spooled sort diverges from the resident sort")
+	}
+	if rep := res.Report; rep.SpillBytes != formed || rep.SpillReads != formed {
+		t.Fatalf("SpillBytes %d, SpillReads %d: want the spool's %d bytes, written once and read once", rep.SpillBytes, rep.SpillReads, formed)
+	}
+}
+
+// TestSpoolFormationErrorExits takes a spool out through the exits of its
+// run formation: a block write failing as Append fills a chunk, or as
+// Finish writes the last partial one, and a spool past what an origin
+// index can address. The failure comes back from the call that hit it
+// and from every later Append and Finish, SortSpooled refuses the spool,
+// and Close leaves every slab back in its pool, the staging freed and
+// SpillDir empty.
+func TestSpoolFormationErrorExits(t *testing.T) {
+	const chunkKeys = 64 << 10 / 80 // spoolChunk at a 64k budget
+	keys := dist.Gen{Kind: dist.Uniform, Seed: 47}.Keys(3*chunkKeys + 100)
+	exits := map[string]struct {
+		is   error
+		fail func(sp *Spool[uint64]) error
+	}{
+		"append": {failpoint.ErrInjected, func(sp *Spool[uint64]) error {
+			failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 5})
+			return sp.Append(keys)
+		}},
+		"finish": {failpoint.ErrInjected, func(sp *Spool[uint64]) error {
+			if err := sp.Append(keys); err != nil {
+				t.Fatal(err)
+			}
+			failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeError})
+			return sp.Finish()
+		}},
+		"too-large": {ErrShareTooLarge, func(sp *Spool[uint64]) error {
+			if err := sp.Append(keys[:10]); err != nil {
+				t.Fatal(err)
+			}
+			sp.n = math.MaxUint32 - 1 // as if that many had landed
+			return sp.Append(keys[10:12])
+		}},
+	}
+	for name, exit := range exits {
+		t.Run(name, func(t *testing.T) {
+			failpoint.Reset()
+			t.Cleanup(failpoint.Reset)
+			dir := t.TempDir()
+			e := newTestEngine(t, Options{Procs: 2, MemoryBudget: 64 << 10, SpillDir: dir})
+			if got := spoolChunk[uint64](e.spoolBudget()); got != chunkKeys {
+				t.Fatalf("a spool chunk holds %d keys, want %d", got, chunkKeys)
+			}
+			sp, err := e.NewSpool()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = exit.fail(sp)
+			failpoint.Reset()
+			if !errors.Is(err, exit.is) {
+				t.Fatalf("formation ended in %v, want %v", err, exit.is)
+			}
+			if again := sp.Append(keys[:1]); !errors.Is(again, exit.is) {
+				t.Fatalf("Append after the failure: %v", again)
+			}
+			if again := sp.Finish(); !errors.Is(again, exit.is) {
+				t.Fatalf("Finish after the failure: %v", again)
+			}
+			if _, err := e.SortSpooled(context.Background(), sp); err == nil {
+				t.Fatal("SortSpooled took a failed spool")
+			}
+			sp.Close()
+			if gets, _, puts := sp.f.pool.Stats(); gets != puts {
+				t.Fatalf("the spool took %d entry slabs and returned %d", gets, puts)
+			}
+			if gets, _, puts := sp.f.refPool.Stats(); gets != puts {
+				t.Fatalf("the spool took %d ref slabs and returned %d", gets, puts)
+			}
+			if live := sp.f.tracker.Live(); live != 0 {
+				t.Fatalf("tracker.Live = %d after Close", live)
+			}
+			requireEmptyDir(t, dir)
+		})
 	}
 }
 
@@ -414,7 +636,7 @@ func onFire(site string, fn func()) {
 	}()
 }
 
-// atMergePass runs fn while a spooled job is entering its first merge
+// atMergePass runs fn while a spooled job is entering its second merge
 // pass: the pass's scratch file is the second the job creates, and its
 // creation stalls long enough for fn to take effect inside the pass.
 func atMergePass(fn func()) {
@@ -436,18 +658,22 @@ func requireEmptyDir(t *testing.T, dir string) {
 
 // TestSpooledErrorExits drives a spooled job out through each of its error
 // exits — an injected block-read failure with retries off, a context
-// cancelled mid run formation, a run corrupted on disk between its
-// formation and the merge pass that reads it, and a read error mid-stream
-// followed by Close — and the scratch files' own: one that cannot be
-// created, a block write failing and a cancellation with runs sealed and
-// unopened, each during run formation and during a merge pass, plus a
-// block read failing in one (TestMergePassErrorExits looks inside a pass
-// that fails, at the former's pools). After each, the job must hold
-// nothing: SpillDir is empty, the caller-owned spool is still there, the error
-// classifies as failure.go documents, and the scheduler's only admission
-// slot is free, so a follow-up job through it completes byte-correct.
+// cancelled mid pass, a run corrupted on disk between the pass that wrote
+// it and the pass that reads it, and a read error mid-stream followed by
+// Close — and the scratch files' own: one that cannot be created, a block
+// write failing and a cancellation with runs sealed and unopened, each
+// during the first merge pass, which reads the spool's runs, and during
+// the second, which holds the first's file, plus a block read failing in
+// one (TestMergePassErrorExits looks inside a pass that fails, at the
+// former's pools). The spool is formed before the job and holds 74 runs,
+// so the job runs two passes (74 → 10 → 2) before its final merge. After
+// each, the job must hold nothing: SpillDir is empty, the caller-owned
+// spool is still there, the error classifies as failure.go documents, and
+// the scheduler's only admission slot is free, so a follow-up job through
+// it completes byte-correct. A spool's own exits, in its run formation,
+// are TestSpoolFormationErrorExits'.
 func TestSpooledErrorExits(t *testing.T) {
-	const n, procs = 20000, 2
+	const n, procs = 60000, 2
 	const site = spill.FpReadBlock
 	rng := dist.NewRNG(23)
 	keys := make([]uint64, n)
@@ -472,8 +698,8 @@ func TestSpooledErrorExits(t *testing.T) {
 			}},
 		{"cancel", FailUnknown, context.Canceled,
 			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
-				// Every input read stalls, so the cancel lands while the
-				// sections are still being formed into runs.
+				// Every block read stalls, so the cancel lands while the
+				// first pass still reads the spool's runs.
 				failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: 2 * time.Millisecond})
 				ctx, cancel := context.WithCancel(context.Background())
 				time.AfterFunc(15*time.Millisecond, cancel)
@@ -485,8 +711,8 @@ func TestSpooledErrorExits(t *testing.T) {
 				if !descriptorsListed() {
 					t.Skip("no /proc/self/fd: an unlinked scratch file cannot be reached")
 				}
-				// Slow formation leaves a wide window between node 0's
-				// first run landing on disk and the merge opening it.
+				// Slow reads leave a wide window between the first pass's
+				// first run landing on disk and the second pass opening it.
 				failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: 2 * time.Millisecond})
 				stop := make(chan struct{})
 				cut := make(chan string, 1)
@@ -511,9 +737,9 @@ func TestSpooledErrorExits(t *testing.T) {
 				}
 				return err
 			}},
-		// The scratch files' own exits. The job forms 26 runs into its first
-		// scratch file, so the second file created is the merge pass's, and
-		// whatever is armed while that creation stalls lands in the pass.
+		// The scratch files' own exits. The first file the job creates is
+		// its first pass's, the second its second pass's, and whatever is
+		// armed while that creation stalls lands in the second pass.
 		{"scratch-create", FailTransient, failpoint.ErrInjected,
 			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
 				failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeError})
@@ -552,8 +778,8 @@ func TestSpooledErrorExits(t *testing.T) {
 			}},
 		{"cancel-sealed-runs", FailUnknown, context.Canceled,
 			func(t *testing.T, s *Scheduler[uint64], in *Spool[uint64], _ string) error {
-				// Runs are sealed in the scratch file when the 30th block
-				// write stalls; nobody will open them.
+				// The first pass's first run is sealed in its scratch file
+				// when the 30th block write stalls; nobody will open it.
 				failpoint.Set(spill.FpWriteBlock, failpoint.Schedule{Mode: failpoint.ModeDelay, Nth: 30, Count: -1, Delay: 20 * time.Millisecond})
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
@@ -603,7 +829,6 @@ func TestSpooledErrorExits(t *testing.T) {
 			failpoint.Reset()
 			t.Cleanup(failpoint.Reset)
 			spillDir := t.TempDir()
-			spool := writeSpool[uint64](t, codec, t.TempDir(), keys)
 			e, err := NewEngine[uint64](Options{
 				Procs: procs, WorkersPerProc: 2,
 				MemoryBudget: 64 << 10, SpillDir: spillDir,
@@ -612,6 +837,10 @@ func TestSpooledErrorExits(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
+			spool := writeSpool(t, e, t.TempDir(), keys)
+			if len(spool.runs) <= spoolMergeFanIn*spoolMergeFanIn {
+				t.Fatalf("the spool holds %d runs: fewer than two passes", len(spool.runs))
+			}
 			s := NewScheduler(e, SortManyOpts{MaxInflight: 1})
 
 			err = tc.run(t, s, spool, spillDir)
@@ -651,17 +880,16 @@ func TestSpooledErrorExits(t *testing.T) {
 // TestMergePassErrorExits takes one rung of the spooled fan-in ladder out
 // through the exits inside its merges — a block read failing, and the
 // context cancelled, with a group's merge primed, rounds in and its ref
-// slab out — on a former the test can see into: after each, every entry
-// and ref slab is back in its pool and the tracker is at zero, and the
-// same pass over the same runs, rerun clean on the same former, streams
-// out what a sort of the keys gives.
+// slab out — on a former the test can see into, which formed the spool's
+// runs: after each, every entry and ref slab is back in its pool and the
+// tracker is at zero, and the same pass over the same runs, rerun clean
+// on the same former, streams out what a sort of the keys gives.
 func TestMergePassErrorExits(t *testing.T) {
 	const n, chunk = 20000, 1000 // 20 runs: a pass of three groups
 	codec := comm.U64Codec{}
 	keys := dist.Gen{Kind: dist.FewDistinct, Seed: 31}.Keys(n)
 	want := slices.Clone(keys)
 	slices.Sort(want)
-	spool := writeSpool[uint64](t, codec, t.TempDir(), keys)
 	e := newTestEngine(t, Options{Procs: 1, MemoryBudget: -1})
 
 	exits := map[string]struct {
@@ -688,14 +916,22 @@ func TestMergePassErrorExits(t *testing.T) {
 				pool: &alloc.SlabPool[comm.Entry[uint64]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
 				blockBytes: 4 << 10, // several blocks a run: refills between rounds
 			}
-			formed, err := spill.NewScratch(dir)
+			pool := spill.NewScratchPool(dir)
+			defer pool.Close()
+			spool, err := newSpool(pool, f, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer formed.Close()
-			runs, err := f.formSection(spool.run, 0, chunk, formed)
-			if err != nil || len(runs) != n/chunk {
-				t.Fatalf("formed %d runs: %v", len(runs), err)
+			defer spool.Close()
+			if err := spool.Append(keys); err != nil {
+				t.Fatal(err)
+			}
+			if err := spool.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			runs := spool.runs
+			if len(runs) != n/chunk {
+				t.Fatalf("formed %d runs", len(runs))
 			}
 			balanced := func(when string) (refGets int64) {
 				t.Helper()

@@ -113,14 +113,13 @@ type typedBackend[K cmp.Ordered] struct {
 	app   func([]byte, K) []byte
 	enc   func([]K) []byte
 	width int64
-	// codec is the record codec both engines (mesh and fallback) are
-	// built with.
+	// codec is the key codec both engines (mesh and fallback) are built
+	// with: the service sorts bare keys, so no entry carries a payload
+	// length on the wire or on disk.
 	codec comm.Codec[K]
 }
 
 // newBackend builds the engine, scheduler and codec for one key domain.
-// The engine unwraps the record codec's key codec for the radix fast
-// path.
 func newBackend(kt dist.KeyType, cfg Config) (backend, error) {
 	switch kt {
 	case dist.KeyUint64:
@@ -135,7 +134,7 @@ func newBackend(kt dist.KeyType, cfg Config) (backend, error) {
 			app:    keyio.AppendUint64,
 			enc:    keyio.EncodeUint64s,
 			width:  8,
-			codec:  comm.NewRecordCodec[uint64](comm.U64Codec{}),
+			codec:  comm.U64Codec{},
 		}
 		return initBackend(b, cfg)
 	case dist.KeyFloat64:
@@ -150,7 +149,7 @@ func newBackend(kt dist.KeyType, cfg Config) (backend, error) {
 			app:    keyio.AppendFloat64,
 			enc:    keyio.EncodeFloat64s,
 			width:  8,
-			codec:  comm.NewRecordCodec[float64](comm.F64Codec{}),
+			codec:  comm.F64Codec{},
 		}
 		return initBackend(b, cfg)
 	case dist.KeyString:
@@ -164,7 +163,7 @@ func newBackend(kt dist.KeyType, cfg Config) (backend, error) {
 			scan:   keyio.ScanStrings,
 			app:    keyio.AppendString,
 			enc:    keyio.EncodeStrings,
-			codec:  comm.NewRecordCodec[string](comm.StringCodec{}),
+			codec:  comm.StringCodec{},
 		}
 		return initBackend(b, cfg)
 	default:

@@ -472,12 +472,12 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 
 // sortSpooled takes one spooled upload through admission and streams
 // the sorted answer chunked, straight off the final-merge cursor. The
-// spooled path never touches the mesh — run formation and merging read
-// the spill tier on this node — so there is no breaker to consult and no
-// single-node fallback to degrade to. The result cache is bypassed too:
-// an answer too big to hold resident is exactly the answer a
-// byte-budgeted cache must not store, which is why ingest stopped hashing
-// the body the moment it spooled.
+// spooled path never touches the mesh — the spool formed its runs at
+// ingest and merging reads them on this node — so there is no breaker
+// to consult and no single-node fallback to degrade to. The result
+// cache is bypassed too: an answer too big to hold resident is exactly
+// the answer a byte-budgeted cache must not store, which is why ingest
+// stopped hashing the body the moment it spooled.
 func (s *Server) sortSpooled(j *job, r *http.Request) {
 	s.gov.noteSpooled()
 	release, jerr := s.reserve(spooledJobBytes(s.cfg.SpoolThreshold))

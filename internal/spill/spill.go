@@ -23,9 +23,8 @@
 //     all of it validated at open. Neither the engine nor the service
 //     writes one; only the benchmark's spill layer still measures it.
 //
-// An upload spool is a scratch run too (core.Spool): one run in a file
-// of the engine's pool, cut into sections of whole blocks (Run.Split)
-// that p readers open side by side.
+// An upload spool is scratch runs too (core.Spool): the sorted chunk
+// runs of one upload, in a file of the engine's pool.
 //
 // Run file layout (all integers little-endian):
 //
@@ -313,25 +312,6 @@ type Run struct {
 
 // Entries reports how many entries the run holds.
 func (r Run) Entries() uint64 { return r.entries }
-
-// Split cuts the run into p runs of whole blocks that tile it in order,
-// each in r's file: run i ends at the block boundary nearest entry
-// (i+1)·n/p, so a run is within half a block of an even share, and some
-// runs are empty when there are fewer blocks than runs. No block is read.
-func (r Run) Split(p int) []Run {
-	parts := make([]Run, p)
-	b, at := 0, uint64(0)
-	for i := range parts {
-		lo, start := b, at
-		end := uint64(i+1) * r.entries / uint64(p)
-		for b < len(r.blocks) && at+uint64(r.blocks[b].count)/2 < end {
-			at += uint64(r.blocks[b].count)
-			b++
-		}
-		parts[i] = Run{file: r.file, blocks: r.blocks[lo:b], entries: at - start}
-	}
-	return parts
-}
 
 // Writer appends one sorted run, block by block, to a run file of its own
 // (NewWriter) or to a shared Scratch (NewRunWriter). Entries are encoded
