@@ -408,10 +408,18 @@ func (s *sortRun[K]) localSort() ([]lsort.NormRef, error) {
 }
 
 // sampleKeys returns the keys at sample.Regular's positions of the
-// share, read through the source: count (at most len(refs), as
-// sample.Count gives it) keys are copied, no entries.
+// share: count (at most len(refs), as sample.Count gives it) keys are
+// copied, no entries. Under a norm with an inverse a key is its ref's
+// norm turned back, read along the sorted refs; otherwise it is read
+// through the source at the ref's Idx, a random access into the input.
 func (s *sortRun[K]) sampleKeys(refs []lsort.NormRef, count int) []K {
 	keys := make([]K, count)
+	if denorm := s.cmps.denorm; denorm != nil {
+		for i := range keys {
+			keys[i] = denorm(refs[sample.RegularIndex(i, len(refs), count)].Norm)
+		}
+		return keys
+	}
 	for i := range keys {
 		keys[i] = s.src.key(refs[sample.RegularIndex(i, len(refs), count)].Idx)
 	}

@@ -5,13 +5,14 @@
 // manager is the goroutines each step starts for itself (WorkersPerProc
 // bounds the steps that split their work):
 //
-//  1. parallel local sort: per-chunk radix over (norm, index) refs of
-//     the keys, combined by the balanced merging handler (Fig 2). One
-//     run former (runs.go) does it for keys, records and the chunks of an
-//     upload spool alike, in one chunk when the share fits
-//     Options.MemoryBudget and in budget-sized chunks through run files
-//     of refs when it does not. Its output is the share as sorted refs
-//     into the node's own input, 16 bytes a key, which steps 2-4 run over
+//  1. parallel local sort: one radix over (norm, index) refs of the
+//     keys, each pass split into equal slices among the workers, so the
+//     slices need no merge. One run former (runs.go) does it for keys,
+//     records and the chunks of an upload spool alike, in one chunk when
+//     the share fits Options.MemoryBudget and in budget-sized chunks
+//     through run files of refs when it does not. Its output is the share
+//     as sorted refs into the node's own input, 16 bytes a key, which
+//     steps 2-4 run over
 //  2. regular sampling, one 256KB/p buffer of samples to the master
 //  3. master selects p-1 splitters, exact ranks in (key, proc, index)
 //     order, and broadcasts them
@@ -20,7 +21,7 @@
 //     of the refs themselves when the sort is of bare keys whose codec
 //     has an exact norm and its inverse (comm.RefDenorm), a sort by ref;
 //     otherwise of the entries the refs stand for, built once, here
-//  6. merge of the received runs with the same balanced merging handler,
+//  6. merge of the received runs with the balanced merging handler (Fig 2),
 //     after the exchange barrier, in one of two exchange sinks: resident
 //     (a sort by ref keeps a provenance word beside each ref and builds
 //     each entry once, into the exact-size result) or, when the runs

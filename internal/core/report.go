@@ -11,7 +11,7 @@ import (
 type Step int
 
 const (
-	// StepLocalSort is step 1: parallel local quicksort + balanced merge.
+	// StepLocalSort is step 1: the parallel radix of each share's refs.
 	StepLocalSort Step = iota
 	// StepSampling is step 2: regular sampling and sending to the master.
 	StepSampling

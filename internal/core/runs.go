@@ -16,9 +16,9 @@ import (
 )
 
 // This file is step 1, once. The paper's step 1 — each processor sorts
-// its share in parallel chunks and combines them with the balanced
-// handler — has one implementation here, the run former, whatever the
-// input is (bare keys, records, the keys an upload spool stages) and
+// its share, the data divided equally among its workers — has one
+// implementation here, the run former, whatever the input is (bare
+// keys, records, the keys an upload spool stages) and
 // wherever the sorted runs end up (the node's ref share, blocks of a
 // scratch file). It sorts 16-byte (norm, index) refs and nothing else: a
 // share comes out as sorted refs into the node's own input, a chunk of it
@@ -201,8 +201,8 @@ func chunkEntries(budget, eb int64, floor int) int {
 
 // sortStaged is the step-1 kernel: it sorts the refs of src's staged
 // chunk, one (norm, position) ref per key — a radix over the bits that
-// tell them apart per worker chunk, combined by the balanced handler —
-// and returns them in refs or in scratch, each as long as the chunk. The
+// tell them apart, its passes shared among the workers — and returns
+// them in refs or in scratch, each as long as the chunk. The
 // ref sort is stable and the refs start in position order, so equal keys
 // stay in position order; an inexact norm has its equal-norm runs
 // finished under the real keys.

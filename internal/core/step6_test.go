@@ -255,3 +255,59 @@ func TestSampleKeysAreRegularSamples(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleKeysFromNormsMatchByIdx: under a norm with an inverse step 2
+// turns the sorted refs' norms back into keys instead of reading the
+// input by Idx. Both arms must give the same keys bit for bit, for every
+// key type that sorts by ref — for floats that covers NaNs of either
+// sign, ±0 and ±Inf.
+func TestSampleKeysFromNormsMatchByIdx(t *testing.T) {
+	const n = 5000
+	u := dist.Gen{Kind: dist.Uniform, Seed: 61, Domain: 1 << 62}.Keys(n)
+	i64 := make([]int64, n)
+	f64 := make([]float64, n)
+	for i, k := range u {
+		i64[i] = int64(k) - 1<<61
+		f64[i] = float64(i64[i]) / 3
+	}
+	copy(f64, []float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000001), math.Float64frombits(0x7ff0000000000abc),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.SmallestNonzeroFloat64,
+	})
+	checkSampleKeysFromNorms(t, comm.Codec[uint64](comm.U64Codec{}), u, func(k uint64) uint64 { return k })
+	checkSampleKeysFromNorms(t, comm.Codec[int64](comm.I64Codec{}), i64, func(k int64) uint64 { return uint64(k) })
+	checkSampleKeysFromNorms(t, comm.Codec[float64](comm.F64Codec{}), f64, math.Float64bits)
+}
+
+func checkSampleKeysFromNorms[K cmp.Ordered](t *testing.T, codec comm.Codec[K], keys []K, bits func(K) uint64) {
+	t.Helper()
+	denorm, ok := comm.RefDenorm(codec)
+	if !ok {
+		t.Fatalf("%T: no inverse norm", codec)
+	}
+	norm := codec.(comm.KeyNormalizer[K]).Norm
+	refs := make([]lsort.NormRef, len(keys))
+	for i, k := range keys {
+		refs[i] = lsort.NormRef{Norm: norm(k), Idx: uint32(i)}
+	}
+	refs = lsort.SortNormRefs(refs, make([]lsort.NormRef, len(refs)), 2)
+	byIdx := &sortRun[K]{src: &keySource[K]{keys: keys}}
+	byNorm := &sortRun[K]{src: &keySource[K]{keys: keys}, cmps: sortCmps[K]{norm: norm, denorm: denorm}}
+	for _, buffer := range []int{1, 64, 1 << 10, 1 << 18} {
+		count := sample.Count(buffer, 4, 8, 1, len(refs))
+		want, got := byIdx.sampleKeys(refs, count), byNorm.sampleKeys(refs, count)
+		for i := range want {
+			if bits(got[i]) != bits(want[i]) {
+				t.Fatalf("%T s=%d: sample %d is %#x from the norm, %#x by Idx", codec, count, i, bits(got[i]), bits(want[i]))
+			}
+		}
+	}
+	// Every ref, not only the sampled ones: the NaNs and zeros sit at the
+	// ends of the order, where few samples fall.
+	all := byNorm.sampleKeys(refs, len(refs))
+	for i, r := range refs {
+		if bits(all[i]) != bits(keys[r.Idx]) {
+			t.Fatalf("%T: ref %d turns back into %#x, the input has %#x", codec, i, bits(all[i]), bits(keys[r.Idx]))
+		}
+	}
+}

@@ -252,11 +252,12 @@ func BenchmarkBalancedMerge(b *testing.B) {
 
 // BenchmarkSortNormRefs times step 1's ref sort on the shapes of
 // normShapes that cost differently — not on dist.DefaultDomain's 20 bits
-// alone, which the benchmarks above draw from — at the worker-chunk sizes
-// the engine runs (2^13: a budgeted chunk; 2^15, 2^16: a resident node's)
-// and one past them, ref build included as in runFormer.sortStaged. The
-// uniform rows carry the machine's reference points: RadixSort and
-// slices.Sort over the same keys, flat.
+// alone, which the benchmarks above draw from — at the sizes the engine
+// sorts (2^13: a budgeted chunk; 2^15, 2^16: a resident node's share, the
+// parallel kernel's from two workers on) and one past them, ref build
+// included as in runFormer.sortStaged. The uniform rows carry the
+// machine's reference points: RadixSort and slices.Sort over the same
+// keys, flat.
 func BenchmarkSortNormRefs(b *testing.B) {
 	for _, shape := range normShapes {
 		if !shape.bench {
@@ -264,7 +265,7 @@ func BenchmarkSortNormRefs(b *testing.B) {
 		}
 		for _, n := range []int{1 << 13, 1 << 15, 1 << 16, 1 << 17} {
 			norms := shape.norms(n)
-			for _, workers := range []int{1, 2} {
+			for _, workers := range []int{1, 2, 4} {
 				b.Run(fmt.Sprintf("%s/n=%d/workers=%d", shape.name, n, workers), func(b *testing.B) {
 					refs, scratch := make([]NormRef, n), make([]NormRef, n)
 					b.SetBytes(int64(n) * 8)

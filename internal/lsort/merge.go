@@ -1,6 +1,7 @@
 // Package lsort implements the local (single-node) sorting machinery the
-// paper builds on: the chunked-parallel radix sorts of step 1, the
-// balanced pairwise merging handler of Figure 2, TimSort (the algorithm
+// paper builds on: step 1's radix, every pass of it split among the
+// workers, the balanced pairwise merging handler of Figure 2 that step 6
+// merges the received runs with, TimSort (the algorithm
 // Spark's sortByKey uses per partition), and the cursor merges that stream
 // spilled runs back (MergeCursors, MergeCursorsNorm, MergeCursor), whose
 // loser tree over slice cursors is also the balanced handler's measured
@@ -11,7 +12,7 @@
 // generic and works with any data type". What the engine itself runs is
 // not: every ordered key has a uint64 norm, so steps 1 and 6 work over
 // fixed 16-byte (norm, index) refs whatever the element is — step 1's
-// closure-free radix (SortNormRefs), and step 6's balanced merge of ref
+// closure-free parallel radix (SortNormRefs), and step 6's balanced merge of ref
 // runs (MergeNormRefRuns) — the same Figure 2 round scheduler and
 // intra-merge split as the generic handler (balancedMerge, parallelMerge),
 // written once over a two-run kernel, with only that kernel specialised.

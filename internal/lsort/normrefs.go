@@ -3,7 +3,6 @@ package lsort
 import (
 	"math"
 	"math/bits"
-	"sync"
 
 	"pgxsort/internal/comm"
 )
@@ -140,11 +139,12 @@ func MergeNormRefRuns(refs, scratch []NormRef, bounds []int, parallel bool) (out
 //
 // The sort is stable. Refs built in position order therefore come out
 // ordered by (Norm, Idx) — the local form of ordering by key then
-// provenance — and the result is the same for every workers: data is
-// divided equally among the workers as in the paper's step 1, each chunk
-// is radix-sorted (radixNormRefs), and the chunks are combined by the
-// balanced merging handler of Figure 2 (MergeNormRefRuns), whose merges
-// and co-rank splits keep left-run-first tie order.
+// provenance — and the result is the same for every workers. From
+// parallelRadixCutoff refs on the workers share every pass of one radix
+// (parallelRadixNormRefs), each taking an equal slice of the data as in
+// the paper's step 1; a stable radix split that way is already one sorted
+// run, so no merge follows. Fewer refs, or one worker, take the
+// sequential kernel (radixNormRefs).
 func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 	n := len(refs)
 	if len(scratch) < n {
@@ -154,32 +154,20 @@ func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 		panic("lsort: more refs than Idx can address")
 	}
 	scratch = scratch[:n]
-	if workers <= 1 || n <= 2*insertionCutoff {
+	if workers <= 1 || n < parallelRadixCutoff {
 		return radixNormRefs(refs, scratch, nil)
 	}
-	workers = min(workers, n)
-	bounds := chunkBounds(n, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(chunk, chunkScratch []NormRef) {
-			defer wg.Done()
-			radixNormRefs(chunk, chunkScratch, chunk)
-		}(refs[bounds[i]:bounds[i+1]], scratch[bounds[i]:bounds[i+1]])
-	}
-	wg.Wait()
-	out, _ := MergeNormRefRuns(refs, scratch, bounds, true)
-	return out
+	return parallelRadixNormRefs(refs, scratch, workers)
 }
 
-// refDigitBits is the widest digit radixNormRefs takes (2048 buckets, two
-// 8 KiB histograms on the stack): two tell apart a worker chunk of up to 2^18
-// refs, where 8-bit digits need three and measured slower (CHANGES.md, PR 21).
+// refDigitBits is the widest digit a ref radix takes (2048 buckets, an
+// 8 KiB histogram): two tell apart a share of up to 2^18 refs, where
+// 8-bit digits need three and measured slower (see CHANGES.md).
 const refDigitBits = 11
 
 // insertionCutoff sizes the small cases: up to twice it a ref sort is
-// an insertion sort, and an input is not worth splitting among workers.
-// 12-24 is the classic sweet spot; 16 benchmarks best here.
+// an insertion sort. 12-24 is the classic sweet spot; 16 benchmarks best
+// here.
 const insertionCutoff = 16
 
 // insertionSortNormRefs is a stable insertion sort of refs by Norm.
@@ -193,52 +181,68 @@ func insertionSortNormRefs(refs []NormRef) {
 	}
 }
 
-// radixNormRefs is the sequential kernel: a stable radix sort of refs by
-// Norm over the bits that tell the refs apart and no others. It returns
-// the sorted refs: in into — refs or scratch (same length) — when the
-// caller names one, else in whichever of the two its last pass wrote.
+// digitPlan is which bits a ref radix sorts by and which it leaves to the
+// equal-prefix walk (finishGroups).
 //
 // diff, every norm's XOR against the first, has the bits the norms vary
 // in, and the top log2(n) + 4 of those tell n refs apart, all but a few.
 // So digits are taken from the top of diff, each anchored at the highest
 // varying bit not yet covered — constant bits cost nothing wherever they
-// lie — until they cover that many varying bits, and are stably scattered
-// least significant first; the first is counted in a pass of its own,
-// every other during the scatter before it. Digits that cover every
-// varying bit make this a plain LSD sort: what a small domain gets.
-// Otherwise a walk over the now prefix-ordered refs finishes each group
-// sharing a prefix, writing where the caller wants the result: a few refs
-// are insertion-sorted, a larger group recurses with the other buffer's
-// same range as scratch. Its diff lies below the digits already taken, so
-// every level consumes a digit's bits or more; a digit is no wider than
-// log2(n) bits, so a small group pays for a small histogram. Scatters,
-// insertion and the in-order walk are all stable.
+// lie — until they cover that many varying bits. A digit is no wider than
+// log2(n) bits, so a small group pays for a small histogram.
+type digitPlan struct {
+	// shifts holds each digit's lowest bit, the most significant digit
+	// first; a level stops at eight, sparse as the varying bits may be.
+	shifts [8]uint
+	digits int
+	mask   uint64 // a digit's bits, shifted down
+	low    uint   // the lowest bit a digit covers
+	rest   uint64 // the varying bits below low: what the walk finishes
+}
+
+func planDigits(diff uint64, n int) digitPlan {
+	p := digitPlan{rest: diff}
+	logn := bits.Len(uint(n - 1))
+	w := min(refDigitBits, logn)
+	p.mask = 1<<w - 1
+	for need := logn + 4; p.rest != 0 && need > 0 && p.digits < len(p.shifts); p.digits++ {
+		p.low = uint(max(bits.Len64(p.rest)-w, 0))
+		need -= bits.OnesCount64(p.rest >> p.low)
+		p.rest &= 1<<p.low - 1
+		p.shifts[p.digits] = p.low
+	}
+	return p
+}
+
+// radixNormRefs is the sequential kernel: a stable radix sort of refs by
+// Norm over the bits that tell the refs apart and no others. It returns
+// the sorted refs: in into — refs or scratch (same length) — when the
+// caller names one, else in whichever of the two its last pass wrote.
+//
+// The digits of planDigits are stably scattered least significant first;
+// the first is counted in a pass of its own, every other during the
+// scatter before it. Digits that cover every varying bit make this a
+// plain LSD sort: what a small domain gets. Otherwise finishGroups
+// finishes each group sharing a prefix. Scatters, insertion and the
+// in-order walk are all stable.
 func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
 	n := len(refs)
 	src, dst := refs, scratch
-	var low uint    // the lowest bit a digit covers
-	var rest uint64 // diff, then diff below low: the bits left to the walk
+	var plan digitPlan
 	if n <= 2*insertionCutoff {
 		insertionSortNormRefs(refs)
 	} else {
+		var diff uint64
 		for i := range refs {
-			rest |= refs[i].Norm ^ refs[0].Norm
+			diff |= refs[i].Norm ^ refs[0].Norm
 		}
+		plan = planDigits(diff, n)
 	}
-	if rest != 0 {
-		var shifts [8]uint // a level stops at eight digits, sparse as the varying bits may be
-		digits, logn := 0, bits.Len(uint(n-1))
-		w := min(refDigitBits, logn)
-		mask := uint64(1)<<w - 1
-		for need := logn + 4; rest != 0 && need > 0 && digits < len(shifts); digits++ {
-			low = uint(max(bits.Len64(rest)-w, 0))
-			need -= bits.OnesCount64(rest >> low)
-			rest &= 1<<low - 1
-			shifts[digits] = low
-		}
+	if plan.digits > 0 {
+		mask, digits := plan.mask, plan.digits
 		var counts [2][1 << refDigitBits]uint32
 		for i := range refs {
-			counts[(digits-1)&1][refs[i].Norm>>low&mask]++
+			counts[(digits-1)&1][refs[i].Norm>>plan.low&mask]++
 		}
 		for d := digits - 1; d >= 0; d-- {
 			starts, next := &counts[d&1], &counts[d&1^1]
@@ -248,7 +252,7 @@ func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
 				pos += c
 			}
 			clear(next[:mask+1])
-			shift := shifts[d]
+			shift := plan.shifts[d]
 			if d == 0 {
 				for _, r := range src {
 					v := r.Norm >> shift & mask
@@ -256,7 +260,7 @@ func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
 					starts[v]++
 				}
 			} else {
-				nextShift := shifts[d-1]
+				nextShift := plan.shifts[d-1]
 				for _, r := range src {
 					v := r.Norm >> shift & mask
 					dst[starts[v]] = r
@@ -270,14 +274,27 @@ func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
 	if len(into) == 0 {
 		into = src
 	}
+	finishGroups(src, dst, into, &plan)
+	return into
+}
+
+// finishGroups is the walk that finishes a radix by plan: src is ordered
+// by every bit from plan.low up, and each group of refs sharing those
+// bits is finished and lands in into — src itself or dst, the other
+// buffer's same range — while the rest is copied there. A few refs are
+// insertion-sorted, a larger group recurses with dst's same range as
+// scratch: its diff lies below the digits already taken, so every level
+// consumes a digit's bits or more.
+func finishGroups(src, dst, into []NormRef, plan *digitPlan) {
+	n := len(src)
 	move := n > 0 && &into[0] != &src[0]
 	done := 0
-	for i := 1; i < n && rest != 0; i++ {
-		if (src[i].Norm^src[i-1].Norm)>>low != 0 {
+	for i := 1; i < n && plan.rest != 0; i++ {
+		if (src[i].Norm^src[i-1].Norm)>>plan.low != 0 {
 			continue
 		}
 		g := i - 1
-		for i < n && (src[i].Norm^src[g].Norm)>>low == 0 {
+		for i < n && (src[i].Norm^src[g].Norm)>>plan.low == 0 {
 			i++
 		}
 		if i-g <= 2*insertionCutoff {
@@ -293,7 +310,6 @@ func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
 	if move {
 		copy(into[done:], src[done:])
 	}
-	return into
 }
 
 // SortEqualNormRefs finishes a SortNormRefs whose norm is monotone but

@@ -145,15 +145,40 @@ var normShapes = []struct {
 	}},
 }
 
-// TestSortNormRefsShapes holds the kernel to the stable reference on
-// every shape, at a length that is one group finished by insertion, one
-// per side of the worker-chunk sizes the engine runs, and one past them.
+// TestSortNormRefsShapes holds both kernels to the stable reference on
+// every shape, at a length that is one group finished by insertion, a
+// budgeted chunk's, one on each side of the parallel cutoff and the
+// cutoff itself (2^15, a resident share's), and one past a share's.
 func TestSortNormRefsShapes(t *testing.T) {
 	for _, shape := range normShapes {
-		for _, n := range []int{2*insertionCutoff + 1, 4097, 1 << 15, 1<<16 + 1} {
+		for _, n := range []int{2*insertionCutoff + 1, 4097, parallelRadixCutoff - 1, parallelRadixCutoff, parallelRadixCutoff + 1, 1<<16 + 1} {
 			t.Run(fmt.Sprintf("%s/%d", shape.name, n), func(t *testing.T) {
-				checkSortNormRefs(t, shape.norms(n), 1, 2, 3)
+				checkSortNormRefs(t, shape.norms(n), 1, 2, 3, 4, 8)
 			})
+		}
+	}
+}
+
+// TestSortNormRefsAllocs pins what a ref sort allocates: nothing on one
+// worker, and past the parallel cutoff only the goroutines it starts —
+// its histograms are recycled.
+func TestSortNormRefsAllocs(t *testing.T) {
+	for _, n := range []int{1 << 13, 1 << 16} {
+		norms := normShapes[0].norms(n)
+		refs, scratch := make([]NormRef, n), make([]NormRef, n)
+		for _, tc := range []struct {
+			workers int
+			most    float64
+		}{{1, 0}, {2, 4}, {4, 4}} {
+			got := testing.AllocsPerRun(20, func() {
+				for i, k := range norms {
+					refs[i] = NormRef{Norm: k, Idx: uint32(i)}
+				}
+				SortNormRefs(refs, scratch, tc.workers)
+			})
+			if got > tc.most {
+				t.Errorf("n=%d workers=%d: %v allocations a sort, want at most %v", n, tc.workers, got, tc.most)
+			}
 		}
 	}
 }
@@ -162,7 +187,7 @@ func TestSortNormRefsShapes(t *testing.T) {
 // the passes happen to end in: the result is the whole of refs or of
 // scratch, it is the stable order, and an input with nothing to sort —
 // every column constant — is returned by the kernel where it lies, without
-// a write to scratch (the worker-chunk combine may still move it).
+// a write to scratch.
 func TestSortNormRefsColumnSkip(t *testing.T) {
 	const n = 1000
 	cases := []struct {
@@ -229,13 +254,15 @@ func TestSortEqualNormRefs(t *testing.T) {
 
 // FuzzSortNormRefs holds SortNormRefs to the stable reference on
 // arbitrary norms of every significant width (narrow widths leave
-// constant upper columns to skip), every worker count, and lengths around
-// the insertion-sort and parallel thresholds. A second arm lays the same
+// constant upper columns to skip), worker counts 1 to 4 and 8, and
+// lengths around the insertion-sort threshold. A second arm lays the same
 // norms out as the kernel's hard cases are laid out: bits>>2 clusters (none:
 // the arm is off) under `shared` common top bits, each ref keeping
 // `vary` of its own low bits — so the fuzzer reaches the equal-prefix
 // walk, groups on both sides of the insertion cutoff and recursion below
-// the first level, at lengths up to 8*255.
+// the first level, at lengths up to 8*255. vary's top bit (it keeps six
+// low bits only) moves either arm's length to within 128 of the parallel
+// cutoff, so both kernels run on every shape the fuzzer finds.
 func FuzzSortNormRefs(f *testing.F) {
 	pack := func(norms ...uint64) []byte {
 		b := make([]byte, 8*len(norms))
@@ -263,10 +290,13 @@ func FuzzSortNormRefs(f *testing.F) {
 		f.Add(pack(shape.norms(600)...), uint8(3), uint8(0), uint8(0), uint8(0))
 	}
 	wide := dist.Gen{Kind: dist.Uniform, Seed: 29, Domain: wideDomain}.Keys(256)
-	f.Add(pack(wide...), uint8(3|2<<2), uint8(255), uint8(2), uint8(30))  // two far clusters
-	f.Add(pack(wide...), uint8(3|40<<2), uint8(255), uint8(0), uint8(12)) // many groups past the insertion cutoff
-	f.Add(pack(wide...), uint8(3|7<<2), uint8(200), uint8(44), uint8(3))  // heavy groups, a few values each
-	f.Add(pack(wide...), uint8(3|1<<2), uint8(255), uint8(20), uint8(44)) // every ref shares a prefix, all distinct below
+	f.Add(pack(wide...), uint8(3|2<<2), uint8(255), uint8(2), uint8(30))      // two far clusters
+	f.Add(pack(wide...), uint8(3|40<<2), uint8(255), uint8(0), uint8(12))     // many groups past the insertion cutoff
+	f.Add(pack(wide...), uint8(3|7<<2), uint8(200), uint8(44), uint8(3))      // heavy groups, a few values each
+	f.Add(pack(wide...), uint8(3|1<<2), uint8(255), uint8(20), uint8(44))     // every ref shares a prefix, all distinct below
+	f.Add(pack(wide...), uint8(3), uint8(128), uint8(0), uint8(128))          // the parallel cutoff, uniform
+	f.Add(pack(wide...), uint8(3|40<<2), uint8(127), uint8(0), uint8(128|12)) // just below it, groups past the insertion cutoff
+	f.Add(pack(wide...), uint8(3|2<<2), uint8(255), uint8(2), uint8(128|30))  // past it, two far clusters
 	f.Fuzz(func(t *testing.T, data []byte, bits, length, shared, vary uint8) {
 		norms := bytesToKeys(data)
 		// Cycle the fuzzer's norms up to a length on either side of the
@@ -279,6 +309,9 @@ func FuzzSortNormRefs(f *testing.F) {
 		}
 		for i := have; have > 0 && i < want; i++ {
 			norms = append(norms, norms[i%have])
+		}
+		if vary >= 128 {
+			want = parallelRadixCutoff - 128 + int(length)
 		}
 		if length >= 128 && want < have {
 			norms = norms[:want]
@@ -301,6 +334,6 @@ func FuzzSortNormRefs(f *testing.F) {
 				norms[i] = ^uint64(0)<<top | id | k&(1<<low-1)
 			}
 		}
-		checkSortNormRefs(t, norms, 1, 2, 3, 4)
+		checkSortNormRefs(t, norms, 1, 2, 3, 4, 8)
 	})
 }

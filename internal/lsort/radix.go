@@ -90,13 +90,14 @@ func RadixSort[E any](s, scratch []E, key func(E) uint64, keyBits int) {
 	}
 }
 
-// ParallelRadixSort is RadixSort chunked across workers, the shape
-// SortNormRefs follows: data is divided equally among workers (the
-// paper's step-1 chunking), each worker radix-sorts its chunk against
-// its slice of the shared scratch buffer, and the sorted chunks are
-// combined with the balanced merging handler of Figure 2. less must
-// order exactly as key does (e.g. compare key images); it drives the
-// merges.
+// ParallelRadixSort is RadixSort chunked across workers: data is
+// divided equally among workers, each worker radix-sorts its chunk
+// against its slice of the shared scratch buffer, and the sorted chunks
+// are combined with the balanced merging handler of Figure 2. Step 1
+// no longer runs this shape — SortNormRefs splits every pass of one
+// radix among the workers, which leaves nothing to merge — and the
+// repository benchmark keeps it as a yardstick. less must order exactly
+// as key does (e.g. compare key images); it drives the merges.
 //
 // scratch must have at least len(s) elements; the result always ends in
 // s. Like sequential RadixSort the sort is stable: chunk sorts are

@@ -338,11 +338,16 @@ func TestTopKAndRank(t *testing.T) {
 
 // slowConfig makes every sort take hundreds of milliseconds by delaying
 // every engine send 20ms at the core/send failpoint, so admission
-// behavior is observable. The registry is cleared when the test ends.
+// behavior is observable. Under PGXSORT_MEM_BUDGET an upload spools and
+// its job sends nothing, so every spill block read is delayed as well:
+// a spooled job's merge reads its runs. The registry is cleared when
+// the test ends.
 func slowConfig(t *testing.T) Config {
 	failpoint.Reset()
 	t.Cleanup(failpoint.Reset)
-	failpoint.Set("core/send", failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: 20 * time.Millisecond})
+	slow := failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1, Delay: 20 * time.Millisecond}
+	failpoint.Set("core/send", slow)
+	failpoint.Set(spill.FpReadBlock, slow)
 	return Config{Procs: 4, Workers: 2, KeyTypes: []dist.KeyType{dist.KeyUint64}}
 }
 

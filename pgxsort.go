@@ -9,18 +9,18 @@
 // buffers and a network endpoint (in-process channels or real TCP loopback), and
 // sorts distributed data with the paper's six-step sample sort:
 //
-//  1. parallel local sort — per-chunk radix over (norm, index) refs of
-//     the keys, every ordered kind having an order-preserving uint64 norm —
-//     merged with the balanced merging handler (in budget-sized chunks
-//     through spill files when a processor's share exceeds
-//     Options.MemoryBudget)
+//  1. parallel local sort — one radix over (norm, index) refs of the
+//     keys, every ordered kind having an order-preserving uint64 norm,
+//     each pass split into equal slices among the workers, so no merge
+//     follows (in budget-sized chunks through spill files when a
+//     processor's share exceeds Options.MemoryBudget)
 //  2. regular sampling (one 256KB/p buffer of samples to the master)
 //  3. master splitter selection and broadcast
 //  4. binary-search range partitioning at splitters of exact rank in
 //     (key, processor, index) order, which keeps skewed data balanced
 //     and equal keys in input order
 //  5. asynchronous all-to-all exchange at precomputed offsets
-//  6. merge of the received runs with the same balanced merging handler,
+//  6. merge of the received runs with the balanced merging handler,
 //     after the exchange barrier (streamed back from spill files when the
 //     runs exceed Options.MemoryBudget)
 //
