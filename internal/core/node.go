@@ -398,7 +398,7 @@ func (s *sortRun[K]) localSort() ([]lsort.NormRef, error) {
 		// the exchange takes a scratch of its own: it may be this one.
 		defer s.node.eng.scratch.Give(scratch)
 	}
-	refs, err := s.runs.sortRefs(s.src, n, chunk, uint32(s.node.id), scratch)
+	refs, err := s.runs.sortRefs(s.src, chunk, uint32(s.node.id), scratch)
 	if err != nil {
 		return nil, err
 	}

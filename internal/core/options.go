@@ -7,12 +7,13 @@
 //
 //  1. parallel local sort: one radix over (norm, index) refs of the
 //     keys, each pass split into equal slices among the workers, so the
-//     slices need no merge. One run former (runs.go) does it for keys,
-//     records and the chunks of an upload spool alike, in one chunk when
-//     the share fits Options.MemoryBudget and in budget-sized chunks
-//     through run files of refs when it does not. Its output is the share
-//     as sorted refs into the node's own input, 16 bytes a key, which
-//     steps 2-4 run over
+//     slices need no merge. One run former (runs.go) does it over one
+//     indexed source — a node's keys or records, or the chunk an upload
+//     spool stages — in one chunk when the share fits
+//     Options.MemoryBudget and, when it does not, in budget-sized ranges
+//     of indexes written as run files of refs and merged back. Its output
+//     is the share as sorted refs into the node's own input, 16 bytes a
+//     key, which steps 2-4 run over
 //  2. regular sampling, one 256KB/p buffer of samples to the master
 //  3. master selects p-1 splitters, exact ranks in (key, proc, index)
 //     order, and broadcasts them

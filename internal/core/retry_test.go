@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,6 +197,41 @@ func TestNoRetryOnCancel(t *testing.T) {
 	if sched.Retries() != 0 {
 		t.Fatalf("cancelled job was retried %d times", sched.Retries())
 	}
+}
+
+// TestRetryJitterStreamPerJob: every job a scheduler retries draws a
+// jitter stream of its own, so two RunOne jobs failing alike back off by
+// different sleeps rather than in lockstep. The sleeps are read through
+// the scheduler's sleep seam, not timed.
+func TestRetryJitterStreamPerJob(t *testing.T) {
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	e := newTestEngine(t, Options{Procs: 2, WorkersPerProc: 1})
+	parts := mkParts(dist.Uniform, 2, 500, 3)
+	sched := NewScheduler(e, SortManyOpts{
+		Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
+	})
+	var slept []time.Duration
+	sched.sleep = func(_ context.Context, d time.Duration) bool {
+		slept = append(slept, d) // the attempts of one job run one after another
+		return true
+	}
+	failpoint.Set(fpLocalSort, failpoint.Schedule{Mode: failpoint.ModeError, Count: -1})
+	var backoffs [2][]time.Duration
+	for job := range backoffs {
+		slept = nil
+		if _, err := sched.RunOne(context.Background(), parts); err == nil {
+			t.Fatalf("job %d: a sort failing every attempt succeeded", job)
+		}
+		if len(slept) != 3 {
+			t.Fatalf("job %d slept %d times, want 3 (between 4 attempts)", job, len(slept))
+		}
+		backoffs[job] = slept
+	}
+	if slices.Equal(backoffs[0], backoffs[1]) {
+		t.Fatalf("both jobs backed off by %v: one jitter stream", backoffs[0])
+	}
+	checkNoLeak(t, e)
 }
 
 // TestClassify pins the failure taxonomy's classification table.

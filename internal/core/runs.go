@@ -17,39 +17,31 @@ import (
 
 // This file is step 1, once. The paper's step 1 — each processor sorts
 // its share, the data divided equally among its workers — has one
-// implementation here, the run former, whatever the input is (bare
-// keys, records, the keys an upload spool stages) and
-// wherever the sorted runs end up (the node's ref share, blocks of a
-// scratch file). It sorts 16-byte (norm, index) refs and nothing else: a
-// share comes out as sorted refs into the node's own input, a chunk of it
-// that spills is written as refs, and a spool's chunk as the key-only
+// implementation here, the run former, whatever the input is and
+// wherever the sorted runs end up. Every input is one indexed source
+// (shareSource), an in-memory slice of bare keys or records — a node's
+// input, or the chunk an upload spool stages — and the former sorts
+// 16-byte (norm, index) refs into it and nothing else: a share comes out
+// as sorted refs into the node's own input, a budgeted share is sorted a
+// chunk of indexes at a time, each chunk written to a scratch file as
+// refs and merged back, and a spool's chunk is written as the key-only
 // entries its refs and staged keys make (spooled.go). Where a run lives
 // is a property of the run; the merge side already treats it that way
 // through lsort.Cursor, and the former is the same idea on the formation
 // side.
 
-// entrySource is one node's step-1 input. The former pulls it a chunk at
-// a time and addresses the staged chunk by position: it sorts one
-// (norm, position) ref per key and never moves a key.
-type entrySource[K cmp.Ordered] interface {
-	// size is how many keys the source yields in total.
-	size() int
-	// next stages the following chunk of at most max keys and returns its
-	// length; 0 means the source is exhausted. The methods below read the
-	// staged chunk.
-	next(max int) (int, error)
-	// refs writes dst[i] = (norm of the chunk's i-th key, i).
-	refs(dst []lsort.NormRef, norm func(K) uint64)
-	// less orders the keys at two chunk positions.
-	less(i, j uint32) bool
-}
-
-// shareSource is a node's resident input: an entrySource whose keys stay
-// where they are for the whole sort, so its sorted share is refs into it —
-// Idx is a key's index in the source, the node its origin — and steps 2
-// to 5 read keys and build entries through it.
+// shareSource is one node's step-1 input: keys that stay where they are
+// for the whole sort, addressed by their index in the source. The former
+// sorts one (norm, index) ref per key and never moves a key, so the
+// sorted share is refs into the source — Idx a key's index, the node its
+// origin — and steps 2 to 5 read keys and build entries through it.
 type shareSource[K cmp.Ordered] interface {
-	entrySource[K]
+	// size is how many keys the source holds.
+	size() int
+	// refs writes dst[i] = (norm of key lo+i, lo+i).
+	refs(dst []lsort.NormRef, lo int, norm func(K) uint64)
+	// less orders the keys at two indexes.
+	less(i, j uint32) bool
 	// key is the key at index i.
 	key(i uint32) K
 	// emit writes dst[j] = the provenance-stamped entry at index
@@ -63,36 +55,28 @@ type shareSource[K cmp.Ordered] interface {
 var ErrShareTooLarge = errors.New("core: share exceeds the 2^32-1 entries an origin index can address")
 
 // checkShare guards a source before anything is sized from it.
-func checkShare[K cmp.Ordered](src entrySource[K]) error {
+func checkShare[K cmp.Ordered](src shareSource[K]) error {
 	if n := src.size(); uint64(n) > math.MaxUint32 {
 		return fmt.Errorf("%w: %d entries", ErrShareTooLarge, n)
 	}
 	return nil
 }
 
-// keySource yields one node's bare keys; the staged chunk is keys[lo:hi].
+// keySource is one node's bare keys.
 type keySource[K cmp.Ordered] struct {
-	keys   []K
-	node   uint32
-	lo, hi int
+	keys []K
+	node uint32
 }
 
 func (s *keySource[K]) size() int { return len(s.keys) }
 
-func (s *keySource[K]) next(max int) (int, error) {
-	s.lo, s.hi = s.hi, min(s.hi+max, len(s.keys))
-	return s.hi - s.lo, nil
-}
-
-func (s *keySource[K]) refs(dst []lsort.NormRef, norm func(K) uint64) {
-	for i, k := range s.keys[s.lo:s.hi] {
-		dst[i] = lsort.NormRef{Norm: norm(k), Idx: uint32(i)}
+func (s *keySource[K]) refs(dst []lsort.NormRef, lo int, norm func(K) uint64) {
+	for i, k := range s.keys[lo : lo+len(dst)] {
+		dst[i] = lsort.NormRef{Norm: norm(k), Idx: uint32(lo + i)}
 	}
 }
 
-func (s *keySource[K]) less(i, j uint32) bool {
-	return s.keys[s.lo+int(i)] < s.keys[s.lo+int(j)]
-}
+func (s *keySource[K]) less(i, j uint32) bool { return s.keys[i] < s.keys[j] }
 
 func (s *keySource[K]) key(i uint32) K { return s.keys[i] }
 
@@ -107,30 +91,21 @@ func (s *keySource[K]) emit(dst []comm.Entry[K], order []lsort.NormRef) {
 	}
 }
 
-// recSource yields one node's key+payload records; the staged chunk is
-// recs[lo:hi].
+// recSource is one node's key+payload records.
 type recSource[K cmp.Ordered] struct {
-	recs   []comm.Record[K]
-	node   uint32
-	lo, hi int
+	recs []comm.Record[K]
+	node uint32
 }
 
 func (s *recSource[K]) size() int { return len(s.recs) }
 
-func (s *recSource[K]) next(max int) (int, error) {
-	s.lo, s.hi = s.hi, min(s.hi+max, len(s.recs))
-	return s.hi - s.lo, nil
-}
-
-func (s *recSource[K]) refs(dst []lsort.NormRef, norm func(K) uint64) {
-	for i := range s.recs[s.lo:s.hi] {
-		dst[i] = lsort.NormRef{Norm: norm(s.recs[s.lo+i].Key), Idx: uint32(i)}
+func (s *recSource[K]) refs(dst []lsort.NormRef, lo int, norm func(K) uint64) {
+	for i := range s.recs[lo : lo+len(dst)] {
+		dst[i] = lsort.NormRef{Norm: norm(s.recs[lo+i].Key), Idx: uint32(lo + i)}
 	}
 }
 
-func (s *recSource[K]) less(i, j uint32) bool {
-	return s.recs[s.lo+int(i)].Key < s.recs[s.lo+int(j)].Key
-}
+func (s *recSource[K]) less(i, j uint32) bool { return s.recs[i].Key < s.recs[j].Key }
 
 func (s *recSource[K]) key(i uint32) K { return s.recs[i].Key }
 
@@ -199,15 +174,15 @@ func chunkEntries(budget, eb int64, floor int) int {
 	return max(int(budget/(2*eb)), floor)
 }
 
-// sortStaged is the step-1 kernel: it sorts the refs of src's staged
-// chunk, one (norm, position) ref per key — a radix over the bits that
-// tell them apart, its passes shared among the workers — and returns
-// them in refs or in scratch, each as long as the chunk. The
-// ref sort is stable and the refs start in position order, so equal keys
-// stay in position order; an inexact norm has its equal-norm runs
-// finished under the real keys.
-func (f *runFormer[K]) sortStaged(src entrySource[K], refs, scratch []lsort.NormRef) []lsort.NormRef {
-	src.refs(refs, f.cmps.norm)
+// sortStaged is the step-1 kernel: it sorts the refs of src's keys
+// [lo, lo+len(refs)), one (norm, index) ref per key — a radix over the
+// bits that tell them apart, its passes shared among the workers — and
+// returns them in refs or in scratch, each as long as the chunk. The ref
+// sort is stable and the refs start in index order, so equal keys stay
+// in index order; an inexact norm has its equal-norm runs finished under
+// the real keys.
+func (f *runFormer[K]) sortStaged(src shareSource[K], lo int, refs, scratch []lsort.NormRef) []lsort.NormRef {
+	src.refs(refs, lo, f.cmps.norm)
 	order := lsort.SortNormRefs(refs, scratch, f.workers)
 	if f.cmps.inexact {
 		lsort.SortEqualNormRefs(order, src.less)
@@ -215,51 +190,20 @@ func (f *runFormer[K]) sortStaged(src entrySource[K], refs, scratch []lsort.Norm
 	return order
 }
 
-// formRuns pulls src one chunk (at most chunk keys) at a time, sorts each
-// (sortStaged) in a slab of 2·chunk refs and has write make the sorted
-// refs — Idx a chunk position, lo the chunk's first index in src — a run.
-// The runs come back in chunk order; the slab goes back before they are
-// merged. Chunk sorts are stable and the merges break equal keys by run,
-// so merging the runs in order reproduces the one-chunk sort at any chunk
-// size.
-func (f *runFormer[K]) formRuns(src entrySource[K], chunk int, write func(lo int, sorted []lsort.NormRef) (spill.Run, error)) ([]spill.Run, error) {
-	refs := f.takeRefs(2 * chunk) // a chunk's refs, then as many of scratch
-	defer f.giveRefs(refs)
-	runs := make([]spill.Run, 0, (src.size()+chunk-1)/max(chunk, 1))
-	for lo := 0; ; {
-		if err := f.ctx.Err(); err != nil {
-			return nil, err
-		}
-		n, err := src.next(chunk)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return runs, nil
-		}
-		run, err := write(lo, f.sortStaged(src, refs[:n], refs[chunk:chunk+n]))
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-		lo += n
-	}
-}
-
-// sortRefs is step 1 for one node: the refs standing for the n keys of
+// sortRefs is step 1 for one node: the refs standing for the keys of
 // node's source, sorted — the share, in a slab of the ref pool that is
 // resident until the sort joins, Idx a key's index in src. A share of one
 // chunk (to nil) is sorted in that slab and a scratch one, both temporary
-// memory while it does. A larger one is formed into runs of refs in to
-// and merged back into the share by the stable cursor merge — under an
-// inexact norm with src's keys breaking equal norms — so the share is the
+// memory while it does. A larger one is sorted chunk keys at a time in a
+// slab of 2·chunk refs, each chunk written as one run of refs in to, and
+// the runs merged back into the share by the stable cursor merge — under
+// an inexact norm with src's keys breaking equal norms. Chunk sorts are
+// stable and the merge breaks equal keys by run, so the share is the
 // one-chunk sort's, ref for ref. Every other slab goes back, and on an
 // error or a panic the share does too.
-func (f *runFormer[K]) sortRefs(src shareSource[K], n, chunk int, node uint32, to *spill.Scratch) ([]lsort.NormRef, error) {
+func (f *runFormer[K]) sortRefs(src shareSource[K], chunk int, node uint32, to *spill.Scratch) ([]lsort.NormRef, error) {
+	n := src.size()
 	if to == nil {
-		if _, err := src.next(n); err != nil {
-			return nil, err
-		}
 		refs, scratch := f.takeRefs(n), f.takeRefs(n)
 		sorted := false
 		defer func() {
@@ -268,7 +212,7 @@ func (f *runFormer[K]) sortRefs(src shareSource[K], n, chunk int, node uint32, t
 				f.giveRefs(refs)
 			}
 		}()
-		if order := f.sortStaged(src, refs, scratch); n > 0 && &order[0] == &scratch[0] {
+		if order := f.sortStaged(src, 0, refs, scratch); n > 0 && &order[0] == &scratch[0] {
 			refs, scratch = scratch, refs
 		}
 		f.tracker.Free(int64(n) * refBytes)
@@ -277,21 +221,30 @@ func (f *runFormer[K]) sortRefs(src shareSource[K], n, chunk int, node uint32, t
 	}
 
 	share, merged := f.refPool.Get(n), false
+	refs := f.takeRefs(2 * chunk) // a chunk's refs, then as many of scratch
 	defer func() {
+		if refs != nil {
+			f.giveRefs(refs)
+		}
 		if !merged {
 			f.refPool.Put(share)
 		}
 	}()
-	runs, err := f.formRuns(src, chunk, func(lo int, sorted []lsort.NormRef) (spill.Run, error) {
-		for i := range sorted {
-			sorted[i].Idx += uint32(lo) // a chunk position becomes an index in src
+	runs := make([]spill.Run, 0, (n+chunk-1)/chunk)
+	for lo := 0; lo < n; lo += chunk {
+		if err := f.ctx.Err(); err != nil {
+			return nil, err
 		}
-		return f.writeRefRun(to, sorted, node)
-	})
-	if err == nil {
-		err = f.mergeRefsInto(share, runs, src, node)
+		m := min(chunk, n-lo)
+		run, err := f.writeRefRun(to, f.sortStaged(src, lo, refs[:m], refs[chunk:chunk+m]), node)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
 	}
-	if err != nil {
+	f.giveRefs(refs) // before the merge takes its own
+	refs = nil
+	if err := f.mergeRefsInto(share, runs, src, node); err != nil {
 		return nil, err
 	}
 	merged = true
@@ -416,7 +369,7 @@ func (f *runFormer[K]) mergeRefsInto(dst []lsort.NormRef, runs []spill.Run, src 
 	defer done()
 	var less func(a, b lsort.NormRef) bool
 	if f.cmps.inexact {
-		less = func(a, b lsort.NormRef) bool { return src.key(a.Idx) < src.key(b.Idx) }
+		less = func(a, b lsort.NormRef) bool { return src.less(a.Idx, b.Idx) }
 	}
 	refs := f.takeRefs(lsort.MergeRefs(len(cursors), less == nil))
 	defer func() { f.giveRefs(refs) }()

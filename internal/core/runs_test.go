@@ -83,7 +83,7 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 					scratch = nil
 				}
 				src := newSrc(m)
-				refs, err := f.sortRefs(src, m, chunk, node, scratch)
+				refs, err := f.sortRefs(src, chunk, node, scratch)
 				if err != nil {
 					return nil, err
 				}
@@ -178,7 +178,7 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 
 // hugeSource is a share of more entries than an origin index can
 // address; nothing but its size is ever asked for.
-type hugeSource struct{ entrySource[uint64] }
+type hugeSource struct{ shareSource[uint64] }
 
 func (hugeSource) size() int {
 	n := uint64(math.MaxUint32)

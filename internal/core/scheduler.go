@@ -137,6 +137,11 @@ type Scheduler[K cmp.Ordered] struct {
 
 	retries     atomic.Int64
 	budgetSpent atomic.Int64
+	// streams counts the jitter streams retry has drawn, one a job.
+	streams atomic.Uint64
+	// sleep, when set, stands in for the backoff wait (tests observe the
+	// backoffs through it); it reports whether the wait ran out.
+	sleep func(ctx context.Context, d time.Duration) bool
 }
 
 // NewScheduler builds a scheduler over e. Zero fields of opts fall back
@@ -183,13 +188,14 @@ func (s *Scheduler[K]) takeRetryBudget(pol RetryPolicy) bool {
 // retry runs attempt under the retry policy: the first attempt plus up
 // to MaxAttempts-1 re-runs of Transient-classed failures, with jittered
 // exponential backoff between attempts, and reports how many attempts
-// ran. The caller's admission slot is held throughout. stream offsets the
-// jitter seed: concurrent jobs retrying at once must not share a jitter
-// sequence, or they back off in lockstep.
-func (s *Scheduler[K]) retry(ctx context.Context, stream uint64, attempt func() error) (int, error) {
+// ran. The caller's admission slot is held throughout. Each call draws a
+// jitter stream of its own from the scheduler's count: concurrent jobs
+// retrying at once must not share a jitter sequence, or they back off in
+// lockstep.
+func (s *Scheduler[K]) retry(ctx context.Context, attempt func() error) (int, error) {
 	pol := s.opts.Retry.withDefaults()
 	backoff := pol.BaseBackoff
-	rng := dist.NewRNG(pol.JitterSeed + stream)
+	rng := dist.NewRNG(pol.JitterSeed + s.streams.Add(1))
 	for n := 1; ; n++ {
 		err := attempt()
 		if err == nil {
@@ -201,9 +207,7 @@ func (s *Scheduler[K]) retry(ctx context.Context, stream uint64, attempt func() 
 		if !s.takeRetryBudget(pol) {
 			return n, fmt.Errorf("core: retry budget exhausted after %d attempts: %w", n, err)
 		}
-		select {
-		case <-time.After(transport.Jitter(backoff, rng.Uint64())):
-		case <-ctx.Done():
+		if !s.wait(ctx, transport.Jitter(backoff, rng.Uint64())) {
 			return n, err
 		}
 		if backoff *= 2; backoff > pol.MaxBackoff {
@@ -213,12 +217,26 @@ func (s *Scheduler[K]) retry(ctx context.Context, stream uint64, attempt func() 
 	}
 }
 
+// wait sleeps d, or less if ctx is done first; it reports whether d ran
+// out.
+func (s *Scheduler[K]) wait(ctx context.Context, d time.Duration) bool {
+	if s.sleep != nil {
+		return s.sleep(ctx, d)
+	}
+	select {
+	case <-time.After(d):
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // runAttempts runs one resident job to completion under the retry
 // policy. Every attempt gets a fresh stage controller — the failed
 // attempt's ctrl has forfeited all its stages and must not be reused.
-func (s *Scheduler[K]) runAttempts(ctx context.Context, j job[K], idx int, gated bool, epoch time.Time, admitWait time.Duration) (*Result[K], error) {
+func (s *Scheduler[K]) runAttempts(ctx context.Context, j job[K], gated bool, epoch time.Time, admitWait time.Duration) (*Result[K], error) {
 	var res *Result[K]
-	attempts, err := s.retry(ctx, uint64(idx)*1000003, func() (err error) {
+	attempts, err := s.retry(ctx, func() (err error) {
 		var ctrl *stageCtrl
 		if gated {
 			ctrl = newStageCtrl(ctx, s.gates, s.eng.opts.Procs, epoch, admitWait)
@@ -329,7 +347,7 @@ func (s *Scheduler[K]) runJobs(ctx context.Context, jobs []job[K]) ([]*Result[K]
 					<-s.gates.admit
 				}
 			}()
-			res, err := s.runAttempts(ctx, jobs[idx], idx, gated, epoch, admitWait)
+			res, err := s.runAttempts(ctx, jobs[idx], gated, epoch, admitWait)
 			if err != nil {
 				errs[idx] = fmt.Errorf("dataset %d: %w", idx, err)
 				return

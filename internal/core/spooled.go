@@ -174,7 +174,7 @@ func (s *Spool[K]) flush() error {
 		f.giveRefs(refs)
 		f.give(batch)
 	}()
-	sorted := f.sortStaged(&keySource[K]{keys: s.keys, hi: n}, refs[:n], refs[n:])
+	sorted := f.sortStaged(&keySource[K]{keys: s.keys}, 0, refs[:n], refs[n:])
 	run, err := f.writeRun(s.file, &sortedChunk[K]{refs: sorted, keys: s.keys, lo: uint32(s.n - n), batch: batch})
 	s.took += time.Since(start)
 	if err != nil {
@@ -310,8 +310,7 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in *Spool[K]) (*Spoole
 		<-s.gates.admit
 	}
 	var res *SpooledResult[K]
-	// A jitter stream of its own, apart from every resident job's.
-	attempts, err := s.retry(ctx, 0x5B007ED50127AB1E, func() (err error) {
+	attempts, err := s.retry(ctx, func() (err error) {
 		res, err = s.eng.SortSpooled(ctx, in)
 		return err
 	})

@@ -195,23 +195,16 @@ func TestMergeAdjacentRunsUnequalSizes(t *testing.T) {
 	checkSortedPermutation(t, in, out)
 }
 
-func TestMergeRuns(t *testing.T) {
-	runs := [][]uint64{
-		{5, 10, 15},
-		{1, 2, 3},
-		{},
-		{7},
-		{0, 20},
-	}
-	var all []uint64
+// mergeAdjacent lays runs back to back and merges them with the
+// balanced handler (MergeAdjacentRuns).
+func mergeAdjacent(runs [][]uint64) []uint64 {
+	var data []uint64
+	bounds := []int{0}
 	for _, r := range runs {
-		all = append(all, r...)
+		data = append(data, r...)
+		bounds = append(bounds, len(data))
 	}
-	out := MergeRuns(runs, lessU64, true)
-	checkSortedPermutation(t, all, out)
-	if MergeRuns[uint64](nil, lessU64, false) != nil {
-		t.Error("merging no runs should return nil")
-	}
+	return MergeAdjacentRuns(data, make([]uint64, len(data)), bounds, lessU64, false)
 }
 
 func TestKWayMerge(t *testing.T) {
@@ -267,7 +260,7 @@ func TestKWayMergeMatchesBalancedMerge(t *testing.T) {
 			runs[i] = run
 		}
 		a := KWayMerge(runs, lessU64)
-		b := MergeRuns(runs, lessU64, false)
+		b := mergeAdjacent(runs)
 		if len(a) != len(b) {
 			t.Fatalf("length mismatch %d != %d", len(a), len(b))
 		}
@@ -348,7 +341,7 @@ func TestPropertyMergePreservesMultiset(t *testing.T) {
 	f := func(a, b []uint64) bool {
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		out := MergeRuns([][]uint64{a, b}, lessU64, false)
+		out := mergeAdjacent([][]uint64{a, b})
 		if !slices.IsSorted(out) {
 			return false
 		}

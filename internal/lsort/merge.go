@@ -139,29 +139,3 @@ func balancedMerge[E any](data, scratch []E, bounds []int, parallel bool, kern p
 	}
 	return src[:bounds[runs]], fromScratch
 }
-
-// MergeRuns merges separately allocated sorted runs with the balanced
-// handler by first laying them out back-to-back in a fresh buffer.
-// It returns a newly allocated sorted slice; runs are not modified.
-// sample.SelectSplitters merges the master's sample runs with it when they
-// are too many and too short for rank selection to be cheaper.
-func MergeRuns[E any](runs [][]E, less func(x, y E) bool, parallel bool) []E {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	if total == 0 {
-		return nil
-	}
-	data := make([]E, total)
-	bounds := make([]int, 0, len(runs)+1)
-	bounds = append(bounds, 0)
-	off := 0
-	for _, r := range runs {
-		off += copy(data[off:], r)
-		bounds = append(bounds, off)
-	}
-	scratch := make([]E, total)
-	out := MergeAdjacentRuns(data, scratch, bounds, less, parallel)
-	return out
-}

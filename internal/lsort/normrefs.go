@@ -155,7 +155,8 @@ func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 	}
 	scratch = scratch[:n]
 	if workers <= 1 || n < parallelRadixCutoff {
-		return radixNormRefs(refs, scratch, nil)
+		var h refHist
+		return radixNormRefs(refs, scratch, nil, &h)
 	}
 	return parallelRadixNormRefs(refs, scratch, workers)
 }
@@ -164,6 +165,13 @@ func SortNormRefs(refs, scratch []NormRef, workers int) []NormRef {
 // 8 KiB histogram): two tell apart a share of up to 2^18 refs, where
 // 8-bit digits need three and measured slower (see CHANGES.md).
 const refDigitBits = 11
+
+// refHist is a ref radix's two histograms: the counts a scatter reads and
+// the next digit's, which it counts into. One serves a whole sort —
+// every recursion of radixNormRefs into an equal-prefix group reuses it,
+// as a level is done with it before the walk recurses — and a level
+// clears only the counters its digit width uses.
+type refHist [2][1 << refDigitBits]uint32
 
 // insertionCutoff sizes the small cases: up to twice it a ref sort is
 // an insertion sort. 12-24 is the classic sweet spot; 16 benchmarks best
@@ -218,6 +226,7 @@ func planDigits(diff uint64, n int) digitPlan {
 // Norm over the bits that tell the refs apart and no others. It returns
 // the sorted refs: in into — refs or scratch (same length) — when the
 // caller names one, else in whichever of the two its last pass wrote.
+// counts is the sort's histograms, whatever they held.
 //
 // The digits of planDigits are stably scattered least significant first;
 // the first is counted in a pass of its own, every other during the
@@ -225,7 +234,7 @@ func planDigits(diff uint64, n int) digitPlan {
 // plain LSD sort: what a small domain gets. Otherwise finishGroups
 // finishes each group sharing a prefix. Scatters, insertion and the
 // in-order walk are all stable.
-func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
+func radixNormRefs(refs, scratch, into []NormRef, counts *refHist) []NormRef {
 	n := len(refs)
 	src, dst := refs, scratch
 	var plan digitPlan
@@ -240,9 +249,10 @@ func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
 	}
 	if plan.digits > 0 {
 		mask, digits := plan.mask, plan.digits
-		var counts [2][1 << refDigitBits]uint32
+		first := counts[(digits-1)&1][:mask+1]
+		clear(first)
 		for i := range refs {
-			counts[(digits-1)&1][refs[i].Norm>>plan.low&mask]++
+			first[refs[i].Norm>>plan.low&mask]++
 		}
 		for d := digits - 1; d >= 0; d-- {
 			starts, next := &counts[d&1], &counts[d&1^1]
@@ -274,7 +284,7 @@ func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
 	if len(into) == 0 {
 		into = src
 	}
-	finishGroups(src, dst, into, &plan)
+	finishGroups(src, dst, into, &plan, counts)
 	return into
 }
 
@@ -283,9 +293,9 @@ func radixNormRefs(refs, scratch, into []NormRef) []NormRef {
 // bits is finished and lands in into — src itself or dst, the other
 // buffer's same range — while the rest is copied there. A few refs are
 // insertion-sorted, a larger group recurses with dst's same range as
-// scratch: its diff lies below the digits already taken, so every level
-// consumes a digit's bits or more.
-func finishGroups(src, dst, into []NormRef, plan *digitPlan) {
+// scratch and counts as its histograms: its diff lies below the digits
+// already taken, so every level consumes a digit's bits or more.
+func finishGroups(src, dst, into []NormRef, plan *digitPlan, counts *refHist) {
 	n := len(src)
 	move := n > 0 && &into[0] != &src[0]
 	done := 0
@@ -304,7 +314,7 @@ func finishGroups(src, dst, into []NormRef, plan *digitPlan) {
 		if move {
 			copy(into[done:g], src[done:g])
 		}
-		radixNormRefs(src[g:i], dst[g:i], into[g:i])
+		radixNormRefs(src[g:i], dst[g:i], into[g:i], counts)
 		done = i
 	}
 	if move {
@@ -316,7 +326,7 @@ func finishGroups(src, dst, into []NormRef, plan *digitPlan) {
 // not injective (an 8-byte string prefix): refs sharing a Norm may still
 // be out of order under the real keys. It walks the maximal equal-Norm
 // runs and stable-sorts each by less, which compares the real keys at two
-// chunk positions; ties keep the ascending Idx order the stable radix
+// Idx values; ties keep the ascending Idx order the stable radix
 // left, so the result is ordered by (key, Idx) exactly as an injective
 // norm's is. Cost is proportional to the collided fraction: all-distinct
 // norms pay one linear scan and no sort.

@@ -120,7 +120,7 @@ var normShapes = []struct {
 		return seqNorms(n, func(rng *dist.RNG, _ int) uint64 { return 0xABCDE12345F<<18 | rng.Uint64n(1<<18) })
 	}},
 	{"all-equal", false, func(n int) []uint64 { return dist.Gen{Kind: dist.Constant, Domain: wideDomain}.Keys(n) }},
-	{"groups-of-40", false, func(n int) []uint64 {
+	{"groups-of-40", true, func(n int) []uint64 {
 		// One wide ref makes every bit vary, so the first level cannot
 		// skip to the bits that matter: it leaves n/40 groups just past
 		// the insertion cutoff, each a narrow-domain sort of its own.

@@ -292,7 +292,8 @@ func (r *parallelRadix) task(pass, t int, plan *digitPlan) {
 			return
 		}
 		a, b := r.cuts[t], r.cuts[t+1]
-		finishGroups(src[a:b], dst[a:b], src[a:b], plan)
+		var counts refHist
+		finishGroups(src[a:b], dst[a:b], src[a:b], plan, &counts)
 	}
 }
 

@@ -7,15 +7,10 @@
 // average — the balance the paper's investigator (Figure 3c) provides.
 // The master's splitter selection is serial time every other processor
 // waits on, so SelectSplitters selects them by rank across the sorted
-// sample runs and merges the runs only where that is the cheaper way
-// (many short runs).
+// sample runs and never merges them.
 package sample
 
-import (
-	"math/bits"
-
-	"pgxsort/internal/lsort"
-)
+import "math/bits"
 
 // DefaultBufferBytes is PGX.D's read-buffer size: each processor sends
 // exactly one buffer (256KB / p) of samples to the master (§IV-B).
@@ -75,21 +70,13 @@ func RegularIndex(i, n, s int) int { return (i + 1) * n / (s + 1) }
 // elements at SplittersFromSorted's regular positions of the runs' union.
 // It is serial time that every other processor waits on.
 //
-// While the runs are long for their number the union is never built: the
-// splitters are found by multisequence selection (selectRanks), which
-// costs per splitter and run a few short bisections — some 0.35 us the
-// pair — where merging all n samples of m runs costs n log2 m comparisons
-// and moves and two n-element buffers: 3 us against 900 us at 4 runs of
-// 8192, 0.12 against 1.6 ms at 16 of 2048, 1.0 against 1.9 ms at 52 of
-// 630 and 1.4 against 2.0 ms at 64 of 512 (0.4 against 0.6 and 0.55
-// against 0.65 ms when the runs' key ranges are disjoint, which the merge
-// copies through). With n fixed by the sample buffer, selection grows as
-// p*m and the merge as log m: at 128 runs of 256 it is 4.5 against 2.7 ms
-// (2.0 against 0.6 disjoint). So the runs are merged when they average
-// under selectMinPerRank samples per splitter; BenchmarkSelectSplitters
-// times both ways on either side of that. Either way the values are those
-// of SplittersFromSorted over the stably merged runs: elements tied under
-// less are equal, so which copy a rank lands on cannot matter.
+// The union is never built: the splitters are found by multisequence
+// selection (selectRanks), which costs per splitter and run a few short
+// bisections, where merging all n samples of m runs costs n log2 m
+// comparisons and moves and two n-element buffers (BenchmarkSelectSplitters
+// times selection). The values are those of SplittersFromSorted over the stably
+// merged runs: elements tied under less are equal, so which copy a rank
+// lands on cannot matter.
 func SelectSplitters[E any](sampleRuns [][]E, p int, less func(a, b E) bool) []E {
 	n := 0
 	for _, r := range sampleRuns {
@@ -98,16 +85,8 @@ func SelectSplitters[E any](sampleRuns [][]E, p int, less func(a, b E) bool) []E
 	if p <= 1 || n == 0 {
 		return nil
 	}
-	if n < selectMinPerRank*len(sampleRuns)*p {
-		return SplittersFromSorted(lsort.MergeRuns(sampleRuns, less, false), p)
-	}
 	return selectRanks(sampleRuns, n, p, less)
 }
-
-// selectMinPerRank is the average run length per splitter from which
-// SelectSplitters selects ranks instead of merging the runs: at the paper's
-// 256 KiB of 8-byte samples, up to 64 processors.
-const selectMinPerRank = 8
 
 // selectRanks is SelectSplitters by rank selection, for n > 0 samples and
 // p > 1: the middle splitter first, each within the positions its

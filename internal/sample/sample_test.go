@@ -320,8 +320,8 @@ func TestPropertyPartitionWellFormed(t *testing.T) {
 // TestSplitterOwnersMatchTaggedMerge holds SplitterOwners to a brute-force
 // merge of the samples tagged (key, run, position): the splitter of rank
 // j·n/p there is the one SelectSplitters chose, at the run and position
-// SplitterOwners names — on runs short enough that SelectSplitters merges
-// them and long enough that it selects ranks.
+// SplitterOwners names — on runs of one sample, of a few and of many per
+// splitter.
 func TestSplitterOwnersMatchTaggedMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, p := range []int{2, 3, 5, 8, 16} {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"pgxsort/internal/dist"
-	"pgxsort/internal/lsort"
 )
 
 // prefixLess is the engine's two-level comparator for strings under an
@@ -23,8 +22,8 @@ func prefixLess(a, b string) bool {
 	return a < b
 }
 
-// mergedRuns is the reference both of SelectSplitters' ways are held to:
-// the runs laid back to back and stably sorted.
+// mergedRuns is the reference SelectSplitters is held to: the runs laid
+// back to back and stably sorted.
 func mergedRuns[E any](runs [][]E, less func(a, b E) bool) []E {
 	all := slices.Concat(runs...)
 	slices.SortStableFunc(all, func(a, b E) int {
@@ -39,9 +38,8 @@ func mergedRuns[E any](runs [][]E, less func(a, b E) bool) []E {
 	return all
 }
 
-// checkSelectSplitters holds SelectSplitters, and rank selection itself
-// where SelectSplitters would rather merge, to the splitters of the merged
-// runs, value for value, for every p.
+// checkSelectSplitters holds SelectSplitters to the splitters of the
+// merged runs, value for value, for every p.
 func checkSelectSplitters[E comparable](t *testing.T, name string, runs [][]E, less func(a, b E) bool) {
 	t.Helper()
 	merged := mergedRuns(runs, less)
@@ -50,12 +48,6 @@ func checkSelectSplitters[E comparable](t *testing.T, name string, runs [][]E, l
 		got := SelectSplitters(runs, p, less)
 		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
 			t.Errorf("%s p=%d: SelectSplitters %v, merge gives %v", name, p, got, want)
-		}
-		if want == nil {
-			continue
-		}
-		if got := selectRanks(runs, len(merged), p, less); !slices.Equal(got, want) {
-			t.Errorf("%s p=%d: selectRanks %v, merge gives %v", name, p, got, want)
 		}
 	}
 }
@@ -160,11 +152,10 @@ func TestSelectSplittersAllocations(t *testing.T) {
 }
 
 // TestSelectSplittersComparisonBound pins the cost the master pays at the
-// benchmark's processor count, the scaling sweep's and the last one that
-// still selects, on the two ways sample runs overlap: alike (every
-// processor samples the same distribution) and disjoint (sorted input
-// dealt in blocks). Selection has to stay under the n*ceil(log2 p)
-// comparisons of the merge it replaced.
+// benchmark's processor count and the scaling sweep's, on the two ways
+// sample runs overlap: alike (every processor samples the same
+// distribution) and disjoint (sorted input dealt in blocks). Selection has
+// to stay under the n*ceil(log2 p) comparisons of the merge it replaced.
 func TestSelectSplittersComparisonBound(t *testing.T) {
 	for _, p := range []int{4, 16, 52, 64} {
 		for _, shape := range []string{"alike", "disjoint"} {
@@ -176,16 +167,10 @@ func TestSelectSplittersComparisonBound(t *testing.T) {
 				t.Fatalf("p=%d %s: selected %v, merge gives %v", p, shape, got, want)
 			}
 			n := p * len(runs[0])
-			if n < selectMinPerRank*p*p {
-				t.Fatalf("p=%d: %d samples are merged, not selected from", p, n)
-			}
 			if bound := n * bits.Len(uint(p-1)); calls > bound {
 				t.Errorf("p=%d %s: %d comparisons, the merge makes up to %d", p, shape, calls, bound)
 			}
 		}
-	}
-	if p := 128; DefaultBufferBytes/8 >= selectMinPerRank*p*p {
-		t.Errorf("p=%d still selects; BenchmarkSelectSplitters has the merge ahead there", p)
 	}
 }
 
@@ -227,7 +212,7 @@ func TestRegularIndexIsRegular(t *testing.T) {
 	}
 }
 
-// FuzzSelectSplitters holds rank selection to the merge reference on
+// FuzzSelectSplitters holds SelectSplitters to the merge reference on
 // arbitrary keys (narrow widths are mostly ties), cut into runs at
 // arbitrary places, for any p.
 func FuzzSelectSplitters(f *testing.F) {
@@ -260,17 +245,12 @@ func FuzzSelectSplitters(f *testing.F) {
 		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
 			t.Fatalf("p=%d runs %v: SelectSplitters %v, merge gives %v", p, runs, got, want)
 		}
-		if want != nil && !slices.Equal(selectRanks(runs, len(keys), int(p), lessU64), want) {
-			t.Fatalf("p=%d runs %v: selectRanks %v, merge gives %v", p, runs, selectRanks(runs, len(keys), int(p), lessU64), want)
-		}
 	})
 }
 
 // BenchmarkSelectSplitters is the master's step 3 at the benchmark's
 // processor count, at the scaling sweep's (cmd/pgxsort-bench -procs) and
-// on either side of the count where SelectSplitters goes from selecting
-// ranks (up to 64) to merging the runs, always over the same 256 KiB of
-// samples: rank selection against picking from the merged runs.
+// past it, always over the same 256 KiB of samples.
 func BenchmarkSelectSplitters(b *testing.B) {
 	for _, p := range []int{4, 16, 52, 64, 128} {
 		for _, shape := range []string{"alike", "disjoint"} {
@@ -278,13 +258,7 @@ func BenchmarkSelectSplitters(b *testing.B) {
 			b.Run(fmt.Sprintf("select/p=%d/%s", p, shape), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					selectRanks(runs, len(runs)*len(runs[0]), p, lessU64)
-				}
-			})
-			b.Run(fmt.Sprintf("merge/p=%d/%s", p, shape), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					SplittersFromSorted(lsort.MergeRuns(runs, lessU64, false), p)
+					SelectSplitters(runs, p, lessU64)
 				}
 			})
 		}
