@@ -24,10 +24,12 @@
 //     otherwise of the entries the refs stand for, built once, here
 //  6. merge of the received runs with the balanced merging handler (Fig 2),
 //     after the exchange barrier, in one of two exchange sinks: resident
-//     (a sort by ref keeps a provenance word beside each ref and builds
-//     each entry once, into the exact-size result) or, when the runs
-//     exceed Options.MemoryBudget, spilled — streamed back from spill
-//     files, a sort by ref's chunks turned into entries on the way in
+//     — every sort lands one (norm, position) ref a received entry, and
+//     beside it a sort by ref's provenance word or every other sort's
+//     entry; the refs are merged and each entry built or gathered once,
+//     into the exact-size result — or, when the runs exceed
+//     Options.MemoryBudget, spilled — streamed back from spill files, a
+//     sort by ref's chunks turned into entries on the way in
 //
 // Every entry keeps its provenance (origin processor and index), the
 // result supports binary search and top-k retrieval, and several datasets

@@ -231,7 +231,8 @@ func (r *Result[K]) PartRanges() []PartRange[K] {
 // original inputs: every part is sorted, parts are globally ordered —
 // both in the order the sort produced (see searchOrder) — and the origin
 // fields describe a perfect permutation of the input
-// (every (proc,index) appears exactly once and carries its input key).
+// (every (proc,index) appears exactly once and carries its input key, bit
+// for bit where the sort's order tells keys apart that == does not).
 func (r *Result[K]) Verify(inputs [][]K) error {
 	total := 0
 	for _, in := range inputs {
@@ -261,9 +262,9 @@ func (r *Result[K]) Verify(inputs [][]K) error {
 			if op >= len(inputs) || oi >= len(inputs[op]) {
 				return fmt.Errorf("core: entry in part %d has origin (%d,%d) out of range", pi, op, oi)
 			}
-			// NaN float keys are unequal to themselves under ==; an entry
-			// whose key and input are both NaN still matches.
-			if in := inputs[op][oi]; in != e.Key && !(in != in && e.Key != e.Key) {
+			// The key must be its input's as the sort orders keys, which
+			// tells -0 from +0 and one NaN from another, where == cannot.
+			if in := inputs[op][oi]; order(e, in) != 0 {
 				return fmt.Errorf("core: entry key %v does not match input[%d][%d]=%v",
 					e.Key, op, oi, in)
 			}

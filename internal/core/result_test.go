@@ -207,3 +207,29 @@ func TestVerifyTotalOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyKeysBitForBit: Verify holds every entry's key to its input's
+// as the sort orders keys, so an entry whose key is -0 where its input
+// holds +0, or a NaN with other payload bits than its input's, fails —
+// though == calls the zeros equal and cannot compare NaNs at all — while
+// the same entries carrying their inputs' bits pass.
+func TestVerifyKeysBitForBit(t *testing.T) {
+	nanA, nanB := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000abc)
+	for _, c := range []struct {
+		name    string
+		in, key float64
+		ok      bool
+	}{
+		{"zero-sign-swapped", 0, math.Copysign(0, -1), false},
+		{"minus-zero-swapped", math.Copysign(0, -1), 0, false},
+		{"nan-payload", nanA, nanB, false},
+		{"same-zero", math.Copysign(0, -1), math.Copysign(0, -1), true},
+		{"same-nan", nanB, nanB, true},
+	} {
+		res := &Result[float64]{Parts: [][]comm.Entry[float64]{{{Key: c.key, Proc: 0, Index: 0}}}}
+		err := res.Verify([][]float64{{c.in}})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Verify = %v, want ok: %v", c.name, err, c.ok)
+		}
+	}
+}

@@ -52,8 +52,9 @@ type SortManyOpts struct {
 	// Order selects the admission order (see AdmitOrder).
 	Order AdmitOrder
 	// Naive disables the staged scheduler and fires every dataset at
-	// once with unbounded concurrency — the pre-scheduler behaviour,
-	// kept as the benchmark baseline.
+	// once with unbounded concurrency — the pre-scheduler behaviour.
+	// Only the root package's BenchmarkSortManyPipeline sets it, as its
+	// "naive" row (and the scheduler's tests, to compare against it).
 	Naive bool
 	// Retry re-runs Transient-classed failures (see RetryPolicy). The
 	// zero value disables retries.

@@ -35,70 +35,77 @@ type exchangeSink[K any] interface {
 
 // newExchangeSink picks the sink for an exchange that will deliver
 // perSrc[i] entries from source i. The choice weighs entries whatever the
-// sort carries: the result is entries either way.
+// sort carries: the result is entries either way. A resident share of
+// more entries than a ref's uint32 position can address is refused here,
+// as step 1 refuses such a share, before any slab is taken.
 func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 	n := s.node
-	eb := entryBytes[K]()
 	total := 0
 	for _, c := range perSrc {
 		total += c
 	}
-	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*int64(eb) > budget {
+	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*int64(entryBytes[K]()) > budget {
 		sp, err := datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, n.eng.scratch)
 		if err != nil {
 			return nil, err
 		}
 		return &spilledSink[K]{SpillAssembly: sp, s: s}, nil
 	}
-	if s.byRef {
-		f := &s.runs
-		return &residentSink[K]{Regions: datamgr.NewRegions(perSrc), s: s,
-			refs: f.takeRefs(total), prov: f.takeProv(total)}, nil
+	if uint64(total) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d entries to assemble on one node", ErrShareTooLarge, total)
 	}
-	asm := datamgr.NewAssemblyBuf[K](n.dm, perSrc, eb, n.entryPool.Get(total))
-	return &residentSink[K]{Regions: &asm.Regions, asm: asm, s: s}, nil
+	f := &s.runs
+	r := &residentSink[K]{Regions: datamgr.NewRegions(perSrc), s: s, refs: f.takeRefs(total)}
+	if s.byRef {
+		r.prov = f.takeProv(total)
+	} else {
+		r.entries = f.take(total)
+	}
+	return r, nil
 }
 
 // residentSink assembles the runs in memory at precomputed offsets and
 // merges them with the paper's balanced merging handler (Figure 2) after
-// the exchange barrier. Entries land in one pooled assembly buffer; a
-// sort by ref's refs land as one (norm, position) ref and one provenance
-// word (origin node << 32 | origin index) per position, 24 bytes against
-// an entry's 40.
+// the exchange barrier. Whatever the sort carries, what lands is one
+// (norm, position) ref a position, and beside it what the ref stands for:
+// a sort by ref's provenance word (origin node << 32 | origin index), 24
+// bytes a position, or every other sort's entry, 40 + 16.
 type residentSink[K cmp.Ordered] struct {
 	*datamgr.Regions
 	s *sortRun[K]
 
-	asm  *datamgr.Assembly[K] // entries; nil on a sort by ref
-	refs []lsort.NormRef      // a sort by ref's, and step 6's over entries
-	prov []uint64             // a sort by ref's
+	refs    []lsort.NormRef // (norm, position), one a position
+	prov    []uint64        // a sort by ref's
+	entries []comm.Entry[K] // every other sort's
 }
 
-// Write lands one chunk: entries are copied into the assembly, refs are
-// rewritten to address their position, their origin kept beside them.
+// Write lands one chunk at the positions it claims: a ref is rewritten
+// to address its position, its origin kept beside it; an entry is copied
+// and its ref written from its key.
 func (r *residentSink[K]) Write(m comm.Message[K]) error {
-	if r.asm != nil {
-		return r.asm.Write(m.Src, m.Entries)
-	}
-	at, err := r.Claim(m.Src, len(m.Refs))
+	at, err := r.Claim(m.Src, m.DataLen())
 	if err != nil {
 		return err
 	}
-	src := uint64(m.Src) << 32
-	for i, ref := range m.Refs {
-		r.refs[at+i] = lsort.NormRef{Norm: ref.Norm, Idx: uint32(at + i)}
-		r.prov[at+i] = src | uint64(ref.Idx)
+	refs := r.refs[at : at+m.DataLen()]
+	if r.s.byRef {
+		src := uint64(m.Src) << 32
+		for i, ref := range m.Refs {
+			refs[i] = lsort.NormRef{Norm: ref.Norm, Idx: uint32(at + i)}
+			r.prov[at+i] = src | uint64(ref.Idx)
+		}
+		return nil
+	}
+	copy(r.entries[at:], m.Entries)
+	norm := r.s.runs.cmps.norm
+	for i := range m.Entries {
+		refs[i] = lsort.NormRef{Norm: norm(m.Entries[i].Key), Idx: uint32(at + i)}
 	}
 	return nil
 }
 
-// merge is step 6 over the assembled runs: one ref per entry — built
-// from the assembly, or already there on a sort by ref — merged as step 1
+// merge is step 6 over the assembled runs: the refs merged as step 1
 // sorts them, then one pass that writes the result in the merged order.
-// With at most one source that sent anything there is nothing to merge,
-// and an assembly buffer is the result as it is. An assembly of more
-// entries than a ref's uint32 position can address is refused, as step 1
-// refuses such a share.
 //
 // Each source's region is a sorted ref run, positions ascend from one run
 // to the next and every merge and split is left-run-first, so equal
@@ -106,12 +113,12 @@ func (r *residentSink[K]) Write(m comm.Message[K]) error {
 // which is what the stable entry merge produces. An inexact norm has its
 // equal-norm runs finished under the real keys, as in step 1.
 //
-// The result is allocated at its exact size. Over entries the two ref
-// halves are separate slabs so the spare one is back in the pool before
-// the result exists: 40 + 32 B an entry while merging, 40 + 16 + 40 while
-// gathering. By ref it is 24 + 16 while merging and 24 + 40 while the
-// result is written. The assembly buffer and every ref and provenance
-// slab return to their pools on every exit.
+// The result is allocated at its exact size. The merge takes a second ref
+// slab and gives back the one it did not finish in before the result
+// exists: over entries that is 40 + 32 B an entry while merging and
+// 40 + 16 + 40 while gathering; by ref 24 + 16 while merging and 24 + 40
+// while the result is written. Every slab returns to its pool on every
+// exit.
 func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 	defer r.discard()
 	bounds := r.Bounds()
@@ -122,32 +129,13 @@ func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 			nonEmpty++
 		}
 	}
-	switch {
-	case nonEmpty == 0:
+	if nonEmpty == 0 {
 		return nil, nil
-	case nonEmpty == 1 && r.asm != nil:
-		r.asm.Release() // the buffer leaves the pool as resident result storage
-		buf := r.asm.Entries()
-		r.asm = nil
-		return buf, nil
-	case uint64(total) > math.MaxUint32:
-		return nil, fmt.Errorf("%w: %d entries assembled on one node", ErrShareTooLarge, total)
 	}
 	f := &r.s.runs
-	var buf []comm.Entry[K]
-	if r.asm != nil {
-		buf = r.asm.Entries()
-		r.refs = f.takeRefs(total)
-	}
-	var spare []lsort.NormRef
 	if nonEmpty > 1 {
-		spare = f.takeRefs(total)
+		spare := f.takeRefs(total)
 		defer func() { f.giveRefs(spare) }()
-	}
-	if r.asm != nil {
-		f.split(total, func(lo, hi int) { entryRefs(r.refs, buf, f.cmps.norm, lo, hi) })
-	}
-	if spare != nil {
 		order, fromSpare := lsort.MergeNormRefRuns(r.refs, spare, bounds, true)
 		if fromSpare {
 			r.refs, spare = spare, r.refs
@@ -155,7 +143,7 @@ func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 		f.giveRefs(spare)
 		spare = nil
 		if f.cmps.inexact {
-			lsort.SortEqualNormRefs(order, func(i, j uint32) bool { return buf[i].Key < buf[j].Key })
+			lsort.SortEqualNormRefs(order, func(i, j uint32) bool { return r.entries[i].Key < r.entries[j].Key })
 		}
 	}
 
@@ -163,10 +151,10 @@ func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 	f.tracker.Alloc(resultBytes) // temporary while it is being filled
 	defer f.tracker.Free(resultBytes)
 	out := make([]comm.Entry[K], total)
-	if r.asm != nil {
-		f.split(total, func(lo, hi int) { gatherEntries(out, buf, r.refs, lo, hi) })
-	} else {
+	if r.s.byRef {
 		f.split(total, func(lo, hi int) { refEntries(out, r.refs, r.prov, f.cmps.denorm, lo, hi) })
+	} else {
+		f.split(total, func(lo, hi int) { gatherEntries(out, r.entries, r.refs, lo, hi) })
 	}
 	return out, nil
 }
@@ -193,13 +181,6 @@ func (f *runFormer[K]) split(total int, fn func(lo, hi int)) {
 	fn(0, mid)
 }
 
-// entryRefs writes refs[i] = (norm of buf[i].Key, i) for lo <= i < hi.
-func entryRefs[K any](refs []lsort.NormRef, buf []comm.Entry[K], norm func(K) uint64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		refs[i] = lsort.NormRef{Norm: norm(buf[i].Key), Idx: uint32(i)}
-	}
-}
-
 // gatherEntries writes out[j] = buf[order[j].Idx] for lo <= j < hi.
 func gatherEntries[K any](out, buf []comm.Entry[K], order []lsort.NormRef, lo, hi int) {
 	for j := lo; j < hi; j++ {
@@ -221,19 +202,10 @@ func refEntries[K any](out []comm.Entry[K], order []lsort.NormRef, prov []uint64
 // discard gives back whatever the sink still holds.
 func (r *residentSink[K]) discard() {
 	f := &r.s.runs
-	if r.asm != nil {
-		r.asm.Release()
-		r.s.node.entryPool.Put(r.asm.Entries())
-		r.asm = nil
-	}
-	if r.refs != nil {
-		f.giveRefs(r.refs)
-		r.refs = nil
-	}
-	if r.prov != nil {
-		f.giveProv(r.prov)
-		r.prov = nil
-	}
+	f.giveRefs(r.refs)
+	f.giveProv(r.prov)
+	f.give(r.entries)
+	r.refs, r.prov, r.entries = nil, nil, nil
 }
 
 // spilledSink lands every source's run in one scratch file and merges

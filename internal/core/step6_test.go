@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -25,12 +26,12 @@ func testSortRun[K cmp.Ordered](e *Engine[K]) *sortRun[K] {
 			pool: n.entryPool, refPool: &n.refPool, provPool: &n.provPool, tracker: &n.tracker}}
 }
 
-// step6Sink assembles the given per-source keys on node 0 of a fresh
-// engine exactly as an exchange would: each source's run sorted under the
-// sort's own entry order, ties in index order, written into the resident
-// sink of a sort run the caller may still adjust. It also reports how many
-// sources sent anything.
-func step6Sink[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], bySrc [][]K, payloads bool, workers int) (*Engine[K], *sortRun[K], *residentSink[K], int) {
+// step6Sink is the resident sink of a sort run on node 0 of a fresh
+// engine, by ref or not, for an exchange delivering bySrc's keys, and the
+// runs that exchange lands in it: each source's keys sorted under the
+// sort's own entry order, ties in index order. The caller may still adjust
+// the run before landing the runs (step6Land).
+func step6Sink[K cmp.Ordered](t *testing.T, codec comm.Codec[K], bySrc [][]K, payloads, byRef bool, workers int) (*sortRun[K], *residentSink[K], [][]comm.Entry[K]) {
 	t.Helper()
 	p := len(bySrc)
 	e, err := NewEngine[K](Options{Procs: p, WorkersPerProc: workers, MemoryBudget: -1}, codec)
@@ -39,18 +40,13 @@ func step6Sink[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 	}
 	t.Cleanup(func() { e.Close() })
 	s := testSortRun(e)
+	s.byRef = byRef
 	cmps := s.cmps
 
 	perSrc := make([]int, p)
+	runs := make([][]comm.Entry[K], p)
 	for src, keys := range bySrc {
 		perSrc[src] = len(keys)
-	}
-	sink, err := s.newExchangeSink(perSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonEmpty := 0
-	for src, keys := range bySrc {
 		run := make([]comm.Entry[K], len(keys))
 		for i, k := range keys {
 			run[i] = comm.Entry[K]{Key: k, Proc: uint32(src), Index: uint32(i)}
@@ -67,60 +63,105 @@ func step6Sink[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 			}
 			return 0
 		})
-		if len(run) > 0 {
-			nonEmpty++
-		}
-		if err := sink.Write(comm.Message[K]{Kind: comm.KData, Src: src, Entries: run}); err != nil {
-			t.Fatal(err)
-		}
+		runs[src] = run
 	}
-	return e, s, sink.(*residentSink[K]), nonEmpty
-}
-
-// step6Case merges a step6Sink and holds the result to the stable entry
-// merge (lsort.MergeAdjacentRuns under the sort's key order) of the very
-// same assembly: Key, Payload, Proc and Index of every entry. Afterwards the
-// node's tracker is at zero and every ref slab is back in its pool.
-func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], bySrc [][]K, payloads bool, workers int) {
-	t.Helper()
-	e, s, sink, nonEmpty := step6Sink(t, label, codec, bySrc, payloads, workers)
-	defer e.Close()
-	n, cmps := s.node, s.cmps
-	asm := sink.asm
-	assembled := slices.Clone(asm.Entries())
-	entryLess := func(a, b comm.Entry[K]) bool { return cmps.keyLess(a.Key, b.Key) }
-	want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), asm.Bounds(), entryLess, true)
-
-	got, err := sink.merge()
+	sink, err := s.newExchangeSink(perSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d entries out, want %d", label, len(got), len(want))
-	}
-	if nonEmpty > 1 && cap(got) != len(got) {
-		t.Errorf("%s: result of %d entries has capacity %d, want its exact size", label, len(got), cap(got))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.Proc != w.Proc || g.Index != w.Index || !bytes.Equal(g.Payload, w.Payload) ||
-			!bytes.Equal(keyBytes(codec, g.Key), keyBytes(codec, w.Key)) {
-			t.Fatalf("%s: entry %d is %+v, the entry merge gives %+v", label, i, g, w)
+	return s, sink.(*residentSink[K]), runs
+}
+
+// step6Land writes each source's run into the sink as one KData message,
+// as the exchange delivers it: entries, or on a sort by ref the refs
+// (norm, origin index) standing for them.
+func step6Land[K cmp.Ordered](t *testing.T, s *sortRun[K], sink *residentSink[K], runs [][]comm.Entry[K]) {
+	t.Helper()
+	for src, run := range runs {
+		m := comm.Message[K]{Kind: comm.KData, Src: src, Entries: run}
+		if s.byRef {
+			m.Entries, m.Refs = nil, make([]lsort.NormRef, len(run))
+			for i, e := range run {
+				m.Refs[i] = lsort.NormRef{Norm: s.cmps.norm(e.Key), Idx: e.Index}
+			}
+		}
+		if err := sink.Write(m); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if live := n.tracker.Live(); live != 0 {
-		t.Errorf("%s: tracker holds %d bytes after the merge", label, live)
+}
+
+// step6Case lands bySrc's runs in a step6Sink, merges it and holds the
+// result to the stable entry merge (lsort.MergeAdjacentRuns under the
+// sort's key order) of the very same runs: Key, Payload, Proc and Index of
+// every entry. A codec with an inverse norm is merged by ref too, when
+// there are no payloads for the refs to lose. Afterwards the node's
+// tracker is at zero and every slab is back in its pool.
+func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], bySrc [][]K, payloads bool, workers int) {
+	t.Helper()
+	arms := []bool{false}
+	if _, ok := comm.RefDenorm(codec); ok && !payloads {
+		arms = append(arms, true)
 	}
+	for _, byRef := range arms {
+		label := fmt.Sprintf("%s/byRef=%v", label, byRef)
+		s, sink, runs := step6Sink(t, codec, bySrc, payloads, byRef, workers)
+		n, cmps := s.node, s.cmps
+		assembled, bounds := []comm.Entry[K]{}, []int{0}
+		for _, run := range runs {
+			assembled = append(assembled, run...)
+			bounds = append(bounds, len(assembled))
+		}
+		entryLess := func(a, b comm.Entry[K]) bool { return cmps.keyLess(a.Key, b.Key) }
+		want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), bounds, entryLess, true)
+
+		step6Land(t, s, sink, runs)
+		got, err := sink.merge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries out, want %d", label, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: result of %d entries has capacity %d, want its exact size", label, len(got), cap(got))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Proc != w.Proc || g.Index != w.Index || !bytes.Equal(g.Payload, w.Payload) ||
+				!bytes.Equal(keyBytes(codec, g.Key), keyBytes(codec, w.Key)) {
+				t.Fatalf("%s: entry %d is %+v, the entry merge gives %+v", label, i, g, w)
+			}
+		}
+		if live := n.tracker.Live(); live != 0 {
+			t.Errorf("%s: tracker holds %d bytes after the merge", label, live)
+		}
+		checkSlabsBack(t, label, n, len(got) > 0, byRef)
+		n.eng.Close() // the matrix builds hundreds: none outlives its case
+	}
+}
+
+// checkSlabsBack holds node n's pools to one step-6 sink's slabs, every
+// one of them back: the ref slab and the merge's spare, and beside them
+// one provenance slab by ref or one entry slab otherwise — none of them
+// taken when nothing landed.
+func checkSlabsBack[K cmp.Ordered](t *testing.T, label string, n *node[K], landed, byRef bool) {
+	t.Helper()
 	if gets, _, puts := n.refPool.Stats(); gets != puts {
 		t.Errorf("%s: ref pool saw %d gets and %d puts", label, gets, puts)
 	}
-	// The assembly buffer went back unless it is the result itself.
-	wantPuts := int64(1)
-	if nonEmpty == 1 {
-		wantPuts = 0
+	var entries, prov int64
+	switch {
+	case landed && byRef:
+		prov = 1
+	case landed:
+		entries = 1
 	}
-	if gets, _, puts := n.entryPool.Stats(); len(assembled) > 0 && (gets != 1 || puts != wantPuts) {
-		t.Errorf("%s: entry pool saw %d gets and %d puts, want 1 and %d", label, gets, puts, wantPuts)
+	if gets, _, puts := n.entryPool.Stats(); gets != entries || puts != entries {
+		t.Errorf("%s: entry pool saw %d gets and %d puts, want %d and %d", label, gets, puts, entries, entries)
+	}
+	if gets, _, puts := n.provPool.Stats(); gets != prov || puts != prov {
+		t.Errorf("%s: provenance pool saw %d gets and %d puts, want %d and %d", label, gets, puts, prov, prov)
 	}
 }
 
@@ -181,45 +222,97 @@ func TestStep6RefsMatchesEntryMerge(t *testing.T) {
 	}
 }
 
-// TestStep6RefsPanicGivesEverythingBack: a panic inside mergeRefs — here
-// the norm giving out partway through the ref build, with both ref slabs
-// and the assembly buffer held, alone and beside a helper goroutine —
-// unwinds through its defers: every slab is back in its pool and the
-// tracker at zero when the panic reaches the caller (in a sort, the
-// recovery in run).
+// TestStep6RefsPanicGivesEverythingBack: user code runs in step 6 at two
+// places, and a panic in either gives every slab back and leaves the
+// tracker at zero. The norm, in Write, writing each landed entry's ref:
+// the exchange's cleanup discards the sink the panic left behind. The
+// inverse norm, in a sort by ref's result build, on the caller's half
+// alone and beside the helper goroutine building the other: the merge
+// unwinds through its defers before the panic reaches the caller (in a
+// sort, the recovery in run).
 func TestStep6RefsPanicGivesEverythingBack(t *testing.T) {
 	bySrc := make([][]uint64, 3)
 	for src := range bySrc {
 		bySrc[src] = dist.Gen{Kind: dist.Uniform, Seed: 53 + uint64(src)}.Keys(2000)
 	}
-	for _, workers := range []int{1, 2} {
-		_, s, sink, _ := step6Sink(t, "panic", comm.Codec[uint64](comm.U64Codec{}), bySrc, false, workers)
-		// A key of the caller's half of the ref build, so the panic is the
-		// caller's while a second worker's helper is still building its half.
-		norm, bad := s.runs.cmps.norm, sink.asm.Entries()[1500].Key
+	codec := comm.Codec[uint64](comm.U64Codec{})
+	mustPanic := func(label string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: returned; user code should have panicked", label)
+			}
+		}()
+		fn()
+	}
+
+	t.Run("write-norm", func(t *testing.T) {
+		s, sink, runs := step6Sink(t, codec, bySrc, false, false, 2)
+		norm, bad := s.runs.cmps.norm, runs[1][700].Key
 		s.runs.cmps.norm = func(k uint64) uint64 {
 			if k == bad {
 				panic("norm gave out")
 			}
 			return norm(k)
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("workers=%d: merge returned; the norm should have panicked", workers)
+		mustPanic("write", func() { step6Land(t, s, sink, runs) })
+		sink.discard() // as partitionExchange's cleanup does
+		if live := s.node.tracker.Live(); live != 0 {
+			t.Errorf("tracker holds %d bytes after the panic", live)
+		}
+		checkSlabsBack(t, "write", s.node, true, false)
+	})
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("result-denorm/workers=%d", workers), func(t *testing.T) {
+			s, sink, runs := step6Sink(t, codec, bySrc, false, true, workers)
+			step6Land(t, s, sink, runs)
+			// A norm of the caller's half of the result, so the panic is the
+			// caller's while a second worker's helper is still building its half.
+			all := slices.Concat(bySrc...)
+			slices.Sort(all)
+			denorm, bad := s.runs.cmps.denorm, s.cmps.norm(all[len(all)/4])
+			s.runs.cmps.denorm = func(norm uint64) uint64 {
+				if norm == bad {
+					panic("denorm gave out")
 				}
-			}()
-			sink.merge()
-		}()
-		n := s.node
-		if live := n.tracker.Live(); live != 0 {
-			t.Errorf("workers=%d: tracker holds %d bytes after the panic", workers, live)
+				return denorm(norm)
+			}
+			mustPanic("merge", func() { sink.merge() })
+			if live := s.node.tracker.Live(); live != 0 {
+				t.Errorf("tracker holds %d bytes after the panic", live)
+			}
+			if gets, _, _ := s.node.refPool.Stats(); gets != 2 {
+				t.Errorf("ref pool saw %d gets, want the ref slab and the merge's spare", gets)
+			}
+			checkSlabsBack(t, "merge", s.node, true, true)
+		})
+	}
+}
+
+// TestExchangeSinkRefusesOversizedShare: counts summing past the uint32
+// positions a ref addresses are refused with ErrShareTooLarge before the
+// resident sink takes a slab — by ref or not, none is taken and nothing is
+// ever accounted.
+func TestExchangeSinkRefusesOversizedShare(t *testing.T) {
+	e := newTestEngine(t, Options{Procs: 2, MemoryBudget: -1})
+	s := testSortRun(e)
+	n := s.node
+	for _, byRef := range []bool{false, true} {
+		s.byRef = byRef
+		_, err := s.newExchangeSink([]int{1 << 31, 1 << 31})
+		if !errors.Is(err, ErrShareTooLarge) {
+			t.Fatalf("byRef=%v: newExchangeSink returned %v, want ErrShareTooLarge", byRef, err)
 		}
-		if gets, _, puts := n.refPool.Stats(); gets != 2 || puts != 2 {
-			t.Errorf("workers=%d: ref pool saw %d gets and %d puts, want 2 and 2", workers, gets, puts)
+		if peak := n.tracker.Peak(); peak != 0 {
+			t.Fatalf("byRef=%v: tracker peaked at %d bytes", byRef, peak)
 		}
-		if gets, _, puts := n.entryPool.Stats(); gets != 1 || puts != 1 {
-			t.Errorf("workers=%d: entry pool saw %d gets and %d puts, want 1 and 1", workers, gets, puts)
+		for name, pool := range map[string]interface{ Stats() (int64, int64, int64) }{
+			"entry": n.entryPool, "ref": &n.refPool, "provenance": &n.provPool,
+		} {
+			if gets, _, _ := pool.Stats(); gets != 0 {
+				t.Fatalf("byRef=%v: %s pool saw %d gets", byRef, name, gets)
+			}
 		}
 	}
 }

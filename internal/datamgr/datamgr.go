@@ -86,7 +86,8 @@ func Chunks[E any](m *Manager, items []E, keyBytes int, fn func(chunk []E, last 
 // source so chunks from different sources land concurrently without
 // coordination, and chunks from the same source (which arrive in FIFO
 // order) advance a per-source cursor. Assembly is Regions over a buffer of
-// entries; the engine's key-only sorts lay refs out by the same Regions.
+// entries; the engine's resident exchange sink lays its refs out by the
+// same Regions, and its entries or provenance words beside them.
 type Regions struct {
 	offsets []int // base offset per source, then the total
 	cursor  []int // next write position per source (relative to base)

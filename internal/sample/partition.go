@@ -35,8 +35,8 @@ func (r Ranges) NumDests() int { return len(r.Bounds) - 1 }
 // alone are Figure 3b's naive search.
 //
 // lessSS, elemBelowS and investigate are ignored. They stay in the
-// signature while the benchmark module passes them; ROADMAP item 2 drops
-// them.
+// signature while the benchmark module passes them; ROADMAP item 1(b)
+// drops them.
 func Partition[E, S any](data []E, splitters []S, lessSS func(a, b S) bool, elemGreaterS func(e E, s S) bool, elemBelowS func(e E, s S) bool, investigate bool) Ranges {
 	p := len(splitters) + 1
 	bounds := make([]int, p+1)
