@@ -120,7 +120,7 @@ func buildConfig(args []string) (addr string, cfg serve.Config, err error) {
 	brCooldown := fs.Duration("breaker-cooldown", 0, "how long an open breaker waits before probing the mesh again (0 = default 30s)")
 	fallbackKeys := fs.Int("fallback-keys", 0, "largest job the degraded single-node fallback accepts (0 = max-keys, negative disables)")
 	memBudget := fs.String("mem-budget", "", "per-node temporary-memory budget (e.g. 64M, 2G); sorts spill runs to scratch files in -spill-dir beyond it")
-	spillDir := fs.String("spill-dir", "", "directory for the engines' scratch files, upload spools included; unlinked at creation, so it never lists one (default: system temp dir)")
+	spillDir := fs.String("spill-dir", "", "directory for the engines' scratch files, upload spools included; they have no name, so it never lists one (default: system temp dir)")
 	spoolThreshold := fs.String("spool-threshold", "", "octet-stream upload size past which the body spools to the spill tier (e.g. 8M; empty = 8M clamped to -mem-budget, 'off' keeps every upload resident)")
 	uploadTimeout := fs.Duration("upload-timeout", 0, "per-read idle deadline on streamed uploads; stalled clients get 408 (0 = 30s, negative disables)")
 	govBudget := fs.String("gov-budget", "", "process-wide memory governor budget (e.g. 256M); jobs that would exceed it answer 429/413 (empty disables gating)")

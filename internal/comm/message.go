@@ -7,9 +7,9 @@
 //
 // A KData message carries entries, or — for a sort of bare keys under a
 // codec whose exact norm has an inverse (KeyDenormalizer, RefDenorm) —
-// 16-byte NormRefs, each standing for the key-only entry {Denorm(Norm),
-// the message's source, Idx}. On the wire a ref is byte for byte that
-// entry; a frame header flag (FlagRefs) tells the reader which to decode.
+// 16-byte NormRefs, each the key-only entry {Denorm(Norm), Proc, Idx}.
+// On the wire a ref is byte for byte that entry; a frame header flag
+// (FlagRefs) tells the reader which to decode.
 //
 // Under U64Codec payload-free entries and refs are encoded and decoded a
 // word at a time, with no call through the Codec interface per key.
@@ -111,8 +111,9 @@ type Message[K any] struct {
 	Entries  []Entry[K] // KData payloads
 	// Refs is the KData payload of a key-only sort whose codec frames
 	// refs (RefDenorm): each ref is the entry {Key: Denorm(Norm), Proc:
-	// Src, Index: Idx}, and a message carries Entries or Refs, never both.
-	// On the wire a ref is byte for byte that entry.
+	// Proc, Index: Idx}, its Proc the sender's (Src), and a message
+	// carries Entries or Refs, never both. On the wire a ref is byte for
+	// byte that entry.
 	Refs []NormRef
 	Keys []K     // KSamples / KSplitters payloads
 	Ints []int64 // KRangeMeta / KControl payloads
@@ -151,7 +152,7 @@ func (m *Message[K]) AppendWire(dst []byte, c Codec[K]) []byte {
 	need := m.WireBytes(c)
 	dst = grow(dst, need)
 	off := putEntries(dst, len(dst)-need, m.Entries, c)
-	off = putRefs(dst, off, m.Refs, uint32(m.Src), c)
+	off = putRefs(dst, off, m.Refs, c)
 	return EncodeInts(EncodeKeys(dst[:off], m.Keys, c), m.Ints)
 }
 

@@ -9,14 +9,17 @@ import (
 
 // NormRef stands in for one key while the engine sorts (step 1), sends
 // (step 5) or merges (step 6) it: Norm is the key's image under an
-// order-preserving map onto uint64 (KeyNormalizer) and Idx a position —
-// in the buffer being sorted or merged, or, on the wire, the key's index
-// within its origin node's share. Under an exact norm with an inverse
-// (KeyDenormalizer) a ref is the key-only entry it stands for, its origin
-// node being the message's source, so a key-only sort moves 16 bytes a
-// key instead of an Entry's 40.
+// order-preserving map onto uint64 (KeyNormalizer), Proc the node whose
+// share the key came from and Idx a position — in the buffer being sorted
+// or merged, or, once the engine sorts by ref, the key's index within its
+// origin node's share. Under an exact norm with an inverse
+// (KeyDenormalizer) such a ref is the key-only entry {Denorm(Norm), Proc,
+// Idx} it stands for, in 16 bytes where an Entry takes 40, so a key-only
+// sort sends and merges refs and builds entries only for its result.
+// Proc fills what would be padding; nothing orders by it.
 type NormRef struct {
 	Norm uint64
+	Proc uint32
 	Idx  uint32
 }
 
@@ -98,13 +101,12 @@ func RefsFitting[K any](refs []NormRef, c Codec[K], room int) int {
 	return min(len(refs), max(room, 0)/mustRefCodec(c).refWireBytes())
 }
 
-// EncodeRefs appends the wire form of refs sent by node src to dst, as
-// EncodeEntries appends the key-only entries they stand for: the bytes
-// are the same.
-func EncodeRefs[K any](dst []byte, refs []NormRef, src uint32, c Codec[K]) []byte {
+// EncodeRefs appends the wire form of refs to dst, as EncodeEntries
+// appends the key-only entries they stand for: the bytes are the same.
+func EncodeRefs[K any](dst []byte, refs []NormRef, c Codec[K]) []byte {
 	need := RefsWireBytes(refs, c)
 	dst = grow(dst, need)
-	putRefs(dst, len(dst)-need, refs, src, c)
+	putRefs(dst, len(dst)-need, refs, c)
 	return dst
 }
 
@@ -115,25 +117,25 @@ func RefWireEstimate[K any](c Codec[K]) int {
 	return mustRefCodec(c).refWireBytes() - originBytes
 }
 
-// putRefs writes the wire form of refs sent by node src into dst from
-// offset off and returns the offset after the last byte: each ref exactly
-// as the key-only entry it stands for — key, src, index, and a zero
+// putRefs writes the wire form of refs into dst from offset off and
+// returns the offset after the last byte: each ref exactly as the
+// key-only entry it stands for — key, origin node, index, and a zero
 // payload length when c carries payloads — so a ref frame's payload is
 // byte for byte the entry frame's. Under U64Codec as key codec it takes
 // the word loop.
-func putRefs[K any](dst []byte, off int, refs []NormRef, src uint32, c Codec[K]) int {
+func putRefs[K any](dst []byte, off int, refs []NormRef, c Codec[K]) int {
 	if len(refs) == 0 {
 		return off
 	}
 	rc := mustRefCodec(c)
 	if rc.isWord {
-		return putRefWords(dst, off, refs, src, rc.refWireBytes())
+		return putRefWords(dst, off, refs, rc.refWireBytes())
 	}
 	ks := rc.kc.KeySize()
 	for _, r := range refs {
 		rc.kc.PutKey(dst[off:], rc.denorm.Denorm(r.Norm))
 		off += ks
-		binary.LittleEndian.PutUint32(dst[off:], src)
+		binary.LittleEndian.PutUint32(dst[off:], r.Proc)
 		binary.LittleEndian.PutUint32(dst[off+4:], r.Idx)
 		off += originBytes
 		if rc.withPay {
@@ -146,9 +148,10 @@ func putRefs[K any](dst []byte, off int, refs []NormRef, src uint32, c Codec[K])
 
 // DecodeRefsSlab parses n refs sent by node src from b (a ref frame's
 // payload: key-only entries whose origin node is src) into a slab from
-// pool (which may be nil) and returns the remaining bytes. An entry from
-// another origin, or one with a payload, is not a ref and fails the
-// decode with b untouched. Under U64Codec as key codec it takes the word
+// pool (which may be nil) and returns the remaining bytes; each ref's
+// Proc is src. An entry from another origin, or one with a payload, is
+// not a ref and fails the decode with b untouched: the bytes come from a
+// peer or a disk. Under U64Codec as key codec it takes the word
 // loop.
 func DecodeRefsSlab[K any](b []byte, n int, src uint32, c Codec[K], pool *alloc.SlabPool[NormRef]) ([]NormRef, []byte, error) {
 	rc, ok := refCodecOf(c)
@@ -178,7 +181,7 @@ func DecodeRefsSlab[K any](b []byte, n int, src uint32, c Codec[K], pool *alloc.
 			pool.Put(refs)
 			return nil, b, fmt.Errorf("comm: ref %d carries a payload", i)
 		}
-		refs[i] = NormRef{Norm: rc.norm.Norm(rc.kc.Key(b[off:])), Idx: binary.LittleEndian.Uint32(at[4:])}
+		refs[i] = NormRef{Norm: rc.norm.Norm(rc.kc.Key(b[off:])), Proc: src, Idx: binary.LittleEndian.Uint32(at[4:])}
 	}
 	return refs, b[n*per:], nil
 }

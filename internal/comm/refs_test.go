@@ -6,10 +6,11 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
-// refsChunk is a chunk of refs under c's norm and the key-only entries
-// from node src they stand for.
+// refsChunk is a chunk of refs from node src under c's norm and the
+// key-only entries they stand for.
 func refsChunk[K any](c Codec[K], src uint32, keys []K) ([]NormRef, []Entry[K]) {
 	kc, _ := keyCodecOf(c)
 	norm := kc.(KeyNormalizer[K]).Norm
@@ -17,7 +18,7 @@ func refsChunk[K any](c Codec[K], src uint32, keys []K) ([]NormRef, []Entry[K]) 
 	entries := make([]Entry[K], len(keys))
 	for i, k := range keys {
 		idx := uint32(3*i + 1)
-		refs[i] = NormRef{Norm: norm(k), Idx: idx}
+		refs[i] = NormRef{Norm: norm(k), Proc: src, Idx: idx}
 		entries[i] = Entry[K]{Key: k, Proc: src, Index: idx}
 	}
 	return refs, entries
@@ -51,6 +52,19 @@ func checkRefFrame[K any](t *testing.T, name string, c Codec[K], keys []K) {
 	if _, _, err := DecodeRefsSlab(got, len(refs), src+1, c, nil); err == nil {
 		t.Fatalf("%s: a frame from node %d decoded as one from %d", name, src, src+1)
 	}
+	// A ref is framed with its own Proc, whatever the message's source:
+	// one naming another origin is that origin's entry on the wire, and
+	// a decode expecting src refuses it.
+	stray := slices.Clone(refs)
+	stray[len(stray)-1].Proc = src + 1
+	entries[len(entries)-1].Proc = src + 1
+	odd := (&Message[K]{Kind: KData, Src: src, Refs: stray}).AppendWire(nil, c)
+	if want := (&Message[K]{Kind: KData, Src: src, Entries: entries}).AppendWire(nil, c); !bytes.Equal(odd, want) {
+		t.Fatalf("%s: a ref of origin %d is not framed as its entry", name, src+1)
+	}
+	if _, rest, err := DecodeRefsSlab(odd, len(stray), src, c, nil); err == nil || len(rest) != len(odd) {
+		t.Fatalf("%s: a ref naming origin %d decoded from a frame of node %d", name, src+1, src)
+	}
 }
 
 // TestRefFrameIsEntryFrame: a chunk of refs goes on the wire byte for byte
@@ -70,6 +84,15 @@ func TestRefFrameIsEntryFrame(t *testing.T) {
 	}
 }
 
+// TestNormRefIs16Bytes: the origin node fills a ref's padding, so a ref
+// is still two words, the size every ref slab and the engine's memory
+// accounting assume.
+func TestNormRefIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(NormRef{}); n != 16 {
+		t.Fatalf("NormRef is %d bytes, want 16", n)
+	}
+}
+
 // FuzzDecodeRefs feeds the ref parser the TCP read loop trusts arbitrary
 // bytes under an arbitrary claimed count and origin, for a fixed-width
 // integer key (U64Codec's word loop, bare and in a record codec) and a
@@ -79,9 +102,9 @@ func TestRefFrameIsEntryFrame(t *testing.T) {
 // frame: the refs, framed from the same origin, are the bytes it
 // consumed. The word loop must do exactly what the generic loop does.
 func FuzzDecodeRefs(f *testing.F) {
-	u64 := (&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: 7, Idx: 2}, {Norm: 3, Idx: 9}}}).AppendWire(nil, U64Codec{})
-	f64 := (&Message[float64]{Src: 1, Refs: []NormRef{{Norm: 1, Idx: 0}, {Norm: 1 << 63, Idx: 5}}}).AppendWire(nil, F64Codec{})
-	rec := (&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: 1}, {Norm: 2, Idx: 4}}}).AppendWire(nil, NewRecordCodec[uint64](U64Codec{}))
+	u64 := (&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: 7, Proc: 1, Idx: 2}, {Norm: 3, Proc: 1, Idx: 9}}}).AppendWire(nil, U64Codec{})
+	f64 := (&Message[float64]{Src: 1, Refs: []NormRef{{Norm: 1, Proc: 1, Idx: 0}, {Norm: 1 << 63, Proc: 1, Idx: 5}}}).AppendWire(nil, F64Codec{})
+	rec := (&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: 1, Proc: 1}, {Norm: 2, Proc: 1, Idx: 4}}}).AppendWire(nil, NewRecordCodec[uint64](U64Codec{}))
 	for _, seed := range [][]byte{u64, f64, rec} {
 		for codec := uint8(0); codec < 3; codec++ {
 			f.Add(seed, int64(2), uint32(1), codec)
@@ -93,7 +116,8 @@ func FuzzDecodeRefs(f *testing.F) {
 	f.Add(u64, int64(-1), uint32(1), uint8(0))
 	f.Add(u64, int64(1)<<40, uint32(1), uint8(1)) // a claim no buffer could back
 	f.Add(binary.LittleEndian.AppendUint32(rec[:20], 1), int64(1), uint32(1), uint8(2))
-	f.Add((&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: math.MaxUint64, Idx: math.MaxUint32}, {}}}).AppendWire(nil, U64Codec{}), int64(2), uint32(1), uint8(0))
+	f.Add((&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: math.MaxUint64, Proc: 1, Idx: math.MaxUint32}, {Proc: 1}}}).AppendWire(nil, U64Codec{}), int64(2), uint32(1), uint8(0))
+	f.Add((&Message[uint64]{Src: 1, Refs: []NormRef{{Norm: 5, Proc: 1}, {Norm: 6, Proc: 2}}}).AppendWire(nil, U64Codec{}), int64(2), uint32(1), uint8(0)) // a ref of another origin
 	f.Fuzz(func(t *testing.T, data []byte, n int64, src uint32, codec uint8) {
 		switch codec % 3 {
 		case 0:

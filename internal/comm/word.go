@@ -56,11 +56,11 @@ func decodeEntryWords(b []byte, n int, pool *alloc.SlabPool[Entry[uint64]]) ([]E
 
 // putRefWords is putRefs under U64Codec: per bytes a ref, the last four
 // a zero payload length when per has room for one.
-func putRefWords(dst []byte, off int, refs []NormRef, src uint32, per int) int {
+func putRefWords(dst []byte, off int, refs []NormRef, per int) int {
 	for _, r := range refs {
 		b := dst[off : off+per : off+per]
 		binary.LittleEndian.PutUint64(b, r.Norm)
-		binary.LittleEndian.PutUint32(b[8:], src)
+		binary.LittleEndian.PutUint32(b[8:], r.Proc)
 		binary.LittleEndian.PutUint32(b[12:], r.Idx)
 		if per > 16 {
 			binary.LittleEndian.PutUint32(b[16:], 0)
@@ -83,7 +83,7 @@ func decodeRefWords(b []byte, refs []NormRef, src uint32, per int) error {
 		if per > 16 && binary.LittleEndian.Uint32(at[16:]) != 0 {
 			return fmt.Errorf("comm: ref %d carries a payload", i)
 		}
-		refs[i] = NormRef{Norm: binary.LittleEndian.Uint64(at), Idx: binary.LittleEndian.Uint32(at[12:])}
+		refs[i] = NormRef{Norm: binary.LittleEndian.Uint64(at), Proc: src, Idx: binary.LittleEndian.Uint32(at[12:])}
 	}
 	return nil
 }

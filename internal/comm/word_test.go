@@ -84,12 +84,12 @@ func checkWordPath(t *testing.T, name string, keys []uint64, rng *rand.Rand) {
 	kc, _ := keyCodecOf(c)
 	refs := make([]NormRef, len(keys))
 	for i, k := range keys {
-		refs[i] = NormRef{Norm: kc.(KeyNormalizer[K]).Norm(k), Idx: rng.Uint32()}
+		refs[i] = NormRef{Norm: kc.(KeyNormalizer[K]).Norm(k), Proc: src, Idx: rng.Uint32()}
 	}
 	for _, pair := range [][2]Codec[K]{{c, gen}, {NewRecordCodec[K](c), NewRecordCodec[K](gen)}} {
 		word, generic := pair[0], pair[1]
-		wire := EncodeRefs(nil, refs, src, word)
-		if want := EncodeRefs(nil, refs, src, generic); !bytes.Equal(wire, want) {
+		wire := EncodeRefs(nil, refs, word)
+		if want := EncodeRefs(nil, refs, generic); !bytes.Equal(wire, want) {
 			t.Fatalf("%s: refs encode to\n%x\nby word, to\n%x\ngeneric", name, wire, want)
 		}
 		back, rest, err := DecodeRefsSlab(wire, len(refs), src, word, nil)

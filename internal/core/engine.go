@@ -60,11 +60,9 @@ type node[K cmp.Ordered] struct {
 	// entryPool recycles this processor's entry and merge-scratch slabs
 	// across sorts, so a pipelined SortMany run reuses buffers instead
 	// of reallocating per dataset; refPool does the same for the
-	// (norm, index) refs steps 1 and 6 sort and merge, and provPool for
-	// the provenance words step 6 keeps beside a sort by ref's refs.
+	// (norm, node, index) refs steps 1 and 6 sort and merge.
 	entryPool *alloc.SlabPool[comm.Entry[K]]
 	refPool   alloc.SlabPool[lsort.NormRef]
-	provPool  alloc.SlabPool[uint64]
 
 	mbMu      sync.Mutex
 	mbs       map[mbKey]*mailbox[comm.Message[K]]
@@ -254,14 +252,6 @@ func (j job[K]) source(i int) shareSource[K] {
 	return &keySource[K]{keys: j.parts[i], node: uint32(i)}
 }
 
-func (j job[K]) size() int {
-	n := 0
-	for i := 0; i < j.nparts(); i++ {
-		n += j.partLen(i)
-	}
-	return n
-}
-
 // checkJob validates the shape of one distributed dataset.
 func (e *Engine[K]) checkJob(j job[K]) error {
 	if j.nparts() != e.opts.Procs {
@@ -354,7 +344,7 @@ func (e *Engine[K]) SortMany(datasets ...[][]K) ([]*Result[K], error) {
 }
 
 // SortManyWith is SortMany with cancellation and explicit scheduling
-// knobs (inflight cap, admission order, or the naive unbounded baseline).
+// knobs (inflight cap, retries, or the naive unbounded baseline).
 func (e *Engine[K]) SortManyWith(ctx context.Context, opts SortManyOpts, datasets ...[][]K) ([]*Result[K], error) {
 	return NewScheduler(e, opts).Run(ctx, datasets)
 }
@@ -406,7 +396,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 			byRef:  byRef,
 			runs: runFormer[K]{
 				ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
-				pool: n.entryPool, refPool: &n.refPool, provPool: &n.provPool, tracker: &n.tracker,
+				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker,
 			},
 		}
 		if err := checkShare(runs[i].src); err != nil {

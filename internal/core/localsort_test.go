@@ -60,7 +60,7 @@ func TestRadixPathFloat64TotalOrder(t *testing.T) {
 // TestPoolingBalancesAndReuses: the Figure-11 temp-memory accounting
 // must balance to zero after every sort with pooling on, a second sort on
 // the same engine must actually reuse pooled slabs — entry slabs, the ref
-// slabs of steps 1 and 6 and a sort by ref's provenance slab alike — and
+// slabs of steps 1 and 6 alike — and
 // a sort failing at any stage must return every slab it took. Both paths
 // are held to their own slab counts: a key-only sort under a codec
 // without Denorm goes by entry, one under U64Codec by ref.
@@ -94,7 +94,6 @@ func poolingCase(t *testing.T, codec comm.Codec[uint64], byRef bool) {
 	for i, n := range eng.nodes {
 		entryGets, entryHits, entryPuts := n.entryPool.Stats()
 		refGets, refHits, refPuts := n.refPool.Stats()
-		provGets, provHits, provPuts := n.provPool.Stats()
 		// Four ref slabs a sort either way: step 1's refs and its scratch
 		// half (the one the sorted share lands in is read through step 5),
 		// and step 6's two halves. Every sort after the first finds all four
@@ -110,19 +109,13 @@ func poolingCase(t *testing.T, codec comm.Codec[uint64], byRef bool) {
 			if entryGets != 2*sorts || entryPuts != 2*sorts || entryHits != 2*(sorts-1) {
 				t.Fatalf("node %d: entry pool saw %d gets, %d hits, %d puts over %d sorts", i, entryGets, entryHits, entryPuts, sorts)
 			}
-			if provGets != 0 || provPuts != 0 {
-				t.Fatalf("node %d: a sort by entry took %d provenance slabs", i, provGets)
-			}
 			continue
 		}
-		// By ref no entry slab is taken: the share is refs and the result
-		// is built at its exact size.
+		// By ref no other slab is taken: the share is refs, the landed
+		// refs are the entries they stand for, and the result is built at
+		// its exact size.
 		if entryGets != 0 || entryPuts != 0 {
 			t.Fatalf("node %d: a sort by ref took %d entry slabs and returned %d", i, entryGets, entryPuts)
-		}
-		// And one provenance slab, step 6's.
-		if provGets != sorts || provPuts != sorts || provHits != sorts-1 {
-			t.Fatalf("node %d: provenance pool saw %d gets, %d hits, %d puts over %d sorts", i, provGets, provHits, provPuts, sorts)
 		}
 	}
 	t.Cleanup(failpoint.Reset)

@@ -5,8 +5,8 @@
 // manager is the goroutines each step starts for itself (WorkersPerProc
 // bounds the steps that split their work):
 //
-//  1. parallel local sort: one radix over (norm, index) refs of the
-//     keys, each pass split into equal slices among the workers, so the
+//  1. parallel local sort: one radix over (norm, node, index) refs of
+//     the keys, each pass split into equal slices among the workers, so the
 //     slices need no merge. One run former (runs.go) does it over one
 //     indexed source — a node's keys or records, or the chunk an upload
 //     spool stages — in one chunk when the share fits
@@ -24,12 +24,13 @@
 //     otherwise of the entries the refs stand for, built once, here
 //  6. merge of the received runs with the balanced merging handler (Fig 2),
 //     after the exchange barrier, in one of two exchange sinks: resident
-//     — every sort lands one (norm, position) ref a received entry, and
-//     beside it a sort by ref's provenance word or every other sort's
-//     entry; the refs are merged and each entry built or gathered once,
-//     into the exact-size result — or, when the runs exceed
-//     Options.MemoryBudget, spilled — streamed back from spill files, a
-//     sort by ref's chunks turned into entries on the way in
+//     — every sort lands one ref a received entry: a sort by ref the
+//     refs it received, each the key-only entry it stands for, every
+//     other sort a (norm, position) ref beside the entry; the refs are
+//     merged and each entry built or gathered once, into the exact-size
+//     result — or, when the runs exceed Options.MemoryBudget, spilled —
+//     each source's run written to a scratch file, a sort by ref's refs
+//     as the entries they stand for, and streamed back
 //
 // Every entry keeps its provenance (origin processor and index), the
 // result supports binary search and top-k retrieval, and several datasets
@@ -97,10 +98,10 @@ type Options struct {
 	// ignoring the environment.
 	MemoryBudget int64
 	// SpillDir is where spilled runs live: a stage that spills writes all
-	// of its runs to one scratch file in it. The file is unlinked the
-	// moment it is created (pgxsort-*.scratch, gone from the directory at
-	// once), so it is only a descriptor, and a crash leaves nothing
-	// behind. The engine keeps its scratch files across stages and sorts:
+	// of its runs to one scratch file in it. The file has no name — on
+	// Linux it is opened with O_TMPFILE, elsewhere it is unlinked the
+	// moment it is created (pgxsort-*.scratch) — so it is only a
+	// descriptor, and a crash leaves nothing behind. The engine keeps its scratch files across stages and sorts:
 	// never more than stages spilled at once, each cut to what its last
 	// stage wrote, all closed by Close. Empty uses the system temp dir.
 	// Put it on the fastest disk available: spill I/O sits on the

@@ -300,9 +300,6 @@ func TestRefsPathPanicGivesEverythingBack(t *testing.T) {
 		if gets, _, puts := n.refPool.Stats(); gets != puts {
 			t.Errorf("ref pool saw %d gets and %d puts", gets, puts)
 		}
-		if gets, _, puts := n.provPool.Stats(); gets != puts {
-			t.Errorf("provenance pool saw %d gets and %d puts", gets, puts)
-		}
 	}
 	for _, workers := range []int{1, 2} {
 		e := newTestEngine(t, Options{Procs: 3, WorkersPerProc: workers, MemoryBudget: -1})
@@ -341,7 +338,7 @@ func TestRefsPathPanicGivesEverythingBack(t *testing.T) {
 		for src := 0; src < 3; src++ {
 			refs := make([]lsort.NormRef, 2000)
 			for i := range refs {
-				refs[i] = lsort.NormRef{Norm: uint64(3*i + src), Idx: uint32(i)}
+				refs[i] = lsort.NormRef{Norm: uint64(3*i + src), Proc: uint32(src), Idx: uint32(i)}
 			}
 			if err := sink.Write(comm.Message[uint64]{Kind: comm.KData, Src: src, Refs: refs}); err != nil {
 				t.Fatal(err)

@@ -32,13 +32,13 @@ import (
 
 // shareSource is one node's step-1 input: keys that stay where they are
 // for the whole sort, addressed by their index in the source. The former
-// sorts one (norm, index) ref per key and never moves a key, so the
-// sorted share is refs into the source — Idx a key's index, the node its
-// origin — and steps 2 to 5 read keys and build entries through it.
+// sorts one (norm, node, index) ref per key and never moves a key, so the
+// sorted share is refs into the source — Proc the node, Idx a key's
+// index — and steps 2 to 5 read keys and build entries through it.
 type shareSource[K cmp.Ordered] interface {
 	// size is how many keys the source holds.
 	size() int
-	// refs writes dst[i] = (norm of key lo+i, lo+i).
+	// refs writes dst[i] = (norm of key lo+i, the node, lo+i).
 	refs(dst []lsort.NormRef, lo int, norm func(K) uint64)
 	// less orders the keys at two indexes.
 	less(i, j uint32) bool
@@ -72,7 +72,7 @@ func (s *keySource[K]) size() int { return len(s.keys) }
 
 func (s *keySource[K]) refs(dst []lsort.NormRef, lo int, norm func(K) uint64) {
 	for i, k := range s.keys[lo : lo+len(dst)] {
-		dst[i] = lsort.NormRef{Norm: norm(k), Idx: uint32(lo + i)}
+		dst[i] = lsort.NormRef{Norm: norm(k), Proc: s.node, Idx: uint32(lo + i)}
 	}
 }
 
@@ -101,7 +101,7 @@ func (s *recSource[K]) size() int { return len(s.recs) }
 
 func (s *recSource[K]) refs(dst []lsort.NormRef, lo int, norm func(K) uint64) {
 	for i := range s.recs[lo : lo+len(dst)] {
-		dst[i] = lsort.NormRef{Norm: norm(s.recs[lo+i].Key), Idx: uint32(lo + i)}
+		dst[i] = lsort.NormRef{Norm: norm(s.recs[lo+i].Key), Proc: s.node, Idx: uint32(lo + i)}
 	}
 }
 
@@ -123,13 +123,11 @@ type runFormer[K cmp.Ordered] struct {
 	codec   comm.Codec[K]
 	cmps    sortCmps[K]
 	workers int
-	// pool, refPool, provPool and tracker supply and account every slab
-	// the former takes: staging, refs, provenance words, merge batches and
-	// the readers' decoded blocks.
-	pool     *alloc.SlabPool[comm.Entry[K]]
-	refPool  *alloc.SlabPool[lsort.NormRef]
-	provPool *alloc.SlabPool[uint64]
-	tracker  *alloc.Tracker
+	// pool, refPool and tracker supply and account every slab the former
+	// takes: staging, refs, merge batches and the readers' decoded blocks.
+	pool    *alloc.SlabPool[comm.Entry[K]]
+	refPool *alloc.SlabPool[lsort.NormRef]
+	tracker *alloc.Tracker
 	// Spilled runs are blocks of a scratch file, one file per spilling
 	// stage: whoever needs the stage's runs on disk creates it, hands it
 	// to sortRefs or writeRun, and closes it once the runs are consumed.
@@ -155,14 +153,12 @@ func giveSlab[E any](tracker *alloc.Tracker, pool *alloc.SlabPool[E], slab []E) 
 	pool.Put(slab)
 }
 
-// take, takeRefs and takeProv hand out entry, ref and provenance slabs;
-// give, giveRefs and giveProv return them.
+// take and takeRefs hand out entry and ref slabs; give and giveRefs
+// return them.
 func (f *runFormer[K]) take(n int) []comm.Entry[K]     { return takeSlab(f.tracker, f.pool, n) }
 func (f *runFormer[K]) give(slab []comm.Entry[K])      { giveSlab(f.tracker, f.pool, slab) }
 func (f *runFormer[K]) takeRefs(n int) []lsort.NormRef { return takeSlab(f.tracker, f.refPool, n) }
 func (f *runFormer[K]) giveRefs(slab []lsort.NormRef)  { giveSlab(f.tracker, f.refPool, slab) }
-func (f *runFormer[K]) takeProv(n int) []uint64        { return takeSlab(f.tracker, f.provPool, n) }
-func (f *runFormer[K]) giveProv(slab []uint64)         { giveSlab(f.tracker, f.provPool, slab) }
 
 // refBytes is the in-memory size of one lsort.NormRef.
 const refBytes = int64(unsafe.Sizeof(lsort.NormRef{}))
@@ -236,7 +232,7 @@ func (f *runFormer[K]) sortRefs(src shareSource[K], chunk int, node uint32, to *
 			return nil, err
 		}
 		m := min(chunk, n-lo)
-		run, err := f.writeRefRun(to, f.sortStaged(src, lo, refs[:m], refs[chunk:chunk+m]), node)
+		run, err := f.writeRefRun(to, f.sortStaged(src, lo, refs[:m], refs[chunk:chunk+m]))
 		if err != nil {
 			return nil, err
 		}
@@ -256,12 +252,11 @@ func (f *runFormer[K]) sortRefs(src shareSource[K], chunk int, node uint32, to *
 // index), 16 bytes, and read back as the ref it is.
 type refRunCodec = comm.U64Codec
 
-// writeRefRun writes sorted refs from node to the scratch file as one
-// run.
-func (f *runFormer[K]) writeRefRun(to *spill.Scratch, refs []lsort.NormRef, node uint32) (spill.Run, error) {
+// writeRefRun writes sorted refs to the scratch file as one run.
+func (f *runFormer[K]) writeRefRun(to *spill.Scratch, refs []lsort.NormRef) (spill.Run, error) {
 	w := spill.NewRunWriter(to, refRunCodec{}, f.blockBytes)
 	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
-	return seal(f, w, w.AppendRefs(refs, node))
+	return seal(f, w, w.AppendRefs(refs))
 }
 
 // writeRun writes the entries a sorted cursor yields to the scratch file

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,37 +19,12 @@ import (
 // one dataset in a communication stage while a second computes.
 const DefaultMaxInflight = 2
 
-// AdmitOrder selects the order in which SortMany admits datasets into the
-// pipeline. Results are always returned in input order regardless.
-type AdmitOrder int
-
-const (
-	// OrderInput admits datasets in the order they were passed (default).
-	OrderInput AdmitOrder = iota
-	// OrderSmallestFirst admits smaller datasets first, which lowers the
-	// mean completion latency of a mixed batch (shortest-job-first).
-	OrderSmallestFirst
-)
-
-func (o AdmitOrder) String() string {
-	switch o {
-	case OrderInput:
-		return "input"
-	case OrderSmallestFirst:
-		return "smallest-first"
-	default:
-		return fmt.Sprintf("AdmitOrder(%d)", int(o))
-	}
-}
-
 // SortManyOpts configures the pipelined multi-dataset scheduler.
 type SortManyOpts struct {
 	// MaxInflight caps how many datasets are admitted at once. 0 uses
 	// the engine's Options.MaxInflight (default 2); 1 degenerates to
 	// strictly sequential execution.
 	MaxInflight int
-	// Order selects the admission order (see AdmitOrder).
-	Order AdmitOrder
 	// Naive disables the staged scheduler and fires every dataset at
 	// once with unbounded concurrency — the pre-scheduler behaviour.
 	// Only the root package's BenchmarkSortManyPipeline sets it, as its
@@ -261,20 +235,6 @@ func (s *Scheduler[K]) noteAdmit(delta int) {
 	s.mu.Unlock()
 }
 
-// admitOrder returns job indices in admission order.
-func (s *Scheduler[K]) admitOrder(jobs []job[K]) []int {
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	if s.opts.Order == OrderSmallestFirst {
-		sort.SliceStable(order, func(a, b int) bool {
-			return jobs[order[a]].size() < jobs[order[b]].size()
-		})
-	}
-	return order
-}
-
 // Run sorts every key dataset, returning results indexed by input
 // position. Failed datasets leave a nil slot and their errors — wrapped
 // with the dataset index — are joined into the returned error, so one
@@ -356,7 +316,7 @@ func (s *Scheduler[K]) runJobs(ctx context.Context, jobs []job[K]) ([]*Result[K]
 			results[idx] = res
 		}()
 	}
-	for _, idx := range s.admitOrder(jobs) {
+	for idx := range jobs {
 		if err := s.eng.checkJob(jobs[idx]); err != nil {
 			errs[idx] = fmt.Errorf("dataset %d: %w", idx, err)
 			continue

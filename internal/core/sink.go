@@ -9,6 +9,7 @@ import (
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
 	"pgxsort/internal/lsort"
+	"pgxsort/internal/spill"
 )
 
 // exchangeSink is where one node's exchange lands and what step 6 runs
@@ -34,31 +35,40 @@ type exchangeSink[K any] interface {
 }
 
 // newExchangeSink picks the sink for an exchange that will deliver
-// perSrc[i] entries from source i. The choice weighs entries whatever the
-// sort carries: the result is entries either way. A resident share of
-// more entries than a ref's uint32 position can address is refused here,
-// as step 1 refuses such a share, before any slab is taken.
+// perSrc[i] entries from source i. The counts come from the peers' range
+// metadata and are checked once, before either sink takes a slab or a
+// scratch file: a negative one is an error. The choice weighs entries
+// whatever the sort carries: the result is entries either way. A resident
+// share of more entries than a ref's uint32 position can address is
+// refused here, as step 1 refuses such a share.
 func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
-	n := s.node
 	total := 0
-	for _, c := range perSrc {
+	for src, c := range perSrc {
+		if c < 0 {
+			return nil, fmt.Errorf("range metadata from %d announces %d entries", src, c)
+		}
 		total += c
 	}
+	regions := datamgr.NewRegions(perSrc)
 	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*int64(entryBytes[K]()) > budget {
-		sp, err := datamgr.NewSpillAssembly(n.dm, perSrc, s.codec, n.eng.scratch)
+		scratch, err := s.node.eng.scratch.Take()
 		if err != nil {
 			return nil, err
 		}
-		return &spilledSink[K]{SpillAssembly: sp, s: s}, nil
+		sp := &spilledSink[K]{Regions: regions, s: s, scratch: scratch, writers: make([]*spill.Writer[K], len(perSrc))}
+		for src, c := range perSrc {
+			if c > 0 {
+				sp.writers[src] = spill.NewRunWriter(scratch, s.codec, 0)
+			}
+		}
+		return sp, nil
 	}
 	if uint64(total) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: %d entries to assemble on one node", ErrShareTooLarge, total)
 	}
 	f := &s.runs
-	r := &residentSink[K]{Regions: datamgr.NewRegions(perSrc), s: s, refs: f.takeRefs(total)}
-	if s.byRef {
-		r.prov = f.takeProv(total)
-	} else {
+	r := &residentSink[K]{Regions: regions, s: s, refs: f.takeRefs(total)}
+	if !s.byRef {
 		r.entries = f.take(total)
 	}
 	return r, nil
@@ -67,37 +77,31 @@ func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 // residentSink assembles the runs in memory at precomputed offsets and
 // merges them with the paper's balanced merging handler (Figure 2) after
 // the exchange barrier. Whatever the sort carries, what lands is one
-// (norm, position) ref a position, and beside it what the ref stands for:
-// a sort by ref's provenance word (origin node << 32 | origin index), 24
-// bytes a position, or every other sort's entry, 40 + 16.
+// 16-byte ref a position. A sort by ref's refs are the key-only entries
+// they stand for (norm, origin node, origin index) and land as they are;
+// every other sort's entry lands beside a (norm, position) ref written
+// from its key, 40 + 16 bytes a position.
 type residentSink[K cmp.Ordered] struct {
 	*datamgr.Regions
 	s *sortRun[K]
 
-	refs    []lsort.NormRef // (norm, position), one a position
-	prov    []uint64        // a sort by ref's
-	entries []comm.Entry[K] // every other sort's
+	refs    []lsort.NormRef // one a position
+	entries []comm.Entry[K] // every sort's but a sort by ref's
 }
 
-// Write lands one chunk at the positions it claims: a ref is rewritten
-// to address its position, its origin kept beside it; an entry is copied
-// and its ref written from its key.
+// Write lands one chunk at the positions it claims: refs are copied as
+// they are; an entry is copied and its ref written from its key.
 func (r *residentSink[K]) Write(m comm.Message[K]) error {
 	at, err := r.Claim(m.Src, m.DataLen())
 	if err != nil {
 		return err
 	}
-	refs := r.refs[at : at+m.DataLen()]
 	if r.s.byRef {
-		src := uint64(m.Src) << 32
-		for i, ref := range m.Refs {
-			refs[i] = lsort.NormRef{Norm: ref.Norm, Idx: uint32(at + i)}
-			r.prov[at+i] = src | uint64(ref.Idx)
-		}
+		copy(r.refs[at:], m.Refs)
 		return nil
 	}
 	copy(r.entries[at:], m.Entries)
-	norm := r.s.runs.cmps.norm
+	refs, norm := r.refs[at:at+len(m.Entries)], r.s.runs.cmps.norm
 	for i := range m.Entries {
 		refs[i] = lsort.NormRef{Norm: norm(m.Entries[i].Key), Idx: uint32(at + i)}
 	}
@@ -107,16 +111,17 @@ func (r *residentSink[K]) Write(m comm.Message[K]) error {
 // merge is step 6 over the assembled runs: the refs merged as step 1
 // sorts them, then one pass that writes the result in the merged order.
 //
-// Each source's region is a sorted ref run, positions ascend from one run
-// to the next and every merge and split is left-run-first, so equal
-// norms leave in position order — source order, then arrival order,
-// which is what the stable entry merge produces. An inexact norm has its
-// equal-norm runs finished under the real keys, as in step 1.
+// Each source's region is a sorted ref run, the runs lie in source
+// order and every merge and split is left-run-first, so equal norms
+// leave in position order — source order, then arrival order, which is
+// what the stable entry merge produces; no tie is broken by Proc or Idx.
+// An inexact norm has its equal-norm runs finished under the real keys
+// (entries, never a sort by ref), as in step 1.
 //
 // The result is allocated at its exact size. The merge takes a second ref
 // slab and gives back the one it did not finish in before the result
 // exists: over entries that is 40 + 32 B an entry while merging and
-// 40 + 16 + 40 while gathering; by ref 24 + 16 while merging and 24 + 40
+// 40 + 16 + 40 while gathering; by ref 16 + 16 while merging and 16 + 40
 // while the result is written. Every slab returns to its pool on every
 // exit.
 func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
@@ -152,7 +157,7 @@ func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 	defer f.tracker.Free(resultBytes)
 	out := make([]comm.Entry[K], total)
 	if r.s.byRef {
-		f.split(total, func(lo, hi int) { refEntries(out, r.refs, r.prov, f.cmps.denorm, lo, hi) })
+		f.split(total, func(lo, hi int) { refEntries(out, r.refs, f.cmps.denorm, lo, hi) })
 	} else {
 		f.split(total, func(lo, hi int) { gatherEntries(out, r.entries, r.refs, lo, hi) })
 	}
@@ -188,14 +193,13 @@ func gatherEntries[K any](out, buf []comm.Entry[K], order []lsort.NormRef, lo, h
 	}
 }
 
-// refEntries writes out[j], for lo <= j < hi, as the entry order[j]
-// stands for: its key is the norm's inverse, its origin the provenance
-// word at the ref's position.
-func refEntries[K any](out []comm.Entry[K], order []lsort.NormRef, prov []uint64, denorm func(uint64) K, lo, hi int) {
+// refEntries writes out[j], for lo <= j < hi, as the key-only entry
+// order[j] stands for: its key is the norm's inverse, its origin the
+// ref's own.
+func refEntries[K any](out []comm.Entry[K], order []lsort.NormRef, denorm func(uint64) K, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		ref := order[j]
-		origin := prov[ref.Idx]
-		out[j] = comm.Entry[K]{Key: denorm(ref.Norm), Proc: uint32(origin >> 32), Index: uint32(origin)}
+		out[j] = comm.Entry[K]{Key: denorm(ref.Norm), Proc: ref.Proc, Index: ref.Idx}
 	}
 }
 
@@ -203,27 +207,50 @@ func refEntries[K any](out []comm.Entry[K], order []lsort.NormRef, prov []uint64
 func (r *residentSink[K]) discard() {
 	f := &r.s.runs
 	f.giveRefs(r.refs)
-	f.giveProv(r.prov)
 	f.give(r.entries)
-	r.refs, r.prov, r.entries = nil, nil, nil
+	r.refs, r.entries = nil, nil
 }
 
-// spilledSink lands every source's run in one scratch file and merges
-// them back through streaming cursors, so the assembled runs are never
-// resident; the merged part is the only resident output.
+// spilledSink lands every source's run in one scratch file, taken from
+// the engine's spill.ScratchPool, and merges them back through streaming
+// cursors, so the assembled runs are never resident; the merged part is
+// the only resident output. It lays the sources out by the same Regions
+// as the resident sink, and each non-empty source streams through its
+// own spill.Writer, a block at a time: sources write concurrently, as
+// the scratch gives every block its own offset, and an open source holds
+// its writer's one block buffer and nothing per entry.
 type spilledSink[K cmp.Ordered] struct {
-	*datamgr.SpillAssembly[K]
-	s *sortRun[K]
+	*datamgr.Regions
+	s       *sortRun[K]
+	scratch *spill.Scratch     // nil once given back
+	writers []*spill.Writer[K] // nil for sources expecting nothing
 }
 
-// Write appends one chunk to its source's run: a sort by ref's refs go
-// on disk as the key-only entries they stand for, written straight from
-// the refs, so the runs are what the entry path writes.
+// Write appends one chunk to its source's run, sealing the run once its
+// expected count has landed. A sort by ref's refs go on disk as the
+// key-only entries they stand for, written straight from the refs, so the
+// runs are what the entry path writes.
 func (sp *spilledSink[K]) Write(m comm.Message[K]) error {
-	if m.Refs != nil {
-		return sp.WriteRefs(m.Src, m.Refs)
+	n := m.DataLen()
+	at, err := sp.Claim(m.Src, n)
+	if err != nil {
+		return err
 	}
-	return sp.SpillAssembly.Write(m.Src, m.Entries)
+	w := sp.writers[m.Src]
+	if w == nil {
+		// A source expecting nothing has no run; the only chunk that can
+		// reach it is an empty one (a node's own empty range).
+		return nil
+	}
+	if m.Refs != nil {
+		err = w.AppendRefs(m.Refs)
+	} else {
+		err = w.Append(m.Entries)
+	}
+	if err == nil && at+n == sp.Bounds()[m.Src+1] {
+		err = w.Finish()
+	}
+	return err
 }
 
 // merge streams the source runs back through the former's merge — one
@@ -231,17 +258,35 @@ func (sp *spilledSink[K]) Write(m comm.Message[K]) error {
 // tie-breaking by cursor index stays source order — straight into the
 // result, allocated at its exact size as the resident sink's is.
 // Temporary memory is just the decoded blocks — one slab per non-empty
-// source — and the merge's ref slab, however large the runs are. The scratch file goes
-// back to the engine on every path.
+// source — and the merge's ref slab, however large the runs are. The
+// scratch file goes back to the engine on every path.
 func (sp *spilledSink[K]) merge() ([]comm.Entry[K], error) {
-	defer sp.Close()
-	s := sp.s
-	s.runs.spillBytes.Add(sp.SpillBytes())
-	merged := make([]comm.Entry[K], sp.Total())
-	if err := s.runs.mergeInto(merged, sp.Runs()); err != nil {
+	defer sp.discard()
+	f := &sp.s.runs
+	runs := make([]spill.Run, len(sp.writers))
+	for src, w := range sp.writers {
+		if w != nil {
+			f.spillBytes.Add(w.BytesWritten())
+			runs[src] = w.Run()
+		}
+	}
+	bounds := sp.Bounds()
+	merged := make([]comm.Entry[K], bounds[len(bounds)-1])
+	if err := f.mergeInto(merged, runs); err != nil {
 		return nil, err
 	}
 	return merged, nil
 }
 
-func (sp *spilledSink[K]) discard() { sp.Close() }
+// discard lets go of every unsealed writer's block buffer and gives the
+// scratch file back, once however often it is called, and at any point
+// once no reader of the runs is open.
+func (sp *spilledSink[K]) discard() {
+	for _, w := range sp.writers {
+		if w != nil {
+			w.Abort()
+		}
+	}
+	sp.s.node.eng.scratch.Give(sp.scratch)
+	sp.scratch = nil
+}

@@ -1,27 +1,30 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
+	"pgxsort/internal/lsort"
 	"pgxsort/internal/spill"
 )
 
-// poolTraffic totals every node's slab-pool gets and puts, entry, ref
-// and provenance pools alike.
+// poolTraffic totals every node's slab-pool gets and puts, entry and ref
+// pools alike.
 func poolTraffic(e *Engine[uint64]) (gets, puts int64) {
 	for _, n := range e.nodes {
 		g, _, p := n.entryPool.Stats()
-		pg, _, pp := n.provPool.Stats()
-		gets += g + pg
-		puts += p + pp
+		gets += g
+		puts += p
 	}
 	refGets, refPuts := refTraffic(e)
 	return gets + refGets, puts + refPuts
@@ -195,5 +198,161 @@ func TestSinkErrorExits(t *testing.T) {
 			checkNoLeak(t, e)
 			requireEmptyDir(t, dir)
 		})
+	}
+}
+
+// TestSpilledSink holds the spilled sink to its own bookkeeping. Chunks
+// from every source, written concurrently, read back as that source's
+// run, entries and refs alike, each run complete once its count has
+// landed, and the merge is the stable merge of the runs. A source
+// expecting nothing has no run, and an empty chunk for it is a no-op. A
+// chunk past its source's region, or from no source, is an error. And
+// discard gives the scratch file back exactly once however often it is
+// called, SpillDir never showing it.
+func TestSpilledSink(t *testing.T) {
+	newSink := func(t *testing.T, perSrc []int, byRef bool) (*spilledSink[uint64], string) {
+		t.Helper()
+		dir := t.TempDir()
+		s := testSortRun(newTestEngine(t, Options{Procs: len(perSrc), MemoryBudget: 1, SpillDir: dir}))
+		s.byRef = byRef
+		sink, err := s.newExchangeSink(perSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sink.(*spilledSink[uint64]), dir
+	}
+
+	for _, byRef := range []bool{false, true} {
+		t.Run(fmt.Sprintf("runs-read-back/byRef=%v", byRef), func(t *testing.T) {
+			perSrc := []int{1000, 0, 2500, 7}
+			sink, dir := newSink(t, perSrc, byRef)
+			runs := make([][]comm.Entry[uint64], len(perSrc))
+			var wg sync.WaitGroup
+			for src, n := range perSrc {
+				runs[src] = make([]comm.Entry[uint64], n)
+				for i := range runs[src] {
+					runs[src][i] = comm.Entry[uint64]{Key: uint64(i), Proc: uint32(src), Index: uint32(i)}
+				}
+				wg.Add(1)
+				go func(run []comm.Entry[uint64]) {
+					defer wg.Done()
+					for lo := 0; lo < len(run); lo += 300 {
+						m := comm.Message[uint64]{Kind: comm.KData, Src: src, Entries: run[lo:min(lo+300, len(run))]}
+						if byRef {
+							m.Refs = make([]lsort.NormRef, len(m.Entries))
+							for i, e := range m.Entries {
+								m.Refs[i] = lsort.NormRef{Norm: e.Key, Proc: e.Proc, Idx: e.Index}
+							}
+							m.Entries = nil
+						}
+						if err := sink.Write(m); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(runs[src])
+			}
+			wg.Wait()
+			for src, run := range runs {
+				if !sink.RunComplete(src) {
+					t.Fatalf("source %d not complete after all its writes", src)
+				}
+				if w := sink.writers[src]; (w == nil) != (len(run) == 0) {
+					t.Fatalf("source %d of %d entries: writer %v", src, len(run), w)
+				}
+				if len(run) > 0 {
+					got := readRun(t, sink.writers[src].Run())
+					if !slices.EqualFunc(got, run, sameKeyEntry) {
+						t.Fatalf("source %d: its run reads back otherwise", src)
+					}
+				}
+			}
+			want := slices.SortedStableFunc(slices.Values(slices.Concat(runs...)), func(a, b comm.Entry[uint64]) int {
+				return cmp.Compare(a.Key, b.Key)
+			})
+			got, err := sink.merge()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(got, want, sameKeyEntry) {
+				t.Fatal("the merge is not the stable merge of the runs")
+			}
+			if sink.s.runs.spillBytes.Load() <= 0 {
+				t.Fatal("no spilled bytes counted")
+			}
+			requireEmptyDir(t, dir)
+		})
+	}
+
+	t.Run("empty-source-has-no-run", func(t *testing.T) {
+		sink, _ := newSink(t, []int{0, 1}, false)
+		defer sink.discard()
+		if sink.writers[0] != nil || !sink.RunComplete(0) {
+			t.Fatal("a source expecting nothing has a run, or is not complete from the start")
+		}
+		if err := sink.Write(comm.Message[uint64]{Kind: comm.KData, Src: 0}); err != nil {
+			t.Fatalf("empty chunk for a source expecting nothing: %v", err)
+		}
+		if err := sink.Write(comm.Message[uint64]{Kind: comm.KData, Src: 1, Entries: []comm.Entry[uint64]{{Key: 7, Proc: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		if !sink.RunComplete(1) {
+			t.Fatal("source 1 not complete after its only expected entry landed")
+		}
+	})
+
+	t.Run("region-overflow-is-an-error", func(t *testing.T) {
+		sink, _ := newSink(t, []int{2}, false)
+		defer sink.discard()
+		if err := sink.Write(comm.Message[uint64]{Kind: comm.KData, Src: 0, Entries: make([]comm.Entry[uint64], 3)}); err == nil {
+			t.Fatal("a chunk past its source's region landed")
+		}
+		if err := sink.Write(comm.Message[uint64]{Kind: comm.KData, Src: 1}); err == nil {
+			t.Fatal("a chunk from no source landed")
+		}
+	})
+
+	t.Run("discard-gives-the-scratch-back-once", func(t *testing.T) {
+		sink, dir := newSink(t, []int{2}, false)
+		pool, scratch := sink.s.node.eng.scratch, sink.scratch
+		sink.discard()
+		sink.discard() // idempotent
+		first, err := pool.Take()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := pool.Take()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != scratch || second == scratch {
+			t.Fatal("discard did not give the scratch file back exactly once")
+		}
+		pool.Give(first)
+		pool.Give(second)
+		requireEmptyDir(t, dir)
+	})
+}
+
+// sameKeyEntry compares two key-only entries.
+func sameKeyEntry(a, b comm.Entry[uint64]) bool {
+	return a.Key == b.Key && a.Proc == b.Proc && a.Index == b.Index && a.Payload == nil && b.Payload == nil
+}
+
+// readRun reads a sealed scratch run of uint64 entries back whole.
+func readRun(t *testing.T, run spill.Run) []comm.Entry[uint64] {
+	t.Helper()
+	r := spill.OpenRun(run, comm.U64Codec{}, spill.ReaderOpts[uint64]{})
+	defer r.Close()
+	var got []comm.Entry[uint64]
+	for {
+		batch, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 0 {
+			return got
+		}
+		got = append(got, batch...)
 	}
 }

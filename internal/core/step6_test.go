@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
+	"pgxsort/internal/failpoint"
 	"pgxsort/internal/lsort"
 	"pgxsort/internal/sample"
+	"pgxsort/internal/spill"
 )
 
 // testSortRun is a sort run on node 0 of e outside any sort, for a test
@@ -23,7 +26,7 @@ func testSortRun[K cmp.Ordered](e *Engine[K]) *sortRun[K] {
 	n := e.nodes[0]
 	return &sortRun[K]{node: n, opts: e.opts, codec: e.codec, ctx: context.Background(), cmps: cmps,
 		runs: runFormer[K]{ctx: context.Background(), codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
-			pool: n.entryPool, refPool: &n.refPool, provPool: &n.provPool, tracker: &n.tracker}}
+			pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker}}
 }
 
 // step6Sink is the resident sink of a sort run on node 0 of a fresh
@@ -74,7 +77,7 @@ func step6Sink[K cmp.Ordered](t *testing.T, codec comm.Codec[K], bySrc [][]K, pa
 
 // step6Land writes each source's run into the sink as one KData message,
 // as the exchange delivers it: entries, or on a sort by ref the refs
-// (norm, origin index) standing for them.
+// (norm, origin node, origin index) standing for them.
 func step6Land[K cmp.Ordered](t *testing.T, s *sortRun[K], sink *residentSink[K], runs [][]comm.Entry[K]) {
 	t.Helper()
 	for src, run := range runs {
@@ -82,7 +85,7 @@ func step6Land[K cmp.Ordered](t *testing.T, s *sortRun[K], sink *residentSink[K]
 		if s.byRef {
 			m.Entries, m.Refs = nil, make([]lsort.NormRef, len(run))
 			for i, e := range run {
-				m.Refs[i] = lsort.NormRef{Norm: s.cmps.norm(e.Key), Idx: e.Index}
+				m.Refs[i] = lsort.NormRef{Norm: s.cmps.norm(e.Key), Proc: e.Proc, Idx: e.Index}
 			}
 		}
 		if err := sink.Write(m); err != nil {
@@ -143,25 +146,19 @@ func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 
 // checkSlabsBack holds node n's pools to one step-6 sink's slabs, every
 // one of them back: the ref slab and the merge's spare, and beside them
-// one provenance slab by ref or one entry slab otherwise — none of them
-// taken when nothing landed.
+// one entry slab unless the sink is by ref, which takes ref slabs only —
+// no entry slab taken when nothing landed.
 func checkSlabsBack[K cmp.Ordered](t *testing.T, label string, n *node[K], landed, byRef bool) {
 	t.Helper()
 	if gets, _, puts := n.refPool.Stats(); gets != puts {
 		t.Errorf("%s: ref pool saw %d gets and %d puts", label, gets, puts)
 	}
-	var entries, prov int64
-	switch {
-	case landed && byRef:
-		prov = 1
-	case landed:
+	var entries int64
+	if landed && !byRef {
 		entries = 1
 	}
 	if gets, _, puts := n.entryPool.Stats(); gets != entries || puts != entries {
 		t.Errorf("%s: entry pool saw %d gets and %d puts, want %d and %d", label, gets, puts, entries, entries)
-	}
-	if gets, _, puts := n.provPool.Stats(); gets != prov || puts != prov {
-		t.Errorf("%s: provenance pool saw %d gets and %d puts, want %d and %d", label, gets, puts, prov, prov)
 	}
 }
 
@@ -292,28 +289,56 @@ func TestStep6RefsPanicGivesEverythingBack(t *testing.T) {
 
 // TestExchangeSinkRefusesOversizedShare: counts summing past the uint32
 // positions a ref addresses are refused with ErrShareTooLarge before the
-// resident sink takes a slab — by ref or not, none is taken and nothing is
+// resident sink takes a slab, and a negative count — range metadata is a
+// peer's word — is an error before either sink takes a slab or a scratch
+// file. By ref or not, nothing panics, nothing is taken and nothing is
 // ever accounted.
 func TestExchangeSinkRefusesOversizedShare(t *testing.T) {
-	e := newTestEngine(t, Options{Procs: 2, MemoryBudget: -1})
+	failpoint.Reset()
+	t.Cleanup(failpoint.Reset)
+	// Armed to do nothing, the create site counts the scratch files taken.
+	failpoint.Set(spill.FpCreateScratch, failpoint.Schedule{Mode: failpoint.ModeDelay, Count: -1})
+	e := newTestEngine(t, Options{Procs: 2, MemoryBudget: -1, SpillDir: t.TempDir()})
 	s := testSortRun(e)
 	n := s.node
-	for _, byRef := range []bool{false, true} {
-		s.byRef = byRef
-		_, err := s.newExchangeSink([]int{1 << 31, 1 << 31})
-		if !errors.Is(err, ErrShareTooLarge) {
-			t.Fatalf("byRef=%v: newExchangeSink returned %v, want ErrShareTooLarge", byRef, err)
-		}
-		if peak := n.tracker.Peak(); peak != 0 {
-			t.Fatalf("byRef=%v: tracker peaked at %d bytes", byRef, peak)
-		}
-		for name, pool := range map[string]interface{ Stats() (int64, int64, int64) }{
-			"entry": n.entryPool, "ref": &n.refPool, "provenance": &n.provPool,
-		} {
-			if gets, _, _ := pool.Stats(); gets != 0 {
-				t.Fatalf("byRef=%v: %s pool saw %d gets", byRef, name, gets)
+	for _, c := range []struct {
+		name    string
+		budget  int64
+		counts  []int
+		tooMany bool
+	}{
+		{"oversized", -1, []int{1 << 31, 1 << 31}, true},
+		{"negative/resident", -1, []int{5, -1}, false},
+		{"negative/spilled", 1, []int{5, -1}, false},
+	} {
+		for _, byRef := range []bool{false, true} {
+			label := fmt.Sprintf("%s/byRef=%v", c.name, byRef)
+			s.byRef, s.opts.MemoryBudget = byRef, c.budget
+			sink, err := func() (_ exchangeSink[uint64], err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panicked: %v", r)
+					}
+				}()
+				return s.newExchangeSink(c.counts)
+			}()
+			if sink != nil || err == nil || errors.Is(err, ErrShareTooLarge) != c.tooMany || strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("%s: newExchangeSink returned %v, %v", label, sink, err)
 			}
 		}
+	}
+	if peak := n.tracker.Peak(); peak != 0 {
+		t.Fatalf("tracker peaked at %d bytes", peak)
+	}
+	for name, pool := range map[string]interface{ Stats() (int64, int64, int64) }{
+		"entry": n.entryPool, "ref": &n.refPool,
+	} {
+		if gets, _, _ := pool.Stats(); gets != 0 {
+			t.Fatalf("%s pool saw %d gets", name, gets)
+		}
+	}
+	if taken := failpoint.Fired(spill.FpCreateScratch); taken != 0 {
+		t.Fatalf("%d scratch files taken", taken)
 	}
 }
 

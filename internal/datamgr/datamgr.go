@@ -86,8 +86,10 @@ func Chunks[E any](m *Manager, items []E, keyBytes int, fn func(chunk []E, last 
 // source so chunks from different sources land concurrently without
 // coordination, and chunks from the same source (which arrive in FIFO
 // order) advance a per-source cursor. Assembly is Regions over a buffer of
-// entries; the engine's resident exchange sink lays its refs out by the
-// same Regions, and its entries or provenance words beside them.
+// entries. The engine's exchange sinks lay their runs out by the same
+// Regions: the resident one holds a ref at each position and, unless the
+// sort goes by ref, an entry beside it; the spilled one appends each
+// source's chunks to that source's run in a scratch file.
 type Regions struct {
 	offsets []int // base offset per source, then the total
 	cursor  []int // next write position per source (relative to base)

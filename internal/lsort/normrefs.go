@@ -22,15 +22,15 @@ func normRefLess(a, b NormRef) bool { return a.Norm < b.Norm }
 // mergeNormRefs is mergeInto for refs under normRefLess — same output,
 // left run first on ties — with no less call and, where the runs
 // interleave, no data-dependent branch. On unpredictable input a merge
-// loop is bound by its mispredicted "which run is next" branch; selecting
-// by mask instead is bound by the load-compare-advance chain, so the main
-// loop runs two such chains at once: each iteration emits the smallest
-// remaining ref at the front of dst and the largest at its back (the
-// larger goes last; on a tie that is b's). Where one run wins for a whole
-// block the branch would have predicted after all, and a plain loop
-// follows the streak to its end. What the main loop leaves (it needs two
-// refs in each run) is merged by the plain loop, and a pair already in
-// order is two copies.
+// loop is bound by its mispredicted "which run is next" branch; picking
+// the ref by the comparison bit instead — every field of it, Proc too —
+// is bound by the load-compare-advance chain, so the main loop runs two
+// such chains at once: each iteration emits the smallest remaining ref
+// at the front of dst and the largest at its back (the larger goes last;
+// on a tie that is b's). Where one run wins for a whole block the branch
+// would have predicted after all, and a plain loop follows the streak to
+// its end. What the main loop leaves (it needs two refs in each run) is
+// merged by the plain loop, and a pair already in order is two copies.
 func mergeNormRefs(dst, a, b []NormRef) {
 	dst = dst[:len(a)+len(b)]
 	if len(a) == 0 || len(b) == 0 || b[0].Norm >= a[len(a)-1].Norm {
@@ -48,8 +48,7 @@ func mergeNormRefs(dst, a, b []NormRef) {
 		if y.Norm < x.Norm {
 			t = 1
 		}
-		m := -uint64(t)
-		dst[kf] = NormRef{Norm: x.Norm ^ (x.Norm^y.Norm)&m, Idx: x.Idx ^ (x.Idx^y.Idx)&uint32(m)}
+		dst[kf] = [2]NormRef{x, y}[t]
 		i += 1 - t
 		j += t
 		fromB += t
@@ -60,8 +59,7 @@ func mergeNormRefs(dst, a, b []NormRef) {
 		if y.Norm < x.Norm {
 			u = 1
 		}
-		m = -uint64(u)
-		dst[kb] = NormRef{Norm: y.Norm ^ (x.Norm^y.Norm)&m, Idx: y.Idx ^ (x.Idx^y.Idx)&uint32(m)}
+		dst[kb] = [2]NormRef{y, x}[u]
 		ie -= u
 		je -= 1 - u
 		kb--
@@ -124,10 +122,10 @@ func coRankNormRefs(d int, a, b []NormRef) (i, j int) {
 // MergeNormRefRuns is MergeAdjacentRunsOwned for refs ordered by Norm:
 // the same rounds of Figure 2, the same left-run-first tie rule in every
 // merge and split, over a two-run kernel that calls no function per
-// comparison. Runs whose refs carry ascending Idx from one run to the next
-// therefore merge into (Norm, Idx) order, which is how the engine's step 6
-// keeps source order, then arrival order, among equal keys without ever
-// comparing them.
+// comparison. Equal norms therefore leave in run order, and within a run
+// in position order, which is how the engine's step 6 keeps source order,
+// then arrival order, among equal keys without ever comparing them or
+// their Proc and Idx.
 func MergeNormRefRuns(refs, scratch []NormRef, bounds []int, parallel bool) (out []NormRef, fromScratch bool) {
 	return balancedMerge(refs, scratch, bounds, parallel,
 		pairKernel[NormRef]{merge: mergeNormRefs, coRank: coRankNormRefs})

@@ -10,11 +10,13 @@ import (
 	"pgxsort/internal/dist"
 )
 
-// refsOf builds the refs of a chunk in position order, as step 1 does.
+// refsOf builds the refs of a chunk in position order, as step 1 does,
+// each with a Proc of its own, so that a kernel dropping the field or
+// taking it from another ref fails ref for ref.
 func refsOf(norms []uint64) []NormRef {
 	refs := make([]NormRef, len(norms))
 	for i, k := range norms {
-		refs[i] = NormRef{Norm: k, Idx: uint32(i)}
+		refs[i] = NormRef{Norm: k, Proc: ^uint32(i), Idx: uint32(i)}
 	}
 	return refs
 }

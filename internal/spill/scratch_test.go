@@ -309,10 +309,11 @@ func TestScratchWriterFailpoint(t *testing.T) {
 	}
 }
 
-// TestNewScratchReportsLeak: a scratch file that cannot be unlinked when
-// it is created would outlive the process on disk, so NewScratch closes
-// it and fails. The file is removed from under it while the create site
-// stalls, between the create and the unlink.
+// TestNewScratchReportsLeak: on the path that names a scratch file (no
+// unnamed open), a file that cannot be unlinked when it is created would
+// outlive the process on disk, so newNamedScratch closes it and fails.
+// The file is removed from under it while the create site stalls,
+// between the create and the unlink.
 func TestNewScratchReportsLeak(t *testing.T) {
 	failpoint.Reset()
 	defer failpoint.Reset()
@@ -329,7 +330,7 @@ func TestNewScratchReportsLeak(t *testing.T) {
 		}
 		removed <- len(files)
 	}()
-	s, err := NewScratch(dir)
+	s, err := newNamedScratch(dir)
 	if n := <-removed; n != 1 {
 		t.Fatalf("the create site saw %d scratch files, want 1", n)
 	}

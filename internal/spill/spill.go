@@ -154,10 +154,9 @@ type blockMeta struct {
 // of run writers append blocks to it concurrently — each block's offset
 // is reserved before it is written, so blocks of different runs
 // interleave and never overlap — and any number of readers fetch blocks
-// back through the same descriptor. The file has no name: NewScratch
-// unlinks it the moment it exists, so it is a descriptor and the blocks
-// behind it, and it goes with its last descriptor however the process
-// ends. A stage takes one from its engine's ScratchPool and gives it back
+// back through the same descriptor. The file has no name (NewScratch), so
+// it is a descriptor and the blocks behind it, and it goes with its last
+// descriptor however the process ends. A stage takes one from its engine's ScratchPool and gives it back
 // once its runs are merged, so one file serves stage after stage.
 type Scratch struct {
 	f      *os.File
@@ -167,11 +166,34 @@ type Scratch struct {
 }
 
 // NewScratch creates a scratch file directly under dir, the system temp
-// dir when dir is empty, and unlinks it at once. A file that cannot be
-// unlinked is closed and reported: it would outlive the process on disk.
-// spill/create-scratch fires between the create and the unlink, the only
-// moment a scratch file has a name.
+// dir when dir is empty, that has no name. On Linux it is opened unnamed
+// (O_TMPFILE) and never has one. Elsewhere, or where dir's file system
+// cannot open one, it is created and unlinked at once (newNamedScratch).
+// spill/create-scratch fires once the file exists.
 func NewScratch(dir string) (*Scratch, error) {
+	if dir == "" {
+		dir = os.TempDir()
+	}
+	f, err := openUnnamed(dir)
+	if errors.Is(err, errors.ErrUnsupported) {
+		return newNamedScratch(dir)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("spill: create scratch file: %w", err)
+	}
+	if err := failpoint.HitNoPanic(FpCreateScratch); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Scratch{f: f}, nil
+}
+
+// newNamedScratch is NewScratch by name: the file is created under dir
+// and unlinked at once. A file that cannot be unlinked is closed and
+// reported: it would outlive the process on disk. spill/create-scratch
+// fires between the create and the unlink, the only moment the file has
+// a name, so a process killed there leaves it behind.
+func newNamedScratch(dir string) (*Scratch, error) {
 	f, err := os.CreateTemp(dir, "pgxsort-*.scratch")
 	if err != nil {
 		return nil, fmt.Errorf("spill: create scratch file: %w", err)
@@ -410,11 +432,11 @@ func (w *Writer[K]) Append(entries []comm.Entry[K]) error {
 	return nil
 }
 
-// AppendRefs is Append for the key-only entries refs from node src
-// stand for (comm.NormRef): it writes their bytes, block for block what
-// Append writes for those entries, without building one. The codec must
-// frame refs (comm.RefDenorm).
-func (w *Writer[K]) AppendRefs(refs []comm.NormRef, src uint32) error {
+// AppendRefs is Append for the key-only entries refs stand for
+// (comm.NormRef), each from its ref's origin node: it writes their bytes,
+// block for block what Append writes for those entries, without building
+// one. The codec must frame refs (comm.RefDenorm).
+func (w *Writer[K]) AppendRefs(refs []comm.NormRef) error {
 	if w.done != nil {
 		return w.done
 	}
@@ -423,7 +445,7 @@ func (w *Writer[K]) AppendRefs(refs []comm.NormRef, src uint32) error {
 		if err != nil {
 			return err
 		}
-		w.buf.b = comm.EncodeRefs(w.buf.b, refs[:n], src, w.codec)
+		w.buf.b = comm.EncodeRefs(w.buf.b, refs[:n], w.codec)
 		w.count += uint32(n)
 		refs = refs[n:]
 	}

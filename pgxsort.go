@@ -63,11 +63,9 @@ type (
 	// Step identifies a pipeline step in Report.Steps.
 	Step = core.Step
 	// SortManyOpts configures the pipelined multi-dataset scheduler
-	// behind SortMany/SortManyWith: inflight cap, admission order, or
-	// the naive unbounded baseline.
+	// behind SortMany/SortManyWith: inflight cap, retries, or the naive
+	// unbounded baseline.
 	SortManyOpts = core.SortManyOpts
-	// AdmitOrder selects the scheduler's admission order.
-	AdmitOrder = core.AdmitOrder
 	// SchedStage identifies a scheduler stage in SchedTrace/StageWait.
 	SchedStage = core.SchedStage
 	// SchedTrace records one sort's passage through the scheduler
@@ -129,12 +127,6 @@ const (
 	StageExchange  = core.StageExchange
 	StageMerge     = core.StageMerge
 	NumSchedStages = core.NumSchedStages
-)
-
-// SortMany admission orders.
-const (
-	OrderInput         = core.OrderInput
-	OrderSmallestFirst = core.OrderSmallestFirst
 )
 
 // DefaultMaxInflight is the scheduler's default admission cap.

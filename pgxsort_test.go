@@ -114,7 +114,7 @@ func TestSortManyWithFacade(t *testing.T) {
 		datasets[d] = parts
 	}
 	results, err := c.SortManyWith(context.Background(),
-		SortManyOpts{MaxInflight: 2, Order: OrderSmallestFirst}, datasets...)
+		SortManyOpts{MaxInflight: 2}, datasets...)
 	if err != nil {
 		t.Fatal(err)
 	}
