@@ -224,10 +224,13 @@ func (n *node[K]) dropSort(sortID int32) {
 // job is one dataset in engine-internal form: exactly one of parts (bare
 // keys) or recs (key+payload records) is set. Threading jobs instead of
 // [][]K through sortOne and the scheduler lets record datasets ride the
-// same staged pipeline as key datasets.
+// same staged pipeline as key datasets. keys marks a job of bare keys
+// that wants the sorted keys alone (Scheduler.RunOne): step 6 ends each
+// node's part in a key column, and no entry is built for the result.
 type job[K cmp.Ordered] struct {
 	parts [][]K
 	recs  [][]comm.Record[K]
+	keys  bool
 }
 
 func (j job[K]) nparts() int {
@@ -379,9 +382,11 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 	// Whether the sort goes by ref — step 5 sends the share's refs, not
 	// entries built from them — is decided here too, once for all nodes,
 	// so every node sends the kind of message every other expects: bare
-	// keys under a codec that frames refs.
+	// keys under a codec that frames refs. So is whether step 6 ends each
+	// part in a key column: a job of bare keys that asked for them alone.
 	cmps := e.comparators()
 	byRef := j.recs == nil && e.denorm != nil
+	keys := j.recs == nil && j.keys
 	runs := make([]*sortRun[K], p)
 	for i, n := range e.nodes {
 		runs[i] = &sortRun[K]{
@@ -394,6 +399,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 			ctrl:   ctrl,
 			cmps:   cmps,
 			byRef:  byRef,
+			keys:   keys,
 			runs: runFormer[K]{
 				ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
 				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker,
@@ -429,9 +435,9 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 	}
 
 	type nodeOut struct {
-		entries []comm.Entry[K]
-		report  NodeReport
-		err     error
+		part   sortedPart[K]
+		report NodeReport
+		err    error
 	}
 	outs := make([]nodeOut, p)
 	start := time.Now()
@@ -454,7 +460,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		go func(i int) {
 			defer wg.Done()
 			s := runs[i]
-			outs[i].entries, outs[i].err = s.run()
+			outs[i].part, outs[i].err = s.run()
 			outs[i].report = s.report
 			if outs[i].err != nil {
 				abort()
@@ -542,9 +548,17 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 	}
 	rep.Sched = ctrl.snapshot()
 
-	parts2 := make([][]comm.Entry[K], p)
-	for i, o := range outs {
-		parts2[i] = o.entries
+	res := &Result[K]{Report: rep, norm: e.norm}
+	if keys {
+		res.keys = make([][]K, p)
+		for i, o := range outs {
+			res.keys[i] = o.part.keys
+		}
+		return res, nil
 	}
-	return &Result[K]{Parts: parts2, Report: rep, norm: e.norm}, nil
+	res.Parts = make([][]comm.Entry[K], p)
+	for i, o := range outs {
+		res.Parts[i] = o.part.entries
+	}
+	return res, nil
 }

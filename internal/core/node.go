@@ -30,7 +30,10 @@ type sortRun[K cmp.Ordered] struct {
 	// decides, for all nodes at once): step 5 sends the share's refs and
 	// step 6 builds each entry once, in the result. Otherwise step 5 builds
 	// the share's entries once, from the refs, and sends those.
-	byRef  bool
+	byRef bool
+	// keys marks a job that wants the sorted keys alone (job.keys): step
+	// 6 ends this node's part in a key column, not in entries.
+	keys   bool
 	ctx    context.Context
 	ctrl   *stageCtrl // nil outside the SortMany scheduler
 	cmps   sortCmps[K]
@@ -286,7 +289,7 @@ func (s *sortRun[K]) leaveAllStages() {
 // final merge (CPU). The scheduler's exchange gate is released the moment
 // this sort's communication is done, so pipelined SortMany serializes
 // only the comm-heavy part while the merge proceeds ungated.
-func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
+func (s *sortRun[K]) run() (_ sortedPart[K], err error) {
 	s.markTransportBaseline()
 	defer s.leaveAllStages()
 	defer s.foldTraffic()
@@ -305,65 +308,65 @@ func (s *sortRun[K]) run() (_ []comm.Entry[K], err error) {
 	}()
 
 	if err := s.enterStage(StageLocalSort); err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	refs, err := s.localSort()
 	if err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	if err := failpoint.Hit(fpLocalSort); err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	s.leaveStage(StageLocalSort)
 
 	if err := s.enterStage(StageSplitters); err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	if err := failpoint.Hit(fpSplitters); err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	cuts, err := s.splitterAgreement(refs)
 	if err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	s.leaveStage(StageSplitters)
 
 	if err := s.enterStage(StageExchange); err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	if err := failpoint.Hit(fpExchange); err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	s.pending, err = s.partitionExchange(refs, cuts)
 	if err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	s.leaveStage(StageExchange)
 
 	if err := s.enterStage(StageMerge); err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	if err := failpoint.Hit(fpMerge); err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	// Step 6. merge consumes the sink on every path, so it stops being
 	// pending before the call.
 	sink := s.pending
 	s.pending = nil
 	t0 := time.Now()
-	merged, err := sink.merge()
+	part, err := sink.merge()
 	s.report.Steps[StepFinalMerge] = time.Since(t0)
 	if err != nil {
-		return nil, err
+		return sortedPart[K]{}, err
 	}
 	s.leaveStage(StageMerge)
 
-	s.report.PartSize = len(merged)
-	s.report.ResidentBytes += int64(len(merged)) * int64(entryBytes[K]())
+	s.report.PartSize = part.len()
+	s.report.ResidentBytes += part.bytes()
 	s.report.TempPeakBytes = s.node.tracker.Peak()
 	s.report.SpillBytes = s.runs.spillBytes.Load()
 	s.report.SpillReads = s.runs.spillReads.Load()
-	return merged, nil
+	return part, nil
 }
 
 // step1Chunk is how many of a share's n entries of eb bytes step 1 sorts

@@ -21,6 +21,9 @@ type Result[K cmp.Ordered] struct {
 	// engine's norm first, the key on equal norms — which is what Search
 	// and Count search by. nil (a Result built by hand) means comm.NormFor's.
 	norm func(K) uint64
+	// keys holds a key-column job's parts (Scheduler.RunOne), one sorted
+	// column a node, in place of Parts.
+	keys [][]K
 }
 
 // searchOrder returns an entry's key against a searched key in the order
@@ -59,30 +62,6 @@ func (r *Result[K]) Keys() []K {
 		}
 	}
 	return out
-}
-
-// Cursor returns a pull source over the sorted entries, part by part in
-// global order — the streaming egress view of a resident result. It lets
-// the serve layer write a result to the wire with the same cursor-driven
-// loop it uses for spooled results, without flattening Parts.
-func (r *Result[K]) Cursor() lsort.Cursor[comm.Entry[K]] {
-	return &partsCursor[K]{parts: r.Parts}
-}
-
-// partsCursor yields each non-empty part as one batch.
-type partsCursor[K cmp.Ordered] struct {
-	parts [][]comm.Entry[K]
-}
-
-func (c *partsCursor[K]) Next() ([]comm.Entry[K], error) {
-	for len(c.parts) > 0 {
-		part := c.parts[0]
-		c.parts = c.parts[1:]
-		if len(part) > 0 {
-			return part, nil
-		}
-	}
-	return nil, nil
 }
 
 // Records flattens the sorted dataset into key+payload records (intended

@@ -42,6 +42,20 @@ func sameOutput(t *testing.T, clean, retried *Result[uint64]) {
 	}
 }
 
+// sameKeys requires two key-column results (Scheduler.RunOne) to be
+// equal column for column.
+func sameKeys(t *testing.T, clean, retried [][]uint64) {
+	t.Helper()
+	if len(clean) != len(retried) {
+		t.Fatalf("column count differs: clean %d, retried %d", len(clean), len(retried))
+	}
+	for i := range clean {
+		if !slices.Equal(clean[i], retried[i]) {
+			t.Fatalf("column %d differs: clean %d keys, retried %d", i, len(clean[i]), len(retried[i]))
+		}
+	}
+}
+
 // checkNoLeak asserts the Fig-11 balance: every node's temporary-memory
 // tracker is back to zero, so the failed attempt leaked no slab
 // accounting.
@@ -76,7 +90,7 @@ func TestRetryDifferentialPerStage(t *testing.T) {
 				sched := NewScheduler(e, SortManyOpts{
 					Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
 				})
-				clean, err := sched.RunOne(context.Background(), parts)
+				clean, _, err := sched.RunOne(context.Background(), parts)
 				if err != nil {
 					t.Fatalf("clean run: %v", err)
 				}
@@ -89,20 +103,20 @@ func TestRetryDifferentialPerStage(t *testing.T) {
 					arm.Nth = 20
 				}
 				failpoint.Set(site, arm)
-				retried, err := sched.RunOne(context.Background(), parts)
+				retried, rep, err := sched.RunOne(context.Background(), parts)
 				if err != nil {
 					t.Fatalf("retried run: %v", err)
 				}
 				if fired := failpoint.Fired(site); fired != 1 {
 					t.Fatalf("failpoint fired %d times, want 1", fired)
 				}
-				if retried.Report.Attempts != 2 {
-					t.Fatalf("Attempts = %d, want 2", retried.Report.Attempts)
+				if rep.Attempts != 2 {
+					t.Fatalf("Attempts = %d, want 2", rep.Attempts)
 				}
 				if sched.Retries() < 1 {
 					t.Fatalf("scheduler Retries = %d, want >= 1", sched.Retries())
 				}
-				sameOutput(t, clean, retried)
+				sameKeys(t, clean, retried)
 				checkNoLeak(t, e)
 			})
 		}
@@ -167,7 +181,7 @@ func TestRetryBudgetExhausts(t *testing.T) {
 		Retry: RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Millisecond, Budget: 1},
 	})
 	failpoint.Set("core/local-sort", failpoint.Schedule{Mode: failpoint.ModeError, Count: -1})
-	_, err := sched.RunOne(context.Background(), parts)
+	_, _, err := sched.RunOne(context.Background(), parts)
 	if err == nil {
 		t.Fatal("unlimited injection with budget 1 should fail")
 	}
@@ -190,7 +204,7 @@ func TestNoRetryOnCancel(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sched.RunOne(ctx, parts)
+	_, _, err := sched.RunOne(ctx, parts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -220,7 +234,7 @@ func TestRetryJitterStreamPerJob(t *testing.T) {
 	var backoffs [2][]time.Duration
 	for job := range backoffs {
 		slept = nil
-		if _, err := sched.RunOne(context.Background(), parts); err == nil {
+		if _, _, err := sched.RunOne(context.Background(), parts); err == nil {
 			t.Fatalf("job %d: a sort failing every attempt succeeded", job)
 		}
 		if len(slept) != 3 {

@@ -375,15 +375,51 @@ func (f *runFormer[K]) mergeRefsInto(dst []lsort.NormRef, runs []spill.Run, src 
 func refNorm(r *lsort.NormRef) uint64 { return r.Norm }
 
 // mergeFilling merges cursors into dst (lsort.MergeCursorsNorm), which
-// they must fill exactly: runs that hold fewer elements than their block
-// lists promised are corrupt.
+// they must fill exactly.
 func mergeFilling[E any](dst []E, cursors []lsort.Cursor[E], norm func(*E) uint64, less func(a, b E) bool, refs []lsort.NormRef) error {
 	filled, err := lsort.MergeCursorsNorm(dst, cursors, norm, less, refs)
-	if err == nil && filled != len(dst) {
-		err = fmt.Errorf("core: spill merge produced %d of %d entries: %w",
-			filled, len(dst), spill.ErrCorrupt)
+	if err == nil {
+		err = filledExactly(filled, len(dst))
 	}
 	return err
+}
+
+// filledExactly checks that a spill merge produced the want elements its
+// runs' block lists promised: runs that hold more or fewer are corrupt.
+func filledExactly(filled, want int) error {
+	if filled != want {
+		return fmt.Errorf("core: spill merge produced %d of %d entries: %w", filled, want, spill.ErrCorrupt)
+	}
+	return nil
+}
+
+// keyBatch is how many merged entries mergeKeysInto decodes at a time on
+// their way into a key column.
+const keyBatch = 1 << 10
+
+// mergeKeysInto is mergeInto for a key column: the same merge, streamed
+// a batch of keyBatch entries at a time, each entry's key copied out, so
+// no entry slab dst's size is ever made.
+func (f *runFormer[K]) mergeKeysInto(dst []K, runs []spill.Run) error {
+	merged, done, err := f.stream(runs, keyBatch)
+	if err != nil {
+		return err
+	}
+	defer done()
+	filled := 0
+	for {
+		batch, err := merged.Next()
+		if err != nil {
+			return err
+		}
+		if len(batch) == 0 || len(batch) > len(dst)-filled {
+			return filledExactly(filled+len(batch), len(dst))
+		}
+		for i := range batch {
+			dst[filled+i] = batch[i].Key
+		}
+		filled += len(batch)
+	}
 }
 
 // stream merges the runs into one sorted stream of batches of up to

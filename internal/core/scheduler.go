@@ -252,10 +252,16 @@ func (s *Scheduler[K]) Run(ctx context.Context, datasets [][][]K) ([]*Result[K],
 // the multi-tenant admission path the pgxsortd service uses: every job
 // submitted over HTTP shares one scheduler per engine, so the inflight
 // cap and the one-dataset-per-communication-stage rule hold across
-// tenants exactly as they do within one SortMany batch.
-func (s *Scheduler[K]) RunOne(ctx context.Context, parts [][]K) (*Result[K], error) {
-	results, err := s.runJobs(ctx, []job[K]{{parts: parts}})
-	return results[0], unwrapSingle(err)
+// tenants exactly as they do within one SortMany batch. The service
+// answers with the keys alone, so the sort ends in them: one sorted key
+// column a node, in node order — what Run's Result.Keys would flatten —
+// and no entry is built for it.
+func (s *Scheduler[K]) RunOne(ctx context.Context, parts [][]K) ([][]K, Report, error) {
+	results, err := s.runJobs(ctx, []job[K]{{parts: parts, keys: true}})
+	if err != nil {
+		return nil, Report{}, unwrapSingle(err)
+	}
+	return results[0].keys, results[0].Report, nil
 }
 
 // unwrapSingle strips the "dataset 0:" wrapper runJobs puts on a

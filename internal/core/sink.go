@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/datamgr"
@@ -16,7 +17,8 @@ import (
 // over: the exchange loop writes every source's run into it, a KData
 // message at a time (entries, or a sort by ref's refs), then exactly one
 // of merge and discard consumes it. merge produces the node's sorted
-// part; discard abandons a sink whose merge will never run (a failure
+// part, as entries or — a key-column job — as keys; discard abandons a
+// sink whose merge will never run (a failure
 // during or after the exchange). Either way the sink gives back
 // everything it holds — pooled slabs, tracker-accounted temporary memory,
 // a scratch file — so an error exit cannot leak into later sorts on the
@@ -27,18 +29,34 @@ import (
 // Options.MemoryBudget, spilledSink when they do not. Both merges are
 // stable and take the runs in source order, so ties keep origin-processor
 // order and the two produce the same entries in the same order.
-type exchangeSink[K any] interface {
+type exchangeSink[K cmp.Ordered] interface {
 	Write(m comm.Message[K]) error
 	RunComplete(src int) bool
-	merge() ([]comm.Entry[K], error)
+	merge() (sortedPart[K], error)
 	discard()
+}
+
+// sortedPart is one node's sorted part as step 6 leaves it: its entries,
+// or on a key-column job (sortRun.keys) its keys alone.
+type sortedPart[K cmp.Ordered] struct {
+	entries []comm.Entry[K]
+	keys    []K
+}
+
+func (p sortedPart[K]) len() int { return len(p.entries) + len(p.keys) }
+
+// bytes is what the part holds resident: an entry or a key a position.
+func (p sortedPart[K]) bytes() int64 {
+	var k K
+	return int64(len(p.entries))*int64(entryBytes[K]()) + int64(len(p.keys))*int64(unsafe.Sizeof(k))
 }
 
 // newExchangeSink picks the sink for an exchange that will deliver
 // perSrc[i] entries from source i. The counts come from the peers' range
 // metadata and are checked once, before either sink takes a slab or a
 // scratch file: a negative one is an error. The choice weighs entries
-// whatever the sort carries: the result is entries either way. A resident
+// whatever the sort carries and whatever its part is, so a job spills the
+// runs a sort of the same keys spills, key-column jobs too. A resident
 // share of more entries than a ref's uint32 position can address is
 // refused here, as step 1 refuses such a share.
 func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
@@ -109,7 +127,7 @@ func (r *residentSink[K]) Write(m comm.Message[K]) error {
 }
 
 // merge is step 6 over the assembled runs: the refs merged as step 1
-// sorts them, then one pass that writes the result in the merged order.
+// sorts them, then one pass that writes the part in the merged order.
 //
 // Each source's region is a sorted ref run, the runs lie in source
 // order and every merge and split is left-run-first, so equal norms
@@ -118,13 +136,14 @@ func (r *residentSink[K]) Write(m comm.Message[K]) error {
 // An inexact norm has its equal-norm runs finished under the real keys
 // (entries, never a sort by ref), as in step 1.
 //
-// The result is allocated at its exact size. The merge takes a second ref
-// slab and gives back the one it did not finish in before the result
-// exists: over entries that is 40 + 32 B an entry while merging and
-// 40 + 16 + 40 while gathering; by ref 16 + 16 while merging and 16 + 40
-// while the result is written. Every slab returns to its pool on every
-// exit.
-func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
+// The part is allocated at its exact size: entries, or a key-column
+// job's keys. The merge takes a second ref slab and gives back the one it
+// did not finish in before the part exists: over entries that is 40 + 32
+// B an entry while merging and 40 + 16 + 40 while the entries are
+// gathered (40 + 16 + 8 for keys); by ref 16 + 16 while merging and
+// 16 + 40 while the entries are written (16 + 8 for keys). Every slab
+// returns to its pool on every exit.
+func (r *residentSink[K]) merge() (sortedPart[K], error) {
 	defer r.discard()
 	bounds := r.Bounds()
 	total := bounds[len(bounds)-1]
@@ -135,7 +154,7 @@ func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 		}
 	}
 	if nonEmpty == 0 {
-		return nil, nil
+		return sortedPart[K]{}, nil
 	}
 	f := &r.s.runs
 	if nonEmpty > 1 {
@@ -152,44 +171,60 @@ func (r *residentSink[K]) merge() ([]comm.Entry[K], error) {
 		}
 	}
 
-	resultBytes := int64(total) * int64(entryBytes[K]())
-	f.tracker.Alloc(resultBytes) // temporary while it is being filled
-	defer f.tracker.Free(resultBytes)
-	out := make([]comm.Entry[K], total)
-	if r.s.byRef {
-		f.split(total, func(lo, hi int) { refEntries(out, r.refs, f.cmps.denorm, lo, hi) })
-	} else {
-		f.split(total, func(lo, hi int) { gatherEntries(out, r.entries, r.refs, lo, hi) })
+	order, denorm := r.refs, f.cmps.denorm
+	switch {
+	case r.s.keys && r.s.byRef:
+		return sortedPart[K]{keys: fill(f, total, func(out []K, lo, hi int) { refKeys(out, order, denorm, lo, hi) })}, nil
+	case r.s.keys:
+		return sortedPart[K]{keys: fill(f, total, func(out []K, lo, hi int) { gatherKeys(out, r.entries, order, lo, hi) })}, nil
+	case r.s.byRef:
+		return sortedPart[K]{entries: fill(f, total, func(out []comm.Entry[K], lo, hi int) { refEntries(out, order, denorm, lo, hi) })}, nil
+	default:
+		return sortedPart[K]{entries: fill(f, total, func(out []comm.Entry[K], lo, hi int) { gatherEntries(out, r.entries, order, lo, hi) })}, nil
 	}
-	return out, nil
 }
 
-// split runs fn over [0, total), in two halves when there is a second
-// worker and the handoff is worth it: one helper goroutine takes the
-// upper half, the caller the lower (a goroutine per worker costs more
-// allocations than the sort has to spare). It returns once both are done,
-// a panic on the caller's side included.
-func (f *runFormer[K]) split(total int, fn func(lo, hi int)) {
-	mid := total
-	if f.workers > 1 && total >= 1<<12 {
-		mid = total / 2
+// fill allocates a part of n elements — entries or keys — and writes it
+// with write, in two halves when there is a second worker and the handoff
+// is worth it: one helper goroutine takes the upper half, the caller the
+// lower (a goroutine per worker costs more allocations than the sort has
+// to spare). It returns once both are done, a panic on the caller's side
+// included. The part is temporary memory of the node's while it is being
+// filled.
+func fill[K cmp.Ordered, E any](f *runFormer[K], n int, write func(out []E, lo, hi int)) []E {
+	var e E
+	partBytes := int64(n) * int64(unsafe.Sizeof(e))
+	f.tracker.Alloc(partBytes)
+	defer f.tracker.Free(partBytes)
+	out := make([]E, n)
+	mid := n
+	if f.workers > 1 && n >= 1<<12 {
+		mid = n / 2
 	}
 	var helper sync.WaitGroup
 	defer helper.Wait()
-	if mid < total {
+	if mid < n {
 		helper.Add(1)
 		go func() {
 			defer helper.Done()
-			fn(mid, total)
+			write(out, mid, n)
 		}()
 	}
-	fn(0, mid)
+	write(out, 0, mid)
+	return out
 }
 
 // gatherEntries writes out[j] = buf[order[j].Idx] for lo <= j < hi.
 func gatherEntries[K any](out, buf []comm.Entry[K], order []lsort.NormRef, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		out[j] = buf[order[j].Idx]
+	}
+}
+
+// gatherKeys writes out[j] = buf[order[j].Idx].Key for lo <= j < hi.
+func gatherKeys[K any](out []K, buf []comm.Entry[K], order []lsort.NormRef, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		out[j] = buf[order[j].Idx].Key
 	}
 }
 
@@ -200,6 +235,14 @@ func refEntries[K any](out []comm.Entry[K], order []lsort.NormRef, denorm func(u
 	for j := lo; j < hi; j++ {
 		ref := order[j]
 		out[j] = comm.Entry[K]{Key: denorm(ref.Norm), Proc: ref.Proc, Index: ref.Idx}
+	}
+}
+
+// refKeys writes out[j] as the key order[j] stands for, the norm's
+// inverse, for lo <= j < hi.
+func refKeys[K any](out []K, order []lsort.NormRef, denorm func(uint64) K, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		out[j] = denorm(order[j].Norm)
 	}
 }
 
@@ -255,12 +298,14 @@ func (sp *spilledSink[K]) Write(m comm.Message[K]) error {
 
 // merge streams the source runs back through the former's merge — one
 // cursor per source, an empty one for sources that sent nothing, so
-// tie-breaking by cursor index stays source order — straight into the
-// result, allocated at its exact size as the resident sink's is.
-// Temporary memory is just the decoded blocks — one slab per non-empty
-// source — and the merge's ref slab, however large the runs are. The
-// scratch file goes back to the engine on every path.
-func (sp *spilledSink[K]) merge() ([]comm.Entry[K], error) {
+// tie-breaking by cursor index stays source order — into the part,
+// allocated at its exact size as the resident sink's is: straight into
+// the entries, or for a key-column job a batch of keyBatch entries at a
+// time whose keys are copied out, so no entry slab the part's size is
+// ever made. Temporary memory is just the decoded blocks — one slab per
+// non-empty source — the merge's ref slab and the batch, however large
+// the runs are. The scratch file goes back to the engine on every path.
+func (sp *spilledSink[K]) merge() (sortedPart[K], error) {
 	defer sp.discard()
 	f := &sp.s.runs
 	runs := make([]spill.Run, len(sp.writers))
@@ -271,11 +316,19 @@ func (sp *spilledSink[K]) merge() ([]comm.Entry[K], error) {
 		}
 	}
 	bounds := sp.Bounds()
-	merged := make([]comm.Entry[K], bounds[len(bounds)-1])
-	if err := f.mergeInto(merged, runs); err != nil {
-		return nil, err
+	total := bounds[len(bounds)-1]
+	if !sp.s.keys {
+		merged := make([]comm.Entry[K], total)
+		if err := f.mergeInto(merged, runs); err != nil {
+			return sortedPart[K]{}, err
+		}
+		return sortedPart[K]{entries: merged}, nil
 	}
-	return merged, nil
+	keys := make([]K, total)
+	if err := f.mergeKeysInto(keys, runs); err != nil {
+		return sortedPart[K]{}, err
+	}
+	return sortedPart[K]{keys: keys}, nil
 }
 
 // discard lets go of every unsealed writer's block buffer and gives the

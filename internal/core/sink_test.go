@@ -222,10 +222,16 @@ func TestSpilledSink(t *testing.T) {
 		return sink.(*spilledSink[uint64]), dir
 	}
 
-	for _, byRef := range []bool{false, true} {
-		t.Run(fmt.Sprintf("runs-read-back/byRef=%v", byRef), func(t *testing.T) {
+	for _, c := range []struct{ byRef, keys bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		name := fmt.Sprintf("runs-read-back/byRef=%v", c.byRef)
+		if c.keys {
+			name += "/keys"
+		}
+		byRef := c.byRef
+		t.Run(name, func(t *testing.T) {
 			perSrc := []int{1000, 0, 2500, 7}
 			sink, dir := newSink(t, perSrc, byRef)
+			sink.s.keys = c.keys
 			runs := make([][]comm.Entry[uint64], len(perSrc))
 			var wg sync.WaitGroup
 			for src, n := range perSrc {
@@ -274,7 +280,15 @@ func TestSpilledSink(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.EqualFunc(got, want, sameKeyEntry) {
+			if c.keys {
+				wantKeys := make([]uint64, len(want))
+				for i, e := range want {
+					wantKeys[i] = e.Key
+				}
+				if got.entries != nil || !slices.Equal(got.keys, wantKeys) || cap(got.keys) != len(want) {
+					t.Fatal("the key column is not the keys of the stable merge of the runs")
+				}
+			} else if !slices.EqualFunc(got.entries, want, sameKeyEntry) {
 				t.Fatal("the merge is not the stable merge of the runs")
 			}
 			if sink.s.runs.spillBytes.Load() <= 0 {

@@ -166,28 +166,28 @@ func TestSpillRetryDifferential(t *testing.T) {
 			sched := NewScheduler(e, SortManyOpts{
 				Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
 			})
-			clean, err := sched.RunOne(context.Background(), parts)
+			clean, cleanRep, err := sched.RunOne(context.Background(), parts)
 			if err != nil {
 				t.Fatalf("clean run: %v", err)
 			}
-			if clean.Report.SpillBytes == 0 {
+			if cleanRep.SpillBytes == 0 {
 				t.Fatal("clean run did not spill; the failpoint would never fire")
 			}
 			// Nth: 5 lands the failure mid-run — several blocks already
 			// written (or read back) when the site trips, so the abort
 			// path has real partial state to unwind.
 			failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 5})
-			retried, err := sched.RunOne(context.Background(), parts)
+			retried, rep, err := sched.RunOne(context.Background(), parts)
 			if err != nil {
 				t.Fatalf("retried run: %v", err)
 			}
 			if fired := failpoint.Fired(site); fired != 1 {
 				t.Fatalf("failpoint fired %d times, want 1", fired)
 			}
-			if retried.Report.Attempts != 2 {
-				t.Fatalf("Attempts = %d, want 2", retried.Report.Attempts)
+			if rep.Attempts != 2 {
+				t.Fatalf("Attempts = %d, want 2", rep.Attempts)
 			}
-			sameOutput(t, clean, retried)
+			sameKeys(t, clean, retried)
 			checkNoLeak(t, e)
 		})
 	}

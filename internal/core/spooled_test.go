@@ -1000,48 +1000,3 @@ func TestMergePassErrorExits(t *testing.T) {
 		})
 	}
 }
-
-// TestResultCursor checks the resident result's egress cursor yields the
-// parts in global order.
-func TestResultCursor(t *testing.T) {
-	e, err := NewEngine[uint64](Options{Procs: 3}, comm.U64Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	rng := dist.NewRNG(3)
-	parts := make([][]uint64, 3)
-	for i := range parts {
-		parts[i] = make([]uint64, 500)
-		for j := range parts[i] {
-			parts[i][j] = rng.Uint64() % 1000
-		}
-	}
-	res, err := e.Sort(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []uint64
-	cur := res.Cursor()
-	for {
-		batch, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for _, en := range batch {
-			got = append(got, en.Key)
-		}
-	}
-	want := res.Keys()
-	if len(got) != len(want) {
-		t.Fatalf("cursor yielded %d keys, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cursor key %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-}

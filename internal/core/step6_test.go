@@ -98,49 +98,65 @@ func step6Land[K cmp.Ordered](t *testing.T, s *sortRun[K], sink *residentSink[K]
 // result to the stable entry merge (lsort.MergeAdjacentRuns under the
 // sort's key order) of the very same runs: Key, Payload, Proc and Index of
 // every entry. A codec with an inverse norm is merged by ref too, when
-// there are no payloads for the refs to lose. Afterwards the node's
-// tracker is at zero and every slab is back in its pool.
+// there are no payloads for the refs to lose. Bare keys are merged into a
+// key column as well (a key-column job's part), the way a sort of them
+// goes — by ref under an inverse norm, else by entry — and held to the
+// same merge's keys. Afterwards the node's tracker is at zero and every
+// slab is back in its pool.
 func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], bySrc [][]K, payloads bool, workers int) {
 	t.Helper()
 	arms := []bool{false}
-	if _, ok := comm.RefDenorm(codec); ok && !payloads {
+	_, denorm := comm.RefDenorm(codec)
+	if denorm && !payloads {
 		arms = append(arms, true)
 	}
 	for _, byRef := range arms {
-		label := fmt.Sprintf("%s/byRef=%v", label, byRef)
-		s, sink, runs := step6Sink(t, codec, bySrc, payloads, byRef, workers)
-		n, cmps := s.node, s.cmps
-		assembled, bounds := []comm.Entry[K]{}, []int{0}
-		for _, run := range runs {
-			assembled = append(assembled, run...)
-			bounds = append(bounds, len(assembled))
-		}
-		entryLess := func(a, b comm.Entry[K]) bool { return cmps.keyLess(a.Key, b.Key) }
-		want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), bounds, entryLess, true)
-
-		step6Land(t, s, sink, runs)
-		got, err := sink.merge()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d entries out, want %d", label, len(got), len(want))
-		}
-		if cap(got) != len(got) {
-			t.Errorf("%s: result of %d entries has capacity %d, want its exact size", label, len(got), cap(got))
-		}
-		for i := range want {
-			g, w := got[i], want[i]
-			if g.Proc != w.Proc || g.Index != w.Index || !bytes.Equal(g.Payload, w.Payload) ||
-				!bytes.Equal(keyBytes(codec, g.Key), keyBytes(codec, w.Key)) {
-				t.Fatalf("%s: entry %d is %+v, the entry merge gives %+v", label, i, g, w)
+		for _, keys := range []bool{false, true} {
+			if keys && (payloads || byRef != denorm) {
+				continue
 			}
+			label := fmt.Sprintf("%s/byRef=%v/keys=%v", label, byRef, keys)
+			s, sink, runs := step6Sink(t, codec, bySrc, payloads, byRef, workers)
+			s.keys = keys
+			n, cmps := s.node, s.cmps
+			assembled, bounds := []comm.Entry[K]{}, []int{0}
+			for _, run := range runs {
+				assembled = append(assembled, run...)
+				bounds = append(bounds, len(assembled))
+			}
+			entryLess := func(a, b comm.Entry[K]) bool { return cmps.keyLess(a.Key, b.Key) }
+			want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), bounds, entryLess, true)
+
+			step6Land(t, s, sink, runs)
+			part, err := sink.merge()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if part.len() != len(want) || len(want) > 0 && keys != (part.entries == nil) {
+				t.Fatalf("%s: %d entries and %d keys out, want %d", label, len(part.entries), len(part.keys), len(want))
+			}
+			if c := cap(part.entries) + cap(part.keys); c != len(want) {
+				t.Errorf("%s: part of %d has capacity %d, want its exact size", label, len(want), c)
+			}
+			for i, w := range want {
+				if keys {
+					if !bytes.Equal(keyBytes(codec, part.keys[i]), keyBytes(codec, w.Key)) {
+						t.Fatalf("%s: key %d is %v, the entry merge gives %+v", label, i, part.keys[i], w)
+					}
+					continue
+				}
+				g := part.entries[i]
+				if g.Proc != w.Proc || g.Index != w.Index || !bytes.Equal(g.Payload, w.Payload) ||
+					!bytes.Equal(keyBytes(codec, g.Key), keyBytes(codec, w.Key)) {
+					t.Fatalf("%s: entry %d is %+v, the entry merge gives %+v", label, i, g, w)
+				}
+			}
+			if live := n.tracker.Live(); live != 0 {
+				t.Errorf("%s: tracker holds %d bytes after the merge", label, live)
+			}
+			checkSlabsBack(t, label, n, len(want) > 0, byRef)
+			n.eng.Close() // the matrix builds hundreds: none outlives its case
 		}
-		if live := n.tracker.Live(); live != 0 {
-			t.Errorf("%s: tracker holds %d bytes after the merge", label, live)
-		}
-		checkSlabsBack(t, label, n, len(got) > 0, byRef)
-		n.eng.Close() // the matrix builds hundreds: none outlives its case
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -264,30 +263,39 @@ func (b *typedBackend[K]) retries() int64 {
 }
 
 // sortOn is the shared sort body: block-distribute the dataset's keys
-// over procs, run them through the given scheduler, and encode the answer
-// off the result's cursor into one buffer of exactly the input's size.
+// over procs, run them through the given scheduler, and append the sorted
+// key columns into one buffer of exactly the input's size.
 func (b *typedBackend[K]) sortOn(ctx context.Context, sched *core.Scheduler[K], procs int, ds *dataset) ([]byte, core.Report, error) {
-	res, err := sched.RunOne(ctx, core.Blocks(ds.keys.([]K), procs))
+	parts, rep, err := sched.RunOne(ctx, core.Blocks(ds.keys.([]K), procs))
 	if err != nil {
 		return nil, core.Report{}, err
 	}
-	out := bytes.NewBuffer(make([]byte, 0, ds.size))
-	if err := b.encode(res.Cursor(), out); err != nil {
-		return nil, core.Report{}, err
+	out := make([]byte, 0, ds.size)
+	for _, keys := range parts {
+		out = b.appendKeys(out, keys)
 	}
-	return out.Bytes(), res.Report.Snapshot(), nil
+	return out, rep, nil
 }
 
-// encodeWindow is how many entries the egress encoder renders per write:
+// appendKeys is the one egress encoder: it appends keys to dst in the
+// canonical format.
+func (b *typedBackend[K]) appendKeys(dst []byte, keys []K) []byte {
+	for _, k := range keys {
+		dst = b.app(dst, k)
+	}
+	return dst
+}
+
+// encodeWindow is how many entries the spooled egress renders per write:
 // 64KB of fixed-width keys, enough to amortize a socket write, small
 // enough that the encoder's scratch is noise next to any dataset.
 const encodeWindow = 8192
 
-// encode is the one egress encoder: it drains a cursor of sorted entries —
-// a resident result's parts or a spooled job's final merge — and writes
-// their keys to w in the canonical format, a window at a time through one
-// reused scratch buffer.
+// encode drains a spooled job's final-merge cursor of sorted entries and
+// writes their keys to w in the canonical format, a window at a time
+// through reused scratch: the window's keys, then appendKeys' bytes.
 func (b *typedBackend[K]) encode(cur lsort.Cursor[comm.Entry[K]], w io.Writer) error {
+	keys := make([]K, 0, encodeWindow)
 	buf := make([]byte, 0, encodeWindow*8) // exact for fixed-width keys; string windows grow it
 	for {
 		batch, err := cur.Next()
@@ -300,10 +308,11 @@ func (b *typedBackend[K]) encode(cur lsort.Cursor[comm.Entry[K]], w io.Writer) e
 		for len(batch) > 0 {
 			window := batch[:min(len(batch), encodeWindow)]
 			batch = batch[len(window):]
-			buf = buf[:0]
+			keys = keys[:0]
 			for _, e := range window {
-				buf = b.app(buf, e.Key)
+				keys = append(keys, e.Key)
 			}
+			buf = b.appendKeys(buf[:0], keys)
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}

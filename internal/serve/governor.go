@@ -9,7 +9,8 @@ import (
 // it when its response is written, so the server's aggregate memory
 // commitment — not just the per-engine temporary budget — stays under
 // one knob (Config.GovernorBudget). Reservations are heuristic
-// (decode buffers + entries + result bytes for resident jobs, a small
+// (decode buffers + ref slabs + key column + result bytes for resident
+// jobs, see residentJobBytes; a small
 // fixed window for spooled jobs), while the peak gauge also folds in
 // each job's tracker-accounted engine peak, so the exported numbers mix
 // an upper-bound admission estimate with measured truth.
@@ -28,11 +29,14 @@ func newGovernor(budget int64) *governor {
 }
 
 // residentJobBytes estimates the resident footprint of an n-key job
-// that runs fully in memory: decoded keys, the engine's entry slabs
-// (roughly 2x48 bytes per entry across sort and exchange), and the
-// encoded result.
+// that runs fully in memory. A job holds no entries: a uint64 key costs
+// its decoded input (8 bytes), step 1's ref and scratch slabs (16 + 16),
+// step 6's landed and spare refs (16 + 16), the sorted key column (8)
+// and its encoded answer (8) — 88 bytes, an upper bound, as the step-1
+// scratch is back before step 6 takes its slabs. The fixed part covers
+// the decode window and the scheduler's small allocations.
 func residentJobBytes(n int) int64 {
-	return int64(n)*112 + 1<<20
+	return int64(n)*88 + 1<<20
 }
 
 // spooledJobBytes estimates the resident footprint of a spooled job:

@@ -446,8 +446,8 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Governor: a resident job holds its decoded keys, entry slabs and
-	// encoded result in this process.
+	// Governor: a resident job holds its decoded keys, the engine's ref
+	// slabs, its sorted key column and encoded result in this process.
 	release, jerr := s.reserve(residentJobBytes(j.ds.n))
 	if jerr != nil {
 		j.fail(jerr)
