@@ -56,6 +56,50 @@ func sameKeys(t *testing.T, clean, retried [][]uint64) {
 	}
 }
 
+// retryBothWays holds one failpoint site to both result paths of a
+// retried job. It arms site with arm and runs parts through RunOne
+// (one key column a node), then arms it again and runs them through Run
+// (entries with their origins). Each run must fire the site once, take
+// two attempts, leave no live slab accounting, and match a clean run:
+// cleanKeys for the columns, and a clean Run for Key, Proc and Index of
+// every entry.
+func retryBothWays(t *testing.T, e *Engine[uint64], sched *Scheduler[uint64], parts [][]uint64, cleanKeys [][]uint64, site string, arm failpoint.Schedule) {
+	t.Helper()
+	ctx := context.Background()
+	clean, err := sched.Run(ctx, [][][]uint64{parts})
+	if err != nil {
+		t.Fatalf("clean entry run: %v", err)
+	}
+
+	failpoint.Set(site, arm)
+	keys, rep, err := sched.RunOne(ctx, parts)
+	if err != nil {
+		t.Fatalf("retried key run: %v", err)
+	}
+	if fired := failpoint.Fired(site); fired != 1 {
+		t.Fatalf("key run: failpoint fired %d times, want 1", fired)
+	}
+	if rep.Attempts != 2 {
+		t.Fatalf("key run: Attempts = %d, want 2", rep.Attempts)
+	}
+	sameKeys(t, cleanKeys, keys)
+	checkNoLeak(t, e)
+
+	failpoint.Set(site, arm)
+	retried, err := sched.Run(ctx, [][][]uint64{parts})
+	if err != nil {
+		t.Fatalf("retried entry run: %v", err)
+	}
+	if fired := failpoint.Fired(site); fired != 2 {
+		t.Fatalf("entry run: failpoint fired %d times in all, want 2", fired)
+	}
+	if retried[0].Report.Attempts != 2 {
+		t.Fatalf("entry run: Attempts = %d, want 2", retried[0].Report.Attempts)
+	}
+	sameOutput(t, clean[0], retried[0])
+	checkNoLeak(t, e)
+}
+
 // checkNoLeak asserts the Fig-11 balance: every node's temporary-memory
 // tracker is back to zero, so the failed attempt leaked no slab
 // accounting.
@@ -71,8 +115,9 @@ func checkNoLeak(t *testing.T, e *Engine[uint64]) {
 // TestRetryDifferentialPerStage is the tentpole's differential test: a
 // job failing at each engine-stage failpoint (error and panic modes,
 // plus the datamgr assembly and engine send sites) is retried by the
-// scheduler and must return output byte-identical to an uninjected run,
-// with zero live temp-memory on every node afterwards.
+// scheduler and must return output byte-identical to an uninjected run
+// — key columns through RunOne, entries with origins through Run — with
+// zero live temp-memory on every node afterwards.
 func TestRetryDifferentialPerStage(t *testing.T) {
 	sites := []string{
 		"core/local-sort", "core/splitters", "core/exchange", "core/merge",
@@ -102,22 +147,10 @@ func TestRetryDifferentialPerStage(t *testing.T) {
 					// mid-exchange.
 					arm.Nth = 20
 				}
-				failpoint.Set(site, arm)
-				retried, rep, err := sched.RunOne(context.Background(), parts)
-				if err != nil {
-					t.Fatalf("retried run: %v", err)
+				retryBothWays(t, e, sched, parts, clean, site, arm)
+				if sched.Retries() < 2 {
+					t.Fatalf("scheduler Retries = %d, want >= 2", sched.Retries())
 				}
-				if fired := failpoint.Fired(site); fired != 1 {
-					t.Fatalf("failpoint fired %d times, want 1", fired)
-				}
-				if rep.Attempts != 2 {
-					t.Fatalf("Attempts = %d, want 2", rep.Attempts)
-				}
-				if sched.Retries() < 1 {
-					t.Fatalf("scheduler Retries = %d, want >= 1", sched.Retries())
-				}
-				sameKeys(t, clean, retried)
-				checkNoLeak(t, e)
 			})
 		}
 	}

@@ -151,7 +151,8 @@ func TestSpillSlabBalance(t *testing.T) {
 // TestSpillRetryDifferential wires the spill failpoint sites into the
 // PR 8 retry battery: an injected I/O failure at a write-block or
 // read-block site mid-spill fails that attempt, the scheduler retries,
-// and the retried output must be byte-identical to a clean run with no
+// and the retried output — key columns and entries with origins — must be
+// byte-identical to a clean run with no
 // slab accounting left behind by the aborted spill.
 func TestSpillRetryDifferential(t *testing.T) {
 	const procs, per = 4, 3000
@@ -176,19 +177,7 @@ func TestSpillRetryDifferential(t *testing.T) {
 			// Nth: 5 lands the failure mid-run — several blocks already
 			// written (or read back) when the site trips, so the abort
 			// path has real partial state to unwind.
-			failpoint.Set(site, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 5})
-			retried, rep, err := sched.RunOne(context.Background(), parts)
-			if err != nil {
-				t.Fatalf("retried run: %v", err)
-			}
-			if fired := failpoint.Fired(site); fired != 1 {
-				t.Fatalf("failpoint fired %d times, want 1", fired)
-			}
-			if rep.Attempts != 2 {
-				t.Fatalf("Attempts = %d, want 2", rep.Attempts)
-			}
-			sameKeys(t, clean, retried)
-			checkNoLeak(t, e)
+			retryBothWays(t, e, sched, parts, clean, site, failpoint.Schedule{Mode: failpoint.ModeError, Nth: 5})
 		})
 	}
 }

@@ -57,6 +57,9 @@ type backend interface {
 	// sort runs one resident dataset through the scheduler and returns
 	// the canonical sorted bytes.
 	sort(ctx context.Context, ds *dataset) ([]byte, core.Report, error)
+	// residentJobBytes is what the governor reserves for a dataset of n
+	// keys and size canonical bytes that runs fully in memory.
+	residentJobBytes(n, size int) int64
 	// sortSingle is the degraded path: the same dataset on a lazily
 	// built single-node engine that touches no mesh. The breaker routes
 	// here when the distributed engine's links are presumed dead.
@@ -272,18 +275,11 @@ func (b *typedBackend[K]) sortOn(ctx context.Context, sched *core.Scheduler[K], 
 	}
 	out := make([]byte, 0, ds.size)
 	for _, keys := range parts {
-		out = b.appendKeys(out, keys)
+		for _, k := range keys {
+			out = b.app(out, k)
+		}
 	}
 	return out, rep, nil
-}
-
-// appendKeys is the one egress encoder: it appends keys to dst in the
-// canonical format.
-func (b *typedBackend[K]) appendKeys(dst []byte, keys []K) []byte {
-	for _, k := range keys {
-		dst = b.app(dst, k)
-	}
-	return dst
 }
 
 // encodeWindow is how many entries the spooled egress renders per write:
@@ -293,9 +289,8 @@ const encodeWindow = 8192
 
 // encode drains a spooled job's final-merge cursor of sorted entries and
 // writes their keys to w in the canonical format, a window at a time
-// through reused scratch: the window's keys, then appendKeys' bytes.
+// through one reused scratch buffer.
 func (b *typedBackend[K]) encode(cur lsort.Cursor[comm.Entry[K]], w io.Writer) error {
-	keys := make([]K, 0, encodeWindow)
 	buf := make([]byte, 0, encodeWindow*8) // exact for fixed-width keys; string windows grow it
 	for {
 		batch, err := cur.Next()
@@ -308,11 +303,10 @@ func (b *typedBackend[K]) encode(cur lsort.Cursor[comm.Entry[K]], w io.Writer) e
 		for len(batch) > 0 {
 			window := batch[:min(len(batch), encodeWindow)]
 			batch = batch[len(window):]
-			keys = keys[:0]
+			buf = buf[:0]
 			for _, e := range window {
-				keys = append(keys, e.Key)
+				buf = b.app(buf, e.Key)
 			}
-			buf = b.appendKeys(buf[:0], keys)
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}

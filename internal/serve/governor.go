@@ -2,6 +2,10 @@ package serve
 
 import (
 	"sync"
+	"unsafe"
+
+	"pgxsort/internal/comm"
+	"pgxsort/internal/lsort"
 )
 
 // governor is the process-wide memory ledger: every admitted job
@@ -9,9 +13,9 @@ import (
 // it when its response is written, so the server's aggregate memory
 // commitment — not just the per-engine temporary budget — stays under
 // one knob (Config.GovernorBudget). Reservations are heuristic
-// (decode buffers + ref slabs + key column + result bytes for resident
-// jobs, see residentJobBytes; a small
-// fixed window for spooled jobs), while the peak gauge also folds in
+// (decode buffers, ref and entry slabs, key column and result bytes for
+// resident jobs, see residentJobBytes; a small fixed window for spooled
+// jobs), while the peak gauge also folds in
 // each job's tracker-accounted engine peak, so the exported numbers mix
 // an upper-bound admission estimate with measured truth.
 type governor struct {
@@ -28,15 +32,32 @@ func newGovernor(budget int64) *governor {
 	return &governor{budget: budget}
 }
 
-// residentJobBytes estimates the resident footprint of an n-key job
-// that runs fully in memory. A job holds no entries: a uint64 key costs
-// its decoded input (8 bytes), step 1's ref and scratch slabs (16 + 16),
-// step 6's landed and spare refs (16 + 16), the sorted key column (8)
-// and its encoded answer (8) — 88 bytes, an upper bound, as the step-1
-// scratch is back before step 6 takes its slabs. The fixed part covers
-// the decode window and the scheduler's small allocations.
-func residentJobBytes(n int) int64 {
-	return int64(n)*88 + 1<<20
+// residentJobBytes estimates the resident footprint of one of this
+// backend's datasets that runs fully in memory: n keys, size canonical
+// bytes. Its terms are what the job holds, each counted whole, so the sum
+// is an upper bound (step 1's scratch is back before step 6 takes its
+// slabs). A key costs its decoded input and its place in the sorted key
+// column (a K each), step 1's ref and scratch slabs and step 6's landed
+// and spare refs (a 16-byte ref each). A key type whose norm has no
+// inverse sorts by entry: step 5 builds the share's entries and step 6
+// lands the received ones, an entry each. The encoded answer is size
+// bytes. A variable-width key's bytes are held by the input, and once
+// more by the landed entries when a transport decodes them afresh. For
+// uint64 keys that is 8 + 8 + 4·16 = 80 bytes a key plus the 8-byte
+// answer; for strings 16 + 16 + 4·16 + 2·48 = 192 bytes a key plus three
+// times the canonical bytes. The fixed part covers the decode window and
+// the scheduler's small allocations.
+func (b *typedBackend[K]) residentJobBytes(n, size int) int64 {
+	var k K
+	perKey := 2*int64(unsafe.Sizeof(k)) + 4*int64(unsafe.Sizeof(lsort.NormRef{}))
+	if _, byRef := comm.RefDenorm(b.codec); !byRef {
+		perKey += 2 * int64(unsafe.Sizeof(comm.Entry[K]{}))
+	}
+	held := int64(size)
+	if b.width == 0 {
+		held *= 3
+	}
+	return int64(n)*perKey + held + 1<<20
 }
 
 // spooledJobBytes estimates the resident footprint of a spooled job:

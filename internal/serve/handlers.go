@@ -447,8 +447,9 @@ func (s *Server) handleSort(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Governor: a resident job holds its decoded keys, the engine's ref
-	// slabs, its sorted key column and encoded result in this process.
-	release, jerr := s.reserve(residentJobBytes(j.ds.n))
+	// (and, for a key type sorted by entry, entry) slabs, its sorted key
+	// column and encoded result in this process.
+	release, jerr := s.reserve(j.b.residentJobBytes(j.ds.n, j.ds.size))
 	if jerr != nil {
 		j.fail(jerr)
 		return

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"pgxsort/internal/dist"
 	"pgxsort/internal/keyio"
@@ -82,25 +83,47 @@ func TestSortResponseBytesEveryKeyType(t *testing.T) {
 }
 
 // TestResidentJobBytesBoundsFootprint holds the governor's estimate of a
-// resident job to what one 2^16-key uint64 job is measured to hold: every
+// resident job to what one 2^16-key job is measured to hold, for a key
+// type sorted by ref (uint64) and one sorted by entry (string): every
 // node's temporary peak (the nodes run at once, in this process) plus its
 // input, key column and encoded answer. The estimate must cover that and
 // be no more than twice it.
 func TestResidentJobBytesBoundsFootprint(t *testing.T) {
 	const n = 1 << 16
-	srv, _ := testServer(t, Config{MemoryBudget: -1, KeyTypes: []dist.KeyType{dist.KeyUint64}})
-	b := srv.backends[dist.KeyUint64].(*typedBackend[uint64])
-	out, rep, err := b.sort(context.Background(), b.fromKeys(dist.Gen{Kind: dist.Uniform, Seed: 3}.Keys(n)))
+	srv, _ := testServer(t, Config{MemoryBudget: -1, KeyTypes: []dist.KeyType{dist.KeyUint64, dist.KeyString}})
+	u64 := dist.Gen{Kind: dist.Uniform, Seed: 3}.Keys(n)
+	str := make([]string, n)
+	strBytes := 0
+	for i, k := range u64 {
+		str[i] = fmt.Sprintf("shared-prefix-%d", k%100003)
+		strBytes += len(str[i])
+	}
+	t.Run("uint64", func(t *testing.T) {
+		checkJobBytes(t, srv.backends[dist.KeyUint64].(*typedBackend[uint64]), u64, 0)
+	})
+	t.Run("string", func(t *testing.T) {
+		checkJobBytes(t, srv.backends[dist.KeyString].(*typedBackend[string]), str, strBytes)
+	})
+}
+
+// checkJobBytes sorts keys as a resident job of b and holds b's estimate
+// to the measured footprint; keyBytes is what the keys hold beyond their
+// K headers (a string's bytes).
+func checkJobBytes[K cmp.Ordered](t *testing.T, b *typedBackend[K], keys []K, keyBytes int) {
+	ds := b.fromKeys(keys)
+	out, rep, err := b.sort(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured := int64(n*8+n*8) + int64(len(out))
+	var k K
+	header := int64(len(keys)) * int64(unsafe.Sizeof(k))
+	measured := 2*header + int64(keyBytes) + int64(len(out))
 	for _, nr := range rep.PerNode {
 		measured += nr.TempPeakBytes
 	}
-	est := residentJobBytes(n)
+	est := b.residentJobBytes(ds.n, ds.size)
 	if est < measured || est > 2*measured {
-		t.Fatalf("residentJobBytes(%d) = %d for a job measured at %d bytes; want within [1, 2]x", n, est, measured)
+		t.Fatalf("residentJobBytes(%d, %d) = %d for a job measured at %d bytes; want within [1, 2]x", ds.n, ds.size, est, measured)
 	}
 	t.Logf("estimate %d bytes, measured %d (%.2fx)", est, measured, float64(est)/float64(measured))
 }

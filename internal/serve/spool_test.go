@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"pgxsort/internal/comm"
 	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/keyio"
@@ -346,7 +347,7 @@ func TestGovernorOversized413(t *testing.T) {
 		cfg  Config
 	}{
 		{"resident", Config{
-			GovernorBudget: residentJobBytes(1000),
+			GovernorBudget: (&typedBackend[uint64]{codec: comm.U64Codec{}, width: 8}).residentJobBytes(1000, 8000),
 			MemoryBudget:   -1, // the resident job's footprint is the subject; keep the env lane from spooling it
 		}},
 		{"spooled", Config{
