@@ -1,10 +1,9 @@
 // Multisort exercises two more of the paper's API claims (§III-IV): the
 // library "is generic and works with any data type and is able to sort
 // different data simultaneously". It sorts three uint64 datasets over one
-// cluster through the pipelined SortMany scheduler — dataset d+1's local
-// sort overlaps dataset d's exchange — prints the per-dataset stage
-// spans so the overlap is visible, then sorts int64 and float64 keys on
-// typed clusters.
+// cluster through the SortMany scheduler, two of them admitted at a time,
+// prints the per-dataset stage spans so their overlap is visible, then
+// sorts int64 and float64 keys on typed clusters.
 //
 // Run: go run ./examples/multisort
 package main
@@ -25,10 +24,9 @@ func main() {
 	}
 	defer cluster.Close()
 
-	// Three datasets with different distributions, pipelined over the
-	// same cluster: their messages interleave on the same simulated
-	// network, but at most two are in flight and only one occupies a
-	// communication stage at a time.
+	// Three datasets with different distributions over the same cluster:
+	// their messages interleave on the same simulated network, with at
+	// most two in flight.
 	kinds := []dist.Kind{dist.Uniform, dist.Normal, dist.Exponential}
 	datasets := make([][][]uint64, len(kinds))
 	for d, kind := range kinds {
@@ -51,8 +49,7 @@ func main() {
 			kinds[d], res.Len(), res.Report.LoadImbalance(), res.Report.DataBytes)
 	}
 	// The stage spans are offsets from the SortMany call: overlap between
-	// one dataset's exchange and another's local-sort/merge is the
-	// pipeline working.
+	// two datasets' spans is both running at once.
 	for d, res := range results {
 		tr := res.Report.Sched
 		fmt.Printf("dataset %d admitted after %8v:", d, tr.AdmitWait.Round(10e3))

@@ -338,16 +338,16 @@ func (e *Engine[K]) SortSlice(data []K) (*Result[K], error) {
 
 // SortMany runs several sorts over the same engine, multiplexed by sort
 // id — the paper's "sort multiple different data simultaneously" — using
-// the pipelined scheduler with the engine's default knobs: at most
-// Options.MaxInflight datasets in flight and one dataset per
-// communication stage at a time. Results are returned in input order;
-// every failure is joined into the returned error (see Scheduler.Run).
+// the scheduler with the engine's default knobs: at most
+// Options.MaxInflight datasets in flight. Results are returned in input
+// order; every failure is joined into the returned error (see
+// Scheduler.Run).
 func (e *Engine[K]) SortMany(datasets ...[][]K) ([]*Result[K], error) {
 	return e.SortManyWith(context.Background(), SortManyOpts{}, datasets...)
 }
 
 // SortManyWith is SortMany with cancellation and explicit scheduling
-// knobs (inflight cap, retries, or the naive unbounded baseline).
+// knobs (inflight cap, retries).
 func (e *Engine[K]) SortManyWith(ctx context.Context, opts SortManyOpts, datasets ...[][]K) ([]*Result[K], error) {
 	return NewScheduler(e, opts).Run(ctx, datasets)
 }
@@ -367,10 +367,10 @@ func (e *Engine[K]) SortManyRecordsWith(ctx context.Context, opts SortManyOpts, 
 	return NewScheduler(e, opts).RunRecords(ctx, datasets)
 }
 
-// sortOne runs the staged pipeline on every node for one dataset. ctrl is
-// non-nil only under the SortMany scheduler; ctx cancellation tears down
-// this sort's mailboxes without touching other sorts on the engine.
-func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Result[K], error) {
+// sortOne runs the staged pipeline on every node for one dataset. spans
+// is non-nil only under the scheduler; ctx cancellation tears down this
+// sort's mailboxes without touching other sorts on the engine.
+func (e *Engine[K]) sortOne(ctx context.Context, j job[K], spans *stageSpans) (*Result[K], error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -396,7 +396,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 			codec:  e.codec,
 			src:    j.source(i),
 			ctx:    ctx,
-			ctrl:   ctrl,
+			spans:  spans,
 			cmps:   cmps,
 			byRef:  byRef,
 			keys:   keys,
@@ -546,7 +546,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], ctrl *stageCtrl) (*Re
 		// At least one node ran out-of-core under Options.MemoryBudget.
 		rep.MergePath += "+spill"
 	}
-	rep.Sched = ctrl.snapshot()
+	rep.Sched = spans.snapshot()
 
 	res := &Result[K]{Report: rep, norm: e.norm}
 	if keys {

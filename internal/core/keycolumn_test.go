@@ -36,6 +36,7 @@ func keyColumnCase[K cmp.Ordered](t *testing.T, label string, opts Options, code
 	if err != nil {
 		t.Fatalf("%s: RunOne: %v", label, err)
 	}
+	checkStageSpans(t, label, rep.Sched)
 	if len(cols) != len(want.Parts) {
 		t.Fatalf("%s: %d key columns for %d parts", label, len(cols), len(want.Parts))
 	}

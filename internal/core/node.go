@@ -35,7 +35,7 @@ type sortRun[K cmp.Ordered] struct {
 	// 6 ends this node's part in a key column, not in entries.
 	keys   bool
 	ctx    context.Context
-	ctrl   *stageCtrl // nil outside the SortMany scheduler
+	spans  *stageSpans // nil outside the scheduler
 	cmps   sortCmps[K]
 	report NodeReport
 
@@ -75,9 +75,6 @@ type sortRun[K cmp.Ordered] struct {
 	stall0      time.Duration
 	reconnects0 int64
 	resent0     int64
-
-	stageArrived [NumSchedStages]bool
-	stageLeft    [NumSchedStages]bool
 }
 
 // master is the processor that selects splitters (step 3) and reduces
@@ -248,55 +245,25 @@ func (s *sortRun[K]) recv(kind comm.Kind) (comm.Message[K], error) {
 	return m, nil
 }
 
-// enterStage blocks until the scheduler admits this sort into st,
-// recording how long this node waited at the boundary.
+// enterStage marks this node in stage st, the one a failure from here on
+// is attributed to, and reports whether the sort is still wanted.
 func (s *sortRun[K]) enterStage(st SchedStage) error {
 	s.curStage = st
-	s.stageArrived[st] = true
-	wait, err := s.ctrl.enter(st)
-	s.report.StageWait[st] = wait
-	if err != nil {
-		return err
-	}
+	s.spans.enter(st)
 	return s.ctx.Err()
-}
-
-// leaveStage marks this node done with st, at most once per stage.
-func (s *sortRun[K]) leaveStage(st SchedStage) {
-	if s.stageLeft[st] {
-		return
-	}
-	s.stageLeft[st] = true
-	s.ctrl.leave(st)
-}
-
-// leaveAllStages credits this node's arrival at and departure from every
-// stage it has not passed through, so an error exit can never strand a
-// stage barrier or gate.
-func (s *sortRun[K]) leaveAllStages() {
-	for st := SchedStage(0); st < NumSchedStages; st++ {
-		if !s.stageArrived[st] {
-			s.stageArrived[st] = true
-			s.ctrl.forfeit(st)
-		}
-		s.leaveStage(st)
-	}
 }
 
 // run executes the staged pipeline and returns this node's sorted part.
 // The six paper steps map onto four scheduler stages: local sort (CPU),
 // sample/splitter agreement (comm), partition+exchange (comm-heavy),
-// final merge (CPU). The scheduler's exchange gate is released the moment
-// this sort's communication is done, so pipelined SortMany serializes
-// only the comm-heavy part while the merge proceeds ungated.
+// final merge (CPU). Under the scheduler each stage's span is traced.
 func (s *sortRun[K]) run() (_ sortedPart[K], err error) {
 	s.markTransportBaseline()
-	defer s.leaveAllStages()
 	defer s.foldTraffic()
-	// Innermost defer, so it runs before the traffic fold and the stage
-	// forfeits: a stage panic (an injected failpoint or a real bug)
-	// becomes this node's error instead of killing the process, and on
-	// any exit a completed-but-unmerged exchange gives its slabs back.
+	// Innermost defer, so it runs before the traffic fold: a stage panic
+	// (an injected failpoint or a real bug) becomes this node's error
+	// instead of killing the process, and on any exit a
+	// completed-but-unmerged exchange gives its slabs back.
 	defer func() {
 		if r := recover(); r != nil {
 			err = recoverPanic(r)
@@ -317,7 +284,7 @@ func (s *sortRun[K]) run() (_ sortedPart[K], err error) {
 	if err := failpoint.Hit(fpLocalSort); err != nil {
 		return sortedPart[K]{}, err
 	}
-	s.leaveStage(StageLocalSort)
+	s.spans.leave(StageLocalSort)
 
 	if err := s.enterStage(StageSplitters); err != nil {
 		return sortedPart[K]{}, err
@@ -329,7 +296,7 @@ func (s *sortRun[K]) run() (_ sortedPart[K], err error) {
 	if err != nil {
 		return sortedPart[K]{}, err
 	}
-	s.leaveStage(StageSplitters)
+	s.spans.leave(StageSplitters)
 
 	if err := s.enterStage(StageExchange); err != nil {
 		return sortedPart[K]{}, err
@@ -341,7 +308,7 @@ func (s *sortRun[K]) run() (_ sortedPart[K], err error) {
 	if err != nil {
 		return sortedPart[K]{}, err
 	}
-	s.leaveStage(StageExchange)
+	s.spans.leave(StageExchange)
 
 	if err := s.enterStage(StageMerge); err != nil {
 		return sortedPart[K]{}, err
@@ -359,7 +326,7 @@ func (s *sortRun[K]) run() (_ sortedPart[K], err error) {
 	if err != nil {
 		return sortedPart[K]{}, err
 	}
-	s.leaveStage(StageMerge)
+	s.spans.leave(StageMerge)
 
 	s.report.PartSize = part.len()
 	s.report.ResidentBytes += part.bytes()

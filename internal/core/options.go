@@ -83,9 +83,8 @@ type Options struct {
 	// value is the loopback default. Ignored by the chan transport.
 	TCP transport.Config
 	// MaxInflight is the default admission cap of the SortMany scheduler:
-	// how many datasets may be in flight at once (one of them in a
-	// communication stage). Default 2. SortManyOpts.MaxInflight overrides
-	// it per call.
+	// how many datasets may be in flight at once. Default 2.
+	// SortManyOpts.MaxInflight overrides it per call.
 	MaxInflight int
 	// MemoryBudget caps each node's *temporary* entry memory (the merge
 	// scratch, exchange assembly and other tracker-accounted staging —

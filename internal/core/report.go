@@ -51,20 +51,18 @@ func (s Step) String() string {
 }
 
 // SchedStage identifies one of the scheduler's pipeline stages. Stages
-// group the six steps by resource: two CPU-bound stages the scheduler runs
-// freely, and two communication stages it serializes across datasets so
-// one dataset's exchange overlaps another's compute instead of contending
-// with it.
+// group the six steps by resource: two CPU-bound stages around two
+// communication stages. The scheduler traces each one's span.
 type SchedStage int
 
 const (
 	// StageLocalSort is the CPU-bound local sort (step 1).
 	StageLocalSort SchedStage = iota
 	// StageSplitters is the sample/splitter agreement (steps 2-3): small
-	// messages, latency-bound, serialized across datasets.
+	// messages, latency-bound.
 	StageSplitters
 	// StageExchange is the partition + all-to-all exchange (steps 4-5):
-	// the communication-heavy stage, serialized across datasets.
+	// the communication-heavy stage.
 	StageExchange
 	// StageMerge is the CPU-bound merge of the received runs (step 6).
 	StageMerge
@@ -89,25 +87,15 @@ func (s SchedStage) String() string {
 	}
 }
 
-// Serial reports whether the scheduler admits only one dataset at a time
-// into this stage (the communication stages).
-func (s SchedStage) Serial() bool {
-	return s == StageSplitters || s == StageExchange
-}
-
-// SchedTrace describes one sort's passage through the SortMany scheduler.
-// It is the zero value for plain Sort calls. All offsets are relative to
-// the batch epoch (the SortMany call), so overlap between datasets is
-// directly readable: dataset d's StageExchange span sitting inside
-// dataset d+1's StageLocalSort span is the pipelining working.
+// SchedTrace describes one sort's passage through the scheduler. It is the
+// zero value for plain Sort calls. All offsets are relative to the batch
+// epoch (the SortMany call), so overlap between datasets is directly
+// readable.
 type SchedTrace struct {
-	// Pipelined is true when the staged scheduler ran this sort.
+	// Pipelined is true when the scheduler ran this sort.
 	Pipelined bool
 	// AdmitWait is how long the dataset waited for an admission slot.
 	AdmitWait time.Duration
-	// StageWait is how long the sort waited at each serialized stage's
-	// gate (zero for the CPU stages, which have no gate).
-	StageWait [NumSchedStages]time.Duration
 	// StageStart/StageEnd bracket each stage: offset from the batch epoch
 	// when the first node entered and when the last node left.
 	StageStart [NumSchedStages]time.Duration
@@ -122,11 +110,7 @@ func (t *SchedTrace) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "admit-wait %v\n", t.AdmitWait)
 	for s := SchedStage(0); s < NumSchedStages; s++ {
-		fmt.Fprintf(&b, "  %-10s [%8v .. %8v]", s, t.StageStart[s], t.StageEnd[s])
-		if s.Serial() {
-			fmt.Fprintf(&b, " gate-wait %v", t.StageWait[s])
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "  %-10s [%8v .. %8v]\n", s, t.StageStart[s], t.StageEnd[s])
 	}
 	return b.String()
 }
@@ -161,10 +145,6 @@ type NodeReport struct {
 	// once.
 	SpillBytes int64
 	SpillReads int64
-	// StageWait is the time this node spent blocked at each scheduler
-	// stage boundary waiting to be admitted (zero outside SortMany's
-	// pipelined scheduler).
-	StageWait [NumSchedStages]time.Duration
 	// SendStall is the time this node's sends spent blocked on full
 	// per-peer windows during this sort — the slow-peer backpressure
 	// signal. Zero on the in-process transport. The counters are

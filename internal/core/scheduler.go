@@ -15,21 +15,15 @@ import (
 )
 
 // DefaultMaxInflight is how many datasets the scheduler admits at once
-// when neither Options.MaxInflight nor SortManyOpts.MaxInflight is set:
-// one dataset in a communication stage while a second computes.
+// when neither Options.MaxInflight nor SortManyOpts.MaxInflight is set.
 const DefaultMaxInflight = 2
 
-// SortManyOpts configures the pipelined multi-dataset scheduler.
+// SortManyOpts configures the multi-dataset scheduler.
 type SortManyOpts struct {
 	// MaxInflight caps how many datasets are admitted at once. 0 uses
 	// the engine's Options.MaxInflight (default 2); 1 degenerates to
 	// strictly sequential execution.
 	MaxInflight int
-	// Naive disables the staged scheduler and fires every dataset at
-	// once with unbounded concurrency — the pre-scheduler behaviour.
-	// Only the root package's BenchmarkSortManyPipeline sets it, as its
-	// "naive" row (and the scheduler's tests, to compare against it).
-	Naive bool
 	// Retry re-runs Transient-classed failures (see RetryPolicy). The
 	// zero value disables retries.
 	Retry RetryPolicy
@@ -41,7 +35,7 @@ type SortManyOpts struct {
 // fail identically), and neither does a job whose context is already
 // dead. A retried job holds its admission slot across attempts — the
 // pipeline sees one long job, not a re-queued one — and each attempt
-// runs with a fresh stage controller, with the previous attempt's
+// runs with a fresh span recorder, with the previous attempt's
 // pooled slabs already recycled by the engine's error path.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per job, including
@@ -76,35 +70,18 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// stageGates is the shared admission state of one scheduler: an admission
-// semaphore plus a one-slot gate per serialized (communication) stage.
-type stageGates struct {
-	admit chan struct{}
-	gates [NumSchedStages]chan struct{}
-}
-
-func newStageGates(maxInflight int) *stageGates {
-	g := &stageGates{admit: make(chan struct{}, maxInflight)}
-	for st := SchedStage(0); st < NumSchedStages; st++ {
-		if st.Serial() {
-			g.gates[st] = make(chan struct{}, 1)
-		}
-	}
-	return g
-}
-
-// Scheduler pipelines several sorts over one engine. It admits at most
-// MaxInflight datasets and at most one dataset per communication stage at
-// a time, so dataset d+1's CPU-bound stages overlap dataset d's exchange
-// instead of competing with it — the deliberate version of the paper's
-// "sort multiple different data simultaneously".
+// Scheduler runs several sorts over one engine at once — the paper's
+// "sort multiple different data simultaneously". It admits at most
+// MaxInflight datasets at a time, retries transient failures and records
+// each sort's stage spans (Report.Sched); the admitted sorts share the
+// engine's nodes and links freely.
 //
 // A Scheduler is safe for concurrent use; overlapping Run calls share the
-// same admission slots and stage gates.
+// same admission slots.
 type Scheduler[K cmp.Ordered] struct {
 	eng   *Engine[K]
 	opts  SortManyOpts
-	gates *stageGates
+	slots chan struct{} // one token per admitted job
 
 	mu       sync.Mutex
 	inflight int
@@ -128,7 +105,7 @@ func NewScheduler[K cmp.Ordered](e *Engine[K], opts SortManyOpts) *Scheduler[K] 
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = DefaultMaxInflight
 	}
-	return &Scheduler[K]{eng: e, opts: opts, gates: newStageGates(opts.MaxInflight)}
+	return &Scheduler[K]{eng: e, opts: opts, slots: make(chan struct{}, opts.MaxInflight)}
 }
 
 // PeakInflight reports the most datasets that were ever in flight at
@@ -207,16 +184,12 @@ func (s *Scheduler[K]) wait(ctx context.Context, d time.Duration) bool {
 }
 
 // runAttempts runs one resident job to completion under the retry
-// policy. Every attempt gets a fresh stage controller — the failed
-// attempt's ctrl has forfeited all its stages and must not be reused.
-func (s *Scheduler[K]) runAttempts(ctx context.Context, j job[K], gated bool, epoch time.Time, admitWait time.Duration) (*Result[K], error) {
+// policy. Every attempt gets a fresh span recorder, so the trace is the
+// last attempt's.
+func (s *Scheduler[K]) runAttempts(ctx context.Context, j job[K], epoch time.Time, admitWait time.Duration) (*Result[K], error) {
 	var res *Result[K]
 	attempts, err := s.retry(ctx, func() (err error) {
-		var ctrl *stageCtrl
-		if gated {
-			ctrl = newStageCtrl(ctx, s.gates, s.eng.opts.Procs, epoch, admitWait)
-		}
-		res, err = s.eng.sortOne(ctx, j, ctrl)
+		res, err = s.eng.sortOne(ctx, j, newStageSpans(epoch, admitWait))
 		return err
 	})
 	if err != nil {
@@ -224,6 +197,29 @@ func (s *Scheduler[K]) runAttempts(ctx context.Context, j job[K], gated bool, ep
 	}
 	res.Report.Attempts = attempts
 	return res, nil
+}
+
+// admit takes an admission slot for one job, waiting no longer than ctx
+// lives. A done ctx admits nothing, even with a slot free: a select over
+// a free slot and a done ctx would pick either at random. The caller
+// hands the slot back with release.
+func (s *Scheduler[K]) admit(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	s.noteAdmit(1)
+	return nil
+}
+
+// release hands back a slot admit took.
+func (s *Scheduler[K]) release() {
+	s.noteAdmit(-1)
+	<-s.slots
 }
 
 func (s *Scheduler[K]) noteAdmit(delta int) {
@@ -248,14 +244,13 @@ func (s *Scheduler[K]) Run(ctx context.Context, datasets [][][]K) ([]*Result[K],
 	return s.runJobs(ctx, jobs)
 }
 
-// RunOne admits a single dataset through this scheduler's shared gates —
+// RunOne admits a single dataset through this scheduler's shared slots —
 // the multi-tenant admission path the pgxsortd service uses: every job
 // submitted over HTTP shares one scheduler per engine, so the inflight
-// cap and the one-dataset-per-communication-stage rule hold across
-// tenants exactly as they do within one SortMany batch. The service
-// answers with the keys alone, so the sort ends in them: one sorted key
-// column a node, in node order — what Run's Result.Keys would flatten —
-// and no entry is built for it.
+// cap holds across tenants exactly as it does within one SortMany batch.
+// The service answers with the keys alone, so the sort ends in them: one
+// sorted key column a node, in node order — what Run's Result.Keys would
+// flatten — and no entry is built for it.
 func (s *Scheduler[K]) RunOne(ctx context.Context, parts [][]K) ([][]K, Report, error) {
 	results, err := s.runJobs(ctx, []job[K]{{parts: parts, keys: true}})
 	if err != nil {
@@ -295,6 +290,10 @@ func (s *Scheduler[K]) RunRecords(ctx context.Context, datasets [][][]comm.Recor
 }
 
 // runJobs is the shared scheduling loop behind Run and RunRecords.
+// Admitting here — not inside each job's goroutine — fixes the admission
+// order and bounds the live sort goroutine trees to MaxInflight. Every
+// dataset of a batch arrives at its epoch, so its admission wait is
+// counted from there.
 func (s *Scheduler[K]) runJobs(ctx context.Context, jobs []job[K]) ([]*Result[K], error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -303,18 +302,21 @@ func (s *Scheduler[K]) runJobs(ctx context.Context, jobs []job[K]) ([]*Result[K]
 	errs := make([]error, len(jobs))
 	epoch := time.Now()
 	var wg sync.WaitGroup
-	launch := func(idx int, admitWait time.Duration, gated bool) {
+	for idx := range jobs {
+		err := s.eng.checkJob(jobs[idx])
+		if err == nil {
+			err = s.admit(ctx)
+		}
+		if err != nil {
+			errs[idx] = fmt.Errorf("dataset %d: %w", idx, err)
+			continue
+		}
+		admitWait := time.Since(epoch)
 		wg.Add(1)
-		s.noteAdmit(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				s.noteAdmit(-1)
-				if gated {
-					<-s.gates.admit
-				}
-			}()
-			res, err := s.runAttempts(ctx, jobs[idx], gated, epoch, admitWait)
+			defer s.release()
+			res, err := s.runAttempts(ctx, jobs[idx], epoch, admitWait)
 			if err != nil {
 				errs[idx] = fmt.Errorf("dataset %d: %w", idx, err)
 				return
@@ -322,178 +324,51 @@ func (s *Scheduler[K]) runJobs(ctx context.Context, jobs []job[K]) ([]*Result[K]
 			results[idx] = res
 		}()
 	}
-	for idx := range jobs {
-		if err := s.eng.checkJob(jobs[idx]); err != nil {
-			errs[idx] = fmt.Errorf("dataset %d: %w", idx, err)
-			continue
-		}
-		if s.opts.Naive {
-			launch(idx, 0, false)
-			continue
-		}
-		// Blocking on the admission semaphore here — not inside the
-		// goroutine — fixes the admission order and bounds the number of
-		// live sort goroutine trees to MaxInflight. The Err pre-check
-		// makes a cancelled batch skip deterministically: with a free
-		// slot AND a done ctx the select below would pick at random.
-		if err := ctx.Err(); err != nil {
-			errs[idx] = fmt.Errorf("dataset %d: %w", idx, err)
-			continue
-		}
-		select {
-		case s.gates.admit <- struct{}{}:
-		case <-ctx.Done():
-			errs[idx] = fmt.Errorf("dataset %d: %w", idx, ctx.Err())
-			continue
-		}
-		launch(idx, time.Since(epoch), true)
-	}
 	wg.Wait()
 	return results, errors.Join(errs...)
 }
 
-// stageCtrl coordinates one sort's p node goroutines with the scheduler's
-// stage gates. A serialized stage is barrier-then-acquire: nodes wait
-// until all p have arrived, the last arrival triggers the gate
-// acquisition, and the last node to leave releases it. Acquiring only
-// once everyone is ready keeps intra-sort skew (one node still busy in a
-// CPU stage) from inflating the gate hold time, and means a sort holds at
-// most one serial gate at a time. CPU stages have no gate and only feed
-// the trace.
-type stageCtrl struct {
-	ctx   context.Context
-	gates *stageGates
-	procs int
-	epoch time.Time
-
-	ready [NumSchedStages]chan struct{}
-
-	mu       sync.Mutex
-	arrived  [NumSchedStages]int
-	entered  [NumSchedStages]int
-	left     [NumSchedStages]int
-	acquired [NumSchedStages]bool
-	finished [NumSchedStages]bool
-	trace    SchedTrace
+// stageSpans records one scheduled sort's SchedTrace: a stage starts when
+// its first node enters it and ends when its last node leaves it. The
+// clock is read under the lock, so the first stamp is the earliest entry
+// and the last the latest exit. A nil recorder (a plain Sort) records
+// nothing.
+type stageSpans struct {
+	epoch   time.Time
+	mu      sync.Mutex
+	entered [NumSchedStages]bool
+	trace   SchedTrace
 }
 
-func newStageCtrl(ctx context.Context, gates *stageGates, procs int, epoch time.Time, admitWait time.Duration) *stageCtrl {
-	c := &stageCtrl{ctx: ctx, gates: gates, procs: procs, epoch: epoch}
-	c.trace.Pipelined = true
-	c.trace.AdmitWait = admitWait
-	for st := SchedStage(0); st < NumSchedStages; st++ {
-		c.ready[st] = make(chan struct{})
-		if gates.gates[st] == nil {
-			close(c.ready[st]) // ungated stage: always open
-		}
-	}
-	return c
+func newStageSpans(epoch time.Time, admitWait time.Duration) *stageSpans {
+	return &stageSpans{epoch: epoch, trace: SchedTrace{Pipelined: true, AdmitWait: admitWait}}
 }
 
-// enter blocks the calling node until its sort holds stage st, returning
-// how long it waited. A nil ctrl (plain Sort) admits immediately.
-func (c *stageCtrl) enter(st SchedStage) (time.Duration, error) {
+// enter stamps st's start if the calling node is its first.
+func (c *stageSpans) enter(st SchedStage) {
 	if c == nil {
-		return 0, nil
-	}
-	start := time.Now()
-	if gate := c.gates.gates[st]; gate != nil {
-		c.mu.Lock()
-		c.arrived[st]++
-		last := c.arrived[st] == c.procs
-		c.mu.Unlock()
-		if last {
-			// Acquire on a separate goroutine so that a node blocked at
-			// the barrier can still be cancelled.
-			go c.acquire(st, gate)
-		}
-	}
-	select {
-	case <-c.ready[st]:
-	case <-c.ctx.Done():
-		return time.Since(start), c.ctx.Err()
+		return
 	}
 	c.mu.Lock()
-	c.entered[st]++
-	if c.entered[st] == 1 {
+	if !c.entered[st] {
+		c.entered[st] = true
 		c.trace.StageStart[st] = time.Since(c.epoch)
 	}
 	c.mu.Unlock()
-	return time.Since(start), nil
 }
 
-// acquire takes a serialized stage's gate once every node has arrived,
-// then opens the stage. If the sort was abandoned in the meantime the
-// slot is handed straight back.
-func (c *stageCtrl) acquire(st SchedStage, gate chan struct{}) {
-	t0 := time.Now()
-	select {
-	case gate <- struct{}{}:
-	case <-c.ctx.Done():
-		return // enter unblocks via ctx
-	}
-	c.mu.Lock()
-	c.trace.StageWait[st] = time.Since(t0)
-	c.acquired[st] = true
-	fin := c.finished[st]
-	if fin {
-		// Every node already abandoned this stage (an earlier stage
-		// failed); hand the slot straight back.
-		c.acquired[st] = false
-	}
-	c.mu.Unlock()
-	close(c.ready[st])
-	if fin {
-		<-gate
-	}
-}
-
-// forfeit counts an abandoning node as arrived at a stage it will never
-// enter, so the barrier still completes and nodes already waiting at it
-// are released to observe the failure instead of blocking forever.
-func (c *stageCtrl) forfeit(st SchedStage) {
-	if c == nil {
-		return
-	}
-	gate := c.gates.gates[st]
-	if gate == nil {
-		return
-	}
-	c.mu.Lock()
-	c.arrived[st]++
-	last := c.arrived[st] == c.procs
-	c.mu.Unlock()
-	if last {
-		go c.acquire(st, gate)
-	}
-}
-
-// leave records that one node is done with stage st; the last node out
-// releases the stage's gate. It must be called exactly once per node per
-// stage (sortRun.leaveStage deduplicates, including on error exits).
-func (c *stageCtrl) leave(st SchedStage) {
+// leave stamps st's end; the last node out writes the last stamp.
+func (c *stageSpans) leave(st SchedStage) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.left[st]++
-	release := false
-	if c.left[st] == c.procs {
-		c.trace.StageEnd[st] = time.Since(c.epoch)
-		c.finished[st] = true
-		if c.acquired[st] {
-			c.acquired[st] = false
-			release = true
-		}
-	}
+	c.trace.StageEnd[st] = time.Since(c.epoch)
 	c.mu.Unlock()
-	if release {
-		<-c.gates.gates[st]
-	}
 }
 
 // snapshot returns the trace once the sort is done.
-func (c *stageCtrl) snapshot() SchedTrace {
+func (c *stageSpans) snapshot() SchedTrace {
 	if c == nil {
 		return SchedTrace{}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -35,6 +36,29 @@ func verifyAll(t *testing.T, results []*Result[uint64], datasets [][][]uint64) {
 	}
 }
 
+// checkStageSpans checks the order a scheduled sort's trace must have:
+// every node goes through the stages in order, so each stage starts no
+// earlier than its predecessor and ends no earlier than it, and no stage
+// ends before it starts.
+func checkStageSpans(t *testing.T, label string, tr SchedTrace) {
+	t.Helper()
+	if !tr.Pipelined {
+		t.Errorf("%s: Sched.Pipelined not set", label)
+	}
+	for st := SchedStage(0); st < NumSchedStages; st++ {
+		if tr.StageEnd[st] < tr.StageStart[st] {
+			t.Errorf("%s stage %v: end %v before start %v", label, st, tr.StageEnd[st], tr.StageStart[st])
+		}
+		if st == 0 {
+			continue
+		}
+		if tr.StageStart[st] < tr.StageStart[st-1] || tr.StageEnd[st] < tr.StageEnd[st-1] {
+			t.Errorf("%s: stage %v [%v,%v] is not after stage %v [%v,%v]", label,
+				st, tr.StageStart[st], tr.StageEnd[st], st-1, tr.StageStart[st-1], tr.StageEnd[st-1])
+		}
+	}
+}
+
 func TestSortManyPipelinedVerifies(t *testing.T) {
 	e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2})
 	datasets := mkDatasets(4, 4000, 7)
@@ -44,21 +68,14 @@ func TestSortManyPipelinedVerifies(t *testing.T) {
 	}
 	verifyAll(t, results, datasets)
 	for d, res := range results {
-		if !res.Report.Sched.Pipelined {
-			t.Errorf("dataset %d: Sched.Pipelined not set", d)
-		}
-		for st := SchedStage(0); st < NumSchedStages; st++ {
-			if res.Report.Sched.StageEnd[st] < res.Report.Sched.StageStart[st] {
-				t.Errorf("dataset %d stage %v: end %v before start %v",
-					d, st, res.Report.Sched.StageEnd[st], res.Report.Sched.StageStart[st])
-			}
-		}
+		checkStageSpans(t, fmt.Sprintf("dataset %d", d), res.Report.Sched)
 	}
 }
 
-// TestSchedulerInflightCap checks both admission invariants: never more
-// than MaxInflight datasets in flight, and serialized stages occupied by
-// one dataset at a time (their spans cannot overlap).
+// TestSchedulerInflightCap checks the admission invariant: never more
+// than MaxInflight datasets in flight. At cap 1 admission alone
+// serializes whole jobs, so no two datasets' spans, local-sort start to
+// merge end, overlap.
 func TestSchedulerInflightCap(t *testing.T) {
 	for _, cap := range []int{1, 2} {
 		e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2})
@@ -69,28 +86,21 @@ func TestSchedulerInflightCap(t *testing.T) {
 			t.Fatalf("cap %d: %v", cap, err)
 		}
 		verifyAll(t, results, datasets)
-		if got := sched.PeakInflight(); got > cap {
+		if got := sched.PeakInflight(); got < 1 || got > cap {
 			t.Errorf("cap %d: peak inflight %d", cap, got)
 		}
-		for st := SchedStage(0); st < NumSchedStages; st++ {
-			if !st.Serial() {
-				continue
-			}
-			type span struct {
-				d          int
-				start, end time.Duration
-			}
-			var spans []span
-			for d, res := range results {
-				spans = append(spans, span{d, res.Report.Sched.StageStart[st], res.Report.Sched.StageEnd[st]})
-			}
-			for i := range spans {
-				for j := i + 1; j < len(spans); j++ {
-					a, b := spans[i], spans[j]
-					if a.start < b.end && b.start < a.end {
-						t.Errorf("cap %d: datasets %d and %d overlap in %v: [%v,%v] vs [%v,%v]",
-							cap, a.d, b.d, st, a.start, a.end, b.start, b.end)
-					}
+		if cap > 1 {
+			continue
+		}
+		for i := range results {
+			a := results[i].Report.Sched
+			for j := i + 1; j < len(results); j++ {
+				b := results[j].Report.Sched
+				aStart, aEnd := a.StageStart[StageLocalSort], a.StageEnd[StageMerge]
+				bStart, bEnd := b.StageStart[StageLocalSort], b.StageEnd[StageMerge]
+				if aStart < bEnd && bStart < aEnd {
+					t.Errorf("cap 1: datasets %d and %d overlap: [%v,%v] vs [%v,%v]",
+						i, j, aStart, aEnd, bStart, bEnd)
 				}
 			}
 		}
@@ -132,29 +142,29 @@ func TestSortManyInputOrder(t *testing.T) {
 // dataset fails with its index, the others still sort and stay
 // addressable at their input positions.
 func TestSortManyJoinsErrors(t *testing.T) {
-	for _, naive := range []bool{false, true} {
+	good := mkParts(dist.Uniform, 4, 2000, 3)
+	bad := mkParts(dist.Uniform, 3, 2000, 4) // wrong part count
+	bad2 := mkParts(dist.Uniform, 5, 2000, 5)
+	for _, inflight := range []int{0, 3} {
 		e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2})
-		good := mkParts(dist.Uniform, 4, 2000, 3)
-		bad := mkParts(dist.Uniform, 3, 2000, 4) // wrong part count
-		bad2 := mkParts(dist.Uniform, 5, 2000, 5)
 		results, err := e.SortManyWith(context.Background(),
-			SortManyOpts{Naive: naive}, good, bad, bad2)
+			SortManyOpts{MaxInflight: inflight}, good, bad, bad2)
 		if err == nil {
-			t.Fatalf("naive=%v: malformed datasets sorted without error", naive)
+			t.Fatalf("inflight %d: malformed datasets sorted without error", inflight)
 		}
 		for _, want := range []string{"dataset 1", "dataset 2"} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("naive=%v: error %q does not mention %s", naive, err, want)
+				t.Errorf("inflight %d: error %q does not mention %s", inflight, err, want)
 			}
 		}
 		if results[0] == nil {
-			t.Fatalf("naive=%v: healthy dataset dropped", naive)
+			t.Fatalf("inflight %d: healthy dataset dropped", inflight)
 		}
 		if err := results[0].Verify(good); err != nil {
-			t.Errorf("naive=%v: healthy result corrupt: %v", naive, err)
+			t.Errorf("inflight %d: healthy result corrupt: %v", inflight, err)
 		}
 		if results[1] != nil || results[2] != nil {
-			t.Errorf("naive=%v: failed datasets produced results", naive)
+			t.Errorf("inflight %d: failed datasets produced results", inflight)
 		}
 	}
 }
@@ -268,7 +278,7 @@ func TestSortManyPipelinedUnderJitter(t *testing.T) {
 
 // TestCloseDuringPipelinedSortMany closes the engine while a pipelined
 // batch is in flight: every sort must fail (or finish) promptly instead
-// of deadlocking on a stage barrier whose members already bailed out.
+// of deadlocking on a node whose peers already bailed out.
 func TestCloseDuringPipelinedSortMany(t *testing.T) {
 	e := newTestEngine(t, Options{Procs: 4, WorkersPerProc: 2})
 	datasets := mkDatasets(4, 100000, 29)
@@ -287,14 +297,14 @@ func TestCloseDuringPipelinedSortMany(t *testing.T) {
 	}
 }
 
-// TestSortManySequentialMatchesPipelined checks all three schedules agree
-// on the sorted output.
+// TestSortManySchedulesAgree checks three schedules agree on the sorted
+// output: one dataset at a time, two, and every dataset at once.
 func TestSortManySchedulesAgree(t *testing.T) {
 	datasets := mkDatasets(4, 2000, 23)
 	var kinds = []SortManyOpts{
 		{MaxInflight: 1},
 		{MaxInflight: 2},
-		{Naive: true},
+		{MaxInflight: len(datasets)},
 	}
 	var want [][]uint64
 	for _, opts := range kinds {

@@ -280,7 +280,7 @@ func (r *SpooledResult[K]) Close() error {
 }
 
 // RunOneSpooled admits one finished spool through the scheduler's
-// shared gates and runs it under the retry policy. The admission slot is
+// shared slots and runs it under the retry policy. The admission slot is
 // held until the returned result is Closed — the stream holds engine
 // scratch until then, and releasing early would let unbounded spooled
 // streams pile up past the inflight cap. Retries cover failures during
@@ -298,28 +298,21 @@ func (s *Scheduler[K]) RunOneSpooled(ctx context.Context, in *Spool[K]) (*Spoole
 		ctx = context.Background()
 	}
 	epoch := time.Now()
-	select {
-	case s.gates.admit <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := s.admit(ctx); err != nil {
+		return nil, err
 	}
 	admitWait := time.Since(epoch)
-	s.noteAdmit(1)
-	release := func() {
-		s.noteAdmit(-1)
-		<-s.gates.admit
-	}
 	var res *SpooledResult[K]
 	attempts, err := s.retry(ctx, func() (err error) {
 		res, err = s.eng.SortSpooled(ctx, in)
 		return err
 	})
 	if err != nil {
-		release()
+		s.release()
 		return nil, err
 	}
 	res.Report.Attempts = attempts
-	res.release = release
+	res.release = s.release
 	sched := &res.Report.Sched
 	sched.Pipelined, sched.AdmitWait = true, admitWait
 	at := res.start.Sub(epoch)

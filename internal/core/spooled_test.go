@@ -308,6 +308,37 @@ func TestRunOneSpooledRetry(t *testing.T) {
 	}
 }
 
+// TestRunOneSpooledCancelledContext calls RunOneSpooled with a dead
+// context and a free admission slot, many times: every call must fail
+// with the context's error and admit nothing. A bare select over the free
+// slot and the done context would admit about half of them.
+func TestRunOneSpooledCancelledContext(t *testing.T) {
+	e, err := NewEngine[uint64](Options{
+		Procs: 2, WorkersPerProc: 2,
+		MemoryBudget: 64 << 10, SpillDir: t.TempDir(),
+	}, comm.U64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	spool := writeSpool(t, e, t.TempDir(), []uint64{3, 1, 2})
+	s := NewScheduler(e, SortManyOpts{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		res, err := s.RunOneSpooled(ctx, spool)
+		if res != nil {
+			res.Close()
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	if peak := s.PeakInflight(); peak != 0 {
+		t.Fatalf("PeakInflight = %d after calls under a cancelled context, want 0", peak)
+	}
+}
+
 // TestEngineSpool lands keys through Engine.NewSpool, a batch at a
 // time as the streaming ingress does, and sorts the spool twice. The
 // spool is a scratch file of the engine's own pool: SpillDir lists

@@ -276,6 +276,16 @@ func TestFig9FactorSweep(t *testing.T) {
 	if first >= last {
 		t.Errorf("samples/proc not increasing: %d .. %d", first, last)
 	}
+	// comm_bytes sums every node's traffic, and only the sample part of
+	// it depends on the factor, so the sum cannot fall as the factor
+	// grows.
+	for i := 1; i < len(tb.Rows); i++ {
+		prev, _ := strconv.ParseInt(tb.Rows[i-1][2], 10, 64)
+		cur, _ := strconv.ParseInt(tb.Rows[i][2], 10, 64)
+		if cur < prev {
+			t.Errorf("comm_bytes falls from %d at %s to %d at %s", prev, tb.Rows[i-1][0], cur, tb.Rows[i][0])
+		}
+	}
 	// Paper shape: imbalance falls as the sample grows to X, and every
 	// row is within the bound for its samples per processor.
 	imb := func(row int) float64 { return cellFloat(t, tb.Rows[row][5]) }

@@ -17,7 +17,7 @@ import (
 //	          honors the job's deadline context.
 //
 // Past admission, the engine's core.Scheduler enforces the global
-// MaxInflight and the one-dataset-per-communication-stage rule.
+// MaxInflight.
 type admission struct {
 	queue     chan struct{}
 	tenantCap int

@@ -29,12 +29,11 @@ type jobRecord struct {
 }
 
 // stageSpan is one scheduler stage of one job: offsets from the job's
-// scheduler epoch, plus the serialized-gate wait where one exists.
+// scheduler epoch.
 type stageSpan struct {
-	Stage    string  `json:"stage"`
-	StartMS  float64 `json:"start_ms"`
-	EndMS    float64 `json:"end_ms"`
-	GateWait float64 `json:"gate_wait_ms,omitempty"`
+	Stage   string  `json:"stage"`
+	StartMS float64 `json:"start_ms"`
+	EndMS   float64 `json:"end_ms"`
 }
 
 // jobLog is a fixed-size ring of finished jobs, newest first on read.
@@ -95,10 +94,9 @@ func newJobRecord(j *job, status int, err error, cached bool, elapsed time.Durat
 		r.AdmitWaitMS = ms(rep.Sched.AdmitWait)
 		for st := core.SchedStage(0); st < core.NumSchedStages; st++ {
 			r.Stages = append(r.Stages, stageSpan{
-				Stage:    st.String(),
-				StartMS:  ms(rep.Sched.StageStart[st]),
-				EndMS:    ms(rep.Sched.StageEnd[st]),
-				GateWait: ms(rep.Sched.StageWait[st]),
+				Stage:   st.String(),
+				StartMS: ms(rep.Sched.StageStart[st]),
+				EndMS:   ms(rep.Sched.StageEnd[st]),
 			})
 		}
 	}

@@ -28,7 +28,6 @@ type metrics struct {
 	keysSorted   int64
 	stepSeconds  [core.NumSteps]float64
 	admitWaitSec float64
-	gateWaitSec  [core.NumSchedStages]float64
 
 	commBytes, commMsgs      int64
 	reconnects, framesResent int64
@@ -99,9 +98,6 @@ func (m *metrics) absorb(rep *core.Report) {
 		m.stepSeconds[s] += rep.Steps[s].Seconds()
 	}
 	m.admitWaitSec += rep.Sched.AdmitWait.Seconds()
-	for st := core.SchedStage(0); st < core.NumSchedStages; st++ {
-		m.gateWaitSec[st] += rep.Sched.StageWait[st].Seconds()
-	}
 	m.commBytes += rep.BytesSent
 	m.commMsgs += rep.MsgsSent
 	m.reconnects += rep.Reconnects
@@ -146,13 +142,6 @@ func (m *metrics) render(s *Server) string {
 		fmt.Fprintf(&b, "pgxsortd_step_seconds_total{step=%q} %.6f\n", st.String(), m.stepSeconds[st])
 	}
 	fmt.Fprintf(&b, "# HELP pgxsortd_sched_admit_wait_seconds_total Seconds jobs waited for a scheduler admission slot.\n# TYPE pgxsortd_sched_admit_wait_seconds_total counter\npgxsortd_sched_admit_wait_seconds_total %.6f\n", m.admitWaitSec)
-	fmt.Fprintf(&b, "# HELP pgxsortd_sched_gate_wait_seconds_total Seconds jobs waited at serialized stage gates, by stage.\n# TYPE pgxsortd_sched_gate_wait_seconds_total counter\n")
-	for st := core.SchedStage(0); st < core.NumSchedStages; st++ {
-		if !st.Serial() {
-			continue
-		}
-		fmt.Fprintf(&b, "pgxsortd_sched_gate_wait_seconds_total{stage=%q} %.6f\n", st.String(), m.gateWaitSec[st])
-	}
 	fmt.Fprintf(&b, "# HELP pgxsortd_comm_bytes_total Logical payload bytes sent on the wire by completed sorts.\n# TYPE pgxsortd_comm_bytes_total counter\npgxsortd_comm_bytes_total %d\n", m.commBytes)
 	fmt.Fprintf(&b, "# HELP pgxsortd_comm_msgs_total Messages sent by completed sorts.\n# TYPE pgxsortd_comm_msgs_total counter\npgxsortd_comm_msgs_total %d\n", m.commMsgs)
 	fmt.Fprintf(&b, "# HELP pgxsortd_transport_reconnects_total Connections re-established during sorts.\n# TYPE pgxsortd_transport_reconnects_total counter\npgxsortd_transport_reconnects_total %d\n", m.reconnects)

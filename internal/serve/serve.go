@@ -5,8 +5,7 @@
 // caps, per-job deadlines), a content-hash result cache with an LRU byte
 // budget, metrics exposition and a job trace log — while the sorting
 // itself stays in internal/core, reached through core.Scheduler so
-// concurrent HTTP jobs obey the same inflight and stage-serialization
-// rules as a SortMany batch.
+// concurrent HTTP jobs obey the same inflight cap as a SortMany batch.
 //
 // Every request takes one way through: open (parse, resolve the key
 // domain, decode the dataset once, hashing it as it streams) → cache

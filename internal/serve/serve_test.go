@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"pgxsort/internal/core"
 	"pgxsort/internal/dist"
 	"pgxsort/internal/failpoint"
 	"pgxsort/internal/keyio"
@@ -543,8 +544,19 @@ func TestDebugJobsListsNewestFirst(t *testing.T) {
 	if out.Jobs[0].Tenant != "probe" || out.Jobs[0].Status != http.StatusOK || out.Jobs[0].N != 100 {
 		t.Fatalf("job record wrong: %+v", out.Jobs[0])
 	}
-	if len(out.Jobs[0].Stages) == 0 {
-		t.Fatal("job record has no scheduler stage spans")
+	// A resident job passes the four scheduler stages in order; the
+	// engine's span is stages[0].start_ms to stages[3].end_ms.
+	stages := out.Jobs[0].Stages
+	if len(stages) != int(core.NumSchedStages) {
+		t.Fatalf("job record lists %d stage spans, want %d: %+v", len(stages), core.NumSchedStages, stages)
+	}
+	for i, sp := range stages {
+		if sp.Stage != core.SchedStage(i).String() || sp.EndMS < sp.StartMS {
+			t.Fatalf("stage span %d is %+v, want stage %v with end >= start", i, sp, core.SchedStage(i))
+		}
+	}
+	if stages[0].StartMS > stages[3].EndMS {
+		t.Fatalf("engine span runs backwards: starts %v ms, ends %v ms", stages[0].StartMS, stages[3].EndMS)
 	}
 }
 

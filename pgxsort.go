@@ -62,15 +62,14 @@ type (
 	NodeReport = core.NodeReport
 	// Step identifies a pipeline step in Report.Steps.
 	Step = core.Step
-	// SortManyOpts configures the pipelined multi-dataset scheduler
-	// behind SortMany/SortManyWith: inflight cap, retries, or the naive
-	// unbounded baseline.
+	// SortManyOpts configures the multi-dataset scheduler behind
+	// SortMany/SortManyWith: inflight cap and retries.
 	SortManyOpts = core.SortManyOpts
-	// SchedStage identifies a scheduler stage in SchedTrace/StageWait.
+	// SchedStage identifies a scheduler stage in SchedTrace.
 	SchedStage = core.SchedStage
 	// SchedTrace records one sort's passage through the scheduler
-	// (Report.Sched): admission wait, per-stage gate waits, and stage
-	// spans relative to the batch epoch, so dataset overlap is readable.
+	// (Report.Sched): admission wait and stage spans relative to the
+	// batch epoch, so dataset overlap is readable.
 	SchedTrace = core.SchedTrace
 	// TransportConfig shapes the TCP transport for real clusters
 	// (Options.TCP): per-node listen/dial addresses, connect timeout,
@@ -120,7 +119,7 @@ const (
 	NumSteps       = core.NumSteps
 )
 
-// Scheduler stages (SchedTrace / NodeReport.StageWait indices).
+// Scheduler stages (SchedTrace indices).
 const (
 	StageLocalSort = core.StageLocalSort
 	StageSplitters = core.StageSplitters
@@ -174,10 +173,10 @@ func CodecFor[K cmp.Ordered]() (Codec[K], error) {
 
 // Cluster is a simulated PGX.D cluster ready to sort distributed data.
 // It embeds the engine; see Sort, SortCtx, SortSlice, SortMany,
-// SortManyWith and Close. SortMany pipelines its datasets through a
-// staged scheduler: at most Options.MaxInflight datasets in flight and
-// one dataset per communication stage at a time, so one dataset's
-// exchange overlaps another's local compute.
+// SortManyWith and Close. SortMany runs its datasets through a
+// scheduler that admits at most Options.MaxInflight of them at once; the
+// admitted ones share the nodes and links, so one dataset's exchange
+// overlaps another's local compute.
 type Cluster[K cmp.Ordered] struct {
 	*core.Engine[K]
 }
