@@ -1,8 +1,8 @@
 package pgxsort
 
 // The Go benchmarks with no other home: SortMany schedules and allocation
-// churn, the string pipeline, the record path and the budgeted (spilling)
-// sort. The paper's tables and figures are cmd/pgxsort-bench's, the
+// churn, the string pipeline, the record path over both transports and
+// the budgeted (spilling) sort. The paper's tables and figures are cmd/pgxsort-bench's, the
 // shipped system's speed and allocations benchmark/'s, the local-sort
 // kernels internal/lsort's.
 
@@ -257,6 +257,45 @@ func BenchmarkKeySort(b *testing.B) {
 		}
 		if res.Report.ResidentBytes != n*(refBytes+entryBytes) {
 			b.Fatalf("resident %d bytes for %d keys: the sort did not go by ref", res.Report.ResidentBytes, n)
+		}
+	}
+}
+
+// BenchmarkTCPRecordSort replays the repository benchmark's
+// tcp_records_skewed operation — SortRecords of 2^18 right-skewed keys
+// with 128-byte payloads on p = 4 processors of 2 workers over the TCP
+// loopback mesh, alternating two inputs — so the record path through the
+// codec's word loops and the transport has a profile one command away:
+//
+//	go test -run '^$' -bench TCPRecordSort -cpuprofile cpu.prof .
+func BenchmarkTCPRecordSort(b *testing.B) {
+	const n, procs, inputs, payload = 1 << 18, 4, 2, 128
+	datasets := make([][][]comm.Record[uint64], inputs)
+	for in := range datasets {
+		keys := dist.Gen{Kind: dist.RightSkewed, Seed: 1 + uint64(in)}.Keys(n)
+		arena := make([]byte, n*payload) // one block: no per-record object for the GC to scan
+		for i := range arena {
+			arena[i] = byte(i*131 + in)
+		}
+		recs := make([]comm.Record[uint64], n)
+		for i, k := range keys {
+			recs[i] = comm.Record[uint64]{Key: k, Payload: arena[i*payload : (i+1)*payload : (i+1)*payload]}
+		}
+		datasets[in] = core.Blocks(recs, procs)
+	}
+	eng, err := core.NewEngine[uint64](core.Options{
+		Procs: procs, WorkersPerProc: benchWkrs, Transport: TransportTCP, MemoryBudget: -1,
+	}, comm.NewRecordCodec[uint64](comm.U64Codec{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	b.SetBytes(n * (8 + payload))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.SortRecords(datasets[i%inputs]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -16,10 +16,10 @@ import (
 //
 // The entry and ref loops call PutKey and Key once a key, through the
 // interface, except under U64Codec, bare or as a RecordCodec's key codec:
-// it writes the key's own bits little-endian, so there payload-free
-// entries and refs cross the codec a word at a time, with no call through
-// the interface (word.go). A codec of any other type, a wrapper around
-// U64Codec included, takes the generic loops; the bytes are the same.
+// it writes the key's own bits little-endian, so there entries — records
+// too — and refs cross the codec a word at a time, with no call through
+// the interface (word.go). Any other key codec takes the generic loops;
+// the bytes are the same.
 type Codec[K any] interface {
 	// KeySize is the fixed wire size of one key in bytes — or, for a
 	// codec that also implements VarCodec, a nominal per-key estimate
@@ -215,11 +215,11 @@ func EncodeEntries[K any](dst []byte, entries []Entry[K], c Codec[K]) []byte {
 // returns the offset after the last byte. dst already has room for all of
 // them (EntriesWireBytes), so fixed-width fields and payloads go in by
 // offset; only a variable-width key appends, into that reserved room.
-// Payload-free entries under U64Codec take the word loop.
+// Entries, records too, whose key codec is U64Codec take the word loop.
 func putEntries[K any](dst []byte, off int, entries []Entry[K], c Codec[K]) int {
 	kc, withPay := keyCodecOf(c)
-	if isU64(kc) && !withPay {
-		return putEntryWords(dst, off, any(entries).([]Entry[uint64]))
+	if isU64(kc) {
+		return putEntryWords(dst, off, any(entries).([]Entry[uint64]), withPay)
 	}
 	vc, isVar := kc.(VarCodec[K])
 	ks := kc.KeySize()
@@ -250,13 +250,17 @@ func DecodeEntries[K any](b []byte, n int, c Codec[K]) ([]Entry[K], []byte, erro
 }
 
 // DecodeEntriesSlab is DecodeEntries decoding into a slab from pool
-// (which may be nil). The TCP transport's read loops pass their network's
+// (which may be nil). The TCP transport's read loops pass their link's
 // pool so every received chunk reuses a recycled slab; the consumer
 // returns it through Message.Release once the entries are copied out.
-// Decoded payloads never alias b: they are copied into one exactly-sized
-// block per call, since the transport reuses its frame buffer while the
-// decoded entries (and their payloads) outlive it. Payload-free entries
-// under U64Codec take the word loop.
+// Decoded payloads never alias b: they are copied into one block per
+// call, since the transport reuses its frame buffer while the decoded
+// entries (and their payloads) outlive it. The block is the payloads'
+// total; the word loop, which sizes it before it has read every length,
+// may add the bytes b holds after the entries, which a frame or a spill
+// block never has. A pool whose slabs held payloads should clear them as
+// they return, or an idle slab keeps its block alive. Entries, records
+// too, whose key codec is U64Codec take the word loop, in one pass.
 func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[Entry[K]]) ([]Entry[K], []byte, error) {
 	kc, withPay := keyCodecOf(c)
 	vc, isVar := kc.(VarCodec[K])
@@ -273,9 +277,9 @@ func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[
 	if n < 0 || n > len(b)/minBytes {
 		return nil, b, fmt.Errorf("comm: short entry payload: %d bytes cannot hold %d entries", len(b), n)
 	}
-	if isU64(kc) && !withPay {
-		entries, rest := decodeEntryWords(b, n, any(pool).(*alloc.SlabPool[Entry[uint64]]))
-		return any(entries).([]Entry[K]), rest, nil
+	if isU64(kc) {
+		entries, rest, err := decodeEntryWords(b, n, withPay, any(pool).(*alloc.SlabPool[Entry[uint64]]))
+		return any(entries).([]Entry[K]), rest, err
 	}
 	if !isVar && !withPay {
 		ks := kc.KeySize()

@@ -14,8 +14,9 @@ import (
 // allocation from the claim alone: it returns an error with the input
 // untouched, or exactly n entries plus the unread tail — and whatever it
 // accepted re-encodes to the bytes it consumed and decodes again to the
-// same entries, payloads copied out of the input buffer. The word loop
-// must do exactly what the generic loop does.
+// same entries, payloads copied out of the input buffer. The word loops,
+// key-only and records, must do exactly what the generic loop does, the
+// same error included.
 func FuzzDecodeEntriesSlab(f *testing.F) {
 	u64 := EncodeEntries(nil, []Entry[uint64]{{Key: 7, Proc: 1, Index: 2}, {Key: 3, Proc: 0, Index: 9}}, U64Codec{})
 	str := EncodeEntries(nil, []Entry[string]{{Key: "pear", Proc: 2}, {Key: "", Index: 5}}, StringCodec{})
@@ -31,6 +32,19 @@ func FuzzDecodeEntriesSlab(f *testing.F) {
 	f.Add(u64, int64(1)<<40, uint8(1)) // a claim no buffer could back
 	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<31), int64(1), uint8(1))
 	f.Add(EncodeEntries(nil, []Entry[uint64]{{Key: math.MaxUint64, Proc: math.MaxUint32}, {Key: 1 << 63, Index: 3}, {}}, U64Codec{}), int64(3), uint8(0))
+	// U64 records: payloads of 0, 1 and 128 bytes, a length running past
+	// the frame, one falling short, and a header cut inside its length.
+	recs := EncodeEntries(nil, []Entry[uint64]{{Key: 9, Payload: []byte{7}}, {Key: 1 << 63, Payload: bytes.Repeat([]byte{0x5A}, 128), Proc: 3}, {Key: 4, Payload: []byte{}}, {Index: 1}}, NewRecordCodec[uint64](U64Codec{}))
+	f.Add(recs, int64(4), uint8(2))
+	f.Add(append(bytes.Clone(recs), 0xEE), int64(4), uint8(2))
+	f.Add(recs[:len(recs)-2], int64(4), uint8(2))
+	f.Add(recs[:18], int64(1), uint8(2))
+	long := bytes.Clone(recs)
+	binary.LittleEndian.PutUint32(long[16:], uint32(len(recs)))
+	f.Add(long, int64(4), uint8(2))
+	short := bytes.Clone(recs)
+	binary.LittleEndian.PutUint32(short[21+16:], 127)
+	f.Add(short, int64(4), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, n int64, codec uint8) {
 		switch codec % 3 {
 		case 0:
@@ -46,9 +60,15 @@ func FuzzDecodeEntriesSlab(f *testing.F) {
 func fuzzDecodeEntries[K comparable](t *testing.T, data []byte, n int, c Codec[K]) {
 	in := bytes.Clone(data)
 	entries, rest, err := DecodeEntriesSlab(in, n, c, nil)
-	if isU64(c) {
-		generic, grest, gerr := DecodeEntriesSlab(in, n, Codec[K](genericPath[K]{c}), nil)
-		if (err == nil) != (gerr == nil) || len(rest) != len(grest) || err == nil && !sameEntries(entries, generic) {
+	if kc, withPay := keyCodecOf(c); isU64(kc) {
+		generic, grest, gerr := DecodeEntriesSlab(in, n, genericLoops(c), nil)
+		same := len(entries) == len(generic)
+		for i := 0; same && i < len(entries); i++ {
+			a, b := entries[i], generic[i]
+			same = a.Key == b.Key && a.Proc == b.Proc && a.Index == b.Index && bytes.Equal(a.Payload, b.Payload) &&
+				(a.Payload == nil) == (b.Payload == nil) && (withPay || a.Payload == nil)
+		}
+		if (err == nil) != (gerr == nil) || err != nil && err.Error() != gerr.Error() || len(rest) != len(grest) || !same {
 			t.Fatalf("word loop: %d entries, %d bytes left, err %v; generic: %d, %d, %v",
 				len(entries), len(rest), err, len(generic), len(grest), gerr)
 		}

@@ -11,8 +11,9 @@
 // On the wire a ref is byte for byte that entry; a frame header flag
 // (FlagRefs) tells the reader which to decode.
 //
-// Under U64Codec payload-free entries and refs are encoded and decoded a
-// word at a time, with no call through the Codec interface per key.
+// Under U64Codec, bare or inside a RecordCodec, entries and refs are
+// encoded and decoded a word at a time, with no call through the Codec
+// interface per key.
 package comm
 
 import "fmt"
@@ -120,7 +121,8 @@ type Message[K any] struct {
 
 	// Release, when non-nil, returns the Entries or Refs slab to the pool
 	// it was decoded into (set by the TCP transport's read loop). The
-	// consumer calls it after copying the data out; leaving it uncalled is
+	// consumer calls it once, after copying the data out, as the slab and
+	// the function go on to serve later messages; leaving it uncalled is
 	// safe (the slab is simply garbage collected). The in-process
 	// transport never sets it: its Entries and Refs alias the sender's
 	// buffers.

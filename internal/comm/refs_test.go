@@ -133,7 +133,7 @@ func FuzzDecodeRefs(f *testing.F) {
 func fuzzDecodeRefs[K any](t *testing.T, data []byte, n int, src uint32, c Codec[K]) {
 	in := bytes.Clone(data)
 	refs, rest, err := DecodeRefsSlab(in, n, src, c, nil)
-	generic, grest, gerr := DecodeRefsSlab(in, n, src, genericRefs(c), nil)
+	generic, grest, gerr := DecodeRefsSlab(in, n, src, genericLoops(c), nil)
 	if (err == nil) != (gerr == nil) || len(rest) != len(grest) || !slices.Equal(refs, generic) {
 		t.Fatalf("word loop: %d refs, %d bytes left, err %v; generic: %d, %d, %v",
 			len(refs), len(rest), err, len(generic), len(grest), gerr)
@@ -155,13 +155,4 @@ func fuzzDecodeRefs[K any](t *testing.T, data []byte, n int, src uint32, c Codec
 	if wire := m.AppendWire(nil, c); !bytes.Equal(wire, data[:used]) {
 		t.Fatalf("accepted bytes do not re-frame to themselves")
 	}
-}
-
-// genericRefs is c with its key codec hidden from the word loops
-// (genericPath), inside the record codec when c is one.
-func genericRefs[K any](c Codec[K]) Codec[K] {
-	if kc, withPay := keyCodecOf(c); withPay {
-		return NewRecordCodec[K](genericPath[K]{kc})
-	}
-	return genericPath[K]{c}
 }

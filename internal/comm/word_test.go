@@ -3,8 +3,10 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pgxsort/internal/alloc"
@@ -18,6 +20,15 @@ type genericPath[K any] struct{ Codec[K] }
 
 func (c genericPath[K]) Norm(k K) uint64   { return c.Codec.(KeyNormalizer[K]).Norm(k) }
 func (c genericPath[K]) Denorm(n uint64) K { return c.Codec.(KeyDenormalizer[K]).Denorm(n) }
+
+// genericLoops is c with its key codec hidden from the word loops
+// (genericPath), inside the record codec when c is one.
+func genericLoops[K any](c Codec[K]) Codec[K] {
+	if kc, withPay := keyCodecOf(c); withPay {
+		return NewRecordCodec[K](genericPath[K]{kc})
+	}
+	return genericPath[K]{c}
+}
 
 // sameEntries reports whether two decodes agree entry for entry: key,
 // origin and a nil payload.
@@ -148,12 +159,136 @@ func checkWordPath(t *testing.T, name string, keys []uint64, rng *rand.Rand) {
 	}
 }
 
+// sameRecords reports whether decoded records agree with want entry for
+// entry: key, origin and payload bytes, an empty payload decoded as nil.
+func sameRecords(decoded, want []Entry[uint64]) bool {
+	if len(decoded) != len(want) {
+		return false
+	}
+	for i, a := range decoded {
+		if b := want[i]; a.Key != b.Key || a.Proc != b.Proc || a.Index != b.Index || !bytes.Equal(a.Payload, b.Payload) ||
+			(a.Payload == nil) != (len(a.Payload) == 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRecordWordPath holds the word loops under RecordCodec{U64Codec}
+// to the generic loops over records whose payloads are nil or empty as
+// nils says: the frame must be the generic loop's byte for byte and the
+// same whether an empty payload is nil or not, decode to the same
+// records, payloads copied out of the frame, and every cut or corrupted
+// frame must be refused with the generic loop's error, input untouched.
+func checkRecordWordPath(t *testing.T, name string, recs []Entry[uint64], nils bool) {
+	t.Helper()
+	type K = uint64
+	word, gen := Codec[K](NewRecordCodec[K](U64Codec{})), genericLoops(Codec[K](NewRecordCodec[K](U64Codec{})))
+	for i := range recs {
+		if len(recs[i].Payload) == 0 {
+			if nils {
+				recs[i].Payload = nil
+			} else {
+				recs[i].Payload = []byte{}
+			}
+		}
+	}
+	wire := EncodeEntries(nil, recs, word)
+	if want := EncodeEntries(nil, recs, gen); !bytes.Equal(wire, want) {
+		t.Fatalf("%s: records encode to\n%x\nby word, to\n%x\ngeneric", name, wire, want)
+	}
+	if want := appendEncodeEntries(nil, recs, word); !bytes.Equal(wire, want) {
+		t.Fatalf("%s: records encode differently from the append encoder", name)
+	}
+	flipped := slices.Clone(recs) // every empty payload nil for empty and empty for nil
+	for i, e := range flipped {
+		if e.Payload == nil {
+			flipped[i].Payload = []byte{}
+		} else if len(e.Payload) == 0 {
+			flipped[i].Payload = nil
+		}
+	}
+	if got := EncodeEntries(nil, flipped, word); !bytes.Equal(got, wire) {
+		t.Fatalf("%s: a nil and an empty payload encode differently", name)
+	}
+
+	// Decode into a recycled slab whose entries still hold payloads.
+	var pool alloc.SlabPool[Entry[K]]
+	dirty := make([]Entry[K], max(len(recs), 1))
+	for i := range dirty {
+		dirty[i].Payload = []byte{1, 2}
+	}
+	pool.Put(dirty)
+	in := bytes.Clone(wire)
+	byWord, rest, err := DecodeEntriesSlab(in, len(recs), word, &pool)
+	generic, grest, gerr := DecodeEntriesSlab(wire, len(recs), gen, nil)
+	if err != nil || gerr != nil || len(rest) != 0 || len(grest) != 0 {
+		t.Fatalf("%s: decode: %v / %v, %d / %d bytes left", name, err, gerr, len(rest), len(grest))
+	}
+	if !sameRecords(byWord, recs) || !sameRecords(generic, recs) {
+		t.Fatalf("%s: records decode differently by word and generic", name)
+	}
+	for i := range in {
+		in[i] ^= 0xFF
+	}
+	if !sameRecords(byWord, recs) {
+		t.Fatalf("%s: a decoded payload aliases the frame", name)
+	}
+
+	refused := func(what string, b []byte, n int) {
+		t.Helper()
+		got, wrest, werr := DecodeEntriesSlab(b, n, word, nil)
+		_, grest, gerr := DecodeEntriesSlab(b, n, gen, nil)
+		if werr == nil || gerr == nil || werr.Error() != gerr.Error() || got != nil || len(wrest) != len(b) || len(grest) != len(b) {
+			t.Fatalf("%s: %s: word loop returned %v, generic %v", name, what, werr, gerr)
+		}
+	}
+	for cut := 0; cut < len(wire); cut++ {
+		refused(fmt.Sprintf("frame cut at byte %d", cut), wire[:cut], len(recs))
+	}
+	per := entryWordBytes + payloadLenBytes
+	at := 0
+	for i, e := range recs {
+		for _, plen := range []uint32{uint32(len(wire) - at - per + 1), math.MaxUint32} {
+			long := bytes.Clone(wire)
+			binary.LittleEndian.PutUint32(long[at+entryWordBytes:], plen)
+			refused(fmt.Sprintf("record %d's length %d running past the frame", i, plen), long, len(recs))
+		}
+		at += per + len(e.Payload)
+	}
+	// A length that stops short misaligns the records after it: both
+	// loops must read the same thing into them, or refuse alike.
+	for i, e := range recs {
+		if len(e.Payload) == 0 {
+			continue
+		}
+		short := bytes.Clone(wire)
+		off := 0
+		for _, f := range recs[:i] {
+			off += per + len(f.Payload)
+		}
+		binary.LittleEndian.PutUint32(short[off+entryWordBytes:], uint32(len(e.Payload)-1))
+		got, wrest, werr := DecodeEntriesSlab(short, len(recs), word, nil)
+		want, grest, gerr := DecodeEntriesSlab(short, len(recs), gen, nil)
+		if (werr == nil) != (gerr == nil) || werr != nil && werr.Error() != gerr.Error() || !bytes.Equal(wrest, grest) || !sameRecords(got, want) || !sameRecords(want, got) {
+			t.Fatalf("%s: record %d one byte short: word loop %v, generic %v", name, i, werr, gerr)
+		}
+	}
+	tail := append(bytes.Clone(wire), 0xAA, 0xBB, 0xCC)
+	got, wrest, werr := DecodeEntriesSlab(tail, len(recs), word, nil)
+	if werr != nil || !bytes.Equal(wrest, []byte{0xAA, 0xBB, 0xCC}) || !sameRecords(got, recs) {
+		t.Fatalf("%s: trailing bytes: %x left (%v)", name, wrest, werr)
+	}
+}
+
 // TestWordPathMatchesGenericLoops: U64Codec's word loops equal the
-// generic loops — entries, and refs bare and inside a record codec,
-// encode to the same bytes and decode to the same values — on the
-// extremes (0, MaxUint64, the top bit alone) and on random keys of every
-// length up to 64, and refuse the same malformed inputs. The other
-// built-in codecs take the generic loops.
+// generic loops — entries, records under RecordCodec{U64Codec}, and refs
+// bare and inside a record codec, encode to the same bytes and decode to
+// the same values — on the extremes (0, MaxUint64, the top bit alone)
+// and on random keys of every length up to 64, and refuse the same
+// malformed inputs with the same error. Records carry payloads of 0, 1
+// and 128 bytes and a mix, empty ones nil and not. The other built-in
+// codecs take the generic loops.
 func TestWordPathMatchesGenericLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(20170530))
 	checkWordPath(t, "extremes", []uint64{0, math.MaxUint64, 1 << 63, 1}, rng)
@@ -163,6 +298,23 @@ func TestWordPathMatchesGenericLoops(t *testing.T) {
 			keys[i] = rng.Uint64()
 		}
 		checkWordPath(t, "random", keys, rng)
+	}
+	for _, nils := range []bool{true, false} {
+		for _, size := range []int{0, 1, 128, -1} {
+			for _, n := range []int{0, 1, 2, 7} {
+				recs := make([]Entry[uint64], n)
+				for i := range recs {
+					plen := size
+					if size < 0 { // a mix
+						plen = []int{0, 1, 128, 3, 0, 200, 17}[i%7]
+					}
+					pay := make([]byte, plen)
+					rng.Read(pay)
+					recs[i] = Entry[uint64]{Key: rng.Uint64(), Payload: pay, Proc: rng.Uint32(), Index: rng.Uint32()}
+				}
+				checkRecordWordPath(t, fmt.Sprintf("%d records of %d-byte payloads, nil %v", n, size, nils), recs, nils)
+			}
+		}
 	}
 	if isU64(Codec[int64](I64Codec{})) || isU64(Codec[float64](F64Codec{})) || isU64(Codec[uint32](U32Codec{})) {
 		t.Fatal("a codec other than U64Codec takes the word path")

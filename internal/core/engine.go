@@ -402,7 +402,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], spans *stageSpans) (*
 			keys:   keys,
 			runs: runFormer[K]{
 				ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
-				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker,
+				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker, records: j.recs != nil,
 			},
 		}
 		if err := checkShare(runs[i].src); err != nil {

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"pgxsort/internal/comm"
 	"pgxsort/internal/dist"
@@ -124,4 +126,66 @@ func TestRecordSortStableOnSkewedKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDroppedResultPinsNoPayloads: once a TCP SortRecords's Result is
+// dropped, the heap comes back to what it was before the sort plus what
+// the engine keeps for the next one: its pooled entry and ref slabs and
+// each read loop's frame buffer. None of those may keep a payload alive
+// — not the slabs the exchange landed its entries in, not the
+// transport's decode slabs — and no frame may outlive its ack. With 4 KiB
+// payloads the sort's received payload blocks are most of its payload
+// bytes, several times what the engine may keep.
+func TestDroppedResultPinsNoPayloads(t *testing.T) {
+	const p, n, payload, sorts = 4, 4096, 4 << 10, 3
+	e, err := NewEngine[uint64](Options{Procs: p, Transport: transport.KindTCP, MemoryBudget: -1}, comm.NewRecordCodec[uint64](comm.U64Codec{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	keys := dist.Gen{Kind: dist.RightSkewed, Seed: 11}.Keys(n)
+	arena := make([]byte, n*payload)
+	for i := range arena {
+		arena[i] = byte(i * 7)
+	}
+	recs := make([]comm.Record[uint64], n)
+	for i, k := range keys {
+		recs[i] = comm.Record[uint64]{Key: k, Payload: arena[i*payload : (i+1)*payload : (i+1)*payload]}
+	}
+	parts := Blocks(recs, p)
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties the sync.Pools' victim caches
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := 0; i < sorts; i++ {
+		res, err := e.SortRecords(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Parts[0][0].Payload; len(got) != payload {
+			t.Fatalf("sort %d: a %d-byte payload", i, len(got))
+		}
+	}
+	// A sent frame stays alive until its ack is pruned, and the last acks
+	// of a sort may still be on their way when it returns: take the least
+	// of a few readings.
+	kept := heap() - before
+	for i := 0; i < 5; i++ {
+		time.Sleep(20 * time.Millisecond)
+		kept = min(kept, heap()-before)
+	}
+	// A frame is about BufferBytes, a read loop keeps one a link; the
+	// pools keep a few entry and ref slabs (40 and 16 bytes a record).
+	limit := int64(p*(p-1)*2*e.Options().BufferBytes + 4*n*(40+16))
+	if kept > limit {
+		t.Errorf("after %d sorts whose Results were dropped the heap kept %d bytes more than before them, over %d: payloads of %d bytes are pinned",
+			sorts, kept, limit, n*payload)
+	} else {
+		t.Logf("the heap kept %d bytes (at most %d) after %d sorts of %d payload bytes", kept, limit, sorts, n*payload)
+	}
+	runtime.KeepAlive(parts)
 }

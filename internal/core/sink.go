@@ -105,6 +105,9 @@ type residentSink[K cmp.Ordered] struct {
 
 	refs    []lsort.NormRef // one a position
 	entries []comm.Entry[K] // every sort's but a sort by ref's
+	// taken is set once the merge has moved every record's payload out
+	// of entries, so the slab goes back holding none without a clear.
+	taken bool
 }
 
 // Write lands one chunk at the positions it claims: refs are copied as
@@ -180,7 +183,9 @@ func (r *residentSink[K]) merge() (sortedPart[K], error) {
 	case r.s.byRef:
 		return sortedPart[K]{entries: fill(f, total, func(out []comm.Entry[K], lo, hi int) { refEntries(out, order, denorm, lo, hi) })}, nil
 	default:
-		return sortedPart[K]{entries: fill(f, total, func(out []comm.Entry[K], lo, hi int) { gatherEntries(out, r.entries, order, lo, hi) })}, nil
+		part := fill(f, total, func(out []comm.Entry[K], lo, hi int) { gatherEntries(out, r.entries, order, f.records, lo, hi) })
+		r.taken = f.records
+		return sortedPart[K]{entries: part}, nil
 	}
 }
 
@@ -214,10 +219,16 @@ func fill[K cmp.Ordered, E any](f *runFormer[K], n int, write func(out []E, lo, 
 	return out
 }
 
-// gatherEntries writes out[j] = buf[order[j].Idx] for lo <= j < hi.
-func gatherEntries[K any](out, buf []comm.Entry[K], order []lsort.NormRef, lo, hi int) {
+// gatherEntries writes out[j] = buf[order[j].Idx] for lo <= j < hi; with
+// take, a record's payload leaves buf as it is gathered, while the
+// entry's line is in cache, where a clear of buf would read it all again.
+func gatherEntries[K any](out, buf []comm.Entry[K], order []lsort.NormRef, take bool, lo, hi int) {
 	for j := lo; j < hi; j++ {
-		out[j] = buf[order[j].Idx]
+		e := &buf[order[j].Idx]
+		out[j] = *e
+		if take {
+			e.Payload = nil
+		}
 	}
 }
 
@@ -250,7 +261,11 @@ func refKeys[K any](out []K, order []lsort.NormRef, denorm func(uint64) K, lo, h
 func (r *residentSink[K]) discard() {
 	f := &r.s.runs
 	f.giveRefs(r.refs)
-	f.give(r.entries)
+	if r.taken {
+		giveSlab(f.tracker, f.pool, r.entries)
+	} else {
+		f.give(r.entries)
+	}
 	r.refs, r.entries = nil, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,7 +130,17 @@ func TestWriteFrameFailpoint(t *testing.T) {
 // but never acknowledges a frame: the picture of a peer that is up yet
 // wedged. It returns the address to dial.
 func stubbornPeer(t *testing.T) string {
+	return peerAckingFirst(t, 0, nil)
+}
+
+// peerAckingFirst is a peer that acknowledges the first n frames it
+// receives, over all its connections, counting them in acked, and then
+// wedges as stubbornPeer does. Its handshake reply is the count so far.
+func peerAckingFirst(t *testing.T, n int64, acked *atomic.Int64) string {
 	t.Helper()
+	if acked == nil {
+		acked = new(atomic.Int64)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("stub listen: %v", err)
@@ -148,9 +159,23 @@ func stubbornPeer(t *testing.T) string {
 					return
 				}
 				var rep [ackBytes]byte
-				binary.LittleEndian.PutUint64(rep[:], 0)
+				binary.LittleEndian.PutUint64(rep[:], uint64(acked.Load()))
 				if _, err := c.Write(rep[:]); err != nil {
 					return
+				}
+				var hdr [headerBytes]byte
+				for acked.Load() < n {
+					if _, err := io.ReadFull(c, hdr[:]); err != nil {
+						return
+					}
+					if _, err := io.CopyN(io.Discard, c, int64(binary.LittleEndian.Uint32(hdr[22:]))); err != nil {
+						return
+					}
+					acked.Add(1)
+					binary.LittleEndian.PutUint64(rep[:], binary.LittleEndian.Uint64(hdr[seqOffset:])+1)
+					if _, err := c.Write(rep[:]); err != nil {
+						return
+					}
 				}
 				io.Copy(io.Discard, c) // swallow frames, never ack
 			}(conn)
@@ -198,6 +223,45 @@ func TestAckDeadlineSurfacesTypedError(t *testing.T) {
 	}
 	if de.Op != "await-ack" {
 		t.Errorf("deadline op = %q, want await-ack", de.Op)
+	}
+}
+
+// TestAckDeadlineFiresAfterAckedFrames: a link's one ack timer, armed
+// and stopped for every frame a peer acknowledges promptly, still fires
+// once the peer wedges: Send surfaces the await-ack DeadlineError inside
+// a LinkError, as it does for a peer that never acknowledged anything.
+func TestAckDeadlineFiresAfterAckedFrames(t *testing.T) {
+	const acks = 200
+	var acked atomic.Int64
+	cfg := fastCfg()
+	cfg.AckTimeout = 30 * time.Millisecond
+	cfg.DialAttempts = 3
+	cfg.WindowFrames = 2
+	cfg.Peers = []string{"", peerAckingFirst(t, acks, &acked)}
+	netw, err := NewTCPWithConfig[uint64](2, comm.U64Codec{}, cfg)
+	if err != nil {
+		t.Fatalf("NewTCPWithConfig: %v", err)
+	}
+	defer netw.Close()
+
+	ep := netw.Endpoint(0)
+	var sendErr error
+	deadline := time.Now().Add(10 * time.Second)
+	for sent := 0; time.Now().Before(deadline); sent++ {
+		m := comm.Message[uint64]{Kind: comm.KControl, Ints: []int64{int64(sent)}}
+		if sendErr = ep.Send(1, m); sendErr != nil {
+			break
+		}
+		if sent >= acks {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if got := acked.Load(); got != acks {
+		t.Fatalf("the peer acknowledged %d frames, want %d", got, acks)
+	}
+	var de *DeadlineError
+	if le := (*LinkError)(nil); !errors.As(sendErr, &le) || !errors.As(sendErr, &de) || de.Op != "await-ack" {
+		t.Fatalf("send error %v (%T), want a *LinkError wrapping an await-ack *DeadlineError", sendErr, sendErr)
 	}
 }
 

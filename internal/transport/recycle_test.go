@@ -113,18 +113,24 @@ func TestRecycledFramesSurviveReset(t *testing.T) {
 }
 
 // TestSteadyStateAllocatesNoFrames: once one all-to-all has filled the
-// pools, a second of the same volume allocates under 1 % of the bytes it
-// moves — no frame buffer on the send side, no frame buffer or decode
-// slab on the receive side. Key-only entries: a record's payload block is
-// the one copy the receiver has to own, and is not the transport's.
+// pools, a second of the same volume allocates no frame buffer on the
+// send side and no frame buffer, decode slab, header, ack timer or
+// Release closure on the receive side: under 1 % of the bytes it moves,
+// and under one malloc in four frames, the test's own goroutines
+// included. Every link carries 24 frames a round, all held until the
+// last arrives — more than a sort leaves out at once (about nine a link,
+// 19 at the peak). Records add what the receiver has to own,
+// their payloads, in one block a frame: the bound grants those bytes and
+// one malloc a frame besides. Under the race detector, where a sync.Pool
+// drops Puts at random, the rounds run and only the counts go unchecked.
 func TestSteadyStateAllocatesNoFrames(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
-	// At most the four frames a link's decode-slab pool retains are ever
-	// out at once, so the count below is exact, not a matter of timing.
-	const p, perLink, perFrame = 3, 4, 4096
-	netw, err := NewTCP[uint64](p, comm.U64Codec{})
+	t.Run("keys", func(t *testing.T) { checkSteadyState(t, comm.U64Codec{}, 0) })
+	t.Run("records", func(t *testing.T) { checkSteadyState(t, comm.NewRecordCodec[uint64](comm.U64Codec{}), 64) })
+}
+
+func checkSteadyState(t *testing.T, codec comm.Codec[uint64], payload int) {
+	const p, perLink, perFrame = 3, 24, 1024
+	netw, err := NewTCP[uint64](p, codec)
 	if err != nil {
 		t.Fatalf("NewTCP: %v", err)
 	}
@@ -133,6 +139,9 @@ func TestSteadyStateAllocatesNoFrames(t *testing.T) {
 	entries := make([]comm.Entry[uint64], perFrame)
 	for i := range entries {
 		entries[i] = comm.Entry[uint64]{Key: uint64(i), Index: uint32(i)}
+		if payload > 0 {
+			entries[i].Payload = make([]byte, payload)
+		}
 	}
 	errs := make(chan error, 2*p)
 	round := func() {
@@ -158,7 +167,7 @@ func TestSteadyStateAllocatesNoFrames(t *testing.T) {
 				held := make([]func(), 0, (p-1)*perLink)
 				for k := 0; k < (p-1)*perLink; k++ {
 					m, ok := netw.Endpoint(i).Recv()
-					if !ok || len(m.Entries) != perFrame || m.Entries[perFrame-1].Key != perFrame-1 {
+					if !ok || len(m.Entries) != perFrame || m.Entries[perFrame-1].Key != perFrame-1 || len(m.Entries[0].Payload) != payload {
 						errs <- fmt.Errorf("node %d: bad message %d (ok=%v, %d entries)", i, k, ok, len(m.Entries))
 						return
 					}
@@ -188,10 +197,21 @@ func TestSteadyStateAllocatesNoFrames(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	wire := uint64(p * (p - 1) * perLink * perFrame * 16)
-	if got := after.TotalAlloc - before.TotalAlloc; got*100 >= wire {
-		t.Errorf("second all-to-all allocated %d bytes moving %d (%.1f %%), want < 1 %%", got, wire, 100*float64(got)/float64(wire))
+	frames := uint64(p * (p - 1) * perLink)
+	wire := frames * uint64(comm.EntriesWireBytes(entries, codec))
+	owned := frames * perFrame * uint64(payload) // the payload blocks
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if payload > 0 {
+		mallocs -= min(mallocs, frames)
+	}
+	if raceEnabled {
+		t.Logf("second all-to-all allocated %d bytes and %d objects; not checked under the race detector", bytes, after.Mallocs-before.Mallocs)
+		return
+	}
+	if bytes-min(bytes, owned) >= wire/100 || mallocs >= frames/4 {
+		t.Errorf("second all-to-all allocated %d bytes and %d objects moving %d bytes in %d frames: want under %d bytes and %d objects besides the payloads",
+			bytes, after.Mallocs-before.Mallocs, wire, frames, owned+wire/100, frames/4)
 	} else {
-		t.Logf("second all-to-all allocated %d bytes moving %d", got, wire)
+		t.Logf("second all-to-all allocated %d bytes and %d objects moving %d bytes in %d frames", bytes, after.Mallocs-before.Mallocs, wire, frames)
 	}
 }

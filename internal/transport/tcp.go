@@ -603,14 +603,13 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 	}()
 	r := bufio.NewReaderSize(conn, readBufBytes)
 	ep := n.eps[dst]
-	// The slabs entry and ref chunks decode into circulate per link:
-	// consumers hand them back through Message.Release once copied out.
-	var slabs alloc.SlabPool[comm.Entry[K]]
-	var refSlabs alloc.SlabPool[comm.NormRef]
+	slabs := newRecvSlabs(n.codec)
+	// One header, frame buffer and ack buffer serve every frame: a frame
+	// allocates nothing but what its decode hands the consumer.
+	var hdr [headerBytes]byte
 	var buf []byte
 	var ack [ackBytes]byte
 	for {
-		var hdr [headerBytes]byte
 		// Header reads carry no deadline: an idle peer is healthy.
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
@@ -663,25 +662,23 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 
 		// The frame buffer is reused across iterations: every decode
 		// below copies out of it before the next frame overwrites it.
+		// Entries and refs decode into the link's slabs, and the message's
+		// Release hands them back.
 		rest := buf
 		var err error
 		switch {
 		case nEntries > 0 && hdr[1]&comm.FlagRefs != 0:
-			var refs []comm.NormRef
-			refs, rest, err = comm.DecodeRefsSlab(rest, nEntries, uint32(m.Src), n.codec, &refSlabs)
+			m.Refs, rest, err = comm.DecodeRefsSlab(rest, nEntries, uint32(m.Src), n.codec, &slabs.refs)
 			if err != nil {
 				return
 			}
-			m.Refs = refs
-			m.Release = func() { refSlabs.Put(refs) }
+			m.Release = slabs.lend(nil, m.Refs)
 		case nEntries > 0:
-			var ents []comm.Entry[K]
-			ents, rest, err = comm.DecodeEntriesSlab(rest, nEntries, n.codec, &slabs)
+			m.Entries, rest, err = comm.DecodeEntriesSlab(rest, nEntries, n.codec, &slabs.entries)
 			if err != nil {
 				return
 			}
-			m.Entries = ents
-			m.Release = func() { slabs.Put(ents) }
+			m.Release = slabs.lend(m.Entries, nil)
 		}
 		if nKeys > 0 {
 			m.Keys, rest, err = comm.DecodeKeys(rest, nKeys, n.codec)
@@ -715,6 +712,81 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 			return
 		}
 	}
+}
+
+// decodeSlabsKept is how many idle decode slabs of one size class a read
+// loop keeps, and how many idle slab loans. A 4-node TCP SortRecords of
+// 2^18 keys with 128-byte payloads has about 9 frames a link decoded and
+// not yet released, 19 at the peak, so with 32 every slab the next sort
+// asks for is back in the pool. A pool keeps only slabs it handed out,
+// so a link's idle slabs are at most as many as it ever had out at once
+// and at most 32 a size class — a class being a frame's entries or refs
+// rounded up to a power of two, a frame at most Config.MaxFrameBytes.
+const decodeSlabsKept = 32
+
+// recvSlabs is what one read loop decodes entry and ref chunks into: a
+// pool of each, and the Release a message hands them back through. The
+// consumer calls it once it has copied the data out.
+type recvSlabs[K any] struct {
+	entries alloc.SlabPool[comm.Entry[K]]
+	refs    alloc.SlabPool[comm.NormRef]
+	// payloads is whether entries carry payloads: then an entry slab is
+	// cleared as it comes back, while the consumer's copy left it in
+	// cache, so an idle pool pins no payload block.
+	payloads bool
+
+	mu   sync.Mutex
+	idle []*slabLoan[K] // at most decodeSlabsKept
+}
+
+// slabLoan is one message's slab on its way back: its release is bound
+// once, when the loan is made, and the loan is reused, so a frame
+// allocates no closure.
+type slabLoan[K any] struct {
+	from    *recvSlabs[K]
+	entries []comm.Entry[K]
+	refs    []comm.NormRef
+	release func()
+}
+
+func newRecvSlabs[K any](codec comm.Codec[K]) *recvSlabs[K] {
+	pc, ok := codec.(comm.PayloadCarrier)
+	s := &recvSlabs[K]{payloads: ok && pc.CarriesPayload(), idle: make([]*slabLoan[K], 0, decodeSlabsKept)}
+	s.entries.Keep, s.refs.Keep = decodeSlabsKept, decodeSlabsKept
+	return s
+}
+
+// lend returns the Release of a message whose data is entries or refs.
+func (s *recvSlabs[K]) lend(entries []comm.Entry[K], refs []comm.NormRef) func() {
+	s.mu.Lock()
+	var l *slabLoan[K]
+	if n := len(s.idle); n > 0 {
+		l, s.idle = s.idle[n-1], s.idle[:n-1]
+	}
+	s.mu.Unlock()
+	if l == nil {
+		l = &slabLoan[K]{from: s}
+		l.release = l.giveBack
+	}
+	l.entries, l.refs = entries, refs
+	return l.release
+}
+
+// giveBack returns the loan's slab to its pool and the loan to the idle
+// list.
+func (l *slabLoan[K]) giveBack() {
+	s := l.from
+	if s.payloads {
+		clear(l.entries)
+	}
+	s.entries.Put(l.entries)
+	s.refs.Put(l.refs)
+	l.entries, l.refs = nil, nil
+	s.mu.Lock()
+	if len(s.idle) < decodeSlabsKept {
+		s.idle = append(s.idle, l)
+	}
+	s.mu.Unlock()
 }
 
 // writeAck writes a cumulative acknowledgement on the receive connection.
@@ -833,6 +905,9 @@ type link[K any] struct {
 	// the only one that prunes to it (so a frame is never recycled while
 	// the writer may still be writing it).
 	ackNext atomic.Uint64
+	// ackTimer is the writer's ack deadline (ackDeadline), stopped while
+	// it waits for nothing.
+	ackTimer *time.Timer
 
 	mu        sync.Mutex
 	conn      net.Conn
@@ -847,18 +922,21 @@ type link[K any] struct {
 }
 
 func newLink[K any](n *tcpNetwork[K], src, dst int) *link[K] {
-	return &link[K]{
-		n:       n,
-		src:     src,
-		dst:     dst,
-		queue:   make(chan *frame, n.cfg.WindowFrames),
-		window:  make(chan struct{}, n.cfg.WindowFrames),
-		connErr: make(chan struct{}, 1),
-		ackSig:  make(chan struct{}, 1),
-		stopC:   make(chan struct{}),
-		ready:   make(chan struct{}),
-		brokenC: make(chan struct{}),
+	l := &link[K]{
+		n:        n,
+		src:      src,
+		dst:      dst,
+		queue:    make(chan *frame, n.cfg.WindowFrames),
+		window:   make(chan struct{}, n.cfg.WindowFrames),
+		connErr:  make(chan struct{}, 1),
+		ackSig:   make(chan struct{}, 1),
+		stopC:    make(chan struct{}),
+		ready:    make(chan struct{}),
+		brokenC:  make(chan struct{}),
+		ackTimer: time.NewTimer(time.Hour),
 	}
+	l.ackTimer.Stop()
+	return l
 }
 
 func (l *link[K]) stop() {
@@ -1076,23 +1154,17 @@ func (l *link[K]) pump() error {
 			continue
 		default:
 		}
-		ackC, timer := l.ackDeadline()
+		ackC := l.ackDeadline()
 		select {
 		case f := <-l.queue:
-			if timer != nil {
-				timer.Stop()
-			}
+			l.ackTimer.Stop()
 			if err := l.writeFrame(f, true); err != nil {
 				return err
 			}
 		case <-l.ackSig:
-			if timer != nil {
-				timer.Stop()
-			}
+			l.ackTimer.Stop()
 		case <-l.connErr:
-			if timer != nil {
-				timer.Stop()
-			}
+			l.ackTimer.Stop()
 			return fmt.Errorf("transport: connection %d->%d lost", l.src, l.dst)
 		case <-ackC:
 			l.prune()
@@ -1107,20 +1179,20 @@ func (l *link[K]) pump() error {
 	}
 }
 
-// ackDeadline arms a timer for the oldest unacknowledged frame (nil
-// channel — never fires — when nothing is outstanding).
-func (l *link[K]) ackDeadline() (<-chan time.Time, *time.Timer) {
+// ackDeadline arms the link's ack timer for the oldest unacknowledged
+// frame and returns its channel — nil, which never fires, when nothing is
+// outstanding. Under Go 1.23 timers (go.mod's go line) a Reset or Stop
+// leaves no stale tick in the channel, so one timer serves every wait;
+// a stray tick would only make pump look again, as ackOverdue reads the
+// clock.
+func (l *link[K]) ackDeadline() <-chan time.Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.unacked) == 0 {
-		return nil, nil
+		return nil
 	}
-	wait := time.Until(l.unacked[0].sentAt.Add(l.n.cfg.AckTimeout))
-	if wait < 0 {
-		wait = 0
-	}
-	t := time.NewTimer(wait)
-	return t.C, t
+	l.ackTimer.Reset(max(time.Until(l.unacked[0].sentAt.Add(l.n.cfg.AckTimeout)), 0))
+	return l.ackTimer.C
 }
 
 func (l *link[K]) ackOverdue() bool {
@@ -1226,11 +1298,14 @@ func (l *link[K]) prune() {
 	k := 0
 	for k < len(l.unacked) && l.unacked[k].seq < next {
 		framePool.Put(l.unacked[k])
-		l.unacked[k] = nil
 		k++
 	}
 	if k > 0 {
-		l.unacked = append(l.unacked[:0], l.unacked[k:]...)
+		// Clear the slots behind the survivors, or they would keep frames
+		// the pool has since dropped, buffers and all, alive.
+		n := copy(l.unacked, l.unacked[k:])
+		clear(l.unacked[n:])
+		l.unacked = l.unacked[:n]
 	}
 	l.mu.Unlock()
 	for i := 0; i < k; i++ {
