@@ -146,8 +146,30 @@ func BenchmarkStringSort(b *testing.B) {
 
 // BenchmarkRecordSort times key+payload sorts across payload sizes: 0 B
 // (the record codec's overhead floor), 16 B (a compact row) and 256 B
-// (a wide row dominating the exchange volume).
+// (a wide row dominating the exchange volume). Its tcp-skewed-128B case
+// replays the repository benchmark's tcp_records_skewed operation —
+// 2^18 right-skewed keys with 128-byte payloads on p = 4 processors of 2
+// workers over the TCP loopback mesh, unbudgeted, alternating two inputs
+// — so the record path through the codec's word loops and the transport
+// has a profile one command away:
+//
+//	go test -run '^$' -bench 'RecordSort/tcp' -cpuprofile cpu.prof .
 func BenchmarkRecordSort(b *testing.B) {
+	run := func(b *testing.B, opts core.Options, datasets [][][]comm.Record[uint64], bytes int64) {
+		eng, err := core.NewEngine[uint64](opts, comm.NewRecordCodec[uint64](comm.U64Codec{}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		b.SetBytes(bytes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.SortRecords(datasets[i%len(datasets)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, payload := range []int{0, 16, 256} {
 		b.Run(fmt.Sprintf("payload-%dB", payload), func(b *testing.B) {
 			per := benchN / benchProcs
@@ -161,22 +183,26 @@ func BenchmarkRecordSort(b *testing.B) {
 				}
 				recs[i] = part
 			}
-			eng, err := core.NewEngine[uint64](
-				core.Options{Procs: benchProcs, WorkersPerProc: benchWkrs},
-				comm.NewRecordCodec[uint64](comm.U64Codec{}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			b.SetBytes(int64(benchN) * int64(8+payload))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.SortRecords(recs); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, core.Options{Procs: benchProcs, WorkersPerProc: benchWkrs}, [][][]comm.Record[uint64]{recs}, int64(benchN)*int64(8+payload))
 		})
 	}
+	b.Run("tcp-skewed-128B", func(b *testing.B) {
+		const n, procs, inputs, payload = 1 << 18, 4, 2, 128
+		datasets := make([][][]comm.Record[uint64], inputs)
+		for in := range datasets {
+			keys := dist.Gen{Kind: dist.RightSkewed, Seed: 1 + uint64(in)}.Keys(n)
+			arena := make([]byte, n*payload) // one block: no per-record object for the GC to scan
+			for i := range arena {
+				arena[i] = byte(i*131 + in)
+			}
+			recs := make([]comm.Record[uint64], n)
+			for i, k := range keys {
+				recs[i] = comm.Record[uint64]{Key: k, Payload: arena[i*payload : (i+1)*payload : (i+1)*payload]}
+			}
+			datasets[in] = core.Blocks(recs, procs)
+		}
+		run(b, core.Options{Procs: procs, WorkersPerProc: benchWkrs, Transport: TransportTCP, MemoryBudget: -1}, datasets, n*(8+payload))
+	})
 }
 
 // BenchmarkBudgetedSort replays the repository benchmark's
@@ -257,45 +283,6 @@ func BenchmarkKeySort(b *testing.B) {
 		}
 		if res.Report.ResidentBytes != n*(refBytes+entryBytes) {
 			b.Fatalf("resident %d bytes for %d keys: the sort did not go by ref", res.Report.ResidentBytes, n)
-		}
-	}
-}
-
-// BenchmarkTCPRecordSort replays the repository benchmark's
-// tcp_records_skewed operation — SortRecords of 2^18 right-skewed keys
-// with 128-byte payloads on p = 4 processors of 2 workers over the TCP
-// loopback mesh, alternating two inputs — so the record path through the
-// codec's word loops and the transport has a profile one command away:
-//
-//	go test -run '^$' -bench TCPRecordSort -cpuprofile cpu.prof .
-func BenchmarkTCPRecordSort(b *testing.B) {
-	const n, procs, inputs, payload = 1 << 18, 4, 2, 128
-	datasets := make([][][]comm.Record[uint64], inputs)
-	for in := range datasets {
-		keys := dist.Gen{Kind: dist.RightSkewed, Seed: 1 + uint64(in)}.Keys(n)
-		arena := make([]byte, n*payload) // one block: no per-record object for the GC to scan
-		for i := range arena {
-			arena[i] = byte(i*131 + in)
-		}
-		recs := make([]comm.Record[uint64], n)
-		for i, k := range keys {
-			recs[i] = comm.Record[uint64]{Key: k, Payload: arena[i*payload : (i+1)*payload : (i+1)*payload]}
-		}
-		datasets[in] = core.Blocks(recs, procs)
-	}
-	eng, err := core.NewEngine[uint64](core.Options{
-		Procs: procs, WorkersPerProc: benchWkrs, Transport: TransportTCP, MemoryBudget: -1,
-	}, comm.NewRecordCodec[uint64](comm.U64Codec{}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	b.SetBytes(n * (8 + payload))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.SortRecords(datasets[i%inputs]); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

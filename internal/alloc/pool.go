@@ -24,9 +24,9 @@ const slabsPerClass = 4
 // repository benchmark pass nil pools to the spill readers).
 //
 // Get returns a slice of length n whose contents are unspecified (slabs
-// are not cleared); every caller fully overwrites what it reads. Put
-// recycles a slab for a later Get; the caller must not retain or read the
-// slice after Put. SlabPool does not touch the temporary-memory Tracker:
+// are not cleared on Get); every caller fully overwrites what it reads.
+// Put recycles a slab for a later Get; the caller must not retain or read
+// the slice after Put. SlabPool does not touch the temporary-memory Tracker:
 // call sites keep their explicit Alloc/Free bracketing around the window
 // a buffer is live, so the Figure 11 accounting reflects use, not caching,
 // and still balances to zero after every sort.
@@ -38,6 +38,12 @@ type SlabPool[E any] struct {
 	// engine's ref pool under two concurrent sorts — sets it before
 	// first use.
 	Keep int
+	// Clear is whether Put clears a slab before keeping it: set, before
+	// first use, on a pool whose slabs can hold pointers their last user
+	// dropped — a record entry's payload — so an idle slab keeps nothing
+	// alive. The clear runs as the slab comes back, while its last user
+	// has it in cache.
+	Clear bool
 
 	mu      sync.Mutex
 	classes [slabClasses][][]E
@@ -78,10 +84,20 @@ func (p *SlabPool[E]) Get(n int) []E {
 	return make([]E, n, 1<<c)
 }
 
-// Put offers a slab back to the pool. Slabs of any capacity are accepted
-// (they are filed under the largest class their capacity fully covers);
-// classes that are already full drop the slab for the GC.
+// Put offers a slab back to the pool, cleared if the pool says so. Slabs
+// of any capacity are accepted (they are filed under the largest class
+// their capacity fully covers); classes that are already full drop the
+// slab for the GC.
 func (p *SlabPool[E]) Put(s []E) {
+	if p != nil && p.Clear {
+		clear(s)
+	}
+	p.PutAsIs(s)
+}
+
+// PutAsIs is Put without the clear Clear asks for, for a slab whose
+// caller has already emptied it of pointers, or says why it need not.
+func (p *SlabPool[E]) PutAsIs(s []E) {
 	if p == nil || cap(s) == 0 {
 		return
 	}

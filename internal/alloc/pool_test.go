@@ -97,6 +97,35 @@ func TestSlabPoolBoundedRetention(t *testing.T) {
 	}
 }
 
+// TestSlabPoolClearsOnPut: a pool with Clear set hands back a slab of
+// pointers zeroed, so an idle slab pins nothing; PutAsIs and a pool
+// without Clear leave it as it was.
+func TestSlabPoolClearsOnPut(t *testing.T) {
+	for _, c := range []struct {
+		clear, asIs, want bool
+	}{{true, false, true}, {true, true, false}, {false, false, false}} {
+		p := SlabPool[*int]{Clear: c.clear}
+		s := p.Get(8)
+		for i := range s {
+			s[i] = new(int)
+		}
+		if c.asIs {
+			p.PutAsIs(s)
+		} else {
+			p.Put(s)
+		}
+		g := p.Get(8)
+		if &g[0] != &s[0] {
+			t.Fatalf("%+v: the slab was not reused", c)
+		}
+		for i, v := range g {
+			if cleared := v == nil; cleared != c.want {
+				t.Fatalf("%+v: element %d cleared = %v", c, i, cleared)
+			}
+		}
+	}
+}
+
 func TestSlabPoolNilAndZero(t *testing.T) {
 	var p *SlabPool[int]
 	if s := p.Get(5); len(s) != 5 {

@@ -258,8 +258,8 @@ func DecodeEntries[K any](b []byte, n int, c Codec[K]) ([]Entry[K], []byte, erro
 // entries (and their payloads) outlive it. The block is the payloads'
 // total; the word loop, which sizes it before it has read every length,
 // may add the bytes b holds after the entries, which a frame or a spill
-// block never has. A pool whose slabs held payloads should clear them as
-// they return, or an idle slab keeps its block alive. Entries, records
+// block never has. A pool whose slabs hold payloads should set Clear, or
+// an idle slab keeps its block alive. Entries, records
 // too, whose key codec is U64Codec take the word loop, in one pass.
 func DecodeEntriesSlab[K any](b []byte, n int, c Codec[K], pool *alloc.SlabPool[Entry[K]]) ([]Entry[K], []byte, error) {
 	kc, withPay := keyCodecOf(c)

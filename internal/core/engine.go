@@ -60,7 +60,9 @@ type node[K cmp.Ordered] struct {
 	// entryPool recycles this processor's entry and merge-scratch slabs
 	// across sorts, so a pipelined SortMany run reuses buffers instead
 	// of reallocating per dataset; refPool does the same for the
-	// (norm, node, index) refs steps 1 and 6 sort and merge.
+	// (norm, node, index) refs steps 1 and 6 sort and merge. Under a
+	// payload-carrying codec entryPool clears what comes back (Clear),
+	// so an idle engine pins no payload of a Result its caller dropped.
 	entryPool *alloc.SlabPool[comm.Entry[K]]
 	refPool   alloc.SlabPool[lsort.NormRef]
 
@@ -111,7 +113,7 @@ func NewEngine[K cmp.Ordered](opts Options, codec comm.Codec[K]) (*Engine[K], er
 			ep:  net.Endpoint(i),
 			mbs: make(map[mbKey]*mailbox[comm.Message[K]]),
 		}
-		n.entryPool = &alloc.SlabPool[comm.Entry[K]]{}
+		n.entryPool = &alloc.SlabPool[comm.Entry[K]]{Clear: carriesPayload(codec)}
 		// A sort holds up to three ref slabs of about one size at once —
 		// step 1's sorted share beside step 6's two halves — so eight idle
 		// slabs a class keep two concurrent sorts hitting the pool.
@@ -268,12 +270,18 @@ func (e *Engine[K]) checkParts(parts [][]K) error {
 	return e.checkJob(job[K]{parts: parts})
 }
 
+// carriesPayload is whether entries under c carry a record's payload.
+func carriesPayload[K any](c comm.Codec[K]) bool {
+	pc, ok := c.(comm.PayloadCarrier)
+	return ok && pc.CarriesPayload()
+}
+
 // checkRecordCodec gates the record-sorting APIs: without a
 // payload-carrying codec (comm.NewRecordCodec) the TCP transport would
 // silently drop payloads mid-exchange, and the two transports would
 // account different traffic for the same workload.
 func (e *Engine[K]) checkRecordCodec() error {
-	if pc, ok := e.codec.(comm.PayloadCarrier); ok && pc.CarriesPayload() {
+	if carriesPayload(e.codec) {
 		return nil
 	}
 	return fmt.Errorf("core: record sorts need a payload-carrying codec (comm.NewRecordCodec); engine has %T", e.codec)
@@ -402,7 +410,7 @@ func (e *Engine[K]) sortOne(ctx context.Context, j job[K], spans *stageSpans) (*
 			keys:   keys,
 			runs: runFormer[K]{
 				ctx: ctx, codec: e.codec, cmps: cmps, workers: e.opts.WorkersPerProc,
-				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker, records: j.recs != nil,
+				pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker,
 			},
 		}
 		if err := checkShare(runs[i].src); err != nil {

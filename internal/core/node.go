@@ -162,7 +162,9 @@ func (s *sortRun[K]) recycleRetired() {
 	if s == nil {
 		return
 	}
-	s.node.entryPool.Put(s.retired.entries)
+	// The send share's payload headers are the caller's own records':
+	// a clear here cost 3.5 % of tcp_records_skewed, and is left out.
+	s.node.entryPool.PutAsIs(s.retired.entries)
 	s.node.refPool.Put(s.retired.refs)
 	s.retired = share[K]{}
 }

@@ -128,21 +128,19 @@ func TestRecordSortStableOnSkewedKeys(t *testing.T) {
 	}
 }
 
-// TestDroppedResultPinsNoPayloads: once a TCP SortRecords's Result is
+// TestDroppedResultPinsNoPayloads: once a SortRecords's Result is
 // dropped, the heap comes back to what it was before the sort plus what
-// the engine keeps for the next one: its pooled entry and ref slabs and
-// each read loop's frame buffer. None of those may keep a payload alive
-// — not the slabs the exchange landed its entries in, not the
-// transport's decode slabs — and no frame may outlive its ack. With 4 KiB
-// payloads the sort's received payload blocks are most of its payload
-// bytes, several times what the engine may keep.
+// the engine keeps for the next one: its pooled entry and ref slabs and,
+// over TCP, each read loop's frame buffer. None of those may keep a
+// payload alive — not the slabs the exchange landed its entries in, not
+// the transport's decode slabs, not the slabs a spill reader decoded a
+// block into — and no frame may outlive its ack. With 4 KiB payloads the
+// sort's received, or read back, payload blocks are most of its payload
+// bytes, several times what the engine may keep. The spilled case runs
+// over the chan transport, which keeps no frame, so its bound is the
+// pools' alone.
 func TestDroppedResultPinsNoPayloads(t *testing.T) {
 	const p, n, payload, sorts = 4, 4096, 4 << 10, 3
-	e, err := NewEngine[uint64](Options{Procs: p, Transport: transport.KindTCP, MemoryBudget: -1}, comm.NewRecordCodec[uint64](comm.U64Codec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
 	keys := dist.Gen{Kind: dist.RightSkewed, Seed: 11}.Keys(n)
 	arena := make([]byte, n*payload)
 	for i := range arena {
@@ -160,32 +158,57 @@ func TestDroppedResultPinsNoPayloads(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	before := heap()
-	for i := 0; i < sorts; i++ {
-		res, err := e.SortRecords(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Parts[0][0].Payload; len(got) != payload {
-			t.Fatalf("sort %d: a %d-byte payload", i, len(got))
-		}
-	}
-	// A sent frame stays alive until its ack is pruned, and the last acks
-	// of a sort may still be on their way when it returns: take the least
-	// of a few readings.
-	kept := heap() - before
-	for i := 0; i < 5; i++ {
-		time.Sleep(20 * time.Millisecond)
-		kept = min(kept, heap()-before)
-	}
-	// A frame is about BufferBytes, a read loop keeps one a link; the
-	// pools keep a few entry and ref slabs (40 and 16 bytes a record).
-	limit := int64(p*(p-1)*2*e.Options().BufferBytes + 4*n*(40+16))
-	if kept > limit {
-		t.Errorf("after %d sorts whose Results were dropped the heap kept %d bytes more than before them, over %d: payloads of %d bytes are pinned",
-			sorts, kept, limit, n*payload)
-	} else {
-		t.Logf("the heap kept %d bytes (at most %d) after %d sorts of %d payload bytes", kept, limit, sorts, n*payload)
+	for _, c := range []struct {
+		name      string
+		transport string
+		budget    int64
+	}{
+		{"tcp", transport.KindTCP, -1},
+		{"spilled", transport.KindChan, spillBudget[uint64](n / p)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := NewEngine[uint64](Options{Procs: p, Transport: c.transport, MemoryBudget: c.budget, SpillDir: t.TempDir()},
+				comm.NewRecordCodec[uint64](comm.U64Codec{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			before := heap()
+			for i := 0; i < sorts; i++ {
+				res, err := e.SortRecords(parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Parts[0][0].Payload; len(got) != payload {
+					t.Fatalf("sort %d: a %d-byte payload", i, len(got))
+				}
+				if spilled := res.Report.SpillBytes > 0; spilled != (c.budget > 0) {
+					t.Fatalf("sort %d spilled %d bytes under budget %d", i, res.Report.SpillBytes, c.budget)
+				}
+			}
+			// A sent frame stays alive until its ack is pruned, and the
+			// last acks of a sort may still be on their way when it
+			// returns: take the least of a few readings.
+			kept := heap() - before
+			for i := 0; i < 5; i++ {
+				time.Sleep(20 * time.Millisecond)
+				kept = min(kept, heap()-before)
+			}
+			// A node's pools keep up to 4 entry and 8 ref slabs a size
+			// class (40 and 16 bytes a record), a class about a share's
+			// n/p records; over TCP a frame is about BufferBytes, and a
+			// read loop keeps one a link.
+			limit := int64(4*n*40 + 8*n*16)
+			if c.transport == transport.KindTCP {
+				limit += int64(p * (p - 1) * 2 * e.Options().BufferBytes)
+			}
+			if kept > limit {
+				t.Errorf("after %d sorts whose Results were dropped the heap kept %d bytes more than before them, over %d: payloads of %d bytes are pinned",
+					sorts, kept, limit, n*payload)
+			} else {
+				t.Logf("the heap kept %d bytes (at most %d) after %d sorts of %d payload bytes", kept, limit, sorts, n*payload)
+			}
+		})
 	}
 	runtime.KeepAlive(parts)
 }

@@ -128,10 +128,6 @@ type runFormer[K cmp.Ordered] struct {
 	pool    *alloc.SlabPool[comm.Entry[K]]
 	refPool *alloc.SlabPool[lsort.NormRef]
 	tracker *alloc.Tracker
-	// records is whether the entries carry payloads: an entry slab goes
-	// back cleared, or emptied of them by step 6 (residentSink.taken), so
-	// a pooled slab keeps no payload of a result its caller dropped alive.
-	records bool
 	// Spilled runs are blocks of a scratch file, one file per spilling
 	// stage: whoever needs the stage's runs on disk creates it, hands it
 	// to sortRefs or writeRun, and closes it once the runs are consumed.
@@ -159,13 +155,8 @@ func giveSlab[E any](tracker *alloc.Tracker, pool *alloc.SlabPool[E], slab []E) 
 
 // take and takeRefs hand out entry and ref slabs; give and giveRefs
 // return them.
-func (f *runFormer[K]) take(n int) []comm.Entry[K] { return takeSlab(f.tracker, f.pool, n) }
-func (f *runFormer[K]) give(slab []comm.Entry[K]) {
-	if f.records {
-		clear(slab)
-	}
-	giveSlab(f.tracker, f.pool, slab)
-}
+func (f *runFormer[K]) take(n int) []comm.Entry[K]     { return takeSlab(f.tracker, f.pool, n) }
+func (f *runFormer[K]) give(slab []comm.Entry[K])      { giveSlab(f.tracker, f.pool, slab) }
 func (f *runFormer[K]) takeRefs(n int) []lsort.NormRef { return takeSlab(f.tracker, f.refPool, n) }
 func (f *runFormer[K]) giveRefs(slab []lsort.NormRef)  { giveSlab(f.tracker, f.refPool, slab) }
 

@@ -105,8 +105,8 @@ type residentSink[K cmp.Ordered] struct {
 
 	refs    []lsort.NormRef // one a position
 	entries []comm.Entry[K] // every sort's but a sort by ref's
-	// taken is set once the merge has moved every record's payload out
-	// of entries, so the slab goes back holding none without a clear.
+	// taken is set once the merge has moved every payload out of
+	// entries, so the slab goes back without the pool's clear.
 	taken bool
 }
 
@@ -183,8 +183,9 @@ func (r *residentSink[K]) merge() (sortedPart[K], error) {
 	case r.s.byRef:
 		return sortedPart[K]{entries: fill(f, total, func(out []comm.Entry[K], lo, hi int) { refEntries(out, order, denorm, lo, hi) })}, nil
 	default:
-		part := fill(f, total, func(out []comm.Entry[K], lo, hi int) { gatherEntries(out, r.entries, order, f.records, lo, hi) })
-		r.taken = f.records
+		take := f.pool.Clear
+		part := fill(f, total, func(out []comm.Entry[K], lo, hi int) { gatherEntries(out, r.entries, order, take, lo, hi) })
+		r.taken = take
 		return sortedPart[K]{entries: part}, nil
 	}
 }
@@ -220,8 +221,9 @@ func fill[K cmp.Ordered, E any](f *runFormer[K], n int, write func(out []E, lo, 
 }
 
 // gatherEntries writes out[j] = buf[order[j].Idx] for lo <= j < hi; with
-// take, a record's payload leaves buf as it is gathered, while the
-// entry's line is in cache, where a clear of buf would read it all again.
+// take — when buf's pool would clear it — a record's payload leaves buf
+// as it is gathered, while the entry's line is in cache, where the
+// pool's clear of buf would read it all again.
 func gatherEntries[K any](out, buf []comm.Entry[K], order []lsort.NormRef, take bool, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		e := &buf[order[j].Idx]
@@ -262,7 +264,8 @@ func (r *residentSink[K]) discard() {
 	f := &r.s.runs
 	f.giveRefs(r.refs)
 	if r.taken {
-		giveSlab(f.tracker, f.pool, r.entries)
+		f.tracker.Free(int64(len(r.entries)) * int64(entryBytes[K]()))
+		f.pool.PutAsIs(r.entries) // gatherEntries took its payloads
 	} else {
 		f.give(r.entries)
 	}

@@ -21,7 +21,8 @@ type ReaderOpts[K any] struct {
 	// allocates plainly. Recycled slabs are the block cache: a reader holds
 	// one slab, the batch Next last handed out, so with a pool shared
 	// across readers at most one slab a reader circulates, however long
-	// the runs are.
+	// the runs are. A batch of records holds its block's payloads: a Pool
+	// that outlives the reader sets Clear, or its idle slabs keep them.
 	Pool    *alloc.SlabPool[comm.Entry[K]]
 	RefPool *alloc.SlabPool[comm.NormRef]
 	// Tracker, when set, accounts decoded-batch bytes as Alloc on decode

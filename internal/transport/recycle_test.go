@@ -117,7 +117,9 @@ func TestRecycledFramesSurviveReset(t *testing.T) {
 // send side and no frame buffer, decode slab, header, ack timer or
 // Release closure on the receive side: under 1 % of the bytes it moves,
 // and under one malloc in four frames, the test's own goroutines
-// included. Every link carries 24 frames a round, all held until the
+// included — 36 objects for 144 frames, where a 2-core machine counts
+// 15 at GOMAXPROCS 1, 2 and 4 and one object a frame would make 144
+// more. Every link carries 24 frames a round, all held until the
 // last arrives — more than a sort leaves out at once (about nine a link,
 // 19 at the peak). Records add what the receiver has to own,
 // their payloads, in one block a frame: the bound grants those bytes and

@@ -714,26 +714,27 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 	}
 }
 
-// decodeSlabsKept is how many idle decode slabs of one size class a read
+// decodeSlabsKept is how many idle entry slabs of one size class a read
 // loop keeps, and how many idle slab loans. A 4-node TCP SortRecords of
 // 2^18 keys with 128-byte payloads has about 9 frames a link decoded and
 // not yet released, 19 at the peak, so with 32 every slab the next sort
 // asks for is back in the pool. A pool keeps only slabs it handed out,
 // so a link's idle slabs are at most as many as it ever had out at once
-// and at most 32 a size class — a class being a frame's entries or refs
-// rounded up to a power of two, a frame at most Config.MaxFrameBytes.
+// and at most 32 a size class — a class being a frame's entries rounded
+// up to a power of two, a frame at most Config.MaxFrameBytes. After 20
+// such sorts the 12 links kept 122 entry slabs, 9.2 MB, at most 1.5 MB a
+// link. The ref pool keeps the default four a class: no measured
+// workload sends refs over TCP.
 const decodeSlabsKept = 32
 
 // recvSlabs is what one read loop decodes entry and ref chunks into: a
 // pool of each, and the Release a message hands them back through. The
 // consumer calls it once it has copied the data out.
 type recvSlabs[K any] struct {
+	// entries clears a slab as it comes back when entries carry
+	// payloads, so an idle pool pins no payload block.
 	entries alloc.SlabPool[comm.Entry[K]]
 	refs    alloc.SlabPool[comm.NormRef]
-	// payloads is whether entries carry payloads: then an entry slab is
-	// cleared as it comes back, while the consumer's copy left it in
-	// cache, so an idle pool pins no payload block.
-	payloads bool
 
 	mu   sync.Mutex
 	idle []*slabLoan[K] // at most decodeSlabsKept
@@ -751,8 +752,8 @@ type slabLoan[K any] struct {
 
 func newRecvSlabs[K any](codec comm.Codec[K]) *recvSlabs[K] {
 	pc, ok := codec.(comm.PayloadCarrier)
-	s := &recvSlabs[K]{payloads: ok && pc.CarriesPayload(), idle: make([]*slabLoan[K], 0, decodeSlabsKept)}
-	s.entries.Keep, s.refs.Keep = decodeSlabsKept, decodeSlabsKept
+	s := &recvSlabs[K]{idle: make([]*slabLoan[K], 0, decodeSlabsKept)}
+	s.entries.Keep, s.entries.Clear = decodeSlabsKept, ok && pc.CarriesPayload()
 	return s
 }
 
@@ -776,9 +777,6 @@ func (s *recvSlabs[K]) lend(entries []comm.Entry[K], refs []comm.NormRef) func()
 // list.
 func (l *slabLoan[K]) giveBack() {
 	s := l.from
-	if s.payloads {
-		clear(l.entries)
-	}
 	s.entries.Put(l.entries)
 	s.refs.Put(l.refs)
 	l.entries, l.refs = nil, nil
