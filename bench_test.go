@@ -216,9 +216,13 @@ func BenchmarkRecordSort(b *testing.B) {
 //
 // The sort must go by ref through its spill runs: its resident memory is
 // step 1's refs and the result's entries, 16 + 40 bytes a key, where a
-// sort by entry holds 40 + 40.
+// sort by entry holds 40 + 40. And it must keep to its shape: a node's
+// ref sort, 32 bytes a key, fits the budget exactly, so only the exchange
+// spills, a ref a key (SpillBytes 16 a key), and no node's temporary
+// peak passes the budget.
 func BenchmarkBudgetedSort(b *testing.B) {
 	const n, procs = 1 << 16, 4
+	const budget = n * 8
 	const refBytes, entryBytes = 16, 40
 	flat := dist.Gen{Kind: dist.Uniform, Seed: 1, Domain: 1 << 62}.Keys(n)
 	parts := make([][]uint64, procs)
@@ -226,7 +230,7 @@ func BenchmarkBudgetedSort(b *testing.B) {
 		parts[p] = flat[p*n/procs : (p+1)*n/procs]
 	}
 	eng, err := core.NewEngine[uint64](core.Options{
-		Procs: procs, WorkersPerProc: benchWkrs, MemoryBudget: n * 8, SpillDir: b.TempDir(),
+		Procs: procs, WorkersPerProc: benchWkrs, MemoryBudget: budget, SpillDir: b.TempDir(),
 	}, comm.U64Codec{})
 	if err != nil {
 		b.Fatal(err)
@@ -240,11 +244,16 @@ func BenchmarkBudgetedSort(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Report.SpillBytes == 0 {
-			b.Fatal("the budgeted sort did not spill")
+		if res.Report.SpillBytes != n*refBytes {
+			b.Fatalf("spilled %d bytes for %d keys, want a ref a key", res.Report.SpillBytes, n)
 		}
 		if res.Report.ResidentBytes != n*(refBytes+entryBytes) {
 			b.Fatalf("resident %d bytes for %d keys: the sort did not go by ref", res.Report.ResidentBytes, n)
+		}
+		for p, nr := range res.Report.PerNode {
+			if nr.TempPeakBytes > budget {
+				b.Fatalf("node %d peaked at %d temporary bytes over the %d-byte budget", p, nr.TempPeakBytes, budget)
+			}
 		}
 	}
 }

@@ -338,11 +338,14 @@ func (s *sortRun[K]) run() (_ sortedPart[K], err error) {
 	return part, nil
 }
 
-// step1Chunk is how many of a share's n entries of eb bytes step 1 sorts
-// at a time: all of them, unless they exceed Options.MemoryBudget.
-func (o Options) step1Chunk(n, eb int) int {
-	if o.MemoryBudget > 0 && int64(n)*int64(eb) > o.MemoryBudget {
-		return chunkEntries(o.MemoryBudget, int64(eb), 1)
+// step1Chunk is how many of a share's n keys step 1 sorts at a time,
+// weighed by what its ref sort holds, a ref and a scratch ref a key: all
+// of them, unless those 2·refBytes a key exceed Options.MemoryBudget —
+// a share that fills the budget exactly is one chunk — and otherwise
+// the budget's worth, budget / (2·refBytes) keys (chunkEntries).
+func (o Options) step1Chunk(n int) int {
+	if o.MemoryBudget > 0 && int64(n)*2*refBytes > o.MemoryBudget {
+		return chunkEntries(o.MemoryBudget, refBytes, 1)
 	}
 	return n
 }
@@ -350,16 +353,16 @@ func (o Options) step1Chunk(n, eb int) int {
 // localSort is step 1: the parallel local sort of this node's share,
 // run by the shared former (runs.go). The share is the node's keys as
 // sorted refs into its input, 16 bytes a key, in a slab of the node's ref
-// pool (see retired). A share that fits is one chunk, sorted where it
-// ends up. A share whose entries would exceed Options.MemoryBudget is
-// formed in budget-sized chunks that spill to a scratch file of the
+// pool (see retired). A share whose ref sort fits Options.MemoryBudget
+// is one chunk, sorted where it ends up. A larger one is formed in
+// budget-sized chunks (step1Chunk) that spill to a scratch file of the
 // engine's as one run of refs each and merge back over it — the same
 // refs, a fraction of the temporary memory.
 func (s *sortRun[K]) localSort() ([]lsort.NormRef, error) {
 	t0 := time.Now()
 	defer func() { s.report.Steps[StepLocalSort] = time.Since(t0) }()
 	n := s.src.size()
-	chunk := s.opts.step1Chunk(n, entryBytes[K]())
+	chunk := s.opts.step1Chunk(n)
 	var scratch *spill.Scratch
 	if chunk < n {
 		var err error

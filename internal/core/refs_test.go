@@ -158,10 +158,10 @@ func TestRefsPathMatchesEntryPath(t *testing.T) {
 			budget int64 // entries
 			spills bool  // whether the exchange spills
 		}{
-			// Node 0 forms 4 runs; every node receives about 860 keys.
-			{"rounds/exchange-resident", []int{3000, 150, 150, 150}, 1600, false},
-			{"rounds/exchange-spills", []int{1000, 1000, 1000, 1000}, 600, true}, // 4 runs a node
-			{"tree/exchange-spills", []int{1400, 1400, 1400}, 40, true},          // 70 runs a node
+			// Node 0 forms 3 runs; every node receives about 860 keys.
+			{"rounds/exchange-resident", []int{3000, 150, 150, 150}, 1000, false},
+			{"rounds/exchange-spills", []int{1000, 1000, 1000, 1000}, 240, true}, // 4 runs a node
+			{"tree/exchange-spills", []int{1400, 1400, 1400}, 16, true},          // 70 runs a node
 		} {
 			for _, kind := range []dist.Kind{dist.Uniform, dist.Exponential} {
 				label := fmt.Sprintf("%s/budget/%s/%v", tr, c.name, kind)
@@ -172,11 +172,11 @@ func TestRefsPathMatchesEntryPath(t *testing.T) {
 				opts := Options{Procs: len(parts), WorkersPerProc: 2, Transport: tr, BufferBytes: 2048,
 					MemoryBudget: c.budget * int64(entryBytes[uint64]()), SpillDir: t.TempDir()}
 				for name, rep := range refsCodecCases(t, label, opts, parts) {
-					// Step 1 spills the shares above the budget whole, as runs
-					// of refs: 16 bytes a key whatever the codec.
+					// Step 1 spills the shares it chunks whole, as runs of
+					// refs: 16 bytes a key whatever the codec.
 					step1 := int64(0)
 					for _, n := range c.shares {
-						if int64(n) > c.budget {
+						if opts.step1Chunk(n) < n {
 							step1 += int64(n) * 16
 						}
 					}
@@ -215,10 +215,10 @@ func TestRefsPathMatchesEntryPath(t *testing.T) {
 	for _, kind := range []dist.Kind{dist.Uniform, dist.FewDistinct} {
 		keys := dist.Gen{Kind: kind, Seed: 89, Domain: 1 << 62}.Keys(1400)
 		floats := refsKeys([][]uint64{keys}, refsFloat)[0]
-		refsStep1Case(t, fmt.Sprintf("tree/step-1-alone/%v", kind), comm.U64Codec{}, keys, 40)
-		refsStep1Case(t, fmt.Sprintf("tree/step-1-alone/%v/float64", kind), comm.F64Codec{}, floats, 40)
-		refsStep1Case(t, fmt.Sprintf("rounds/step-1-alone/%v", kind), comm.U64Codec{}, keys, 800)
-		refsStep1Case(t, fmt.Sprintf("rounds/step-1-alone/%v/float64", kind), comm.F64Codec{}, floats, 800)
+		refsStep1Case(t, fmt.Sprintf("tree/step-1-alone/%v", kind), comm.U64Codec{}, keys, 16)
+		refsStep1Case(t, fmt.Sprintf("tree/step-1-alone/%v/float64", kind), comm.F64Codec{}, floats, 16)
+		refsStep1Case(t, fmt.Sprintf("rounds/step-1-alone/%v", kind), comm.U64Codec{}, keys, 320)
+		refsStep1Case(t, fmt.Sprintf("rounds/step-1-alone/%v/float64", kind), comm.F64Codec{}, floats, 320)
 	}
 }
 
@@ -233,9 +233,11 @@ func TestRefsPathMatchesEntryPath(t *testing.T) {
 // merge holds a block of each run, far less than the chunk.
 func refsStep1Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], keys []K, budget int64) {
 	t.Helper()
+	opts := Options{Procs: 1, WorkersPerProc: 2, MemoryBudget: budget * int64(entryBytes[K]())}
 	step1 := func(c comm.Codec[K]) ([]lsort.NormRef, *sortRun[K]) {
-		e, err := NewEngine[K](Options{Procs: 1, WorkersPerProc: 2,
-			MemoryBudget: budget * int64(entryBytes[K]()), SpillDir: t.TempDir()}, c)
+		o := opts
+		o.SpillDir = t.TempDir()
+		e, err := NewEngine[K](o, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +264,8 @@ func refsStep1Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K
 			t.Fatalf("%s: position %d holds ref %+v under the ref codec, %+v under the entry path's", label, i, g, w)
 		}
 	}
-	if runs := (len(keys) + int(budget/2) - 1) / int(budget/2); runs < 2 || runs <= 64 == strings.HasPrefix(label, "tree/") {
+	chunk := opts.step1Chunk(len(keys))
+	if runs := (len(keys) + chunk - 1) / chunk; runs < 2 || runs <= 64 == strings.HasPrefix(label, "tree/") {
 		t.Fatalf("%s: %d runs a node", label, runs)
 	}
 	if gp, wp := gs.node.tracker.Peak(), ws.node.tracker.Peak(); gp == 0 || gp != wp {
@@ -366,7 +369,7 @@ func TestRefsPathPanicGivesEverythingBack(t *testing.T) {
 // file the checksum failed on is closed, not kept for the next stage.
 func TestRefsPathSpillErrorExits(t *testing.T) {
 	const per = 3000
-	budget := spillBudget[uint64](per) // 20 chunk runs a node
+	budget := spillBudget[uint64](per) // 8 chunk runs a node
 	for _, c := range []struct {
 		name  string
 		procs int

@@ -163,9 +163,11 @@ func (f *runFormer[K]) giveRefs(slab []lsort.NormRef)  { giveSlab(f.tracker, f.r
 // refBytes is the in-memory size of one lsort.NormRef.
 const refBytes = int64(unsafe.Sizeof(lsort.NormRef{}))
 
-// chunkEntries sizes a step-1 chunk under budget: half the budget for
-// the chunk, half for what sorting it takes (the refs need less: 32 B an
-// entry), at least floor entries so tiny budgets still make progress.
+// chunkEntries sizes a chunk of elements of eb bytes whose sort takes as
+// much again: half the budget for the chunk, half for sorting it, at
+// least floor elements so tiny budgets still make progress. Step 1 weighs
+// a key as the ref it sorts (step1Chunk), a spool as the entry it stages
+// and writes (spoolChunk).
 func chunkEntries(budget, eb int64, floor int) int {
 	return max(int(budget/(2*eb)), floor)
 }
@@ -240,7 +242,18 @@ func (f *runFormer[K]) sortRefs(src shareSource[K], chunk int, node uint32, to *
 	}
 	f.giveRefs(refs) // before the merge takes its own
 	refs = nil
-	if err := f.mergeRefsInto(share, runs, src, node); err != nil {
+	var less func(a, b lsort.NormRef) bool
+	if f.cmps.inexact {
+		less = func(a, b lsort.NormRef) bool { return src.less(a.Idx, b.Idx) }
+	}
+	// The share is the merge's one batch: the merge fills it in place.
+	fromNode := func(int) uint32 { return node }
+	err := mergeRefRuns(f, runs, refRunCodec{}, fromNode, less, n, share, func(out []lsort.NormRef, at int) {
+		if &out[0] != &share[at] {
+			copy(share[at:], out)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	merged = true
@@ -301,20 +314,20 @@ type runReader[E any] interface {
 	Close() error
 }
 
-// openRuns opens runs as merge cursors through open, one per run in
-// order; an empty run gets an empty cursor, so cursor index — the merge's
-// tie-break — stays the caller's run index. Nothing is read yet, so
-// nothing can fail. The returned func folds the bytes read into
+// openRuns opens runs as merge cursors through open, handed each run
+// and its index, one per run in order; an empty run gets an empty
+// cursor, so cursor index — the merge's tie-break — stays the caller's
+// run index. Nothing is read yet, so nothing can fail. The returned func folds the bytes read into
 // spillReads and closes the readers; the runs' scratch file is the
 // caller's to give back after it.
-func openRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func(spill.Run) runReader[E]) ([]lsort.Cursor[E], func()) {
+func openRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func(i int, run spill.Run) runReader[E]) ([]lsort.Cursor[E], func()) {
 	cursors := make([]lsort.Cursor[E], len(runs))
 	for i, run := range runs {
 		if run.Entries() == 0 {
 			cursors[i] = lsort.NewSliceCursor[E](nil)
 			continue
 		}
-		cursors[i] = open(run)
+		cursors[i] = open(i, run)
 	}
 	return cursors, func() {
 		for _, c := range cursors {
@@ -329,7 +342,7 @@ func openRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func
 // open opens runs as cursors of entries (openRuns).
 func (f *runFormer[K]) open(runs []spill.Run) ([]lsort.Cursor[comm.Entry[K]], func()) {
 	opts := spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
-	return openRuns(f, runs, func(run spill.Run) runReader[comm.Entry[K]] {
+	return openRuns(f, runs, func(_ int, run spill.Run) runReader[comm.Entry[K]] {
 		return spill.OpenRun(run, f.codec, opts)
 	})
 }
@@ -349,40 +362,53 @@ func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
 	defer done() // on a panic too: no reader outlives the merge into a reused file
 	refs := f.takeMergeRefs(len(cursors))
 	defer func() { f.giveRefs(refs) }()
-	return mergeFilling(dst, cursors, f.cmps.headNorm, f.cmps.headLess, refs)
-}
-
-// mergeRefsInto is mergeInto for step 1's runs of refs from node, read
-// back as refs (refRunCodec): an exact norm merges in rounds up to
-// lsort's round fan-in and in the loser tree above it, an inexact one in
-// the loser tree with src's keys ordering equal norms; ties go by run.
-func (f *runFormer[K]) mergeRefsInto(dst []lsort.NormRef, runs []spill.Run, src shareSource[K], node uint32) error {
-	opts := spill.ReaderOpts[uint64]{RefPool: f.refPool, Tracker: f.tracker}
-	cursors, done := openRuns(f, runs, func(run spill.Run) runReader[lsort.NormRef] {
-		return spill.OpenRefRun(run, node, refRunCodec{}, opts)
-	})
-	defer done()
-	var less func(a, b lsort.NormRef) bool
-	if f.cmps.inexact {
-		less = func(a, b lsort.NormRef) bool { return src.less(a.Idx, b.Idx) }
-	}
-	refs := f.takeRefs(lsort.MergeRefs(len(cursors), less == nil))
-	defer func() { f.giveRefs(refs) }()
-	return mergeFilling(dst, cursors, refNorm, less, refs)
-}
-
-// refNorm is a ref's norm, read in place.
-func refNorm(r *lsort.NormRef) uint64 { return r.Norm }
-
-// mergeFilling merges cursors into dst (lsort.MergeCursorsNorm), which
-// they must fill exactly.
-func mergeFilling[E any](dst []E, cursors []lsort.Cursor[E], norm func(*E) uint64, less func(a, b E) bool, refs []lsort.NormRef) error {
-	filled, err := lsort.MergeCursorsNorm(dst, cursors, norm, less, refs)
+	filled, err := lsort.MergeCursorsNorm(dst, cursors, f.cmps.headNorm, f.cmps.headLess, refs)
 	if err == nil {
 		err = filledExactly(filled, len(dst))
 	}
 	return err
 }
+
+// mergeRefRuns is the one merge of runs of refs: step 1's chunk runs,
+// every one from the node, and the spilled step 6 of a sort by ref, a run
+// from each source. Run i is read back under c as the refs standing for
+// its key-only entries, every one from origin(i) — another origin, or a
+// payload, is spill.ErrCorrupt. An exact norm (less nil) merges in rounds
+// up to lsort's round fan-in and in the loser tree above it, an inexact
+// one in the loser tree with less ordering equal norms; ties go by run.
+// The merged refs come out in batch, as many as it holds at a time (a
+// lone run passes its own blocks through), and emit takes each batch with
+// its offset in the merge; the runs must fill want exactly. Temporary
+// memory is a decoded block a run, the rounds' slab and the caller's
+// batch.
+func mergeRefRuns[K cmp.Ordered, C any](f *runFormer[K], runs []spill.Run, c comm.Codec[C], origin func(run int) uint32,
+	less func(a, b lsort.NormRef) bool, want int, batch []lsort.NormRef, emit func(out []lsort.NormRef, at int)) error {
+	opts := spill.ReaderOpts[C]{RefPool: f.refPool, Tracker: f.tracker}
+	cursors, done := openRuns(f, runs, func(i int, run spill.Run) runReader[lsort.NormRef] {
+		return spill.OpenRefRun(run, origin(i), c, opts)
+	})
+	defer done()
+	refs := f.takeRefs(lsort.MergeRefs(len(cursors), less == nil))
+	defer func() { f.giveRefs(refs) }()
+	merged, err := lsort.NewMergeCursor(cursors, refNorm, less, batch, refs)
+	if err != nil {
+		return err
+	}
+	for filled := 0; ; {
+		out, err := merged.Next()
+		if err != nil {
+			return err
+		}
+		if len(out) == 0 || len(out) > want-filled {
+			return filledExactly(filled+len(out), want)
+		}
+		emit(out, filled)
+		filled += len(out)
+	}
+}
+
+// refNorm is a ref's norm, read in place.
+func refNorm(r *lsort.NormRef) uint64 { return r.Norm }
 
 // filledExactly checks that a spill merge produced the want elements its
 // runs' block lists promised: runs that hold more or fewer are corrupt.
@@ -393,8 +419,10 @@ func filledExactly(filled, want int) error {
 	return nil
 }
 
-// keyBatch is how many merged entries mergeKeysInto decodes at a time on
-// their way into a key column.
+// keyBatch is how many merged elements a spilled step 6 that streams
+// holds at a time: entries on their way into a key column
+// (mergeKeysInto), refs on their way into a sort by ref's part
+// (spilledSink.mergeRefs).
 const keyBatch = 1 << 10
 
 // mergeKeysInto is mergeInto for a key column: the same merge, streamed

@@ -314,15 +314,17 @@ func (sp *spilledSink[K]) Write(m comm.Message[K]) error {
 	return err
 }
 
-// merge streams the source runs back through the former's merge — one
-// cursor per source, an empty one for sources that sent nothing, so
+// merge streams the source runs back through one of the former's merges
+// — one cursor per source, an empty one for sources that sent nothing, so
 // tie-breaking by cursor index stays source order — into the part,
-// allocated at its exact size as the resident sink's is: straight into
-// the entries, or for a key-column job a batch of keyBatch entries at a
-// time whose keys are copied out, so no entry slab the part's size is
-// ever made. Temporary memory is just the decoded blocks — one slab per
-// non-empty source — the merge's ref slab and the batch, however large
-// the runs are. The scratch file goes back to the engine on every path.
+// allocated at its exact size as the resident sink's is. A sort by ref
+// reads its runs back as refs (mergeRefs). Any other sort reads entries:
+// straight into the part's entries, or for a key-column job a batch of
+// keyBatch entries at a time whose keys are copied out, so no entry slab
+// the part's size is ever made. Temporary memory is just the decoded
+// blocks — one slab per non-empty source — the merge's ref slab and the
+// batch, however large the runs are. The scratch file goes back to the
+// engine on every path.
 func (sp *spilledSink[K]) merge() (sortedPart[K], error) {
 	defer sp.discard()
 	f := &sp.s.runs
@@ -335,6 +337,9 @@ func (sp *spilledSink[K]) merge() (sortedPart[K], error) {
 	}
 	bounds := sp.Bounds()
 	total := bounds[len(bounds)-1]
+	if sp.s.byRef {
+		return sp.mergeRefs(runs, total)
+	}
 	if !sp.s.keys {
 		merged := make([]comm.Entry[K], total)
 		if err := f.mergeInto(merged, runs); err != nil {
@@ -347,6 +352,33 @@ func (sp *spilledSink[K]) merge() (sortedPart[K], error) {
 		return sortedPart[K]{}, err
 	}
 	return sortedPart[K]{keys: keys}, nil
+}
+
+// mergeRefs is merge for a sort by ref: source i's run read back as the
+// refs node i sent (mergeRefRuns), merged in rounds a batch of keyBatch
+// refs at a time, and each batch written into the part as the key-only
+// entries (refEntries) or, for a key-column job, the keys (refKeys) its
+// refs stand for. It takes ref slabs only — the runs' decoded blocks,
+// the rounds' slab and the batch, 16 bytes a ref — and no entry slab.
+func (sp *spilledSink[K]) mergeRefs(runs []spill.Run, total int) (sortedPart[K], error) {
+	f := &sp.s.runs
+	batch := f.takeRefs(keyBatch)
+	defer f.giveRefs(batch)
+	var part sortedPart[K]
+	var emit func(out []lsort.NormRef, at int)
+	denorm := f.cmps.denorm
+	if sp.s.keys {
+		part.keys = make([]K, total)
+		emit = func(out []lsort.NormRef, at int) { refKeys(part.keys[at:], out, denorm, 0, len(out)) }
+	} else {
+		part.entries = make([]comm.Entry[K], total)
+		emit = func(out []lsort.NormRef, at int) { refEntries(part.entries[at:], out, denorm, 0, len(out)) }
+	}
+	fromSource := func(src int) uint32 { return uint32(src) }
+	if err := mergeRefRuns(f, runs, f.codec, fromSource, nil, total, batch, emit); err != nil {
+		return sortedPart[K]{}, err
+	}
+	return part, nil
 }
 
 // discard lets go of every unsealed writer's block buffer and gives the

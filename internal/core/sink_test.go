@@ -91,7 +91,7 @@ func TestSinkErrorExits(t *testing.T) {
 	// Step 1 under the spilled budget: every node creates one scratch file
 	// and writes each chunk as a run of one block, so the first create and
 	// the first block write past those belong to the exchange.
-	chunk := chunkEntries(spilled, int64(entryBytes[uint64]()), 1)
+	chunk := Options{MemoryBudget: spilled}.step1Chunk(per)
 	chunks := (per + chunk - 1) / chunk
 	for _, at := range []struct {
 		stage, mergeStage        SchedStage
@@ -204,11 +204,14 @@ func TestSinkErrorExits(t *testing.T) {
 // TestSpilledSink holds the spilled sink to its own bookkeeping. Chunks
 // from every source, written concurrently, read back as that source's
 // run, entries and refs alike, each run complete once its count has
-// landed, and the merge is the stable merge of the runs. A source
-// expecting nothing has no run, and an empty chunk for it is a no-op. A
-// chunk past its source's region, or from no source, is an error. And
-// discard gives the scratch file back exactly once however often it is
-// called, SpillDir never showing it.
+// landed, and the merge is the stable merge of the runs — a sort by
+// ref's read back as refs, taking ref slabs and no entry slab, into
+// entries and into a key column alike. A ref run naming an origin other
+// than its source's is spill.ErrCorrupt. A source expecting nothing has
+// no run, and an empty chunk for it is a no-op. A chunk past its source's
+// region, or from no source, is an error. And discard gives the scratch
+// file back exactly once however often it is called, SpillDir never
+// showing it.
 func TestSpilledSink(t *testing.T) {
 	newSink := func(t *testing.T, perSrc []int, byRef bool) (*spilledSink[uint64], string) {
 		t.Helper()
@@ -276,9 +279,20 @@ func TestSpilledSink(t *testing.T) {
 			want := slices.SortedStableFunc(slices.Values(slices.Concat(runs...)), func(a, b comm.Entry[uint64]) int {
 				return cmp.Compare(a.Key, b.Key)
 			})
+			n := sink.s.node
+			entryGets0, _, _ := n.entryPool.Stats()
+			refGets0, _, _ := n.refPool.Stats()
 			got, err := sink.merge()
 			if err != nil {
 				t.Fatal(err)
+			}
+			entryGets1, _, _ := n.entryPool.Stats()
+			refGets1, _, _ := n.refPool.Stats()
+			if entries, refs := entryGets1-entryGets0, refGets1-refGets0; byRef && (entries != 0 || refs == 0) || !byRef && entries == 0 {
+				t.Fatalf("the merge took %d entry slabs and %d ref slabs", entries, refs)
+			}
+			if live := n.tracker.Live(); live != 0 {
+				t.Fatalf("tracker holds %d bytes after the merge", live)
 			}
 			if c.keys {
 				wantKeys := make([]uint64, len(want))
@@ -297,6 +311,25 @@ func TestSpilledSink(t *testing.T) {
 			requireEmptyDir(t, dir)
 		})
 	}
+
+	t.Run("foreign-origin-is-corrupt", func(t *testing.T) {
+		sink, dir := newSink(t, []int{3, 2}, true)
+		for src, refs := range [][]lsort.NormRef{
+			{{Norm: 1, Proc: 0, Idx: 0}, {Norm: 2, Proc: 0, Idx: 1}, {Norm: 3, Proc: 0, Idx: 2}},
+			{{Norm: 1, Proc: 1, Idx: 0}, {Norm: 4, Proc: 0, Idx: 1}}, // source 1 names node 0
+		} {
+			if err := sink.Write(comm.Message[uint64]{Kind: comm.KData, Src: src, Refs: refs}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sink.merge(); !errors.Is(err, spill.ErrCorrupt) {
+			t.Fatalf("a run naming another origin merged with %v, want spill.ErrCorrupt", err)
+		}
+		if live := sink.s.node.tracker.Live(); live != 0 {
+			t.Fatalf("tracker holds %d bytes after the failed merge", live)
+		}
+		requireEmptyDir(t, dir)
+	})
 
 	t.Run("empty-source-has-no-run", func(t *testing.T) {
 		sink, _ := newSink(t, []int{0, 1}, false)

@@ -23,8 +23,8 @@ import (
 // (a node gives step 1's file back before its exchange takes one, but
 // nodes are not in step) and never a directory.
 func TestSpillDescriptorsPerNode(t *testing.T) {
-	const procs, per, budget = 2, 16000, 1 << 10
-	runs := per / chunkEntries(budget, int64(entryBytes[uint64]()), 1)
+	const procs, per, budget = 2, 16000, 1 << 8
+	runs := per / Options{MemoryBudget: budget}.step1Chunk(per)
 	if runs <= 1000 {
 		t.Fatalf("step 1 would form %d runs a node, want > 1000", runs)
 	}
@@ -85,7 +85,7 @@ func TestSpillDescriptorsPerNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sort with %d chunk runs a node: %v", runs, err)
 	}
-	requireMatchesReference(t, comm.U64Codec{}, res, parts, "1 KiB budget")
+	requireMatchesReference(t, comm.U64Codec{}, res, parts, "256 B budget")
 	if samples == 0 || maxFDs == 0 {
 		t.Fatalf("%d samples saw at most %d open scratch files: the sampler missed the sort", samples, maxFDs)
 	}

@@ -422,3 +422,58 @@ func TestParseMemBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetBoundsTempPeak: Options.MemoryBudget is a bound on every
+// node's temporary memory for a uint64 sort by ref at p = 4, and the spill
+// tier moves each key once per stage the budget forces — 16 bytes, the
+// ref. At 8 B a key (the benchmark's spill_uniform_u64 shape, at 2^16 and
+// at 2^18 keys) a node's ref sort, 32 B a key, fits the budget exactly:
+// step 1 spills nothing and only the exchange goes through the scratch
+// file. At 4 B a key step 1 cannot sort its share in one piece, so both
+// stages spill. A key-column job (Scheduler.RunOne) is held to the same.
+func TestBudgetBoundsTempPeak(t *testing.T) {
+	const procs = 4
+	for _, c := range []struct {
+		n, perKey int
+		keys      bool
+	}{{1 << 16, 8, false}, {1 << 18, 4, false}, {1 << 18, 8, false}, {1 << 16, 8, true}} {
+		t.Run(fmt.Sprintf("n=%d/%dB-a-key/keys=%v", c.n, c.perKey, c.keys), func(t *testing.T) {
+			budget, per := int64(c.n*c.perKey), c.n/procs
+			flat := dist.Gen{Kind: dist.Uniform, Seed: 1, Domain: 1 << 62}.Keys(c.n)
+			parts := make([][]uint64, procs)
+			for p := range parts {
+				parts[p] = flat[p*per : (p+1)*per]
+			}
+			e := newTestEngine(t, Options{Procs: procs, WorkersPerProc: 2, MemoryBudget: budget, SpillDir: t.TempDir()})
+			var rep Report
+			if c.keys {
+				var err error
+				if _, rep, err = NewScheduler(e, SortManyOpts{}).RunOne(context.Background(), parts); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				res, err := e.Sort(parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMatchesReference(t, comm.U64Codec{}, res, parts, "budgeted")
+				rep = res.Report
+			}
+			for i, nr := range rep.PerNode {
+				if nr.TempPeakBytes > budget {
+					t.Errorf("node %d peaked at %d temporary bytes, %.2fx the %d-byte budget",
+						i, nr.TempPeakBytes, float64(nr.TempPeakBytes)/float64(budget), budget)
+				}
+			}
+			stages := int64(1) // the exchange: 40 B an entry never fits
+			if int64(per)*2*refBytes > budget {
+				stages++ // step 1's chunks
+			}
+			if want := stages * refBytes * int64(c.n); rep.SpillBytes != want {
+				t.Errorf("spilled %d bytes, %.1f a key; want %d, a ref a key in each of %d stages",
+					rep.SpillBytes, float64(rep.SpillBytes)/float64(c.n), want, stages)
+			}
+			checkNoLeak(t, e)
+		})
+	}
+}

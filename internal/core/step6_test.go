@@ -29,15 +29,20 @@ func testSortRun[K cmp.Ordered](e *Engine[K]) *sortRun[K] {
 			pool: n.entryPool, refPool: &n.refPool, tracker: &n.tracker}}
 }
 
-// step6Sink is the resident sink of a sort run on node 0 of a fresh
-// engine, by ref or not, for an exchange delivering bySrc's keys, and the
-// runs that exchange lands in it: each source's keys sorted under the
-// sort's own entry order, ties in index order. The caller may still adjust
-// the run before landing the runs (step6Land).
-func step6Sink[K cmp.Ordered](t *testing.T, codec comm.Codec[K], bySrc [][]K, payloads, byRef bool, workers int) (*sortRun[K], *residentSink[K], [][]comm.Entry[K]) {
+// step6Sink is the sink of a sort run on node 0 of a fresh engine —
+// resident, or spilled under a one-byte budget — by ref or not, for an
+// exchange delivering bySrc's keys, and the runs that exchange lands in
+// it: each source's keys sorted under the sort's own entry order, ties in
+// index order. The caller may still adjust the run before landing the
+// runs (step6Land).
+func step6Sink[K cmp.Ordered](t *testing.T, codec comm.Codec[K], bySrc [][]K, payloads, byRef, spilled bool, workers int) (*sortRun[K], exchangeSink[K], [][]comm.Entry[K]) {
 	t.Helper()
 	p := len(bySrc)
-	e, err := NewEngine[K](Options{Procs: p, WorkersPerProc: workers, MemoryBudget: -1}, codec)
+	opts := Options{Procs: p, WorkersPerProc: workers, MemoryBudget: -1}
+	if spilled {
+		opts.MemoryBudget, opts.SpillDir = 1, t.TempDir()
+	}
+	e, err := NewEngine[K](opts, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +77,16 @@ func step6Sink[K cmp.Ordered](t *testing.T, codec comm.Codec[K], bySrc [][]K, pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, sink.(*residentSink[K]), runs
+	if _, ok := sink.(*spilledSink[K]); ok != (spilled && len(slices.Concat(bySrc...)) > 0) {
+		t.Fatalf("%T for a spilled sink: %v", sink, spilled) // nothing to land spills nothing
+	}
+	return s, sink, runs
 }
 
 // step6Land writes each source's run into the sink as one KData message,
 // as the exchange delivers it: entries, or on a sort by ref the refs
 // (norm, origin node, origin index) standing for them.
-func step6Land[K cmp.Ordered](t *testing.T, s *sortRun[K], sink *residentSink[K], runs [][]comm.Entry[K]) {
+func step6Land[K cmp.Ordered](t *testing.T, s *sortRun[K], sink exchangeSink[K], runs [][]comm.Entry[K]) {
 	t.Helper()
 	for src, run := range runs {
 		m := comm.Message[K]{Kind: comm.KData, Src: src, Entries: run}
@@ -101,8 +109,10 @@ func step6Land[K cmp.Ordered](t *testing.T, s *sortRun[K], sink *residentSink[K]
 // there are no payloads for the refs to lose. Bare keys are merged into a
 // key column as well (a key-column job's part), the way a sort of them
 // goes — by ref under an inverse norm, else by entry — and held to the
-// same merge's keys. Afterwards the node's tracker is at zero and every
-// slab is back in its pool.
+// same merge's keys. Every arm runs through the resident sink and, on one
+// worker (the spilled merge runs on one whatever the workers), through
+// the spilled sink too. Afterwards the node's tracker is at zero and
+// every slab is back in its pool.
 func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], bySrc [][]K, payloads bool, workers int) {
 	t.Helper()
 	arms := []bool{false}
@@ -110,64 +120,86 @@ func step6Case[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], b
 	if denorm && !payloads {
 		arms = append(arms, true)
 	}
+	sinks := []bool{false}
+	if workers == 1 {
+		sinks = append(sinks, true)
+	}
 	for _, byRef := range arms {
 		for _, keys := range []bool{false, true} {
 			if keys && (payloads || byRef != denorm) {
 				continue
 			}
-			label := fmt.Sprintf("%s/byRef=%v/keys=%v", label, byRef, keys)
-			s, sink, runs := step6Sink(t, codec, bySrc, payloads, byRef, workers)
-			s.keys = keys
-			n, cmps := s.node, s.cmps
-			assembled, bounds := []comm.Entry[K]{}, []int{0}
-			for _, run := range runs {
-				assembled = append(assembled, run...)
-				bounds = append(bounds, len(assembled))
+			for _, spilled := range sinks {
+				step6Arm(t, fmt.Sprintf("%s/byRef=%v/keys=%v/spilled=%v", label, byRef, keys, spilled), codec, bySrc, payloads, byRef, keys, spilled, workers)
 			}
-			entryLess := func(a, b comm.Entry[K]) bool { return cmps.keyLess(a.Key, b.Key) }
-			want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), bounds, entryLess, true)
-
-			step6Land(t, s, sink, runs)
-			part, err := sink.merge()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if part.len() != len(want) || len(want) > 0 && keys != (part.entries == nil) {
-				t.Fatalf("%s: %d entries and %d keys out, want %d", label, len(part.entries), len(part.keys), len(want))
-			}
-			if c := cap(part.entries) + cap(part.keys); c != len(want) {
-				t.Errorf("%s: part of %d has capacity %d, want its exact size", label, len(want), c)
-			}
-			for i, w := range want {
-				if keys {
-					if !bytes.Equal(keyBytes(codec, part.keys[i]), keyBytes(codec, w.Key)) {
-						t.Fatalf("%s: key %d is %v, the entry merge gives %+v", label, i, part.keys[i], w)
-					}
-					continue
-				}
-				g := part.entries[i]
-				if g.Proc != w.Proc || g.Index != w.Index || !bytes.Equal(g.Payload, w.Payload) ||
-					!bytes.Equal(keyBytes(codec, g.Key), keyBytes(codec, w.Key)) {
-					t.Fatalf("%s: entry %d is %+v, the entry merge gives %+v", label, i, g, w)
-				}
-			}
-			if live := n.tracker.Live(); live != 0 {
-				t.Errorf("%s: tracker holds %d bytes after the merge", label, live)
-			}
-			checkSlabsBack(t, label, n, len(want) > 0, byRef)
-			n.eng.Close() // the matrix builds hundreds: none outlives its case
 		}
 	}
 }
 
-// checkSlabsBack holds node n's pools to one step-6 sink's slabs, every
-// one of them back: the ref slab and the merge's spare, and beside them
-// one entry slab unless the sink is by ref, which takes ref slabs only —
-// no entry slab taken when nothing landed.
-func checkSlabsBack[K cmp.Ordered](t *testing.T, label string, n *node[K], landed, byRef bool) {
+// step6Arm is one arm of step6Case: one sink, by ref or not, into entries
+// or a key column.
+func step6Arm[K cmp.Ordered](t *testing.T, label string, codec comm.Codec[K], bySrc [][]K, payloads, byRef, keys, spilled bool, workers int) {
 	t.Helper()
-	if gets, _, puts := n.refPool.Stats(); gets != puts {
-		t.Errorf("%s: ref pool saw %d gets and %d puts", label, gets, puts)
+	s, sink, runs := step6Sink(t, codec, bySrc, payloads, byRef, spilled, workers)
+	s.keys = keys
+	n, cmps := s.node, s.cmps
+	assembled, bounds := []comm.Entry[K]{}, []int{0}
+	for _, run := range runs {
+		assembled = append(assembled, run...)
+		bounds = append(bounds, len(assembled))
+	}
+	entryLess := func(a, b comm.Entry[K]) bool { return cmps.keyLess(a.Key, b.Key) }
+	want := lsort.MergeAdjacentRuns(assembled, make([]comm.Entry[K], len(assembled)), bounds, entryLess, true)
+
+	step6Land(t, s, sink, runs)
+	part, err := sink.merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.len() != len(want) || len(want) > 0 && keys != (part.entries == nil) {
+		t.Fatalf("%s: %d entries and %d keys out, want %d", label, len(part.entries), len(part.keys), len(want))
+	}
+	if c := cap(part.entries) + cap(part.keys); c != len(want) {
+		t.Errorf("%s: part of %d has capacity %d, want its exact size", label, len(want), c)
+	}
+	for i, w := range want {
+		if keys {
+			if !bytes.Equal(keyBytes(codec, part.keys[i]), keyBytes(codec, w.Key)) {
+				t.Fatalf("%s: key %d is %v, the entry merge gives %+v", label, i, part.keys[i], w)
+			}
+			continue
+		}
+		g := part.entries[i]
+		if g.Proc != w.Proc || g.Index != w.Index || !bytes.Equal(g.Payload, w.Payload) ||
+			!bytes.Equal(keyBytes(codec, g.Key), keyBytes(codec, w.Key)) {
+			t.Fatalf("%s: entry %d is %+v, the entry merge gives %+v", label, i, g, w)
+		}
+	}
+	if live := n.tracker.Live(); live != 0 {
+		t.Errorf("%s: tracker holds %d bytes after the merge", label, live)
+	}
+	checkSlabsBack(t, label, n, len(want) > 0, byRef, spilled)
+	n.eng.Close() // the matrix builds hundreds: none outlives its case
+}
+
+// checkSlabsBack holds node n's pools to one step-6 sink's slabs, every
+// one of them back. A resident sink takes the ref slab and the merge's
+// spare, and beside them one entry slab unless it is by ref — no entry
+// slab taken when nothing landed. A spilled sink by ref takes ref slabs
+// only, its runs' decoded blocks among them; by entry it decodes its runs
+// into entry slabs.
+func checkSlabsBack[K cmp.Ordered](t *testing.T, label string, n *node[K], landed, byRef, spilled bool) {
+	t.Helper()
+	refGets, _, refPuts := n.refPool.Stats()
+	if refGets != refPuts {
+		t.Errorf("%s: ref pool saw %d gets and %d puts", label, refGets, refPuts)
+	}
+	if spilled {
+		gets, _, puts := n.entryPool.Stats()
+		if gets != puts || landed && byRef && (gets != 0 || refGets == 0) || landed && !byRef && gets == 0 {
+			t.Errorf("%s: spilled merge by ref %v took %d entry slabs (%d back) and %d ref slabs", label, byRef, gets, puts, refGets)
+		}
+		return
 	}
 	var entries int64
 	if landed && !byRef {
@@ -260,7 +292,7 @@ func TestStep6RefsPanicGivesEverythingBack(t *testing.T) {
 	}
 
 	t.Run("write-norm", func(t *testing.T) {
-		s, sink, runs := step6Sink(t, codec, bySrc, false, false, 2)
+		s, sink, runs := step6Sink(t, codec, bySrc, false, false, false, 2)
 		norm, bad := s.runs.cmps.norm, runs[1][700].Key
 		s.runs.cmps.norm = func(k uint64) uint64 {
 			if k == bad {
@@ -273,12 +305,12 @@ func TestStep6RefsPanicGivesEverythingBack(t *testing.T) {
 		if live := s.node.tracker.Live(); live != 0 {
 			t.Errorf("tracker holds %d bytes after the panic", live)
 		}
-		checkSlabsBack(t, "write", s.node, true, false)
+		checkSlabsBack(t, "write", s.node, true, false, false)
 	})
 
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("result-denorm/workers=%d", workers), func(t *testing.T) {
-			s, sink, runs := step6Sink(t, codec, bySrc, false, true, workers)
+			s, sink, runs := step6Sink(t, codec, bySrc, false, true, false, workers)
 			step6Land(t, s, sink, runs)
 			// A norm of the caller's half of the result, so the panic is the
 			// caller's while a second worker's helper is still building its half.
@@ -298,7 +330,7 @@ func TestStep6RefsPanicGivesEverythingBack(t *testing.T) {
 			if gets, _, _ := s.node.refPool.Stats(); gets != 2 {
 				t.Errorf("ref pool saw %d gets, want the ref slab and the merge's spare", gets)
 			}
-			checkSlabsBack(t, "merge", s.node, true, true)
+			checkSlabsBack(t, "merge", s.node, true, true, false)
 		})
 	}
 }
