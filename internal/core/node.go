@@ -339,10 +339,9 @@ func (s *sortRun[K]) run() (_ sortedPart[K], err error) {
 }
 
 // step1Chunk is how many of a share's n keys step 1 sorts at a time,
-// weighed by what its ref sort holds, a ref and a scratch ref a key: all
-// of them, unless those 2·refBytes a key exceed Options.MemoryBudget —
-// a share that fills the budget exactly is one chunk — and otherwise
-// the budget's worth, budget / (2·refBytes) keys (chunkEntries).
+// weighed by what its ref sort holds, 2·refBytes a key (the refs and
+// their scratch): all n while that fits Options.MemoryBudget, filling it
+// exactly included, else budget / (2·refBytes) (chunkEntries).
 func (o Options) step1Chunk(n int) int {
 	if o.MemoryBudget > 0 && int64(n)*2*refBytes > o.MemoryBudget {
 		return chunkEntries(o.MemoryBudget, refBytes, 1)
