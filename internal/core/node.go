@@ -114,7 +114,7 @@ type sortCmps[K cmp.Ordered] struct {
 	// them under the real key order (lsort.SortEqualNormRefs).
 	inexact bool
 	// headNorm and headLess are the entry order in the two parts the cursor
-	// merges take it in (lsort.MergeCursorsNorm): an entry's norm, and what
+	// merges take it in (lsort.NewMergeCursor): an entry's norm, and what
 	// orders entries of equal norm — nothing (nil) under an exact norm,
 	// whose merge runs in rounds over refs (the loser tree above
 	// lsort's round fan-in), the real keys under an inexact one, whose

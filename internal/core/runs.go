@@ -130,7 +130,7 @@ type runFormer[K cmp.Ordered] struct {
 	tracker *alloc.Tracker
 	// Spilled runs are blocks of a scratch file, one file per spilling
 	// stage: whoever needs the stage's runs on disk creates it, hands it
-	// to sortRefs or writeRun, and closes it once the runs are consumed.
+	// to sortRefs or mergePass, and closes it once the runs are consumed.
 	blockBytes int // spilled block size; 0 is the spill tier's default
 
 	// Bytes written to and read back from scratch files: the Report's
@@ -248,10 +248,11 @@ func (f *runFormer[K]) sortRefs(src shareSource[K], chunk int, node uint32, to *
 	}
 	// The share is the merge's one batch: the merge fills it in place.
 	fromNode := func(int) uint32 { return node }
-	err := mergeRefRuns(f, runs, refRunCodec{}, fromNode, less, n, share, func(out []lsort.NormRef, at int) {
+	err := mergeRuns(f, runs, openRefs(f, refRunCodec{}, fromNode), refNorm, less, share, n, func(out []lsort.NormRef, at int) error {
 		if &out[0] != &share[at] {
 			copy(share[at:], out)
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -270,25 +271,6 @@ func (f *runFormer[K]) writeRefRun(to *spill.Scratch, refs []lsort.NormRef) (spi
 	w := spill.NewRunWriter(to, refRunCodec{}, f.blockBytes)
 	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
 	return seal(f, w, w.AppendRefs(refs))
-}
-
-// writeRun writes the entries a sorted cursor yields to the scratch file
-// as one run.
-func (f *runFormer[K]) writeRun(to *spill.Scratch, sorted lsort.Cursor[comm.Entry[K]]) (spill.Run, error) {
-	w := spill.NewRunWriter(to, f.codec, f.blockBytes)
-	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
-	for {
-		batch, err := sorted.Next()
-		if err == nil {
-			err = f.ctx.Err()
-		}
-		if err == nil && len(batch) > 0 {
-			err = w.Append(batch)
-		}
-		if err != nil || len(batch) == 0 {
-			return seal(f, w, err)
-		}
-	}
 }
 
 // seal finishes a run whose appends returned err and hands it over. A
@@ -314,13 +296,33 @@ type runReader[E any] interface {
 	Close() error
 }
 
-// openRuns opens runs as merge cursors through open, handed each run
-// and its index, one per run in order; an empty run gets an empty
-// cursor, so cursor index — the merge's tie-break — stays the caller's
-// run index. Nothing is read yet, so nothing can fail. The returned func folds the bytes read into
-// spillReads and closes the readers; the runs' scratch file is the
-// caller's to give back after it.
-func openRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func(i int, run spill.Run) runReader[E]) ([]lsort.Cursor[E], func()) {
+// openEntries opens a run as a cursor of its entries.
+func (f *runFormer[K]) openEntries(_ int, run spill.Run) runReader[comm.Entry[K]] {
+	return spill.OpenRun(run, f.codec, spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())})
+}
+
+// openRefs returns the open that reads run i, key-only entries framed
+// under c, as a cursor of the refs standing for them, every one from
+// origin(i): another origin, or a payload, is spill.ErrCorrupt.
+func openRefs[K cmp.Ordered, C any](f *runFormer[K], c comm.Codec[C], origin func(run int) uint32) func(int, spill.Run) runReader[lsort.NormRef] {
+	opts := spill.ReaderOpts[C]{RefPool: f.refPool, Tracker: f.tracker}
+	return func(i int, run spill.Run) runReader[lsort.NormRef] { return spill.OpenRefRun(run, origin(i), c, opts) }
+}
+
+// refNorm is a ref's norm, read in place.
+func refNorm(r *lsort.NormRef) uint64 { return r.Norm }
+
+// openMerge opens runs through open, one cursor a run in order — an
+// empty run gets an empty cursor, so the merge's tie-break stays the run
+// index — and merges them into one stable cursor a batch at a time, under
+// norm and, to order equal norms, less (nil: they are equal elements): in
+// rounds over a ref slab of f's under an exact norm up to lsort's round
+// fan-in, in the loser tree otherwise. Priming pulls a block a run, which
+// can fail. done gives the slab back, folds the bytes read into
+// spillReads and closes the readers; the batch, and the runs' scratch
+// file once done has run, are the caller's.
+func openMerge[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func(i int, run spill.Run) runReader[E],
+	norm func(*E) uint64, less func(a, b E) bool, batch []E) (merged *lsort.MergeCursor[E], done func(), err error) {
 	cursors := make([]lsort.Cursor[E], len(runs))
 	for i, run := range runs {
 		if run.Entries() == 0 {
@@ -329,7 +331,9 @@ func openRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func
 		}
 		cursors[i] = open(i, run)
 	}
-	return cursors, func() {
+	refs := f.takeRefs(lsort.MergeRefs(len(cursors), less == nil))
+	done = func() {
+		f.giveRefs(refs)
 		for _, c := range cursors {
 			if r, ok := c.(runReader[E]); ok {
 				f.spillReads.Add(r.BytesRead())
@@ -337,63 +341,29 @@ func openRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func
 			}
 		}
 	}
+	defer func() {
+		if merged == nil { // an error, or a panic: no reader outlives the merge into a reused file
+			done()
+			done = nil
+		}
+	}()
+	merged, err = lsort.NewMergeCursor(cursors, norm, less, batch, refs)
+	return merged, done, err
 }
 
-// open opens runs as cursors of entries (openRuns).
-func (f *runFormer[K]) open(runs []spill.Run) ([]lsort.Cursor[comm.Entry[K]], func()) {
-	opts := spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())}
-	return openRuns(f, runs, func(_ int, run spill.Run) runReader[comm.Entry[K]] {
-		return spill.OpenRun(run, f.codec, opts)
-	})
-}
-
-// takeMergeRefs takes the ref slab a merge of k run cursors under
-// headNorm and headLess asks for (lsort.MergeRefs decides, by the same
-// headLess the merge is handed): one for the rounds, nil for the loser
-// tree, which giveRefs takes back like any slab.
-func (f *runFormer[K]) takeMergeRefs(k int) []lsort.NormRef {
-	return f.takeRefs(lsort.MergeRefs(k, f.cmps.headLess == nil))
-}
-
-// mergeInto streams the runs back into dst, which they must fill
-// exactly. The merge is stable and takes the runs in order.
-func (f *runFormer[K]) mergeInto(dst []comm.Entry[K], runs []spill.Run) error {
-	cursors, done := f.open(runs)
-	defer done() // on a panic too: no reader outlives the merge into a reused file
-	refs := f.takeMergeRefs(len(cursors))
-	defer func() { f.giveRefs(refs) }()
-	filled, err := lsort.MergeCursorsNorm(dst, cursors, f.cmps.headNorm, f.cmps.headLess, refs)
-	if err == nil {
-		err = filledExactly(filled, len(dst))
-	}
-	return err
-}
-
-// mergeRefRuns is the one merge of runs of refs: step 1's chunk runs,
-// every one from the node, and the spilled step 6 of a sort by ref, a run
-// from each source. Run i is read back under c as the refs standing for
-// its key-only entries, every one from origin(i) — another origin, or a
-// payload, is spill.ErrCorrupt. An exact norm (less nil) merges in rounds
-// up to lsort's round fan-in and in the loser tree above it, an inexact
-// one in the loser tree with less ordering equal norms; ties go by run.
-// The merged refs come out in batch, as many as it holds at a time (a
-// lone run passes its own blocks through), and emit takes each batch with
-// its offset in the merge; the runs must fill want exactly. Temporary
-// memory is a decoded block a run, the rounds' slab and the caller's
-// batch.
-func mergeRefRuns[K cmp.Ordered, C any](f *runFormer[K], runs []spill.Run, c comm.Codec[C], origin func(run int) uint32,
-	less func(a, b lsort.NormRef) bool, want int, batch []lsort.NormRef, emit func(out []lsort.NormRef, at int)) error {
-	opts := spill.ReaderOpts[C]{RefPool: f.refPool, Tracker: f.tracker}
-	cursors, done := openRuns(f, runs, func(i int, run spill.Run) runReader[lsort.NormRef] {
-		return spill.OpenRefRun(run, origin(i), c, opts)
-	})
-	defer done()
-	refs := f.takeRefs(lsort.MergeRefs(len(cursors), less == nil))
-	defer func() { f.giveRefs(refs) }()
-	merged, err := lsort.NewMergeCursor(cursors, refNorm, less, batch, refs)
+// mergeRuns is the one merge of spilled runs: step 1's chunk runs, the
+// spilled step 6 and a spooled ladder pass. It drains openMerge's cursor
+// into emit, which takes each merged batch with its offset in the merge —
+// batch, filled in place, or a lone run's own decoded block — and checks
+// that the runs fill want exactly. Temporary memory is a decoded block a
+// run, the rounds' slab and the caller's batch.
+func mergeRuns[K cmp.Ordered, E any](f *runFormer[K], runs []spill.Run, open func(i int, run spill.Run) runReader[E],
+	norm func(*E) uint64, less func(a, b E) bool, batch []E, want int, emit func(out []E, at int) error) error {
+	merged, done, err := openMerge(f, runs, open, norm, less, batch)
 	if err != nil {
 		return err
 	}
+	defer done()
 	for filled := 0; ; {
 		out, err := merged.Next()
 		if err != nil {
@@ -402,13 +372,12 @@ func mergeRefRuns[K cmp.Ordered, C any](f *runFormer[K], runs []spill.Run, c com
 		if len(out) == 0 || len(out) > want-filled {
 			return filledExactly(filled+len(out), want)
 		}
-		emit(out, filled)
+		if err := emit(out, filled); err != nil {
+			return err
+		}
 		filled += len(out)
 	}
 }
-
-// refNorm is a ref's norm, read in place.
-func refNorm(r *lsort.NormRef) uint64 { return r.Norm }
 
 // filledExactly checks that a spill merge produced the want elements its
 // runs' block lists promised: runs that hold more or fewer are corrupt.
@@ -419,52 +388,7 @@ func filledExactly(filled, want int) error {
 	return nil
 }
 
-// keyBatch is how many merged elements a spilled step 6 that streams
-// holds at a time: entries on their way into a key column
-// (mergeKeysInto), refs on their way into a sort by ref's part
-// (spilledSink.mergeRefs).
-const keyBatch = 1 << 10
-
-// mergeKeysInto is mergeInto for a key column: the same merge, streamed
-// a batch of keyBatch entries at a time, each entry's key copied out, so
-// no entry slab dst's size is ever made.
-func (f *runFormer[K]) mergeKeysInto(dst []K, runs []spill.Run) error {
-	merged, done, err := f.stream(runs, keyBatch)
-	if err != nil {
-		return err
-	}
-	defer done()
-	filled := 0
-	for {
-		batch, err := merged.Next()
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 || len(batch) > len(dst)-filled {
-			return filledExactly(filled+len(batch), len(dst))
-		}
-		for i := range batch {
-			dst[filled+i] = batch[i].Key
-		}
-		filled += len(batch)
-	}
-}
-
-// stream merges the runs into one sorted stream of batches of up to
-// batchLen entries. The returned func releases the batch and the merge's
-// refs and closes the runs' readers.
-func (f *runFormer[K]) stream(runs []spill.Run, batchLen int) (lsort.Cursor[comm.Entry[K]], func(), error) {
-	cursors, closeRuns := f.open(runs)
-	batch, refs := f.take(batchLen), f.takeMergeRefs(len(cursors))
-	done := func() {
-		f.give(batch)
-		f.giveRefs(refs)
-		closeRuns()
-	}
-	mc, err := lsort.NewMergeCursor(cursors, f.cmps.headNorm, f.cmps.headLess, batch, refs)
-	if err != nil {
-		done()
-		return nil, nil, err
-	}
-	return mc, done, nil
-}
+// runBatch is how many elements a merge that streams — the spilled step 6
+// of a sort by ref or into a key column — holds at a time, and how many
+// entries a spool builds at a time on their way to its run.
+const runBatch = 1 << 10

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -115,7 +116,10 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 					return nil, err
 				}
 				out := make([]comm.Entry[uint64], m)
-				return out, f.mergeInto(out, sp.runs)
+				return out, mergeRuns(f, sp.runs, f.openEntries, f.cmps.headNorm, f.cmps.headLess, out, m, func(merged []comm.Entry[uint64], at int) error {
+					copy(out[at:], merged)
+					return nil
+				})
 			},
 		}
 
@@ -201,5 +205,96 @@ func TestShareSizeGuard(t *testing.T) {
 	}
 	if err := checkShare[uint64](&keySource[uint64]{keys: make([]uint64, 3)}); err != nil {
 		t.Fatalf("a three-key share was refused: %v", err)
+	}
+}
+
+// TestMergeRunsFillsExactly: runs holding one element fewer or one more
+// than their merge announces are spill.ErrCorrupt in the two merges the
+// sink tests do not reach — step 1's ref runs merged into the share, and
+// a spooled pass's entry runs merged into a run of the pass's file — and
+// every slab goes back. Neither can be handed such runs from outside: step
+// 1 counts its own chunks and a pass sums its runs' counts, so each merge
+// is made as its caller makes it with the announced count off by one. The
+// merges of two runs and more run in rounds, a lone run passes its own
+// blocks through.
+func TestMergeRunsFillsExactly(t *testing.T) {
+	const node = 3
+	keys := dist.Gen{Kind: dist.Uniform, Seed: 9}.Keys(3000)
+	e, err := NewEngine[uint64](Options{Procs: 1, MemoryBudget: -1}, comm.U64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmps := e.comparators()
+	e.Close()
+	for _, caller := range []string{"step-1", "spooled-pass"} {
+		for _, runs := range []int{1, 3} {
+			for _, extra := range []int{-1, 1} {
+				t.Run(fmt.Sprintf("%s/%d-runs/%+d", caller, runs, extra), func(t *testing.T) {
+					dir := t.TempDir()
+					f := &runFormer[uint64]{
+						ctx: context.Background(), codec: comm.U64Codec{}, cmps: cmps, workers: 2,
+						pool: &alloc.SlabPool[comm.Entry[uint64]]{}, refPool: &alloc.SlabPool[lsort.NormRef]{}, tracker: &alloc.Tracker{},
+						blockBytes: 4 << 10, // several blocks a run
+					}
+					scratch, err := spill.NewScratch(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer scratch.Close()
+					chunk := len(keys) / runs
+					want := chunk*runs - extra // the runs hold extra more than announced
+					switch caller {
+					case "step-1":
+						src := &keySource[uint64]{keys: keys, node: node}
+						var sorted []spill.Run
+						for lo := 0; lo < chunk*runs; lo += chunk {
+							refs := f.takeRefs(2 * chunk)
+							run, err := f.writeRefRun(scratch, f.sortStaged(src, lo, refs[:chunk], refs[chunk:]))
+							f.giveRefs(refs)
+							if err != nil {
+								t.Fatal(err)
+							}
+							sorted = append(sorted, run)
+						}
+						share := f.refPool.Get(want)
+						fromNode := func(int) uint32 { return node }
+						err = mergeRuns(f, sorted, openRefs(f, refRunCodec{}, fromNode), refNorm, nil, share, want, func(out []lsort.NormRef, at int) error {
+							copy(share[at:], out)
+							return nil
+						})
+						f.refPool.Put(share)
+					case "spooled-pass":
+						pool := spill.NewScratchPool(dir)
+						defer pool.Close()
+						spool, serr := newSpool(pool, f, chunk)
+						if serr != nil {
+							t.Fatal(serr)
+						}
+						defer spool.Close()
+						if err := spool.Append(keys[:chunk*runs]); err != nil {
+							t.Fatal(err)
+						}
+						if err := spool.Finish(); err != nil {
+							t.Fatal(err)
+						}
+						batch := f.take(256)
+						_, err = f.mergeRun(spool.runs, want, scratch, batch)
+						f.give(batch)
+					}
+					if !errors.Is(err, spill.ErrCorrupt) {
+						t.Fatalf("runs of %d elements announced as %d merged with %v, want spill.ErrCorrupt", chunk*runs, want, err)
+					}
+					if gets, _, puts := f.pool.Stats(); gets != puts {
+						t.Fatalf("the merge took %d entry slabs and returned %d", gets, puts)
+					}
+					if gets, _, puts := f.refPool.Stats(); gets != puts {
+						t.Fatalf("the merge took %d ref slabs and returned %d", gets, puts)
+					}
+					if live := f.tracker.Live(); live != 0 {
+						t.Fatalf("tracker.Live = %d", live)
+					}
+				})
+			}
+		}
 	}
 }

@@ -54,11 +54,13 @@ func (p sortedPart[K]) bytes() int64 {
 // newExchangeSink picks the sink for an exchange that will deliver
 // perSrc[i] entries from source i. The counts come from the peers' range
 // metadata and are checked once, before either sink takes a slab or a
-// scratch file: a negative one is an error. The choice weighs entries
-// whatever the sort carries and whatever its part is, so a job spills the
-// runs a sort of the same keys spills, key-column jobs too. A resident
-// share of more entries than a ref's uint32 position can address is
-// refused here, as step 1 refuses such a share.
+// scratch file: a negative one is an error. The choice weighs a position
+// as what the resident merge holds at its peak (residentSink.merge): what
+// lands — a ref, and beside it a sort by entry's entry — plus the larger
+// of the merge's second ref and the part's entry. A key-column job's part
+// is weighed as entries too, so a job spills the runs a sort of the same
+// keys spills. A resident share of more entries than a ref's uint32
+// position can address is refused here, as step 1 refuses such a share.
 func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 	total := 0
 	for src, c := range perSrc {
@@ -68,7 +70,12 @@ func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 		total += c
 	}
 	regions := datamgr.NewRegions(perSrc)
-	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*int64(entryBytes[K]()) > budget {
+	eb := int64(entryBytes[K]())
+	held := refBytes + max(refBytes, eb)
+	if !s.byRef {
+		held += eb
+	}
+	if budget := s.opts.MemoryBudget; budget > 0 && int64(total)*held > budget {
 		scratch, err := s.node.eng.scratch.Take()
 		if err != nil {
 			return nil, err
@@ -314,17 +321,20 @@ func (sp *spilledSink[K]) Write(m comm.Message[K]) error {
 	return err
 }
 
-// merge streams the source runs back through one of the former's merges
-// — one cursor per source, an empty one for sources that sent nothing, so
+// merge streams the source runs back through the former's one merge —
+// one cursor per source, an empty one for sources that sent nothing, so
 // tie-breaking by cursor index stays source order — into the part,
 // allocated at its exact size as the resident sink's is. A sort by ref
-// reads its runs back as refs (mergeRefs). Any other sort reads entries:
-// straight into the part's entries, or for a key-column job a batch of
-// keyBatch entries at a time whose keys are copied out, so no entry slab
-// the part's size is ever made. Temporary memory is just the decoded
-// blocks — one slab per non-empty source — the merge's ref slab and the
-// batch, however large the runs are. The scratch file goes back to the
-// engine on every path.
+// reads source i's run back as the refs node i sent, merged a batch of
+// runBatch refs at a time, each batch written into the part as the
+// key-only entries (refEntries) or the keys (refKeys) its refs stand for:
+// it takes ref slabs only, 16 bytes a ref, and no entry slab. Any other
+// sort reads entries: merged straight into the part's entries, or for a
+// key-column job a batch of runBatch entries at a time whose keys are
+// copied out, so no entry slab the part's size is ever made. Temporary
+// memory is just the decoded blocks — one slab per non-empty source — the
+// merge's ref slab and the batch, however large the runs are. The scratch
+// file goes back to the engine on every path.
 func (sp *spilledSink[K]) merge() (sortedPart[K], error) {
 	defer sp.discard()
 	f := &sp.s.runs
@@ -337,45 +347,44 @@ func (sp *spilledSink[K]) merge() (sortedPart[K], error) {
 	}
 	bounds := sp.Bounds()
 	total := bounds[len(bounds)-1]
-	if sp.s.byRef {
-		return sp.mergeRefs(runs, total)
-	}
-	if !sp.s.keys {
-		merged := make([]comm.Entry[K], total)
-		if err := f.mergeInto(merged, runs); err != nil {
-			return sortedPart[K]{}, err
-		}
-		return sortedPart[K]{entries: merged}, nil
-	}
-	keys := make([]K, total)
-	if err := f.mergeKeysInto(keys, runs); err != nil {
-		return sortedPart[K]{}, err
-	}
-	return sortedPart[K]{keys: keys}, nil
-}
-
-// mergeRefs is merge for a sort by ref: source i's run read back as the
-// refs node i sent (mergeRefRuns), merged in rounds a batch of keyBatch
-// refs at a time, and each batch written into the part as the key-only
-// entries (refEntries) or, for a key-column job, the keys (refKeys) its
-// refs stand for. It takes ref slabs only — the runs' decoded blocks,
-// the rounds' slab and the batch, 16 bytes a ref — and no entry slab.
-func (sp *spilledSink[K]) mergeRefs(runs []spill.Run, total int) (sortedPart[K], error) {
-	f := &sp.s.runs
-	batch := f.takeRefs(keyBatch)
-	defer f.giveRefs(batch)
 	var part sortedPart[K]
-	var emit func(out []lsort.NormRef, at int)
-	denorm := f.cmps.denorm
 	if sp.s.keys {
 		part.keys = make([]K, total)
-		emit = func(out []lsort.NormRef, at int) { refKeys(part.keys[at:], out, denorm, 0, len(out)) }
 	} else {
 		part.entries = make([]comm.Entry[K], total)
-		emit = func(out []lsort.NormRef, at int) { refEntries(part.entries[at:], out, denorm, 0, len(out)) }
 	}
-	fromSource := func(src int) uint32 { return uint32(src) }
-	if err := mergeRefRuns(f, runs, f.codec, fromSource, nil, total, batch, emit); err != nil {
+	var err error
+	if sp.s.byRef {
+		batch := f.takeRefs(runBatch)
+		defer f.giveRefs(batch)
+		denorm := f.cmps.denorm
+		fromSource := func(src int) uint32 { return uint32(src) }
+		err = mergeRuns(f, runs, openRefs(f, f.codec, fromSource), refNorm, nil, batch, total, func(out []lsort.NormRef, at int) error {
+			if sp.s.keys {
+				refKeys(part.keys[at:], out, denorm, 0, len(out))
+			} else {
+				refEntries(part.entries[at:], out, denorm, 0, len(out))
+			}
+			return nil
+		})
+	} else {
+		batch := part.entries // the part is the merge's one batch, filled in place
+		if sp.s.keys {
+			batch = f.take(runBatch)
+			defer f.give(batch)
+		}
+		err = mergeRuns(f, runs, f.openEntries, f.cmps.headNorm, f.cmps.headLess, batch, total, func(out []comm.Entry[K], at int) error {
+			if sp.s.keys {
+				for i := range out {
+					part.keys[at+i] = out[i].Key
+				}
+			} else if &out[0] != &part.entries[at] {
+				copy(part.entries[at:], out)
+			}
+			return nil
+		})
+	}
+	if err != nil {
 		return sortedPart[K]{}, err
 	}
 	return part, nil

@@ -331,6 +331,76 @@ func TestSpilledSink(t *testing.T) {
 		requireEmptyDir(t, dir)
 	})
 
+	// A run holding one entry fewer or one more than its source's region
+	// announces — written behind the sink's back — is spill.ErrCorrupt in
+	// every arm, with every slab back.
+	for _, c := range []struct{ byRef, keys bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		for _, extra := range []int{-1, 1} {
+			t.Run(fmt.Sprintf("miscounted-run-is-corrupt/byRef=%v/keys=%v/%+d", c.byRef, c.keys, extra), func(t *testing.T) {
+				perSrc := []int{5, 3}
+				sink, dir := newSink(t, perSrc, c.byRef)
+				sink.s.keys = c.keys
+				write := func(src int, entries []comm.Entry[uint64], direct bool) {
+					t.Helper()
+					m := comm.Message[uint64]{Kind: comm.KData, Src: src, Entries: entries}
+					if c.byRef {
+						m.Refs = make([]lsort.NormRef, len(entries))
+						for i, e := range entries {
+							m.Refs[i] = lsort.NormRef{Norm: e.Key, Proc: e.Proc, Idx: e.Index}
+						}
+						m.Entries = nil
+					}
+					var err error
+					switch {
+					case !direct:
+						err = sink.Write(m)
+					case c.byRef:
+						err = sink.writers[src].AppendRefs(m.Refs)
+					default:
+						err = sink.writers[src].Append(m.Entries)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				for src, n := range perSrc {
+					run := make([]comm.Entry[uint64], n)
+					for i := range run {
+						run[i] = comm.Entry[uint64]{Key: uint64(i), Proc: uint32(src), Index: uint32(i)}
+					}
+					switch {
+					case src == 0 && extra < 0:
+						write(src, run[:n-1], false)
+						if err := sink.writers[src].Finish(); err != nil {
+							t.Fatal(err)
+						}
+					case src == 0:
+						write(src, run[:1], true)
+						write(src, run, false)
+					default:
+						write(src, run, false)
+					}
+				}
+				n := sink.s.node
+				entryGets0, _, entryPuts0 := n.entryPool.Stats()
+				refGets0, _, refPuts0 := n.refPool.Stats()
+				if _, err := sink.merge(); !errors.Is(err, spill.ErrCorrupt) {
+					t.Fatalf("a run of %+d entries merged with %v, want spill.ErrCorrupt", extra, err)
+				}
+				entryGets1, _, entryPuts1 := n.entryPool.Stats()
+				refGets1, _, refPuts1 := n.refPool.Stats()
+				if entryGets1-entryGets0 != entryPuts1-entryPuts0 || refGets1-refGets0 != refPuts1-refPuts0 {
+					t.Fatalf("the failed merge took %d entry and %d ref slabs and returned %d and %d",
+						entryGets1-entryGets0, refGets1-refGets0, entryPuts1-entryPuts0, refPuts1-refPuts0)
+				}
+				if live := n.tracker.Live(); live != 0 {
+					t.Fatalf("tracker holds %d bytes after the failed merge", live)
+				}
+				requireEmptyDir(t, dir)
+			})
+		}
+	}
+
 	t.Run("empty-source-has-no-run", func(t *testing.T) {
 		sink, _ := newSink(t, []int{0, 1}, false)
 		defer sink.discard()

@@ -430,15 +430,19 @@ func TestParseMemBudget(t *testing.T) {
 // at 2^18 keys) a node's ref sort, 32 B a key, fits the budget exactly:
 // step 1 spills nothing and only the exchange goes through the scratch
 // file. At 4 B a key step 1 cannot sort its share in one piece, so both
-// stages spill. A key-column job (Scheduler.RunOne) is held to the same.
+// stages spill. At 10.3 B a key, 1.03 times a node's share of 40-byte
+// entries, the exchange must still spill: a resident merge by ref holds 56
+// bytes a key while it writes the part. A key-column job
+// (Scheduler.RunOne) is held to the same.
 func TestBudgetBoundsTempPeak(t *testing.T) {
 	const procs = 4
 	for _, c := range []struct {
-		n, perKey int
-		keys      bool
-	}{{1 << 16, 8, false}, {1 << 18, 4, false}, {1 << 18, 8, false}, {1 << 16, 8, true}} {
-		t.Run(fmt.Sprintf("n=%d/%dB-a-key/keys=%v", c.n, c.perKey, c.keys), func(t *testing.T) {
-			budget, per := int64(c.n*c.perKey), c.n/procs
+		n      int
+		perKey float64
+		keys   bool
+	}{{1 << 16, 8, false}, {1 << 18, 4, false}, {1 << 18, 8, false}, {1 << 16, 8, true}, {1 << 16, 10.3, false}} {
+		t.Run(fmt.Sprintf("n=%d/%gB-a-key/keys=%v", c.n, c.perKey, c.keys), func(t *testing.T) {
+			budget, per := int64(float64(c.n)*c.perKey), c.n/procs
 			flat := dist.Gen{Kind: dist.Uniform, Seed: 1, Domain: 1 << 62}.Keys(c.n)
 			parts := make([][]uint64, procs)
 			for p := range parts {

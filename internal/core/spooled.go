@@ -49,9 +49,6 @@ const (
 	// minSpoolChunkEntries keeps pathological budgets from degenerating
 	// into per-entry runs.
 	minSpoolChunkEntries = 256
-	// spoolBatch is how many entries of a sorted chunk are built at a time
-	// on their way to its run.
-	spoolBatch = 1 << 10
 )
 
 // spoolBlockBytes picks the block size for a spooled job's runs, the
@@ -166,16 +163,27 @@ func (s *Spool[K]) Append(keys []K) error {
 }
 
 // flush sorts the staged chunk by ref and writes it as the spool's next
-// run (sortedChunk).
+// run: the key-only entries its refs stand for, runBatch at a time, each
+// the key staged at the ref's position stamped (0, its arrival position).
 func (s *Spool[K]) flush() error {
 	start, f, n := time.Now(), s.f, len(s.keys)
-	refs, batch := f.takeRefs(2*n), f.take(min(n, spoolBatch))
+	refs, batch := f.takeRefs(2*n), f.take(min(n, runBatch))
 	defer func() {
 		f.giveRefs(refs)
 		f.give(batch)
 	}()
 	sorted := f.sortStaged(&keySource[K]{keys: s.keys}, 0, refs[:n], refs[n:])
-	run, err := f.writeRun(s.file, &sortedChunk[K]{refs: sorted, keys: s.keys, lo: uint32(s.n - n), batch: batch})
+	w := spill.NewRunWriter(s.file, f.codec, f.blockBytes)
+	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
+	var err error
+	for lo, at := uint32(s.n-n), 0; at < n && err == nil; at += len(batch) {
+		out := batch[:min(n-at, len(batch))]
+		for j, r := range sorted[at : at+len(out)] {
+			out[j] = comm.Entry[K]{Key: s.keys[r.Idx], Index: lo + r.Idx}
+		}
+		err = w.Append(out)
+	}
+	run, err := seal(f, w, err)
 	s.took += time.Since(start)
 	if err != nil {
 		s.err = err
@@ -243,7 +251,8 @@ type SpooledResult[K cmp.Ordered] struct {
 	cur     lsort.Cursor[comm.Entry[K]]
 	runs    *runFormer[K]
 	start   time.Time
-	done    func()             // releases the final merge's batch and readers
+	done    func()             // releases the final merge's ref slab and readers
+	batch   []comm.Entry[K]    // the final merge's batch
 	scratch *spill.Scratch     // holds the last merge pass's runs; nil when there was none
 	pool    *spill.ScratchPool // where scratch goes back
 	release func()             // frees the admission slot (RunOneSpooled)
@@ -262,6 +271,7 @@ func (r *SpooledResult[K]) Next() ([]comm.Entry[K], error) {
 func (r *SpooledResult[K]) Close() error {
 	r.once.Do(func() {
 		r.done()
+		r.runs.give(r.batch)
 		r.pool.Give(r.scratch)
 		merge := time.Since(r.start)
 		r.Report.SpillReads = r.runs.spillReads.Load()
@@ -337,10 +347,10 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *Spooled
 		ctx = context.Background()
 	}
 	budget := e.spoolBudget()
-	// The merge output batch is a fraction of the chunk, so the stream's
-	// granularity scales with the budget.
-	batchLen := max(spoolChunk[K](budget)/4, minSpoolChunkEntries)
 	f := e.spoolFormer(ctx, budget)
+	// The merges' output batch is a fraction of the chunk, so the stream's
+	// granularity scales with the budget.
+	batch := f.take(max(spoolChunk[K](budget)/4, minSpoolChunkEntries))
 	start := time.Now()
 
 	// The bounded fan-in ladder. Each pass writes a scratch file of its
@@ -351,6 +361,7 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *Spooled
 	defer func() {
 		if err != nil {
 			e.scratch.Give(scratch)
+			f.give(batch)
 		}
 	}()
 	for len(runs) > spoolMergeFanIn {
@@ -358,7 +369,7 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *Spooled
 		if err != nil {
 			return nil, err
 		}
-		next, err := f.mergePass(runs, out, batchLen)
+		next, err := f.mergePass(runs, out, batch)
 		if err != nil {
 			e.scratch.Give(out)
 			return nil, err
@@ -367,11 +378,11 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *Spooled
 		runs, scratch = next, out
 	}
 
-	cur, done, err := f.stream(runs, batchLen)
+	cur, done, err := openMerge(f, runs, f.openEntries, f.cmps.headNorm, f.cmps.headLess, batch)
 	if err != nil {
 		return nil, err
 	}
-	res = &SpooledResult[K]{N: in.Len(), cur: cur, runs: f, start: start, done: done, scratch: scratch, pool: e.scratch}
+	res = &SpooledResult[K]{N: in.Len(), cur: cur, runs: f, start: start, done: done, batch: batch, scratch: scratch, pool: e.scratch}
 	res.Report = Report{
 		Procs:         e.opts.Procs,
 		Workers:       e.opts.WorkersPerProc,
@@ -386,44 +397,36 @@ func (e *Engine[K]) SortSpooled(ctx context.Context, in *Spool[K]) (res *Spooled
 	return res, nil
 }
 
-// sortedChunk is a spool's sorted chunk as a cursor of the key-only
-// entries its refs stand for, a batch at a time: the key staged at the
-// ref's position, stamped (0, lo + Idx) — its arrival position, lo the
-// chunk's first.
-type sortedChunk[K cmp.Ordered] struct {
-	refs  []lsort.NormRef
-	keys  []K
-	lo    uint32
-	batch []comm.Entry[K]
-}
-
-func (c *sortedChunk[K]) Next() ([]comm.Entry[K], error) {
-	n := min(len(c.refs), len(c.batch))
-	for j, r := range c.refs[:n] {
-		c.batch[j] = comm.Entry[K]{Key: c.keys[r.Idx], Index: c.lo + r.Idx}
-	}
-	c.refs = c.refs[n:]
-	return c.batch[:n], nil
-}
-
 // mergePass is one rung of the bounded fan-in ladder: the runs, in order,
-// merge by groups of at most spoolMergeFanIn into as many runs of out.
-// The groups are even, so every run is merged in every pass and a pass
-// reads one scratch file and writes one.
-func (f *runFormer[K]) mergePass(runs []spill.Run, out *spill.Scratch, batchLen int) ([]spill.Run, error) {
+// merge by groups of at most spoolMergeFanIn into as many runs of out,
+// each group through batch. The groups are even, so every run is merged
+// in every pass and a pass reads one scratch file and writes one.
+func (f *runFormer[K]) mergePass(runs []spill.Run, out *spill.Scratch, batch []comm.Entry[K]) ([]spill.Run, error) {
 	groups := (len(runs) + spoolMergeFanIn - 1) / spoolMergeFanIn
 	next := make([]spill.Run, groups)
 	for g := range next {
-		group := runs[g*len(runs)/groups : (g+1)*len(runs)/groups]
-		merged, done, err := f.stream(group, batchLen)
-		if err != nil {
-			return nil, err
+		group, want := runs[g*len(runs)/groups:(g+1)*len(runs)/groups], 0
+		for _, run := range group {
+			want += int(run.Entries())
 		}
-		next[g], err = f.writeRun(out, merged)
-		done()
-		if err != nil {
+		var err error
+		if next[g], err = f.mergeRun(group, want, out, batch); err != nil {
 			return nil, err
 		}
 	}
 	return next, nil
+}
+
+// mergeRun merges runs that hold want entries into one run of out,
+// checking the job's context before each batch it appends.
+func (f *runFormer[K]) mergeRun(runs []spill.Run, want int, out *spill.Scratch, batch []comm.Entry[K]) (spill.Run, error) {
+	w := spill.NewRunWriter(out, f.codec, f.blockBytes)
+	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
+	err := mergeRuns(f, runs, f.openEntries, f.cmps.headNorm, f.cmps.headLess, batch, want, func(merged []comm.Entry[K], _ int) error {
+		if err := f.ctx.Err(); err != nil {
+			return err
+		}
+		return w.Append(merged)
+	})
+	return seal(f, w, err)
 }

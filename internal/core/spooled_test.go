@@ -985,7 +985,9 @@ func TestMergePassErrorExits(t *testing.T) {
 				t.Fatal(err)
 			}
 			exit.arm(cancel)
-			_, err = f.mergePass(runs, out, 256)
+			batch := f.take(256)
+			_, err = f.mergePass(runs, out, batch)
+			f.give(batch)
 			if cerr := out.Close(); cerr != nil {
 				t.Fatal(cerr)
 			}
@@ -1002,11 +1004,12 @@ func TestMergePassErrorExits(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer out.Close()
-			next, err := f.mergePass(runs, out, 256)
+			batch = f.take(256)
+			next, err := f.mergePass(runs, out, batch)
 			if err != nil || len(next) != 3 {
 				t.Fatalf("clean pass gave %d runs: %v", len(next), err)
 			}
-			merged, done, err := f.stream(next, 256)
+			merged, done, err := openMerge(f, next, f.openEntries, f.cmps.headNorm, f.cmps.headLess, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1024,6 +1027,7 @@ func TestMergePassErrorExits(t *testing.T) {
 				}
 			}
 			done()
+			f.give(batch)
 			balanced("clean pass")
 			if !slices.Equal(got, want) {
 				t.Fatal("the pass rerun after the failure diverges from a sort of the keys")

@@ -44,10 +44,29 @@ func (c *SliceCursor[E]) Next() ([]E, error) {
 //
 // On a cursor error the merge stops and returns the elements emitted so
 // far along with the error; remaining cursors are left unread. A dst
-// shorter than the output ends the merge the moment it is full, whichever
-// arm runs: what is left in the cursors is not pulled.
+// shorter than the output ends the merge the moment it is full: what is
+// left in the cursors is not pulled. It is a MergeCursor whose batch is
+// dst, drained.
 func MergeCursors[E any](dst []E, cursors []Cursor[E], less func(x, y E) bool) (int, error) {
-	return MergeCursorsNorm(dst, cursors, nil, less, nil)
+	if len(dst) == 0 {
+		return 0, nil
+	}
+	mc, err := NewMergeCursor(cursors, nil, less, dst, nil)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for n < len(dst) {
+		batch, err := mc.Next()
+		if err != nil {
+			return n, err
+		}
+		if len(batch) == 0 {
+			break
+		}
+		n += copy(dst[n:], batch) // dst itself but for a lone cursor's batches
+	}
+	return n, mc.err // an error that came with dst's last elements
 }
 
 // KWayMerge merges k sorted runs into a newly allocated slice: MergeCursors
@@ -70,51 +89,6 @@ func KWayMerge[E any](runs [][]E, less func(x, y E) bool) []E {
 	out := make([]E, total)
 	MergeCursors(out, cursors, less) // slice cursors never fail
 	return out
-}
-
-// MergeCursorsNorm is MergeCursors for elements with an order-preserving
-// uint64 norm. Equal norms fall to less, which then only has to order
-// elements of equal norm; a nil less says the norm is exact (equal norms
-// are equal elements). MergeRefs(len(cursors), less == nil) names what
-// runs, and refs is a slab of that length — the caller's, to pool and
-// account, holding nothing once the merge has returned:
-//
-//   - a slab (an exact norm, up to roundFanIn cursors): the merge runs in
-//     rounds over 16-byte (norm, position) refs (cursorRounds) — the
-//     two-run ref kernel of the resident step 6 in Figure 2's pairing
-//     order, no tree, no less.
-//   - none: the loser tree caches the norm of every cursor's head (norm
-//     reads the element in place, once, when it becomes the head) so that
-//     a match between different norms moves no element and calls no
-//     function; equal heads fall to less or, without one, straight to the
-//     cursor-index tie rule.
-//
-// Either way the output, the count and the error are the ones MergeCursors
-// gives under "norm, then less, then cursor index". A nil norm is
-// MergeCursors itself.
-func MergeCursorsNorm[E any](dst []E, cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool, refs []NormRef) (int, error) {
-	switch len(cursors) {
-	case 0:
-		return 0, nil
-	case 1:
-		n := 0
-		for n < len(dst) {
-			batch, err := cursors[0].Next()
-			if err != nil {
-				return n, err
-			}
-			if len(batch) == 0 {
-				break
-			}
-			n += copy(dst[n:], batch)
-		}
-		return n, nil
-	}
-	m, err := newCursorMerge(cursors, norm, less, refs)
-	if err != nil {
-		return 0, err
-	}
-	return m.pop(dst)
 }
 
 // cursorMerge is a primed merge of two cursors or more, whichever arm
@@ -142,12 +116,28 @@ func newCursorMerge[E any](cursors []Cursor[E], norm func(*E) uint64, less func(
 	return t, nil
 }
 
-// MergeCursor is MergeCursorsNorm as a pull source: the same arm per norm
-// kind and the same cursor-index tie rule, but yielding the merged stream
-// batch by batch instead of filling one destination slice. It is the
-// egress side of a fully out-of-core sort — the final merge of spilled
+// MergeCursor merges cursors of elements with an order-preserving uint64
+// norm as a pull source, yielding the merged stream batch by batch. It is
+// the egress side of a fully out-of-core sort — the final merge of spilled
 // runs can stream straight into an HTTP response without a whole-result
-// buffer.
+// buffer — and every merge of spilled runs the engine makes. Equal norms
+// fall to less, which then only has to order elements of equal norm; a
+// nil less says the norm is exact (equal norms are equal elements), and a
+// nil norm leaves the order to less alone. MergeRefs(len(cursors),
+// norm != nil && less == nil) names the arm that runs:
+//
+//   - a slab (an exact norm, up to roundFanIn cursors): the merge runs in
+//     rounds over 16-byte (norm, position) refs (cursorRounds) — the
+//     two-run ref kernel of the resident step 6 in Figure 2's pairing
+//     order, no tree, no less.
+//   - none: the loser tree caches the norm of every cursor's head (norm
+//     reads the element in place, once, when it becomes the head) so that
+//     a match between different norms moves no element and calls no
+//     function; equal heads fall to less or, without one, straight to the
+//     cursor-index tie rule.
+//
+// Either way the stream is the one MergeCursors gives under "norm, then
+// less, then cursor index".
 type MergeCursor[E any] struct {
 	m     cursorMerge[E]
 	one   Cursor[E] // k==1 fast path: batches pass through untouched
@@ -156,12 +146,14 @@ type MergeCursor[E any] struct {
 	done  bool
 }
 
-// NewMergeCursor merges cursors under norm and less, with refs for the
-// rounds (all three as MergeCursorsNorm takes them; norm may be nil), into
-// a Cursor. batch is the caller-owned output buffer: each
-// Next fills up to len(batch) elements and hands it back, so the caller
-// controls the merge's resident granularity. Priming the merge pulls one
-// batch per cursor, which can return a cursor error immediately.
+// NewMergeCursor merges cursors under norm and less into a Cursor, with
+// refs for the rounds: a slab of MergeRefs' length, the caller's to pool
+// and account, holding nothing once the merge is done. batch is the
+// caller-owned output buffer: each Next fills up to len(batch) elements
+// and hands it back, so the caller controls the merge's resident
+// granularity; a lone cursor's batches pass through untouched. Priming the
+// merge pulls one batch per cursor, which can return a cursor error
+// immediately.
 func NewMergeCursor[E any](cursors []Cursor[E], norm func(*E) uint64, less func(x, y E) bool, batch []E, refs []NormRef) (*MergeCursor[E], error) {
 	switch len(cursors) {
 	case 0:

@@ -33,9 +33,9 @@ const roundFanIn = 64
 
 // MergeRefs is the one place that picks a cursor merge's arm: it returns
 // the length of the ref slab a merge of k cursors runs its rounds in
-// (MergeCursorsNorm, NewMergeCursor), and 0 when the loser tree merges
-// them and needs none — the norm is not exact, k is above roundFanIn, or
-// fewer than two cursors need no merging at all.
+// (NewMergeCursor), and 0 when the loser tree merges them and needs none
+// — the norm is not exact, k is above roundFanIn, or fewer than two
+// cursors need no merging at all.
 func MergeRefs(k int, exact bool) int {
 	if !exact || k < 2 || k > roundFanIn {
 		return 0

@@ -102,16 +102,29 @@ func FuzzMergeCursorsRounds(f *testing.F) {
 		norm := func(e *headElem) uint64 { return e.key }
 		refs := make([]NormRef, MergeRefs(k, true))
 
-		// Filling dst.
+		// Filling dst: the rounds' first batch, dst itself, is what the
+		// tree fills a dst of its length with, and ends in its error. A
+		// lone cursor passes its own batches through, and a merge takes no
+		// empty batch: the tree alone fills those.
 		dstLen := []int{total, total - min(total, 1+int(failSel)%5), total + 3}[dstSel%3]
 		want, got := make([]headElem, dstLen), make([]headElem, dstLen)
 		wantN, wantErr := MergeCursors(want, cursors(), less)
-		gotN, gotErr := MergeCursorsNorm(got, cursors(), norm, nil, refs)
-		if gotN != wantN || gotErr != wantErr {
-			t.Fatalf("rounds filled %d (%v), the tree %d (%v)", gotN, gotErr, wantN, wantErr)
-		}
-		if !slices.Equal(got[:gotN], want[:wantN]) {
-			t.Fatalf("rounds diverge from the tree:\n got %v\nwant %v", got[:gotN], want[:wantN])
+		if k > 1 && dstLen > 0 {
+			mc, gotErr := NewMergeCursor(cursors(), norm, nil, got, refs)
+			gotN := 0
+			if gotErr == nil {
+				var b []headElem
+				b, gotErr = mc.Next()
+				if gotN = len(b); gotErr == nil {
+					gotErr = mc.err
+				}
+			}
+			if gotN != wantN || gotErr != wantErr {
+				t.Fatalf("rounds filled %d (%v), the tree %d (%v)", gotN, gotErr, wantN, wantErr)
+			}
+			if !slices.Equal(got[:gotN], want[:wantN]) {
+				t.Fatalf("rounds diverge from the tree:\n got %v\nwant %v", got[:gotN], want[:wantN])
+			}
 		}
 		for i := 1; i < wantN; i++ {
 			if a, b := want[i-1], want[i]; a.key > b.key || a.key == b.key && (a.cur > b.cur || a.cur == b.cur && a.pos > b.pos) {
@@ -123,7 +136,7 @@ func FuzzMergeCursorsRounds(f *testing.F) {
 		want = make([]headElem, total+1)
 		wantN, wantErr = MergeCursors(want, cursors(), less)
 		for _, batchLen := range []int{1, 7, 4096} {
-			got, gotErr = got[:0], nil
+			got = got[:0]
 			mc, err := NewMergeCursor(cursors(), norm, nil, make([]headElem, batchLen), refs)
 			for err == nil {
 				var b []headElem
@@ -170,8 +183,12 @@ func TestMergeCursorsRoundsAllocate(t *testing.T) {
 			for c := range cursors {
 				cursors[c] = &batchCursor[benchEntry]{run: runs[c], batch: 1000}
 			}
-			if n, err := MergeCursorsNorm(dst, cursors, norm, nil, refs); n != len(dst) || err != nil {
-				t.Fatalf("merged %d of %d: %v", n, len(dst), err)
+			mc, err := NewMergeCursor(cursors, norm, nil, dst, refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err := mc.Next(); len(out) != len(dst) || err != nil {
+				t.Fatalf("merged %d of %d: %v", len(out), len(dst), err)
 			}
 		})
 	}
@@ -179,13 +196,15 @@ func TestMergeCursorsRoundsAllocate(t *testing.T) {
 	if one != many {
 		t.Errorf("%v allocations for one round, %v for 64: a round allocates", one, many)
 	}
-	if perMerge := one - k; perMerge > 3 { // the k cursors are the test's own
-		t.Errorf("%v allocations a merge beside its cursors, want the rounds' state, its cursor slice and its ints", perMerge)
+	if perMerge := one - k; perMerge > 4 { // the k cursors are the test's own
+		t.Errorf("%v allocations a merge beside its cursors, want the MergeCursor, the rounds' state, its cursor slice and its ints", perMerge)
 	}
 }
 
-// TestMergeCursorsOverflowRule: every arm stops pulling when dst is full.
-// A single over-long run used to be decoded to its end for nothing.
+// TestMergeCursorsOverflowRule: every arm stops pulling when dst — for
+// MergeCursor, its batch — is full. A single over-long run used to be
+// decoded to its end for nothing. A MergeCursor of one cursor passes its
+// batches through, so its rounds are tried on two.
 func TestMergeCursorsOverflowRule(t *testing.T) {
 	run := make([]headElem, 1000)
 	for i := range run {
@@ -194,12 +213,20 @@ func TestMergeCursorsOverflowRule(t *testing.T) {
 	norm := func(e *headElem) uint64 { return e.key }
 	less := func(a, b headElem) bool { return a.key < b.key }
 	for _, k := range []int{1, 2} {
-		for arm, merge := range map[string]func(dst []headElem, cs []Cursor[headElem]) (int, error){
+		arms := map[string]func(dst []headElem, cs []Cursor[headElem]) (int, error){
 			"tree": func(dst []headElem, cs []Cursor[headElem]) (int, error) { return MergeCursors(dst, cs, less) },
-			"rounds": func(dst []headElem, cs []Cursor[headElem]) (int, error) {
-				return MergeCursorsNorm(dst, cs, norm, nil, make([]NormRef, MergeRefs(k, true)))
-			},
-		} {
+		}
+		if k > 1 {
+			arms["rounds"] = func(dst []headElem, cs []Cursor[headElem]) (int, error) {
+				mc, err := NewMergeCursor(cs, norm, nil, dst, make([]NormRef, MergeRefs(k, true)))
+				if err != nil {
+					return 0, err
+				}
+				out, err := mc.Next()
+				return len(out), err
+			}
+		}
+		for arm, merge := range arms {
 			long := &scribbleCursor{run: run, batch: 10, failOn: -1}
 			cs := []Cursor[headElem]{long, NewSliceCursor[headElem](nil)}[:k]
 			dst := make([]headElem, 25)

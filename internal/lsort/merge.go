@@ -3,7 +3,7 @@
 // workers, the balanced pairwise merging handler of Figure 2 that step 6
 // merges the received runs with, TimSort (the algorithm
 // Spark's sortByKey uses per partition), and the cursor merges that stream
-// spilled runs back (MergeCursors, MergeCursorsNorm, MergeCursor), whose
+// spilled runs back (MergeCursors, MergeCursor), whose
 // loser tree over slice cursors is also the balanced handler's measured
 // counterpart (KWayMerge).
 //
@@ -17,7 +17,7 @@
 // intra-merge split as the generic handler (balancedMerge, parallelMerge),
 // written once over a two-run kernel, with only that kernel specialised.
 // The cursor merges run the same kernel: under an exact norm
-// MergeCursorsNorm merges up to roundFanIn cursors in rounds, each a
+// MergeCursor merges up to roundFanIn cursors in rounds, each a
 // Figure 2 pairing of ref runs built from the cursors' leading windows
 // (cursorRounds), so the budgeted step 6 costs per element what the
 // resident one costs. The loser tree over cursors (cursorTree) is what

@@ -225,7 +225,7 @@ type headElem struct {
 	cur, pos int
 }
 
-// TestCursorTreeHeadNorms: both norm arms of MergeCursorsNorm must emit
+// TestCursorTreeHeadNorms: both norm arms of MergeCursor must emit
 // what MergeCursors emits under the two-level "norm, then key" less — ties
 // by cursor index — for an exact norm (no less at all: the rounds, and
 // above roundFanIn the tree with its cursor-index tie rule) and an inexact
@@ -374,13 +374,16 @@ func TestCursorTreeHeadNorms(t *testing.T) {
 				budget = total + live*windows
 			}
 			normCalls = 0
-			got := make([]headElem, total)
-			n, err := MergeCursorsNorm(got, cursors(batch), norm, tie, refs)
-			if err != nil || n != total {
-				t.Fatalf("%s: %d of %d, %v", name, n, total, err)
+			mc, err := NewMergeCursor(cursors(batch), norm, tie, make([]headElem, total+1), refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mc.Next() // one batch holds the whole merge
+			if err != nil || len(got) != total {
+				t.Fatalf("%s: %d of %d, %v", name, len(got), total, err)
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s: MergeCursorsNorm diverges from the two-level merge", name)
+				t.Fatalf("%s: MergeCursor diverges from the two-level merge", name)
 			}
 			if normCalls > budget {
 				t.Errorf("%s: %d norm calls for %d elements, budget %d", name, normCalls, total, budget)
@@ -389,7 +392,7 @@ func TestCursorTreeHeadNorms(t *testing.T) {
 			// The same merge behind the pull interface, popped a few
 			// elements at a time: its state — the tree's heads, a round's
 			// merged refs — must survive across pops.
-			mc, err := NewMergeCursor(cursors(batch), norm, tie, make([]headElem, 5), refs)
+			mc, err = NewMergeCursor(cursors(batch), norm, tie, make([]headElem, 5), refs)
 			if err != nil {
 				t.Fatal(err)
 			}

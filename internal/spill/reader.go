@@ -2,6 +2,7 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -256,8 +257,9 @@ func (r *reader[K, E]) Next() ([]E, error) {
 // readBlock fetches one block into a pooled buffer, verifies and decodes
 // it. Decoded elements never alias the buffer (keys and payloads are
 // copied out), so it goes back to the pool before this returns. A block
-// that cannot be read, or whose bytes are not what was written, marks a
-// scratch file failed: its pool closes it instead of handing it out.
+// that cannot be read, or whose bytes are not what was written — the file
+// ending inside it included — marks a scratch file failed: its pool
+// closes it instead of handing it out.
 func (r *reader[K, E]) readBlock(m *blockMeta) ([]E, error) {
 	if err := failpoint.HitNoPanic(FpReadBlock); err != nil {
 		return nil, err
@@ -267,6 +269,9 @@ func (r *reader[K, E]) readBlock(m *blockMeta) ([]E, error) {
 	data := buf.sized(int(m.storedLen))
 	if _, err := r.f.ReadAt(data, int64(m.offset)); err != nil {
 		r.scratch.fail()
+		if errors.Is(err, io.EOF) {
+			return nil, corruptf("block at %d: the file ends inside its %d bytes", m.offset, m.storedLen)
+		}
 		return nil, fmt.Errorf("spill: read block: %w", err)
 	}
 	r.bytesRead.Add(int64(m.storedLen))
