@@ -120,7 +120,7 @@ func norm32(k float32) uint64 {
 // Denorm(Norm(k)) is k, bit for bit. A sort of bare keys under such a
 // codec carries 16-byte refs (NormRef) from step 1 to the result instead
 // of entries, and turns a norm back into its key only where a key is
-// needed: a sample, a frame on the wire, an entry of the result.
+// needed: a sample, an entry or a key of the result.
 type KeyDenormalizer[K any] interface {
 	// Denorm maps a norm back to the key it is the image of.
 	Denorm(n uint64) K

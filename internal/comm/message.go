@@ -7,13 +7,14 @@
 //
 // A KData message carries entries, or — for a sort of bare keys under a
 // codec whose exact norm has an inverse (KeyDenormalizer, RefDenorm) —
-// 16-byte NormRefs, each the key-only entry {Denorm(Norm), Proc, Idx}.
-// On the wire a ref is byte for byte that entry; a frame header flag
-// (FlagRefs) tells the reader which to decode.
+// 16-byte NormRefs, each standing for the key-only entry {Denorm(Norm),
+// Proc, Idx}. On the wire a ref is its own 16 bytes under every codec,
+// framed, sized and parsed without one; a frame header flag (FlagRefs)
+// tells the reader which to decode.
 //
-// Under U64Codec, bare or inside a RecordCodec, entries and refs are
-// encoded and decoded a word at a time, with no call through the Codec
-// interface per key.
+// Under U64Codec, bare or inside a RecordCodec, entries are encoded and
+// decoded a word at a time, with no call through the Codec interface per
+// key.
 package comm
 
 import "fmt"
@@ -110,11 +111,11 @@ type Message[K any] struct {
 	Flags    uint8 // Flag* bits; zero for most messages
 	SortID   int32
 	Entries  []Entry[K] // KData payloads
-	// Refs is the KData payload of a key-only sort whose codec frames
-	// refs (RefDenorm): each ref is the entry {Key: Denorm(Norm), Proc:
-	// Proc, Index: Idx}, its Proc the sender's (Src), and a message
-	// carries Entries or Refs, never both. On the wire a ref is byte for
-	// byte that entry.
+	// Refs is the KData payload of a key-only sort whose codec's norm has
+	// an inverse (RefDenorm): each ref stands for the entry {Key:
+	// Denorm(Norm), Proc: Proc, Index: Idx}, its Proc the sender's (Src),
+	// and a message carries Entries or Refs, never both. On the wire a
+	// ref is its own 16 bytes (NormRef), whatever the codec.
 	Refs []NormRef
 	Keys []K     // KSamples / KSplitters payloads
 	Ints []int64 // KRangeMeta / KControl payloads
@@ -142,7 +143,7 @@ type Message[K any] struct {
 // payloads included.
 func (m *Message[K]) WireBytes(c Codec[K]) int {
 	if m.wire == 0 {
-		m.wire = 1 + EntriesWireBytes(m.Entries, c) + RefsWireBytes(m.Refs, c) + KeysWireBytes(m.Keys, c) + len(m.Ints)*8
+		m.wire = 1 + EntriesWireBytes(m.Entries, c) + RefsWireBytes(m.Refs) + KeysWireBytes(m.Keys, c) + len(m.Ints)*8
 	}
 	return m.wire - 1
 }
@@ -154,7 +155,7 @@ func (m *Message[K]) AppendWire(dst []byte, c Codec[K]) []byte {
 	need := m.WireBytes(c)
 	dst = grow(dst, need)
 	off := putEntries(dst, len(dst)-need, m.Entries, c)
-	off = putRefs(dst, off, m.Refs, c)
+	off = putRefs(dst, off, m.Refs)
 	return EncodeInts(EncodeKeys(dst[:off], m.Keys, c), m.Ints)
 }
 

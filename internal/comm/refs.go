@@ -17,171 +17,86 @@ import (
 // Idx} it stands for, in 16 bytes where an Entry takes 40, so a key-only
 // sort sends and merges refs and builds entries only for its result.
 // Proc fills what would be padding; nothing orders by it.
+//
+// A ref has one byte form, on the wire and in a spilled run alike, under
+// every codec: its own words, Norm u64, Proc u32 and Idx u32,
+// little-endian, refWireBytes in all. No key is built to frame it.
 type NormRef struct {
 	Norm uint64
 	Proc uint32
 	Idx  uint32
 }
 
-// refCodec is what framing refs under a codec takes: its key codec, the
-// norm and its inverse, whether entries carry a payload length, and
-// whether the key codec's keys go a word at a time (isU64).
-type refCodec[K any] struct {
-	kc      Codec[K]
-	norm    KeyNormalizer[K]
-	denorm  KeyDenormalizer[K]
-	withPay bool
-	isWord  bool
-}
+// refWireBytes is the wire size of one ref.
+const refWireBytes = 16
 
-// refCodecOf resolves c's ref framing; ok is false unless c's key codec
-// is fixed-width and supplies an exact norm and its inverse.
-func refCodecOf[K any](c Codec[K]) (rc refCodec[K], ok bool) {
-	rc.kc, rc.withPay = keyCodecOf(c)
-	if _, isVar := rc.kc.(VarCodec[K]); isVar {
-		return rc, false
-	}
-	if ix, inexact := rc.kc.(InexactNormalizer); inexact && ix.NormInexact() {
-		return rc, false
-	}
-	rc.norm, ok = rc.kc.(KeyNormalizer[K])
-	if ok {
-		rc.denorm, ok = rc.kc.(KeyDenormalizer[K])
-	}
-	rc.isWord = isU64(rc.kc)
-	return rc, ok
-}
-
-// RefDenorm returns the inverse of the norm refs under c are framed with
-// — its key codec's, which is then the engine's — or ok false when c's
-// key codec cannot frame refs: it is variable-width, its norm is inexact
-// or it lacks Norm or Denorm. The engine sorts bare keys by ref only when
-// this is ok.
+// RefDenorm returns the inverse of c's key norm — its key codec's, which
+// is then the engine's — or ok false when the norm has none: it is
+// inexact, or the key codec lacks Norm or Denorm. The engine sorts bare
+// keys by ref only when this is ok.
 func RefDenorm[K any](c Codec[K]) (denorm func(uint64) K, ok bool) {
-	rc, ok := refCodecOf(c)
+	kc, _ := keyCodecOf(c)
+	if ix, inexact := kc.(InexactNormalizer); inexact && ix.NormInexact() {
+		return nil, false
+	}
+	if _, ok := kc.(KeyNormalizer[K]); !ok {
+		return nil, false
+	}
+	d, ok := kc.(KeyDenormalizer[K])
 	if !ok {
 		return nil, false
 	}
-	return rc.denorm.Denorm, true
+	return d.Denorm, true
 }
 
-// mustRefCodec is refCodecOf for a codec refs are being framed under.
-func mustRefCodec[K any](c Codec[K]) refCodec[K] {
-	rc, ok := refCodecOf(c)
-	if !ok {
-		panic(fmt.Sprintf("comm: codec %T cannot frame refs", c))
-	}
-	return rc
+// RefsWireBytes returns the exact wire size of refs.
+func RefsWireBytes(refs []NormRef) int { return len(refs) * refWireBytes }
+
+// RefsFitting is EntriesFitting for refs: how many leading refs encode
+// into at most room bytes.
+func RefsFitting(refs []NormRef, room int) int {
+	return min(len(refs), max(room, 0)/refWireBytes)
 }
 
-// refWireBytes is the wire size of one ref: the key-only entry's.
-func (rc refCodec[K]) refWireBytes() int {
-	n := rc.kc.KeySize() + originBytes
-	if rc.withPay {
-		n += payloadLenBytes
-	}
-	return n
-}
-
-// RefsWireBytes returns the exact wire size of refs under codec c, which
-// is EntriesWireBytes of the key-only entries they stand for.
-func RefsWireBytes[K any](refs []NormRef, c Codec[K]) int {
-	if len(refs) == 0 {
-		return 0
-	}
-	return len(refs) * mustRefCodec(c).refWireBytes()
-}
-
-// RefsFitting is EntriesFitting for refs under c: how many leading refs
-// encode into at most room bytes.
-func RefsFitting[K any](refs []NormRef, c Codec[K], room int) int {
-	if len(refs) == 0 {
-		return 0
-	}
-	return min(len(refs), max(room, 0)/mustRefCodec(c).refWireBytes())
-}
-
-// EncodeRefs appends the wire form of refs to dst, as EncodeEntries
-// appends the key-only entries they stand for: the bytes are the same.
-func EncodeRefs[K any](dst []byte, refs []NormRef, c Codec[K]) []byte {
-	need := RefsWireBytes(refs, c)
+// EncodeRefs appends the wire form of refs to dst.
+func EncodeRefs(dst []byte, refs []NormRef) []byte {
+	need := RefsWireBytes(refs)
 	dst = grow(dst, need)
-	putRefs(dst, len(dst)-need, refs, c)
+	putRefs(dst, len(dst)-need, refs)
 	return dst
 }
 
-// RefWireEstimate is EntryWireEstimate for refs under c: what it returns
-// for the key-only entries they stand for, so the data manager chunks
-// refs exactly as it chunks those entries.
-func RefWireEstimate[K any](c Codec[K]) int {
-	return mustRefCodec(c).refWireBytes() - originBytes
-}
-
 // putRefs writes the wire form of refs into dst from offset off and
-// returns the offset after the last byte: each ref exactly as the
-// key-only entry it stands for — key, origin node, index, and a zero
-// payload length when c carries payloads — so a ref frame's payload is
-// byte for byte the entry frame's. Under U64Codec as key codec it takes
-// the word loop.
-func putRefs[K any](dst []byte, off int, refs []NormRef, c Codec[K]) int {
-	if len(refs) == 0 {
-		return off
-	}
-	rc := mustRefCodec(c)
-	if rc.isWord {
-		return putRefWords(dst, off, refs, rc.refWireBytes())
-	}
-	ks := rc.kc.KeySize()
+// returns the offset after the last byte: each ref's Norm, Proc and Idx.
+func putRefs(dst []byte, off int, refs []NormRef) int {
 	for _, r := range refs {
-		rc.kc.PutKey(dst[off:], rc.denorm.Denorm(r.Norm))
-		off += ks
-		binary.LittleEndian.PutUint32(dst[off:], r.Proc)
-		binary.LittleEndian.PutUint32(dst[off+4:], r.Idx)
-		off += originBytes
-		if rc.withPay {
-			binary.LittleEndian.PutUint32(dst[off:], 0)
-			off += payloadLenBytes
-		}
+		b := dst[off : off+refWireBytes : off+refWireBytes]
+		binary.LittleEndian.PutUint64(b, r.Norm)
+		binary.LittleEndian.PutUint32(b[8:], r.Proc)
+		binary.LittleEndian.PutUint32(b[12:], r.Idx)
+		off += refWireBytes
 	}
 	return off
 }
 
 // DecodeRefsSlab parses n refs sent by node src from b (a ref frame's
-// payload: key-only entries whose origin node is src) into a slab from
-// pool (which may be nil) and returns the remaining bytes; each ref's
-// Proc is src. An entry from another origin, or one with a payload, is
-// not a ref and fails the decode with b untouched: the bytes come from a
-// peer or a disk. Under U64Codec as key codec it takes the word
-// loop.
-func DecodeRefsSlab[K any](b []byte, n int, src uint32, c Codec[K], pool *alloc.SlabPool[NormRef]) ([]NormRef, []byte, error) {
-	rc, ok := refCodecOf(c)
-	if !ok {
-		return nil, b, fmt.Errorf("comm: codec %T cannot frame refs", c)
-	}
-	per := rc.refWireBytes()
-	if n < 0 || n > len(b)/per {
+// payload, or a block of a spilled ref run) into a slab from pool (which
+// may be nil) and returns the remaining bytes for the caller to refuse or
+// read on. A ref naming another origin than src, or bytes too short for
+// n refs, fail the decode with b untouched: the bytes come from a peer or
+// a disk.
+func DecodeRefsSlab(b []byte, n int, src uint32, pool *alloc.SlabPool[NormRef]) ([]NormRef, []byte, error) {
+	if n < 0 || n > len(b)/refWireBytes {
 		return nil, b, fmt.Errorf("comm: short ref payload: %d bytes cannot hold %d refs", len(b), n)
 	}
 	refs := pool.Get(n)
-	if rc.isWord {
-		if err := decodeRefWords(b, refs, src, per); err != nil {
-			pool.Put(refs)
-			return nil, b, err
-		}
-		return refs, b[n*per:], nil
-	}
-	ks := rc.kc.KeySize()
-	for i, off := 0, 0; i < n; i, off = i+1, off+per {
-		at := b[off+ks:]
-		if proc := binary.LittleEndian.Uint32(at); proc != src {
+	for i := range refs {
+		at := b[i*refWireBytes:][:refWireBytes:refWireBytes]
+		if proc := binary.LittleEndian.Uint32(at[8:]); proc != src {
 			pool.Put(refs)
 			return nil, b, fmt.Errorf("comm: ref %d names origin %d in a frame from %d", i, proc, src)
 		}
-		if rc.withPay && binary.LittleEndian.Uint32(at[originBytes:]) != 0 {
-			pool.Put(refs)
-			return nil, b, fmt.Errorf("comm: ref %d carries a payload", i)
-		}
-		refs[i] = NormRef{Norm: rc.norm.Norm(rc.kc.Key(b[off:])), Proc: src, Idx: binary.LittleEndian.Uint32(at[4:])}
+		refs[i] = NormRef{Norm: binary.LittleEndian.Uint64(at), Proc: src, Idx: binary.LittleEndian.Uint32(at[12:])}
 	}
-	return refs, b[n*per:], nil
+	return refs, b[n*refWireBytes:], nil
 }

@@ -7,12 +7,13 @@ import (
 	"pgxsort/internal/alloc"
 )
 
-// U64Codec writes a key's own 8 bytes little-endian and its norm is the
-// key itself, so under it — bare, or as a RecordCodec's key codec —
-// entries and refs cross the codec a word at a time: the loops here move
-// the key as a uint64 through binary.LittleEndian and call nothing per
-// key, and a record's payload goes with one copy. Every other key codec
-// takes the generic loops; the bytes and the errors are the same.
+// U64Codec writes a key's own 8 bytes little-endian, so under it — bare,
+// or as a RecordCodec's key codec — entries cross the codec a word at a
+// time: the loops here move the key as a uint64 through
+// binary.LittleEndian and call nothing per key, and a record's payload
+// goes with one copy. Every other key codec takes the generic loops; the
+// bytes and the errors are the same. (Refs have no codec to go through:
+// see NormRef.)
 
 // isU64 reports whether kc is U64Codec, whose keys go a word at a time.
 // U64Codec is a Codec[uint64] and of no other K, so then K is uint64.
@@ -120,38 +121,4 @@ func shortEntryWord(i, have int) error {
 	default:
 		return fmt.Errorf("comm: short payload length at entry %d", i)
 	}
-}
-
-// putRefWords is putRefs under U64Codec: per bytes a ref, the last four
-// a zero payload length when per has room for one.
-func putRefWords(dst []byte, off int, refs []NormRef, per int) int {
-	for _, r := range refs {
-		b := dst[off : off+per : off+per]
-		binary.LittleEndian.PutUint64(b, r.Norm)
-		binary.LittleEndian.PutUint32(b[8:], r.Proc)
-		binary.LittleEndian.PutUint32(b[12:], r.Idx)
-		if per > 16 {
-			binary.LittleEndian.PutUint32(b[16:], 0)
-		}
-		off += per
-	}
-	return off
-}
-
-// decodeRefWords is DecodeRefsSlab's loop under U64Codec: b holds at
-// least len(refs) refs of per bytes. It fills refs, or reports the first
-// ref from another origin than src or, when per has room for one, with a
-// non-zero payload length.
-func decodeRefWords(b []byte, refs []NormRef, src uint32, per int) error {
-	for i := range refs {
-		at := b[i*per : i*per+per : i*per+per]
-		if proc := binary.LittleEndian.Uint32(at[8:]); proc != src {
-			return fmt.Errorf("comm: ref %d names origin %d in a frame from %d", i, proc, src)
-		}
-		if per > 16 && binary.LittleEndian.Uint32(at[16:]) != 0 {
-			return fmt.Errorf("comm: ref %d carries a payload", i)
-		}
-		refs[i] = NormRef{Norm: binary.LittleEndian.Uint64(at), Proc: src, Idx: binary.LittleEndian.Uint32(at[12:])}
-	}
-	return nil
 }

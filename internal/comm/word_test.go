@@ -13,13 +13,9 @@ import (
 )
 
 // genericPath hides a codec from the word loops — isU64 does not know
-// its type — so entries and refs under it take the generic loops, the
-// reference the word loops must equal. It keeps the codec's norm and
-// inverse, so refs still frame under it.
+// its type — so entries under it take the generic loops, the reference
+// the word loops must equal.
 type genericPath[K any] struct{ Codec[K] }
-
-func (c genericPath[K]) Norm(k K) uint64   { return c.Codec.(KeyNormalizer[K]).Norm(k) }
-func (c genericPath[K]) Denorm(n uint64) K { return c.Codec.(KeyDenormalizer[K]).Denorm(n) }
 
 // genericLoops is c with its key codec hidden from the word loops
 // (genericPath), inside the record codec when c is one.
@@ -45,9 +41,9 @@ func sameEntries[K comparable](a, b []Entry[K]) bool {
 }
 
 // checkWordPath holds U64Codec's word loops to the generic loops over
-// keys: the entries standing for them and the refs, bare and under a
-// record codec, must encode to the same bytes and decode to the same
-// values, and every malformed input one refuses the other refuses.
+// the key-only entries of keys: they must encode to the same bytes and
+// decode to the same values, and every malformed input one refuses the
+// other refuses.
 func checkWordPath(t *testing.T, name string, keys []uint64, rng *rand.Rand) {
 	t.Helper()
 	type K = uint64
@@ -89,59 +85,6 @@ func checkWordPath(t *testing.T, name string, keys []uint64, rng *rand.Rand) {
 	}
 	if !sameEntries(byWord, generic) || !sameEntries(byWord, entries) {
 		t.Fatalf("%s: entries decode differently by word and generic", name)
-	}
-
-	const src = 3
-	kc, _ := keyCodecOf(c)
-	refs := make([]NormRef, len(keys))
-	for i, k := range keys {
-		refs[i] = NormRef{Norm: kc.(KeyNormalizer[K]).Norm(k), Proc: src, Idx: rng.Uint32()}
-	}
-	for _, pair := range [][2]Codec[K]{{c, gen}, {NewRecordCodec[K](c), NewRecordCodec[K](gen)}} {
-		word, generic := pair[0], pair[1]
-		wire := EncodeRefs(nil, refs, word)
-		if want := EncodeRefs(nil, refs, generic); !bytes.Equal(wire, want) {
-			t.Fatalf("%s: refs encode to\n%x\nby word, to\n%x\ngeneric", name, wire, want)
-		}
-		back, rest, err := DecodeRefsSlab(wire, len(refs), src, word, nil)
-		gback, grest, gerr := DecodeRefsSlab(wire, len(refs), src, generic, nil)
-		if err != nil || gerr != nil || len(rest) != 0 || len(grest) != 0 {
-			t.Fatalf("%s: ref decode: %v / %v, %d / %d bytes left", name, err, gerr, len(rest), len(grest))
-		}
-		for i := range refs {
-			if back[i] != refs[i] || gback[i] != refs[i] {
-				t.Fatalf("%s: ref %d decoded as %+v by word and %+v generic, sent %+v", name, i, back[i], gback[i], refs[i])
-			}
-		}
-		if len(refs) == 0 {
-			continue
-		}
-		per := len(wire) / len(refs)
-		refused := func(what string, b []byte, n int, src uint32) {
-			t.Helper()
-			_, wrest, werr := DecodeRefsSlab(b, n, src, word, nil)
-			_, grest, gerr := DecodeRefsSlab(b, n, src, generic, nil)
-			if werr == nil || gerr == nil || len(wrest) != len(b) || len(grest) != len(b) {
-				t.Fatalf("%s: %s: word loop returned %v, generic %v", name, what, werr, gerr)
-			}
-		}
-		refused("short buffer", wire[:len(wire)-1], len(refs), src)
-		refused("another origin", wire, len(refs), src+1)
-		odd := bytes.Clone(wire)
-		binary.LittleEndian.PutUint32(odd[(len(refs)-1)*per+kc.KeySize():], src+1) // the last ref's origin
-		refused("one ref of another origin", odd, len(refs), src)
-		if per > kc.KeySize()+originBytes {
-			paid := bytes.Clone(wire)
-			paid[len(refs)/2*per+per-1] = 1 // a payload length's top byte
-			refused("a payload", paid, len(refs), src)
-		}
-		// Trailing bytes are handed back, alike, for the caller to refuse.
-		tail := append(bytes.Clone(wire), 0xAA, 0xBB)
-		_, wrest, werr := DecodeRefsSlab(tail, len(refs), src, word, nil)
-		_, grest, gerr = DecodeRefsSlab(tail, len(refs), src, generic, nil)
-		if werr != nil || gerr != nil || !bytes.Equal(wrest, []byte{0xAA, 0xBB}) || !bytes.Equal(grest, wrest) {
-			t.Fatalf("%s: trailing bytes: %x by word (%v), %x generic (%v)", name, wrest, werr, grest, gerr)
-		}
 	}
 
 	if len(keys) > 0 {
@@ -282,11 +225,10 @@ func checkRecordWordPath(t *testing.T, name string, recs []Entry[uint64], nils b
 }
 
 // TestWordPathMatchesGenericLoops: U64Codec's word loops equal the
-// generic loops — entries, records under RecordCodec{U64Codec}, and refs
-// bare and inside a record codec, encode to the same bytes and decode to
-// the same values — on the extremes (0, MaxUint64, the top bit alone)
-// and on random keys of every length up to 64, and refuse the same
-// malformed inputs with the same error. Records carry payloads of 0, 1
+// generic loops — entries and records under RecordCodec{U64Codec} encode
+// to the same bytes and decode to the same values — on the extremes (0,
+// MaxUint64, the top bit alone) and on random keys of every length up to
+// 64, and refuse the same malformed inputs with the same error. Records carry payloads of 0, 1
 // and 128 bytes and a mix, empty ones nil and not. The other built-in
 // codecs take the generic loops.
 func TestWordPathMatchesGenericLoops(t *testing.T) {

@@ -679,12 +679,12 @@ func (s *sortRun[K]) sendShare(refs []lsort.NormRef) share[K] {
 }
 
 // sendRange streams one destination's range of the share — the KData
-// message r — in buffer-sized chunks, refs cut as datamgr.Chunks cuts the
-// entries they stand for.
+// message r — in buffer-sized chunks: a ref is chunked as an 8-byte key,
+// which with its origin is its 16 bytes on the wire.
 func (s *sortRun[K]) sendRange(dst int, r comm.Message[K]) error {
 	dm := s.node.dm
 	if s.byRef {
-		return datamgr.Chunks(dm, r.Refs, comm.RefWireEstimate(s.codec),
+		return datamgr.Chunks(dm, r.Refs, 8,
 			func(chunk []lsort.NormRef, last bool) error {
 				return s.sendData(dst, comm.Message[K]{Kind: comm.KData, Refs: chunk}, last)
 			})

@@ -30,7 +30,7 @@
 //     merged and each entry built or gathered once, into the exact-size
 //     result — or, when the runs exceed Options.MemoryBudget, spilled —
 //     each source's run written to a scratch file, a sort by ref's refs
-//     as the entries they stand for, and streamed back
+//     as refs, 16 bytes each, and streamed back
 //
 // Every entry keeps its provenance (origin processor and index), the
 // result supports binary search and top-k retrieval, and several datasets

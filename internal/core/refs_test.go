@@ -31,8 +31,8 @@ func (c entryPathCodec[K]) Norm(k K) uint64 { return c.Codec.(comm.KeyNormalizer
 // requires the sort by ref to have gone by ref (what steps 1 to 5 held
 // resident: the share's refs, 16 bytes a key, where the sort by entry
 // also built the entries it sent) and to equal the sort by entry entry for
-// entry (key bits, Proc, Index) and in every traffic count, spilled bytes
-// written and read back included. It returns the sort by ref's report.
+// entry (key bits, Proc, Index) and in its traffic (refsTraffic). It
+// returns the sort by ref's report.
 func refsCase[K cmp.Ordered](t *testing.T, label string, opts Options, byRef, byEntry comm.Codec[K], parts [][]K) Report {
 	t.Helper()
 	sort := func(codec comm.Codec[K]) *Result[K] {
@@ -69,15 +69,35 @@ func refsCase[K cmp.Ordered](t *testing.T, label string, opts Options, byRef, by
 			}
 		}
 	}
-	gr, wr := got.Report, want.Report
-	if gr.BytesSent != wr.BytesSent || gr.MsgsSent != wr.MsgsSent || gr.DataBytes != wr.DataBytes ||
-		gr.SampleBytes != wr.SampleBytes || gr.MetaBytes != wr.MetaBytes ||
-		gr.SpillBytes != wr.SpillBytes || gr.SpillReads != wr.SpillReads {
-		t.Fatalf("%s: traffic by ref %d B / %d msgs (data %d, samples %d, meta %d, spill %d/%d), by entry %d B / %d msgs (data %d, samples %d, meta %d, spill %d/%d)",
-			label, gr.BytesSent, gr.MsgsSent, gr.DataBytes, gr.SampleBytes, gr.MetaBytes, gr.SpillBytes, gr.SpillReads,
-			wr.BytesSent, wr.MsgsSent, wr.DataBytes, wr.SampleBytes, wr.MetaBytes, wr.SpillBytes, wr.SpillReads)
+	refsTraffic(t, label, int64(comm.EntriesWireBytes(make([]comm.Entry[K], 1), byRef)), got.Report, want.Report)
+	return got.Report
+}
+
+// refsTraffic holds a sort by ref's traffic (gr) to the same sort's by
+// entry (wr), whose key-only entry is ew bytes on the wire where a ref is
+// 16 under every codec. Node for node the two send the same samples and
+// metadata and as many refs as entries, and each spills what the other
+// spills but for the exchange's runs, which both write or neither, a ref
+// or an entry a key of the node's part: step 1 spills refs on both paths.
+// When ew is 16 — a 64-bit key, bare — every count is equal, messages and
+// the bytes written and read back included. Otherwise the data messages
+// are chunked by their own size and may number otherwise.
+func refsTraffic(t *testing.T, label string, ew int64, gr, wr Report) {
+	t.Helper()
+	if ew == 16 && (gr.BytesSent != wr.BytesSent || gr.MsgsSent != wr.MsgsSent || gr.SpillBytes != wr.SpillBytes) {
+		t.Fatalf("%s: traffic by ref %d B / %d msgs (spill %d), by entry %d B / %d msgs (spill %d)",
+			label, gr.BytesSent, gr.MsgsSent, gr.SpillBytes, wr.BytesSent, wr.MsgsSent, wr.SpillBytes)
 	}
-	return gr
+	for i, g := range gr.PerNode {
+		w := wr.PerNode[i]
+		exchange := (16 - ew) * int64(g.PartSize)
+		if d := g.SpillBytes - w.SpillBytes; g.SampleBytes != w.SampleBytes || g.MetaBytes != w.MetaBytes ||
+			g.DataBytes*ew != w.DataBytes*16 || d != 0 && d != exchange || g.SpillReads-w.SpillReads != d {
+			t.Fatalf("%s: node %d traffic by ref: data %d, samples %d, meta %d, spill %d/%d; by entry of %d bytes: data %d, samples %d, meta %d, spill %d/%d",
+				label, i, g.DataBytes, g.SampleBytes, g.MetaBytes, g.SpillBytes, g.SpillReads,
+				ew, w.DataBytes, w.SampleBytes, w.MetaBytes, w.SpillBytes, w.SpillReads)
+		}
+	}
 }
 
 // refsCodecCases runs refsCase over the four codecs with a Denorm and a
@@ -123,18 +143,19 @@ func refsFloat(i int, k uint64) float64 {
 }
 
 // TestRefsPathMatchesEntryPath: a sort of bare keys by ref gives what the
-// same sort by entry gives, entry for entry and byte for byte of traffic —
-// for every built-in codec with a Denorm, over both transports, at every
-// processor count from 1 to 7, on every distribution (few-distinct and
-// constant included), in chunks small enough that every range crosses
-// several messages. A key-only sort on a record codec goes by ref too,
-// its frames carrying the zero payload length.
+// same sort by entry gives, entry for entry, and sends as many refs as the
+// other sends entries (refsTraffic) — for every built-in codec with a
+// Denorm, over both transports, at every processor count from 1 to 7, on
+// every distribution (few-distinct and constant included), in chunks
+// small enough that every range crosses several messages. A key-only sort
+// on a record codec goes by ref too. Where a 64-bit key's entry is 16
+// bytes, as a ref is, the traffic is equal byte for byte.
 //
 // Under a budget it still goes by ref. Step 1's chunk runs are refs,
 // 16 bytes a key, on both paths, merged back as refs — in rounds up to 64
 // runs a node, by the loser tree above — and the spilled exchange appends
-// ref chunks to its runs; every exchange run must be the entry path's
-// byte for byte, so the bytes spilled and read back are equal too. Each step-1 shape runs with
+// ref chunks to its runs, a ref a key where the entry path writes an
+// entry; both spill the exchange on the same nodes. Each step-1 shape runs with
 // the exchange resident and with it spilled, and an exchange spills
 // behind a step 1 that does not. A share of more than 64 runs needs a
 // node to receive less than 1/32 of it, so below 33 processors its

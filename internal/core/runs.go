@@ -248,7 +248,7 @@ func (f *runFormer[K]) sortRefs(src shareSource[K], chunk int, node uint32, to *
 	}
 	// The share is the merge's one batch: the merge fills it in place.
 	fromNode := func(int) uint32 { return node }
-	err := mergeRuns(f, runs, openRefs(f, refRunCodec{}, fromNode), refNorm, less, share, n, func(out []lsort.NormRef, at int) error {
+	err := mergeRuns(f, runs, openRefs(f, fromNode), refNorm, less, share, n, func(out []lsort.NormRef, at int) error {
 		if &out[0] != &share[at] {
 			copy(share[at:], out)
 		}
@@ -261,14 +261,10 @@ func (f *runFormer[K]) sortRefs(src shareSource[K], chunk int, node uint32, to *
 	return share, nil
 }
 
-// Step 1's ref runs are framed under refRunCodec whatever the sort's
-// codec: a ref is written as the key-only uint64 entry (norm, node,
-// index), 16 bytes, and read back as the ref it is.
-type refRunCodec = comm.U64Codec
-
-// writeRefRun writes sorted refs to the scratch file as one run.
+// writeRefRun writes sorted refs to the scratch file as one run, 16
+// bytes a ref whatever the sort's codec.
 func (f *runFormer[K]) writeRefRun(to *spill.Scratch, refs []lsort.NormRef) (spill.Run, error) {
-	w := spill.NewRunWriter(to, refRunCodec{}, f.blockBytes)
+	w := spill.NewRunWriter(to, f.codec, f.blockBytes)
 	defer w.Abort() // lets go of the block buffer on a panic; nothing after Finish
 	return seal(f, w, w.AppendRefs(refs))
 }
@@ -301,12 +297,11 @@ func (f *runFormer[K]) openEntries(_ int, run spill.Run) runReader[comm.Entry[K]
 	return spill.OpenRun(run, f.codec, spill.ReaderOpts[K]{Pool: f.pool, Tracker: f.tracker, EntryBytes: int64(entryBytes[K]())})
 }
 
-// openRefs returns the open that reads run i, key-only entries framed
-// under c, as a cursor of the refs standing for them, every one from
-// origin(i): another origin, or a payload, is spill.ErrCorrupt.
-func openRefs[K cmp.Ordered, C any](f *runFormer[K], c comm.Codec[C], origin func(run int) uint32) func(int, spill.Run) runReader[lsort.NormRef] {
-	opts := spill.ReaderOpts[C]{RefPool: f.refPool, Tracker: f.tracker}
-	return func(i int, run spill.Run) runReader[lsort.NormRef] { return spill.OpenRefRun(run, origin(i), c, opts) }
+// openRefs returns the open that reads run i, a run of refs, as a cursor
+// of them, every one from origin(i): another origin is spill.ErrCorrupt.
+func openRefs[K cmp.Ordered](f *runFormer[K], origin func(run int) uint32) func(int, spill.Run) runReader[lsort.NormRef] {
+	opts := spill.ReaderOpts[K]{RefPool: f.refPool, Tracker: f.tracker}
+	return func(i int, run spill.Run) runReader[lsort.NormRef] { return spill.OpenRefRun(run, origin(i), opts) }
 }
 
 // refNorm is a ref's norm, read in place.

@@ -157,7 +157,7 @@ func TestRunFormerSourcesAndChunks(t *testing.T) {
 					if spilled := f.spillBytes.Load() > 0; spilled != (chunk < m || name == "section") {
 						t.Fatalf("spillBytes = %d at chunk %d", f.spillBytes.Load(), chunk)
 					}
-					refFrames := int64(comm.RefsWireBytes(make([]lsort.NormRef, m), comm.U64Codec{}))
+					refFrames := int64(comm.RefsWireBytes(make([]lsort.NormRef, m)))
 					if spilled := f.spillBytes.Load(); chunk < m && name != "section" && spilled != refFrames {
 						t.Fatalf("step 1 spilled %d bytes for %d keys, want their ref frames' %d", spilled, m, refFrames)
 					}
@@ -258,7 +258,7 @@ func TestMergeRunsFillsExactly(t *testing.T) {
 						}
 						share := f.refPool.Get(want)
 						fromNode := func(int) uint32 { return node }
-						err = mergeRuns(f, sorted, openRefs(f, refRunCodec{}, fromNode), refNorm, nil, share, want, func(out []lsort.NormRef, at int) error {
+						err = mergeRuns(f, sorted, openRefs(f, fromNode), refNorm, nil, share, want, func(out []lsort.NormRef, at int) error {
 							copy(share[at:], out)
 							return nil
 						})

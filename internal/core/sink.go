@@ -57,9 +57,11 @@ func (p sortedPart[K]) bytes() int64 {
 // scratch file: a negative one is an error. The choice weighs a position
 // as what the resident merge holds at its peak (residentSink.merge): what
 // lands — a ref, and beside it a sort by entry's entry — plus the larger
-// of the merge's second ref and the part's entry. A key-column job's part
-// is weighed as entries too, so a job spills the runs a sort of the same
-// keys spills. A resident share of more entries than a ref's uint32
+// of the merge's second ref and the part's element, an entry or, for a
+// key-column job, a key: a uint64 job by ref holds 32 B a key where a
+// sort of the same keys holds 56. A job spills what a sort of its keys
+// spills whenever both or neither fit the budget; between the two a job
+// merges resident. A resident share of more entries than a ref's uint32
 // position can address is refused here, as step 1 refuses such a share.
 func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 	total := 0
@@ -71,7 +73,11 @@ func (s *sortRun[K]) newExchangeSink(perSrc []int) (exchangeSink[K], error) {
 	}
 	regions := datamgr.NewRegions(perSrc)
 	eb := int64(entryBytes[K]())
-	held := refBytes + max(refBytes, eb)
+	elem := eb // the part's element
+	if s.keys {
+		elem = int64(unsafe.Sizeof(*new(K)))
+	}
+	held := refBytes + max(refBytes, elem)
 	if !s.byRef {
 		held += eb
 	}
@@ -295,9 +301,8 @@ type spilledSink[K cmp.Ordered] struct {
 }
 
 // Write appends one chunk to its source's run, sealing the run once its
-// expected count has landed. A sort by ref's refs go on disk as the
-// key-only entries they stand for, written straight from the refs, so the
-// runs are what the entry path writes.
+// expected count has landed. A sort by ref's refs go on disk as refs, 16
+// bytes each, as step 1 spills them.
 func (sp *spilledSink[K]) Write(m comm.Message[K]) error {
 	n := m.DataLen()
 	at, err := sp.Claim(m.Src, n)
@@ -359,7 +364,7 @@ func (sp *spilledSink[K]) merge() (sortedPart[K], error) {
 		defer f.giveRefs(batch)
 		denorm := f.cmps.denorm
 		fromSource := func(src int) uint32 { return uint32(src) }
-		err = mergeRuns(f, runs, openRefs(f, f.codec, fromSource), refNorm, nil, batch, total, func(out []lsort.NormRef, at int) error {
+		err = mergeRuns(f, runs, openRefs(f, fromSource), refNorm, nil, batch, total, func(out []lsort.NormRef, at int) error {
 			if sp.s.keys {
 				refKeys(part.keys[at:], out, denorm, 0, len(out))
 			} else {

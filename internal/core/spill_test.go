@@ -433,7 +433,10 @@ func TestParseMemBudget(t *testing.T) {
 // stages spill. At 10.3 B a key, 1.03 times a node's share of 40-byte
 // entries, the exchange must still spill: a resident merge by ref holds 56
 // bytes a key while it writes the part. A key-column job
-// (Scheduler.RunOne) is held to the same.
+// (Scheduler.RunOne) writes 8-byte keys instead, 32 bytes a key at the
+// peak, so at 8 B a key every node whose part fits merges resident — and
+// still stays within the budget — and only a node whose part is over the
+// mean spills, 16 bytes a key of its part.
 func TestBudgetBoundsTempPeak(t *testing.T) {
 	const procs = 4
 	for _, c := range []struct {
@@ -469,13 +472,29 @@ func TestBudgetBoundsTempPeak(t *testing.T) {
 						i, nr.TempPeakBytes, float64(nr.TempPeakBytes)/float64(budget), budget)
 				}
 			}
-			stages := int64(1) // the exchange: 40 B an entry never fits
-			if int64(per)*2*refBytes > budget {
-				stages++ // step 1's chunks
+			held := refBytes + int64(entryBytes[uint64]()) // a ref landed, an entry of the part
+			if c.keys {
+				held = 2 * refBytes // a ref landed, the merge's second ref
 			}
-			if want := stages * refBytes * int64(c.n); rep.SpillBytes != want {
-				t.Errorf("spilled %d bytes, %.1f a key; want %d, a ref a key in each of %d stages",
-					rep.SpillBytes, float64(rep.SpillBytes)/float64(c.n), want, stages)
+			step1 := int64(0)
+			if int64(per)*2*refBytes > budget {
+				step1 = refBytes * int64(per) // step 1's chunks
+			}
+			resident := 0
+			for i, nr := range rep.PerNode {
+				want := step1
+				if int64(nr.PartSize)*held > budget {
+					want += refBytes * int64(nr.PartSize)
+				} else {
+					resident++
+				}
+				if nr.SpillBytes != want {
+					t.Errorf("node %d spilled %d bytes for a part of %d keys; want %d, a ref a key in each stage the budget forces",
+						i, nr.SpillBytes, nr.PartSize, want)
+				}
+			}
+			if c.keys && c.perKey == 8 && resident == 0 {
+				t.Errorf("no node of a key-column job merged resident at %d bytes a key", held)
 			}
 			checkNoLeak(t, e)
 		})

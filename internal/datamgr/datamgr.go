@@ -60,8 +60,8 @@ func (m *Manager) ChunkLen(entryBytes int) int {
 // order. It mirrors the request-buffer flush behaviour: a message goes out
 // when the buffer fills or the remaining data ends (flush-on-complete).
 // The chunk length comes from keyBytes, the estimated wire size of one
-// item without its origin, so refs standing for key-only entries chunk
-// exactly as those entries do. last is true on the final chunk, so
+// item without its origin: 8 for a ref, whose 16 bytes are a norm and
+// its origin. last is true on the final chunk, so
 // senders can stamp a run-complete signal on it (comm.FlagRunComplete)
 // for the receiver to cross-check against the range metadata.
 // Zero items invoke fn not at all: an empty run has no final chunk, and

@@ -135,9 +135,10 @@ func fuzzRun[K any](t *testing.T, path string, size int, c comm.Codec[K]) {
 // of spilled runs reads through — after flipping bytes of their scratch
 // file or cutting it short. Two runs of n entries share the file in
 // blocks of 256 bytes, entries under the u64, string and record codecs
-// and refs under the two that frame them; run i's refs are from origin
-// i+1. flips is (offset uint16, xor byte) triples; cut, when not zero,
-// truncates the file to cut bytes modulo its length. It must never panic;
+// and refs, 16 bytes each whatever the writer's codec, under the u64 and
+// the record codec; run i's refs are from origin i+1. flips is (offset
+// uint16, xor byte) triples; cut, when not zero, truncates the file to
+// cut bytes modulo its length. It must never panic;
 // every failure wraps ErrCorrupt; a run that drains cleanly yields
 // Run.Entries() elements — the ones written, when nothing was edited —
 // and a ref never names another origin; every decoded slab goes back.
@@ -209,6 +210,9 @@ func fuzzScratch[K comparable](t *testing.T, dir string, c comm.Codec[K], entrie
 		if err != nil {
 			t.Fatal(err)
 		}
+		if refs && w.BytesWritten() != int64(16*m) {
+			t.Fatalf("run %d: %d refs written in %d bytes", i, m, w.BytesWritten())
+		}
 		runs[i] = w.Run()
 	}
 
@@ -242,7 +246,7 @@ func fuzzScratch[K comparable](t *testing.T, dir string, c comm.Codec[K], entrie
 		}
 		var next func() (int, error)
 		if refs {
-			rr := OpenRefRun(run, uint32(i+1), c, ReaderOpts[K]{RefPool: &alloc.SlabPool[comm.NormRef]{}, Tracker: tracker})
+			rr := OpenRefRun(run, uint32(i+1), ReaderOpts[K]{RefPool: &alloc.SlabPool[comm.NormRef]{}, Tracker: tracker})
 			r, next = rr, func() (int, error) {
 				batch, err := rr.Next()
 				for _, ref := range batch {

@@ -67,8 +67,8 @@ type reader[K, E any] struct {
 // scratch run's borrows them from the Scratch and the Run (OpenRun).
 type RunReader[K any] struct{ reader[K, comm.Entry[K]] }
 
-// RefReader streams a scratch run of key-only entries back as the
-// NormRefs standing for them (OpenRefRun), one decoded block per Next.
+// RefReader streams a scratch run of refs back (OpenRefRun), one decoded
+// block per Next.
 type RefReader[K any] struct{ reader[K, comm.NormRef] }
 
 // NewRunReader opens a finished run file and validates its structure:
@@ -103,16 +103,14 @@ func OpenRun[K any](run Run, c comm.Codec[K], opts ReaderOpts[K]) *RunReader[K] 
 	return r
 }
 
-// OpenRefRun opens a sealed scratch run of key-only entries from node
-// src — written by Writer.AppendRefs or Append alike, the bytes are the
-// same — as a cursor of the refs standing for them under c, which must
-// frame refs (comm.RefDenorm): each block decodes straight into a slab
-// of opts.RefPool, and an entry from another origin or with a payload is
+// OpenRefRun opens a sealed scratch run of refs from node src, written
+// by Writer.AppendRefs, as a cursor of those refs: each block decodes
+// straight into a slab of opts.RefPool, and a ref from another origin is
 // ErrCorrupt. Otherwise it is OpenRun.
-func OpenRefRun[K any](run Run, src uint32, c comm.Codec[K], opts ReaderOpts[K]) *RefReader[K] {
+func OpenRefRun[K any](run Run, src uint32, opts ReaderOpts[K]) *RefReader[K] {
 	return &RefReader[K]{reader[K, comm.NormRef]{
 		f: run.file.file(), index: run.blocks, total: run.entries, scratch: run.file,
-		dec: refDecoder[K]{}, codec: c, src: src,
+		dec: refDecoder[K]{}, src: src,
 		pool: opts.RefPool, tracker: opts.Tracker, elemBytes: int64(unsafe.Sizeof(comm.NormRef{})),
 	}}
 }
@@ -142,11 +140,11 @@ func (entryDecoder[K]) decode(b []byte, n int, _ uint32, c comm.Codec[K], pool *
 	return comm.DecodeEntriesSlab(b, n, c, pool)
 }
 
-// refDecoder decodes refs from node src.
+// refDecoder decodes refs from node src, which need no codec.
 type refDecoder[K any] struct{}
 
-func (refDecoder[K]) decode(b []byte, n int, src uint32, c comm.Codec[K], pool *alloc.SlabPool[comm.NormRef]) ([]comm.NormRef, []byte, error) {
-	return comm.DecodeRefsSlab(b, n, src, c, pool)
+func (refDecoder[K]) decode(b []byte, n int, src uint32, _ comm.Codec[K], pool *alloc.SlabPool[comm.NormRef]) ([]comm.NormRef, []byte, error) {
+	return comm.DecodeRefsSlab(b, n, src, pool)
 }
 
 // tailGuess is how much of the file's end loadIndex reads first: the

@@ -1,9 +1,9 @@
 // Package spill implements the out-of-core run tier: sorted runs of
 // entries written as blocks and streamed back through lsort.Cursor
 // readers, so the merge path can consume runs that never fit in RAM
-// exactly like resident slabs. A run of key-only entries can be written
-// from the comm.NormRefs standing for them and read back as refs
-// (Writer.AppendRefs, OpenRefRun): the bytes are the entries' either way.
+// exactly like resident slabs. A run of refs (comm.NormRef) is written
+// and read back as refs (Writer.AppendRefs, OpenRefRun): each ref its own
+// 16 bytes, whatever the writer's codec.
 //
 // A run is a list of blocks. Where the list is kept is the only thing
 // that tells the tier's two kinds of run apart:
@@ -432,20 +432,19 @@ func (w *Writer[K]) Append(entries []comm.Entry[K]) error {
 	return nil
 }
 
-// AppendRefs is Append for the key-only entries refs stand for
-// (comm.NormRef), each from its ref's origin node: it writes their bytes,
-// block for block what Append writes for those entries, without building
-// one. The codec must frame refs (comm.RefDenorm).
+// AppendRefs is Append for refs: each goes into the block as its own 16
+// bytes (comm.EncodeRefs), whatever the writer's codec. A run holds
+// entries or refs, never both.
 func (w *Writer[K]) AppendRefs(refs []comm.NormRef) error {
 	if w.done != nil {
 		return w.done
 	}
 	for len(refs) > 0 {
-		n, err := w.take(comm.RefsFitting(refs, w.codec, w.blockBytes-len(w.buf.b)))
+		n, err := w.take(comm.RefsFitting(refs, w.blockBytes-len(w.buf.b)))
 		if err != nil {
 			return err
 		}
-		w.buf.b = comm.EncodeRefs(w.buf.b, refs[:n], w.codec)
+		w.buf.b = comm.EncodeRefs(w.buf.b, refs[:n])
 		w.count += uint32(n)
 		refs = refs[n:]
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,7 +24,8 @@ func patternByte(src, dst, i, j, k int) byte {
 // unacknowledged frames go out again from the buffers they still own.
 // Every payload byte of every message must arrive, exactly once and in
 // order: a buffer reused before its ack would retransmit another frame's
-// bytes.
+// bytes. Every third message is a ref frame, its refs' words patterned
+// alike.
 func TestRecycledFramesSurviveReset(t *testing.T) {
 	const p, msgs, perMsg = 3, 150, 9
 	cfg := fastCfg()
@@ -47,6 +49,13 @@ func TestRecycledFramesSurviveReset(t *testing.T) {
 				defer wg.Done()
 				ep := netw.Endpoint(src)
 				for i := 0; i < msgs; i++ {
+					if i%3 == 2 {
+						if err := ep.Send(dst, comm.Message[uint64]{Kind: comm.KData, Refs: patternRefs(src, dst, i, perMsg)}); err != nil {
+							t.Errorf("send %d->%d #%d: %v", src, dst, i, err)
+							return
+						}
+						continue
+					}
 					entries := make([]comm.Entry[uint64], perMsg)
 					for j := range entries {
 						pay := make([]byte, (i+j)%97) // zero-length ones included
@@ -80,6 +89,14 @@ func TestRecycledFramesSurviveReset(t *testing.T) {
 				}
 				i := next[m.Src]
 				next[m.Src]++
+				if i%3 == 2 {
+					if want := patternRefs(m.Src, dst, i, perMsg); !slices.Equal(m.Refs, want) || len(m.Entries) != 0 {
+						t.Errorf("%d->%d #%d: got refs %v, want %v", m.Src, dst, i, m.Refs, want)
+						return
+					}
+					m.Release()
+					continue
+				}
 				if len(m.Entries) != perMsg {
 					t.Errorf("%d->%d #%d: %d entries, want %d", m.Src, dst, i, len(m.Entries), perMsg)
 					return
@@ -112,6 +129,16 @@ func TestRecycledFramesSurviveReset(t *testing.T) {
 	}
 }
 
+// patternRefs is the refs of message i on the (src -> dst) link, from
+// origin src, each Norm a pattern as patternByte's.
+func patternRefs(src, dst, i, n int) []comm.NormRef {
+	refs := make([]comm.NormRef, n)
+	for j := range refs {
+		refs[j] = comm.NormRef{Norm: uint64(i)<<8 | uint64(patternByte(src, dst, i, j, 0)), Proc: uint32(src), Idx: uint32(j)}
+	}
+	return refs
+}
+
 // TestSteadyStateAllocatesNoFrames: once one all-to-all has filled the
 // pools, a second of the same volume allocates no frame buffer on the
 // send side and no frame buffer, decode slab, header, ack timer or
@@ -123,14 +150,18 @@ func TestRecycledFramesSurviveReset(t *testing.T) {
 // last arrives — more than a sort leaves out at once (about nine a link,
 // 19 at the peak). Records add what the receiver has to own,
 // their payloads, in one block a frame: the bound grants those bytes and
-// one malloc a frame besides. Under the race detector, where a sync.Pool
+// one malloc a frame besides. Refs, 16 bytes each whatever the codec,
+// own nothing and are held to the keys' bound. Under the race detector, where a sync.Pool
 // drops Puts at random, the rounds run and only the counts go unchecked.
 func TestSteadyStateAllocatesNoFrames(t *testing.T) {
-	t.Run("keys", func(t *testing.T) { checkSteadyState(t, comm.U64Codec{}, 0) })
-	t.Run("records", func(t *testing.T) { checkSteadyState(t, comm.NewRecordCodec[uint64](comm.U64Codec{}), 64) })
+	t.Run("keys", func(t *testing.T) { checkSteadyState(t, comm.U64Codec{}, 0, false) })
+	t.Run("records", func(t *testing.T) { checkSteadyState(t, comm.NewRecordCodec[uint64](comm.U64Codec{}), 64, false) })
+	t.Run("refs", func(t *testing.T) { checkSteadyState(t, comm.U64Codec{}, 0, true) })
 }
 
-func checkSteadyState(t *testing.T, codec comm.Codec[uint64], payload int) {
+// checkSteadyState sends perFrame entries a frame, each with payload
+// bytes, or as many refs when byRef is set.
+func checkSteadyState(t *testing.T, codec comm.Codec[uint64], payload int, byRef bool) {
 	const p, perLink, perFrame = 3, 24, 1024
 	netw, err := NewTCP[uint64](p, codec)
 	if err != nil {
@@ -145,6 +176,19 @@ func checkSteadyState(t *testing.T, codec comm.Codec[uint64], payload int) {
 			entries[i].Payload = make([]byte, payload)
 		}
 	}
+	msg := func(src int) comm.Message[uint64] { return comm.Message[uint64]{Kind: comm.KData, Entries: entries} }
+	wireBytes := comm.EntriesWireBytes(entries, codec)
+	if byRef {
+		refs := make([][]comm.NormRef, p) // a ref names its sender
+		for i := range refs {
+			refs[i] = make([]comm.NormRef, perFrame)
+			for j := range refs[i] {
+				refs[i][j] = comm.NormRef{Norm: uint64(j), Proc: uint32(i), Idx: uint32(j)}
+			}
+		}
+		msg = func(src int) comm.Message[uint64] { return comm.Message[uint64]{Kind: comm.KData, Refs: refs[src]} }
+		wireBytes = comm.RefsWireBytes(refs[0])
+	}
 	errs := make(chan error, 2*p)
 	round := func() {
 		var wg sync.WaitGroup
@@ -157,7 +201,7 @@ func checkSteadyState(t *testing.T, codec comm.Codec[uint64], payload int) {
 						if j == i {
 							continue
 						}
-						if err := netw.Endpoint(i).Send(j, comm.Message[uint64]{Kind: comm.KData, Entries: entries}); err != nil {
+						if err := netw.Endpoint(i).Send(j, msg(i)); err != nil {
 							errs <- fmt.Errorf("send %d->%d: %w", i, j, err)
 							return
 						}
@@ -169,8 +213,10 @@ func checkSteadyState(t *testing.T, codec comm.Codec[uint64], payload int) {
 				held := make([]func(), 0, (p-1)*perLink)
 				for k := 0; k < (p-1)*perLink; k++ {
 					m, ok := netw.Endpoint(i).Recv()
-					if !ok || len(m.Entries) != perFrame || m.Entries[perFrame-1].Key != perFrame-1 || len(m.Entries[0].Payload) != payload {
-						errs <- fmt.Errorf("node %d: bad message %d (ok=%v, %d entries)", i, k, ok, len(m.Entries))
+					good := byRef && len(m.Refs) == perFrame && m.Refs[perFrame-1].Idx == perFrame-1 ||
+						len(m.Entries) == perFrame && m.Entries[perFrame-1].Key == perFrame-1 && len(m.Entries[0].Payload) == payload
+					if !ok || !good {
+						errs <- fmt.Errorf("node %d: bad message %d (ok=%v, %d entries, %d refs)", i, k, ok, len(m.Entries), len(m.Refs))
 						return
 					}
 					held = append(held, m.Release)
@@ -200,7 +246,7 @@ func checkSteadyState(t *testing.T, codec comm.Codec[uint64], payload int) {
 		t.Fatal(err)
 	}
 	frames := uint64(p * (p - 1) * perLink)
-	wire := frames * uint64(comm.EntriesWireBytes(entries, codec))
+	wire := frames * uint64(wireBytes)
 	owned := frames * perFrame * uint64(payload) // the payload blocks
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	if payload > 0 {

@@ -82,9 +82,9 @@ type frame struct {
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 // putHeader writes m's frame header into b; the sequence number is
-// stamped when the frame is first written. Refs count as entries, which
-// is what they are on the wire, and comm.FlagRefs tells the read loop to
-// decode them back into refs.
+// stamped when the frame is first written. Refs take the entry count's
+// place, and comm.FlagRefs tells the read loop to decode them as refs,
+// 16 bytes each whatever the codec.
 func putHeader[K any](b []byte, m *comm.Message[K], payload int) {
 	b[0] = byte(m.Kind)
 	b[1] = m.Flags
@@ -668,7 +668,7 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 		var err error
 		switch {
 		case nEntries > 0 && hdr[1]&comm.FlagRefs != 0:
-			m.Refs, rest, err = comm.DecodeRefsSlab(rest, nEntries, uint32(m.Src), n.codec, &slabs.refs)
+			m.Refs, rest, err = comm.DecodeRefsSlab(rest, nEntries, uint32(m.Src), &slabs.refs)
 			if err != nil {
 				return
 			}
@@ -714,8 +714,8 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 	}
 }
 
-// decodeSlabsKept is how many idle entry slabs of one size class a read
-// loop keeps, and how many idle slab loans. A 4-node TCP SortRecords of
+// decodeSlabsKept is how many idle entry and ref slabs of one size class
+// a read loop keeps, and how many idle slab loans. A 4-node TCP SortRecords of
 // 2^18 keys with 128-byte payloads has about 9 frames a link decoded and
 // not yet released, 19 at the peak, so with 32 every slab the next sort
 // asks for is back in the pool. A pool keeps only slabs it handed out,
@@ -723,8 +723,7 @@ func (n *tcpNetwork[K]) readLoop(conn net.Conn, src, dst int, st *recvState, don
 // and at most 32 a size class — a class being a frame's entries rounded
 // up to a power of two, a frame at most Config.MaxFrameBytes. After 20
 // such sorts the 12 links kept 122 entry slabs, 9.2 MB, at most 1.5 MB a
-// link. The ref pool keeps the default four a class: no measured
-// workload sends refs over TCP.
+// link. A key-only sort's refs, 16 bytes each, keep to the same count.
 const decodeSlabsKept = 32
 
 // recvSlabs is what one read loop decodes entry and ref chunks into: a
@@ -753,7 +752,7 @@ type slabLoan[K any] struct {
 func newRecvSlabs[K any](codec comm.Codec[K]) *recvSlabs[K] {
 	pc, ok := codec.(comm.PayloadCarrier)
 	s := &recvSlabs[K]{idle: make([]*slabLoan[K], 0, decodeSlabsKept)}
-	s.entries.Keep, s.entries.Clear = decodeSlabsKept, ok && pc.CarriesPayload()
+	s.entries.Keep, s.refs.Keep, s.entries.Clear = decodeSlabsKept, decodeSlabsKept, ok && pc.CarriesPayload()
 	return s
 }
 
